@@ -295,6 +295,40 @@ func (t *Tree) Get(key []byte) ([]byte, error) {
 	return n.vals[i], nil
 }
 
+// GetForUpdate is Get for a caller that will Put the same key next (a
+// read-modify-write). The descent reads height-1 interior levels as Get does
+// and then the leaf through pagestore.ReadForUpdate, so a locking store
+// write-locks the one page the Put will write instead of upgrading it later.
+func (t *Tree) GetForUpdate(key []byte) ([]byte, error) {
+	pageNo := t.root
+	for level := 1; level < t.height; level++ {
+		n, err := t.readNodeCached(pageNo)
+		if err != nil {
+			return nil, err
+		}
+		if n.leaf {
+			return nil, fmt.Errorf("%w: leaf page %d above level %d", ErrCorrupt, pageNo, t.height)
+		}
+		pageNo = n.children[childIndex(n.keys, key)]
+	}
+	b := make([]byte, t.pageSize)
+	if err := pagestore.ReadForUpdate(t.st, pageNo, b); err != nil {
+		return nil, err
+	}
+	n, err := decodeNode(pageNo, b)
+	if err != nil {
+		return nil, err
+	}
+	if !n.leaf {
+		return nil, fmt.Errorf("%w: interior page %d at leaf level %d", ErrCorrupt, pageNo, t.height)
+	}
+	i, eq := search(n.keys, key)
+	if !eq {
+		return nil, ErrNotFound
+	}
+	return n.vals[i], nil
+}
+
 // split describes a node split propagating upward.
 type split struct {
 	key   []byte // separator promoted to the parent

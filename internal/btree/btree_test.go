@@ -489,3 +489,82 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 		}
 	}
 }
+
+// updateStore is a MemStore that records, in order, which pages were read
+// plainly and which for update.
+type updateStore struct {
+	*pagestore.MemStore
+	reads, updates []int64
+}
+
+func (s *updateStore) ReadPage(n int64, p []byte) error {
+	s.reads = append(s.reads, n)
+	return s.MemStore.ReadPage(n, p)
+}
+
+func (s *updateStore) ReadPageForUpdate(n int64, p []byte) error {
+	s.updates = append(s.updates, n)
+	return s.MemStore.ReadPage(n, p)
+}
+
+// TestGetForUpdateLocksOnlyTheLeaf: GetForUpdate returns what Get returns,
+// reads the interior levels plainly and exactly one page — the leaf the
+// following Put rewrites — for update, on bulk-loaded and on grown trees, and
+// falls back to plain reads on a store without UpdateReader.
+func TestGetForUpdateLocksOnlyTheLeaf(t *testing.T) {
+	const n = 3000
+	build := map[string]func(st pagestore.Store) *Tree{
+		"bulk": func(st pagestore.Store) *Tree {
+			tr, err := BulkLoad(st, sortedFeeder(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		},
+		"grown": func(st pagestore.Store) *Tree {
+			tr, err := Create(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if err := tr.Put(key(i), key(i*2)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return tr
+		},
+	}
+	for name, mk := range build {
+		st := &updateStore{MemStore: pagestore.NewMemStore(512)}
+		tr := mk(st)
+		if tr.Height() < 3 {
+			t.Fatalf("%s: height %d, want a tree with interior levels", name, tr.Height())
+		}
+		for i := 0; i < n; i += 61 {
+			st.reads, st.updates = nil, nil
+			v, err := tr.GetForUpdate(key(i))
+			if err != nil || !bytes.Equal(v, key(i*2)) {
+				t.Fatalf("%s: GetForUpdate(%d) = %v, %v", name, i, v, err)
+			}
+			if len(st.updates) != 1 || len(st.reads) != tr.Height()-1 {
+				t.Fatalf("%s: GetForUpdate(%d) read %v plainly and %v for update, want %d interior pages and the leaf",
+					name, i, st.reads, st.updates, tr.Height()-1)
+			}
+			leaf := st.updates[0]
+			st.reads, st.updates = nil, nil
+			if err := tr.Put(key(i), key(i*2)); err != nil {
+				t.Fatal(err)
+			}
+			if last := st.reads[len(st.reads)-1]; last != leaf {
+				t.Fatalf("%s: Put(%d) rewrote leaf %d, GetForUpdate had locked %d", name, i, last, leaf)
+			}
+		}
+		if _, err := tr.GetForUpdate(key(n + 5)); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: GetForUpdate(missing) = %v, want ErrNotFound", name, err)
+		}
+	}
+	plain := build["bulk"](pagestore.NewMemStore(512))
+	if v, err := plain.GetForUpdate(key(7)); err != nil || !bytes.Equal(v, key(14)) {
+		t.Fatalf("GetForUpdate on a plain store = %v, %v", v, err)
+	}
+}

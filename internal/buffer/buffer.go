@@ -312,21 +312,6 @@ func (p *Pool) DirtyFile(f FileID) []*Buf {
 	return out
 }
 
-// HeldFile returns the held buffers belonging to one file — the per-inode
-// transaction buffer list of §4.1.
-func (p *Pool) HeldFile(f FileID) []*Buf {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []*Buf
-	for e := p.lru.Front(); e != nil; e = e.Next() {
-		b := e.Value.(*Buf)
-		if b.held && b.ID.File == f {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // FlushAll writes back every dirty, unheld buffer through the writeback
 // callback and marks them clean.
 func (p *Pool) FlushAll() error {

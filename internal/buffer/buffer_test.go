@@ -196,22 +196,6 @@ func TestDirtyListsAndMarkClean(t *testing.T) {
 	}
 }
 
-func TestHeldFileList(t *testing.T) {
-	p := New(8, 8, nil)
-	b1, _ := p.Get(BlockID{1, 0}, nil)
-	b2, _ := p.Get(BlockID{1, 1}, nil)
-	b3, _ := p.Get(BlockID{2, 0}, nil)
-	p.SetHold(b1, true)
-	p.SetHold(b2, true)
-	p.SetHold(b3, true)
-	p.Release(b1)
-	p.Release(b2)
-	p.Release(b3)
-	if got := len(p.HeldFile(1)); got != 2 {
-		t.Fatalf("HeldFile(1) = %d, want 2", got)
-	}
-}
-
 func TestInvalidateDiscardsDirtyData(t *testing.T) {
 	fetches := 0
 	fetch := func(id BlockID, dst []byte) error { fetches++; dst[0] = 5; return nil }

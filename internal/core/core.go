@@ -17,11 +17,21 @@
 // per-transaction state with its lock chain, per-inode lists of
 // transaction-protected buffers (modelled by buffer holds), and group
 // commit.
+//
+// Commit is a pre-commit: the transaction releases its locks at once and
+// sleeps until the batch it joined is in the log, so later transactions can
+// read and write pages that carry pre-committed bytes. Two invariants keep
+// that safe. A batch flush takes every pre-committed transaction, in
+// pre-commit order, as one atomic partial-segment stream, so a transaction
+// never becomes durable ahead of one it depends on. And every write records
+// an in-memory before-image first, which serves both abort (undone in place)
+// and the flush (a page a running transaction has since written is logged
+// from a scratch copy with that transaction's bytes backed out), so the log
+// never receives an uncommitted byte.
 package core
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,7 +43,6 @@ import (
 	"repro/internal/mvcc"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/vfs"
 )
 
 // Errors.
@@ -53,10 +62,10 @@ type Options struct {
 	// Costs is the CPU cost model (default sim.SpriteCosts()).
 	Costs sim.CostModel
 	// GroupCommit batches the commit-time flush across this many
-	// transactions (default 1 = flush at every commit). Locks are held
-	// until the batch flushes (strict two-phase commit), exactly the
-	// paper's "the process sleeps ... until sufficiently more
-	// transactions have committed to justify the write" (§4.4).
+	// transactions (default 1 = flush at every commit): the paper's "the
+	// process sleeps ... until sufficiently more transactions have
+	// committed to justify the write" (§4.4). A committer never sleeps
+	// when no other process could join the batch.
 	GroupCommit int
 	// Granularity selects page or sub-page locking (default Page, the
 	// paper's measured configuration; see Granularity).
@@ -74,7 +83,7 @@ type Stats struct {
 	Committed    int64
 	Aborted      int64
 	CommitFlush  int64 // commit-time flush operations (group commits count once)
-	PagesFlushed int64 // pages written by commit flushes
+	PagesFlushed int64 // distinct pages written by commit flushes (a batch's union)
 	BytesFlushed int64 // whole pages × block size (§4.3's commit cost)
 	Deadlocks    int64
 	// Snapshots counts read-only snapshot transactions (BeginSnapshot);
@@ -96,15 +105,22 @@ type Manager struct {
 	tracer *trace.Tracer // from Options.Tracer; nil = tracing off
 	// Metric handles resolved at construction; nil handles are free.
 	ctrCommits, ctrAborts, ctrFlushes *trace.Counter
-	histLatency                       *trace.Hist
+	histLatency, histCommitWait       *trace.Hist
 
 	nextTxn uint64
-	// heldBy refcounts buffer holds across active and pending-commit
-	// transactions.
-	heldBy map[buffer.BlockID]int
-	// pending are committed transactions awaiting the group-commit flush.
-	pending []*Txn
-	stats   Stats
+	// held tracks every buffer on transaction hold: who is still writing it
+	// and whose pre-committed bytes it carries.
+	held map[buffer.BlockID]*heldPage
+	// pending are the pre-committed transactions, in pre-commit order,
+	// awaiting the group-commit flush; batch is the outcome they will share.
+	// Their committers sleep on gcWaiters until it is settled; gcFlushDue
+	// asks the earliest sleeper to perform the flush itself (the stall
+	// hook's "timeout" arm).
+	pending    []*Txn
+	batch      *commitBatch
+	gcFlushDue bool
+	gcWaiters  sim.WaitQueue
+	stats      Stats
 
 	// Snapshot (multiversion read) support. commitSeq is the durable commit
 	// epoch — one increment per commit flush; snapshots pin it as their
@@ -116,6 +132,13 @@ type Manager struct {
 	commitSeq atomic.Int64
 	vers      *mvcc.AddrMap
 	snaps     *mvcc.Horizons
+}
+
+// commitBatch is the outcome of one group-commit flush, shared by every
+// transaction that pre-committed into it.
+type commitBatch struct {
+	done bool
+	err  error
 }
 
 // New attaches a transaction manager to a mounted log-structured file
@@ -134,7 +157,8 @@ func New(fsys *lfs.FS, clock *sim.Clock, opts Options) *Manager {
 		locks:  lock.NewManager(),
 		opts:   opts,
 		tracer: opts.Tracer,
-		heldBy: make(map[buffer.BlockID]int),
+		held:   make(map[buffer.BlockID]*heldPage),
+		batch:  &commitBatch{},
 		vers:   mvcc.NewAddrMap(),
 		snaps:  mvcc.NewHorizons(),
 	}
@@ -143,6 +167,7 @@ func New(fsys *lfs.FS, clock *sim.Clock, opts Options) *Manager {
 	m.ctrAborts = opts.Tracer.Counter("txn.aborts")
 	m.ctrFlushes = opts.Tracer.Counter("core.commitFlushes")
 	m.histLatency = opts.Tracer.Hist("txn.latency")
+	m.histCommitWait = opts.Tracer.Hist("txn.commitWait")
 	m.locks.SetClock(clock)
 	m.locks.SetTracer(opts.Tracer)
 	clock.OnStall(m.groupCommitStall)
@@ -193,11 +218,10 @@ type Txn struct {
 	id     uint64
 	proc   *Process
 	pages  map[buffer.BlockID]bool
-	files  map[vfs.FileID]bool
 	status txnStatus
 	start  time.Duration // simulated begin time, for the whole-txn trace span
-	// undo holds byte-range before-images, used only under SubPage
-	// locking (a shared page cannot simply be invalidated on abort).
+	// undo holds the before-image of every byte range the transaction
+	// wrote, in write order (see captureUndo).
 	undo []undoRange
 }
 
@@ -229,7 +253,6 @@ func (p *Process) TxnBegin() error {
 		id:    m.nextTxn,
 		proc:  p,
 		pages: make(map[buffer.BlockID]bool),
-		files: make(map[vfs.FileID]bool),
 		start: start,
 	}
 	m.stats.Begun++
@@ -237,14 +260,13 @@ func (p *Process) TxnBegin() error {
 	return nil
 }
 
-// TxnCommit commits the process's transaction (txn_commit): move the dirty
-// buffers from the inode's transaction list to its dirty list and, when the
-// group-commit batch has filled, flush them to disk and release locks. A
-// pending transaction keeps its locks until the flush — the kernel design
-// never writes uncommitted pages, so it cannot release early the way the
-// user-level log manager can — which is why a conflicting lock request
-// (lockObject) or the scheduler's stall hook flushes the batch instead of
-// letting requesters queue behind a parked committer.
+// TxnCommit commits the process's transaction (txn_commit) as a pre-commit:
+// the transaction joins the group-commit batch and releases its locks at
+// once — batches reach the log whole and in pre-commit order, so no
+// transaction that builds on these bytes can become durable first — while
+// its dirty buffers stay on hold (no-steal is unchanged). The process then
+// sleeps until the batch is in the log: TxnCommit returns only for a durable
+// transaction.
 func (p *Process) TxnCommit() error {
 	if p.txn == nil || p.txn.status != txnRunning {
 		return ErrNoTxn
@@ -254,17 +276,22 @@ func (p *Process) TxnCommit() error {
 	defer m.mu.Unlock()
 	m.clock.Advance(m.costs.Syscall + m.costs.TxnOp)
 	t := p.txn
-	t.status = txnCommitting
-	m.pending = append(m.pending, t)
-	if len(m.pending) >= m.opts.GroupCommit {
-		if err := m.flushPendingLocked(); err != nil {
-			return err
-		}
-	}
 	p.txn = nil
+	t.status = txnCommitting
+	//simlint:ordered per-page bookkeeping only; no page's update depends on another's
+	for id := range t.pages {
+		hp := m.held[id]
+		hp.dropWriter(t)
+		hp.pending++
+		hp.baseDirty = true
+	}
+	m.pending = append(m.pending, t)
+	m.locks.ReleaseAll(lock.TxnID(t.id))
+	if err := m.awaitGroupFlushLocked(); err != nil {
+		return err
+	}
+	m.clock.Advance(m.costs.KernelSync())
 	if m.tracer.Enabled() {
-		// The span closes when txn_commit returns to the process; a pending
-		// transaction's durability arrives later with the batch flush.
 		m.tracer.Complete("txn", "txn", t.start, trace.AU("txn", t.id), trace.AS("outcome", "commit"))
 		m.histLatency.Observe(m.clock.Now() - t.start)
 		m.ctrCommits.Add(1)
@@ -272,58 +299,100 @@ func (p *Process) TxnCommit() error {
 	return nil
 }
 
-// groupCommitStall is the scheduler's stall hook: every runnable client is
-// blocked, and what blocks them is (transitively) a lock held by a pending
-// committed transaction. Flush the batch — the discrete-event analogue of
-// the group-commit timeout — releasing those locks and waking the waiters.
+// awaitGroupFlushLocked is group commit for a pre-committed transaction
+// (§4.4), the embedded twin of libtp's awaitGroupForceLocked: flush the whole
+// batch — when it has filled, or when no other process is runnable so waiting
+// cannot add to it — or sleep until a later committer (or the scheduler's
+// stall hook) does. Caller holds m.mu.
+func (m *Manager) awaitGroupFlushLocked() error {
+	if len(m.pending) >= m.opts.GroupCommit || !m.clock.OtherRunnable() {
+		return m.flushPendingLocked()
+	}
+	b := m.batch
+	var waited time.Duration
+	for !b.done && !m.gcFlushDue {
+		waited += m.gcWaiters.Wait(m.clock, &m.mu)
+	}
+	m.noteCommitWait(waited)
+	if !b.done {
+		return m.flushPendingLocked()
+	}
+	return b.err
+}
+
+// noteCommitWait attributes the time a pre-committed transaction slept
+// waiting for its batch's flush. Caller holds m.mu.
+func (m *Manager) noteCommitWait(d time.Duration) {
+	if d <= 0 || !m.tracer.Enabled() {
+		return
+	}
+	m.tracer.Complete("txn", "txn.commitWait", m.clock.Now()-d)
+	m.tracer.Attribute(trace.AttrCommitWait, d)
+	m.histCommitWait.Observe(d)
+}
+
+// groupCommitStall is the scheduler's stall hook — the discrete-event
+// analogue of the group-commit timeout. Every live process is asleep, so the
+// batch cannot grow: wake the earliest sleeping committer, which finds
+// gcFlushDue set and performs the flush in its own simulated time.
 func (m *Manager) groupCommitStall() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.pending) == 0 {
+	if len(m.pending) == 0 || m.gcWaiters.Empty() {
 		return false
 	}
-	if err := m.flushPendingLocked(); err != nil {
-		// A failed flush made no progress: no locks were released, so no
-		// waiter can ever run to receive the error, and reporting progress
-		// would turn it into a misleading "scheduler stalled" panic. Fail
-		// loudly with the real cause instead.
-		panic(fmt.Sprintf("core: group-commit flush from stall hook failed: %v", err))
-	}
-	return true
+	m.gcFlushDue = true
+	return m.gcWaiters.WakeOne(m.clock)
 }
 
-// flushPendingLocked performs the (group) commit flush: force every pending
-// transaction's buffers to the log in one partial-segment stream, then
-// release the holds and all pending locks. The holds are released only
-// AFTER the flush succeeds: the flush itself gathers held pages explicitly
-// (FlushFiles), and any cleaner pass the flush triggers on entry still sees
-// the pages as held — so it relocates the on-disk before-images instead of
-// stealing the uncommitted contents into the log ahead of the commit record.
+// flushPendingLocked performs the (group) commit flush and wakes the batch's
+// sleeping committers with its outcome. Caller holds m.mu.
 //
 //simlint:alloc(per-batch flush: group commit amortizes its bookkeeping over the batch, not per page access)
 func (m *Manager) flushPendingLocked() error {
 	if len(m.pending) == 0 {
 		return nil
 	}
+	b := m.batch
+	m.batch = &commitBatch{}
+	b.err = m.writeBatchLocked()
+	b.done = true
+	m.gcFlushDue = false
+	m.gcWaiters.Broadcast(m.clock)
+	return b.err
+}
+
+// writeBatchLocked forces the batch's page set — the union of the pending
+// transactions' write sets, nothing else that is on hold — to the log as one
+// atomic partial-segment stream, then drops the batch's holds. A page that a
+// running transaction has written since is logged from its committed image
+// and stays dirty and held for that writer. The holds are released only
+// AFTER the flush succeeds: any cleaner pass the flush triggers on entry
+// still sees the pages as held, so it relocates the on-disk before-images
+// instead of stealing unflushed contents into the log ahead of the batch.
+func (m *Manager) writeBatchLocked() error {
 	span := m.tracer.Begin("txn", "core.commitFlush")
-	pool := m.fs.Pool()
-	fileSet := make(map[vfs.FileID]bool)
-	pages := 0
+	set := make(map[buffer.BlockID]bool)
 	for _, t := range m.pending {
-		pages += len(t.pages)
-		for f := range t.files {
-			fileSet[f] = true
+		//simlint:ordered set union; the sorted key list below fixes the order
+		for id := range t.pages {
+			set[id] = true
 		}
+	}
+	ids := detsort.KeysFunc(set, buffer.CompareBlockID)
+	pages := make([]lfs.CommitPage, len(ids))
+	for i, id := range ids {
+		pages[i] = lfs.CommitPage{ID: id, Image: m.committedImageLocked(id)}
 	}
 	// With a snapshot pinned, capture the pre-flush disk address of every
 	// page this batch rewrites: the flush supersedes those addresses, but
 	// the no-overwrite log keeps their contents — exactly the versions a
 	// snapshot older than this commit must keep reading.
-	capture, err := m.capturePreFlushAddrs(fileSet)
+	capture, err := m.capturePreFlushAddrs(ids)
 	if err != nil {
 		return err
 	}
-	if err := m.fs.FlushFiles(detsort.Keys(fileSet)); err != nil {
+	if err := m.fs.FlushCommit(pages); err != nil {
 		return err
 	}
 	epoch := m.commitSeq.Add(1)
@@ -331,47 +400,43 @@ func (m *Manager) flushPendingLocked() error {
 		m.vers.Record(mvcc.PageID{File: uint64(c.id.File), Block: c.id.Block}, epoch, c.addr)
 		m.stats.VersionsRecorded++
 	}
-	for _, t := range m.pending {
-		for id := range t.pages {
-			m.heldBy[id]--
-			if m.heldBy[id] == 0 {
-				delete(m.heldBy, id)
-				if b := pool.Lookup(id); b != nil {
-					pool.SetHold(b, false)
-				}
-			}
+	for _, id := range ids {
+		hp := m.held[id]
+		hp.pending = 0
+		hp.baseDirty = false
+		if len(hp.writers) == 0 {
+			m.unholdLocked(id)
 		}
 	}
 	for _, t := range m.pending {
-		m.locks.ReleaseAll(lock.TxnID(t.id))
-		m.clock.Advance(m.costs.KernelSync())
 		t.status = txnDone
-		m.stats.Committed++
 	}
+	m.stats.Committed += int64(len(m.pending))
 	m.stats.CommitFlush++
-	m.stats.PagesFlushed += int64(pages)
-	m.stats.BytesFlushed += int64(pages) * int64(m.fs.BlockSize())
+	m.stats.PagesFlushed += int64(len(ids))
+	m.stats.BytesFlushed += int64(len(ids)) * int64(m.fs.BlockSize())
 	if m.tracer.Enabled() {
-		span.End(trace.AI("txns", int64(len(m.pending))), trace.AI("pages", int64(pages)))
+		span.End(trace.AI("txns", int64(len(m.pending))), trace.AI("pages", int64(len(ids))))
 		m.ctrFlushes.Add(1)
 	}
 	m.pending = m.pending[:0]
 	return nil
 }
 
-// Flush forces any pending group commit immediately (the timeout arm of
-// §4.4's group commit).
+// Flush forces any pending group commit immediately, waking its sleeping
+// committers (the timeout arm of §4.4's group commit, for callers outside
+// the scheduler).
 func (m *Manager) Flush() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.flushPendingLocked()
 }
 
-// TxnAbort aborts the process's transaction (txn_abort): locate the lock
-// chain, release locks, and invalidate any dirty buffers associated with
-// them. The on-disk before-images — preserved by the no-overwrite policy —
-// become current again automatically, because the inode never learned about
-// the aborted pages.
+// TxnAbort aborts the process's transaction (txn_abort): roll every written
+// byte range back in place from its before-image, drop the transaction's
+// holds, and release its locks. The pages stay cached — they may carry other
+// transactions' pre-committed bytes, which an invalidate-and-re-read from the
+// log would lose.
 func (p *Process) TxnAbort() error {
 	if p.txn == nil || p.txn.status != txnRunning {
 		return ErrNoTxn
@@ -381,26 +446,19 @@ func (p *Process) TxnAbort() error {
 	defer m.mu.Unlock()
 	m.clock.Advance(m.costs.Syscall + m.costs.TxnOp)
 	t := p.txn
-	pool := m.fs.Pool()
-	if m.opts.Granularity == SubPage {
-		// Restore the written byte ranges in place; pages may carry other
-		// transactions' not-yet-flushed committed bytes and must survive.
-		if err := m.applyUndoLocked(t); err != nil {
-			return err
-		}
+	if err := m.applyUndoLocked(t); err != nil {
+		return err
 	}
+	pool := m.fs.Pool()
 	for _, id := range detsort.KeysFunc(t.pages, buffer.CompareBlockID) {
-		m.heldBy[id]--
-		if m.heldBy[id] == 0 {
-			delete(m.heldBy, id)
-			if b := pool.Lookup(id); b != nil {
-				pool.SetHold(b, false)
+		hp := m.held[id]
+		hp.dropWriter(t)
+		if len(hp.writers) == 0 && hp.pending == 0 {
+			if !hp.baseDirty {
+				// Back to the image the log holds.
+				pool.MarkClean(pool.Lookup(id))
 			}
-			if m.opts.Granularity == Page {
-				if err := pool.Invalidate(id); err != nil {
-					return fmt.Errorf("core: abort invalidate %v: %w", id, err)
-				}
-			}
+			m.unholdLocked(id)
 		}
 	}
 	m.locks.ReleaseAll(lock.TxnID(t.id))

@@ -8,8 +8,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/btree"
+	"repro/internal/buffer"
 	"repro/internal/disk"
 	"repro/internal/lfs"
 	"repro/internal/lock"
@@ -299,19 +301,50 @@ func TestDeadlockAbortsTransaction(t *testing.T) {
 	}
 }
 
+// runProcs runs the bodies as virtual processes of one scheduler, spawned in
+// argument order (so ties in virtual time dispatch in that order).
+func runProcs(r *rig, bodies ...func()) {
+	s := sim.NewScheduler(r.clk)
+	for i, body := range bodies {
+		s.Spawn(fmt.Sprintf("proc-%d", i), body)
+	}
+	s.Run()
+}
+
+// later pushes the calling proc a simulated second ahead and yields, so every
+// proc spawned beside it runs until it blocks or finishes first.
+func later(r *rig) {
+	r.clk.Advance(time.Second)
+	r.clk.Yield()
+}
+
+// commitOne runs a one-page write transaction to completion in the caller's
+// proc.
+func commitOne(t *testing.T, r *rig, f *File, data []byte, off int64) {
+	t.Helper()
+	p := r.m.NewProcess()
+	if err := p.TxnBegin(); err != nil {
+		t.Error(err)
+		return
+	}
+	if _, err := p.Write(f, data, off); err != nil {
+		t.Error(err)
+		return
+	}
+	if err := p.TxnCommit(); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestGroupCommitBatchesFlushes(t *testing.T) {
 	r := newRig(t, Options{GroupCommit: 4})
 	f := r.mkProtected(t, "/db", pat(64*4096, 1))
+	var bodies []func()
 	for i := 0; i < 8; i++ {
-		p := r.m.NewProcess()
-		p.TxnBegin()
-		if _, err := p.Write(f, pat(100, byte(i)), int64(i)*4096); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.TxnCommit(); err != nil {
-			t.Fatal(err)
-		}
+		i := i
+		bodies = append(bodies, func() { commitOne(t, r, f, pat(100, byte(i)), int64(i)*4096) })
 	}
+	runProcs(r, bodies...)
 	st := r.m.Stats()
 	if st.CommitFlush != 2 {
 		t.Fatalf("CommitFlush = %d, want 2 (8 commits / batch 4)", st.CommitFlush)
@@ -319,52 +352,155 @@ func TestGroupCommitBatchesFlushes(t *testing.T) {
 	if st.Committed != 8 {
 		t.Fatalf("Committed = %d", st.Committed)
 	}
+	if st.PagesFlushed != 8 {
+		t.Fatalf("PagesFlushed = %d, want 8 distinct pages", st.PagesFlushed)
+	}
 }
 
-func TestGroupCommitConflictFlushesEarly(t *testing.T) {
+// TestPreCommitReleasesLocks: a transaction sleeping in TxnCommit holds no
+// locks, so a second writer of the same page proceeds without forcing a
+// flush, joins the same batch, and one flush makes both durable.
+func TestPreCommitReleasesLocks(t *testing.T) {
 	r := newRig(t, Options{GroupCommit: 10})
 	f := r.mkProtected(t, "/db", pat(8192, 1))
-	p1 := r.m.NewProcess()
-	p1.TxnBegin()
-	p1.Write(f, pat(100, 2), 0)
-	if err := p1.TxnCommit(); err != nil {
+	runProcs(r,
+		func() { commitOne(t, r, f, pat(100, 2), 0) },
+		func() {
+			later(r) // the first writer is asleep in TxnCommit by now
+			if n := r.m.Stats().CommitFlush; n != 0 {
+				t.Errorf("CommitFlush = %d before the second writer started, want 0", n)
+			}
+			commitOne(t, r, f, pat(100, 3), 200)
+			if n := r.m.Stats().CommitFlush; n != 1 {
+				t.Errorf("CommitFlush = %d, want 1: the second writer must not flush to get the lock", n)
+			}
+		})
+	st := r.m.Stats()
+	if st.Committed != 2 || st.CommitFlush != 1 {
+		t.Fatalf("Committed = %d in %d flushes, want 2 in 1", st.Committed, st.CommitFlush)
+	}
+	if st.PagesFlushed != 1 {
+		t.Fatalf("PagesFlushed = %d, want 1: both transactions wrote the same page", st.PagesFlushed)
+	}
+	// Crash: both writes are in the one page the batch logged.
+	g, err := mustMount(t, r).Open("/db")
+	if err != nil {
 		t.Fatal(err)
 	}
-	// p1 is pending (locks still held). p2 touching the same page must
-	// trigger the pending flush rather than sleeping forever.
-	p2 := r.m.NewProcess()
-	p2.TxnBegin()
-	if _, err := p2.Write(f, pat(100, 3), 0); err != nil {
+	got := make([]byte, 4096)
+	if _, err := g.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := p2.TxnCommit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.m.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.m.Stats().Committed; got != 2 {
-		t.Fatalf("Committed = %d", got)
+	want := pat(8192, 1)[:4096]
+	copy(want[0:], pat(100, 2))
+	copy(want[200:], pat(100, 3))
+	if !bytes.Equal(got, want) {
+		t.Fatal("the batch's page does not hold both committed writes")
 	}
 }
 
-func TestFlushDrainsPending(t *testing.T) {
+// TestFlushWakesSleepingCommitter: Manager.Flush is the timeout arm — it
+// forces a batch that has not filled and wakes its committer.
+func TestFlushWakesSleepingCommitter(t *testing.T) {
 	r := newRig(t, Options{GroupCommit: 100})
 	f := r.mkProtected(t, "/db", pat(4096, 1))
-	p := r.m.NewProcess()
-	p.TxnBegin()
-	p.Write(f, pat(100, 2), 0)
-	if err := p.TxnCommit(); err != nil {
-		t.Fatal(err)
+	returned := false
+	runProcs(r,
+		func() {
+			commitOne(t, r, f, pat(100, 2), 0)
+			returned = true
+		},
+		func() {
+			later(r)
+			if returned || r.m.Stats().Committed != 0 {
+				t.Error("TxnCommit returned before its batch was flushed")
+			}
+			if err := r.m.Flush(); err != nil {
+				t.Error(err)
+			}
+			if r.m.Stats().Committed != 1 {
+				t.Error("Flush should complete the pending commit")
+			}
+		})
+	if !returned {
+		t.Fatal("the sleeping committer never woke")
 	}
-	if r.m.Stats().Committed != 0 {
-		t.Fatal("commit should be pending, not complete")
+}
+
+// TestStallHookFlushesSleepingBatch: when every other process has finished,
+// nothing can fill the batch; the scheduler's stall hook has the sleeping
+// committer flush it.
+func TestStallHookFlushesSleepingBatch(t *testing.T) {
+	r := newRig(t, Options{GroupCommit: 100})
+	f := r.mkProtected(t, "/db", pat(4096, 1))
+	runProcs(r,
+		func() { commitOne(t, r, f, pat(100, 2), 0) },
+		func() { later(r) }) // runnable while the first commits, then gone
+	if st := r.m.Stats(); st.Committed != 1 || st.CommitFlush != 1 {
+		t.Fatalf("Committed = %d, CommitFlush = %d, want 1 and 1", st.Committed, st.CommitFlush)
 	}
-	if err := r.m.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if r.m.Stats().Committed != 1 {
-		t.Fatal("Flush should complete the pending commit")
+}
+
+// TestCommittedImageFlush is the invariant early lock release rests on. T1
+// pre-commits page P, T2 writes P before the batch reaches the log: the log
+// must receive T1's image of P — not a byte of T2's — and when T2 then
+// aborts, the cached P must be T1's image again, not a stale re-read.
+func TestCommittedImageFlush(t *testing.T) {
+	for _, g := range []Granularity{Page, SubPage} {
+		r := newRig(t, Options{GroupCommit: 100, Granularity: g})
+		f := r.mkProtected(t, "/db", pat(8192, 1))
+		t1Image := pat(8192, 1)[:4096]
+		copy(t1Image[0:], pat(100, 2))
+		onDisk := func() []byte {
+			b := make([]byte, 4096)
+			if err := r.fs.ReadCurrent(buffer.BlockID{File: f.ID(), Block: 0}, b); err != nil {
+				t.Error(err)
+			}
+			return b
+		}
+		runProcs(r,
+			func() { commitOne(t, r, f, pat(100, 2), 0) }, // T1
+			func() {
+				later(r) // T1 is pre-committed and asleep
+				p := r.m.NewProcess()
+				p.TxnBegin()
+				if _, err := p.Write(f, pat(300, 9), 50); err != nil { // T2, overlapping T1's bytes
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(onDisk(), pat(8192, 1)[:4096]) {
+					t.Error("page reached the log before its batch was flushed")
+				}
+				if err := r.m.Flush(); err != nil {
+					t.Error(err)
+				}
+				if !bytes.Equal(onDisk(), t1Image) {
+					t.Errorf("granularity %d: the log holds something other than T1's image of the page", g)
+				}
+				b := r.fs.Pool().Lookup(buffer.BlockID{File: f.ID(), Block: 0})
+				if b == nil || !b.Held() || !b.Dirty() {
+					t.Error("a page with a running writer must stay dirty and held after the flush")
+				}
+				if err := p.TxnAbort(); err != nil {
+					t.Error(err)
+				}
+				if b.Held() || b.Dirty() {
+					t.Error("after the writer aborted the page equals its log image: clean, off hold")
+				}
+				got := make([]byte, 4096)
+				if _, err := p.Read(f, got, 0); err != nil {
+					t.Error(err)
+				}
+				if !bytes.Equal(got, t1Image) {
+					t.Errorf("granularity %d: abort did not restore T1's image", g)
+				}
+			})
+		if st := r.m.Stats(); st.Committed != 1 || st.Aborted != 1 {
+			t.Fatalf("Committed = %d, Aborted = %d, want 1 and 1", st.Committed, st.Aborted)
+		}
+		if !bytes.Equal(onDisk(), t1Image) {
+			t.Fatal("the aborted writer's bytes reached the log")
+		}
 	}
 }
 

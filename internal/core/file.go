@@ -3,9 +3,9 @@ package core
 import (
 	"errors"
 
-	"repro/internal/buffer"
 	"repro/internal/lfs"
 	"repro/internal/lock"
+	"repro/internal/pagestore"
 	"repro/internal/vfs"
 )
 
@@ -67,11 +67,11 @@ func (f *File) pageRange(off int64, n int) (first, last int64) {
 	return first, last
 }
 
-// lockObject acquires one lock object for the transaction, resolving
-// conflicts with pending group commits by flushing them first, and aborting
-// the transaction on deadlock.
-// lockObject is the page-access hot path: every read and write of every
-// page funnels through here to reach the lock table.
+// lockObject acquires one lock object for the transaction, aborting the
+// transaction on deadlock. It is the page-access hot path: every read and
+// write of every page funnels through here to reach the lock table.
+// Pre-committed transactions hold no locks, so a request only ever waits for
+// a transaction that is still running.
 //
 //simlint:noalloc
 func (p *Process) lockObject(obj lock.Object, mode lock.Mode) error {
@@ -80,26 +80,6 @@ func (p *Process) lockObject(obj lock.Object, mode lock.Mode) error {
 	// a multiprogramming run interleaves processes at page-access
 	// granularity (the kernel scheduler's preemption point).
 	m.clock.Yield()
-	// A lock held by a committing (pending group-commit) transaction will
-	// be released as soon as the batch flushes; do that now rather than
-	// sleeping on it.
-	m.mu.Lock()
-	pending := false
-	//simlint:alloc(non-escaping closure: EachHolder does not retain its callback)
-	m.locks.EachHolder(obj, func(holder lock.TxnID) bool {
-		if m.isPendingLocked(uint64(holder)) {
-			pending = true
-			return false
-		}
-		return true
-	})
-	if pending {
-		if err := m.flushPendingLocked(); err != nil {
-			m.mu.Unlock()
-			return err
-		}
-	}
-	m.mu.Unlock()
 	m.clock.Advance(m.costs.KernelSync())
 	if err := m.locks.Lock(lock.TxnID(p.txn.id), obj, mode); err != nil {
 		if errors.Is(err, lock.ErrDeadlock) {
@@ -110,21 +90,18 @@ func (p *Process) lockObject(obj lock.Object, mode lock.Mode) error {
 	return nil
 }
 
-func (m *Manager) isPendingLocked(txnID uint64) bool {
-	for _, t := range m.pending {
-		if t.id == txnID {
-			return true
-		}
-	}
-	return false
-}
-
 // Read reads from the file on behalf of the process. For
 // transaction-protected files within a transaction, each covered page is
 // read-locked before the request is satisfied; the process sleeps if a lock
 // cannot be granted. For unprotected files the only cost over a plain read
 // is the lock-necessity check.
 func (p *Process) Read(f *File, buf []byte, off int64) (int, error) {
+	return p.read(f, buf, off, lock.Read)
+}
+
+// read is Read with the lock mode to take: Store.ReadPageForUpdate passes
+// lock.Write for a page the caller is about to write.
+func (p *Process) read(f *File, buf []byte, off int64, mode lock.Mode) (int, error) {
 	m := p.m
 	m.clock.Advance(m.costs.Syscall)
 	if !f.lf.TxnProtected() {
@@ -132,13 +109,13 @@ func (p *Process) Read(f *File, buf []byte, off int64) (int, error) {
 		return f.lf.ReadAt(buf, off)
 	}
 	if p.InTxn() {
-		if err := p.lockSpan(f, off, len(buf), lock.Read); err != nil {
+		if err := p.lockSpan(f, off, len(buf), mode); err != nil {
 			return 0, err
 		}
 		return f.lf.ReadAt(buf, off)
 	}
 	// Degree-1 access outside a transaction: per-call locking.
-	tmp := &Process{m: m, txn: &Txn{id: m.degreeOneID(), pages: map[buffer.BlockID]bool{}, files: map[vfs.FileID]bool{}}}
+	tmp := &Process{m: m, txn: &Txn{id: m.degreeOneID()}}
 	if err := tmp.lockSpan(f, off, len(buf), lock.Read); err != nil {
 		return 0, err
 	}
@@ -182,32 +159,18 @@ func (p *Process) Write(f *File, data []byte, off int64) (int, error) {
 			if err := p.lockSpan(f, lo, int(hi-lo), lock.Write); err != nil {
 				return n, err
 			}
-			if err := p.captureUndo(f, pg, int(lo-pg*bs), int(hi-lo)); err != nil {
-				return n, err
-			}
-			w, err := f.lf.WriteAt(data[lo-off:hi-off], lo)
+			m.mu.Lock()
+			w, err := m.writeHeldLocked(t, f, pg, data[lo-off:hi-off], int(lo-pg*bs))
+			m.mu.Unlock()
 			n += w
 			if err != nil {
 				return n, err
 			}
-			m.mu.Lock()
-			id := buffer.BlockID{File: f.id, Block: pg}
-			if !t.pages[id] {
-				t.pages[id] = true
-				m.heldBy[id]++
-				if m.heldBy[id] == 1 {
-					if b := m.fs.Pool().Lookup(id); b != nil {
-						m.fs.Pool().SetHold(b, true)
-					}
-				}
-			}
-			t.files[f.id] = true
-			m.mu.Unlock()
 		}
 		return n, nil
 	}
 	// Degree-1 write outside a transaction: lock, write through, unlock.
-	tmp := &Process{m: m, txn: &Txn{id: m.degreeOneID(), pages: map[buffer.BlockID]bool{}, files: map[vfs.FileID]bool{}}}
+	tmp := &Process{m: m, txn: &Txn{id: m.degreeOneID()}}
 	if err := tmp.lockSpan(f, off, len(data), lock.Write); err != nil {
 		return 0, err
 	}
@@ -234,6 +197,8 @@ type Store struct {
 	f *File
 }
 
+var _ pagestore.UpdateReader = (*Store)(nil)
+
 // NewStore binds a process and file into a page store.
 func NewStore(p *Process, f *File) *Store { return &Store{p: p, f: f} }
 
@@ -253,6 +218,14 @@ func (s *Store) NumPages() (int64, error) {
 // ReadPage implements pagestore.Store.
 func (s *Store) ReadPage(n int64, p []byte) error {
 	_, err := s.p.Read(s.f, p, n*int64(s.PageSize()))
+	return err
+}
+
+// ReadPageForUpdate implements pagestore.UpdateReader: the write lock is
+// taken at first touch, so two transactions that read and then write one hot
+// page queue for it instead of deadlocking on the read-to-write upgrade.
+func (s *Store) ReadPageForUpdate(n int64, p []byte) error {
+	_, err := s.p.read(s.f, p, n*int64(s.PageSize()), lock.Write)
 	return err
 }
 

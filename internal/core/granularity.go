@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-
-	"repro/internal/buffer"
 	"repro/internal/lock"
 	"repro/internal/vfs"
 )
@@ -14,9 +11,9 @@ import (
 // study "indicated that locking at granularities smaller than a page is
 // required for environments that are [contentious]", with enhancements
 // described in [16]. SubPage implements that enhancement: each page is
-// divided into lock slots, writers to different records of one page no
-// longer conflict, and abort applies in-memory byte-range before-images
-// instead of invalidating the (possibly shared) page.
+// divided into lock slots, so writers to different records of one page no
+// longer conflict. Abort and the commit flush need nothing extra for it:
+// both work from byte-range before-images (undo.go) at either granularity.
 type Granularity int
 
 const (
@@ -28,13 +25,6 @@ const (
 
 // subPageSlots divides each page into this many lock slots.
 const subPageSlots = 8
-
-// undoRange is an in-memory before-image for sub-page abort.
-type undoRange struct {
-	id     buffer.BlockID
-	offset int // byte offset within the page
-	before []byte
-}
 
 // slotObjects returns the lock objects covering bytes [off, off+n) of a
 // page. In Page mode there is one object per page; in SubPage mode the
@@ -81,47 +71,6 @@ func (p *Process) lockSpan(f *File, off int64, n int, mode lock.Mode) error {
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// captureUndo records the before-image of bytes [off, off+n) of a page for
-// sub-page abort. The caller holds the covering write locks, so the bytes
-// cannot change under us.
-func (p *Process) captureUndo(f *File, page int64, off, n int) error {
-	if p.m.opts.Granularity != SubPage || n <= 0 {
-		return nil
-	}
-	before := make([]byte, n)
-	bs := int64(p.m.fs.BlockSize())
-	if _, err := f.lf.ReadAt(before, page*bs+int64(off)); err != nil {
-		return err
-	}
-	p.txn.undo = append(p.txn.undo, undoRange{
-		id:     buffer.BlockID{File: f.id, Block: page},
-		offset: off,
-		before: before,
-	})
-	return nil
-}
-
-// applyUndoLocked rolls back a sub-page transaction: apply the before-images
-// in reverse order directly into the (held, resident) pages. Unlike
-// page-granularity abort, the pages are NOT invalidated — another
-// transaction may have committed bytes in the same pages that have not been
-// flushed yet. Caller holds m.mu.
-func (m *Manager) applyUndoLocked(t *Txn) error {
-	pool := m.fs.Pool()
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		u := t.undo[i]
-		b := pool.Lookup(u.id)
-		if b == nil {
-			// Held pages are pinned in the cache; a missing one is an
-			// invariant violation, not a recoverable condition.
-			return fmt.Errorf("core: undo target %v not resident", u.id)
-		}
-		copy(b.Data[u.offset:], u.before)
-		pool.MarkDirty(b)
 	}
 	return nil
 }

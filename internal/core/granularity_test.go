@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/disk"
 	"repro/internal/lfs"
+	"repro/internal/sim"
 )
 
 // TestSubPageConcurrentWritersSamePage is the point of the [16] enhancement:
@@ -155,11 +157,10 @@ func TestSubPageCommitDurable(t *testing.T) {
 	}
 }
 
-// TestSubPageSharedPageCommitDeferred documents the shared-page semantics:
-// a committed transaction's page flush defers while another transaction
-// still holds slots in the same page, and completes when the holder
-// finishes.
-func TestSubPageSharedPageCommitDeferred(t *testing.T) {
+// TestSubPageSharedPageCommit: a transaction that commits while another
+// still holds slots of the same page is durable at once, and the log
+// receives the page without the other transaction's uncommitted bytes.
+func TestSubPageSharedPageCommit(t *testing.T) {
 	r := newRig(t, Options{Granularity: SubPage})
 	f := r.mkProtected(t, "/db", pat(4096, 1))
 	p1 := r.m.NewProcess()
@@ -171,19 +172,27 @@ func TestSubPageSharedPageCommitDeferred(t *testing.T) {
 	if err := p1.TxnCommit(); err != nil {
 		t.Fatal(err)
 	}
-	// Crash now: p1's bytes were in a page still held by p2, so they are
-	// not yet durable — acceptable under the documented group-commit-like
-	// semantics, but they MUST NOT appear partially.
+	read := func() []byte {
+		g, err := mountCopy(t, r).Open("/db")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, 4096)
+		g.ReadAt(got, 0)
+		return got
+	}
+	// Crash now: p1 is durable, p2 invisible.
+	want := pat(4096, 1)
+	copy(want[0:], "AAAA")
+	if !bytes.Equal(read(), want) {
+		t.Fatal("after p1's commit the log must hold p1's bytes and none of p2's")
+	}
 	if err := p2.TxnCommit(); err != nil {
 		t.Fatal(err)
 	}
-	// After p2 commits, the page flushed with both transactions' bytes.
-	fs2 := mustMount(t, r)
-	g, _ := fs2.Open("/db")
-	got := make([]byte, 4096)
-	g.ReadAt(got, 0)
-	if !bytes.Equal(got[0:4], []byte("AAAA")) || !bytes.Equal(got[4000:4004], []byte("BBBB")) {
-		t.Fatal("both committed transactions must be durable after the shared page flushed")
+	copy(want[4000:], "BBBB")
+	if !bytes.Equal(read(), want) {
+		t.Fatal("both committed transactions must be durable after p2's commit")
 	}
 }
 
@@ -191,6 +200,27 @@ func TestSubPageSharedPageCommitDeferred(t *testing.T) {
 func mustMount(t *testing.T, r *rig) *lfs.FS {
 	t.Helper()
 	fs2, err := lfs.Mount(r.dev, r.clk, lfs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs2
+}
+
+// mountCopy mounts a copy of the rig's device: what a crash at this instant
+// would recover, without disturbing the running file system (mounting writes
+// a checkpoint).
+func mountCopy(t *testing.T, r *rig) *lfs.FS {
+	t.Helper()
+	var img bytes.Buffer
+	if err := r.dev.SaveImage(&img); err != nil {
+		t.Fatal(err)
+	}
+	clk := sim.NewClock()
+	dev, err := disk.LoadImage(r.dev.Model(), clk, &img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs2, err := lfs.Mount(dev, clk, lfs.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

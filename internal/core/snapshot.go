@@ -206,22 +206,22 @@ type capturedAddr struct {
 // capturePreFlushAddrs records, for every page the imminent commit flush
 // will rewrite, the disk address it currently occupies — the version a
 // snapshot older than this commit must keep reading. Free (and cheap) when
-// no snapshot is pinned. The set is the union of the pending transactions'
-// write sets and every dirty page of the flushed files (degree-1
-// write-through dirties pages outside any transaction's page list, and the
-// flush supersedes those too). Caller holds m.mu.
-func (m *Manager) capturePreFlushAddrs(fileSet map[vfs.FileID]bool) ([]capturedAddr, error) {
+// no snapshot is pinned. The set is the batch's pages plus every dirty
+// unheld page of their files (degree-1 write-through dirties pages outside
+// any transaction's page list, and the flush supersedes those too). Caller
+// holds m.mu.
+func (m *Manager) capturePreFlushAddrs(batch []buffer.BlockID) ([]capturedAddr, error) {
 	if !m.snaps.Active() {
 		return nil, nil
 	}
 	seen := make(map[buffer.BlockID]bool)
-	for _, t := range m.pending {
-		for id := range t.pages {
-			seen[id] = true
-		}
+	files := make(map[vfs.FileID]bool)
+	for _, id := range batch {
+		seen[id] = true
+		files[id.File] = true
 	}
 	pool := m.fs.Pool()
-	for _, f := range detsort.Keys(fileSet) {
+	for _, f := range detsort.Keys(files) {
 		for _, b := range pool.DirtyFile(f) {
 			seen[b.ID] = true
 		}

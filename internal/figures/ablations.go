@@ -182,10 +182,10 @@ type GroupCommitReport struct {
 }
 
 // AblationGroupCommit sweeps the user-level system's commit batch size.
-// (At MPL=1 the kernel system's strict group commit degenerates on TPC-B's
-// hot pages — every transaction conflicts with the pending batch — so the
-// user-level WAL, which has no page conflicts on the log, is where the
-// effect shows.)
+// (At MPL=1 nobody can join the kernel system's batch, so every commit
+// flushes alone whatever the batch size; the user-level WAL, whose
+// single-client path defers the force itself, is where the effect shows.
+// The MPL sweep measures group commit on both.)
 func AblationGroupCommit(opts Options) (*GroupCommitReport, error) {
 	opts.fill()
 	cfg := tpcb.ScaledConfig(opts.Scale)

@@ -426,7 +426,7 @@ func (fs *FS) maybeFlushOrphansLocked() error {
 		return nil
 	}
 	fs.orphanPressure = false
-	return fs.flushLocked(nil, false, false)
+	return fs.flushLocked(nil, false, nil)
 }
 
 // decPackRef drops one reference to the inode pack block at addr, marking
@@ -503,7 +503,7 @@ func (fs *FS) Sync() error {
 func (fs *FS) Flush() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.flushLocked(nil, false, false)
+	return fs.flushLocked(nil, false, nil)
 }
 
 // FlushFile forces one file's dirty (unheld) blocks and meta-data to the
@@ -512,17 +512,31 @@ func (fs *FS) Flush() error {
 func (fs *FS) FlushFile(ino vfs.FileID) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.flushLocked(map[Ino]bool{Ino(ino): true}, true, false)
+	return fs.flushLocked(map[Ino]bool{Ino(ino): true}, true, nil)
 }
 
-// FlushFiles forces several files in a single partial-segment stream (one
-// group-committed unit).
-func (fs *FS) FlushFiles(inos []vfs.FileID) error {
+// CommitPage is one page of a group-commit batch handed to FlushCommit.
+// Image is the page's committed image when that differs from the resident
+// buffer — a still-running transaction has written the page since the batch
+// pre-committed, and the transaction layer has backed its bytes out of a
+// scratch copy. A nil Image means the resident buffer is the committed image.
+type CommitPage struct {
+	ID    buffer.BlockID
+	Image []byte
+}
+
+// FlushCommit forces a group-commit batch to the log as one atomic
+// partial-segment stream: exactly the listed (held) pages, plus the unheld
+// dirty blocks and meta-data of the files they belong to. No other held page
+// is written, so the log never receives an uncommitted byte. A page logged
+// from its resident buffer comes back clean; a page logged from an override
+// image stays dirty, because the buffer still differs from the log.
+func (fs *FS) FlushCommit(pages []CommitPage) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	set := make(map[Ino]bool, len(inos))
-	for _, i := range inos {
-		set[Ino(i)] = true
+	set := make(map[Ino]bool)
+	for _, cp := range pages {
+		set[Ino(cp.ID.File)] = true
 	}
-	return fs.flushLocked(set, true, true)
+	return fs.flushLocked(set, true, pages)
 }

@@ -1003,3 +1003,78 @@ func TestIOFaultsPropagate(t *testing.T) {
 	}
 	g.Close()
 }
+
+// TestPartialAtSegmentBoundaryCountsDoubleIndirect drives a full flush to the
+// exact point where its partial segment only fits the current segment if the
+// cost estimate forgets a block. A commit force (FlushFile) defers pointer
+// blocks, so it leaves a double-indirect child dirty while the double
+// indirect block itself is clean; the next full flush rewrites the child,
+// which moves it and so dirties the double indirect block too. The estimate
+// once counted that block only when the flush also carried data in the
+// double-indirect range — one block short otherwise, and with exactly that
+// much room left the partial ran over the segment boundary ("partial segment
+// (5 blocks at offset 124) overflows segment of 128 blocks").
+func TestPartialAtSegmentBoundaryCountsDoubleIndirect(t *testing.T) {
+	fs, _, _ := newFS(t)
+	bs := int64(fs.BlockSize())
+	block := pattern(int(bs), 1)
+	create := func(path string) vfs.File {
+		f, err := fs.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	write := func(f vfs.File, lbn int64) {
+		if _, err := f.WriteAt(block, lbn*bs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	big, filler := create("/big"), create("/filler")
+	firstDouble := NDirect + nptr(fs.BlockSize()) // first block behind the double indirect block
+	write(big, 0)
+	write(big, firstDouble)
+	write(filler, 0)
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The commit force: data logged, the child pointer block left dirty.
+	write(big, firstDouble)
+	if err := big.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Walk the log head to 4 blocks short of the segment end with commit
+	// forces of the filler file: summary + n data blocks + inode pack.
+	room := func() int64 { return fs.sb.SegmentBlocks - fs.curOff }
+	for room() != 4 {
+		n := int64(1)
+		switch r := room() - 4; {
+		case r < 0 || r == 1 || r == 2 || r == 5:
+			n = room() - 2 // too close: fill this segment, start over in the next
+		case r%3 != 0:
+			n = 2
+		}
+		for lbn := int64(0); lbn < n; lbn++ {
+			write(filler, lbn)
+		}
+		if err := filler.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The full flush carries one direct-range block of /big: summary + data +
+	// child + double indirect + inode pack = 5 blocks, and 4 are left.
+	write(big, 0)
+	seg := fs.curSeg
+	if err := fs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if fs.curSeg == seg {
+		t.Fatalf("a 5-block partial went into the %d blocks left in segment %d", 4, seg)
+	}
+	if rep, err := fs.Fsck(); err != nil || !rep.OK() {
+		t.Fatalf("fsck after the boundary flush: %v %+v", err, rep)
+	}
+}

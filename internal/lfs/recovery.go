@@ -113,7 +113,7 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 // checkpointLocked flushes all dirty state and writes a checkpoint to the
 // alternate region. Caller holds fs.mu.
 func (fs *FS) checkpointLocked() error {
-	if err := fs.flushLocked(nil, false, false); err != nil {
+	if err := fs.flushLocked(nil, false, nil); err != nil {
 		return err
 	}
 	return fs.writeCheckpointLocked()

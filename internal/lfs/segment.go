@@ -22,15 +22,20 @@ type dataItem struct {
 // summary records every data block's (inode, logical block) pair, so
 // roll-forward can reconstruct the pointers after a crash — the same trick
 // that lets real LFS implementations keep fsync cheap. Full flushes
-// (deferPtr false) write the pointer blocks out. Caller holds fs.mu.
-func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, includeHeld bool) error {
+// (deferPtr false) write the pointer blocks out. commit is a group-commit
+// batch's page set (FlushCommit): the only held pages a flush may write.
+// Caller holds fs.mu.
+func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage) error {
 	if !fs.cleaning && fs.free < int64(fs.opts.CleanThreshold) {
 		if err := fs.cleanLocked(); err != nil {
 			return err
 		}
 	}
 
-	items, files, err := fs.gatherLocked(only, deferPtr, includeHeld)
+	// logged is the part of commit already in the log: a re-gather after a
+	// mid-flush cleaning pass must not write it again.
+	var logged map[buffer.BlockID]bool
+	items, files, err := fs.gatherLocked(only, deferPtr, commit, logged)
 	if err != nil {
 		return err
 	}
@@ -59,7 +64,7 @@ func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, includeHeld bool) er
 			if fs.free != lastCleanFree {
 				lastCleanFree = -1 // progress: cleaning may be retried
 			}
-			items, files, err = fs.gatherLocked(only, deferPtr, includeHeld)
+			items, files, err = fs.gatherLocked(only, deferPtr, commit, logged)
 			if err != nil {
 				return err
 			}
@@ -75,6 +80,14 @@ func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, includeHeld bool) er
 		fs.chainCont = len(items) > 0 || len(files) > 0
 		if err := fs.writePartialLocked(chunk, chunkFiles, deferPtr, 0); err != nil {
 			return err
+		}
+		if len(commit) > 0 && fs.chainCont {
+			if logged == nil {
+				logged = make(map[buffer.BlockID]bool)
+			}
+			for _, it := range chunk {
+				logged[it.id] = true
+			}
 		}
 	}
 	fs.chainCont = false
@@ -94,38 +107,44 @@ func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, includeHeld bool) er
 }
 
 // gatherLocked collects the dirty data blocks (pool + orphans) and the set
-// of files whose meta-data needs rewriting. includeHeld is the group-commit
-// path: the committing transactions' pages are still on hold (the hold is
-// released only after the log write succeeds, so the cleaner can never write
-// uncommitted contents on the commit's behalf), and this flush is the one
-// place they may — must — be written.
-func (fs *FS) gatherLocked(only map[Ino]bool, deferPtr bool, includeHeld bool) ([]dataItem, []Ino, error) {
+// of files whose meta-data needs rewriting. Held pages are uncommitted and
+// stay out of every flush, with one exception: commit lists the pages of a
+// group-commit batch, each with the image to log (see CommitPage). Pages in
+// logged were written by an earlier partial of the same flush.
+func (fs *FS) gatherLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage, logged map[buffer.BlockID]bool) ([]dataItem, []Ino, error) {
 	want := func(ino Ino) bool { return only == nil || only[ino] }
 
 	var items []dataItem
-	heldIDs := make(map[buffer.BlockID]bool)
 	for _, b := range fs.pool.Dirty() {
 		if !want(Ino(b.ID.File)) {
 			continue
 		}
 		items = append(items, dataItem{id: b.ID, buf: b, data: b.Data})
 	}
-	if includeHeld && only != nil {
-		for _, ino := range detsort.Keys(only) {
-			for _, b := range fs.pool.HeldFile(buffer.FileID(ino)) {
-				if b.Dirty() {
-					items = append(items, dataItem{id: b.ID, buf: b, data: b.Data})
-					heldIDs[b.ID] = true
-				}
-			}
+	commitIDs := make(map[buffer.BlockID]bool, len(commit))
+	for _, cp := range commit {
+		if logged[cp.ID] {
+			continue
 		}
+		commitIDs[cp.ID] = true
+		if cp.Image != nil {
+			// buf stays nil: the resident page carries a running
+			// transaction's bytes beyond this image and remains dirty.
+			items = append(items, dataItem{id: cp.ID, data: cp.Image})
+			continue
+		}
+		b := fs.pool.Lookup(cp.ID)
+		if b == nil {
+			return nil, nil, fmt.Errorf("lfs: commit page %v is not resident", cp.ID)
+		}
+		items = append(items, dataItem{id: cp.ID, buf: b, data: b.Data})
 	}
 	//simlint:ordered items are fully sorted by (file, block) below; orphan deletes are keyed by the loop variable
 	for id, data := range fs.orphans {
 		if !want(Ino(id.File)) {
 			continue
 		}
-		if heldIDs[id] {
+		if commitIDs[id] {
 			// The commit's after-image of this block is being written in
 			// the same batch; the staged (older) copy is superseded.
 			delete(fs.orphans, id)
@@ -280,6 +299,13 @@ func (fs *FS) metaCostLocked(in *inode, lbns []int64) int {
 			slots[(lbn-NDirect-np)/np] = true
 			needDind = true
 		}
+	}
+	// Rewriting a child moves it, so its address in the double indirect
+	// block changes too — also when the child is dirty only because an
+	// earlier commit force (deferPtr) left it behind and none of lbns lies in
+	// the double-indirect range.
+	if len(slots) > 0 {
+		needDind = true
 	}
 	cost := len(slots)
 	if needInd {
@@ -544,11 +570,14 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 		return err
 	}
 	blocks[0] = enc
-	// Hard invariant: a partial segment must never cross the segment
-	// boundary (it would clobber the neighbouring segment's summaries).
-	if fs.curOff+int64(len(blocks)) > fs.sb.SegmentBlocks {
-		return fmt.Errorf("lfs: internal error: partial segment (%d blocks at offset %d) overflows segment of %d blocks",
-			len(blocks), fs.curOff, fs.sb.SegmentBlocks)
+	// Hard invariant: the partial is no larger than partialCostLocked
+	// promised. The room check above trusted that count, so a partial that
+	// outgrows it can cross the segment boundary and clobber the neighbouring
+	// segment's summaries; failing on any excess, not only at a boundary,
+	// makes a cost-accounting bug show on the first partial it touches.
+	if int64(len(blocks)) > required {
+		return fmt.Errorf("lfs: internal error: partial segment of %d blocks at offset %d outgrew its cost estimate of %d (segment of %d blocks)",
+			len(blocks), fs.curOff, required, fs.sb.SegmentBlocks)
 	}
 	if err := fs.dev.WriteRun(base, blocks); err != nil {
 		return err

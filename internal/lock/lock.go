@@ -257,24 +257,6 @@ func (m *Manager) Holders(obj Object) []TxnID {
 	return out
 }
 
-// EachHolder calls fn for each transaction holding obj, in ascending
-// transaction order, stopping early if fn returns false. Unlike Holders it
-// allocates nothing, so callers on per-page-access paths can inspect holders
-// without heap traffic.
-//
-//simlint:noalloc
-func (m *Manager) EachHolder(obj Object, fn func(TxnID) bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if h := m.table[obj]; h != nil {
-		for _, e := range h.holders {
-			if !fn(e.txn) {
-				return
-			}
-		}
-	}
-}
-
 // conflicts reports the set of other holders blocking txn's request, in
 // ascending transaction order. The order matters: it fixes the waits-for
 // edges and therefore which transaction a deadlock search reaches first, so

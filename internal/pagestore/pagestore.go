@@ -36,6 +36,25 @@ type Store interface {
 	Sync() error
 }
 
+// UpdateReader is optionally implemented by a locking Store.
+// ReadPageForUpdate reads page n as ReadPage does and declares that the
+// caller is about to write it, so the store can take the page's write lock at
+// first touch. A read lock upgraded later is where two read-then-write
+// transactions on one hot page deadlock: each holds the shared lock the
+// other's upgrade waits for.
+type UpdateReader interface {
+	ReadPageForUpdate(n int64, p []byte) error
+}
+
+// ReadForUpdate reads page n of st for a caller about to write it: through
+// UpdateReader where st implements it, as a plain ReadPage otherwise.
+func ReadForUpdate(st Store, n int64, p []byte) error {
+	if u, ok := st.(UpdateReader); ok {
+		return u.ReadPageForUpdate(n, p)
+	}
+	return st.ReadPage(n, p)
+}
+
 // FileStore adapts a vfs.File into a Store. Page n occupies bytes
 // [n·size, (n+1)·size).
 type FileStore struct {

@@ -60,9 +60,20 @@ func Create(st pagestore.Store, recSize int) (*File, error) {
 
 // Open loads an existing record file.
 func Open(st pagestore.Store) (*File, error) {
+	return open(st, pagestore.Store.ReadPage)
+}
+
+// OpenForAppend is Open for a caller that will Append: the meta page, which
+// every Append rewrites, is read through pagestore.ReadForUpdate so a locking
+// store write-locks it at first touch instead of upgrading it later.
+func OpenForAppend(st pagestore.Store) (*File, error) {
+	return open(st, pagestore.ReadForUpdate)
+}
+
+func open(st pagestore.Store, readMeta func(st pagestore.Store, n int64, p []byte) error) (*File, error) {
 	f := &File{st: st, pageSize: st.PageSize()}
 	b := make([]byte, f.pageSize)
-	if err := st.ReadPage(0, b); err != nil {
+	if err := readMeta(st, 0, b); err != nil {
 		return nil, err
 	}
 	le := binary.LittleEndian
@@ -141,7 +152,7 @@ func (f *File) Append(rec []byte) (int64, error) {
 	}
 	b := make([]byte, f.pageSize)
 	if off > 0 { // partially filled page: preserve earlier records
-		if err := f.st.ReadPage(page, b); err != nil {
+		if err := pagestore.ReadForUpdate(f.st, page, b); err != nil {
 			return 0, err
 		}
 	}

@@ -199,3 +199,60 @@ func TestShadowProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// updateStore is a MemStore that records which pages were read for update.
+type updateStore struct {
+	*pagestore.MemStore
+	reads, updates []int64
+}
+
+func (s *updateStore) ReadPage(n int64, p []byte) error {
+	s.reads = append(s.reads, n)
+	return s.MemStore.ReadPage(n, p)
+}
+
+func (s *updateStore) ReadPageForUpdate(n int64, p []byte) error {
+	s.updates = append(s.updates, n)
+	return s.MemStore.ReadPage(n, p)
+}
+
+// TestOpenForAppendReadsForUpdate: every page an append rewrites — the meta
+// page and a partially filled tail page — is read for update and never
+// plainly, meta page first; Open itself still reads plainly.
+func TestOpenForAppendReadsForUpdate(t *testing.T) {
+	st := &updateStore{MemStore: pagestore.NewMemStore(512)}
+	if _, err := Create(st, 100); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ { // 5 records per page: tail pages full, partial and fresh
+		st.reads, st.updates = nil, nil
+		f, err := OpenForAppend(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Append(rec(100, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+		want := []int64{0}
+		if i%5 != 0 {
+			want = append(want, 1+int64(i)/5)
+		}
+		if len(st.reads) != 0 || len(st.updates) != len(want) || st.updates[0] != 0 ||
+			st.updates[len(want)-1] != want[len(want)-1] {
+			t.Fatalf("append %d read %v plainly and %v for update, want none and %v", i, st.reads, st.updates, want)
+		}
+	}
+	st.reads, st.updates = nil, nil
+	f, err := Open(st)
+	if err != nil || f.Count() != 12 {
+		t.Fatalf("Open: %v, count %d", err, f.Count())
+	}
+	if len(st.updates) != 0 {
+		t.Fatalf("Open read %v for update", st.updates)
+	}
+	for i := int64(0); i < 12; i++ {
+		if got, err := f.Get(i); err != nil || !bytes.Equal(got, rec(100, byte(i))) {
+			t.Fatalf("record %d = %v, %v", i, got, err)
+		}
+	}
+}

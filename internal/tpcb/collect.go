@@ -124,6 +124,7 @@ func CollectSnapshot(rig *Rig, res Result, tr *trace.Tracer) *trace.Snapshot {
 			BlockedTime:    ls.BlockedTime,
 			Deadlocks:      ls.Deadlocks,
 			DeadlockAborts: ls.DeadlockAborts,
+			Upgrades:       ls.Upgrades,
 		}
 	}
 	if tr.Enabled() {

@@ -356,43 +356,51 @@ func (s *EmbeddedSystem) runWith(proc *core.Process, t Txn) error {
 	if err := proc.TxnBegin(); err != nil {
 		return err
 	}
-	update := func(f *core.File, c *btree.NodeCache, id int64) error {
-		s.clock.Advance(s.costs.RecordOp)
-		tr, err := btree.OpenWithCache(core.NewStore(proc, f), c)
-		if err != nil {
-			return err
-		}
-		rec, err := tr.Get(Key(id))
-		if err != nil {
-			return err
-		}
-		rec2 := append([]byte(nil), rec...)
-		SetBalance(rec2, Balance(rec2)+t.Amount)
-		return tr.Put(Key(id), rec2)
-	}
-	if err := update(s.acc, s.accCache, t.Account); err != nil {
-		s.abort(proc)
-		return err
-	}
-	if err := update(s.tel, s.telCache, t.Teller); err != nil {
-		s.abort(proc)
-		return err
-	}
-	if err := update(s.brn, s.brnCache, t.Branch); err != nil {
-		s.abort(proc)
-		return err
-	}
-	s.clock.Advance(s.costs.RecordOp)
-	hf, err := recno.Open(core.NewStore(proc, s.hist))
-	if err != nil {
-		s.abort(proc)
-		return err
-	}
-	if _, err := hf.Append(HistoryRecord(t.Account, t.Teller, t.Branch, t.Amount, int64(s.clock.Now()))); err != nil {
+	if err := s.apply(proc, t); err != nil {
 		s.abort(proc)
 		return err
 	}
 	return proc.TxnCommit()
+}
+
+// apply performs t's work inside proc's open transaction: the read-update of
+// account, teller and branch, then the history append.
+func (s *EmbeddedSystem) apply(proc *core.Process, t Txn) error {
+	if err := s.update(proc, s.acc, s.accCache, t.Account, t.Amount); err != nil {
+		return err
+	}
+	if err := s.update(proc, s.tel, s.telCache, t.Teller, t.Amount); err != nil {
+		return err
+	}
+	if err := s.update(proc, s.brn, s.brnCache, t.Branch, t.Amount); err != nil {
+		return err
+	}
+	s.clock.Advance(s.costs.RecordOp)
+	hf, err := recno.OpenForAppend(core.NewStore(proc, s.hist))
+	if err != nil {
+		return err
+	}
+	_, err = hf.Append(HistoryRecord(t.Account, t.Teller, t.Branch, t.Amount, int64(s.clock.Now())))
+	return err
+}
+
+// update adds amount to one balance record inside proc's transaction.
+func (s *EmbeddedSystem) update(proc *core.Process, f *core.File, c *btree.NodeCache, id, amount int64) error {
+	s.clock.Advance(s.costs.RecordOp)
+	tr, err := btree.OpenWithCache(core.NewStore(proc, f), c)
+	if err != nil {
+		return err
+	}
+	// Read for update: the leaf is write-locked at first touch. With locks
+	// released at pre-commit, a Get that upgraded at the Put would deadlock
+	// every pair of clients meeting on the hot teller or branch leaf.
+	rec, err := tr.GetForUpdate(Key(id))
+	if err != nil {
+		return err
+	}
+	rec2 := append([]byte(nil), rec...)
+	SetBalance(rec2, Balance(rec2)+amount)
+	return tr.Put(Key(id), rec2)
 }
 
 // embeddedWorker is one client's kernel process (the paper's restriction 3:

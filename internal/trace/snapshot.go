@@ -144,6 +144,9 @@ type LockSection struct {
 	BlockedTime    time.Duration `json:"blocked"`
 	Deadlocks      int64         `json:"deadlocks"`
 	DeadlockAborts int64         `json:"deadlock_aborts"`
+	// Upgrades counts read→write lock upgrades: the requests behind
+	// upgrade deadlocks (two readers of one page each waiting to write it).
+	Upgrades int64 `json:"upgrades"`
 }
 
 // EmbeddedSection mirrors core.Stats for the kernel-embedded system.
@@ -267,8 +270,8 @@ func (s *Snapshot) Render() string {
 			s.Txns, sc.WriterElapsed.Seconds(), sc.WriterTPS)
 	}
 	if l := s.Locks; l != nil {
-		fmt.Fprintf(&b, "locks: %d acquired, %d waits (%v blocked), %d deadlocks (%d aborts)\n",
-			l.Acquired, l.Waited, l.BlockedTime, l.Deadlocks, l.DeadlockAborts)
+		fmt.Fprintf(&b, "locks: %d acquired, %d upgrades, %d waits (%v blocked), %d deadlocks (%d aborts)\n",
+			l.Acquired, l.Upgrades, l.Waited, l.BlockedTime, l.Deadlocks, l.DeadlockAborts)
 	}
 	if w := s.WAL; w != nil {
 		fmt.Fprintf(&b, "wal: %d records, %d bytes, %d forces, %d group-absorbed commits\n",
