@@ -59,23 +59,22 @@ func main() {
 	stripe := flag.Int("stripe", 8, "stripe unit in blocks for -layout stripe")
 	flag.Parse()
 
-	if *cleaner != "sync" && *cleaner != "idle" {
-		fatal(fmt.Errorf("unknown -cleaner %q (want sync or idle)", *cleaner))
-	}
-
 	costs := sim.SpriteCosts()
 	if *fastSync {
 		costs = sim.FastSyncCosts()
 	}
-	pol := lfs.CostBenefit
-	if *policy == "greedy" {
+	var pol lfs.CleanerPolicy
+	switch *policy {
+	case "cost-benefit":
+		pol = lfs.CostBenefit
+	case "greedy":
 		pol = lfs.Greedy
+	default:
+		fatal(fmt.Errorf("unknown -policy %q (want cost-benefit or greedy)", *policy))
 	}
 	cfg := tpcb.ScaledConfig(*scale)
 	if *devices > 1 && *layout == "partition" {
-		// Every shard needs at least one row of each relation.
-		cfg.Tellers = max(cfg.Tellers, int64(*devices))
-		cfg.Branches = max(cfg.Branches, int64(*devices))
+		cfg = cfg.WithRowsPerShard(*devices)
 	}
 	fmt.Printf("database: %d accounts, %d tellers, %d branches; %d transactions\n",
 		cfg.Accounts, cfg.Tellers, cfg.Branches, *txns)
@@ -111,13 +110,8 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	var res tpcb.Result
 	start := sim.WallNow()
-	if *mpl > 1 {
-		res, err = rig.RunMPL(cfg, *txns, *mpl)
-	} else {
-		res, err = rig.Run(cfg, *txns)
-	}
+	res, err := rig.RunMPL(cfg, *txns, *mpl)
 	wall := sim.WallNow().Sub(start)
 	if err != nil {
 		fatal(err)

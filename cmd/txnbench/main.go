@@ -13,7 +13,6 @@
 //	txnbench -fig devices -devices 1,2,4   # TPS vs MPL vs spindle count (not in "all")
 //	txnbench -fig cleaner -json       # machine-readable output
 //	txnbench -fig 4 -cleaner idle -cleanbatch 8
-//	txnbench -fig bench -metrics BENCH_tpcb.json -trace trace.json
 //	txnbench -fig scan -scanners 2 -scans 1 -metrics BENCH_scan.json   # MVCC snapshot scans vs locking (not in "all")
 //	txnbench -fig 4 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
@@ -43,8 +42,8 @@ func main() {
 	logSeg := flag.Int64("logseg", 0, "WAL segment rotation threshold in payload bytes for the user-level systems (0 = wal default)")
 	logRetain := flag.Bool("logretain", false, "archive dead WAL segments at checkpoint instead of deleting them")
 	jsonOut := flag.Bool("json", false, "emit each report as a JSON object instead of a table")
-	traceOut := flag.String("trace", "", "with -fig bench: write the kernel-lfs run's Chrome trace-event JSON (open at ui.perfetto.dev)")
-	metricsOut := flag.String("metrics", "", "with -fig bench: write the full snapshot sweep as one JSON document")
+	traceOut := flag.String("trace", "", "with -fig scan: write the kernel-lfs snapshot-scan run's Chrome trace-event JSON (open at ui.perfetto.dev)")
+	metricsOut := flag.String("metrics", "", "with -fig scan: write the full snapshot sweep as one JSON document")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the figure runs (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the figure runs (go tool pprof)")
 	devicesFlag := flag.String("devices", "1,2,4", "with -fig devices: comma-separated device counts to sweep")
@@ -125,33 +124,6 @@ func main() {
 				return nil, err
 			}
 			return figures.FigureDevices(opts, devs)
-		}},
-		// The traced sweep re-runs the three systems with the tracing and
-		// metrics subsystem on; not part of "all" either.
-		"bench": {"bench", func() (fmt.Stringer, error) {
-			rep, err := figures.Bench(opts)
-			if err != nil {
-				return nil, err
-			}
-			if *metricsOut != "" {
-				if err := writeJSON(*metricsOut, rep); err != nil {
-					return nil, err
-				}
-			}
-			if *traceOut != "" && rep.Tracer != nil {
-				f, err := os.Create(*traceOut)
-				if err != nil {
-					return nil, err
-				}
-				if err := rep.Tracer.WriteChrome(f); err != nil {
-					f.Close()
-					return nil, err
-				}
-				if err := f.Close(); err != nil {
-					return nil, err
-				}
-			}
-			return rep, nil
 		}},
 		// The mixed OLTP + long-scan sweep (MVCC snapshot reads vs locking
 		// scans); not part of "all".

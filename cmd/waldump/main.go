@@ -54,7 +54,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	res, err := rig.Run(cfg, *txns)
+	res, err := rig.RunMPL(cfg, *txns, 1)
 	if err != nil {
 		fatal(err)
 	}

@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/detsort"
+	"repro/internal/disk"
 	"repro/internal/ffs"
 	"repro/internal/lfs"
 	"repro/internal/libtp"
@@ -101,9 +102,7 @@ func (o *Options) fill() error {
 		o.Config = tpcb.Config{Accounts: 1000, Tellers: 10, Branches: 2, Seed: o.Seed + 1}
 	}
 	if o.Devices > 1 && o.Layout == "partition" {
-		// Every shard needs at least one row of each relation.
-		o.Config.Tellers = max(o.Config.Tellers, int64(o.Devices))
-		o.Config.Branches = max(o.Config.Branches, int64(o.Devices))
+		o.Config = o.Config.WithRowsPerShard(o.Devices)
 	}
 	if o.Txns == 0 {
 		o.Txns = 200
@@ -201,59 +200,47 @@ func buildRig(opts Options) (*tpcb.Rig, error) {
 	})
 }
 
-// checkpointRig runs the harness checkpoint appropriate for the system. A
-// partitioned rig drains through the sharded two-phase path (force every
-// log, then checkpoint every shard).
+// checkpointRig runs the harness checkpoint appropriate for the system: the
+// user-level drain (force every shard's log, then checkpoint every shard), or
+// an LFS sync under the embedded manager.
 func checkpointRig(rig *tpcb.Rig) error {
-	if rig.Shards != nil {
-		return rig.Sys.Drain()
+	if rig.Core != nil {
+		return rig.LFS.Sync()
 	}
-	if rig.Env != nil {
-		return rig.Env.Checkpoint()
-	}
-	return rig.LFS.Sync()
+	return rig.Sys.Drain()
 }
 
 // lfsEvents snapshots the LFS counters whose changes mark a span as dense
-// (auto-checkpoints and cleaner passes).
+// (auto-checkpoints and cleaner passes), over every file system of the rig.
 func lfsEvents(rig *tpcb.Rig) int64 {
-	if rig.Shards != nil {
-		var n int64
-		for _, env := range rig.Shards {
-			if lf, ok := env.FS().(*lfs.FS); ok {
-				st := lf.Stats()
-				n += st.Checkpoints + st.Cleaner.Runs
-			}
+	var n int64
+	add := func(fsys vfs.FileSystem) {
+		if lf, ok := fsys.(*lfs.FS); ok {
+			st := lf.Stats()
+			n += st.Checkpoints + st.Cleaner.Runs
 		}
-		return n
 	}
-	if rig.LFS == nil {
-		return 0
+	if rig.Core != nil {
+		add(rig.FS)
 	}
-	st := rig.LFS.Stats()
-	return st.Checkpoints + st.Cleaner.Runs
+	for _, env := range rig.Shards {
+		add(env.FS())
+	}
+	return n
 }
 
 // walEvents snapshots the WAL counters whose changes mark a span as dense:
 // segment rotations, seals, checkpoint truncations/archivals, and checkpoint
-// records. Crashing on every op of such spans covers torn blocks at segment
-// tails, half-written index files, and interrupted truncations.
+// records, over every shard's log (none under the embedded manager). Crashing
+// on every op of such spans covers torn blocks at segment tails,
+// half-written index files, and interrupted truncations.
 func walEvents(rig *tpcb.Rig) int64 {
-	sum := func(env *libtp.Env) int64 {
+	var n int64
+	for _, env := range rig.Shards {
 		st := env.LogStats()
-		return st.Rotations + st.SegmentsSealed + st.SegmentsDeleted + st.SegmentsArchived + st.Checkpoints
+		n += st.Rotations + st.SegmentsSealed + st.SegmentsDeleted + st.SegmentsArchived + st.Checkpoints
 	}
-	if rig.Shards != nil {
-		var n int64
-		for _, env := range rig.Shards {
-			n += sum(env)
-		}
-		return n
-	}
-	if rig.Env == nil {
-		return 0
-	}
-	return sum(rig.Env)
+	return n
 }
 
 // snapshotProber drives Options.Snapshots: a read-only MVCC snapshot opened
@@ -275,7 +262,7 @@ type snapshotProber struct {
 }
 
 func newSnapshotProber(opts Options, rig *tpcb.Rig) (*snapshotProber, error) {
-	if opts.Snapshots <= 0 || rig.Shards != nil {
+	if opts.Snapshots <= 0 || len(rig.Shards) > 1 {
 		return nil, nil
 	}
 	p := &snapshotProber{every: opts.Snapshots}
@@ -520,118 +507,89 @@ func replayTo(opts Options, n int64) (*tpcb.Rig, []tpcb.Txn, *tpcb.Txn, string, 
 	return rig, committed, nil, "post-drain", nil
 }
 
-// recoverAndVerify reboots the crashed device, runs the system's recovery
+// recoverAndVerify reboots the crashed devices, runs the system's recovery
 // path, and checks every invariant. It returns the simulated recovery time
 // and, for the user-level systems, the WAL recovery's scan statistics.
 func recoverAndVerify(opts Options, rig *tpcb.Rig, committed []tpcb.Txn, inFlight *tpcb.Txn) (time.Duration, wal.ScanStats, error) {
 	rig.Crash.ClearCrash()
 	start := rig.Clock.Now()
-	libtpOpts := libtp.Options{LogSegmentBytes: opts.LogSegmentBytes}
 	var scan wal.ScanStats
-	if rig.Shards != nil {
-		return recoverSharded(opts, rig, libtpOpts, start, committed, inFlight)
-	}
-	var fsys vfs.FileSystem
-	switch opts.System {
-	case "kernel-lfs", "user-lfs":
+	if rig.Core != nil {
 		fs2, err := lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256})
 		if err != nil {
 			return 0, scan, fmt.Errorf("mount: %w", err)
 		}
-		if opts.System == "user-lfs" {
-			_, walRep, err := libtp.RecoverPaths(fs2, rig.Clock, libtpOpts, tpcb.DBPaths())
-			if err != nil {
-				return 0, scan, fmt.Errorf("wal recovery: %w", err)
-			}
-			scan = walRep.Scan
+		if err := fsckLFS(fs2); err != nil {
+			return 0, scan, err
 		}
-		rep, err := fs2.Fsck()
-		if err != nil {
-			return 0, scan, fmt.Errorf("fsck: %w", err)
-		}
-		if !rep.OK() {
-			return 0, scan, fmt.Errorf("fsck: inconsistent state: %+v", rep)
-		}
-		fsys = fs2
-	case "user-ffs":
-		fs2, err := ffs.Mount(rig.Dev, rig.Clock, ffs.Options{CacheBlocks: 256})
-		if err != nil {
-			return 0, scan, fmt.Errorf("mount: %w", err)
-		}
-		// The bitmap rebuild MUST precede WAL replay: replay may extend
-		// files, and allocating from the stale bitmap could clobber
-		// durable blocks the inode table owns.
-		if _, err := fs2.Fsck(); err != nil {
-			return 0, scan, fmt.Errorf("fsck: %w", err)
-		}
-		_, walRep, err := libtp.RecoverPaths(fs2, rig.Clock, libtpOpts, tpcb.DBPaths())
-		if err != nil {
-			return 0, scan, fmt.Errorf("wal recovery: %w", err)
-		}
-		scan = walRep.Scan
-		fsys = fs2
+		elapsed := rig.Clock.Now() - start
+		return elapsed, scan, tpcb.VerifyState(fs2, committed, inFlight)
 	}
-	elapsed := rig.Clock.Now() - start
-	if err := tpcb.VerifyState(fsys, committed, inFlight); err != nil {
-		return elapsed, scan, err
-	}
-	return elapsed, scan, nil
-}
 
-// recoverSharded reboots every device of a crashed partitioned rig, resolves
-// in-doubt two-phase-commit branches from the union of durable decision
-// records, and verifies the cross-shard invariants: a transfer must be
-// everywhere or nowhere, never half of each.
-func recoverSharded(opts Options, rig *tpcb.Rig, libtpOpts libtp.Options, start time.Duration, committed []tpcb.Txn, inFlight *tpcb.Txn) (time.Duration, wal.ScanStats, error) {
-	var scan wal.ScanStats
-	fss := make([]vfs.FileSystem, len(rig.Devs))
-	for i, dev := range rig.Devs {
-		switch opts.System {
-		case "user-lfs":
+	// User level: reboot every shard's device, resolve in-doubt two-phase-
+	// commit branches from the union of durable decision records (none, with
+	// one shard), and verify the cross-shard invariants: a transfer must be
+	// everywhere or nowhere, never half of each.
+	var devs []disk.BlockDevice // one per shard: the rig's one address space, or each partition's device
+	if rig.Dev != nil {
+		devs = append(devs, rig.Dev)
+	} else {
+		for _, d := range rig.Devs {
+			devs = append(devs, d)
+		}
+	}
+	fss := make([]vfs.FileSystem, len(devs))
+	for i, dev := range devs {
+		if opts.System == "user-lfs" {
 			fs2, err := lfs.Mount(dev, rig.Clock, lfs.Options{CacheBlocks: 256})
 			if err != nil {
 				return 0, scan, fmt.Errorf("shard %d mount: %w", i, err)
 			}
 			fss[i] = fs2
-		case "user-ffs":
-			fs2, err := ffs.Mount(dev, rig.Clock, ffs.Options{CacheBlocks: 256})
-			if err != nil {
-				return 0, scan, fmt.Errorf("shard %d mount: %w", i, err)
-			}
-			// Bitmap rebuild before WAL replay, as on the single device.
-			if _, err := fs2.Fsck(); err != nil {
-				return 0, scan, fmt.Errorf("shard %d fsck: %w", i, err)
-			}
-			fss[i] = fs2
-		default:
-			return 0, scan, fmt.Errorf("partitioned layout: unsupported system %q", opts.System)
+			continue
 		}
+		fs2, err := ffs.Mount(dev, rig.Clock, ffs.Options{CacheBlocks: 256})
+		if err != nil {
+			return 0, scan, fmt.Errorf("shard %d mount: %w", i, err)
+		}
+		// The bitmap rebuild MUST precede WAL replay: replay may extend
+		// files, and allocating from the stale bitmap could clobber
+		// durable blocks the inode table owns.
+		if _, err := fs2.Fsck(); err != nil {
+			return 0, scan, fmt.Errorf("shard %d fsck: %w", i, err)
+		}
+		fss[i] = fs2
 	}
-	_, reps, err := tpcb.RecoverSharded(fss, rig.Clock, libtpOpts, lock.NewManager())
+	_, reps, err := tpcb.RecoverSharded(fss, rig.Clock, libtp.Options{LogSegmentBytes: opts.LogSegmentBytes}, lock.NewManager())
 	if err != nil {
-		return 0, scan, fmt.Errorf("sharded recovery: %w", err)
+		return 0, scan, fmt.Errorf("wal recovery: %w", err)
 	}
 	for _, r := range reps {
 		scan.Segments += r.Scan.Segments
 		scan.Blocks += r.Scan.Blocks
 		scan.Records += r.Scan.Records
 	}
-	if opts.System == "user-lfs" {
-		for i, f := range fss {
-			rep, err := f.(*lfs.FS).Fsck()
-			if err != nil {
-				return 0, scan, fmt.Errorf("shard %d fsck: %w", i, err)
-			}
-			if !rep.OK() {
-				return 0, scan, fmt.Errorf("shard %d fsck: inconsistent state: %+v", i, rep)
+	for i, f := range fss {
+		if lf, ok := f.(*lfs.FS); ok {
+			if err := fsckLFS(lf); err != nil {
+				return 0, scan, fmt.Errorf("shard %d %w", i, err)
 			}
 		}
 	}
 	elapsed := rig.Clock.Now() - start
-	if err := tpcb.VerifyShardedState(fss, rig.Part, committed, inFlight); err != nil {
-		return elapsed, scan, err
+	return elapsed, scan, tpcb.VerifyShardedState(fss, rig.Part, committed, inFlight)
+}
+
+// fsckLFS checks a recovered LFS for self-consistency.
+func fsckLFS(lf *lfs.FS) error {
+	rep, err := lf.Fsck()
+	if err != nil {
+		return fmt.Errorf("fsck: %w", err)
 	}
-	return elapsed, scan, nil
+	if !rep.OK() {
+		return fmt.Errorf("fsck: inconsistent state: %+v", rep)
+	}
+	return nil
 }
 
 // Run executes the sweep and returns its deterministic report.

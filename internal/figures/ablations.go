@@ -33,7 +33,7 @@ func AblationSync(opts Options) (*SyncAblationReport, error) {
 		if err != nil {
 			return 0, err
 		}
-		res, err := tpcb.RunBenchmark(rig.Sys, rig.Clock, cfg, opts.Txns)
+		res, err := rig.RunMPL(cfg, opts.Txns, 1)
 		if err != nil {
 			return 0, err
 		}
@@ -115,7 +115,7 @@ func AblationCleaner(opts Options) (*CleanerAblationReport, error) {
 		if err != nil {
 			return tpcb.Result{}, nil, err
 		}
-		res, err := rig.Run(cfg, opts.Txns)
+		res, err := rig.RunMPL(cfg, opts.Txns, 1)
 		return res, rig, err
 	}
 
@@ -196,7 +196,7 @@ func AblationGroupCommit(opts Options) (*GroupCommitReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := tpcb.RunBenchmark(rig.Sys, rig.Clock, cfg, opts.Txns)
+		res, err := rig.RunMPL(cfg, opts.Txns, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -242,7 +242,7 @@ func AblationCommitBytes(opts Options) (*CommitBytesReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	resK, err := tpcb.RunBenchmark(rigK.Sys, rigK.Clock, cfg, opts.Txns)
+	resK, err := rigK.RunMPL(cfg, opts.Txns, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +253,7 @@ func AblationCommitBytes(opts Options) (*CommitBytesReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	resU, err := tpcb.RunBenchmark(rigU.Sys, rigU.Clock, cfg, opts.Txns)
+	resU, err := rigU.RunMPL(cfg, opts.Txns, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +295,7 @@ func AblationCleanerPolicy(opts Options) (*CleanerPolicyReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := tpcb.RunBenchmark(rig.Sys, rig.Clock, cfg, opts.Txns)
+		res, err := rig.RunMPL(cfg, opts.Txns, 1)
 		if err != nil {
 			return nil, err
 		}

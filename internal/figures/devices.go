@@ -97,12 +97,7 @@ func FigureDevices(opts Options, devices []int) (*FigureDevicesReport, error) {
 	}
 	cfg.Locality = 85
 	for _, n := range devices {
-		if cfg.Branches < int64(n) {
-			cfg.Branches = int64(n)
-		}
-		if cfg.Tellers < int64(n) {
-			cfg.Tellers = int64(n)
-		}
+		cfg = cfg.WithRowsPerShard(n)
 	}
 	maxMPL := 0
 	for _, m := range mpls {
@@ -144,8 +139,8 @@ func FigureDevices(opts Options, devices []int) (*FigureDevicesReport, error) {
 					cell.MaxDevQueue = q
 				}
 			}
-			if ss, ok := rig.Sys.(*tpcb.ShardedSystem); ok {
-				cell.Cross, cell.Single = ss.CrossShardTxns()
+			if n > 1 {
+				cell.Cross, cell.Single = rig.Sys.(*tpcb.UserSystem).CrossShardTxns()
 			}
 			series.Cells = append(series.Cells, cell)
 		}

@@ -68,6 +68,26 @@ func (o Options) rigLogOptions(r tpcb.RigOptions) tpcb.RigOptions {
 	return r
 }
 
+// rigFor is the rig recipe the three-system sweeps share: kind at the
+// figure's scale, sized for its transaction count, each system cleaning in
+// its natural mode unless Options.CleanerMode overrides it — kernel-lfs
+// idle-overlapped, user-lfs synchronously, and user-ffs, which has no
+// cleaner, taking no mode at all. A sweep sets what it varies (group
+// commit, tracing, disk headroom) on the result and builds it.
+func (o Options) rigFor(kind string) tpcb.RigOptions {
+	r := o.rigLogOptions(tpcb.RigOptions{
+		Kind: kind, Config: tpcb.ScaledConfig(o.Scale), Costs: o.Costs, ExpectedTxns: o.Txns,
+		CleanBatch: o.CleanBatch,
+	})
+	if kind != "user-ffs" {
+		r.CleanerMode = o.CleanerMode
+		if r.CleanerMode == "" && kind == "kernel-lfs" {
+			r.CleanerMode = "idle"
+		}
+	}
+	return r
+}
+
 func (o *Options) fill() {
 	if o.Scale == 0 {
 		o.Scale = 0.05
@@ -117,21 +137,11 @@ func Figure4(opts Options) (*Figure4Report, error) {
 	cfg := tpcb.ScaledConfig(opts.Scale)
 	rep := &Figure4Report{Opts: opts}
 	for _, kind := range []string{"user-ffs", "user-lfs", "kernel-lfs"} {
-		ropts := tpcb.RigOptions{
-			Kind: kind, Config: cfg, Costs: opts.Costs, ExpectedTxns: opts.Txns,
-			CleanBatch: opts.CleanBatch,
-		}
-		if kind != "user-ffs" {
-			ropts.CleanerMode = opts.CleanerMode
-			if ropts.CleanerMode == "" && kind == "kernel-lfs" {
-				ropts.CleanerMode = "idle"
-			}
-		}
-		rig, err := tpcb.BuildRig(opts.rigLogOptions(ropts))
+		rig, err := tpcb.BuildRig(opts.rigFor(kind))
 		if err != nil {
 			return nil, fmt.Errorf("figure 4 %s: %w", kind, err)
 		}
-		res, err := rig.Run(cfg, opts.Txns)
+		res, err := rig.RunMPL(cfg, opts.Txns, 1)
 		if err != nil {
 			return nil, fmt.Errorf("figure 4 %s: %w", kind, err)
 		}
@@ -262,11 +272,15 @@ func Figure5(opts Options) (*Figure5Report, error) {
 		if err != nil {
 			return 0, err
 		}
-		sys := tpcb.NewUserSystem(env, clk, opts.Costs)
+		part, err := tpcb.NewPartitioner(cfg, 1)
+		if err != nil {
+			return 0, err
+		}
+		sys := tpcb.NewUserSystem([]*libtp.Env{env}, part, clk, opts.Costs)
 		if err := sys.Load(cfg); err != nil {
 			return 0, err
 		}
-		res, err := tpcb.RunBenchmark(sys, clk, cfg, n)
+		res, err := (&tpcb.Rig{Clock: clk, Sys: sys}).RunMPL(cfg, n, 1)
 		if err != nil {
 			return 0, err
 		}
@@ -354,7 +368,7 @@ func Figure67(opts Options) (*Figure67Report, error) {
 		if err != nil {
 			return sysResult{}, err
 		}
-		res, err := tpcb.RunBenchmark(rig.Sys, rig.Clock, cfg, opts.Txns)
+		res, err := rig.RunMPL(cfg, opts.Txns, 1)
 		if err != nil {
 			return sysResult{}, err
 		}

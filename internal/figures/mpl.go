@@ -58,17 +58,9 @@ func FigureMPL(opts Options) (*FigureMPLReport, error) {
 		for _, gc := range []int{1, opts.GroupCommit} {
 			series := FigureMPLSeries{System: kind, GroupCommit: gc}
 			for _, mpl := range opts.MPLs {
-				ropts := tpcb.RigOptions{
-					Kind: kind, Config: cfg, Costs: opts.Costs, ExpectedTxns: opts.Txns,
-					GroupCommit: gc, CleanBatch: opts.CleanBatch,
-				}
-				if kind != "user-ffs" {
-					ropts.CleanerMode = opts.CleanerMode
-					if ropts.CleanerMode == "" && kind == "kernel-lfs" {
-						ropts.CleanerMode = "idle"
-					}
-				}
-				rig, err := tpcb.BuildRig(opts.rigLogOptions(ropts))
+				ropts := opts.rigFor(kind)
+				ropts.GroupCommit = gc
+				rig, err := tpcb.BuildRig(ropts)
 				if err != nil {
 					return nil, fmt.Errorf("mpl sweep %s gc=%d: %w", kind, gc, err)
 				}

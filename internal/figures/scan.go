@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"time"
@@ -21,7 +22,8 @@ type ScanReport struct {
 	Modes []tpcb.ScanMode
 	Rows  []*trace.Snapshot
 	// Tracer of the final (kernel-lfs, snapshot-mode) run, for Chrome
-	// trace export; excluded from JSON like BenchReport's.
+	// trace export; excluded from JSON: the snapshot rows already carry
+	// the metrics.
 	Tracer *trace.Tracer `json:"-"`
 }
 
@@ -36,21 +38,17 @@ func Scan(opts Options) (*ScanReport, error) {
 	modes := []tpcb.ScanMode{tpcb.ScanNone, tpcb.ScanLocking, tpcb.ScanSnapshot}
 	for _, kind := range []string{"user-ffs", "user-lfs", "kernel-lfs"} {
 		for _, mode := range modes {
-			ropts := tpcb.RigOptions{
-				Kind: kind, Config: cfg, Costs: opts.Costs, ExpectedTxns: opts.Txns,
-				GroupCommit: opts.GroupCommit, CleanBatch: opts.CleanBatch, Trace: true,
-			}
+			ropts := opts.rigFor(kind)
+			ropts.GroupCommit, ropts.Trace = opts.GroupCommit, true
 			if kind != "user-ffs" {
-				ropts.CleanerMode = opts.CleanerMode
-				if ropts.CleanerMode == "" {
-					ropts.CleanerMode = "idle"
-				}
+				// Both LFS rigs clean in idle windows here, user-lfs too.
+				ropts.CleanerMode = cmp.Or(opts.CleanerMode, "idle")
 				// Snapshot retention pins whole segments for the life of a
 				// scan, so the LFS rigs need log headroom beyond the paper's
 				// half-full sizing or the cleaner runs out of clean segments.
 				ropts.DiskScale = 6.0
 			}
-			rig, err := tpcb.BuildRig(opts.rigLogOptions(ropts))
+			rig, err := tpcb.BuildRig(ropts)
 			if err != nil {
 				return nil, fmt.Errorf("scan %s %s: %w", kind, mode, err)
 			}

@@ -85,7 +85,7 @@ func TestIdleCleanerIntegrity(t *testing.T) {
 func TestIdleCleanerDeterministic(t *testing.T) {
 	run := func() (Result, interface{}, interface{}) {
 		rig := buildIdleRig(t, 4)
-		res, err := rig.Run(smallCfg(), 600)
+		res, err := rig.RunMPL(smallCfg(), 600, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

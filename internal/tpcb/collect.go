@@ -1,9 +1,6 @@
 package tpcb
 
-import (
-	"repro/internal/libtp"
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // CollectSnapshot assembles the end-of-run report for a rig: the benchmark
 // result, every subsystem's counters, and — when the rig carries a tracer —
@@ -78,15 +75,11 @@ func CollectSnapshot(rig *Rig, res Result, tr *trace.Tracer) *trace.Snapshot {
 			},
 		}
 	}
-	envs := rig.Shards
-	if rig.Env != nil {
-		envs = []*libtp.Env{rig.Env}
-	}
-	if len(envs) > 0 {
+	if len(rig.Shards) > 0 {
 		// On a sharded rig each environment has its own log; the section
 		// sums them (one record lands in exactly one shard's log).
 		sec := &trace.WALSection{}
-		for _, env := range envs {
+		for _, env := range rig.Shards {
 			ws := env.LogStats()
 			sec.Records += ws.Records
 			sec.BytesLogged += ws.BytesLogged
@@ -116,7 +109,7 @@ func CollectSnapshot(rig *Rig, res Result, tr *trace.Tracer) *trace.Snapshot {
 			VersionsRecorded: cs.VersionsRecorded,
 		}
 	}
-	if rig.Env != nil || rig.Core != nil || rig.Shards != nil {
+	if rig.Shards != nil || rig.Core != nil {
 		ls := rig.LockStats()
 		snap.Locks = &trace.LockSection{
 			Acquired:       ls.Acquired,

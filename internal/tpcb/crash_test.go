@@ -80,7 +80,6 @@ func crashRun(t *testing.T, rig *Rig, cfg Config, txns, mpl int) (acked, batch [
 	var suspects []*Txn // pre-committed at the crash, by client; nil before it
 	sched := sim.NewScheduler(rig.Clock)
 	for c := range workers {
-		c := c
 		w, err := sys.NewWorker()
 		if err != nil {
 			t.Fatal(err)
@@ -252,7 +251,7 @@ func TestUserCrashStorm(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d recover: %v", round, err)
 		}
-		sys = NewUserSystem(env2, rig.Clock, sim.SpriteCosts())
+		sys = NewUserSystem([]*libtp.Env{env2}, rig.Part, rig.Clock, sim.SpriteCosts())
 		if err := sys.Attach(); err != nil {
 			t.Fatalf("round %d attach: %v", round, err)
 		}
@@ -300,7 +299,7 @@ func TestFFSUserCrashStorm(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d recover: %v", round, err)
 		}
-		sys = NewUserSystem(env2, rig.Clock, sim.SpriteCosts())
+		sys = NewUserSystem([]*libtp.Env{env2}, rig.Part, rig.Clock, sim.SpriteCosts())
 		if err := sys.Attach(); err != nil {
 			t.Fatalf("round %d attach: %v", round, err)
 		}

@@ -7,16 +7,15 @@ import (
 
 	"repro/internal/lock"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Result reports one benchmark run.
 type Result struct {
 	System     string
 	Txns       int
-	MPL        int           // multiprogramming level (0 = legacy single-client driver)
-	Retries    int64         // deadlock-victim retries (MPL > 1 only)
-	Dispatches int64         // scheduler dispatches (MPL driver only; deterministic)
+	MPL        int           // multiprogramming level (concurrent simulated clients, ≥ 1)
+	Retries    int64         // deadlock-victim retries
+	Dispatches int64         // scheduler dispatches (deterministic)
 	Elapsed    time.Duration // simulated time
 	TPS        float64
 }
@@ -29,95 +28,112 @@ func (r Result) String() string {
 	return out
 }
 
-// RunBenchmark executes n transactions on sys, measuring simulated elapsed
-// time (including the final drain of any pending group commit).
-func RunBenchmark(sys System, clock *sim.Clock, cfg Config, n int) (Result, error) {
-	return RunBenchmarkIdle(sys, clock, cfg, n, nil)
+// MixedResult reports a mixed OLTP + scan run. Result covers the whole run
+// (writer transactions over total elapsed, scans excluded from TPS);
+// WriterElapsed/WriterTPS measure the writer side alone — the fair basis
+// for "did the scans slow the writers down", since trailing scans may run
+// past the last commit.
+type MixedResult struct {
+	Result
+	ScanMode      ScanMode
+	Scanners      int
+	Scans         int
+	ScanRows      int64
+	ScanRetries   int64 // deadlock-victim scan retries (locking mode only)
+	WriterElapsed time.Duration
+	WriterTPS     float64
 }
 
-// RunBenchmarkIdle is RunBenchmark with an idle hook invoked between
-// transactions. Rigs built with CleanerMode "idle" point the hook at the
-// LFS's incremental background cleaner, which reclaims segments in the
-// device's idle windows instead of stalling a flush mid-transaction.
-func RunBenchmarkIdle(sys System, clock *sim.Clock, cfg Config, n int, idle func() error) (Result, error) {
-	return RunBenchmarkIdleTraced(sys, clock, cfg, n, idle, nil)
+func (r MixedResult) String() string {
+	return r.Result.String() + fmt.Sprintf(" + %d %s scans (%d rows, %d retries); writers alone: %.2f TPS",
+		r.Scans, r.ScanMode, r.ScanRows, r.ScanRetries, r.WriterTPS)
 }
 
-// RunBenchmarkIdleTraced is RunBenchmarkIdle with time attribution: the run
-// (including the drain) is bracketed as the "main" proc so the tracer's
-// per-proc report covers exactly the measured interval, excluding the load
-// phase. A nil tracer makes it identical to RunBenchmarkIdle.
-func RunBenchmarkIdleTraced(sys System, clock *sim.Clock, cfg Config, n int, idle func() error, tr *trace.Tracer) (Result, error) {
-	gen := NewGenerator(cfg)
-	tr.ProcStart("main")
-	start := clock.Now()
-	for i := 0; i < n; i++ {
-		if err := sys.Run(gen.Next()); err != nil {
-			return Result{}, fmt.Errorf("tpcb: txn %d on %s: %w", i, sys.Name(), err)
-		}
-		if idle != nil {
-			if err := idle(); err != nil {
-				return Result{}, fmt.Errorf("tpcb: idle cleaning after txn %d on %s: %w", i, sys.Name(), err)
-			}
-		}
-	}
-	if err := sys.Drain(); err != nil {
-		return Result{}, err
-	}
-	tr.ProcEnd()
-	elapsed := clock.Now() - start
-	res := Result{System: sys.Name(), Txns: n, Elapsed: elapsed}
-	if elapsed > 0 {
-		res.TPS = float64(n) / elapsed.Seconds()
-	}
-	return res, nil
+// RunMPL executes n transactions spread over mpl concurrent clients: RunMixed
+// with no scan clients.
+func (r *Rig) RunMPL(cfg Config, n, mpl int) (Result, error) {
+	res, err := r.RunMixed(cfg, n, mpl, 0, 0, ScanNone)
+	return res.Result, err
 }
 
-// RunBenchmarkMPL executes n transactions spread over mpl concurrent
-// clients, each a cooperatively scheduled virtual process with its own
-// deterministic transaction stream (ClientSeed). Clients contend for the
-// disk, the log tail, and page locks in simulated time; a client that loses
-// deadlock detection aborts, retries the same transaction, and the retry is
-// counted in Result.Retries. The idle hook (background cleaning) runs after
-// each transaction in the issuing client's context, as in RunBenchmarkIdle.
+// RunMixed is the benchmark driver. It executes n transactions spread over
+// mpl concurrent clients, each a cooperatively scheduled virtual process
+// with its own deterministic transaction stream (ClientSeed), while
+// `scanners` concurrent readers each perform `scansEach` full key-order
+// account scans in the given mode. Clients contend for the disk, the log
+// tail, and page locks in simulated time; a client — or a locking scan —
+// that loses deadlock detection aborts and retries, and the retry is
+// counted (snapshot scans cannot deadlock). The rig's idle hook (background
+// cleaning) runs after each transaction in the issuing client's context.
+// Simulated elapsed time includes the final drain of any pending group
+// commit; writer completion times are recorded so the result separates
+// writer-only throughput from total elapsed.
 //
-// MPL 1 runs through the same scheduler and reproduces the direct-driver
-// numbers exactly (client 0 keeps the base seed; a lone proc never queues,
-// never blocks, and accrues time exactly as the global clock did).
-func RunBenchmarkMPL(sys System, clock *sim.Clock, cfg Config, n, mpl int, idle func() error) (Result, error) {
-	return RunBenchmarkMPLTraced(sys, clock, cfg, n, mpl, idle, nil)
-}
-
-// RunBenchmarkMPLTraced is RunBenchmarkMPL with time attribution: each client
-// proc registers with the tracer for the per-proc "where did simulated time
-// go" report, the post-run drain is attributed to a synthetic "drain" proc,
-// and scheduler dispatches are counted. A nil tracer makes it identical to
-// RunBenchmarkMPL.
-func RunBenchmarkMPLTraced(sys System, clock *sim.Clock, cfg Config, n, mpl int, idle func() error, tr *trace.Tracer) (Result, error) {
+// MPL 1 is one scheduler proc: client 0 keeps the base seed, and a lone proc
+// never queues, never blocks, and accrues time exactly as the global clock
+// does (TestPinnedSignatures holds its numbers).
+//
+// With a tracer on the rig every client and scan proc registers for the
+// per-proc "where did simulated time go" report, and the drain, which runs
+// outside any client, gets a row of its own so its disk and commit time are
+// not silently dropped.
+func (r *Rig) RunMixed(cfg Config, n, mpl, scanners, scansEach int, mode ScanMode) (MixedResult, error) {
+	sys, clock, tr := r.Sys, r.Clock, r.Tracer
 	if mpl < 1 {
 		mpl = 1
+	}
+	if mode == ScanNone || scansEach <= 0 {
+		scanners = 0
 	}
 	workers := make([]Worker, mpl)
 	if mc, ok := sys.(MultiClient); ok {
 		for c := range workers {
 			w, err := mc.NewWorker()
 			if err != nil {
-				return Result{}, err
+				return MixedResult{}, err
 			}
 			workers[c] = w
 		}
 	} else if mpl == 1 {
 		workers[0] = sys
 	} else {
-		return Result{}, fmt.Errorf("tpcb: %s does not support MPL %d (no MultiClient)", sys.Name(), mpl)
+		return MixedResult{}, fmt.Errorf("tpcb: %s does not support MPL %d (no MultiClient)", sys.Name(), mpl)
+	}
+	scans := make([]Scanner, scanners)
+	effMode := ScanNone
+	if scanners > 0 {
+		sc, ok := sys.(ScanCapable)
+		if !ok {
+			return MixedResult{}, fmt.Errorf("tpcb: %s does not support scans", sys.Name())
+		}
+		for i := range scans {
+			var err error
+			scans[i], effMode, err = sc.NewScanner(mode)
+			if err != nil {
+				return MixedResult{}, err
+			}
+		}
 	}
 
 	sched := sim.NewScheduler(clock)
 	start := clock.Now()
-	errs := make([]error, mpl)
-	retries := make([]int64, mpl)
+	errs := make([]error, mpl+scanners)
+	retries := make([]int64, mpl+scanners)
+	// retrying runs op until it succeeds, counting deadlock-victim retries
+	// for proc p: the victim was aborted, and the abort advanced its clock,
+	// so the retry happens strictly later.
+	retrying := func(p int, op func() error) error {
+		for {
+			err := op()
+			if !errors.Is(err, lock.ErrDeadlock) {
+				return err
+			}
+			retries[p]++
+			clock.Yield()
+		}
+	}
+	writerEnd := make([]time.Duration, mpl)
 	for c := 0; c < mpl; c++ {
-		c := c
 		gen := NewClientGenerator(cfg, c)
 		quota := n / mpl
 		if c < n%mpl {
@@ -127,30 +143,45 @@ func RunBenchmarkMPLTraced(sys System, clock *sim.Clock, cfg Config, n, mpl int,
 		sched.Spawn(name, func() {
 			tr.ProcStart(name)
 			defer tr.ProcEnd()
+			defer func() { writerEnd[c] = clock.Now() }()
 			for i := 0; i < quota; i++ {
 				clock.Yield()
 				t := gen.Next()
-				for {
-					err := workers[c].Run(t)
-					if err == nil {
-						break
-					}
-					if errors.Is(err, lock.ErrDeadlock) {
-						// Deadlock victim: the transaction was aborted;
-						// retry it (its abort advanced this client's
-						// clock, so the retry happens strictly later).
-						retries[c]++
-						clock.Yield()
-						continue
-					}
+				if err := retrying(c, func() error { return workers[c].Run(t) }); err != nil {
 					errs[c] = fmt.Errorf("tpcb: client %d txn %d on %s: %w", c, i, sys.Name(), err)
 					return
 				}
-				if idle != nil {
-					if err := idle(); err != nil {
+				if r.Idle != nil {
+					if err := r.Idle(); err != nil {
 						errs[c] = fmt.Errorf("tpcb: idle cleaning on %s client %d: %w", sys.Name(), c, err)
 						return
 					}
+				}
+			}
+		})
+	}
+	scanRows := make([]int64, scanners)
+	scansDone := make([]int, scanners)
+	for s := 0; s < scanners; s++ {
+		name := fmt.Sprintf("scan-%d", s)
+		sched.Spawn(name, func() {
+			tr.ProcStart(name)
+			defer tr.ProcEnd()
+			for k := 0; k < scansEach; k++ {
+				clock.Yield()
+				// A deadlocked locking scan drops its read locks and
+				// restarts from the first key.
+				err := retrying(mpl+s, func() error {
+					rows, err := scans[s].Scan()
+					if err == nil {
+						scanRows[s] += rows
+						scansDone[s]++
+					}
+					return err
+				})
+				if err != nil {
+					errs[mpl+s] = fmt.Errorf("tpcb: scan %d on %s: %w", s, sys.Name(), err)
+					return
 				}
 			}
 		})
@@ -160,23 +191,44 @@ func RunBenchmarkMPLTraced(sys System, clock *sim.Clock, cfg Config, n, mpl int,
 	tr.Metrics().Set("sched.dispatches", dispatches)
 	for _, err := range errs {
 		if err != nil {
-			return Result{}, err
+			return MixedResult{}, err
 		}
 	}
-	// The drain runs outside any client proc; give it its own row so its
-	// disk and commit time are not silently dropped from the report.
-	tr.ProcStart("drain")
-	if err := sys.Drain(); err != nil {
-		return Result{}, err
+	drain := func() error {
+		tr.ProcStart("drain")
+		defer tr.ProcEnd()
+		return sys.Drain()
 	}
-	tr.ProcEnd()
+	if err := drain(); err != nil {
+		return MixedResult{}, err
+	}
 	elapsed := clock.Now() - start
-	res := Result{System: sys.Name(), Txns: n, MPL: mpl, Dispatches: dispatches, Elapsed: elapsed}
-	for _, r := range retries {
-		res.Retries += r
+	res := MixedResult{
+		Result:   Result{System: sys.Name(), Txns: n, MPL: mpl, Dispatches: dispatches, Elapsed: elapsed},
+		ScanMode: effMode,
+		Scanners: scanners,
+	}
+	for _, c := range retries[:mpl] {
+		res.Retries += c
+	}
+	for _, e := range writerEnd {
+		res.WriterElapsed = max(res.WriterElapsed, e-start)
+	}
+	for s := 0; s < scanners; s++ {
+		res.Scans += scansDone[s]
+		res.ScanRows += scanRows[s]
+		res.ScanRetries += retries[mpl+s]
 	}
 	if elapsed > 0 {
 		res.TPS = float64(n) / elapsed.Seconds()
+	}
+	if res.WriterElapsed > 0 {
+		res.WriterTPS = float64(n) / res.WriterElapsed.Seconds()
+	}
+	if tr.Enabled() && scanners > 0 {
+		tr.Metrics().Set("scan.count", int64(res.Scans))
+		tr.Metrics().Set("scan.rows", res.ScanRows)
+		tr.Metrics().Set("scan.retries", res.ScanRetries)
 	}
 	return res, nil
 }

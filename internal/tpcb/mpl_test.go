@@ -55,63 +55,6 @@ func TestClientSeedStreams(t *testing.T) {
 	}
 }
 
-// TestMPL1Conformance: MPL=1 through the scheduler reproduces the legacy
-// single-client driver to the exact simulated nanosecond, for all three
-// systems — the guarantee that every paper figure is unchanged by the
-// discrete-event refactor.
-func TestMPL1Conformance(t *testing.T) {
-	const txns = 300
-	for _, kind := range mplKinds {
-		t.Run(kind, func(t *testing.T) {
-			seedRig := buildSmall(t, kind)
-			seedRes, err := seedRig.Run(smallCfg(), txns)
-			if err != nil {
-				t.Fatalf("seed driver: %v", err)
-			}
-			mplRig := buildSmallGC(t, kind, 1)
-			mplRes, err := mplRig.RunMPL(smallCfg(), txns, 1)
-			if err != nil {
-				t.Fatalf("MPL driver: %v", err)
-			}
-			if seedRes.Elapsed != mplRes.Elapsed {
-				t.Fatalf("MPL=1 elapsed %v (%.4f TPS) != seed-path elapsed %v (%.4f TPS)",
-					mplRes.Elapsed, mplRes.TPS, seedRes.Elapsed, seedRes.TPS)
-			}
-			sd, md := seedRig.Dev.Stats(), mplRig.Dev.Stats()
-			if sd != md {
-				t.Fatalf("disk stats diverged:\nseed %+v\nmpl  %+v", sd, md)
-			}
-			if md.QueueTime != 0 {
-				t.Fatalf("MPL=1 must never queue, got %v", md.QueueTime)
-			}
-		})
-	}
-}
-
-// TestMPL1ConformanceGroupCommit: the degenerate case must also hold with
-// group commit enabled (the deferred-force path of the seed design).
-func TestMPL1ConformanceGroupCommit(t *testing.T) {
-	const txns = 300
-	for _, kind := range mplKinds {
-		t.Run(kind, func(t *testing.T) {
-			seedRig := buildSmallGC(t, kind, 8)
-			seedRig.Clock.SetStrict(false)
-			seedRes, err := seedRig.Run(smallCfg(), txns)
-			if err != nil {
-				t.Fatalf("seed driver: %v", err)
-			}
-			mplRig := buildSmallGC(t, kind, 8)
-			mplRes, err := mplRig.RunMPL(smallCfg(), txns, 1)
-			if err != nil {
-				t.Fatalf("MPL driver: %v", err)
-			}
-			if seedRes.Elapsed != mplRes.Elapsed {
-				t.Fatalf("MPL=1 elapsed %v != seed-path elapsed %v", mplRes.Elapsed, seedRes.Elapsed)
-			}
-		})
-	}
-}
-
 // TestMPLDeterminism: two identical MPL=8 runs are byte-for-byte identical —
 // same elapsed nanoseconds, same retries, same lock and disk counters.
 func TestMPLDeterminism(t *testing.T) {
@@ -367,11 +310,10 @@ func TestKernelAuditUnderAborts(t *testing.T) {
 			t.Fatal(err)
 		}
 		rig.Clock.SetStrict(true)
-		sys := rig.Sys
 		if faltering {
-			sys = falteringSystem{rig.Sys.(*EmbeddedSystem), new(int)}
+			rig.Sys = falteringSystem{rig.Sys.(*EmbeddedSystem), new(int)}
 		}
-		res, err := RunBenchmarkMPL(sys, rig.Clock, cfg, txns, mpl, nil)
+		res, err := rig.RunMPL(cfg, txns, mpl)
 		if err != nil {
 			t.Fatalf("faltering=%v: %v", faltering, err)
 		}

@@ -15,7 +15,7 @@ func TestProbeFigure4Shape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunBenchmark(rig.Sys, rig.Clock, cfg, n)
+		res, err := rig.RunMPL(cfg, n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

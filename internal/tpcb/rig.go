@@ -2,6 +2,7 @@ package tpcb
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -60,19 +61,20 @@ type RigOptions struct {
 	// Trace, when true, makes BuildRig construct a trace.Tracer on the
 	// rig's clock and thread it through every layer — disk, file system,
 	// buffer pools, lock table, log manager, transaction system — and
-	// through the traced driver variants via Rig.Run/RunMPL. The tracer is
-	// exposed as Rig.Tracer. When false the rig runs with a nil tracer,
-	// which costs nothing.
+	// the driver (Rig.RunMPL/RunMixed) brackets its procs with it. The
+	// tracer is exposed as Rig.Tracer. When false the rig runs with a nil
+	// tracer, which costs nothing.
 	Trace bool
-	// Devices is the number of spindles (0 or 1 = the classic single
-	// disk; the single-device path is bit-for-bit the historical one).
+	// Devices is the number of spindles (0 or 1 = the paper's single
+	// disk).
 	Devices int
 	// Layout selects how a multi-device rig spreads data: "stripe"
 	// (default) presents one striped block space to a single file system;
 	// "partition" gives each device its own file system, transaction
 	// environment, and log, with the TPC-B relations range-partitioned
 	// across them and cross-shard transactions running two-phase commit.
-	// Partition requires a user-level rig kind.
+	// Partition requires a user-level rig kind. On one device the two are
+	// the same rig.
 	Layout string
 	// StripeBlocks is the stripe unit in blocks for the "stripe" layout
 	// (default 8).
@@ -86,45 +88,33 @@ type Rig struct {
 	// striped array. Nil for partitioned rigs, which have no unified
 	// address space — use Devs.
 	Dev disk.BlockDevice
-	// Devs lists the physical devices (length 1 for the classic rig).
+	// Devs lists the physical devices (length 1 for the single-disk rig).
 	Devs []*disk.Device
 	// Crash injects whole-machine crashes: the device itself on a
 	// single-spindle rig, a disk.CrashSet spanning all members otherwise.
 	Crash disk.CrashControl
-	FS    vfs.FileSystem
-	LFS   *lfs.FS // non-nil for single-FS LFS-based rigs
+	FS    vfs.FileSystem // nil for partitioned rigs, which have one per device
+	LFS   *lfs.FS        // non-nil for single-FS LFS-based rigs
 	Sys   System
-	Env   *libtp.Env    // non-nil for single-FS user-level rigs
 	Core  *core.Manager // non-nil for the embedded rig
-	// Shards holds the per-device transaction environments of a
-	// partitioned rig (nil otherwise); Part maps ids to shards.
+	// Shards holds the transaction environments of a user-level rig, one
+	// per file system (nil for the embedded rig); Part maps ids to them.
+	// Env is the sole environment of a single-FS user-level rig, nil
+	// otherwise.
 	Shards []*libtp.Env
 	Part   *Partitioner
+	Env    *libtp.Env
 	// Idle is the between-transactions hook (non-nil when CleanerMode is
 	// "idle"): one incremental background cleaning step, charged against
-	// foreground idle time. Pass it to RunBenchmarkIdle.
+	// foreground idle time. The driver calls it after every transaction.
 	Idle func() error
 	// Tracer is non-nil when the rig was built with RigOptions.Trace.
 	Tracer *trace.Tracer
 }
 
-// Run executes the benchmark on the rig, using the idle hook if present.
-func (r *Rig) Run(cfg Config, n int) (Result, error) {
-	return RunBenchmarkIdleTraced(r.Sys, r.Clock, cfg, n, r.Idle, r.Tracer)
-}
-
-// RunMPL executes the benchmark with mpl concurrent clients scheduled as
-// virtual processes (see RunBenchmarkMPL).
-func (r *Rig) RunMPL(cfg Config, n, mpl int) (Result, error) {
-	return RunBenchmarkMPLTraced(r.Sys, r.Clock, cfg, n, mpl, r.Idle, r.Tracer)
-}
-
 // LockStats returns the rig's lock-manager counters regardless of which
 // transaction system it carries.
 func (r *Rig) LockStats() lock.Stats {
-	if r.Env != nil {
-		return r.Env.LockStats()
-	}
 	if len(r.Shards) > 0 {
 		// All shards share one lock manager; any environment reports it.
 		return r.Shards[0].LockStats()
@@ -159,8 +149,13 @@ func dbPagesEstimate(cfg Config, expectedTxns int) int64 {
 	return treePages + historyPages
 }
 
-// BuildRig constructs the device, file system, transaction system, and
-// loaded database for one configuration.
+// BuildRig constructs the devices, the file system(s), the transaction
+// system, and the loaded database for one configuration. A partitioned
+// N-device user-level rig gets one file system, transaction environment, and
+// write-ahead log per device, the relations range-partitioned across them,
+// and one lock manager shared by all environments (under per-shard lock
+// namespaces) so cross-shard waits-for cycles are detected like local ones;
+// every other rig is the one-file-system case of the same assembly.
 func BuildRig(opts RigOptions) (*Rig, error) {
 	if opts.Costs == (sim.CostModel{}) {
 		opts.Costs = sim.SpriteCosts()
@@ -176,6 +171,46 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 	}
 	if err := opts.Config.Validate(); err != nil {
 		return nil, err
+	}
+	switch opts.Kind {
+	case "user-ffs", "user-lfs", "kernel-lfs":
+	default:
+		return nil, fmt.Errorf("tpcb: unknown rig kind %q", opts.Kind)
+	}
+	kernel := opts.Kind == "kernel-lfs"
+	// n is the number of file systems: one per device when partitioned.
+	n := 1
+	switch opts.Layout {
+	case "", "stripe":
+	case "partition":
+		if opts.Devices > 1 {
+			if kernel {
+				return nil, fmt.Errorf("tpcb: layout \"partition\" needs a user-level rig kind, got %q", opts.Kind)
+			}
+			n = opts.Devices
+		}
+	default:
+		return nil, fmt.Errorf("tpcb: unknown layout %q (want stripe or partition)", opts.Layout)
+	}
+	switch opts.CleanerMode {
+	case "", "sync":
+		// Default: the flush path cleans synchronously when it must.
+	case "idle":
+		if n > 1 {
+			return nil, fmt.Errorf("tpcb: cleaner mode %q is not supported on partitioned rigs", opts.CleanerMode)
+		}
+		if opts.Kind == "user-ffs" {
+			return nil, fmt.Errorf("tpcb: cleaner mode %q needs an LFS-based rig, got %q", opts.CleanerMode, opts.Kind)
+		}
+	default:
+		return nil, fmt.Errorf("tpcb: unknown cleaner mode %q (want sync or idle)", opts.CleanerMode)
+	}
+	var part *Partitioner
+	if !kernel {
+		var err error
+		if part, err = NewPartitioner(opts.Config, n); err != nil {
+			return nil, err
+		}
 	}
 
 	dbPages := dbPagesEstimate(opts.Config, opts.ExpectedTxns)
@@ -201,27 +236,28 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 	if opts.CacheBlocks > 0 {
 		cache = opts.CacheBlocks
 	}
+	if n > 1 {
+		// Each shard carries ~1/N of the database and of the history growth,
+		// plus fixed per-file-system slack (superblock, checkpoint regions,
+		// segment headroom).
+		model.NumBlocks = model.NumBlocks/int64(n) + 2048
+		cache = max(cache/n, 96)
+	}
 
 	clk := sim.NewClock()
 	var tr *trace.Tracer
 	if opts.Trace {
 		tr = trace.New(clk)
 	}
-	layout := opts.Layout
-	if layout == "" {
-		layout = "stripe"
-	}
-	if opts.Devices > 1 && layout == "partition" {
-		return buildPartitionedRig(opts, clk, tr, model, cache)
-	}
-	rig := &Rig{Clock: clk, Tracer: tr}
-	if opts.Devices <= 1 {
-		// The classic single spindle: this path is bit-for-bit the
-		// historical one, so captured single-device outputs stay valid.
+	rig := &Rig{Clock: clk, Tracer: tr, Part: part}
+	switch {
+	case n > 1:
+		// One device per shard, created with its file system below.
+	case opts.Devices <= 1:
 		dev := disk.New(model, clk)
 		dev.SetTracer(tr)
 		rig.Dev, rig.Devs, rig.Crash = dev, []*disk.Device{dev}, dev
-	} else if layout == "stripe" {
+	default:
 		per := model
 		per.NumBlocks = (model.NumBlocks + int64(opts.Devices) - 1) / int64(opts.Devices)
 		stripe := opts.StripeBlocks
@@ -234,152 +270,97 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 		}
 		arr.SetTracer(tr)
 		rig.Dev, rig.Devs, rig.Crash = arr, arr.Devices(), disk.NewCrashSet(arr.Devices()...)
-	} else {
-		return nil, fmt.Errorf("tpcb: unknown layout %q", layout)
 	}
-	dev := rig.Dev
 
-	switch opts.Kind {
-	case "user-ffs":
-		fsys, err := ffs.Format(dev, clk, ffs.Options{CacheBlocks: cache, SyncInterval: 30 * time.Second})
-		if err != nil {
-			return nil, err
-		}
-		fsys.Pool().SetTracer(tr, "buffer.ffs")
-		rig.FS = fsys
-		env, err := libtp.NewEnv(fsys, clk, libtp.Options{CacheBlocks: cache, Costs: opts.Costs, GroupCommit: opts.GroupCommit, LogSegmentBytes: opts.LogSegmentBytes, LogRetain: opts.LogRetain, Tracer: tr})
-		if err != nil {
-			return nil, err
-		}
-		rig.Env = env
-		rig.Sys = NewUserSystem(env, clk, opts.Costs)
-	case "user-lfs":
-		fsys, err := lfs.Format(dev, clk, lfs.Options{CacheBlocks: cache, Policy: opts.Policy, CleanBatch: opts.CleanBatch, IdleCleanTrigger: opts.IdleCleanTrigger})
-		if err != nil {
-			return nil, err
-		}
-		fsys.SetTracer(tr)
-		fsys.Pool().SetTracer(tr, "buffer.lfs")
-		rig.FS, rig.LFS = fsys, fsys
-		env, err := libtp.NewEnv(fsys, clk, libtp.Options{CacheBlocks: cache, Costs: opts.Costs, GroupCommit: opts.GroupCommit, LogSegmentBytes: opts.LogSegmentBytes, LogRetain: opts.LogRetain, Tracer: tr})
-		if err != nil {
-			return nil, err
-		}
-		rig.Env = env
-		rig.Sys = NewUserSystem(env, clk, opts.Costs)
-	case "kernel-lfs":
-		// The embedded system avoids double buffering: the user-level
-		// configurations split the same memory between a user pool and
-		// the kernel cache, so the kernel configuration gets the whole
-		// budget in one cache (§1: the user-level architecture's
-		// "functional redundancy").
-		fsys, err := lfs.Format(dev, clk, lfs.Options{CacheBlocks: 2 * cache, Policy: opts.Policy, CleanBatch: opts.CleanBatch, IdleCleanTrigger: opts.IdleCleanTrigger})
-		if err != nil {
-			return nil, err
-		}
-		fsys.SetTracer(tr)
-		fsys.Pool().SetTracer(tr, "buffer.lfs")
-		rig.FS, rig.LFS = fsys, fsys
-		m := core.New(fsys, clk, core.Options{Costs: opts.Costs, GroupCommit: opts.GroupCommit, Tracer: tr})
-		rig.Core = m
-		rig.Sys = NewEmbeddedSystem(m, clk, opts.Costs)
-	default:
-		return nil, fmt.Errorf("tpcb: unknown rig kind %q", opts.Kind)
+	var locks *lock.Manager // shared across shards; a lone environment keeps its private one
+	if n > 1 {
+		locks = lock.NewManager()
 	}
-	if err := rig.Sys.Load(opts.Config); err != nil {
-		return nil, fmt.Errorf("tpcb: load on %s: %w", opts.Kind, err)
-	}
-	switch opts.CleanerMode {
-	case "", "sync":
-		// Default: the flush path cleans synchronously when it must.
-	case "idle":
-		if rig.LFS == nil {
-			return nil, fmt.Errorf("tpcb: cleaner mode %q needs an LFS-based rig, got %q", opts.CleanerMode, opts.Kind)
-		}
-		lfsys := rig.LFS
-		rig.Idle = func() error {
-			_, err := lfsys.CleanIdle()
-			return err
-		}
-	default:
-		return nil, fmt.Errorf("tpcb: unknown cleaner mode %q", opts.CleanerMode)
-	}
-	// The measured run must not hide background work behind idle time the
-	// load phase accumulated.
-	dev.ResetIdleCredit()
-	return rig, nil
-}
-
-// buildPartitionedRig assembles an N-device sharded rig: every device gets
-// its own file system, transaction environment, and write-ahead log, the
-// relations are range-partitioned across them, and all environments share
-// one lock manager (under per-shard lock namespaces) so cross-shard
-// waits-for cycles are detected like local ones.
-func buildPartitionedRig(opts RigOptions, clk *sim.Clock, tr *trace.Tracer, model sim.DiskModel, cache int) (*Rig, error) {
-	n := opts.Devices
-	part, err := NewPartitioner(opts.Config, n)
-	if err != nil {
-		return nil, err
-	}
-	switch opts.CleanerMode {
-	case "", "sync":
-	default:
-		return nil, fmt.Errorf("tpcb: cleaner mode %q is not supported on partitioned rigs", opts.CleanerMode)
-	}
-	per := model
-	// Each shard carries ~1/N of the database and of the history growth,
-	// plus fixed per-file-system slack (superblock, checkpoint regions,
-	// segment headroom).
-	per.NumBlocks = model.NumBlocks/int64(n) + 2048
-	shardCache := max(cache/n, 96)
-	locks := lock.NewManager()
-	rig := &Rig{Clock: clk, Tracer: tr, Part: part}
-	envs := make([]*libtp.Env, n)
 	for i := 0; i < n; i++ {
-		dev := disk.New(per, clk)
-		dev.SetTracer(tr)
-		rig.Devs = append(rig.Devs, dev)
+		// A single file system sits on rig.Dev and traces its pool under
+		// the bare name; shard i gets its own device and an indexed name.
+		bdev, shard := rig.Dev, ""
+		if n > 1 {
+			dev := disk.New(model, clk)
+			dev.SetTracer(tr)
+			rig.Devs = append(rig.Devs, dev)
+			bdev, shard = dev, strconv.Itoa(i)
+		}
 		var fsys vfs.FileSystem
-		switch opts.Kind {
-		case "user-lfs":
-			lf, err := lfs.Format(dev, clk, lfs.Options{CacheBlocks: shardCache, Policy: opts.Policy, CleanBatch: opts.CleanBatch, IdleCleanTrigger: opts.IdleCleanTrigger})
+		if opts.Kind == "user-ffs" {
+			ff, err := ffs.Format(bdev, clk, ffs.Options{CacheBlocks: cache, SyncInterval: 30 * time.Second})
+			if err != nil {
+				return nil, err
+			}
+			ff.Pool().SetTracer(tr, "buffer.ffs"+shard)
+			fsys = ff
+		} else {
+			// The embedded system avoids double buffering: the user-level
+			// configurations split the same memory between a user pool and
+			// the kernel cache, so the kernel configuration gets the whole
+			// budget in one cache (§1: the user-level architecture's
+			// "functional redundancy").
+			fsCache := cache
+			if kernel {
+				fsCache = 2 * cache
+			}
+			lf, err := lfs.Format(bdev, clk, lfs.Options{CacheBlocks: fsCache, Policy: opts.Policy, CleanBatch: opts.CleanBatch, IdleCleanTrigger: opts.IdleCleanTrigger})
 			if err != nil {
 				return nil, err
 			}
 			lf.SetTracer(tr)
-			lf.Pool().SetTracer(tr, fmt.Sprintf("buffer.lfs%d", i))
+			lf.Pool().SetTracer(tr, "buffer.lfs"+shard)
 			fsys = lf
-		case "user-ffs":
-			ff, err := ffs.Format(dev, clk, ffs.Options{CacheBlocks: shardCache, SyncInterval: 30 * time.Second})
-			if err != nil {
-				return nil, err
+			if n == 1 {
+				rig.LFS = lf
 			}
-			ff.Pool().SetTracer(tr, fmt.Sprintf("buffer.ffs%d", i))
-			fsys = ff
-		default:
-			return nil, fmt.Errorf("tpcb: layout \"partition\" needs a user-level rig kind, got %q", opts.Kind)
 		}
-		env, err := libtp.NewEnv(fsys, clk, libtp.Options{
-			CacheBlocks:     shardCache,
+		if n == 1 {
+			rig.FS = fsys
+		}
+		if kernel {
+			rig.Core = core.New(rig.LFS, clk, core.Options{Costs: opts.Costs, GroupCommit: opts.GroupCommit, Tracer: tr})
+			rig.Sys = NewEmbeddedSystem(rig.Core, clk, opts.Costs)
+			break
+		}
+		envOpts := libtp.Options{
+			CacheBlocks:     cache,
 			Costs:           opts.Costs,
 			GroupCommit:     opts.GroupCommit,
 			LogSegmentBytes: opts.LogSegmentBytes,
 			LogRetain:       opts.LogRetain,
 			Tracer:          tr,
-			Locks:           locks,
-			LockSpace:       ShardLockSpace(i),
-		})
+		}
+		if n > 1 {
+			envOpts.Locks, envOpts.LockSpace = locks, ShardLockSpace(i)
+		}
+		env, err := libtp.NewEnv(fsys, clk, envOpts)
 		if err != nil {
 			return nil, err
 		}
-		envs[i] = env
+		rig.Shards = append(rig.Shards, env)
 	}
-	rig.Crash = disk.NewCrashSet(rig.Devs...)
-	rig.Shards = envs
-	rig.Sys = NewShardedSystem(envs, part, clk, opts.Costs)
+	if n > 1 {
+		rig.Crash = disk.NewCrashSet(rig.Devs...)
+	}
+	if !kernel {
+		rig.Sys = NewUserSystem(rig.Shards, part, clk, opts.Costs)
+		if n == 1 {
+			rig.Env = rig.Shards[0]
+		}
+	}
 	if err := rig.Sys.Load(opts.Config); err != nil {
 		return nil, fmt.Errorf("tpcb: load on %s: %w", opts.Kind, err)
 	}
+	if opts.CleanerMode == "idle" {
+		lfsys := rig.LFS
+		rig.Idle = func() error {
+			_, err := lfsys.CleanIdle()
+			return err
+		}
+	}
+	// The measured run must not hide background work behind idle time the
+	// load phase accumulated.
 	for _, d := range rig.Devs {
 		d.ResetIdleCredit()
 	}

@@ -1,15 +1,9 @@
 package tpcb
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
-	"repro/internal/btree"
 	"repro/internal/core"
-	"repro/internal/lock"
-	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // ScanMode selects how a long-running reader executes against the OLTP
@@ -45,208 +39,6 @@ type ScanCapable interface {
 	NewScanner(mode ScanMode) (Scanner, ScanMode, error)
 }
 
-// MixedResult reports a mixed OLTP + scan run. Result covers the whole run
-// (writer transactions over total elapsed, scans excluded from TPS);
-// WriterElapsed/WriterTPS measure the writer side alone — the fair basis
-// for "did the scans slow the writers down", since trailing scans may run
-// past the last commit.
-type MixedResult struct {
-	Result
-	ScanMode      ScanMode
-	Scanners      int
-	Scans         int
-	ScanRows      int64
-	ScanRetries   int64 // deadlock-victim scan retries (locking mode only)
-	WriterElapsed time.Duration
-	WriterTPS     float64
-}
-
-func (r MixedResult) String() string {
-	return r.Result.String() + fmt.Sprintf(" + %d %s scans (%d rows, %d retries); writers alone: %.2f TPS",
-		r.Scans, r.ScanMode, r.ScanRows, r.ScanRetries, r.WriterTPS)
-}
-
-// RunMixedMPL executes n writer transactions over mpl clients while
-// `scanners` concurrent readers each perform `scansEach` full account scans
-// in the given mode. See RunMixedMPLTraced.
-func RunMixedMPL(sys System, clock *sim.Clock, cfg Config, n, mpl, scanners, scansEach int, mode ScanMode, idle func() error) (MixedResult, error) {
-	return RunMixedMPLTraced(sys, clock, cfg, n, mpl, scanners, scansEach, mode, idle, nil)
-}
-
-// RunMixedMPLTraced is the mixed OLTP + long-scan driver: the writer side
-// is exactly RunBenchmarkMPLTraced (client-c procs, deterministic per-client
-// streams, deadlock-victim retries), plus scan-s procs interleaving full
-// key-order account scans. Locking scans that lose deadlock detection abort
-// and retry like writers; snapshot scans cannot deadlock. Writer completion
-// times are recorded so the result separates writer-only throughput from
-// total elapsed.
-func RunMixedMPLTraced(sys System, clock *sim.Clock, cfg Config, n, mpl, scanners, scansEach int, mode ScanMode, idle func() error, tr *trace.Tracer) (MixedResult, error) {
-	if mpl < 1 {
-		mpl = 1
-	}
-	if mode == ScanNone || scansEach <= 0 {
-		scanners = 0
-	}
-	workers := make([]Worker, mpl)
-	if mc, ok := sys.(MultiClient); ok {
-		for c := range workers {
-			w, err := mc.NewWorker()
-			if err != nil {
-				return MixedResult{}, err
-			}
-			workers[c] = w
-		}
-	} else if mpl == 1 {
-		workers[0] = sys
-	} else {
-		return MixedResult{}, fmt.Errorf("tpcb: %s does not support MPL %d (no MultiClient)", sys.Name(), mpl)
-	}
-	scans := make([]Scanner, scanners)
-	effMode := mode
-	if scanners > 0 {
-		sc, ok := sys.(ScanCapable)
-		if !ok {
-			return MixedResult{}, fmt.Errorf("tpcb: %s does not support scans", sys.Name())
-		}
-		for i := range scans {
-			var err error
-			scans[i], effMode, err = sc.NewScanner(mode)
-			if err != nil {
-				return MixedResult{}, err
-			}
-		}
-	}
-
-	sched := sim.NewScheduler(clock)
-	start := clock.Now()
-	errs := make([]error, mpl+scanners)
-	retries := make([]int64, mpl)
-	writerEnd := make([]time.Duration, mpl)
-	for c := 0; c < mpl; c++ {
-		c := c
-		gen := NewClientGenerator(cfg, c)
-		quota := n / mpl
-		if c < n%mpl {
-			quota++
-		}
-		name := fmt.Sprintf("client-%d", c)
-		sched.Spawn(name, func() {
-			tr.ProcStart(name)
-			defer tr.ProcEnd()
-			defer func() { writerEnd[c] = clock.Now() }()
-			for i := 0; i < quota; i++ {
-				clock.Yield()
-				t := gen.Next()
-				for {
-					err := workers[c].Run(t)
-					if err == nil {
-						break
-					}
-					if errors.Is(err, lock.ErrDeadlock) {
-						retries[c]++
-						clock.Yield()
-						continue
-					}
-					errs[c] = fmt.Errorf("tpcb: client %d txn %d on %s: %w", c, i, sys.Name(), err)
-					return
-				}
-				if idle != nil {
-					if err := idle(); err != nil {
-						errs[c] = fmt.Errorf("tpcb: idle cleaning on %s client %d: %w", sys.Name(), c, err)
-						return
-					}
-				}
-			}
-		})
-	}
-	scanRows := make([]int64, scanners)
-	scanRetries := make([]int64, scanners)
-	scansDone := make([]int, scanners)
-	for s := 0; s < scanners; s++ {
-		s := s
-		name := fmt.Sprintf("scan-%d", s)
-		sched.Spawn(name, func() {
-			tr.ProcStart(name)
-			defer tr.ProcEnd()
-			for k := 0; k < scansEach; k++ {
-				clock.Yield()
-				for {
-					rows, err := scans[s].Scan()
-					if err == nil {
-						scanRows[s] += rows
-						scansDone[s]++
-						break
-					}
-					if errors.Is(err, lock.ErrDeadlock) {
-						// Locking scans are deadlock-prone by design: the
-						// victim aborts, drops its read locks, and restarts
-						// the whole scan.
-						scanRetries[s]++
-						clock.Yield()
-						continue
-					}
-					errs[mpl+s] = fmt.Errorf("tpcb: scan %d on %s: %w", s, sys.Name(), err)
-					return
-				}
-			}
-		})
-	}
-	sched.Run()
-	dispatches := sched.Dispatches()
-	tr.Metrics().Set("sched.dispatches", dispatches)
-	for _, err := range errs {
-		if err != nil {
-			return MixedResult{}, err
-		}
-	}
-	tr.ProcStart("drain")
-	if err := sys.Drain(); err != nil {
-		return MixedResult{}, err
-	}
-	tr.ProcEnd()
-	elapsed := clock.Now() - start
-	res := MixedResult{
-		Result:   Result{System: sys.Name(), Txns: n, MPL: mpl, Dispatches: dispatches, Elapsed: elapsed},
-		ScanMode: effMode,
-		Scanners: scanners,
-	}
-	if scanners == 0 {
-		res.ScanMode = ScanNone
-	}
-	for _, r := range retries {
-		res.Retries += r
-	}
-	var wEnd time.Duration
-	for _, e := range writerEnd {
-		if e > wEnd {
-			wEnd = e
-		}
-	}
-	res.WriterElapsed = wEnd - start
-	for s := 0; s < scanners; s++ {
-		res.Scans += scansDone[s]
-		res.ScanRows += scanRows[s]
-		res.ScanRetries += scanRetries[s]
-	}
-	if elapsed > 0 {
-		res.TPS = float64(n) / elapsed.Seconds()
-	}
-	if res.WriterElapsed > 0 {
-		res.WriterTPS = float64(n) / res.WriterElapsed.Seconds()
-	}
-	if tr.Enabled() && scanners > 0 {
-		tr.Metrics().Set("scan.count", int64(res.Scans))
-		tr.Metrics().Set("scan.rows", res.ScanRows)
-		tr.Metrics().Set("scan.retries", res.ScanRetries)
-	}
-	return res, nil
-}
-
-// RunMixedOn runs the mixed driver on a rig (idle hook and tracer wired).
-func (r *Rig) RunMixed(cfg Config, n, mpl, scanners, scansEach int, mode ScanMode) (MixedResult, error) {
-	return RunMixedMPLTraced(r.Sys, r.Clock, cfg, n, mpl, scanners, scansEach, mode, r.Idle, r.Tracer)
-}
-
 // --- user-level scanners ---
 
 // userLockScanner scans under two-phase locking: a plain read-only
@@ -254,28 +46,15 @@ func (r *Rig) RunMixed(cfg Config, n, mpl, scanners, scansEach int, mode ScanMod
 // scan commits (the pre-snapshot behavior a long reader imposes on
 // writers).
 type userLockScanner struct {
-	s *UserSystem
+	sh *userShard
 }
 
 func (sc *userLockScanner) Scan() (int64, error) {
-	txn := sc.s.env.Begin()
-	tr, err := btree.Open(txn.Store(sc.s.acc))
+	txn := sc.sh.env.Begin()
+	n, err := countRows(txn.Store(sc.sh.acc))
 	if err != nil {
 		txn.Abort()
 		return 0, err
-	}
-	c, err := tr.First()
-	if err != nil {
-		txn.Abort()
-		return 0, err
-	}
-	var n int64
-	for c.Next() {
-		n++
-	}
-	if c.Err() != nil {
-		txn.Abort()
-		return 0, c.Err()
 	}
 	return n, txn.Commit()
 }
@@ -283,39 +62,33 @@ func (sc *userLockScanner) Scan() (int64, error) {
 // userSnapScanner scans through a pinned snapshot: zero lock-manager calls,
 // pages rewound to the commit horizon with WAL before-images.
 type userSnapScanner struct {
-	s *UserSystem
+	sh *userShard
 }
 
 func (sc *userSnapScanner) Scan() (int64, error) {
-	snap := sc.s.env.BeginSnapshot()
+	snap := sc.sh.env.BeginSnapshot()
 	defer snap.Close()
-	tr, err := btree.Open(snap.Store(sc.s.acc))
-	if err != nil {
-		return 0, err
-	}
-	c, err := tr.First()
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	for c.Next() {
-		n++
-	}
-	return n, c.Err()
+	return countRows(snap.Store(sc.sh.acc))
 }
 
-// NewScanner implements ScanCapable. On FFS, snapshot scans degrade to
-// locking: FFS overwrites pages in place, so there is no no-overwrite log
-// to retain old versions against — see DESIGN.md §12.
+// NewScanner implements ScanCapable for the single-shard system; a
+// partitioned system has no transactional scan (a consistent one would need
+// a snapshot horizon agreed across the shards' logs). On FFS, snapshot scans
+// degrade to locking: FFS overwrites pages in place, so there is no
+// no-overwrite log to retain old versions against — see DESIGN.md §12.
 func (s *UserSystem) NewScanner(mode ScanMode) (Scanner, ScanMode, error) {
+	if len(s.shards) > 1 {
+		return nil, ScanNone, fmt.Errorf("tpcb: %s does not support scans", s.label)
+	}
+	sh := s.shards[0]
 	switch mode {
 	case ScanLocking:
-		return &userLockScanner{s: s}, ScanLocking, nil
+		return &userLockScanner{sh}, ScanLocking, nil
 	case ScanSnapshot:
-		if s.env.FS().Name() != "lfs" {
-			return &userLockScanner{s: s}, ScanLocking, nil
+		if sh.env.FS().Name() != "lfs" {
+			return &userLockScanner{sh}, ScanLocking, nil
 		}
-		return &userSnapScanner{s: s}, ScanSnapshot, nil
+		return &userSnapScanner{sh}, ScanSnapshot, nil
 	}
 	return nil, ScanNone, fmt.Errorf("tpcb: unknown scan mode %q", mode)
 }
@@ -334,23 +107,10 @@ func (sc *kernelLockScanner) Scan() (int64, error) {
 	if err := sc.proc.TxnBegin(); err != nil {
 		return 0, err
 	}
-	tr, err := btree.Open(core.NewStore(sc.proc, sc.s.acc))
+	n, err := countRows(core.NewStore(sc.proc, sc.s.acc))
 	if err != nil {
 		sc.proc.TxnAbort()
 		return 0, err
-	}
-	c, err := tr.First()
-	if err != nil {
-		sc.proc.TxnAbort()
-		return 0, err
-	}
-	var n int64
-	for c.Next() {
-		n++
-	}
-	if c.Err() != nil {
-		sc.proc.TxnAbort()
-		return 0, c.Err()
 	}
 	return n, sc.proc.TxnCommit()
 }
@@ -365,19 +125,7 @@ type kernelSnapScanner struct {
 func (sc *kernelSnapScanner) Scan() (int64, error) {
 	snap := sc.s.m.BeginSnapshot()
 	defer snap.Close()
-	tr, err := btree.Open(snap.Store(sc.s.acc))
-	if err != nil {
-		return 0, err
-	}
-	c, err := tr.First()
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	for c.Next() {
-		n++
-	}
-	return n, c.Err()
+	return countRows(snap.Store(sc.s.acc))
 }
 
 // NewScanner implements ScanCapable.

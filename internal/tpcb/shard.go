@@ -49,6 +49,17 @@ func NewPartitioner(cfg Config, shards int) (*Partitioner, error) {
 	}, nil
 }
 
+// WithRowsPerShard returns c with the teller and branch relations grown, if
+// need be, to one row per shard — what NewPartitioner insists on, and what
+// the small scaled configurations (10 tellers, 2 branches) lack on a wide
+// array. Callers apply it before sizing anything from the configuration, so
+// the generator and the loaded database agree.
+func (c Config) WithRowsPerShard(shards int) Config {
+	c.Tellers = max(c.Tellers, int64(shards))
+	c.Branches = max(c.Branches, int64(shards))
+	return c
+}
+
 // Shards returns the shard count.
 func (p *Partitioner) Shards() int { return p.shards }
 
@@ -148,262 +159,6 @@ func loadShardRelations(fsys vfs.FileSystem, part *Partitioner, s int) error {
 	}
 	return fsys.Sync()
 }
-
-// Shard is one partition of a sharded TPC-B system: its own file system
-// (device), its own transaction environment with its own write-ahead log,
-// and its slice of the relations.
-type Shard struct {
-	Env *libtp.Env
-	acc *libtp.DB
-	tel *libtp.DB
-	brn *libtp.DB
-	hst *libtp.DB
-}
-
-// ShardedSystem runs TPC-B across N user-level transaction environments,
-// one per device, with the relations range-partitioned by the Partitioner.
-// Transactions touching a single shard commit through the ordinary local
-// path; cross-shard transactions run two-phase commit over the per-shard
-// logs, with the account's shard as coordinator (the history record lands
-// there too, so the coordinator always has work of its own). All shards
-// share one lock manager — under namespaced lock ids — so cross-shard
-// waits-for cycles are detected and broken exactly like local ones.
-type ShardedSystem struct {
-	clock  *sim.Clock
-	costs  sim.CostModel
-	part   *Partitioner
-	shards []*Shard
-	label  string
-	gids   uint64 // global-transaction id counter (unique across the run)
-
-	// Cross-shard accounting.
-	crossTxns  int64
-	singleTxns int64
-}
-
-// NewShardedSystem builds the sharded user-level configuration over the
-// given per-shard environments (typically one per device, created by the
-// rig with a shared lock manager and distinct lock spaces).
-func NewShardedSystem(envs []*libtp.Env, part *Partitioner, clock *sim.Clock, costs sim.CostModel) *ShardedSystem {
-	s := &ShardedSystem{
-		clock: clock,
-		costs: costs,
-		part:  part,
-		label: fmt.Sprintf("user-%s[%d]", envs[0].FS().Name(), len(envs)),
-	}
-	for _, env := range envs {
-		s.shards = append(s.shards, &Shard{Env: env})
-	}
-	return s
-}
-
-// Name implements System.
-func (s *ShardedSystem) Name() string { return s.label }
-
-// Partitioner returns the id-to-shard mapping.
-func (s *ShardedSystem) Partitioner() *Partitioner { return s.part }
-
-// CrossShardTxns returns how many committed transactions spanned shards and
-// how many stayed local.
-func (s *ShardedSystem) CrossShardTxns() (cross, single int64) {
-	return s.crossTxns, s.singleTxns
-}
-
-// Load implements System: bulk-load each shard's slice of the relations and
-// open the per-shard database handles.
-func (s *ShardedSystem) Load(cfg Config) error {
-	for i, sh := range s.shards {
-		if err := loadShardRelations(sh.Env.FS(), s.part, i); err != nil {
-			return err
-		}
-		if err := sh.attach(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// attach opens the four relations on the shard's environment.
-func (sh *Shard) attach() error {
-	var err error
-	if sh.acc, err = sh.Env.OpenDB(AccountPath); err != nil {
-		return err
-	}
-	if sh.tel, err = sh.Env.OpenDB(TellerPath); err != nil {
-		return err
-	}
-	if sh.brn, err = sh.Env.OpenDB(BranchPath); err != nil {
-		return err
-	}
-	sh.hst, err = sh.Env.OpenDB(HistoryPath)
-	return err
-}
-
-// Attach opens the relations on already-loaded (e.g. recovered) shard
-// environments. No load is performed.
-func (s *ShardedSystem) Attach() error {
-	for _, sh := range s.shards {
-		if err := sh.attach(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Run implements System: route each relation update to its owning shard,
-// then commit — locally when one shard saw all the work, by two-phase
-// commit otherwise.
-func (s *ShardedSystem) Run(t Txn) error {
-	as := s.part.ShardOfAccount(t.Account)
-	ts := s.part.ShardOfTeller(t.Teller)
-	bs := s.part.ShardOfBranch(t.Branch)
-
-	locals := make([]*libtp.Txn, len(s.shards))
-	begin := func(sh int) *libtp.Txn {
-		if locals[sh] == nil {
-			locals[sh] = s.shards[sh].Env.Begin()
-		}
-		return locals[sh]
-	}
-	abortAll := func() {
-		for _, tx := range locals {
-			if tx != nil {
-				tx.Abort()
-			}
-		}
-	}
-	// Begin the coordinator (the account's shard) first so its local
-	// transaction ids advance deterministically, then touch relations in
-	// the same order as the unsharded system.
-	coord := begin(as)
-	update := func(sh int, db *libtp.DB, id int64) error {
-		s.clock.Advance(s.costs.RecordOp)
-		tr, err := btree.Open(begin(sh).Store(db))
-		if err != nil {
-			return err
-		}
-		rec, err := tr.Get(Key(id))
-		if err != nil {
-			return err
-		}
-		rec2 := append([]byte(nil), rec...)
-		SetBalance(rec2, Balance(rec2)+t.Amount)
-		return tr.Put(Key(id), rec2)
-	}
-	if err := update(as, s.shards[as].acc, t.Account); err != nil {
-		abortAll()
-		return err
-	}
-	if err := update(ts, s.shards[ts].tel, t.Teller); err != nil {
-		abortAll()
-		return err
-	}
-	if err := update(bs, s.shards[bs].brn, t.Branch); err != nil {
-		abortAll()
-		return err
-	}
-	// The history record follows the account: the coordinator shard always
-	// carries the transaction's one durable history row.
-	s.clock.Advance(s.costs.RecordOp)
-	hf, err := recno.Open(coord.Store(s.shards[as].hst))
-	if err != nil {
-		abortAll()
-		return err
-	}
-	if _, err := hf.Append(HistoryRecord(t.Account, t.Teller, t.Branch, t.Amount, int64(s.clock.Now()))); err != nil {
-		abortAll()
-		return err
-	}
-
-	// Single-shard fast path: the ordinary local commit.
-	cross := false
-	for sh, tx := range locals {
-		if tx != nil && sh != as {
-			cross = true
-			break
-		}
-	}
-	if !cross {
-		if err := coord.Commit(); err != nil {
-			return err
-		}
-		s.singleTxns++
-		return nil
-	}
-
-	// Two-phase commit. Phase 1: every non-coordinator participant
-	// prepares (durably, group-batched) while holding its locks.
-	s.gids++
-	gid := s.gids
-	for sh, tx := range locals {
-		if tx == nil || sh == as {
-			continue
-		}
-		if err := tx.Prepare(gid); err != nil {
-			abortAll()
-			return err
-		}
-	}
-	// Decision: the coordinator logs prepare + global-commit + its own
-	// commit and forces once; when CommitGlobal returns the decision is
-	// durable and the global transaction is committed.
-	if err := coord.CommitGlobal(gid); err != nil {
-		return err
-	}
-	// Phase 2: participants commit lazily — the decision record already
-	// owns their fate, so no per-shard force is needed.
-	for sh, tx := range locals {
-		if tx == nil || sh == as {
-			continue
-		}
-		if err := tx.CommitPrepared(); err != nil {
-			return err
-		}
-	}
-	s.crossTxns++
-	return nil
-}
-
-// NewWorker implements MultiClient: like the unsharded user-level system,
-// all per-call state lives in the transactions, so clients share the
-// System itself.
-func (s *ShardedSystem) NewWorker() (Worker, error) { return s, nil }
-
-// Drain implements System, in two phases across the whole array: first
-// force every shard's log, then checkpoint every shard. The order matters —
-// a checkpoint truncates its shard's log, and an undecided prepare record
-// on shard A must never outlive the loss of its decision record on shard B;
-// after phase one every decision every shard depends on is durable.
-func (s *ShardedSystem) Drain() error {
-	for _, sh := range s.shards {
-		if err := sh.Env.ForceLog(); err != nil {
-			return err
-		}
-	}
-	for _, sh := range s.shards {
-		if err := sh.Env.Checkpoint(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScanAccounts implements System: scan every shard's slice in shard order
-// (which is key order, since partitions are ascending contiguous ranges).
-func (s *ShardedSystem) ScanAccounts() (int64, error) {
-	var n int64
-	for _, sh := range s.shards {
-		c, err := scanAccounts(sh.Env.FS())
-		if err != nil {
-			return n, err
-		}
-		n += c
-	}
-	return n, nil
-}
-
-// Close implements System.
-func (s *ShardedSystem) Close() error { return nil }
 
 // RecoverSharded reopens every shard's environment after a whole-machine
 // crash, resolving in-doubt two-phase-commit branches from the union of the

@@ -96,7 +96,7 @@ func shardedStormRig(t *testing.T, cfg Config) *Rig {
 func TestShardedCrashStorm(t *testing.T) {
 	cfg := Config{Accounts: 1500, Tellers: 15, Branches: 3, Seed: 77}
 	rig := shardedStormRig(t, cfg)
-	sys := rig.Sys.(*ShardedSystem)
+	sys := rig.Sys.(*UserSystem)
 	gen := NewGenerator(cfg)
 	rng := sim.NewRNG(11)
 
@@ -129,7 +129,7 @@ func TestShardedCrashStorm(t *testing.T) {
 		if err := VerifyShardedState(fss, rig.Part, committed, nil); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		sys = NewShardedSystem(envs, rig.Part, rig.Clock, sim.SpriteCosts())
+		sys = NewUserSystem(envs, rig.Part, rig.Clock, sim.SpriteCosts())
 		if err := sys.Attach(); err != nil {
 			t.Fatalf("round %d attach: %v", round, err)
 		}

@@ -25,72 +25,21 @@ func DBPaths() []string {
 	return []string{AccountPath, TellerPath, BranchPath, HistoryPath}
 }
 
-// LoadRelations bulk-loads the four relations directly through the file
-// system (the offline load phase; transactions are not involved) and syncs.
-func LoadRelations(fsys vfs.FileSystem, cfg Config) error {
-	return loadRelations(fsys, cfg)
-}
-
-// ScanAccountsOn walks the account B-tree in key order through a raw file
-// store on any file system (the §5.3 SCAN test measurement).
-func ScanAccountsOn(fsys vfs.FileSystem) (int64, error) {
-	return scanAccounts(fsys)
-}
-
-// loadRelations bulk-loads the four relations directly through the file
-// system (the offline load phase; transactions are not involved) and syncs.
+// loadRelations bulk-loads the four unpartitioned relations: the one-shard
+// case of loadShardRelations.
 func loadRelations(fsys vfs.FileSystem, cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	mkTree := func(path string, n int64) error {
-		f, err := fsys.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		// Bulk-build the primary index bottom-up from the sorted id
-		// stream, as a real database load utility would.
-		id := int64(0)
-		_, err = btree.BulkLoad(pagestore.NewFileStore(f, fsys.BlockSize()), func() ([]byte, []byte, bool) {
-			if id >= n {
-				return nil, nil, false
-			}
-			k, v := Key(id), BalanceRecord(id, 0)
-			id++
-			return k, v, true
-		})
-		return err
-	}
-	if err := mkTree(AccountPath, cfg.Accounts); err != nil {
-		return fmt.Errorf("tpcb: load accounts: %w", err)
-	}
-	if err := mkTree(TellerPath, cfg.Tellers); err != nil {
-		return fmt.Errorf("tpcb: load tellers: %w", err)
-	}
-	if err := mkTree(BranchPath, cfg.Branches); err != nil {
-		return fmt.Errorf("tpcb: load branches: %w", err)
-	}
-	f, err := fsys.Create(HistoryPath)
+	part, err := NewPartitioner(cfg, 1)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if _, err := recno.Create(pagestore.NewFileStore(f, fsys.BlockSize()), HistoryRecordSize); err != nil {
-		return fmt.Errorf("tpcb: load history: %w", err)
-	}
-	return fsys.Sync()
+	return loadShardRelations(fsys, part, 0)
 }
 
-// scanAccounts walks the account B-tree in key order through a raw file
-// store (the SCAN test measures file-system layout, not locking).
-func scanAccounts(fsys vfs.FileSystem) (int64, error) {
-	f, err := fsys.Open(AccountPath)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	tr, err := btree.Open(pagestore.NewFileStore(f, fsys.BlockSize()))
+// countRows walks the B-tree held in st in key order and returns the number
+// of records seen. What the walk costs — page locks, snapshot reads, raw
+// file reads — is the store's business.
+func countRows(st pagestore.Store) (int64, error) {
+	tr, err := btree.Open(st)
 	if err != nil {
 		return 0, err
 	}
@@ -102,107 +51,161 @@ func scanAccounts(fsys vfs.FileSystem) (int64, error) {
 	for c.Next() {
 		n++
 	}
-	if c.Err() != nil {
-		return n, c.Err()
+	return n, c.Err()
+}
+
+// ScanAccountsOn walks the account B-tree in key order through a raw file
+// store on any file system (the §5.3 SCAN test measures file-system layout,
+// not locking).
+func ScanAccountsOn(fsys vfs.FileSystem) (int64, error) {
+	f, err := fsys.Open(AccountPath)
+	if err != nil {
+		return 0, err
 	}
-	return n, nil
+	defer f.Close()
+	return countRows(pagestore.NewFileStore(f, fsys.BlockSize()))
 }
 
 // --- user-level system (LIBTP, Figure 2) ---
 
-// UserSystem runs TPC-B through the user-level transaction manager on any
-// file system.
-type UserSystem struct {
-	env   *libtp.Env
-	clock *sim.Clock
-	costs sim.CostModel
-	label string
-	acc   *libtp.DB
-	tel   *libtp.DB
-	brn   *libtp.DB
-	hist  *libtp.DB
+// userShard is one partition of the user-level system: its own file system
+// (device), its own transaction environment with its own write-ahead log,
+// and its slice of the relations.
+type userShard struct {
+	env                 *libtp.Env
+	acc, tel, brn, hist *libtp.DB
 	// Interior-node caches, one per B-tree relation (history is recno — no
 	// interior pages). Shared across workers, validated by on-page LSN, and
 	// flushed wholesale on any abort: the before-image restore rewinds page
 	// LSNs, so a post-abort writer could reissue an LSN the cache still maps
 	// to aborted-timeline bytes.
-	accCache *btree.NodeCache
-	telCache *btree.NodeCache
-	brnCache *btree.NodeCache
+	accCache, telCache, brnCache *btree.NodeCache
 }
 
-// NewUserSystem builds the user-level configuration on env's file system.
-func NewUserSystem(env *libtp.Env, clock *sim.Clock, costs sim.CostModel) *UserSystem {
-	return &UserSystem{
-		env:      env,
-		clock:    clock,
-		costs:    costs,
-		label:    "user-" + env.FS().Name(),
-		accCache: btree.NewNodeCache(0),
-		telCache: btree.NewNodeCache(0),
-		brnCache: btree.NewNodeCache(0),
+// attach opens the four relations on the shard's environment.
+func (sh *userShard) attach() error {
+	var err error
+	if sh.acc, err = sh.env.OpenDB(AccountPath); err != nil {
+		return err
 	}
+	if sh.tel, err = sh.env.OpenDB(TellerPath); err != nil {
+		return err
+	}
+	if sh.brn, err = sh.env.OpenDB(BranchPath); err != nil {
+		return err
+	}
+	sh.hist, err = sh.env.OpenDB(HistoryPath)
+	return err
 }
 
-// abort rolls the transaction back and drops the shared interior caches
-// (see the cache field comment for why aborts must flush).
-func (s *UserSystem) abort(txn *libtp.Txn) {
-	txn.Abort()
-	s.accCache.Flush()
-	s.telCache.Flush()
-	s.brnCache.Flush()
+// UserSystem runs TPC-B through the user-level transaction manager on one
+// or more file systems. One environment is the paper's configuration: every
+// transaction commits through the ordinary local path. With N > 1 the
+// relations are range-partitioned by the Partitioner, one shard per device,
+// and a transaction that touches several shards runs two-phase commit over
+// the per-shard logs, with the account's shard as coordinator (the history
+// record lands there too, so the coordinator always has work of its own).
+// All shards share one lock manager — under namespaced lock ids — so
+// cross-shard waits-for cycles are detected and broken exactly like local
+// ones.
+type UserSystem struct {
+	clock  *sim.Clock
+	costs  sim.CostModel
+	part   *Partitioner
+	shards []*userShard
+	label  string
+	gids   uint64 // global-transaction id counter (unique across the run)
+
+	// Cross-shard accounting.
+	crossTxns  int64
+	singleTxns int64
+}
+
+// NewUserSystem builds the user-level configuration over the given
+// environments, one per shard of part (for N > 1 the rig creates them with a
+// shared lock manager and distinct lock spaces).
+func NewUserSystem(envs []*libtp.Env, part *Partitioner, clock *sim.Clock, costs sim.CostModel) *UserSystem {
+	s := &UserSystem{clock: clock, costs: costs, part: part, label: "user-" + envs[0].FS().Name()}
+	if len(envs) > 1 {
+		s.label += fmt.Sprintf("[%d]", len(envs))
+	}
+	for _, env := range envs {
+		s.shards = append(s.shards, &userShard{
+			env:      env,
+			accCache: btree.NewNodeCache(0),
+			telCache: btree.NewNodeCache(0),
+			brnCache: btree.NewNodeCache(0),
+		})
+	}
+	return s
 }
 
 // Name implements System.
 func (s *UserSystem) Name() string { return s.label }
 
-// Load implements System.
-func (s *UserSystem) Load(cfg Config) error {
-	if err := loadRelations(s.env.FS(), cfg); err != nil {
-		return err
-	}
-	var err error
-	if s.acc, err = s.env.OpenDB(AccountPath); err != nil {
-		return err
-	}
-	if s.tel, err = s.env.OpenDB(TellerPath); err != nil {
-		return err
-	}
-	if s.brn, err = s.env.OpenDB(BranchPath); err != nil {
-		return err
-	}
-	if s.hist, err = s.env.OpenDB(HistoryPath); err != nil {
-		return err
-	}
-	return nil
+// CrossShardTxns returns how many committed transactions spanned shards and
+// how many stayed local.
+func (s *UserSystem) CrossShardTxns() (cross, single int64) {
+	return s.crossTxns, s.singleTxns
 }
 
-// Attach opens the four relations on an already-loaded (e.g. recovered)
-// environment. No load is performed.
+// Load implements System: bulk-load each shard's slice of the relations and
+// open the per-shard database handles.
+func (s *UserSystem) Load(Config) error {
+	for i, sh := range s.shards {
+		if err := loadShardRelations(sh.env.FS(), s.part, i); err != nil {
+			return err
+		}
+	}
+	return s.Attach()
+}
+
+// Attach opens the relations on already-loaded (e.g. recovered)
+// environments. No load is performed.
 func (s *UserSystem) Attach() error {
-	var err error
-	if s.acc, err = s.env.OpenDB(AccountPath); err != nil {
-		return err
-	}
-	if s.tel, err = s.env.OpenDB(TellerPath); err != nil {
-		return err
-	}
-	if s.brn, err = s.env.OpenDB(BranchPath); err != nil {
-		return err
-	}
-	if s.hist, err = s.env.OpenDB(HistoryPath); err != nil {
-		return err
+	for _, sh := range s.shards {
+		if err := sh.attach(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // Run implements System: the classic read-update of account, teller, and
-// branch plus a history append, inside one transaction.
+// branch plus a history append, each relation update routed to its owning
+// shard, then commit — locally when one shard saw all the work, by
+// two-phase commit otherwise.
 func (s *UserSystem) Run(t Txn) error {
-	txn := s.env.Begin()
-	update := func(db *libtp.DB, c *btree.NodeCache, id int64) error {
+	as := s.part.ShardOfAccount(t.Account)
+	ts := s.part.ShardOfTeller(t.Teller)
+	bs := s.part.ShardOfBranch(t.Branch)
+
+	locals := make([]*libtp.Txn, len(s.shards))
+	begin := func(sh int) *libtp.Txn {
+		if locals[sh] == nil {
+			locals[sh] = s.shards[sh].env.Begin()
+		}
+		return locals[sh]
+	}
+	// abortAll rolls every local transaction back and drops its shard's
+	// interior caches (see the cache field comment for why aborts must
+	// flush).
+	abortAll := func() {
+		for sh, tx := range locals {
+			if tx != nil {
+				tx.Abort()
+				s.shards[sh].accCache.Flush()
+				s.shards[sh].telCache.Flush()
+				s.shards[sh].brnCache.Flush()
+			}
+		}
+	}
+	// Begin the coordinator (the account's shard) first so its local
+	// transaction ids advance deterministically.
+	coord := begin(as)
+	update := func(sh int, db *libtp.DB, c *btree.NodeCache, id int64) error {
 		s.clock.Advance(s.costs.RecordOp)
-		tr, err := btree.OpenWithCache(txn.Store(db), c)
+		tr, err := btree.OpenWithCache(begin(sh).Store(db), c)
 		if err != nil {
 			return err
 		}
@@ -214,29 +217,72 @@ func (s *UserSystem) Run(t Txn) error {
 		SetBalance(rec2, Balance(rec2)+t.Amount)
 		return tr.Put(Key(id), rec2)
 	}
-	if err := update(s.acc, s.accCache, t.Account); err != nil {
-		s.abort(txn)
+	if err := update(as, s.shards[as].acc, s.shards[as].accCache, t.Account); err != nil {
+		abortAll()
 		return err
 	}
-	if err := update(s.tel, s.telCache, t.Teller); err != nil {
-		s.abort(txn)
+	if err := update(ts, s.shards[ts].tel, s.shards[ts].telCache, t.Teller); err != nil {
+		abortAll()
 		return err
 	}
-	if err := update(s.brn, s.brnCache, t.Branch); err != nil {
-		s.abort(txn)
+	if err := update(bs, s.shards[bs].brn, s.shards[bs].brnCache, t.Branch); err != nil {
+		abortAll()
 		return err
 	}
+	// The history record follows the account: the coordinator shard always
+	// carries the transaction's one durable history row.
 	s.clock.Advance(s.costs.RecordOp)
-	hf, err := recno.Open(txn.Store(s.hist))
+	hf, err := recno.Open(coord.Store(s.shards[as].hist))
 	if err != nil {
-		s.abort(txn)
+		abortAll()
 		return err
 	}
 	if _, err := hf.Append(HistoryRecord(t.Account, t.Teller, t.Branch, t.Amount, int64(s.clock.Now()))); err != nil {
-		s.abort(txn)
+		abortAll()
 		return err
 	}
-	return txn.Commit()
+
+	// One shard saw all the work (always, with one shard): the ordinary
+	// local commit.
+	if ts == as && bs == as {
+		if err := coord.Commit(); err != nil {
+			return err
+		}
+		s.singleTxns++
+		return nil
+	}
+
+	// Two-phase commit. Phase 1: every non-coordinator participant
+	// prepares (durably, group-batched) while holding its locks.
+	s.gids++
+	gid := s.gids
+	for sh, tx := range locals {
+		if tx == nil || sh == as {
+			continue
+		}
+		if err := tx.Prepare(gid); err != nil {
+			abortAll()
+			return err
+		}
+	}
+	// Decision: the coordinator logs prepare + global-commit + its own
+	// commit and forces once; when CommitGlobal returns the decision is
+	// durable and the global transaction is committed.
+	if err := coord.CommitGlobal(gid); err != nil {
+		return err
+	}
+	// Phase 2: participants commit lazily — the decision record already
+	// owns their fate, so no per-shard force is needed.
+	for sh, tx := range locals {
+		if tx == nil || sh == as {
+			continue
+		}
+		if err := tx.CommitPrepared(); err != nil {
+			return err
+		}
+	}
+	s.crossTxns++
+	return nil
 }
 
 // NewWorker implements MultiClient. The user-level system is stateless per
@@ -244,15 +290,38 @@ func (s *UserSystem) Run(t Txn) error {
 // transactional stores — so every client can share the System itself.
 func (s *UserSystem) NewWorker() (Worker, error) { return s, nil }
 
-// Drain implements System: force any batched commits and flush the cache
-// through a checkpoint.
+// Drain implements System, in two phases across the shards: first force
+// every log, then checkpoint (which flushes the cache) every shard. The
+// order matters — a checkpoint truncates its shard's log, and an undecided
+// prepare record on shard A must never outlive the loss of its decision
+// record on shard B; after phase one every decision every shard depends on
+// is durable.
 func (s *UserSystem) Drain() error {
-	return s.env.Checkpoint()
+	for _, sh := range s.shards {
+		if err := sh.env.ForceLog(); err != nil {
+			return err
+		}
+	}
+	for _, sh := range s.shards {
+		if err := sh.env.Checkpoint(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// ScanAccounts implements System.
+// ScanAccounts implements System: scan every shard's slice in shard order
+// (which is key order, since partitions are ascending contiguous ranges).
 func (s *UserSystem) ScanAccounts() (int64, error) {
-	return scanAccounts(s.env.FS())
+	var n int64
+	for _, sh := range s.shards {
+		c, err := ScanAccountsOn(sh.env.FS())
+		if err != nil {
+			return n, err
+		}
+		n += c
+	}
+	return n, nil
 }
 
 // Close implements System.
@@ -270,7 +339,7 @@ type EmbeddedSystem struct {
 	tel   *core.File
 	brn   *core.File
 	hist  *core.File
-	// Shared interior-node caches, as in UserSystem (see that field comment
+	// Shared interior-node caches, as in userShard (see that field comment
 	// for the abort-flush requirement).
 	accCache *btree.NodeCache
 	telCache *btree.NodeCache
@@ -288,7 +357,7 @@ func NewEmbeddedSystem(m *core.Manager, clock *sim.Clock, costs sim.CostModel) *
 }
 
 // abort rolls the process's transaction back and drops the shared interior
-// caches (abort rewinds page LSNs; see UserSystem).
+// caches (abort rewinds page LSNs; see userShard).
 func (s *EmbeddedSystem) abort(proc *core.Process) {
 	proc.TxnAbort()
 	s.accCache.Flush()
@@ -313,20 +382,7 @@ func (s *EmbeddedSystem) Load(cfg Config) error {
 	if err := s.m.FS().Sync(); err != nil {
 		return err
 	}
-	var err error
-	if s.acc, err = s.m.Open(AccountPath); err != nil {
-		return err
-	}
-	if s.tel, err = s.m.Open(TellerPath); err != nil {
-		return err
-	}
-	if s.brn, err = s.m.Open(BranchPath); err != nil {
-		return err
-	}
-	if s.hist, err = s.m.Open(HistoryPath); err != nil {
-		return err
-	}
-	return nil
+	return s.Attach()
 }
 
 // Attach opens the four relations on an already-loaded file system (after a
@@ -423,7 +479,7 @@ func (s *EmbeddedSystem) Drain() error { return s.m.Flush() }
 
 // ScanAccounts implements System.
 func (s *EmbeddedSystem) ScanAccounts() (int64, error) {
-	return scanAccounts(s.m.FS())
+	return ScanAccountsOn(s.m.FS())
 }
 
 // Close implements System.

@@ -208,7 +208,7 @@ type Worker interface {
 
 // MultiClient is implemented by systems that can serve several concurrent
 // clients, each through its own Worker (its own kernel process, in the
-// embedded system's terms). RunBenchmarkMPL requires it at MPL > 1.
+// embedded system's terms). The driver requires it at MPL > 1.
 type MultiClient interface {
 	// NewWorker returns a fresh per-client execution context sharing the
 	// system's database state.

@@ -193,9 +193,9 @@ func TestSystemsProduceIdenticalState(t *testing.T) {
 	}
 }
 
-func TestRunBenchmarkReportsTPS(t *testing.T) {
+func TestRunMPLReportsTPS(t *testing.T) {
 	rig := buildSmall(t, "kernel-lfs")
-	res, err := RunBenchmark(rig.Sys, rig.Clock, smallCfg(), 50)
+	res, err := rig.RunMPL(smallCfg(), 50, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
