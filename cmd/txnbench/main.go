@@ -112,7 +112,7 @@ func main() {
 		"policy": {"policy", func() (fmt.Stringer, error) {
 			return figures.AblationCleanerPolicy(opts)
 		}},
-		// The MPL sweep runs 30 full benchmarks, so it is not part of "all".
+		// The MPL sweep runs 42 full benchmarks, so it is not part of "all".
 		"mpl": {"mpl", func() (fmt.Stringer, error) {
 			return figures.FigureMPL(opts)
 		}},

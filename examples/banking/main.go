@@ -98,18 +98,21 @@ func main() {
 			proc.TxnAbort()
 			return err
 		}
-		src, err := t.Get(key(from))
+		// Both balances are about to be rewritten, so read them for update:
+		// their leaves are write-locked here, not upgraded at the Put (two
+		// concurrent transfers upgrading one leaf would deadlock).
+		src, err := t.GetForUpdate(key(from))
 		if err != nil {
 			proc.TxnAbort()
 			return err
 		}
 		if amount(src) < amt {
-			// Roll everything back: the read locks release, nothing
-			// changes on disk.
+			// Roll everything back: the locks release, nothing changes
+			// on disk.
 			proc.TxnAbort()
 			return errInsufficient
 		}
-		dst, err := t.Get(key(to))
+		dst, err := t.GetForUpdate(key(to))
 		if err != nil {
 			proc.TxnAbort()
 			return err
@@ -122,7 +125,7 @@ func main() {
 			proc.TxnAbort()
 			return err
 		}
-		h, err := recno.Open(core.NewStore(proc, history))
+		h, err := recno.OpenForAppend(core.NewStore(proc, history))
 		if err != nil {
 			proc.TxnAbort()
 			return err

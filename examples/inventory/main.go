@@ -72,7 +72,9 @@ func main() {
 			proc.TxnAbort()
 			return err
 		}
-		cur, err := t.Get([]byte(sku))
+		// Read for update: the bucket page is write-locked here rather than
+		// upgraded at the Put (two clients upgrading one bucket deadlock).
+		cur, err := t.GetForUpdate([]byte(sku))
 		if err != nil {
 			proc.TxnAbort()
 			return err
@@ -92,7 +94,7 @@ func main() {
 			proc.TxnAbort()
 			return err
 		}
-		cur, err := t.Get([]byte(sku))
+		cur, err := t.GetForUpdate([]byte(sku))
 		if err != nil {
 			proc.TxnAbort()
 			return err

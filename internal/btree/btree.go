@@ -184,11 +184,30 @@ func (t *Tree) writeNode(n *node) error {
 }
 
 func (t *Tree) readNode(pageNo int64) (*node, error) {
+	return t.readNodeVia(pagestore.Store.ReadPage, pageNo)
+}
+
+// readNodeVia reads and decodes pageNo through read, which is either the
+// store's ReadPage or pagestore.ReadForUpdate.
+func (t *Tree) readNodeVia(read func(pagestore.Store, int64, []byte) error, pageNo int64) (*node, error) {
 	b := make([]byte, t.pageSize)
-	if err := t.st.ReadPage(pageNo, b); err != nil {
+	if err := read(t.st, pageNo, b); err != nil {
 		return nil, err
 	}
 	return decodeNode(pageNo, b)
+}
+
+// readForWrite reads the page at level (1 = the root) of a Put or Delete
+// descent: the interior levels plainly, the leaf — the one page every such
+// call rewrites — through pagestore.ReadForUpdate, so a locking store
+// write-locks it at first touch instead of upgrading a shared lock at the
+// write. Structure changes (a split reaching the parent, unlinking an emptied
+// leaf) still write pages that were read plainly; they are rare.
+func (t *Tree) readForWrite(pageNo int64, level int) (*node, error) {
+	if level < t.height {
+		return t.readNode(pageNo)
+	}
+	return t.readNodeVia(pagestore.ReadForUpdate, pageNo)
 }
 
 // decodeNode builds the in-memory node from page bytes b, which the node
@@ -311,11 +330,7 @@ func (t *Tree) GetForUpdate(key []byte) ([]byte, error) {
 		}
 		pageNo = n.children[childIndex(n.keys, key)]
 	}
-	b := make([]byte, t.pageSize)
-	if err := pagestore.ReadForUpdate(t.st, pageNo, b); err != nil {
-		return nil, err
-	}
-	n, err := decodeNode(pageNo, b)
+	n, err := t.readNodeVia(pagestore.ReadForUpdate, pageNo)
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +358,7 @@ func (t *Tree) Put(key, value []byte) error {
 	if nodeHeader+8+4+len(key)+len(value) > t.pageSize/2 {
 		return ErrTooLarge
 	}
-	sp, inserted, err := t.insert(t.root, key, value)
+	sp, inserted, err := t.insert(t.root, 1, key, value)
 	if err != nil {
 		return err
 	}
@@ -375,8 +390,8 @@ func (t *Tree) Put(key, value []byte) error {
 	return t.writeMeta()
 }
 
-func (t *Tree) insert(pageNo int64, key, value []byte) (*split, bool, error) {
-	n, err := t.readNode(pageNo)
+func (t *Tree) insert(pageNo int64, level int, key, value []byte) (*split, bool, error) {
+	n, err := t.readForWrite(pageNo, level)
 	if err != nil {
 		return nil, false, err
 	}
@@ -397,7 +412,7 @@ func (t *Tree) insert(pageNo int64, key, value []byte) (*split, bool, error) {
 		return sp, inserted, err
 	}
 	ci := childIndex(n.keys, key)
-	sp, inserted, err := t.insert(n.children[ci], key, value)
+	sp, inserted, err := t.insert(n.children[ci], level+1, key, value)
 	if err != nil {
 		return nil, false, err
 	}
@@ -456,7 +471,7 @@ func (t *Tree) maybeSplit(n *node) (*split, error) {
 // rebalancing: pages may run underfull, as in many production B-trees, but
 // structure and ordering invariants are preserved).
 func (t *Tree) Delete(key []byte) error {
-	removed, _, err := t.remove(t.root, key)
+	removed, _, err := t.remove(t.root, 1, key)
 	if err != nil {
 		return err
 	}
@@ -479,9 +494,9 @@ func (t *Tree) Delete(key []byte) error {
 	return t.writeMeta()
 }
 
-// remove deletes key under pageNo; reports (removed, nowEmpty).
-func (t *Tree) remove(pageNo int64, key []byte) (bool, bool, error) {
-	n, err := t.readNode(pageNo)
+// remove deletes key under pageNo (at level); reports (removed, nowEmpty).
+func (t *Tree) remove(pageNo int64, level int, key []byte) (bool, bool, error) {
+	n, err := t.readForWrite(pageNo, level)
 	if err != nil {
 		return false, false, err
 	}
@@ -498,7 +513,7 @@ func (t *Tree) remove(pageNo int64, key []byte) (bool, bool, error) {
 		return true, len(n.keys) == 0, nil
 	}
 	ci := childIndex(n.keys, key)
-	removed, empty, err := t.remove(n.children[ci], key)
+	removed, empty, err := t.remove(n.children[ci], level+1, key)
 	if err != nil || !removed {
 		return removed, false, err
 	}

@@ -555,8 +555,8 @@ func TestGetForUpdateLocksOnlyTheLeaf(t *testing.T) {
 			if err := tr.Put(key(i), key(i*2)); err != nil {
 				t.Fatal(err)
 			}
-			if last := st.reads[len(st.reads)-1]; last != leaf {
-				t.Fatalf("%s: Put(%d) rewrote leaf %d, GetForUpdate had locked %d", name, i, last, leaf)
+			if len(st.updates) != 1 || st.updates[0] != leaf {
+				t.Fatalf("%s: Put(%d) read %v for update, GetForUpdate had locked %d", name, i, st.updates, leaf)
 			}
 		}
 		if _, err := tr.GetForUpdate(key(n + 5)); !errors.Is(err, ErrNotFound) {
@@ -566,5 +566,59 @@ func TestGetForUpdateLocksOnlyTheLeaf(t *testing.T) {
 	plain := build["bulk"](pagestore.NewMemStore(512))
 	if v, err := plain.GetForUpdate(key(7)); err != nil || !bytes.Equal(v, key(14)) {
 		t.Fatalf("GetForUpdate on a plain store = %v, %v", v, err)
+	}
+}
+
+// TestPutAndDeleteReadTheLeafForUpdate: a Put (replacing, or inserting a new
+// key, with or without a split) and a Delete each read height-1 interior
+// pages plainly on the way down and exactly one page — the leaf they rewrite
+// — for update, and never read that leaf plainly: on a locking store no
+// record-level write upgrades a shared lock.
+func TestPutAndDeleteReadTheLeafForUpdate(t *testing.T) {
+	const n = 3000
+	st := &updateStore{MemStore: pagestore.NewMemStore(512)}
+	next := 0
+	tr, err := BulkLoad(st, func() ([]byte, []byte, bool) { // even keys: the odd ones are free to insert
+		next += 2
+		return key(next - 2), key(next), next <= 2*n
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(op string, i, height int) {
+		t.Helper()
+		if len(st.updates) != 1 || len(st.reads) < height-1 {
+			t.Fatalf("%s(%d) read %v plainly and %v for update, want %d interior pages and one leaf",
+				op, i, st.reads, st.updates, height-1)
+		}
+		for _, pg := range st.reads {
+			if pg == st.updates[0] {
+				t.Fatalf("%s(%d) also read its leaf %d plainly (%v): that read lock would be upgraded", op, i, pg, st.reads)
+			}
+		}
+	}
+	for i := 1; i < 2*n; i += 2 { // enough inserts to split leaves and interior pages
+		st.reads, st.updates = nil, nil
+		h := tr.Height()
+		if err := tr.Put(key(i), key(i)); err != nil {
+			t.Fatal(err)
+		}
+		check("Put/insert", i, h)
+		if len(st.reads) != h-1 {
+			t.Fatalf("Put(%d) read %v plainly, want the %d interior pages only", i, st.reads, h-1)
+		}
+	}
+	for i := 0; i < 2*n; i += 7 {
+		st.reads, st.updates = nil, nil
+		h := tr.Height()
+		if err := tr.Delete(key(i)); err != nil {
+			t.Fatal(err)
+		}
+		// Delete also re-reads the root to collapse a single-child root, and
+		// the leaf chain when it unlinks an emptied leaf: plain reads all.
+		check("Delete", i, h)
+	}
+	if _, err := tr.Check(); err != nil {
+		t.Fatal(err)
 	}
 }

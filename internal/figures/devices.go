@@ -60,15 +60,13 @@ var deviceSweepMPLs = []int{1, 4, 16, 64, 128, 256}
 // explicitly it sweeps deviceSweepMPLs, and the database is sized so every
 // relation has at least one row per shard at the largest device count.
 func FigureDevices(opts Options, devices []int) (*FigureDevicesReport, error) {
+	mpls := opts.MPLs // before fill() substitutes the MPL figure's levels
+	if len(mpls) == 0 {
+		mpls = deviceSweepMPLs
+	}
 	opts.fill()
 	if len(devices) == 0 {
 		devices = []int{1, 2, 4}
-	}
-	mpls := opts.MPLs
-	if len(mpls) == 5 && mpls[0] == 1 && mpls[4] == 16 {
-		// The generic default from fill(); the device sweep wants the
-		// post-saturation region.
-		mpls = deviceSweepMPLs
 	}
 	// The sweep needs a database large enough that the buffer pool sized
 	// for MPL-256 write sets (below) still misses: device scaling only
@@ -107,8 +105,7 @@ func FigureDevices(opts Options, devices []int) (*FigureDevicesReport, error) {
 	}
 	// Every cell runs the same "hardware": a pool big enough for the
 	// no-steal write sets of maxMPL concurrent transactions (the rig's
-	// natural sizing wedges past MPL ~64), and a disk with headroom for
-	// the deadlock-retry storm's abort records.
+	// natural sizing wedges past MPL ~64), and a disk with headroom.
 	cache := tpcb.CacheBlocksFor(cfg, opts.Txns) + 8*maxMPL
 	rep := &FigureDevicesReport{Opts: opts, Devices: devices}
 	for _, n := range devices {

@@ -44,7 +44,7 @@ type Options struct {
 	// (0 = the LFS default).
 	CleanBatch int
 	// MPLs are the multiprogramming levels the MPL sweep measures
-	// (default 1, 2, 4, 8, 16).
+	// (default 1, 2, 4, 8, 16, 64, 256).
 	MPLs []int
 	// GroupCommit is the batch size for the group-commit arm of the MPL
 	// sweep (default 8); the other arm always forces per commit.
@@ -99,7 +99,7 @@ func (o *Options) fill() {
 		o.Costs = sim.SpriteCosts()
 	}
 	if len(o.MPLs) == 0 {
-		o.MPLs = []int{1, 2, 4, 8, 16}
+		o.MPLs = []int{1, 2, 4, 8, 16, 64, 256}
 	}
 	if o.GroupCommit == 0 {
 		o.GroupCommit = 8

@@ -53,6 +53,7 @@ type FigureMPLReport struct {
 func FigureMPL(opts Options) (*FigureMPLReport, error) {
 	opts.fill()
 	cfg := tpcb.ScaledConfig(opts.Scale)
+	naturalCache := tpcb.CacheBlocksFor(cfg, opts.Txns)
 	rep := &FigureMPLReport{Opts: opts}
 	for _, kind := range []string{"user-ffs", "user-lfs", "kernel-lfs"} {
 		for _, gc := range []int{1, opts.GroupCommit} {
@@ -60,6 +61,12 @@ func FigureMPL(opts Options) (*FigureMPLReport, error) {
 			for _, mpl := range opts.MPLs {
 				ropts := opts.rigFor(kind)
 				ropts.GroupCommit = gc
+				if mpl > naturalCache {
+					// At least one buffer per client (the MPL 256 cells): the
+					// kernel's no-steal pool wedges when the running
+					// transactions' held pages outnumber it.
+					ropts.CacheBlocks = mpl
+				}
 				rig, err := tpcb.BuildRig(ropts)
 				if err != nil {
 					return nil, fmt.Errorf("mpl sweep %s gc=%d: %w", kind, gc, err)

@@ -152,9 +152,14 @@ func (t *Table) writeBucket(page int64, b bucket) error {
 	return t.st.WritePage(page, buf)
 }
 
-func (t *Table) readBucket(page int64) (bucket, error) {
+// pageReader is how a bucket page is read: the store's ReadPage, or
+// pagestore.ReadForUpdate on the paths that go on to rewrite the page, so a
+// locking store write-locks it at first touch instead of upgrading it later.
+type pageReader func(st pagestore.Store, n int64, p []byte) error
+
+func (t *Table) readBucket(read pageReader, page int64) (bucket, error) {
 	buf := make([]byte, t.pageSize)
-	if err := t.st.ReadPage(page, buf); err != nil {
+	if err := read(t.st, page, buf); err != nil {
 		return bucket{}, err
 	}
 	le := binary.LittleEndian
@@ -193,9 +198,20 @@ func (t *Table) bucketFor(key []byte) int64 {
 
 // Get returns the value stored under key.
 func (t *Table) Get(key []byte) ([]byte, error) {
+	return t.get(pagestore.Store.ReadPage, key)
+}
+
+// GetForUpdate is Get for a caller that will Put or Delete the same key next
+// (a read-modify-write): the bucket chain is read through
+// pagestore.ReadForUpdate, as that Put will read it.
+func (t *Table) GetForUpdate(key []byte) ([]byte, error) {
+	return t.get(pagestore.ReadForUpdate, key)
+}
+
+func (t *Table) get(read pageReader, key []byte) ([]byte, error) {
 	page := t.dir[t.bucketFor(key)]
 	for page != 0 {
-		b, err := t.readBucket(page)
+		b, err := t.readBucket(read, page)
 		if err != nil {
 			return nil, err
 		}
@@ -218,12 +234,15 @@ func (t *Table) Put(key, value []byte) error {
 	if err != nil {
 		return err
 	}
-	if inserted {
-		t.count++
-		if t.count/int64(len(t.dir)) > splitFill {
-			if err := t.splitBucket(); err != nil && !errors.Is(err, ErrFull) {
-				return err
-			}
+	if !inserted {
+		// Replacing a value changes nothing in the meta page; leaving it
+		// unwritten keeps it from becoming a per-update write hot spot.
+		return nil
+	}
+	t.count++
+	if t.count/int64(len(t.dir)) > splitFill {
+		if err := t.splitBucket(); err != nil && !errors.Is(err, ErrFull) {
+			return err
 		}
 	}
 	return t.writeMeta()
@@ -232,7 +251,7 @@ func (t *Table) Put(key, value []byte) error {
 // putChain inserts into a bucket chain, spilling to overflow pages as needed.
 func (t *Table) putChain(page int64, key, value []byte) (bool, error) {
 	for {
-		b, err := t.readBucket(page)
+		b, err := t.readBucket(pagestore.ReadForUpdate, page)
 		if err != nil {
 			return false, err
 		}
@@ -281,7 +300,7 @@ func (t *Table) splitBucket() error {
 	page := t.dir[oldIdx]
 	for page != 0 {
 		chain = append(chain, page)
-		b, err := t.readBucket(page)
+		b, err := t.readBucket(pagestore.ReadForUpdate, page)
 		if err != nil {
 			return err
 		}
@@ -379,7 +398,7 @@ func (t *Table) writeChain(chain []int64, first int64, b bucket) error {
 func (t *Table) Delete(key []byte) error {
 	page := t.dir[t.bucketFor(key)]
 	for page != 0 {
-		b, err := t.readBucket(page)
+		b, err := t.readBucket(pagestore.ReadForUpdate, page)
 		if err != nil {
 			return err
 		}
@@ -405,7 +424,7 @@ func (t *Table) Scan(fn func(key, value []byte) bool) error {
 	for _, first := range t.dir {
 		page := first
 		for page != 0 {
-			b, err := t.readBucket(page)
+			b, err := t.readBucket(pagestore.Store.ReadPage, page)
 			if err != nil {
 				return err
 			}

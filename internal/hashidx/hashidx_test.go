@@ -208,3 +208,72 @@ func TestTableMatchesMapProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// updateStore is a MemStore that records which pages were read plainly,
+// which for update, and which were written.
+type updateStore struct {
+	*pagestore.MemStore
+	reads, updates, writes []int64
+}
+
+func (s *updateStore) ReadPage(n int64, p []byte) error {
+	s.reads = append(s.reads, n)
+	return s.MemStore.ReadPage(n, p)
+}
+
+func (s *updateStore) ReadPageForUpdate(n int64, p []byte) error {
+	s.updates = append(s.updates, n)
+	return s.MemStore.ReadPage(n, p)
+}
+
+func (s *updateStore) WritePage(n int64, p []byte) error {
+	s.writes = append(s.writes, n)
+	return s.MemStore.WritePage(n, p)
+}
+
+// TestWritersReadBucketsForUpdate: on a store with pagestore.UpdateReader a
+// read-modify-write (GetForUpdate then Put) and a Delete read every bucket
+// page for update and none plainly, so a locking store never upgrades a
+// shared bucket lock; a replacing Put writes its bucket page only (not the
+// meta page), and a plain Get takes no update read.
+func TestWritersReadBucketsForUpdate(t *testing.T) {
+	st := &updateStore{MemStore: pagestore.NewMemStore(512)}
+	tb, err := Create(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 400 // enough to split buckets and grow overflow chains
+	for i := 0; i < n; i++ {
+		if err := tb.Put(key(i), key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i += 13 {
+		st.reads, st.updates, st.writes = nil, nil, nil
+		v, err := tb.GetForUpdate(key(i))
+		if err != nil || !bytes.Equal(v, key(i)) {
+			t.Fatalf("GetForUpdate(%d) = %v, %v", i, v, err)
+		}
+		locked := append([]int64(nil), st.updates...)
+		if err := tb.Put(key(i), key(i+1)); err != nil {
+			t.Fatal(err)
+		}
+		if len(st.reads) != 0 || len(locked) == 0 {
+			t.Fatalf("read-modify-write of %d read %v plainly, %v for update", i, st.reads, st.updates)
+		}
+		if len(st.writes) != 1 || st.writes[0] != locked[len(locked)-1] {
+			t.Fatalf("replacing Put(%d) wrote %v, want only the bucket page %d it read for update", i, st.writes, locked[len(locked)-1])
+		}
+		st.reads, st.updates = nil, nil
+		if err := tb.Delete(key(i)); err != nil {
+			t.Fatal(err)
+		}
+		if len(st.reads) != 0 || len(st.updates) == 0 {
+			t.Fatalf("Delete(%d) read %v plainly, %v for update", i, st.reads, st.updates)
+		}
+	}
+	st.reads, st.updates = nil, nil
+	if _, err := tb.Get(key(1)); err != nil || len(st.updates) != 0 || len(st.reads) == 0 {
+		t.Fatalf("Get read %v plainly, %v for update, err %v", st.reads, st.updates, err)
+	}
+}

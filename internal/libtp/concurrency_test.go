@@ -6,11 +6,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/btree"
 	"repro/internal/hashidx"
 	"repro/internal/lock"
+	"repro/internal/pagestore"
 	"repro/internal/recno"
+	"repro/internal/sim"
 )
 
 // TestConcurrentTxnsNoLostUpdates drives several goroutines through
@@ -239,4 +242,101 @@ func TestRecnoAbortRestoresCount(t *testing.T) {
 		t.Fatalf("count after abort = %d, want 10", rf3.Count())
 	}
 	check.Commit()
+}
+
+// TestReadForUpdateQueuesInsteadOfDeadlocking: two scheduler procs each
+// read-modify-write the same page. Read through ReadPageForUpdate, the second
+// proc queues behind the first one's write lock and both commit first time
+// with no upgrade and no deadlock. The same scenario through plain ReadPage
+// leaves both holding the shared lock the other's upgrade waits for, and
+// exactly one is the victim: the read mode is what makes the difference. A
+// snapshot store has no for-update arm: pagestore.ReadForUpdate falls back to
+// its lock-free ReadPage.
+func TestReadForUpdateQueuesInsteadOfDeadlocking(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		read                func(st pagestore.Store, n int64, p []byte) error
+		deadlocks, upgrades int64
+	}{
+		{"for-update", pagestore.ReadForUpdate, 0, 0},
+		{"plain", pagestore.Store.ReadPage, 1, 3}, // every attempt upgrades, the victim's retry too
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rig := newRig(t, "lfs")
+			db, err := rig.env.OpenDB("/db")
+			if err != nil {
+				t.Fatal(err)
+			}
+			setup := rig.env.Begin()
+			if _, err := setup.Store(db).AllocPage(); err != nil {
+				t.Fatal(err)
+			}
+			if err := setup.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			before := rig.env.LockStats()
+
+			attempts := 0
+			increment := func() {
+				for {
+					attempts++
+					txn := rig.env.Begin()
+					st := txn.Store(db)
+					page := make([]byte, st.PageSize())
+					err := tc.read(st, 0, page)
+					if err == nil {
+						// Let the other proc read before this one writes.
+						rig.clk.Advance(time.Millisecond)
+						rig.clk.Yield()
+						page[0]++
+						err = st.WritePage(0, page)
+					}
+					if err == nil {
+						err = txn.Commit()
+					}
+					if err == nil {
+						return
+					}
+					txn.Abort()
+					if !errors.Is(err, lock.ErrDeadlock) {
+						t.Error(err)
+						return
+					}
+				}
+			}
+			s := sim.NewScheduler(rig.clk)
+			s.Spawn("proc-0", increment)
+			s.Spawn("proc-1", increment)
+			s.Run()
+
+			ls := rig.env.LockStats()
+			if d, u := ls.Deadlocks-before.Deadlocks, ls.Upgrades-before.Upgrades; d != tc.deadlocks ||
+				u != tc.upgrades || ls.UpgradeDeadlocks != tc.deadlocks || int64(attempts) != 2+tc.deadlocks {
+				t.Fatalf("%d deadlocks (%d on upgrades), %d upgrades, %d attempts; want %d, %d, %d, %d",
+					d, ls.UpgradeDeadlocks, u, attempts, tc.deadlocks, tc.deadlocks, tc.upgrades, 2+tc.deadlocks)
+			}
+
+			// A writer holds the page's write lock; the snapshot read neither
+			// waits for it nor takes a lock of its own, and sees committed data.
+			writer := rig.env.Begin()
+			page := make([]byte, writer.Store(db).PageSize())
+			page[0] = 99
+			if err := writer.Store(db).WritePage(0, page); err != nil {
+				t.Fatal(err)
+			}
+			snap := rig.env.BeginSnapshot()
+			defer snap.Close()
+			if _, ok := snap.Store(db).(pagestore.UpdateReader); ok {
+				t.Fatal("a snapshot store must not offer ReadPageForUpdate")
+			}
+			held := rig.env.LockStats().Acquired
+			if err := pagestore.ReadForUpdate(snap.Store(db), 0, page); err != nil || page[0] != 2 {
+				t.Fatalf("snapshot read = %d, %v; want the two committed increments", page[0], err)
+			}
+			if got := rig.env.LockStats().Acquired; got != held {
+				t.Fatalf("snapshot read took %d lock(s)", got-held)
+			}
+			writer.Abort()
+		})
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/lock"
 	"repro/internal/mvcc"
+	"repro/internal/pagestore"
 	"repro/internal/vfs"
 )
 
@@ -15,6 +16,8 @@ import (
 //
 //   - ReadPage: acquire a read lock on (db, page), then serve the page from
 //     the user-level buffer pool (or fault it in from the file).
+//   - ReadPageForUpdate: the same read under the write lock, for a page the
+//     caller is about to write (no read→write upgrade later).
 //   - WritePage: acquire a write lock, log the changed byte range
 //     (before/after images), update the cached page, remember the
 //     before-image for in-memory abort.
@@ -59,11 +62,21 @@ func (s *txnStore) lock(page int64, mode lock.Mode) error {
 	return err
 }
 
-func (s *txnStore) ReadPage(n int64, p []byte) error {
+var _ pagestore.UpdateReader = (*txnStore)(nil)
+
+func (s *txnStore) ReadPage(n int64, p []byte) error { return s.read(n, p, lock.Read) }
+
+// ReadPageForUpdate implements pagestore.UpdateReader: the write lock is
+// taken at first touch, so two transactions that read and then write one hot
+// page queue for it instead of deadlocking on the read-to-write upgrade. It
+// is one lock-manager call at the same cost as ReadPage's.
+func (s *txnStore) ReadPageForUpdate(n int64, p []byte) error { return s.read(n, p, lock.Write) }
+
+func (s *txnStore) read(n int64, p []byte, mode lock.Mode) error {
 	if s.t.done {
 		return ErrTxnDone
 	}
-	if err := s.lock(n, lock.Read); err != nil {
+	if err := s.lock(n, mode); err != nil {
 		return err
 	}
 	e := s.t.env

@@ -71,6 +71,11 @@ type Stats struct {
 	Waited    int64 // requests that had to block
 	Deadlocks int64 // requests denied by deadlock detection
 	Upgrades  int64 // read→write upgrades
+	// UpgradeDeadlocks is the part of Deadlocks whose denied request was a
+	// read→write upgrade: a caller that read a page under a shared lock and
+	// then wrote it, where it should have read for update. The remainder are
+	// ordering cycles (transactions locking objects in opposite orders).
+	UpgradeDeadlocks int64
 
 	// BlockedTime is the cumulative simulated time transactions spent
 	// suspended waiting for locks. Only waits inside virtual processes
@@ -296,11 +301,13 @@ func (m *Manager) Lock(txn TxnID, obj Object, mode Mode) error {
 		h = &head{}
 		m.table[obj] = h
 	}
+	upgrade := false
 	if held, ok := h.get(txn); ok {
 		if held == Write || mode == Read {
 			return nil // already covered
 		}
 		m.stats.Upgrades++
+		upgrade = true
 	}
 
 	waited := false
@@ -316,11 +323,17 @@ func (m *Manager) Lock(txn TxnID, obj Object, mode Mode) error {
 		if m.cycleLocked(txn) {
 			delete(m.waitsFor, txn)
 			m.stats.Deadlocks++
+			cause := "order"
+			if upgrade {
+				m.stats.UpgradeDeadlocks++
+				cause = "upgrade"
+			}
 			m.tracer.Instant("lock", "lock.deadlock",
 				trace.AU("txn", uint64(txn)), trace.AU("file", obj.File),
-				trace.AI("block", obj.Block), trace.AS("mode", mode.String()))
+				trace.AI("block", obj.Block), trace.AS("mode", mode.String()),
+				trace.AS("cause", cause))
 			//simlint:alloc(cold deadlock denial: the error carries the victim diagnosis)
-			return fmt.Errorf("%w: txn %d on %v (%s)", ErrDeadlock, txn, obj, mode)
+			return fmt.Errorf("%w: txn %d on %v (%s, %s)", ErrDeadlock, txn, obj, mode, cause)
 		}
 		if !waited {
 			m.stats.Waited++

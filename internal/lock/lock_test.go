@@ -2,6 +2,7 @@ package lock
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -155,8 +156,9 @@ func TestDeadlockDetection(t *testing.T) {
 			t.Fatalf("neither transaction saw the deadlock: %v", err)
 		}
 	}
-	if m.Stats().Deadlocks != 1 {
-		t.Fatalf("Deadlocks = %d", m.Stats().Deadlocks)
+	// Neither request was an upgrade: the cycle is an ordering one.
+	if st := m.Stats(); st.Deadlocks != 1 || st.UpgradeDeadlocks != 0 {
+		t.Fatalf("Deadlocks = %d (%d on upgrades), want 1 ordering deadlock", st.Deadlocks, st.UpgradeDeadlocks)
 	}
 }
 
@@ -175,14 +177,21 @@ func TestUpgradeDeadlock(t *testing.T) {
 		if err1 := <-errCh; !errors.Is(err1, ErrDeadlock) {
 			t.Fatalf("expected a deadlock somewhere, got nil and %v", err1)
 		}
-		return
+	} else {
+		if !errors.Is(err2, ErrDeadlock) {
+			t.Fatalf("got %v, want ErrDeadlock", err2)
+		}
+		m.ReleaseAll(2)
+		if err := <-errCh; err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !errors.Is(err2, ErrDeadlock) {
-		t.Fatalf("got %v, want ErrDeadlock", err2)
+	// The denied request is named by cause, in the stats and in the error.
+	if st := m.Stats(); st.Deadlocks != 1 || st.UpgradeDeadlocks != 1 || st.Upgrades != 2 {
+		t.Fatalf("stats %+v, want 1 deadlock, on an upgrade, of 2 upgrades", st)
 	}
-	m.ReleaseAll(2)
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
+	if err2 != nil && !strings.Contains(err2.Error(), "upgrade") {
+		t.Fatalf("error %q does not name the cause", err2)
 	}
 }
 

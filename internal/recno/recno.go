@@ -124,7 +124,7 @@ func (f *File) Set(n int64, rec []byte) error {
 	}
 	page, off := f.locate(n)
 	b := make([]byte, f.pageSize)
-	if err := f.st.ReadPage(page, b); err != nil {
+	if err := pagestore.ReadForUpdate(f.st, page, b); err != nil {
 		return err
 	}
 	copy(b[off:], rec)

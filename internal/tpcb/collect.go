@@ -118,6 +118,8 @@ func CollectSnapshot(rig *Rig, res Result, tr *trace.Tracer) *trace.Snapshot {
 			Deadlocks:      ls.Deadlocks,
 			DeadlockAborts: ls.DeadlockAborts,
 			Upgrades:       ls.Upgrades,
+
+			UpgradeDeadlocks: ls.UpgradeDeadlocks,
 		}
 	}
 	if tr.Enabled() {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lfs"
 	"repro/internal/lock"
+	"repro/internal/vfs"
 )
 
 // mplKinds are the three measured configurations of Figure 4.
@@ -24,6 +25,24 @@ func buildSmallGC(t *testing.T, kind string, groupCommit int) *Rig {
 	// scheduler bug and must fail loudly.
 	rig.Clock.SetStrict(true)
 	return rig
+}
+
+// clientStreams reconstructs the union of the deterministic per-client
+// streams an MPL run of txns transactions executes: what a post-run audit
+// must find applied exactly once.
+func clientStreams(cfg Config, txns, mpl int) []Txn {
+	var all []Txn
+	for c := 0; c < mpl; c++ {
+		gen := NewClientGenerator(cfg, c)
+		quota := txns / mpl
+		if c < txns%mpl {
+			quota++
+		}
+		for i := 0; i < quota; i++ {
+			all = append(all, gen.Next())
+		}
+	}
+	return all
 }
 
 // TestClientSeedStreams: client 0 replays the base stream; other clients
@@ -160,19 +179,7 @@ func TestMPLConsistency(t *testing.T) {
 			if err != nil {
 				t.Fatalf("RunMPL: %v", err)
 			}
-			// Reconstruct the union of the deterministic client streams.
-			var all []Txn
-			for c := 0; c < mpl; c++ {
-				gen := NewClientGenerator(smallCfg(), c)
-				quota := txns / mpl
-				if c < txns%mpl {
-					quota++
-				}
-				for i := 0; i < quota; i++ {
-					all = append(all, gen.Next())
-				}
-			}
-			checkConsistency(t, rig, all)
+			checkConsistency(t, rig, clientStreams(smallCfg(), txns, mpl))
 			if res.Txns != txns {
 				t.Fatalf("res.Txns = %d", res.Txns)
 			}
@@ -323,17 +330,7 @@ func TestKernelAuditUnderAborts(t *testing.T) {
 		if !faltering && res.Retries != 0 {
 			t.Fatalf("plain path: %d deadlock retries, want 0", res.Retries)
 		}
-		var all []Txn
-		for c := 0; c < mpl; c++ {
-			gen := NewClientGenerator(cfg, c)
-			quota := txns / mpl
-			if c < txns%mpl {
-				quota++
-			}
-			for i := 0; i < quota; i++ {
-				all = append(all, gen.Next())
-			}
-		}
+		all := clientStreams(cfg, txns, mpl)
 		if err := VerifyState(rig.FS, all, nil); err != nil {
 			t.Fatalf("faltering=%v (%d retries): %v", faltering, res.Retries, err)
 		}
@@ -345,5 +342,55 @@ func TestKernelAuditUnderAborts(t *testing.T) {
 		if err := VerifyState(fs2, all, nil); err != nil {
 			t.Fatalf("faltering=%v after remount: %v", faltering, err)
 		}
+	}
+}
+
+// TestUserLevelContendedRunsWithoutAborts: at the benchmark's contended shape
+// (2 branches, 10 tellers, MPL 64, group commit 8, whole database cached) the
+// user-level systems — one device on either file system, and two partitions
+// committing across shards by 2PC — finish without a single deadlock retry or
+// lock upgrade, and the audit finds every transaction applied exactly once.
+// Before the balances were read for update every pair of clients meeting on
+// the hot teller leaf deadlocked on the read→write upgrade: 12 to 26 aborted
+// attempts per commit.
+func TestUserLevelContendedRunsWithoutAborts(t *testing.T) {
+	cfg := ScaledConfig(0.02)
+	const txns, mpl = 640, 64
+	for _, tc := range []struct {
+		name    string
+		kind    string
+		devices int
+	}{{"user-ffs", "user-ffs", 1}, {"user-lfs", "user-lfs", 1}, {"user-lfs[2]", "user-lfs", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := RigOptions{Kind: tc.kind, Config: cfg, ExpectedTxns: txns, GroupCommit: 8, CacheBlocks: 2048, DiskScale: 3}
+			if tc.devices > 1 {
+				opts.Devices, opts.Layout = tc.devices, "partition"
+			}
+			rig, err := BuildRig(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rig.Clock.SetStrict(true)
+			res, err := rig.RunMPL(cfg, txns, mpl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ls := rig.LockStats(); res.Retries != 0 || ls.Deadlocks != 0 || ls.Upgrades != 0 {
+				t.Fatalf("%d retries, %d deadlocks (%d on upgrades), %d upgrades; want none",
+					res.Retries, ls.Deadlocks, ls.UpgradeDeadlocks, ls.Upgrades)
+			}
+			if tc.devices > 1 {
+				if cross, _ := rig.Sys.(*UserSystem).CrossShardTxns(); cross == 0 {
+					t.Fatal("no cross-shard transactions: the partitioned run did not exercise 2PC")
+				}
+			}
+			var fss []vfs.FileSystem
+			for _, env := range rig.Shards {
+				fss = append(fss, env.FS())
+			}
+			if err := VerifyShardedState(fss, rig.Part, clientStreams(cfg, txns, mpl), nil); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

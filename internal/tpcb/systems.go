@@ -66,6 +66,42 @@ func ScanAccountsOn(fsys vfs.FileSystem) (int64, error) {
 	return countRows(pagestore.NewFileStore(f, fsys.BlockSize()))
 }
 
+// updateBalance adds amount to balance record id of the B-tree held in st,
+// inside the transaction st belongs to: the one read-modify-write body both
+// configurations run, which differ only in the store they hand in (LIBTP's
+// transactional store, or a protected file under the embedded manager). The
+// record is read for update, so the leaf is write-locked at first touch: a Get
+// whose shared lock the Put then upgraded would deadlock every pair of clients
+// meeting on the hot teller or branch leaf, each holding the shared lock the
+// other's upgrade waits for.
+func updateBalance(st pagestore.Store, cache *btree.NodeCache, id, amount int64) error {
+	tr, err := btree.OpenWithCache(st, cache)
+	if err != nil {
+		return err
+	}
+	rec, err := tr.GetForUpdate(Key(id))
+	if err != nil {
+		return err
+	}
+	rec2 := append([]byte(nil), rec...)
+	SetBalance(rec2, Balance(rec2)+amount)
+	return tr.Put(Key(id), rec2)
+}
+
+// appendHistory appends t's history row to the record file held in st,
+// stamped with clock's time once the file is open (the stamp is logged, so
+// when it is taken is part of the pinned signatures). The meta page and the
+// tail page — both rewritten by every append — are read for update, for the
+// reason given at updateBalance.
+func appendHistory(st pagestore.Store, clock *sim.Clock, t Txn) error {
+	hf, err := recno.OpenForAppend(st)
+	if err != nil {
+		return err
+	}
+	_, err = hf.Append(HistoryRecord(t.Account, t.Teller, t.Branch, t.Amount, int64(clock.Now())))
+	return err
+}
+
 // --- user-level system (LIBTP, Figure 2) ---
 
 // userShard is one partition of the user-level system: its own file system
@@ -205,17 +241,7 @@ func (s *UserSystem) Run(t Txn) error {
 	coord := begin(as)
 	update := func(sh int, db *libtp.DB, c *btree.NodeCache, id int64) error {
 		s.clock.Advance(s.costs.RecordOp)
-		tr, err := btree.OpenWithCache(begin(sh).Store(db), c)
-		if err != nil {
-			return err
-		}
-		rec, err := tr.Get(Key(id))
-		if err != nil {
-			return err
-		}
-		rec2 := append([]byte(nil), rec...)
-		SetBalance(rec2, Balance(rec2)+t.Amount)
-		return tr.Put(Key(id), rec2)
+		return updateBalance(begin(sh).Store(db), c, id, t.Amount)
 	}
 	if err := update(as, s.shards[as].acc, s.shards[as].accCache, t.Account); err != nil {
 		abortAll()
@@ -232,12 +258,7 @@ func (s *UserSystem) Run(t Txn) error {
 	// The history record follows the account: the coordinator shard always
 	// carries the transaction's one durable history row.
 	s.clock.Advance(s.costs.RecordOp)
-	hf, err := recno.Open(coord.Store(s.shards[as].hist))
-	if err != nil {
-		abortAll()
-		return err
-	}
-	if _, err := hf.Append(HistoryRecord(t.Account, t.Teller, t.Branch, t.Amount, int64(s.clock.Now()))); err != nil {
+	if err := appendHistory(coord.Store(s.shards[as].hist), s.clock, t); err != nil {
 		abortAll()
 		return err
 	}
@@ -432,31 +453,13 @@ func (s *EmbeddedSystem) apply(proc *core.Process, t Txn) error {
 		return err
 	}
 	s.clock.Advance(s.costs.RecordOp)
-	hf, err := recno.OpenForAppend(core.NewStore(proc, s.hist))
-	if err != nil {
-		return err
-	}
-	_, err = hf.Append(HistoryRecord(t.Account, t.Teller, t.Branch, t.Amount, int64(s.clock.Now())))
-	return err
+	return appendHistory(core.NewStore(proc, s.hist), s.clock, t)
 }
 
 // update adds amount to one balance record inside proc's transaction.
 func (s *EmbeddedSystem) update(proc *core.Process, f *core.File, c *btree.NodeCache, id, amount int64) error {
 	s.clock.Advance(s.costs.RecordOp)
-	tr, err := btree.OpenWithCache(core.NewStore(proc, f), c)
-	if err != nil {
-		return err
-	}
-	// Read for update: the leaf is write-locked at first touch. With locks
-	// released at pre-commit, a Get that upgraded at the Put would deadlock
-	// every pair of clients meeting on the hot teller or branch leaf.
-	rec, err := tr.GetForUpdate(Key(id))
-	if err != nil {
-		return err
-	}
-	rec2 := append([]byte(nil), rec...)
-	SetBalance(rec2, Balance(rec2)+amount)
-	return tr.Put(Key(id), rec2)
+	return updateBalance(core.NewStore(proc, f), c, id, amount)
 }
 
 // embeddedWorker is one client's kernel process (the paper's restriction 3:

@@ -147,6 +147,9 @@ type LockSection struct {
 	// Upgrades counts read→write lock upgrades: the requests behind
 	// upgrade deadlocks (two readers of one page each waiting to write it).
 	Upgrades int64 `json:"upgrades"`
+	// UpgradeDeadlocks is the part of Deadlocks denied on such an upgrade;
+	// the rest are lock-ordering cycles.
+	UpgradeDeadlocks int64 `json:"upgrade_deadlocks"`
 }
 
 // EmbeddedSection mirrors core.Stats for the kernel-embedded system.
@@ -270,8 +273,9 @@ func (s *Snapshot) Render() string {
 			s.Txns, sc.WriterElapsed.Seconds(), sc.WriterTPS)
 	}
 	if l := s.Locks; l != nil {
-		fmt.Fprintf(&b, "locks: %d acquired, %d upgrades, %d waits (%v blocked), %d deadlocks (%d aborts)\n",
-			l.Acquired, l.Upgrades, l.Waited, l.BlockedTime, l.Deadlocks, l.DeadlockAborts)
+		fmt.Fprintf(&b, "locks: %d acquired, %d upgrades, %d waits (%v blocked), %d deadlocks (%d upgrade, %d order; %d aborts)\n",
+			l.Acquired, l.Upgrades, l.Waited, l.BlockedTime,
+			l.Deadlocks, l.UpgradeDeadlocks, l.Deadlocks-l.UpgradeDeadlocks, l.DeadlockAborts)
 	}
 	if w := s.WAL; w != nil {
 		fmt.Fprintf(&b, "wal: %d records, %d bytes, %d forces, %d group-absorbed commits\n",
