@@ -33,7 +33,6 @@ import (
 	"repro/internal/lfs"
 	"repro/internal/sim"
 	"repro/internal/tpcb"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -131,9 +130,9 @@ func main() {
 		}
 	}
 
-	snap := tpcb.CollectSnapshot(rig, res, rig.Tracer)
+	snap := rig.Snapshot(tpcb.MixedResult{Result: res})
 	if *wallStats {
-		ws := &trace.WallStats{WallNS: wall.Nanoseconds(), Dispatches: res.Dispatches}
+		ws := &tpcb.WallStats{WallNS: wall.Nanoseconds(), Dispatches: res.Dispatches}
 		if secs := wall.Seconds(); secs > 0 {
 			ws.EventsPerSec = float64(res.Dispatches) / secs
 		}

@@ -75,10 +75,10 @@ func (b *Buf) Held() bool { return b.held }
 
 // Stats counts pool activity.
 type Stats struct {
-	Hits       int64
-	Misses     int64
-	Evictions  int64
-	WriteBacks int64
+	Hits       int64 `json:"hits"`
+	Misses     int64 `json:"misses"`
+	Evictions  int64 `json:"evictions"`
+	WriteBacks int64 `json:"write_backs"`
 }
 
 // Pool is an LRU pool of at most capacity blocks.

@@ -79,18 +79,18 @@ type Options struct {
 
 // Stats counts transaction-manager activity.
 type Stats struct {
-	Begun        int64
-	Committed    int64
-	Aborted      int64
-	CommitFlush  int64 // commit-time flush operations (group commits count once)
-	PagesFlushed int64 // distinct pages written by commit flushes (a batch's union)
-	BytesFlushed int64 // whole pages × block size (§4.3's commit cost)
-	Deadlocks    int64
+	Begun        int64 `json:"begun"`
+	Committed    int64 `json:"committed"`
+	Aborted      int64 `json:"aborted"`
+	CommitFlush  int64 `json:"commit_flushes"` // commit-time flush operations (group commits count once)
+	PagesFlushed int64 `json:"pages_flushed"`  // distinct pages written by commit flushes (a batch's union)
+	BytesFlushed int64 `json:"bytes_flushed"`  // whole pages × block size (§4.3's commit cost)
+	Deadlocks    int64 `json:"deadlocks"`
 	// Snapshots counts read-only snapshot transactions (BeginSnapshot);
 	// VersionsRecorded counts superseded page addresses captured into the
 	// version map while snapshots were pinned.
-	Snapshots        int64
-	VersionsRecorded int64
+	Snapshots        int64 `json:"snapshots"`
+	VersionsRecorded int64 `json:"versions_recorded"`
 }
 
 // Manager is the embedded transaction manager: the paper's additions to the

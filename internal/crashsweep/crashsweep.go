@@ -210,34 +210,18 @@ func checkpointRig(rig *tpcb.Rig) error {
 	return rig.Sys.Drain()
 }
 
-// lfsEvents snapshots the LFS counters whose changes mark a span as dense
-// (auto-checkpoints and cleaner passes), over every file system of the rig.
-func lfsEvents(rig *tpcb.Rig) int64 {
+// denseEvents snapshots the rig-wide counters whose changes mark a span as
+// dense: LFS auto-checkpoints and cleaner passes, and WAL segment rotations,
+// seals, checkpoint truncations/archivals, and checkpoint records (none
+// under the embedded manager). Crashing on every op of such spans covers
+// torn blocks at segment tails, half-written index files, and interrupted
+// truncations.
+func denseEvents(rig *tpcb.Rig) int64 {
 	var n int64
-	add := func(fsys vfs.FileSystem) {
-		if lf, ok := fsys.(*lfs.FS); ok {
-			st := lf.Stats()
-			n += st.Checkpoints + st.Cleaner.Runs
-		}
+	if st := rig.LFSStats(); st != nil {
+		n += st.Checkpoints + st.Cleaner.Runs
 	}
-	if rig.Core != nil {
-		add(rig.FS)
-	}
-	for _, env := range rig.Shards {
-		add(env.FS())
-	}
-	return n
-}
-
-// walEvents snapshots the WAL counters whose changes mark a span as dense:
-// segment rotations, seals, checkpoint truncations/archivals, and checkpoint
-// records, over every shard's log (none under the embedded manager). Crashing
-// on every op of such spans covers torn blocks at segment tails,
-// half-written index files, and interrupted truncations.
-func walEvents(rig *tpcb.Rig) int64 {
-	var n int64
-	for _, env := range rig.Shards {
-		st := env.LogStats()
+	if st := rig.WALStats(); st != nil {
 		n += st.Rotations + st.SegmentsSealed + st.SegmentsDeleted + st.SegmentsArchived + st.Checkpoints
 	}
 	return n
@@ -354,10 +338,10 @@ func goldenRun(opts Options) (*tpcb.Rig, []span, int64, error) {
 	gen := tpcb.NewGenerator(opts.Config)
 	spans := make([]span, 0, opts.Txns+opts.Txns/4+2)
 	prev := loadOps
-	events := lfsEvents(rig) + walEvents(rig)
+	events := denseEvents(rig)
 	note := func(stage string) {
 		cur := rig.Crash.WriteOps()
-		if e := lfsEvents(rig) + walEvents(rig); e != events && stage == "txn" {
+		if e := denseEvents(rig); e != events && stage == "txn" {
 			stage, events = "txn+event", e
 		}
 		if cur > prev {

@@ -2,6 +2,7 @@ package disk
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -155,6 +156,23 @@ func TestArrayStatsAggregation(t *testing.T) {
 	arr.ResetStats()
 	if s := arr.Stats(); s.Writes != 0 || s.BusyTime != 0 {
 		t.Fatalf("ResetStats left %+v", s)
+	}
+}
+
+// Stats.add is written out by hand because Array.Stats runs on the cleaner's
+// path; a field added to Stats and forgotten there would silently vanish from
+// every array total. Adding a struct of all ones to itself must give all twos.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	var s Stats
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(1)
+	}
+	s.add(s)
+	for i := 0; i < v.NumField(); i++ {
+		if got := v.Field(i).Int(); got != 2 {
+			t.Errorf("Stats.add skips %s: 1+1 = %d", v.Type().Field(i).Name, got)
+		}
 	}
 }
 

@@ -33,21 +33,21 @@ var (
 
 // Stats accumulates device activity counters.
 type Stats struct {
-	Reads      int64         // read operations
-	Writes     int64         // write operations
-	BlocksRead int64         // blocks transferred in
-	BlocksWrit int64         // blocks transferred out
-	Seeks      int64         // accesses that paid positioning time
-	BusyTime   time.Duration // total simulated service time
-	QueueTime  time.Duration // foreground time spent queued behind earlier requests (MPL > 1)
+	Reads      int64         `json:"reads"`          // read operations
+	Writes     int64         `json:"writes"`         // write operations
+	BlocksRead int64         `json:"blocks_read"`    // blocks transferred in
+	BlocksWrit int64         `json:"blocks_written"` // blocks transferred out
+	Seeks      int64         `json:"seeks"`          // accesses that paid positioning time
+	BusyTime   time.Duration `json:"busy"`           // total simulated service time
+	QueueTime  time.Duration `json:"queued"`         // foreground time spent queued behind earlier requests (MPL > 1)
 
 	// Background-lane accounting (see Lane). BgTime is total background
 	// service time; BgOverlapTime is the portion absorbed by foreground idle
 	// windows; BgStallTime is the residue that actually delayed the workload
 	// (BgTime = BgOverlapTime + BgStallTime).
-	BgTime        time.Duration
-	BgOverlapTime time.Duration
-	BgStallTime   time.Duration
+	BgTime        time.Duration `json:"bg_busy"`
+	BgOverlapTime time.Duration `json:"bg_overlap"`
+	BgStallTime   time.Duration `json:"bg_stall"`
 }
 
 // add accumulates other into s; used by Array.Stats to aggregate spindles

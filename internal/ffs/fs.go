@@ -37,8 +37,8 @@ func (o *Options) fill() {
 
 // Stats reports file system activity.
 type Stats struct {
-	SyncerRuns    int64 // periodic delayed-write flushes
-	BlocksFlushed int64 // blocks pushed out by the syncer
+	SyncerRuns    int64 `json:"syncer_runs"`    // periodic delayed-write flushes
+	BlocksFlushed int64 `json:"blocks_flushed"` // blocks pushed out by the syncer
 }
 
 // FS is a mounted read-optimized file system.

@@ -29,15 +29,8 @@ func AblationSync(opts Options) (*SyncAblationReport, error) {
 	cfg := tpcb.ScaledConfig(opts.Scale)
 	rep := &SyncAblationReport{Opts: opts}
 	run := func(kind string, costs sim.CostModel) (float64, error) {
-		rig, err := tpcb.BuildRig(opts.rigLogOptions(tpcb.RigOptions{Kind: kind, Config: cfg, Costs: costs, ExpectedTxns: opts.Txns}))
-		if err != nil {
-			return 0, err
-		}
-		res, err := rig.RunMPL(cfg, opts.Txns, 1)
-		if err != nil {
-			return 0, err
-		}
-		return res.TPS, nil
+		_, res, err := opts.measure(kind, tpcb.RigOptions{Kind: kind, Config: cfg, Costs: costs, ExpectedTxns: opts.Txns}, 1)
+		return res.TPS, err
 	}
 	var err error
 	if rep.SlowUser, err = run("user-lfs", sim.SpriteCosts()); err != nil {
@@ -109,29 +102,24 @@ func AblationCleaner(opts Options) (*CleanerAblationReport, error) {
 	cfg := tpcb.ScaledConfig(opts.Scale)
 	rep := &CleanerAblationReport{Opts: opts}
 
-	run := func(kind, mode string) (tpcb.Result, *tpcb.Rig, error) {
-		rig, err := tpcb.BuildRig(opts.rigLogOptions(tpcb.RigOptions{Kind: kind, Config: cfg, Costs: opts.Costs,
-			ExpectedTxns: opts.Txns, CleanerMode: mode, CleanBatch: opts.CleanBatch}))
-		if err != nil {
-			return tpcb.Result{}, nil, err
-		}
-		res, err := rig.RunMPL(cfg, opts.Txns, 1)
-		return res, rig, err
+	run := func(kind, mode string) (*tpcb.Rig, tpcb.Result, error) {
+		return opts.measure(kind+" "+mode, tpcb.RigOptions{Kind: kind, Config: cfg, Costs: opts.Costs,
+			ExpectedTxns: opts.Txns, CleanerMode: mode, CleanBatch: opts.CleanBatch}, 1)
 	}
 
-	resSync, rigSync, err := run("kernel-lfs", "sync")
+	rigSync, resSync, err := run("kernel-lfs", "sync")
 	if err != nil {
 		return nil, err
 	}
 	rep.SyncElapsed = resSync.Elapsed
-	rep.SyncBusy = rigSync.LFS.Stats().Cleaner.BusyTime
+	rep.SyncBusy = rigSync.LFSStats().Cleaner.BusyTime
 	rep.TPSSync = resSync.TPS
 
-	resIdle, rigIdle, err := run("kernel-lfs", "idle")
+	rigIdle, resIdle, err := run("kernel-lfs", "idle")
 	if err != nil {
 		return nil, err
 	}
-	st := rigIdle.LFS.Stats()
+	st := rigIdle.LFSStats()
 	rep.IdleElapsed = resIdle.Elapsed
 	rep.IdleBusy = st.Cleaner.BusyTime
 	rep.IdleOverlap = st.Cleaner.OverlapTime
@@ -144,7 +132,7 @@ func AblationCleaner(opts Options) (*CleanerAblationReport, error) {
 		rep.TPSBound = float64(opts.Txns) / rep.BoundElapsed.Seconds()
 	}
 
-	resUser, _, err := run("user-lfs", "sync")
+	_, resUser, err := run("user-lfs", "sync")
 	if err != nil {
 		return nil, err
 	}
@@ -191,17 +179,13 @@ func AblationGroupCommit(opts Options) (*GroupCommitReport, error) {
 	cfg := tpcb.ScaledConfig(opts.Scale)
 	rep := &GroupCommitReport{Opts: opts, Batches: []int{1, 4, 16}}
 	for _, batch := range rep.Batches {
-		rig, err := tpcb.BuildRig(opts.rigLogOptions(tpcb.RigOptions{Kind: "user-lfs", Config: cfg, Costs: opts.Costs,
-			GroupCommit: batch, ExpectedTxns: opts.Txns}))
-		if err != nil {
-			return nil, err
-		}
-		res, err := rig.RunMPL(cfg, opts.Txns, 1)
+		rig, res, err := opts.measure(fmt.Sprintf("user-lfs batch=%d", batch), tpcb.RigOptions{Kind: "user-lfs", Config: cfg, Costs: opts.Costs,
+			GroupCommit: batch, ExpectedTxns: opts.Txns}, 1)
 		if err != nil {
 			return nil, err
 		}
 		rep.UserTPS = append(rep.UserTPS, res.TPS)
-		rep.Forces = append(rep.Forces, rig.Env.LogStats().Forces)
+		rep.Forces = append(rep.Forces, rig.WALStats().Forces)
 	}
 	return rep, nil
 }
@@ -238,26 +222,18 @@ func AblationCommitBytes(opts Options) (*CommitBytesReport, error) {
 	cfg := tpcb.ScaledConfig(opts.Scale)
 	rep := &CommitBytesReport{Opts: opts}
 
-	rigK, err := tpcb.BuildRig(opts.rigLogOptions(tpcb.RigOptions{Kind: "kernel-lfs", Config: cfg, Costs: opts.Costs, ExpectedTxns: opts.Txns}))
-	if err != nil {
-		return nil, err
-	}
-	resK, err := rigK.RunMPL(cfg, opts.Txns, 1)
+	rigK, resK, err := opts.measure("kernel-lfs", tpcb.RigOptions{Kind: "kernel-lfs", Config: cfg, Costs: opts.Costs, ExpectedTxns: opts.Txns}, 1)
 	if err != nil {
 		return nil, err
 	}
 	rep.KernelBytesPerTxn = float64(rigK.Core.Stats().BytesFlushed) / float64(opts.Txns)
 	rep.KernelTPS = resK.TPS
 
-	rigU, err := tpcb.BuildRig(opts.rigLogOptions(tpcb.RigOptions{Kind: "user-lfs", Config: cfg, Costs: opts.Costs, ExpectedTxns: opts.Txns}))
+	rigU, resU, err := opts.measure("user-lfs", tpcb.RigOptions{Kind: "user-lfs", Config: cfg, Costs: opts.Costs, ExpectedTxns: opts.Txns}, 1)
 	if err != nil {
 		return nil, err
 	}
-	resU, err := rigU.RunMPL(cfg, opts.Txns, 1)
-	if err != nil {
-		return nil, err
-	}
-	rep.UserLogBytesPerTxn = float64(rigU.Env.LogStats().BytesLogged) / float64(opts.Txns)
+	rep.UserLogBytesPerTxn = float64(rigU.WALStats().BytesLogged) / float64(opts.Txns)
 	rep.UserTPS = resU.TPS
 	return rep, nil
 }
@@ -290,16 +266,12 @@ func AblationCleanerPolicy(opts Options) (*CleanerPolicyReport, error) {
 	cfg := tpcb.ScaledConfig(opts.Scale)
 	rep := &CleanerPolicyReport{Opts: opts}
 	for _, pol := range []lfs.CleanerPolicy{lfs.Greedy, lfs.CostBenefit} {
-		rig, err := tpcb.BuildRig(opts.rigLogOptions(tpcb.RigOptions{Kind: "kernel-lfs", Config: cfg, Costs: opts.Costs,
-			Policy: pol, ExpectedTxns: opts.Txns}))
+		rig, res, err := opts.measure("kernel-lfs "+pol.String(), tpcb.RigOptions{Kind: "kernel-lfs", Config: cfg, Costs: opts.Costs,
+			Policy: pol, ExpectedTxns: opts.Txns}, 1)
 		if err != nil {
 			return nil, err
 		}
-		res, err := rig.RunMPL(cfg, opts.Txns, 1)
-		if err != nil {
-			return nil, err
-		}
-		st := rig.LFS.Stats().Cleaner
+		st := rig.LFSStats().Cleaner
 		rep.Policies = append(rep.Policies, pol.String())
 		rep.TPS = append(rep.TPS, res.TPS)
 		rep.Copied = append(rep.Copied, st.BlocksCopied)

@@ -117,24 +117,17 @@ func FigureDevices(opts Options, devices []int) (*FigureDevicesReport, error) {
 				Devices: n, Layout: "partition",
 				CacheBlocks: cache, DiskScale: 4.0,
 			}
-			rig, err := tpcb.BuildRig(opts.rigLogOptions(ropts))
+			rig, res, err := opts.measure(fmt.Sprintf("device sweep n=%d", n), ropts, mpl)
 			if err != nil {
-				return nil, fmt.Errorf("device sweep n=%d: %w", n, err)
-			}
-			res, err := rig.RunMPL(cfg, opts.Txns, mpl)
-			if err != nil {
-				return nil, fmt.Errorf("device sweep n=%d mpl=%d: %w", n, mpl, err)
+				return nil, err
 			}
 			cell := FigureDevicesCell{
 				MPL: mpl, TPS: res.TPS, Elapsed: res.Elapsed, Retries: res.Retries,
 				BlockedTime: rig.LockStats().BlockedTime,
+				QueueTime:   rig.DiskStats().QueueTime,
 			}
 			for _, d := range rig.Devs {
-				q := d.Stats().QueueTime
-				cell.QueueTime += q
-				if q > cell.MaxDevQueue {
-					cell.MaxDevQueue = q
-				}
+				cell.MaxDevQueue = max(cell.MaxDevQueue, d.Stats().QueueTime)
 			}
 			if n > 1 {
 				cell.Cross, cell.Single = rig.Sys.(*tpcb.UserSystem).CrossShardTxns()

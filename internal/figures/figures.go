@@ -88,6 +88,21 @@ func (o Options) rigFor(kind string) tpcb.RigOptions {
 	return r
 }
 
+// measure is one cell of every TPC-B sweep: build the rig, run the sweep's
+// transaction count at mpl, and hand back the rig (for its counters) with the
+// result. what labels the cell in the error.
+func (o Options) measure(what string, r tpcb.RigOptions, mpl int) (*tpcb.Rig, tpcb.Result, error) {
+	rig, err := tpcb.BuildRig(o.rigLogOptions(r))
+	if err != nil {
+		return nil, tpcb.Result{}, fmt.Errorf("%s: %w", what, err)
+	}
+	res, err := rig.RunMPL(r.Config, o.Txns, mpl)
+	if err != nil {
+		return nil, tpcb.Result{}, fmt.Errorf("%s mpl=%d: %w", what, mpl, err)
+	}
+	return rig, res, nil
+}
+
 func (o *Options) fill() {
 	if o.Scale == 0 {
 		o.Scale = 0.05
@@ -134,22 +149,17 @@ type Figure4Report struct {
 // Figure4 runs the modified TPC-B on the three systems.
 func Figure4(opts Options) (*Figure4Report, error) {
 	opts.fill()
-	cfg := tpcb.ScaledConfig(opts.Scale)
 	rep := &Figure4Report{Opts: opts}
 	for _, kind := range []string{"user-ffs", "user-lfs", "kernel-lfs"} {
-		rig, err := tpcb.BuildRig(opts.rigFor(kind))
+		rig, res, err := opts.measure("figure 4 "+kind, opts.rigFor(kind), 1)
 		if err != nil {
-			return nil, fmt.Errorf("figure 4 %s: %w", kind, err)
-		}
-		res, err := rig.RunMPL(cfg, opts.Txns, 1)
-		if err != nil {
-			return nil, fmt.Errorf("figure 4 %s: %w", kind, err)
+			return nil, err
 		}
 		row := Figure4Row{System: kind, TPS: res.TPS, Elapsed: res.Elapsed}
-		if rig.LFS != nil {
+		if st := rig.LFSStats(); st != nil {
 			// Only cleaner time on the critical path counts: background
 			// passes subtract what the idle windows absorbed.
-			cl := rig.LFS.Stats().Cleaner
+			cl := st.Cleaner
 			row.CleanerShare = float64(cl.BusyTime-cl.OverlapTime) / float64(res.Elapsed)
 		}
 		rep.Rows = append(rep.Rows, row)
@@ -364,18 +374,11 @@ func Figure67(opts Options) (*Figure67Report, error) {
 		scanCoalesced time.Duration
 	}
 	runOne := func(kind string) (sysResult, error) {
-		rig, err := tpcb.BuildRig(opts.rigLogOptions(tpcb.RigOptions{Kind: kind, Config: cfg, Costs: opts.Costs, ExpectedTxns: opts.Txns}))
-		if err != nil {
-			return sysResult{}, err
-		}
-		res, err := rig.RunMPL(cfg, opts.Txns, 1)
+		rig, res, err := opts.measure(kind, tpcb.RigOptions{Kind: kind, Config: cfg, Costs: opts.Costs, ExpectedTxns: opts.Txns}, 1)
 		if err != nil {
 			return sysResult{}, err
 		}
 		// Cold cache: remount the file system from the device.
-		var scanFS interface {
-			Name() string
-		}
 		start := rig.Clock.Now()
 		// Cursor CPU: the paper's scan pushes every record through the
 		// record layer; charge half a keyed record operation per record
@@ -395,7 +398,6 @@ func Figure67(opts Options) (*Figure67Report, error) {
 				return sysResult{}, err
 			}
 			scanCPU(n)
-			scanFS = fsys
 		case "user-lfs":
 			fsys, err := lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256})
 			if err != nil {
@@ -429,7 +431,6 @@ func Figure67(opts Options) (*Figure67Report, error) {
 			scanCPU(n2)
 			return sysResult{tps: res.TPS, scan: scan, scanCoalesced: rig.Clock.Now() - start2}, nil
 		}
-		_ = scanFS
 		return sysResult{tps: res.TPS, scan: rig.Clock.Now() - start}, nil
 	}
 

@@ -67,23 +67,19 @@ func FigureMPL(opts Options) (*FigureMPLReport, error) {
 					// transactions' held pages outnumber it.
 					ropts.CacheBlocks = mpl
 				}
-				rig, err := tpcb.BuildRig(ropts)
+				rig, res, err := opts.measure(fmt.Sprintf("mpl sweep %s gc=%d", kind, gc), ropts, mpl)
 				if err != nil {
-					return nil, fmt.Errorf("mpl sweep %s gc=%d: %w", kind, gc, err)
-				}
-				res, err := rig.RunMPL(cfg, opts.Txns, mpl)
-				if err != nil {
-					return nil, fmt.Errorf("mpl sweep %s gc=%d mpl=%d: %w", kind, gc, mpl, err)
+					return nil, err
 				}
 				ls := rig.LockStats()
 				cell := FigureMPLCell{
 					MPL: mpl, TPS: res.TPS, Elapsed: res.Elapsed, Retries: res.Retries,
 					BlockedTime: ls.BlockedTime, DeadlockAborts: ls.DeadlockAborts,
-					QueueTime: rig.Dev.Stats().QueueTime,
+					QueueTime: rig.DiskStats().QueueTime,
 				}
-				if rig.Env != nil {
-					cell.Forces = rig.Env.LogStats().Forces
-				} else if rig.Core != nil {
+				if ws := rig.WALStats(); ws != nil {
+					cell.Forces = ws.Forces
+				} else {
 					cell.Forces = rig.Core.Stats().CommitFlush
 				}
 				series.Cells = append(series.Cells, cell)

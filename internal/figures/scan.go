@@ -20,7 +20,7 @@ import (
 type ScanReport struct {
 	Opts  Options
 	Modes []tpcb.ScanMode
-	Rows  []*trace.Snapshot
+	Rows  []*tpcb.Snapshot
 	// Tracer of the final (kernel-lfs, snapshot-mode) run, for Chrome
 	// trace export; excluded from JSON: the snapshot rows already carry
 	// the metrics.
@@ -61,7 +61,7 @@ func Scan(opts Options) (*ScanReport, error) {
 				return nil, fmt.Errorf("scan %s %s: %w", kind, mode, err)
 			}
 			rep.Modes = append(rep.Modes, mode)
-			rep.Rows = append(rep.Rows, tpcb.CollectMixedSnapshot(rig, res, rig.Tracer))
+			rep.Rows = append(rep.Rows, rig.Snapshot(res))
 			rep.Tracer = rig.Tracer
 		}
 	}
@@ -78,7 +78,7 @@ func (r *ScanReport) String() string {
 		ran := "-"
 		tps := snap.TPS
 		if snap.Scan != nil {
-			ran = snap.Scan.Mode
+			ran = string(snap.Scan.ScanMode)
 			tps = snap.Scan.WriterTPS
 		}
 		var blocked time.Duration

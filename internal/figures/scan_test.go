@@ -41,15 +41,15 @@ func TestScanSweepShape(t *testing.T) {
 				}
 				continue
 			}
-			if snap.Scan == nil || snap.Scan.Rows == 0 {
+			if snap.Scan == nil || snap.Scan.ScanRows == 0 {
 				t.Fatalf("%s/%s row has no scan work: %+v", sys, mode, snap.Scan)
 			}
-			want := string(mode)
+			want := mode
 			if sys == "user-ffs" && mode == tpcb.ScanSnapshot {
-				want = string(tpcb.ScanLocking) // no no-overwrite log to version from
+				want = tpcb.ScanLocking // no no-overwrite log to version from
 			}
-			if snap.Scan.Mode != want {
-				t.Errorf("%s asked %s ran %s, want %s", sys, mode, snap.Scan.Mode, want)
+			if snap.Scan.ScanMode != want {
+				t.Errorf("%s asked %s ran %s, want %s", sys, mode, snap.Scan.ScanMode, want)
 			}
 			if mode == tpcb.ScanSnapshot && sys != "user-ffs" {
 				for _, row := range snap.Attribution {

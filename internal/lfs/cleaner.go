@@ -31,34 +31,34 @@ func (p CleanerPolicy) String() string {
 
 // CleanerStats reports garbage collection activity.
 type CleanerStats struct {
-	Runs            int64         // cleaning passes
-	SegmentsCleaned int64         // victims reclaimed
-	BlocksCopied    int64         // live blocks copied forward
-	BlocksDead      int64         // dead blocks simply discarded
-	BusyTime        time.Duration // device time attributable to cleaning
+	Runs            int64         `json:"runs"`             // cleaning passes
+	SegmentsCleaned int64         `json:"segments_cleaned"` // victims reclaimed
+	BlocksCopied    int64         `json:"blocks_copied"`    // live blocks copied forward
+	BlocksDead      int64         `json:"blocks_dead"`      // dead blocks simply discarded
+	BusyTime        time.Duration `json:"busy"`             // device time attributable to cleaning
 
 	// Idle-overlap accounting, filled by CleanIdle: OverlapTime is cleaner
 	// device time absorbed by foreground idle windows, StallTime is the
 	// residue that actually delayed the workload
 	// (BusyTime = OverlapTime + StallTime for background passes).
-	OverlapTime time.Duration
-	StallTime   time.Duration
+	OverlapTime time.Duration `json:"overlap"`
+	StallTime   time.Duration `json:"stall"`
 
-	Batches       int64 // batched cleaning passes
-	BatchVictims  int64 // victims across all batched passes
-	BlocksWritten int64 // blocks the cleaner's own flushes logged (incl. summaries/meta)
-	SummaryReads  int64 // summary blocks read from disk (summary-cache misses)
-	HotBlocks     int64 // relocated data blocks classified hot (or unsegregated)
-	ColdBlocks    int64 // relocated data blocks classified cold
+	Batches       int64 `json:"batches"`        // batched cleaning passes
+	BatchVictims  int64 `json:"batch_victims"`  // victims across all batched passes
+	BlocksWritten int64 `json:"blocks_written"` // blocks the cleaner's own flushes logged (incl. summaries/meta)
+	SummaryReads  int64 `json:"summary_reads"`  // summary blocks read from disk (summary-cache misses)
+	HotBlocks     int64 `json:"hot_blocks"`     // relocated data blocks classified hot (or unsegregated)
+	ColdBlocks    int64 `json:"cold_blocks"`    // relocated data blocks classified cold
 
 	// Snapshot-retention accounting (zero unless a snapshot layer is
 	// attached via SetSnapshotRetention). RetentionSkips counts otherwise
 	// reclaimable segments the cleaner had to leave alone because a pinned
 	// snapshot still reads through them; RetainedBlocks and HorizonLag are
 	// gauges sampled at Stats() time from the retention horizon itself.
-	RetentionSkips int64
-	RetainedBlocks int64
-	HorizonLag     int64
+	RetentionSkips int64 `json:"retention_skips"`
+	RetainedBlocks int64 `json:"retained_blocks"`
+	HorizonLag     int64 `json:"horizon_lag"`
 }
 
 // WriteAmplification returns total logged blocks divided by foreground

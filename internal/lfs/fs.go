@@ -74,11 +74,11 @@ func (o *Options) fill() {
 
 // Stats reports file system activity.
 type Stats struct {
-	PartialSegments int64 // partial segments written
-	BlocksLogged    int64 // blocks written to the log (incl. summaries)
-	SummaryBlocks   int64
-	Checkpoints     int64
-	Cleaner         CleanerStats
+	PartialSegments int64        `json:"partial_segments"` // partial segments written
+	BlocksLogged    int64        `json:"blocks_logged"`    // blocks written to the log (incl. summaries)
+	SummaryBlocks   int64        `json:"summary_blocks"`
+	Checkpoints     int64        `json:"checkpoints"`
+	Cleaner         CleanerStats `json:"cleaner"`
 }
 
 // FS is a mounted log-structured file system.

@@ -90,14 +90,14 @@ func (o *Options) fill() {
 
 // Stats counts environment activity.
 type Stats struct {
-	Begun     int64
-	Committed int64
-	Aborted   int64
-	PageReads int64
-	PageWrite int64
+	Begun     int64 `json:"begun"`
+	Committed int64 `json:"committed"`
+	Aborted   int64 `json:"aborted"`
+	PageReads int64 `json:"page_reads"`
+	PageWrite int64 `json:"page_writes"`
 	// SnapshotsBegun counts read-only snapshot transactions (BeginSnapshot);
 	// their lock-free page reads land in PageReads like any other read.
-	SnapshotsBegun int64
+	SnapshotsBegun int64 `json:"snapshots_begun"`
 }
 
 // undoRec is an in-memory before-image for abort processing.
@@ -249,6 +249,9 @@ func (e *Env) LockStats() lock.Stats { return e.locks.Stats() }
 
 // LogStats exposes the log manager counters.
 func (e *Env) LogStats() wal.Stats { return e.log.Stats() }
+
+// PoolStats exposes the user-level buffer pool's counters.
+func (e *Env) PoolStats() buffer.Stats { return e.pool.Stats() }
 
 // writeback persists an evicted dirty page, honouring the WAL rule: the log
 // is forced before the page goes to the database file. The write() into the

@@ -67,26 +67,26 @@ var (
 
 // Stats counts lock-manager activity.
 type Stats struct {
-	Acquired  int64 // granted requests (excluding re-grants of held locks)
-	Waited    int64 // requests that had to block
-	Deadlocks int64 // requests denied by deadlock detection
-	Upgrades  int64 // read→write upgrades
+	Acquired  int64 `json:"acquired"`  // granted requests (excluding re-grants of held locks)
+	Waited    int64 `json:"waited"`    // requests that had to block
+	Deadlocks int64 `json:"deadlocks"` // requests denied by deadlock detection
+	Upgrades  int64 `json:"upgrades"`  // read→write upgrades
 	// UpgradeDeadlocks is the part of Deadlocks whose denied request was a
 	// read→write upgrade: a caller that read a page under a shared lock and
 	// then wrote it, where it should have read for update. The remainder are
 	// ordering cycles (transactions locking objects in opposite orders).
-	UpgradeDeadlocks int64
+	UpgradeDeadlocks int64 `json:"upgrade_deadlocks"`
 
 	// BlockedTime is the cumulative simulated time transactions spent
 	// suspended waiting for locks. Only waits inside virtual processes
 	// (multiprogramming runs with a sim clock attached via SetClock) can be
 	// measured in simulated time; goroutine waits add nothing here.
-	BlockedTime time.Duration
+	BlockedTime time.Duration `json:"blocked"`
 	// DeadlockAborts counts transactions actually aborted after losing
 	// deadlock detection, as reported by the transaction layers through
 	// NoteDeadlockAbort. It can be lower than Deadlocks when a caller
 	// retries the same request without aborting.
-	DeadlockAborts int64
+	DeadlockAborts int64 `json:"deadlock_aborts"`
 }
 
 // holderEntry is one (transaction, mode) pair in a head's holder list.

@@ -9,15 +9,16 @@ import (
 	"repro/internal/sim"
 )
 
-// Result reports one benchmark run.
+// Result reports one benchmark run. The json tags are the header keys of the
+// end-of-run Snapshot, which embeds it.
 type Result struct {
-	System     string
-	Txns       int
-	MPL        int           // multiprogramming level (concurrent simulated clients, ≥ 1)
-	Retries    int64         // deadlock-victim retries
-	Dispatches int64         // scheduler dispatches (deterministic)
-	Elapsed    time.Duration // simulated time
-	TPS        float64
+	System     string        `json:"system"`
+	Txns       int           `json:"txns"`
+	MPL        int           `json:"mpl,omitempty"`     // multiprogramming level (concurrent simulated clients, ≥ 1)
+	Retries    int64         `json:"retries,omitempty"` // deadlock-victim retries
+	Dispatches int64         `json:"dispatches"`        // scheduler dispatches (deterministic)
+	Elapsed    time.Duration `json:"elapsed"`           // simulated time
+	TPS        float64       `json:"tps"`
 }
 
 func (r Result) String() string {
@@ -28,20 +29,26 @@ func (r Result) String() string {
 	return out
 }
 
-// MixedResult reports a mixed OLTP + scan run. Result covers the whole run
-// (writer transactions over total elapsed, scans excluded from TPS);
+// ScanResult is the long-running-reader side of a mixed run: how the scans
+// executed (locking vs snapshot) and what they cost the writers.
 // WriterElapsed/WriterTPS measure the writer side alone — the fair basis
 // for "did the scans slow the writers down", since trailing scans may run
-// past the last commit.
+// past the last commit. It is the Snapshot's "scan" section.
+type ScanResult struct {
+	ScanMode      ScanMode      `json:"mode"`
+	Scanners      int           `json:"scanners"`
+	Scans         int           `json:"scans"`
+	ScanRows      int64         `json:"rows"`
+	ScanRetries   int64         `json:"retries,omitempty"` // deadlock-victim scan retries (locking mode only)
+	WriterElapsed time.Duration `json:"writer_elapsed"`
+	WriterTPS     float64       `json:"writer_tps"`
+}
+
+// MixedResult reports a mixed OLTP + scan run. Result covers the whole run
+// (writer transactions over total elapsed, scans excluded from TPS).
 type MixedResult struct {
 	Result
-	ScanMode      ScanMode
-	Scanners      int
-	Scans         int
-	ScanRows      int64
-	ScanRetries   int64 // deadlock-victim scan retries (locking mode only)
-	WriterElapsed time.Duration
-	WriterTPS     float64
+	ScanResult `json:"scan"`
 }
 
 func (r MixedResult) String() string {
@@ -204,9 +211,8 @@ func (r *Rig) RunMixed(cfg Config, n, mpl, scanners, scansEach int, mode ScanMod
 	}
 	elapsed := clock.Now() - start
 	res := MixedResult{
-		Result:   Result{System: sys.Name(), Txns: n, MPL: mpl, Dispatches: dispatches, Elapsed: elapsed},
-		ScanMode: effMode,
-		Scanners: scanners,
+		Result:     Result{System: sys.Name(), Txns: n, MPL: mpl, Dispatches: dispatches, Elapsed: elapsed},
+		ScanResult: ScanResult{ScanMode: effMode, Scanners: scanners},
 	}
 	for _, c := range retries[:mpl] {
 		res.Retries += c

@@ -2,6 +2,7 @@ package tpcb
 
 import (
 	"fmt"
+	"reflect"
 	"strconv"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vfs"
+	"repro/internal/wal"
 )
 
 // RigOptions configures a benchmark rig.
@@ -123,6 +125,85 @@ func (r *Rig) LockStats() lock.Stats {
 		return r.Core.LockStats()
 	}
 	return lock.Stats{}
+}
+
+// The rig-wide counter accessors: one layer's Stats for the whole rig, nil
+// when the rig has no such layer. A partitioned rig has the layer once per
+// shard (device, file system, environment); the accessor returns the
+// field-wise sum, each event having been counted in exactly one shard.
+
+// DiskStats sums the physical devices' counters.
+func (r *Rig) DiskStats() *disk.Stats { return sumOver(r.Devs, (*disk.Device).Stats) }
+
+// LFSStats sums the log-structured file systems' counters.
+func (r *Rig) LFSStats() *lfs.Stats {
+	return sumOver(only[*lfs.FS](r.fileSystems()), (*lfs.FS).Stats)
+}
+
+// FFSStats sums the read-optimized file systems' counters.
+func (r *Rig) FFSStats() *ffs.Stats {
+	return sumOver(only[*ffs.FS](r.fileSystems()), (*ffs.FS).Stats)
+}
+
+// WALStats sums the user-level environments' log-manager counters.
+func (r *Rig) WALStats() *wal.Stats { return sumOver(r.Shards, (*libtp.Env).LogStats) }
+
+// LibTPStats sums the user-level environments' transaction counters.
+func (r *Rig) LibTPStats() *libtp.Stats { return sumOver(r.Shards, (*libtp.Env).Stats) }
+
+// fileSystems lists the rig's file systems: the single one, or one per shard.
+func (r *Rig) fileSystems() []vfs.FileSystem {
+	if r.FS != nil {
+		return []vfs.FileSystem{r.FS}
+	}
+	fss := make([]vfs.FileSystem, len(r.Shards))
+	for i, env := range r.Shards {
+		fss[i] = env.FS()
+	}
+	return fss
+}
+
+// only keeps the file systems of type F.
+func only[F any](fss []vfs.FileSystem) []F {
+	var out []F
+	for _, fsys := range fss {
+		if f, ok := fsys.(F); ok {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// sumOver returns the field-wise sum of stats(x) over xs, or nil when xs is
+// empty. It is the one aggregator for every layer's Stats type, so a counter
+// added to a layer is summed with no edit here; it reflects, so it is for
+// end-of-run reporting only (disk.Array.Stats, called per cleaner pass,
+// keeps its explicit add).
+func sumOver[E, S any](xs []E, stats func(E) S) *S {
+	if len(xs) == 0 {
+		return nil
+	}
+	total := new(S)
+	dst := reflect.ValueOf(total).Elem()
+	for _, x := range xs {
+		addFields(dst, reflect.ValueOf(stats(x)))
+	}
+	return total
+}
+
+// addFields adds src into dst field by field: integers (counters and
+// durations) add, nested structs recurse.
+func addFields(dst, src reflect.Value) {
+	for i := 0; i < dst.NumField(); i++ {
+		switch d, s := dst.Field(i), src.Field(i); d.Kind() {
+		case reflect.Int, reflect.Int64:
+			d.SetInt(d.Int() + s.Int())
+		case reflect.Struct:
+			addFields(d, s)
+		default:
+			panic(fmt.Sprintf("tpcb: cannot sum %s.%s", dst.Type(), dst.Type().Field(i).Name))
+		}
+	}
 }
 
 // DiskModelFor returns the simulated disk geometry the rig builder would

@@ -59,8 +59,8 @@ func TestMixedScanByteIdentical(t *testing.T) {
 				if err := rig.Tracer.WriteChrome(&cb); err != nil {
 					t.Fatalf("WriteChrome: %v", err)
 				}
-				snap := CollectMixedSnapshot(rig, res, rig.Tracer)
-				if snap.Scan == nil || snap.Scan.Mode != string(ScanSnapshot) {
+				snap := rig.Snapshot(res)
+				if snap.Scan == nil || snap.Scan.ScanMode != ScanSnapshot {
 					t.Fatalf("snapshot missing scan section: %+v", snap.Scan)
 				}
 				var sawScanProc bool
@@ -107,7 +107,7 @@ func TestMixedScanLockingBlocks(t *testing.T) {
 	if res.ScanMode != ScanLocking {
 		t.Fatalf("asked locking, ran %q", res.ScanMode)
 	}
-	snap := CollectMixedSnapshot(rig, res, rig.Tracer)
+	snap := rig.Snapshot(res)
 	var blocked bool
 	for _, row := range snap.Attribution {
 		if strings.HasPrefix(row.Proc, "scan-") && row.Lock > 0 {

@@ -1,0 +1,230 @@
+package tpcb
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"strings"
+	"time"
+
+	"repro/internal/buffer"
+	"repro/internal/core"
+	"repro/internal/disk"
+	"repro/internal/ffs"
+	"repro/internal/lfs"
+	"repro/internal/libtp"
+	"repro/internal/lock"
+	"repro/internal/trace"
+	"repro/internal/wal"
+)
+
+// DiskReport is the snapshot's disk section: the rig-wide totals plus, on
+// multi-device rigs, one row per member spindle (nil on the classic single
+// disk). The totals are the field-wise sum of the rows — each request is
+// counted on exactly one device, never twice.
+type DiskReport struct {
+	disk.Stats
+	Devices []DiskDevice `json:"devices,omitempty"`
+}
+
+// DiskDevice is one member device's counters, labelled with its index.
+type DiskDevice struct {
+	Dev int `json:"dev"`
+	disk.Stats
+}
+
+// LFSReport is the snapshot's lfs section: the counters and the write
+// amplification derived from them.
+type LFSReport struct {
+	lfs.Stats
+	WriteAmp float64 `json:"write_amplification"`
+}
+
+// WallStats reports the simulator's own wall-clock performance for a run:
+// real time spent inside the scheduled run, scheduler dispatches executed,
+// and dispatches per wall-clock second. It measures the simulator, not the
+// simulated system, and is therefore inherently nondeterministic —
+// Rig.Snapshot never fills it (snapshots must stay byte-identical across
+// same-flag runs); the CLIs populate it only when asked to with -wallstats.
+type WallStats struct {
+	WallNS       int64   `json:"wall_ns"`
+	Dispatches   int64   `json:"dispatches"`
+	EventsPerSec float64 `json:"events_per_sec"`
+}
+
+// Snapshot is the compact end-of-run report: the benchmark result, every
+// layer's own Stats struct (a section is nil when the rig has no such
+// layer), the per-proc time attribution, and the metrics registry. The
+// layers' Stats types are the only definition of their counters: a field
+// added there, with its json tag, is in the report. It marshals to
+// byte-stable JSON (encoding/json sorts map keys) and Render prints the
+// human form both cmd/tpcb and cmd/txnbench use.
+type Snapshot struct {
+	Result
+
+	Disk     *DiskReport   `json:"disk,omitempty"`
+	LFS      *LFSReport    `json:"lfs,omitempty"`
+	FFS      *ffs.Stats    `json:"ffs,omitempty"`
+	WAL      *wal.Stats    `json:"wal,omitempty"`
+	Locks    *lock.Stats   `json:"locks,omitempty"`
+	LibTP    *libtp.Stats  `json:"libtp,omitempty"`
+	Embedded *core.Stats   `json:"embedded,omitempty"`
+	FSCache  *buffer.Stats `json:"buffer_fs,omitempty"`   // the file systems' block caches
+	UserPool *buffer.Stats `json:"buffer_user,omitempty"` // LIBTP's user-level page pools
+
+	Scan        *ScanResult            `json:"scan,omitempty"`
+	Attribution []trace.AttrRow        `json:"attribution,omitempty"`
+	Metrics     *trace.MetricsSnapshot `json:"metrics,omitempty"`
+	Wall        *WallStats             `json:"wall,omitempty"`
+}
+
+// Snapshot assembles the end-of-run report from the rig-wide accessors and,
+// when the rig carries a tracer, the per-proc time attribution and the
+// metrics registry. The scan section appears when the run had scanners.
+func (r *Rig) Snapshot(res MixedResult) *Snapshot {
+	type pooled interface{ Pool() *buffer.Pool } // lfs.FS and ffs.FS
+	snap := &Snapshot{
+		Result:   res.Result,
+		FFS:      r.FFSStats(),
+		WAL:      r.WALStats(),
+		LibTP:    r.LibTPStats(),
+		FSCache:  sumOver(only[pooled](r.fileSystems()), func(f pooled) buffer.Stats { return f.Pool().Stats() }),
+		UserPool: sumOver(r.Shards, (*libtp.Env).PoolStats),
+	}
+	if ds := r.DiskStats(); ds != nil {
+		snap.Disk = &DiskReport{Stats: *ds}
+		if len(r.Devs) > 1 {
+			for i, d := range r.Devs {
+				snap.Disk.Devices = append(snap.Disk.Devices, DiskDevice{Dev: i, Stats: d.Stats()})
+			}
+		}
+	}
+	if ls := r.LFSStats(); ls != nil {
+		snap.LFS = &LFSReport{Stats: *ls, WriteAmp: ls.WriteAmplification()}
+	}
+	if r.Core != nil {
+		cs := r.Core.Stats()
+		snap.Embedded = &cs
+	}
+	if r.Shards != nil || r.Core != nil {
+		ls := r.LockStats()
+		snap.Locks = &ls
+	}
+	if res.Scanners > 0 {
+		snap.Scan = &res.ScanResult
+	}
+	if tr := r.Tracer; tr.Enabled() {
+		snap.Attribution = tr.Attribution()
+		ms := tr.Metrics().Snapshot()
+		snap.Metrics = &ms
+	}
+	return snap
+}
+
+// WriteJSON writes the snapshot as indented JSON.
+func (s *Snapshot) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(s)
+}
+
+// Render returns the human-readable report. The per-subsystem lines keep the
+// exact shapes cmd/tpcb has always printed, so scripts parsing them keep
+// working.
+func (s *Snapshot) Render() string {
+	var b strings.Builder
+	b.WriteString(s.Result.String())
+	b.WriteByte('\n')
+
+	if d := s.Disk; d != nil {
+		fmt.Fprintf(&b, "\ndisk: %d read ops (%d blocks), %d write ops (%d blocks), busy %v, queued %v\n",
+			d.Reads, d.BlocksRead, d.Writes, d.BlocksWrit, d.BusyTime, d.QueueTime)
+		for _, r := range d.Devices {
+			fmt.Fprintf(&b, "disk[%d]: %d read ops (%d blocks), %d write ops (%d blocks), %d seeks, busy %v, queued %v\n",
+				r.Dev, r.Reads, r.BlocksRead, r.Writes, r.BlocksWrit, r.Seeks, r.BusyTime, r.QueueTime)
+		}
+	}
+	if f := s.LFS; f != nil {
+		fmt.Fprintf(&b, "lfs: %d partial segments, %d blocks logged, %d checkpoints\n",
+			f.PartialSegments, f.BlocksLogged, f.Checkpoints)
+		cl := f.Cleaner
+		fmt.Fprintf(&b, "cleaner: %d segments cleaned in %d passes, %d blocks copied, %d dead, busy %v (%.1f%% of elapsed)\n",
+			cl.SegmentsCleaned, cl.Runs, cl.BlocksCopied, cl.BlocksDead,
+			cl.BusyTime, pct(cl.BusyTime, s.Elapsed))
+		if cl.OverlapTime > 0 || cl.StallTime > 0 {
+			fmt.Fprintf(&b, "cleaner: %v overlapped with idle windows, %v stalled the workload (%.1f%% of elapsed)\n",
+				cl.OverlapTime, cl.StallTime, pct(cl.StallTime, s.Elapsed))
+		}
+		if cl.HotBlocks > 0 || cl.ColdBlocks > 0 {
+			fmt.Fprintf(&b, "cleaner: %d hot / %d cold blocks relocated, write amplification %.2f×\n",
+				cl.HotBlocks, cl.ColdBlocks, f.WriteAmp)
+		}
+		if cl.RetentionSkips > 0 || cl.RetainedBlocks > 0 || cl.HorizonLag > 0 {
+			fmt.Fprintf(&b, "cleaner: %d victim skips for pinned snapshots, %d block versions retained, horizon lag %d\n",
+				cl.RetentionSkips, cl.RetainedBlocks, cl.HorizonLag)
+		}
+	}
+	if e := s.Embedded; e != nil {
+		fmt.Fprintf(&b, "embedded: %d committed, %d aborted, %d commit flushes, %d pages (%d bytes) forced\n",
+			e.Committed, e.Aborted, e.CommitFlush, e.PagesFlushed, e.BytesFlushed)
+		if e.Snapshots > 0 || e.VersionsRecorded > 0 {
+			fmt.Fprintf(&b, "embedded: %d snapshots, %d page versions recorded\n",
+				e.Snapshots, e.VersionsRecorded)
+		}
+	}
+	if sc := s.Scan; sc != nil {
+		fmt.Fprintf(&b, "scan: %d scans (%d rows) by %d %s scanner(s), %d retries; writers: %d txns in %.1fs → %.2f TPS\n",
+			sc.Scans, sc.ScanRows, sc.Scanners, sc.ScanMode, sc.ScanRetries,
+			s.Txns, sc.WriterElapsed.Seconds(), sc.WriterTPS)
+	}
+	if l := s.Locks; l != nil {
+		fmt.Fprintf(&b, "locks: %d acquired, %d upgrades, %d waits (%v blocked), %d deadlocks (%d upgrade, %d order; %d aborts)\n",
+			l.Acquired, l.Upgrades, l.Waited, l.BlockedTime,
+			l.Deadlocks, l.UpgradeDeadlocks, l.Deadlocks-l.UpgradeDeadlocks, l.DeadlockAborts)
+	}
+	if w := s.WAL; w != nil {
+		fmt.Fprintf(&b, "wal: %d records, %d bytes, %d forces, %d group-absorbed commits\n",
+			w.Records, w.BytesLogged, w.Forces, w.GroupCommits)
+		if w.Segments > 0 {
+			fmt.Fprintf(&b, "wal: %d segments (%d rotations, %d sealed), %d deleted, %d archived, %d checkpoints, %d index entries in %d writes\n",
+				w.Segments, w.Rotations, w.SegmentsSealed, w.SegmentsDeleted,
+				w.SegmentsArchived, w.Checkpoints, w.IndexEntries, w.IndexWrites)
+		}
+	}
+	if w := s.Wall; w != nil {
+		fmt.Fprintf(&b, "wall: %v wall-clock, %d dispatches, %.0f events/s (simulator speed, nondeterministic)\n",
+			time.Duration(w.WallNS), w.Dispatches, w.EventsPerSec)
+	}
+	if len(s.Attribution) > 0 {
+		b.WriteString("\nwhere did simulated time go (per proc, measured interval):\n")
+		fmt.Fprintf(&b, "  %-10s %10s %10s %10s %10s %10s %10s %10s\n",
+			"proc", "elapsed", "compute", "disk", "queue", "lock", "commit", "cleaner")
+		row := func(r trace.AttrRow) {
+			fmt.Fprintf(&b, "  %-10s %10.3f %10.3f %10.3f %10.3f %10.3f %10.3f %10.3f\n",
+				r.Proc, r.Elapsed.Seconds(), r.Compute.Seconds(), r.Disk.Seconds(), r.Queue.Seconds(),
+				r.Lock.Seconds(), r.CommitWait.Seconds(), r.CleanerStall.Seconds())
+		}
+		tot := trace.AttrRow{Proc: "total"}
+		for _, r := range s.Attribution {
+			row(r)
+			tot.Elapsed += r.Elapsed
+			tot.Compute += r.Compute
+			tot.Disk += r.Disk
+			tot.Queue += r.Queue
+			tot.Lock += r.Lock
+			tot.CommitWait += r.CommitWait
+			tot.CleanerStall += r.CleanerStall
+		}
+		if len(s.Attribution) > 1 {
+			row(tot)
+		}
+	}
+	return b.String()
+}
+
+func pct(part, whole time.Duration) float64 {
+	if whole == 0 {
+		return 0
+	}
+	return float64(part) / float64(whole) * 100
+}

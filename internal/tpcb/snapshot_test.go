@@ -1,0 +1,229 @@
+package tpcb
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"strings"
+	"testing"
+
+	"repro/internal/buffer"
+	"repro/internal/core"
+	"repro/internal/disk"
+	"repro/internal/ffs"
+	"repro/internal/lfs"
+	"repro/internal/libtp"
+	"repro/internal/lock"
+	"repro/internal/wal"
+)
+
+var update = flag.Bool("update", false, "re-record the golden snapshots under testdata/")
+
+// goldenRigs are the four rig shapes the snapshot tests cover, with the
+// snapshot sections each must carry (the layers it is built from).
+var goldenRigs = []struct {
+	name     string
+	kind     string
+	devices  int
+	sections []string
+}{
+	{"user-ffs", "user-ffs", 1, []string{"disk", "ffs", "wal", "locks", "libtp", "buffer_fs", "buffer_user"}},
+	{"user-lfs", "user-lfs", 1, []string{"disk", "lfs", "wal", "locks", "libtp", "buffer_fs", "buffer_user"}},
+	{"kernel-lfs", "kernel-lfs", 1, []string{"disk", "lfs", "locks", "embedded", "buffer_fs"}},
+	{"user-lfs-2dev", "user-lfs", 2, []string{"disk", "lfs", "wal", "locks", "libtp", "buffer_fs", "buffer_user"}},
+}
+
+// layerStats maps each snapshot section to the layer Stats type behind it:
+// every counter struct the report is made of.
+var layerStats = map[string]any{
+	"disk":        disk.Stats{},
+	"lfs":         lfs.Stats{}, // nests lfs.CleanerStats
+	"ffs":         ffs.Stats{},
+	"wal":         wal.Stats{},
+	"locks":       lock.Stats{},
+	"libtp":       libtp.Stats{},
+	"embedded":    core.Stats{},
+	"buffer_fs":   buffer.Stats{},
+	"buffer_user": buffer.Stats{},
+}
+
+// goldenSnapshot runs 600 transactions on a small traced rig — a cache too
+// small for the database and a disk tight enough that the log wraps, so
+// reads, queueing and the cleaner all show — and collects its snapshot.
+// MPL 8 runs with group commit 8, MPL 1 forces every commit.
+func goldenSnapshot(t *testing.T, kind string, devices, mpl int) *Snapshot {
+	t.Helper()
+	const txns = 600
+	cfg := smallCfg()
+	rig, err := BuildRig(RigOptions{
+		Kind: kind, Config: cfg, ExpectedTxns: txns, GroupCommit: mpl, DiskScale: 0.5, CacheBlocks: 48,
+		Trace: true, Devices: devices, Layout: "partition",
+	})
+	if err != nil {
+		t.Fatalf("BuildRig(%s ×%d): %v", kind, devices, err)
+	}
+	res, err := rig.RunMPL(cfg, txns, mpl)
+	if err != nil {
+		t.Fatalf("RunMPL(%s ×%d, mpl %d): %v", kind, devices, mpl, err)
+	}
+	return rig.Snapshot(MixedResult{Result: res})
+}
+
+// TestSnapshotGolden pins Snapshot.Render and the snapshot JSON of the four
+// rig shapes byte for byte — the capture-and-diff procedure of the verify
+// skill as a tier-1 test. Any change to a simulated number, a counter, a key
+// or a report line shows up as a golden diff; re-record with
+// `go test ./internal/tpcb -run TestSnapshotGolden -update` and say why.
+func TestSnapshotGolden(t *testing.T) {
+	for _, rig := range goldenRigs {
+		for _, mpl := range []int{1, 8} {
+			name := fmt.Sprintf("%s_mpl%d", rig.name, mpl)
+			t.Run(name, func(t *testing.T) {
+				snap := goldenSnapshot(t, rig.kind, rig.devices, mpl)
+				var js bytes.Buffer
+				if err := snap.WriteJSON(&js); err != nil {
+					t.Fatal(err)
+				}
+				for ext, got := range map[string][]byte{".txt": []byte(snap.Render()), ".json": js.Bytes()} {
+					path := filepath.Join("testdata", "snapshot_"+name+ext)
+					if *update {
+						if err := os.WriteFile(path, got, 0o644); err != nil {
+							t.Fatal(err)
+						}
+						continue
+					}
+					want, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("%s differs from the golden file (-update re-records):\n--- got\n%s\n--- want\n%s", path, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// jsonKey returns the key a struct field marshals under.
+func jsonKey(f reflect.StructField) string {
+	key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+	return key
+}
+
+// TestEveryCounterIsTagged: every field of every layer's Stats type carries
+// a unique snake_case json key, so none can be left out of the report or
+// collide in it.
+func TestEveryCounterIsTagged(t *testing.T) {
+	snake := regexp.MustCompile(`^[a-z]+(_[a-z]+)*$`)
+	var check func(typ reflect.Type)
+	check = func(typ reflect.Type) {
+		seen := map[string]string{}
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			key := jsonKey(f)
+			if !f.IsExported() || !snake.MatchString(key) {
+				t.Errorf("%s.%s: want an exported field with a snake_case json key, got %q", typ, f.Name, key)
+			}
+			if prev, dup := seen[key]; dup {
+				t.Errorf("%s: %s and %s share json key %q", typ, prev, f.Name, key)
+			}
+			seen[key] = f.Name
+			if strings.Contains(f.Tag.Get("json"), "omitempty") {
+				t.Errorf("%s.%s: omitempty hides a zero counter from the report", typ, f.Name)
+			}
+			if f.Type.Kind() == reflect.Struct {
+				check(f.Type)
+			}
+		}
+	}
+	for _, st := range layerStats {
+		check(reflect.TypeOf(st))
+	}
+}
+
+// TestSnapshotCarriesEveryCounter: the snapshot of each rig shape marshals a
+// key for every field of every layer the rig is built from — a counter added
+// to a layer's Stats is in the report with no edit outside that layer.
+func TestSnapshotCarriesEveryCounter(t *testing.T) {
+	var check func(t *testing.T, path string, typ reflect.Type, got any)
+	check = func(t *testing.T, path string, typ reflect.Type, got any) {
+		obj, ok := got.(map[string]any)
+		if !ok {
+			t.Errorf("snapshot has no %s section", path)
+			return
+		}
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			key := path + "." + jsonKey(f)
+			if f.Type.Kind() == reflect.Struct {
+				check(t, key, f.Type, obj[jsonKey(f)])
+			} else if _, ok := obj[jsonKey(f)]; !ok {
+				t.Errorf("snapshot lacks %s (%s.%s)", key, typ, f.Name)
+			}
+		}
+	}
+	for _, rig := range goldenRigs {
+		t.Run(rig.name, func(t *testing.T) {
+			b, err := json.Marshal(goldenSnapshot(t, rig.kind, rig.devices, 8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc map[string]any
+			if err := json.Unmarshal(b, &doc); err != nil {
+				t.Fatal(err)
+			}
+			for _, sec := range rig.sections {
+				check(t, sec, reflect.TypeOf(layerStats[sec]), doc[sec])
+			}
+			if rig.devices > 1 {
+				rows, _ := doc["disk"].(map[string]any)["devices"].([]any)
+				if len(rows) != rig.devices {
+					t.Fatalf("disk.devices has %d rows, want %d", len(rows), rig.devices)
+				}
+				for i, row := range rows {
+					check(t, fmt.Sprintf("disk.devices[%d]", i), reflect.TypeOf(disk.Stats{}), row)
+				}
+			}
+		})
+	}
+}
+
+// TestSumCoversEveryField: adding a Stats value whose fields are all 1 twice
+// gives all 2s, for every layer type, nested structs included — sumOver's
+// field walk cannot skip a field added later.
+func TestSumCoversEveryField(t *testing.T) {
+	var fill func(v reflect.Value)
+	var verify func(v reflect.Value, path string)
+	fill = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Struct {
+				fill(f)
+			} else {
+				f.SetInt(1)
+			}
+		}
+	}
+	verify = func(v reflect.Value, path string) {
+		for i := 0; i < v.NumField(); i++ {
+			name := path + "." + v.Type().Field(i).Name
+			if f := v.Field(i); f.Kind() == reflect.Struct {
+				verify(f, name)
+			} else if f.Int() != 2 {
+				t.Errorf("addFields skips %s: 1+1 = %d", name, f.Int())
+			}
+		}
+	}
+	for _, st := range layerStats {
+		ones, sum := reflect.New(reflect.TypeOf(st)).Elem(), reflect.New(reflect.TypeOf(st)).Elem()
+		fill(ones)
+		addFields(sum, ones)
+		addFields(sum, ones)
+		verify(sum, sum.Type().String())
+	}
+}

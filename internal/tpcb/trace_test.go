@@ -53,7 +53,7 @@ func TestTraceByteIdentical(t *testing.T) {
 				if err := rig.Tracer.WriteChrome(&cb); err != nil {
 					t.Fatalf("WriteChrome: %v", err)
 				}
-				snap := CollectSnapshot(rig, res, rig.Tracer)
+				snap := rig.Snapshot(MixedResult{Result: res})
 				if len(snap.Attribution) == 0 || snap.Metrics == nil {
 					t.Fatalf("snapshot missing attribution or metrics: %+v", snap)
 				}

@@ -96,19 +96,19 @@ func (o Options) withDefaults() Options {
 
 // Stats counts log activity.
 type Stats struct {
-	Records      int64
-	BytesLogged  int64 // record bytes appended (excludes block framing)
-	Forces       int64 // log forces (synchronous flushes)
-	GroupCommits int64 // commits absorbed into a pending batch
+	Records      int64 `json:"records"`
+	BytesLogged  int64 `json:"bytes_logged"`  // record bytes appended (excludes block framing)
+	Forces       int64 `json:"forces"`        // log forces (synchronous flushes)
+	GroupCommits int64 `json:"group_commits"` // commits absorbed into a pending batch
 
-	Segments         int64 // segment files created
-	Rotations        int64 // active-segment seals due to the size threshold
-	SegmentsSealed   int64 // sealed segments fully flushed and closed
-	SegmentsDeleted  int64 // dead segments removed by checkpoint truncation
-	SegmentsArchived int64 // dead segments retained as read-only archives
-	Checkpoints      int64 // checkpoints anchored
-	IndexEntries     int64 // index entries emitted
-	IndexWrites      int64 // index file write batches
+	Segments         int64 `json:"segments"`          // segment files created
+	Rotations        int64 `json:"rotations"`         // active-segment seals due to the size threshold
+	SegmentsSealed   int64 `json:"segments_sealed"`   // sealed segments fully flushed and closed
+	SegmentsDeleted  int64 `json:"segments_deleted"`  // dead segments removed by checkpoint truncation
+	SegmentsArchived int64 `json:"segments_archived"` // dead segments retained as read-only archives
+	Checkpoints      int64 `json:"checkpoints"`       // checkpoints anchored
+	IndexEntries     int64 `json:"index_entries"`     // index entries emitted
+	IndexWrites      int64 `json:"index_writes"`      // index file write batches
 }
 
 // segWriter is the in-memory state of one not-yet-finalized segment: the
