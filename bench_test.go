@@ -145,8 +145,11 @@ func BenchmarkAblationCommitBytes(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			b.ReportMetric(rep.KernelBytesPerTxn, "kernel-B/txn")
-			b.ReportMetric(rep.UserLogBytesPerTxn, "wal-B/txn")
+			k, u := rep.Row("kernel-lfs", 1, 1), rep.Row("user-lfs", 1, 1)
+			b.ReportMetric(k.CommitBytes, "kernel-B/txn")
+			b.ReportMetric(u.CommitBytes, "wal-B/txn")
+			b.ReportMetric(k.Blocks, "kernel-blocks/txn")
+			b.ReportMetric(u.Blocks, "wal-blocks/txn")
 		}
 	}
 }

@@ -1,9 +1,10 @@
 // Command lfsdump inspects the on-disk structure of the log-structured file
 // system. Because devices in this reproduction are simulated, the tool
 // builds a demonstration image, applies a configurable amount of churn
-// (writes, overwrites, deletions — enough to exercise the cleaner), then
-// dumps the superblock, log position, segment usage table, inode map, and
-// cleaner statistics, and finally audits the usage accounting and verifies
+// (writes, overwrites, deletions — enough to exercise the cleaner — and a few
+// commit forces), then dumps the superblock, log position, segment usage
+// table, the partial segments at the log head, inode map, and cleaner
+// statistics, and finally audits the usage accounting and verifies
 // crash recovery by remounting.
 //
 // Usage:
@@ -74,6 +75,27 @@ func main() {
 		if err := fsys.Sync(); err != nil {
 			fatal(err)
 		}
+	}
+
+	// Commit forces: overwrite a block in place and fsync the file. Nothing
+	// but a block address changes, so these partials carry no inode pack and
+	// the remount below has to rebuild the pointers from their summaries.
+	for i := 0; i < *files && i < 4; i++ {
+		f, err := fsys.Open(fmt.Sprintf("/churn%02d", i))
+		if err != nil {
+			continue // deleted by the churn
+		}
+		page := buf[:min(len(buf), model.BlockSize)]
+		for j := range page {
+			page[j] = byte(0xc0 + i + j)
+		}
+		if _, err := f.WriteAt(page, 0); err != nil {
+			fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			fatal(err)
+		}
+		f.Close()
 	}
 
 	if err := fsys.Dump(os.Stdout); err != nil {

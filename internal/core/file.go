@@ -237,8 +237,9 @@ func (s *Store) WritePage(n int64, p []byte) error {
 
 // AllocPage implements pagestore.Store: extend the file by one page. The
 // extension itself is transactional to the extent that the new page's data
-// is held until commit; an abort leaves a zero-filled tail that the access
-// methods never reference (their meta page rolls back).
+// is held until commit; an abort leaves a zero-filled tail that the B-tree
+// and hash index never reference (the page that pointed there rolls back)
+// and that recno counts as empty and fills with the next append.
 func (s *Store) AllocPage() (int64, error) {
 	np, err := s.NumPages()
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/lfs"
 	"repro/internal/tpcb"
 )
 
@@ -20,6 +21,18 @@ func smallOpts(system string, torn bool) Options {
 	}
 }
 
+// requireSurvived fails the test with every violation of the sweep listed.
+func requireSurvived(t *testing.T, rep *Report) {
+	t.Helper()
+	if rep.OK() {
+		return
+	}
+	for _, v := range rep.Violations {
+		t.Errorf("write op %d (stage %s, %d committed): %s", v.WriteOp, v.Stage, v.Committed, v.Err)
+	}
+	t.Fatalf("%d/%d crash points failed", len(rep.Violations), rep.Points)
+}
+
 func runSweep(t *testing.T, system string, torn bool) *Report {
 	t.Helper()
 	rep, err := Run(smallOpts(system, torn))
@@ -29,12 +42,7 @@ func runSweep(t *testing.T, system string, torn bool) *Report {
 	if rep.Points == 0 {
 		t.Fatal("sweep sampled no crash points")
 	}
-	if !rep.OK() {
-		for _, v := range rep.Violations {
-			t.Errorf("write op %d (stage %s, %d committed): %s", v.WriteOp, v.Stage, v.Committed, v.Err)
-		}
-		t.Fatalf("%d/%d crash points failed", len(rep.Violations), rep.Points)
-	}
+	requireSurvived(t, rep)
 	if rep.Survived != rep.Points {
 		t.Fatalf("survived %d of %d with no violations recorded", rep.Survived, rep.Points)
 	}
@@ -103,6 +111,41 @@ func TestSweepSnapshotsTorn(t *testing.T) {
 			}
 			if rep.Snapshots != 4 {
 				t.Fatalf("report should echo the snapshot cadence, got %d", rep.Snapshots)
+			}
+		})
+	}
+}
+
+// TestSweepDirectRangeTorn sweeps a database small enough that every page of
+// every relation sits in its file's direct range. LFS commit forces log those
+// pages without the inode — a block address is all that changed — so after a
+// crash each of their pointers exists only as a summary entry that
+// roll-forward has to replay; the larger sweeps above keep the account leaves
+// behind the indirect block. Every write op is a crash point, torn.
+func TestSweepDirectRangeTorn(t *testing.T) {
+	for _, system := range []string{"kernel-lfs", "user-lfs"} {
+		t.Run(system, func(t *testing.T) {
+			opts := smallOpts(system, true)
+			opts.Config.Accounts = 150
+			opts.Txns, opts.MaxPoints = 200, 0
+			rig, err := tpcb.BuildRig(tpcb.RigOptions{Kind: system, Config: opts.Config, ExpectedTxns: opts.Txns})
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct := int64(lfs.NDirect * rig.FS.BlockSize())
+			for _, path := range tpcb.DBPaths() {
+				// The history relation grows by one page per 80 transactions.
+				if info, err := rig.FS.Stat(path); err != nil || info.Size+int64(opts.Txns/80+1)*int64(rig.FS.BlockSize()) > direct {
+					t.Fatalf("%s: %d bytes (%v) reaches past the %d-byte direct range", path, info.Size, err, direct)
+				}
+			}
+			rep, err := Run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSurvived(t, rep)
+			if rep.Points < 200 || rep.DensePoints != rep.Points || rep.Survived != rep.Points {
+				t.Fatalf("%d points (%d dense), %d survived; want every write op, at least 200", rep.Points, rep.DensePoints, rep.Survived)
 			}
 		})
 	}

@@ -203,38 +203,84 @@ func (r *GroupCommitReport) String() string {
 
 // -------------------------------------------------- Ablation: commit volume
 
-// CommitBytesReport contrasts §4.3's whole-page commit flush with WAL's
-// delta logging.
-type CommitBytesReport struct {
-	Opts Options
-	// KernelBytesPerTxn: whole pages forced at commit by the embedded TM.
-	KernelBytesPerTxn float64
-	// UserLogBytesPerTxn: bytes of before/after images in the WAL.
-	UserLogBytesPerTxn float64
-	// TPS of both systems, showing the paper's claim that the extra
-	// sequential commit bytes barely matter next to the random reads.
-	KernelTPS, UserTPS float64
+// CommitVolumeRow is one measured configuration of the commit-volume
+// ablation. Counts are per committed transaction over the measured interval.
+type CommitVolumeRow struct {
+	System      string
+	MPL         int
+	GroupCommit int
+	TPS         float64
+	// CommitBytes is what the transaction manager handed to the commit path:
+	// whole pages flushed (embedded) or WAL bytes logged (user level).
+	CommitBytes float64
+	// Blocks is what reached the log device, every partial segment counted —
+	// relation pages evicted or checkpointed as well as commit forces — and
+	// its split by kind: Blocks = Data + Summary + InodePack + Pointer.
+	Blocks, Data, Summary, InodePack, Pointer float64
+	// Cleaner is the part of Blocks, of any kind, the cleaner's own flushes
+	// wrote.
+	Cleaner float64
 }
 
-// AblationCommitBytes measures the write volume difference.
+// CommitBytesReport contrasts §4.3's whole-page commit flush with WAL's
+// delta logging, in bytes handed to the commit path and in blocks that reach
+// the log device, alone and under multiprogramming with group commit.
+type CommitBytesReport struct {
+	Opts Options
+	Rows []CommitVolumeRow
+}
+
+// Row returns the row measured for (system, mpl, groupCommit), or nil.
+func (r *CommitBytesReport) Row(system string, mpl, groupCommit int) *CommitVolumeRow {
+	for i := range r.Rows {
+		if row := &r.Rows[i]; row.System == system && row.MPL == mpl && row.GroupCommit == groupCommit {
+			return row
+		}
+	}
+	return nil
+}
+
+// AblationCommitBytes measures the write volume difference between the two
+// transaction managers on LFS at MPL 1 and 8, force per commit and group
+// commit ×8. (At MPL 1 nobody can join the embedded manager's batch, so its
+// two MPL 1 rows coincide.)
 func AblationCommitBytes(opts Options) (*CommitBytesReport, error) {
 	opts.fill()
-	cfg := tpcb.ScaledConfig(opts.Scale)
 	rep := &CommitBytesReport{Opts: opts}
-
-	rigK, resK, err := opts.measure("kernel-lfs", tpcb.RigOptions{Kind: "kernel-lfs", Config: cfg, Costs: opts.Costs, ExpectedTxns: opts.Txns}, 1)
-	if err != nil {
-		return nil, err
+	for _, kind := range []string{"kernel-lfs", "user-lfs"} {
+		for _, mpl := range []int{1, 8} {
+			for _, gc := range []int{1, 8} {
+				ropts := opts.rigFor(kind)
+				ropts.GroupCommit = gc
+				rig, err := tpcb.BuildRig(ropts)
+				if err != nil {
+					return nil, fmt.Errorf("commit volume %s: %w", kind, err)
+				}
+				before := rig.LFSStats() // the load phase logs blocks too
+				res, err := rig.RunMPL(ropts.Config, opts.Txns, mpl)
+				if err != nil {
+					return nil, fmt.Errorf("commit volume %s mpl=%d gc=%d: %w", kind, mpl, gc, err)
+				}
+				st := rig.LFSStats()
+				per := func(n int64) float64 { return float64(n) / float64(opts.Txns) }
+				row := CommitVolumeRow{
+					System: kind, MPL: mpl, GroupCommit: gc, TPS: res.TPS,
+					Blocks:    per(st.BlocksLogged - before.BlocksLogged),
+					Summary:   per(st.SummaryBlocks - before.SummaryBlocks),
+					InodePack: per(st.InodePackBlocks - before.InodePackBlocks),
+					Pointer:   per(st.PointerBlocks - before.PointerBlocks),
+					Cleaner:   per(st.Cleaner.BlocksWritten - before.Cleaner.BlocksWritten),
+				}
+				row.Data = row.Blocks - row.Summary - row.InodePack - row.Pointer
+				if rig.Core != nil {
+					row.CommitBytes = per(rig.Core.Stats().BytesFlushed)
+				} else {
+					row.CommitBytes = per(rig.WALStats().BytesLogged)
+				}
+				rep.Rows = append(rep.Rows, row)
+			}
+		}
 	}
-	rep.KernelBytesPerTxn = float64(rigK.Core.Stats().BytesFlushed) / float64(opts.Txns)
-	rep.KernelTPS = resK.TPS
-
-	rigU, resU, err := opts.measure("user-lfs", tpcb.RigOptions{Kind: "user-lfs", Config: cfg, Costs: opts.Costs, ExpectedTxns: opts.Txns}, 1)
-	if err != nil {
-		return nil, err
-	}
-	rep.UserLogBytesPerTxn = float64(rigU.WALStats().BytesLogged) / float64(opts.Txns)
-	rep.UserTPS = resU.TPS
 	return rep, nil
 }
 
@@ -242,10 +288,18 @@ func AblationCommitBytes(opts Options) (*CommitBytesReport, error) {
 func (r *CommitBytesReport) String() string {
 	var b strings.Builder
 	b.WriteString("Ablation — commit volume (§4.3: whole pages at commit vs logging only the updated bytes)\n")
-	fmt.Fprintf(&b, "  embedded (whole pages): %10.0f bytes/txn   %.2f TPS\n", r.KernelBytesPerTxn, r.KernelTPS)
-	fmt.Fprintf(&b, "  WAL (byte deltas):      %10.0f bytes/txn   %.2f TPS\n", r.UserLogBytesPerTxn, r.UserTPS)
-	fmt.Fprintf(&b, "  ratio: %.0f× more bytes forced at commit by the embedded system\n",
-		r.KernelBytesPerTxn/r.UserLogBytesPerTxn)
+	fmt.Fprintf(&b, "  %-10s %4s %3s %8s %13s %11s = %6s + %7s + %10s + %7s %9s\n",
+		"system", "MPL", "gc", "TPS", "commit B/txn", "blocks/txn", "data", "summary", "inode pack", "pointer", "(cleaner)")
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "  %-10s %4d %3d %8.2f %13.0f %11.2f   %6.2f   %7.2f   %10.2f   %7.2f %9.2f\n",
+			row.System, row.MPL, row.GroupCommit, row.TPS, row.CommitBytes, row.Blocks,
+			row.Data, row.Summary, row.InodePack, row.Pointer, row.Cleaner)
+	}
+	k, u := r.Row("kernel-lfs", 1, 1), r.Row("user-lfs", 1, 1)
+	fmt.Fprintf(&b, "  MPL 1: the embedded manager hands %.0f× the bytes to its commit path and puts %.1f× the blocks on the device\n",
+		k.CommitBytes/u.CommitBytes, k.Blocks/u.Blocks)
+	k, u = r.Row("kernel-lfs", 8, 8), r.Row("user-lfs", 8, 8)
+	fmt.Fprintf(&b, "  MPL 8, group commit ×8: %.0f× the bytes, %.1f× the blocks\n", k.CommitBytes/u.CommitBytes, k.Blocks/u.Blocks)
 	return b.String()
 }
 

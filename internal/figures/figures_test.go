@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -161,11 +162,39 @@ func TestAblationCommitBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(rep.Rows) != 8 {
+		t.Fatalf("%d rows, want 2 systems × MPL 1/8 × group commit 1/8", len(rep.Rows))
+	}
 	// §4.3: the embedded system writes whole pages; WAL writes deltas —
 	// "this compares rather dismally with logging schemes where only the
 	// updated bytes need be written".
-	if rep.KernelBytesPerTxn < 4*rep.UserLogBytesPerTxn {
-		t.Fatalf("whole-page commits (%f B) should dwarf WAL deltas (%f B)", rep.KernelBytesPerTxn, rep.UserLogBytesPerTxn)
+	k, u := rep.Row("kernel-lfs", 1, 1), rep.Row("user-lfs", 1, 1)
+	if k.CommitBytes < 4*u.CommitBytes {
+		t.Fatalf("whole-page commits (%f B) should dwarf WAL deltas (%f B)", k.CommitBytes, u.CommitBytes)
+	}
+	// On the device the gap is blocks, not bytes, and far smaller: a WAL
+	// force still writes a summary and a whole log block.
+	if k.Blocks <= u.Blocks || k.Blocks > 3*u.Blocks {
+		t.Fatalf("embedded %f blocks/txn vs WAL %f: want more, within 3×", k.Blocks, u.Blocks)
+	}
+	for _, row := range rep.Rows {
+		if sum := row.Data + row.Summary + row.InodePack + row.Pointer; row.Data <= 0 || row.Summary <= 0 || math.Abs(sum-row.Blocks) > 1e-9 {
+			t.Fatalf("%+v: kinds do not add up to the blocks logged", row)
+		}
+		// A commit force packs an inode only when an attribute changed (a
+		// file grew): with a force per commit, far below one pack per
+		// partial segment.
+		if row.GroupCommit == 1 && row.InodePack*4 > row.Summary {
+			t.Fatalf("%+v: an inode pack in more than a quarter of the partial segments", row)
+		}
+	}
+	// Group commit at MPL 8 shares the force: fewer partial segments, fewer
+	// blocks per transaction, on both managers.
+	for _, sys := range []string{"kernel-lfs", "user-lfs"} {
+		if one, eight := rep.Row(sys, 8, 1), rep.Row(sys, 8, 8); eight.Summary >= one.Summary || eight.Blocks >= one.Blocks {
+			t.Fatalf("%s at MPL 8: group commit ×8 logs %f blocks (%f summaries) per txn vs %f (%f) without",
+				sys, eight.Blocks, eight.Summary, one.Blocks, one.Summary)
+		}
 	}
 	_ = rep.String()
 }

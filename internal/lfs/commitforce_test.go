@@ -1,0 +1,480 @@
+package lfs
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"testing"
+
+	"repro/internal/disk"
+	"repro/internal/sim"
+	"repro/internal/vfs"
+)
+
+// Commit forces (File.Sync, FlushCommit) log data blocks and, only when an
+// attribute changed, the inode; every other pointer is rebuilt by roll-forward
+// from the summaries. These tests hold the two ends of that bargain together.
+
+// stamped is a block whose content names its file position and version, so a
+// read that returns the right bytes went through the right pointer.
+func stamped(bs int, lbn int64, version int) []byte {
+	b := make([]byte, bs)
+	copy(b, fmt.Sprintf("lbn %d version %d;", lbn, version))
+	for i := 32; i < bs; i++ {
+		b[i] = byte(lbn) + byte(version)*31 + byte(i)
+	}
+	return b
+}
+
+// fileImage is the expected content of the test file: block versions by
+// logical block number (absent = hole) and the size in blocks.
+type fileImage struct {
+	version map[int64]int
+	blocks  int64
+}
+
+func (im fileImage) clone() fileImage {
+	c := fileImage{version: make(map[int64]int, len(im.version)), blocks: im.blocks}
+	for k, v := range im.version {
+		c.version[k] = v
+	}
+	return c
+}
+
+// matches reports whether the file at path holds exactly im.
+func (im fileImage) matches(fs *FS, path string) error {
+	f, err := fs.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	bs := int64(fs.BlockSize())
+	if size, _ := f.Size(); size != im.blocks*bs {
+		return fmt.Errorf("size %d, want %d blocks", size, im.blocks)
+	}
+	got, zero := make([]byte, bs), make([]byte, bs)
+	check := func(lbn int64) error {
+		if _, err := f.ReadAt(got, lbn*bs); err != nil {
+			return err
+		}
+		want := zero
+		if v, ok := im.version[lbn]; ok {
+			want = stamped(int(bs), lbn, v)
+		}
+		if !bytes.Equal(got, want) {
+			return fmt.Errorf("block %d holds %q, want version %d (0 = hole)", lbn, got[:24], im.version[lbn])
+		}
+		return nil
+	}
+	// Every written block; for holes that must have stayed holes, every
+	// block of a small file, else the direct range and both ends of each
+	// pointer block.
+	for lbn := range im.version {
+		if err := check(lbn); err != nil {
+			return err
+		}
+	}
+	for lbn := int64(0); lbn < im.blocks && im.blocks <= NDirect; lbn++ {
+		if err := check(lbn); err != nil {
+			return err
+		}
+	}
+	np := nptr(fs.BlockSize())
+	for _, lbn := range []int64{0, 1, 5, NDirect - 1, NDirect, NDirect + 1, NDirect + np - 1, NDirect + np, NDirect + np + 1, NDirect + 2*np} {
+		if lbn < im.blocks {
+			if err := check(lbn); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// commitForceScript drives a file through commit forces that pack no inode
+// (overwrites in the direct, single- and double-indirect ranges), one that
+// does (the file grows), and more pack-less ones after it, checkpoints left
+// to the file system. after(i) is called once force i is acknowledged with
+// the image that must now be durable; the script stops at the first error.
+func commitForceScript(fs *FS, after func(step int, im fileImage)) error {
+	bs := fs.BlockSize()
+	np := nptr(bs)
+	f, err := fs.Create("/f")
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	im := fileImage{version: map[int64]int{}}
+	write := func(lbn int64, v int) error {
+		if _, err := f.WriteAt(stamped(bs, lbn, v), lbn*int64(bs)); err != nil {
+			return err
+		}
+		im.version[lbn] = v
+		im.blocks = max(im.blocks, lbn+1)
+		return nil
+	}
+	step := 0
+	force := func() error {
+		if err := f.Sync(); err != nil {
+			return err
+		}
+		after(step, im.clone())
+		step++
+		return nil
+	}
+	// Lay the file out over all three pointer ranges and checkpoint.
+	for _, lbn := range []int64{0, 1, 2, 3, NDirect - 1, NDirect, NDirect + 1, NDirect + 7, NDirect + np, NDirect + np + 1, NDirect + 2*np} {
+		if err := write(lbn, 1); err != nil {
+			return err
+		}
+	}
+	if err := fs.Sync(); err != nil {
+		return err
+	}
+	after(step, im.clone())
+	step++
+	for round := 2; round < 12; round++ {
+		targets := []int64{int64(round) % 4, NDirect - 1, NDirect + int64(round)%2, NDirect + np + int64(round)%2}
+		if round == 7 {
+			targets = append(targets, 6, NDirect+np+5) // a hole filled inside the size: still no pack
+		}
+		if round == 8 {
+			targets = append(targets, NDirect+2*np+1) // the file grows: this force packs the inode
+		}
+		for _, lbn := range targets {
+			if err := write(lbn, round); err != nil {
+				return err
+			}
+		}
+		before := fs.Stats()
+		if err := force(); err != nil {
+			return err
+		}
+		st := fs.Stats()
+		if got, grew := st.InodePackBlocks-before.InodePackBlocks, round == 8; st.Checkpoints == before.Checkpoints && (got != 0) != grew {
+			return fmt.Errorf("round %d: commit force wrote %d inode packs (file grew: %v)", round, got, grew)
+		}
+	}
+	return nil
+}
+
+// TestCommitForceCrashAtEveryWrite crashes the device at every write operation
+// of commitForceScript, clean and torn, remounts, and requires the image of
+// the last acknowledged force — or of the one in flight, whole, when the crash
+// lost only its acknowledgement: size, every direct-, single- and
+// double-indirect-range pointer (through the content it leads to) and holes.
+func TestCommitForceCrashAtEveryWrite(t *testing.T) {
+	for _, every := range []int{0, 5} { // default, and a checkpoint every 5 partials
+		opts := Options{CheckpointEvery: every}
+		build := func() (*FS, *disk.Device, *sim.Clock) {
+			clk := sim.NewClock()
+			dev := disk.New(sim.SmallModel(), clk)
+			fs, err := Format(dev, clk, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fs, dev, clk
+		}
+		fs, dev, _ := build()
+		ops0 := dev.WriteOps()
+		var images []fileImage
+		if err := commitForceScript(fs, func(_ int, im fileImage) { images = append(images, im) }); err != nil {
+			t.Fatal(err)
+		}
+		total := dev.WriteOps() - ops0
+		if cps := fs.Stats().Checkpoints; (every == 0) != (cps == 2) {
+			t.Fatalf("checkpoint-every %d: %d checkpoints; want Format's and the script's only at the default, periodic ones otherwise", every, cps)
+		}
+		for op := int64(1); op <= total; op++ {
+			for seed := uint64(0); seed < 4; seed++ { // 0 = clean cut, else a torn prefix
+				fs, dev, clk := build()
+				dev.CrashAfter(ops0+op, seed > 0, seed)
+				acked := -1
+				err := commitForceScript(fs, func(step int, _ fileImage) { acked = step })
+				if !errors.Is(err, disk.ErrCrashed) {
+					t.Fatalf("checkpoint-every %d, crash at op %d: script ended with %v", every, op, err)
+				}
+				dev.ClearCrash()
+				fs2, err := Mount(dev, clk, opts)
+				if err != nil {
+					t.Fatalf("checkpoint-every %d, crash at op %d seed %d: mount: %v", every, op, seed, err)
+				}
+				if acked < 0 {
+					continue // crashed before the file's first checkpoint: nothing was promised
+				}
+				errAcked := images[acked].matches(fs2, "/f")
+				if errAcked != nil && acked+1 < len(images) && images[acked+1].matches(fs2, "/f") == nil {
+					errAcked = nil
+				}
+				if errAcked != nil {
+					t.Fatalf("checkpoint-every %d, crash at op %d seed %d after force %d: %v", every, op, seed, acked, errAcked)
+				}
+				if rep, err := fs2.Fsck(); err != nil || !rep.OK() {
+					t.Fatalf("checkpoint-every %d, crash at op %d seed %d: fsck: %v %+v", every, op, seed, err, rep)
+				}
+			}
+		}
+	}
+}
+
+// TestTruncateRegrowDoesNotResurrectDirectBlock: a direct-range block is
+// logged by a pack-less commit force, the file is truncated to zero and
+// regrown sparsely so that block's position is a hole below the new size. The
+// packs the truncate and the regrow forced are newer than the block's summary
+// entry and say "no block there"; roll-forward must not replay the entry over
+// them and put the dead block back.
+func TestTruncateRegrowDoesNotResurrectDirectBlock(t *testing.T) {
+	fs, dev, clk := newFS(t)
+	bs := fs.BlockSize()
+	f, err := fs.Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(lbn int64, v int) {
+		if _, err := f.WriteAt(stamped(bs, lbn, v), lbn*int64(bs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	force := func() {
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for lbn := int64(0); lbn < 6; lbn++ {
+		write(lbn, 1)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	packs := fs.Stats().InodePackBlocks
+	write(3, 2)
+	force() // pack-less: the summary entry is the only record of block 3's new home
+	if got := fs.Stats().InodePackBlocks - packs; got != 0 {
+		t.Fatalf("overwrite force wrote %d inode packs", got)
+	}
+	if err := f.Truncate(0); err != nil {
+		t.Fatal(err)
+	}
+	force()
+	write(5, 3) // blocks 0–4 are holes now
+	force()
+	write(1, 4) // and a pack-less force after the last pack must still be replayed
+	force()
+
+	fs2, err := Mount(dev, clk, fs.opts) // crash: no unmount
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fileImage{version: map[int64]int{1: 4, 5: 3}, blocks: 6}
+	if err := want.matches(fs2, "/f"); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := fs2.Fsck(); err != nil || !rep.OK() {
+		t.Fatalf("fsck: %v %+v", err, rep)
+	}
+}
+
+// TestCleanerRelocatesStalePack: a segment's only live block is an inode pack
+// that commit forces have since left behind — the imap still points at it, the
+// in-memory inode has newer block addresses. Cleaning the segment must write
+// the inode as it is now, not carry the stale bytes forward, and a crash right
+// after must recover the newer blocks.
+func TestCleanerRelocatesStalePack(t *testing.T) {
+	fs, dev, clk := tinyFS(t)
+	bs := fs.BlockSize()
+	open := func(path string) vfs.File {
+		f, err := fs.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	write := func(f vfs.File, lbn int64, v int) {
+		if _, err := f.WriteAt(stamped(bs, lbn, v), lbn*int64(bs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	force := func(f vfs.File) {
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, filler := open("/a"), open("/filler")
+	write(a, 0, 1)
+	for lbn := int64(0); lbn < 8; lbn++ {
+		write(filler, lbn, 1)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	churn := func(v int) { // 9 blocks of log, all of it dead after the next call
+		for lbn := int64(0); lbn < 8; lbn++ {
+			write(filler, lbn, v)
+		}
+		force(filler)
+	}
+	// Move the log head into a fresh segment, then let /a grow there: the
+	// commit force packs its inode (alone) into that segment.
+	v := 2
+	for start := fs.curSeg; fs.curSeg == start; v++ {
+		churn(v)
+	}
+	victim := fs.curSeg
+	write(a, 0, 2)
+	write(a, 1, 2)
+	force(a)
+	packAddr := fs.imap[Ino(a.ID())]
+	if fs.segOf(packAddr) != victim {
+		t.Fatalf("/a's pack went to segment %d, want %d", fs.segOf(packAddr), victim)
+	}
+	// Fill the rest of the victim and move on, then checkpoint: the victim
+	// becomes cleanable, the filler's inode is repacked at the new log head,
+	// and /a's, clean since its force, stays where it is.
+	for fs.curSeg == victim {
+		churn(v)
+		v++
+	}
+	churn(v)
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Overwrite /a's blocks by a pack-less commit force: its pack is now the
+	// victim's only live block, and stale.
+	packs := fs.Stats().InodePackBlocks
+	write(a, 0, 3)
+	write(a, 1, 3)
+	force(a)
+	if fs.Stats().InodePackBlocks != packs || fs.imap[Ino(a.ID())] != packAddr {
+		t.Fatal("the overwrite force packed /a's inode; the scenario needs it deferred")
+	}
+	if live := fs.segs[victim].Live; live != 1 {
+		t.Fatalf("victim segment %d has %d live blocks, want only the pack", victim, live)
+	}
+
+	for i := 0; fs.segs[victim].State != segFree; i++ {
+		if ok, err := fs.CleanOnce(); err != nil || !ok || i > 8 {
+			t.Fatalf("cleaning pass %d: reclaimed=%v err=%v, victim still %d live", i, ok, err, fs.segs[victim].Live)
+		}
+	}
+	if fs.imap[Ino(a.ID())] == packAddr {
+		t.Fatal("imap still points into the cleaned segment")
+	}
+	if _, _, diff, err := fs.AuditUsage(); err != nil || len(diff) != 0 {
+		t.Fatalf("usage after cleaning: %v %v", diff, err)
+	}
+	fs2, err := Mount(dev, clk, fs.opts) // crash: no unmount
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fileImage{version: map[int64]int{0: 3, 1: 3}, blocks: 2}
+	if err := want.matches(fs2, "/a"); err != nil {
+		t.Fatalf("after cleaning and a crash: %v", err)
+	}
+}
+
+// TestCommitForceCostIsExact: the room check before a partial is written
+// trusts partialCostLocked, and an overestimate wastes segment tails as surely
+// as an underestimate overruns them. Over 1,000 random commit forces —
+// overwrites in every pointer range, growth, truncation, new files, several
+// files per force — the estimate equals the blocks the force logged.
+func TestCommitForceCostIsExact(t *testing.T) {
+	clk := sim.NewClock()
+	model := sim.SmallModel()
+	model.NumBlocks = 1 << 16 // room for the whole run: the cleaner would log blocks of its own
+	dev := disk.New(model, clk)
+	fs, err := Format(dev, clk, Options{CheckpointEvery: 1 << 30}) // so would a periodic checkpoint
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := fs.BlockSize()
+	np := nptr(bs)
+	rng := sim.NewRNG(17)
+	var files []vfs.File
+	create := func() {
+		f, err := fs.Create(fmt.Sprintf("/f%d", len(files)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	for i := 0; i < 3; i++ {
+		create()
+	}
+	// Block 0 of every file is written only as a commit page (an image handed
+	// to FlushCommit, which takes its file set from its pages); everything
+	// else goes through the cache.
+	ranges := []int64{1, NDirect, NDirect + np, NDirect + 3*np}
+	var packless, packed int
+	for i := 0; i < 1000; i++ {
+		if rng.Intn(100) == 0 && len(files) < 12 {
+			create() // a new inode has no imap entry: its first force must pack it
+		}
+		set := map[Ino]bool{}
+		var pages []CommitPage
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			f := files[rng.Intn(len(files))]
+			switch rng.Intn(20) {
+			case 0:
+				size, _ := f.Size()
+				if err := f.Truncate(max(int64(bs), size/int64(1+rng.Intn(3)))); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				for w := 1 + rng.Intn(4); w > 0; w-- {
+					lbn := ranges[rng.Intn(len(ranges))] + int64(rng.Intn(6))
+					if _, err := f.WriteAt(stamped(bs, lbn, i), lbn*int64(bs)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if !set[Ino(f.ID())] {
+				set[Ino(f.ID())] = true
+				pages = append(pages, CommitPage{ID: blockIDOf(Ino(f.ID()), 0), Image: stamped(bs, 0, i)})
+			}
+		}
+		fs.mu.Lock()
+		items, metaOnly, err := fs.gatherLocked(set, true, pages, nil)
+		perFile := map[Ino][]int64{}
+		for _, it := range items {
+			perFile[Ino(it.id.File)] = append(perFile[Ino(it.id.File)], it.id.Block)
+		}
+		for _, ino := range metaOnly {
+			perFile[ino] = []int64{}
+		}
+		want := 0
+		if err == nil {
+			want, err = fs.partialCostLocked(perFile, true)
+		}
+		fs.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := fs.Stats()
+		if err := fs.FlushCommit(pages); err != nil {
+			t.Fatalf("force %d: %v", i, err)
+		}
+		st := fs.Stats()
+		if st.PartialSegments-before.PartialSegments != 1 {
+			t.Fatalf("force %d wrote %d partials; the comparison needs one", i, st.PartialSegments-before.PartialSegments)
+		}
+		if got := st.BlocksLogged - before.BlocksLogged; got != int64(want) {
+			t.Fatalf("force %d: estimated %d blocks, logged %d (%d data items, %d meta-only files)", i, want, got, len(items), len(metaOnly))
+		}
+		if st.PointerBlocks != before.PointerBlocks {
+			t.Fatalf("force %d wrote %d pointer blocks", i, st.PointerBlocks-before.PointerBlocks)
+		}
+		if st.InodePackBlocks == before.InodePackBlocks {
+			packless++
+		} else {
+			packed++
+		}
+	}
+	if st := fs.Stats(); st.Cleaner.Runs != 0 || st.Checkpoints != 1 {
+		t.Fatalf("cleaner ran %d times, %d checkpoints: their blocks are in the comparison", st.Cleaner.Runs, st.Checkpoints)
+	}
+	if packless < 300 || packed < 100 {
+		t.Fatalf("%d pack-less and %d packing forces: the run should exercise both", packless, packed)
+	}
+	if rep, err := fs.Fsck(); err != nil || !rep.OK() {
+		t.Fatalf("fsck: %v %+v", err, rep)
+	}
+}

@@ -33,7 +33,7 @@ func (fs *FS) writeDirLocked(in *inode, entries []vfs.RawDirEntry) error {
 		return err
 	}
 	in.size = int64(len(blob))
-	in.dirty = true
+	in.dirty, in.attrDirty = true, true
 	return nil
 }
 
@@ -322,6 +322,6 @@ func (fs *FS) SetTxnProtected(path string, on bool) error {
 	} else {
 		in.flags &^= flagTxnProtected
 	}
-	in.dirty = true
+	in.dirty, in.attrDirty = true, true
 	return nil
 }

@@ -9,7 +9,8 @@ import (
 
 // Dump writes a human-readable description of the file system's on-disk and
 // in-memory structure: superblock geometry, log position, segment usage
-// table, inode map, and cleaner statistics. Used by the lfsdump inspector.
+// table, the partial segments at the log head, inode map, and cleaner
+// statistics. Used by the lfsdump inspector.
 func (fs *FS) Dump(w io.Writer) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -28,6 +29,40 @@ func (fs *FS) Dump(w io.Writer) error {
 			continue
 		}
 		fmt.Fprintf(w, "  seg %4d: %s %4d/%4d @%d\n", s, stateNames[info.State], info.Live, fs.sb.SegmentBlocks, info.SeqStamp)
+	}
+
+	// The partial segments of the segment being filled, by what each one
+	// carries: a commit force that packed no inode shows as such.
+	sums, err := fs.victimSummariesLocked(fs.curSeg)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\nlog head segment %d (partial @address seq: blocks):\n", fs.curSeg)
+	for _, sum := range sums {
+		if sum.SelfAddr >= fs.segBase(fs.curSeg)+fs.curOff {
+			break // left over from the segment's previous life
+		}
+		kinds := countKinds(sum.Entries)
+		fmt.Fprintf(w, "  @%-8d seq %d: %d data, %d pointer, ", sum.SelfAddr, sum.Seq,
+			kinds[kindData], kinds[kindInd]+kinds[kindDInd]+kinds[kindDChild])
+		if kinds[kindInodePack] == 0 {
+			fmt.Fprintf(w, "no inode pack (pointers rebuilt from the summary)")
+		} else {
+			var inodes int64
+			for _, e := range sum.Entries {
+				if e.Kind == kindInodePack {
+					inodes += e.Index
+				}
+			}
+			fmt.Fprintf(w, "%d inode pack (%d inodes)", kinds[kindInodePack], inodes)
+		}
+		if kinds[kindDelete] > 0 {
+			fmt.Fprintf(w, ", %d deletion records", kinds[kindDelete])
+		}
+		if sum.Flags&sumFlagCont != 0 {
+			fmt.Fprintf(w, ", batch continues")
+		}
+		fmt.Fprintln(w)
 	}
 
 	fmt.Fprintf(w, "\ninode map (%d files):\n", len(fs.imap))
@@ -49,8 +84,8 @@ func (fs *FS) Dump(w io.Writer) error {
 	}
 
 	st := fs.stats
-	fmt.Fprintf(w, "\nactivity: %d partial segments, %d blocks logged, %d checkpoints\n",
-		st.PartialSegments, st.BlocksLogged, st.Checkpoints)
+	fmt.Fprintf(w, "\nactivity: %d partial segments, %d blocks logged (%d summary, %d inode pack, %d pointer), %d checkpoints\n",
+		st.PartialSegments, st.BlocksLogged, st.SummaryBlocks, st.InodePackBlocks, st.PointerBlocks, st.Checkpoints)
 	fmt.Fprintf(w, "cleaner: %d runs, %d segments cleaned, %d copied, %d dead, busy %v\n",
 		st.Cleaner.Runs, st.Cleaner.SegmentsCleaned, st.Cleaner.BlocksCopied, st.Cleaner.BlocksDead, st.Cleaner.BusyTime)
 	return nil

@@ -170,7 +170,7 @@ func (fs *FS) writeAtLocked(in *inode, p []byte, off int64) (int, error) {
 	}
 	if end := off + int64(len(p)); end > in.size {
 		in.size = end
-		in.dirty = true
+		in.attrDirty = true
 	}
 	in.mtime = int64(fs.clock.Now())
 	in.dirty = true
@@ -184,7 +184,7 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 	}
 	if size >= in.size {
 		in.size = size
-		in.dirty = true
+		in.dirty, in.attrDirty = true, true
 		return nil
 	}
 	bs := int64(fs.blockSize)
@@ -219,7 +219,7 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 		fs.pool.Release(b)
 	}
 	in.size = size
-	in.dirty = true
+	in.dirty, in.attrDirty = true, true
 	return nil
 }
 

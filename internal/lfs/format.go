@@ -173,6 +173,16 @@ type summaryEntry struct {
 
 const summaryEntrySize = 8 + 1 + 8 // ino + kind + index
 
+// countKinds tallies summary entries by kind.
+func countKinds(entries []summaryEntry) (n [kindDelete + 1]int64) {
+	for _, e := range entries {
+		if e.Kind <= kindDelete {
+			n[e.Kind]++
+		}
+	}
+	return n
+}
+
 // summaryHeader precedes the entries in a summary block.
 //
 //	magic    uint32

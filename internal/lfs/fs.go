@@ -77,6 +77,8 @@ type Stats struct {
 	PartialSegments int64        `json:"partial_segments"` // partial segments written
 	BlocksLogged    int64        `json:"blocks_logged"`    // blocks written to the log (incl. summaries)
 	SummaryBlocks   int64        `json:"summary_blocks"`
+	InodePackBlocks int64        `json:"inode_pack_blocks"`
+	PointerBlocks   int64        `json:"pointer_blocks"` // single, double indirect and child blocks
 	Checkpoints     int64        `json:"checkpoints"`
 	Cleaner         CleanerStats `json:"cleaner"`
 }

@@ -41,7 +41,14 @@ type inode struct {
 	dchild map[int64]*ptrBlock
 
 	dirty bool // inode (or any cached pointer block) needs rewriting
-	refs  int  // open handles
+	// attrDirty: something roll-forward cannot rebuild from the summaries'
+	// (inode, logical block) entries changed since the inode was last packed
+	// — size, nlink, mode, flags (indAddr and dindAddr move only in full
+	// flushes, which pack every inode they touch). A commit force packs only
+	// such inodes; a new block address or mtime alone leaves the inode dirty
+	// for the next full flush.
+	attrDirty bool
+	refs      int // open handles
 }
 
 // ptrBlock is a cached block of disk addresses.

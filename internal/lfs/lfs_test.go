@@ -1034,7 +1034,12 @@ func TestPartialAtSegmentBoundaryCountsDoubleIndirect(t *testing.T) {
 	firstDouble := NDirect + nptr(fs.BlockSize()) // first block behind the double indirect block
 	write(big, 0)
 	write(big, firstDouble)
-	write(filler, 0)
+	// The filler has its final size from the start and stays in the direct
+	// range, so its commit forces below pack no inode and dirty no pointer
+	// block: each is exactly summary + n data blocks.
+	for lbn := int64(0); lbn < NDirect; lbn++ {
+		write(filler, lbn)
+	}
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -1046,15 +1051,20 @@ func TestPartialAtSegmentBoundaryCountsDoubleIndirect(t *testing.T) {
 	}
 
 	// Walk the log head to 4 blocks short of the segment end with commit
-	// forces of the filler file: summary + n data blocks + inode pack.
+	// forces of the filler file.
 	room := func() int64 { return fs.sb.SegmentBlocks - fs.curOff }
+	var tried []int64
 	for room() != 4 {
-		n := int64(1)
-		switch r := room() - 4; {
-		case r < 0 || r == 1 || r == 2 || r == 5:
-			n = room() - 2 // too close: fill this segment, start over in the next
-		case r%3 != 0:
-			n = 2
+		if tried = append(tried, fs.curOff); len(tried) > 2*int(fs.sb.SegmentBlocks) {
+			t.Fatalf("log head never came to rest 4 blocks short of a segment end; offsets tried: %v", tried)
+		}
+		r := room() - 4 // blocks still to consume
+		n := min(r-1, NDirect)
+		switch {
+		case r == 1:
+			n = NDirect // a partial has at least 2 blocks: overshoot into the next segment
+		case r-(1+n) == 1:
+			n-- // do not leave exactly 1
 		}
 		for lbn := int64(0); lbn < n; lbn++ {
 			write(filler, lbn)
@@ -1065,7 +1075,8 @@ func TestPartialAtSegmentBoundaryCountsDoubleIndirect(t *testing.T) {
 	}
 
 	// The full flush carries one direct-range block of /big: summary + data +
-	// child + double indirect + inode pack = 5 blocks, and 4 are left.
+	// child + double indirect + inode pack (/big and the filler's deferred
+	// inode share it) = 5 blocks, and 4 are left.
 	write(big, 0)
 	seg := fs.curSeg
 	if err := fs.Flush(); err != nil {

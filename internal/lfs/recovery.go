@@ -324,15 +324,22 @@ func (fs *FS) rollForwardLocked() error {
 	curSeg, curOff := fs.curSeg, fs.curOff
 	nextSeg := fs.nextSeg
 	seq := fs.seq
-	// pendingPtr records each data block's newest logged address. Commit
-	// forces defer indirect-pointer blocks, so the summaries are the
-	// authoritative record of where data blocks went; the pointers are
-	// rebuilt after the walk (last write wins).
+	// pendingPtr records each data block's newest logged address and the
+	// partial that logged it. Commit forces defer indirect-pointer blocks
+	// and pointer-only inode packs, so the summaries are the authoritative
+	// record of where data blocks went; the pointers are rebuilt after the
+	// walk (last write wins).
 	type ptrKey struct {
 		ino Ino
 		lbn int64
 	}
-	pendingPtr := make(map[ptrKey]int64)
+	type loggedPtr struct {
+		addr int64
+		seq  uint64
+	}
+	pendingPtr := make(map[ptrKey]loggedPtr)
+	// packSeq is the newest partial that packed each inode.
+	packSeq := make(map[Ino]uint64)
 	// apply folds one intact partial's summary into the recovered state:
 	// blocks map one-to-one onto the entries with block-consuming kinds, in
 	// order, at pos+1, pos+2, ... Inode pack blocks are decoded to learn
@@ -353,7 +360,7 @@ func (fs *FS) rollForwardLocked() error {
 				}
 				continue
 			case kindData:
-				pendingPtr[ptrKey{e.Ino, e.Index}] = pos + 1 + blockIdx
+				pendingPtr[ptrKey{e.Ino, e.Index}] = loggedPtr{pos + 1 + blockIdx, sum.Seq}
 			case kindInodePack:
 				addr := pos + 1 + blockIdx
 				// The payload CRC already matched, so the pack bytes are
@@ -365,6 +372,7 @@ func (fs *FS) rollForwardLocked() error {
 				}
 				for _, in := range pack {
 					fs.imap[in.ino] = addr
+					packSeq[in.ino] = sum.Seq
 					if in.ino >= fs.nextIno {
 						fs.nextIno = in.ino + 1
 					}
@@ -439,10 +447,9 @@ func (fs *FS) rollForwardLocked() error {
 	fs.curSeg, fs.curOff, fs.nextSeg = commit.seg, commit.off, commit.next
 	fs.seq = commit.seq
 
-	// Rebuild deferred indirect pointers from the summaries' data entries.
-	// Direct-range entries are redundant with the inode pack contents
-	// (setting them again is idempotent); indirect-range entries restore
-	// pointer-block updates that were never written before the crash.
+	// Rebuild deferred pointers from the summaries' data entries: indirect-
+	// range entries restore pointer-block updates that were never written
+	// before the crash, direct-range entries the inode's own pointers.
 	ptrOrder := detsort.KeysFunc(pendingPtr, func(a, b ptrKey) int {
 		if a.ino != b.ino {
 			if a.ino < b.ino {
@@ -459,9 +466,13 @@ func (fs *FS) rollForwardLocked() error {
 		return 0
 	})
 	for _, k := range ptrOrder {
-		addr := pendingPtr[k]
-		if k.lbn < NDirect {
-			continue // direct pointers live in the inode pack, which is authoritative
+		p := pendingPtr[k]
+		if k.lbn < NDirect && p.seq <= packSeq[k.ino] {
+			// A pack holds every direct pointer as of its own partial, so
+			// it is authoritative for all entries up to it. Replaying an
+			// older one could resurrect a dead block: truncate to zero,
+			// regrow sparsely, and this lbn is a hole below the new size.
+			continue
 		}
 		if _, ok := fs.imap[k.ino]; !ok {
 			continue // deleted after the write
@@ -474,7 +485,7 @@ func (fs *FS) rollForwardLocked() error {
 			// Beyond the recovered size (e.g. a truncate intervened).
 			continue
 		}
-		if _, err := fs.setBlockAddr(in, k.lbn, addr); err != nil {
+		if _, err := fs.setBlockAddr(in, k.lbn, p.addr); err != nil {
 			return err
 		}
 	}

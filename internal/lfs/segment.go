@@ -181,7 +181,9 @@ func (fs *FS) gatherLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage
 			continue
 		}
 		if deferPtr {
-			if in.dirty {
+			// A file with nothing to pack and no data contributes no block:
+			// listing it would emit an empty partial.
+			if fs.packsLocked(in, true) {
 				fileSet[ino] = true
 			}
 		} else if fs.inodeMetaDirty(in) {
@@ -276,6 +278,21 @@ func (fs *FS) inodeMetaDirty(in *inode) bool {
 	return false
 }
 
+// packsLocked reports whether a flush that touches in writes its inode. A
+// full flush always does. A commit force (deferPtr) logs only what
+// roll-forward cannot rebuild from the summaries' (inode, logical block)
+// entries: an inode whose attributes changed, or one the imap does not know
+// yet — recovery and the cleaner reach a file's blocks through its imap entry.
+// Anything else stays dirty in memory until the next full flush (checkpoint,
+// cleaner relocation, unmount).
+func (fs *FS) packsLocked(in *inode, deferPtr bool) bool {
+	if !deferPtr || in.attrDirty {
+		return true
+	}
+	_, mapped := fs.imap[in.ino]
+	return !mapped
+}
+
 // metaCostLocked returns the exact number of indirect-pointer blocks that
 // flushing the given logical blocks of a file will write, including pointer
 // blocks that are already dirty from earlier operations. The shared inode
@@ -322,6 +339,7 @@ func (fs *FS) metaCostLocked(in *inode, lbns []int64) int {
 // pointer blocks + inode pack blocks.
 func (fs *FS) partialCostLocked(perFile map[Ino][]int64, deferPtr bool) (int, error) {
 	total := 1 // summary
+	packed := 0
 	for _, ino := range detsort.Keys(perFile) {
 		in, err := fs.loadInode(ino)
 		if err != nil {
@@ -331,9 +349,12 @@ func (fs *FS) partialCostLocked(perFile map[Ino][]int64, deferPtr bool) (int, er
 		if !deferPtr {
 			total += fs.metaCostLocked(in, perFile[ino])
 		}
+		if fs.packsLocked(in, deferPtr) {
+			packed++
+		}
 	}
 	packCap := maxInodesPerPack(fs.blockSize)
-	total += (len(perFile) + packCap - 1) / packCap
+	total += (packed + packCap - 1) / packCap
 	return total, nil
 }
 
@@ -467,10 +488,13 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 			return err
 		}
 		if deferPtr {
-			// Commit fast path: indirect-pointer blocks stay dirty in
-			// memory; the summary's data entries carry enough for
-			// roll-forward to rebuild them after a crash.
-			packed = append(packed, in)
+			// Commit fast path: pointers stay dirty in memory — indirect
+			// blocks and, unless its attributes changed, the inode itself;
+			// the summary's data entries carry enough for roll-forward to
+			// rebuild them after a crash.
+			if fs.packsLocked(in, true) {
+				packed = append(packed, in)
+			}
 			continue
 		}
 		for _, slot := range detsort.Keys(in.dchild) {
@@ -532,7 +556,7 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 		for _, in := range group {
 			fs.decPackRef(fs.imap[in.ino])
 			fs.imap[in.ino] = addr
-			in.dirty = false
+			in.dirty, in.attrDirty = false, false
 		}
 		fs.packRefs[addr] = len(group)
 		fs.accountNew(addr)
@@ -601,6 +625,9 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 	fs.stats.PartialSegments++
 	fs.stats.BlocksLogged += int64(len(blocks))
 	fs.stats.SummaryBlocks++
+	kinds := countKinds(entries)
+	fs.stats.InodePackBlocks += kinds[kindInodePack]
+	fs.stats.PointerBlocks += kinds[kindInd] + kinds[kindDInd] + kinds[kindDChild]
 
 	// 5. The written blocks are now clean/persisted.
 	for _, it := range chunk {

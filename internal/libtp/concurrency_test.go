@@ -211,7 +211,8 @@ func TestHashIndexUnderTxn(t *testing.T) {
 	final.Commit()
 }
 
-// TestRecnoAbortRestoresCount: recno's meta page (record count) rolls back.
+// TestRecnoAbortRestoresCount: an aborted append's slots roll back, and with
+// them the record count recno derives from the tail page.
 func TestRecnoAbortRestoresCount(t *testing.T) {
 	rig := newRig(t, "lfs")
 	db, _ := rig.env.OpenDB("/rec")

@@ -133,9 +133,12 @@ func (s *txnStore) WritePage(n int64, p []byte) error {
 }
 
 // AllocPage extends the database file by one zeroed page. Growth is not
-// undone on abort: an aborted transaction may leave unreferenced pages at
-// the tail, which the access methods never reach (their meta page was
-// rolled back).
+// undone on abort: an aborted transaction may leave zeroed pages at the tail.
+// The B-tree and the hash index never reach them (the page that would have
+// pointed there was rolled back); recno derives its record count from the
+// tail, counts an empty one as zero records and fills it with the next append.
+// The new page is not locked here, so another transaction can find and lock it
+// before the caller writes it.
 func (s *txnStore) AllocPage() (int64, error) {
 	if s.t.done {
 		return 0, ErrTxnDone

@@ -3,6 +3,14 @@
 // relation uses ("records are accessible sequentially or by record number",
 // §5.1). Records never span pages, so one record update touches exactly one
 // page — the natural unit for page-level locking.
+//
+// Page 0 holds the magic number and the record size and is never rewritten.
+// Every later page is an array of slots, each one used-flag byte followed by
+// the record. Pages fill in order, so all but the last are full and the record
+// count is (pages−2)·perPage + the number of used slots on the last page: an
+// append rewrites the tail page only, and the bytes it changes — flag and
+// record — are contiguous, which is what a store that logs the enclosing
+// changed byte range (LIBTP) pays for.
 package recno
 
 import (
@@ -18,9 +26,15 @@ var (
 	ErrOutOfRange = errors.New("recno: record number out of range")
 	ErrCorrupt    = errors.New("recno: corrupt meta page")
 	ErrBadSize    = errors.New("recno: record size mismatch")
+	// ErrOldFormat rejects a version-1 file, whose meta page carried the
+	// record count and whose pages had no used flags.
+	ErrOldFormat = errors.New("recno: version-1 file (record count in the meta page) is not supported")
 )
 
-const metaMagic = 0x52454331 // "REC1"
+const (
+	metaMagic   = 0x52454332 // "REC2"
+	metaMagicV1 = 0x52454331 // "REC1"
+)
 
 // File is a fixed-length record file.
 type File struct {
@@ -28,22 +42,19 @@ type File struct {
 	pageSize int
 	recSize  int
 	count    int64
+	// tail is the image of page tailPage, the last page of the file, as read
+	// when the file was opened or as last written through this handle.
+	// tailPage 0 means the file has no data page yet (tail is then scratch).
+	tail     []byte
+	tailPage int64
 }
 
-func (f *File) perPage() int64 { return int64(f.pageSize / f.recSize) }
-
-func (f *File) writeMeta() error {
-	b := make([]byte, f.pageSize)
-	le := binary.LittleEndian
-	le.PutUint32(b[0:], metaMagic)
-	le.PutUint32(b[4:], uint32(f.recSize))
-	le.PutUint64(b[8:], uint64(f.count))
-	return f.st.WritePage(0, b)
-}
+func (f *File) slotSize() int  { return 1 + f.recSize }
+func (f *File) perPage() int64 { return int64(f.pageSize / f.slotSize()) }
 
 // Create initializes a new record file with the given record size.
 func Create(st pagestore.Store, recSize int) (*File, error) {
-	if recSize <= 0 || recSize > st.PageSize() {
+	if recSize <= 0 || 1+recSize > st.PageSize() {
 		return nil, fmt.Errorf("recno: invalid record size %d", recSize)
 	}
 	if n, err := st.NumPages(); err != nil {
@@ -54,8 +65,14 @@ func Create(st pagestore.Store, recSize int) (*File, error) {
 	if _, err := st.AllocPage(); err != nil {
 		return nil, err
 	}
-	f := &File{st: st, pageSize: st.PageSize(), recSize: recSize}
-	return f, f.writeMeta()
+	meta := make([]byte, st.PageSize())
+	le := binary.LittleEndian
+	le.PutUint32(meta[0:], metaMagic)
+	le.PutUint32(meta[4:], uint32(recSize))
+	if err := st.WritePage(0, meta); err != nil {
+		return nil, err
+	}
+	return &File{st: st, pageSize: len(meta), recSize: recSize, tail: make([]byte, len(meta))}, nil
 }
 
 // Open loads an existing record file.
@@ -63,29 +80,73 @@ func Open(st pagestore.Store) (*File, error) {
 	return open(st, pagestore.Store.ReadPage)
 }
 
-// OpenForAppend is Open for a caller that will Append: the meta page, which
-// every Append rewrites, is read through pagestore.ReadForUpdate so a locking
-// store write-locks it at first touch instead of upgrading it later.
+// OpenForAppend is Open for a caller that will Append: the tail page, which
+// the Append rewrites, is read through pagestore.ReadForUpdate so a locking
+// store write-locks it at first touch instead of upgrading it later. The meta
+// page is read plainly: nothing ever writes it.
 func OpenForAppend(st pagestore.Store) (*File, error) {
 	return open(st, pagestore.ReadForUpdate)
 }
 
-func open(st pagestore.Store, readMeta func(st pagestore.Store, n int64, p []byte) error) (*File, error) {
+// readFunc is pagestore.Store.ReadPage or pagestore.ReadForUpdate.
+type readFunc func(st pagestore.Store, n int64, p []byte) error
+
+func open(st pagestore.Store, readTail readFunc) (*File, error) {
 	f := &File{st: st, pageSize: st.PageSize()}
-	b := make([]byte, f.pageSize)
-	if err := readMeta(st, 0, b); err != nil {
+	f.tail = make([]byte, f.pageSize)
+	if err := st.ReadPage(0, f.tail); err != nil {
 		return nil, err
 	}
 	le := binary.LittleEndian
-	if le.Uint32(b[0:]) != metaMagic {
+	switch le.Uint32(f.tail[0:]) {
+	case metaMagic:
+	case metaMagicV1:
+		return nil, ErrOldFormat
+	default:
 		return nil, ErrCorrupt
 	}
-	f.recSize = int(le.Uint32(b[4:]))
-	f.count = int64(le.Uint64(b[8:]))
-	if f.recSize <= 0 || f.recSize > f.pageSize {
+	f.recSize = int(le.Uint32(f.tail[4:]))
+	if f.recSize <= 0 || f.slotSize() > f.pageSize {
 		return nil, ErrCorrupt
 	}
-	return f, nil
+	return f, f.loadTail(readTail)
+}
+
+// loadTail reads the last page of the file through read and derives the
+// record count from how far it is filled. An allocated but empty tail is what
+// an appender that aborted after its AllocPage leaves behind (stores do not
+// undo growth); the next append fills it.
+func (f *File) loadTail(read readFunc) error {
+	np, err := f.st.NumPages()
+	if err != nil {
+		return err
+	}
+	for {
+		f.tailPage = np - 1
+		if f.tailPage < 1 {
+			f.count, f.tailPage = 0, 0
+			return nil
+		}
+		if err := read(f.st, f.tailPage, f.tail); err != nil {
+			return err
+		}
+		// A locking store may have made the read wait for an appender that
+		// filled this page and allocated the next.
+		now, err := f.st.NumPages()
+		if err != nil {
+			return err
+		}
+		if now == np {
+			break
+		}
+		np = now
+	}
+	used := int64(0)
+	for used < f.perPage() && f.tail[int(used)*f.slotSize()] != 0 {
+		used++
+	}
+	f.count = (np-2)*f.perPage() + used
+	return nil
 }
 
 // Count returns the number of records.
@@ -94,9 +155,9 @@ func (f *File) Count() int64 { return f.count }
 // RecordSize returns the fixed record size.
 func (f *File) RecordSize() int { return f.recSize }
 
-// locate maps a record number to (page, byte offset).
+// locate maps a record number to (page, byte offset of its slot).
 func (f *File) locate(n int64) (int64, int) {
-	return 1 + n/f.perPage(), int(n % f.perPage() * int64(f.recSize))
+	return 1 + n/f.perPage(), int(n%f.perPage()) * f.slotSize()
 }
 
 // Get reads record n.
@@ -110,7 +171,7 @@ func (f *File) Get(n int64) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, f.recSize)
-	copy(out, b[off:off+f.recSize])
+	copy(out, b[off+1:])
 	return out, nil
 }
 
@@ -123,11 +184,14 @@ func (f *File) Set(n int64, rec []byte) error {
 		return fmt.Errorf("%w: %d of %d", ErrOutOfRange, n, f.count)
 	}
 	page, off := f.locate(n)
-	b := make([]byte, f.pageSize)
+	b := f.tail
+	if page != f.tailPage {
+		b = make([]byte, f.pageSize)
+	}
 	if err := pagestore.ReadForUpdate(f.st, page, b); err != nil {
 		return err
 	}
-	copy(b[off:], rec)
+	copy(b[off+1:], rec)
 	return f.st.WritePage(page, b)
 }
 
@@ -138,30 +202,34 @@ func (f *File) Append(rec []byte) (int64, error) {
 	if len(rec) != f.recSize {
 		return 0, ErrBadSize
 	}
-	n := f.count
-	page, off := f.locate(n)
-	np, err := f.st.NumPages()
-	if err != nil {
-		return 0, err
-	}
-	for np <= page {
-		if _, err := f.st.AllocPage(); err != nil {
+	page, off := f.locate(f.count)
+	for page != f.tailPage {
+		// The tail is full (or there is no data page yet): the record opens
+		// a new page. Our lock on the full tail kept other appenders out up
+		// to the AllocPage, but one that found the new page since may fill
+		// slots of it first, so its image — and with it the slot — is taken
+		// under its own lock.
+		np, err := f.st.NumPages()
+		if err != nil {
 			return 0, err
 		}
-		np++
-	}
-	b := make([]byte, f.pageSize)
-	if off > 0 { // partially filled page: preserve earlier records
-		if err := pagestore.ReadForUpdate(f.st, page, b); err != nil {
+		if np <= page {
+			if _, err := f.st.AllocPage(); err != nil {
+				return 0, err
+			}
+		}
+		if err := f.loadTail(pagestore.ReadForUpdate); err != nil {
 			return 0, err
 		}
+		page, off = f.locate(f.count)
 	}
-	copy(b[off:], rec)
-	if err := f.st.WritePage(page, b); err != nil {
+	f.tail[off] = 1
+	copy(f.tail[off+1:], rec)
+	if err := f.st.WritePage(page, f.tail); err != nil {
 		return 0, err
 	}
 	f.count++
-	return n, f.writeMeta()
+	return f.count - 1, nil
 }
 
 // Scan invokes fn for every record in sequence, stopping early if fn
@@ -174,7 +242,7 @@ func (f *File) Scan(fn func(n int64, rec []byte) bool) error {
 			return err
 		}
 		for i := int64(0); i < f.perPage() && n < f.count; i++ {
-			off := int(i) * f.recSize
+			off := int(i)*f.slotSize() + 1
 			if !fn(n, b[off:off+f.recSize]) {
 				return nil
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -149,6 +150,9 @@ func TestCreateValidation(t *testing.T) {
 	if _, err := Create(pagestore.NewMemStore(512), 513); err == nil {
 		t.Fatal("record larger than page should fail")
 	}
+	if _, err := Create(pagestore.NewMemStore(512), 512); err == nil {
+		t.Fatal("a record that leaves no room for its used flag should fail")
+	}
 }
 
 func TestOpenRejectsGarbage(t *testing.T) {
@@ -200,10 +204,16 @@ func TestShadowProperty(t *testing.T) {
 	}
 }
 
-// updateStore is a MemStore that records which pages were read for update.
+// updateStore is a MemStore that records which pages were read plainly, read
+// for update and written.
 type updateStore struct {
 	*pagestore.MemStore
-	reads, updates []int64
+	reads, updates, writes []int64
+}
+
+func (s *updateStore) WritePage(n int64, p []byte) error {
+	s.writes = append(s.writes, n)
+	return s.MemStore.WritePage(n, p)
 }
 
 func (s *updateStore) ReadPage(n int64, p []byte) error {
@@ -216,16 +226,19 @@ func (s *updateStore) ReadPageForUpdate(n int64, p []byte) error {
 	return s.MemStore.ReadPage(n, p)
 }
 
-// TestOpenForAppendReadsForUpdate: every page an append rewrites — the meta
-// page and a partially filled tail page — is read for update and never
-// plainly, meta page first; Open itself still reads plainly.
+// TestOpenForAppendReadsForUpdate: the one page an append rewrites — the tail
+// — is read for update and never plainly; the meta page, which nothing
+// rewrites, is read plainly and never written again; an append that opens a
+// new page reads that page for update too. Open itself reads plainly.
 func TestOpenForAppendReadsForUpdate(t *testing.T) {
 	st := &updateStore{MemStore: pagestore.NewMemStore(512)}
 	if _, err := Create(st, 100); err != nil {
 		t.Fatal(err)
 	}
+	meta := make([]byte, 512)
+	st.MemStore.ReadPage(0, meta)
 	for i := 0; i < 12; i++ { // 5 records per page: tail pages full, partial and fresh
-		st.reads, st.updates = nil, nil
+		st.reads, st.updates, st.writes = nil, nil, nil
 		f, err := OpenForAppend(st)
 		if err != nil {
 			t.Fatal(err)
@@ -233,14 +246,23 @@ func TestOpenForAppendReadsForUpdate(t *testing.T) {
 		if _, err := f.Append(rec(100, byte(i))); err != nil {
 			t.Fatal(err)
 		}
-		want := []int64{0}
-		if i%5 != 0 {
-			want = append(want, 1+int64(i)/5)
+		var want []int64
+		if i > 0 {
+			want = append(want, 1+int64(i-1)/5) // the tail as Open found it
 		}
-		if len(st.reads) != 0 || len(st.updates) != len(want) || st.updates[0] != 0 ||
-			st.updates[len(want)-1] != want[len(want)-1] {
-			t.Fatalf("append %d read %v plainly and %v for update, want none and %v", i, st.reads, st.updates, want)
+		if i%5 == 0 {
+			want = append(want, 1+int64(i)/5) // full (or no) tail: the page the append allocated
 		}
+		if !slices.Equal(st.reads, []int64{0}) || !slices.Equal(st.updates, want) ||
+			!slices.Equal(st.writes, want[len(want)-1:]) {
+			t.Fatalf("append %d read %v plainly and %v for update and wrote %v, want [0], %v and %v",
+				i, st.reads, st.updates, st.writes, want, want[len(want)-1:])
+		}
+	}
+	after := make([]byte, 512)
+	st.MemStore.ReadPage(0, after)
+	if !bytes.Equal(meta, after) {
+		t.Fatal("appends rewrote the meta page")
 	}
 	st.reads, st.updates = nil, nil
 	f, err := Open(st)
@@ -254,5 +276,53 @@ func TestOpenForAppendReadsForUpdate(t *testing.T) {
 		if got, err := f.Get(i); err != nil || !bytes.Equal(got, rec(100, byte(i))) {
 			t.Fatalf("record %d = %v, %v", i, got, err)
 		}
+	}
+}
+
+// TestEmptyTailIsReused: an appender that aborts after its AllocPage leaves an
+// allocated, empty last page (stores do not undo growth). The file's count
+// must not include it, and the next append fills its first slot instead of
+// allocating again.
+func TestEmptyTailIsReused(t *testing.T) {
+	st := pagestore.NewMemStore(512)
+	f, _ := Create(st, 100)
+	for i := 0; i < 5; i++ { // exactly one full page
+		f.Append(rec(100, byte(i)))
+	}
+	st.AllocPage() // the aborted appender's page
+	f, err := Open(st)
+	if err != nil || f.Count() != 5 {
+		t.Fatalf("Open over an empty tail: count %d, %v; want 5", f.Count(), err)
+	}
+	if n, err := f.Append(rec(100, 5)); err != nil || n != 5 {
+		t.Fatalf("Append = %d, %v", n, err)
+	}
+	if np, _ := st.NumPages(); np != 3 {
+		t.Fatalf("append over an empty tail left %d pages, want 3", np)
+	}
+	f, _ = Open(st)
+	if got, err := f.Get(5); f.Count() != 6 || err != nil || !bytes.Equal(got, rec(100, 5)) {
+		t.Fatalf("after reuse: count %d, record 5 = %v, %v", f.Count(), got, err)
+	}
+}
+
+// TestOpenRejectsVersion1: a file written by the version-1 layout (count in
+// the meta page, records without used flags) is refused by name rather than
+// read as empty.
+func TestOpenRejectsVersion1(t *testing.T) {
+	st := pagestore.NewMemStore(512)
+	st.AllocPage()
+	st.AllocPage()
+	meta := make([]byte, 512)
+	le := binary.LittleEndian
+	le.PutUint32(meta[0:], 0x52454331) // "REC1"
+	le.PutUint32(meta[4:], 100)
+	le.PutUint64(meta[8:], 3)
+	st.WritePage(0, meta)
+	if _, err := Open(st); !errors.Is(err, ErrOldFormat) {
+		t.Fatalf("Open of a version-1 image: %v, want ErrOldFormat", err)
+	}
+	if _, err := OpenForAppend(st); !errors.Is(err, ErrOldFormat) {
+		t.Fatalf("OpenForAppend of a version-1 image: %v, want ErrOldFormat", err)
 	}
 }

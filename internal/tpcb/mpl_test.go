@@ -204,24 +204,41 @@ func TestMPLBlockedTimeAccrues(t *testing.T) {
 }
 
 // TestMPLGroupCommitBatches: at MPL=8, group commit must absorb commits
-// into shared forces — strictly fewer log forces than the force-per-commit
-// configuration — and convert that into a throughput gain, on an LFS-based
-// system (committers pre-commit: locks release at the commit record, so
-// batching does not lengthen lock hold times).
+// into shared forces — at most a quarter of force-per-commit's forces, and
+// fewer blocks through the log device — and, where the disk is the
+// bottleneck, convert that into a throughput gain, on an LFS-based system
+// (committers pre-commit: locks release at the commit record, so batching does
+// not lengthen lock hold times). The rig's cache holds a fraction of the
+// database, so commit forces compete with page reads for the one disk arm. In
+// a rig that caches everything a force on LFS is a two-block sequential write,
+// the disk is idle most of the time at either setting, and waiting for a batch
+// to fill costs more than the shared force saves (3.61 s against 3.42 s at the
+// default cache): group commit is a remedy for a busy log device, so that is
+// where its payoff is asserted.
 func TestMPLGroupCommitBatches(t *testing.T) {
 	const txns, mpl = 400, 8
-	forces := func(groupCommit int) (int64, time.Duration) {
-		rig := buildSmallGC(t, "user-lfs", groupCommit)
+	run := func(groupCommit int) (forces, blocks int64, elapsed time.Duration) {
+		rig, err := BuildRig(RigOptions{Kind: "user-lfs", Config: smallCfg(), ExpectedTxns: 500,
+			GroupCommit: groupCommit, CacheBlocks: 48})
+		if err != nil {
+			t.Fatalf("BuildRig(gc=%d): %v", groupCommit, err)
+		}
+		rig.Clock.SetStrict(true)
+		logged, busy0 := rig.LFS.Stats().BlocksLogged, rig.Dev.Stats().BusyTime
 		res, err := rig.RunMPL(smallCfg(), txns, mpl)
 		if err != nil {
 			t.Fatalf("RunMPL(gc=%d): %v", groupCommit, err)
 		}
-		return rig.Env.LogStats().Forces, res.Elapsed
+		if busy := rig.Dev.Stats().BusyTime - busy0; groupCommit == 1 && busy < res.Elapsed*9/10 {
+			t.Fatalf("rig is not disk-bound at gc=1: device busy %v of %v", busy, res.Elapsed)
+		}
+		return rig.Env.LogStats().Forces, rig.LFS.Stats().BlocksLogged - logged, res.Elapsed
 	}
-	fNo, eNo := forces(1)
-	fYes, eYes := forces(8)
-	if fYes >= fNo {
-		t.Fatalf("group commit did not batch: %d forces with gc=8 vs %d with gc=1", fYes, fNo)
+	fNo, bNo, eNo := run(1)
+	fYes, bYes, eYes := run(8)
+	if fYes*4 > fNo || bYes*2 > bNo {
+		t.Fatalf("group commit did not batch: %d forces and %d blocks logged with gc=8 vs %d and %d with gc=1",
+			fYes, bYes, fNo, bNo)
 	}
 	if eYes >= eNo {
 		t.Fatalf("group commit did not pay: elapsed %v with gc=8 vs %v with gc=1 (%d vs %d forces)",

@@ -145,8 +145,8 @@ func (s *Snapshot) Render() string {
 		}
 	}
 	if f := s.LFS; f != nil {
-		fmt.Fprintf(&b, "lfs: %d partial segments, %d blocks logged, %d checkpoints\n",
-			f.PartialSegments, f.BlocksLogged, f.Checkpoints)
+		fmt.Fprintf(&b, "lfs: %d partial segments, %d blocks logged (%d summary, %d inode pack, %d pointer), %d checkpoints\n",
+			f.PartialSegments, f.BlocksLogged, f.SummaryBlocks, f.InodePackBlocks, f.PointerBlocks, f.Checkpoints)
 		cl := f.Cleaner
 		fmt.Fprintf(&b, "cleaner: %d segments cleaned in %d passes, %d blocks copied, %d dead, busy %v (%.1f%% of elapsed)\n",
 			cl.SegmentsCleaned, cl.Runs, cl.BlocksCopied, cl.BlocksDead,

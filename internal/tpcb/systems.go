@@ -90,9 +90,9 @@ func updateBalance(st pagestore.Store, cache *btree.NodeCache, id, amount int64)
 
 // appendHistory appends t's history row to the record file held in st,
 // stamped with clock's time once the file is open (the stamp is logged, so
-// when it is taken is part of the pinned signatures). The meta page and the
-// tail page — both rewritten by every append — are read for update, for the
-// reason given at updateBalance.
+// when it is taken is part of the pinned signatures). The tail page — the one
+// page an append rewrites — is read for update, for the reason given at
+// updateBalance.
 func appendHistory(st pagestore.Store, clock *sim.Clock, t Txn) error {
 	hf, err := recno.OpenForAppend(st)
 	if err != nil {
