@@ -121,21 +121,6 @@ func BenchmarkAblationCleaner(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGroupCommit sweeps the §4.4 commit batch size.
-func BenchmarkAblationGroupCommit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := figures.AblationGroupCommit(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for j, batch := range rep.Batches {
-				b.ReportMetric(float64(rep.Forces[j]), "forces-batch-"+itoa(batch))
-			}
-		}
-	}
-}
-
 // BenchmarkAblationCommitBytes contrasts §4.3's whole-page commit flush with
 // WAL delta logging.
 func BenchmarkAblationCommitBytes(b *testing.B) {
@@ -167,16 +152,4 @@ func BenchmarkAblationCleanerPolicy(b *testing.B) {
 			}
 		}
 	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var digits []byte
-	for v > 0 {
-		digits = append([]byte{byte('0' + v%10)}, digits...)
-		v /= 10
-	}
-	return string(digits)
 }

@@ -7,7 +7,7 @@
 //
 //	tpcb -system kernel-lfs -scale 0.05 -txns 5000
 //	tpcb -system user-ffs
-//	tpcb -system user-lfs -groupcommit 8 -fastsync
+//	tpcb -system user-lfs -mpl 8 -groupcommit 8 -fastsync
 //	tpcb -system user-lfs -mpl 8 -groupcommit 8
 //	tpcb -system kernel-lfs -policy greedy
 //	tpcb -system kernel-lfs -cleaner idle -cleanbatch 8
@@ -40,7 +40,7 @@ func main() {
 	scale := flag.Float64("scale", 0.05, "TPC-B scale factor (1.0 = 1,000,000 accounts)")
 	txns := flag.Int("txns", 5000, "transactions to run")
 	mpl := flag.Int("mpl", 1, "multiprogramming level (concurrent simulated clients)")
-	groupCommit := flag.Int("groupcommit", 1, "commit batch size")
+	groupCommit := flag.Int("groupcommit", 1, "concurrent committers that share one commit force or flush (every commit is durable when it returns; at -mpl 1 each forces alone)")
 	policy := flag.String("policy", "cost-benefit", "LFS cleaner policy: cost-benefit or greedy")
 	cleaner := flag.String("cleaner", "sync", "LFS cleaning discipline: sync (on the critical path) or idle (overlapped with foreground idle windows)")
 	cleanBatch := flag.Int("cleanbatch", 0, "victims per batched cleaning pass (0 = LFS default)")

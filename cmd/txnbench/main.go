@@ -8,7 +8,7 @@
 //	txnbench -fig all                 # everything at the default scale
 //	txnbench -fig 4 -scale 0.1 -txns 10000
 //	txnbench -fig 6                   # SCAN test + crossover (Figures 6 and 7)
-//	txnbench -fig sync|cleaner|groupcommit|commitbytes|policy
+//	txnbench -fig sync|cleaner|commitbytes|policy
 //	txnbench -fig mpl                 # TPS vs multiprogramming level (not in "all")
 //	txnbench -fig devices -devices 1,2,4   # TPS vs MPL vs spindle count (not in "all")
 //	txnbench -fig cleaner -json       # machine-readable output
@@ -34,7 +34,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to reproduce: 4, 5, 6, 7, sync, cleaner, groupcommit, commitbytes, policy, mpl, devices, scan, all")
+	fig := flag.String("fig", "all", "figure to reproduce: 4, 5, 6, 7, sync, cleaner, commitbytes, policy, mpl, devices, scan, all")
 	scale := flag.Float64("scale", 0.05, "TPC-B scale factor (1.0 = the paper's 1,000,000 accounts)")
 	txns := flag.Int("txns", 5000, "transactions per measured run")
 	cleaner := flag.String("cleaner", "", "override the LFS cleaning discipline for all rigs: sync or idle (default: each system's natural mode)")
@@ -103,9 +103,6 @@ func main() {
 		"cleaner": {"cleaner", func() (fmt.Stringer, error) {
 			return figures.AblationCleaner(opts)
 		}},
-		"groupcommit": {"groupcommit", func() (fmt.Stringer, error) {
-			return figures.AblationGroupCommit(opts)
-		}},
 		"commitbytes": {"commitbytes", func() (fmt.Stringer, error) {
 			return figures.AblationCommitBytes(opts)
 		}},
@@ -156,7 +153,7 @@ func main() {
 
 	var order []string
 	if *fig == "all" {
-		order = []string{"4", "5", "6", "sync", "cleaner", "groupcommit", "commitbytes", "policy"}
+		order = []string{"4", "5", "6", "sync", "cleaner", "commitbytes", "policy"}
 	} else {
 		if _, ok := jobs[*fig]; !ok {
 			fmt.Fprintf(os.Stderr, "txnbench: unknown figure %q\n", *fig)

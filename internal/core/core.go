@@ -61,11 +61,11 @@ const checkCost = 500 * time.Nanosecond
 type Options struct {
 	// Costs is the CPU cost model (default sim.SpriteCosts()).
 	Costs sim.CostModel
-	// GroupCommit batches the commit-time flush across this many
-	// transactions (default 1 = flush at every commit): the paper's "the
-	// process sleeps ... until sufficiently more transactions have
-	// committed to justify the write" (§4.4). A committer never sleeps
-	// when no other process could join the batch.
+	// GroupCommit is how many concurrent committers share one commit flush
+	// (default 1 = every commit flushes); a commit is durable when it
+	// returns at any setting. The paper's "the process sleeps ... until
+	// sufficiently more transactions have committed to justify the write"
+	// (§4.4).
 	GroupCommit int
 	// Granularity selects page or sub-page locking (default Page, the
 	// paper's measured configuration; see Granularity).
@@ -105,22 +105,18 @@ type Manager struct {
 	tracer *trace.Tracer // from Options.Tracer; nil = tracing off
 	// Metric handles resolved at construction; nil handles are free.
 	ctrCommits, ctrAborts, ctrFlushes *trace.Counter
-	histLatency, histCommitWait       *trace.Hist
+	histLatency                       *trace.Hist
 
 	nextTxn uint64
 	// held tracks every buffer on transaction hold: who is still writing it
 	// and whose pre-committed bytes it carries.
 	held map[buffer.BlockID]*heldPage
-	// pending are the pre-committed transactions, in pre-commit order,
-	// awaiting the group-commit flush; batch is the outcome they will share.
-	// Their committers sleep on gcWaiters until it is settled; gcFlushDue
-	// asks the earliest sleeper to perform the flush itself (the stall
-	// hook's "timeout" arm).
-	pending    []*Txn
-	batch      *commitBatch
-	gcFlushDue bool
-	gcWaiters  sim.WaitQueue
-	stats      Stats
+	// pending are the pre-committed transactions, in pre-commit order: the
+	// page source of the next commit flush. Their committers wait in commits,
+	// the group-commit rendezvous (§4.4), which calls writeBatchLocked.
+	pending []*Txn
+	commits *sim.Batch
+	stats   Stats
 
 	// Snapshot (multiversion read) support. commitSeq is the durable commit
 	// epoch — one increment per commit flush; snapshots pin it as their
@@ -132,13 +128,6 @@ type Manager struct {
 	commitSeq atomic.Int64
 	vers      *mvcc.AddrMap
 	snaps     *mvcc.Horizons
-}
-
-// commitBatch is the outcome of one group-commit flush, shared by every
-// transaction that pre-committed into it.
-type commitBatch struct {
-	done bool
-	err  error
 }
 
 // New attaches a transaction manager to a mounted log-structured file
@@ -158,7 +147,6 @@ func New(fsys *lfs.FS, clock *sim.Clock, opts Options) *Manager {
 		opts:   opts,
 		tracer: opts.Tracer,
 		held:   make(map[buffer.BlockID]*heldPage),
-		batch:  &commitBatch{},
 		vers:   mvcc.NewAddrMap(),
 		snaps:  mvcc.NewHorizons(),
 	}
@@ -167,10 +155,9 @@ func New(fsys *lfs.FS, clock *sim.Clock, opts Options) *Manager {
 	m.ctrAborts = opts.Tracer.Counter("txn.aborts")
 	m.ctrFlushes = opts.Tracer.Counter("core.commitFlushes")
 	m.histLatency = opts.Tracer.Hist("txn.latency")
-	m.histCommitWait = opts.Tracer.Hist("txn.commitWait")
 	m.locks.SetClock(clock)
 	m.locks.SetTracer(opts.Tracer)
-	clock.OnStall(m.groupCommitStall)
+	m.commits = sim.NewBatch(clock, &m.mu, opts.GroupCommit, m.writeBatchLocked, opts.Tracer.CommitWait())
 	return m
 }
 
@@ -287,7 +274,7 @@ func (p *Process) TxnCommit() error {
 	}
 	m.pending = append(m.pending, t)
 	m.locks.ReleaseAll(lock.TxnID(t.id))
-	if err := m.awaitGroupFlushLocked(); err != nil {
+	if _, err := m.commits.Join(); err != nil {
 		return err
 	}
 	m.clock.Advance(m.costs.KernelSync())
@@ -299,69 +286,6 @@ func (p *Process) TxnCommit() error {
 	return nil
 }
 
-// awaitGroupFlushLocked is group commit for a pre-committed transaction
-// (§4.4), the embedded twin of libtp's awaitGroupForceLocked: flush the whole
-// batch — when it has filled, or when no other process is runnable so waiting
-// cannot add to it — or sleep until a later committer (or the scheduler's
-// stall hook) does. Caller holds m.mu.
-func (m *Manager) awaitGroupFlushLocked() error {
-	if len(m.pending) >= m.opts.GroupCommit || !m.clock.OtherRunnable() {
-		return m.flushPendingLocked()
-	}
-	b := m.batch
-	var waited time.Duration
-	for !b.done && !m.gcFlushDue {
-		waited += m.gcWaiters.Wait(m.clock, &m.mu)
-	}
-	m.noteCommitWait(waited)
-	if !b.done {
-		return m.flushPendingLocked()
-	}
-	return b.err
-}
-
-// noteCommitWait attributes the time a pre-committed transaction slept
-// waiting for its batch's flush. Caller holds m.mu.
-func (m *Manager) noteCommitWait(d time.Duration) {
-	if d <= 0 || !m.tracer.Enabled() {
-		return
-	}
-	m.tracer.Complete("txn", "txn.commitWait", m.clock.Now()-d)
-	m.tracer.Attribute(trace.AttrCommitWait, d)
-	m.histCommitWait.Observe(d)
-}
-
-// groupCommitStall is the scheduler's stall hook — the discrete-event
-// analogue of the group-commit timeout. Every live process is asleep, so the
-// batch cannot grow: wake the earliest sleeping committer, which finds
-// gcFlushDue set and performs the flush in its own simulated time.
-func (m *Manager) groupCommitStall() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.pending) == 0 || m.gcWaiters.Empty() {
-		return false
-	}
-	m.gcFlushDue = true
-	return m.gcWaiters.WakeOne(m.clock)
-}
-
-// flushPendingLocked performs the (group) commit flush and wakes the batch's
-// sleeping committers with its outcome. Caller holds m.mu.
-//
-//simlint:alloc(per-batch flush: group commit amortizes its bookkeeping over the batch, not per page access)
-func (m *Manager) flushPendingLocked() error {
-	if len(m.pending) == 0 {
-		return nil
-	}
-	b := m.batch
-	m.batch = &commitBatch{}
-	b.err = m.writeBatchLocked()
-	b.done = true
-	m.gcFlushDue = false
-	m.gcWaiters.Broadcast(m.clock)
-	return b.err
-}
-
 // writeBatchLocked forces the batch's page set — the union of the pending
 // transactions' write sets, nothing else that is on hold — to the log as one
 // atomic partial-segment stream, then drops the batch's holds. A page that a
@@ -370,6 +294,8 @@ func (m *Manager) flushPendingLocked() error {
 // AFTER the flush succeeds: any cleaner pass the flush triggers on entry
 // still sees the pages as held, so it relocates the on-disk before-images
 // instead of stealing unflushed contents into the log ahead of the batch.
+//
+//simlint:alloc(per-batch flush: group commit amortizes its bookkeeping over the batch, not per page access)
 func (m *Manager) writeBatchLocked() error {
 	span := m.tracer.Begin("txn", "core.commitFlush")
 	set := make(map[buffer.BlockID]bool)
@@ -429,7 +355,10 @@ func (m *Manager) writeBatchLocked() error {
 func (m *Manager) Flush() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.flushPendingLocked()
+	if len(m.pending) == 0 {
+		return nil
+	}
+	return m.commits.Flush()
 }
 
 // TxnAbort aborts the process's transaction (txn_abort): roll every written

@@ -159,48 +159,6 @@ func (r *CleanerAblationReport) String() string {
 	return b.String()
 }
 
-// --------------------------------------------------- Ablation: group commit
-
-// GroupCommitReport shows the log-force amortization of group commit (§4.4).
-type GroupCommitReport struct {
-	Opts    Options
-	Batches []int
-	UserTPS []float64
-	Forces  []int64
-}
-
-// AblationGroupCommit sweeps the user-level system's commit batch size.
-// (At MPL=1 nobody can join the kernel system's batch, so every commit
-// flushes alone whatever the batch size; the user-level WAL, whose
-// single-client path defers the force itself, is where the effect shows.
-// The MPL sweep measures group commit on both.)
-func AblationGroupCommit(opts Options) (*GroupCommitReport, error) {
-	opts.fill()
-	cfg := tpcb.ScaledConfig(opts.Scale)
-	rep := &GroupCommitReport{Opts: opts, Batches: []int{1, 4, 16}}
-	for _, batch := range rep.Batches {
-		rig, res, err := opts.measure(fmt.Sprintf("user-lfs batch=%d", batch), tpcb.RigOptions{Kind: "user-lfs", Config: cfg, Costs: opts.Costs,
-			GroupCommit: batch, ExpectedTxns: opts.Txns}, 1)
-		if err != nil {
-			return nil, err
-		}
-		rep.UserTPS = append(rep.UserTPS, res.TPS)
-		rep.Forces = append(rep.Forces, rig.WALStats().Forces)
-	}
-	return rep, nil
-}
-
-// String formats the ablation.
-func (r *GroupCommitReport) String() string {
-	var b strings.Builder
-	b.WriteString("Ablation — group commit (§4.4: amortize the commit force)\n")
-	fmt.Fprintf(&b, "  %-8s %10s %12s\n", "batch", "user TPS", "log forces")
-	for i, batch := range r.Batches {
-		fmt.Fprintf(&b, "  %-8d %10.2f %12d\n", batch, r.UserTPS[i], r.Forces[i])
-	}
-	return b.String()
-}
-
 // -------------------------------------------------- Ablation: commit volume
 
 // CommitVolumeRow is one measured configuration of the commit-volume
@@ -242,8 +200,8 @@ func (r *CommitBytesReport) Row(system string, mpl, groupCommit int) *CommitVolu
 
 // AblationCommitBytes measures the write volume difference between the two
 // transaction managers on LFS at MPL 1 and 8, force per commit and group
-// commit ×8. (At MPL 1 nobody can join the embedded manager's batch, so its
-// two MPL 1 rows coincide.)
+// commit ×8. (At MPL 1 nobody can join a batch, so each manager's two MPL 1
+// rows coincide.)
 func AblationCommitBytes(opts Options) (*CommitBytesReport, error) {
 	opts.fill()
 	rep := &CommitBytesReport{Opts: opts}

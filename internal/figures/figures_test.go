@@ -143,20 +143,6 @@ func TestAblationCleanerBound(t *testing.T) {
 	_ = rep.String()
 }
 
-func TestAblationGroupCommitAmortizes(t *testing.T) {
-	rep, err := AblationGroupCommit(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Forces[0] <= rep.Forces[len(rep.Forces)-1] {
-		t.Fatalf("larger batches must force the log less: %v", rep.Forces)
-	}
-	if rep.UserTPS[len(rep.UserTPS)-1] < rep.UserTPS[0] {
-		t.Fatalf("group commit should not reduce throughput: %v", rep.UserTPS)
-	}
-	_ = rep.String()
-}
-
 func TestAblationCommitBytes(t *testing.T) {
 	rep, err := AblationCommitBytes(smallOpts())
 	if err != nil {

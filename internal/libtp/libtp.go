@@ -3,9 +3,10 @@
 // (B-tree, hash, fixed-length records via the pagestore adapter) layered
 // over a user-level buffer manager, a general-purpose two-phase lock
 // manager, and a write-ahead log manager. Transactions begin, commit and
-// abort through a subroutine interface; commit forces the log (with optional
-// group commit); abort applies in-memory before-images; crash recovery
-// replays the log with redo for winners and undo for losers.
+// abort through a subroutine interface; commit forces the log (concurrent
+// committers share a force: group commit); abort applies in-memory
+// before-images; crash recovery replays the log with redo for winners and
+// undo for losers.
 //
 // Synchronization cost: every lock-manager call is charged
 // CostModel.UserSync() of simulated time. On the paper's DECstation — no
@@ -45,8 +46,9 @@ type Options struct {
 	CacheBlocks int
 	// Costs is the CPU cost model (default sim.SpriteCosts()).
 	Costs sim.CostModel
-	// GroupCommit batches log forces across this many commits (default 1
-	// = force at every commit).
+	// GroupCommit is how many concurrent committers share one log force
+	// (default 1 = every commit forces); a commit is durable when it
+	// returns at any setting.
 	GroupCommit int
 	// LogPath is the write-ahead log's base path (default "/libtp.log");
 	// the log manager materializes rotated {LogPath}.{seq}.txnlog segments,
@@ -134,21 +136,13 @@ type Env struct {
 	stats  Stats
 	tracer *trace.Tracer // from Options.Tracer; nil = tracing off
 	// Metric handles resolved at construction; nil handles are free.
-	ctrCommits, ctrAborts       *trace.Counter
-	histLatency, histCommitWait *trace.Hist
+	ctrCommits, ctrAborts *trace.Counter
+	histLatency           *trace.Hist
 
-	// Blocking group commit (multiprogramming only): commit records of
-	// concurrent transactions accumulate until the batch fills — or no other
-	// client is runnable, or the scheduler stalls — and every committer in
-	// the batch waits on the same log force. gcEpoch increments per force so
-	// waiters know their batch went out; gcForceDue asks the earliest waiter
-	// to perform the force itself (the "timeout" arm, fired when the
-	// scheduler has nothing else to run).
-	gcPending  int
-	gcEpoch    uint64
-	gcForceDue bool
-	gcErr      error
-	gcWaiters  sim.WaitQueue
+	// commits is the group-commit rendezvous (§4.4): whoever has appended a
+	// record that must be durable before it returns — commit, prepare, global
+	// decision — joins it and shares one log.Force with the rest of the batch.
+	commits *sim.Batch
 }
 
 // newEnvShell builds the in-memory skeleton every construction path (NewEnv,
@@ -179,8 +173,13 @@ func newEnvShell(fsys vfs.FileSystem, clock *sim.Clock, opts Options) *Env {
 	env.ctrCommits = opts.Tracer.Counter("txn.commits")
 	env.ctrAborts = opts.Tracer.Counter("txn.aborts")
 	env.histLatency = opts.Tracer.Hist("txn.latency")
-	env.histCommitWait = opts.Tracer.Hist("txn.commitWait")
 	return env
+}
+
+// start makes an environment whose log is open ready for transactions.
+func (e *Env) start() {
+	e.locks.SetClock(e.clock)
+	e.commits = sim.NewBatch(e.clock, &e.mu, e.opts.GroupCommit, e.log.Force, e.tracer.CommitWait())
 }
 
 // NewEnv creates (or reopens) a transaction environment on fsys. The log
@@ -215,10 +214,8 @@ func NewEnv(fsys vfs.FileSystem, clock *sim.Clock, opts Options) (*Env, error) {
 		}
 		env.log = lg
 	}
-	env.log.SetGroupCommit(opts.GroupCommit)
 	env.log.SetTracer(opts.Tracer)
-	env.locks.SetClock(clock)
-	clock.OnStall(env.groupCommitStall)
+	env.start()
 	return env, nil
 }
 
@@ -345,63 +342,49 @@ func (t *Txn) Store(db *DB) pagestore.Store {
 	return &txnStore{t: t, db: db}
 }
 
-// Commit makes the transaction durable ("txn_commit"): force the log
-// (subject to group commit) and release all locks. Dirty pages remain
-// cached (no-force policy) and reach the database file on eviction or
-// checkpoint, after the log.
+// Commit makes the transaction durable ("txn_commit") as a pre-commit: append
+// the commit record and release every lock at once — commit order is fixed by
+// log order, and a dependent transaction's commit record lands later in the
+// same log, so it can never become durable first; holding locks across the
+// wait would serialize the very concurrency group commit needs — then join
+// the group-commit batch and return once its force has covered the record.
+// Dirty pages remain cached (no-force policy) and reach the database file on
+// eviction or checkpoint, after the log.
+//
+// If the force fails, Commit returns its error with the transaction finished
+// (locks released, Abort answers ErrTxnDone) but in doubt: its commit record is
+// appended, so a later successful force makes it durable.
 func (t *Txn) Commit() error {
-	if t.done {
-		return ErrTxnDone
+	e, err := t.end()
+	if err != nil {
+		return err
 	}
-	t.done = true
-	e := t.env
-	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.clock.Advance(e.costs.TxnOp + e.costs.Syscall)
-	if e.clock.LiveProcs() > 1 {
-		// Multiprogramming: pre-commit. Append the commit record and release
-		// locks immediately — commit order is fixed by log order, and a
-		// dependent transaction's commit record lands later in the same log,
-		// so it can never become durable first — then block until the shared
-		// force makes the batch durable. Holding locks across the force wait
-		// would serialize the very concurrency group commit needs.
-		lsn, err := e.log.AppendCommit(t.id)
-		if err != nil {
-			return err
-		}
-		e.noteCommitLocked(t.id, lsn)
-		e.locks.ReleaseAll(e.lockTxn(t.id))
-		if err := e.awaitGroupForceLocked(); err != nil {
-			return err
-		}
-	} else {
-		lsn, _, err := e.log.LogCommit(t.id)
-		if err != nil {
-			return err
-		}
-		e.noteCommitLocked(t.id, lsn)
-		e.locks.ReleaseAll(e.lockTxn(t.id))
+	return t.finishLocked(true, t.commitLocked())
+}
+
+// commitLocked appends t's commit record, releases its locks and waits for
+// the batch's force. Caller holds e.mu.
+func (t *Txn) commitLocked() error {
+	e := t.env
+	lsn, err := e.log.AppendCommit(t.id)
+	if err != nil {
+		return err
 	}
-	e.clock.Advance(e.costs.UserSync())
-	delete(e.active, t.id)
-	delete(e.undo, t.id)
-	e.stats.Committed++
-	if e.tracer.Enabled() {
-		e.tracer.Complete("txn", "txn", t.start, trace.AU("txn", t.id), trace.AS("outcome", "commit"))
-		e.histLatency.Observe(e.clock.Now() - t.start)
-		e.ctrCommits.Add(1)
-	}
-	return nil
+	e.noteCommitLocked(t.id, lsn)
+	e.locks.ReleaseAll(e.lockTxn(t.id))
+	return e.forceSharedLocked()
 }
 
 // Prepare votes yes on global transaction gid for this local branch: the
-// prepare record is appended and made durable — through the shared
-// group-commit batch when other clients are live, otherwise by a direct
-// force — while every lock stays held. Once Prepare returns, the branch's
-// fate belongs to the coordinator: CommitPrepared after the decision record
-// is durable, or Abort if the global transaction aborts before deciding. A
-// crash in between leaves the branch in doubt, resolved at recovery by the
-// coordinator's log (presumed abort when no decision record survives).
+// prepare record is appended and made durable through the group-commit batch
+// while every lock stays held — that is the prepare contract, so the wait can
+// block lock-dependent clients; the batch's stall arm then has the earliest
+// sleeper force. Once Prepare returns, the branch's fate belongs to the
+// coordinator: CommitPrepared after the decision record is durable, or Abort
+// if the global transaction aborts before deciding. A crash in between leaves
+// the branch in doubt, resolved at recovery by the coordinator's log (presumed
+// abort when no decision record survives).
 func (t *Txn) Prepare(gid uint64) error {
 	if t.done {
 		return ErrTxnDone
@@ -413,73 +396,35 @@ func (t *Txn) Prepare(gid uint64) error {
 	if _, err := e.log.LogPrepare(t.id, gid); err != nil {
 		return err
 	}
-	if e.clock.LiveProcs() > 1 {
-		// Batch the prepare force with concurrent committers/preparers.
-		// Locks stay held — that is the prepare contract — so the wait can
-		// block lock-dependent clients; the scheduler's stall hook then asks
-		// the earliest waiter to perform the force itself.
-		return e.awaitGroupForceLocked()
-	}
-	return e.log.Force()
+	return e.forceSharedLocked()
 }
 
 // CommitGlobal is the coordinator side of two-phase commit, called after
 // every participant's Prepare has returned: it appends the coordinator
 // branch's own prepare record, the global decision record, and the local
 // commit record — all to the coordinator's log, in that order — and forces
-// once (group-batched under multiprogramming). That single force is the
-// commit point of the whole global transaction: until it completes no shard
-// has a durable decision and every branch presumes abort; after it the
-// decision record resolves every in-doubt branch to commit. Locks are
-// released with the commit, and CommitGlobal returns only once the decision
-// is durable, so phase two (CommitPrepared on the participants) may start
-// immediately.
+// once, through the group-commit batch. That single force is the commit point
+// of the whole global transaction: until it completes no shard has a durable
+// decision and every branch presumes abort; after it the decision record
+// resolves every in-doubt branch to commit. Locks are released with the
+// commit, and CommitGlobal returns only once the decision is durable, so
+// phase two (CommitPrepared on the participants) may start immediately. A
+// failed force leaves the global transaction in doubt, as for Commit.
 func (t *Txn) CommitGlobal(gid uint64) error {
-	if t.done {
-		return ErrTxnDone
-	}
-	t.done = true
-	e := t.env
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.clock.Advance(e.costs.TxnOp + e.costs.Syscall)
-	// The coordinator branch's own prepare precedes the decision in the same
-	// log, so a torn force can never leave the decision durable while the
-	// branch's binding to gid is lost.
-	if _, err := e.log.LogPrepare(t.id, gid); err != nil {
-		return err
-	}
-	if _, err := e.log.AppendGlobalCommit(gid); err != nil {
-		return err
-	}
-	lsn, err := e.log.AppendCommit(t.id)
+	e, err := t.end()
 	if err != nil {
 		return err
 	}
-	e.noteCommitLocked(t.id, lsn)
-	e.locks.ReleaseAll(e.lockTxn(t.id))
-	if e.clock.LiveProcs() > 1 {
-		if err := e.awaitGroupForceLocked(); err != nil {
-			return err
-		}
-	} else {
-		// The decision must be durable before phase two regardless of the
-		// group-commit setting — a deferred force here would let an
-		// unforced participant commit record become durable first.
-		if err := e.log.Force(); err != nil {
-			return err
+	defer e.mu.Unlock()
+	// The coordinator branch's own prepare precedes the decision in the same
+	// log, so a torn force can never leave the decision durable while the
+	// branch's binding to gid is lost.
+	if _, err = e.log.LogPrepare(t.id, gid); err == nil {
+		if _, err = e.log.AppendGlobalCommit(gid); err == nil {
+			err = t.commitLocked()
 		}
 	}
-	e.clock.Advance(e.costs.UserSync())
-	delete(e.active, t.id)
-	delete(e.undo, t.id)
-	e.stats.Committed++
-	if e.tracer.Enabled() {
-		e.tracer.Complete("txn", "txn", t.start, trace.AU("txn", t.id), trace.AS("outcome", "commit"))
-		e.histLatency.Observe(e.clock.Now() - t.start)
-		e.ctrCommits.Add(1)
-	}
-	return nil
+	return t.finishLocked(true, err)
 }
 
 // CommitPrepared is phase two for a prepared participant branch: the global
@@ -489,28 +434,59 @@ func (t *Txn) CommitGlobal(gid uint64) error {
 // the branch prepared-but-undecided and the coordinator's decision record
 // resolves it to commit; nothing is lost.
 func (t *Txn) CommitPrepared() error {
+	e, err := t.end()
+	if err != nil {
+		return err
+	}
+	defer e.mu.Unlock()
+	lsn, err := e.log.AppendCommit(t.id)
+	if err == nil {
+		e.noteCommitLocked(t.id, lsn)
+		e.locks.ReleaseAll(e.lockTxn(t.id))
+	}
+	return t.finishLocked(true, err)
+}
+
+// end is the prologue of every call that finishes t — Commit, CommitGlobal,
+// CommitPrepared, Abort: mark it done, take the environment's mutex (returned
+// held) and charge the subroutine and the system calls it makes.
+func (t *Txn) end() (*Env, error) {
 	if t.done {
-		return ErrTxnDone
+		return nil, ErrTxnDone
 	}
 	t.done = true
 	e := t.env
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.clock.Advance(e.costs.TxnOp + e.costs.Syscall)
-	lsn, err := e.log.AppendCommit(t.id)
+	return e, nil
+}
+
+// finishLocked is their epilogue, run on every exit: whatever err says, no
+// lock stays held and the transaction's bookkeeping is dropped — one failed
+// force must not wedge Checkpoint behind a transaction nobody can finish.
+// Only a clean exit is counted and traced. Caller holds e.mu.
+func (t *Txn) finishLocked(commit bool, err error) error {
+	e := t.env
 	if err != nil {
-		return err
+		e.locks.ReleaseAll(e.lockTxn(t.id)) // whatever the failed step had not released
 	}
-	e.noteCommitLocked(t.id, lsn)
-	e.locks.ReleaseAll(e.lockTxn(t.id))
 	e.clock.Advance(e.costs.UserSync())
 	delete(e.active, t.id)
 	delete(e.undo, t.id)
-	e.stats.Committed++
+	if err != nil {
+		return err
+	}
+	outcome, n, ctr := "abort", &e.stats.Aborted, e.ctrAborts
+	if commit {
+		outcome, n, ctr = "commit", &e.stats.Committed, e.ctrCommits
+	}
+	*n++
 	if e.tracer.Enabled() {
-		e.tracer.Complete("txn", "txn", t.start, trace.AU("txn", t.id), trace.AS("outcome", "commit"))
-		e.histLatency.Observe(e.clock.Now() - t.start)
-		e.ctrCommits.Add(1)
+		e.tracer.Complete("txn", "txn", t.start, trace.AU("txn", t.id), trace.AS("outcome", outcome))
+		if commit {
+			e.histLatency.Observe(e.clock.Now() - t.start)
+		}
+		ctr.Add(1)
 	}
 	return nil
 }
@@ -524,91 +500,37 @@ func (e *Env) ForceLog() error {
 	return e.log.Force()
 }
 
-// awaitGroupForceLocked implements group commit for concurrent committers
-// (§4.4: delay the force "until sufficiently more transactions have
-// committed"): either force the whole batch — when it has filled, or when no
-// other client is runnable so waiting cannot help — or suspend until a later
-// committer (or the scheduler's stall hook) forces it. The caller has
-// already appended its commit record and released its locks (pre-commit).
+// forceSharedLocked returns once a log force has covered everything the
+// caller appended: the caller's own, at once, when the batch is full or no
+// other client could join it, otherwise another member's (§4.4; sim.Batch).
 // Caller holds e.mu.
 //
 //simlint:noalloc
-func (e *Env) awaitGroupForceLocked() error {
-	e.gcPending++
-	if e.gcPending >= e.opts.GroupCommit || !e.clock.OtherRunnable() {
-		return e.forceGroupLocked()
+func (e *Env) forceSharedLocked() error {
+	slept, err := e.commits.Join()
+	if slept {
+		e.log.NoteAbsorbed()
 	}
-	e.log.NoteAbsorbed()
-	epoch := e.gcEpoch
-	var waited time.Duration
-	for e.gcEpoch == epoch {
-		if e.gcForceDue {
-			e.gcForceDue = false
-			e.noteCommitWait(waited)
-			return e.forceGroupLocked()
-		}
-		waited += e.gcWaiters.Wait(e.clock, &e.mu)
-	}
-	e.noteCommitWait(waited)
-	return e.gcErr
-}
-
-// noteCommitWait attributes time a pre-committed transaction spent parked
-// waiting for the shared group-commit force. Caller holds e.mu.
-//
-//simlint:noalloc
-func (e *Env) noteCommitWait(d time.Duration) {
-	if d <= 0 || !e.tracer.Enabled() {
-		return
-	}
-	e.tracer.Complete("txn", "txn.commitWait", e.clock.Now()-d)
-	e.tracer.Attribute(trace.AttrCommitWait, d)
-	e.histCommitWait.Observe(d)
-}
-
-// forceGroupLocked forces the log on behalf of every pending commit and
-// releases the batch's waiters. Caller holds e.mu.
-//
-//simlint:noalloc
-func (e *Env) forceGroupLocked() error {
-	err := e.log.Force()
-	e.gcPending = 0
-	e.gcErr = err
-	e.gcEpoch++
-	e.gcForceDue = false
-	e.gcWaiters.Broadcast(e.clock)
 	return err
 }
 
-// groupCommitStall is the scheduler's stall hook — the discrete-event
-// analogue of the group-commit timeout. When every runnable client has been
-// exhausted and committers are parked waiting for the batch to fill (their
-// held locks may be what blocked everyone else), wake the earliest waiter;
-// it will find gcForceDue set and perform the force itself, in its own
-// simulated time.
-//
-//simlint:noalloc
-func (e *Env) groupCommitStall() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.gcPending == 0 || e.gcWaiters.Empty() {
-		return false
+// Abort rolls the transaction back ("txn_abort"): apply before-images in
+// reverse order to the cached pages, log the abort, release locks. An abort
+// that fails part-way still finishes the transaction; the log holds no commit
+// record for it, so restart recovery completes the rollback.
+func (t *Txn) Abort() error {
+	e, err := t.end()
+	if err != nil {
+		return err
 	}
-	e.gcForceDue = true
-	return e.gcWaiters.WakeOne(e.clock)
+	defer e.mu.Unlock()
+	return t.finishLocked(false, t.abortLocked())
 }
 
-// Abort rolls the transaction back ("txn_abort"): apply before-images in
-// reverse order to the cached pages, log the abort, release locks.
-func (t *Txn) Abort() error {
-	if t.done {
-		return ErrTxnDone
-	}
-	t.done = true
+// abortLocked undoes t's updates in the cache and the log and releases its
+// locks. Caller holds e.mu.
+func (t *Txn) abortLocked() error {
 	e := t.env
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.clock.Advance(e.costs.TxnOp + e.costs.Syscall)
 	undos := e.undo[t.id]
 	for i := len(undos) - 1; i >= 0; i-- {
 		u := undos[i]
@@ -635,14 +557,6 @@ func (t *Txn) Abort() error {
 	// transaction never wrote.
 	e.deltas.Abort(t.id)
 	e.locks.ReleaseAll(e.lockTxn(t.id))
-	e.clock.Advance(e.costs.UserSync())
-	delete(e.active, t.id)
-	delete(e.undo, t.id)
-	e.stats.Aborted++
-	if e.tracer.Enabled() {
-		e.tracer.Complete("txn", "txn", t.start, trace.AU("txn", t.id), trace.AS("outcome", "abort"))
-		e.ctrAborts.Add(1)
-	}
 	return nil
 }
 
@@ -801,9 +715,7 @@ func (p *PendingRecovery) Complete(resolve func(gid uint64) bool) (*Env, *Recove
 	if _, err := env.log.LogCheckpoint(); err != nil {
 		return nil, nil, err
 	}
-	env.log.SetGroupCommit(opts.GroupCommit)
-	env.locks.SetClock(clock)
-	clock.OnStall(env.groupCommitStall)
+	env.start()
 	return env, &RecoveryReport{Winners: w, Losers: l, InDoubt: indoubt, Scan: scan}, nil
 }
 

@@ -316,31 +316,62 @@ func TestCheckpointRequiresQuiescence(t *testing.T) {
 	txn.Commit()
 }
 
-func TestGroupCommitAmortizesForces(t *testing.T) {
-	clk := sim.NewClock()
-	dev := disk.New(sim.SmallModel(), clk)
-	fsys, _ := lfs.Format(dev, clk, lfs.Options{})
-	env, err := NewEnv(fsys, clk, Options{GroupCommit: 5})
-	if err != nil {
+// TestFailedForceDoesNotWedge: a commit whose log force fails returns the
+// error — and finishes the transaction all the same. Its locks are released
+// and its bookkeeping dropped, so once the device works again the environment
+// checkpoints and the next writer of the same page gets its lock.
+func TestFailedForceDoesNotWedge(t *testing.T) {
+	rig := newRig(t, "lfs")
+	db, _ := rig.env.OpenDB("/db")
+	setup := rig.env.Begin()
+	tr, _ := btree.Create(setup.Store(db))
+	tr.Put([]byte("k"), []byte("v0"))
+	if err := setup.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	db, _ := env.OpenDB("/db")
-	setup := env.Begin()
-	tr, _ := btree.Create(setup.Store(db))
-	tr.Put([]byte("init"), []byte("x"))
-	setup.Commit()
-	forces0 := env.LogStats().Forces
-	for i := 0; i < 10; i++ {
-		txn := env.Begin()
-		tr, _ := btree.Open(txn.Store(db))
-		tr.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v"))
-		if err := txn.Commit(); err != nil {
+	put := func(val string) *Txn {
+		txn := rig.env.Begin()
+		tr, err := btree.Open(txn.Store(db))
+		if err != nil {
 			t.Fatal(err)
 		}
+		if err := tr.Put([]byte("k"), []byte(val)); err != nil {
+			t.Fatal(err)
+		}
+		return txn
 	}
-	forces := env.LogStats().Forces - forces0
-	if forces > 3 {
-		t.Fatalf("10 commits at batch 5 forced the log %d times, want ≤ 3", forces)
+
+	errIO := errors.New("injected write error")
+	rig.dev.SetFault(func(op string, _ int64) error {
+		if op == "write" {
+			return errIO
+		}
+		return nil
+	})
+	txn := put("v1")
+	if err := txn.Commit(); !errors.Is(err, errIO) {
+		t.Fatalf("Commit with a failing force = %v, want the injected error", err)
+	}
+	rig.dev.SetFault(nil)
+
+	if err := txn.Abort(); !errors.Is(err, ErrTxnDone) {
+		t.Fatalf("Abort after the failed commit = %v, want ErrTxnDone", err)
+	}
+	if n := rig.env.locks.HeldCount(rig.env.lockTxn(txn.ID())); n != 0 {
+		t.Fatalf("the failed commit still holds %d locks", n)
+	}
+	if st := rig.env.Stats(); st.Committed != 1 {
+		t.Fatalf("Committed = %d, want 1: a commit that returned an error is not counted", st.Committed)
+	}
+	if err := rig.env.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint after the fault cleared: %v", err)
+	}
+	waits := rig.env.LockStats().Waited
+	if err := put("v2").Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := rig.env.LockStats().Waited; got != waits {
+		t.Fatalf("the next writer waited for a lock (%d waits)", got-waits)
 	}
 }
 

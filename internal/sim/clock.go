@@ -214,22 +214,6 @@ func (c *Clock) OtherRunnable() bool {
 	return s != nil && len(s.runnable) > 0
 }
 
-// LiveProcs returns the number of unfinished procs of the attached
-// scheduler, or 0 when none is attached. Transaction layers use
-// LiveProcs() > 1 to gate multiprogramming-only behaviour (blocking group
-// commit) so MPL=1 remains the exact degenerate case.
-//
-//simlint:tokensafe(reads the live counter under the token; returns 0 when no scheduler is attached)
-func (c *Clock) LiveProcs() int {
-	c.mu.Lock()
-	s := c.sched
-	c.mu.Unlock()
-	if s == nil {
-		return 0
-	}
-	return s.liveCount()
-}
-
 // OnStall registers a hook the scheduler calls when every live proc is
 // blocked. A hook returns true if it made progress (woke at least one
 // proc); it runs on the scheduler goroutine with no proc current, so it

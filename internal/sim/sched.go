@@ -196,7 +196,6 @@ func (s *Scheduler) Run() {
 	defer s.clock.detach(s)
 
 	for _, p := range s.procs {
-		p := p
 		go func() {
 			<-p.resume
 			defer func() {
@@ -265,11 +264,6 @@ func (s *Scheduler) startRun(p *Proc) {
 		s.dispatchHook(p)
 	}
 	p.resume <- struct{}{}
-}
-
-// liveCount returns the number of procs that have not finished.
-func (s *Scheduler) liveCount() int {
-	return s.live
 }
 
 // shouldPreempt reports whether another runnable proc is strictly earlier in

@@ -3,6 +3,7 @@ package tpcb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/libtp"
 	"repro/internal/lock"
 	"repro/internal/sim"
+	"repro/internal/vfs"
 )
 
 // TestEmbeddedCrashStorm repeatedly crashes the embedded transaction system
@@ -65,26 +67,25 @@ func verifyState(t *testing.T, rig *Rig, committed []Txn) {
 	}
 }
 
-// crashRun drives kernel-lfs with mpl concurrent clients until the workload
-// completes or the device crashes, and reports what the clients saw: the
-// transactions whose TxnCommit returned, and the batch in flight at the crash
-// — the transactions that had pre-committed when the first client met the
-// dead device and were never acknowledged. Only commit flushes and client 0's
-// occasional checkpoint write, so that first client is the batch's flusher
-// or, between flushes, the checkpointer.
+// crashRun drives the rig's system with mpl concurrent clients until the
+// workload completes or the device crashes, and reports what the clients saw:
+// the transactions whose commit returned, and the batch in flight at the
+// crash, in pre-commit order — the transactions that had pre-committed when
+// the first client met the dead device and were never acknowledged. Only
+// commit forces and client 0's occasional file-system sync write, so that
+// first client is the batch's flusher or, between flushes, the syncer.
 func crashRun(t *testing.T, rig *Rig, cfg Config, txns, mpl int) (acked, batch []Txn) {
 	t.Helper()
-	sys := rig.Sys.(*EmbeddedSystem)
-	workers := make([]*embeddedWorker, mpl)
+	workers := make([]Worker, mpl)
 	inflight := make([]*Txn, mpl)
-	var suspects []*Txn // pre-committed at the crash, by client; nil before it
+	var suspects []*Txn // pre-committed at the crash, in that order; nil before it
 	sched := sim.NewScheduler(rig.Clock)
 	for c := range workers {
-		w, err := sys.NewWorker()
+		w, err := rig.Sys.(MultiClient).NewWorker()
 		if err != nil {
 			t.Fatal(err)
 		}
-		workers[c] = w.(*embeddedWorker)
+		workers[c] = w
 		gen := NewClientGenerator(cfg, c)
 		quota := txns / mpl
 		if c < txns%mpl {
@@ -104,15 +105,13 @@ func crashRun(t *testing.T, rig *Rig, cfg Config, txns, mpl int) (acked, batch [
 					// Also a committer woken by the last good flush that
 					// only gets to run after the crash.
 					acked = append(acked, tx)
+					suspects = slices.DeleteFunc(suspects, func(s *Txn) bool { return s == inflight[c] })
 					inflight[c] = nil
-					if suspects != nil {
-						suspects[c] = nil
-					}
-					// A file-system checkpoint now and then, beside running
-					// and pre-committed transactions: it must log none of
-					// their pages.
+					// A file-system sync now and then, beside running and
+					// pre-committed transactions: it must make none of
+					// their work durable.
 					if c == 0 && i%8 == 7 {
-						err = rig.LFS.Sync()
+						err = rig.FS.Sync()
 					}
 					if err == nil {
 						continue
@@ -122,13 +121,10 @@ func crashRun(t *testing.T, rig *Rig, cfg Config, txns, mpl int) (acked, batch [
 					t.Errorf("client %d txn %d: %v", c, i, err)
 				}
 				if suspects == nil {
-					suspects = make([]*Txn, mpl)
-					for k, tx := range inflight {
-						// A process is out of its transaction while Run
-						// is still in progress only once it has
-						// pre-committed.
-						if tx != nil && !workers[k].proc.InTxn() {
-							suspects[k] = tx
+					suspects = []*Txn{}
+					for _, k := range preCommitted(rig, workers) {
+						if inflight[k] != nil {
+							suspects = append(suspects, inflight[k])
 						}
 					}
 				}
@@ -138,174 +134,240 @@ func crashRun(t *testing.T, rig *Rig, cfg Config, txns, mpl int) (acked, batch [
 	}
 	sched.Run()
 	for _, tx := range suspects {
-		if tx != nil {
-			batch = append(batch, *tx)
-		}
+		batch = append(batch, *tx)
 	}
 	return acked, batch
 }
 
-// TestEmbeddedConcurrentCrash crashes the embedded system under concurrent
-// clients at write operations sampled across the run — inside batch flushes
-// (torn or not) and in the checkpoints between them — and checks what
-// roll-forward recovers: every transaction whose TxnCommit had returned, plus
-// all of the batch that was being flushed or none of it, and never a byte of
-// a transaction that was still running. At MPL 8 with GroupCommit 8 a batch
-// is every client at once; at MPL 12 with GroupCommit 4 batches flush while
-// other clients are mid-transaction on the same pages.
-func TestEmbeddedConcurrentCrash(t *testing.T) {
-	// Five account leaves: a client waiting for the teller lock has usually
-	// written an account page that a pre-committed transaction of the open
-	// batch wrote too, so flushes log committed images, not live buffers.
-	cfg := Config{Accounts: 120, Tellers: 15, Branches: 3, Seed: 99}
+// preCommitted lists, in pre-commit order, the clients whose running
+// transaction has pre-committed: its work is in the open batch, its locks are
+// gone, and only the force is missing.
+func preCommitted(rig *Rig, workers []Worker) (in []int) {
+	if rig.Core != nil {
+		for k, w := range workers {
+			// A process is out of its transaction while Run is still in
+			// progress only once it has pre-committed. (Flushes are atomic,
+			// so the order within the batch does not matter.)
+			if !w.(*embeddedWorker).proc.InTxn() {
+				in = append(in, k)
+			}
+		}
+		return in
+	}
+	// The user-level system keeps its transactions to itself; read the trace:
+	// a client (thread id = client + 1) has pre-committed when a wal.commit
+	// follows its last txn.begin.
+	for _, ev := range rig.Tracer.Events() {
+		switch k := ev.Tid - 1; ev.Name {
+		case "txn.begin":
+			in = slices.DeleteFunc(in, func(c int) bool { return c == k })
+		case "wal.commit":
+			in = append(in, k)
+		}
+	}
+	return in
+}
+
+// reboot brings a crashed one-device rig back the way its system recovers:
+// remount (fsck; on the update-in-place file system that rebuilds the stale
+// allocation bitmap from the inode table, which must happen BEFORE the WAL
+// replay, or replay-driven allocations could clobber durable data), then, for
+// a user-level rig, replay the write-ahead log into a new environment with
+// the given options. The embedded system has no second step — the paper's
+// "single recovery paradigm".
+func reboot(rig *Rig, opts libtp.Options) (vfs.FileSystem, *libtp.Env, error) {
+	rig.Crash.ClearCrash()
+	var fs2 vfs.FileSystem
+	if rig.LFS != nil {
+		lf, err := lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256})
+		if err != nil {
+			return nil, nil, err
+		}
+		if rep, err := lf.Fsck(); err != nil || !rep.OK() {
+			return nil, nil, fmt.Errorf("fsck: %v %+v", err, rep)
+		}
+		fs2 = lf
+	} else {
+		ff, err := ffs.Mount(rig.Dev, rig.Clock, ffs.Options{CacheBlocks: 256})
+		if err != nil {
+			return nil, nil, err
+		}
+		if _, err := ff.Fsck(); err != nil {
+			return nil, nil, err
+		}
+		fs2 = ff
+	}
+	if rig.Core != nil {
+		return fs2, nil, nil
+	}
+	envs, _, err := RecoverSharded([]vfs.FileSystem{fs2}, rig.Clock, opts, lock.NewManager())
+	if err != nil {
+		return nil, nil, err
+	}
+	return fs2, envs[0], nil
+}
+
+// concurrentCrashCfg has five account leaves: a client waiting for the teller
+// lock has usually written an account page that a pre-committed transaction of
+// the open batch wrote too, so the embedded system's flushes log committed
+// images, not live buffers.
+var concurrentCrashCfg = Config{Accounts: 120, Tellers: 15, Branches: 3, Seed: 99}
+
+// concurrentCrashSweep crashes one system under concurrent clients at write
+// operations sampled across the run — inside commit forces (torn or not) and
+// in the syncs between them — and checks what recovery brings back: every
+// transaction whose commit had returned, plus all of the batch that was being
+// forced or none of it, and never a byte of a transaction that was still
+// running. One exception to all-or-none: the write-ahead log on the
+// update-in-place file system may keep the head of a batch whose force was
+// torn (a log-structured file system writes a force as one atomic partial
+// segment).
+func concurrentCrashSweep(t *testing.T, kind string, mpl, groupCommit int) {
 	const txns, points, tears = 240, 12, 5
+	cfg := concurrentCrashCfg
+	build := func() *Rig {
+		rig, err := BuildRig(RigOptions{Kind: kind, Config: cfg, ExpectedTxns: txns, GroupCommit: groupCommit,
+			Trace: kind != "kernel-lfs"}) // preCommitted reads the user-level batch off it
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rig
+	}
+	golden := build()
+	first := golden.Crash.WriteOps() + 1
+	if acked, _ := crashRun(t, golden, cfg, txns, mpl); len(acked) != txns {
+		t.Fatalf("golden run committed %d of %d", len(acked), txns)
+	}
+	last := golden.Crash.WriteOps()
+	var forces int64
+	if golden.Core != nil {
+		forces = golden.Core.Stats().CommitFlush
+	} else {
+		forces = golden.WALStats().Forces
+	}
+	if mpl > 1 && forces*3 > int64(txns) {
+		t.Fatalf("golden run forced %d times for %d transactions; the test is not crashing inside batches", forces, txns)
+	}
+	var whole, none int
+	for i := 0; i < points; i++ {
+		op := first + (last-first)*int64(i)/int64(points-1)
+		// Tear 0 persists nothing of the crashing write; the others
+		// persist a seeded prefix of it, now and then all of it (the
+		// batch is then durable although no committer was told so).
+		for tear := uint64(0); tear <= tears; tear++ {
+			rig := build()
+			rig.Crash.CrashAfter(op, tear > 0, uint64(op)*0x9e3779b97f4a7c15+tear)
+			acked, batch := crashRun(t, rig, cfg, txns, mpl)
+			if !rig.Crash.Crashed() {
+				t.Fatalf("op %d: the crash never fired", op)
+			}
+			fs2, _, err := reboot(rig, libtp.Options{})
+			if err != nil {
+				t.Fatalf("op %d tear %d: recovery: %v", op, tear, err)
+			}
+			// holds: the recovered state is exactly the acknowledged
+			// transactions plus the first n of the batch.
+			holds := func(n int) error {
+				return VerifyState(fs2, append(acked[:len(acked):len(acked)], batch[:n]...), nil)
+			}
+			errNone := holds(0)
+			if errNone == nil {
+				none++
+				continue
+			}
+			errWhole := holds(len(batch))
+			if errWhole == nil {
+				whole++
+				continue
+			}
+			head := false
+			for n := 1; rig.LFS == nil && n < len(batch) && !head; n++ {
+				head = holds(n) == nil
+			}
+			if !head {
+				t.Fatalf("op %d tear %d: %d acknowledged, %d in the crashed batch; the recovered state is neither without the batch (%v) nor with all of it (%v)",
+					op, tear, len(acked), len(batch), errNone, errWhole)
+			}
+		}
+	}
+	if mpl > 1 && (whole == 0 || none == 0) {
+		t.Fatalf("the crash points recovered %d whole batches and %d without: the sample does not cover both outcomes", whole, none)
+	}
+}
+
+// TestEmbeddedConcurrentCrash: roll-forward after a crash under concurrent
+// clients. At MPL 8 with GroupCommit 8 a batch is every client at once; at
+// MPL 12 with GroupCommit 4 batches flush while other clients are
+// mid-transaction on the same pages.
+func TestEmbeddedConcurrentCrash(t *testing.T) {
 	for _, shape := range []struct{ mpl, groupCommit int }{{8, 8}, {12, 4}} {
-		mpl := shape.mpl
-		build := func() *Rig {
-			rig, err := BuildRig(RigOptions{Kind: "kernel-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: shape.groupCommit})
+		concurrentCrashSweep(t, "kernel-lfs", shape.mpl, shape.groupCommit)
+	}
+}
+
+// TestUserConcurrentCrash is the same sweep over the write-ahead log on both
+// file systems, plus MPL 1 with GroupCommit 8, where a batch is one
+// transaction whatever GroupCommit says: the shape the log manager's private
+// commit counter used to fail, acknowledging seven commits in eight ahead of
+// their force.
+func TestUserConcurrentCrash(t *testing.T) {
+	for _, kind := range []string{"user-lfs", "user-ffs"} {
+		for _, shape := range []struct{ mpl, groupCommit int }{{8, 8}, {12, 4}, {1, 8}} {
+			t.Run(fmt.Sprintf("%s/mpl%d-gc%d", kind, shape.mpl, shape.groupCommit), func(t *testing.T) {
+				concurrentCrashSweep(t, kind, shape.mpl, shape.groupCommit)
+			})
+		}
+	}
+}
+
+// userCrashStorm does what TestEmbeddedCrashStorm does for a user-level
+// system: crash at transaction boundaries, reboot (remount, fsck, replay the
+// WAL) and check the invariants — with a force per commit and with
+// GroupCommit 8, which for a lone client must change nothing: every
+// transaction Run returned for is durable.
+func userCrashStorm(t *testing.T, kind string, seed, rngSeed uint64) {
+	for _, groupCommit := range []int{1, 8} {
+		t.Run(fmt.Sprintf("gc%d", groupCommit), func(t *testing.T) {
+			cfg := Config{Accounts: 1500, Tellers: 15, Branches: 3, Seed: seed}
+			rig, err := BuildRig(RigOptions{Kind: kind, Config: cfg, ExpectedTxns: 400, GroupCommit: groupCommit})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return rig
-		}
-		golden := build()
-		first := golden.Crash.WriteOps() + 1
-		if acked, _ := crashRun(t, golden, cfg, txns, mpl); len(acked) != txns {
-			t.Fatalf("MPL %d: golden run committed %d of %d", mpl, len(acked), txns)
-		}
-		last := golden.Crash.WriteOps()
-		if st := golden.Core.Stats(); st.CommitFlush*3 > int64(txns) {
-			t.Fatalf("MPL %d: golden run flushed %d times for %d transactions; the test is not crashing inside batches", mpl, st.CommitFlush, txns)
-		}
-		var whole, none int
-		for i := 0; i < points; i++ {
-			op := first + (last-first)*int64(i)/int64(points-1)
-			// Tear 0 persists nothing of the crashing write; the others
-			// persist a seeded prefix of it, now and then all of it (the
-			// batch is then durable although no committer was told so).
-			for tear := uint64(0); tear <= tears; tear++ {
-				rig := build()
-				rig.Crash.CrashAfter(op, tear > 0, uint64(op)*0x9e3779b97f4a7c15+tear)
-				acked, batch := crashRun(t, rig, cfg, txns, mpl)
-				if !rig.Crash.Crashed() {
-					t.Fatalf("MPL %d op %d: the crash never fired", mpl, op)
+			sys := rig.Sys.(*UserSystem)
+			gen := NewGenerator(cfg)
+			rng := sim.NewRNG(rngSeed)
+
+			var committed []Txn
+			for round := 0; round < 5; round++ {
+				burst := 20 + rng.Intn(30)
+				for i := 0; i < burst; i++ {
+					tx := gen.Next()
+					if err := sys.Run(tx); err != nil {
+						t.Fatalf("round %d txn %d: %v", round, i, err)
+					}
+					committed = append(committed, tx)
 				}
-				rig.Crash.ClearCrash()
-				fs2, err := lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256})
+				// CRASH: all in-memory state gone.
+				fs2, env2, err := reboot(rig, libtp.Options{GroupCommit: groupCommit})
 				if err != nil {
-					t.Fatalf("MPL %d op %d tear %d: remount: %v", mpl, op, tear, err)
+					t.Fatalf("round %d reboot: %v", round, err)
 				}
-				if rep, err := fs2.Fsck(); err != nil || !rep.OK() {
-					t.Fatalf("MPL %d op %d tear %d: fsck: %v %+v", mpl, op, tear, err, rep)
+				sys = NewUserSystem([]*libtp.Env{env2}, rig.Part, rig.Clock, sim.SpriteCosts())
+				if err := sys.Attach(); err != nil {
+					t.Fatalf("round %d attach: %v", round, err)
 				}
-				errNone := VerifyState(fs2, acked, nil)
-				if errNone == nil {
-					none++
-					continue
-				}
-				if len(batch) == 0 {
-					t.Fatalf("MPL %d op %d tear %d: %d acknowledged, no batch in flight: %v", mpl, op, tear, len(acked), errNone)
-				}
-				if err := VerifyState(fs2, append(acked, batch...), nil); err != nil {
-					t.Fatalf("MPL %d op %d tear %d: %d acknowledged, %d in the crashed batch; the recovered state is neither without the batch (%v) nor with all of it (%v)",
-						mpl, op, tear, len(acked), len(batch), errNone, err)
-				}
-				whole++
+				rig.FS = fs2
+				rig.Env = env2
+
+				verifyState(t, rig, committed)
 			}
-		}
-		if whole == 0 || none == 0 {
-			t.Fatalf("MPL %d: the crash points recovered %d whole batches and %d without: the sample does not cover both outcomes", mpl, whole, none)
-		}
+		})
 	}
 }
 
-// TestUserCrashStorm does the same for the user-level system: crash at
-// transaction boundaries, remount, replay the WAL with RecoverPaths, and
-// check the invariants.
-func TestUserCrashStorm(t *testing.T) {
-	cfg := Config{Accounts: 1500, Tellers: 15, Branches: 3, Seed: 21}
-	rig, err := BuildRig(RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := rig.Sys.(*UserSystem)
-	gen := NewGenerator(cfg)
-	rng := sim.NewRNG(8)
-
-	var committed []Txn
-	for round := 0; round < 5; round++ {
-		burst := 20 + rng.Intn(30)
-		for i := 0; i < burst; i++ {
-			tx := gen.Next()
-			if err := sys.Run(tx); err != nil {
-				t.Fatalf("round %d txn %d: %v", round, i, err)
-			}
-			committed = append(committed, tx)
-		}
-		// CRASH + WAL recovery.
-		fs2, err := lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256})
-		if err != nil {
-			t.Fatalf("round %d remount: %v", round, err)
-		}
-		env2, _, err := libtp.RecoverPaths(fs2, rig.Clock, libtp.Options{}, DBPaths())
-		if err != nil {
-			t.Fatalf("round %d recover: %v", round, err)
-		}
-		sys = NewUserSystem([]*libtp.Env{env2}, rig.Part, rig.Clock, sim.SpriteCosts())
-		if err := sys.Attach(); err != nil {
-			t.Fatalf("round %d attach: %v", round, err)
-		}
-		rig.FS = fs2
-		rig.Env = env2
-
-		verifyState(t, rig, committed)
-	}
-}
+func TestUserCrashStorm(t *testing.T) { userCrashStorm(t, "user-lfs", 21, 8) }
 
 // TestFFSUserCrashStorm completes the crash-storm coverage for the third
-// configuration: LIBTP on the read-optimized file system. Recovery here has
-// one extra leg the LFS systems don't need — ffs.Fsck must rebuild the
-// stale allocation bitmap from the inode table BEFORE the WAL replay, or
-// replay-driven allocations could clobber durable data.
-func TestFFSUserCrashStorm(t *testing.T) {
-	cfg := Config{Accounts: 1500, Tellers: 15, Branches: 3, Seed: 33}
-	rig, err := BuildRig(RigOptions{Kind: "user-ffs", Config: cfg, ExpectedTxns: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := rig.Sys.(*UserSystem)
-	gen := NewGenerator(cfg)
-	rng := sim.NewRNG(9)
-
-	var committed []Txn
-	for round := 0; round < 5; round++ {
-		burst := 20 + rng.Intn(30)
-		for i := 0; i < burst; i++ {
-			tx := gen.Next()
-			if err := sys.Run(tx); err != nil {
-				t.Fatalf("round %d txn %d: %v", round, i, err)
-			}
-			committed = append(committed, tx)
-		}
-		// CRASH: remount, fsck the bitmap, then WAL recovery.
-		fs2, err := ffs.Mount(rig.Dev, rig.Clock, ffs.Options{CacheBlocks: 256})
-		if err != nil {
-			t.Fatalf("round %d remount: %v", round, err)
-		}
-		if _, err := fs2.Fsck(); err != nil {
-			t.Fatalf("round %d fsck: %v", round, err)
-		}
-		env2, _, err := libtp.RecoverPaths(fs2, rig.Clock, libtp.Options{}, DBPaths())
-		if err != nil {
-			t.Fatalf("round %d recover: %v", round, err)
-		}
-		sys = NewUserSystem([]*libtp.Env{env2}, rig.Part, rig.Clock, sim.SpriteCosts())
-		if err := sys.Attach(); err != nil {
-			t.Fatalf("round %d attach: %v", round, err)
-		}
-		rig.FS = fs2
-		rig.Env = env2
-
-		verifyState(t, rig, committed)
-	}
-}
+// configuration: LIBTP on the read-optimized file system, whose reboot has the
+// bitmap rebuild the LFS systems don't need.
+func TestFFSUserCrashStorm(t *testing.T) { userCrashStorm(t, "user-ffs", 33, 9) }

@@ -26,7 +26,9 @@ type RigOptions struct {
 	Config Config
 	// Costs is the CPU cost model (default sim.SpriteCosts()).
 	Costs sim.CostModel
-	// GroupCommit batches commits (default 1).
+	// GroupCommit is how many concurrent committers share one commit force
+	// or flush (default 1 = every commit forces); a commit is durable when
+	// it returns at any setting.
 	GroupCommit int
 	// Policy selects the LFS cleaner policy.
 	Policy lfs.CleanerPolicy

@@ -210,35 +210,38 @@ func TestBuildRigRejectsUnknownKind(t *testing.T) {
 	}
 }
 
+// TestGroupCommitRig: with one client nobody can join a batch, so on every
+// system a GroupCommit above 1 changes nothing — each commit is forced by
+// itself before Run returns.
 func TestGroupCommitRig(t *testing.T) {
-	rig, err := BuildRig(RigOptions{Kind: "kernel-lfs", Config: smallCfg(), GroupCommit: 5, ExpectedTxns: 500})
-	if err != nil {
-		t.Fatal(err)
+	for _, kind := range []string{"user-ffs", "user-lfs", "kernel-lfs"} {
+		t.Run(kind, func(t *testing.T) {
+			rig, err := BuildRig(RigOptions{Kind: kind, Config: smallCfg(), GroupCommit: 5, ExpectedTxns: 500})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := NewGenerator(smallCfg())
+			var txns []Txn
+			for i := 0; i < 100; i++ {
+				tx := gen.Next()
+				txns = append(txns, tx)
+				if err := rig.Sys.Run(tx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if rig.Core != nil {
+				if st := rig.Core.Stats(); st.Committed != 100 || st.CommitFlush != 100 {
+					t.Fatalf("%d commits in %d flushes before the drain, want 100 in 100", st.Committed, st.CommitFlush)
+				}
+			} else if st := rig.WALStats(); st.GroupCommits != 0 || st.Forces < 100 {
+				t.Fatalf("%d log forces, %d commits waited on another's: want every one of 100 forced by itself", st.Forces, st.GroupCommits)
+			}
+			if err := rig.Sys.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			checkConsistency(t, rig, txns)
+		})
 	}
-	gen := NewGenerator(smallCfg())
-	var txns []Txn
-	for i := 0; i < 100; i++ {
-		tx := gen.Next()
-		txns = append(txns, tx)
-		if err := rig.Sys.Run(tx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rig.Sys.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	st := rig.Core.Stats()
-	// TPC-B's teller/branch pages are hot: at MPL=1 every new transaction
-	// conflicts with the pending one and forces the batch out early, so
-	// strict group commit degenerates to per-commit flushes — but must
-	// never lose or corrupt anything.
-	if st.CommitFlush > st.Committed {
-		t.Fatalf("flushes (%d) cannot exceed commits (%d)", st.CommitFlush, st.Committed)
-	}
-	if st.Committed != 100 {
-		t.Fatalf("Committed = %d", st.Committed)
-	}
-	checkConsistency(t, rig, txns)
 }
 
 func TestHistoryGrows(t *testing.T) {

@@ -405,6 +405,25 @@ func (t *Tracer) Attribute(c AttrCat, d time.Duration) {
 	t.proc(t.tid()).cat[c] += d
 }
 
+// CommitWait returns the function a group-commit rendezvous (sim.Batch) calls
+// when a committer wakes, with the time it slept waiting for the batch's
+// flush: a txn.commitWait span ending now, AttrCommitWait attribution and the
+// txn.commitWait histogram. A nil tracer returns nil, which costs nothing.
+func (t *Tracer) CommitWait() func(time.Duration) {
+	if t == nil {
+		return nil
+	}
+	hist := t.Hist("txn.commitWait")
+	return func(d time.Duration) {
+		if d <= 0 {
+			return
+		}
+		t.Complete("txn", "txn.commitWait", t.clock.Now()-d)
+		t.Attribute(AttrCommitWait, d)
+		hist.Observe(d)
+	}
+}
+
 // AttributeIO charges foreground disk service and queue time, honouring any
 // attribution override pushed for the current proc (the cleaner pushes
 // AttrCleaner so its own I/O is not mistaken for workload disk time).

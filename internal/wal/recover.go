@@ -39,8 +39,8 @@ func Create(fsys vfs.FileSystem, base string, opts Options) (*Manager, error) {
 	}
 	return &Manager{
 		fsys: fsys, base: base, opts: opts, anchorF: af,
-		lowWater: 1, batch: 1,
-		writers: []*segWriter{{seq: 1}},
+		lowWater: 1,
+		writers:  []*segWriter{{seq: 1}},
 	}, nil
 }
 
@@ -83,7 +83,7 @@ func Open(fsys vfs.FileSystem, base string, opts Options) (*Manager, error) {
 
 	m := &Manager{
 		fsys: fsys, base: base, opts: opts, anchorF: af,
-		lowWater: a.lowWater, ckptLSN: a.ckptLSN, batch: 1,
+		lowWater: a.lowWater, ckptLSN: a.ckptLSN,
 	}
 
 	// Finish any interrupted truncation: segments below the anchored

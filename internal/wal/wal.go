@@ -1,16 +1,17 @@
 // Package wal implements the write-ahead log manager of the user-level
 // transaction system (Figure 2 of the paper): physical before/after-image
 // logging of byte ranges within pages, supporting both redo and undo
-// recovery, with group commit to amortize the cost of forcing the log.
+// recovery. Commit is append + force; amortizing the force over concurrent
+// committers (group commit, [3]) is the caller's policy, not the log's.
 //
 // The log is a sequence of rotated segment files ({base}.{seq}.txnlog) on
 // whichever file system the database lives on, each built from CRC-protected
 // 4 KB blocks (see segment.go for the on-disk format). Each record carries
 // its transaction, the page it touched, the byte range, and the before- and
-// after-images; commit forces the log to disk (possibly after batching
-// several transactions — group commit, [3]). Checkpoints advance a low-water
-// mark recorded in a small anchor file and truncate (or archive) the dead
-// segments below it, so recovery reads the live tail, never total history.
+// after-images; a commit is durable once a Force issued after its record was
+// appended has returned. Checkpoints advance a low-water mark recorded in a
+// small anchor file and truncate (or archive) the dead segments below it, so
+// recovery reads the live tail, never total history.
 package wal
 
 import (
@@ -99,7 +100,7 @@ type Stats struct {
 	Records      int64 `json:"records"`
 	BytesLogged  int64 `json:"bytes_logged"`  // record bytes appended (excludes block framing)
 	Forces       int64 `json:"forces"`        // log forces (synchronous flushes)
-	GroupCommits int64 `json:"group_commits"` // commits absorbed into a pending batch
+	GroupCommits int64 `json:"group_commits"` // commits that waited on another committer's force
 
 	Segments         int64 `json:"segments"`          // segment files created
 	Rotations        int64 `json:"rotations"`         // active-segment seals due to the size threshold
@@ -187,12 +188,6 @@ type Manager struct {
 	anchorF  vfs.File
 	closed   bool
 
-	// Group commit: force the log only once every batch commits, or
-	// immediately when batch <= 1 ("sufficiently more transactions have
-	// committed to justify the write", §4.4).
-	batch        int
-	pendingComms int
-
 	blockBuf []byte // reusable block-composition scratch for Force
 	idxBuf   []byte // reusable index-entry scratch for flushIndex
 
@@ -214,15 +209,6 @@ func (m *Manager) SetTracer(tr *trace.Tracer) {
 	m.ctrSealed = tr.Counter("wal.sealed")
 	m.ctrTruncated = tr.Counter("wal.truncated")
 	m.ctrIdxWrites = tr.Counter("wal.indexWrites")
-}
-
-// SetGroupCommit sets the commit batch size: the log is forced once per
-// `batch` commits. batch <= 1 forces at every commit.
-func (m *Manager) SetGroupCommit(batch int) {
-	if batch < 1 {
-		batch = 1
-	}
-	m.batch = batch
 }
 
 // Stats returns a snapshot of the counters.
@@ -352,34 +338,11 @@ func (m *Manager) LogUpdate(txn, file uint64, block int64, offset uint32, before
 	return m.append(&r), nil
 }
 
-// LogCommit appends a commit record and forces the log (or defers the force
-// under group commit). It reports whether the commit is durable yet.
-//
-//simlint:noalloc
-func (m *Manager) LogCommit(txn uint64) (LSN, bool, error) {
-	if m.closed {
-		return 0, false, ErrClosed
-	}
-	//simlint:alloc(non-escaping record: append encodes it and drops the pointer)
-	lsn := m.append(&Record{Type: RecCommit, Txn: txn})
-	m.tracer.Instant("wal", "wal.commit", trace.AU("txn", txn), trace.AI("lsn", int64(lsn)))
-	m.pendingComms++
-	if m.pendingComms >= m.batch {
-		m.pendingComms = 0
-		if err := m.Force(); err != nil {
-			return lsn, false, err
-		}
-		return lsn, true, nil
-	}
-	m.stats.GroupCommits++
-	return lsn, false, nil
-}
-
-// AppendCommit appends a commit record without forcing the log and without
-// touching the manager's own group-commit batching. The multiprogramming
-// commit path uses it: there the environment owns the batching policy,
-// blocking concurrent committers on a shared flush event, and calls Force
-// itself when the batch fills (or the scheduler's timeout arm fires). A
+// AppendCommit appends a commit record without forcing the log. The
+// transaction is durable — and may be acknowledged — only once a later Force
+// has returned: the environment owns the group-commit policy, holding
+// concurrent committers until one Force covers the whole batch (§4.4), and
+// the log manager itself never reports a commit it has not forced. A
 // rotation triggered mid-batch is safe: the sealed segment simply drains
 // ahead of the active one inside the batch's eventual Force.
 //
@@ -394,8 +357,8 @@ func (m *Manager) AppendCommit(txn uint64) (LSN, error) {
 	return lsn, nil
 }
 
-// NoteAbsorbed counts a commit that joined a pending batch without forcing
-// the log, for callers that batch via AppendCommit.
+// NoteAbsorbed counts a commit that waited on another committer's Force
+// instead of forcing the log itself.
 func (m *Manager) NoteAbsorbed() {
 	m.stats.GroupCommits++
 	m.ctrAbsorbed.Add(1)
@@ -477,7 +440,6 @@ func (m *Manager) LogCheckpoint() (LSN, error) {
 		return lsn, err
 	}
 	m.stats.Checkpoints++
-	m.pendingComms = 0
 	return lsn, nil
 }
 

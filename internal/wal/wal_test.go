@@ -45,7 +45,7 @@ func TestAppendAndScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.LogCommit(1); err != nil {
+	if err := logCommit(m, 1); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := m.Scan()
@@ -78,38 +78,53 @@ func TestLSNEncoding(t *testing.T) {
 	}
 }
 
+// logCommit is a forced commit: append txn's commit record, then force the
+// log — what a committer with nobody to share a force with does.
+func logCommit(m *Manager, txn uint64) error {
+	if _, err := m.AppendCommit(txn); err != nil {
+		return err
+	}
+	return m.Force()
+}
+
 func TestCommitForcesLog(t *testing.T) {
 	m, _ := newLog(t)
 	m.LogUpdate(1, 1, 0, 0, []byte("a"), []byte("b"))
-	if m.FlushedTo() != makeLSN(1, 0) {
-		t.Fatal("update alone should not force")
-	}
-	_, durable, err := m.LogCommit(1)
-	if err != nil {
+	if _, err := m.AppendCommit(1); err != nil {
 		t.Fatal(err)
 	}
-	if !durable {
-		t.Fatal("default batch=1 commit must be durable")
+	if m.FlushedTo() != makeLSN(1, 0) {
+		t.Fatal("appending must not force: the commit is durable only after Force")
+	}
+	if err := m.Force(); err != nil {
+		t.Fatal(err)
 	}
 	if m.FlushedTo() != m.End() {
-		t.Fatal("commit should force the whole log")
+		t.Fatal("Force should make the whole log durable")
 	}
 }
 
+// TestGroupCommitBatches: a batch is k appended commit records and one Force;
+// none of them is durable before it, all of them after.
 func TestGroupCommitBatches(t *testing.T) {
 	m, _ := newLog(t)
-	m.SetGroupCommit(3)
-	var durables []bool
 	for txn := uint64(1); txn <= 3; txn++ {
 		m.LogUpdate(txn, 1, 0, 0, []byte("x"), []byte("y"))
-		_, d, err := m.LogCommit(txn)
-		if err != nil {
+		if _, err := m.AppendCommit(txn); err != nil {
 			t.Fatal(err)
 		}
-		durables = append(durables, d)
+		if txn > 1 {
+			m.NoteAbsorbed() // waits on the first committer's force
+		}
 	}
-	if durables[0] || durables[1] || !durables[2] {
-		t.Fatalf("durability pattern = %v, want [false false true]", durables)
+	if m.FlushedTo() != makeLSN(1, 0) {
+		t.Fatal("no commit of the batch may be durable before its force")
+	}
+	if err := m.Force(); err != nil {
+		t.Fatal(err)
+	}
+	if m.FlushedTo() != m.End() {
+		t.Fatal("one force must cover the whole batch")
 	}
 	st := m.Stats()
 	if st.Forces != 1 {
@@ -123,7 +138,7 @@ func TestGroupCommitBatches(t *testing.T) {
 func TestReopenFindsEnd(t *testing.T) {
 	m, fsys := newLog(t)
 	m.LogUpdate(1, 1, 0, 0, []byte("a"), []byte("b"))
-	m.LogCommit(1)
+	logCommit(m, 1)
 	end := m.End()
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
@@ -137,7 +152,7 @@ func TestReopenFindsEnd(t *testing.T) {
 	}
 	// Appending after reopen works.
 	m2.LogUpdate(2, 1, 0, 0, []byte("c"), []byte("d"))
-	if _, _, err := m2.LogCommit(2); err != nil {
+	if err := logCommit(m2, 2); err != nil {
 		t.Fatal(err)
 	}
 	recs, _ := m2.Scan()
@@ -149,7 +164,7 @@ func TestReopenFindsEnd(t *testing.T) {
 func TestTornTailIgnored(t *testing.T) {
 	m, fsys := newLog(t)
 	m.LogUpdate(1, 1, 0, 0, []byte("good"), []byte("good"))
-	m.LogCommit(1)
+	logCommit(m, 1)
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +211,7 @@ func (p pageStore) apply(file uint64, block int64, offset uint32, data []byte) e
 func TestRecoverRedoWinners(t *testing.T) {
 	m, _ := newLog(t)
 	m.LogUpdate(1, 7, 0, 10, []byte("AAAA"), []byte("BBBB"))
-	m.LogCommit(1)
+	logCommit(m, 1)
 	store := pageStore{}
 	w, l, err := m.Recover(store.apply)
 	if err != nil {
@@ -214,7 +229,7 @@ func TestRecoverUndoLosers(t *testing.T) {
 	m, _ := newLog(t)
 	// Winner then loser on the same bytes.
 	m.LogUpdate(1, 7, 0, 10, []byte("AAAA"), []byte("BBBB"))
-	m.LogCommit(1)
+	logCommit(m, 1)
 	m.LogUpdate(2, 7, 0, 10, []byte("BBBB"), []byte("CCCC"))
 	m.Force() // loser's update reached the log but no commit
 	store := pageStore{}
@@ -238,7 +253,7 @@ func TestRecoverMultiTxnInterleaved(t *testing.T) {
 	m.LogUpdate(1, 3, 2, 0, []byte("xxxx"), []byte("T1AA"))
 	m.LogUpdate(2, 3, 2, 8, []byte("yyyy"), []byte("T2BB"))
 	m.LogUpdate(1, 3, 2, 4, []byte("zzzz"), []byte("T1CC"))
-	m.LogCommit(1)
+	logCommit(m, 1)
 	store := pageStore{}
 	store.apply(3, 2, 0, []byte("T1AAT1CCT2BB")) // crash state: both applied
 	if _, _, err := m.Recover(store.apply); err != nil {
@@ -285,7 +300,7 @@ func TestAbortDoesNotClobberLaterCommit(t *testing.T) {
 	m.LogUpdate(3, 1, 0, 0, []byte("3333"), []byte("0000")) // compensation
 	m.LogAbort(3)
 	m.LogUpdate(4, 1, 0, 0, []byte("0000"), []byte("4444"))
-	m.LogCommit(4)
+	logCommit(m, 4)
 	store := pageStore{}
 	store.apply(1, 0, 0, []byte("4444"))
 	if _, _, err := m.Recover(store.apply); err != nil {
@@ -299,7 +314,7 @@ func TestAbortDoesNotClobberLaterCommit(t *testing.T) {
 func TestCheckpointBoundsScan(t *testing.T) {
 	m, _ := newLog(t)
 	m.LogUpdate(1, 1, 0, 0, []byte("a"), []byte("b"))
-	m.LogCommit(1)
+	logCommit(m, 1)
 	if _, err := m.LogCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +327,7 @@ func TestCheckpointBoundsScan(t *testing.T) {
 	}
 	// The log keeps working after a checkpoint.
 	m.LogUpdate(2, 1, 0, 0, []byte("c"), []byte("d"))
-	m.LogCommit(2)
+	logCommit(m, 2)
 	recs, _ = m.Scan()
 	if len(recs) != 3 {
 		t.Fatalf("after checkpoint+append: %d records, want 3", len(recs))
@@ -343,7 +358,7 @@ func TestClosedLogRejects(t *testing.T) {
 	if _, err := m.LogUpdate(1, 1, 0, 0, nil, nil); err != ErrClosed {
 		t.Fatalf("got %v, want ErrClosed", err)
 	}
-	if _, _, err := m.LogCommit(1); err != ErrClosed {
+	if err := logCommit(m, 1); err != ErrClosed {
 		t.Fatalf("got %v, want ErrClosed", err)
 	}
 }
@@ -354,7 +369,7 @@ func TestBytesLoggedReflectsDeltaSize(t *testing.T) {
 	m, _ := newLog(t)
 	small := []byte("ab")
 	m.LogUpdate(1, 1, 0, 0, small, small)
-	m.LogCommit(1)
+	logCommit(m, 1)
 	st := m.Stats()
 	if st.BytesLogged > 200 {
 		t.Fatalf("BytesLogged = %d; delta logging should be tiny", st.BytesLogged)
@@ -377,7 +392,7 @@ func TestLogRoundTripProperty(t *testing.T) {
 		var expected []Record
 		for _, op := range ops {
 			if op.Commit {
-				if _, _, err := m.LogCommit(uint64(op.Txn)); err != nil {
+				if err := logCommit(m, uint64(op.Txn)); err != nil {
 					return false
 				}
 				expected = append(expected, Record{Type: RecCommit, Txn: uint64(op.Txn)})
@@ -440,7 +455,7 @@ func TestRecoverDeterministic(t *testing.T) {
 	// exercise all three classification paths.
 	m, _ := newLog(t)
 	m.LogUpdate(1, 7, 0, 0, []byte("aaaa"), []byte("wwww"))
-	m.LogCommit(1)
+	logCommit(m, 1)
 	m.LogUpdate(2, 7, 1, 8, []byte("bbbb"), []byte("cccc"))
 	m.LogAbort(2)
 	m.LogUpdate(3, 8, 2, 16, []byte("dddd"), []byte("eeee"))
@@ -489,7 +504,7 @@ func TestRecoverDeterministic(t *testing.T) {
 func TestTornSpanningRecordTruncatedOnOpen(t *testing.T) {
 	m, fsys := newLog(t)
 	m.LogUpdate(1, 1, 0, 0, []byte("good"), []byte("good"))
-	m.LogCommit(1)
+	logCommit(m, 1)
 	intactEnd := m.End()
 	// A record big enough to span blocks: before+after ≈ 2.5 blocks.
 	big := make([]byte, 5*PayloadSize/4)
@@ -539,7 +554,7 @@ func TestTornSpanningRecordTruncatedOnOpen(t *testing.T) {
 	}
 	// And appending after the truncation works.
 	m2.LogUpdate(2, 1, 0, 0, []byte("c"), []byte("d"))
-	if _, _, err := m2.LogCommit(2); err != nil {
+	if err := logCommit(m2, 2); err != nil {
 		t.Fatal(err)
 	}
 	if recs, _ := m2.Scan(); len(recs) != 4 {
@@ -552,7 +567,7 @@ func TestRotationAcrossSegments(t *testing.T) {
 	const n = 40
 	for txn := uint64(1); txn <= n; txn++ {
 		m.LogUpdate(txn, 1, int64(txn), 0, []byte("bbbb"), []byte("aaaa"))
-		if _, _, err := m.LogCommit(txn); err != nil {
+		if err := logCommit(m, txn); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -595,7 +610,7 @@ func TestCheckpointTruncatesDeadSegments(t *testing.T) {
 	m, fsys := newLogOpts(t, Options{SegmentBytes: 300})
 	for txn := uint64(1); txn <= 30; txn++ {
 		m.LogUpdate(txn, 1, int64(txn), 0, []byte("bbbb"), []byte("aaaa"))
-		m.LogCommit(txn)
+		logCommit(m, txn)
 	}
 	low := m.LowWater()
 	if low != 1 {
@@ -633,7 +648,7 @@ func TestRetainArchivesDeadSegments(t *testing.T) {
 	m, fsys := newLogOpts(t, Options{SegmentBytes: 300, Retain: true})
 	for txn := uint64(1); txn <= 30; txn++ {
 		m.LogUpdate(txn, 1, int64(txn), 0, []byte("bbbb"), []byte("aaaa"))
-		m.LogCommit(txn)
+		logCommit(m, txn)
 	}
 	if _, err := m.LogCheckpoint(); err != nil {
 		t.Fatal(err)
@@ -670,7 +685,7 @@ func TestBoundedRecoveryScan(t *testing.T) {
 	m, fsys := newLogOpts(t, Options{SegmentBytes: 300})
 	for txn := uint64(1); txn <= 30; txn++ {
 		m.LogUpdate(txn, 1, int64(txn), 0, []byte("bbbb"), []byte("aaaa"))
-		m.LogCommit(txn)
+		logCommit(m, txn)
 	}
 	if _, err := m.LogCheckpoint(); err != nil {
 		t.Fatal(err)
@@ -679,7 +694,7 @@ func TestBoundedRecoveryScan(t *testing.T) {
 	totalSegs := m.stats.Segments
 	for txn := uint64(31); txn <= 36; txn++ {
 		m.LogUpdate(txn, 1, int64(txn), 0, []byte("bbbb"), []byte("aaaa"))
-		m.LogCommit(txn)
+		logCommit(m, txn)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
@@ -723,7 +738,7 @@ func TestIndexSeekSkipsBlocks(t *testing.T) {
 	big := make([]byte, PayloadSize/2)
 	for txn := uint64(1); txn <= 8; txn++ {
 		m.LogUpdate(txn, 1, int64(txn), 0, big, big)
-		m.LogCommit(txn)
+		logCommit(m, txn)
 	}
 	if _, err := m.LogCheckpoint(); err != nil {
 		t.Fatal(err)
@@ -736,7 +751,7 @@ func TestIndexSeekSkipsBlocks(t *testing.T) {
 	// seal, and only sealed segments are index-seeked).
 	for txn := uint64(9); txn <= 40; txn++ {
 		m.LogUpdate(txn, 1, int64(txn), 0, big, big)
-		m.LogCommit(txn)
+		logCommit(m, txn)
 	}
 	if m.active().seq == ckpt.Segment() {
 		t.Fatal("test needs the checkpoint segment sealed")
@@ -915,11 +930,11 @@ func TestDumpReadableOnCleanAndTornLogs(t *testing.T) {
 	m, fsys := newLogOpts(t, Options{SegmentBytes: 300})
 	for txn := uint64(1); txn <= 10; txn++ {
 		m.LogUpdate(txn, 1, int64(txn), 0, []byte("bbbb"), []byte("aaaa"))
-		m.LogCommit(txn)
+		logCommit(m, txn)
 	}
 	m.LogCheckpoint()
 	m.LogUpdate(11, 1, 11, 0, []byte("bbbb"), []byte("aaaa"))
-	m.LogCommit(11)
+	logCommit(m, 11)
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -956,7 +971,7 @@ func TestScanStatsAccountsBlocks(t *testing.T) {
 	m, _ := newLog(t)
 	big := make([]byte, 3*PayloadSize/2)
 	m.LogUpdate(1, 1, 0, 0, big, big) // spans several blocks
-	m.LogCommit(1)
+	logCommit(m, 1)
 	if _, err := m.Scan(); err != nil {
 		t.Fatal(err)
 	}
