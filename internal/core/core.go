@@ -180,11 +180,6 @@ func (m *Manager) Protect(path string) error {
 	return m.fs.SetTxnProtected(path, true)
 }
 
-// Unprotect turns transaction-protection off.
-func (m *Manager) Unprotect(path string) error {
-	return m.fs.SetTxnProtected(path, false)
-}
-
 // Process models the per-process state the paper extends with a pointer to
 // the transaction state: each process has at most one active transaction
 // (implementation restriction 4), and transactions may not span processes

@@ -87,7 +87,7 @@ func TestSequentialAllocationIsContiguous(t *testing.T) {
 	}
 	f.Close()
 	fs.mu.Lock()
-	in, _ := fs.lookupLocked("/seq")
+	in, _ := fs.LookupLocked("/seq")
 	next := len(in.extents)
 	fs.mu.Unlock()
 	if next != 1 {
@@ -104,7 +104,7 @@ func TestInPlaceUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.mu.Lock()
-	in, _ := fs.lookupLocked("/f")
+	in, _ := fs.LookupLocked("/f")
 	before := in.mapBlock(1)
 	fs.mu.Unlock()
 
@@ -182,7 +182,7 @@ func TestOverflowExtents(t *testing.T) {
 	fa.Close()
 	fb.Close()
 	fs.mu.Lock()
-	in, _ := fs.lookupLocked("/a")
+	in, _ := fs.LookupLocked("/a")
 	next := len(in.extents)
 	fs.mu.Unlock()
 	if next <= inlineExtents {
@@ -232,7 +232,7 @@ func TestTruncateFreesBlocks(t *testing.T) {
 	fs, _, _ := newFS(t)
 	writeFile(t, fs, "/t", pattern(100*4096, 8))
 	fs.mu.Lock()
-	in, _ := fs.lookupLocked("/t")
+	in, _ := fs.LookupLocked("/t")
 	before := in.blocks()
 	fs.mu.Unlock()
 	f, _ := fs.Open("/t")

@@ -7,140 +7,6 @@ import (
 	"repro/internal/vfs"
 )
 
-// File is an open file handle.
-type File struct {
-	fs     *FS
-	in     *inode
-	closed bool
-}
-
-var _ vfs.File = (*File)(nil)
-
-// ID implements vfs.File.
-func (f *File) ID() vfs.FileID { return vfs.FileID(f.in.ino) }
-
-// Size implements vfs.File.
-func (f *File) Size() (int64, error) {
-	if f.closed {
-		return 0, vfs.ErrFileClosed
-	}
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	return f.in.size, nil
-}
-
-// Close implements vfs.File.
-func (f *File) Close() error {
-	if f.closed {
-		return vfs.ErrFileClosed
-	}
-	f.closed = true
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	f.in.refs--
-	return nil
-}
-
-// Sync implements vfs.File: flush the file's dirty blocks and its inode.
-func (f *File) Sync() error {
-	if f.closed {
-		return vfs.ErrFileClosed
-	}
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	ino := f.in.ino
-	if err := f.fs.flushDirtyLocked(&ino); err != nil {
-		return err
-	}
-	if f.in.dirty {
-		return f.fs.storeInodeLocked(f.in)
-	}
-	return nil
-}
-
-// ReadAt implements vfs.File.
-func (f *File) ReadAt(p []byte, off int64) (int, error) {
-	if f.closed {
-		return 0, vfs.ErrFileClosed
-	}
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	if err := f.fs.maybeSyncerLocked(); err != nil {
-		return 0, err
-	}
-	return f.fs.readAtLocked(f.in, p, off)
-}
-
-// WriteAt implements vfs.File.
-func (f *File) WriteAt(p []byte, off int64) (int, error) {
-	if f.closed {
-		return 0, vfs.ErrFileClosed
-	}
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	if err := f.fs.maybeSyncerLocked(); err != nil {
-		return 0, err
-	}
-	return f.fs.writeAtLocked(f.in, p, off)
-}
-
-// Truncate implements vfs.File.
-func (f *File) Truncate(size int64) error {
-	if f.closed {
-		return vfs.ErrFileClosed
-	}
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	return f.fs.truncateLocked(f.in, size)
-}
-
-// TxnProtected reports the transaction-protection attribute.
-func (f *File) TxnProtected() bool {
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	return f.in.txnProtected()
-}
-
-// GetPage pins the buffer for logical block lbn (see lfs.File.GetPage).
-func (f *File) GetPage(lbn int64) (*buffer.Buf, error) {
-	if f.closed {
-		return nil, vfs.ErrFileClosed
-	}
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	return f.fs.pool.Get(buffer.BlockID{File: vfs.FileID(f.in.ino), Block: lbn}, f.fs.fetchBlock)
-}
-
-func (fs *FS) readAtLocked(in *inode, p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("ffs: negative offset %d", off)
-	}
-	if off >= in.size {
-		return 0, nil
-	}
-	if max := in.size - off; int64(len(p)) > max {
-		p = p[:max]
-	}
-	bs := int64(fs.blockSize)
-	n := 0
-	for n < len(p) {
-		lbn := (off + int64(n)) / bs
-		bo := (off + int64(n)) % bs
-		want := len(p) - n
-		if avail := int(bs - bo); want > avail {
-			want = avail
-		}
-		b, err := fs.pool.Get(buffer.BlockID{File: vfs.FileID(in.ino), Block: lbn}, fs.fetchBlock)
-		if err != nil {
-			return n, err
-		}
-		copy(p[n:n+want], b.Data[bo:])
-		fs.pool.Release(b)
-		n += want
-	}
-	return n, nil
-}
-
 // ensureMapped allocates blocks (contiguously when possible) so lbn is
 // mapped, zero-filling any newly created intermediate blocks.
 func (fs *FS) ensureMapped(in *inode, lbn int64) error {
@@ -155,47 +21,9 @@ func (fs *FS) ensureMapped(in *inode, lbn int64) error {
 			return err
 		}
 		in.appendBlock(addr)
-		in.dirty = true
+		in.Dirty = true
 	}
 	return nil
-}
-
-func (fs *FS) writeAtLocked(in *inode, p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("ffs: negative offset %d", off)
-	}
-	bs := int64(fs.blockSize)
-	lastLBN := (off + int64(len(p)) - 1) / bs
-	if err := fs.ensureMapped(in, lastLBN); err != nil {
-		return 0, err
-	}
-	n := 0
-	for n < len(p) {
-		lbn := (off + int64(n)) / bs
-		bo := (off + int64(n)) % bs
-		want := len(p) - n
-		if avail := int(bs - bo); want > avail {
-			want = avail
-		}
-		var fetch buffer.Fetch
-		if !(bo == 0 && want == int(bs)) {
-			fetch = fs.fetchBlock
-		}
-		b, err := fs.pool.Get(buffer.BlockID{File: vfs.FileID(in.ino), Block: lbn}, fetch)
-		if err != nil {
-			return n, err
-		}
-		copy(b.Data[bo:], p[n:n+want])
-		fs.pool.MarkDirty(b)
-		fs.pool.Release(b)
-		n += want
-	}
-	if end := off + int64(len(p)); end > in.size {
-		in.size = end
-	}
-	in.mtime = int64(fs.clock.Now())
-	in.dirty = true
-	return n, nil
 }
 
 func (fs *FS) truncateLocked(in *inode, size int64) error {
@@ -203,7 +31,7 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 		return fmt.Errorf("ffs: negative truncate size %d", size)
 	}
 	bs := int64(fs.blockSize)
-	if size < in.size {
+	if size < in.Size {
 		keep := (size + bs - 1) / bs
 		// Free whole blocks past the new end.
 		for in.blocks() > keep {
@@ -212,14 +40,14 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 			fs.freeBlock(last.Start + last.Len - 1)
 			last.Len--
 			blkNo := in.blocks()
-			_ = fs.pool.Invalidate(buffer.BlockID{File: vfs.FileID(in.ino), Block: blkNo})
+			_ = fs.pool.Invalidate(buffer.BlockID{File: vfs.FileID(in.Ino), Block: blkNo})
 			if last.Len == 0 {
 				in.extents = in.extents[:n-1]
 			}
 		}
 		// Zero the tail of the final block.
 		if size%bs != 0 {
-			id := buffer.BlockID{File: vfs.FileID(in.ino), Block: size / bs}
+			id := buffer.BlockID{File: vfs.FileID(in.Ino), Block: size / bs}
 			b, err := fs.pool.Get(id, fs.fetchBlock)
 			if err != nil {
 				return err
@@ -231,8 +59,8 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 			fs.pool.Release(b)
 		}
 	}
-	in.size = size
-	in.dirty = true
+	in.Size = size
+	in.Dirty = true
 	return nil
 }
 

@@ -13,13 +13,15 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"repro/internal/ufs"
 )
 
 // Ino is an inode number. Inode numbers index the fixed inode table.
-type Ino uint64
+type Ino = ufs.Ino
 
 // RootIno is the root directory's inode number.
-const RootIno Ino = 1
+const RootIno = ufs.RootIno
 
 const (
 	superMagic = 0x46465331 // "FFS1"
@@ -102,31 +104,13 @@ func decodeSuperblock(b []byte) (superblock, error) {
 	return sb, nil
 }
 
-// File modes and flags.
-const (
-	modeFile uint32 = 1
-	modeDir  uint32 = 2
-
-	flagTxnProtected uint32 = 1 << 0
-)
-
-// inode is the in-memory inode.
+// inode is the in-memory inode: the shared header and FFS's block map.
 type inode struct {
-	ino     Ino
-	mode    uint32
-	flags   uint32
-	size    int64
-	nlink   uint32
-	mtime   int64
+	ufs.Inode
 	extents []extent // all extents, inline + overflow
 	// overflow chain blocks currently allocated on disk
 	overflow []int64
-	dirty    bool
-	refs     int
 }
-
-func (in *inode) isDir() bool        { return in.mode == modeDir }
-func (in *inode) txnProtected() bool { return in.flags&flagTxnProtected != 0 }
 
 // blocks returns the number of allocated blocks.
 func (in *inode) blocks() int64 {
@@ -170,11 +154,11 @@ func (in *inode) encodeSlot() []byte {
 	b := make([]byte, inodeSlotSize)
 	le := binary.LittleEndian
 	b[0] = 1
-	le.PutUint32(b[4:], in.mode)
-	le.PutUint32(b[8:], in.flags)
-	le.PutUint32(b[12:], in.nlink)
-	le.PutUint64(b[16:], uint64(in.size))
-	le.PutUint64(b[24:], uint64(in.mtime))
+	le.PutUint32(b[4:], in.Mode)
+	le.PutUint32(b[8:], in.Flags)
+	le.PutUint32(b[12:], in.Nlink)
+	le.PutUint64(b[16:], uint64(in.Size))
+	le.PutUint64(b[24:], uint64(in.Mtime))
 	le.PutUint32(b[32:], uint32(len(in.extents)))
 	off := 40
 	for i := 0; i < inlineExtents && i < len(in.extents); i++ {
@@ -196,12 +180,12 @@ func decodeSlot(b []byte, ino Ino) (*inode, bool) {
 		return nil, false
 	}
 	le := binary.LittleEndian
-	in := &inode{ino: ino}
-	in.mode = le.Uint32(b[4:])
-	in.flags = le.Uint32(b[8:])
-	in.nlink = le.Uint32(b[12:])
-	in.size = int64(le.Uint64(b[16:]))
-	in.mtime = int64(le.Uint64(b[24:]))
+	in := &inode{Inode: ufs.Inode{Ino: ino}}
+	in.Mode = le.Uint32(b[4:])
+	in.Flags = le.Uint32(b[8:])
+	in.Nlink = le.Uint32(b[12:])
+	in.Size = int64(le.Uint64(b[16:]))
+	in.Mtime = int64(le.Uint64(b[24:]))
 	n := int(le.Uint32(b[32:]))
 	off := 40
 	for i := 0; i < inlineExtents && i < n; i++ {

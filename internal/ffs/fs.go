@@ -9,6 +9,7 @@ import (
 	"repro/internal/detsort"
 	"repro/internal/disk"
 	"repro/internal/sim"
+	"repro/internal/ufs"
 	"repro/internal/vfs"
 )
 
@@ -41,8 +42,15 @@ type Stats struct {
 	BlocksFlushed int64 `json:"blocks_flushed"` // blocks pushed out by the syncer
 }
 
-// FS is a mounted read-optimized file system.
+// upper is the layer FFS shares with LFS: namespace, directories and open
+// files over this file system's inodes.
+type upper = ufs.FS[*inode]
+
+// FS is a mounted read-optimized file system. The embedded upper layer
+// supplies Create, Open, Mkdir, ReadDir, Stat, Remove, Rename and
+// SetTxnProtected.
 type FS struct {
+	*upper
 	mu        sync.Mutex
 	dev       disk.BlockDevice
 	clock     *sim.Clock
@@ -126,13 +134,12 @@ func Format(dev disk.BlockDevice, clock *sim.Clock, opts Options) (*FS, error) {
 	for b := int64(0); b < sb.DataStart; b++ {
 		fs.setBit(b)
 	}
-	fs.pool = buffer.New(opts.CacheBlocks, bs, fs.writeback)
-	fs.queue = disk.NewQueue(dev)
+	fs.attach()
 
-	root := &inode{ino: RootIno, mode: modeDir, nlink: 2, dirty: true}
+	root := &inode{Inode: ufs.Inode{Ino: RootIno, Mode: ufs.ModeDir, Nlink: 2, Dirty: true}}
 	fs.inodes[RootIno] = root
 	fs.usedSlots[RootIno] = true
-	if err := fs.writeDirLocked(root, nil); err != nil {
+	if err := fs.WriteDirLocked(root, nil); err != nil {
 		return nil, err
 	}
 	if err := fs.syncLocked(); err != nil {
@@ -196,9 +203,34 @@ func Mount(dev disk.BlockDevice, clock *sim.Clock, opts Options) (*FS, error) {
 			}
 		}
 	}
-	fs.pool = buffer.New(opts.CacheBlocks, bs, fs.writeback)
-	fs.queue = disk.NewQueue(dev)
+	fs.attach()
 	return fs, nil
+}
+
+// attach builds the buffer cache, the disk queue and the shared upper layer
+// over them. The vector is what FFS does its own way: inodes live in a fixed
+// table and are written through, blocks are allocated when a write first
+// reaches them, and delayed writes age out on a 30-second syncer. Directories
+// are padded to whole blocks (see ufs.New).
+func (fs *FS) attach() {
+	fs.pool = buffer.New(fs.opts.CacheBlocks, fs.blockSize, fs.writeback)
+	fs.queue = disk.NewQueue(fs.dev)
+	fs.upper = ufs.New(ufs.Ops[*inode]{
+		Mu:       &fs.mu,
+		Pool:     fs.pool,
+		Clock:    fs.clock,
+		Fetch:    fs.fetchBlock,
+		Load:     fs.loadInodeLocked,
+		Alloc:    fs.allocInodeLocked,
+		Drop:     fs.forgetInodeLocked,
+		Free:     fs.freeInodeLocked,
+		Release:  fs.releaseLocked,
+		Update:   fs.storeInodeLocked,
+		Reserve:  fs.ensureMapped,
+		Truncate: fs.truncateLocked,
+		Sync:     fs.syncFileLocked,
+		Tick:     fs.maybeSyncerLocked,
+	}, true)
 }
 
 // Name implements vfs.FileSystem.
@@ -409,7 +441,7 @@ func (fs *FS) storeInodeLocked(in *inode) error {
 			return err
 		}
 	}
-	blk, slot := fs.inodeTableBlock(in.ino)
+	blk, slot := fs.inodeTableBlock(in.Ino)
 	buf, err := fs.readTableBlock(blk)
 	if err != nil {
 		return err
@@ -418,7 +450,7 @@ func (fs *FS) storeInodeLocked(in *inode) error {
 	if err := fs.writeTableBlock(blk, buf); err != nil {
 		return err
 	}
-	in.dirty = false
+	in.Dirty = false
 	return nil
 }
 
@@ -449,7 +481,7 @@ func (fs *FS) syncLocked() error {
 		return err
 	}
 	for _, ino := range detsort.Keys(fs.inodes) {
-		if in := fs.inodes[ino]; in.dirty {
+		if in := fs.inodes[ino]; in.Dirty {
 			if err := fs.storeInodeLocked(in); err != nil {
 				return err
 			}
@@ -475,8 +507,8 @@ func (fs *FS) syncLocked() error {
 	return fs.dev.Write(0, fs.sb.encode(bs))
 }
 
-// allocIno finds a free inode number.
-func (fs *FS) allocIno() (Ino, error) {
+// allocInodeLocked claims a free inode number and returns its blank inode.
+func (fs *FS) allocInodeLocked() (*inode, error) {
 	for i := int64(0); i < fs.sb.MaxInodes; i++ {
 		ino := fs.nextIno
 		fs.nextIno++
@@ -484,9 +516,46 @@ func (fs *FS) allocIno() (Ino, error) {
 			fs.nextIno = RootIno + 1
 		}
 		if ino >= 1 && int64(ino) <= fs.sb.MaxInodes && !fs.usedSlots[ino] {
+			in := &inode{Inode: ufs.Inode{Ino: ino}}
 			fs.usedSlots[ino] = true
-			return ino, nil
+			fs.inodes[ino] = in
+			return in, nil
 		}
 	}
-	return 0, ErrNoInodes
+	return nil, ErrNoInodes
+}
+
+// forgetInodeLocked returns an inode's number to the free pool.
+func (fs *FS) forgetInodeLocked(in *inode) {
+	delete(fs.inodes, in.Ino)
+	delete(fs.usedSlots, in.Ino)
+}
+
+// freeInodeLocked marks a removed inode's table slot free on disk.
+func (fs *FS) freeInodeLocked(in *inode) error {
+	if err := fs.clearInodeSlotLocked(in.Ino); err != nil {
+		return err
+	}
+	fs.forgetInodeLocked(in)
+	return nil
+}
+
+// releaseLocked drops an inode's cached buffers and frees its blocks.
+func (fs *FS) releaseLocked(in *inode) error {
+	if err := fs.pool.InvalidateFile(vfs.FileID(in.Ino)); err != nil {
+		return err
+	}
+	fs.freeFileLocked(in)
+	return nil
+}
+
+// syncFileLocked flushes one file's dirty blocks and its inode.
+func (fs *FS) syncFileLocked(in *inode) error {
+	if err := fs.flushDirtyLocked(&in.Ino); err != nil {
+		return err
+	}
+	if in.Dirty {
+		return fs.storeInodeLocked(in)
+	}
+	return nil
 }

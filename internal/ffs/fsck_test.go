@@ -2,7 +2,10 @@ package ffs
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+
+	"repro/internal/vfs"
 )
 
 func TestFsckCleanStateNeedsNoRepair(t *testing.T) {
@@ -125,5 +128,33 @@ func TestFsckFreesLeakedBlocks(t *testing.T) {
 	}
 	if rep.LeakedBlocks == 0 {
 		t.Fatalf("truncated blocks should be reported leaked: %+v", rep)
+	}
+}
+
+// TestFailedMkdirLeaksNothing: the new directory's first block is allocated
+// and dirty in the cache before the duplicate name is found; the rollback
+// must free the block and drop the buffer along with the inode, or every
+// later Sync trips over a dirty block whose inode is gone.
+func TestFailedMkdirLeaksNothing(t *testing.T) {
+	fs, _, _ := newFS(t)
+	if err := fs.Mkdir("/a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Mkdir("/a"); !errors.Is(err, vfs.ErrExist) {
+		t.Fatalf("duplicate mkdir: %v", err)
+	}
+	writeFile(t, fs, "/f", pattern(4096, 3))
+	if err := fs.Sync(); err != nil {
+		t.Fatalf("sync after the failed mkdir: %v", err)
+	}
+	rep, err := fs.Fsck()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || rep.Inodes != 3 { // root, /a, /f
+		t.Fatalf("failed mkdir left something behind: %+v", rep)
 	}
 }

@@ -2,7 +2,11 @@
 // The same behavioural contract is asserted against the log-structured file
 // system, the read-optimized file system, and the embedded transaction
 // manager's adapter, so the three stay interchangeable under every workload
-// in this repository.
+// in this repository. Besides the plain contract it pins the namespace's
+// failure behaviour: a directory cannot be renamed into its own subtree
+// (RenameSemantics), and a Mkdir or Create that fails leaves nothing behind
+// (FailedCreateLeavesNothing). script_test.go runs one long seed-derived
+// namespace script against all three and an in-memory model.
 package fstest
 
 import (
@@ -32,6 +36,7 @@ func Run(t *testing.T, name string, factory Factory) {
 		{"PathErrors", testPathErrors},
 		{"RemoveSemantics", testRemoveSemantics},
 		{"RenameSemantics", testRenameSemantics},
+		{"FailedCreateLeavesNothing", testFailedCreate},
 		{"HandleLifecycle", testHandleLifecycle},
 		{"ManyFiles", testManyFiles},
 		{"LargeFile", testLargeFile},
@@ -295,6 +300,53 @@ func testRenameSemantics(t *testing.T, fsys vfs.FileSystem) {
 	}
 	if got := read(t, fsys, "/dst/sub/deep"); string(got) != "deep" {
 		t.Fatal("directory rename lost contents")
+	}
+	// A directory cannot move into its own subtree: it would be unlinked
+	// from the tree and reachable only through itself.
+	fsys.Mkdir("/a")
+	fsys.Mkdir("/a/c")
+	for _, to := range []string{"/a/b", "/a/c/d"} {
+		if err := fsys.Rename("/a", to); !errors.Is(err, vfs.ErrBadPath) {
+			t.Fatalf("Rename(/a, %s): %v", to, err)
+		}
+	}
+	if info, err := fsys.Stat("/a/c"); err != nil || !info.IsDir {
+		t.Fatalf("refused rename lost the directory: %+v, %v", info, err)
+	}
+	if err := fsys.Sync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// testFailedCreate: a Mkdir or Create refused with ErrExist must give back
+// what the attempt took — the new inode and, for a directory, the first block
+// it had already written into the cache.
+func testFailedCreate(t *testing.T, fsys vfs.FileSystem) {
+	if err := fsys.Mkdir("/a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsys.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsys.Mkdir("/a"); !errors.Is(err, vfs.ErrExist) {
+		t.Fatalf("duplicate mkdir: %v", err)
+	}
+	f, err := fsys.Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt([]byte{7}, 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fsys.Create("/f"); !errors.Is(err, vfs.ErrExist) {
+		t.Fatalf("duplicate create: %v", err)
+	}
+	if err := fsys.Sync(); err != nil {
+		t.Fatalf("sync after the failed attempts: %v", err)
+	}
+	if got, want := read(t, fsys, "/f"), append(make([]byte, 10), 7); !bytes.Equal(got, want) {
+		t.Fatalf("read back % x, want % x", got, want)
 	}
 }
 

@@ -44,10 +44,6 @@ func (fs *FS) AuditUsage() (maintained, actual int64, perSegDiff map[int64][2]in
 	return maintained, actual, perSegDiff, nil
 }
 
-// DebugAudit enables an internal usage audit after every cleaned segment
-// (and panics on divergence). Test diagnostics only.
-func (fs *FS) SetDebugAudit(on bool) { fs.debugAudit = on }
-
 // auditLocked is AuditUsage without taking the lock.
 func (fs *FS) auditLocked() (int64, int64, map[int64][2]int64, error) {
 	actualLive := make([]int64, fs.sb.NumSegments)

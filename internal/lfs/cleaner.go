@@ -508,7 +508,7 @@ func (fs *FS) cleanBatchLocked(victims []int64) error {
 				if err != nil {
 					return err
 				}
-				in.dirty = true
+				in.Dirty = true
 				relocInos[ino] = true
 			}
 		case kindInd:
@@ -625,11 +625,6 @@ func (fs *FS) cleanBatchLocked(victims []int64) error {
 			trace.AI("dead", fs.stats.Cleaner.BlocksDead-dead0))
 		fs.tracer.Count("cleaner.passes", 1)
 		fs.tracer.Count("cleaner.victims", int64(len(victims)))
-	}
-	if fs.debugAudit {
-		if _, _, diff, err := fs.auditLocked(); err != nil || len(diff) > 0 {
-			panic(fmt.Sprintf("audit after cleaning segs %v: diff=%v err=%v", victims, diff, err))
-		}
 	}
 	return nil
 }

@@ -20,15 +20,15 @@ import (
 func (fs *FS) Coalesce(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	in, err := fs.lookupLocked(path)
+	in, err := fs.LookupLocked(path)
 	if err != nil {
 		return err
 	}
-	if in.isDir() {
+	if in.IsDir() {
 		return vfs.ErrIsDir
 	}
 	bs := int64(fs.blockSize)
-	nblocks := (in.size + bs - 1) / bs
+	nblocks := (in.Size + bs - 1) / bs
 
 	// Stage every mapped block in the orphan table. Blocks already dirty
 	// in the cache (or already parked) are current and will be rewritten
@@ -38,7 +38,7 @@ func (fs *FS) Coalesce(path string) error {
 		if err != nil {
 			return err
 		}
-		id := blockIDOf(in.ino, lbn)
+		id := blockIDOf(in.Ino, lbn)
 		if _, parked := fs.orphans[id]; parked {
 			continue
 		}
@@ -54,11 +54,11 @@ func (fs *FS) Coalesce(path string) error {
 		}
 		fs.orphans[id] = data
 	}
-	in.dirty = true
+	in.Dirty = true
 
 	// Flush the staged blocks through the regular flush path (which sorts
 	// by logical block number and invokes the cleaner if segments run
 	// low), so the partial segments written here hold the file in logical
 	// order — the post-coalesce layout is sequential.
-	return fs.flushLocked(map[Ino]bool{in.ino: true}, false, nil)
+	return fs.flushLocked(map[Ino]bool{in.Ino: true}, false, nil)
 }

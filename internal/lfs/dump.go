@@ -73,14 +73,14 @@ func (fs *FS) Dump(w io.Writer) error {
 			continue
 		}
 		kind := "file"
-		if in.isDir() {
+		if in.IsDir() {
 			kind = "dir "
 		}
 		txn := ""
-		if in.txnProtected() {
+		if in.TxnProtected() {
 			txn = " txn-protected"
 		}
-		fmt.Fprintf(w, "  ino %4d @%-8d %s %8d B%s\n", ino, fs.imap[ino], kind, in.size, txn)
+		fmt.Fprintf(w, "  ino %4d @%-8d %s %8d B%s\n", ino, fs.imap[ino], kind, in.Size, txn)
 	}
 
 	st := fs.stats

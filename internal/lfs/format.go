@@ -22,13 +22,15 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"repro/internal/ufs"
 )
 
 // Ino is an inode number.
-type Ino uint64
+type Ino = ufs.Ino
 
 // RootIno is the inode number of the root directory.
-const RootIno Ino = 1
+const RootIno = ufs.RootIno
 
 // Layout and format constants.
 const (

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/ufs"
 )
 
 func TestSuperblockRoundTrip(t *testing.T) {
@@ -110,12 +112,14 @@ func TestSummaryCapacity(t *testing.T) {
 
 func TestInodeWireRoundTrip(t *testing.T) {
 	in := &inode{
-		ino:      77,
-		mode:     modeFile,
-		flags:    flagTxnProtected,
-		size:     123456,
-		nlink:    1,
-		mtime:    999,
+		Inode: ufs.Inode{
+			Ino:   77,
+			Mode:  ufs.ModeFile,
+			Flags: ufs.FlagTxnProtected,
+			Size:  123456,
+			Nlink: 1,
+			Mtime: 999,
+		},
 		indAddr:  500,
 		dindAddr: 600,
 	}
@@ -126,18 +130,18 @@ func TestInodeWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ino != in.ino || got.mode != in.mode || got.flags != in.flags ||
-		got.size != in.size || got.mtime != in.mtime ||
+	if got.Ino != in.Ino || got.Mode != in.Mode || got.Flags != in.Flags ||
+		got.Size != in.Size || got.Mtime != in.Mtime ||
 		got.indAddr != in.indAddr || got.dindAddr != in.dindAddr || got.direct != in.direct {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
-	if !got.txnProtected() {
+	if !got.TxnProtected() {
 		t.Fatal("txn flag lost")
 	}
 }
 
 func TestInodeWireRejectsCorruption(t *testing.T) {
-	in := &inode{ino: 1, mode: modeDir}
+	in := &inode{Inode: ufs.Inode{Ino: 1, Mode: ufs.ModeDir}}
 	b := in.encodeWire()
 	b[30] ^= 0x10
 	if _, err := decodeInodeWire(b); err == nil {
@@ -148,7 +152,7 @@ func TestInodeWireRejectsCorruption(t *testing.T) {
 func TestInodePackRoundTrip(t *testing.T) {
 	var inodes []*inode
 	for i := 0; i < 5; i++ {
-		inodes = append(inodes, &inode{ino: Ino(i + 2), mode: modeFile, size: int64(i * 100)})
+		inodes = append(inodes, &inode{Inode: ufs.Inode{Ino: Ino(i + 2), Mode: ufs.ModeFile, Size: int64(i * 100)}})
 	}
 	pack := encodeInodePack(4096, inodes)
 	got, err := decodeInodePack(pack)
@@ -159,7 +163,7 @@ func TestInodePackRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d inodes", len(got))
 	}
 	for i := range inodes {
-		if got[i].ino != inodes[i].ino || got[i].size != inodes[i].size {
+		if got[i].Ino != inodes[i].Ino || got[i].Size != inodes[i].Size {
 			t.Fatalf("inode %d mismatch", i)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/ufs"
 	"repro/internal/vfs"
 )
 
@@ -83,8 +84,15 @@ type Stats struct {
 	Cleaner         CleanerStats `json:"cleaner"`
 }
 
-// FS is a mounted log-structured file system.
+// upper is the layer LFS shares with FFS: namespace, directories and open
+// files over this file system's inodes.
+type upper = ufs.FS[*inode]
+
+// FS is a mounted log-structured file system. The embedded upper layer
+// supplies Create, Open, Mkdir, ReadDir, Stat, Remove, Rename and
+// SetTxnProtected.
 type FS struct {
+	*upper
 	mu        sync.Mutex
 	dev       disk.BlockDevice
 	clock     *sim.Clock
@@ -119,7 +127,6 @@ type FS struct {
 	// when the last inode in it has been superseded.
 	packRefs       map[int64]int
 	orphanPressure bool
-	debugAudit     bool
 	stats          Stats
 	retain         SnapshotRetention // nil = no snapshot layer attached
 	tracer         *trace.Tracer     // nil = tracing off
@@ -181,18 +188,95 @@ func Format(dev disk.BlockDevice, clock *sim.Clock, opts Options) (*FS, error) {
 	fs.segs[0].State = segCurrent
 	fs.segs[1].State = segReserved
 	fs.free -= 2
-	fs.pool = buffer.New(opts.CacheBlocks, bs, fs.writeback)
+	fs.attach()
 
 	// Create the root directory.
-	root := &inode{ino: RootIno, mode: modeDir, nlink: 2, dirty: true}
+	root := &inode{Inode: ufs.Inode{Ino: RootIno, Mode: ufs.ModeDir, Nlink: 2, Dirty: true}}
 	fs.inodes[RootIno] = root
-	if err := fs.writeDirLocked(root, nil); err != nil {
+	if err := fs.WriteDirLocked(root, nil); err != nil {
 		return nil, err
 	}
 	if err := fs.checkpointLocked(); err != nil {
 		return nil, err
 	}
 	return fs, nil
+}
+
+// attach builds the buffer cache and the shared upper layer over it. The
+// vector is what LFS does its own way: inodes are found through the imap and
+// rewritten by the next flush (so an attribute change needs nothing beyond
+// the dirty bits), a write needs no block until the segment writer places
+// it, and a deletion is a record in the next summary.
+func (fs *FS) attach() {
+	fs.pool = buffer.New(fs.opts.CacheBlocks, fs.blockSize, fs.writeback)
+	fs.upper = ufs.New(ufs.Ops[*inode]{
+		Mu:       &fs.mu,
+		Pool:     fs.pool,
+		Clock:    fs.clock,
+		Fetch:    fs.fetchBlock,
+		Load:     fs.loadInode,
+		Alloc:    fs.allocInodeLocked,
+		Drop:     fs.forgetInodeLocked,
+		Free:     fs.freeInodeLocked,
+		Release:  fs.releaseLocked,
+		Update:   func(*inode) error { return nil },
+		Reserve:  fs.boundLocked,
+		Truncate: fs.truncateLocked,
+		Sync:     func(in *inode) error { return fs.flushLocked(map[Ino]bool{in.Ino: true}, true, nil) },
+		Tick:     fs.maybeFlushOrphansLocked,
+	}, false)
+}
+
+// allocInodeLocked numbers and registers a blank inode.
+func (fs *FS) allocInodeLocked() (*inode, error) {
+	in := &inode{Inode: ufs.Inode{Ino: fs.nextIno}}
+	fs.nextIno++
+	fs.inodes[in.Ino] = in
+	return in, nil
+}
+
+// forgetInodeLocked undoes allocInodeLocked for the newest inode.
+func (fs *FS) forgetInodeLocked(in *inode) {
+	delete(fs.inodes, in.Ino)
+	fs.nextIno--
+}
+
+// freeInodeLocked deletes a removed inode: its pack block loses a reference
+// and a deletion record is queued for the next summary so roll-forward
+// learns about it.
+func (fs *FS) freeInodeLocked(in *inode) error {
+	fs.decPackRef(fs.imap[in.Ino])
+	delete(fs.imap, in.Ino)
+	delete(fs.inodes, in.Ino)
+	fs.pendingDel = append(fs.pendingDel, in.Ino)
+	return nil
+}
+
+// releaseLocked gives back what an inode holds: its blocks become dead in
+// their segments, its cached and parked blocks are dropped.
+func (fs *FS) releaseLocked(in *inode) error {
+	if err := fs.freeFileBlocksLocked(in); err != nil {
+		return err
+	}
+	if err := fs.pool.InvalidateFile(vfs.FileID(in.Ino)); err != nil {
+		return err
+	}
+	for id := range fs.orphans {
+		if id.File == vfs.FileID(in.Ino) {
+			delete(fs.orphans, id)
+		}
+	}
+	return nil
+}
+
+// boundLocked refuses a write past the largest mappable block; LFS assigns
+// addresses when the segment writer places a block, so there is nothing to
+// allocate here.
+func (fs *FS) boundLocked(_ *inode, lastLBN int64) error {
+	if lastLBN >= maxLBN(fs.blockSize) {
+		return ErrFileTooLarge
+	}
+	return nil
 }
 
 // Name implements vfs.FileSystem.
@@ -463,7 +547,7 @@ func (fs *FS) loadInode(ino Ino) (*inode, error) {
 		return nil, fmt.Errorf("inode %d at %d: %w", ino, addr, err)
 	}
 	for _, in := range pack {
-		if in.ino == ino {
+		if in.Ino == ino {
 			fs.inodes[ino] = in
 			return in, nil
 		}

@@ -70,12 +70,12 @@ func (fs *FS) Fsck() (*FsckReport, error) {
 			rep.problemf("%s: %v", path, err)
 			return nil
 		}
-		if !in.isDir() {
+		if !in.IsDir() {
 			rep.Files++
 			return nil
 		}
 		rep.Dirs++
-		entries, err := fs.readDirLocked(in)
+		entries, err := fs.ReadDirLocked(in)
 		if err != nil {
 			rep.problemf("%s: unreadable directory: %v", path, err)
 			return nil
@@ -145,10 +145,10 @@ func (fs *FS) Fsck() (*FsckReport, error) {
 		}
 		// Size consistency: mapped data blocks must fit within the size
 		// (holes are fine; blocks past EOF are not).
-		maxBlocks := (in.size + int64(fs.blockSize) - 1) / int64(fs.blockSize)
+		maxBlocks := (in.Size + int64(fs.blockSize) - 1) / int64(fs.blockSize)
 		if fileBlocks > maxBlocks {
 			rep.problemf("inode %d: %d data blocks mapped but size %d allows %d",
-				ino, fileBlocks, in.size, maxBlocks)
+				ino, fileBlocks, in.Size, maxBlocks)
 		}
 	}
 	// Pack blocks count once per distinct address.

@@ -82,9 +82,9 @@ func TestFsckDetectsDanglingEntry(t *testing.T) {
 	writeFile(t, fs, "/f", []byte("x"))
 	// Corrupt in memory: remove the imap entry but keep the dir entry.
 	fs.mu.Lock()
-	in, _ := fs.lookupLocked("/f")
-	delete(fs.imap, in.ino)
-	delete(fs.inodes, in.ino)
+	in, _ := fs.LookupLocked("/f")
+	delete(fs.imap, in.Ino)
+	delete(fs.inodes, in.Ino)
 	fs.mu.Unlock()
 	rep, err := fs.Fsck()
 	if err != nil {
@@ -104,7 +104,7 @@ func TestFsckDetectsOrphanInode(t *testing.T) {
 	// Corrupt: drop the directory entry but keep the imap entry.
 	fs.mu.Lock()
 	root, _ := fs.loadInode(RootIno)
-	if err := fs.writeDirLocked(root, nil); err != nil {
+	if err := fs.WriteDirLocked(root, nil); err != nil {
 		fs.mu.Unlock()
 		t.Fatal(err)
 	}
@@ -134,5 +134,35 @@ func TestFsckAtScale(t *testing.T) {
 	}
 	if rep.Files != 80 {
 		t.Fatalf("files = %d", rep.Files)
+	}
+}
+
+// TestFailedMkdirLeaksNothing: the new directory's blob is dirty in the cache
+// before the duplicate name is found; the rollback must drop that buffer with
+// the inode, or it waits there for whichever file is given the number next.
+func TestFailedMkdirLeaksNothing(t *testing.T) {
+	fs, _, _ := newFS(t)
+	if err := fs.Mkdir("/a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Mkdir("/a"); !errors.Is(err, vfs.ErrExist) {
+		t.Fatalf("duplicate mkdir: %v", err)
+	}
+	if dirty := fs.pool.Dirty(); len(dirty) != 0 {
+		t.Fatalf("failed mkdir left %d dirty buffers, first %v", len(dirty), dirty[0].ID)
+	}
+	writeFile(t, fs, "/f", pattern(4096, 3))
+	if err := fs.Sync(); err != nil {
+		t.Fatalf("sync after the failed mkdir: %v", err)
+	}
+	rep, err := fs.Fsck()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || rep.Files != 1 || rep.Dirs != 2 {
+		t.Fatalf("failed mkdir left something behind: files=%d dirs=%d %v", rep.Files, rep.Dirs, rep.Problems)
 	}
 }

@@ -4,17 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-)
 
-// File mode values stored in the inode.
-const (
-	modeFile uint32 = 1
-	modeDir  uint32 = 2
-)
-
-// Inode flags.
-const (
-	flagTxnProtected uint32 = 1 << 0 // the paper's per-file transaction attribute
+	"repro/internal/ufs"
 )
 
 // inode is the in-memory representation of a file's index structure: the
@@ -23,12 +14,10 @@ const (
 // of indirect ("child") blocks. Address 0 means "no block" (a hole reads as
 // zeros; the superblock lives at 0 so it can never be a data address).
 type inode struct {
-	ino    Ino
-	mode   uint32
-	flags  uint32
-	size   int64
-	nlink  uint32
-	mtime  int64 // simulated time in nanoseconds
+	// The shared header. Dirty also covers the cached pointer blocks below;
+	// AttrDirty need not cover indAddr and dindAddr, which move only in full
+	// flushes, and those pack every inode they touch.
+	ufs.Inode
 	direct [NDirect]int64
 
 	// On-disk addresses of the pointer blocks (0 = none).
@@ -39,16 +28,6 @@ type inode struct {
 	ind    *ptrBlock
 	dind   *ptrBlock
 	dchild map[int64]*ptrBlock
-
-	dirty bool // inode (or any cached pointer block) needs rewriting
-	// attrDirty: something roll-forward cannot rebuild from the summaries'
-	// (inode, logical block) entries changed since the inode was last packed
-	// — size, nlink, mode, flags (indAddr and dindAddr move only in full
-	// flushes, which pack every inode they touch). A commit force packs only
-	// such inodes; a new block address or mtime alone leaves the inode dirty
-	// for the next full flush.
-	attrDirty bool
-	refs      int // open handles
 }
 
 // ptrBlock is a cached block of disk addresses.
@@ -112,12 +91,12 @@ func (in *inode) encodeWire() []byte {
 	b := make([]byte, inodeWireSize)
 	le := binary.LittleEndian
 	le.PutUint32(b[0:], inodeMagic)
-	le.PutUint64(b[8:], uint64(in.ino))
-	le.PutUint32(b[16:], in.mode)
-	le.PutUint32(b[20:], in.flags)
-	le.PutUint64(b[24:], uint64(in.size))
-	le.PutUint32(b[32:], in.nlink)
-	le.PutUint64(b[40:], uint64(in.mtime))
+	le.PutUint64(b[8:], uint64(in.Ino))
+	le.PutUint32(b[16:], in.Mode)
+	le.PutUint32(b[20:], in.Flags)
+	le.PutUint64(b[24:], uint64(in.Size))
+	le.PutUint32(b[32:], in.Nlink)
+	le.PutUint64(b[40:], uint64(in.Mtime))
 	off := 48
 	for _, d := range in.direct {
 		le.PutUint64(b[off:], uint64(d))
@@ -141,12 +120,12 @@ func decodeInodeWire(b []byte) (*inode, error) {
 		return nil, fmt.Errorf("%w: inode checksum", ErrCorrupt)
 	}
 	in := &inode{}
-	in.ino = Ino(le.Uint64(b[8:]))
-	in.mode = le.Uint32(b[16:])
-	in.flags = le.Uint32(b[20:])
-	in.size = int64(le.Uint64(b[24:]))
-	in.nlink = le.Uint32(b[32:])
-	in.mtime = int64(le.Uint64(b[40:]))
+	in.Ino = Ino(le.Uint64(b[8:]))
+	in.Mode = le.Uint32(b[16:])
+	in.Flags = le.Uint32(b[20:])
+	in.Size = int64(le.Uint64(b[24:]))
+	in.Nlink = le.Uint32(b[32:])
+	in.Mtime = int64(le.Uint64(b[40:]))
 	off := 48
 	for i := range in.direct {
 		in.direct[i] = int64(le.Uint64(b[off:]))
@@ -205,9 +184,6 @@ func decodeInodePack(b []byte) ([]*inode, error) {
 	}
 	return out, nil
 }
-
-func (in *inode) isDir() bool        { return in.mode == modeDir }
-func (in *inode) txnProtected() bool { return in.flags&flagTxnProtected != 0 }
 
 // loadInd ensures the single indirect pointer block is cached.
 func (fs *FS) loadInd(in *inode) (*ptrBlock, error) {
@@ -325,7 +301,7 @@ func (fs *FS) blockAddr(in *inode, lbn int64) (int64, error) {
 // segment rewrites them — LFS never updates meta-data in place.
 func (fs *FS) setBlockAddr(in *inode, lbn, addr int64) (old int64, err error) {
 	np := nptr(fs.blockSize)
-	in.dirty = true
+	in.Dirty = true
 	switch {
 	case lbn < 0:
 		return 0, fmt.Errorf("lfs: negative logical block %d", lbn)

@@ -479,11 +479,11 @@ func TestNoOverwriteBeforeImage(t *testing.T) {
 // mustIno resolves a path to its inode number (test helper; caller holds mu).
 func (fs *FS) mustIno(t *testing.T, path string) Ino {
 	t.Helper()
-	in, err := fs.lookupLocked(path)
+	in, err := fs.LookupLocked(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return in.ino
+	return in.Ino
 }
 
 func TestSegmentWritesAreSequential(t *testing.T) {

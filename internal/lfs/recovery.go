@@ -256,7 +256,7 @@ func Mount(dev disk.BlockDevice, clock *sim.Clock, opts Options) (*FS, error) {
 	if int64(len(fs.segs)) != sb.NumSegments {
 		return nil, fmt.Errorf("%w: checkpoint segment table size", ErrCorrupt)
 	}
-	fs.pool = buffer.New(opts.CacheBlocks, bs, fs.writeback)
+	fs.attach()
 
 	if err := fs.rollForwardLocked(); err != nil {
 		return nil, err
@@ -371,10 +371,10 @@ func (fs *FS) rollForwardLocked() error {
 					return fmt.Errorf("lfs: roll-forward pack at %d: %w", addr, err)
 				}
 				for _, in := range pack {
-					fs.imap[in.ino] = addr
-					packSeq[in.ino] = sum.Seq
-					if in.ino >= fs.nextIno {
-						fs.nextIno = in.ino + 1
+					fs.imap[in.Ino] = addr
+					packSeq[in.Ino] = sum.Seq
+					if in.Ino >= fs.nextIno {
+						fs.nextIno = in.Ino + 1
 					}
 				}
 			}
@@ -481,7 +481,7 @@ func (fs *FS) rollForwardLocked() error {
 		if err != nil {
 			return fmt.Errorf("lfs: pointer replay for inode %d: %w", k.ino, err)
 		}
-		if k.lbn >= (in.size+int64(fs.blockSize)-1)/int64(fs.blockSize) {
+		if k.lbn >= (in.Size+int64(fs.blockSize)-1)/int64(fs.blockSize) {
 			// Beyond the recovered size (e.g. a truncate intervened).
 			continue
 		}

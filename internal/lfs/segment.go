@@ -260,7 +260,7 @@ func (fs *FS) flushRelocLocked(ids map[buffer.BlockID]bool, inos map[Ino]bool, a
 // inodeMetaDirty reports whether an inode or any of its cached pointer
 // blocks needs rewriting.
 func (fs *FS) inodeMetaDirty(in *inode) bool {
-	if in.dirty {
+	if in.Dirty {
 		return true
 	}
 	if in.ind != nil && in.ind.dirty {
@@ -286,10 +286,10 @@ func (fs *FS) inodeMetaDirty(in *inode) bool {
 // Anything else stays dirty in memory until the next full flush (checkpoint,
 // cleaner relocation, unmount).
 func (fs *FS) packsLocked(in *inode, deferPtr bool) bool {
-	if !deferPtr || in.attrDirty {
+	if !deferPtr || in.AttrDirty {
 		return true
 	}
-	_, mapped := fs.imap[in.ino]
+	_, mapped := fs.imap[in.Ino]
 	return !mapped
 }
 
@@ -474,7 +474,7 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 		fs.accountOld(old)
 		fs.accountNew(addr)
 		blocks = append(blocks, it.data)
-		entries = append(entries, summaryEntry{Ino: in.ino, Kind: kindData, Index: it.id.Block})
+		entries = append(entries, summaryEntry{Ino: in.Ino, Kind: kindData, Index: it.id.Block})
 	}
 
 	// 2. Meta-data blocks per file, in dependency order: double-indirect
@@ -523,7 +523,7 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 			in.ind.addr = addr
 			in.ind.dirty = false
 			in.indAddr = addr
-			in.dirty = true
+			in.Dirty = true
 			blocks = append(blocks, in.ind.encode(fs.blockSize))
 			entries = append(entries, summaryEntry{Ino: ino, Kind: kindInd})
 		}
@@ -534,7 +534,7 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 			in.dind.addr = addr
 			in.dind.dirty = false
 			in.dindAddr = addr
-			in.dirty = true
+			in.Dirty = true
 			blocks = append(blocks, in.dind.encode(fs.blockSize))
 			entries = append(entries, summaryEntry{Ino: ino, Kind: kindDInd})
 		}
@@ -554,9 +554,9 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 		group := packed[lo:hi]
 		addr := next()
 		for _, in := range group {
-			fs.decPackRef(fs.imap[in.ino])
-			fs.imap[in.ino] = addr
-			in.dirty, in.attrDirty = false, false
+			fs.decPackRef(fs.imap[in.Ino])
+			fs.imap[in.Ino] = addr
+			in.Dirty, in.AttrDirty = false, false
 		}
 		fs.packRefs[addr] = len(group)
 		fs.accountNew(addr)

@@ -247,21 +247,6 @@ func (m *Manager) HeldCount(txn TxnID) int {
 	return len(m.byTxn[txn])
 }
 
-// Holders returns the transactions currently holding obj.
-func (m *Manager) Holders(obj Object) []TxnID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h := m.table[obj]
-	if h == nil || len(h.holders) == 0 {
-		return nil
-	}
-	out := make([]TxnID, len(h.holders))
-	for i, e := range h.holders {
-		out[i] = e.txn
-	}
-	return out
-}
-
 // conflicts reports the set of other holders blocking txn's request, in
 // ascending transaction order. The order matters: it fixes the waits-for
 // edges and therefore which transaction a deadlock search reaches first, so

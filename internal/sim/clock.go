@@ -168,17 +168,6 @@ func (c *Clock) CurrentProcID() int {
 	return c.cur.id
 }
 
-// CurrentProcName returns the running proc's spawn name, or "" outside proc
-// context.
-func (c *Clock) CurrentProcName() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cur == nil {
-		return ""
-	}
-	return c.cur.name
-}
-
 // Yield is a cooperative scheduling point: if another runnable proc is
 // earlier in virtual time, the current proc parks and the scheduler resumes
 // the earlier one. Outside proc context, or when the current proc is still

@@ -125,23 +125,9 @@ type Scheduler struct {
 	//simlint:tokenguarded
 	dispatches int64 // control transfers into a proc
 	//simlint:tokenguarded
-	handback     *Proc // proc that last returned control to the scheduler
-	parked       chan struct{}
-	started      bool
-	dispatchHook func(*Proc)
-}
-
-// SetDispatchHook registers a function called once per dispatch, after the
-// chosen proc becomes current and before it resumes. Observability only: the
-// hook must not advance the clock or touch scheduler state. It runs on
-// whichever goroutine performs the handoff — the scheduler's or a yielding
-// proc's — but calls are serialized by the control token. Must be set before
-// Run.
-func (s *Scheduler) SetDispatchHook(fn func(*Proc)) {
-	if s.started {
-		panic("sim: SetDispatchHook after Scheduler.Run")
-	}
-	s.dispatchHook = fn
+	handback *Proc // proc that last returned control to the scheduler
+	parked   chan struct{}
+	started  bool
 }
 
 // Dispatches returns the number of times control has been transferred into a
@@ -260,9 +246,6 @@ func (s *Scheduler) Run() {
 func (s *Scheduler) startRun(p *Proc) {
 	s.clock.setCurrent(p)
 	s.dispatches++
-	if s.dispatchHook != nil {
-		s.dispatchHook(p)
-	}
 	p.resume <- struct{}{}
 }
 

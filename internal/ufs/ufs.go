@@ -1,0 +1,116 @@
+// Package ufs is the half of a file system that does not care where blocks
+// live: the in-memory inode header, path resolution, directories, the eight
+// namespace operations and the open-file handle with its buffered byte-range
+// loops. The read-optimized file system (internal/ffs) and the log-structured
+// one (internal/lfs) are its two users, as 4.4BSD's ffs and lfs sit under one
+// ufs: each embeds an FS instantiated with its own inode type and hands in,
+// as the Ops vector, exactly what differs between them — where inodes and
+// blocks are kept. §5 of the paper compares two file systems that present one
+// interface; this package is that interface's single implementation.
+package ufs
+
+import (
+	"sync"
+
+	"repro/internal/buffer"
+	"repro/internal/sim"
+)
+
+// Ino is an inode number.
+type Ino uint64
+
+// RootIno is the root directory's inode number.
+const RootIno Ino = 1
+
+// File modes and inode flags, as both on-disk inode formats store them.
+const (
+	ModeFile uint32 = 1
+	ModeDir  uint32 = 2
+
+	FlagTxnProtected uint32 = 1 << 0 // the paper's per-file transaction attribute
+)
+
+// Inode is the in-memory inode header. Each file system embeds it in its own
+// inode type, beside its block map.
+type Inode struct {
+	Ino   Ino
+	Mode  uint32
+	Flags uint32
+	Size  int64
+	Nlink uint32
+	Mtime int64 // simulated time in nanoseconds
+
+	Dirty bool // the inode (or its block map) needs rewriting
+	// AttrDirty: something LFS roll-forward cannot rebuild from the summaries'
+	// (inode, logical block) entries changed since the inode was last packed
+	// — size, nlink, mode, flags. An LFS commit force packs only such inodes;
+	// a new block address or mtime alone leaves the inode Dirty for the next
+	// full flush. FFS, which writes whole slots, never reads it.
+	AttrDirty bool
+	Refs      int // open handles
+}
+
+// Hdr returns the header itself; through embedding it is how the shared code
+// reaches the header of a file system's inode.
+func (in *Inode) Hdr() *Inode { return in }
+
+// IsDir reports whether the inode is a directory.
+func (in *Inode) IsDir() bool { return in.Mode == ModeDir }
+
+// TxnProtected reports the transaction-protection attribute (§4:
+// "transaction-protection is considered to be an attribute of a file").
+func (in *Inode) TxnProtected() bool { return in.Flags&FlagTxnProtected != 0 }
+
+// Node is a file system's inode: a pointer to a struct embedding Inode.
+type Node interface{ Hdr() *Inode }
+
+// Ops is what a file system supplies: its mutex, cache and clock, and the
+// operations that depend on where inodes and blocks live. The functions are
+// bound once at mount and every one is called with Mu held.
+type Ops[N Node] struct {
+	Mu    *sync.Mutex // the file system's mutex; it guards this layer too
+	Pool  *buffer.Pool
+	Clock *sim.Clock
+	Fetch buffer.Fetch // loads a file block on a cache miss
+
+	// Load returns the inode numbered ino, or vfs.ErrNotExist.
+	Load func(ino Ino) (N, error)
+	// Alloc returns a new inode, numbered and loadable, otherwise zero.
+	Alloc func() (N, error)
+	// Drop undoes Alloc for an inode nothing durable names yet.
+	Drop func(N)
+	// Free deletes an inode whose last name is gone.
+	Free func(N) error
+	// Release gives back what an inode holds: cached buffers, disk blocks.
+	Release func(N) error
+	// Update notes an attribute change outside the data path. FFS writes the
+	// inode's table slot through; LFS needs nothing beyond the dirty bits.
+	Update func(N) error
+	// Reserve makes logical blocks up to lastLBN writable: FFS allocates
+	// them, LFS only bounds the file size.
+	Reserve func(in N, lastLBN int64) error
+	// Truncate sets the size, freeing blocks past the new end.
+	Truncate func(in N, size int64) error
+	// Sync forces one file's dirty blocks and inode to the medium.
+	Sync func(N) error
+	// Tick runs before every read and write of an open file: FFS's 30 s
+	// syncer, LFS's staging-buffer drain.
+	Tick func() error
+}
+
+// FS is the shared layer of one mounted file system.
+type FS[N Node] struct {
+	ops     Ops[N]
+	bs      int64
+	padDirs bool
+}
+
+// New builds the layer over ops. padDirs stores each directory padded to
+// whole blocks, so that the entry count inside the first block is the sole
+// authority on its contents and an update that stays within one block is
+// atomic on the device. FFS needs that — it has no log to make a directory's
+// data block and its inode's new size durable together — and passes true;
+// it is an argument, not an option, because it is part of FFS's format.
+func New[N Node](ops Ops[N], padDirs bool) *FS[N] {
+	return &FS[N]{ops: ops, bs: int64(ops.Pool.BlockSize()), padDirs: padDirs}
+}

@@ -25,7 +25,7 @@ type RawDirEntry struct {
 func EncodeDirEntries(entries []RawDirEntry) []byte {
 	size := 4
 	for _, e := range entries {
-		size += 8 + 1 + 2 + len(e.Name)
+		size += dirEntryMin + len(e.Name)
 	}
 	out := make([]byte, size)
 	binary.LittleEndian.PutUint32(out, uint32(len(entries)))
@@ -45,16 +45,24 @@ func EncodeDirEntries(entries []RawDirEntry) []byte {
 	return out
 }
 
-// DecodeDirEntries parses a directory blob produced by EncodeDirEntries.
+// dirEntryMin is the encoded size of an entry with an empty name.
+const dirEntryMin = 8 + 1 + 2
+
+// DecodeDirEntries parses a directory blob produced by EncodeDirEntries,
+// possibly followed by padding. The blob comes back from the medium, so its
+// count is bounded by what the bytes could hold before anything is allocated.
 func DecodeDirEntries(b []byte) ([]RawDirEntry, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("vfs: directory blob too short (%d bytes)", len(b))
 	}
 	n := int(binary.LittleEndian.Uint32(b))
+	if max := (len(b) - 4) / dirEntryMin; n < 0 || n > max {
+		return nil, fmt.Errorf("vfs: directory blob of %d bytes claims %d entries, at most %d fit", len(b), n, max)
+	}
 	off := 4
 	entries := make([]RawDirEntry, 0, n)
 	for i := 0; i < n; i++ {
-		if off+11 > len(b) {
+		if off+dirEntryMin > len(b) {
 			return nil, fmt.Errorf("vfs: truncated directory entry %d", i)
 		}
 		var e RawDirEntry
