@@ -100,28 +100,31 @@ func main() {
 		}
 		// Both balances are about to be rewritten, so read them for update:
 		// their leaves are write-locked here, not upgraded at the Put (two
-		// concurrent transfers upgrading one leaf would deadlock).
-		src, err := t.GetForUpdate(key(from))
+		// concurrent transfers upgrading one leaf would deadlock). As in
+		// db(3), a value is valid only until the next call on the handle, so
+		// each balance is taken out of its record at once.
+		bal, err := t.GetForUpdate(key(from))
 		if err != nil {
 			proc.TxnAbort()
 			return err
 		}
-		if amount(src) < amt {
+		src := amount(bal)
+		if src < amt {
 			// Roll everything back: the locks release, nothing changes
 			// on disk.
 			proc.TxnAbort()
 			return errInsufficient
 		}
-		dst, err := t.GetForUpdate(key(to))
-		if err != nil {
+		if bal, err = t.GetForUpdate(key(to)); err != nil {
 			proc.TxnAbort()
 			return err
 		}
-		if err := t.Put(key(from), val(amount(src)-amt)); err != nil {
+		dst := amount(bal)
+		if err := t.Put(key(from), val(src-amt)); err != nil {
 			proc.TxnAbort()
 			return err
 		}
-		if err := t.Put(key(to), val(amount(dst)+amt)); err != nil {
+		if err := t.Put(key(to), val(dst+amt)); err != nil {
 			proc.TxnAbort()
 			return err
 		}

@@ -30,6 +30,7 @@ func TestScope(t *testing.T) {
 		{"repro/internal/recno", false, true},
 		{"repro/internal/pagestore", false, true},
 		{"repro/internal/vfs", false, true},
+		{"repro/internal/frame", false, true},
 		{"repro/internal/detsort", false, false},
 		{"repro/internal/analysis/mapiter", false, false},
 		{"repro/cmd/tpcb", false, false},

@@ -9,6 +9,14 @@
 // page store acquires two-phase page locks on every access, which
 // approximates the high-concurrency B-tree locking of [7] at page
 // granularity (the paper's own implementation locked pages too, §3).
+//
+// Validity of returned bytes: as in db(3), what Get, GetForUpdate and a
+// Cursor's Key and Value return is valid only until the next call on the same
+// Tree handle (a Cursor's Next that crosses to the next leaf included). The
+// bytes alias the page frame the read decoded from, and the handle recycles
+// its frames at its next operation: a caller that needs a value longer copies
+// it first. A value kept across the next call reads frame.Poison (0xDB)
+// bytes, or another page's.
 package btree
 
 import (
@@ -17,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/frame"
 	"repro/internal/pagestore"
 )
 
@@ -41,13 +50,72 @@ type Tree struct {
 	root     int64
 	height   int
 	count    int64
-	cache    *NodeCache // optional decoded-interior-node cache
-	scratch  []byte     // reusable page buffer for cached descents
+	// cache is the relation's optional decoded-interior-node cache. A handle
+	// with a cache takes its page frames from the cache's list, which outlives
+	// the handle; a handle without one keeps its own.
+	cache *NodeCache
+	own   frame.List
+	// borrowed are the frames the current operation took: the ones its reads
+	// decoded nodes from (the nodes, and the keys and values handed to the
+	// caller, alias them) and its write scratch. Only the handle gives them
+	// back: write scratch as soon as the store has copied it, the rest at the
+	// start of the next operation or at Close.
+	borrowed [][]byte
 }
+
+// newHandle returns a handle on st with no tree state loaded yet.
+func newHandle(st pagestore.Store, c *NodeCache) *Tree {
+	ps := st.PageSize()
+	return &Tree{st: st, pageSize: ps, cache: c, own: frame.NewList(ps)}
+}
+
+// borrow takes a page frame for the current operation. Its contents are
+// unspecified; it stays the operation's until releaseTo passes it.
+//
+//simlint:noalloc
+func (t *Tree) borrow() []byte {
+	var f []byte
+	if t.cache != nil {
+		f = t.cache.takeFrame(t.pageSize)
+	} else {
+		f = t.own.Take()
+	}
+	//simlint:alloc(the borrowed list grows to one operation's page touches once)
+	t.borrowed = append(t.borrowed, f)
+	return f
+}
+
+// releaseTo gives back every frame borrowed since the list was mark long.
+// Nothing that aliases those frames may be used afterwards.
+//
+//simlint:noalloc
+func (t *Tree) releaseTo(mark int) {
+	out := t.borrowed[mark:]
+	if len(out) == 0 {
+		return
+	}
+	if t.cache != nil {
+		t.cache.giveFrames(out)
+	} else {
+		for _, f := range out {
+			t.own.Give(f)
+		}
+	}
+	clear(out)
+	t.borrowed = t.borrowed[:mark]
+}
+
+// Close gives the handle's borrowed frames back, which invalidates whatever
+// its last operation returned. It is optional — the frames of a handle that is
+// dropped unclosed are collected with it — and the handle stays usable.
+func (t *Tree) Close() { t.releaseTo(0) }
 
 // meta page layout: magic u32, root i64, height u32, count i64.
 func (t *Tree) writeMeta() error {
-	b := make([]byte, t.pageSize)
+	mark := len(t.borrowed)
+	defer t.releaseTo(mark) // the store copies the page
+	b := t.borrow()
+	clear(b)
 	le := binary.LittleEndian
 	le.PutUint32(b[0:], metaMagic)
 	le.PutUint64(b[4:], uint64(t.root))
@@ -58,7 +126,7 @@ func (t *Tree) writeMeta() error {
 
 // Create initializes a new tree on an empty store.
 func Create(st pagestore.Store) (*Tree, error) {
-	t := &Tree{st: st, pageSize: st.PageSize()}
+	t := newHandle(st, nil)
 	if n, err := st.NumPages(); err != nil {
 		return nil, err
 	} else if n != 0 {
@@ -80,14 +148,23 @@ func Create(st pagestore.Store) (*Tree, error) {
 }
 
 // Open loads an existing tree.
-func Open(st pagestore.Store) (*Tree, error) {
-	t := &Tree{st: st, pageSize: st.PageSize()}
-	b := make([]byte, t.pageSize)
+func Open(st pagestore.Store) (*Tree, error) { return open(st, nil) }
+
+// open loads the tree in st on a handle that shares cache c (nil for none).
+//
+//simlint:noalloc
+func open(st pagestore.Store, c *NodeCache) (*Tree, error) {
+	//simlint:alloc(one handle per open; its page frames are recycled)
+	t := newHandle(st, c)
+	defer t.releaseTo(0) // the fields below are copied out of the meta page
+	b := t.borrow()
+	//simlint:alloc(below this call is the page store's own budget: its locks, log records and cache misses)
 	if err := st.ReadPage(0, b); err != nil {
 		return nil, err
 	}
 	le := binary.LittleEndian
 	if le.Uint32(b[0:]) != metaMagic {
+		//simlint:alloc(cold corruption report)
 		return nil, fmt.Errorf("%w: bad meta magic", ErrCorrupt)
 	}
 	t.root = int64(le.Uint64(b[4:]))
@@ -125,7 +202,8 @@ type node struct {
 // unchanged preserves leaf capacity — the dominant term in file size.
 const nodeHeader = 1 + 2
 
-func (t *Tree) nodeSize(n *node) int {
+// size returns the length of the node's page image.
+func (n *node) size() int {
 	size := nodeHeader + 8 // next i64 (leaf) or child0 i64 (internal)
 	if !n.leaf {
 		size += 8 // lsn u64
@@ -140,8 +218,14 @@ func (t *Tree) nodeSize(n *node) int {
 	return size
 }
 
-func (t *Tree) writeNode(n *node) error {
-	b := make([]byte, t.pageSize)
+// encode writes n's page image into b, which it clears first, and returns the
+// image's length; a node too large for b is reported as a length above len(b)
+// with b's contents unspecified.
+func (n *node) encode(b []byte) int {
+	if size := n.size(); size > len(b) {
+		return size
+	}
+	clear(b)
 	le := binary.LittleEndian
 	if n.leaf {
 		b[0] = pgLeaf
@@ -163,7 +247,6 @@ func (t *Tree) writeNode(n *node) error {
 			off += len(n.vals[i])
 		}
 	} else {
-		n.lsn++
 		le.PutUint64(b[off:], n.lsn)
 		off += 8
 		le.PutUint64(b[off:], uint64(n.children[0]))
@@ -177,9 +260,24 @@ func (t *Tree) writeNode(n *node) error {
 			off += 8
 		}
 	}
-	if off > t.pageSize {
+	return off
+}
+
+// writeNode encodes n into a scratch frame and writes it to its page; an
+// interior node's LSN is bumped first.
+//
+//simlint:noalloc
+func (t *Tree) writeNode(n *node) error {
+	mark := len(t.borrowed)
+	defer t.releaseTo(mark) // the store copies the page
+	if !n.leaf {
+		n.lsn++
+	}
+	b := t.borrow()
+	if n.encode(b) > t.pageSize {
 		return ErrTooLarge
 	}
+	//simlint:alloc(below this call is the page store's own budget: its locks, log records and cache misses)
 	return t.st.WritePage(n.pageNo, b)
 }
 
@@ -187,13 +285,18 @@ func (t *Tree) readNode(pageNo int64) (*node, error) {
 	return t.readNodeVia(pagestore.Store.ReadPage, pageNo)
 }
 
-// readNodeVia reads and decodes pageNo through read, which is either the
-// store's ReadPage or pagestore.ReadForUpdate.
+// readNodeVia reads pageNo through read, which is either the store's ReadPage
+// or pagestore.ReadForUpdate, into a borrowed frame and decodes it there: the
+// node aliases the frame until the operation's frames are released.
+//
+//simlint:noalloc
 func (t *Tree) readNodeVia(read func(pagestore.Store, int64, []byte) error, pageNo int64) (*node, error) {
-	b := make([]byte, t.pageSize)
+	b := t.borrow()
+	//simlint:alloc(below this call is the page store's own budget: its locks, log records and cache misses)
 	if err := read(t.st, pageNo, b); err != nil {
 		return nil, err
 	}
+	//simlint:alloc(the decoded node's header and slice headers; the page itself is a recycled frame)
 	return decodeNode(pageNo, b)
 }
 
@@ -211,9 +314,17 @@ func (t *Tree) readForWrite(pageNo int64, level int) (*node, error) {
 }
 
 // decodeNode builds the in-memory node from page bytes b, which the node
-// aliases: b must be owned by (private to) the returned node.
+// aliases: b must stay untouched for as long as the node is in use. The page
+// is not trusted: a kind, a key count or an entry length that b cannot hold is
+// ErrCorrupt naming the page, never an index past the buffer.
 func decodeNode(pageNo int64, b []byte) (*node, error) {
 	le := binary.LittleEndian
+	corrupt := func(format string, args ...any) (*node, error) {
+		return nil, fmt.Errorf("%w: page %d: %s", ErrCorrupt, pageNo, fmt.Sprintf(format, args...))
+	}
+	if len(b) < nodeHeader+8 {
+		return corrupt("%d bytes hold no node header", len(b))
+	}
 	n := &node{pageNo: pageNo}
 	switch b[0] {
 	case pgLeaf:
@@ -224,35 +335,56 @@ func decodeNode(pageNo int64, b []byte) (*node, error) {
 	}
 	nkeys := int(le.Uint16(b[1:]))
 	off := nodeHeader
-	// Keys and values alias the page buffer b, which is private to this node:
-	// every mutation path replaces the slice headers (inserts copy the caller's
-	// bytes into fresh slices, splits copy headers wholesale), never writes
-	// through them, so aliasing is safe and saves a per-entry copy. The capped
-	// three-index subslices keep an append from one entry clobbering the next.
+	// Keys and values alias the page buffer b: every mutation path replaces
+	// the slice headers (inserts put the caller's slices in, splits copy
+	// headers wholesale), never writes through them, so aliasing is safe and
+	// saves a per-entry copy. The capped three-index subslices keep an append
+	// from one entry clobbering the next.
 	if n.leaf {
 		n.next = int64(le.Uint64(b[off:]))
 		off += 8
+		if nkeys > (len(b)-off)/4 { // an entry is at least its two lengths
+			return corrupt("leaf claims %d entries", nkeys)
+		}
 		n.keys = make([][]byte, nkeys)
 		n.vals = make([][]byte, nkeys)
 		for i := 0; i < nkeys; i++ {
+			if off+4 > len(b) {
+				return corrupt("entry %d starts past the page", i)
+			}
 			klen := int(le.Uint16(b[off:]))
 			vlen := int(le.Uint16(b[off+2:]))
 			off += 4
+			if off+klen+vlen > len(b) {
+				return corrupt("entry %d (key %d, value %d bytes) runs past the page", i, klen, vlen)
+			}
 			n.keys[i] = b[off : off+klen : off+klen]
 			off += klen
 			n.vals[i] = b[off : off+vlen : off+vlen]
 			off += vlen
 		}
 	} else {
+		if len(b) < off+16 {
+			return corrupt("%d bytes hold no interior header", len(b))
+		}
 		n.lsn = le.Uint64(b[off:])
 		off += 8
+		if nkeys > (len(b)-off-8)/10 { // an entry is at least its length and its child
+			return corrupt("interior node claims %d keys", nkeys)
+		}
 		n.keys = make([][]byte, nkeys)
 		n.children = make([]int64, nkeys+1)
 		n.children[0] = int64(le.Uint64(b[off:]))
 		off += 8
 		for i := 0; i < nkeys; i++ {
+			if off+2 > len(b) {
+				return corrupt("key %d starts past the page", i)
+			}
 			klen := int(le.Uint16(b[off:]))
 			off += 2
+			if off+klen+8 > len(b) {
+				return corrupt("key %d (%d bytes) runs past the page", i, klen)
+			}
 			n.keys[i] = b[off : off+klen : off+klen]
 			off += klen
 			n.children[i+1] = int64(le.Uint64(b[off:]))
@@ -295,8 +427,10 @@ func childIndex(keys [][]byte, key []byte) int {
 	return lo
 }
 
-// Get returns the value stored under key.
+// Get returns the value stored under key. The value is valid until the next
+// call on this handle (see the package comment).
 func (t *Tree) Get(key []byte) ([]byte, error) {
+	t.releaseTo(0)
 	n, err := t.readNodeCached(t.root)
 	if err != nil {
 		return nil, err
@@ -318,7 +452,10 @@ func (t *Tree) Get(key []byte) ([]byte, error) {
 // read-modify-write). The descent reads height-1 interior levels as Get does
 // and then the leaf through pagestore.ReadForUpdate, so a locking store
 // write-locks the one page the Put will write instead of upgrading it later.
+// The value is valid until the next call on this handle — the Put included, so
+// the caller builds the new value in a buffer of its own.
 func (t *Tree) GetForUpdate(key []byte) ([]byte, error) {
+	t.releaseTo(0)
 	pageNo := t.root
 	for level := 1; level < t.height; level++ {
 		n, err := t.readNodeCached(pageNo)
@@ -355,6 +492,7 @@ type split struct {
 // untouched — important for update-heavy workloads like TPC-B, where the
 // meta page would otherwise become a per-transaction hot spot).
 func (t *Tree) Put(key, value []byte) error {
+	t.releaseTo(0)
 	if nodeHeader+8+4+len(key)+len(value) > t.pageSize/2 {
 		return ErrTooLarge
 	}
@@ -396,17 +534,19 @@ func (t *Tree) insert(pageNo int64, level int, key, value []byte) (*split, bool,
 		return nil, false, err
 	}
 	if n.leaf {
+		// The node lives until this operation has written it, so it takes
+		// the caller's slices as they are.
 		i, eq := search(n.keys, key)
 		inserted := !eq
 		if eq {
-			n.vals[i] = append([]byte(nil), value...)
+			n.vals[i] = value
 		} else {
 			n.keys = append(n.keys, nil)
 			copy(n.keys[i+1:], n.keys[i:])
-			n.keys[i] = append([]byte(nil), key...)
+			n.keys[i] = key
 			n.vals = append(n.vals, nil)
 			copy(n.vals[i+1:], n.vals[i:])
-			n.vals[i] = append([]byte(nil), value...)
+			n.vals[i] = value
 		}
 		sp, err := t.maybeSplit(n)
 		return sp, inserted, err
@@ -432,7 +572,7 @@ func (t *Tree) insert(pageNo int64, level int, key, value []byte) (*split, bool,
 
 // maybeSplit writes n back, splitting it first if it overflows the page.
 func (t *Tree) maybeSplit(n *node) (*split, error) {
-	if t.nodeSize(n) <= t.pageSize {
+	if n.size() <= t.pageSize {
 		return nil, t.writeNode(n)
 	}
 	mid := len(n.keys) / 2
@@ -449,10 +589,10 @@ func (t *Tree) maybeSplit(n *node) (*split, error) {
 		n.keys = n.keys[:mid]
 		n.vals = n.vals[:mid]
 		n.next = rightNo
-		sep = append([]byte(nil), right.keys[0]...)
+		sep = right.keys[0] // stays readable until the operation ends, as its frame does
 	} else {
 		// The middle key moves up; it does not stay in either half.
-		sep = append([]byte(nil), n.keys[mid]...)
+		sep = n.keys[mid]
 		right.keys = append(right.keys, n.keys[mid+1:]...)
 		right.children = append(right.children, n.children[mid+1:]...)
 		n.keys = n.keys[:mid]
@@ -471,6 +611,7 @@ func (t *Tree) maybeSplit(n *node) (*split, error) {
 // rebalancing: pages may run underfull, as in many production B-trees, but
 // structure and ordering invariants are preserved).
 func (t *Tree) Delete(key []byte) error {
+	t.releaseTo(0)
 	removed, _, err := t.remove(t.root, 1, key)
 	if err != nil {
 		return err
@@ -560,8 +701,11 @@ func (t *Tree) unlinkLeaf(pageNo int64) error {
 	if cur.pageNo == pageNo {
 		return nil // head of the chain; nothing points at it
 	}
+	mark := len(t.borrowed)
 	for cur.next != 0 && cur.next != pageNo {
-		cur, err = t.readNode(cur.next)
+		next := cur.next
+		t.releaseTo(mark) // the leaf just passed
+		cur, err = t.readNode(next)
 		if err != nil {
 			return err
 		}
@@ -587,7 +731,8 @@ func (t *Tree) leftmostLeaf() (*node, error) {
 	return n, nil
 }
 
-// Cursor iterates leaf entries in key order.
+// Cursor iterates leaf entries in key order. It reads through its Tree handle:
+// any other call on the handle invalidates the cursor's position.
 type Cursor struct {
 	t   *Tree
 	n   *node
@@ -597,6 +742,7 @@ type Cursor struct {
 
 // Seek positions a cursor at the first key ≥ key.
 func (t *Tree) Seek(key []byte) (*Cursor, error) {
+	t.releaseTo(0)
 	n, err := t.readNodeCached(t.root)
 	if err != nil {
 		return nil, err
@@ -614,6 +760,7 @@ func (t *Tree) Seek(key []byte) (*Cursor, error) {
 
 // First positions a cursor before the smallest key.
 func (t *Tree) First() (*Cursor, error) {
+	t.releaseTo(0)
 	n, err := t.leftmostLeaf()
 	if err != nil {
 		return nil, err
@@ -628,10 +775,12 @@ func (c *Cursor) Next() bool {
 	}
 	c.idx++
 	for c.idx >= len(c.n.keys) {
-		if c.n.next == 0 {
+		next := c.n.next
+		if next == 0 {
 			return false
 		}
-		n, err := c.t.readNode(c.n.next)
+		c.t.releaseTo(0) // the leaf just finished, and whatever Key and Value returned from it
+		n, err := c.t.readNode(next)
 		if err != nil {
 			c.err = err
 			return false
@@ -642,10 +791,11 @@ func (c *Cursor) Next() bool {
 	return true
 }
 
-// Key returns the current entry's key.
+// Key returns the current entry's key, valid until the next call on the
+// cursor's Tree handle that is not a Next within the same leaf.
 func (c *Cursor) Key() []byte { return c.n.keys[c.idx] }
 
-// Value returns the current entry's value.
+// Value returns the current entry's value, valid as long as Key is.
 func (c *Cursor) Value() []byte { return c.n.vals[c.idx] }
 
 // Err reports an iteration error, if any.
@@ -654,10 +804,15 @@ func (c *Cursor) Err() error { return c.err }
 // Check validates tree invariants (ordering, separator bounds, leaf chain
 // completeness) and returns the number of reachable records. Tests use it.
 func (t *Tree) Check() (int64, error) {
+	t.releaseTo(0)
 	var leafCount int64
 	var walk func(pageNo int64, lo, hi []byte) error
 	var leaves []int64
 	walk = func(pageNo int64, lo, hi []byte) error {
+		// A node's frame is held while its subtree is walked (the separators
+		// passed down alias it) and no longer: the walk holds one per level.
+		mark := len(t.borrowed)
+		defer func() { t.releaseTo(mark) }()
 		n, err := t.readNode(pageNo)
 		if err != nil {
 			return err
@@ -707,12 +862,15 @@ func (t *Tree) Check() (int64, error) {
 		return 0, err
 	}
 	var chain []int64
+	mark := len(t.borrowed)
 	for {
 		chain = append(chain, n.pageNo)
-		if n.next == 0 {
+		next := n.next
+		if next == 0 {
 			break
 		}
-		n, err = t.readNode(n.next)
+		t.releaseTo(mark) // the leaf just passed
+		n, err = t.readNode(next)
 		if err != nil {
 			return 0, err
 		}

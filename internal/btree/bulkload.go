@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/pagestore"
@@ -18,48 +19,64 @@ const bulkFill = 0.85
 // fill factor, then each interior level is built over the one below.
 //
 // next returns the pairs in strictly ascending key order and ok=false at the
-// end. The store must be empty.
+// end. Each pair is encoded into its leaf page before next is called again,
+// so next may hand out the same two buffers every time. The store must be
+// empty.
 func BulkLoad(st pagestore.Store, next func() (key, value []byte, ok bool)) (*Tree, error) {
 	if n, err := st.NumPages(); err != nil {
 		return nil, err
 	} else if n != 0 {
 		return nil, fmt.Errorf("btree: store not empty (%d pages)", n)
 	}
-	t := &Tree{st: st, pageSize: st.PageSize()}
+	t := newHandle(st, nil)
+	defer t.releaseTo(0)
 	if _, err := st.AllocPage(); err != nil { // page 0: meta
 		return nil, err
 	}
 	budget := int(float64(t.pageSize) * bulkFill)
+	le := binary.LittleEndian
 
-	// 1. Build the leaf level.
+	// 1. Build the leaf level, each leaf encoded straight into its page image.
+	// Two frames take turns: cur is being filled; prev is complete but for
+	// its next pointer, which it learns when cur gets its page number.
 	type levelEntry struct {
 		firstKey []byte
 		pageNo   int64
 	}
+	const leafStart = nodeHeader + 8
 	var leaves []levelEntry
-	var prevLeaf *node
-	cur := &node{leaf: true}
+	startLeaf := func(b []byte) {
+		clear(b)
+		b[0] = pgLeaf
+	}
+	cur, prev := t.borrow(), t.borrow()
+	startLeaf(cur)
+	curKeys, off := 0, leafStart
+	var prevNo int64 // 0 = no previous leaf yet
 	var count int64
 	var lastKey []byte
 
 	flushLeaf := func() error {
-		if len(cur.keys) == 0 {
+		if curKeys == 0 {
 			return nil
 		}
 		pageNo, err := st.AllocPage()
 		if err != nil {
 			return err
 		}
-		cur.pageNo = pageNo
-		if prevLeaf != nil {
-			prevLeaf.next = pageNo
-			if err := t.writeNode(prevLeaf); err != nil {
+		le.PutUint16(cur[1:], uint16(curKeys))
+		if prevNo != 0 {
+			le.PutUint64(prev[nodeHeader:], uint64(pageNo))
+			if err := st.WritePage(prevNo, prev); err != nil {
 				return err
 			}
 		}
-		leaves = append(leaves, levelEntry{firstKey: cur.keys[0], pageNo: pageNo})
-		prevLeaf = cur
-		cur = &node{leaf: true}
+		klen := int(le.Uint16(cur[leafStart:]))
+		first := append([]byte(nil), cur[leafStart+4:leafStart+4+klen]...)
+		leaves = append(leaves, levelEntry{firstKey: first, pageNo: pageNo})
+		prev, cur, prevNo = cur, prev, pageNo
+		startLeaf(cur)
+		curKeys, off = 0, leafStart
 		return nil
 	}
 
@@ -75,29 +92,26 @@ func BulkLoad(st pagestore.Store, next func() (key, value []byte, ok bool)) (*Tr
 			return nil, ErrTooLarge
 		}
 		lastKey = append(lastKey[:0], k...)
-		kc := append([]byte(nil), k...)
-		vc := append([]byte(nil), v...)
-		cur.keys = append(cur.keys, kc)
-		cur.vals = append(cur.vals, vc)
-		count++
-		if t.nodeSize(cur) > budget {
-			// Move the overflowing entry to the next leaf.
-			n := len(cur.keys)
-			spill := &node{leaf: true, keys: [][]byte{cur.keys[n-1]}, vals: [][]byte{cur.vals[n-1]}}
-			cur.keys = cur.keys[:n-1]
-			cur.vals = cur.vals[:n-1]
+		if curKeys > 0 && off+4+len(k)+len(v) > budget {
+			// The entry would overflow the fill budget: it opens the next leaf.
 			if err := flushLeaf(); err != nil {
 				return nil, err
 			}
-			cur = spill
 		}
+		le.PutUint16(cur[off:], uint16(len(k)))
+		le.PutUint16(cur[off+2:], uint16(len(v)))
+		off += 4
+		off += copy(cur[off:], k)
+		off += copy(cur[off:], v)
+		curKeys++
+		count++
 	}
 	if err := flushLeaf(); err != nil {
 		return nil, err
 	}
-	if prevLeaf != nil {
-		prevLeaf.next = 0
-		if err := t.writeNode(prevLeaf); err != nil {
+	if prevNo != 0 {
+		// The last leaf ends the chain: its next pointer stays zero.
+		if err := st.WritePage(prevNo, prev); err != nil {
 			return nil, err
 		}
 	}
@@ -127,7 +141,7 @@ func BulkLoad(st pagestore.Store, next func() (key, value []byte, ok bool)) (*Tr
 			for i < len(level) {
 				in.keys = append(in.keys, level[i].firstKey)
 				in.children = append(in.children, level[i].pageNo)
-				if t.nodeSize(in) > budget && len(in.children) > 2 {
+				if in.size() > budget && len(in.children) > 2 {
 					// Undo the tentative addition; it starts the next node.
 					in.keys = in.keys[:len(in.keys)-1]
 					in.children = in.children[:len(in.children)-1]

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"sync"
 
+	"repro/internal/frame"
 	"repro/internal/pagestore"
 )
 
@@ -28,12 +29,42 @@ const defaultCacheCap = 256
 // to different (aborted-timeline) bytes. Callers running under a
 // transaction system must therefore Flush the cache whenever a transaction
 // aborts; the LSN check handles every committed-path invalidation.
+//
+// The cache is also the relation's long-lived object, so it owns the page
+// frames of the handles opened with it: a transaction's handle borrows from
+// frames and gives back at its next operation or Close, and the next
+// transaction's handle takes the same frames again. The cached nodes' own
+// pages are never on that list — see readNodeCached.
 type NodeCache struct {
 	mu       sync.Mutex
 	capacity int
 	nodes    map[int64]*node
+	frames   frame.List // guarded by mu; its handles may run on raw goroutines in tests
 	hits     int64
 	misses   int64
+}
+
+// takeFrame takes a frame of size bytes for one of the cache's handles.
+//
+//simlint:noalloc
+func (c *NodeCache) takeFrame(size int) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.frames.Size() != size {
+		c.frames = frame.NewList(size) // first use: a relation has one page size
+	}
+	return c.frames.Take()
+}
+
+// giveFrames returns frames a handle took with takeFrame.
+//
+//simlint:noalloc
+func (c *NodeCache) giveFrames(frames [][]byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, f := range frames {
+		c.frames.Give(f)
+	}
 }
 
 // NewNodeCache creates a cache holding at most capacity interior nodes
@@ -88,51 +119,58 @@ func (c *NodeCache) insert(n *node) {
 }
 
 // AttachCache wires a shared NodeCache into this tree handle's read-only
-// descents.
-func (t *Tree) AttachCache(c *NodeCache) { t.cache = c }
-
-// OpenWithCache loads an existing tree and attaches a shared node cache.
-func OpenWithCache(st pagestore.Store, c *NodeCache) (*Tree, error) {
-	t, err := Open(st)
-	if err != nil {
-		return nil, err
-	}
-	t.AttachCache(c)
-	return t, nil
+// descents, and makes the cache's frame list the handle's. Like any call on
+// the handle it ends the validity of what the previous one returned.
+func (t *Tree) AttachCache(c *NodeCache) {
+	t.releaseTo(0)
+	t.cache = c
 }
 
+// OpenWithCache loads an existing tree on a handle that shares the relation's
+// node cache.
+func OpenWithCache(st pagestore.Store, c *NodeCache) (*Tree, error) { return open(st, c) }
+
 // readNodeCached reads pageNo for a read-only descent. Without a cache it
-// is plain readNode. With one, the page is read into the tree's reusable
-// scratch buffer (locking and cost identical to readNode); an interior page
-// whose LSN matches a cached node returns the shared decoded node with zero
-// further allocation, anything else is decoded from a private copy, and
-// interior nodes are cached for the next descent. Leaves are never cached:
-// they change on every update and their decoded form aliases page memory
-// that escapes to callers (Get's value, cursor entries).
+// is plain readNode. With one, the page is read into a borrowed frame (locking
+// and cost identical to readNode); an interior page whose LSN matches a cached
+// node returns the shared decoded node with zero further allocation, any other
+// interior page is decoded from a private copy and cached for the next
+// descent, and either way the frame goes straight back. That private copy is
+// never recycled: the cached node aliases it, other handles descend through
+// the node with no pin or reference count to say when they are done, and an
+// entry a newer LSN supersedes may still be mid-descent elsewhere — so the
+// garbage collector, not the frame list, decides when it dies. Leaves are
+// never cached: they change on every update, and they are decoded in the
+// borrowed frame itself, which Get's value and cursor entries then alias.
+//
+//simlint:noalloc
 func (t *Tree) readNodeCached(pageNo int64) (*node, error) {
 	if t.cache == nil {
 		return t.readNode(pageNo)
 	}
-	if t.scratch == nil {
-		t.scratch = make([]byte, t.pageSize)
-	}
-	if err := t.st.ReadPage(pageNo, t.scratch); err != nil {
+	mark := len(t.borrowed)
+	b := t.borrow()
+	//simlint:alloc(below this call is the page store's own budget: its locks, log records and cache misses)
+	if err := t.st.ReadPage(pageNo, b); err != nil {
 		return nil, err
 	}
-	if t.scratch[0] == pgInternal {
-		lsn := binary.LittleEndian.Uint64(t.scratch[3:])
+	if b[0] != pgInternal {
+		//simlint:alloc(the decoded leaf's header and slice headers; the page itself is a recycled frame)
+		return decodeNode(pageNo, b)
+	}
+	defer t.releaseTo(mark) // an interior node never aliases the handle's frame
+	if len(b) >= nodeHeader+8 {
+		lsn := binary.LittleEndian.Uint64(b[nodeHeader:])
 		if n := t.cache.lookup(pageNo, lsn); n != nil {
 			return n, nil
 		}
 	}
-	b := make([]byte, t.pageSize)
-	copy(b, t.scratch)
-	n, err := decodeNode(pageNo, b)
+	//simlint:alloc(cache fill: the node's private page lives as long as any descent may hold the node)
+	n, err := decodeNode(pageNo, append([]byte(nil), b...))
 	if err != nil {
 		return nil, err
 	}
-	if !n.leaf {
-		t.cache.insert(n)
-	}
+	//simlint:alloc(cache fill, as above)
+	t.cache.insert(n)
 	return n, nil
 }

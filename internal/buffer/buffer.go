@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/frame"
 	"repro/internal/trace"
 )
 
@@ -43,10 +44,14 @@ func CompareBlockID(a, b BlockID) int {
 	return cmp.Compare(a.Block, b.Block)
 }
 
-// Fetch loads the contents of a block into dst on a cache miss.
+// Fetch loads the contents of a block into dst on a cache miss. dst is a
+// recycled frame whose old contents are unspecified: Fetch must fill all of it.
 type Fetch func(id BlockID, dst []byte) error
 
-// WriteBack persists a dirty block when it is evicted or flushed.
+// WriteBack persists a dirty block when it is evicted or flushed. data is the
+// pool's frame and stays the pool's: an eviction recycles it for the next miss
+// as soon as WriteBack returns, so an implementation that needs the bytes
+// later (LFS parks them until the next partial segment) copies them.
 type WriteBack func(id BlockID, data []byte) error
 
 // Errors returned by the pool.
@@ -55,8 +60,13 @@ var (
 	ErrPinned    = errors.New("buffer: operation invalid on pinned buffer")
 )
 
-// Buf is a cached block. Data is valid while the buffer is pinned; callers
-// must not retain Data after Release.
+// Buf is a cached block. Data is one of the pool's frames, lent to the block
+// while it is resident: it is valid while the buffer is pinned, and an
+// unpinned, unheld buffer may be evicted by any later Get, which takes the
+// frame back — poisoned (frame.Poison), then handed to another block — and
+// leaves Data nil. Callers must not retain Data after Release; the pool's
+// owner may read the Data of an unpinned buffer it found through Lookup or
+// Dirty only until its next Get or Invalidate.
 type Buf struct {
 	ID      BlockID
 	Data    []byte
@@ -90,6 +100,7 @@ type Pool struct {
 	writeback WriteBack
 	table     map[BlockID]*Buf
 	lru       *list.List // front = most recently used
+	frames    frame.List // payloads of evicted and invalidated blocks, for the next misses
 	stats     Stats
 
 	tracer *trace.Tracer // nil = tracing off
@@ -114,9 +125,10 @@ func (p *Pool) SetTracer(tr *trace.Tracer, prefix string) {
 }
 
 // New creates a pool of capacity blocks of blockSize bytes. writeback is
-// invoked (without the pool lock held... it is invoked with the lock held;
-// see flushLocked) whenever a dirty block must be persisted. It may be nil
-// for pools that are flushed only explicitly via Dirty/MarkClean.
+// invoked, with the pool lock held, whenever a dirty block must be persisted:
+// by the eviction that makes room for a miss and by FlushAll. It must not call
+// back into the pool. It may be nil for pools that are flushed only explicitly
+// via Dirty/MarkClean.
 func New(capacity, blockSize int, writeback WriteBack) *Pool {
 	if capacity < 1 {
 		capacity = 1
@@ -127,6 +139,7 @@ func New(capacity, blockSize int, writeback WriteBack) *Pool {
 		writeback: writeback,
 		table:     make(map[BlockID]*Buf, capacity),
 		lru:       list.New(),
+		frames:    frame.NewList(blockSize),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p
@@ -155,7 +168,8 @@ func (p *Pool) Len() int {
 // Get returns the buffer for id, pinned. On a miss the block is loaded with
 // fetch (which may be nil to get a zeroed buffer, used when a brand-new block
 // is about to be fully overwritten). The caller must Release the buffer.
-// The hit path is allocation-free; only a miss builds a new buffer.
+// The hit path is allocation-free; a miss builds a new buffer header around
+// the frame of the block it evicted, so a full pool allocates no payload.
 //
 //simlint:noalloc
 func (p *Pool) Get(id BlockID, fetch Fetch) (*Buf, error) {
@@ -185,8 +199,12 @@ func (p *Pool) Get(id BlockID, fetch Fetch) (*Buf, error) {
 		p.mu.Unlock()
 		return nil, err
 	}
-	//simlint:alloc(cache miss: one buffer and one payload per resident block)
-	b := &Buf{ID: id, Data: make([]byte, p.blockSize), pins: 1, loading: fetch != nil}
+	data := p.frames.Take()
+	if fetch == nil {
+		clear(data)
+	}
+	//simlint:alloc(cache miss: one buffer header and one LRU element per miss; the payload is recycled)
+	b := &Buf{ID: id, Data: data, pins: 1, loading: fetch != nil}
 	b.elem = p.lru.PushFront(b)
 	p.table[id] = b
 	p.mu.Unlock()
@@ -239,10 +257,15 @@ func (p *Pool) makeRoomLocked() error {
 	return ErrNoBuffers
 }
 
+// removeLocked drops an unpinned buffer from the pool and recycles its frame.
+// A stale *Buf keeps no payload: use after eviction fails on a nil slice
+// instead of reading the frame's next tenant.
 func (p *Pool) removeLocked(b *Buf) {
 	p.lru.Remove(b.elem)
 	delete(p.table, b.ID)
 	b.elem = nil
+	p.frames.Give(b.Data)
+	b.Data = nil
 }
 
 // Release unpins a buffer previously returned by Get.

@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/detsort"
+	"repro/internal/frame"
 	"repro/internal/lfs"
 	"repro/internal/lock"
 	"repro/internal/mvcc"
@@ -116,7 +117,12 @@ type Manager struct {
 	// the group-commit rendezvous (§4.4), which calls writeBatchLocked.
 	pending []*Txn
 	commits *sim.Batch
-	stats   Stats
+	// frames hold the whole-page scratch the manager needs under m.mu: every
+	// running transaction's before-images, given back when its undo is
+	// dropped, and a batch flush's committed images, given back when the flush
+	// returns.
+	frames frame.List
+	stats  Stats
 
 	// Snapshot (multiversion read) support. commitSeq is the durable commit
 	// epoch — one increment per commit flush; snapshots pin it as their
@@ -147,6 +153,7 @@ func New(fsys *lfs.FS, clock *sim.Clock, opts Options) *Manager {
 		opts:   opts,
 		tracer: opts.Tracer,
 		held:   make(map[buffer.BlockID]*heldPage),
+		frames: frame.NewList(fsys.BlockSize()),
 		vers:   mvcc.NewAddrMap(),
 		snaps:  mvcc.NewHorizons(),
 	}
@@ -301,10 +308,6 @@ func (m *Manager) writeBatchLocked() error {
 		}
 	}
 	ids := detsort.KeysFunc(set, buffer.CompareBlockID)
-	pages := make([]lfs.CommitPage, len(ids))
-	for i, id := range ids {
-		pages[i] = lfs.CommitPage{ID: id, Image: m.committedImageLocked(id)}
-	}
 	// With a snapshot pinned, capture the pre-flush disk address of every
 	// page this batch rewrites: the flush supersedes those addresses, but
 	// the no-overwrite log keeps their contents — exactly the versions a
@@ -313,7 +316,17 @@ func (m *Manager) writeBatchLocked() error {
 	if err != nil {
 		return err
 	}
-	if err := m.fs.FlushCommit(pages); err != nil {
+	pages := make([]lfs.CommitPage, len(ids))
+	for i, id := range ids {
+		pages[i] = lfs.CommitPage{ID: id, Image: m.committedImageLocked(id)}
+	}
+	err = m.fs.FlushCommit(pages)
+	for _, p := range pages {
+		if p.Image != nil {
+			m.frames.Give(p.Image) // the flush copied it to the device or gave up
+		}
+	}
+	if err != nil {
 		return err
 	}
 	epoch := m.commitSeq.Add(1)
@@ -331,6 +344,7 @@ func (m *Manager) writeBatchLocked() error {
 	}
 	for _, t := range m.pending {
 		t.status = txnDone
+		m.dropUndoLocked(t)
 	}
 	m.stats.Committed += int64(len(m.pending))
 	m.stats.CommitFlush++
@@ -388,6 +402,7 @@ func (p *Process) TxnAbort() error {
 	m.locks.ReleaseAll(lock.TxnID(t.id))
 	m.clock.Advance(m.costs.KernelSync())
 	t.status = txnDone
+	m.dropUndoLocked(t)
 	p.txn = nil
 	m.stats.Aborted++
 	if m.tracer.Enabled() {

@@ -14,8 +14,18 @@ import (
 // page's on-disk image.
 type undoRange struct {
 	id     buffer.BlockID
-	offset int // byte offset within the page
-	before []byte
+	offset int    // byte offset within the page
+	before []byte // the head of one of the manager's frames (see dropUndoLocked)
+}
+
+// dropUndoLocked gives a finished transaction's before-image frames back: it
+// is durable or rolled back, and nothing reads its undo again (a batch flush
+// backs out running writers only). Caller holds m.mu.
+func (m *Manager) dropUndoLocked(t *Txn) {
+	for _, u := range t.undo {
+		m.frames.Give(u.before[:cap(u.before)])
+	}
+	t.undo = nil
 }
 
 // heldPage is the transaction state of one buffer on hold (the per-inode
@@ -55,11 +65,14 @@ func (m *Manager) writeHeldLocked(t *Txn, f *File, page int64, data []byte, off 
 	b := pool.Lookup(id)
 	wasDirty := b != nil && b.Dirty()
 	if !t.covered(id, off, len(data)) {
-		before := make([]byte, len(data))
+		before := m.frames.Take()[:len(data)] // a page's share of a write never exceeds the page
 		if b != nil {
 			copy(before, b.Data[off:])
-		} else if _, err := f.lf.ReadAt(before, pos); err != nil {
+		} else if n, err := f.lf.ReadAt(before, pos); err != nil {
+			m.frames.Give(before[:cap(before)])
 			return 0, err
+		} else {
+			clear(before[n:])
 		}
 		// (A page that is not resident is on no transaction's hold, so the
 		// file system's image of it — zeros past the end of file — is the
@@ -124,15 +137,17 @@ func (m *Manager) applyUndoLocked(t *Txn) error {
 }
 
 // committedImageLocked returns the image of a batch page that may go to the
-// log: nil when the resident buffer is it, else a scratch copy with every
-// running writer's bytes backed out (the writers hold disjoint slots, so the
-// order among them does not matter). Caller holds m.mu.
+// log: nil when the resident buffer is it, else a scratch copy, in one of the
+// manager's frames, with every running writer's bytes backed out (the writers
+// hold disjoint slots, so the order among them does not matter). The caller
+// gives the frame back once the flush has returned. Caller holds m.mu.
 func (m *Manager) committedImageLocked(id buffer.BlockID) []byte {
 	hp := m.held[id]
 	if len(hp.writers) == 0 {
 		return nil
 	}
-	img := append([]byte(nil), m.fs.Pool().Lookup(id).Data...)
+	img := m.frames.Take()
+	copy(img, m.fs.Pool().Lookup(id).Data)
 	for _, w := range hp.writers {
 		w.undoInto(id, img)
 	}

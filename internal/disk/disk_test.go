@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/sim"
 )
 
@@ -683,5 +684,52 @@ func TestCrashTornWriteIsDeterministicPrefix(t *testing.T) {
 	// possibly 0 and the full run).
 	if len(seen) < 3 {
 		t.Fatalf("torn prefix lengths show no variety across seeds: %v", seen)
+	}
+}
+
+// The queue's copies of enqueued writes live in recycled frames: a copy is
+// valid until FlushSorted is done with it, poison afterwards, and a steady
+// stream of flushes allocates no block.
+func TestQueueRecyclesItsCopies(t *testing.T) {
+	dev, _ := newTestDevice()
+	q := NewQueue(dev)
+	for round := 0; round < 20; round++ {
+		for i := int64(0); i < 4; i++ {
+			q.EnqueueWrite(10*i, block(dev, byte(round)))
+		}
+		held := q.reqs[0].Data
+		if held[0] != byte(round) {
+			t.Fatal("a queued request must carry a copy of the block")
+		}
+		if err := q.FlushSorted(); err != nil {
+			t.Fatal(err)
+		}
+		if held[0] != frame.Poison || held[len(held)-1] != frame.Poison {
+			t.Fatalf("a request's copy held past the flush must read poison, got %#x", held[0])
+		}
+	}
+	if q.frames.Free() != 4 {
+		t.Fatalf("20 flushes of 4 writes left %d frames with the queue, want 4", q.frames.Free())
+	}
+	got := block(dev, 0)
+	if err := dev.Read(30, got); err != nil || got[0] != 19 {
+		t.Fatalf("block 30 = %d, %v; want the last round's bytes", got[0], err)
+	}
+
+	// A failed flush gives every copy back too, serviced or dropped.
+	q.EnqueueWrite(5, block(dev, 1))
+	q.EnqueueWrite(500, block(dev, 2))
+	injected := errors.New("injected")
+	dev.SetFault(func(op string, b int64) error {
+		if op == "write" && b == 5 {
+			return injected
+		}
+		return nil
+	})
+	if err := q.FlushSorted(); !errors.Is(err, injected) {
+		t.Fatalf("FlushSorted = %v, want the injected error", err)
+	}
+	if q.Len() != 0 || q.frames.Free() != 4 {
+		t.Fatalf("after a failed flush: %d requests queued, %d frames free; want 0 and 4", q.Len(), q.frames.Free())
 	}
 }

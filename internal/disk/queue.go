@@ -1,11 +1,15 @@
 package disk
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/frame"
+)
 
 // Request is one queued block I/O.
 type Request struct {
 	Block int64
-	Data  []byte // nil for reads; for writes, owned by the queue once enqueued
+	Data  []byte // nil for reads; for writes, the queue's own copy
 	Read  bool
 	Buf   []byte // destination for reads
 }
@@ -18,11 +22,15 @@ type Request struct {
 type Queue struct {
 	dev  BlockDevice
 	reqs []Request
+	// frames hold the copies of enqueued writes. A copy goes back when
+	// FlushSorted is done with the request: the device stores what it is
+	// handed, so nothing aliases it by then.
+	frames frame.List
 }
 
 // NewQueue returns an empty queue bound to dev.
 func NewQueue(dev BlockDevice) *Queue {
-	return &Queue{dev: dev}
+	return &Queue{dev: dev, frames: frame.NewList(dev.BlockSize())}
 }
 
 // Len reports the number of pending requests.
@@ -30,9 +38,18 @@ func (q *Queue) Len() int { return len(q.reqs) }
 
 // EnqueueWrite adds a write of data to block. The data is copied so the
 // caller may reuse its buffer.
+//
+//simlint:noalloc
 func (q *Queue) EnqueueWrite(block int64, data []byte) {
-	cp := make([]byte, len(data))
+	var cp []byte
+	if len(data) == q.frames.Size() {
+		cp = q.frames.Take()
+	} else {
+		//simlint:alloc(a wrong-sized write keeps its length so the device refuses it at flush time, as it would a direct write)
+		cp = make([]byte, len(data))
+	}
 	copy(cp, data)
+	//simlint:alloc(the request slice grows to the largest flush once; FlushSorted keeps its capacity)
 	q.reqs = append(q.reqs, Request{Block: block, Data: cp})
 }
 
@@ -42,7 +59,9 @@ func (q *Queue) EnqueueRead(block int64, buf []byte) {
 }
 
 // FlushSorted services all queued requests in C-SCAN order and empties the
-// queue. Requests at or beyond the current arm position are serviced first in
+// queue; the first device error stops it and drops the requests not yet
+// serviced, so a caller tracking what is durable must treat the whole flush as
+// failed. Requests at or beyond the current arm position are serviced first in
 // ascending order, then the arm sweeps back to the lowest remaining address.
 // Adjacent requests are coalesced into contiguous runs so a well-sorted queue
 // still benefits from sequential transfer — but, as the paper's simulation
@@ -63,6 +82,13 @@ func (q *Queue) FlushSorted() error {
 	ordered = append(ordered, q.reqs[start:]...)
 	ordered = append(ordered, q.reqs[:start]...)
 	q.reqs = q.reqs[:0]
+	defer func() {
+		for _, r := range ordered {
+			if len(r.Data) == q.frames.Size() {
+				q.frames.Give(r.Data)
+			}
+		}
+	}()
 
 	i := 0
 	for i < len(ordered) {

@@ -410,3 +410,61 @@ func TestSequentialReadFastAfterRandomUpdates(t *testing.T) {
 		t.Fatalf("sequential scan %v too slow vs media %v; layout not read-optimized", scanTime, media)
 	}
 }
+
+// A device error in the middle of a write-back must not lose the blocks the
+// flush had not reached: they stay dirty and the next flush writes them. (The
+// buffers used to be marked clean as they were queued, and the queue drops what
+// it has not serviced when a write fails.)
+func TestFailedWriteBackKeepsBlocksDirty(t *testing.T) {
+	fs, dev, clk := newFS(t)
+	bs := fs.BlockSize()
+	const blocks = 8
+	writeFile(t, fs, "/a", pattern(blocks*bs, 1))
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Open("/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pattern(blocks*bs, 1)
+	for _, blk := range []int{0, 2, 4, 6} { // four separate runs on the device
+		fresh := pattern(bs, byte(100+blk))
+		copy(want[blk*bs:], fresh)
+		if _, err := f.WriteAt(fresh, int64(blk*bs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	injected := errors.New("injected write error")
+	writes := 0
+	dev.SetFault(func(op string, _ int64) error {
+		if op == "write" {
+			if writes++; writes == 2 {
+				return injected
+			}
+		}
+		return nil
+	})
+	if err := fs.Sync(); !errors.Is(err, injected) {
+		t.Fatalf("Sync under the fault = %v, want the injected error", err)
+	}
+	dev.SetFault(nil)
+	if err := fs.Sync(); err != nil {
+		t.Fatalf("Sync after the fault cleared: %v", err)
+	}
+
+	remounted, err := Mount(dev, clk, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := readFile(t, remounted, "/a")
+	for blk := 0; blk < blocks; blk++ {
+		if !bytes.Equal(got[blk*bs:(blk+1)*bs], want[blk*bs:(blk+1)*bs]) {
+			t.Errorf("block %d holds stale bytes after a failed and a successful Sync", blk)
+		}
+	}
+}

@@ -332,12 +332,14 @@ func (fs *FS) maybeSyncerLocked() error {
 }
 
 // flushDirtyLocked pushes dirty (unheld) buffers — all of them, or just one
-// file's — through the sorted disk queue.
+// file's — through the sorted disk queue. A buffer comes back clean only once
+// the flush that carried it has succeeded: the queue drops what it has not
+// serviced when a write fails, so after an error every buffer of the flush
+// stays dirty and the next flush writes it (again, for those that made it).
+// Nothing between Dirty and the flush calls pool.Get, so the unpinned buffers
+// keep their frames.
 func (fs *FS) flushDirtyLocked(only *Ino) error {
 	dirty := fs.pool.Dirty()
-	if len(dirty) == 0 {
-		return nil
-	}
 	n := 0
 	for _, b := range dirty {
 		if only != nil && Ino(b.ID.File) != *only {
@@ -352,7 +354,7 @@ func (fs *FS) flushDirtyLocked(only *Ino) error {
 			return fmt.Errorf("ffs: dirty unmapped block %v", b.ID)
 		}
 		fs.queue.EnqueueWrite(addr, b.Data)
-		fs.pool.MarkClean(b)
+		dirty[n] = b
 		n++
 	}
 	if n == 0 {
@@ -360,7 +362,13 @@ func (fs *FS) flushDirtyLocked(only *Ino) error {
 	}
 	fs.stats.SyncerRuns++
 	fs.stats.BlocksFlushed += int64(n)
-	return fs.queue.FlushSorted()
+	if err := fs.queue.FlushSorted(); err != nil {
+		return err
+	}
+	for _, b := range dirty[:n] {
+		fs.pool.MarkClean(b)
+	}
+	return nil
 }
 
 // --- inode table persistence ---
@@ -489,8 +497,9 @@ func (fs *FS) syncLocked() error {
 	}
 	// Bitmap.
 	bs := fs.blockSize
+	buf := make([]byte, bs) // one scratch block: the queue copies what it is handed
 	for i := int64(0); i < fs.sb.BitmapLen; i++ {
-		buf := make([]byte, bs)
+		clear(buf)
 		base := i * int64(bs) / 8
 		for w := 0; w < bs/8 && base+int64(w) < int64(len(fs.bitmap)); w++ {
 			v := fs.bitmap[base+int64(w)]

@@ -363,7 +363,8 @@ func (fs *FS) victimSummariesLocked(seg int64) ([]summary, error) {
 	}
 	base := fs.segBase(seg)
 	var sums []summary
-	buf := make([]byte, fs.blockSize)
+	buf := fs.frames.Take()
+	defer fs.frames.Give(buf) // decodeSummary copies the entries out
 	off := int64(0)
 	for off < fs.sb.SegmentBlocks {
 		addr := base + off
@@ -491,11 +492,9 @@ func (fs *FS) cleanBatchLocked(victims []int64) error {
 				// A dirty resident buffer supersedes the on-disk copy and
 				// will be written by the scoped flush.
 			} else if b := fs.pool.Lookup(id); b != nil && !b.Dirty() {
-				cp := make([]byte, len(b.Data))
-				copy(cp, b.Data)
-				fs.orphans[id] = cp
+				copy(fs.parkLocked(id), b.Data)
 			} else {
-				rb.buf = make([]byte, fs.blockSize)
+				rb.buf = fs.frames.Take()
 				q.EnqueueRead(le.addr, rb.buf)
 			}
 			relocs = append(relocs, rb)
@@ -546,13 +545,19 @@ func (fs *FS) cleanBatchLocked(victims []int64) error {
 			relocInos[le.e.Ino] = true
 		}
 	}
-	if err := q.FlushSorted(); err != nil {
-		return err
-	}
+	err := q.FlushSorted()
 	for _, rb := range relocs {
-		if rb.buf != nil {
+		if rb.buf == nil {
+			continue
+		}
+		if err != nil {
+			fs.frames.Give(rb.buf) // the reads stopped short: park nothing
+		} else {
 			fs.orphans[rb.id] = rb.buf
 		}
+	}
+	if err != nil {
+		return err
 	}
 
 	// 3. Hot/cold segregation: split the relocated data by age at the

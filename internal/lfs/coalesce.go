@@ -48,8 +48,9 @@ func (fs *FS) Coalesce(path string) error {
 		if addr == 0 {
 			continue // hole
 		}
-		data := make([]byte, fs.blockSize)
+		data := fs.frames.Take()
 		if err := fs.dev.Read(addr, data); err != nil {
+			fs.frames.Give(data)
 			return err
 		}
 		fs.orphans[id] = data

@@ -227,11 +227,12 @@ type summary struct {
 	Entries    []summaryEntry
 }
 
-func (s *summary) encode(blockSize int) ([]byte, error) {
-	if len(s.Entries) > maxSummaryEntries(blockSize) {
-		return nil, fmt.Errorf("lfs: %d summary entries exceed capacity %d", len(s.Entries), maxSummaryEntries(blockSize))
+// encode fills block b with the summary.
+func (s *summary) encode(b []byte) error {
+	if len(s.Entries) > maxSummaryEntries(len(b)) {
+		return fmt.Errorf("lfs: %d summary entries exceed capacity %d", len(s.Entries), maxSummaryEntries(len(b)))
 	}
-	b := make([]byte, blockSize)
+	clear(b)
 	le := binary.LittleEndian
 	le.PutUint32(b[0:], summaryMagic)
 	le.PutUint64(b[8:], s.Seq)
@@ -250,7 +251,7 @@ func (s *summary) encode(blockSize int) ([]byte, error) {
 		off += summaryEntrySize
 	}
 	le.PutUint32(b[4:], summaryChecksum(b))
-	return b, nil
+	return nil
 }
 
 // summaryChecksum covers the whole block except the CRC field itself.

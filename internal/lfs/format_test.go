@@ -1,12 +1,35 @@
 package lfs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/ufs"
 )
+
+// The encoders fill a caller-supplied block (the segment writer hands them
+// recycled frames, deliberately dirty here); these wrap them for the
+// round-trip tests.
+func dirtyBlock(n int) []byte { return bytes.Repeat([]byte{0xDB}, n) }
+
+func encodeSummary(s *summary) ([]byte, error) {
+	b := dirtyBlock(4096)
+	return b, s.encode(b)
+}
+
+func wireOf(in *inode) []byte {
+	b := dirtyBlock(inodeWireSize)
+	in.encodeWire(b)
+	return b
+}
+
+func packOf(inodes []*inode) []byte {
+	b := dirtyBlock(4096)
+	encodeInodePack(b, inodes)
+	return b
+}
 
 func TestSuperblockRoundTrip(t *testing.T) {
 	sb := superblock{
@@ -57,7 +80,7 @@ func TestSummaryRoundTrip(t *testing.T) {
 			{Ino: 5, Kind: kindDelete},
 		},
 	}
-	enc, err := s.encode(4096)
+	enc, err := encodeSummary(&s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +100,7 @@ func TestSummaryRoundTrip(t *testing.T) {
 
 func TestSummaryRejectsWrongAddress(t *testing.T) {
 	s := summary{Seq: 1, SelfAddr: 100, NBlocks: 0}
-	enc, _ := s.encode(4096)
+	enc, _ := encodeSummary(&s)
 	// A relocated copy (e.g. moved by a buggy cleaner) must not decode at
 	// a different address.
 	if _, ok := decodeSummary(enc, 200); ok {
@@ -90,7 +113,7 @@ func TestSummaryRejectsWrongAddress(t *testing.T) {
 
 func TestSummaryRejectsBitFlips(t *testing.T) {
 	s := summary{Seq: 7, SelfAddr: 50, NBlocks: 1, Entries: []summaryEntry{{Ino: 1, Kind: kindData, Index: 0}}}
-	enc, _ := s.encode(4096)
+	enc, _ := encodeSummary(&s)
 	enc[20] ^= 1
 	if _, ok := decodeSummary(enc, 50); ok {
 		t.Fatal("bit-flipped summary should fail its checksum")
@@ -101,11 +124,11 @@ func TestSummaryCapacity(t *testing.T) {
 	max := maxSummaryEntries(4096)
 	entries := make([]summaryEntry, max+1)
 	s := summary{Entries: entries}
-	if _, err := s.encode(4096); err == nil {
+	if _, err := encodeSummary(&s); err == nil {
 		t.Fatal("over-capacity summary should fail to encode")
 	}
 	s.Entries = entries[:max]
-	if _, err := s.encode(4096); err != nil {
+	if _, err := encodeSummary(&s); err != nil {
 		t.Fatalf("at-capacity summary should encode: %v", err)
 	}
 }
@@ -126,7 +149,7 @@ func TestInodeWireRoundTrip(t *testing.T) {
 	for i := range in.direct {
 		in.direct[i] = int64(1000 + i)
 	}
-	got, err := decodeInodeWire(in.encodeWire())
+	got, err := decodeInodeWire(wireOf(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +165,7 @@ func TestInodeWireRoundTrip(t *testing.T) {
 
 func TestInodeWireRejectsCorruption(t *testing.T) {
 	in := &inode{Inode: ufs.Inode{Ino: 1, Mode: ufs.ModeDir}}
-	b := in.encodeWire()
+	b := wireOf(in)
 	b[30] ^= 0x10
 	if _, err := decodeInodeWire(b); err == nil {
 		t.Fatal("corrupted inode record should fail")
@@ -154,7 +177,7 @@ func TestInodePackRoundTrip(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		inodes = append(inodes, &inode{Inode: ufs.Inode{Ino: Ino(i + 2), Mode: ufs.ModeFile, Size: int64(i * 100)}})
 	}
-	pack := encodeInodePack(4096, inodes)
+	pack := packOf(inodes)
 	got, err := decodeInodePack(pack)
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +324,7 @@ func TestSummaryPayloadCRCRoundTrip(t *testing.T) {
 			{Ino: 2, Kind: kindData, Index: 1},
 		},
 	}
-	enc, err := s.encode(4096)
+	enc, err := encodeSummary(&s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +342,7 @@ func TestSummaryPayloadCRCRoundTrip(t *testing.T) {
 
 func TestSummaryRejectsBlockCountAboveEntries(t *testing.T) {
 	s := summary{Seq: 1, SelfAddr: 10, NBlocks: 1, Entries: []summaryEntry{{Ino: 1, Kind: kindData}}}
-	enc, _ := s.encode(4096)
+	enc, _ := encodeSummary(&s)
 	// Forge NBlocks > nEntries and re-seal the summary checksum: the decoder
 	// must still reject it (every described block consumes an entry).
 	binary.LittleEndian.PutUint32(enc[32:], 2)

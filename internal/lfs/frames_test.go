@@ -1,0 +1,68 @@
+package lfs
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/buffer"
+	"repro/internal/disk"
+	"repro/internal/frame"
+	"repro/internal/sim"
+)
+
+// A dirty block evicted from the cache is parked in one of the file system's
+// frames until the next partial segment carries it. The frame goes back once
+// that write has returned: parked bytes held past it read poison, and the
+// orphan table and the segment writer's scratch keep taking the same frames.
+func TestParkedBlocksAndSegmentScratchAreRecycled(t *testing.T) {
+	clk := sim.NewClock()
+	dev := disk.New(sim.SmallModel(), clk)
+	fs, err := Format(dev, clk, Options{CacheBlocks: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := fs.BlockSize()
+	f, err := fs.Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const blocks = 40 // five times the cache: most writes evict a dirty block
+	want := make([]byte, blocks*bs)
+	round := func(seed byte) (parked []byte) {
+		for i := 0; i < blocks; i++ {
+			data := bytes.Repeat([]byte{seed + byte(i)}, bs)
+			copy(want[i*bs:], data)
+			if _, err := f.WriteAt(data, int64(i*bs)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fs.mu.Lock()
+		parked = fs.orphans[buffer.BlockID{File: f.ID(), Block: 0}]
+		fs.mu.Unlock()
+		if parked == nil || parked[0] != seed {
+			t.Fatalf("block 0 must be parked with its bytes after %d writes through an 8-block cache", blocks)
+		}
+		if err := fs.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return parked
+	}
+	parked := round(1)
+	if !bytes.Equal(parked, bytes.Repeat([]byte{frame.Poison}, bs)) {
+		t.Fatalf("parked bytes held past the flush must read poison, got % x", parked[:8])
+	}
+	highWater := fs.frames.Free()
+	for seed := byte(2); seed < 12; seed++ {
+		round(seed)
+	}
+	if len(fs.orphans) != 0 {
+		t.Fatalf("%d blocks still parked after a flush", len(fs.orphans))
+	}
+	if got := fs.frames.Free(); got != highWater {
+		t.Fatalf("ten more rounds moved the frame list from %d to %d frames: it must stay at its high-water mark", highWater, got)
+	}
+	got := make([]byte, len(want))
+	if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the file must read back what was written through the recycled frames: %v", err)
+	}
+}

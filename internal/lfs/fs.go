@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/disk"
+	"repro/internal/frame"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/ufs"
@@ -113,8 +114,14 @@ type FS struct {
 	// part of the uncheckpointed log tail and must not be reused
 	nextIno Ino
 
-	inodes     map[Ino]*inode // loaded inodes
-	orphans    map[buffer.BlockID][]byte
+	inodes map[Ino]*inode // loaded inodes
+	// frames are the file system's block-sized scratch: the orphan table's
+	// copies, the summary, inode-pack and pointer blocks a partial segment
+	// encodes, the block an inode or pointer block is decoded from. Taken and
+	// given back under fs.mu; a parked block goes back when it leaves the
+	// orphan table, encode scratch when its partial is on the device.
+	frames     frame.List
+	orphans    map[buffer.BlockID][]byte // parked blocks, each in a frame of its own
 	pendingDel []Ino
 	cleaning   bool
 	// chainCont is set while a multi-partial flush batch is incomplete:
@@ -208,6 +215,7 @@ func Format(dev disk.BlockDevice, clock *sim.Clock, opts Options) (*FS, error) {
 // the dirty bits), a write needs no block until the segment writer places
 // it, and a deletion is a record in the next summary.
 func (fs *FS) attach() {
+	fs.frames = frame.NewList(fs.blockSize)
 	fs.pool = buffer.New(fs.opts.CacheBlocks, fs.blockSize, fs.writeback)
 	fs.upper = ufs.New(ufs.Ops[*inode]{
 		Mu:       &fs.mu,
@@ -263,7 +271,7 @@ func (fs *FS) releaseLocked(in *inode) error {
 	}
 	for id := range fs.orphans {
 		if id.File == vfs.FileID(in.Ino) {
-			delete(fs.orphans, id)
+			fs.unparkLocked(id)
 		}
 	}
 	return nil
@@ -491,10 +499,10 @@ func (fs *FS) accountNew(addr int64) {
 // be written in place (LFS never overwrites); instead its bytes are parked in
 // the orphan table and written with the next partial segment. Reads consult
 // the orphan table before disk.
+//
+//simlint:noalloc
 func (fs *FS) writeback(id buffer.BlockID, data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	fs.orphans[id] = cp
+	copy(fs.parkLocked(id), data)
 	// The orphan table models the segment staging buffer, which holds at
 	// most about one segment of blocks in a real LFS; when it fills, the
 	// next file system operation writes a segment out. (The flush cannot
@@ -503,6 +511,32 @@ func (fs *FS) writeback(id buffer.BlockID, data []byte) error {
 		fs.orphanPressure = true
 	}
 	return nil
+}
+
+// parkLocked returns the frame block id is parked in, for the caller to fill:
+// the one a stale parked version already occupies, or a fresh one. Caller
+// holds fs.mu.
+//
+//simlint:noalloc
+func (fs *FS) parkLocked(id buffer.BlockID) []byte {
+	f, ok := fs.orphans[id]
+	if !ok {
+		f = fs.frames.Take()
+		//simlint:alloc(the orphan table grows to about one segment of blocks, then the flush drains it)
+		fs.orphans[id] = f
+	}
+	return f
+}
+
+// unparkLocked drops block id from the orphan table, if it is there, and
+// recycles its frame. Nothing may still read the parked bytes: a flush calls
+// it once the block's partial segment is on the device, or for a version it
+// never listed. Caller holds fs.mu.
+func (fs *FS) unparkLocked(id buffer.BlockID) {
+	if f, ok := fs.orphans[id]; ok {
+		delete(fs.orphans, id)
+		fs.frames.Give(f)
+	}
 }
 
 // maybeFlushOrphansLocked drains the staging buffer when eviction pressure
@@ -538,7 +572,8 @@ func (fs *FS) loadInode(ino Ino) (*inode, error) {
 	if !ok {
 		return nil, vfs.ErrNotExist
 	}
-	buf := make([]byte, fs.blockSize)
+	buf := fs.frames.Take()
+	defer fs.frames.Give(buf) // decoded inodes copy what they keep
 	if err := fs.dev.Read(addr, buf); err != nil {
 		return nil, err
 	}

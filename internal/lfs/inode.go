@@ -41,12 +41,12 @@ func newPtrBlock(nptr int) *ptrBlock {
 	return &ptrBlock{ptrs: make([]int64, nptr)}
 }
 
-func (p *ptrBlock) encode(blockSize int) []byte {
-	b := make([]byte, blockSize)
+// encode fills block b with the pointers.
+func (p *ptrBlock) encode(b []byte) {
+	clear(b[len(p.ptrs)*8:])
 	for i, v := range p.ptrs {
 		binary.LittleEndian.PutUint64(b[i*8:], uint64(v))
 	}
-	return b
 }
 
 func decodePtrBlock(b []byte) *ptrBlock {
@@ -86,9 +86,10 @@ func maxLBN(blockSize int) int64 {
 //	dindAddr int64
 const inodeWireSize = 4 + 4 + 8 + 4 + 4 + 8 + 4 + 4 + 8 + NDirect*8 + 8 + 8
 
-// encodeWire serializes the inode into a fixed-size self-checksummed record.
-func (in *inode) encodeWire() []byte {
-	b := make([]byte, inodeWireSize)
+// encodeWire serializes the inode into b, a fixed-size self-checksummed record.
+func (in *inode) encodeWire(b []byte) {
+	b = b[:inodeWireSize]
+	clear(b)
 	le := binary.LittleEndian
 	le.PutUint32(b[0:], inodeMagic)
 	le.PutUint64(b[8:], uint64(in.Ino))
@@ -105,7 +106,6 @@ func (in *inode) encodeWire() []byte {
 	le.PutUint64(b[off:], uint64(in.indAddr))
 	le.PutUint64(b[off+8:], uint64(in.dindAddr))
 	le.PutUint32(b[4:], crc32.ChecksumIEEE(b[8:inodeWireSize]))
-	return b
 }
 
 func decodeInodeWire(b []byte) (*inode, error) {
@@ -148,18 +148,17 @@ func maxInodesPerPack(blockSize int) int {
 	return (blockSize - packHeader) / inodeWireSize
 }
 
-// encodeInodePack builds a pack block from the given inodes.
-func encodeInodePack(blockSize int, inodes []*inode) []byte {
-	b := make([]byte, blockSize)
+// encodeInodePack builds a pack block from the given inodes in block b.
+func encodeInodePack(b []byte, inodes []*inode) {
+	clear(b)
 	le := binary.LittleEndian
 	le.PutUint32(b[0:], packMagic)
 	le.PutUint32(b[4:], uint32(len(inodes)))
 	off := packHeader
 	for _, in := range inodes {
-		copy(b[off:], in.encodeWire())
+		in.encodeWire(b[off:])
 		off += inodeWireSize
 	}
-	return b
 }
 
 // decodeInodePack parses a pack block into its inode records.
@@ -195,7 +194,8 @@ func (fs *FS) loadInd(in *inode) (*ptrBlock, error) {
 		in.ind = newPtrBlock(np)
 		return in.ind, nil
 	}
-	buf := make([]byte, fs.blockSize)
+	buf := fs.frames.Take()
+	defer fs.frames.Give(buf) // decodePtrBlock copies the pointers out
 	if err := fs.dev.Read(in.indAddr, buf); err != nil {
 		return nil, err
 	}
@@ -215,7 +215,8 @@ func (fs *FS) loadDInd(in *inode) (*ptrBlock, error) {
 		in.dind = newPtrBlock(np)
 		return in.dind, nil
 	}
-	buf := make([]byte, fs.blockSize)
+	buf := fs.frames.Take()
+	defer fs.frames.Give(buf) // decodePtrBlock copies the pointers out
 	if err := fs.dev.Read(in.dindAddr, buf); err != nil {
 		return nil, err
 	}
@@ -244,7 +245,8 @@ func (fs *FS) loadDChild(in *inode, slot int64) (*ptrBlock, error) {
 		in.dchild[slot] = p
 		return p, nil
 	}
-	buf := make([]byte, fs.blockSize)
+	buf := fs.frames.Take()
+	defer fs.frames.Give(buf) // decodePtrBlock copies the pointers out
 	if err := fs.dev.Read(addr, buf); err != nil {
 		return nil, err
 	}

@@ -147,7 +147,7 @@ func (fs *FS) gatherLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage
 		if commitIDs[id] {
 			// The commit's after-image of this block is being written in
 			// the same batch; the staged (older) copy is superseded.
-			delete(fs.orphans, id)
+			fs.unparkLocked(id)
 			continue
 		}
 		if fs.pool.Lookup(id) != nil {
@@ -157,7 +157,7 @@ func (fs *FS) gatherLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage
 			// relocation whose bytes must reach a new address, so keep it
 			// unless a dirty buffer already carries the block.
 			if b := fs.pool.Lookup(id); b.Dirty() && !b.Held() {
-				delete(fs.orphans, id)
+				fs.unparkLocked(id)
 				continue
 			}
 		}
@@ -216,7 +216,7 @@ func (fs *FS) gatherRelocLocked(ids map[buffer.BlockID]bool, inos map[Ino]bool) 
 	var items []dataItem
 	for _, id := range detsort.KeysFunc(ids, buffer.CompareBlockID) {
 		if b := fs.pool.Lookup(id); b != nil && b.Dirty() && !b.Held() {
-			delete(fs.orphans, id)
+			fs.unparkLocked(id)
 			items = append(items, dataItem{id: id, buf: b, data: b.Data})
 			continue
 		}
@@ -459,6 +459,20 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 	blocks := make([][]byte, 1, required) // slot 0 = summary, filled last
 	var entries []summaryEntry
 	next := func() int64 { return base + int64(len(blocks)) }
+	// The blocks this partial encodes itself — the summary in slot 0 and
+	// whatever follows the chunk's data: pointer blocks, inode packs — are
+	// scratch frames. The device copies what it is handed, so they go back
+	// once the write has returned.
+	defer func() {
+		if blocks[0] != nil {
+			fs.frames.Give(blocks[0])
+		}
+		if n := 1 + len(chunk); len(blocks) > n {
+			for _, f := range blocks[n:] {
+				fs.frames.Give(f)
+			}
+		}
+	}()
 
 	// 1. Data blocks.
 	for _, it := range chunk {
@@ -513,7 +527,9 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 			c.dirty = false
 			dind.ptrs[slot] = addr
 			dind.dirty = true
-			blocks = append(blocks, c.encode(fs.blockSize))
+			b := fs.frames.Take()
+			c.encode(b)
+			blocks = append(blocks, b)
 			entries = append(entries, summaryEntry{Ino: ino, Kind: kindDChild, Index: slot})
 		}
 		if in.ind != nil && in.ind.dirty {
@@ -524,7 +540,9 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 			in.ind.dirty = false
 			in.indAddr = addr
 			in.Dirty = true
-			blocks = append(blocks, in.ind.encode(fs.blockSize))
+			b := fs.frames.Take()
+			in.ind.encode(b)
+			blocks = append(blocks, b)
 			entries = append(entries, summaryEntry{Ino: ino, Kind: kindInd})
 		}
 		if in.dind != nil && in.dind.dirty {
@@ -535,7 +553,9 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 			in.dind.dirty = false
 			in.dindAddr = addr
 			in.Dirty = true
-			blocks = append(blocks, in.dind.encode(fs.blockSize))
+			b := fs.frames.Take()
+			in.dind.encode(b)
+			blocks = append(blocks, b)
 			entries = append(entries, summaryEntry{Ino: ino, Kind: kindDInd})
 		}
 		// The inode is rewritten whenever anything about the file changed
@@ -560,7 +580,9 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 		}
 		fs.packRefs[addr] = len(group)
 		fs.accountNew(addr)
-		blocks = append(blocks, encodeInodePack(fs.blockSize, group))
+		b := fs.frames.Take()
+		encodeInodePack(b, group)
+		blocks = append(blocks, b)
 		entries = append(entries, summaryEntry{Kind: kindInodePack, Index: int64(len(group))})
 	}
 
@@ -589,11 +611,10 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 		Flags:      flags,
 		Entries:    entries,
 	}
-	enc, err := sum.encode(fs.blockSize)
-	if err != nil {
+	blocks[0] = fs.frames.Take()
+	if err := sum.encode(blocks[0]); err != nil {
 		return err
 	}
-	blocks[0] = enc
 	// Hard invariant: the partial is no larger than partialCostLocked
 	// promised. The room check above trusted that count, so a partial that
 	// outgrows it can cross the segment boundary and clobber the neighbouring
@@ -634,7 +655,7 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 		if it.buf != nil {
 			fs.pool.MarkClean(it.buf)
 		}
-		delete(fs.orphans, it.id)
+		fs.unparkLocked(it.id)
 	}
 
 	if fs.sb.SegmentBlocks-fs.curOff < minSegmentTail {

@@ -568,8 +568,7 @@ func (e *Env) peekLocked(db uint64, page int64, offset uint32, n int) ([]byte, e
 	}
 	id := buffer.BlockID{File: vfs.FileID(db), Block: page}
 	b, err := e.pool.Get(id, func(_ buffer.BlockID, dst []byte) error {
-		_, err := f.ReadAt(dst, page*int64(e.pool.BlockSize()))
-		return err
+		return readPage(f, page, dst)
 	})
 	if err != nil {
 		return nil, err
@@ -587,8 +586,7 @@ func (e *Env) applyLocked(db uint64, page int64, offset uint32, data []byte) err
 	}
 	id := buffer.BlockID{File: vfs.FileID(db), Block: page}
 	b, err := e.pool.Get(id, func(_ buffer.BlockID, dst []byte) error {
-		_, err := f.ReadAt(dst, page*int64(e.pool.BlockSize()))
-		return err
+		return readPage(f, page, dst)
 	})
 	if err != nil {
 		return err

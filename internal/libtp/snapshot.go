@@ -111,8 +111,7 @@ func (s *snapStore) NumPages() (int64, error) {
 func (s *snapStore) fetch(id buffer.BlockID, dst []byte) error {
 	e := s.snap.env
 	e.clock.Advance(e.costs.Syscall + e.costs.PageCopy)
-	_, err := s.db.f.ReadAt(dst, id.Block*int64(len(dst)))
-	return err
+	return readPage(s.db.f, id.Block, dst)
 }
 
 func (s *snapStore) ReadPage(n int64, p []byte) error {

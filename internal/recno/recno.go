@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/frame"
 	"repro/internal/pagestore"
 )
 
@@ -47,6 +48,10 @@ type File struct {
 	// tailPage 0 means the file has no data page yet (tail is then scratch).
 	tail     []byte
 	tailPage int64
+	// frames is where tail was taken from and where Close gives it back: the
+	// relation's list a caller handed to OpenForAppendFrom, or one of the
+	// handle's own.
+	frames *frame.List
 }
 
 func (f *File) slotSize() int  { return 1 + f.recSize }
@@ -72,12 +77,13 @@ func Create(st pagestore.Store, recSize int) (*File, error) {
 	if err := st.WritePage(0, meta); err != nil {
 		return nil, err
 	}
-	return &File{st: st, pageSize: len(meta), recSize: recSize, tail: make([]byte, len(meta))}, nil
+	own := frame.NewList(len(meta))
+	return &File{st: st, pageSize: len(meta), recSize: recSize, tail: meta, frames: &own}, nil
 }
 
 // Open loads an existing record file.
 func Open(st pagestore.Store) (*File, error) {
-	return open(st, pagestore.Store.ReadPage)
+	return open(st, pagestore.Store.ReadPage, nil)
 }
 
 // OpenForAppend is Open for a caller that will Append: the tail page, which
@@ -85,31 +91,62 @@ func Open(st pagestore.Store) (*File, error) {
 // store write-locks it at first touch instead of upgrading it later. The meta
 // page is read plainly: nothing ever writes it.
 func OpenForAppend(st pagestore.Store) (*File, error) {
-	return open(st, pagestore.ReadForUpdate)
+	return open(st, pagestore.ReadForUpdate, nil)
+}
+
+// OpenForAppendFrom is OpenForAppend for a caller that opens the file once
+// per transaction: the handle's page image is taken from frames, a list of
+// st.PageSize() frames that the caller keeps for the relation and guards, and
+// goes back to it at Close.
+func OpenForAppendFrom(st pagestore.Store, frames *frame.List) (*File, error) {
+	return open(st, pagestore.ReadForUpdate, frames)
+}
+
+// Close gives the handle's page image back to the list it came from; the
+// handle must not be used afterwards. It matters for a handle opened with
+// OpenForAppendFrom, whose list outlives it; any other handle may simply be
+// dropped.
+func (f *File) Close() {
+	if f.tail != nil {
+		f.frames.Give(f.tail)
+		f.tail = nil
+	}
 }
 
 // readFunc is pagestore.Store.ReadPage or pagestore.ReadForUpdate.
 type readFunc func(st pagestore.Store, n int64, p []byte) error
 
-func open(st pagestore.Store, readTail readFunc) (*File, error) {
-	f := &File{st: st, pageSize: st.PageSize()}
-	f.tail = make([]byte, f.pageSize)
-	if err := st.ReadPage(0, f.tail); err != nil {
+func open(st pagestore.Store, readTail readFunc, frames *frame.List) (*File, error) {
+	if frames == nil {
+		own := frame.NewList(st.PageSize())
+		frames = &own
+	}
+	f := &File{st: st, pageSize: st.PageSize(), frames: frames, tail: frames.Take()}
+	if err := f.load(readTail); err != nil {
+		f.Close()
 		return nil, err
+	}
+	return f, nil
+}
+
+// load reads the meta page and then the tail page into f.tail.
+func (f *File) load(readTail readFunc) error {
+	if err := f.st.ReadPage(0, f.tail); err != nil {
+		return err
 	}
 	le := binary.LittleEndian
 	switch le.Uint32(f.tail[0:]) {
 	case metaMagic:
 	case metaMagicV1:
-		return nil, ErrOldFormat
+		return ErrOldFormat
 	default:
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	f.recSize = int(le.Uint32(f.tail[4:]))
 	if f.recSize <= 0 || f.slotSize() > f.pageSize {
-		return nil, ErrCorrupt
+		return ErrCorrupt
 	}
-	return f, f.loadTail(readTail)
+	return f.loadTail(readTail)
 }
 
 // loadTail reads the last page of the file through read and derives the

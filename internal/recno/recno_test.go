@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/frame"
 	"repro/internal/pagestore"
 )
 
@@ -324,5 +325,53 @@ func TestOpenRejectsVersion1(t *testing.T) {
 	}
 	if _, err := OpenForAppend(st); !errors.Is(err, ErrOldFormat) {
 		t.Fatalf("OpenForAppend of a version-1 image: %v, want ErrOldFormat", err)
+	}
+}
+
+// A handle opened with OpenForAppendFrom borrows its page image from the
+// relation's list: Close gives it back poisoned, and the next transaction's
+// handle takes the same frame.
+func TestAppendHandleBorrowsItsPageFromTheRelation(t *testing.T) {
+	st := pagestore.NewMemStore(512)
+	if _, err := Create(st, 50); err != nil {
+		t.Fatal(err)
+	}
+	frames := frame.NewList(512)
+	var first []byte
+	for i := 0; i < 100; i++ {
+		f, err := OpenForAppendFrom(st, &frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = f.tail
+		} else if &f.tail[0] != &first[0] {
+			t.Fatal("every handle must take the frame the last one gave back")
+		}
+		if n, err := f.Append(rec(50, byte(i))); err != nil || n != int64(i) {
+			t.Fatalf("Append = %d, %v", n, err)
+		}
+		held := f.tail
+		f.Close()
+		if !bytes.Equal(held, bytes.Repeat([]byte{frame.Poison}, 512)) {
+			t.Fatal("a page image held past Close must read poison")
+		}
+	}
+	if frames.Free() != 1 {
+		t.Fatalf("100 handles left %d frames on the list, want 1", frames.Free())
+	}
+	f, err := Open(st)
+	if err != nil || f.Count() != 100 {
+		t.Fatalf("Count = %d, %v", f.Count(), err)
+	}
+	if got, err := f.Get(99); err != nil || !bytes.Equal(got, rec(50, 99)) {
+		t.Fatalf("Get(99) = %v, %v", got, err)
+	}
+	// An open that fails gives its frame back too.
+	if _, err := OpenForAppendFrom(pagestore.NewMemStore(512), &frames); err == nil {
+		t.Fatal("an empty store must not open")
+	}
+	if frames.Free() != 1 {
+		t.Fatalf("a failed open left %d frames on the list, want 1", frames.Free())
 	}
 }

@@ -1,0 +1,73 @@
+package tpcb
+
+import (
+	"runtime"
+	"testing"
+)
+
+// allocBudget is what one rig may allocate on the host: to build (format and
+// bulk load) and per transaction of the measured run.
+type allocBudget struct {
+	buildKB, buildObjects   float64
+	perTxnKB, perTxnObjects float64
+}
+
+// TestAllocBudget keeps the page-frame recycling from rotting: a page touch
+// that goes back to allocating its 4 KB frame — in the loader, btree, a buffer
+// pool, a file system or the embedded manager — shows here as kilobytes per
+// transaction or megabytes per build. The ceilings are the values measured
+// when the recycling landed, times 1.15; the counts repeat to a fraction of a
+// percent, because they are properties of the program, not of the host. (At
+// the commit before, a transaction here allocated 92–118 KB in 115–158
+// objects and a build 9.8–10.2 MB in 47,000–48,000 objects.)
+func TestAllocBudget(t *testing.T) {
+	const txns = 600
+	cfg := ScaledConfig(0.01)
+	rows := []struct {
+		name string
+		opts RigOptions
+		mpl  int
+		max  allocBudget
+	}{
+		{"serial/user-ffs", RigOptions{Kind: "user-ffs", Config: cfg, ExpectedTxns: txns, GroupCommit: 1}, 1, allocBudget{2943, 2245, 20.9, 118.2}},
+		{"serial/user-lfs", RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 1}, 1, allocBudget{3296, 3023, 34.8, 133.6}},
+		{"serial/kernel-lfs", RigOptions{Kind: "kernel-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 1}, 1, allocBudget{3723, 3105, 34.9, 165.9}},
+		{"mpl64/user-ffs", RigOptions{Kind: "user-ffs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8}, 64, allocBudget{2934, 2244, 21.2, 121.8}},
+		{"mpl64/user-lfs", RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8}, 64, allocBudget{3302, 3027, 27.6, 127.0}},
+		{"mpl64/kernel-lfs", RigOptions{Kind: "kernel-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8}, 64, allocBudget{3723, 3105, 26.2, 125.7}},
+	}
+	measure := func(f func()) (kb, objects float64) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / 1024, float64(m1.Mallocs - m0.Mallocs)
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var rig *Rig
+			var err error
+			var got allocBudget
+			got.buildKB, got.buildObjects = measure(func() { rig, err = BuildRig(row.opts) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			kb, objects := measure(func() { _, err = rig.RunMPL(cfg, txns, row.mpl) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.perTxnKB, got.perTxnObjects = kb/txns, objects/txns
+			t.Logf("build %.0f KB in %.0f objects; per transaction %.1f KB in %.1f objects",
+				got.buildKB, got.buildObjects, got.perTxnKB, got.perTxnObjects)
+			check := func(what string, got, max float64) {
+				if got > max {
+					t.Errorf("%s: %.1f, over the budget of %.1f", what, got, max)
+				}
+			}
+			check("build KB", got.buildKB, row.max.buildKB)
+			check("build objects", got.buildObjects, row.max.buildObjects)
+			check("KB per transaction", got.perTxnKB, row.max.perTxnKB)
+			check("objects per transaction", got.perTxnObjects, row.max.perTxnObjects)
+		})
+	}
+}

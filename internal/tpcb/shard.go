@@ -125,12 +125,15 @@ func loadShardRelations(fsys vfs.FileSystem, part *Partitioner, s int) error {
 			return err
 		}
 		defer f.Close()
-		id := lo
+		// One key and one record buffer serve every row: BulkLoad has encoded
+		// a pair into its page before it asks for the next.
+		id, k, v := lo, Key(lo), BalanceRecord(lo, 0)
 		_, err = btree.BulkLoad(pagestore.NewFileStore(f, fsys.BlockSize()), func() ([]byte, []byte, bool) {
 			if id >= hi {
 				return nil, nil, false
 			}
-			k, v := Key(id), BalanceRecord(id, 0)
+			putKey(k, id)
+			putBalanceRecord(v, id, 0)
 			id++
 			return k, v, true
 		})

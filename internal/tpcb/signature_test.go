@@ -58,6 +58,9 @@ type signature struct {
 // forced four more times: elapsed 12,117,989,745 → 12,144,204,145 ns, disk
 // writes 553 → 557, blocks written 1,864 → 1,872; dispatches, retries, reads
 // and commit bytes equal. The other eleven rows passed unedited.
+//
+// The three MPL 256 rows were added with the page-frame recycling change and
+// recorded at the commit before it.
 func TestPinnedSignatures(t *testing.T) {
 	const txns = 600
 	cfg := ScaledConfig(0.01)
@@ -94,6 +97,17 @@ func TestPinnedSignatures(t *testing.T) {
 			signature{9911356395, 16678, 0, 349, 183, 1252, 194535}},
 		{"kernel-lfs/mpl64", base("kernel-lfs", 8), 64, 0,
 			signature{8364540647, 8455, 0, 283, 87, 1244, 3219456}},
+		// The shape `txnbench -fig mpl` gives its MPL 256 cells: one buffer per
+		// client (CacheBlocks = MPL, see figures.FigureMPL), the kernel's cleaner
+		// in idle windows.
+		{"user-ffs/mpl256", with(base("user-ffs", 8), func(o *RigOptions) { o.CacheBlocks = 256 }), 256, 0,
+			signature{8798527208, 62637, 0, 162, 455, 928, 194283}},
+		{"user-lfs/mpl256", with(base("user-lfs", 8), func(o *RigOptions) { o.CacheBlocks = 256 }), 256, 0,
+			signature{5567502504, 73520, 0, 157, 138, 1003, 194227}},
+		{"kernel-lfs/mpl256", with(base("kernel-lfs", 8), func(o *RigOptions) {
+			o.CacheBlocks, o.CleanerMode = 256, "idle"
+		}), 256, 0,
+			signature{3064163000, 98430, 0, 0, 87, 1203, 3067904}},
 		{"user-lfs/mpl8-partition2", with(base("user-lfs", 8), func(o *RigOptions) {
 			o.Devices, o.Layout = 2, "partition"
 		}), 8, 0,

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/core"
+	"repro/internal/frame"
 	"repro/internal/libtp"
 	"repro/internal/pagestore"
 	"repro/internal/recno"
@@ -79,25 +80,31 @@ func updateBalance(st pagestore.Store, cache *btree.NodeCache, id, amount int64)
 	if err != nil {
 		return err
 	}
-	rec, err := tr.GetForUpdate(Key(id))
+	defer tr.Close() // the handle's page frames go back to the relation's cache
+	key := Key(id)
+	rec, err := tr.GetForUpdate(key)
 	if err != nil {
 		return err
 	}
+	// rec is the handle's until its next call, which is the Put: the new
+	// record is built in a buffer of its own.
 	rec2 := append([]byte(nil), rec...)
 	SetBalance(rec2, Balance(rec2)+amount)
-	return tr.Put(Key(id), rec2)
+	return tr.Put(key, rec2)
 }
 
 // appendHistory appends t's history row to the record file held in st,
 // stamped with clock's time once the file is open (the stamp is logged, so
 // when it is taken is part of the pinned signatures). The tail page — the one
 // page an append rewrites — is read for update, for the reason given at
-// updateBalance.
-func appendHistory(st pagestore.Store, clock *sim.Clock, t Txn) error {
-	hf, err := recno.OpenForAppend(st)
+// updateBalance. frames is the history relation's list of page frames: every
+// transaction's handle borrows its tail-page image there.
+func appendHistory(st pagestore.Store, frames *frame.List, clock *sim.Clock, t Txn) error {
+	hf, err := recno.OpenForAppendFrom(st, frames)
 	if err != nil {
 		return err
 	}
+	defer hf.Close()
 	_, err = hf.Append(HistoryRecord(t.Account, t.Teller, t.Branch, t.Amount, int64(clock.Now())))
 	return err
 }
@@ -116,6 +123,10 @@ type userShard struct {
 	// LSNs, so a post-abort writer could reissue an LSN the cache still maps
 	// to aborted-timeline bytes.
 	accCache, telCache, brnCache *btree.NodeCache
+	// histFrames serves the history relation's per-transaction handles as the
+	// caches' frame lists serve the B-trees'. Clients run one at a time under
+	// the scheduler's token, which is all that guards it.
+	histFrames frame.List
 }
 
 // attach opens the four relations on the shard's environment.
@@ -167,10 +178,11 @@ func NewUserSystem(envs []*libtp.Env, part *Partitioner, clock *sim.Clock, costs
 	}
 	for _, env := range envs {
 		s.shards = append(s.shards, &userShard{
-			env:      env,
-			accCache: btree.NewNodeCache(0),
-			telCache: btree.NewNodeCache(0),
-			brnCache: btree.NewNodeCache(0),
+			env:        env,
+			accCache:   btree.NewNodeCache(0),
+			telCache:   btree.NewNodeCache(0),
+			brnCache:   btree.NewNodeCache(0),
+			histFrames: frame.NewList(env.FS().BlockSize()),
 		})
 	}
 	return s
@@ -258,7 +270,7 @@ func (s *UserSystem) Run(t Txn) error {
 	// The history record follows the account: the coordinator shard always
 	// carries the transaction's one durable history row.
 	s.clock.Advance(s.costs.RecordOp)
-	if err := appendHistory(coord.Store(s.shards[as].hist), s.clock, t); err != nil {
+	if err := appendHistory(coord.Store(s.shards[as].hist), &s.shards[as].histFrames, s.clock, t); err != nil {
 		abortAll()
 		return err
 	}
@@ -365,15 +377,18 @@ type EmbeddedSystem struct {
 	accCache *btree.NodeCache
 	telCache *btree.NodeCache
 	brnCache *btree.NodeCache
+	// histFrames is the history relation's frame list, as in userShard.
+	histFrames frame.List
 }
 
 // NewEmbeddedSystem builds the kernel configuration.
 func NewEmbeddedSystem(m *core.Manager, clock *sim.Clock, costs sim.CostModel) *EmbeddedSystem {
 	return &EmbeddedSystem{
 		m: m, clock: clock, costs: costs, proc: m.NewProcess(),
-		accCache: btree.NewNodeCache(0),
-		telCache: btree.NewNodeCache(0),
-		brnCache: btree.NewNodeCache(0),
+		accCache:   btree.NewNodeCache(0),
+		telCache:   btree.NewNodeCache(0),
+		brnCache:   btree.NewNodeCache(0),
+		histFrames: frame.NewList(m.FS().BlockSize()),
 	}
 }
 
@@ -453,7 +468,7 @@ func (s *EmbeddedSystem) apply(proc *core.Process, t Txn) error {
 		return err
 	}
 	s.clock.Advance(s.costs.RecordOp)
-	return appendHistory(core.NewStore(proc, s.hist), s.clock, t)
+	return appendHistory(core.NewStore(proc, s.hist), &s.histFrames, s.clock, t)
 }
 
 // update adds amount to one balance record inside proc's transaction.

@@ -78,17 +78,26 @@ func ScaledConfig(scale float64) Config {
 // order (the SCAN test reads the account file "in key order").
 func Key(id int64) []byte {
 	b := make([]byte, 8)
-	binary.BigEndian.PutUint64(b, uint64(id))
+	putKey(b, id)
 	return b
 }
+
+// putKey encodes id's key into b, 8 bytes long.
+func putKey(b []byte, id int64) { binary.BigEndian.PutUint64(b, uint64(id)) }
 
 // BalanceRecord encodes a 100-byte balance record.
 func BalanceRecord(id, balance int64) []byte {
 	b := make([]byte, BalanceRecordSize)
+	putBalanceRecord(b, id, balance)
+	return b
+}
+
+// putBalanceRecord encodes a balance record into b, BalanceRecordSize bytes
+// long, whose filler bytes past the two fields are already zero.
+func putBalanceRecord(b []byte, id, balance int64) {
 	le := binary.LittleEndian
 	le.PutUint64(b[0:], uint64(id))
 	le.PutUint64(b[8:], uint64(balance))
-	return b
 }
 
 // Balance extracts the balance from a balance record.
