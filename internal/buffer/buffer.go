@@ -17,6 +17,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/frame"
@@ -75,6 +76,11 @@ type Buf struct {
 	loading bool // fetch in flight; Data not yet valid
 	pins    int
 	elem    *list.Element
+	// used is the pool's use count when the buffer last moved to the front of
+	// the LRU, so sorting buffers by it reproduces the LRU's order.
+	used uint64
+	// Links of the pool's dirty set; both nil on a clean buffer.
+	dirtyPrev, dirtyNext *Buf
 }
 
 // Dirty reports whether the buffer has unwritten modifications.
@@ -100,6 +106,10 @@ type Pool struct {
 	writeback WriteBack
 	table     map[BlockID]*Buf
 	lru       *list.List // front = most recently used
+	uses      uint64     // moves to the LRU's front so far; see Buf.used
+	// dirtyHead heads the unordered, intrusive list of dirty buffers, held
+	// ones included, so that a flush walks what is dirty and not the cache.
+	dirtyHead *Buf
 	frames    frame.List // payloads of evicted and invalidated blocks, for the next misses
 	stats     Stats
 
@@ -184,6 +194,7 @@ func (p *Pool) Get(id BlockID, fetch Fetch) (*Buf, error) {
 			p.ctrHit.Add(1)
 			b.pins++
 			p.lru.MoveToFront(b.elem)
+			p.usedLocked(b)
 			p.mu.Unlock()
 			return b, nil
 		}
@@ -206,6 +217,7 @@ func (p *Pool) Get(id BlockID, fetch Fetch) (*Buf, error) {
 	//simlint:alloc(cache miss: one buffer header and one LRU element per miss; the payload is recycled)
 	b := &Buf{ID: id, Data: data, pins: 1, loading: fetch != nil}
 	b.elem = p.lru.PushFront(b)
+	p.usedLocked(b)
 	p.table[id] = b
 	p.mu.Unlock()
 
@@ -247,7 +259,7 @@ func (p *Pool) makeRoomLocked() error {
 			}
 			p.stats.WriteBacks++
 			p.ctrWriteBack.Add(1)
-			b.dirty = false
+			p.setDirtyLocked(b, false)
 		}
 		p.stats.Evictions++
 		p.ctrEvict.Add(1)
@@ -257,9 +269,41 @@ func (p *Pool) makeRoomLocked() error {
 	return ErrNoBuffers
 }
 
-// removeLocked drops an unpinned buffer from the pool and recycles its frame.
-// A stale *Buf keeps no payload: use after eviction fails on a nil slice
-// instead of reading the frame's next tenant.
+// usedLocked stamps a buffer that has just moved to the front of the LRU.
+func (p *Pool) usedLocked(b *Buf) {
+	p.uses++
+	b.used = p.uses
+}
+
+// setDirtyLocked is the one place a buffer's dirty flag changes: it keeps the
+// dirty set equal to the buffers whose flag is set.
+func (p *Pool) setDirtyLocked(b *Buf, dirty bool) {
+	if b.dirty == dirty {
+		return
+	}
+	b.dirty = dirty
+	if dirty {
+		b.dirtyNext = p.dirtyHead
+		if p.dirtyHead != nil {
+			p.dirtyHead.dirtyPrev = b
+		}
+		p.dirtyHead = b
+		return
+	}
+	if b.dirtyPrev != nil {
+		b.dirtyPrev.dirtyNext = b.dirtyNext
+	} else {
+		p.dirtyHead = b.dirtyNext
+	}
+	if b.dirtyNext != nil {
+		b.dirtyNext.dirtyPrev = b.dirtyPrev
+	}
+	b.dirtyPrev, b.dirtyNext = nil, nil
+}
+
+// removeLocked drops an unpinned, clean buffer from the pool and recycles its
+// frame. A stale *Buf keeps no payload: use after eviction fails on a nil
+// slice instead of reading the frame's next tenant.
 func (p *Pool) removeLocked(b *Buf) {
 	p.lru.Remove(b.elem)
 	delete(p.table, b.ID)
@@ -287,7 +331,7 @@ func (p *Pool) Release(b *Buf) {
 func (p *Pool) MarkDirty(b *Buf) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	b.dirty = true
+	p.setDirtyLocked(b, true)
 }
 
 // MarkClean clears the dirty flag (after the owner persisted the block
@@ -297,7 +341,7 @@ func (p *Pool) MarkDirty(b *Buf) {
 func (p *Pool) MarkClean(b *Buf) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	b.dirty = false
+	p.setDirtyLocked(b, false)
 }
 
 // SetHold places a buffer on (or removes it from) transaction hold. Held
@@ -310,41 +354,43 @@ func (p *Pool) SetHold(b *Buf, hold bool) {
 
 // Dirty returns the dirty, unheld buffers, most-recently-used first. The
 // returned buffers are NOT pinned; the caller must be the pool's owner and
-// synchronize access itself (file systems call this while quiescent).
+// synchronize access itself (file systems call this while quiescent). The
+// cost is that of the dirty set, not of the cache.
 func (p *Pool) Dirty() []*Buf {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var out []*Buf
-	for e := p.lru.Front(); e != nil; e = e.Next() {
-		b := e.Value.(*Buf)
-		if b.dirty && !b.held {
-			out = append(out, b)
-		}
-	}
-	return out
+	return p.dirtyLocked(nil)
 }
 
-// DirtyFile returns the dirty, unheld buffers belonging to one file.
+// DirtyFile returns the dirty, unheld buffers belonging to one file, in the
+// same order.
 func (p *Pool) DirtyFile(f FileID) []*Buf {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.dirtyLocked(&f)
+}
+
+// dirtyLocked collects the dirty, unheld buffers — of one file, or of all
+// when only is nil — in the LRU's order, front first.
+func (p *Pool) dirtyLocked(only *FileID) []*Buf {
 	var out []*Buf
-	for _, b := range p.Dirty() {
-		if b.ID.File == f {
+	for b := p.dirtyHead; b != nil; b = b.dirtyNext {
+		if !b.held && (only == nil || b.ID.File == *only) {
 			out = append(out, b)
 		}
 	}
+	slices.SortFunc(out, func(a, b *Buf) int { return cmp.Compare(b.used, a.used) })
 	return out
 }
 
 // FlushAll writes back every dirty, unheld buffer through the writeback
-// callback and marks them clean.
+// callback, least recently used first, and marks them clean.
 func (p *Pool) FlushAll() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for e := p.lru.Back(); e != nil; e = e.Prev() {
-		b := e.Value.(*Buf)
-		if !b.dirty || b.held {
-			continue
-		}
+	dirty := p.dirtyLocked(nil)
+	for i := len(dirty) - 1; i >= 0; i-- {
+		b := dirty[i]
 		if p.writeback == nil {
 			return fmt.Errorf("buffer: FlushAll with no writeback (%v dirty)", b.ID)
 		}
@@ -353,7 +399,7 @@ func (p *Pool) FlushAll() error {
 		}
 		p.stats.WriteBacks++
 		p.ctrWriteBack.Add(1)
-		b.dirty = false
+		p.setDirtyLocked(b, false)
 	}
 	return nil
 }
@@ -371,7 +417,7 @@ func (p *Pool) Invalidate(id BlockID) error {
 	if b.pins > 0 {
 		return ErrPinned
 	}
-	b.dirty = false
+	p.setDirtyLocked(b, false)
 	b.held = false
 	p.removeLocked(b)
 	return nil
@@ -391,7 +437,7 @@ func (p *Pool) InvalidateFile(f FileID) error {
 		if b.pins > 0 {
 			return ErrPinned
 		}
-		b.dirty = false
+		p.setDirtyLocked(b, false)
 		b.held = false
 		p.removeLocked(b)
 	}
