@@ -9,6 +9,7 @@
 //	txnbench -fig 4 -scale 0.1 -txns 10000
 //	txnbench -fig 6                   # SCAN test + crossover (Figures 6 and 7)
 //	txnbench -fig sync|cleaner|commitbytes|policy
+//	txnbench -fig fsync               # Figure 4's margin under data sync vs inode at every Sync (not in "all")
 //	txnbench -fig mpl                 # TPS vs multiprogramming level (not in "all")
 //	txnbench -fig devices -devices 1,2,4   # TPS vs MPL vs spindle count (not in "all")
 //	txnbench -fig cleaner -json       # machine-readable output
@@ -34,7 +35,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to reproduce: 4, 5, 6, 7, sync, cleaner, commitbytes, policy, mpl, devices, scan, all")
+	fig := flag.String("fig", "all", "figure to reproduce: 4, 5, 6, 7, sync, fsync, cleaner, commitbytes, policy, mpl, devices, scan, all")
 	scale := flag.Float64("scale", 0.05, "TPC-B scale factor (1.0 = the paper's 1,000,000 accounts)")
 	txns := flag.Int("txns", 5000, "transactions per measured run")
 	cleaner := flag.String("cleaner", "", "override the LFS cleaning discipline for all rigs: sync or idle (default: each system's natural mode)")
@@ -99,6 +100,11 @@ func main() {
 		"7": {"figure67", func() (fmt.Stringer, error) { return figures.Figure67(opts) }},
 		"sync": {"sync", func() (fmt.Stringer, error) {
 			return figures.AblationSync(opts)
+		}},
+		// What File.Sync writes, on both user-level systems; not part of
+		// "all", whose Figure 4 already carries the default arm.
+		"fsync": {"fsync", func() (fmt.Stringer, error) {
+			return figures.AblationFsync(opts)
 		}},
 		"cleaner": {"cleaner", func() (fmt.Stringer, error) {
 			return figures.AblationCleaner(opts)

@@ -133,7 +133,8 @@ func TestCleanBufferLeavesDirtySet(t *testing.T) {
 var dirtySink []*Buf
 
 // BenchmarkDirtySparse is a commit force's view of a paper-sized cache:
-// 100,000 resident blocks of which a transaction dirtied four.
+// 100,000 resident blocks of which a transaction dirtied four. The lru-walk
+// case is the loop Dirty replaced, for scale.
 func BenchmarkDirtySparse(b *testing.B) {
 	const resident = 100000
 	p := New(resident, 8, nil)
@@ -147,12 +148,21 @@ func BenchmarkDirtySparse(b *testing.B) {
 		}
 		p.Release(buf)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dirtySink = p.Dirty()
-	}
-	if len(dirtySink) != 4 {
-		b.Fatalf("%d dirty, want 4", len(dirtySink))
+	for _, bc := range []struct {
+		name  string
+		dirty func(*Pool) []*Buf
+	}{
+		{"dirty-set", (*Pool).Dirty},
+		{"lru-walk", lruDirty},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dirtySink = bc.dirty(p)
+			}
+			if len(dirtySink) != 4 {
+				b.Fatalf("%d dirty, want 4", len(dirtySink))
+			}
+		})
 	}
 }

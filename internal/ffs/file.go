@@ -8,9 +8,13 @@ import (
 )
 
 // ensureMapped allocates blocks (contiguously when possible) so lbn is
-// mapped, zero-filling any newly created intermediate blocks.
+// mapped. A just-allocated block enters the cache zeroed and dirty, with no
+// device read: whatever a removed file left at its address is never seen, a
+// partial write to it finds the zeros, and the blocks a sparse write skips
+// reach the device as zeros with the file's next flush — before the inode
+// that maps them (syncFileLocked).
 func (fs *FS) ensureMapped(in *inode, lbn int64) error {
-	for in.blocks() <= lbn {
+	for next := in.blocks(); next <= lbn; next++ {
 		prefer := int64(0)
 		if n := len(in.extents); n > 0 {
 			last := in.extents[n-1]
@@ -20,8 +24,15 @@ func (fs *FS) ensureMapped(in *inode, lbn int64) error {
 		if err != nil {
 			return err
 		}
+		b, err := fs.pool.Get(buffer.BlockID{File: vfs.FileID(in.Ino), Block: next}, nil)
+		if err != nil {
+			fs.freeBlock(addr) // never mapped without its zeros
+			return err
+		}
 		in.appendBlock(addr)
-		in.Dirty = true
+		in.Dirty, in.AttrDirty = true, true
+		fs.pool.MarkDirty(b)
+		fs.pool.Release(b)
 	}
 	return nil
 }
@@ -60,7 +71,7 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 		}
 	}
 	in.Size = size
-	in.Dirty = true
+	in.Dirty, in.AttrDirty = true, true
 	return nil
 }
 

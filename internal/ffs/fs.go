@@ -22,6 +22,8 @@ type Options struct {
 	// SyncInterval is the delayed-write age limit (default 30 s, the
 	// classic UNIX syncer interval the paper cites).
 	SyncInterval time.Duration
+	// InodeAtSync is ufs.Ops.InodeAtSync: the `txnbench -fig fsync` arm.
+	InodeAtSync bool
 }
 
 func (o *Options) fill() {
@@ -230,6 +232,8 @@ func (fs *FS) attach() {
 		Truncate: fs.truncateLocked,
 		Sync:     fs.syncFileLocked,
 		Tick:     fs.maybeSyncerLocked,
+
+		InodeAtSync: fs.opts.InodeAtSync,
 	}, true)
 }
 
@@ -321,14 +325,33 @@ func (fs *FS) fetchBlock(id buffer.BlockID, dst []byte) error {
 }
 
 // maybeSyncerLocked models the 30-second update daemon: when the interval
-// has elapsed, push all dirty buffers out through the C-SCAN-sorted queue.
+// has elapsed, push all dirty buffers out through the C-SCAN-sorted queue and
+// then the inodes that changed. This is where a modification time becomes
+// durable: File.Sync leaves alone an inode that is merely Dirty.
 func (fs *FS) maybeSyncerLocked() error {
 	now := fs.clock.Now()
 	if now-fs.lastSyncer < fs.opts.SyncInterval {
 		return nil
 	}
 	fs.lastSyncer = now
-	return fs.flushDirtyLocked(nil)
+	return fs.flushAllLocked()
+}
+
+// flushAllLocked pushes every dirty buffer out through the sorted queue and
+// then stores every changed inode, in inode order — the data first, so that
+// no slot on the device maps a block whose contents are not there.
+func (fs *FS) flushAllLocked() error {
+	if err := fs.flushDirtyLocked(nil); err != nil {
+		return err
+	}
+	for _, ino := range detsort.Keys(fs.inodes) {
+		if in := fs.inodes[ino]; in.Dirty {
+			if err := fs.storeInodeLocked(in); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // flushDirtyLocked pushes dirty (unheld) buffers — all of them, or just one
@@ -458,7 +481,7 @@ func (fs *FS) storeInodeLocked(in *inode) error {
 	if err := fs.writeTableBlock(blk, buf); err != nil {
 		return err
 	}
-	in.Dirty = false
+	in.Dirty, in.AttrDirty = false, false
 	return nil
 }
 
@@ -485,15 +508,8 @@ func (fs *FS) Sync() error {
 }
 
 func (fs *FS) syncLocked() error {
-	if err := fs.flushDirtyLocked(nil); err != nil {
+	if err := fs.flushAllLocked(); err != nil {
 		return err
-	}
-	for _, ino := range detsort.Keys(fs.inodes) {
-		if in := fs.inodes[ino]; in.Dirty {
-			if err := fs.storeInodeLocked(in); err != nil {
-				return err
-			}
-		}
 	}
 	// Bitmap.
 	bs := fs.blockSize
@@ -558,12 +574,17 @@ func (fs *FS) releaseLocked(in *inode) error {
 	return nil
 }
 
-// syncFileLocked flushes one file's dirty blocks and its inode.
+// syncFileLocked is File.Sync (the contract is vfs.File's): flush the file's
+// dirty blocks, then store its inode if a crash could not otherwise rebuild
+// it — the block map or an attribute changed (AttrDirty). An overwrite of
+// mapped blocks changes the modification time only and writes no slot; the
+// syncer stores that. The data goes first so that the slot never maps a block
+// whose contents are not on the device.
 func (fs *FS) syncFileLocked(in *inode) error {
 	if err := fs.flushDirtyLocked(&in.Ino); err != nil {
 		return err
 	}
-	if in.Dirty {
+	if in.AttrDirty {
 		return fs.storeInodeLocked(in)
 	}
 	return nil

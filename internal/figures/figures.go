@@ -347,7 +347,10 @@ type Figure67Report struct {
 	// ScanPenalty = LFSScan/FFSScan (paper: read-optimized ~50% faster).
 	ScanPenalty float64
 	// CrossoverTxns is where the two total-elapsed lines intersect
-	// (paper: ≈134,300 at full scale, ≈2h40m of peak throughput).
+	// (paper: ≈134,300 at full scale, ≈2h40m of peak throughput). Crosses
+	// is false, and both are zero, when they do not: the read-optimized
+	// system is no slower per transaction, so it stays ahead at every N.
+	Crosses        bool
 	CrossoverTxns  float64
 	CrossoverTime  time.Duration
 	Series         []Figure7Point
@@ -450,24 +453,30 @@ func Figure67(opts Options) (*Figure67Report, error) {
 	// Figure 7: total elapsed = txns/TPS + scan (scan held at its
 	// after-N-updates cost, as the paper does). Crossover where the lines
 	// meet.
-	den := 1/rep.FFSTPS - 1/rep.LFSTPS
-	if den > 0 {
-		rep.CrossoverTxns = (rep.LFSScan - rep.FFSScan).Seconds() / den
-		rep.CrossoverTime = time.Duration(rep.CrossoverTxns / rep.LFSTPS * float64(time.Second))
+	rep.figure7()
+	return rep, nil
+}
+
+// figure7 derives the crossover and the plotted series from the measured
+// rates and scan times.
+func (r *Figure67Report) figure7() {
+	den := 1/r.FFSTPS - 1/r.LFSTPS
+	if r.Crosses = den > 0; r.Crosses {
+		r.CrossoverTxns = (r.LFSScan - r.FFSScan).Seconds() / den
+		r.CrossoverTime = time.Duration(r.CrossoverTxns / r.LFSTPS * float64(time.Second))
 	}
-	maxT := int(rep.CrossoverTxns * 2)
-	if maxT < opts.Txns {
-		maxT = opts.Txns
+	maxT := int(r.CrossoverTxns * 2)
+	if maxT < r.Opts.Txns {
+		maxT = r.Opts.Txns
 	}
 	for i := 0; i <= 8; i++ {
 		n := maxT * i / 8
-		rep.Series = append(rep.Series, Figure7Point{
+		r.Series = append(r.Series, Figure7Point{
 			Txns:     n,
-			FFSTotal: time.Duration(float64(n)/rep.FFSTPS*float64(time.Second)) + rep.FFSScan,
-			LFSTotal: time.Duration(float64(n)/rep.LFSTPS*float64(time.Second)) + rep.LFSScan,
+			FFSTotal: time.Duration(float64(n)/r.FFSTPS*float64(time.Second)) + r.FFSScan,
+			LFSTotal: time.Duration(float64(n)/r.LFSTPS*float64(time.Second)) + r.LFSScan,
 		})
 	}
-	return rep, nil
 }
 
 // String formats Figures 6 and 7.
@@ -486,7 +495,12 @@ func (r *Figure67Report) String() string {
 	for _, p := range r.Series {
 		fmt.Fprintf(&b, "  %-10d %16s %16s\n", p.Txns, p.FFSTotal.Truncate(time.Second), p.LFSTotal.Truncate(time.Second))
 	}
-	fmt.Fprintf(&b, "  crossover: %.0f txns (%s of peak throughput); paper at full scale: %s\n",
-		r.CrossoverTxns, r.CrossoverTime.Truncate(time.Second), r.PaperCrossover)
+	if r.Crosses {
+		fmt.Fprintf(&b, "  crossover: %.0f txns (%s of peak throughput); paper at full scale: %s\n",
+			r.CrossoverTxns, r.CrossoverTime.Truncate(time.Second), r.PaperCrossover)
+	} else {
+		fmt.Fprintf(&b, "  crossover: none within %d txns (read-optimized ahead at every N); paper at full scale: %s\n",
+			r.Series[len(r.Series)-1].Txns, r.PaperCrossover)
+	}
 	return b.String()
 }

@@ -1,9 +1,12 @@
 package figures
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // smallOpts keeps CI runs quick while still exercising every code path.
@@ -74,8 +77,8 @@ func TestFigure67ScanPenaltyAndCrossover(t *testing.T) {
 	if rep.LFSTPS <= rep.FFSTPS {
 		t.Fatalf("LFS TPS (%f) should exceed FFS TPS (%f)", rep.LFSTPS, rep.FFSTPS)
 	}
-	if rep.CrossoverTxns <= 0 {
-		t.Fatalf("crossover = %f, want positive", rep.CrossoverTxns)
+	if !rep.Crosses || rep.CrossoverTxns <= 0 {
+		t.Fatalf("crossover = %f (crosses: %v), want positive", rep.CrossoverTxns, rep.Crosses)
 	}
 	// The crossover must actually balance the two lines.
 	ffsTotal := rep.CrossoverTxns/rep.FFSTPS + rep.FFSScan.Seconds()
@@ -84,6 +87,89 @@ func TestFigure67ScanPenaltyAndCrossover(t *testing.T) {
 		t.Fatalf("lines do not meet at crossover: %f vs %f", ffsTotal, lfsTotal)
 	}
 	if !strings.Contains(rep.String(), "crossover") {
+		t.Fatal("report formatting broken")
+	}
+}
+
+// When the read-optimized system is no slower per transaction the lines never
+// meet, and the report says so instead of printing a crossover at 0 (the
+// paper-size run under the shared Sync contract: 12.45 against 12.00 TPS).
+func TestFigure7SaysWhenTheLinesDoNotCross(t *testing.T) {
+	rep := &Figure67Report{
+		Opts:   Options{Scale: 1, Txns: 100000},
+		FFSTPS: 12.45, LFSTPS: 12.00,
+		FFSScan: 200 * time.Second, LFSScan: 370 * time.Second,
+	}
+	rep.figure7()
+	if rep.Crosses || rep.CrossoverTxns != 0 || rep.CrossoverTime != 0 {
+		t.Fatalf("crossover %f at %v (crosses: %v), want none", rep.CrossoverTxns, rep.CrossoverTime, rep.Crosses)
+	}
+	if last := rep.Series[len(rep.Series)-1]; last.Txns != 100000 || last.FFSTotal >= last.LFSTotal {
+		t.Fatalf("series should end at the run's length with read-optimized ahead: %+v", last)
+	}
+	out := rep.String()
+	if !strings.Contains(out, "crossover: none within 100000 txns (read-optimized ahead at every N)") {
+		t.Fatalf("report should say the lines do not cross:\n%s", out)
+	}
+	js, err := json.Marshal(rep)
+	if err != nil || !strings.Contains(string(js), `"Crosses":false`) {
+		t.Fatalf("JSON should carry Crosses: %s, %v", js, err)
+	}
+
+	rep = &Figure67Report{
+		Opts:   Options{Scale: 0.05, Txns: 5000},
+		FFSTPS: 15.72, LFSTPS: 17.57,
+		FFSScan: 10 * time.Second, LFSScan: 15 * time.Second,
+	}
+	rep.figure7()
+	want := 5 / (1/15.72 - 1/17.57)
+	if !rep.Crosses || math.Abs(rep.CrossoverTxns-want) > 1e-6 {
+		t.Fatalf("crossover %f (crosses: %v), want %f", rep.CrossoverTxns, rep.Crosses, want)
+	}
+	if out := rep.String(); !strings.Contains(out, fmt.Sprintf("crossover: %.0f txns (", want)) || strings.Contains(out, "none") {
+		t.Fatalf("report should print the crossover:\n%s", out)
+	}
+}
+
+// The 2 × 2 behind Figure 4's margin: writing the inode at every Sync slows
+// both file systems, the update-in-place one far more than the log, and the
+// default arm is Figure 4 itself.
+func TestAblationFsync(t *testing.T) {
+	rep, err := AblationFsync(smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gain := map[string]float64{}
+	for _, kind := range []string{"user-ffs", "user-lfs"} {
+		data, inode := rep.Cell(kind, false), rep.Cell(kind, true)
+		if data.TPS <= inode.TPS {
+			t.Errorf("%s: data sync (%.2f TPS) should beat the inode at every Sync (%.2f)", kind, data.TPS, inode.TPS)
+		}
+		gain[kind] = data.TPS / inode.TPS
+	}
+	// In place the inode is a write operation of its own at every force; in
+	// a log it is one more block of the operation that carries the data.
+	if data, inode := rep.Cell("user-ffs", false), rep.Cell("user-ffs", true); data.WritesPerTxn > inode.WritesPerTxn-0.5 {
+		t.Errorf("user-ffs: data sync should save most of a device write per transaction: %.2f vs %.2f", data.WritesPerTxn, inode.WritesPerTxn)
+	}
+	if gain["user-ffs"] <= gain["user-lfs"] {
+		t.Errorf("the inode costs a seek in place and a sequential block in a log: FFS should gain more (×%.3f) than LFS (×%.3f)",
+			gain["user-ffs"], gain["user-lfs"])
+	}
+	if rep.DataSyncMargin >= rep.InodeAtSyncMargin {
+		t.Errorf("margin under data sync %+.1f%% should be below the margin with the inode at every Sync %+.1f%%",
+			rep.DataSyncMargin, rep.InodeAtSyncMargin)
+	}
+	fig4, err := Figure4(smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range fig4.Rows[:2] {
+		if got := rep.Cell(row.System, false).TPS; got != row.TPS {
+			t.Errorf("%s: the default arm measures %.6f TPS, Figure 4 %.6f", row.System, got, row.TPS)
+		}
+	}
+	if !strings.Contains(rep.String(), "LFS over FFS") {
 		t.Fatal("report formatting broken")
 	}
 }

@@ -16,6 +16,45 @@ import (
 	"repro/internal/vfs"
 )
 
+// cache is small so that eviction (in-place write-back on FFS, the orphan
+// table on LFS) is part of every test.
+const cache = 48
+
+// targets are the three implementations of vfs.FileSystem: the
+// read-optimized file system, the log-structured one and the embedded
+// transaction manager's adapter over it. mount formats the device or mounts
+// what it holds, and returns the file system with its fsck.
+var targets = []struct {
+	name  string
+	mount func(t *testing.T, dev *disk.Device, clk *sim.Clock, format bool) (vfs.FileSystem, func() error)
+}{
+	{"ffs", func(t *testing.T, dev *disk.Device, clk *sim.Clock, format bool) (vfs.FileSystem, func() error) {
+		open := ffs.Mount
+		if format {
+			open = ffs.Format
+		}
+		fsys, err := open(dev, clk, ffs.Options{CacheBlocks: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fsys, func() error {
+			rep, err := fsys.Fsck()
+			if err == nil && !rep.OK() {
+				err = fmt.Errorf("%+v", rep)
+			}
+			return err
+		}
+	}},
+	{"lfs", func(t *testing.T, dev *disk.Device, clk *sim.Clock, format bool) (vfs.FileSystem, func() error) {
+		fsys := openLFS(t, dev, clk, cache, format)
+		return fsys, func() error { return fsckLFS(fsys) }
+	}},
+	{"lfs+txn", func(t *testing.T, dev *disk.Device, clk *sim.Clock, format bool) (vfs.FileSystem, func() error) {
+		fsys := openLFS(t, dev, clk, cache, format)
+		return core.New(fsys, clk, core.Options{}).AsFileSystem(), func() error { return fsckLFS(fsys) }
+	}},
+}
+
 // TestScriptedNamespace runs one seed-derived sequence of namespace and file
 // operations against the read-optimized file system, the log-structured one
 // and the embedded transaction manager's adapter, comparing every outcome
@@ -24,51 +63,14 @@ import (
 // fstest.Run exercise each operation alone; this is the guard on what each
 // file system supplies underneath the shared layer (inode allocation, free
 // and update ordering, FFS's padded directories, LFS's deletion records)
-// when the operations come in combination. The caches are small so that
-// eviction (in-place write-back on FFS, the orphan table on LFS) is part of
-// the mix.
+// when the operations come in combination.
 func TestScriptedNamespace(t *testing.T) {
-	const cache = 48
-	for _, tg := range []struct {
-		name string
-		// sparse lets the script leave holes: write past the end of a file
-		// and grow one with Truncate. Off for FFS, which maps a hole to real
-		// blocks without zero-filling them and so shows whatever a removed
-		// file left there (ROADMAP item 5, found by this test).
-		sparse bool
-		mount  func(t *testing.T, dev *disk.Device, clk *sim.Clock, format bool) (vfs.FileSystem, func() error)
-	}{
-		{"ffs", false, func(t *testing.T, dev *disk.Device, clk *sim.Clock, format bool) (vfs.FileSystem, func() error) {
-			open := ffs.Mount
-			if format {
-				open = ffs.Format
-			}
-			fsys, err := open(dev, clk, ffs.Options{CacheBlocks: cache})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fsys, func() error {
-				rep, err := fsys.Fsck()
-				if err == nil && !rep.OK() {
-					err = fmt.Errorf("%+v", rep)
-				}
-				return err
-			}
-		}},
-		{"lfs", true, func(t *testing.T, dev *disk.Device, clk *sim.Clock, format bool) (vfs.FileSystem, func() error) {
-			fsys := openLFS(t, dev, clk, cache, format)
-			return fsys, func() error { return fsckLFS(fsys) }
-		}},
-		{"lfs+txn", true, func(t *testing.T, dev *disk.Device, clk *sim.Clock, format bool) (vfs.FileSystem, func() error) {
-			fsys := openLFS(t, dev, clk, cache, format)
-			return core.New(fsys, clk, core.Options{}).AsFileSystem(), func() error { return fsckLFS(fsys) }
-		}},
-	} {
+	for _, tg := range targets {
 		t.Run(tg.name, func(t *testing.T) {
 			clk := sim.NewClock()
 			dev := disk.New(sim.SmallModel(), clk)
 			fsys, fsck := tg.mount(t, dev, clk, true)
-			s := &script{t: t, fsys: fsys, sparse: tg.sparse, rng: sim.NewRNG(19), root: &node{dir: true, kids: map[string]*node{}}}
+			s := &script{t: t, fsys: fsys, rng: sim.NewRNG(19), root: &node{dir: true, kids: map[string]*node{}}}
 			for s.step = 0; s.step < 2000; s.step++ {
 				s.op()
 			}
@@ -127,13 +129,12 @@ type handle struct {
 }
 
 type script struct {
-	t      *testing.T
-	fsys   vfs.FileSystem
-	sparse bool
-	rng    *sim.RNG
-	root   *node
-	open   []handle
-	step   int
+	t    *testing.T
+	fsys vfs.FileSystem
+	rng  *sim.RNG
+	root *node
+	open []handle
+	step int
 }
 
 var errOther = errors.New("an error that is none of the vfs sentinels")
@@ -325,13 +326,10 @@ func (s *script) io(i int) {
 	switch s.rng.Intn(4) {
 	case 0, 1:
 		// Mostly within the first few blocks; one write in five lands past
-		// the LFS inode's direct range (12 blocks).
+		// the LFS inode's direct range (12 blocks). Either may leave a hole.
 		off := s.rng.Intn(3 * bs)
 		if s.rng.Intn(5) == 0 {
 			off += 12 * bs
-		}
-		if !s.sparse && off > len(h.n.data) {
-			off = len(h.n.data)
 		}
 		data := make([]byte, 1+s.rng.Intn(2*bs))
 		for j := range data {
@@ -344,10 +342,7 @@ func (s *script) io(i int) {
 		}
 		copy(h.n.data[off:], data)
 	case 2:
-		size := s.rng.Intn(len(h.n.data) + bs)
-		if !s.sparse && size > len(h.n.data) {
-			size = len(h.n.data)
-		}
+		size := s.rng.Intn(len(h.n.data) + bs) // may grow the file by a hole
 		s.check("Truncate", h.path, h.f.Truncate(int64(size)), nil)
 		if size <= len(h.n.data) {
 			h.n.data = h.n.data[:size:size]

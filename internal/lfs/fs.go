@@ -45,6 +45,8 @@ type Options struct {
 	// triggering earlier shrinks the in-log pool, giving segments less time
 	// to die and forcing the cleaner to copy hotter, fuller victims.
 	IdleCleanTrigger int
+	// InodeAtSync is ufs.Ops.InodeAtSync: the `txnbench -fig fsync` arm.
+	InodeAtSync bool
 }
 
 func (o *Options) fill() {
@@ -232,6 +234,8 @@ func (fs *FS) attach() {
 		Truncate: fs.truncateLocked,
 		Sync:     func(in *inode) error { return fs.flushLocked(map[Ino]bool{in.Ino: true}, true, nil) },
 		Tick:     fs.maybeFlushOrphansLocked,
+
+		InodeAtSync: fs.opts.InodeAtSync,
 	}, false)
 }
 

@@ -83,6 +83,9 @@ type RigOptions struct {
 	// StripeBlocks is the stripe unit in blocks for the "stripe" layout
 	// (default 8).
 	StripeBlocks int
+	// InodeAtSync is ufs.Ops.InodeAtSync, handed to the rig's file system:
+	// the `txnbench -fig fsync` arm, which no command-line flag reaches.
+	InodeAtSync bool
 }
 
 // Rig is a ready-to-run benchmark configuration.
@@ -371,7 +374,7 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 		}
 		var fsys vfs.FileSystem
 		if opts.Kind == "user-ffs" {
-			ff, err := ffs.Format(bdev, clk, ffs.Options{CacheBlocks: cache, SyncInterval: 30 * time.Second})
+			ff, err := ffs.Format(bdev, clk, ffs.Options{CacheBlocks: cache, SyncInterval: 30 * time.Second, InodeAtSync: opts.InodeAtSync})
 			if err != nil {
 				return nil, err
 			}
@@ -387,7 +390,7 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 			if kernel {
 				fsCache = 2 * cache
 			}
-			lf, err := lfs.Format(bdev, clk, lfs.Options{CacheBlocks: fsCache, Policy: opts.Policy, CleanBatch: opts.CleanBatch, IdleCleanTrigger: opts.IdleCleanTrigger})
+			lf, err := lfs.Format(bdev, clk, lfs.Options{CacheBlocks: fsCache, Policy: opts.Policy, CleanBatch: opts.CleanBatch, IdleCleanTrigger: opts.IdleCleanTrigger, InodeAtSync: opts.InodeAtSync})
 			if err != nil {
 				return nil, err
 			}

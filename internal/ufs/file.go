@@ -45,14 +45,17 @@ func (f *File[N]) Close() error {
 	return nil
 }
 
-// Sync implements vfs.File: force the file's dirty blocks and its inode to
-// the medium.
+// Sync implements vfs.File: the file's dirty blocks reach the medium, and its
+// inode with them when a crash could not otherwise rebuild it (AttrDirty).
 func (f *File[N]) Sync() error {
 	if f.closed {
 		return vfs.ErrFileClosed
 	}
 	f.fs.ops.Mu.Lock()
 	defer f.fs.ops.Mu.Unlock()
+	if h := f.in.Hdr(); f.fs.ops.InodeAtSync && h.Dirty {
+		h.AttrDirty = true
+	}
 	return f.fs.ops.Sync(f.in)
 }
 

@@ -40,12 +40,14 @@ type Inode struct {
 	Nlink uint32
 	Mtime int64 // simulated time in nanoseconds
 
-	Dirty bool // the inode (or its block map) needs rewriting
-	// AttrDirty: something LFS roll-forward cannot rebuild from the summaries'
-	// (inode, logical block) entries changed since the inode was last packed
-	// — size, nlink, mode, flags. An LFS commit force packs only such inodes;
-	// a new block address or mtime alone leaves the inode Dirty for the next
-	// full flush. FFS, which writes whole slots, never reads it.
+	Dirty bool // the inode differs from its durable copy, if only in Mtime
+	// AttrDirty: something a crash could not rebuild changed since the inode
+	// was last written — size, nlink, mode, flags, and on FFS the extent map
+	// (LFS roll-forward rebuilds block addresses from the summaries' (inode,
+	// logical block) entries). It is the bit File.Sync tests on both file
+	// systems (vfs.File states the contract): an inode that is Dirty without
+	// it — a new modification time, on LFS a moved block — waits for the
+	// periodic flush. AttrDirty implies Dirty; writing the inode clears both.
 	AttrDirty bool
 	Refs      int // open handles
 }
@@ -91,11 +93,18 @@ type Ops[N Node] struct {
 	Reserve func(in N, lastLBN int64) error
 	// Truncate sets the size, freeing blocks past the new end.
 	Truncate func(in N, size int64) error
-	// Sync forces one file's dirty blocks and inode to the medium.
+	// Sync is File.Sync under vfs.File's contract: one file's dirty blocks,
+	// and its inode if AttrDirty, reach the medium — data first.
 	Sync func(N) error
 	// Tick runs before every read and write of an open file: FFS's 30 s
-	// syncer, LFS's staging-buffer drain.
+	// syncer, which also stores the inodes that are merely Dirty, and LFS's
+	// staging-buffer drain.
 	Tick func() error
+
+	// InodeAtSync makes File.Sync write the inode whenever it is Dirty, as a
+	// full fsync(2) would. It is the second arm of `txnbench -fig fsync` and
+	// nothing else sets it.
+	InodeAtSync bool
 }
 
 // FS is the shared layer of one mounted file system.

@@ -58,7 +58,10 @@ type File interface {
 	Size() (int64, error)
 	// Truncate sets the file size.
 	Truncate(size int64) error
-	// Sync forces the file's dirty blocks to stable storage.
+	// Sync makes the file's contents durable together with whatever a crash
+	// could not otherwise rebuild — size, block map, link count, mode, flags;
+	// a modification time alone rides the file system's next periodic flush
+	// (FFS syncer pass, LFS checkpoint) or FileSystem.Sync.
 	Sync() error
 	// Close releases the handle.
 	Close() error

@@ -29,7 +29,7 @@ run() { # every driver must succeed; its output is not the point here
 	(cd "$work" && "$bin/$1" "${@:2}") >/dev/null
 }
 
-for fig in all mpl scan; do
+for fig in all mpl scan fsync; do
 	run txnbench -fig $fig -scale 0.02 -txns 500
 done
 run txnbench -fig devices -devices 2,4 -txns 300 -scale 0.1 -logseg 16384 -json
@@ -53,6 +53,7 @@ run crashsweep -system kernel-lfs $sweep -points 120 -snapshots 4
 run crashsweep -system user-lfs $sweep -points 120 -snapshots 4
 run crashsweep -system kernel-lfs -seed 2 -txns 220 -points 0 -torn
 run crashsweep -system user-lfs -seed 2 -txns 220 -points 0 -torn
+run crashsweep -system user-ffs -seed 2 -txns 220 -points 0 -torn
 
 run benchmark -quick -trace 1
 
