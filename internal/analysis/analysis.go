@@ -53,9 +53,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// InTestFile reports whether pos lies in a _test.go file. The determinism
-// invariants bind simulation code, not its tests: tests may use wall-clock
-// timeouts and raw goroutines to exercise the blocking paths.
+// InTestFile reports whether pos lies in a _test.go file. The wall-clock,
+// global-rand and map-order invariants bind simulation code, not its tests;
+// the raw-goroutine rule binds both.
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }

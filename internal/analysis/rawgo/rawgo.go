@@ -6,8 +6,10 @@
 // interleavings a deterministic function of the seed. A raw goroutine hands
 // ordering decisions to the Go runtime scheduler instead, so two identical
 // runs can observe different lock-acquisition and disk-queue orders.
-// _test.go files are exempt: tests use goroutines to exercise the real
-// blocking paths of the lock manager and buffer pool.
+// _test.go files are not exempt — the scheduler's token is the only lock the
+// simulation packages have — but the simlint loader parses none, so for them
+// the rule is applied by internal/analysis's
+// TestNoGoStatementInSimulationTests.
 package rawgo
 
 import (
@@ -25,9 +27,6 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) (any, error) {
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
 				pass.Reportf(g.Pos(), "raw goroutine bypasses sim.Scheduler's deterministic dispatch; express concurrency as a sim.Proc")

@@ -1,7 +1,7 @@
 package a
 
-// Tests exercise real blocking paths with goroutines; _test.go is exempt.
+// A test's second thread would race on state only the token guards.
 func spawnInTest() {
-	go work()
+	go work() // want `raw goroutine bypasses sim\.Scheduler`
 	<-done
 }

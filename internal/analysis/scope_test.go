@@ -1,0 +1,36 @@
+package analysis
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"testing"
+)
+
+// TestNoGoStatementInSimulationTests extends rawgo to the files the loader
+// never parses: a _test.go of internal/sim or of a simulation package may not
+// start a goroutine either. The scheduler's token is the only lock those
+// packages have (DESIGN.md §7), so a test's second thread would race on every
+// structure it touches; concurrency in a test is sim.Scheduler procs.
+func TestNoGoStatementInSimulationTests(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, pkg := range append([]string{"sim"}, simScopedPkgs...) {
+		files, err := filepath.Glob(filepath.Join("..", pkg, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range files {
+			f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					t.Errorf("%s: go statement in a simulation package's test; spawn a sim.Proc instead", fset.Position(g.Pos()))
+				}
+				return true
+			})
+		}
+	}
+}

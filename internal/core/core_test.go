@@ -5,8 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"testing"
 	"time"
 
@@ -225,36 +224,39 @@ func TestTxnSyscallsNoEffectOnUnprotected(t *testing.T) {
 func TestIsolationBetweenProcesses(t *testing.T) {
 	r := newRig(t, Options{})
 	f := r.mkProtected(t, "/db", pat(8192, 1))
-	p1 := r.m.NewProcess()
-	p1.TxnBegin()
-	if _, err := p1.Write(f, pat(4096, 9), 0); err != nil {
-		t.Fatal(err)
+	var commitAt, readAt time.Duration
+	got := make([]byte, 4096)
+	runProcs(r,
+		func() {
+			p1 := r.m.NewProcess()
+			p1.TxnBegin()
+			if _, err := p1.Write(f, pat(4096, 9), 0); err != nil {
+				t.Error(err)
+			}
+			later(r)
+			commitAt = r.clk.Now()
+			if err := p1.TxnCommit(); err != nil {
+				t.Error(err)
+			}
+		},
+		func() {
+			// A second process trying to read the locked page blocks until p1
+			// finishes ("the process is descheduled and left sleeping").
+			p2 := r.m.NewProcess()
+			p2.TxnBegin()
+			if _, err := p2.Read(f, got, 0); err != nil {
+				t.Error(err)
+			}
+			readAt = r.clk.Now()
+			p2.TxnCommit()
+		})
+	if st := r.m.LockStats(); st.Waited != 1 || st.BlockedTime == 0 || readAt < commitAt {
+		t.Fatalf("read returned at %v after %d wait(s) of %v; p1 committed at %v and its write lock must block the read till then",
+			readAt, st.Waited, st.BlockedTime, commitAt)
 	}
-	// A second process trying to read the locked page blocks until p1
-	// finishes ("the process is descheduled and left sleeping").
-	p2 := r.m.NewProcess()
-	p2.TxnBegin()
-	readDone := make(chan []byte)
-	go func() {
-		buf := make([]byte, 4096)
-		if _, err := p2.Read(f, buf, 0); err != nil {
-			t.Error(err)
-		}
-		readDone <- buf
-	}()
-	select {
-	case <-readDone:
-		t.Fatal("read should block on p1's write lock")
-	default:
-	}
-	if err := p1.TxnCommit(); err != nil {
-		t.Fatal(err)
-	}
-	got := <-readDone
 	if !bytes.Equal(got, pat(4096, 9)) {
 		t.Fatal("p2 should see committed data after unblock")
 	}
-	p2.TxnCommit()
 }
 
 func TestDeadlockAbortsTransaction(t *testing.T) {
@@ -262,42 +264,38 @@ func TestDeadlockAbortsTransaction(t *testing.T) {
 	f := r.mkProtected(t, "/db", pat(12288, 1))
 	p1 := r.m.NewProcess()
 	p2 := r.m.NewProcess()
-	p1.TxnBegin()
-	p2.TxnBegin()
-	if _, err := p1.Write(f, []byte("a"), 0); err != nil { // page 0
-		t.Fatal(err)
-	}
-	if _, err := p2.Write(f, []byte("b"), 4096); err != nil { // page 1
-		t.Fatal(err)
-	}
-	errs := make(chan error, 1)
-	go func() {
-		_, err := p1.Write(f, []byte("c"), 4096) // blocks on p2
-		errs <- err
-	}()
-	_, err2 := p2.Write(f, []byte("d"), 0) // closes the cycle
-	err1 := <-errs
-	if (err1 == nil) == (err2 == nil) {
-		t.Fatalf("exactly one transaction should deadlock: %v / %v", err1, err2)
+	var err1, err2 error
+	runProcs(r,
+		func() {
+			p1.TxnBegin()
+			if _, err := p1.Write(f, []byte("a"), 0); err != nil { // page 0
+				t.Error(err)
+			}
+			later(r)
+			_, err1 = p1.Write(f, []byte("c"), 4096) // blocks on p2
+		},
+		func() {
+			p2.TxnBegin()
+			if _, err := p2.Write(f, []byte("b"), 4096); err != nil { // page 1
+				t.Error(err)
+			}
+			later(r)
+			later(r)
+			_, err2 = p2.Write(f, []byte("d"), 0) // closes the cycle
+		})
+	// The request that closes the cycle is denied: p2 is the victim on every run.
+	if err1 != nil || !errors.Is(err2, ErrDeadlock) {
+		t.Fatalf("p1: %v, p2: %v; want p2 the deadlock victim and p1 granted", err1, err2)
 	}
 	if r.m.Stats().Deadlocks != 1 {
 		t.Fatalf("Deadlocks = %d", r.m.Stats().Deadlocks)
 	}
 	// The victim was auto-aborted; the survivor can finish.
-	if err1 == nil {
-		if err := p1.TxnCommit(); err != nil {
-			t.Fatal(err)
-		}
-		if p2.InTxn() {
-			t.Fatal("victim should have been aborted")
-		}
-	} else {
-		if err := p2.TxnCommit(); err != nil {
-			t.Fatal(err)
-		}
-		if p1.InTxn() {
-			t.Fatal("victim should have been aborted")
-		}
+	if p2.InTxn() {
+		t.Fatal("victim should have been aborted")
+	}
+	if err := p1.TxnCommit(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -648,28 +646,23 @@ func TestCommitDurableInIndirectRange(t *testing.T) {
 	}
 }
 
-// TestConcurrentProcessesStress drives several goroutine "processes" through
-// conflicting transactions with deadlock-retry, then checks that the final
-// balance matches the successful transfer count (run with -race to exercise
-// the locking paths).
+// TestConcurrentProcessesStress drives several processes through conflicting
+// transactions with deadlock-retry, then checks that the final balance matches
+// the successful transfer count and that a second run waits, deadlocks and
+// commits exactly as the first did.
 func TestConcurrentProcessesStress(t *testing.T) {
-	r := newRig(t, Options{})
-	f := r.mkProtected(t, "/counter", pat(4096, 0))
-	// Balance starts at 0 in the first 8 bytes.
-	p0 := r.m.NewProcess()
-	zero := make([]byte, 8)
-	p0.TxnBegin()
-	p0.Write(f, zero, 0)
-	p0.TxnCommit()
-
 	const workers = 6
 	const perWorker = 15
-	var wg sync.WaitGroup
-	var succeeded int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
+	run := func() (final, succeeded int64, locks lock.Stats) {
+		r := newRig(t, Options{})
+		f := r.mkProtected(t, "/counter", pat(4096, 0))
+		// Balance starts at 0 in the first 8 bytes.
+		p0 := r.m.NewProcess()
+		p0.TxnBegin()
+		p0.Write(f, make([]byte, 8), 0)
+		p0.TxnCommit()
+
+		worker := func() {
 			p := r.m.NewProcess()
 			for i := 0; i < perWorker; i++ {
 				for attempt := 0; attempt < 20; attempt++ {
@@ -694,23 +687,27 @@ func TestConcurrentProcessesStress(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					atomic.AddInt64(&succeeded, 1)
+					succeeded++
 					break
 				}
 			}
-		}(int64(w))
+		}
+		runProcs(r, slices.Repeat([]func(){worker}, workers)...)
+		buf := make([]byte, 8)
+		if _, err := r.m.NewProcess().Read(f, buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		return int64(binary.LittleEndian.Uint64(buf)), succeeded, r.m.LockStats()
 	}
-	wg.Wait()
-	check := r.m.NewProcess()
-	buf := make([]byte, 8)
-	if _, err := check.Read(f, buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	final := int64(binary.LittleEndian.Uint64(buf))
-	if final != atomic.LoadInt64(&succeeded) {
+	final, succeeded, locks := run()
+	if final != succeeded {
 		t.Fatalf("counter = %d, want %d (lost updates!)", final, succeeded)
 	}
 	if final == 0 {
 		t.Fatal("no transaction succeeded")
 	}
+	if f2, s2, l2 := run(); f2 != final || s2 != succeeded || l2 != locks {
+		t.Fatalf("two runs differ: %d of %d, %+v; then %d of %d, %+v", final, succeeded, locks, f2, s2, l2)
+	}
+	t.Logf("%d of %d increments committed; %+v", succeeded, workers*perWorker, locks)
 }

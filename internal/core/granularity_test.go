@@ -10,75 +10,66 @@ import (
 	"repro/internal/sim"
 )
 
+// twoWritersOnePage has p1 write record A (slot 0) of a page and commit a
+// simulated second later, while p2 writes record B (slot 7) of the SAME page
+// in between. It returns when p2's write came back, when p1 began its commit,
+// and how many lock requests had to wait.
+func twoWritersOnePage(t *testing.T, opts Options) (wroteB, commitA time.Duration, waited int64) {
+	t.Helper()
+	r := newRig(t, opts)
+	f := r.mkProtected(t, "/db", pat(4096, 1))
+	runProcs(r,
+		func() {
+			p1 := r.m.NewProcess()
+			p1.TxnBegin()
+			if _, err := p1.Write(f, []byte("AAAA"), 0); err != nil {
+				t.Error(err)
+			}
+			later(r)
+			commitA = r.clk.Now()
+			if err := p1.TxnCommit(); err != nil {
+				t.Error(err)
+			}
+		},
+		func() {
+			p2 := r.m.NewProcess()
+			p2.TxnBegin()
+			if _, err := p2.Write(f, []byte("BBBB"), 4000); err != nil {
+				t.Error(err)
+			}
+			wroteB = r.clk.Now()
+			if err := p2.TxnCommit(); err != nil {
+				t.Error(err)
+			}
+		})
+	got := make([]byte, 4096)
+	r.m.NewProcess().Read(f, got, 0)
+	if !bytes.Equal(got[0:4], []byte("AAAA")) || !bytes.Equal(got[4000:4004], []byte("BBBB")) {
+		t.Fatal("both writes must land")
+	}
+	return wroteB, commitA, r.m.LockStats().Waited
+}
+
 // TestSubPageConcurrentWritersSamePage is the point of the [16] enhancement:
 // two transactions writing different records of the SAME page proceed
 // concurrently under sub-page locking, where page locking would serialize
 // them.
 func TestSubPageConcurrentWritersSamePage(t *testing.T) {
-	r := newRig(t, Options{Granularity: SubPage})
-	f := r.mkProtected(t, "/db", pat(4096, 1))
-	p1 := r.m.NewProcess()
-	p2 := r.m.NewProcess()
-	p1.TxnBegin()
-	p2.TxnBegin()
-
-	// Record A in slot 0, record B in slot 7 — same page.
-	if _, err := p1.Write(f, []byte("AAAA"), 0); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := p2.Write(f, []byte("BBBB"), 4000)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Concurrency achieved: p2 wrote while p1's txn was open.
-	case <-time.After(2 * time.Second):
-		t.Fatal("sub-page writers to distinct slots should not block each other")
-	}
-	if err := p1.TxnCommit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.TxnCommit(); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 4096)
-	p := r.m.NewProcess()
-	p.Read(f, got, 0)
-	if !bytes.Equal(got[0:4], []byte("AAAA")) || !bytes.Equal(got[4000:4004], []byte("BBBB")) {
-		t.Fatal("both writes must land")
+	wroteB, commitA, waited := twoWritersOnePage(t, Options{Granularity: SubPage})
+	if waited != 0 || wroteB >= commitA {
+		t.Fatalf("p2 wrote at %v after %d lock wait(s), p1 committed at %v: sub-page writers to distinct slots should not block each other",
+			wroteB, waited, commitA)
 	}
 }
 
 // TestPageGranularityStillSerializes checks the paper's measured behaviour
 // remains the default: writers to the same page conflict.
 func TestPageGranularityStillSerializes(t *testing.T) {
-	r := newRig(t, Options{})
-	f := r.mkProtected(t, "/db", pat(4096, 1))
-	p1 := r.m.NewProcess()
-	p2 := r.m.NewProcess()
-	p1.TxnBegin()
-	p2.TxnBegin()
-	if _, err := p1.Write(f, []byte("AAAA"), 0); err != nil {
-		t.Fatal(err)
+	wroteB, commitA, waited := twoWritersOnePage(t, Options{})
+	if waited != 1 || wroteB < commitA {
+		t.Fatalf("p2 wrote at %v after %d lock wait(s), p1 committed at %v: page-granularity writers to one page must serialize",
+			wroteB, waited, commitA)
 	}
-	done := make(chan struct{})
-	go func() {
-		p2.Write(f, []byte("BBBB"), 4000)
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("page-granularity writers to one page must serialize")
-	case <-time.After(50 * time.Millisecond):
-	}
-	p1.TxnCommit()
-	<-done
-	p2.TxnCommit()
 }
 
 // TestSubPageAbortRestoresOnlyOwnBytes: abort under sub-page locking applies

@@ -3,8 +3,8 @@ package libtp
 import (
 	"encoding/binary"
 	"errors"
-	"sync"
-	"sync/atomic"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,34 +16,39 @@ import (
 	"repro/internal/sim"
 )
 
-// TestConcurrentTxnsNoLostUpdates drives several goroutines through
-// conflicting increments with deadlock-retry; the final counter must equal
-// the number of successful commits (run with -race).
-func TestConcurrentTxnsNoLostUpdates(t *testing.T) {
-	rig := newRig(t, "lfs")
-	db, err := rig.env.OpenDB("/db")
-	if err != nil {
-		t.Fatal(err)
+// runProcs runs the bodies as virtual processes of one scheduler, spawned in
+// argument order (so ties in virtual time dispatch in that order).
+func runProcs(rig *testRig, bodies ...func()) {
+	s := sim.NewScheduler(rig.clk)
+	for i, body := range bodies {
+		s.Spawn(fmt.Sprintf("proc-%d", i), body)
 	}
-	setup := rig.env.Begin()
-	tr, err := btree.Create(setup.Store(db))
-	if err != nil {
-		t.Fatal(err)
-	}
-	zero := make([]byte, 8)
-	tr.Put([]byte("counter"), zero)
-	if err := setup.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	s.Run()
+}
 
-	const workers = 5
-	const perWorker = 12
-	var wg sync.WaitGroup
-	var committed int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+// TestConcurrentTxnsNoLostUpdates drives several processes through
+// conflicting increments with deadlock-retry; the final counter must equal
+// the number of successful commits, and a second run must wait, deadlock and
+// commit exactly as the first did.
+func TestConcurrentTxnsNoLostUpdates(t *testing.T) {
+	const workers, perWorker = 5, 12
+	run := func() (final, committed int64, locks lock.Stats) {
+		rig := newRig(t, "lfs")
+		db, err := rig.env.OpenDB("/db")
+		if err != nil {
+			t.Fatal(err)
+		}
+		setup := rig.env.Begin()
+		tr, err := btree.Create(setup.Store(db))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Put([]byte("counter"), make([]byte, 8))
+		if err := setup.Commit(); err != nil {
+			t.Fatal(err)
+		}
+
+		worker := func() {
 			for i := 0; i < perWorker; i++ {
 				for attempt := 0; attempt < 50; attempt++ {
 					txn := rig.env.Begin()
@@ -61,9 +66,7 @@ func TestConcurrentTxnsNoLostUpdates(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					n := binary.LittleEndian.Uint64(v)
-					nv := make([]byte, 8)
-					binary.LittleEndian.PutUint64(nv, n+1)
+					nv := binary.LittleEndian.AppendUint64(nil, binary.LittleEndian.Uint64(v)+1)
 					if err := tr.Put([]byte("counter"), nv); err != nil {
 						txn.Abort()
 						continue
@@ -72,81 +75,80 @@ func TestConcurrentTxnsNoLostUpdates(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					atomic.AddInt64(&committed, 1)
+					committed++
 					break
 				}
 			}
-		}()
+		}
+		runProcs(rig, slices.Repeat([]func(){worker}, workers)...)
+		check := rig.env.Begin()
+		tr2, err := btree.Open(check.Store(db))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := tr2.Get([]byte("counter"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check.Commit()
+		return int64(binary.LittleEndian.Uint64(v)), committed, rig.env.LockStats()
 	}
-	wg.Wait()
-
-	check := rig.env.Begin()
-	tr2, err := btree.Open(check.Store(db))
-	if err != nil {
-		t.Fatal(err)
+	final, committed, locks := run()
+	if final != committed || final == 0 {
+		t.Fatalf("counter = %d, commits = %d: lost updates", final, committed)
 	}
-	v, err := tr2.Get([]byte("counter"))
-	if err != nil {
-		t.Fatal(err)
+	if f2, c2, l2 := run(); f2 != final || c2 != committed || l2 != locks {
+		t.Fatalf("two runs differ: %d of %d, %+v; then %d of %d, %+v", final, committed, locks, f2, c2, l2)
 	}
-	check.Commit()
-	if got := int64(binary.LittleEndian.Uint64(v)); got != atomic.LoadInt64(&committed) {
-		t.Fatalf("counter = %d, commits = %d: lost updates", got, committed)
-	}
+	t.Logf("%d of %d increments committed; %+v", committed, workers*perWorker, locks)
 }
 
 // TestDeadlockSurfacesToCaller: two transactions locking two pages in
-// opposite order; one must receive ErrDeadlock through the store interface.
+// opposite order; the one that closes the cycle receives ErrDeadlock through
+// the store interface, and its abort lets the other proceed.
 func TestDeadlockSurfacesToCaller(t *testing.T) {
 	rig := newRig(t, "lfs")
 	db, _ := rig.env.OpenDB("/db")
 	setup := rig.env.Begin()
 	st := setup.Store(db)
-	// Two pages.
-	if _, err := st.AllocPage(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.AllocPage(); err != nil {
-		t.Fatal(err)
+	for range 2 { // two pages
+		if _, err := st.AllocPage(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	page := make([]byte, st.PageSize())
 	st.WritePage(0, page)
 	st.WritePage(1, page)
 	setup.Commit()
 
-	t1 := rig.env.Begin()
-	t2 := rig.env.Begin()
-	s1, s2 := t1.Store(db), t2.Store(db)
-	if err := s1.WritePage(0, page); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.WritePage(1, page); err != nil {
-		t.Fatal(err)
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- s1.WritePage(1, page) }()
-	// Let the goroutine block on t2's lock first, then close the cycle.
-	for rig.env.locks.Stats().Waited == 0 {
-	}
-	err2 := s2.WritePage(0, page)
-	if errors.Is(err2, lock.ErrDeadlock) {
-		// t2 is the victim: abort it, which unblocks t1.
-		t2.Abort()
-		if err1 := <-errCh; err1 != nil {
-			t.Fatalf("winner should proceed after victim aborts: %v", err1)
+	// Each writes its own page at once and the other's after a delay: t1
+	// blocks on t2's lock first, then t2 closes the cycle.
+	var err1, err2 error
+	crossing := func(txn *Txn, mine, other int64, delay time.Duration, err *error) func() {
+		return func() {
+			s := txn.Store(db)
+			if e := s.WritePage(mine, page); e != nil {
+				t.Error(e)
+			}
+			rig.clk.Advance(delay)
+			rig.clk.Yield()
+			if *err = s.WritePage(other, page); *err != nil {
+				txn.Abort() // the victim: its abort unblocks the winner
+				return
+			}
+			if e := txn.Commit(); e != nil {
+				t.Error(e)
+			}
 		}
-		if err := t1.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		return
 	}
-	// Otherwise t1 must have been chosen as the victim.
-	if err1 := <-errCh; !errors.Is(err1, lock.ErrDeadlock) {
-		t.Fatalf("neither transaction saw the deadlock: %v / %v", err1, err2)
+	runProcs(rig,
+		crossing(rig.env.Begin(), 0, 1, time.Second, &err1),
+		crossing(rig.env.Begin(), 1, 0, 2*time.Second, &err2))
+	if err1 != nil || !errors.Is(err2, lock.ErrDeadlock) {
+		t.Fatalf("t1: %v, t2: %v; want t2 the deadlock victim and t1 granted", err1, err2)
 	}
-	t1.Abort()
-	if err := t2.Commit(); err != nil {
-		t.Fatal(err)
+	if st := rig.env.Stats(); st.Committed != 2 || st.Aborted != 1 {
+		t.Fatalf("%d committed, %d aborted; want setup and t1 committed, t2 aborted", st.Committed, st.Aborted)
 	}
 }
 
@@ -305,10 +307,7 @@ func TestReadForUpdateQueuesInsteadOfDeadlocking(t *testing.T) {
 					}
 				}
 			}
-			s := sim.NewScheduler(rig.clk)
-			s.Spawn("proc-0", increment)
-			s.Spawn("proc-1", increment)
-			s.Run()
+			runProcs(rig, increment, increment)
 
 			ls := rig.env.LockStats()
 			if d, u := ls.Deadlocks-before.Deadlocks, ls.Upgrades-before.Upgrades; d != tc.deadlocks ||

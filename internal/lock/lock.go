@@ -229,17 +229,6 @@ func (m *Manager) Stats() Stats {
 	return m.stats
 }
 
-// Held returns the objects txn currently holds, with their modes.
-func (m *Manager) Held(txn TxnID) map[Object]Mode {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[Object]Mode, len(m.byTxn[txn]))
-	for o, md := range m.byTxn[txn] {
-		out[o] = md
-	}
-	return out
-}
-
 // HeldCount returns the number of locks txn holds.
 func (m *Manager) HeldCount(txn TxnID) int {
 	m.mu.Lock()
@@ -389,36 +378,11 @@ func (m *Manager) cycleLocked(start TxnID) bool {
 	return false
 }
 
-// Unlock releases one lock early. Two-phase discipline normally releases
-// everything at commit/abort via ReleaseAll; Unlock exists for lock-coupling
-// descent in the B-tree layer.
-func (m *Manager) Unlock(txn TxnID, obj Object) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.releaseLocked(txn, obj)
-	m.wakeLocked()
-}
-
 // wakeLocked wakes every waiter on both wait paths. Caller must hold m.mu.
 func (m *Manager) wakeLocked() {
 	m.cond.Broadcast()
 	if m.clk != nil {
 		m.simQ.Broadcast(m.clk)
-	}
-}
-
-func (m *Manager) releaseLocked(txn TxnID, obj Object) {
-	if h := m.table[obj]; h != nil {
-		h.remove(txn)
-		if len(h.holders) == 0 && h.waiters == 0 {
-			delete(m.table, obj)
-		}
-	}
-	if s := m.byTxn[txn]; s != nil {
-		delete(s, obj)
-		if len(s) == 0 {
-			delete(m.byTxn, txn)
-		}
 	}
 }
 

@@ -2,27 +2,76 @@ package lock
 
 import (
 	"errors"
+	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 func obj(b int64) Object { return Object{File: 1, Block: b} }
 
-// armWaitHook makes m signal ch each time a request parks, so tests can wait
-// for "the other goroutine is blocked" without wall-clock sleeps. Must be
-// called before any goroutine uses m. The send never blocks: the buffer
-// absorbs the signals a test consumes, extra wake-ups are dropped.
-func armWaitHook(m *Manager) chan struct{} {
-	ch := make(chan struct{}, 16)
-	m.waitHook = func() {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
+// newSimManager returns a manager on a fresh simulated clock: a request that
+// must wait suspends its scheduler proc, so "blocked" is a simulated interval
+// the tests can read back, not a wall-clock guess.
+func newSimManager() (*Manager, *sim.Clock) {
+	clk := sim.NewClock()
+	m := NewManager()
+	m.SetClock(clk)
+	return m, clk
+}
+
+// runProcs runs the bodies as virtual processes of one scheduler, spawned in
+// argument order (so ties in virtual time dispatch in that order).
+func runProcs(clk *sim.Clock, bodies ...func()) {
+	s := sim.NewScheduler(clk)
+	for i, body := range bodies {
+		s.Spawn(fmt.Sprintf("proc-%d", i), body)
 	}
-	return ch
+	s.Run()
+}
+
+// after moves the calling proc d ahead and yields, so every proc spawned
+// beside it runs until it blocks, finishes or passes that time.
+func after(clk *sim.Clock, d time.Duration) {
+	clk.Advance(d)
+	clk.Yield()
+}
+
+// hold is how long a test's lock holder keeps its lock.
+const hold = 5 * time.Millisecond
+
+// blockedBehind has txn 1 hold obj(0) in mode held from time zero to hold
+// while txn 2 asks for it in mode want at time zero. The waiter must be
+// granted exactly when the holder releases, and the manager must have charged
+// exactly that interval as blocked time.
+func blockedBehind(t *testing.T, held, want Mode) Stats {
+	t.Helper()
+	m, clk := newSimManager()
+	granted := time.Duration(-1)
+	runProcs(clk,
+		func() {
+			if err := m.Lock(1, obj(0), held); err != nil {
+				t.Error(err)
+			}
+			after(clk, hold)
+			m.ReleaseAll(1)
+		},
+		func() {
+			if err := m.Lock(2, obj(0), want); err != nil {
+				t.Error(err)
+			}
+			granted = clk.Now()
+		})
+	if granted != hold {
+		t.Fatalf("%v request behind a %v lock granted at %v, want the holder's release time %v", want, held, granted, hold)
+	}
+	st := m.Stats()
+	if st.Waited != 1 || st.BlockedTime != hold {
+		t.Fatalf("Waited = %d, BlockedTime = %v; want 1 wait of %v", st.Waited, st.BlockedTime, hold)
+	}
+	return st
 }
 
 func TestSharedReaders(t *testing.T) {
@@ -54,109 +103,76 @@ func TestReacquireHeldLockIsNoop(t *testing.T) {
 	}
 }
 
-func TestWriterBlocksReader(t *testing.T) {
-	m := NewManager()
-	if err := m.Lock(1, obj(0), Write); err != nil {
-		t.Fatal(err)
-	}
-	acquired := make(chan struct{})
-	go func() {
-		if err := m.Lock(2, obj(0), Read); err != nil {
-			t.Error(err)
-		}
-		close(acquired)
-	}()
-	select {
-	case <-acquired:
-		t.Fatal("reader should block behind writer")
-	case <-time.After(20 * time.Millisecond):
-	}
-	m.ReleaseAll(1)
-	select {
-	case <-acquired:
-	case <-time.After(time.Second):
-		t.Fatal("reader should acquire after release")
-	}
-}
+func TestWriterBlocksReader(t *testing.T) { blockedBehind(t, Write, Read) }
 
-func TestReaderBlocksWriter(t *testing.T) {
-	m := NewManager()
-	if err := m.Lock(1, obj(0), Read); err != nil {
-		t.Fatal(err)
-	}
-	acquired := make(chan struct{})
-	go func() {
-		if err := m.Lock(2, obj(0), Write); err != nil {
-			t.Error(err)
-		}
-		close(acquired)
-	}()
-	select {
-	case <-acquired:
-		t.Fatal("writer should block behind reader")
-	case <-time.After(20 * time.Millisecond):
-	}
-	m.ReleaseAll(1)
-	<-acquired
-}
+func TestReaderBlocksWriter(t *testing.T) { blockedBehind(t, Read, Write) }
 
 func TestUpgradeSoleReader(t *testing.T) {
-	m := NewManager()
-	if err := m.Lock(1, obj(0), Read); err != nil {
-		t.Fatal(err)
+	m, clk := newSimManager()
+	granted := time.Duration(-1)
+	runProcs(clk,
+		func() {
+			if err := m.Lock(1, obj(0), Read); err != nil {
+				t.Error(err)
+			}
+			// The sole reader upgrades without waiting.
+			if err := m.Lock(1, obj(0), Write); err != nil {
+				t.Error(err)
+			}
+			after(clk, hold)
+			m.ReleaseAll(1)
+		},
+		func() {
+			m.Lock(2, obj(0), Read)
+			granted = clk.Now()
+		})
+	if st := m.Stats(); st.Upgrades != 1 || st.Waited != 1 {
+		t.Fatalf("Upgrades = %d, Waited = %d; want 1 upgrade and the reader's 1 wait", st.Upgrades, st.Waited)
 	}
-	if err := m.Lock(1, obj(0), Write); err != nil {
-		t.Fatal(err)
+	if granted != hold {
+		t.Fatalf("reader granted at %v: the upgraded lock must be exclusive until its release at %v", granted, hold)
 	}
-	if m.Stats().Upgrades != 1 {
-		t.Fatalf("Upgrades = %d", m.Stats().Upgrades)
+}
+
+// closeCycle runs two transactions into a waits-for cycle: at time zero txn 1
+// locks a and txn 2 locks b, both in mode first; txn 1 asks to write b at 1 ms
+// and blocks, txn 2 asks to write a at 2 ms and closes the cycle. The
+// requester that closes the cycle is the victim, so on every run txn 2 is
+// denied at 2 ms and txn 1 is granted the moment txn 2 gives up its locks.
+func closeCycle(t *testing.T, first Mode, a, b Object) (m *Manager, victimErr error) {
+	t.Helper()
+	m, clk := newSimManager()
+	var err1 error
+	granted := time.Duration(-1)
+	body := func(txn TxnID, mine, other Object) func() {
+		return func() {
+			if err := m.Lock(txn, mine, first); err != nil {
+				t.Error(err)
+			}
+			after(clk, time.Duration(txn)*time.Millisecond)
+			err := m.Lock(txn, other, Write)
+			if txn == 1 {
+				err1, granted = err, clk.Now()
+				return
+			}
+			victimErr = err
+			m.ReleaseAll(txn)
+		}
 	}
-	// The upgraded lock excludes other readers.
-	done := make(chan struct{})
-	go func() {
-		m.Lock(2, obj(0), Read)
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("upgraded lock must be exclusive")
-	case <-time.After(20 * time.Millisecond):
+	runProcs(clk, body(1, a, b), body(2, b, a))
+	if !errors.Is(victimErr, ErrDeadlock) || err1 != nil {
+		t.Fatalf("txn 1: %v, txn 2: %v; want txn 2 the victim and txn 1 granted", err1, victimErr)
 	}
-	m.ReleaseAll(1)
-	<-done
+	if st := m.Stats(); granted != 2*time.Millisecond || st.BlockedTime != time.Millisecond {
+		t.Fatalf("txn 1 granted at %v after %v blocked, want 2ms after 1ms", granted, st.BlockedTime)
+	}
+	return m, victimErr
 }
 
 func TestDeadlockDetection(t *testing.T) {
-	m := NewManager()
-	blocked := armWaitHook(m)
-	if err := m.Lock(1, obj(0), Write); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Lock(2, obj(1), Write); err != nil {
-		t.Fatal(err)
-	}
-	// Txn 1 waits for obj 1 (held by 2).
-	errCh := make(chan error, 1)
-	go func() { errCh <- m.Lock(1, obj(1), Write) }()
-	<-blocked
-	// Txn 2 requesting obj 0 closes the cycle: one of the two must get
-	// ErrDeadlock.
-	err2 := m.Lock(2, obj(0), Write)
-	if err2 != nil {
-		if !errors.Is(err2, ErrDeadlock) {
-			t.Fatalf("got %v, want ErrDeadlock", err2)
-		}
-		m.ReleaseAll(2)
-		if err := <-errCh; err != nil {
-			t.Fatalf("txn1 should proceed after victim aborts: %v", err)
-		}
-	} else {
-		// Then txn 1 must have been the victim.
-		if err := <-errCh; !errors.Is(err, ErrDeadlock) {
-			t.Fatalf("neither transaction saw the deadlock: %v", err)
-		}
-	}
-	// Neither request was an upgrade: the cycle is an ordering one.
+	// Txn 1 holds obj 0 and waits for obj 1; txn 2 holds obj 1 and asks for
+	// obj 0. Neither request is an upgrade: the cycle is an ordering one.
+	m, _ := closeCycle(t, Write, obj(0), obj(1))
 	if st := m.Stats(); st.Deadlocks != 1 || st.UpgradeDeadlocks != 0 {
 		t.Fatalf("Deadlocks = %d (%d on upgrades), want 1 ordering deadlock", st.Deadlocks, st.UpgradeDeadlocks)
 	}
@@ -165,33 +181,13 @@ func TestDeadlockDetection(t *testing.T) {
 func TestUpgradeDeadlock(t *testing.T) {
 	// Two readers both trying to upgrade is the classic conversion
 	// deadlock; the second requester must be told.
-	m := NewManager()
-	blocked := armWaitHook(m)
-	m.Lock(1, obj(0), Read)
-	m.Lock(2, obj(0), Read)
-	errCh := make(chan error, 1)
-	go func() { errCh <- m.Lock(1, obj(0), Write) }()
-	<-blocked
-	err2 := m.Lock(2, obj(0), Write)
-	if err2 == nil {
-		if err1 := <-errCh; !errors.Is(err1, ErrDeadlock) {
-			t.Fatalf("expected a deadlock somewhere, got nil and %v", err1)
-		}
-	} else {
-		if !errors.Is(err2, ErrDeadlock) {
-			t.Fatalf("got %v, want ErrDeadlock", err2)
-		}
-		m.ReleaseAll(2)
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
-		}
-	}
+	m, err := closeCycle(t, Read, obj(0), obj(0))
 	// The denied request is named by cause, in the stats and in the error.
 	if st := m.Stats(); st.Deadlocks != 1 || st.UpgradeDeadlocks != 1 || st.Upgrades != 2 {
 		t.Fatalf("stats %+v, want 1 deadlock, on an upgrade, of 2 upgrades", st)
 	}
-	if err2 != nil && !strings.Contains(err2.Error(), "upgrade") {
-		t.Fatalf("error %q does not name the cause", err2)
+	if !strings.Contains(err.Error(), "upgrade") {
+		t.Fatalf("error %q does not name the cause", err)
 	}
 }
 
@@ -239,23 +235,6 @@ func TestReleaseAllReturnsWriteSet(t *testing.T) {
 	}
 }
 
-func TestUnlockSingle(t *testing.T) {
-	m := NewManager()
-	m.Lock(1, obj(0), Write)
-	m.Unlock(1, obj(0))
-	// Another transaction can now take it without blocking.
-	done := make(chan struct{})
-	go func() {
-		m.Lock(2, obj(0), Write)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("lock should be free after Unlock")
-	}
-}
-
 func TestWriteLockedList(t *testing.T) {
 	m := NewManager()
 	m.Lock(7, obj(3), Write)
@@ -267,49 +246,44 @@ func TestWriteLockedList(t *testing.T) {
 }
 
 func TestManyConcurrentTxns(t *testing.T) {
-	// Stress: 16 goroutines locking 8 objects in ascending order (no
-	// deadlock possible) and releasing; counters must add up.
-	m := NewManager()
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(txn TxnID) {
-			defer wg.Done()
-			for round := 0; round < 20; round++ {
-				for b := int64(0); b < 8; b++ {
-					if err := m.Lock(txn, obj(b), Write); err != nil {
-						t.Errorf("txn %d: %v", txn, err)
-						return
+	// Stress: 16 procs locking 8 objects in ascending order (no deadlock
+	// possible), yielding after every grant so they interleave and queue;
+	// counters must add up, and a second run must count the same.
+	run := func() Stats {
+		m, clk := newSimManager()
+		var bodies []func()
+		for g := 0; g < 16; g++ {
+			txn := TxnID(g + 1)
+			bodies = append(bodies, func() {
+				for round := 0; round < 20; round++ {
+					for b := int64(0); b < 8; b++ {
+						if err := m.Lock(txn, obj(b), Write); err != nil {
+							t.Errorf("txn %d: %v", txn, err)
+							return
+						}
+						after(clk, time.Microsecond)
 					}
+					m.ReleaseAll(txn)
 				}
-				m.ReleaseAll(txn)
-			}
-		}(TxnID(g + 1))
+			})
+		}
+		runProcs(clk, bodies...)
+		if n := len(m.table); n != 0 {
+			t.Fatalf("%d objects leaked in the lock table", n)
+		}
+		return m.Stats()
 	}
-	wg.Wait()
-	if m.Stats().Deadlocks != 0 {
-		t.Fatalf("ordered locking must not deadlock: %+v", m.Stats())
+	st := run()
+	if st.Deadlocks != 0 || st.Acquired != 16*20*8 || st.Waited == 0 {
+		t.Fatalf("ordered locking must queue, not deadlock, and grant every request: %+v", st)
 	}
-	// Table should be empty.
-	if n := len(m.table); n != 0 {
-		t.Fatalf("%d objects leaked in the lock table", n)
+	if again := run(); again != st {
+		t.Fatalf("two runs differ:\n%+v\n%+v", st, again)
 	}
 }
 
 func TestStatsWaits(t *testing.T) {
-	m := NewManager()
-	blocked := armWaitHook(m)
-	m.Lock(1, obj(0), Write)
-	done := make(chan struct{})
-	go func() {
-		m.Lock(2, obj(0), Write)
-		close(done)
-	}()
-	<-blocked
-	m.ReleaseAll(1)
-	<-done
-	st := m.Stats()
-	if st.Waited != 1 {
-		t.Fatalf("Waited = %d, want 1", st.Waited)
+	if st := blockedBehind(t, Write, Write); st.Acquired != 2 || st.Deadlocks != 0 {
+		t.Fatalf("stats %+v, want 2 grants and no deadlock", st)
 	}
 }
