@@ -73,7 +73,7 @@ type Buf struct {
 	Data    []byte
 	dirty   bool
 	held    bool
-	loading bool // fetch in flight; Data not yet valid
+	loading bool // fetch in flight; Data not yet valid, and Get refuses the block
 	pins    int
 	elem    *list.Element
 	// used is the pool's use count when the buffer last moved to the front of
@@ -100,7 +100,6 @@ type Stats struct {
 // Pool is an LRU pool of at most capacity blocks.
 type Pool struct {
 	mu        sync.Mutex
-	cond      *sync.Cond // signalled when an in-flight fetch settles
 	capacity  int
 	blockSize int
 	writeback WriteBack
@@ -143,7 +142,7 @@ func New(capacity, blockSize int, writeback WriteBack) *Pool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	p := &Pool{
+	return &Pool{
 		capacity:  capacity,
 		blockSize: blockSize,
 		writeback: writeback,
@@ -151,8 +150,6 @@ func New(capacity, blockSize int, writeback WriteBack) *Pool {
 		lru:       list.New(),
 		frames:    frame.NewList(blockSize),
 	}
-	p.cond = sync.NewCond(&p.mu)
-	return p
 }
 
 // Capacity returns the pool's block capacity.
@@ -184,25 +181,21 @@ func (p *Pool) Len() int {
 //simlint:noalloc
 func (p *Pool) Get(id BlockID, fetch Fetch) (*Buf, error) {
 	p.mu.Lock()
-	for {
-		b, ok := p.table[id]
-		if !ok {
-			break
-		}
-		if !b.loading {
-			p.stats.Hits++
-			p.ctrHit.Add(1)
-			b.pins++
-			p.lru.MoveToFront(b.elem)
-			p.usedLocked(b)
+	if b, ok := p.table[id]; ok {
+		if b.loading {
+			// No process yields mid-fetch, so only the fetch callback itself
+			// can be asking: it would wait for its own return.
 			p.mu.Unlock()
-			return b, nil
+			//simlint:alloc(cold misuse error: a fetch callback re-entered the pool for the block it is loading)
+			return nil, fmt.Errorf("buffer: Get of %v from inside its own fetch", id)
 		}
-		// Another goroutine is filling this block; wait for its fetch to
-		// settle rather than returning uninitialized data. (Virtual
-		// processes never reach this wait — they are scheduled one at a
-		// time and do not yield mid-fetch — so a sync.Cond is sufficient.)
-		p.cond.Wait()
+		p.stats.Hits++
+		p.ctrHit.Add(1)
+		b.pins++
+		p.lru.MoveToFront(b.elem)
+		p.usedLocked(b)
+		p.mu.Unlock()
+		return b, nil
 	}
 	p.stats.Misses++
 	p.ctrMiss.Add(1)
@@ -228,11 +221,9 @@ func (p *Pool) Get(id BlockID, fetch Fetch) (*Buf, error) {
 		if err != nil {
 			b.pins = 0
 			p.removeLocked(b)
-			p.cond.Broadcast()
 			p.mu.Unlock()
 			return nil, err
 		}
-		p.cond.Broadcast()
 		p.mu.Unlock()
 	}
 	return b, nil

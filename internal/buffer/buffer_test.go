@@ -79,6 +79,25 @@ func TestFetchErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestGetInsideOwnFetchFails: the block a fetch is loading is not there yet.
+// Nothing but the fetch callback can ask for it meanwhile (no process yields
+// mid-fetch), and that request is an error, not a wait for its own return.
+func TestGetInsideOwnFetchFails(t *testing.T) {
+	p := New(4, 64, nil)
+	id := BlockID{1, 0}
+	var inner error
+	_, err := p.Get(id, func(_ BlockID, dst []byte) error {
+		_, inner = p.Get(id, nil)
+		return inner
+	})
+	if inner == nil || !errors.Is(err, inner) {
+		t.Fatalf("inner Get: %v, outer Get: %v; want the inner one refused and the fetch failed with it", inner, err)
+	}
+	if p.Len() != 0 {
+		t.Fatal("failed fetch left a resident buffer")
+	}
+}
+
 func TestLRUEviction(t *testing.T) {
 	var evicted []BlockID
 	wb := func(id BlockID, data []byte) error {

@@ -74,13 +74,12 @@ type Stats struct {
 	// UpgradeDeadlocks is the part of Deadlocks whose denied request was a
 	// read→write upgrade: a caller that read a page under a shared lock and
 	// then wrote it, where it should have read for update. The remainder are
-	// ordering cycles (transactions locking objects in opposite orders).
+	// ordering cycles (transactions locking objects in opposite orders) and
+	// requests that had to wait with no process to suspend.
 	UpgradeDeadlocks int64 `json:"upgrade_deadlocks"`
 
 	// BlockedTime is the cumulative simulated time transactions spent
-	// suspended waiting for locks. Only waits inside virtual processes
-	// (multiprogramming runs with a sim clock attached via SetClock) can be
-	// measured in simulated time; goroutine waits add nothing here.
+	// suspended waiting for locks.
 	BlockedTime time.Duration `json:"blocked"`
 	// DeadlockAborts counts transactions actually aborted after losing
 	// deadlock detection, as reported by the transaction layers through
@@ -150,7 +149,6 @@ func (h *head) remove(txn TxnID) {
 // Manager is a lock manager. All methods are safe for concurrent use.
 type Manager struct {
 	mu    sync.Mutex
-	cond  *sync.Cond
 	table map[Object]*head
 	byTxn map[TxnID]map[Object]Mode
 	// waitsFor[t] is the list of transactions t is currently blocked on, in
@@ -167,35 +165,27 @@ type Manager struct {
 	dfsSeen  map[TxnID]bool
 	dfsStack []TxnID
 
-	// clk, when set, lets waiters inside virtual processes suspend in
-	// simulated time on simQ instead of parking their goroutine on cond.
+	// clk is the simulated clock a blocked request's process sleeps on: simQ
+	// is the one place a lock request waits.
 	clk      *sim.Clock
 	simQ     sim.WaitQueue
 	tracer   *trace.Tracer // nil = tracing off
 	histWait *trace.Hist   // lock.wait latency handle (nil = tracing off)
-
-	// waitHook, when non-nil, is invoked (with mu held) each time a request
-	// is about to park. Tests use it to synchronize on "the waiter is
-	// blocked" without wall-clock sleeps; see lock_test.go.
-	waitHook func()
 }
 
 // NewManager returns an empty lock manager.
 func NewManager() *Manager {
-	m := &Manager{
+	return &Manager{
 		table:    make(map[Object]*head),
 		byTxn:    make(map[TxnID]map[Object]Mode),
 		waitsFor: make(map[TxnID][]TxnID),
 		dfsSeen:  make(map[TxnID]bool),
 	}
-	m.cond = sync.NewCond(&m.mu)
-	return m
 }
 
-// SetClock attaches the simulated clock. With a clock attached, a Lock call
-// made from a virtual process suspends the proc — accumulating
-// Stats.BlockedTime in simulated time — rather than parking its goroutine;
-// calls from plain goroutines keep the sync.Cond path.
+// SetClock attaches the simulated clock: a Lock call that must wait suspends
+// the calling virtual process on it, accumulating Stats.BlockedTime in
+// simulated time.
 func (m *Manager) SetClock(clk *sim.Clock) {
 	m.mu.Lock()
 	m.clk = clk
@@ -262,7 +252,10 @@ func (h *head) conflicts(txn TxnID, mode Mode) []TxnID {
 // Re-acquiring a held lock (same or weaker mode) returns immediately; a
 // read→write upgrade waits for other readers to drain. If waiting would
 // close a cycle in the waits-for graph, the request fails with ErrDeadlock
-// and the caller is expected to abort the transaction.
+// and the caller is expected to abort the transaction. So does a request that
+// must wait with no virtual process to suspend (set-up, drain, recovery: the
+// main goroutine with no scheduler running, or no clock attached): nothing
+// else runs that could release the lock, so the wait could never end.
 //
 //simlint:noalloc
 func (m *Manager) Lock(txn TxnID, obj Object, mode Mode) error {
@@ -294,11 +287,14 @@ func (m *Manager) Lock(txn TxnID, obj Object, mode Mode) error {
 		// Deadlock check before blocking. blockers is already in ascending
 		// transaction order; it becomes txn's waits-for edge list as is.
 		m.waitsFor[txn] = blockers
-		if m.cycleLocked(txn) {
+		noProcess := m.clk == nil || !m.clk.InProc()
+		if noProcess || m.cycleLocked(txn) {
 			delete(m.waitsFor, txn)
 			m.stats.Deadlocks++
 			cause := "order"
-			if upgrade {
+			if noProcess {
+				cause = "no-process"
+			} else if upgrade {
 				m.stats.UpgradeDeadlocks++
 				cause = "upgrade"
 			}
@@ -307,23 +303,16 @@ func (m *Manager) Lock(txn TxnID, obj Object, mode Mode) error {
 				trace.AI("block", obj.Block), trace.AS("mode", mode.String()),
 				trace.AS("cause", cause))
 			//simlint:alloc(cold deadlock denial: the error carries the victim diagnosis)
-			return fmt.Errorf("%w: txn %d on %v (%s, %s)", ErrDeadlock, txn, obj, mode, cause)
+			return fmt.Errorf("%w: txn %d on %v (%s, %s) held by %v", ErrDeadlock, txn, obj, mode, cause, blockers)
 		}
 		if !waited {
 			m.stats.Waited++
 			waited = true
 		}
 		h.waiters++
-		if m.waitHook != nil {
-			m.waitHook()
-		}
-		if m.clk != nil && m.clk.InProc() {
-			d := m.simQ.Wait(m.clk, &m.mu)
-			m.stats.BlockedTime += d
-			blocked += d
-		} else {
-			m.cond.Wait()
-		}
+		d := m.simQ.Wait(m.clk, &m.mu)
+		m.stats.BlockedTime += d
+		blocked += d
 		h.waiters--
 	}
 	if blocked > 0 && m.tracer.Enabled() {
@@ -378,14 +367,6 @@ func (m *Manager) cycleLocked(start TxnID) bool {
 	return false
 }
 
-// wakeLocked wakes every waiter on both wait paths. Caller must hold m.mu.
-func (m *Manager) wakeLocked() {
-	m.cond.Broadcast()
-	if m.clk != nil {
-		m.simQ.Broadcast(m.clk)
-	}
-}
-
 // ReleaseAll releases every lock txn holds (commit or abort: "the kernel
 // locates the lock chain for the transaction ... traverses the lock chain,
 // releasing locks", §4.3). Locks release in ascending (file, block) order —
@@ -408,7 +389,7 @@ func (m *Manager) ReleaseAll(txn TxnID) []Object {
 	}
 	delete(m.byTxn, txn)
 	delete(m.waitsFor, txn)
-	m.wakeLocked()
+	m.simQ.Broadcast(m.clk) // with no clock attached nothing ever waited
 	return written
 }
 

@@ -191,6 +191,31 @@ func TestUpgradeDeadlock(t *testing.T) {
 	}
 }
 
+// TestLockWaitOutsideProcessFails: a request that must wait outside a
+// scheduler proc — set-up, drain, recovery, every example — has nobody to wait
+// for: no other goroutine exists to release the lock. It is denied, naming the
+// holder, where it used to park forever.
+func TestLockWaitOutsideProcessFails(t *testing.T) {
+	withClock, _ := newSimManager() // a clock, but no scheduler running
+	for _, m := range []*Manager{NewManager(), withClock} {
+		if err := m.Lock(1, obj(0), Write); err != nil {
+			t.Fatal(err)
+		}
+		err := m.Lock(2, obj(0), Read)
+		if !errors.Is(err, ErrDeadlock) || !strings.Contains(err.Error(), "no-process) held by [1]") {
+			t.Fatalf("got %v, want ErrDeadlock naming the cause and the holder", err)
+		}
+		if st := m.Stats(); st.Deadlocks != 1 || st.Waited != 0 || m.HeldCount(2) != 0 {
+			t.Fatalf("stats %+v, want the request denied without waiting", st)
+		}
+		// The holder is untouched and the object free again after its release.
+		m.ReleaseAll(1)
+		if err := m.Lock(2, obj(0), Write); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestCycleCheckAllocationFree(t *testing.T) {
 	// The deadlock check runs before every block; it must not allocate in
 	// the steady state. Build the waits-for graph directly (Lock would park

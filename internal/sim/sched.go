@@ -351,9 +351,10 @@ func (h *procHeap) popMin() *Proc {
 // pops exactly the proc the previous sort-on-every-wake implementation
 // selected, in O(log n) instead of O(n log n).
 //
-// WaitQueue is for proc context only; callers that may also run on real
-// goroutines (the -race concurrency tests) must keep a sync.Cond alongside
-// and select the branch with Clock.InProc.
+// WaitQueue is the one place anything in the simulation blocks, and it is for
+// proc context only: a caller that may run with no scheduler (set-up, drain,
+// recovery) must treat a wait as an error, since nothing else runs that could
+// end it (lock.Manager.Lock does).
 type WaitQueue struct {
 	//simlint:tokenguarded
 	waiters procHeap
