@@ -31,6 +31,7 @@ func TestScope(t *testing.T) {
 		{"repro/internal/pagestore", false, true},
 		{"repro/internal/vfs", false, true},
 		{"repro/internal/frame", false, true},
+		{"repro/internal/mvcc", false, true},
 		{"repro/internal/detsort", false, false},
 		{"repro/internal/analysis/mapiter", false, false},
 		{"repro/cmd/tpcb", false, false},

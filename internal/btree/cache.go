@@ -2,7 +2,6 @@ package btree
 
 import (
 	"encoding/binary"
-	"sync"
 
 	"repro/internal/frame"
 	"repro/internal/pagestore"
@@ -35,11 +34,14 @@ const defaultCacheCap = 256
 // frames and gives back at its next operation or Close, and the next
 // transaction's handle takes the same frames again. The cached nodes' own
 // pages are never on that list — see readNodeCached.
+//
+// A NodeCache has no lock, like the page stores its handles read through: it
+// must be used from proc context, or from the main goroutine while no
+// scheduler runs.
 type NodeCache struct {
-	mu       sync.Mutex
 	capacity int
 	nodes    map[int64]*node
-	frames   frame.List // guarded by mu; its handles may run on raw goroutines in tests
+	frames   frame.List
 	hits     int64
 	misses   int64
 }
@@ -48,8 +50,6 @@ type NodeCache struct {
 //
 //simlint:noalloc
 func (c *NodeCache) takeFrame(size int) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.frames.Size() != size {
 		c.frames = frame.NewList(size) // first use: a relation has one page size
 	}
@@ -60,8 +60,6 @@ func (c *NodeCache) takeFrame(size int) []byte {
 //
 //simlint:noalloc
 func (c *NodeCache) giveFrames(frames [][]byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, f := range frames {
 		c.frames.Give(f)
 	}
@@ -80,15 +78,11 @@ func NewNodeCache(capacity int) *NodeCache {
 // Flush empties the cache. Transaction systems call this on abort (see the
 // timeline caveat above).
 func (c *NodeCache) Flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	clear(c.nodes)
 }
 
 // Stats returns the hit/miss counters.
 func (c *NodeCache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.hits, c.misses
 }
 
@@ -96,8 +90,6 @@ func (c *NodeCache) Stats() (hits, misses int64) {
 //
 //simlint:noalloc
 func (c *NodeCache) lookup(pageNo int64, lsn uint64) *node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	n := c.nodes[pageNo]
 	if n == nil || n.lsn != lsn {
 		c.misses++
@@ -110,8 +102,6 @@ func (c *NodeCache) lookup(pageNo int64, lsn uint64) *node {
 // insert stores a freshly decoded interior node, clearing the cache
 // wholesale when it is full (deterministic, order-independent eviction).
 func (c *NodeCache) insert(n *node) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if len(c.nodes) >= c.capacity && c.nodes[n.pageNo] == nil {
 		clear(c.nodes)
 	}

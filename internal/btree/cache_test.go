@@ -95,9 +95,7 @@ func TestNodeCacheFlush(t *testing.T) {
 		tr.Get(key(i))
 	}
 	c.Flush()
-	c.mu.Lock()
 	left := len(c.nodes)
-	c.mu.Unlock()
 	if left != 0 {
 		t.Fatalf("Flush left %d entries", left)
 	}
@@ -116,9 +114,7 @@ func TestNodeCacheWholesaleEviction(t *testing.T) {
 			t.Fatalf("Get(%d): %v", i, err)
 		}
 	}
-	small.mu.Lock()
 	entries := len(small.nodes)
-	small.mu.Unlock()
 	if entries > 1 {
 		t.Fatalf("capacity-1 cache holds %d entries", entries)
 	}

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/frame"
 	"repro/internal/trace"
@@ -97,9 +96,10 @@ type Stats struct {
 	WriteBacks int64 `json:"write_backs"`
 }
 
-// Pool is an LRU pool of at most capacity blocks.
+// Pool is an LRU pool of at most capacity blocks. It has no lock of its own:
+// it must be used from proc context, or from the main goroutine while no
+// scheduler runs.
 type Pool struct {
-	mu        sync.Mutex
 	capacity  int
 	blockSize int
 	writeback WriteBack
@@ -124,19 +124,17 @@ type Pool struct {
 // separable). Hits, misses, evictions, and write-backs then count into
 // <prefix>.{hit,miss,evict,writeback}. A nil tracer costs nothing.
 func (p *Pool) SetTracer(tr *trace.Tracer, prefix string) {
-	p.mu.Lock()
 	p.tracer = tr
 	p.ctrHit = tr.Counter(prefix + ".hit")
 	p.ctrMiss = tr.Counter(prefix + ".miss")
 	p.ctrEvict = tr.Counter(prefix + ".evict")
 	p.ctrWriteBack = tr.Counter(prefix + ".writeback")
-	p.mu.Unlock()
 }
 
 // New creates a pool of capacity blocks of blockSize bytes. writeback is
-// invoked, with the pool lock held, whenever a dirty block must be persisted:
-// by the eviction that makes room for a miss and by FlushAll. It must not call
-// back into the pool. It may be nil for pools that are flushed only explicitly
+// invoked whenever a dirty block must be persisted: by the eviction that makes
+// room for a miss and by FlushAll, both in the middle of a walk over the pool,
+// so it must not call back into the pool. It may be nil for pools that are flushed only explicitly
 // via Dirty/MarkClean.
 func New(capacity, blockSize int, writeback WriteBack) *Pool {
 	if capacity < 1 {
@@ -160,15 +158,11 @@ func (p *Pool) BlockSize() int { return p.blockSize }
 
 // Stats returns a snapshot of the counters.
 func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.stats
 }
 
 // Len returns the number of resident blocks.
 func (p *Pool) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.lru.Len()
 }
 
@@ -180,12 +174,10 @@ func (p *Pool) Len() int {
 //
 //simlint:noalloc
 func (p *Pool) Get(id BlockID, fetch Fetch) (*Buf, error) {
-	p.mu.Lock()
 	if b, ok := p.table[id]; ok {
 		if b.loading {
 			// No process yields mid-fetch, so only the fetch callback itself
 			// can be asking: it would wait for its own return.
-			p.mu.Unlock()
 			//simlint:alloc(cold misuse error: a fetch callback re-entered the pool for the block it is loading)
 			return nil, fmt.Errorf("buffer: Get of %v from inside its own fetch", id)
 		}
@@ -194,13 +186,11 @@ func (p *Pool) Get(id BlockID, fetch Fetch) (*Buf, error) {
 		b.pins++
 		p.lru.MoveToFront(b.elem)
 		p.usedLocked(b)
-		p.mu.Unlock()
 		return b, nil
 	}
 	p.stats.Misses++
 	p.ctrMiss.Add(1)
 	if err := p.makeRoomLocked(); err != nil {
-		p.mu.Unlock()
 		return nil, err
 	}
 	data := p.frames.Take()
@@ -212,25 +202,21 @@ func (p *Pool) Get(id BlockID, fetch Fetch) (*Buf, error) {
 	b.elem = p.lru.PushFront(b)
 	p.usedLocked(b)
 	p.table[id] = b
-	p.mu.Unlock()
 
 	if fetch != nil {
 		err := fetch(id, b.Data)
-		p.mu.Lock()
 		b.loading = false
 		if err != nil {
 			b.pins = 0
 			p.removeLocked(b)
-			p.mu.Unlock()
 			return nil, err
 		}
-		p.mu.Unlock()
 	}
 	return b, nil
 }
 
 // makeRoomLocked evicts the least recently used unpinned, unheld buffer if
-// the pool is full. Caller holds p.mu.
+// the pool is full.
 func (p *Pool) makeRoomLocked() error {
 	if p.lru.Len() < p.capacity {
 		return nil
@@ -307,8 +293,6 @@ func (p *Pool) removeLocked(b *Buf) {
 //
 //simlint:noalloc
 func (p *Pool) Release(b *Buf) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if b.pins <= 0 {
 		//simlint:alloc(cold misuse diagnostic on the panic path)
 		panic(fmt.Sprintf("buffer: Release of unpinned buffer %v", b.ID))
@@ -320,8 +304,6 @@ func (p *Pool) Release(b *Buf) {
 //
 //simlint:noalloc
 func (p *Pool) MarkDirty(b *Buf) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.setDirtyLocked(b, true)
 }
 
@@ -330,36 +312,21 @@ func (p *Pool) MarkDirty(b *Buf) {
 //
 //simlint:noalloc
 func (p *Pool) MarkClean(b *Buf) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.setDirtyLocked(b, false)
 }
 
 // SetHold places a buffer on (or removes it from) transaction hold. Held
 // buffers are never evicted or flushed; they represent uncommitted data.
-func (p *Pool) SetHold(b *Buf, hold bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	b.held = hold
-}
+func (p *Pool) SetHold(b *Buf, hold bool) { b.held = hold }
 
 // Dirty returns the dirty, unheld buffers, most-recently-used first. The
-// returned buffers are NOT pinned; the caller must be the pool's owner and
-// synchronize access itself (file systems call this while quiescent). The
-// cost is that of the dirty set, not of the cache.
-func (p *Pool) Dirty() []*Buf {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.dirtyLocked(nil)
-}
+// returned buffers are NOT pinned: the caller must be the pool's owner (see
+// Buf). The cost is that of the dirty set, not of the cache.
+func (p *Pool) Dirty() []*Buf { return p.dirtyLocked(nil) }
 
 // DirtyFile returns the dirty, unheld buffers belonging to one file, in the
 // same order.
-func (p *Pool) DirtyFile(f FileID) []*Buf {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.dirtyLocked(&f)
-}
+func (p *Pool) DirtyFile(f FileID) []*Buf { return p.dirtyLocked(&f) }
 
 // dirtyLocked collects the dirty, unheld buffers — of one file, or of all
 // when only is nil — in the LRU's order, front first.
@@ -377,8 +344,6 @@ func (p *Pool) dirtyLocked(only *FileID) []*Buf {
 // FlushAll writes back every dirty, unheld buffer through the writeback
 // callback, least recently used first, and marks them clean.
 func (p *Pool) FlushAll() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	dirty := p.dirtyLocked(nil)
 	for i := len(dirty) - 1; i >= 0; i-- {
 		b := dirty[i]
@@ -399,8 +364,6 @@ func (p *Pool) FlushAll() error {
 // how transaction abort throws away uncommitted pages. Pinned buffers cannot
 // be invalidated.
 func (p *Pool) Invalidate(id BlockID) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	b, ok := p.table[id]
 	if !ok {
 		return nil
@@ -416,8 +379,6 @@ func (p *Pool) Invalidate(id BlockID) error {
 
 // InvalidateFile drops every unpinned block of a file.
 func (p *Pool) InvalidateFile(f FileID) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var next *list.Element
 	for e := p.lru.Front(); e != nil; e = next {
 		next = e.Next()
@@ -438,7 +399,5 @@ func (p *Pool) InvalidateFile(f FileID) error {
 // Lookup returns the resident buffer for id without pinning it, or nil. For
 // tests and introspection only.
 func (p *Pool) Lookup(id BlockID) *Buf {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.table[id]
 }

@@ -12,8 +12,6 @@ import (
 // back, that the dirty set replaced. File systems' simulated numbers depend on
 // the order of what it returns, so the set must reproduce it exactly.
 func lruDirty(p *Pool) []*Buf {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var out []*Buf
 	for e := p.lru.Front(); e != nil; e = e.Next() {
 		if b := e.Value.(*Buf); b.dirty && !b.held {

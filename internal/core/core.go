@@ -32,8 +32,6 @@ package core
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/buffer"
@@ -95,9 +93,10 @@ type Stats struct {
 }
 
 // Manager is the embedded transaction manager: the paper's additions to the
-// file system state (lock table pointer) and the transaction subsystem.
+// file system state (lock table pointer) and the transaction subsystem. It has
+// no lock of its own: it must be used from proc context, or from the main
+// goroutine while no scheduler runs.
 type Manager struct {
-	mu     sync.Mutex
 	fs     *lfs.FS
 	clock  *sim.Clock
 	costs  sim.CostModel
@@ -117,10 +116,9 @@ type Manager struct {
 	// the group-commit rendezvous (§4.4), which calls writeBatchLocked.
 	pending []*Txn
 	commits *sim.Batch
-	// frames hold the whole-page scratch the manager needs under m.mu: every
-	// running transaction's before-images, given back when its undo is
-	// dropped, and a batch flush's committed images, given back when the flush
-	// returns.
+	// frames hold the whole-page scratch the manager needs: every running
+	// transaction's before-images, given back when its undo is dropped, and a
+	// batch flush's committed images, given back when the flush returns.
 	frames frame.List
 	stats  Stats
 
@@ -128,10 +126,9 @@ type Manager struct {
 	// epoch — one increment per commit flush; snapshots pin it as their
 	// horizon. vers maps (page, epoch) to the superseded on-disk address the
 	// no-overwrite log still holds; snaps refcounts the pinned horizons.
-	// The retention adapter handed to the LFS cleaner reads vers and snaps
-	// directly (they carry their own locks) so the cleaner can consult it
-	// mid-flush without touching m.mu.
-	commitSeq atomic.Int64
+	// The LFS cleaner reads all three through the retention adapter, possibly
+	// in the middle of this manager's own commit flush.
+	commitSeq int64
 	vers      *mvcc.AddrMap
 	snaps     *mvcc.Horizons
 }
@@ -164,7 +161,7 @@ func New(fsys *lfs.FS, clock *sim.Clock, opts Options) *Manager {
 	m.histLatency = opts.Tracer.Hist("txn.latency")
 	m.locks.SetClock(clock)
 	m.locks.SetTracer(opts.Tracer)
-	m.commits = sim.NewBatch(clock, &m.mu, opts.GroupCommit, m.writeBatchLocked, opts.Tracer.CommitWait())
+	m.commits = sim.NewBatch(clock, opts.GroupCommit, m.writeBatchLocked, opts.Tracer.CommitWait())
 	return m
 }
 
@@ -172,11 +169,7 @@ func New(fsys *lfs.FS, clock *sim.Clock, opts Options) *Manager {
 func (m *Manager) FS() *lfs.FS { return m.fs }
 
 // Stats returns a snapshot of the counters.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
-}
+func (m *Manager) Stats() Stats { return m.stats }
 
 // LockStats exposes the lock table counters.
 func (m *Manager) LockStats() lock.Stats { return m.locks.Stats() }
@@ -233,8 +226,6 @@ func (p *Process) TxnBegin() error {
 		return ErrTxnActive
 	}
 	m := p.m
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	start := m.clock.Now()
 	m.clock.Advance(m.costs.Syscall + m.costs.TxnOp)
 	m.nextTxn++
@@ -261,8 +252,6 @@ func (p *Process) TxnCommit() error {
 		return ErrNoTxn
 	}
 	m := p.m
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.clock.Advance(m.costs.Syscall + m.costs.TxnOp)
 	t := p.txn
 	p.txn = nil
@@ -329,7 +318,8 @@ func (m *Manager) writeBatchLocked() error {
 	if err != nil {
 		return err
 	}
-	epoch := m.commitSeq.Add(1)
+	m.commitSeq++
+	epoch := m.commitSeq
 	for _, c := range capture {
 		m.vers.Record(mvcc.PageID{File: uint64(c.id.File), Block: c.id.Block}, epoch, c.addr)
 		m.stats.VersionsRecorded++
@@ -362,8 +352,6 @@ func (m *Manager) writeBatchLocked() error {
 // committers (the timeout arm of §4.4's group commit, for callers outside
 // the scheduler).
 func (m *Manager) Flush() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if len(m.pending) == 0 {
 		return nil
 	}
@@ -380,8 +368,6 @@ func (p *Process) TxnAbort() error {
 		return ErrNoTxn
 	}
 	m := p.m
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.clock.Advance(m.costs.Syscall + m.costs.TxnOp)
 	t := p.txn
 	if err := m.applyUndoLocked(t); err != nil {
@@ -418,9 +404,7 @@ func (p *Process) TxnAbort() error {
 //
 //simlint:alloc(cold deadlock victim path: the rollback allocates by design)
 func (p *Process) abortOnDeadlock() {
-	p.m.mu.Lock()
 	p.m.stats.Deadlocks++
-	p.m.mu.Unlock()
 	p.m.locks.NoteDeadlockAbort()
 	_ = p.TxnAbort()
 }

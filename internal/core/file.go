@@ -77,9 +77,9 @@ func (f *File) pageRange(off int64, n int) (first, last int64) {
 //simlint:noalloc
 func (p *Process) lockObject(obj lock.Object, mode lock.Mode) error {
 	m := p.m
-	// Cooperative scheduling point: no mutex is held here, so this is where
-	// a multiprogramming run interleaves processes at page-access
-	// granularity (the kernel scheduler's preemption point).
+	// Cooperative scheduling point: this is where a multiprogramming run
+	// interleaves processes at page-access granularity (the kernel
+	// scheduler's preemption point).
 	m.clock.Yield()
 	m.clock.Advance(m.costs.KernelSync())
 	if err := m.locks.Lock(lock.TxnID(p.txn.id), obj, mode); err != nil {
@@ -160,9 +160,7 @@ func (p *Process) Write(f *File, data []byte, off int64) (int, error) {
 			if err := p.lockSpan(f, lo, int(hi-lo), lock.Write); err != nil {
 				return n, err
 			}
-			m.mu.Lock()
 			w, err := m.writeHeldLocked(t, f, pg, data[lo-off:hi-off], int(lo-pg*bs))
-			m.mu.Unlock()
 			n += w
 			if err != nil {
 				return n, err
@@ -183,8 +181,6 @@ func (p *Process) Write(f *File, data []byte, off int64) (int, error) {
 // degreeOneID allocates a transaction identifier for a single-call
 // degree-1 access.
 func (m *Manager) degreeOneID() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.nextTxn++
 	return m.nextTxn
 }

@@ -46,10 +46,8 @@ type Snapshot struct {
 // flush. Snapshots hold no locks and never enter the pending list, so they
 // cannot deadlock, block writers, or delay checkpoints.
 func (m *Manager) BeginSnapshot() *Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.clock.Advance(m.costs.Syscall + m.costs.TxnOp)
-	h := m.commitSeq.Load()
+	h := m.commitSeq
 	m.snaps.Pin(h)
 	m.stats.Snapshots++
 	m.tracer.Instant("txn", "snapshot.begin", trace.AI("epoch", h))
@@ -64,8 +62,6 @@ func (s *Snapshot) Horizon() int64 { return s.h }
 // Closing twice is a no-op.
 func (s *Snapshot) Close() {
 	m := s.m
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if s.closed {
 		return
 	}
@@ -208,8 +204,7 @@ type capturedAddr struct {
 // snapshot older than this commit must keep reading. Free (and cheap) when
 // no snapshot is pinned. The set is the batch's pages plus every dirty
 // unheld page of their files (degree-1 write-through dirties pages outside
-// any transaction's page list, and the flush supersedes those too). Caller
-// holds m.mu.
+// any transaction's page list, and the flush supersedes those too).
 func (m *Manager) capturePreFlushAddrs(batch []buffer.BlockID) ([]capturedAddr, error) {
 	if !m.snaps.Active() {
 		return nil, nil
@@ -240,10 +235,7 @@ func (m *Manager) capturePreFlushAddrs(batch []buffer.BlockID) ([]capturedAddr, 
 }
 
 // retention adapts the version map and pinned horizons to the LFS cleaner's
-// SnapshotRetention interface. The cleaner consults it while a commit flush
-// may be in progress under m.mu, so this adapter must never take m.mu: the
-// version map and horizon set carry their own locks, and the commit epoch
-// is an atomic.
+// SnapshotRetention interface.
 type retention struct {
 	m *Manager
 }
@@ -268,5 +260,5 @@ func (r *retention) HorizonLag() int64 {
 	if !active {
 		return 0
 	}
-	return r.m.commitSeq.Load() - oldest
+	return r.m.commitSeq - oldest
 }

@@ -20,7 +20,7 @@ type undoRange struct {
 
 // dropUndoLocked gives a finished transaction's before-image frames back: it
 // is durable or rolled back, and nothing reads its undo again (a batch flush
-// backs out running writers only). Caller holds m.mu.
+// backs out running writers only).
 func (m *Manager) dropUndoLocked(t *Txn) {
 	for _, u := range t.undo {
 		m.frames.Give(u.before[:cap(u.before)])
@@ -55,9 +55,10 @@ func (hp *heldPage) dropWriter(t *Txn) {
 // writeHeldLocked performs one page's share of a transactional write: record
 // the before-image, write the bytes into the buffer cache, and put the buffer
 // on hold with the transaction among its writers. The three happen as one
-// step under m.mu, so a batch flush sees either none of the write or all of
-// it with its before-image — never new bytes it cannot back out. The caller
-// holds the covering write locks, so the bytes cannot change under us.
+// step, with no scheduling point between them, so a batch flush sees either
+// none of the write or all of it with its before-image — never new bytes it
+// cannot back out. The caller holds the covering write locks, so the bytes
+// cannot change under us.
 func (m *Manager) writeHeldLocked(t *Txn, f *File, page int64, data []byte, off int) (int, error) {
 	id := buffer.BlockID{File: f.id, Block: page}
 	pool := m.fs.Pool()
@@ -120,7 +121,7 @@ func (t *Txn) undoInto(id buffer.BlockID, img []byte) {
 }
 
 // applyUndoLocked rolls a transaction back in place, in the held (hence
-// resident) pages. Caller holds m.mu.
+// resident) pages.
 func (m *Manager) applyUndoLocked(t *Txn) error {
 	pool := m.fs.Pool()
 	for i := len(t.undo) - 1; i >= 0; i-- {
@@ -140,7 +141,7 @@ func (m *Manager) applyUndoLocked(t *Txn) error {
 // log: nil when the resident buffer is it, else a scratch copy, in one of the
 // manager's frames, with every running writer's bytes backed out (the writers
 // hold disjoint slots, so the order among them does not matter). The caller
-// gives the frame back once the flush has returned. Caller holds m.mu.
+// gives the frame back once the flush has returned.
 func (m *Manager) committedImageLocked(id buffer.BlockID) []byte {
 	hp := m.held[id]
 	if len(hp.writers) == 0 {

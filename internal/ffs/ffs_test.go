@@ -86,10 +86,8 @@ func TestSequentialAllocationIsContiguous(t *testing.T) {
 		}
 	}
 	f.Close()
-	fs.mu.Lock()
 	in, _ := fs.LookupLocked("/seq")
 	next := len(in.extents)
-	fs.mu.Unlock()
 	if next != 1 {
 		t.Fatalf("sequential file has %d extents, want 1 (read-optimized layout)", next)
 	}
@@ -103,10 +101,8 @@ func TestInPlaceUpdate(t *testing.T) {
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	fs.mu.Lock()
 	in, _ := fs.LookupLocked("/f")
 	before := in.mapBlock(1)
-	fs.mu.Unlock()
 
 	f, _ := fs.Open("/f")
 	f.WriteAt(pattern(4096, 9), 4096)
@@ -115,9 +111,7 @@ func TestInPlaceUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fs.mu.Lock()
 	after := in.mapBlock(1)
-	fs.mu.Unlock()
 	if before == 0 || before != after {
 		t.Fatalf("block moved from %d to %d; FFS must update in place", before, after)
 	}
@@ -181,10 +175,8 @@ func TestOverflowExtents(t *testing.T) {
 	}
 	fa.Close()
 	fb.Close()
-	fs.mu.Lock()
 	in, _ := fs.LookupLocked("/a")
 	next := len(in.extents)
-	fs.mu.Unlock()
 	if next <= inlineExtents {
 		t.Skipf("allocation produced only %d extents; cannot exercise overflow", next)
 	}
@@ -231,18 +223,14 @@ func TestTruncate(t *testing.T) {
 func TestTruncateFreesBlocks(t *testing.T) {
 	fs, _, _ := newFS(t)
 	writeFile(t, fs, "/t", pattern(100*4096, 8))
-	fs.mu.Lock()
 	in, _ := fs.LookupLocked("/t")
 	before := in.blocks()
-	fs.mu.Unlock()
 	f, _ := fs.Open("/t")
 	if err := f.Truncate(4096); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-	fs.mu.Lock()
 	after := in.blocks()
-	fs.mu.Unlock()
 	if before != 100 || after != 1 {
 		t.Fatalf("blocks %d → %d, want 100 → 1", before, after)
 	}
@@ -251,25 +239,21 @@ func TestTruncateFreesBlocks(t *testing.T) {
 func TestRemoveFreesSpace(t *testing.T) {
 	fs, _, _ := newFS(t)
 	writeFile(t, fs, "/big", pattern(200*4096, 9))
-	fs.mu.Lock()
 	var used0 int64
 	for b := fs.sb.DataStart; b < fs.sb.TotalBlocks; b++ {
 		if fs.bit(b) {
 			used0++
 		}
 	}
-	fs.mu.Unlock()
 	if err := fs.Remove("/big"); err != nil {
 		t.Fatal(err)
 	}
-	fs.mu.Lock()
 	var used1 int64
 	for b := fs.sb.DataStart; b < fs.sb.TotalBlocks; b++ {
 		if fs.bit(b) {
 			used1++
 		}
 	}
-	fs.mu.Unlock()
 	if used1 >= used0 {
 		t.Fatalf("used blocks %d → %d; remove should free space", used0, used1)
 	}

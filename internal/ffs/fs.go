@@ -2,7 +2,6 @@ package ffs
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/buffer"
@@ -50,10 +49,10 @@ type upper = ufs.FS[*inode]
 
 // FS is a mounted read-optimized file system. The embedded upper layer
 // supplies Create, Open, Mkdir, ReadDir, Stat, Remove, Rename and
-// SetTxnProtected.
+// SetTxnProtected. It has no lock: it must be used from proc context, or from
+// the main goroutine while no scheduler runs.
 type FS struct {
 	*upper
-	mu        sync.Mutex
 	dev       disk.BlockDevice
 	clock     *sim.Clock
 	pool      *buffer.Pool
@@ -218,7 +217,6 @@ func (fs *FS) attach() {
 	fs.pool = buffer.New(fs.opts.CacheBlocks, fs.blockSize, fs.writeback)
 	fs.queue = disk.NewQueue(fs.dev)
 	fs.upper = ufs.New(ufs.Ops[*inode]{
-		Mu:       &fs.mu,
 		Pool:     fs.pool,
 		Clock:    fs.clock,
 		Fetch:    fs.fetchBlock,
@@ -251,8 +249,6 @@ func (fs *FS) Device() disk.BlockDevice { return fs.dev }
 
 // Stats returns a snapshot of the counters.
 func (fs *FS) Stats() Stats {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	return fs.stats
 }
 
@@ -502,8 +498,6 @@ func (fs *FS) clearInodeSlotLocked(ino Ino) error {
 
 // Sync implements vfs.FileSystem: flush data, inodes, bitmap, superblock.
 func (fs *FS) Sync() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	return fs.syncLocked()
 }
 

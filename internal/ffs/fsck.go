@@ -33,8 +33,6 @@ func (r *FsckReport) OK() bool {
 // chain mark their blocks allocated; everything else outside the metadata
 // area is free.
 func (fs *FS) Fsck() (*FsckReport, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 
 	rep := &FsckReport{}
 	rebuilt := make([]uint64, len(fs.bitmap))

@@ -53,12 +53,10 @@ func TestFsckReclaimsStaleBitmapAfterCrash(t *testing.T) {
 	// Directory entry for /grown must be durable too for this scenario
 	// (dir blocks are data blocks of the root inode).
 	rootIno := RootIno
-	fs.mu.Lock()
 	err = fs.flushDirtyLocked(&rootIno)
 	if err == nil {
 		err = fs.storeInodeLocked(fs.inodes[RootIno])
 	}
-	fs.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}

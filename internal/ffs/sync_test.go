@@ -45,8 +45,6 @@ func newSyncRig(t *testing.T) *syncRig {
 
 // memMtime is /f's modification time in memory.
 func (r *syncRig) memMtime() int64 {
-	r.fs.mu.Lock()
-	defer r.fs.mu.Unlock()
 	return r.fs.inodes[Ino(r.f.ID())].Mtime
 }
 
@@ -70,8 +68,6 @@ func (r *syncRig) crash() *inode {
 	if got := readFile(r.t, fs2, "/f"); !bytes.Equal(got, r.want) {
 		r.t.Fatalf("after a crash /f holds %d bytes that differ from the %d written and synced", len(got), len(r.want))
 	}
-	fs2.mu.Lock()
-	defer fs2.mu.Unlock()
 	in, err := fs2.LookupLocked("/f")
 	if err != nil {
 		r.t.Fatal(err)

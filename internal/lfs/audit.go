@@ -7,8 +7,6 @@ import "repro/internal/detsort"
 // several inodes and counted once. Used by tests and the lfsdump inspector
 // to verify accounting invariants.
 func (fs *FS) AuditUsage() (maintained, actual int64, perSegDiff map[int64][2]int64, err error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	actualLive := make([]int64, fs.sb.NumSegments)
 	mark := func(addr int64) {
 		if s := fs.segOf(addr); s >= 0 {

@@ -75,8 +75,6 @@ func (s Stats) WriteAmplification() float64 {
 // free-segment threshold (used by tests and by the user-space cleaner's
 // idle-period policy). It reports whether any segment was reclaimed.
 func (fs *FS) CleanOnce() (bool, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if fs.cleaning {
 		return false, nil
 	}
@@ -114,8 +112,6 @@ func (fs *FS) CleanOnce() (bool, error) {
 // call it between transactions. It reports whether any segment was
 // reclaimed.
 func (fs *FS) CleanIdle() (bool, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if fs.cleaning || fs.free >= int64(fs.opts.IdleCleanTrigger) {
 		return false, nil
 	}
@@ -191,7 +187,7 @@ func (fs *FS) CleanIdle() (bool, error) {
 // invoked from the flush path when free segments fall below the threshold —
 // the paper's in-kernel cleaner, whose activity stalls the transaction
 // workload ("periods of very high transaction throughput are interrupted by
-// periods of no transaction throughput", §5.1). Caller holds fs.mu.
+// periods of no transaction throughput", §5.1).
 func (fs *FS) cleanLocked() error {
 	fs.cleaning = true
 	defer func() { fs.cleaning = false }()

@@ -18,8 +18,6 @@ import (
 // crash recovery are unaffected — the file's contents never change, only
 // its layout.
 func (fs *FS) Coalesce(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	in, err := fs.LookupLocked(path)
 	if err != nil {
 		return err

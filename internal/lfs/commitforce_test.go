@@ -431,7 +431,6 @@ func TestCommitForceCostIsExact(t *testing.T) {
 				pages = append(pages, CommitPage{ID: blockIDOf(Ino(f.ID()), 0), Image: stamped(bs, 0, i)})
 			}
 		}
-		fs.mu.Lock()
 		items, metaOnly, err := fs.gatherLocked(set, true, pages, nil)
 		perFile := map[Ino][]int64{}
 		for _, it := range items {
@@ -444,7 +443,6 @@ func TestCommitForceCostIsExact(t *testing.T) {
 		if err == nil {
 			want, err = fs.partialCostLocked(perFile, true)
 		}
-		fs.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}

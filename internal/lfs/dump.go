@@ -12,8 +12,6 @@ import (
 // table, the partial segments at the log head, inode map, and cleaner
 // statistics. Used by the lfsdump inspector.
 func (fs *FS) Dump(w io.Writer) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 
 	fmt.Fprintf(w, "superblock: %d blocks × %d B, %d segments × %d blocks, segments start at %d\n",
 		fs.sb.TotalBlocks, fs.sb.BlockSize, fs.sb.NumSegments, fs.sb.SegmentBlocks, fs.sb.SegStart)

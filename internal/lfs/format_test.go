@@ -274,9 +274,7 @@ func TestTornLogTailRecovery(t *testing.T) {
 	}
 	// Record the log head, then write more and corrupt that partial's
 	// summary — as if the write tore.
-	fs.mu.Lock()
 	tornAddr := fs.segBase(fs.curSeg) + fs.curOff
-	fs.mu.Unlock()
 	writeFile(t, fs, "/torn", pattern(4096, 2))
 	if err := fs.Flush(); err != nil {
 		t.Fatal(err)
@@ -362,9 +360,7 @@ func TestTornPayloadRecovery(t *testing.T) {
 	if err := fs.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	fs.mu.Lock()
 	tornAddr := fs.segBase(fs.curSeg) + fs.curOff
-	fs.mu.Unlock()
 	writeFile(t, fs, "/torn", pattern(4096, 2))
 	if err := fs.Flush(); err != nil {
 		t.Fatal(err)

@@ -36,9 +36,7 @@ func TestParkedBlocksAndSegmentScratchAreRecycled(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		fs.mu.Lock()
 		parked = fs.orphans[buffer.BlockID{File: f.ID(), Block: 0}]
-		fs.mu.Unlock()
 		if parked == nil || parked[0] != seed {
 			t.Fatalf("block 0 must be parked with its bytes after %d writes through an 8-block cache", blocks)
 		}

@@ -2,7 +2,6 @@ package lfs
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/buffer"
 	"repro/internal/disk"
@@ -93,10 +92,10 @@ type upper = ufs.FS[*inode]
 
 // FS is a mounted log-structured file system. The embedded upper layer
 // supplies Create, Open, Mkdir, ReadDir, Stat, Remove, Rename and
-// SetTxnProtected.
+// SetTxnProtected. It has no lock: it must be used from proc context, or from
+// the main goroutine while no scheduler runs.
 type FS struct {
 	*upper
-	mu        sync.Mutex
 	dev       disk.BlockDevice
 	clock     *sim.Clock
 	pool      *buffer.Pool
@@ -119,9 +118,9 @@ type FS struct {
 	inodes map[Ino]*inode // loaded inodes
 	// frames are the file system's block-sized scratch: the orphan table's
 	// copies, the summary, inode-pack and pointer blocks a partial segment
-	// encodes, the block an inode or pointer block is decoded from. Taken and
-	// given back under fs.mu; a parked block goes back when it leaves the
-	// orphan table, encode scratch when its partial is on the device.
+	// encodes, the block an inode or pointer block is decoded from. A parked
+	// block goes back when it leaves the orphan table, encode scratch when its
+	// partial is on the device.
 	frames     frame.List
 	orphans    map[buffer.BlockID][]byte // parked blocks, each in a frame of its own
 	pendingDel []Ino
@@ -220,7 +219,6 @@ func (fs *FS) attach() {
 	fs.frames = frame.NewList(fs.blockSize)
 	fs.pool = buffer.New(fs.opts.CacheBlocks, fs.blockSize, fs.writeback)
 	fs.upper = ufs.New(ufs.Ops[*inode]{
-		Mu:       &fs.mu,
 		Pool:     fs.pool,
 		Clock:    fs.clock,
 		Fetch:    fs.fetchBlock,
@@ -310,9 +308,7 @@ func (fs *FS) Device() disk.BlockDevice { return fs.dev }
 // workload I/O) and checkpoints emit lfs.checkpoint spans. A nil tracer
 // costs nothing.
 func (fs *FS) SetTracer(tr *trace.Tracer) {
-	fs.mu.Lock()
 	fs.tracer = tr
-	fs.mu.Unlock()
 }
 
 // SnapshotRetention is implemented by a transaction layer that pins old
@@ -336,9 +332,7 @@ type SnapshotRetention interface {
 // The cleaner consults it on every victim-selection and dead-segment-free
 // decision; a nil retention (the default) restores unrestricted cleaning.
 func (fs *FS) SetSnapshotRetention(r SnapshotRetention) {
-	fs.mu.Lock()
 	fs.retain = r
-	fs.mu.Unlock()
 }
 
 // retainedLocked reports whether the retention horizon pins any address in
@@ -357,8 +351,6 @@ func (fs *FS) retainedLocked(s int64) bool {
 // address keeps holding the page's previous version, which is exactly what
 // a pinned snapshot needs to read.
 func (fs *FS) BlockAddr(file vfs.FileID, lbn int64) (int64, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	in, err := fs.loadInode(Ino(file))
 	if err != nil {
 		return 0, err
@@ -376,8 +368,6 @@ func (fs *FS) ReadAddr(addr int64, p []byte) error {
 		clear(p)
 		return nil
 	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	return fs.dev.Read(addr, p)
 }
 
@@ -387,8 +377,6 @@ func (fs *FS) ReadAddr(addr int64, p []byte) error {
 // uncommitted transaction-held bytes for such a page, but the log itself
 // still holds the committed image.
 func (fs *FS) ReadCurrent(id buffer.BlockID, p []byte) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	return fs.fetchBlock(id, p)
 }
 
@@ -404,8 +392,6 @@ func (fs *FS) ReadCurrentRun(id buffer.BlockID, bufs [][]byte) (int, error) {
 	if len(bufs) == 0 {
 		return 0, nil
 	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if _, ok := fs.orphans[id]; ok {
 		return 0, nil
 	}
@@ -446,8 +432,6 @@ func (fs *FS) ReadCurrentRun(id buffer.BlockID, bufs [][]byte) (int, error) {
 
 // Stats returns a snapshot of the file system counters.
 func (fs *FS) Stats() Stats {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	st := fs.stats
 	if fs.retain != nil {
 		st.Cleaner.RetainedBlocks = fs.retain.RetainedBlocks()
@@ -458,8 +442,6 @@ func (fs *FS) Stats() Stats {
 
 // FreeSegments reports the number of clean segments.
 func (fs *FS) FreeSegments() int64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	return fs.free
 }
 
@@ -518,8 +500,7 @@ func (fs *FS) writeback(id buffer.BlockID, data []byte) error {
 }
 
 // parkLocked returns the frame block id is parked in, for the caller to fill:
-// the one a stale parked version already occupies, or a fresh one. Caller
-// holds fs.mu.
+// the one a stale parked version already occupies, or a fresh one.
 //
 //simlint:noalloc
 func (fs *FS) parkLocked(id buffer.BlockID) []byte {
@@ -535,7 +516,7 @@ func (fs *FS) parkLocked(id buffer.BlockID) []byte {
 // unparkLocked drops block id from the orphan table, if it is there, and
 // recycles its frame. Nothing may still read the parked bytes: a flush calls
 // it once the block's partial segment is on the device, or for a version it
-// never listed. Caller holds fs.mu.
+// never listed.
 func (fs *FS) unparkLocked(id buffer.BlockID) {
 	if f, ok := fs.orphans[id]; ok {
 		delete(fs.orphans, id)
@@ -619,15 +600,11 @@ func (fs *FS) fetchBlock(id buffer.BlockID, dst []byte) error {
 
 // Sync implements vfs.FileSystem: flush everything and checkpoint.
 func (fs *FS) Sync() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	return fs.checkpointLocked()
 }
 
 // Flush writes all dirty (unheld) buffers to the log without checkpointing.
 func (fs *FS) Flush() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	return fs.flushLocked(nil, false, nil)
 }
 
@@ -635,8 +612,6 @@ func (fs *FS) Flush() error {
 // log — the embedded transaction manager's commit force (§4.3: "the kernel
 // flushes them to disk and releases locks when the writes have completed").
 func (fs *FS) FlushFile(ino vfs.FileID) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	return fs.flushLocked(map[Ino]bool{Ino(ino): true}, true, nil)
 }
 
@@ -657,8 +632,6 @@ type CommitPage struct {
 // from its resident buffer comes back clean; a page logged from an override
 // image stays dirty, because the buffer still differs from the log.
 func (fs *FS) FlushCommit(pages []CommitPage) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	set := make(map[Ino]bool)
 	for _, cp := range pages {
 		set[Ino(cp.ID.File)] = true

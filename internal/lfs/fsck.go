@@ -36,8 +36,6 @@ func (r *FsckReport) problemf(format string, args ...interface{}) {
 // It reads through the device (charging simulated time) but modifies
 // nothing.
 func (fs *FS) Fsck() (*FsckReport, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	rep := &FsckReport{}
 
 	// 1. Decode every imap entry.

@@ -81,11 +81,9 @@ func TestFsckDetectsDanglingEntry(t *testing.T) {
 	fs, _, _ := newFS(t)
 	writeFile(t, fs, "/f", []byte("x"))
 	// Corrupt in memory: remove the imap entry but keep the dir entry.
-	fs.mu.Lock()
 	in, _ := fs.LookupLocked("/f")
 	delete(fs.imap, in.Ino)
 	delete(fs.inodes, in.Ino)
-	fs.mu.Unlock()
 	rep, err := fs.Fsck()
 	if err != nil {
 		t.Fatal(err)
@@ -102,13 +100,10 @@ func TestFsckDetectsOrphanInode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt: drop the directory entry but keep the imap entry.
-	fs.mu.Lock()
 	root, _ := fs.loadInode(RootIno)
 	if err := fs.WriteDirLocked(root, nil); err != nil {
-		fs.mu.Unlock()
 		t.Fatal(err)
 	}
-	fs.mu.Unlock()
 	rep, err := fs.Fsck()
 	if err != nil {
 		t.Fatal(err)

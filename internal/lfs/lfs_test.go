@@ -447,10 +447,8 @@ func TestNoOverwriteBeforeImage(t *testing.T) {
 	if err := fs.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	fs.mu.Lock()
 	in, _ := fs.loadInode(fs.mustIno(t, "/f"))
 	oldAddr, _ := fs.blockAddr(in, 0)
-	fs.mu.Unlock()
 	if oldAddr == 0 {
 		t.Fatal("block should be on disk")
 	}
@@ -461,9 +459,7 @@ func TestNoOverwriteBeforeImage(t *testing.T) {
 	if err := fs.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	fs.mu.Lock()
 	newAddr, _ := fs.blockAddr(in, 0)
-	fs.mu.Unlock()
 	if newAddr == oldAddr {
 		t.Fatal("LFS must not overwrite in place")
 	}
@@ -476,7 +472,7 @@ func TestNoOverwriteBeforeImage(t *testing.T) {
 	}
 }
 
-// mustIno resolves a path to its inode number (test helper; caller holds mu).
+// mustIno resolves a path to its inode number (test helper).
 func (fs *FS) mustIno(t *testing.T, path string) Ino {
 	t.Helper()
 	in, err := fs.LookupLocked(path)
@@ -892,9 +888,7 @@ func TestOrphanPressureFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fs.mu.Lock()
 	orphans := len(fs.orphans)
-	fs.mu.Unlock()
 	if orphans > int(fs.sb.SegmentBlocks)+8 {
 		t.Fatalf("orphan staging buffer grew to %d blocks (bound ~%d)", orphans, fs.sb.SegmentBlocks)
 	}

@@ -111,7 +111,7 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 }
 
 // checkpointLocked flushes all dirty state and writes a checkpoint to the
-// alternate region. Caller holds fs.mu.
+// alternate region.
 func (fs *FS) checkpointLocked() error {
 	if err := fs.flushLocked(nil, false, nil); err != nil {
 		return err

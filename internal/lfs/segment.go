@@ -24,7 +24,6 @@ type dataItem struct {
 // that lets real LFS implementations keep fsync cheap. Full flushes
 // (deferPtr false) write the pointer blocks out. commit is a group-commit
 // batch's page set (FlushCommit): the only held pages a flush may write.
-// Caller holds fs.mu.
 func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage) error {
 	if !fs.cleaning && fs.free < int64(fs.opts.CleanThreshold) {
 		if err := fs.cleanLocked(); err != nil {

@@ -19,7 +19,6 @@ package libtp
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/buffer"
@@ -110,9 +109,10 @@ type undoRec struct {
 	before []byte
 }
 
-// Env is a user-level transaction environment bound to one file system.
+// Env is a user-level transaction environment bound to one file system. It has
+// no lock of its own: it must be used from proc context, or from the main
+// goroutine while no scheduler runs.
 type Env struct {
-	mu        sync.Mutex
 	fs        vfs.FileSystem
 	clock     *sim.Clock
 	costs     sim.CostModel
@@ -179,7 +179,7 @@ func newEnvShell(fsys vfs.FileSystem, clock *sim.Clock, opts Options) *Env {
 // start makes an environment whose log is open ready for transactions.
 func (e *Env) start() {
 	e.locks.SetClock(e.clock)
-	e.commits = sim.NewBatch(e.clock, &e.mu, e.opts.GroupCommit, e.log.Force, e.tracer.CommitWait())
+	e.commits = sim.NewBatch(e.clock, e.opts.GroupCommit, e.log.Force, e.tracer.CommitWait())
 }
 
 // NewEnv creates (or reopens) a transaction environment on fsys. The log
@@ -236,8 +236,6 @@ func (e *Env) LogPath() string { return e.opts.LogPath }
 
 // Stats returns a snapshot of the counters.
 func (e *Env) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.stats
 }
 
@@ -271,8 +269,6 @@ func (e *Env) writeback(id buffer.BlockID, data []byte) error {
 // OpenDB opens (or creates) a database file. The returned DB is shared: all
 // transactions address it through their own transactional page stores.
 func (e *Env) OpenDB(path string) (*DB, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	f, err := e.fs.Open(path)
 	if errors.Is(err, vfs.ErrNotExist) {
 		f, err = e.fs.Create(path)
@@ -312,8 +308,6 @@ func (db *DB) numPages() (int64, error) {
 
 // Begin starts a transaction ("txn_begin").
 func (e *Env) Begin() *Txn {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.nextTxn++
 	id := e.nextTxn
 	e.active[id] = true
@@ -355,16 +349,14 @@ func (t *Txn) Store(db *DB) pagestore.Store {
 // (locks released, Abort answers ErrTxnDone) but in doubt: its commit record is
 // appended, so a later successful force makes it durable.
 func (t *Txn) Commit() error {
-	e, err := t.end()
-	if err != nil {
+	if err := t.end(); err != nil {
 		return err
 	}
-	defer e.mu.Unlock()
 	return t.finishLocked(true, t.commitLocked())
 }
 
 // commitLocked appends t's commit record, releases its locks and waits for
-// the batch's force. Caller holds e.mu.
+// the batch's force.
 func (t *Txn) commitLocked() error {
 	e := t.env
 	lsn, err := e.log.AppendCommit(t.id)
@@ -390,8 +382,6 @@ func (t *Txn) Prepare(gid uint64) error {
 		return ErrTxnDone
 	}
 	e := t.env
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.clock.Advance(e.costs.TxnOp + e.costs.Syscall)
 	if _, err := e.log.LogPrepare(t.id, gid); err != nil {
 		return err
@@ -411,11 +401,11 @@ func (t *Txn) Prepare(gid uint64) error {
 // phase two (CommitPrepared on the participants) may start immediately. A
 // failed force leaves the global transaction in doubt, as for Commit.
 func (t *Txn) CommitGlobal(gid uint64) error {
-	e, err := t.end()
+	err := t.end()
 	if err != nil {
 		return err
 	}
-	defer e.mu.Unlock()
+	e := t.env
 	// The coordinator branch's own prepare precedes the decision in the same
 	// log, so a torn force can never leave the decision durable while the
 	// branch's binding to gid is lost.
@@ -434,11 +424,10 @@ func (t *Txn) CommitGlobal(gid uint64) error {
 // the branch prepared-but-undecided and the coordinator's decision record
 // resolves it to commit; nothing is lost.
 func (t *Txn) CommitPrepared() error {
-	e, err := t.end()
-	if err != nil {
+	if err := t.end(); err != nil {
 		return err
 	}
-	defer e.mu.Unlock()
+	e := t.env
 	lsn, err := e.log.AppendCommit(t.id)
 	if err == nil {
 		e.noteCommitLocked(t.id, lsn)
@@ -448,23 +437,21 @@ func (t *Txn) CommitPrepared() error {
 }
 
 // end is the prologue of every call that finishes t — Commit, CommitGlobal,
-// CommitPrepared, Abort: mark it done, take the environment's mutex (returned
-// held) and charge the subroutine and the system calls it makes.
-func (t *Txn) end() (*Env, error) {
+// CommitPrepared, Abort: mark it done and charge the subroutine and the system
+// calls it makes.
+func (t *Txn) end() error {
 	if t.done {
-		return nil, ErrTxnDone
+		return ErrTxnDone
 	}
 	t.done = true
-	e := t.env
-	e.mu.Lock()
-	e.clock.Advance(e.costs.TxnOp + e.costs.Syscall)
-	return e, nil
+	t.env.clock.Advance(t.env.costs.TxnOp + t.env.costs.Syscall)
+	return nil
 }
 
 // finishLocked is their epilogue, run on every exit: whatever err says, no
 // lock stays held and the transaction's bookkeeping is dropped — one failed
 // force must not wedge Checkpoint behind a transaction nobody can finish.
-// Only a clean exit is counted and traced. Caller holds e.mu.
+// Only a clean exit is counted and traced.
 func (t *Txn) finishLocked(commit bool, err error) error {
 	e := t.env
 	if err != nil {
@@ -495,15 +482,12 @@ func (t *Txn) finishLocked(commit bool, err error) error {
 // call it on every shard before checkpointing any of them, so no shard's
 // truncation can outrun another shard's undecided prepare records.
 func (e *Env) ForceLog() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.log.Force()
 }
 
 // forceSharedLocked returns once a log force has covered everything the
 // caller appended: the caller's own, at once, when the batch is full or no
 // other client could join it, otherwise another member's (§4.4; sim.Batch).
-// Caller holds e.mu.
 //
 //simlint:noalloc
 func (e *Env) forceSharedLocked() error {
@@ -519,16 +503,14 @@ func (e *Env) forceSharedLocked() error {
 // that fails part-way still finishes the transaction; the log holds no commit
 // record for it, so restart recovery completes the rollback.
 func (t *Txn) Abort() error {
-	e, err := t.end()
-	if err != nil {
+	if err := t.end(); err != nil {
 		return err
 	}
-	defer e.mu.Unlock()
 	return t.finishLocked(false, t.abortLocked())
 }
 
 // abortLocked undoes t's updates in the cache and the log and releases its
-// locks. Caller holds e.mu.
+// locks.
 func (t *Txn) abortLocked() error {
 	e := t.env
 	undos := e.undo[t.id]
@@ -601,8 +583,6 @@ func (e *Env) applyLocked(db uint64, page int64, offset uint32, data []byte) err
 // checkpoint record; the log manager anchors it and truncates the dead
 // segments below the new low-water mark. It requires quiescence.
 func (e *Env) Checkpoint() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if len(e.active) != 0 {
 		return ErrTxnActive
 	}

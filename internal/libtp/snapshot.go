@@ -40,8 +40,6 @@ type Snapshot struct {
 // Snapshots do not enter the active-transaction set — they hold no locks
 // and write nothing, so checkpoints and quiescence do not wait on them.
 func (e *Env) BeginSnapshot() *Snapshot {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.clock.Advance(e.costs.TxnOp + e.costs.Syscall)
 	h := e.log.End()
 	if !e.snaps.Active() {
@@ -69,8 +67,6 @@ func (s *Snapshot) Horizon() wal.LSN { return s.h }
 // version record no remaining snapshot can need. Closing twice is a no-op.
 func (s *Snapshot) Close() {
 	e := s.env
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if s.closed {
 		return
 	}
@@ -101,8 +97,6 @@ type snapStore struct {
 func (s *snapStore) PageSize() int { return s.snap.env.pool.BlockSize() }
 
 func (s *snapStore) NumPages() (int64, error) {
-	s.snap.env.mu.Lock()
-	defer s.snap.env.mu.Unlock()
 	return s.db.numPages()
 }
 
@@ -122,8 +116,6 @@ func (s *snapStore) ReadPage(n int64, p []byte) error {
 	// Scheduling point without a lock-manager call: the scan interleaves
 	// but cannot block anyone and nothing can block it.
 	e.clock.Yield()
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.clock.Advance(e.costs.CacheHit)
 	// Serve pool-resident pages from the pool, but fault misses straight
 	// into the caller's buffer without inserting them: a scan touches every
@@ -151,7 +143,7 @@ func (s *snapStore) Sync() error { return nil }
 // noteCommitLocked stamps (or discards) a committing transaction's version
 // deltas once its commit record has a log position. The deltas are kept
 // only when some pinned snapshot predates the commit; otherwise nothing can
-// ever need them. Caller holds e.mu.
+// ever need them.
 func (e *Env) noteCommitLocked(txn uint64, lsn wal.LSN) {
 	oldest, active := e.snaps.Oldest()
 	e.deltas.Commit(txn, int64(lsn), active && oldest < int64(lsn))

@@ -32,8 +32,6 @@ type txnStore struct {
 func (s *txnStore) PageSize() int { return s.t.env.pool.BlockSize() }
 
 func (s *txnStore) NumPages() (int64, error) {
-	s.t.env.mu.Lock()
-	defer s.t.env.mu.Unlock()
 	return s.db.numPages()
 }
 
@@ -57,8 +55,8 @@ func readPage(f vfs.File, n int64, dst []byte) error {
 
 func (s *txnStore) lock(page int64, mode lock.Mode) error {
 	e := s.t.env
-	// Cooperative scheduling point: no mutex is held here, so this is where
-	// a multiprogramming run interleaves clients at page-access granularity.
+	// Cooperative scheduling point: this is where a multiprogramming run
+	// interleaves clients at page-access granularity.
 	e.clock.Yield()
 	// Lock-manager call: semaphore acquire/release in user space.
 	e.clock.Advance(e.costs.UserSync())
@@ -89,8 +87,6 @@ func (s *txnStore) read(n int64, p []byte, mode lock.Mode) error {
 		return err
 	}
 	e := s.t.env
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.clock.Advance(e.costs.CacheHit)
 	b, err := e.pool.Get(buffer.BlockID{File: vfs.FileID(s.db.id), Block: n}, s.fetch)
 	if err != nil {
@@ -110,8 +106,6 @@ func (s *txnStore) WritePage(n int64, p []byte) error {
 		return err
 	}
 	e := s.t.env
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.clock.Advance(e.costs.CacheHit)
 	id := buffer.BlockID{File: vfs.FileID(s.db.id), Block: n}
 	b, err := e.pool.Get(id, s.fetch)
@@ -155,8 +149,6 @@ func (s *txnStore) AllocPage() (int64, error) {
 		return 0, ErrTxnDone
 	}
 	e := s.t.env
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	np, err := s.db.numPages()
 	if err != nil {
 		return 0, err
@@ -173,8 +165,6 @@ func (s *txnStore) AllocPage() (int64, error) {
 // Sync forces the log; data pages follow lazily (no-force).
 func (s *txnStore) Sync() error {
 	e := s.t.env
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.log.Force()
 }
 

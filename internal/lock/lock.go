@@ -9,7 +9,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/detsort"
@@ -146,9 +145,9 @@ func (h *head) remove(txn TxnID) {
 	}
 }
 
-// Manager is a lock manager. All methods are safe for concurrent use.
+// Manager is a lock manager. It has no lock of its own: it must be used from
+// proc context, or from the main goroutine while no scheduler runs.
 type Manager struct {
-	mu    sync.Mutex
 	table map[Object]*head
 	byTxn map[TxnID]map[Object]Mode
 	// waitsFor[t] is the list of transactions t is currently blocked on, in
@@ -161,7 +160,7 @@ type Manager struct {
 
 	// dfsSeen and dfsStack are reusable scratch for cycleLocked, so the
 	// deadlock check run before every block allocates nothing in the steady
-	// state. Guarded by mu like everything else.
+	// state.
 	dfsSeen  map[TxnID]bool
 	dfsStack []TxnID
 
@@ -186,45 +185,27 @@ func NewManager() *Manager {
 // SetClock attaches the simulated clock: a Lock call that must wait suspends
 // the calling virtual process on it, accumulating Stats.BlockedTime in
 // simulated time.
-func (m *Manager) SetClock(clk *sim.Clock) {
-	m.mu.Lock()
-	m.clk = clk
-	m.mu.Unlock()
-}
+func (m *Manager) SetClock(clk *sim.Clock) { m.clk = clk }
 
 // SetTracer attaches a tracer; lock waits then emit lock.wait spans with
 // per-proc lock-blocked time attribution, and deadlock denials emit
 // lock.deadlock instants. A nil tracer costs nothing.
 func (m *Manager) SetTracer(tr *trace.Tracer) {
-	m.mu.Lock()
 	m.tracer = tr
 	m.histWait = tr.Hist("lock.wait")
-	m.mu.Unlock()
 }
 
 // NoteDeadlockAbort records that a transaction was aborted because one of
 // its lock requests returned ErrDeadlock. The transaction layers call this
 // from their abort paths so the figure reports can distinguish denied
 // requests from actual victim aborts.
-func (m *Manager) NoteDeadlockAbort() {
-	m.mu.Lock()
-	m.stats.DeadlockAborts++
-	m.mu.Unlock()
-}
+func (m *Manager) NoteDeadlockAbort() { m.stats.DeadlockAborts++ }
 
 // Stats returns a snapshot of the counters.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
-}
+func (m *Manager) Stats() Stats { return m.stats }
 
 // HeldCount returns the number of locks txn holds.
-func (m *Manager) HeldCount(txn TxnID) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.byTxn[txn])
-}
+func (m *Manager) HeldCount(txn TxnID) int { return len(m.byTxn[txn]) }
 
 // conflicts reports the set of other holders blocking txn's request, in
 // ascending transaction order. The order matters: it fixes the waits-for
@@ -259,9 +240,6 @@ func (h *head) conflicts(txn TxnID, mode Mode) []TxnID {
 //
 //simlint:noalloc
 func (m *Manager) Lock(txn TxnID, obj Object, mode Mode) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
 	h := m.table[obj]
 	if h == nil {
 		//simlint:alloc(one head per locked object, first contact only)
@@ -310,7 +288,7 @@ func (m *Manager) Lock(txn TxnID, obj Object, mode Mode) error {
 			waited = true
 		}
 		h.waiters++
-		d := m.simQ.Wait(m.clk, &m.mu)
+		d := m.simQ.Wait(m.clk)
 		m.stats.BlockedTime += d
 		blocked += d
 		h.waiters--
@@ -373,8 +351,6 @@ func (m *Manager) cycleLocked(start TxnID) bool {
 // a stable order across runs — and the returned write set, which abort
 // processing uses to invalidate dirty buffers, inherits it.
 func (m *Manager) ReleaseAll(txn TxnID) []Object {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var written []Object
 	for _, obj := range detsort.KeysFunc(m.byTxn[txn], compareObject) {
 		if m.byTxn[txn][obj] == Write {
@@ -396,8 +372,6 @@ func (m *Manager) ReleaseAll(txn TxnID) []Object {
 // WriteLocked returns the objects txn holds write locks on, in ascending
 // (file, block) order.
 func (m *Manager) WriteLocked(txn TxnID) []Object {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var out []Object
 	for _, obj := range detsort.KeysFunc(m.byTxn[txn], compareObject) {
 		if m.byTxn[txn][obj] == Write {

@@ -218,11 +218,9 @@ func TestLockWaitOutsideProcessFails(t *testing.T) {
 
 func TestCycleCheckAllocationFree(t *testing.T) {
 	// The deadlock check runs before every block; it must not allocate in
-	// the steady state. Build the waits-for graph directly (Lock would park
-	// the goroutine) and probe it under AllocsPerRun.
+	// the steady state. Build the waits-for graph directly (only procs can
+	// wait) and probe it under AllocsPerRun.
 	m := NewManager()
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for id := TxnID(1); id < 8; id++ {
 		m.waitsFor[id] = []TxnID{id + 1}
 	}

@@ -3,8 +3,10 @@
 // reads a consistent image of every page as of that horizon without touching
 // the lock manager; writers keep running under ordinary two-phase locking.
 //
-// The package holds three small deterministic structures, all internally
-// synchronized and allocation-free on their lookup paths:
+// The package holds three small deterministic structures, allocation-free on
+// their lookup paths and with no lock of their own — like the transaction
+// managers that own them they must be used from proc context, or from the main
+// goroutine while no scheduler runs:
 //
 //   - Horizons: a refcounted multiset of pinned snapshot horizons. The
 //     oldest pinned horizon is the retention watermark — versions at or
@@ -28,8 +30,6 @@
 //     the version repository, no disk retention required.
 package mvcc
 
-import "sync"
-
 // PageID names one logical page: a file and a block number within it.
 type PageID struct {
 	File  uint64
@@ -40,7 +40,6 @@ type PageID struct {
 // are opaque monotone int64s — WAL LSNs on the user side, commit epochs on
 // the kernel side.
 type Horizons struct {
-	mu   sync.Mutex
 	pins map[int64]int
 	n    int
 }
@@ -52,18 +51,14 @@ func NewHorizons() *Horizons {
 
 // Pin takes one reference on horizon v.
 func (h *Horizons) Pin(v int64) {
-	h.mu.Lock()
 	h.pins[v]++
 	h.n++
-	h.mu.Unlock()
 }
 
 // Unpin drops one reference on horizon v. It panics if v is not pinned:
 // an unbalanced release would silently unblock the cleaner while a snapshot
 // still reads through it.
 func (h *Horizons) Unpin(v int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	c, ok := h.pins[v]
 	if !ok {
 		panic("mvcc: Unpin of horizon that is not pinned")
@@ -80,8 +75,6 @@ func (h *Horizons) Unpin(v int64) {
 //
 //simlint:noalloc
 func (h *Horizons) Active() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.n > 0
 }
 
@@ -90,8 +83,6 @@ func (h *Horizons) Active() bool {
 //
 //simlint:noalloc
 func (h *Horizons) Oldest() (int64, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.n == 0 {
 		return 0, false
 	}
@@ -118,7 +109,6 @@ type version struct {
 // strictly increasing epochs (one commit batch per epoch), so each chain is
 // sorted by construction.
 type AddrMap struct {
-	mu    sync.Mutex
 	pages map[PageID][]version
 	addrs map[int64]int // refcount of retained non-zero disk addresses
 }
@@ -136,8 +126,6 @@ func NewAddrMap() *AddrMap {
 // increasing order per page; Record panics otherwise, because an unsorted
 // chain would silently corrupt AddrAt's binary search.
 func (m *AddrMap) Record(id PageID, epoch, addr int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	vs := m.pages[id]
 	if len(vs) > 0 && vs[len(vs)-1].epoch >= epoch {
 		panic("mvcc: AddrMap.Record epochs must increase per page")
@@ -156,8 +144,6 @@ func (m *AddrMap) Record(id PageID, epoch, addr int64) {
 //
 //simlint:noalloc
 func (m *AddrMap) AddrAt(id PageID, h int64) (int64, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	vs := m.pages[id]
 	// First record with epoch > h: its address is the content at h.
 	lo, hi := 0, len(vs)
@@ -182,8 +168,6 @@ func (m *AddrMap) AddrAt(id PageID, h int64) (int64, bool) {
 //
 //simlint:noalloc
 func (m *AddrMap) RetainsRange(lo, hi int64) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if len(m.addrs) == 0 {
 		return false
 	}
@@ -201,8 +185,6 @@ func (m *AddrMap) RetainsRange(lo, hi int64) bool {
 //
 //simlint:noalloc
 func (m *AddrMap) RetainedBlocks() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return int64(len(m.addrs))
 }
 
@@ -211,8 +193,6 @@ func (m *AddrMap) RetainedBlocks() int64 {
 // H < its epoch), or all records when active is false. Called with the new
 // watermark whenever a snapshot closes.
 func (m *AddrMap) Prune(oldest int64, active bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	//simlint:ordered per-entry trim: each chain is filtered independently, no cross-entry order observable
 	for id, vs := range m.pages {
 		keep := 0
@@ -264,7 +244,6 @@ type delta struct {
 // applies, newest first, the before-image of every delta whose transaction
 // committed after H or not at all.
 type DeltaMap struct {
-	mu    sync.Mutex
 	pages map[PageID][]delta
 	byTxn map[uint64][]PageID
 	bytes int64
@@ -282,11 +261,9 @@ func NewDeltaMap() *DeltaMap {
 // before is retained (not copied): callers pass the same immutable slice
 // they log to the WAL and keep for undo.
 func (d *DeltaMap) Record(id PageID, txn uint64, off uint32, before []byte) {
-	d.mu.Lock()
 	d.pages[id] = append(d.pages[id], delta{txn: txn, off: off, before: before})
 	d.byTxn[txn] = append(d.byTxn[txn], id)
 	d.bytes += int64(len(before))
-	d.mu.Unlock()
 }
 
 // Commit stamps every delta of txn with its commit LSN, making the deltas
@@ -294,8 +271,6 @@ func (d *DeltaMap) Record(id PageID, txn uint64, off uint32, before []byte) {
 // (no pinned snapshot predates the commit) the deltas are discarded
 // instead — nothing can ever need them.
 func (d *DeltaMap) Commit(txn uint64, lsn int64, keep bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if !keep {
 		d.dropTxnLocked(txn)
 		return
@@ -314,9 +289,7 @@ func (d *DeltaMap) Commit(txn uint64, lsn int64, keep bool) {
 // Abort discards every delta of txn: the abort path restores the page
 // bytes, so the chain must read as if the transaction never wrote.
 func (d *DeltaMap) Abort(txn uint64) {
-	d.mu.Lock()
 	d.dropTxnLocked(txn)
-	d.mu.Unlock()
 }
 
 func (d *DeltaMap) dropTxnLocked(txn uint64) {
@@ -345,8 +318,6 @@ func (d *DeltaMap) dropTxnLocked(txn uint64) {
 //
 //simlint:noalloc
 func (d *DeltaMap) ApplyBefore(id PageID, h int64, p []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	vs := d.pages[id]
 	for i := len(vs) - 1; i >= 0; i-- {
 		v := vs[i]
@@ -362,8 +333,6 @@ func (d *DeltaMap) ApplyBefore(id PageID, h int64, p []byte) {
 // are dropped too in that case: the next BeginSnapshot re-seeds them from
 // the transactions' undo logs.
 func (d *DeltaMap) Prune(oldest int64, active bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if !active {
 		clear(d.pages)
 		clear(d.byTxn)
@@ -390,7 +359,5 @@ func (d *DeltaMap) Prune(oldest int64, active bool) {
 
 // Bytes returns the before-image bytes currently retained in memory.
 func (d *DeltaMap) Bytes() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.bytes
 }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Batch is the group-commit rendezvous of §4.4: a committer "sleeps until
 // sufficiently more transactions have committed to justify the write". A
@@ -21,11 +18,9 @@ import (
 //
 // Both transaction managers commit through one Batch each and differ only in
 // the flush they hand it; a batch policy (a timer, an adaptive size) is a
-// change to this type alone. All methods but the stall hook are called with
-// the owner's mutex held, and flush runs under it.
+// change to this type alone.
 type Batch struct {
 	clock  *Clock
-	mu     sync.Locker
 	size   int
 	flush  func() error
 	waited func(time.Duration)
@@ -44,13 +39,12 @@ type outcome struct {
 	err  error
 }
 
-// NewBatch returns a rendezvous of up to size members over the owner's mutex
-// mu and registers its stall arm with the clock. flush forces everything
-// joined so far; waited, when non-nil, is told how long a member slept as soon
+// NewBatch returns a rendezvous of up to size members and registers its stall
+// arm with the clock. flush forces everything joined so far; waited, when non-nil, is told how long a member slept as soon
 // as it wakes for good, before it flushes or returns (commit-wait
 // attribution). Both are stored once, so Join allocates nothing for them.
-func NewBatch(c *Clock, mu sync.Locker, size int, flush func() error, waited func(time.Duration)) *Batch {
-	b := &Batch{clock: c, mu: mu, size: size, flush: flush, waited: waited}
+func NewBatch(c *Clock, size int, flush func() error, waited func(time.Duration)) *Batch {
+	b := &Batch{clock: c, size: size, flush: flush, waited: waited}
 	c.OnStall(b.stall)
 	return b
 }
@@ -73,7 +67,7 @@ func (b *Batch) Join() (slept bool, err error) {
 	}
 	var d time.Duration
 	for !o.done && !b.due {
-		d += b.sleepers.Wait(b.clock, b.mu)
+		d += b.sleepers.Wait(b.clock)
 	}
 	if b.waited != nil {
 		b.waited(d)
@@ -107,8 +101,6 @@ func (b *Batch) Flush() error {
 //
 //simlint:noalloc
 func (b *Batch) stall() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.sleepers.Empty() {
 		return false
 	}

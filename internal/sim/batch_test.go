@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 )
@@ -12,7 +11,6 @@ import (
 // time and returns the next error queued in errs (nil when none is left).
 type batchRig struct {
 	clk     *Clock
-	mu      sync.Mutex
 	b       *Batch
 	flusher []int // proc id of each flush, in order
 	errs    []error
@@ -22,7 +20,7 @@ type batchRig struct {
 
 func newBatchRig(size int) *batchRig {
 	r := &batchRig{clk: NewClock(), waited: map[int]time.Duration{}}
-	r.b = NewBatch(r.clk, &r.mu, size, func() error {
+	r.b = NewBatch(r.clk, size, func() error {
 		r.flusher = append(r.flusher, r.clk.CurrentProcID())
 		r.events = append(r.events, "flush")
 		r.clk.Advance(10 * time.Millisecond)
@@ -46,16 +44,13 @@ type member struct {
 	at    time.Duration
 }
 
-// join runs one member at virtual time start, as a transaction manager does:
-// Join with the owner's mutex held.
+// join runs one member at virtual time start.
 func (r *batchRig) join(start time.Duration, out *member) func() {
 	return func() {
 		r.clk.Advance(start)
 		r.clk.Yield()
-		r.mu.Lock()
 		out.slept, out.err = r.b.Join()
 		out.at = r.clk.Now()
-		r.mu.Unlock()
 	}
 }
 
@@ -185,8 +180,6 @@ func TestBatchFlushWakesSleepers(t *testing.T) {
 		func() {
 			r.clk.Advance(time.Second)
 			r.clk.Yield()
-			r.mu.Lock()
-			defer r.mu.Unlock()
 			if out.at != 0 {
 				t.Error("Join returned before any flush")
 			}

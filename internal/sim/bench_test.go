@@ -38,14 +38,13 @@ func BenchmarkWakeStorm(b *testing.B) {
 	const n = 64
 	clock := NewClock()
 	sched := NewScheduler(clock)
-	var mu fakeMutex
 	var q WaitQueue
 	rounds := b.N/n + 1
 	for i := 0; i < n; i++ {
 		sched.Spawn("waiter", func() {
 			for r := 0; r < rounds; r++ {
 				clock.Advance(time.Microsecond)
-				q.Wait(clock, &mu)
+				q.Wait(clock)
 			}
 		})
 	}

@@ -18,7 +18,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -26,13 +25,17 @@ import (
 // clock at time zero, ready to use. While a Scheduler is attached and a
 // virtual process is running, Now and Advance operate on that proc's private
 // virtual-time cursor; otherwise they operate on the global cursor.
+//
+// A Clock has no lock of its own, and neither has anything built on it: it
+// must be used from proc context — whichever goroutine holds the scheduler's
+// token — or from the main goroutine while no scheduler runs. The token's
+// channel handoffs order every access.
 type Clock struct {
-	mu     sync.Mutex
 	now    time.Duration
 	strict bool
 
 	sched *Scheduler
-	cur   *Proc
+	cur   *Proc // the running proc; nil between dispatches and outside Run
 	stall []func() bool
 }
 
@@ -42,20 +45,11 @@ func NewClock() *Clock { return &Clock{} }
 // Now returns the current simulated time: the running proc's cursor in proc
 // context, the global cursor otherwise.
 //
-//simlint:tokensafe(routes to the current proc's own cursor; callers hold the token by construction — outside proc context it falls back to the global clock under the mutex)
+//simlint:tokensafe(routes to the current proc's own cursor; callers hold the token by construction — outside proc context it falls back to the global clock, which only the main goroutine uses)
 func (c *Clock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.cur != nil {
 		return c.cur.now
 	}
-	return c.now
-}
-
-// globalNow returns the global cursor regardless of proc context.
-func (c *Clock) globalNow() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.now
 }
 
@@ -64,16 +58,13 @@ func (c *Clock) globalNow() time.Duration {
 // time run backwards — except in strict mode (SetStrict), where they panic
 // so scheduler bugs cannot masquerade as time standing still.
 //
-//simlint:tokensafe(routes to the current proc's own cursor; callers hold the token by construction — outside proc context it falls back to the global clock under the mutex)
+//simlint:tokensafe(routes to the current proc's own cursor; callers hold the token by construction — outside proc context it falls back to the global clock, which only the main goroutine uses)
 func (c *Clock) Advance(d time.Duration) {
-	c.mu.Lock()
 	if d < 0 && c.strict {
-		c.mu.Unlock()
 		//simlint:alloc(cold strict-mode panic diagnostic)
 		panic(fmt.Sprintf("sim: negative clock advance %v", d))
 	}
 	if d <= 0 {
-		c.mu.Unlock()
 		return
 	}
 	if c.cur != nil {
@@ -81,14 +72,12 @@ func (c *Clock) Advance(d time.Duration) {
 	} else {
 		c.now += d
 	}
-	c.mu.Unlock()
 }
 
 // AdvanceTo moves the clock forward to t if t is later than the current time.
 //
 //simlint:tokensafe(documented main-goroutine API for between-run catch-up; the scheduler is detached when it runs)
 func (c *Clock) AdvanceTo(t time.Duration) {
-	c.mu.Lock()
 	if c.cur != nil {
 		if t > c.cur.now {
 			c.cur.now = t
@@ -96,23 +85,14 @@ func (c *Clock) AdvanceTo(t time.Duration) {
 	} else if t > c.now {
 		c.now = t
 	}
-	c.mu.Unlock()
 }
 
 // SetStrict toggles strict mode: negative Advance durations panic instead of
 // being ignored. Tests enable this so a miscomputed delay fails loudly.
-func (c *Clock) SetStrict(on bool) {
-	c.mu.Lock()
-	c.strict = on
-	c.mu.Unlock()
-}
+func (c *Clock) SetStrict(on bool) { c.strict = on }
 
 // Reset rewinds the clock to zero. Intended for test setup only.
-func (c *Clock) Reset() {
-	c.mu.Lock()
-	c.now = 0
-	c.mu.Unlock()
-}
+func (c *Clock) Reset() { c.now = 0 }
 
 // String formats the current simulated time.
 func (c *Clock) String() string {
@@ -121,8 +101,6 @@ func (c *Clock) String() string {
 
 // attach binds a scheduler to the clock. Exactly one may be attached.
 func (c *Clock) attach(s *Scheduler) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.sched != nil {
 		panic("sim: clock already has a scheduler attached")
 	}
@@ -131,37 +109,19 @@ func (c *Clock) attach(s *Scheduler) {
 
 // detach unbinds the scheduler when its Run completes.
 func (c *Clock) detach(s *Scheduler) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.sched == s {
 		c.sched = nil
 		c.cur = nil
 	}
 }
 
-// setCurrent records which proc is running; nil between dispatches.
-func (c *Clock) setCurrent(p *Proc) {
-	c.mu.Lock()
-	c.cur = p
-	c.mu.Unlock()
-}
-
-// currentProc returns the running proc, or nil outside proc context.
-func (c *Clock) currentProc() *Proc {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cur
-}
-
 // InProc reports whether the caller is executing inside a virtual process.
-func (c *Clock) InProc() bool { return c.currentProc() != nil }
+func (c *Clock) InProc() bool { return c.cur != nil }
 
 // CurrentProcID returns the running proc's id, or -1 outside proc context.
 // Observability layers use it to attribute events to virtual processes
 // without holding a reference to the scheduler.
 func (c *Clock) CurrentProcID() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.cur == nil {
 		return -1
 	}
@@ -171,16 +131,12 @@ func (c *Clock) CurrentProcID() int {
 // Yield is a cooperative scheduling point: if another runnable proc is
 // earlier in virtual time, the current proc parks and the scheduler resumes
 // the earlier one. Outside proc context, or when the current proc is still
-// the earliest, it is a no-op — so MPL=1 code paths are unaffected. Callers
-// must not hold any mutex across Yield: the parked proc cannot release it
-// and every other proc needing it would wedge the real goroutines.
+// the earliest, it is a no-op — so MPL=1 code paths are unaffected.
 //
 //simlint:noalloc
 //simlint:tokensafe(no-op outside proc context; in proc context the caller holds the token)
 func (c *Clock) Yield() {
-	c.mu.Lock()
 	p, s := c.cur, c.sched
-	c.mu.Unlock()
 	if p == nil || !s.shouldPreempt(p) {
 		return
 	}
@@ -197,10 +153,7 @@ func (c *Clock) Yield() {
 //simlint:noalloc
 //simlint:tokensafe(reads the runnable heap under the token; returns false when no scheduler is attached)
 func (c *Clock) OtherRunnable() bool {
-	c.mu.Lock()
-	s := c.sched
-	c.mu.Unlock()
-	return s != nil && len(s.runnable) > 0
+	return c.sched != nil && len(c.sched.runnable) > 0
 }
 
 // OnStall registers a hook the scheduler calls when every live proc is
@@ -209,18 +162,11 @@ func (c *Clock) OtherRunnable() bool {
 // must not advance the clock — typically it flags work as due and wakes a
 // waiter to perform it in proc context. This is the discrete-event
 // analogue of a group-commit timeout firing.
-func (c *Clock) OnStall(fn func() bool) {
-	c.mu.Lock()
-	c.stall = append(c.stall, fn)
-	c.mu.Unlock()
-}
+func (c *Clock) OnStall(fn func() bool) { c.stall = append(c.stall, fn) }
 
 // fireStallHooks runs the registered hooks until one reports progress.
 func (c *Clock) fireStallHooks() bool {
-	c.mu.Lock()
-	hooks := append([]func() bool(nil), c.stall...)
-	c.mu.Unlock()
-	for _, fn := range hooks {
+	for _, fn := range c.stall {
 		if fn() {
 			return true
 		}

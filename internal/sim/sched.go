@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -33,9 +32,9 @@ func (s procState) String() string {
 // running proc's cursor, so N procs accumulate simulated time independently
 // and the scheduler interleaves them by resuming whichever runnable proc is
 // earliest in virtual time. Procs are backed by goroutines, but exactly one
-// is ever unparked, so code running inside a proc needs no additional
-// synchronization against other procs — only against real concurrent
-// goroutines (the -race tests), which the existing mutexes already cover.
+// is ever unparked, so code running inside a proc needs no synchronization
+// at all: no other goroutine exists in the simulation packages, tests
+// included (rawgo and TestNoGoStatementInSimulationTests hold that line).
 type Proc struct {
 	id    int
 	name  string
@@ -159,7 +158,7 @@ func (s *Scheduler) Spawn(name string, body func()) *Proc {
 		name:   name,
 		sched:  s,
 		body:   body,
-		now:    s.clock.globalNow(),
+		now:    s.clock.now,
 		resume: make(chan struct{}),
 	}
 	s.procs = append(s.procs, p)
@@ -223,7 +222,7 @@ func (s *Scheduler) Run() {
 		<-s.parked
 		h := s.handback
 		s.handback = nil
-		s.clock.setCurrent(nil)
+		s.clock.cur = nil
 		if h.didPanic {
 			panic(h.panicV)
 		}
@@ -244,7 +243,7 @@ func (s *Scheduler) Run() {
 //
 //simlint:noalloc
 func (s *Scheduler) startRun(p *Proc) {
-	s.clock.setCurrent(p)
+	s.clock.cur = p
 	s.dispatches++
 	p.resume <- struct{}{}
 }
@@ -342,10 +341,10 @@ func (h *procHeap) popMin() *Proc {
 }
 
 // WaitQueue is a condition-variable analogue for virtual processes: Wait
-// suspends the calling proc (releasing the caller's mutex for the duration)
-// until Broadcast or WakeOne runs it again, and charges the wait to the
-// proc's blocked time. A waiter resumes at max(its own time, the waker's
-// time), preserving per-proc monotonicity. The zero value is ready to use.
+// suspends the calling proc until Broadcast or WakeOne runs it again, and
+// charges the wait to the proc's blocked time. A waiter resumes at max(its own
+// time, the waker's time), preserving per-proc monotonicity. The zero value is
+// ready to use.
 //
 // The waiters form a procHeap, so insertion order never matters: WakeOne
 // pops exactly the proc the previous sort-on-every-wake implementation
@@ -366,23 +365,20 @@ type WaitQueue struct {
 //simlint:tokensafe(length read under the token; documented proc-context/stall-hook API)
 func (q *WaitQueue) Empty() bool { return len(q.waiters) == 0 }
 
-// Wait suspends the current proc until woken, releasing mu while suspended
-// and re-acquiring it before returning. It returns the virtual time the
-// proc spent blocked. Must be called from proc context with mu held.
+// Wait suspends the current proc until woken and returns the virtual time it
+// spent blocked. Must be called from proc context.
 //
 //simlint:noalloc
 //simlint:tokensafe(panics outside proc context before touching any guarded state)
-func (q *WaitQueue) Wait(c *Clock, mu sync.Locker) time.Duration {
-	p := c.currentProc()
+func (q *WaitQueue) Wait(c *Clock) time.Duration {
+	p := c.cur
 	if p == nil {
 		panic("sim: WaitQueue.Wait outside proc context")
 	}
 	q.waiters.push(p)
 	start := p.now
 	p.state = procBlocked
-	mu.Unlock()
 	p.park()
-	mu.Lock()
 	return p.now - start
 }
 

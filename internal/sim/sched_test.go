@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 )
@@ -63,24 +62,19 @@ func TestSchedulerSingleProcDegenerate(t *testing.T) {
 func TestWaitQueueBlockedTime(t *testing.T) {
 	clk := NewClock()
 	s := NewScheduler(clk)
-	var mu sync.Mutex
 	var q WaitQueue
 	ready := false
 	var blocked time.Duration
 
 	waiter := s.Spawn("waiter", func() {
-		mu.Lock()
 		for !ready {
-			blocked += q.Wait(clk, &mu)
+			blocked += q.Wait(clk)
 		}
-		mu.Unlock()
 	})
 	s.Spawn("waker", func() {
 		clk.Advance(40 * time.Millisecond)
-		mu.Lock()
 		ready = true
 		q.Broadcast(clk)
-		mu.Unlock()
 	})
 	s.Run()
 
@@ -99,22 +93,17 @@ func TestWaitQueueBlockedTime(t *testing.T) {
 // runs and can wake one to make progress.
 func TestStallHookResolves(t *testing.T) {
 	clk := NewClock()
-	var mu sync.Mutex
 	var q WaitQueue
 	released := false
 	clk.OnStall(func() bool {
-		mu.Lock()
-		defer mu.Unlock()
 		released = true
 		return q.WakeOne(clk)
 	})
 	s := NewScheduler(clk)
 	s.Spawn("sleeper", func() {
-		mu.Lock()
 		for !released {
-			q.Wait(clk, &mu)
+			q.Wait(clk)
 		}
-		mu.Unlock()
 	})
 	s.Run()
 	if !released {
@@ -131,13 +120,10 @@ func TestSchedulerStallPanics(t *testing.T) {
 		}
 	}()
 	clk := NewClock()
-	var mu sync.Mutex
 	var q WaitQueue
 	s := NewScheduler(clk)
 	s.Spawn("stuck", func() {
-		mu.Lock()
-		q.Wait(clk, &mu)
-		mu.Unlock()
+		q.Wait(clk)
 	})
 	s.Run()
 }

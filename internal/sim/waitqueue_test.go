@@ -59,7 +59,6 @@ func TestWaitQueueWakeOneOrder(t *testing.T) {
 	clock := NewClock()
 	sched := NewScheduler(clock)
 	const n = 16
-	var mu fakeMutex
 	var q WaitQueue
 	var wakeOrder []int
 	for i := 0; i < n; i++ {
@@ -67,7 +66,7 @@ func TestWaitQueueWakeOneOrder(t *testing.T) {
 		sched.Spawn("waiter", func() {
 			// Arrival times deliberately collide across ids.
 			clock.Advance(time.Duration((i*7)%4) * time.Millisecond)
-			q.Wait(clock, &mu)
+			q.Wait(clock)
 			wakeOrder = append(wakeOrder, i)
 		})
 	}
@@ -138,10 +137,3 @@ func removeProc(ps []*Proc, p *Proc) []*Proc {
 	}
 	return out
 }
-
-// fakeMutex satisfies sync.Locker for WaitQueue tests that have no real
-// critical section.
-type fakeMutex struct{}
-
-func (fakeMutex) Lock()   {}
-func (fakeMutex) Unlock() {}

@@ -170,8 +170,6 @@ func (fs *FS[N]) create(path string, mode uint32) (N, error) {
 
 // Create implements vfs.FileSystem.
 func (fs *FS[N]) Create(path string) (vfs.File, error) {
-	fs.ops.Mu.Lock()
-	defer fs.ops.Mu.Unlock()
 	in, err := fs.create(path, ModeFile)
 	if err != nil {
 		return nil, err
@@ -181,16 +179,12 @@ func (fs *FS[N]) Create(path string) (vfs.File, error) {
 
 // Mkdir implements vfs.FileSystem.
 func (fs *FS[N]) Mkdir(path string) error {
-	fs.ops.Mu.Lock()
-	defer fs.ops.Mu.Unlock()
 	_, err := fs.create(path, ModeDir)
 	return err
 }
 
 // Open implements vfs.FileSystem.
 func (fs *FS[N]) Open(path string) (vfs.File, error) {
-	fs.ops.Mu.Lock()
-	defer fs.ops.Mu.Unlock()
 	in, err := fs.LookupLocked(path)
 	if err != nil {
 		return nil, err
@@ -203,8 +197,6 @@ func (fs *FS[N]) Open(path string) (vfs.File, error) {
 
 // ReadDir implements vfs.FileSystem.
 func (fs *FS[N]) ReadDir(path string) ([]vfs.DirEntry, error) {
-	fs.ops.Mu.Lock()
-	defer fs.ops.Mu.Unlock()
 	in, err := fs.LookupLocked(path)
 	if err != nil {
 		return nil, err
@@ -223,8 +215,6 @@ func (fs *FS[N]) ReadDir(path string) ([]vfs.DirEntry, error) {
 
 // Stat implements vfs.FileSystem.
 func (fs *FS[N]) Stat(path string) (vfs.FileInfo, error) {
-	fs.ops.Mu.Lock()
-	defer fs.ops.Mu.Unlock()
 	in, err := fs.LookupLocked(path)
 	if err != nil {
 		return vfs.FileInfo{}, err
@@ -243,8 +233,6 @@ func (fs *FS[N]) Stat(path string) (vfs.FileInfo, error) {
 // Remove implements vfs.FileSystem: unlink a file or remove an empty
 // directory.
 func (fs *FS[N]) Remove(path string) error {
-	fs.ops.Mu.Lock()
-	defer fs.ops.Mu.Unlock()
 	dir, base, err := fs.nameiParent(path, nil)
 	if err != nil {
 		return err
@@ -280,8 +268,6 @@ func (fs *FS[N]) Remove(path string) error {
 
 // Rename implements vfs.FileSystem.
 func (fs *FS[N]) Rename(oldPath, newPath string) error {
-	fs.ops.Mu.Lock()
-	defer fs.ops.Mu.Unlock()
 	oldDir, oldBase, err := fs.nameiParent(oldPath, nil)
 	if err != nil {
 		return err
@@ -318,8 +304,6 @@ func (fs *FS[N]) Rename(oldPath, newPath string) error {
 // off — the paper's "provided utility" (§4). It has no effect on the normal
 // read/write path; the embedded transaction manager consults it.
 func (fs *FS[N]) SetTxnProtected(path string, on bool) error {
-	fs.ops.Mu.Lock()
-	defer fs.ops.Mu.Unlock()
 	in, err := fs.LookupLocked(path)
 	if err != nil {
 		return err

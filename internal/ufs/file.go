@@ -28,8 +28,6 @@ func (f *File[N]) Size() (int64, error) {
 	if f.closed {
 		return 0, vfs.ErrFileClosed
 	}
-	f.fs.ops.Mu.Lock()
-	defer f.fs.ops.Mu.Unlock()
 	return f.in.Hdr().Size, nil
 }
 
@@ -39,8 +37,6 @@ func (f *File[N]) Close() error {
 		return vfs.ErrFileClosed
 	}
 	f.closed = true
-	f.fs.ops.Mu.Lock()
-	defer f.fs.ops.Mu.Unlock()
 	f.in.Hdr().Refs--
 	return nil
 }
@@ -51,8 +47,6 @@ func (f *File[N]) Sync() error {
 	if f.closed {
 		return vfs.ErrFileClosed
 	}
-	f.fs.ops.Mu.Lock()
-	defer f.fs.ops.Mu.Unlock()
 	if h := f.in.Hdr(); f.fs.ops.InodeAtSync && h.Dirty {
 		h.AttrDirty = true
 	}
@@ -67,8 +61,6 @@ func (f *File[N]) ReadAt(p []byte, off int64) (int, error) {
 	if f.closed {
 		return 0, vfs.ErrFileClosed
 	}
-	f.fs.ops.Mu.Lock()
-	defer f.fs.ops.Mu.Unlock()
 	if err := f.fs.ops.Tick(); err != nil {
 		return 0, err
 	}
@@ -82,8 +74,6 @@ func (f *File[N]) WriteAt(p []byte, off int64) (int, error) {
 	if f.closed {
 		return 0, vfs.ErrFileClosed
 	}
-	f.fs.ops.Mu.Lock()
-	defer f.fs.ops.Mu.Unlock()
 	if err := f.fs.ops.Tick(); err != nil {
 		return 0, err
 	}
@@ -95,28 +85,13 @@ func (f *File[N]) Truncate(size int64) error {
 	if f.closed {
 		return vfs.ErrFileClosed
 	}
-	f.fs.ops.Mu.Lock()
-	defer f.fs.ops.Mu.Unlock()
 	return f.fs.ops.Truncate(f.in, size)
 }
 
 // TxnProtected reports whether the file carries the transaction-protection
 // attribute.
 func (f *File[N]) TxnProtected() bool {
-	f.fs.ops.Mu.Lock()
-	defer f.fs.ops.Mu.Unlock()
 	return f.in.Hdr().TxnProtected()
-}
-
-// GetPage pins the buffer for logical block lbn, fetching it if absent: a
-// page handle a transaction manager can hold uncommitted pages through.
-func (f *File[N]) GetPage(lbn int64) (*buffer.Buf, error) {
-	if f.closed {
-		return nil, vfs.ErrFileClosed
-	}
-	f.fs.ops.Mu.Lock()
-	defer f.fs.ops.Mu.Unlock()
-	return f.fs.ops.Pool.Get(buffer.BlockID{File: f.ID(), Block: lbn}, f.fs.ops.Fetch)
 }
 
 // readAt reads up to len(p) bytes at off, bounded by the file size.

@@ -10,8 +10,6 @@
 package ufs
 
 import (
-	"sync"
-
 	"repro/internal/buffer"
 	"repro/internal/sim"
 )
@@ -66,11 +64,10 @@ func (in *Inode) TxnProtected() bool { return in.Flags&FlagTxnProtected != 0 }
 // Node is a file system's inode: a pointer to a struct embedding Inode.
 type Node interface{ Hdr() *Inode }
 
-// Ops is what a file system supplies: its mutex, cache and clock, and the
-// operations that depend on where inodes and blocks live. The functions are
-// bound once at mount and every one is called with Mu held.
+// Ops is what a file system supplies: its cache and clock, and the operations
+// that depend on where inodes and blocks live. The functions are bound once at
+// mount.
 type Ops[N Node] struct {
-	Mu    *sync.Mutex // the file system's mutex; it guards this layer too
 	Pool  *buffer.Pool
 	Clock *sim.Clock
 	Fetch buffer.Fetch // loads a file block on a cache miss
@@ -107,7 +104,9 @@ type Ops[N Node] struct {
 	InodeAtSync bool
 }
 
-// FS is the shared layer of one mounted file system.
+// FS is the shared layer of one mounted file system. Like the file system that
+// embeds it, it has no lock: it must be used from proc context, or from the
+// main goroutine while no scheduler runs.
 type FS[N Node] struct {
 	ops     Ops[N]
 	bs      int64
