@@ -134,8 +134,8 @@ func (p *Pool) SetTracer(tr *trace.Tracer, prefix string) {
 // New creates a pool of capacity blocks of blockSize bytes. writeback is
 // invoked whenever a dirty block must be persisted: by the eviction that makes
 // room for a miss and by FlushAll, both in the middle of a walk over the pool,
-// so it must not call back into the pool. It may be nil for pools that are flushed only explicitly
-// via Dirty/MarkClean.
+// so it must not call back into the pool. It may be nil for pools that are
+// flushed only explicitly via Dirty/MarkClean.
 func New(capacity, blockSize int, writeback WriteBack) *Pool {
 	if capacity < 1 {
 		capacity = 1

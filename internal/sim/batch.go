@@ -40,9 +40,10 @@ type outcome struct {
 }
 
 // NewBatch returns a rendezvous of up to size members and registers its stall
-// arm with the clock. flush forces everything joined so far; waited, when non-nil, is told how long a member slept as soon
-// as it wakes for good, before it flushes or returns (commit-wait
-// attribution). Both are stored once, so Join allocates nothing for them.
+// arm with the clock. flush forces everything joined so far; waited, when
+// non-nil, is told how long a member slept as soon as it wakes for good,
+// before it flushes or returns (commit-wait attribution). Both are stored
+// once, so Join allocates nothing for them.
 func NewBatch(c *Clock, size int, flush func() error, waited func(time.Duration)) *Batch {
 	b := &Batch{clock: c, size: size, flush: flush, waited: waited}
 	c.OnStall(b.stall)

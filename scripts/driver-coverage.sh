@@ -60,7 +60,8 @@ run benchmark -quick -trace 1
 run waldump
 run waldump -segbytes 4096 -txns 200
 run waldump -system user-ffs -checkpoint
-run lfsdump
+run lfsdump -save lfs.img
+run lfsdump -load lfs.img
 for example in quickstart banking kvstore inventory; do
 	run $example
 done
