@@ -140,7 +140,7 @@ type Report struct {
 	MeanRecovery    time.Duration `json:"mean_recovery_ns"`  // mean simulated recovery time
 	MaxRecovery     time.Duration `json:"max_recovery_ns"`   // worst simulated recovery time
 	CheckpointOps   int64         `json:"checkpoint_ops"`    // ops inside harness checkpoints/drain
-	CleanerTxnSpans int           `json:"cleaner_txn_spans"` // transactions whose span included cleaning or a WAL segment event
+	CleanerTxnSpans int           `json:"cleaner_txn_spans"` // transactions whose span included cleaning, a stage sweep or a WAL segment event
 	MeanReplayTxns  int           `json:"mean_replay_txns"`  // mean committed txns at the crash point
 
 	// Recovery-scan totals, summed over surviving user-level recoveries:
@@ -211,15 +211,18 @@ func checkpointRig(rig *tpcb.Rig) error {
 }
 
 // denseEvents snapshots the rig-wide counters whose changes mark a span as
-// dense: LFS auto-checkpoints and cleaner passes, and WAL segment rotations,
-// seals, checkpoint truncations/archivals, and checkpoint records (none
-// under the embedded manager). Crashing on every op of such spans covers
-// torn blocks at segment tails, half-written index files, and interrupted
-// truncations.
+// dense: LFS auto-checkpoints and cleaner passes, sweeps of FFS's full stage,
+// and WAL segment rotations, seals, checkpoint truncations/archivals, and
+// checkpoint records (none under the embedded manager). Crashing on every op
+// of such spans covers torn blocks at segment tails, half-written index files,
+// interrupted truncations, and a stage half swept into place.
 func denseEvents(rig *tpcb.Rig) int64 {
 	var n int64
 	if st := rig.LFSStats(); st != nil {
 		n += st.Checkpoints + st.Cleaner.Runs
+	}
+	if st := rig.FFSStats(); st != nil {
+		n += st.StagedFlushes
 	}
 	if st := rig.WALStats(); st != nil {
 		n += st.Rotations + st.SegmentsSealed + st.SegmentsDeleted + st.SegmentsArchived + st.Checkpoints

@@ -151,6 +151,37 @@ func TestSweepDirectRangeTorn(t *testing.T) {
 	}
 }
 
+// TestSweepStagedEvictions sweeps a database about eight times user-ffs's
+// caches, so that the file system evicts dirty blocks into its stage and
+// sweeps the full stage into place mid-transaction (every op of such a
+// transaction is a dense crash point); every write op is a crash point, torn.
+// The smaller sweeps above never evict a dirty block on FFS, so without this
+// one no crash lands with a block staged.
+func TestSweepStagedEvictions(t *testing.T) {
+	opts := smallOpts("user-ffs", true)
+	opts.Config.Accounts = 20000
+	opts.Txns, opts.MaxPoints = 240, 0
+	if err := opts.fill(); err != nil {
+		t.Fatal(err)
+	}
+	golden, _, _, err := goldenRun(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := golden.FFSStats(); st.BlocksStaged == 0 || st.StagedFlushes == 0 {
+		t.Fatalf("the golden run staged %d blocks in %d sweeps: the sweep would crash with nothing staged", st.BlocksStaged, st.StagedFlushes)
+	}
+	rep, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSurvived(t, rep)
+	if rep.CleanerTxnSpans == 0 {
+		t.Fatal("no transaction span swept the stage")
+	}
+	t.Logf("staged %+v; %s", *golden.FFSStats(), rep)
+}
+
 // TestSweepSamplingCoversCheckpoints checks the dense sampler actually put
 // points inside checkpoint processing, not just at commit boundaries.
 func TestSweepSamplingCoversCheckpoints(t *testing.T) {

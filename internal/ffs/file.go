@@ -50,8 +50,9 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 			last := &in.extents[n-1]
 			fs.freeBlock(last.Start + last.Len - 1)
 			last.Len--
-			blkNo := in.blocks()
-			_ = fs.pool.Invalidate(buffer.BlockID{File: vfs.FileID(in.Ino), Block: blkNo})
+			id := buffer.BlockID{File: vfs.FileID(in.Ino), Block: in.blocks()}
+			_ = fs.pool.Invalidate(id)
+			fs.stage.Unpark(id)
 			if last.Len == 0 {
 				in.extents = in.extents[:n-1]
 			}

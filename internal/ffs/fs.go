@@ -8,9 +8,15 @@ import (
 	"repro/internal/detsort"
 	"repro/internal/disk"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/ufs"
 	"repro/internal/vfs"
 )
+
+// stageBlocks bounds the write-behind stage: LFS's default segment, 128 blocks
+// (512 KB), so both file systems stage evicted dirty blocks in the same
+// memory.
+const stageBlocks = 128
 
 // Options configures the file system.
 type Options struct {
@@ -39,8 +45,10 @@ func (o *Options) fill() {
 
 // Stats reports file system activity.
 type Stats struct {
-	SyncerRuns    int64 `json:"syncer_runs"`    // periodic delayed-write flushes
-	BlocksFlushed int64 `json:"blocks_flushed"` // blocks pushed out by the syncer
+	SyncerRuns    int64 `json:"syncer_runs"`    // passes of the 30-second syncer
+	BlocksFlushed int64 `json:"blocks_flushed"` // data blocks any flush wrote in place, from the cache or the stage
+	BlocksStaged  int64 `json:"blocks_staged"`  // dirty blocks the cache evicted into the stage
+	StagedFlushes int64 `json:"staged_flushes"` // sweeps of a full stage
 }
 
 // upper is the layer FFS shares with LFS: namespace, directories and open
@@ -67,11 +75,14 @@ type FS struct {
 	nextIno    Ino
 	cursor     int64 // rotating allocation cursor
 	lastSyncer time.Duration
+	// stage holds evicted dirty blocks until a flush sweeps them into place.
+	stage *ufs.Stage
 	// tableCache holds inode-table blocks (write-through), as the real
 	// FFS caches inode blocks in the buffer cache: commit-time fsyncs
 	// rewrite an inode without re-reading its table block from disk.
 	tableCache map[int64][]byte
 	stats      Stats
+	tracer     *trace.Tracer // nil = tracing off
 }
 
 // readTableBlock returns a cached inode-table block, reading it once.
@@ -208,13 +219,14 @@ func Mount(dev disk.BlockDevice, clock *sim.Clock, opts Options) (*FS, error) {
 	return fs, nil
 }
 
-// attach builds the buffer cache, the disk queue and the shared upper layer
-// over them. The vector is what FFS does its own way: inodes live in a fixed
-// table and are written through, blocks are allocated when a write first
-// reaches them, and delayed writes age out on a 30-second syncer. Directories
-// are padded to whole blocks (see ufs.New).
+// attach builds the buffer cache, the stage, the disk queue and the shared
+// upper layer over them. The vector is what FFS does its own way: inodes live
+// in a fixed table and are written through, blocks are allocated when a write
+// first reaches them, and delayed writes age out on a 30-second syncer.
+// Directories are padded to whole blocks (see ufs.New).
 func (fs *FS) attach() {
 	fs.pool = buffer.New(fs.opts.CacheBlocks, fs.blockSize, fs.writeback)
+	fs.stage = ufs.NewStage(stageBlocks, fs.blockSize)
 	fs.queue = disk.NewQueue(fs.dev)
 	fs.upper = ufs.New(ufs.Ops[*inode]{
 		Pool:     fs.pool,
@@ -229,7 +241,7 @@ func (fs *FS) attach() {
 		Reserve:  fs.ensureMapped,
 		Truncate: fs.truncateLocked,
 		Sync:     fs.syncFileLocked,
-		Tick:     fs.maybeSyncerLocked,
+		Tick:     fs.tickLocked,
 
 		InodeAtSync: fs.opts.InodeAtSync,
 	}, true)
@@ -250,6 +262,13 @@ func (fs *FS) Device() disk.BlockDevice { return fs.dev }
 // Stats returns a snapshot of the counters.
 func (fs *FS) Stats() Stats {
 	return fs.stats
+}
+
+// SetTracer attaches a tracer; sweeps of a full stage then emit
+// ffs.stageFlush spans carrying the number of blocks written. A nil tracer
+// costs nothing.
+func (fs *FS) SetTracer(tr *trace.Tracer) {
+	fs.tracer = tr
 }
 
 // --- bitmap allocator ---
@@ -291,21 +310,27 @@ func (fs *FS) freeBlock(b int64) {
 
 // --- buffer cache plumbing ---
 
-// writeback persists an evicted dirty block in place.
+// writeback is the buffer pool's dirty-eviction callback. The block is not
+// written: it is parked in the stage, fetchBlock serves it from there, and it
+// reaches its in-place address with the next flush — the stage's own sweep
+// once evictions have filled it, or the syncer, FS.Sync or its file's Sync,
+// whichever comes first. The sweep cannot run here: the pool is mid-eviction,
+// and the flush walks its dirty set and marks buffers clean.
+//
+//simlint:noalloc
 func (fs *FS) writeback(id buffer.BlockID, data []byte) error {
-	in, err := fs.loadInodeLocked(Ino(id.File))
-	if err != nil {
-		return err
-	}
-	addr := in.mapBlock(id.Block)
-	if addr == 0 {
-		return fmt.Errorf("ffs: writeback of unmapped block %v", id)
-	}
-	return fs.dev.Write(addr, data)
+	fs.stage.Park(id, data)
+	fs.stats.BlocksStaged++
+	return nil
 }
 
-// fetchBlock loads a block on cache miss.
+// fetchBlock loads a block on cache miss: from the stage if it is parked
+// there, else from its in-place address.
 func (fs *FS) fetchBlock(id buffer.BlockID, dst []byte) error {
+	if data, ok := fs.stage.Lookup(id); ok {
+		copy(dst, data)
+		return nil
+	}
 	in, err := fs.loadInodeLocked(Ino(id.File))
 	if err != nil {
 		return err
@@ -320,24 +345,34 @@ func (fs *FS) fetchBlock(id buffer.BlockID, dst []byte) error {
 	return fs.dev.Read(addr, dst)
 }
 
-// maybeSyncerLocked models the 30-second update daemon: when the interval
-// has elapsed, push all dirty buffers out through the C-SCAN-sorted queue and
-// then the inodes that changed. This is where a modification time becomes
-// durable: File.Sync leaves alone an inode that is merely Dirty.
-func (fs *FS) maybeSyncerLocked() error {
-	now := fs.clock.Now()
-	if now-fs.lastSyncer < fs.opts.SyncInterval {
+// tickLocked runs before every read and write of an open file. It models the
+// 30-second update daemon: when the interval has elapsed, push the staged and
+// all dirty buffers out through the C-SCAN-sorted queue and then the inodes
+// that changed — this is where a modification time becomes durable, since
+// File.Sync leaves alone an inode that is merely Dirty. Between passes, a
+// stage that evictions have filled is swept into place on its own.
+func (fs *FS) tickLocked() error {
+	if now := fs.clock.Now(); now-fs.lastSyncer >= fs.opts.SyncInterval {
+		fs.lastSyncer = now
+		fs.stats.SyncerRuns++
+		fs.stage.TakeFull() // the pass empties the stage
+		return fs.flushAllLocked()
+	}
+	if !fs.stage.TakeFull() {
 		return nil
 	}
-	fs.lastSyncer = now
-	return fs.flushAllLocked()
+	span := fs.tracer.Begin("ffs", "ffs.stageFlush")
+	n, err := fs.flushLocked(nil, false)
+	fs.stats.StagedFlushes++
+	span.End(trace.AI("blocks", int64(n)))
+	return err
 }
 
-// flushAllLocked pushes every dirty buffer out through the sorted queue and
-// then stores every changed inode, in inode order — the data first, so that
-// no slot on the device maps a block whose contents are not there.
+// flushAllLocked pushes every staged and dirty block out through the sorted
+// queue and then stores every changed inode, in inode order — the data first,
+// so that no slot on the device maps a block whose contents are not there.
 func (fs *FS) flushAllLocked() error {
-	if err := fs.flushDirtyLocked(nil); err != nil {
+	if _, err := fs.flushLocked(nil, true); err != nil {
 		return err
 	}
 	for _, ino := range detsort.Keys(fs.inodes) {
@@ -350,43 +385,77 @@ func (fs *FS) flushAllLocked() error {
 	return nil
 }
 
-// flushDirtyLocked pushes dirty (unheld) buffers — all of them, or just one
-// file's — through the sorted disk queue. A buffer comes back clean only once
-// the flush that carried it has succeeded: the queue drops what it has not
-// serviced when a write fails, so after an error every buffer of the flush
-// stays dirty and the next flush writes it (again, for those that made it).
-// Nothing between Dirty and the flush calls pool.Get, so the unpinned buffers
-// keep their frames.
-func (fs *FS) flushDirtyLocked(only *Ino) error {
-	dirty := fs.pool.Dirty()
-	n := 0
+// flushLocked writes the staged blocks — and, with cached, the dirty unheld
+// buffers — of one file or of all (only nil) in place, in one C-SCAN sweep of
+// the disk queue, and returns how many blocks it wrote. A staged block whose
+// buffer is dirty and unheld again is superseded by it: the staged copy is
+// dropped, and the buffer is written by this flush if cached is set, by a later
+// one if not. Nothing comes back clean or leaves the stage until the sweep has
+// succeeded: the queue drops what it has not serviced when a write fails, so
+// after an error every block of the flush is still dirty or staged and the
+// next flush writes it (again, for those that made it). Nothing between Dirty
+// and the sweep calls pool.Get, so the unpinned buffers keep their frames.
+func (fs *FS) flushLocked(only *Ino, cached bool) (int, error) {
+	var dirty []*buffer.Buf
+	switch {
+	case !cached:
+	case only == nil:
+		dirty = fs.pool.Dirty()
+	default:
+		dirty = fs.pool.DirtyFile(vfs.FileID(*only))
+	}
 	for _, b := range dirty {
-		if only != nil && Ino(b.ID.File) != *only {
+		if err := fs.enqueueLocked(b.ID, b.Data); err != nil {
+			return 0, err
+		}
+	}
+	var want func(vfs.FileID) bool
+	if only != nil {
+		want = func(f vfs.FileID) bool { return f == vfs.FileID(*only) }
+	}
+	staged := fs.stage.Blocks(want)
+	n := 0
+	for _, id := range staged {
+		if b := fs.pool.Lookup(id); b != nil && b.Dirty() && !b.Held() {
+			fs.stage.Unpark(id)
 			continue
 		}
-		in, err := fs.loadInodeLocked(Ino(b.ID.File))
-		if err != nil {
-			return err
+		data, _ := fs.stage.Lookup(id)
+		if err := fs.enqueueLocked(id, data); err != nil {
+			return 0, err
 		}
-		addr := in.mapBlock(b.ID.Block)
-		if addr == 0 {
-			return fmt.Errorf("ffs: dirty unmapped block %v", b.ID)
-		}
-		fs.queue.EnqueueWrite(addr, b.Data)
-		dirty[n] = b
+		staged[n] = id
 		n++
 	}
-	if n == 0 {
-		return nil
+	staged = staged[:n]
+	total := len(dirty) + n
+	if total == 0 {
+		return 0, nil
 	}
-	fs.stats.SyncerRuns++
-	fs.stats.BlocksFlushed += int64(n)
+	fs.stats.BlocksFlushed += int64(total)
 	if err := fs.queue.FlushSorted(); err != nil {
-		return err
+		return 0, err
 	}
-	for _, b := range dirty[:n] {
+	for _, b := range dirty {
 		fs.pool.MarkClean(b)
 	}
+	for _, id := range staged {
+		fs.stage.Unpark(id)
+	}
+	return total, nil
+}
+
+// enqueueLocked queues a write of block id's bytes to its in-place address.
+func (fs *FS) enqueueLocked(id buffer.BlockID, data []byte) error {
+	in, err := fs.loadInodeLocked(Ino(id.File))
+	if err != nil {
+		return err
+	}
+	addr := in.mapBlock(id.Block)
+	if addr == 0 {
+		return fmt.Errorf("ffs: dirty unmapped block %v", id)
+	}
+	fs.queue.EnqueueWrite(addr, data)
 	return nil
 }
 
@@ -559,23 +628,25 @@ func (fs *FS) freeInodeLocked(in *inode) error {
 	return nil
 }
 
-// releaseLocked drops an inode's cached buffers and frees its blocks.
+// releaseLocked drops an inode's cached and staged blocks and frees their
+// addresses, so that no stale block lands on an address reallocated later.
 func (fs *FS) releaseLocked(in *inode) error {
 	if err := fs.pool.InvalidateFile(vfs.FileID(in.Ino)); err != nil {
 		return err
 	}
+	fs.stage.UnparkFile(vfs.FileID(in.Ino))
 	fs.freeFileLocked(in)
 	return nil
 }
 
 // syncFileLocked is File.Sync (the contract is vfs.File's): flush the file's
-// dirty blocks, then store its inode if a crash could not otherwise rebuild
-// it — the block map or an attribute changed (AttrDirty). An overwrite of
-// mapped blocks changes the modification time only and writes no slot; the
+// staged and dirty blocks, then store its inode if a crash could not otherwise
+// rebuild it — the block map or an attribute changed (AttrDirty). An overwrite
+// of mapped blocks changes the modification time only and writes no slot; the
 // syncer stores that. The data goes first so that the slot never maps a block
 // whose contents are not on the device.
 func (fs *FS) syncFileLocked(in *inode) error {
-	if err := fs.flushDirtyLocked(&in.Ino); err != nil {
+	if _, err := fs.flushLocked(&in.Ino, true); err != nil {
 		return err
 	}
 	if in.AttrDirty {

@@ -53,7 +53,7 @@ func TestFsckReclaimsStaleBitmapAfterCrash(t *testing.T) {
 	// Directory entry for /grown must be durable too for this scenario
 	// (dir blocks are data blocks of the root inode).
 	rootIno := RootIno
-	err = fs.flushDirtyLocked(&rootIno)
+	_, err = fs.flushLocked(&rootIno, true)
 	if err == nil {
 		err = fs.storeInodeLocked(fs.inodes[RootIno])
 	}

@@ -16,8 +16,8 @@ import (
 	"repro/internal/vfs"
 )
 
-// cache is small so that eviction (in-place write-back on FFS, the orphan
-// table on LFS) is part of every test.
+// cache is small so that eviction (into the write-behind stage, ufs.Stage, on
+// both file systems) is part of every test.
 const cache = 48
 
 // targets are the three implementations of vfs.FileSystem: the

@@ -387,7 +387,7 @@ func (fs *FS) victimSummariesLocked(seg int64) ([]summary, error) {
 //  1. walk every victim's summaries (from the summary cache when possible)
 //     and test each entry for liveness — in memory, before any data I/O;
 //  2. read only the live data blocks, batched through one C-SCAN sweep of
-//     the disk queue, and park them in the orphan table; meta-data blocks
+//     the disk queue, and park them in the stage; meta-data blocks
 //     are merely re-dirtied (their in-memory contents are current);
 //  3. partition the relocated blocks by age and flush cold and hot groups
 //     into separate output segments, stamping each with its group's age;
@@ -482,13 +482,13 @@ func (fs *FS) cleanBatchLocked(victims []int64) error {
 			id := blockIDOf(le.e.Ino, le.e.Index)
 			relocIDs[id] = true
 			rb := relocBlock{id: id, age: le.age}
-			if _, parked := fs.orphans[id]; parked {
+			if _, parked := fs.stage.Lookup(id); parked {
 				// A newer, not-yet-flushed version is already staged.
 			} else if b := fs.pool.Lookup(id); b != nil && b.Dirty() && !b.Held() {
 				// A dirty resident buffer supersedes the on-disk copy and
 				// will be written by the scoped flush.
 			} else if b := fs.pool.Lookup(id); b != nil && !b.Dirty() {
-				copy(fs.parkLocked(id), b.Data)
+				copy(fs.stage.Frame(id), b.Data)
 			} else {
 				rb.buf = fs.frames.Take()
 				q.EnqueueRead(le.addr, rb.buf)
@@ -546,11 +546,10 @@ func (fs *FS) cleanBatchLocked(victims []int64) error {
 		if rb.buf == nil {
 			continue
 		}
-		if err != nil {
-			fs.frames.Give(rb.buf) // the reads stopped short: park nothing
-		} else {
-			fs.orphans[rb.id] = rb.buf
+		if err == nil { // else the reads stopped short: park nothing
+			copy(fs.stage.Frame(rb.id), rb.buf)
 		}
+		fs.frames.Give(rb.buf)
 	}
 	if err != nil {
 		return err

@@ -12,11 +12,10 @@ import (
 // obvious that this mechanism should be used to coalesce files which become
 // fragmented."
 //
-// The rewrite is just a relocation: every mapped block is staged (via the
-// orphan table, like cleaner copy-forward) and flushed in logical order, so
-// consecutive logical blocks land on consecutive disk addresses. Reads and
-// crash recovery are unaffected — the file's contents never change, only
-// its layout.
+// The rewrite is just a relocation: every mapped block is staged (like
+// cleaner copy-forward) and flushed in logical order, so consecutive logical
+// blocks land on consecutive disk addresses. Reads and crash recovery are
+// unaffected — the file's contents never change, only its layout.
 func (fs *FS) Coalesce(path string) error {
 	in, err := fs.LookupLocked(path)
 	if err != nil {
@@ -28,16 +27,16 @@ func (fs *FS) Coalesce(path string) error {
 	bs := int64(fs.blockSize)
 	nblocks := (in.Size + bs - 1) / bs
 
-	// Stage every mapped block in the orphan table. Blocks already dirty
-	// in the cache (or already parked) are current and will be rewritten
-	// by the flush anyway; clean on-disk blocks are read and parked.
+	// Stage every mapped block. Blocks already dirty in the cache (or
+	// already parked) are current and will be rewritten by the flush anyway;
+	// clean on-disk blocks are read and parked.
 	for lbn := int64(0); lbn < nblocks; lbn++ {
 		addr, err := fs.blockAddr(in, lbn)
 		if err != nil {
 			return err
 		}
 		id := blockIDOf(in.Ino, lbn)
-		if _, parked := fs.orphans[id]; parked {
+		if _, parked := fs.stage.Lookup(id); parked {
 			continue
 		}
 		if b := fs.pool.Lookup(id); b != nil && b.Dirty() {
@@ -46,12 +45,10 @@ func (fs *FS) Coalesce(path string) error {
 		if addr == 0 {
 			continue // hole
 		}
-		data := fs.frames.Take()
-		if err := fs.dev.Read(addr, data); err != nil {
-			fs.frames.Give(data)
+		if err := fs.dev.Read(addr, fs.stage.Frame(id)); err != nil {
+			fs.stage.Unpark(id)
 			return err
 		}
-		fs.orphans[id] = data
 	}
 	in.Dirty = true
 

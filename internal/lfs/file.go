@@ -36,7 +36,7 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 			fs.accountOld(addr)
 		}
 		_ = fs.pool.Invalidate(buffer.BlockID{File: vfs.FileID(in.Ino), Block: lbn})
-		fs.unparkLocked(buffer.BlockID{File: vfs.FileID(in.Ino), Block: lbn})
+		fs.stage.Unpark(buffer.BlockID{File: vfs.FileID(in.Ino), Block: lbn})
 	}
 	// Zero the tail of the last surviving block so re-extension reads zeros.
 	if size%bs != 0 {

@@ -10,10 +10,10 @@ import (
 	"repro/internal/sim"
 )
 
-// A dirty block evicted from the cache is parked in one of the file system's
-// frames until the next partial segment carries it. The frame goes back once
-// that write has returned: parked bytes held past it read poison, and the
-// orphan table and the segment writer's scratch keep taking the same frames.
+// A dirty block evicted from the cache is parked in one of the stage's frames
+// until the next partial segment carries it. The frame goes back once that
+// write has returned: parked bytes held past it read poison, and the segment
+// writer's scratch keeps taking the same frames.
 func TestParkedBlocksAndSegmentScratchAreRecycled(t *testing.T) {
 	clk := sim.NewClock()
 	dev := disk.New(sim.SmallModel(), clk)
@@ -36,7 +36,7 @@ func TestParkedBlocksAndSegmentScratchAreRecycled(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		parked = fs.orphans[buffer.BlockID{File: f.ID(), Block: 0}]
+		parked, _ = fs.stage.Lookup(buffer.BlockID{File: f.ID(), Block: 0})
 		if parked == nil || parked[0] != seed {
 			t.Fatalf("block 0 must be parked with its bytes after %d writes through an 8-block cache", blocks)
 		}
@@ -53,8 +53,8 @@ func TestParkedBlocksAndSegmentScratchAreRecycled(t *testing.T) {
 	for seed := byte(2); seed < 12; seed++ {
 		round(seed)
 	}
-	if len(fs.orphans) != 0 {
-		t.Fatalf("%d blocks still parked after a flush", len(fs.orphans))
+	if n := fs.stage.Len(); n != 0 {
+		t.Fatalf("%d blocks still parked after a flush", n)
 	}
 	if got := fs.frames.Free(); got != highWater {
 		t.Fatalf("ten more rounds moved the frame list from %d to %d frames: it must stay at its high-water mark", highWater, got)

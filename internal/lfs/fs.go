@@ -116,13 +116,14 @@ type FS struct {
 	nextIno Ino
 
 	inodes map[Ino]*inode // loaded inodes
-	// frames are the file system's block-sized scratch: the orphan table's
-	// copies, the summary, inode-pack and pointer blocks a partial segment
-	// encodes, the block an inode or pointer block is decoded from. A parked
-	// block goes back when it leaves the orphan table, encode scratch when its
-	// partial is on the device.
-	frames     frame.List
-	orphans    map[buffer.BlockID][]byte // parked blocks, each in a frame of its own
+	// frames are the file system's block-sized scratch: the summary,
+	// inode-pack and pointer blocks a partial segment encodes, the block an
+	// inode or pointer block is decoded from. Encode scratch goes back when
+	// its partial is on the device.
+	frames frame.List
+	// stage holds evicted dirty blocks and the cleaner's relocations until
+	// the next partial segment carries them; its bound is one segment.
+	stage      *ufs.Stage
 	pendingDel []Ino
 	cleaning   bool
 	// chainCont is set while a multi-partial flush batch is incomplete:
@@ -133,11 +134,10 @@ type FS struct {
 	// packRefs counts how many imap entries point into each inode pack
 	// block; a pack block is dead (its segment's live count drops) only
 	// when the last inode in it has been superseded.
-	packRefs       map[int64]int
-	orphanPressure bool
-	stats          Stats
-	retain         SnapshotRetention // nil = no snapshot layer attached
-	tracer         *trace.Tracer     // nil = tracing off
+	packRefs map[int64]int
+	stats    Stats
+	retain   SnapshotRetention // nil = no snapshot layer attached
+	tracer   *trace.Tracer     // nil = tracing off
 	// sumCache holds, per in-log segment, the summaries of ALL its partial
 	// segments — present only when complete (built up from offset 0).
 	// It lets the cleaner identify a victim's live blocks without reading
@@ -189,7 +189,6 @@ func Format(dev disk.BlockDevice, clock *sim.Clock, opts Options) (*FS, error) {
 		cpBound:   1,
 		nextIno:   RootIno + 1,
 		inodes:    make(map[Ino]*inode),
-		orphans:   make(map[buffer.BlockID][]byte),
 		packRefs:  make(map[int64]int),
 		sumCache:  make(map[int64][]summary),
 	}
@@ -217,6 +216,7 @@ func Format(dev disk.BlockDevice, clock *sim.Clock, opts Options) (*FS, error) {
 // it, and a deletion is a record in the next summary.
 func (fs *FS) attach() {
 	fs.frames = frame.NewList(fs.blockSize)
+	fs.stage = ufs.NewStage(int(fs.sb.SegmentBlocks), fs.blockSize)
 	fs.pool = buffer.New(fs.opts.CacheBlocks, fs.blockSize, fs.writeback)
 	fs.upper = ufs.New(ufs.Ops[*inode]{
 		Pool:     fs.pool,
@@ -231,7 +231,7 @@ func (fs *FS) attach() {
 		Reserve:  fs.boundLocked,
 		Truncate: fs.truncateLocked,
 		Sync:     func(in *inode) error { return fs.flushLocked(map[Ino]bool{in.Ino: true}, true, nil) },
-		Tick:     fs.maybeFlushOrphansLocked,
+		Tick:     fs.maybeFlushStageLocked,
 
 		InodeAtSync: fs.opts.InodeAtSync,
 	}, false)
@@ -271,11 +271,7 @@ func (fs *FS) releaseLocked(in *inode) error {
 	if err := fs.pool.InvalidateFile(vfs.FileID(in.Ino)); err != nil {
 		return err
 	}
-	for id := range fs.orphans {
-		if id.File == vfs.FileID(in.Ino) {
-			fs.unparkLocked(id)
-		}
-	}
+	fs.stage.UnparkFile(vfs.FileID(in.Ino))
 	return nil
 }
 
@@ -386,13 +382,13 @@ func (fs *FS) ReadCurrent(id buffer.BlockID, p []byte) error {
 // is transferred in a single device operation (one seek), which is the
 // sequential-read bandwidth a scan gets over data the log has never
 // rewritten. Returns how many blocks were filled; 0 with a nil error means
-// the first block itself has no contiguous on-disk home (hole or orphan)
+// the first block itself has no contiguous on-disk home (hole or staged)
 // and the caller should fall back to ReadCurrent.
 func (fs *FS) ReadCurrentRun(id buffer.BlockID, bufs [][]byte) (int, error) {
 	if len(bufs) == 0 {
 		return 0, nil
 	}
-	if _, ok := fs.orphans[id]; ok {
+	if _, ok := fs.stage.Lookup(id); ok {
 		return 0, nil
 	}
 	in, err := fs.loadInode(Ino(id.File))
@@ -409,7 +405,7 @@ func (fs *FS) ReadCurrentRun(id buffer.BlockID, bufs [][]byte) (int, error) {
 	n := 1
 	for n < len(bufs) {
 		next := buffer.BlockID{File: id.File, Block: id.Block + int64(n)}
-		if _, ok := fs.orphans[next]; ok {
+		if _, ok := fs.stage.Lookup(next); ok {
 			break
 		}
 		addr, err := fs.blockAddr(in, next.Block)
@@ -482,55 +478,27 @@ func (fs *FS) accountNew(addr int64) {
 }
 
 // writeback is the buffer pool's dirty-eviction callback. The block cannot
-// be written in place (LFS never overwrites); instead its bytes are parked in
-// the orphan table and written with the next partial segment. Reads consult
-// the orphan table before disk.
+// be written in place (LFS never overwrites); its bytes are parked in the
+// stage and written with the next partial segment, and reads consult the
+// stage before the disk. The stage models the segment staging buffer, which
+// holds about one segment of blocks in a real LFS: once it is full the next
+// file system operation writes a segment out (maybeFlushStageLocked). The
+// flush cannot run here: the pool is mid-eviction, and a flush would re-enter
+// it — walk its dirty set, mark buffers clean — before the evicted buffer has
+// left it.
 //
 //simlint:noalloc
 func (fs *FS) writeback(id buffer.BlockID, data []byte) error {
-	copy(fs.parkLocked(id), data)
-	// The orphan table models the segment staging buffer, which holds at
-	// most about one segment of blocks in a real LFS; when it fills, the
-	// next file system operation writes a segment out. (The flush cannot
-	// run here: this callback executes inside the buffer pool's lock.)
-	if int64(len(fs.orphans)) >= fs.sb.SegmentBlocks {
-		fs.orphanPressure = true
-	}
+	fs.stage.Park(id, data)
 	return nil
 }
 
-// parkLocked returns the frame block id is parked in, for the caller to fill:
-// the one a stale parked version already occupies, or a fresh one.
-//
-//simlint:noalloc
-func (fs *FS) parkLocked(id buffer.BlockID) []byte {
-	f, ok := fs.orphans[id]
-	if !ok {
-		f = fs.frames.Take()
-		//simlint:alloc(the orphan table grows to about one segment of blocks, then the flush drains it)
-		fs.orphans[id] = f
-	}
-	return f
-}
-
-// unparkLocked drops block id from the orphan table, if it is there, and
-// recycles its frame. Nothing may still read the parked bytes: a flush calls
-// it once the block's partial segment is on the device, or for a version it
-// never listed.
-func (fs *FS) unparkLocked(id buffer.BlockID) {
-	if f, ok := fs.orphans[id]; ok {
-		delete(fs.orphans, id)
-		fs.frames.Give(f)
-	}
-}
-
-// maybeFlushOrphansLocked drains the staging buffer when eviction pressure
+// maybeFlushStageLocked drains the staging buffer when eviction pressure
 // filled it.
-func (fs *FS) maybeFlushOrphansLocked() error {
-	if !fs.orphanPressure {
+func (fs *FS) maybeFlushStageLocked() error {
+	if !fs.stage.TakeFull() {
 		return nil
 	}
-	fs.orphanPressure = false
 	return fs.flushLocked(nil, false, nil)
 }
 
@@ -577,7 +545,7 @@ func (fs *FS) loadInode(ino Ino) (*inode, error) {
 
 // fetchBlock is the buffer-pool fetch path for file data blocks.
 func (fs *FS) fetchBlock(id buffer.BlockID, dst []byte) error {
-	if data, ok := fs.orphans[id]; ok {
+	if data, ok := fs.stage.Lookup(id); ok {
 		copy(dst, data)
 		return nil
 	}

@@ -866,7 +866,7 @@ func TestCoalesceEmptyAndMissing(t *testing.T) {
 
 // TestOrphanPressureFlush: evicting more dirty blocks than a segment's worth
 // (the staging-buffer bound) must trigger a flush on the next operation
-// instead of letting the orphan table grow without limit.
+// instead of letting the stage grow without limit.
 func TestOrphanPressureFlush(t *testing.T) {
 	clk := sim.NewClock()
 	dev := disk.New(sim.SmallModel(), clk)
@@ -879,8 +879,8 @@ func TestOrphanPressureFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dirty far more blocks than the cache holds; evictions park them as
-	// orphans until the staging bound (one segment = 128 blocks) trips.
+	// Dirty far more blocks than the cache holds; evictions stage them until
+	// the staging bound (one segment = 128 blocks) trips.
 	data := pattern(4096, 1)
 	for i := int64(0); i < 400; i++ {
 		data[0] = byte(i)
@@ -888,9 +888,8 @@ func TestOrphanPressureFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	orphans := len(fs.orphans)
-	if orphans > int(fs.sb.SegmentBlocks)+8 {
-		t.Fatalf("orphan staging buffer grew to %d blocks (bound ~%d)", orphans, fs.sb.SegmentBlocks)
+	if staged := fs.stage.Len(); staged > int(fs.sb.SegmentBlocks)+8 {
+		t.Fatalf("staging buffer grew to %d blocks (bound ~%d)", staged, fs.sb.SegmentBlocks)
 	}
 	// Everything reads back correctly despite the churn.
 	got := make([]byte, 4096)

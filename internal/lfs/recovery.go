@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"repro/internal/buffer"
 	"repro/internal/detsort"
 	"repro/internal/disk"
 	"repro/internal/sim"
@@ -249,7 +248,6 @@ func Mount(dev disk.BlockDevice, clock *sim.Clock, opts Options) (*FS, error) {
 		cpSeq:     best.CpSeq,
 		nextIno:   best.NextIno,
 		inodes:    make(map[Ino]*inode),
-		orphans:   make(map[buffer.BlockID][]byte),
 		packRefs:  make(map[int64]int),
 		sumCache:  make(map[int64][]summary),
 	}

@@ -11,7 +11,7 @@ import (
 // dataItem is one dirty file block awaiting a log address.
 type dataItem struct {
 	id   buffer.BlockID
-	buf  *buffer.Buf // resident buffer, or nil if the bytes came from the orphan table
+	buf  *buffer.Buf // resident buffer, or nil if the bytes came from the stage
 	data []byte
 }
 
@@ -105,7 +105,7 @@ func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage)
 	return nil
 }
 
-// gatherLocked collects the dirty data blocks (pool + orphans) and the set
+// gatherLocked collects the dirty data blocks (pool + stage) and the set
 // of files whose meta-data needs rewriting. Held pages are uncommitted and
 // stay out of every flush, with one exception: commit lists the pages of a
 // group-commit batch, each with the image to log (see CommitPage). Pages in
@@ -138,28 +138,23 @@ func (fs *FS) gatherLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage
 		}
 		items = append(items, dataItem{id: cp.ID, buf: b, data: b.Data})
 	}
-	//simlint:ordered items are fully sorted by (file, block) below; orphan deletes are keyed by the loop variable
-	for id, data := range fs.orphans {
-		if !want(Ino(id.File)) {
-			continue
-		}
+	for _, id := range fs.stage.Blocks(func(f buffer.FileID) bool { return want(Ino(f)) }) {
 		if commitIDs[id] {
 			// The commit's after-image of this block is being written in
 			// the same batch; the staged (older) copy is superseded.
-			fs.unparkLocked(id)
+			fs.stage.Unpark(id)
 			continue
 		}
-		if fs.pool.Lookup(id) != nil {
-			// A resident buffer shadows the orphan; if it is dirty it was
-			// collected above, if clean the contents are identical and the
-			// orphan copy is redundant — but the orphan may be a cleaner
-			// relocation whose bytes must reach a new address, so keep it
-			// unless a dirty buffer already carries the block.
-			if b := fs.pool.Lookup(id); b.Dirty() && !b.Held() {
-				fs.unparkLocked(id)
-				continue
-			}
+		// A resident buffer shadows the staged block; if it is dirty it was
+		// collected above, if clean the contents are identical and the staged
+		// copy is redundant — but the staged block may be a cleaner
+		// relocation whose bytes must reach a new address, so keep it unless
+		// a dirty buffer already carries the block.
+		if b := fs.pool.Lookup(id); b != nil && b.Dirty() && !b.Held() {
+			fs.stage.Unpark(id)
+			continue
 		}
+		data, _ := fs.stage.Lookup(id)
 		items = append(items, dataItem{id: id, data: data})
 	}
 	// Deterministic order: by file, then logical block.
@@ -215,11 +210,11 @@ func (fs *FS) gatherRelocLocked(ids map[buffer.BlockID]bool, inos map[Ino]bool) 
 	var items []dataItem
 	for _, id := range detsort.KeysFunc(ids, buffer.CompareBlockID) {
 		if b := fs.pool.Lookup(id); b != nil && b.Dirty() && !b.Held() {
-			fs.unparkLocked(id)
+			fs.stage.Unpark(id)
 			items = append(items, dataItem{id: id, buf: b, data: b.Data})
 			continue
 		}
-		if data, ok := fs.orphans[id]; ok {
+		if data, ok := fs.stage.Lookup(id); ok {
 			items = append(items, dataItem{id: id, data: data})
 		}
 	}
@@ -654,7 +649,7 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 		if it.buf != nil {
 			fs.pool.MarkClean(it.buf)
 		}
-		fs.unparkLocked(it.id)
+		fs.stage.Unpark(it.id)
 	}
 
 	if fs.sb.SegmentBlocks-fs.curOff < minSegmentTail {

@@ -20,6 +20,15 @@ type allocBudget struct {
 // percent, because they are properties of the program, not of the host. (At
 // the commit before, a transaction here allocated 92–118 KB in 115–158
 // objects and a build 9.8–10.2 MB in 47,000–48,000 objects.)
+//
+// The two user-ffs rows were re-recorded when FFS began staging evicted dirty
+// blocks (ufs.Stage) instead of writing each in place: a build grew from
+// 2,569 KB in 1,950 objects to 3,680 KB in 2,273. Of the 1.1 MB, 512 KB is the
+// stage's own 128 frames and 488 KB the disk queue's copies, whose high-water
+// mark rose from 96 to 218 frames because the build's closing Sync sweeps the
+// stage and the dirty cache in one pass; the rest is the stage's block maps. A
+// transaction allocates a little less: 17.2 KB in 97 objects at MPL 1, was
+// 17.9 KB in 102.
 func TestAllocBudget(t *testing.T) {
 	const txns = 600
 	cfg := ScaledConfig(0.01)
@@ -29,10 +38,10 @@ func TestAllocBudget(t *testing.T) {
 		mpl  int
 		max  allocBudget
 	}{
-		{"serial/user-ffs", RigOptions{Kind: "user-ffs", Config: cfg, ExpectedTxns: txns, GroupCommit: 1}, 1, allocBudget{2943, 2245, 20.9, 118.2}},
+		{"serial/user-ffs", RigOptions{Kind: "user-ffs", Config: cfg, ExpectedTxns: txns, GroupCommit: 1}, 1, allocBudget{4232, 2614, 19.8, 111.9}},
 		{"serial/user-lfs", RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 1}, 1, allocBudget{3296, 3023, 34.8, 133.6}},
 		{"serial/kernel-lfs", RigOptions{Kind: "kernel-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 1}, 1, allocBudget{3723, 3105, 34.9, 165.9}},
-		{"mpl64/user-ffs", RigOptions{Kind: "user-ffs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8}, 64, allocBudget{2934, 2244, 21.2, 121.8}},
+		{"mpl64/user-ffs", RigOptions{Kind: "user-ffs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8}, 64, allocBudget{4222, 2601, 20.9, 118.5}},
 		{"mpl64/user-lfs", RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8}, 64, allocBudget{3302, 3027, 27.6, 127.0}},
 		{"mpl64/kernel-lfs", RigOptions{Kind: "kernel-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8}, 64, allocBudget{3723, 3105, 26.2, 125.7}},
 	}

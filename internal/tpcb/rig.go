@@ -378,6 +378,7 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 			if err != nil {
 				return nil, err
 			}
+			ff.SetTracer(tr)
 			ff.Pool().SetTracer(tr, "buffer.ffs"+shard)
 			fsys = ff
 		} else {

@@ -164,6 +164,10 @@ func (s *Snapshot) Render() string {
 				cl.RetentionSkips, cl.RetainedBlocks, cl.HorizonLag)
 		}
 	}
+	if f := s.FFS; f != nil {
+		fmt.Fprintf(&b, "ffs: %d syncer passes, %d blocks flushed, %d evicted blocks staged, %d sweeps of a full stage\n",
+			f.SyncerRuns, f.BlocksFlushed, f.BlocksStaged, f.StagedFlushes)
+	}
 	if e := s.Embedded; e != nil {
 		fmt.Fprintf(&b, "embedded: %d committed, %d aborted, %d commit flushes, %d pages (%d bytes) forced\n",
 			e.Committed, e.Aborted, e.CommitFlush, e.PagesFlushed, e.BytesFlushed)

@@ -6,7 +6,10 @@
 // ufs: each embeds an FS instantiated with its own inode type and hands in,
 // as the Ops vector, exactly what differs between them — where inodes and
 // blocks are kept. §5 of the paper compares two file systems that present one
-// interface; this package is that interface's single implementation.
+// interface; this package is that interface's single implementation. It also
+// holds the one write-behind rule both obey (Stage): a dirty block the cache
+// evicts waits in a bounded table for the next flush instead of being written
+// where it stands.
 package ufs
 
 import (
@@ -93,9 +96,10 @@ type Ops[N Node] struct {
 	// Sync is File.Sync under vfs.File's contract: one file's dirty blocks,
 	// and its inode if AttrDirty, reach the medium — data first.
 	Sync func(N) error
-	// Tick runs before every read and write of an open file: FFS's 30 s
-	// syncer, which also stores the inodes that are merely Dirty, and LFS's
-	// staging-buffer drain.
+	// Tick runs before every read and write of an open file: on both file
+	// systems it writes out a Stage that evictions have filled (LFS as a
+	// partial segment, FFS as one C-SCAN sweep), and on FFS it runs the 30 s
+	// syncer, which also stores the inodes that are merely Dirty.
 	Tick func() error
 
 	// InodeAtSync makes File.Sync write the inode whenever it is Dirty, as a
