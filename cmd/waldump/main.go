@@ -1,9 +1,8 @@
 // Command waldump prints a human-readable dump of a libtp write-ahead log:
-// the checkpoint anchor, every segment's header, each 4KB block's CRC status
-// and the records inside it, and the sidecar index entries. Because the
-// simulated disk lives only in memory, waldump builds its own image: it runs
-// a small TPC-B workload on one of the user-level systems and then dumps the
-// log it produced. Small -segbytes values force rotation so the dump shows a
+// the checkpoint anchor, every segment's header, and each 4KB block's CRC
+// status and the records inside it. Because the simulated disk lives only in
+// memory, waldump builds its own image: it runs a small TPC-B workload on one
+// of the user-level systems and then dumps the log it produced. Small -segbytes values force rotation so the dump shows a
 // multi-segment log; -checkpoint ends the run with a checkpoint so the
 // anchor, the low-water mark, and segment truncation (or archival, with
 // -retain) are visible too.

@@ -63,7 +63,9 @@ type Options struct {
 	DiskScale float64
 	// LogSegmentBytes bounds the WAL segment size for the user-level
 	// systems (0 = the wal default). Small segments make the sweep cross
-	// rotation, index-write, and checkpoint-truncation boundaries.
+	// rotation and checkpoint-truncation boundaries; segments of a few
+	// blocks (16 KB) also put checkpoints mid-block in segments that seal
+	// before the crash, so recovery seeks into a sealed segment.
 	LogSegmentBytes int64
 	// Devices is the number of spindles (0 or 1 = the classic single
 	// disk). With more than one, Layout selects "stripe" (one file system

@@ -190,9 +190,9 @@ func (s *Snapshot) Render() string {
 		fmt.Fprintf(&b, "wal: %d records, %d bytes, %d forces, %d group-absorbed commits\n",
 			w.Records, w.BytesLogged, w.Forces, w.GroupCommits)
 		if w.Segments > 0 {
-			fmt.Fprintf(&b, "wal: %d segments (%d rotations, %d sealed), %d deleted, %d archived, %d checkpoints, %d index entries in %d writes\n",
+			fmt.Fprintf(&b, "wal: %d segments (%d rotations, %d sealed), %d deleted, %d archived, %d checkpoints\n",
 				w.Segments, w.Rotations, w.SegmentsSealed, w.SegmentsDeleted,
-				w.SegmentsArchived, w.Checkpoints, w.IndexEntries, w.IndexWrites)
+				w.SegmentsArchived, w.Checkpoints)
 		}
 	}
 	if w := s.Wall; w != nil {

@@ -2,21 +2,22 @@ package wal
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/vfs"
 )
 
 // The tests in this file pin the segmented log's hot path — AppendCommit,
-// group-commit Force on the active segment, and index-entry emission — to
-// zero steady-state allocations, backing the //simlint:noalloc annotations
-// with a dynamic check. They run against an in-memory file system whose
-// WriteAt never allocates (capacity is reserved up front), so the numbers
-// isolate the WAL layer's own behaviour from the simulated disk that the
-// other tests exercise.
+// group-commit Force on the active segment, and forces that complete
+// blocks — to zero steady-state allocations, backing the //simlint:noalloc
+// annotations with a dynamic check. They run against an in-memory file
+// system whose WriteAt never allocates (capacity is reserved up front), so
+// the numbers isolate the WAL layer's own behaviour from the simulated disk
+// that the other tests exercise.
 
-// memFS is a minimal vfs.FileSystem for allocation tests only: flat
-// namespace, no directories, Sync is a no-op.
+// memFS is a minimal vfs.FileSystem for the allocation tests and the fuzzer:
+// flat namespace under "/", no directories, Sync is a no-op.
 type memFS struct {
 	files map[string]*memFile
 	next  uint64
@@ -63,7 +64,15 @@ func (fs *memFS) Remove(path string) error {
 
 func (fs *memFS) Mkdir(string) error { return nil }
 
-func (fs *memFS) ReadDir(string) ([]vfs.DirEntry, error) { return nil, nil }
+// ReadDir lists every file, in no order: the namespace is flat, so every
+// path is "/name".
+func (fs *memFS) ReadDir(string) ([]vfs.DirEntry, error) {
+	var out []vfs.DirEntry
+	for path := range fs.files {
+		out = append(out, vfs.DirEntry{Name: strings.TrimPrefix(path, "/")})
+	}
+	return out, nil
+}
 
 func (fs *memFS) Stat(path string) (vfs.FileInfo, error) {
 	f, ok := fs.files[path]
@@ -122,9 +131,9 @@ func (f *memFile) Close() error { return nil }
 
 // newAllocLog builds a Manager on the in-memory fs and pre-sizes every
 // reusable buffer the hot path amortizes over (the per-segment payload
-// stream, the record-start index, the block-compose scratch, and the
-// index-entry scratch), so AllocsPerRun sees the steady state rather than
-// the amortized doubling slope.
+// stream, the record-start list, and the block-compose scratch), so
+// AllocsPerRun sees the steady state rather than the amortized doubling
+// slope.
 func newAllocLog(t *testing.T) *Manager {
 	t.Helper()
 	m, err := Create(newMemFS(), "/log", Options{})
@@ -135,7 +144,6 @@ func newAllocLog(t *testing.T) *Manager {
 	w.stream = make([]byte, 0, 1<<20)
 	w.starts = make([]int64, 0, 1<<16)
 	m.blockBuf = make([]byte, 0, 1<<20)
-	m.idxBuf = make([]byte, 0, 1<<16)
 	return m
 }
 
@@ -158,7 +166,7 @@ func TestAppendCommitZeroAllocs(t *testing.T) {
 
 // TestGroupCommitForceZeroAllocs pins the group-commit force on the active
 // segment: compose the dirty block range into the reusable scratch, write,
-// sync, emit index entries — all without allocating.
+// sync — all without allocating.
 func TestGroupCommitForceZeroAllocs(t *testing.T) {
 	m := newAllocLog(t)
 	var txn uint64
@@ -171,7 +179,7 @@ func TestGroupCommitForceZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	work() // cold: creates the segment and index files
+	work() // cold: creates the segment file
 	before := m.Stats().Forces
 	allocs := testing.AllocsPerRun(200, work)
 	if allocs != 0 {
@@ -182,10 +190,11 @@ func TestGroupCommitForceZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestIndexEntryEmissionZeroAllocs drives each force across a block
-// boundary so flushIndex emits entries on every run, and pins that path —
-// encode into the reusable scratch, one WriteAt — to zero allocations.
-func TestIndexEntryEmissionZeroAllocs(t *testing.T) {
+// TestBlockSpanningForceZeroAllocs drives each force across a block
+// boundary, so every run composes a multi-block range — the rewritten tail
+// block, the blocks a spanning record fills, a new partial tail — and pins
+// that path to zero allocations.
+func TestBlockSpanningForceZeroAllocs(t *testing.T) {
 	m := newAllocLog(t)
 	// An update whose after-image nearly fills one block's payload makes
 	// every append+force complete at least one block.
@@ -201,12 +210,14 @@ func TestIndexEntryEmissionZeroAllocs(t *testing.T) {
 		}
 	}
 	work() // cold: segment creation and first block
-	before := m.Stats().IndexEntries
-	allocs := testing.AllocsPerRun(100, work)
+	const runs = 100
+	before := m.active().durable / PayloadSize
+	allocs := testing.AllocsPerRun(runs, work)
 	if allocs != 0 {
-		t.Fatalf("index-entry emission allocated %.2f allocs/op, want 0", allocs)
+		t.Fatalf("block-spanning force allocated %.2f allocs/op, want 0", allocs)
 	}
-	if got := m.Stats().IndexEntries; got <= before {
-		t.Fatalf("no index entries emitted during measurement (stuck at %d)", got)
+	// AllocsPerRun makes one warm-up call besides the measured runs.
+	if got := m.active().durable/PayloadSize - before; got < runs {
+		t.Fatalf("%d blocks completed over %d forces; each should complete one", got, runs)
 	}
 }

@@ -3,7 +3,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"repro/internal/vfs"
@@ -11,10 +10,9 @@ import (
 
 // Dump prints a human-readable description of the log rooted at base — the
 // checkpoint anchor, every segment's header, block headers (CRC status,
-// flags, payload length, first-record offset), index entries, and decoded
-// records — for offline inspection. It is a raw reader: torn or corrupt
-// blocks, records, and index entries are reported, not fatal, so it is
-// usable on a crashed image.
+// flags, payload length, first-record offset), and decoded records — for
+// offline inspection. It is a raw reader: torn or corrupt blocks and records
+// are reported, not fatal, so it is usable on a crashed image.
 func Dump(w io.Writer, fsys vfs.FileSystem, base string) error {
 	// Anchor.
 	if f, err := fsys.Open(anchorName(base)); err == nil {
@@ -116,9 +114,6 @@ func dumpSegment(w io.Writer, fsys vfs.FileSystem, base string, seq uint64) erro
 		fmt.Fprintf(w, "  record @%-12s %s\n", r.LSN, describeRecord(&r))
 		off += int64(sz)
 	}
-
-	// Index.
-	dumpIndex(w, fsys, base, seq)
 	return nil
 }
 
@@ -139,39 +134,5 @@ func describeRecord(r *Record) string {
 		return fmt.Sprintf("gcommit gid=%d", r.Txn)
 	default:
 		return fmt.Sprintf("UNKNOWN type=%d txn=%d", r.Type, r.Txn)
-	}
-}
-
-func dumpIndex(w io.Writer, fsys vfs.FileSystem, base string, seq uint64) {
-	name := idxName(base, seq)
-	f, err := fsys.Open(name)
-	if err != nil {
-		fmt.Fprintf(w, "  index %s: missing\n", name)
-		return
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil || size == 0 {
-		fmt.Fprintf(w, "  index %s: empty\n", name)
-		return
-	}
-	raw := make([]byte, size)
-	n, err := f.ReadAt(raw, 0)
-	if err != nil {
-		fmt.Fprintf(w, "  index %s: unreadable (%v)\n", name, err)
-		return
-	}
-	raw = raw[:n]
-	fmt.Fprintf(w, "  index %s: %d entries\n", name, len(raw)/indexEntrySize)
-	for off := 0; off+indexEntrySize <= len(raw); off += indexEntrySize {
-		e, ok := decodeIndexEntry(raw[off:])
-		if !ok {
-			fmt.Fprintf(w, "    entry %3d: BAD CRC (stored %08x vs computed %08x)\n",
-				off/indexEntrySize,
-				binary.LittleEndian.Uint32(raw[off+12:]),
-				crc32.ChecksumIEEE(raw[off:off+12]))
-			continue
-		}
-		fmt.Fprintf(w, "    entry %3d: lsn %-12s → block %d\n", off/indexEntrySize, e.lsn, e.block)
 	}
 }

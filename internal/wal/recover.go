@@ -12,12 +12,11 @@ import (
 // means these numbers track the tail since the last checkpoint, not total
 // log history.
 type ScanStats struct {
-	StartLSN   LSN   `json:"start_lsn"`
-	Segments   int64 `json:"segments"`
-	Blocks     int64 `json:"blocks"`
-	Records    int64 `json:"records"`
-	Bytes      int64 `json:"bytes"` // payload bytes examined
-	IndexSeeks int64 `json:"index_seeks"`
+	StartLSN LSN   `json:"start_lsn"`
+	Segments int64 `json:"segments"`
+	Blocks   int64 `json:"blocks"`
+	Records  int64 `json:"records"`
+	Bytes    int64 `json:"bytes"` // payload bytes of the records returned
 }
 
 // Create initializes a fresh segmented log rooted at base: it writes the
@@ -99,9 +98,6 @@ func Open(fsys vfs.FileSystem, base string, opts Options) (*Manager, error) {
 			if err := removeIfExists(fsys, segName(base, seq)); err != nil {
 				return nil, err
 			}
-			if err := removeIfExists(fsys, idxName(base, seq)); err != nil {
-				return nil, err
-			}
 			m.stats.SegmentsDeleted++
 			removed = true
 		}
@@ -119,9 +115,6 @@ func Open(fsys vfs.FileSystem, base string, opts Options) (*Manager, error) {
 		}
 		if !ok {
 			if err := removeIfExists(fsys, segName(base, seq)); err != nil {
-				return nil, err
-			}
-			if err := removeIfExists(fsys, idxName(base, seq)); err != nil {
 				return nil, err
 			}
 			live = live[:len(live)-1]
@@ -158,10 +151,10 @@ func Open(fsys vfs.FileSystem, base string, opts Options) (*Manager, error) {
 }
 
 // openSegment loads segment seq as the active writer: validates the header,
-// reassembles the durable payload stream, discards a torn tail physically
-// (rewriting the tail block with the reduced length and truncating the
-// file), and rewrites the segment's index to match. ok=false means the
-// header itself is unreadable (the segment holds no durable data).
+// reassembles the durable payload stream, and discards a torn tail
+// physically (rewriting the tail block with the reduced length and
+// truncating the file). ok=false means the header itself is unreadable (the
+// segment holds no durable data).
 func (m *Manager) openSegment(seq uint64) (*segWriter, bool, error) {
 	f, err := m.fsys.Open(segName(m.base, seq))
 	if err != nil {
@@ -216,38 +209,6 @@ func (m *Manager) openSegment(seq uint64) (*segWriter, bool, error) {
 			return nil, false, err
 		}
 	}
-
-	// Rewrite the index from the recovered stream (a crash may have left it
-	// behind or torn; it is advisory, so rebuild is cheap and simple).
-	idxF, err := m.fsys.Open(idxName(m.base, seq))
-	if err != nil {
-		if idxF, err = m.fsys.Create(idxName(m.base, seq)); err != nil {
-			f.Close()
-			return nil, false, err
-		}
-	}
-	w.idxF = idxF
-	var buf []byte
-	complete := validEnd / PayloadSize
-	for b := int64(0); b < complete; b++ {
-		fr := w.firstRecIn(b*PayloadSize, (b+1)*PayloadSize)
-		if fr == noFirstRec {
-			continue
-		}
-		var e [indexEntrySize]byte
-		encodeIndexEntry(e[:], indexEntry{lsn: makeLSN(seq, b*PayloadSize+int64(fr)), block: b})
-		buf = append(buf, e[:]...)
-	}
-	if len(buf) > 0 {
-		if _, err := idxF.WriteAt(buf, 0); err != nil {
-			return nil, false, err
-		}
-	}
-	if err := idxF.Truncate(int64(len(buf))); err != nil {
-		return nil, false, err
-	}
-	w.idxNext = complete
-	w.idxCnt = int64(len(buf) / indexEntrySize)
 	return w, true, nil
 }
 
@@ -300,9 +261,10 @@ func (m *Manager) Scan() ([]Record, error) {
 }
 
 // scanFrom reads the durable records with LSN >= from, in order. from == 0
-// means the start of the low-water segment. Sealed segments are read from
-// disk — the first via an index seek when its index helps — and the active
-// segment is served from the in-memory durable stream.
+// means the start of the low-water segment; otherwise from is a record's own
+// LSN (the anchored checkpoint's). Sealed segments are read from disk — the
+// first starting at the block that holds from — and the active segment is
+// served from the in-memory durable stream.
 func (m *Manager) scanFrom(from LSN) ([]Record, ScanStats, error) {
 	if from == 0 {
 		from = makeLSN(m.lowWater, 0)
@@ -344,7 +306,6 @@ func (m *Manager) scanFrom(from LSN) ([]Record, ScanStats, error) {
 		stats.Blocks += segStats.Blocks
 		stats.Records += segStats.Records
 		stats.Bytes += segStats.Bytes
-		stats.IndexSeeks += segStats.IndexSeeks
 		if torn {
 			// Data past a torn point was never acknowledged (segments drain
 			// strictly in order), so the scan ends here.
@@ -354,12 +315,15 @@ func (m *Manager) scanFrom(from LSN) ([]Record, ScanStats, error) {
 	return recs, stats, nil
 }
 
-// scanSealed reads one sealed segment from disk. For the segment containing
-// `from` it consults the index to skip the blocks before the target.
+// scanSealed reads one sealed segment from disk. In the segment containing
+// `from` it seeks by arithmetic: every block but a segment's last carries
+// exactly PayloadSize stream bytes, so from's record starts at byte
+// Offset%PayloadSize of block Offset/PayloadSize, and no earlier block is
+// read.
 func (m *Manager) scanSealed(seq uint64, from LSN) (recs []Record, stats ScanStats, torn bool, err error) {
 	f, err := m.fsys.Open(segName(m.base, seq))
 	if err != nil {
-		if vfsNotExist(err) {
+		if errors.Is(err, vfs.ErrNotExist) {
 			// A live segment file that is missing means nothing was ever
 			// forced to it (files materialize lazily); skip, not torn.
 			return nil, stats, false, nil
@@ -374,20 +338,11 @@ func (m *Manager) scanSealed(seq uint64, from LSN) (recs []Record, stats ScanSta
 		return nil, stats, false, err
 	}
 
-	// Index seek: start reading at the block containing the first record
-	// >= from, instead of block 0.
-	startBlock := int64(0)
-	streamBase := int64(0) // stream offset of startBlock's first payload byte
-	target := int64(0)     // skip records below this stream offset
-	if seq == from.Segment() && from.Offset() > 0 {
-		target = from.Offset()
-		if e, ok := indexSeek(readIndex(m.fsys, m.base, seq), from); ok {
-			startBlock = e.block
-			streamBase = e.block * PayloadSize
-			stats.IndexSeeks++
-		}
+	start := int64(0) // stream offset of the first record to return
+	if seq == from.Segment() {
+		start = from.Offset()
 	}
-
+	startBlock := start / PayloadSize
 	fileOff := blockFileOff(startBlock)
 	if fileOff > size {
 		return nil, stats, false, nil
@@ -406,68 +361,20 @@ func (m *Manager) scanSealed(seq uint64, from LSN) (recs []Record, stats ScanSta
 	stream, blocks, torn := assembleStream(raw)
 	stats.Blocks += blocks
 
-	// Find the first record start: at streamBase the index entry guarantees
-	// a record boundary (or we started at block 0 where offset 0 is one).
-	off := int64(0)
-	for off < int64(len(stream)) {
+	base := startBlock * PayloadSize // stream offset of stream[0]
+	for off := start - base; off < int64(len(stream)); {
 		r, sz, derr := decodeRecord(stream[off:])
 		if derr != nil {
-			torn = torn || off < int64(len(stream))
+			torn = true
 			break
 		}
-		if streamBase+off >= target {
-			r.LSN = makeLSN(seq, streamBase+off)
-			recs = append(recs, r)
-			stats.Records++
-		}
+		r.LSN = makeLSN(seq, base+off)
+		recs = append(recs, r)
+		stats.Records++
 		stats.Bytes += int64(sz)
 		off += int64(sz)
 	}
 	return recs, stats, torn, nil
-}
-
-func vfsNotExist(err error) bool {
-	return errors.Is(err, vfs.ErrNotExist)
-}
-
-// Recover replays the log from the last checkpoint. Transactions fall into
-// three classes:
-//
-//   - committed (commit record present): their updates are redone in log
-//     order;
-//   - explicitly aborted (abort record present): they are ALSO redone in
-//     log order — the transaction layer logs compensation updates
-//     (after-image = restored before-image) before the abort record, so
-//     replaying the whole sequence reproduces the rollback without ever
-//     moving backwards in history. This is how compensation log records
-//     keep an abort from clobbering later committed writes at recovery.
-//   - in-flight losers (neither record): their before-images are applied
-//     in reverse order. Strict two-phase locking guarantees no later
-//     transaction wrote the same bytes (the loser still held its write
-//     locks at the crash), so reverse undo is safe.
-//
-// Prepared-but-undecided branches of a global transaction (RecPrepare with
-// no later local commit/abort) are presumed aborted; a sharded recovery that
-// has the coordinators' decisions uses RecoverResolved instead.
-//
-// apply writes a byte range into a database page. The scan cost is recorded
-// in LastScanStats.
-func (m *Manager) Recover(apply func(file uint64, block int64, offset uint32, data []byte) error) (winners, losers int, err error) {
-	winners, losers, _, err = m.RecoverResolved(apply, nil)
-	return winners, losers, err
-}
-
-// RecoverResolved is Recover with an in-doubt resolver: a prepared local
-// transaction whose fate has no local decision record is committed when
-// resolve reports its global transaction id as committed, and undone
-// otherwise (presumed abort — also the behaviour for a nil resolve). The
-// extra indoubt count reports how many branches needed the resolver.
-func (m *Manager) RecoverResolved(apply func(file uint64, block int64, offset uint32, data []byte) error, resolve func(gid uint64) bool) (winners, losers, indoubt int, err error) {
-	recs, err := m.Scan()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return ReplayRecords(recs, apply, resolve)
 }
 
 // GlobalDecisions returns the global-transaction ids whose commit decision
@@ -487,10 +394,28 @@ func GlobalDecisions(recs []Record) map[uint64]bool {
 	return out
 }
 
-// ReplayRecords replays an already-scanned record sequence through apply,
-// using resolve to decide prepared-but-undecided branches (nil = presumed
-// abort). It is the body of Recover/RecoverResolved, exported so a
-// multi-shard recovery can scan all logs before replaying any of them.
+// ReplayRecords replays the records a Scan returned through apply, which
+// writes a byte range into a database page. It is recovery's one entry
+// point; a multi-shard recovery scans every log before replaying any of
+// them. Transactions fall into three classes:
+//
+//   - committed (commit record present): their updates are redone in log
+//     order;
+//   - explicitly aborted (abort record present): they are ALSO redone in
+//     log order — the transaction layer logs compensation updates
+//     (after-image = restored before-image) before the abort record, so
+//     replaying the whole sequence reproduces the rollback without ever
+//     moving backwards in history. This is how compensation log records
+//     keep an abort from clobbering later committed writes at recovery.
+//   - in-flight losers (neither record): their before-images are applied
+//     in reverse order. Strict two-phase locking guarantees no later
+//     transaction wrote the same bytes (the loser still held its write
+//     locks at the crash), so reverse undo is safe.
+//
+// A prepared branch of a global transaction (RecPrepare with no later local
+// commit/abort) is committed when resolve reports its global transaction id
+// as committed, and undone otherwise (presumed abort — also the behaviour
+// for a nil resolve); indoubt counts the branches that needed resolve.
 func ReplayRecords(recs []Record, apply func(file uint64, block int64, offset uint32, data []byte) error, resolve func(gid uint64) bool) (winners, losers, indoubt int, err error) {
 	committed := map[uint64]bool{}
 	aborted := map[uint64]bool{}

@@ -16,14 +16,15 @@ import (
 // blocks. Every data block is independently CRC-protected and records may
 // span block boundaries (the continuation flag marks a block that begins
 // mid-record), so a torn write at a segment tail invalidates exactly the
-// blocks it tore and nothing before them. Each segment has a sidecar index
-// {base}.{seq}.idx of fixed-size entries (LSN of the first record starting
-// in a block → block number), binary-searchable so recovery can seek
-// straight to the block holding the last checkpoint instead of scanning the
-// segment from byte 0. A small anchor file {base}.ckpt records the LSN of
-// the last durable checkpoint and the low-water segment sequence; segments
-// below the low-water mark are dead and are deleted (or retained read-only
-// when archival is configured) by checkpoint-driven truncation.
+// blocks it tore and nothing before them. Every block carries exactly
+// PayloadSize stream bytes except a segment's last, so an LSN names its
+// block by arithmetic (Offset / PayloadSize) and its first byte within that
+// block (Offset % PayloadSize): recovery seeks straight to the last
+// checkpoint with no side structure to trust. A small anchor file
+// {base}.ckpt records the LSN of the last durable checkpoint and the
+// low-water segment sequence; segments below the low-water mark are dead and
+// are deleted (or retained read-only when archival is configured) by
+// checkpoint-driven truncation.
 const (
 	// BlockSize is the log block size: one file-system block, so a block
 	// write is atomic on both the no-overwrite LFS and the in-place FFS.
@@ -49,10 +50,6 @@ const (
 	// record start (pure continuation).
 	noFirstRec = 0xFFFF
 
-	// indexEntrySize is the fixed size of one index entry:
-	// lsn(8) block(4) crc(4).
-	indexEntrySize = 16
-
 	// anchorSize is the serialized anchor: magic(4) ver(2) pad(2)
 	// ckptLSN(8) lowWater(8) crc(4).
 	anchorSize = 28
@@ -66,6 +63,12 @@ const (
 type LSN int64
 
 const lsnOffBits = 40 // 1 TiB per segment, ~8.3M segments
+
+// maxSegment is the largest segment sequence an LSN can carry. A sequence
+// read from disk (a file name, the anchor's low-water mark) above it is
+// damage: packed into an LSN it would wrap, and a scan from the wrapped
+// LSN would walk billions of segment numbers.
+const maxSegment = 1<<(63-lsnOffBits) - 1
 
 // makeLSN packs a segment sequence and payload-stream offset.
 func makeLSN(seq uint64, off int64) LSN {
@@ -89,10 +92,6 @@ func segName(base string, seq uint64) string {
 	return fmt.Sprintf("%s.%d.txnlog", base, seq)
 }
 
-func idxName(base string, seq uint64) string {
-	return fmt.Sprintf("%s.%d.idx", base, seq)
-}
-
 func anchorName(base string) string { return base + ".ckpt" }
 
 // parseSegName extracts the sequence number from a directory entry name if
@@ -103,7 +102,7 @@ func parseSegName(baseName, entry string) (uint64, bool) {
 	}
 	mid := entry[len(baseName)+1 : len(entry)-len(".txnlog")]
 	seq, err := strconv.ParseUint(mid, 10, 64)
-	if err != nil || seq == 0 {
+	if err != nil || seq == 0 || seq > maxSegment {
 		return 0, false
 	}
 	return seq, true
@@ -216,85 +215,6 @@ func decodeBlock(b []byte) (blockInfo, bool) {
 	}, true
 }
 
-// Index entries.
-
-type indexEntry struct {
-	lsn   LSN
-	block int64
-}
-
-func encodeIndexEntry(dst []byte, e indexEntry) {
-	le := binary.LittleEndian
-	le.PutUint64(dst[0:], uint64(e.lsn))
-	le.PutUint32(dst[8:], uint32(e.block))
-	le.PutUint32(dst[12:], crc32.ChecksumIEEE(dst[0:12]))
-}
-
-func decodeIndexEntry(b []byte) (indexEntry, bool) {
-	if len(b) < indexEntrySize {
-		return indexEntry{}, false
-	}
-	le := binary.LittleEndian
-	if le.Uint32(b[12:]) != crc32.ChecksumIEEE(b[0:12]) {
-		return indexEntry{}, false
-	}
-	return indexEntry{lsn: LSN(le.Uint64(b[0:])), block: int64(le.Uint32(b[8:]))}, true
-}
-
-// readIndex loads and validates a segment's index file. Entries must be
-// strictly increasing in both LSN and block and belong to segment seq; the
-// scan stops at the first invalid entry (a torn index write). A missing or
-// empty index is not an error — recovery falls back to scanning the segment.
-func readIndex(fsys vfs.FileSystem, base string, seq uint64) []indexEntry {
-	f, err := fsys.Open(idxName(base, seq))
-	if err != nil {
-		return nil
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil || size < indexEntrySize {
-		return nil
-	}
-	raw := make([]byte, size)
-	n, err := f.ReadAt(raw, 0)
-	if err != nil {
-		return nil
-	}
-	raw = raw[:n]
-	var out []indexEntry
-	for off := 0; off+indexEntrySize <= len(raw); off += indexEntrySize {
-		e, ok := decodeIndexEntry(raw[off:])
-		if !ok || e.lsn.Segment() != seq || e.block < 0 {
-			break
-		}
-		if len(out) > 0 && (e.lsn <= out[len(out)-1].lsn || e.block <= out[len(out)-1].block) {
-			break
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-// indexSeek returns the data block to start reading from to find target, and
-// the stream offset of the first record starting there: the last entry with
-// lsn <= target. ok is false when the index cannot help (empty, or target
-// precedes the first entry) and the caller should scan from block 0.
-func indexSeek(entries []indexEntry, target LSN) (indexEntry, bool) {
-	lo, hi := 0, len(entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if entries[mid].lsn <= target {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return indexEntry{}, false
-	}
-	return entries[lo-1], true
-}
-
 // Anchor file.
 
 type anchor struct {
@@ -325,7 +245,7 @@ func decodeAnchor(b []byte) (anchor, bool) {
 		return anchor{}, false
 	}
 	a := anchor{ckptLSN: LSN(le.Uint64(b[8:])), lowWater: le.Uint64(b[16:])}
-	if a.lowWater == 0 {
+	if a.lowWater == 0 || a.lowWater > maxSegment || a.ckptLSN < 0 {
 		return anchor{}, false
 	}
 	return a, true

@@ -17,7 +17,6 @@ package wal
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"sort"
 
@@ -108,24 +107,19 @@ type Stats struct {
 	SegmentsDeleted  int64 `json:"segments_deleted"`  // dead segments removed by checkpoint truncation
 	SegmentsArchived int64 `json:"segments_archived"` // dead segments retained as read-only archives
 	Checkpoints      int64 `json:"checkpoints"`       // checkpoints anchored
-	IndexEntries     int64 `json:"index_entries"`     // index entries emitted
-	IndexWrites      int64 `json:"index_writes"`      // index file write batches
 }
 
 // segWriter is the in-memory state of one not-yet-finalized segment: the
 // whole payload stream (records back to the segment's first byte, so tail
 // blocks can be recomposed on rewrite), the durable prefix, and the record
-// start offsets that drive block headers and the index.
+// start offsets that drive block headers.
 type segWriter struct {
 	seq     uint64
 	f       vfs.File // nil until the first force creates the file
-	idxF    vfs.File
-	stream  []byte  // payload stream: encoded records, contiguous
-	durable int64   // stream prefix durable on disk
-	starts  []int64 // record-start offsets into stream, ascending
-	idxNext int64   // next block to consider for index emission
-	idxCnt  int64   // index entries written so far
-	sealed  bool    // rotation happened; finalize at next force
+	stream  []byte   // payload stream: encoded records, contiguous
+	durable int64    // stream prefix durable on disk
+	starts  []int64  // record-start offsets into stream, ascending
+	sealed  bool     // rotation happened; finalize at next force
 }
 
 func (w *segWriter) end() int64 { return int64(len(w.stream)) }
@@ -189,13 +183,12 @@ type Manager struct {
 	closed   bool
 
 	blockBuf []byte // reusable block-composition scratch for Force
-	idxBuf   []byte // reusable index-entry scratch for flushIndex
 
 	stats    Stats
 	lastScan ScanStats
 	tracer   *trace.Tracer // nil = tracing off
 	// Metric handles resolved at SetTracer time; nil handles are free.
-	ctrAbsorbed, ctrForces, ctrRotations, ctrSealed, ctrTruncated, ctrIdxWrites *trace.Counter
+	ctrAbsorbed, ctrForces, ctrRotations, ctrSealed, ctrTruncated *trace.Counter
 }
 
 // SetTracer attaches a tracer; log forces then emit wal.force spans, commit
@@ -208,7 +201,6 @@ func (m *Manager) SetTracer(tr *trace.Tracer) {
 	m.ctrRotations = tr.Counter("wal.rotations")
 	m.ctrSealed = tr.Counter("wal.sealed")
 	m.ctrTruncated = tr.Counter("wal.truncated")
-	m.ctrIdxWrites = tr.Counter("wal.indexWrites")
 }
 
 // Stats returns a snapshot of the counters.
@@ -217,12 +209,6 @@ func (m *Manager) Stats() Stats { return m.stats }
 // LastScanStats reports the cost of the most recent recovery scan.
 func (m *Manager) LastScanStats() ScanStats { return m.lastScan }
 
-// CheckpointLSN returns the last anchored checkpoint LSN (0 if none).
-func (m *Manager) CheckpointLSN() LSN { return m.ckptLSN }
-
-// LowWater returns the lowest live segment sequence.
-func (m *Manager) LowWater() uint64 { return m.lowWater }
-
 // active returns the segment new records append to.
 func (m *Manager) active() *segWriter { return m.writers[len(m.writers)-1] }
 
@@ -230,13 +216,6 @@ func (m *Manager) active() *segWriter { return m.writers[len(m.writers)-1] }
 func (m *Manager) End() LSN {
 	w := m.active()
 	return makeLSN(w.seq, w.end())
-}
-
-// FlushedTo reports the durable end of the log. Pages whose most recent
-// update has LSN < FlushedTo may be written to the database (WAL rule).
-func (m *Manager) FlushedTo() LSN {
-	w := m.writers[0]
-	return makeLSN(w.seq, w.durable)
 }
 
 func recSize(r *Record) int { return recFixed + len(r.Before) + len(r.After) }
@@ -473,9 +452,6 @@ func (m *Manager) truncateBelow(newLow uint64) error {
 		if err := removeIfExists(m.fsys, segName(m.base, seq)); err != nil {
 			return err
 		}
-		if err := removeIfExists(m.fsys, idxName(m.base, seq)); err != nil {
-			return err
-		}
 		removed = true
 		m.stats.SegmentsDeleted++
 		m.ctrTruncated.Add(1)
@@ -508,7 +484,7 @@ func (m *Manager) dirty() bool {
 
 // Force flushes all buffered records to the segment files and syncs them —
 // the log force at the heart of WAL. Segments drain strictly in sequence
-// order: a sealed segment is fully durable (data, index, close) before the
+// order: a sealed segment is fully durable (data, close) before the
 // next segment's file is created, so a crash can tear at most the last
 // segment on disk.
 //
@@ -545,8 +521,8 @@ func (m *Manager) Force() error {
 
 // flushWriter makes w's whole stream durable: composes the dirty block
 // range (including a rewrite of the previously-partial tail block), writes
-// it in one contiguous I/O, syncs, then emits index entries for the blocks
-// that are now complete. Returns the count of newly durable stream bytes.
+// it in one contiguous I/O, and syncs. Returns the count of newly durable
+// stream bytes.
 //
 //simlint:noalloc
 func (m *Manager) flushWriter(w *segWriter) (int64, error) {
@@ -586,11 +562,11 @@ func (m *Manager) flushWriter(w *segWriter) (int64, error) {
 	}
 	written := end - w.durable
 	w.durable = end
-	return written, m.flushIndex(w, false)
+	return written, nil
 }
 
-// createSegment lazily materializes w's segment and index files, making
-// their directory entries durable before any data is acknowledged.
+// createSegment lazily materializes w's segment file, making its directory
+// entry durable before any data is acknowledged.
 //
 //simlint:alloc(cold per-segment file creation: runs once per SegmentBytes of log)
 func (m *Manager) createSegment(w *segWriter) error {
@@ -601,82 +577,23 @@ func (m *Manager) createSegment(w *segWriter) error {
 	if _, err := f.WriteAt(encodeSegHeader(w.seq), 0); err != nil {
 		return err
 	}
-	idxF, err := m.fsys.Create(idxName(m.base, w.seq))
-	if err != nil {
-		return err
-	}
 	// A full file-system sync, not just an fsync of the file: the segment's
 	// directory entry must be durable too, or a crash leaves acknowledged
 	// log data unreachable by path.
 	if err := m.fsys.Sync(); err != nil {
 		return err
 	}
-	w.f, w.idxF = f, idxF
+	w.f = f
 	m.stats.Segments++
 	return nil
 }
 
-// flushIndex appends index entries for blocks that became complete (or, at
-// finalize time, for the partial tail block too). The index is advisory:
-// it is not synced until the segment seals, and recovery falls back to a
-// full segment scan when it is missing or torn.
-//
-//simlint:noalloc
-func (m *Manager) flushIndex(w *segWriter, final bool) error {
-	limit := w.durable / PayloadSize // first incomplete block
-	if final && w.durable%PayloadSize != 0 {
-		limit++
-	}
-	if w.idxNext >= limit || w.idxF == nil {
-		return nil
-	}
-	buf := m.idxBuf[:0] // reusable scratch: steady state emits with no allocation
-	for b := w.idxNext; b < limit; b++ {
-		lo := b * PayloadSize
-		hi := lo + PayloadSize
-		if hi > w.durable {
-			hi = w.durable
-		}
-		fr := w.firstRecIn(lo, hi)
-		if fr == noFirstRec {
-			continue
-		}
-		var e [indexEntrySize]byte
-		encodeIndexEntry(e[:], indexEntry{lsn: makeLSN(w.seq, lo+int64(fr)), block: b})
-		//simlint:alloc(amortized growth of the reusable index scratch)
-		buf = append(buf, e[:]...)
-		m.stats.IndexEntries++
-	}
-	w.idxNext = limit
-	m.idxBuf = buf[:0]
-	if len(buf) == 0 {
-		return nil
-	}
-	//simlint:alloc(simulated index I/O below the log hot path, not the emit loop)
-	if _, err := w.idxF.WriteAt(buf, w.idxCnt*indexEntrySize); err != nil {
-		return err
-	}
-	w.idxCnt += int64(len(buf) / indexEntrySize)
-	m.stats.IndexWrites++
-	m.ctrIdxWrites.Add(1)
-	return nil
-}
-
-// finalizeWriter completes a sealed, fully-flushed segment: emits the tail
-// block's index entry, syncs and closes the index, and closes the data file.
+// finalizeWriter completes a sealed, fully-flushed segment: it closes the
+// data file, whose last force already made every byte durable.
 //
 //simlint:alloc(cold per-segment finalize: runs once per rotation)
 func (m *Manager) finalizeWriter(w *segWriter) error {
 	if w.f != nil {
-		if err := m.flushIndex(w, true); err != nil {
-			return err
-		}
-		if err := w.idxF.Sync(); err != nil {
-			return err
-		}
-		if err := w.idxF.Close(); err != nil {
-			return err
-		}
 		if err := w.f.Close(); err != nil {
 			return err
 		}
@@ -697,20 +614,10 @@ func (m *Manager) Close() error {
 	m.closed = true
 	for _, w := range m.writers {
 		if w.f != nil {
-			if err := w.idxF.Close(); err != nil {
-				return err
-			}
 			if err := w.f.Close(); err != nil {
 				return err
 			}
 		}
 	}
 	return m.anchorF.Close()
-}
-
-// String describes the log position.
-func (m *Manager) String() string {
-	w := m.active()
-	return fmt.Sprintf("wal{seg=%d end=%d durable=%d low=%d ckpt=%s}",
-		w.seq, w.end(), w.durable, m.lowWater, m.ckptLSN)
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -87,19 +88,30 @@ func logCommit(m *Manager, txn uint64) error {
 	return m.Force()
 }
 
+// recoverLog is recovery as libtp runs it: Scan from the last checkpoint,
+// then ReplayRecords with no in-doubt resolver.
+func recoverLog(m *Manager, apply func(file uint64, block int64, offset uint32, data []byte) error) (winners, losers int, err error) {
+	recs, err := m.Scan()
+	if err != nil {
+		return 0, 0, err
+	}
+	winners, losers, _, err = ReplayRecords(recs, apply, nil)
+	return winners, losers, err
+}
+
 func TestCommitForcesLog(t *testing.T) {
 	m, _ := newLog(t)
 	m.LogUpdate(1, 1, 0, 0, []byte("a"), []byte("b"))
 	if _, err := m.AppendCommit(1); err != nil {
 		t.Fatal(err)
 	}
-	if m.FlushedTo() != makeLSN(1, 0) {
+	if m.active().durable != 0 {
 		t.Fatal("appending must not force: the commit is durable only after Force")
 	}
 	if err := m.Force(); err != nil {
 		t.Fatal(err)
 	}
-	if m.FlushedTo() != m.End() {
+	if m.active().durable != m.active().end() {
 		t.Fatal("Force should make the whole log durable")
 	}
 }
@@ -117,13 +129,13 @@ func TestGroupCommitBatches(t *testing.T) {
 			m.NoteAbsorbed() // waits on the first committer's force
 		}
 	}
-	if m.FlushedTo() != makeLSN(1, 0) {
+	if m.active().durable != 0 {
 		t.Fatal("no commit of the batch may be durable before its force")
 	}
 	if err := m.Force(); err != nil {
 		t.Fatal(err)
 	}
-	if m.FlushedTo() != m.End() {
+	if m.active().durable != m.active().end() {
 		t.Fatal("one force must cover the whole batch")
 	}
 	st := m.Stats()
@@ -213,7 +225,7 @@ func TestRecoverRedoWinners(t *testing.T) {
 	m.LogUpdate(1, 7, 0, 10, []byte("AAAA"), []byte("BBBB"))
 	logCommit(m, 1)
 	store := pageStore{}
-	w, l, err := m.Recover(store.apply)
+	w, l, err := recoverLog(m, store.apply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +247,7 @@ func TestRecoverUndoLosers(t *testing.T) {
 	store := pageStore{}
 	// Simulate the page on disk containing the loser's change.
 	store.apply(7, 0, 10, []byte("CCCC"))
-	w, l, err := m.Recover(store.apply)
+	w, l, err := recoverLog(m, store.apply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +268,7 @@ func TestRecoverMultiTxnInterleaved(t *testing.T) {
 	logCommit(m, 1)
 	store := pageStore{}
 	store.apply(3, 2, 0, []byte("T1AAT1CCT2BB")) // crash state: both applied
-	if _, _, err := m.Recover(store.apply); err != nil {
+	if _, _, err := recoverLog(m, store.apply); err != nil {
 		t.Fatal(err)
 	}
 	pg := store[[2]int64{3, 2}]
@@ -279,7 +291,7 @@ func TestAbortedTxnUndoneAtRecovery(t *testing.T) {
 	m.Force()
 	store := pageStore{}
 	store.apply(1, 0, 0, []byte("NEW!")) // page escaped to disk pre-abort
-	w, l, err := m.Recover(store.apply)
+	w, l, err := recoverLog(m, store.apply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +315,7 @@ func TestAbortDoesNotClobberLaterCommit(t *testing.T) {
 	logCommit(m, 4)
 	store := pageStore{}
 	store.apply(1, 0, 0, []byte("4444"))
-	if _, _, err := m.Recover(store.apply); err != nil {
+	if _, _, err := recoverLog(m, store.apply); err != nil {
 		t.Fatal(err)
 	}
 	if got := store[[2]int64{1, 0}][:4]; !bytes.Equal(got, []byte("4444")) {
@@ -340,15 +352,15 @@ func TestCheckpointRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.CheckpointLSN() != lsn {
-		t.Fatalf("CheckpointLSN = %v, want %v", m.CheckpointLSN(), lsn)
+	if m.ckptLSN != lsn {
+		t.Fatalf("anchored checkpoint = %v, want %v", m.ckptLSN, lsn)
 	}
 	recs, _ := m.Scan()
 	if len(recs) != 1 || recs[0].Type != RecCheckpoint {
 		t.Fatalf("recs = %+v", recs)
 	}
-	if recs[0].File != m.LowWater() {
-		t.Fatalf("checkpoint record low-water = %d, want %d", recs[0].File, m.LowWater())
+	if recs[0].File != m.lowWater {
+		t.Fatalf("checkpoint record low-water = %d, want %d", recs[0].File, m.lowWater)
 	}
 }
 
@@ -423,13 +435,13 @@ func TestLogRoundTripProperty(t *testing.T) {
 		}
 		// Recovery idempotence.
 		s1, s2 := pageStore{}, pageStore{}
-		if _, _, err := m.Recover(s1.apply); err != nil {
+		if _, _, err := recoverLog(m, s1.apply); err != nil {
 			return false
 		}
-		if _, _, err := m.Recover(s2.apply); err != nil {
+		if _, _, err := recoverLog(m, s2.apply); err != nil {
 			return false
 		}
-		if _, _, err := m.Recover(s2.apply); err != nil { // twice
+		if _, _, err := recoverLog(m, s2.apply); err != nil { // twice
 			return false
 		}
 		if len(s1) != len(s2) {
@@ -471,7 +483,7 @@ func TestRecoverDeterministic(t *testing.T) {
 	run := func() ([]applied, pageStore, int, int) {
 		var trace []applied
 		store := pageStore{}
-		w, l, err := m.Recover(func(file uint64, block int64, offset uint32, data []byte) error {
+		w, l, err := recoverLog(m, func(file uint64, block int64, offset uint32, data []byte) error {
 			trace = append(trace, applied{file, block, offset, string(data)})
 			return store.apply(file, block, offset, data)
 		})
@@ -545,7 +557,7 @@ func TestTornSpanningRecordTruncatedOnOpen(t *testing.T) {
 	f2.Close()
 	// Recovery over the truncated log sees exactly the intact transaction.
 	store := pageStore{}
-	winners, losers, err := m2.Recover(store.apply)
+	winners, losers, err := recoverLog(m2, store.apply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +609,7 @@ func TestRotationAcrossSegments(t *testing.T) {
 	}
 	// Recovery across the whole multi-segment log sees every winner.
 	store := pageStore{}
-	w, l, err := m.Recover(store.apply)
+	w, l, err := recoverLog(m, store.apply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,7 +624,7 @@ func TestCheckpointTruncatesDeadSegments(t *testing.T) {
 		m.LogUpdate(txn, 1, int64(txn), 0, []byte("bbbb"), []byte("aaaa"))
 		logCommit(m, txn)
 	}
-	low := m.LowWater()
+	low := m.lowWater
 	if low != 1 {
 		t.Fatalf("low water before checkpoint = %d, want 1", low)
 	}
@@ -620,18 +632,15 @@ func TestCheckpointTruncatesDeadSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := m.Stats()
-	if m.LowWater() <= low {
+	if m.lowWater <= low {
 		t.Fatal("checkpoint did not advance the low-water mark")
 	}
 	if st.SegmentsDeleted == 0 {
 		t.Fatalf("checkpoint did not delete dead segments: %+v", st)
 	}
-	for seq := uint64(1); seq < m.LowWater(); seq++ {
+	for seq := uint64(1); seq < m.lowWater; seq++ {
 		if _, err := fsys.Stat(segName("/log", seq)); err == nil {
 			t.Fatalf("dead segment %d still exists", seq)
-		}
-		if _, err := fsys.Stat(idxName("/log", seq)); err == nil {
-			t.Fatalf("dead index %d still exists", seq)
 		}
 	}
 	// The live tail still scans.
@@ -657,7 +666,7 @@ func TestRetainArchivesDeadSegments(t *testing.T) {
 	if st.SegmentsArchived == 0 || st.SegmentsDeleted != 0 {
 		t.Fatalf("retain should archive, not delete: %+v", st)
 	}
-	for seq := uint64(1); seq < m.LowWater(); seq++ {
+	for seq := uint64(1); seq < m.lowWater; seq++ {
 		if _, err := fsys.Stat(segName("/log", seq)); err != nil {
 			t.Fatalf("archived segment %d missing: %v", seq, err)
 		}
@@ -670,7 +679,7 @@ func TestRetainArchivesDeadSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seq := uint64(1); seq < m2.LowWater(); seq++ {
+	for seq := uint64(1); seq < m2.lowWater; seq++ {
 		if _, err := fsys.Stat(segName("/log", seq)); err != nil {
 			t.Fatalf("archived segment %d lost at reopen: %v", seq, err)
 		}
@@ -690,7 +699,7 @@ func TestBoundedRecoveryScan(t *testing.T) {
 	if _, err := m.LogCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	ckpt := m.CheckpointLSN()
+	ckpt := m.ckptLSN
 	totalSegs := m.stats.Segments
 	for txn := uint64(31); txn <= 36; txn++ {
 		m.LogUpdate(txn, 1, int64(txn), 0, []byte("bbbb"), []byte("aaaa"))
@@ -705,7 +714,7 @@ func TestBoundedRecoveryScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := pageStore{}
-	w, _, err := m2.Recover(store.apply)
+	w, _, err := recoverLog(m2, store.apply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -716,8 +725,8 @@ func TestBoundedRecoveryScan(t *testing.T) {
 	if scan.StartLSN != ckpt {
 		t.Fatalf("scan started at %v, want the checkpoint %v", scan.StartLSN, ckpt)
 	}
-	if scan.StartLSN.Segment() < m2.LowWater() {
-		t.Fatalf("scan start segment %d below low water %d", scan.StartLSN.Segment(), m2.LowWater())
+	if scan.StartLSN.Segment() < m2.lowWater {
+		t.Fatalf("scan start segment %d below low water %d", scan.StartLSN.Segment(), m2.lowWater)
 	}
 	liveSegs := int64(m2.active().seq - ckpt.Segment() + 1)
 	if scan.Segments > liveSegs {
@@ -728,59 +737,90 @@ func TestBoundedRecoveryScan(t *testing.T) {
 	}
 }
 
-// TestIndexSeekSkipsBlocks checks that recovery over a sealed segment uses
-// its index to seek to the checkpoint's block instead of scanning the
-// segment from block 0.
-func TestIndexSeekSkipsBlocks(t *testing.T) {
-	// Large records so the checkpoint lands several blocks into a segment,
-	// and a segment holds many blocks.
-	m, fsys := newLogOpts(t, Options{SegmentBytes: 16 * PayloadSize})
-	big := make([]byte, PayloadSize/2)
-	for txn := uint64(1); txn <= 8; txn++ {
-		m.LogUpdate(txn, 1, int64(txn), 0, big, big)
-		logCommit(m, txn)
-	}
-	if _, err := m.LogCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
-	ckpt := m.CheckpointLSN()
-	if ckpt.Offset() == 0 {
-		t.Fatal("test needs a checkpoint mid-segment")
-	}
-	// Roll past the checkpoint's segment so it seals (indexes are synced at
-	// seal, and only sealed segments are index-seeked).
-	for txn := uint64(9); txn <= 40; txn++ {
-		m.LogUpdate(txn, 1, int64(txn), 0, big, big)
-		logCommit(m, txn)
-	}
-	if m.active().seq == ckpt.Segment() {
-		t.Fatal("test needs the checkpoint segment sealed")
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
+// TestRecoverFromMidSegmentCheckpoint checks recovery from a checkpoint that
+// starts neither its segment nor its block, in a segment that has since
+// sealed: the scan must start at the checkpoint record's own byte — block
+// Offset/PayloadSize, byte Offset%PayloadSize — so every transaction after
+// the checkpoint is a winner, and no block before the checkpoint's is read.
+// (A scan that began decoding at the first byte of the checkpoint's block
+// met the tail of an earlier record there, took it for a torn log and
+// dropped every later commit.)
+func TestRecoverFromMidSegmentCheckpoint(t *testing.T) {
+	const segBytes = 16 * PayloadSize
+	for _, tc := range []struct {
+		image     int   // bytes in each before- and after-image
+		ckptBlock int64 // block of segment 1 the checkpoint lands in
+	}{
+		{2040, 8},
+		{700, 2},
+		{300, 1},
+	} {
+		t.Run(fmt.Sprintf("image%d", tc.image), func(t *testing.T) {
+			m, fsys := newLogOpts(t, Options{SegmentBytes: segBytes})
+			img := make([]byte, tc.image)
+			txn := uint64(0)
+			logTxn := func() {
+				txn++
+				m.LogUpdate(txn, 1, int64(txn), 0, img, img)
+				if err := logCommit(m, txn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for txn < 8 {
+				logTxn()
+			}
+			ckpt, err := m.LogCheckpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ckpt.Segment() != 1 || ckpt.Offset()/PayloadSize != tc.ckptBlock || ckpt.Offset()%PayloadSize == 0 {
+				t.Fatalf("checkpoint at %v, want mid-block in block %d of segment 1", ckpt, tc.ckptBlock)
+			}
+			// Log past the rotation so the checkpoint's segment seals and is
+			// read back from disk, then a few transactions more.
+			for m.active().seq == ckpt.Segment() {
+				logTxn()
+			}
+			for i := 0; i < 3; i++ {
+				logTxn()
+			}
+			post := int(txn - 8)
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	m2, err := Open(fsys, "/log", Options{SegmentBytes: 16 * PayloadSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := pageStore{}
-	if _, _, err := m2.Recover(store.apply); err != nil {
-		t.Fatal(err)
-	}
-	scan := m2.LastScanStats()
-	if scan.IndexSeeks == 0 {
-		t.Fatalf("recovery did not use the index: %+v", scan)
-	}
-	// The seek must actually skip the pre-checkpoint blocks: the first
-	// segment has ckpt.Offset()/PayloadSize blocks before the target.
-	skippable := ckpt.Offset() / PayloadSize
-	full := int64(0)
-	for seq := ckpt.Segment(); seq <= m2.active().seq; seq++ {
-		full += 16 // up to 16 payload blocks per segment at this threshold
-	}
-	if skippable > 1 && scan.Blocks > full-skippable+1 {
-		t.Fatalf("scan read %d blocks; expected the index to skip ~%d", scan.Blocks, skippable)
+			m2, err := Open(fsys, "/log", Options{SegmentBytes: segBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, l, err := recoverLog(m2, pageStore{}.apply)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w != post || l != 0 {
+				t.Fatalf("winners=%d losers=%d, want %d/0: post-checkpoint commits lost", w, l, post)
+			}
+			scan := m2.LastScanStats()
+			if scan.StartLSN != ckpt || scan.Records != int64(1+2*post) {
+				t.Fatalf("scan from %v read %d records, want %v and %d", scan.StartLSN, scan.Records, ckpt, 1+2*post)
+			}
+			// Blocks read: segment 1 from the checkpoint's block on, then the
+			// active segment's durable blocks — none before the checkpoint.
+			f, err := fsys.Open(segName("/log", ckpt.Segment()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			size, _ := f.Size()
+			f.Close()
+			sealedBlocks := size/BlockSize - 1
+			act := m2.active()
+			want := sealedBlocks - tc.ckptBlock + (act.durable+PayloadSize-1)/PayloadSize
+			if scan.Blocks != want {
+				t.Fatalf("scan read %d blocks, want %d (segment 1 holds %d, %d of them before the checkpoint)",
+					scan.Blocks, want, sealedBlocks, tc.ckptBlock)
+			}
+			t.Logf("checkpoint %v: %d winners, %d blocks read", ckpt, w, scan.Blocks)
+		})
 	}
 }
 
@@ -877,7 +917,7 @@ func TestTwoRunByteIdenticalMultiSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 		var trace []applied
-		if _, _, err := m2.Recover(func(file uint64, block int64, offset uint32, data []byte) error {
+		if _, _, err := recoverLog(m2, func(file uint64, block int64, offset uint32, data []byte) error {
 			trace = append(trace, applied{file, block, offset, string(data)})
 			return nil
 		}); err != nil {
@@ -893,17 +933,16 @@ func TestTwoRunByteIdenticalMultiSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, seq := range seqs {
-			for _, name := range []string{segName("/log", seq), idxName("/log", seq)} {
-				f, err := fsys.Open(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sz, _ := f.Size()
-				raw := make([]byte, sz)
-				f.ReadAt(raw, 0)
-				f.Close()
-				files[name] = raw
+			name := segName("/log", seq)
+			f, err := fsys.Open(name)
+			if err != nil {
+				t.Fatal(err)
 			}
+			sz, _ := f.Size()
+			raw := make([]byte, sz)
+			f.ReadAt(raw, 0)
+			f.Close()
+			files[name] = raw
 		}
 		return files, trace, scan
 	}
@@ -943,7 +982,7 @@ func TestDumpReadableOnCleanAndTornLogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"anchor", "segment", "block", "index", "commit", "ckpt", "low-water"} {
+	for _, want := range []string{"anchor", "segment", "block", "commit", "ckpt", "low-water"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dump output missing %q:\n%s", want, out)
 		}

@@ -43,11 +43,14 @@ run tpcb -system kernel-lfs -scale 0.02 -txns 500 -mpl 8 -groupcommit 8 -cleaner
 	-metrics metrics.json -trace trace.json
 run tpcb -system kernel-lfs -scale 0.02 -txns 500 -devices 2 -layout stripe
 run tpcb -system user-lfs -scale 0.02 -txns 500 -devices 2 -layout partition
+run tpcb -system user-lfs -scale 0.02 -txns 300 -policy greedy -fastsync -logretain -wallstats
 
 sweep="-seed 1 -txns 120 -torn"
 run crashsweep -system all $sweep -points 150 -diskscale 0.7
 run crashsweep -system user-lfs $sweep -points 150 -diskscale 0.7 -logseg 4096
 run crashsweep -system user-ffs $sweep -points 150 -diskscale 0.7 -logseg 4096
+run crashsweep -system user-lfs $sweep -points 150 -diskscale 0.7 -logseg 16384
+run crashsweep -system user-ffs $sweep -points 150 -diskscale 0.7 -logseg 16384
 run crashsweep -system user-lfs $sweep -points 60 -devices 2 -layout partition -logseg 4096
 run crashsweep -system kernel-lfs $sweep -points 120 -snapshots 4
 run crashsweep -system user-lfs $sweep -points 120 -snapshots 4
@@ -60,6 +63,7 @@ run benchmark -quick -trace 1
 run waldump
 run waldump -segbytes 4096 -txns 200
 run waldump -system user-ffs -checkpoint
+run waldump -segbytes 4096 -txns 200 -checkpoint -retain
 run lfsdump -save lfs.img
 run lfsdump -load lfs.img
 for example in quickstart banking kvstore inventory; do
