@@ -168,8 +168,8 @@ func TestSweepStagedEvictions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := golden.FFSStats(); st.BlocksStaged == 0 || st.StagedFlushes == 0 {
-		t.Fatalf("the golden run staged %d blocks in %d sweeps: the sweep would crash with nothing staged", st.BlocksStaged, st.StagedFlushes)
+	if st := golden.FFSStats(); st.BlocksStaged == 0 || st.StagedFlushes == 0 || st.WriteBehind.Busy == 0 {
+		t.Fatalf("the golden run staged %d blocks in %d sweeps, write-behind busy %v: the sweep would crash with nothing staged, or the sweeps ran off the background lane", st.BlocksStaged, st.StagedFlushes, st.WriteBehind.Busy)
 	}
 	rep, err := Run(opts)
 	if err != nil {
@@ -180,6 +180,33 @@ func TestSweepStagedEvictions(t *testing.T) {
 		t.Fatal("no transaction span swept the stage")
 	}
 	t.Logf("staged %+v; %s", *golden.FFSStats(), rep)
+}
+
+// TestSweepStagedSegments is TestSweepStagedEvictions on user-lfs: a database
+// large enough that LFS's cache evicts dirty blocks into its stage and the
+// full stage goes out as a partial segment on the background lane, at least
+// twice in the golden run; every write op is a crash point, torn.
+func TestSweepStagedSegments(t *testing.T) {
+	opts := smallOpts("user-lfs", true)
+	opts.Config.Accounts = 20000
+	opts.Txns, opts.MaxPoints = 240, 0
+	if err := opts.fill(); err != nil {
+		t.Fatal(err)
+	}
+	golden, _, _, err := goldenRun(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := golden.LFSStats()
+	if st.StagedFlushes < 2 || st.WriteBehind.Busy == 0 {
+		t.Fatalf("the golden run flushed a full stage %d times, write-behind busy %v: want at least two flushes on the background lane", st.StagedFlushes, st.WriteBehind.Busy)
+	}
+	rep, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSurvived(t, rep)
+	t.Logf("%d full-stage flushes, write-behind %+v; %s", st.StagedFlushes, st.WriteBehind, rep)
 }
 
 // TestSweepSamplingCoversCheckpoints checks the dense sampler actually put

@@ -39,7 +39,7 @@ type Stats struct {
 	BlocksWrit int64         `json:"blocks_written"` // blocks transferred out
 	Seeks      int64         `json:"seeks"`          // accesses that paid positioning time
 	BusyTime   time.Duration `json:"busy"`           // total simulated service time
-	QueueTime  time.Duration `json:"queued"`         // foreground time spent queued behind earlier requests (MPL > 1)
+	QueueTime  time.Duration `json:"queued"`         // time spent queued behind the request holding the arm (MPL > 1)
 
 	// Background-lane accounting (see Lane). BgTime is total background
 	// service time; BgOverlapTime is the portion absorbed by foreground idle
@@ -73,12 +73,13 @@ type Lane int
 const (
 	// Foreground accesses advance the clock by their full service time.
 	Foreground Lane = iota
-	// Background accesses are served in the idle windows between foreground
-	// requests: the device keeps a budget of idle time accumulated since its
-	// last request completed, background service time drains that budget
-	// first, and only the residue advances the clock (stalling the
-	// foreground). This models a cleaner that runs while the disk would
-	// otherwise sit idle, as §5.4 of the paper prescribes.
+	// Background accesses are device work no caller waits on — write-behind
+	// and the idle cleaner. The device keeps a budget of idle time
+	// accumulated since its last request completed; background service time
+	// drains that budget first, and only the residue advances the clock and
+	// occupies the arm, stalling the caller and queueing the foreground
+	// requests behind it. This is §5.4's "in idle periods", applied to every
+	// deferred write.
 	Background
 )
 
@@ -123,7 +124,7 @@ type Device struct {
 	//simlint:tokenguarded
 	lastEnd time.Duration // clock time when the last request finished
 	//simlint:tokenguarded
-	busyUntil time.Duration // virtual time the spindle finishes its current foreground request
+	busyUntil time.Duration // virtual time the spindle finishes the request holding the arm
 
 	// Crash model (see CrashAfter). writeOps counts write operations
 	// (Write and WriteRun each count as one); when it reaches crashAt the
@@ -310,24 +311,20 @@ func (d *Device) checkRange(block int64, n int) error {
 // background accesses drain the accumulated idle budget first and only their
 // residue stalls the clock.
 //
-// The device models a single spindle: a foreground request issued while an
-// earlier foreground request is still in service (possible only at MPL > 1,
-// where clients carry independent virtual clocks) first waits out the
-// remaining service time, and that queueing delay is charged to the waiting
-// client. At MPL = 1 the single client's time is never behind busyUntil, so
-// the queue wait is always zero and timings match the direct-advance design
-// exactly. Background accesses bypass the queue — they model work scheduled
-// into idle windows, and their overlap accounting below already bounds how
-// much of them the foreground can absorb.
+// The device models a single spindle: whatever arm time a caller waits for —
+// all of a foreground access, the unabsorbed residue of a background one —
+// first waits out the request still holding the arm (possible only at MPL > 1,
+// where clients carry independent virtual clocks), is charged that queueing
+// delay, and then holds the arm itself. At MPL = 1 the single client's time is
+// never behind busyUntil, so the queue wait is always zero and timings match
+// the direct-advance design exactly. A background access the idle budget
+// absorbs entirely ran in an idle window already past: it neither waits nor
+// holds the arm.
 func (d *Device) charge(ot *opTrace, block int64, n int) {
 	start := d.clock.Now()
 	var qwait time.Duration
 	if d.lane == Foreground {
-		if now := d.clock.Now(); d.busyUntil > now {
-			qwait = d.busyUntil - now
-			d.clock.Advance(qwait)
-			d.stats.QueueTime += qwait
-		}
+		qwait = d.waitForArm()
 	}
 	seek, rot, xfer := d.model.AccessTimeParts(d.arm, block, n)
 	t := seek + rot + xfer
@@ -339,22 +336,24 @@ func (d *Device) charge(ot *opTrace, block int64, n int) {
 	if now := d.clock.Now(); now > d.lastEnd {
 		d.idleCredit += now - d.lastEnd
 	}
+	held := t // the arm time the caller waits for
 	if d.lane == Background {
 		overlap := min(t, d.idleCredit)
 		d.idleCredit -= overlap
+		held = t - overlap
 		d.stats.BgTime += t
 		d.stats.BgOverlapTime += overlap
-		d.stats.BgStallTime += t - overlap
-		d.clock.Advance(t - overlap)
-		// Only the unabsorbed residue delayed anyone; it is cleaner time by
-		// construction (the background lane exists for the cleaner).
-		d.tracer.Attribute(trace.AttrCleaner, t-overlap)
-	} else {
-		d.clock.Advance(t)
-		d.tracer.AttributeIO(t, qwait)
+		d.stats.BgStallTime += held
+		if held > 0 {
+			qwait = d.waitForArm()
+		}
 	}
+	d.clock.Advance(held)
 	d.lastEnd = d.clock.Now()
-	if d.lane == Foreground {
+	if held > 0 {
+		// Only held time and its queueing delayed anyone. It is disk time
+		// unless the caller redirected it (the cleaner pushes AttrCleaner).
+		d.tracer.AttributeIO(held, qwait)
 		d.busyUntil = d.lastEnd
 	}
 	if d.tracer.Enabled() {
@@ -373,6 +372,19 @@ func (d *Device) charge(ot *opTrace, block int64, n int) {
 	}
 }
 
+// waitForArm advances the caller to the end of the request holding the arm,
+// counts the wait as queue time and returns it.
+func (d *Device) waitForArm() time.Duration {
+	now := d.clock.Now()
+	if d.busyUntil <= now {
+		return 0
+	}
+	q := d.busyUntil - now
+	d.clock.Advance(q)
+	d.stats.QueueTime += q
+	return q
+}
+
 // SetLane switches the charging lane for subsequent accesses and returns the
 // previous lane, so callers can restore it with defer.
 //
@@ -381,6 +393,29 @@ func (d *Device) SetLane(l Lane) Lane {
 	prev := d.lane
 	d.lane = l
 	return prev
+}
+
+// BgTimes is one caller's share of a device's background lane: Busy is its
+// background service time, Overlap the part idle windows absorbed, Stall the
+// residue that delayed the workload (Busy = Overlap + Stall).
+type BgTimes struct {
+	Busy    time.Duration `json:"busy"`
+	Overlap time.Duration `json:"overlap"`
+	Stall   time.Duration `json:"stall"`
+}
+
+// InBackground runs fn with dev on the background lane, restores the previous
+// lane, and adds the device's background time during fn to acc.
+func InBackground(dev BlockDevice, acc *BgTimes, fn func() error) error {
+	prev := dev.SetLane(Background)
+	defer dev.SetLane(prev)
+	d0 := dev.Stats()
+	err := fn()
+	d1 := dev.Stats()
+	acc.Busy += d1.BgTime - d0.BgTime
+	acc.Overlap += d1.BgOverlapTime - d0.BgOverlapTime
+	acc.Stall += d1.BgStallTime - d0.BgStallTime
+	return err
 }
 
 // IdleCredit reports the unspent foreground idle budget: time the device has

@@ -552,6 +552,90 @@ func TestResetIdleCreditForgetsBudget(t *testing.T) {
 	}
 }
 
+// A background residue the idle budget did not absorb holds the arm: another
+// proc's foreground request issued while it is in service queues behind it.
+func TestBackgroundResidueHoldsTheArm(t *testing.T) {
+	dev, clk := newTestDevice()
+	buf := block(dev, 3)
+	var residue, started time.Duration
+	s := sim.NewScheduler(clk)
+	s.Spawn("write-behind", func() {
+		prev := dev.SetLane(Background)
+		if err := dev.Write(100, buf); err != nil {
+			t.Error(err)
+		}
+		dev.SetLane(prev)
+		residue = clk.Now() // no idle credit at time zero: all of it stalls
+		clk.Yield()
+	})
+	s.Spawn("reader", func() {
+		started = clk.Now()
+		if err := dev.Read(5000, buf); err != nil {
+			t.Error(err)
+		}
+	})
+	s.Run()
+	queued := dev.Stats().QueueTime
+	if residue == 0 || dev.Stats().BgStallTime != residue {
+		t.Fatalf("background write stalled %v, stats say %v: want a residue", residue, dev.Stats().BgStallTime)
+	}
+	if queued != residue-started {
+		t.Fatalf("reader issued at %v queued %v, want the residue's remaining %v", started, queued, residue-started)
+	}
+}
+
+// The rule holds the other way round too: a residue issued while a foreground
+// request holds the arm waits for it, instead of sharing the arm with it.
+func TestBackgroundResidueQueuesForTheArm(t *testing.T) {
+	dev, clk := newTestDevice()
+	buf := block(dev, 5)
+	var served, started time.Duration
+	s := sim.NewScheduler(clk)
+	s.Spawn("reader", func() {
+		if err := dev.Read(5000, buf); err != nil {
+			t.Error(err)
+		}
+		served = clk.Now()
+		clk.Yield()
+	})
+	s.Spawn("write-behind", func() {
+		started = clk.Now()
+		prev := dev.SetLane(Background)
+		if err := dev.Write(100, buf); err != nil {
+			t.Error(err)
+		}
+		dev.SetLane(prev)
+	})
+	s.Run()
+	if st := dev.Stats(); st.BgStallTime == 0 || st.QueueTime != served-started {
+		t.Fatalf("background write issued at %v, stalled %v, queued %v: want a residue queued until the read's end at %v", started, st.BgStallTime, st.QueueTime, served)
+	}
+}
+
+// A background access the idle budget absorbs entirely never held the arm as
+// far as anyone else can tell: busyUntil stays where the last foreground
+// request left it.
+func TestAbsorbedBackgroundLeavesTheArmFree(t *testing.T) {
+	dev, clk := newTestDevice()
+	buf := block(dev, 4)
+	if err := dev.Write(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	busy := dev.busyUntil
+	clk.Advance(time.Second)
+	prev := dev.SetLane(Background)
+	if err := dev.Write(100, buf); err != nil {
+		t.Fatal(err)
+	}
+	dev.SetLane(prev)
+	if st := dev.Stats(); st.BgStallTime != 0 || st.BgOverlapTime == 0 {
+		t.Fatalf("overlap %v, stall %v: want the write absorbed", st.BgOverlapTime, st.BgStallTime)
+	}
+	if dev.busyUntil != busy {
+		t.Fatalf("busyUntil moved from %v to %v for an absorbed background write", busy, dev.busyUntil)
+	}
+}
+
 // TestFaultInjectionMidRun is the regression test for the bug where WriteRun
 // and ReadRun consulted the fault hook only for the run's first block: a
 // per-block fault rule targeting a mid-run block must abort the whole run

@@ -49,6 +49,8 @@ type Stats struct {
 	BlocksFlushed int64 `json:"blocks_flushed"` // data blocks any flush wrote in place, from the cache or the stage
 	BlocksStaged  int64 `json:"blocks_staged"`  // dirty blocks the cache evicted into the stage
 	StagedFlushes int64 `json:"staged_flushes"` // sweeps of a full stage
+	// WriteBehind is the background-lane time of syncer passes and sweeps.
+	WriteBehind disk.BgTimes `json:"write_behind"`
 }
 
 // upper is the layer FFS shares with LFS: namespace, directories and open
@@ -350,19 +352,26 @@ func (fs *FS) fetchBlock(id buffer.BlockID, dst []byte) error {
 // all dirty buffers out through the C-SCAN-sorted queue and then the inodes
 // that changed — this is where a modification time becomes durable, since
 // File.Sync leaves alone an inode that is merely Dirty. Between passes, a
-// stage that evictions have filled is swept into place on its own.
+// stage that evictions have filled is swept into place on its own. No caller
+// waits for either, so both run on the device's background lane: idle time
+// absorbs them first, and only the residue stalls the transaction whose tick
+// started them.
 func (fs *FS) tickLocked() error {
 	if now := fs.clock.Now(); now-fs.lastSyncer >= fs.opts.SyncInterval {
 		fs.lastSyncer = now
 		fs.stats.SyncerRuns++
 		fs.stage.TakeFull() // the pass empties the stage
-		return fs.flushAllLocked()
+		return disk.InBackground(fs.dev, &fs.stats.WriteBehind, fs.flushAllLocked)
 	}
 	if !fs.stage.TakeFull() {
 		return nil
 	}
 	span := fs.tracer.Begin("ffs", "ffs.stageFlush")
-	n, err := fs.flushLocked(nil, false)
+	var n int
+	err := disk.InBackground(fs.dev, &fs.stats.WriteBehind, func() (err error) {
+		n, err = fs.flushLocked(nil, false)
+		return err
+	})
 	fs.stats.StagedFlushes++
 	span.End(trace.AI("blocks", int64(n)))
 	return err

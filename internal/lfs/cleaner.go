@@ -117,20 +117,23 @@ func (fs *FS) CleanIdle() (bool, error) {
 	}
 	fs.cleaning = true
 	defer func() { fs.cleaning = false }()
-	// Background-lane accesses already attribute their unabsorbed residue to
-	// the cleaner in disk.charge; the override here covers any foreground
-	// I/O the pass does outside the lane switch (none today, cheap insurance).
+	// The override classifies the pass's unabsorbed residue as cleaner time.
 	fs.tracer.PushAttr(trace.AttrCleaner)
 	defer fs.tracer.PopAttr()
-	prev := fs.dev.SetLane(disk.Background)
-	defer fs.dev.SetLane(prev)
-	d0 := fs.dev.Stats()
-	defer func() {
-		d1 := fs.dev.Stats()
-		fs.stats.Cleaner.BusyTime += d1.BusyTime - d0.BusyTime
-		fs.stats.Cleaner.OverlapTime += d1.BgOverlapTime - d0.BgOverlapTime
-		fs.stats.Cleaner.StallTime += d1.BgStallTime - d0.BgStallTime
-	}()
+	var bg disk.BgTimes
+	var reclaimed bool
+	err := disk.InBackground(fs.dev, &bg, func() (err error) {
+		reclaimed, err = fs.idlePassLocked()
+		return err
+	})
+	fs.stats.Cleaner.BusyTime += bg.Busy
+	fs.stats.Cleaner.OverlapTime += bg.Overlap
+	fs.stats.Cleaner.StallTime += bg.Stall
+	return reclaimed, err
+}
+
+// idlePassLocked is CleanIdle's pass, run on the background lane.
+func (fs *FS) idlePassLocked() (bool, error) {
 	// Background passes take only cheap victims: copying a mostly-live
 	// segment costs more device time than the idle windows can hide, and
 	// cost-benefit's age term would otherwise keep re-picking the cleaner's
@@ -187,12 +190,16 @@ func (fs *FS) CleanIdle() (bool, error) {
 // invoked from the flush path when free segments fall below the threshold —
 // the paper's in-kernel cleaner, whose activity stalls the transaction
 // workload ("periods of very high transaction throughput are interrupted by
-// periods of no transaction throughput", §5.1).
+// periods of no transaction throughput", §5.1). The pass is charged in full
+// even inside a background flush: whether cleaning hides in idle time is the
+// rig's sync|idle choice (CleanIdle), not the flush's.
 func (fs *FS) cleanLocked() error {
 	fs.cleaning = true
 	defer func() { fs.cleaning = false }()
 	fs.tracer.PushAttr(trace.AttrCleaner)
 	defer fs.tracer.PopAttr()
+	prev := fs.dev.SetLane(disk.Foreground)
+	defer fs.dev.SetLane(prev)
 	busy0 := fs.dev.Stats().BusyTime
 	defer func() { fs.stats.Cleaner.BusyTime += fs.dev.Stats().BusyTime - busy0 }()
 	fs.stats.Cleaner.Runs++

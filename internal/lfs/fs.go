@@ -83,7 +83,10 @@ type Stats struct {
 	InodePackBlocks int64        `json:"inode_pack_blocks"`
 	PointerBlocks   int64        `json:"pointer_blocks"` // single, double indirect and child blocks
 	Checkpoints     int64        `json:"checkpoints"`
+	StagedFlushes   int64        `json:"staged_flushes"` // flushes of a full stage
 	Cleaner         CleanerStats `json:"cleaner"`
+	// WriteBehind is the background-lane time of full-stage flushes.
+	WriteBehind disk.BgTimes `json:"write_behind"`
 }
 
 // upper is the layer LFS shares with FFS: namespace, directories and open
@@ -494,12 +497,16 @@ func (fs *FS) writeback(id buffer.BlockID, data []byte) error {
 }
 
 // maybeFlushStageLocked drains the staging buffer when eviction pressure
-// filled it.
+// filled it. No caller waits for the partial segment, so it goes out on the
+// device's background lane: idle time absorbs it first, and only the residue
+// stalls the operation whose tick started it. A cleaning pass the flush needs
+// is still charged in full (cleanLocked).
 func (fs *FS) maybeFlushStageLocked() error {
 	if !fs.stage.TakeFull() {
 		return nil
 	}
-	return fs.flushLocked(nil, false, nil)
+	fs.stats.StagedFlushes++
+	return disk.InBackground(fs.dev, &fs.stats.WriteBehind, fs.Flush)
 }
 
 // decPackRef drops one reference to the inode pack block at addr, marking

@@ -121,6 +121,11 @@ func (r *Rig) Snapshot(res MixedResult) *Snapshot {
 	return snap
 }
 
+// writeBehind renders a file system's background-lane write-behind time.
+func writeBehind(wb disk.BgTimes) string {
+	return fmt.Sprintf("write-behind busy %v (%v overlapped with idle windows, %v stalled)", wb.Busy, wb.Overlap, wb.Stall)
+}
+
 // WriteJSON writes the snapshot as indented JSON.
 func (s *Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -145,8 +150,8 @@ func (s *Snapshot) Render() string {
 		}
 	}
 	if f := s.LFS; f != nil {
-		fmt.Fprintf(&b, "lfs: %d partial segments, %d blocks logged (%d summary, %d inode pack, %d pointer), %d checkpoints\n",
-			f.PartialSegments, f.BlocksLogged, f.SummaryBlocks, f.InodePackBlocks, f.PointerBlocks, f.Checkpoints)
+		fmt.Fprintf(&b, "lfs: %d partial segments, %d blocks logged (%d summary, %d inode pack, %d pointer), %d checkpoints, %d flushes of a full stage; %s\n",
+			f.PartialSegments, f.BlocksLogged, f.SummaryBlocks, f.InodePackBlocks, f.PointerBlocks, f.Checkpoints, f.StagedFlushes, writeBehind(f.WriteBehind))
 		cl := f.Cleaner
 		fmt.Fprintf(&b, "cleaner: %d segments cleaned in %d passes, %d blocks copied, %d dead, busy %v (%.1f%% of elapsed)\n",
 			cl.SegmentsCleaned, cl.Runs, cl.BlocksCopied, cl.BlocksDead,
@@ -165,8 +170,8 @@ func (s *Snapshot) Render() string {
 		}
 	}
 	if f := s.FFS; f != nil {
-		fmt.Fprintf(&b, "ffs: %d syncer passes, %d blocks flushed, %d evicted blocks staged, %d sweeps of a full stage\n",
-			f.SyncerRuns, f.BlocksFlushed, f.BlocksStaged, f.StagedFlushes)
+		fmt.Fprintf(&b, "ffs: %d syncer passes, %d blocks flushed, %d evicted blocks staged, %d sweeps of a full stage; %s\n",
+			f.SyncerRuns, f.BlocksFlushed, f.BlocksStaged, f.StagedFlushes, writeBehind(f.WriteBehind))
 	}
 	if e := s.Embedded; e != nil {
 		fmt.Fprintf(&b, "embedded: %d committed, %d aborted, %d commit flushes, %d pages (%d bytes) forced\n",

@@ -42,8 +42,8 @@ var goldenRigs = []struct {
 // every counter struct the report is made of.
 var layerStats = map[string]any{
 	"disk":        disk.Stats{},
-	"lfs":         lfs.Stats{}, // nests lfs.CleanerStats
-	"ffs":         ffs.Stats{},
+	"lfs":         lfs.Stats{}, // nests lfs.CleanerStats and disk.BgTimes
+	"ffs":         ffs.Stats{}, // nests disk.BgTimes
 	"wal":         wal.Stats{},
 	"locks":       lock.Stats{},
 	"libtp":       libtp.Stats{},
@@ -106,6 +106,12 @@ func goldenSnapshot(t *testing.T, kind string, devices, mpl int) *Snapshot {
 // staged_flushes; syncer_runs, which counted every non-empty flush (617 at
 // MPL 1, one per log force), now counts syncer passes — none in these 17 s
 // and 7 s runs.
+//
+// All sixteen files, when write-behind moved to the background lane: every
+// `ffs:` and `lfs:` line ends in its write-behind busy, overlapped and stalled
+// time, and every `ffs` and `lfs` JSON section gains write_behind; the `lfs:`
+// line and section also count flushes of a full stage (staged_flushes). No
+// number moved: these runs fill no stage and reach no syncer pass.
 func TestSnapshotGolden(t *testing.T) {
 	for _, rig := range goldenRigs {
 		for _, mpl := range []int{1, 8} {

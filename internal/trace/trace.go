@@ -139,7 +139,9 @@ type Event struct {
 type AttrCat int
 
 const (
-	// AttrDisk is foreground disk service time (seek + rotation + transfer).
+	// AttrDisk is disk service time a caller waited for (seek + rotation +
+	// transfer): all of a foreground access, the unabsorbed residue of a
+	// background one.
 	AttrDisk AttrCat = iota
 	// AttrQueue is time spent queued behind another client's disk request.
 	AttrQueue
@@ -424,7 +426,7 @@ func (t *Tracer) CommitWait() func(time.Duration) {
 	}
 }
 
-// AttributeIO charges foreground disk service and queue time, honouring any
+// AttributeIO charges disk service and queue time a caller waited for, honouring any
 // attribution override pushed for the current proc (the cleaner pushes
 // AttrCleaner so its own I/O is not mistaken for workload disk time).
 //
