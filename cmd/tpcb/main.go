@@ -10,7 +10,7 @@
 //	tpcb -system user-lfs -mpl 8 -groupcommit 8 -fastsync
 //	tpcb -system user-lfs -mpl 8 -groupcommit 8
 //	tpcb -system kernel-lfs -policy greedy
-//	tpcb -system kernel-lfs -cleaner idle -cleanbatch 8
+//	tpcb -system kernel-lfs -cleaner idle
 //	tpcb -system kernel-lfs -mpl 8 -trace trace.json -metrics metrics.json
 //	tpcb -system kernel-lfs -mpl 64 -cpuprofile cpu.pprof -wallstats
 //
@@ -43,8 +43,6 @@ func main() {
 	groupCommit := flag.Int("groupcommit", 1, "concurrent committers that share one commit force or flush (every commit is durable when it returns; at -mpl 1 each forces alone)")
 	policy := flag.String("policy", "cost-benefit", "LFS cleaner policy: cost-benefit or greedy")
 	cleaner := flag.String("cleaner", "sync", "LFS cleaning discipline: sync (on the critical path) or idle (overlapped with foreground idle windows)")
-	cleanBatch := flag.Int("cleanbatch", 0, "victims per batched cleaning pass (0 = LFS default)")
-	idleTrigger := flag.Int("idletrigger", 0, "free segments at which idle cleaning starts (0 = LFS default)")
 	fastSync := flag.Bool("fastsync", false, "model fast user-level synchronization (no test-and-set penalty)")
 	logSeg := flag.Int64("logseg", 0, "WAL segment rotation threshold in payload bytes (0 = wal default)")
 	logRetain := flag.Bool("logretain", false, "archive dead WAL segments at checkpoint instead of deleting them")
@@ -79,21 +77,19 @@ func main() {
 		cfg.Accounts, cfg.Tellers, cfg.Branches, *txns)
 
 	rig, err := tpcb.BuildRig(tpcb.RigOptions{
-		Kind:             *system,
-		Config:           cfg,
-		Costs:            costs,
-		GroupCommit:      *groupCommit,
-		Policy:           pol,
-		ExpectedTxns:     *txns,
-		CleanerMode:      *cleaner,
-		CleanBatch:       *cleanBatch,
-		IdleCleanTrigger: *idleTrigger,
-		LogSegmentBytes:  *logSeg,
-		LogRetain:        *logRetain,
-		Trace:            true,
-		Devices:          *devices,
-		Layout:           *layout,
-		StripeBlocks:     *stripe,
+		Kind:            *system,
+		Config:          cfg,
+		Costs:           costs,
+		GroupCommit:     *groupCommit,
+		Policy:          pol,
+		ExpectedTxns:    *txns,
+		CleanerMode:     *cleaner,
+		LogSegmentBytes: *logSeg,
+		LogRetain:       *logRetain,
+		Trace:           true,
+		Devices:         *devices,
+		Layout:          *layout,
+		StripeBlocks:    *stripe,
 	})
 	if err != nil {
 		fatal(err)

@@ -13,7 +13,7 @@
 //	txnbench -fig mpl                 # TPS vs multiprogramming level (not in "all")
 //	txnbench -fig devices -devices 1,2,4   # TPS vs MPL vs spindle count (not in "all")
 //	txnbench -fig cleaner -json       # machine-readable output
-//	txnbench -fig 4 -cleaner idle -cleanbatch 8
+//	txnbench -fig 4 -cleaner idle
 //	txnbench -fig scan -scanners 2 -scans 1 -metrics BENCH_scan.json   # MVCC snapshot scans vs locking (not in "all")
 //	txnbench -fig 4 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
@@ -39,7 +39,6 @@ func main() {
 	scale := flag.Float64("scale", 0.05, "TPC-B scale factor (1.0 = the paper's 1,000,000 accounts)")
 	txns := flag.Int("txns", 5000, "transactions per measured run")
 	cleaner := flag.String("cleaner", "", "override the LFS cleaning discipline for all rigs: sync or idle (default: each system's natural mode)")
-	cleanBatch := flag.Int("cleanbatch", 0, "victims per batched cleaning pass (0 = LFS default)")
 	logSeg := flag.Int64("logseg", 0, "WAL segment rotation threshold in payload bytes for the user-level systems (0 = wal default)")
 	logRetain := flag.Bool("logretain", false, "archive dead WAL segments at checkpoint instead of deleting them")
 	jsonOut := flag.Bool("json", false, "emit each report as a JSON object instead of a table")
@@ -84,7 +83,7 @@ func main() {
 		os.Exit(2)
 	}
 	opts := figures.Options{
-		Scale: *scale, Txns: *txns, CleanerMode: *cleaner, CleanBatch: *cleanBatch,
+		Scale: *scale, Txns: *txns, CleanerMode: *cleaner,
 		LogSegmentBytes: *logSeg, LogRetain: *logRetain,
 		Scanners: *scanners, ScansEach: *scansEach,
 	}

@@ -191,7 +191,7 @@ func AblationCleaner(opts Options) (*CleanerAblationReport, error) {
 
 	run := func(kind, mode string) (*tpcb.Rig, tpcb.Result, error) {
 		return opts.measure(kind+" "+mode, tpcb.RigOptions{Kind: kind, Config: cfg, Costs: opts.Costs,
-			ExpectedTxns: opts.Txns, CleanerMode: mode, CleanBatch: opts.CleanBatch}, 1)
+			ExpectedTxns: opts.Txns, CleanerMode: mode}, 1)
 	}
 
 	rigSync, resSync, err := run("kernel-lfs", "sync")

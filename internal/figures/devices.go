@@ -113,8 +113,7 @@ func FigureDevices(opts Options, devices []int) (*FigureDevicesReport, error) {
 		for _, mpl := range mpls {
 			ropts := tpcb.RigOptions{
 				Kind: "user-lfs", Config: cfg, Costs: opts.Costs, ExpectedTxns: opts.Txns,
-				GroupCommit: opts.GroupCommit, CleanBatch: opts.CleanBatch,
-				Devices: n, Layout: "partition",
+				GroupCommit: opts.GroupCommit, Devices: n, Layout: "partition",
 				CacheBlocks: cache, DiskScale: 4.0,
 			}
 			rig, res, err := opts.measure(fmt.Sprintf("device sweep n=%d", n), ropts, mpl)

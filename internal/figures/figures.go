@@ -40,9 +40,6 @@ type Options struct {
 	// synchronously (§5.4: a user-space cleaner cannot observe device
 	// idleness and serializes with the application).
 	CleanerMode string
-	// CleanBatch overrides the cleaner's victims-per-pass batch size
-	// (0 = the LFS default).
-	CleanBatch int
 	// MPLs are the multiprogramming levels the MPL sweep measures
 	// (default 1, 2, 4, 8, 16, 64, 256).
 	MPLs []int
@@ -77,7 +74,6 @@ func (o Options) rigLogOptions(r tpcb.RigOptions) tpcb.RigOptions {
 func (o Options) rigFor(kind string) tpcb.RigOptions {
 	r := o.rigLogOptions(tpcb.RigOptions{
 		Kind: kind, Config: tpcb.ScaledConfig(o.Scale), Costs: o.Costs, ExpectedTxns: o.Txns,
-		CleanBatch: o.CleanBatch,
 	})
 	if kind != "user-ffs" {
 		r.CleanerMode = o.CleanerMode

@@ -48,8 +48,6 @@ type CleanerStats struct {
 	BatchVictims  int64 `json:"batch_victims"`  // victims across all batched passes
 	BlocksWritten int64 `json:"blocks_written"` // blocks the cleaner's own flushes logged (incl. summaries/meta)
 	SummaryReads  int64 `json:"summary_reads"`  // summary blocks read from disk (summary-cache misses)
-	HotBlocks     int64 `json:"hot_blocks"`     // relocated data blocks classified hot (or unsegregated)
-	ColdBlocks    int64 `json:"cold_blocks"`    // relocated data blocks classified cold
 
 	// Snapshot-retention accounting (zero unless a snapshot layer is
 	// attached via SetSnapshotRetention). RetentionSkips counts otherwise
@@ -71,38 +69,25 @@ func (s Stats) WriteAmplification() float64 {
 	return float64(s.BlocksLogged) / float64(fg)
 }
 
-// CleanOnce runs a single batched cleaning pass regardless of the
-// free-segment threshold (used by tests and by the user-space cleaner's
-// idle-period policy). It reports whether any segment was reclaimed.
-func (fs *FS) CleanOnce() (bool, error) {
-	if fs.cleaning {
-		return false, nil
-	}
-	fs.cleaning = true
-	defer func() { fs.cleaning = false }()
-	// A synchronous pass runs on the caller's critical path: its disk time
-	// is cleaner stall from the workload's point of view, not workload I/O.
-	fs.tracer.PushAttr(trace.AttrCleaner)
-	defer fs.tracer.PopAttr()
-	busy0 := fs.dev.Stats().BusyTime
-	defer func() { fs.stats.Cleaner.BusyTime += fs.dev.Stats().BusyTime - busy0 }()
-	maxLive := fs.sb.SegmentBlocks - minCleanGain
-	victims := fs.pickVictimsLocked(fs.opts.CleanBatch, maxLive)
-	if len(victims) == 0 && fs.victimsBlockedByCheckpointLocked(maxLive) {
-		if err := fs.writeCheckpointLocked(); err != nil {
-			return false, err
-		}
-		victims = fs.pickVictimsLocked(fs.opts.CleanBatch, maxLive)
-	}
-	if len(victims) == 0 {
-		return false, nil
-	}
-	fs.stats.Cleaner.Runs++
-	if err := fs.cleanBatchLocked(victims); err != nil {
-		return false, err
-	}
-	return true, nil
-}
+// The cleaner's set points, in free segments. The flush path cleans
+// synchronously when fewer than cleanThreshold segments are free, until
+// cleanTarget are. The background pass (CleanIdle) starts one segment
+// earlier, at idleTrigger: early enough to keep the synchronous cleaner off
+// the critical path, no earlier, since triggering sooner shrinks the in-log
+// pool and gives segments less time to die before they are copied. One pass
+// reclaims up to cleanBatch victims, whose live blocks are read through one
+// C-SCAN sweep of the disk queue.
+const (
+	cleanThreshold = 4
+	cleanTarget    = 8
+	cleanBatch     = 4
+	idleTrigger    = cleanThreshold + 1
+)
+
+// minCleanGain is the minimum number of dead blocks a segment must contain
+// to be worth cleaning: copying nearly-full segments costs as much space as
+// it frees.
+const minCleanGain = 4
 
 // CleanIdle runs one background-priority cleaning pass if the free-segment
 // pool has fallen below the idle trigger. Device time is charged to the
@@ -112,7 +97,7 @@ func (fs *FS) CleanOnce() (bool, error) {
 // call it between transactions. It reports whether any segment was
 // reclaimed.
 func (fs *FS) CleanIdle() (bool, error) {
-	if fs.cleaning || fs.free >= int64(fs.opts.IdleCleanTrigger) {
+	if fs.cleaning || fs.free >= idleTrigger {
 		return false, nil
 	}
 	fs.cleaning = true
@@ -122,68 +107,25 @@ func (fs *FS) CleanIdle() (bool, error) {
 	defer fs.tracer.PopAttr()
 	var bg disk.BgTimes
 	var reclaimed bool
-	err := disk.InBackground(fs.dev, &bg, func() (err error) {
-		reclaimed, err = fs.idlePassLocked()
+	err := disk.InBackground(fs.dev, &bg, func() error {
+		// Background passes take only cheap victims: copying a mostly-live
+		// segment costs more device time than the idle windows can hide.
+		// Expensive segments are left to shed more blocks; the synchronous
+		// path remains the backstop if space runs out first.
+		victims, err := fs.victimsLocked(fs.sb.SegmentBlocks / 2)
+		if err != nil || len(victims) == 0 {
+			return err
+		}
+		fs.stats.Cleaner.Runs++
+		freeBefore := fs.free
+		err = fs.cleanBatchLocked(victims)
+		reclaimed = err == nil && fs.free > freeBefore
 		return err
 	})
 	fs.stats.Cleaner.BusyTime += bg.Busy
 	fs.stats.Cleaner.OverlapTime += bg.Overlap
 	fs.stats.Cleaner.StallTime += bg.Stall
 	return reclaimed, err
-}
-
-// idlePassLocked is CleanIdle's pass, run on the background lane.
-func (fs *FS) idlePassLocked() (bool, error) {
-	// Background passes take only cheap victims: copying a mostly-live
-	// segment costs more device time than the idle windows can hide, and
-	// cost-benefit's age term would otherwise keep re-picking the cleaner's
-	// own cold, mostly-live output segments. Expensive segments are left to
-	// shed more blocks; the synchronous path remains the backstop if space
-	// runs out first.
-	maxLive := fs.sb.SegmentBlocks / 2
-	victims := fs.pickVictimsLocked(fs.opts.CleanBatch, maxLive)
-	if len(victims) == 0 && fs.victimsBlockedByCheckpointLocked(maxLive) {
-		if err := fs.writeCheckpointLocked(); err != nil {
-			return false, err
-		}
-		victims = fs.pickVictimsLocked(fs.opts.CleanBatch, maxLive)
-	}
-	// Pace the pass to the idle budget: a full batch can cost more device
-	// time than the foreground has left idle so far, and the excess would
-	// stall the workload even though later windows could have absorbed it.
-	// While space is not yet critical, trim the batch to what the accrued
-	// credit covers and let the rest wait for more idle time; once the pool
-	// falls to the synchronous-cleaning threshold the stall is unavoidable
-	// anyway and the full batch proceeds.
-	if fs.free > int64(fs.opts.CleanThreshold) {
-		credit := fs.dev.IdleCredit()
-		model := fs.dev.Model()
-		scatter := model.AvgRotationalDelay() + model.TransferTime(model.BlockSize)
-		seq := model.TransferTime(model.BlockSize)
-		var budget time.Duration
-		n := 0
-		for _, v := range victims {
-			live := fs.segs[v].Live
-			// live scattered reads plus a few summary-chain reads, then a
-			// sequential rewrite of the survivors.
-			cost := time.Duration(live+3)*scatter + time.Duration(live)*seq
-			if budget+cost > credit {
-				break
-			}
-			budget += cost
-			n++
-		}
-		victims = victims[:n]
-	}
-	if len(victims) == 0 {
-		return false, nil
-	}
-	fs.stats.Cleaner.Runs++
-	freeBefore := fs.free
-	if err := fs.cleanBatchLocked(victims); err != nil {
-		return false, err
-	}
-	return fs.free > freeBefore, nil
 }
 
 // cleanLocked brings the free-segment count back to the target. It is
@@ -203,36 +145,20 @@ func (fs *FS) cleanLocked() error {
 	busy0 := fs.dev.Stats().BusyTime
 	defer func() { fs.stats.Cleaner.BusyTime += fs.dev.Stats().BusyTime - busy0 }()
 	fs.stats.Cleaner.Runs++
-	maxLive := fs.sb.SegmentBlocks - minCleanGain
-	for fs.free < int64(fs.opts.CleanTarget) {
-		victims := fs.pickVictimsLocked(fs.opts.CleanBatch, maxLive)
-		if len(victims) == 0 {
-			// Candidates may exist that are only blocked by the
-			// checkpoint boundary (segments written since the last
-			// checkpoint are part of the roll-forward chain). Write a
-			// checkpoint (no flush needed — the imap always describes
-			// flushed state) to advance the boundary and retry. This is
-			// the checkpoint-before-reuse discipline of real LFS.
-			if fs.victimsBlockedByCheckpointLocked(maxLive) {
-				if err := fs.writeCheckpointLocked(); err != nil {
-					return err
-				}
-				victims = fs.pickVictimsLocked(fs.opts.CleanBatch, maxLive)
-			}
-		}
-		if len(victims) == 0 {
-			if fs.free == 0 {
-				return ErrNoSpace
-			}
-			return nil
-		}
-		freeBefore := fs.free
-		if err := fs.cleanBatchLocked(victims); err != nil {
+	for fs.free < cleanTarget {
+		victims, err := fs.victimsLocked(fs.sb.SegmentBlocks - minCleanGain)
+		if err != nil {
 			return err
 		}
+		freeBefore := fs.free
+		if len(victims) > 0 {
+			if err := fs.cleanBatchLocked(victims); err != nil {
+				return err
+			}
+		}
 		if fs.free <= freeBefore {
-			// Cleaning made no net progress (copying the live blocks
-			// consumed as much as it freed): the disk is effectively
+			// No victim, or cleaning made no net progress (copying the live
+			// blocks consumed as much as it freed): the disk is effectively
 			// full of live data.
 			if fs.free == 0 {
 				return ErrNoSpace
@@ -243,14 +169,22 @@ func (fs *FS) cleanLocked() error {
 	return nil
 }
 
-// minCleanGain is the minimum number of dead blocks a segment must contain
-// to be worth cleaning: copying nearly-full segments costs as much space as
-// it frees.
-const minCleanGain = 4
-
-// minSegregate is the minimum size of each age group before the cleaner
-// spends an early segment seal on hot/cold segregation.
-const minSegregate = 4
+// victimsLocked picks a batch of victims with at most maxLive live blocks
+// each. When none qualify only because they were written since the last
+// checkpoint — segments in the roll-forward chain — it writes a checkpoint
+// to advance the boundary and picks again: the checkpoint-before-reuse
+// discipline of real LFS. The checkpoint needs no flush, since the imap
+// always describes flushed state.
+func (fs *FS) victimsLocked(maxLive int64) ([]int64, error) {
+	victims := fs.pickVictimsLocked(maxLive)
+	if len(victims) > 0 || !fs.victimsBlockedByCheckpointLocked(maxLive) {
+		return victims, nil
+	}
+	if err := fs.writeCheckpointLocked(); err != nil {
+		return nil, err
+	}
+	return fs.pickVictimsLocked(maxLive), nil
+}
 
 // victimsBlockedByCheckpointLocked reports whether cleanable segments (at
 // most maxLive live blocks) exist that are excluded only because they were
@@ -269,15 +203,12 @@ func (fs *FS) victimsBlockedByCheckpointLocked(maxLive int64) bool {
 	return false
 }
 
-// pickVictimsLocked chooses up to n victim segments with at most maxLive
-// live blocks each, best score first. Only checkpointed log segments
+// pickVictimsLocked chooses up to cleanBatch victim segments with at most
+// maxLive live blocks each, best score first. Only checkpointed log segments
 // qualify: segments written since the last checkpoint are part of the
 // roll-forward chain and must not be recycled. Ties break on segment number
 // so victim selection is deterministic.
-func (fs *FS) pickVictimsLocked(n int, maxLive int64) []int64 {
-	if n < 1 {
-		n = 1
-	}
+func (fs *FS) pickVictimsLocked(maxLive int64) []int64 {
 	if cap := fs.sb.SegmentBlocks - minCleanGain; maxLive > cap {
 		maxLive = cap // copying nearly-full segments costs as much space as it frees
 	}
@@ -305,14 +236,10 @@ func (fs *FS) pickVictimsLocked(n int, maxLive int64) []int64 {
 		}
 		cands = append(cands, cand{
 			seg: s,
-			// Age is measured from when the segment was written
-			// (SeqStamp), not from the data's original write time
-			// (AgeStamp): relocated cold data keeps its old stamps, so
-			// scoring on data age would make the cleaner's own output
-			// segments look ancient and re-pick them every pass, copying
-			// the cold set once per log cycle. A freshly compacted cold
-			// segment must first age (and shed blocks) before it can
-			// compete again.
+			// Age is measured from when the segment was last written
+			// (SeqStamp): the cleaner's own output is young, so a freshly
+			// compacted segment must first age (and shed blocks) before
+			// it can compete again.
 			age:  int64(fs.seq - info.SeqStamp),
 			util: float64(info.Live) / float64(fs.sb.SegmentBlocks),
 		})
@@ -346,8 +273,8 @@ func (fs *FS) pickVictimsLocked(n int, maxLive int64) []int64 {
 		}
 		return cands[i].seg < cands[j].seg
 	})
-	if len(cands) > n {
-		cands = cands[:n]
+	if len(cands) > cleanBatch {
+		cands = cands[:cleanBatch]
 	}
 	victims := make([]int64, len(cands))
 	for i, c := range cands {
@@ -396,8 +323,8 @@ func (fs *FS) victimSummariesLocked(seg int64) ([]summary, error) {
 //  2. read only the live data blocks, batched through one C-SCAN sweep of
 //     the disk queue, and park them in the stage; meta-data blocks
 //     are merely re-dirtied (their in-memory contents are current);
-//  3. partition the relocated blocks by age and flush cold and hot groups
-//     into separate output segments, stamping each with its group's age;
+//  3. write every relocated block and the affected meta-data at the log head
+//     in one scoped flush;
 //  4. verify every victim is fully dead and return it to the free pool.
 func (fs *FS) cleanBatchLocked(victims []int64) error {
 	span := fs.tracer.Begin("cleaner", "cleaner.pass")
@@ -410,7 +337,6 @@ func (fs *FS) cleanBatchLocked(victims []int64) error {
 	type liveEntry struct {
 		e    summaryEntry
 		addr int64
-		age  uint64
 	}
 	var live []liveEntry
 	var packAddrs []int64
@@ -422,10 +348,6 @@ func (fs *FS) cleanBatchLocked(victims []int64) error {
 		base := fs.segBase(victim)
 		off := int64(0)
 		for _, sum := range sums {
-			age := sum.AgeStamp
-			if age == 0 {
-				age = sum.Seq
-			}
 			blockIdx := int64(0)
 			for _, e := range sum.Entries {
 				if e.Kind == kindDelete {
@@ -442,7 +364,7 @@ func (fs *FS) cleanBatchLocked(victims []int64) error {
 					continue
 				}
 				fs.stats.Cleaner.BlocksCopied++
-				live = append(live, liveEntry{e, addr, age})
+				live = append(live, liveEntry{e, addr})
 				if e.Kind == kindInodePack {
 					packAddrs = append(packAddrs, addr)
 				}
@@ -476,7 +398,6 @@ func (fs *FS) cleanBatchLocked(victims []int64) error {
 	// resident buffer donates its bytes without any I/O.
 	type relocBlock struct {
 		id  buffer.BlockID
-		age uint64
 		buf []byte // non-nil: bytes arrive from the queued disk read
 	}
 	var relocs []relocBlock
@@ -488,7 +409,7 @@ func (fs *FS) cleanBatchLocked(victims []int64) error {
 		case kindData:
 			id := blockIDOf(le.e.Ino, le.e.Index)
 			relocIDs[id] = true
-			rb := relocBlock{id: id, age: le.age}
+			rb := relocBlock{id: id}
 			if _, parked := fs.stage.Lookup(id); parked {
 				// A newer, not-yet-flushed version is already staged.
 			} else if b := fs.pool.Lookup(id); b != nil && b.Dirty() && !b.Held() {
@@ -562,56 +483,9 @@ func (fs *FS) cleanBatchLocked(victims []int64) error {
 		return err
 	}
 
-	// 3. Hot/cold segregation: split the relocated data by age at the
-	// midpoint and write each group into its own output segment, so cold
-	// data stops being recopied every time its hot neighbours die (the
-	// Sprite-LFS generational trick). Skipped when one group is trivial or
-	// free segments are too scarce to spend one on an early seal.
-	var minAge, maxAge uint64
-	for i, rb := range relocs {
-		if i == 0 || rb.age < minAge {
-			minAge = rb.age
-		}
-		if rb.age > maxAge {
-			maxAge = rb.age
-		}
-	}
-	coldIDs := make(map[buffer.BlockID]bool)
-	hotIDs := make(map[buffer.BlockID]bool)
-	var coldAge, hotAge uint64
-	if minAge < maxAge {
-		pivot := minAge + (maxAge-minAge)/2
-		for _, rb := range relocs {
-			if rb.age <= pivot {
-				coldIDs[rb.id] = true
-				coldAge = max(coldAge, rb.age)
-			} else {
-				hotIDs[rb.id] = true
-				hotAge = max(hotAge, rb.age)
-			}
-		}
-	}
-	if len(coldIDs) >= minSegregate && len(hotIDs) >= minSegregate &&
-		fs.free > int64(fs.opts.CleanThreshold) {
-		fs.stats.Cleaner.ColdBlocks += int64(len(coldIDs))
-		fs.stats.Cleaner.HotBlocks += int64(len(hotIDs))
-		if err := fs.flushRelocLocked(coldIDs, nil, coldAge); err != nil {
-			return err
-		}
-		// Seal the cold output so the hot group starts its own segment.
-		if fs.curOff > 0 {
-			if err := fs.advanceSegmentLocked(); err != nil {
-				return err
-			}
-		}
-		if err := fs.flushRelocLocked(hotIDs, fs.dirtyRelocInosLocked(relocInos), hotAge); err != nil {
-			return err
-		}
-	} else {
-		fs.stats.Cleaner.HotBlocks += int64(len(relocs))
-		if err := fs.flushRelocLocked(relocIDs, fs.dirtyRelocInosLocked(relocInos), maxAge); err != nil {
-			return err
-		}
+	// 3. Relocate.
+	if err := fs.flushRelocLocked(relocIDs, relocInos); err != nil {
+		return err
 	}
 
 	// 4. Verify and free.
@@ -620,7 +494,6 @@ func (fs *FS) cleanBatchLocked(victims []int64) error {
 			return fs.cleanFailureLocked(victim)
 		}
 		fs.segs[victim].State = segFree
-		fs.segs[victim].AgeStamp = 0
 		delete(fs.sumCache, victim)
 		fs.free++
 		fs.stats.Cleaner.SegmentsCleaned++
@@ -634,19 +507,6 @@ func (fs *FS) cleanBatchLocked(victims []int64) error {
 		fs.tracer.Count("cleaner.victims", int64(len(victims)))
 	}
 	return nil
-}
-
-// dirtyRelocInosLocked filters relocation-affected files down to those whose
-// meta-data is still dirty — an earlier flush in the same pass (the cold
-// group) may already have rewritten some of them.
-func (fs *FS) dirtyRelocInosLocked(inos map[Ino]bool) map[Ino]bool {
-	out := make(map[Ino]bool, len(inos))
-	for ino := range inos {
-		if in, ok := fs.inodes[ino]; ok && fs.inodeMetaDirty(in) {
-			out[ino] = true
-		}
-	}
-	return out
 }
 
 // cleanFailureLocked builds the diagnostic for the invariant violation of a

@@ -351,7 +351,7 @@ func TestCleanerRelocatesStalePack(t *testing.T) {
 	}
 
 	for i := 0; fs.segs[victim].State != segFree; i++ {
-		if ok, err := fs.CleanOnce(); err != nil || !ok || i > 8 {
+		if ok, err := cleanOnce(fs); err != nil || !ok || i > 8 {
 			t.Fatalf("cleaning pass %d: reclaimed=%v err=%v, victim still %d live", i, ok, err, fs.segs[victim].Live)
 		}
 	}

@@ -42,8 +42,10 @@ const (
 	// formatVersion is the on-disk format version. Version 2 added the
 	// payload CRC to segment summaries (a summary vouches for the blocks it
 	// describes, so roll-forward can detect a torn multi-block segment
-	// write) and the version field itself to the superblock.
-	formatVersion = 2
+	// write) and the version field itself to the superblock. Version 3
+	// retired the data-age stamp of summaries and checkpoint segment
+	// entries: its slots stay where they were, reserved and zero.
+	formatVersion = 3
 
 	// NDirect is the number of direct block pointers in an inode.
 	NDirect = 12
@@ -145,13 +147,6 @@ type segInfo struct {
 	State    segState
 	Live     int64  // live blocks that would need copying to clean this segment
 	SeqStamp uint64 // summary sequence of the most recent write into the segment
-	// AgeStamp is the youngest data age written into the segment: the
-	// maximum of the AgeStamp fields of its partial segments. Fresh writes
-	// stamp the current sequence number, but the cleaner preserves the age
-	// of relocated blocks, so a segment full of relocated cold data keeps a
-	// small AgeStamp and stays attractive to the cost-benefit policy — the
-	// Sprite-LFS generational trick.
-	AgeStamp uint64
 }
 
 // blockKind tags an entry in a segment summary.
@@ -194,14 +189,15 @@ func countKinds(entries []summaryEntry) (n [kindDelete + 1]int64) {
 //	nextSeg  int64    (pre-allocated successor segment, for roll-forward chaining)
 //	nBlocks  uint32   (blocks following the summary)
 //	nEntries uint32   (summary entries, = nBlocks + deletion records)
-//	ageStamp uint64   (age of the youngest block; fresh writes use seq, the
-//	                   cleaner carries the age of relocated blocks forward)
+//	reserved uint64   (zero; version 2's data-age stamp)
 //	payloadCRC uint32 (CRC32 over the nBlocks described blocks, in order —
 //	                   lets roll-forward detect a torn multi-block segment
 //	                   write whose summary block survived)
 //	flags    uint32   (sumFlagCont: this partial does not complete its flush
 //	                   batch; roll-forward must withhold the whole chain
 //	                   until the terminating partial is seen intact)
+//
+// The entries follow the header; the rest of the block is zero.
 const summaryHeaderSize = 4 + 4 + 8 + 8 + 8 + 4 + 4 + 8 + 4 + 4
 
 // sumFlagCont marks a partial segment whose flush batch continues in the
@@ -221,7 +217,6 @@ type summary struct {
 	SelfAddr   int64
 	NextSeg    int64
 	NBlocks    int
-	AgeStamp   uint64
 	PayloadCRC uint32
 	Flags      uint32
 	Entries    []summaryEntry
@@ -240,7 +235,6 @@ func (s *summary) encode(b []byte) error {
 	le.PutUint64(b[24:], uint64(s.NextSeg))
 	le.PutUint32(b[32:], uint32(s.NBlocks))
 	le.PutUint32(b[36:], uint32(len(s.Entries)))
-	le.PutUint64(b[40:], s.AgeStamp)
 	le.PutUint32(b[48:], s.PayloadCRC)
 	le.PutUint32(b[52:], s.Flags)
 	off := summaryHeaderSize
@@ -274,7 +268,9 @@ func payloadChecksum(bufs [][]byte) uint32 {
 
 // decodeSummary parses a block as a summary. It returns ok=false (not an
 // error) if the block is not a valid summary written at addr — used by
-// roll-forward, where encountering a non-summary block means end of log.
+// roll-forward, where encountering a non-summary block means end of log. A
+// non-zero reserved slot or byte past the entries makes a block no summary
+// of this format, so what it accepts re-encodes to the same bytes.
 func decodeSummary(b []byte, addr int64) (summary, bool) {
 	var s summary
 	if len(b) < summaryHeaderSize {
@@ -294,7 +290,9 @@ func decodeSummary(b []byte, addr int64) (summary, bool) {
 	}
 	s.NextSeg = int64(le.Uint64(b[24:]))
 	s.NBlocks = int(le.Uint32(b[32:]))
-	s.AgeStamp = le.Uint64(b[40:])
+	if le.Uint64(b[40:]) != 0 {
+		return s, false
+	}
 	s.PayloadCRC = le.Uint32(b[48:])
 	s.Flags = le.Uint32(b[52:])
 	n := int(le.Uint32(b[36:]))
@@ -314,6 +312,11 @@ func decodeSummary(b []byte, addr int64) (summary, bool) {
 		s.Entries[i].Kind = blockKind(b[off+8])
 		s.Entries[i].Index = int64(le.Uint64(b[off+9:]))
 		off += summaryEntrySize
+	}
+	for _, c := range b[off:] {
+		if c != 0 {
+			return s, false
+		}
 	}
 	return s, true
 }

@@ -20,11 +20,6 @@ type Options struct {
 	CheckpointBlocks int64
 	// CacheBlocks is the buffer cache capacity (default 1024 = 4 MB).
 	CacheBlocks int
-	// CleanThreshold: cleaning starts when free segments drop below this
-	// (default 4).
-	CleanThreshold int
-	// CleanTarget: cleaning stops when free segments reach this (default 8).
-	CleanTarget int
 	// Policy selects the cleaner's victim-selection policy (default
 	// CostBenefit).
 	Policy CleanerPolicy
@@ -32,18 +27,6 @@ type Options struct {
 	// segments (default 512), bounding the roll-forward work a crash can
 	// require. Sprite LFS checkpointed on a timer for the same reason.
 	CheckpointEvery int
-	// CleanBatch is how many cost-benefit-ranked victim segments one
-	// cleaning pass reclaims together (default 4). Batching amortizes the
-	// positioning cost of reading live blocks — they go through one C-SCAN
-	// sweep — and gives the hot/cold segregation enough blocks to separate.
-	CleanBatch int
-	// IdleCleanTrigger: CleanIdle starts working when free segments drop
-	// below this (default CleanThreshold+1). It sits just above
-	// CleanThreshold so background cleaning keeps the synchronous cleaner
-	// from firing on the critical path, but no higher than it must:
-	// triggering earlier shrinks the in-log pool, giving segments less time
-	// to die and forcing the cleaner to copy hotter, fuller victims.
-	IdleCleanTrigger int
 	// InodeAtSync is ufs.Ops.InodeAtSync: the `txnbench -fig fsync` arm.
 	InodeAtSync bool
 }
@@ -58,20 +41,8 @@ func (o *Options) fill() {
 	if o.CacheBlocks == 0 {
 		o.CacheBlocks = 1024
 	}
-	if o.CleanThreshold == 0 {
-		o.CleanThreshold = 4
-	}
-	if o.CleanTarget == 0 {
-		o.CleanTarget = 8
-	}
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 512
-	}
-	if o.CleanBatch == 0 {
-		o.CleanBatch = 4
-	}
-	if o.IdleCleanTrigger == 0 {
-		o.IdleCleanTrigger = o.CleanThreshold + 1
 	}
 }
 
@@ -159,7 +130,7 @@ func Format(dev disk.BlockDevice, clock *sim.Clock, opts Options) (*FS, error) {
 	bs := dev.BlockSize()
 	segStart := 1 + 2*opts.CheckpointBlocks
 	nseg := (dev.NumBlocks() - segStart) / opts.SegmentBlocks
-	if nseg < int64(opts.CleanTarget)+2 {
+	if nseg < cleanTarget+2 {
 		return nil, fmt.Errorf("lfs: device too small: %d segments", nseg)
 	}
 	sb := superblock{

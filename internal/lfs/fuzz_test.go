@@ -1,0 +1,200 @@
+package lfs
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"os"
+	"testing"
+
+	"repro/internal/disk"
+	"repro/internal/sim"
+)
+
+// testdata/lfsdump.img is a real device image, made by
+//
+//	go run ./cmd/lfsdump -disk-mb 6 -files 2 -rounds 3 -size 4096 -save internal/lfs/testdata/lfsdump.img
+//
+// Its partials carry data, inode packs, a deletion record and a pack-less
+// commit force. Re-make it when formatVersion changes.
+const seedImageMB = 6
+
+// seedImage returns the image's two checkpoint records and the summary
+// blocks of its log.
+func seedImage(tb testing.TB) (checkpoints, summaries [][]byte) {
+	tb.Helper()
+	f, err := os.Open("testdata/lfsdump.img")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer f.Close()
+	clk := sim.NewClock()
+	model := sim.RZ55Model()
+	model.NumBlocks = seedImageMB << 20 / int64(model.BlockSize)
+	dev, err := disk.LoadImage(model, clk, f)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	read := func(addr, n int64) []byte {
+		b := make([]byte, n*int64(model.BlockSize))
+		for i := int64(0); i < n; i++ {
+			if err := dev.Read(addr+i, b[i*int64(model.BlockSize):(i+1)*int64(model.BlockSize)]); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		return b
+	}
+	sb, err := decodeSuperblock(read(superBlockAddr, 1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for region := int64(0); region < 2; region++ {
+		b := read(1+region*sb.CPBlocks, sb.CPBlocks)
+		if _, err := decodeCheckpoint(b); err != nil {
+			tb.Fatalf("checkpoint region %d: %v", region, err)
+		}
+		checkpoints = append(checkpoints, b[:binary.LittleEndian.Uint32(b[8:])])
+	}
+	for seg := int64(0); seg < sb.NumSegments; seg++ {
+		for off := int64(0); off < sb.SegmentBlocks; {
+			addr := sb.SegStart + seg*sb.SegmentBlocks + off
+			b := read(addr, 1)
+			sum, ok := decodeSummary(b, addr)
+			if !ok {
+				break
+			}
+			summaries = append(summaries, b)
+			off += 1 + int64(sum.NBlocks)
+		}
+	}
+	if len(summaries) == 0 {
+		tb.Fatal("the seed image has no summary blocks")
+	}
+	return checkpoints, summaries
+}
+
+// sealCheckpoint recomputes a checkpoint record's CRC over the size its
+// header claims, or over the whole record when that size cannot be.
+func sealCheckpoint(b []byte) {
+	size := int(binary.LittleEndian.Uint32(b[8:]))
+	if size < 12 || size > len(b) {
+		size = len(b)
+	}
+	crc := crc32.NewIEEE()
+	crc.Write(b[0:4])
+	crc.Write(b[8:size])
+	binary.LittleEndian.PutUint32(b[4:], crc.Sum32())
+}
+
+// TestCheckpointRejectsHostileCounts: a checkpoint whose CRC holds can still
+// claim more imap entries or segments than its bytes hold, a count that is
+// negative as an int, or a segment entry no writer produces. Each is
+// ErrCorrupt; none may index past the record.
+func TestCheckpointRejectsHostileCounts(t *testing.T) {
+	cp := checkpoint{CpSeq: 1, Imap: map[Ino]int64{1: 100}, Segs: []segInfo{{State: segInLog, Live: 3, SeqStamp: 2}}}
+	const imapCount = 12 + 48           // after the header and six log-position fields
+	const segCount = imapCount + 8 + 16 // after one imap entry
+	const segEntry = segCount + 8       // the one segment entry
+	le := binary.LittleEndian
+	for _, c := range []struct {
+		name string
+		edit func(b []byte)
+	}{
+		{"imap count 2^40", func(b []byte) { le.PutUint64(b[imapCount:], 1<<40) }},
+		{"negative imap count", func(b []byte) { le.PutUint64(b[imapCount:], 1<<63) }},
+		{"segment count 2^40", func(b []byte) { le.PutUint64(b[segCount:], 1<<40) }},
+		{"negative segment count", func(b []byte) { le.PutUint64(b[segCount:], 1<<63+1) }},
+		{"segment count short of the bytes", func(b []byte) { le.PutUint64(b[segCount:], 0) }},
+		{"state above reserved", func(b []byte) { b[segEntry] = byte(segReserved + 1) }},
+		{"reserved slot set", func(b []byte) { b[segEntry+17] = 1 }},
+		{"size below the fixed fields", func(b []byte) { le.PutUint32(b[8:], 12) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b := cp.encode()
+			c.edit(b)
+			sealCheckpoint(b)
+			if _, err := decodeCheckpoint(b); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("decodeCheckpoint = %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// TestSummaryRejectsReservedBytes: version 3 summaries leave the old
+// data-age slot and everything past the entries zero; a summary with either
+// set is not one this format wrote.
+func TestSummaryRejectsReservedBytes(t *testing.T) {
+	s := summary{Seq: 1, SelfAddr: 10, NBlocks: 1, Entries: []summaryEntry{{Ino: 1, Kind: kindData}}}
+	for _, at := range []int{40, summaryHeaderSize + summaryEntrySize, 4095} {
+		enc, _ := encodeSummary(&s)
+		enc[at] = 1
+		binary.LittleEndian.PutUint32(enc[4:], summaryChecksum(enc))
+		if _, ok := decodeSummary(enc, 10); ok {
+			t.Fatalf("summary with byte %d set decoded", at)
+		}
+	}
+}
+
+// FuzzDecodeCheckpoint feeds decodeCheckpoint what a damaged checkpoint
+// region might hold, its CRC re-stamped so mutations reach the fields: the
+// decoder returns a checkpoint or ErrCorrupt, never panics, and a record it
+// accepts re-encodes to exactly its bytes.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	cps, _ := seedImage(f)
+	for _, b := range cps {
+		f.Add(b)
+	}
+	hostile := bytes.Clone(cps[0])
+	binary.LittleEndian.PutUint64(hostile[12+48:], 1<<40)
+	f.Add(hostile)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) >= 12 {
+			b = bytes.Clone(b)
+			sealCheckpoint(b)
+		}
+		cp, err := decodeCheckpoint(b)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		size := binary.LittleEndian.Uint32(b[8:])
+		if enc := cp.encode(); !bytes.Equal(enc, b[:size]) {
+			t.Fatalf("accepted %d-byte record re-encodes to %d different bytes", size, len(enc))
+		}
+	})
+}
+
+// FuzzDecodeSummary feeds decodeSummary what a damaged log block might hold,
+// its CRC re-stamped so mutations reach the fields, at the address the
+// block claims for itself: the decoder never panics, and a summary it
+// accepts re-encodes to exactly the block.
+func FuzzDecodeSummary(f *testing.F) {
+	_, sums := seedImage(f)
+	for _, b := range sums {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) < summaryHeaderSize {
+			if _, ok := decodeSummary(b, 0); ok {
+				t.Fatalf("%d-byte block decoded", len(b))
+			}
+			return
+		}
+		b = bytes.Clone(b)
+		binary.LittleEndian.PutUint32(b[4:], summaryChecksum(b))
+		s, ok := decodeSummary(b, int64(binary.LittleEndian.Uint64(b[16:])))
+		if !ok {
+			return
+		}
+		enc := make([]byte, len(b))
+		if err := s.encode(enc); err != nil {
+			t.Fatalf("accepted summary does not re-encode: %v", err)
+		}
+		if !bytes.Equal(enc, b) {
+			t.Fatal("accepted summary re-encodes to different bytes")
+		}
+	})
+}

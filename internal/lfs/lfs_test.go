@@ -38,6 +38,19 @@ func tinyFS(t *testing.T) (*FS, *disk.Device, *sim.Clock) {
 	return fs, dev, clk
 }
 
+// cleanOnce runs one synchronous cleaning pass — the pass cleanLocked repeats
+// until the free target — whatever the free count, and reports whether it
+// found victims.
+func cleanOnce(fs *FS) (bool, error) {
+	fs.cleaning = true
+	defer func() { fs.cleaning = false }()
+	victims, err := fs.victimsLocked(fs.sb.SegmentBlocks - minCleanGain)
+	if err != nil || len(victims) == 0 {
+		return false, err
+	}
+	return true, fs.cleanBatchLocked(victims)
+}
+
 func writeFile(t *testing.T, fs vfs.FileSystem, path string, data []byte) {
 	t.Helper()
 	f, err := fs.Create(path)
@@ -519,7 +532,7 @@ func TestCleanerReclaimsSegments(t *testing.T) {
 		}
 	}
 	before := fs.FreeSegments()
-	cleaned, err := fs.CleanOnce()
+	cleaned, err := cleanOnce(fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,6 +549,74 @@ func TestCleanerReclaimsSegments(t *testing.T) {
 	st := fs.Stats()
 	if st.Cleaner.SegmentsCleaned == 0 {
 		t.Fatal("cleaner stats not recorded")
+	}
+}
+
+// TestCleanerRelocatesInOneStream: a pass writes every block it relocates as
+// one stream at the log head, whatever the blocks' ages — no split into an
+// old and a young group, and no segment sealed early between them. The two
+// victims here hold /old, written first, and /young, written a segment's
+// worth of partials later, beside overwritten churn.
+func TestCleanerRelocatesInOneStream(t *testing.T) {
+	fs, _, _ := tinyFS(t)
+	put := func(path string, blocks int, seed byte) {
+		t.Helper()
+		f, err := fs.Open(path)
+		if errors.Is(err, vfs.ErrNotExist) {
+			f, err = fs.Create(path)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(pattern(blocks*4096, seed), 0); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if err := fs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	churn := byte(0)
+	fillSegment := func() int64 {
+		seg := fs.curSeg
+		for fs.curSeg == seg {
+			churn++
+			put("/churn", 16, churn)
+		}
+		return seg
+	}
+	put("/old", 8, 100)
+	oldSeg := fillSegment()
+	put("/young", 8, 101)
+	youngSeg := fillSegment()
+	fillSegment() // the live churn leaves the victims
+
+	// Start the pass on a fresh segment, so a segment change is a seal.
+	fs.cleaning = true
+	if err := fs.advanceSegmentLocked(); err != nil {
+		t.Fatal(err)
+	}
+	head, partials := fs.curSeg, fs.Stats().PartialSegments
+	if err := fs.cleanBatchLocked([]int64{oldSeg, youngSeg}); err != nil {
+		t.Fatal(err)
+	}
+	fs.cleaning = false
+	if n := fs.Stats().PartialSegments - partials; fs.curSeg != head || n != 1 {
+		t.Fatalf("relocation wrote %d partial segments and moved the log head from segment %d to %d; want one partial in segment %d",
+			n, head, fs.curSeg, head)
+	}
+	for _, seg := range []int64{oldSeg, youngSeg} {
+		if fs.segs[seg].State != segFree {
+			t.Fatalf("victim segment %d not freed", seg)
+		}
+	}
+	if !bytes.Equal(readFile(t, fs, "/old"), pattern(8*4096, 100)) ||
+		!bytes.Equal(readFile(t, fs, "/young"), pattern(8*4096, 101)) ||
+		!bytes.Equal(readFile(t, fs, "/churn"), pattern(16*4096, churn)) {
+		t.Fatal("cleaner corrupted live data")
+	}
+	if _, _, diff, err := fs.AuditUsage(); err != nil || len(diff) != 0 {
+		t.Fatalf("usage after cleaning: %v %v", diff, err)
 	}
 }
 
@@ -622,7 +703,9 @@ func TestRemountAfterCleaning(t *testing.T) {
 		f.Close()
 		fs.Sync()
 	}
-	fs.CleanOnce()
+	if _, err := cleanOnce(fs); err != nil {
+		t.Fatal(err)
+	}
 	fs2 := remount(t, fs)
 	if got := readFile(t, fs2, "/f"); !bytes.Equal(got, pattern(100*1024, 9)) {
 		t.Fatal("data lost after cleaning + remount")

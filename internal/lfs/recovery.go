@@ -25,8 +25,19 @@ type checkpoint struct {
 	Segs    []segInfo
 }
 
+// Checkpoint record layout: a 12-byte header (magic, CRC over everything
+// but itself, size), six uint64 log-position fields, then the imap count and
+// its (ino, addr) pairs in ino order, then the segment count and one entry
+// per segment: state byte, live count, seq stamp, and a reserved zero slot
+// (version 2's data-age stamp).
+const (
+	cpHeaderSize    = 4 + 4 + 4 + 8*6
+	cpImapEntrySize = 16
+	cpSegEntrySize  = 1 + 8 + 8 + 8
+)
+
 func (cp *checkpoint) encode() []byte {
-	size := 4 + 4 + 4 + 8*6 + 8 + len(cp.Imap)*16 + 8 + len(cp.Segs)*25
+	size := cpHeaderSize + 8 + len(cp.Imap)*cpImapEntrySize + 8 + len(cp.Segs)*cpSegEntrySize
 	b := make([]byte, size)
 	le := binary.LittleEndian
 	le.PutUint32(b[0:], cpMagic)
@@ -42,7 +53,7 @@ func (cp *checkpoint) encode() []byte {
 	for _, ino := range detsort.Keys(cp.Imap) {
 		le.PutUint64(b[off:], uint64(ino))
 		le.PutUint64(b[off+8:], uint64(cp.Imap[ino]))
-		off += 16
+		off += cpImapEntrySize
 	}
 	le.PutUint64(b[off:], uint64(len(cp.Segs)))
 	off += 8
@@ -50,8 +61,7 @@ func (cp *checkpoint) encode() []byte {
 		b[off] = byte(s.State)
 		le.PutUint64(b[off+1:], uint64(s.Live))
 		le.PutUint64(b[off+9:], s.SeqStamp)
-		le.PutUint64(b[off+17:], s.AgeStamp)
-		off += 25
+		off += cpSegEntrySize
 	}
 	crc := crc32.NewIEEE()
 	crc.Write(b[0:4])
@@ -60,6 +70,11 @@ func (cp *checkpoint) encode() []byte {
 	return b
 }
 
+// decodeCheckpoint parses a checkpoint record. Whatever the region holds, it
+// returns the checkpoint or ErrCorrupt: a count the record's bytes cannot
+// hold, an unknown segment state, a non-zero reserved slot, an imap out of
+// order or bytes past the last segment are damage even under a valid CRC,
+// so what it accepts re-encodes to the same bytes.
 func decodeCheckpoint(b []byte) (*checkpoint, error) {
 	if len(b) < 12 {
 		return nil, fmt.Errorf("%w: short checkpoint", ErrCorrupt)
@@ -69,7 +84,7 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 		return nil, fmt.Errorf("%w: checkpoint magic", ErrCorrupt)
 	}
 	size := int(le.Uint32(b[8:]))
-	if size < 12 || size > len(b) {
+	if size < cpHeaderSize+8+8 || size > len(b) {
 		return nil, fmt.Errorf("%w: checkpoint size %d", ErrCorrupt, size)
 	}
 	b = b[:size]
@@ -88,23 +103,36 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 	cp.CurOff = int64(le.Uint64(b[off+32:]))
 	cp.NextSeg = int64(le.Uint64(b[off+40:]))
 	off += 48
-	nImap := int(le.Uint64(b[off:]))
+	nImap := le.Uint64(b[off:])
 	off += 8
-	for i := 0; i < nImap; i++ {
-		ino := Ino(le.Uint64(b[off:]))
-		addr := int64(le.Uint64(b[off+8:]))
-		cp.Imap[ino] = addr
-		off += 16
+	if nImap > uint64(size-off-8)/cpImapEntrySize {
+		return nil, fmt.Errorf("%w: checkpoint imap count %d", ErrCorrupt, nImap)
 	}
-	nSegs := int(le.Uint64(b[off:]))
+	var prev Ino
+	for i := range int(nImap) {
+		ino := Ino(le.Uint64(b[off:]))
+		if i > 0 && ino <= prev {
+			return nil, fmt.Errorf("%w: checkpoint imap out of order at inode %d", ErrCorrupt, ino)
+		}
+		prev = ino
+		cp.Imap[ino] = int64(le.Uint64(b[off+8:]))
+		off += cpImapEntrySize
+	}
+	nSegs := le.Uint64(b[off:])
 	off += 8
+	if nSegs != uint64(size-off)/cpSegEntrySize || (size-off)%cpSegEntrySize != 0 {
+		return nil, fmt.Errorf("%w: checkpoint segment count %d for %d bytes", ErrCorrupt, nSegs, size-off)
+	}
 	cp.Segs = make([]segInfo, nSegs)
-	for i := 0; i < nSegs; i++ {
-		cp.Segs[i].State = segState(b[off])
-		cp.Segs[i].Live = int64(le.Uint64(b[off+1:]))
-		cp.Segs[i].SeqStamp = le.Uint64(b[off+9:])
-		cp.Segs[i].AgeStamp = le.Uint64(b[off+17:])
-		off += 25
+	for i := range cp.Segs {
+		s := &cp.Segs[i]
+		s.State = segState(b[off])
+		s.Live = int64(le.Uint64(b[off+1:]))
+		s.SeqStamp = le.Uint64(b[off+9:])
+		if s.State > segReserved || le.Uint64(b[off+17:]) != 0 {
+			return nil, fmt.Errorf("%w: checkpoint segment %d entry", ErrCorrupt, i)
+		}
+		off += cpSegEntrySize
 	}
 	return cp, nil
 }
@@ -148,7 +176,7 @@ func (fs *FS) writeCheckpointLocked() error {
 	}
 	for len(metaDirty) > 0 {
 		n := min(len(metaDirty), maxFilesPerPartial)
-		if err := fs.writePartialLocked(nil, metaDirty[:n], false, 0); err != nil {
+		if err := fs.writePartialLocked(nil, metaDirty[:n], false); err != nil {
 			return err
 		}
 		metaDirty = metaDirty[n:]
@@ -379,9 +407,6 @@ func (fs *FS) rollForwardLocked() error {
 			blockIdx++
 		}
 		fs.segs[seg].SeqStamp = sum.Seq
-		if age := sum.AgeStamp; age > fs.segs[seg].AgeStamp {
-			fs.segs[seg].AgeStamp = age
-		}
 		return nil
 	}
 	// batch holds the partials of a not-yet-terminated flush chain; commit

@@ -46,7 +46,7 @@ func TestCleanerRetentionGate(t *testing.T) {
 
 	ret := &fakeRetention{pinned: true}
 	fs.SetSnapshotRetention(ret)
-	cleaned, err := fs.CleanOnce()
+	cleaned, err := cleanOnce(fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestCleanerRetentionGate(t *testing.T) {
 
 	// Horizon releases: the same pass must now find a victim.
 	ret.pinned = false
-	cleaned, err = fs.CleanOnce()
+	cleaned, err = cleanOnce(fs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ type dataItem struct {
 // (deferPtr false) write the pointer blocks out. commit is a group-commit
 // batch's page set (FlushCommit): the only held pages a flush may write.
 func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage) error {
-	if !fs.cleaning && fs.free < int64(fs.opts.CleanThreshold) {
+	if !fs.cleaning && fs.free < cleanThreshold {
 		if err := fs.cleanLocked(); err != nil {
 			return err
 		}
@@ -55,7 +55,7 @@ func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage)
 		// anticipated; re-invoke the cleaner mid-flush when the free pool
 		// runs low. Guard against a no-progress loop: only retry cleaning
 		// once the free count has changed since the last attempt.
-		if !fs.cleaning && fs.free < int64(fs.opts.CleanThreshold) && fs.free != lastCleanFree {
+		if !fs.cleaning && fs.free < cleanThreshold && fs.free != lastCleanFree {
 			lastCleanFree = fs.free
 			if err := fs.cleanLocked(); err != nil {
 				return err
@@ -77,7 +77,7 @@ func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage)
 		// drains them opportunistically), so only remaining data/meta
 		// work keeps the chain open.
 		fs.chainCont = len(items) > 0 || len(files) > 0
-		if err := fs.writePartialLocked(chunk, chunkFiles, deferPtr, 0); err != nil {
+		if err := fs.writePartialLocked(chunk, chunkFiles, deferPtr); err != nil {
 			return err
 		}
 		if len(commit) > 0 && fs.chainCont {
@@ -92,7 +92,7 @@ func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage)
 	fs.chainCont = false
 	// Deletion records with no accompanying blocks still need logging.
 	if len(fs.pendingDel) > 0 {
-		if err := fs.writePartialLocked(nil, nil, deferPtr, 0); err != nil {
+		if err := fs.writePartialLocked(nil, nil, deferPtr); err != nil {
 			return err
 		}
 	}
@@ -234,17 +234,15 @@ func (fs *FS) gatherRelocLocked(ids map[buffer.BlockID]bool, inos map[Ino]bool) 
 
 // flushRelocLocked writes the cleaner's scoped work list. Cleaning is in
 // progress, so no further cleaning is triggered; segment advances may dig
-// into the reserve the CleanThreshold maintains. ageStamp (non-zero) carries
-// the age of the relocated blocks into the output partials so the receiving
-// segment inherits their coldness.
-func (fs *FS) flushRelocLocked(ids map[buffer.BlockID]bool, inos map[Ino]bool, ageStamp uint64) error {
+// into the reserve cleanThreshold maintains.
+func (fs *FS) flushRelocLocked(ids map[buffer.BlockID]bool, inos map[Ino]bool) error {
 	items, files := fs.gatherRelocLocked(ids, inos)
 	for len(items) > 0 || len(files) > 0 {
 		chunk, chunkFiles, err := fs.takeChunk(&items, &files, false)
 		if err != nil {
 			return err
 		}
-		if err := fs.writePartialLocked(chunk, chunkFiles, false, ageStamp); err != nil {
+		if err := fs.writePartialLocked(chunk, chunkFiles, false); err != nil {
 			return err
 		}
 	}
@@ -419,10 +417,8 @@ func (fs *FS) takeChunk(items *[]dataItem, files *[]Ino, deferPtr bool) ([]dataI
 
 // writePartialLocked emits one partial segment: a summary block followed by
 // the chunk's data blocks, then the affected pointer blocks and inodes (in
-// dependency order), then logs pending deletions in the summary. ageStamp 0
-// means "fresh data" (stamped with the current sequence number); the cleaner
-// passes the age of the blocks it relocates.
-func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool, ageStamp uint64) error {
+// dependency order), then logs pending deletions in the summary.
+func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool) error {
 	fileSet := map[Ino]bool{}
 	perFile := map[Ino][]int64{}
 	for _, it := range chunk {
@@ -588,9 +584,6 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 	}
 
 	// 4. Summary block, then one sequential device write.
-	if ageStamp == 0 {
-		ageStamp = fs.seq
-	}
 	var flags uint32
 	if fs.chainCont {
 		flags = sumFlagCont
@@ -600,7 +593,6 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 		SelfAddr:   base,
 		NextSeg:    fs.nextSeg,
 		NBlocks:    len(blocks) - 1,
-		AgeStamp:   ageStamp,
 		PayloadCRC: payloadChecksum(blocks[1:]),
 		Flags:      flags,
 		Entries:    entries,
@@ -622,9 +614,6 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 		return err
 	}
 	fs.segs[fs.curSeg].SeqStamp = fs.seq
-	if ageStamp > fs.segs[fs.curSeg].AgeStamp {
-		fs.segs[fs.curSeg].AgeStamp = ageStamp
-	}
 	// Maintain the summary cache, but only where it is complete: a fresh
 	// entry when this partial starts the segment, an append when the cache
 	// already covers everything before it. (After a mount the current
@@ -699,7 +688,6 @@ func (fs *FS) freeDeadSegmentsLocked() error {
 		if fs.segs[s].State == segInLog && fs.segs[s].Live == 0 && fs.segs[s].SeqStamp < fs.cpBound &&
 			!fs.retainedLocked(s) {
 			fs.segs[s].State = segFree
-			fs.segs[s].AgeStamp = 0
 			delete(fs.sumCache, s)
 			fs.free++
 			n++

@@ -7,14 +7,13 @@ import (
 
 // buildIdleRig builds a kernel-lfs rig with the idle-overlapped batched
 // cleaner on a disk small enough that the log wraps and cleaning must run.
-func buildIdleRig(t *testing.T, batch int) *Rig {
+func buildIdleRig(t *testing.T) *Rig {
 	t.Helper()
 	rig, err := BuildRig(RigOptions{
 		Kind:         "kernel-lfs",
 		Config:       smallCfg(),
 		ExpectedTxns: 600,
 		CleanerMode:  "idle",
-		CleanBatch:   batch,
 	})
 	if err != nil {
 		t.Fatalf("BuildRig: %v", err)
@@ -29,7 +28,7 @@ func buildIdleRig(t *testing.T, batch int) *Rig {
 // between transactions and then checks every layer: TPC-B balance
 // invariants, fsck, the segment-usage audit, and free-segment accounting.
 func TestIdleCleanerIntegrity(t *testing.T) {
-	rig := buildIdleRig(t, 4)
+	rig := buildIdleRig(t)
 	gen := NewGenerator(smallCfg())
 	var txns []Txn
 	for i := 0; i < 600; i++ {
@@ -84,7 +83,7 @@ func TestIdleCleanerIntegrity(t *testing.T) {
 // elapsed simulated time, same file-system stats, same device stats.
 func TestIdleCleanerDeterministic(t *testing.T) {
 	run := func() (Result, interface{}, interface{}) {
-		rig := buildIdleRig(t, 4)
+		rig := buildIdleRig(t)
 		res, err := rig.RunMPL(smallCfg(), 600, 1)
 		if err != nil {
 			t.Fatal(err)

@@ -101,7 +101,7 @@ func (s failingDrain) Drain() error {
 // tracer proc, so the attribution report shows what the drain cost instead
 // of an open interval reported as zero.
 func TestDrainErrorClosesTracerProc(t *testing.T) {
-	rig := buildTraced(t, "user-lfs", 50, true)
+	rig := buildTraced(t, "user-lfs", 50, 0.7, true)
 	rig.Sys = failingDrain{rig.Sys, rig.Clock}
 	if _, err := rig.RunMPL(smallCfg(), 50, 1); err == nil || !strings.Contains(err.Error(), "drain failed") {
 		t.Fatalf("err = %v, want the drain's", err)

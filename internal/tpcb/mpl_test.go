@@ -124,18 +124,16 @@ func TestMPLCleanerDeterminism(t *testing.T) {
 				disk interface{}
 			}
 			run := func() snapshot {
-				// The shrunken disk and raised trigger make the log wrap
-				// within 600 transactions on both rig kinds, so the run
-				// exercises real cleaning, not an idle no-op.
+				// The shrunken disk makes the log wrap within 600
+				// transactions on both rig kinds, so the run exercises
+				// real cleaning, not an idle no-op.
 				rig, err := BuildRig(RigOptions{
-					Kind:             kind,
-					Config:           smallCfg(),
-					ExpectedTxns:     txns,
-					GroupCommit:      4,
-					CleanerMode:      "idle",
-					CleanBatch:       4,
-					DiskScale:        0.7,
-					IdleCleanTrigger: 10,
+					Kind:         kind,
+					Config:       smallCfg(),
+					ExpectedTxns: txns,
+					GroupCommit:  4,
+					CleanerMode:  "idle",
+					DiskScale:    0.5,
 				})
 				if err != nil {
 					t.Fatalf("BuildRig(%s): %v", kind, err)

@@ -49,12 +49,6 @@ type RigOptions struct {
 	// path; "idle" wires Rig.Idle to the incremental background cleaner so
 	// the driver cleans between transactions in device idle windows.
 	CleanerMode string
-	// CleanBatch overrides the cleaner's victims-per-pass batch size
-	// (0 = the LFS default).
-	CleanBatch int
-	// IdleCleanTrigger overrides the free-segment level below which the
-	// background cleaner starts working (0 = the LFS default).
-	IdleCleanTrigger int
 	// LogSegmentBytes bounds the WAL's segment payload size for the
 	// user-level rigs (0 = the wal default). Small segments force frequent
 	// rotations; checkpoints then truncate dead segments.
@@ -391,7 +385,7 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 			if kernel {
 				fsCache = 2 * cache
 			}
-			lf, err := lfs.Format(bdev, clk, lfs.Options{CacheBlocks: fsCache, Policy: opts.Policy, CleanBatch: opts.CleanBatch, IdleCleanTrigger: opts.IdleCleanTrigger, InodeAtSync: opts.InodeAtSync})
+			lf, err := lfs.Format(bdev, clk, lfs.Options{CacheBlocks: fsCache, Policy: opts.Policy, InodeAtSync: opts.InodeAtSync})
 			if err != nil {
 				return nil, err
 			}

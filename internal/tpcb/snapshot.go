@@ -153,16 +153,12 @@ func (s *Snapshot) Render() string {
 		fmt.Fprintf(&b, "lfs: %d partial segments, %d blocks logged (%d summary, %d inode pack, %d pointer), %d checkpoints, %d flushes of a full stage; %s\n",
 			f.PartialSegments, f.BlocksLogged, f.SummaryBlocks, f.InodePackBlocks, f.PointerBlocks, f.Checkpoints, f.StagedFlushes, writeBehind(f.WriteBehind))
 		cl := f.Cleaner
-		fmt.Fprintf(&b, "cleaner: %d segments cleaned in %d passes, %d blocks copied, %d dead, busy %v (%.1f%% of elapsed)\n",
+		fmt.Fprintf(&b, "cleaner: %d segments cleaned in %d passes, %d blocks copied, %d dead, busy %v (%.1f%% of elapsed), write amplification %.2f×\n",
 			cl.SegmentsCleaned, cl.Runs, cl.BlocksCopied, cl.BlocksDead,
-			cl.BusyTime, pct(cl.BusyTime, s.Elapsed))
+			cl.BusyTime, pct(cl.BusyTime, s.Elapsed), f.WriteAmp)
 		if cl.OverlapTime > 0 || cl.StallTime > 0 {
 			fmt.Fprintf(&b, "cleaner: %v overlapped with idle windows, %v stalled the workload (%.1f%% of elapsed)\n",
 				cl.OverlapTime, cl.StallTime, pct(cl.StallTime, s.Elapsed))
-		}
-		if cl.HotBlocks > 0 || cl.ColdBlocks > 0 {
-			fmt.Fprintf(&b, "cleaner: %d hot / %d cold blocks relocated, write amplification %.2f×\n",
-				cl.HotBlocks, cl.ColdBlocks, f.WriteAmp)
 		}
 		if cl.RetentionSkips > 0 || cl.RetainedBlocks > 0 || cl.HorizonLag > 0 {
 			fmt.Fprintf(&b, "cleaner: %d victim skips for pinned snapshots, %d block versions retained, horizon lag %d\n",

@@ -8,21 +8,21 @@ import (
 
 // buildTraced builds the cleaner-stress rig of TestMPLCleanerDeterminism
 // (shrunken disk, idle background cleaner, group commit) with or without a
-// tracer attached.
-func buildTraced(t *testing.T, kind string, txns int, traced bool) *Rig {
+// tracer attached. The disk is sized for txns transactions, then scaled by
+// diskScale: small enough that kernel-lfs cleans, but a smaller disk than
+// the rig's history needs will not format.
+func buildTraced(t *testing.T, kind string, txns int, diskScale float64, traced bool) *Rig {
 	t.Helper()
 	opts := RigOptions{
 		Kind:         kind,
 		Config:       smallCfg(),
 		ExpectedTxns: txns,
 		GroupCommit:  8,
-		DiskScale:    0.7,
+		DiskScale:    diskScale,
 		Trace:        traced,
 	}
 	if kind != "user-ffs" {
 		opts.CleanerMode = "idle"
-		opts.CleanBatch = 4
-		opts.IdleCleanTrigger = 10
 	}
 	rig, err := BuildRig(opts)
 	if err != nil {
@@ -41,13 +41,16 @@ func TestTraceByteIdentical(t *testing.T) {
 	for _, kind := range []string{"user-lfs", "kernel-lfs"} {
 		t.Run(kind, func(t *testing.T) {
 			run := func() (chrome, metrics string) {
-				rig := buildTraced(t, kind, txns, true)
+				rig := buildTraced(t, kind, txns, 0.5, true)
 				res, err := rig.RunMPL(smallCfg(), txns, mpl)
 				if err != nil {
 					t.Fatalf("RunMPL: %v", err)
 				}
 				if rig.Tracer.EventCount() == 0 {
 					t.Fatal("traced run recorded no events")
+				}
+				if kind == "kernel-lfs" && rig.LFS.Stats().Cleaner.SegmentsCleaned == 0 {
+					t.Fatal("the cleaner never ran; the traces do not cover it")
 				}
 				var cb, mb bytes.Buffer
 				if err := rig.Tracer.WriteChrome(&cb); err != nil {
@@ -83,7 +86,9 @@ func TestTraceNeutrality(t *testing.T) {
 		for _, mpl := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s/mpl%d", kind, mpl), func(t *testing.T) {
 				run := func(traced bool) (Result, interface{}) {
-					rig := buildTraced(t, kind, txns, traced)
+					// Sized for 300 transactions, a 0.5 disk has too few
+					// segments to format.
+					rig := buildTraced(t, kind, txns, 0.6, traced)
 					res, err := rig.RunMPL(smallCfg(), txns, mpl)
 					if err != nil {
 						t.Fatalf("RunMPL(traced=%v): %v", traced, err)
