@@ -103,7 +103,9 @@ type Device struct {
 	model sim.DiskModel
 	clock *sim.Clock
 	//simlint:tokenguarded
-	blocks [][]byte
+	blocks [][]byte // nil until the block is first written
+	//simlint:tokenguarded
+	slab []byte // the unused rest of the slab that backs newly written blocks
 	//simlint:tokenguarded
 	arm int64 // block address one past the last access, -1 if unknown
 	//simlint:tokenguarded
@@ -496,14 +498,38 @@ func (d *Device) Write(block int64, buf []byte) error {
 	return nil
 }
 
-// store copies buf into block.
+// slabBlocks is how many blocks one allocation of device storage backs. A
+// block's bytes are allocated at its first write, carved from the current slab
+// in the order blocks are first written, so no slab is left part-empty by the
+// layout; one allocation per block made most of a rig's set-up allocator work.
+const slabBlocks = 64
+
+// store copies buf into block. Zeros written to a block never written before
+// store nothing: the block reads as zeros already, and a file system that
+// zero-fills a range it reserves (ffs's growing Truncate) costs no memory.
 func (d *Device) store(block int64, buf []byte) {
 	dst := d.blocks[block]
 	if dst == nil {
-		dst = make([]byte, d.model.BlockSize)
+		if allZero(buf) {
+			return
+		}
+		bs := d.model.BlockSize
+		if len(d.slab) == 0 {
+			d.slab = make([]byte, slabBlocks*bs)
+		}
+		dst, d.slab = d.slab[:bs:bs], d.slab[bs:]
 		d.blocks[block] = dst
 	}
 	copy(dst, buf)
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // WriteRun writes len(bufs) contiguous blocks starting at start in a single

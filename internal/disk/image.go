@@ -82,7 +82,7 @@ func LoadImage(model sim.DiskModel, clock *sim.Clock, r io.Reader) (*Device, err
 			ErrBadImage, nb, bs, model.NumBlocks, model.BlockSize)
 	}
 	d := New(model, clock)
-	idx := make([]byte, 8)
+	idx, b := make([]byte, 8), make([]byte, bs)
 	for {
 		if _, err := io.ReadFull(br, idx); err != nil {
 			return nil, fmt.Errorf("%w: truncated index: %v", ErrBadImage, err)
@@ -94,11 +94,10 @@ func LoadImage(model sim.DiskModel, clock *sim.Clock, r io.Reader) (*Device, err
 		if i < 0 || i >= nb {
 			return nil, fmt.Errorf("%w: block %d out of range", ErrBadImage, i)
 		}
-		b := make([]byte, bs)
 		if _, err := io.ReadFull(br, b); err != nil {
 			return nil, fmt.Errorf("%w: truncated block %d: %v", ErrBadImage, i, err)
 		}
-		d.blocks[i] = b
+		d.store(i, b)
 	}
 	return d, nil
 }

@@ -37,11 +37,72 @@ func (fs *FS) ensureMapped(in *inode, lbn int64) error {
 	return nil
 }
 
+// reserveZeroed maps blocks up to lastLBN for a growing Truncate, the way a
+// preallocating file system reserves them. It allocates them contiguously
+// where it can and writes their zeros straight to the device, one write per
+// contiguous run, before the inode maps them: the order ensureMapped keeps
+// through the cache, without a buffer per block.
+func (fs *FS) reserveZeroed(in *inode, lastLBN int64) error {
+	n := lastLBN + 1 - in.blocks()
+	if n <= 0 {
+		return nil
+	}
+	prefer := int64(0)
+	if k := len(in.extents); k > 0 {
+		prefer = in.extents[k-1].Start + in.extents[k-1].Len
+	}
+	addrs := make([]int64, 0, n)
+	undo := func() {
+		for _, a := range addrs {
+			fs.freeBlock(a)
+		}
+	}
+	for len(addrs) < int(n) {
+		addr, err := fs.allocBlock(prefer)
+		if err != nil {
+			undo()
+			return err
+		}
+		addrs = append(addrs, addr)
+		prefer = addr + 1
+	}
+	zero := make([]byte, fs.blockSize)
+	run := make([][]byte, 0, n)
+	for i := 0; i < len(addrs); {
+		j := i + 1
+		for j < len(addrs) && addrs[j] == addrs[j-1]+1 {
+			j++
+		}
+		run = run[:0]
+		for range j - i {
+			run = append(run, zero)
+		}
+		if err := fs.dev.WriteRun(addrs[i], run); err != nil {
+			undo()
+			return err
+		}
+		i = j
+	}
+	for _, a := range addrs {
+		in.appendBlock(a)
+	}
+	return nil
+}
+
+// truncateLocked sets the file size. Shrinking frees the blocks past the new
+// end and zeroes the tail of the last one; growing maps the new range as
+// zeroed blocks (reserveZeroed), so that writes into it change neither the
+// size nor the block map and a File.Sync after them stores no inode.
 func (fs *FS) truncateLocked(in *inode, size int64) error {
 	if size < 0 {
 		return fmt.Errorf("ffs: negative truncate size %d", size)
 	}
 	bs := int64(fs.blockSize)
+	if size > in.Size {
+		if err := fs.reserveZeroed(in, (size+bs-1)/bs-1); err != nil {
+			return err
+		}
+	}
 	if size < in.Size {
 		keep := (size + bs - 1) / bs
 		// Free whole blocks past the new end.

@@ -49,6 +49,11 @@ type Stats struct {
 	BlocksFlushed int64 `json:"blocks_flushed"` // data blocks any flush wrote in place, from the cache or the stage
 	BlocksStaged  int64 `json:"blocks_staged"`  // dirty blocks the cache evicted into the stage
 	StagedFlushes int64 `json:"staged_flushes"` // sweeps of a full stage
+	// Inode-table stores, split by who asked: File.Sync stores a slot only
+	// when the size, block map or an attribute changed (AttrDirty); a syncer
+	// pass or FS.Sync stores every inode that changed at all.
+	SyncInodeStores   int64 `json:"sync_inode_stores"`
+	SyncerInodeStores int64 `json:"syncer_inode_stores"`
 	// WriteBehind is the background-lane time of syncer passes and sweeps.
 	WriteBehind disk.BgTimes `json:"write_behind"`
 }
@@ -389,6 +394,7 @@ func (fs *FS) flushAllLocked() error {
 			if err := fs.storeInodeLocked(in); err != nil {
 				return err
 			}
+			fs.stats.SyncerInodeStores++
 		}
 	}
 	return nil
@@ -658,8 +664,12 @@ func (fs *FS) syncFileLocked(in *inode) error {
 	if _, err := fs.flushLocked(&in.Ino, true); err != nil {
 		return err
 	}
-	if in.AttrDirty {
-		return fs.storeInodeLocked(in)
+	if !in.AttrDirty {
+		return nil
 	}
+	if err := fs.storeInodeLocked(in); err != nil {
+		return err
+	}
+	fs.stats.SyncInodeStores++
 	return nil
 }

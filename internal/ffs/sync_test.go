@@ -242,6 +242,92 @@ func TestFreshBlocksAreZero(t *testing.T) {
 	}
 }
 
+// A growing Truncate reserves the new range, as a preallocating file system
+// does: its blocks are mapped, contiguous with the file's last, and zeroed on
+// the device in one write before anything can map them — over the addresses a
+// removed file's bytes still occupy. A crash right after it, or after the Sync
+// that stores the slot, passes fsck; after the Sync the range reads as zeros
+// through mapped blocks, and a write into it is an overwrite: its File.Sync is
+// one device write and stores no inode.
+func TestGrowingTruncateMapsZeroedBlocks(t *testing.T) {
+	const bs = 4096
+	fs, dev, clk := newFS(t)
+	writeFile(t, fs, "/a", pattern(bs, 1))
+	writeFile(t, fs, "/b", bytes.Repeat([]byte{0xEE}, 3*bs))
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Remove("/b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil { // the freed blocks are free on the device too
+		t.Fatal(err)
+	}
+	f, err := fs.Open("/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	in := fs.inodes[Ino(f.ID())]
+	st := dev.Stats()
+	if err := f.Truncate(4 * bs); err != nil {
+		t.Fatal(err)
+	}
+	if got := dev.Stats(); got.Writes-st.Writes != 1 || got.BlocksWrit-st.BlocksWrit != 3 || got.Reads != st.Reads {
+		t.Fatalf("growing by 3 blocks made %d writes (%d blocks) and %d reads, want one 3-block write",
+			got.Writes-st.Writes, got.BlocksWrit-st.BlocksWrit, got.Reads-st.Reads)
+	}
+	if len(in.extents) != 1 || in.blocks() != 4 {
+		t.Fatalf("extents %+v, want the 4 blocks in one", in.extents)
+	}
+	for lbn := int64(1); lbn < 4; lbn++ {
+		if b, _ := dev.Peek(in.mapBlock(lbn)); !bytes.Equal(b, make([]byte, bs)) {
+			t.Fatalf("block %d is mapped before its zeros are on the device", lbn)
+		}
+	}
+	want := append(pattern(bs, 1), make([]byte, 3*bs)...)
+	crash := func(when string, size int) *inode {
+		t.Helper()
+		fs2, err := Mount(dev, clk, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The bitmap reaches the device only with FS.Sync, so fsck may have
+		// allocations to reclaim; nothing may be claimed twice.
+		if rep, err := fs2.Fsck(); err != nil || rep.CrossLinked != 0 {
+			t.Fatalf("fsck after a crash %s: %v %+v", when, err, rep)
+		}
+		if got := readFile(t, fs2, "/a"); !bytes.Equal(got, want[:size]) {
+			t.Fatalf("after a crash %s /a differs at %d", when, firstDiff(got, want[:size]))
+		}
+		in2, err := fs2.LookupLocked("/a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in2
+	}
+	crash("right after the Truncate", bs)
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if in2 := crash("after its Sync", 4*bs); in2.blocks() != 4 {
+		t.Fatalf("after the Sync and a crash /a maps %d blocks, want 4", in2.blocks())
+	}
+	st, stores := dev.Stats(), fs.Stats().SyncInodeStores
+	copy(want[2*bs:], pattern(bs, 5))
+	if _, err := f.WriteAt(want[2*bs:3*bs], 2*bs); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dev.Stats().Writes - st.Writes; got != 1 || fs.Stats().SyncInodeStores != stores {
+		t.Fatalf("Sync after a write into the reserved range: %d device writes, %d inode stores; want 1 and 0",
+			got, fs.Stats().SyncInodeStores-stores)
+	}
+	crash("after the write's Sync", 4*bs)
+}
+
 func firstDiff(a, b []byte) int {
 	for i := 0; i < len(a) && i < len(b); i++ {
 		if a[i] != b[i] {

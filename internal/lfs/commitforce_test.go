@@ -157,62 +157,152 @@ func commitForceScript(fs *FS, after func(step int, im fileImage)) error {
 	return nil
 }
 
-// TestCommitForceCrashAtEveryWrite crashes the device at every write operation
-// of commitForceScript, clean and torn, remounts, and requires the image of
-// the last acknowledged force — or of the one in flight, whole, when the crash
-// lost only its acknowledgement: size, every direct-, single- and
+// crashAtEveryWrite runs script once to record the image each acknowledged
+// force promises, then again with the device crashing at each of its write
+// operations, clean and torn. After each crash it remounts and requires the
+// image of the last acknowledged force — or of the one in flight, whole, when
+// the crash lost only its acknowledgement: size, every direct-, single- and
 // double-indirect-range pointer (through the content it leads to) and holes.
-func TestCommitForceCrashAtEveryWrite(t *testing.T) {
-	for _, every := range []int{0, 5} { // default, and a checkpoint every 5 partials
-		opts := Options{CheckpointEvery: every}
-		build := func() (*FS, *disk.Device, *sim.Clock) {
-			clk := sim.NewClock()
-			dev := disk.New(sim.SmallModel(), clk)
-			fs, err := Format(dev, clk, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fs, dev, clk
-		}
-		fs, dev, _ := build()
-		ops0 := dev.WriteOps()
-		var images []fileImage
-		if err := commitForceScript(fs, func(_ int, im fileImage) { images = append(images, im) }); err != nil {
+// It returns the file system of the recording run.
+func crashAtEveryWrite(t *testing.T, opts Options, script func(*FS, func(int, fileImage)) error) *FS {
+	t.Helper()
+	name := fmt.Sprintf("checkpoint-every %d", opts.CheckpointEvery)
+	build := func() (*FS, *disk.Device, *sim.Clock) {
+		clk := sim.NewClock()
+		dev := disk.New(sim.SmallModel(), clk)
+		fs, err := Format(dev, clk, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-		total := dev.WriteOps() - ops0
+		return fs, dev, clk
+	}
+	recorded, dev, _ := build()
+	ops0 := dev.WriteOps()
+	var images []fileImage
+	if err := script(recorded, func(_ int, im fileImage) { images = append(images, im) }); err != nil {
+		t.Fatal(err)
+	}
+	total := dev.WriteOps() - ops0
+	for op := int64(1); op <= total; op++ {
+		for seed := uint64(0); seed < 4; seed++ { // 0 = clean cut, else a torn prefix
+			fs, dev, clk := build()
+			dev.CrashAfter(ops0+op, seed > 0, seed)
+			acked := -1
+			err := script(fs, func(step int, _ fileImage) { acked = step })
+			if !errors.Is(err, disk.ErrCrashed) {
+				t.Fatalf("%s, crash at op %d: script ended with %v", name, op, err)
+			}
+			dev.ClearCrash()
+			fs2, err := Mount(dev, clk, opts)
+			if err != nil {
+				t.Fatalf("%s, crash at op %d seed %d: mount: %v", name, op, seed, err)
+			}
+			if acked < 0 {
+				continue // crashed before the file's first checkpoint: nothing was promised
+			}
+			errAcked := images[acked].matches(fs2, "/f")
+			if errAcked != nil && acked+1 < len(images) && images[acked+1].matches(fs2, "/f") == nil {
+				errAcked = nil
+			}
+			if errAcked != nil {
+				t.Fatalf("%s, crash at op %d seed %d after force %d: %v", name, op, seed, acked, errAcked)
+			}
+			if rep, err := fs2.Fsck(); err != nil || !rep.OK() {
+				t.Fatalf("%s, crash at op %d seed %d: fsck: %v %+v", name, op, seed, err, rep)
+			}
+		}
+	}
+	return recorded
+}
+
+// TestCommitForceCrashAtEveryWrite crashes commitForceScript at every write.
+func TestCommitForceCrashAtEveryWrite(t *testing.T) {
+	for _, every := range []int{0, 5} { // default, and a checkpoint every 5 partials
+		fs := crashAtEveryWrite(t, Options{CheckpointEvery: every}, commitForceScript)
 		if cps := fs.Stats().Checkpoints; (every == 0) != (cps == 2) {
 			t.Fatalf("checkpoint-every %d: %d checkpoints; want Format's and the script's only at the default, periodic ones otherwise", every, cps)
 		}
-		for op := int64(1); op <= total; op++ {
-			for seed := uint64(0); seed < 4; seed++ { // 0 = clean cut, else a torn prefix
-				fs, dev, clk := build()
-				dev.CrashAfter(ops0+op, seed > 0, seed)
-				acked := -1
-				err := commitForceScript(fs, func(step int, _ fileImage) { acked = step })
-				if !errors.Is(err, disk.ErrCrashed) {
-					t.Fatalf("checkpoint-every %d, crash at op %d: script ended with %v", every, op, err)
-				}
-				dev.ClearCrash()
-				fs2, err := Mount(dev, clk, opts)
-				if err != nil {
-					t.Fatalf("checkpoint-every %d, crash at op %d seed %d: mount: %v", every, op, seed, err)
-				}
-				if acked < 0 {
-					continue // crashed before the file's first checkpoint: nothing was promised
-				}
-				errAcked := images[acked].matches(fs2, "/f")
-				if errAcked != nil && acked+1 < len(images) && images[acked+1].matches(fs2, "/f") == nil {
-					errAcked = nil
-				}
-				if errAcked != nil {
-					t.Fatalf("checkpoint-every %d, crash at op %d seed %d after force %d: %v", every, op, seed, acked, errAcked)
-				}
-				if rep, err := fs2.Fsck(); err != nil || !rep.OK() {
-					t.Fatalf("checkpoint-every %d, crash at op %d seed %d: fsck: %v %+v", every, op, seed, err, rep)
-				}
-			}
+	}
+}
+
+// truncateRegrowScript logs indirect-range blocks by pack-less commit forces,
+// shrinks the file below them, forces, regrows it sparsely past them and
+// forces pack-less overwrites after that. The positions the truncate emptied
+// are holes below the final size, and summary entries older than the truncate
+// still name blocks there; only the pointer blocks the truncate's force wrote
+// say they are gone. A long sparse file in the indirect range is what a
+// preallocated WAL segment on LFS is, and WAL recovery truncates.
+func truncateRegrowScript(fs *FS, after func(step int, im fileImage)) error {
+	bs := fs.BlockSize()
+	np := nptr(bs)
+	f, err := fs.Create("/f")
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	im := fileImage{version: map[int64]int{}}
+	write := func(lbn int64, v int) error {
+		if _, err := f.WriteAt(stamped(bs, lbn, v), lbn*int64(bs)); err != nil {
+			return err
 		}
+		im.version[lbn] = v
+		im.blocks = max(im.blocks, lbn+1)
+		return nil
+	}
+	step := 0
+	force := func() error {
+		if err := f.Sync(); err != nil {
+			return err
+		}
+		after(step, im.clone())
+		step++
+		return nil
+	}
+	for _, lbn := range []int64{0, 1, NDirect, NDirect + 1, NDirect + np - 1, NDirect + np, NDirect + np + 1, NDirect + 2*np} {
+		if err := write(lbn, 1); err != nil {
+			return err
+		}
+	}
+	if err := fs.Sync(); err != nil {
+		return err
+	}
+	after(step, im.clone())
+	step++
+	for _, lbn := range []int64{NDirect + 1, NDirect + np + 1} { // pack-less: summary entries only
+		if err := write(lbn, 2); err != nil {
+			return err
+		}
+	}
+	if err := force(); err != nil {
+		return err
+	}
+	if err := f.Truncate(int64(bs)); err != nil {
+		return err
+	}
+	im = fileImage{version: map[int64]int{0: im.version[0]}, blocks: 1}
+	if err := force(); err != nil {
+		return err
+	}
+	if err := write(NDirect+2*np+1, 3); err != nil { // every position the truncate emptied is a hole now
+		return err
+	}
+	if err := force(); err != nil {
+		return err
+	}
+	for _, lbn := range []int64{0, NDirect + 2*np + 1} { // and pack-less forces after the last pack still replay
+		if err := write(lbn, 4); err != nil {
+			return err
+		}
+	}
+	return force()
+}
+
+// TestTruncateRegrowDoesNotResurrectIndirectBlocks crashes truncateRegrowScript
+// at every write: no recovered image may bring back a single- or
+// double-indirect-range block the truncate freed.
+func TestTruncateRegrowDoesNotResurrectIndirectBlocks(t *testing.T) {
+	for _, every := range []int{0, 5} {
+		crashAtEveryWrite(t, Options{CheckpointEvery: every}, truncateRegrowScript)
 	}
 }
 
@@ -403,7 +493,7 @@ func TestCommitForceCostIsExact(t *testing.T) {
 	// to FlushCommit, which takes its file set from its pages); everything
 	// else goes through the cache.
 	ranges := []int64{1, NDirect, NDirect + np, NDirect + 3*np}
-	var packless, packed int
+	var packless, packed, withPtrs int
 	for i := 0; i < 1000; i++ {
 		if rng.Intn(100) == 0 && len(files) < 12 {
 			create() // a new inode has no imap entry: its first force must pack it
@@ -431,6 +521,10 @@ func TestCommitForceCostIsExact(t *testing.T) {
 				pages = append(pages, CommitPage{ID: blockIDOf(Ino(f.ID()), 0), Image: stamped(bs, 0, i)})
 			}
 		}
+		cleared := false // a shrinking truncate: this force writes pointer blocks
+		for ino := range set {
+			cleared = cleared || fs.inodes[ino].ptrsCleared
+		}
 		items, metaOnly, err := fs.gatherLocked(set, true, pages, nil)
 		perFile := map[Ino][]int64{}
 		for _, it := range items {
@@ -457,8 +551,11 @@ func TestCommitForceCostIsExact(t *testing.T) {
 		if got := st.BlocksLogged - before.BlocksLogged; got != int64(want) {
 			t.Fatalf("force %d: estimated %d blocks, logged %d (%d data items, %d meta-only files)", i, want, got, len(items), len(metaOnly))
 		}
-		if st.PointerBlocks != before.PointerBlocks {
-			t.Fatalf("force %d wrote %d pointer blocks", i, st.PointerBlocks-before.PointerBlocks)
+		if wrote := st.PointerBlocks - before.PointerBlocks; (wrote != 0) != cleared {
+			t.Fatalf("force %d wrote %d pointer blocks (after a truncate that cleared pointers: %v)", i, wrote, cleared)
+		}
+		if cleared {
+			withPtrs++
 		}
 		if st.InodePackBlocks == before.InodePackBlocks {
 			packless++
@@ -469,8 +566,8 @@ func TestCommitForceCostIsExact(t *testing.T) {
 	if st := fs.Stats(); st.Cleaner.Runs != 0 || st.Checkpoints != 1 {
 		t.Fatalf("cleaner ran %d times, %d checkpoints: their blocks are in the comparison", st.Cleaner.Runs, st.Checkpoints)
 	}
-	if packless < 300 || packed < 100 {
-		t.Fatalf("%d pack-less and %d packing forces: the run should exercise both", packless, packed)
+	if packless < 300 || packed < 100 || withPtrs < 10 {
+		t.Fatalf("%d pack-less, %d packing forces, %d with pointer blocks: the run should exercise all three", packless, packed, withPtrs)
 	}
 	if rep, err := fs.Fsck(); err != nil || !rep.OK() {
 		t.Fatalf("fsck: %v %+v", err, rep)

@@ -12,6 +12,8 @@ import (
 type File = ufs.File[*inode]
 
 // truncateLocked sets the file size, freeing blocks beyond the new end.
+// Growing leaves the new range a hole: LFS allocates a block only when it
+// logs one, so there is nothing to reserve.
 func (fs *FS) truncateLocked(in *inode, size int64) error {
 	if size < 0 {
 		return fmt.Errorf("lfs: negative truncate size %d", size)
@@ -34,6 +36,9 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 				return err
 			}
 			fs.accountOld(addr)
+			if lbn >= NDirect {
+				in.ptrsCleared = true
+			}
 		}
 		_ = fs.pool.Invalidate(buffer.BlockID{File: vfs.FileID(in.Ino), Block: lbn})
 		fs.stage.Unpark(buffer.BlockID{File: vfs.FileID(in.Ino), Block: lbn})

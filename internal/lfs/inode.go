@@ -28,6 +28,12 @@ type inode struct {
 	ind    *ptrBlock
 	dind   *ptrBlock
 	dchild map[int64]*ptrBlock
+
+	// ptrsCleared: a shrinking truncate removed pointers from the pointer
+	// blocks since they were last written. Roll-forward can add a pointer
+	// from a summary but never remove one, so the next flush that writes the
+	// inode — a commit force too — writes its dirty pointer blocks with it.
+	ptrsCleared bool
 }
 
 // ptrBlock is a cached block of disk addresses.

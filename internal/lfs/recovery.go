@@ -364,8 +364,11 @@ func (fs *FS) rollForwardLocked() error {
 		seq  uint64
 	}
 	pendingPtr := make(map[ptrKey]loggedPtr)
-	// packSeq is the newest partial that packed each inode.
+	// packSeq is the newest partial that packed each inode, ptrSeq the newest
+	// that wrote each of its pointer blocks: the single indirect block under
+	// lbn -1, a double-indirect child under its slot.
 	packSeq := make(map[Ino]uint64)
+	ptrSeq := make(map[ptrKey]uint64)
 	// apply folds one intact partial's summary into the recovered state:
 	// blocks map one-to-one onto the entries with block-consuming kinds, in
 	// order, at pos+1, pos+2, ... Inode pack blocks are decoded to learn
@@ -387,6 +390,10 @@ func (fs *FS) rollForwardLocked() error {
 				continue
 			case kindData:
 				pendingPtr[ptrKey{e.Ino, e.Index}] = loggedPtr{pos + 1 + blockIdx, sum.Seq}
+			case kindInd:
+				ptrSeq[ptrKey{e.Ino, -1}] = sum.Seq
+			case kindDChild:
+				ptrSeq[ptrKey{e.Ino, e.Index}] = sum.Seq
 			case kindInodePack:
 				addr := pos + 1 + blockIdx
 				// The payload CRC already matched, so the pack bytes are
@@ -488,13 +495,22 @@ func (fs *FS) rollForwardLocked() error {
 		}
 		return 0
 	})
+	np := nptr(fs.blockSize)
 	for _, k := range ptrOrder {
 		p := pendingPtr[k]
-		if k.lbn < NDirect && p.seq <= packSeq[k.ino] {
-			// A pack holds every direct pointer as of its own partial, so
-			// it is authoritative for all entries up to it. Replaying an
-			// older one could resurrect a dead block: truncate to zero,
-			// regrow sparsely, and this lbn is a hole below the new size.
+		// A pack holds every direct pointer as of its own partial, and a
+		// pointer block every pointer of its range, so each is authoritative
+		// for all entries up to it. Replaying an older one could resurrect a
+		// dead block: truncate to zero, regrow sparsely, and this lbn is a
+		// hole below the new size.
+		guard := packSeq[k.ino]
+		switch {
+		case k.lbn >= NDirect+np:
+			guard = ptrSeq[ptrKey{k.ino, (k.lbn - NDirect - np) / np}]
+		case k.lbn >= NDirect:
+			guard = ptrSeq[ptrKey{k.ino, -1}]
+		}
+		if p.seq <= guard {
 			continue
 		}
 		if _, ok := fs.imap[k.ino]; !ok {

@@ -22,7 +22,8 @@ type dataItem struct {
 // summary records every data block's (inode, logical block) pair, so
 // roll-forward can reconstruct the pointers after a crash — the same trick
 // that lets real LFS implementations keep fsync cheap. Full flushes
-// (deferPtr false) write the pointer blocks out. commit is a group-commit
+// (deferPtr false) write the pointer blocks out, and so does a commit force
+// for a file a truncate shrank (inode.ptrsCleared). commit is a group-commit
 // batch's page set (FlushCommit): the only held pages a flush may write.
 func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage) error {
 	if !fs.cleaning && fs.free < cleanThreshold {
@@ -338,7 +339,7 @@ func (fs *FS) partialCostLocked(perFile map[Ino][]int64, deferPtr bool) (int, er
 			return 0, err
 		}
 		total += len(perFile[ino])
-		if !deferPtr {
+		if !deferPtr || in.ptrsCleared {
 			total += fs.metaCostLocked(in, perFile[ino])
 		}
 		if fs.packsLocked(in, deferPtr) {
@@ -491,16 +492,18 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 		if err != nil {
 			return err
 		}
-		if deferPtr {
+		if deferPtr && !in.ptrsCleared {
 			// Commit fast path: pointers stay dirty in memory — indirect
 			// blocks and, unless its attributes changed, the inode itself;
 			// the summary's data entries carry enough for roll-forward to
-			// rebuild them after a crash.
+			// rebuild them after a crash. Pointers a truncate removed are
+			// the exception: no summary entry says a block is gone.
 			if fs.packsLocked(in, true) {
 				packed = append(packed, in)
 			}
 			continue
 		}
+		in.ptrsCleared = false
 		for _, slot := range detsort.Keys(in.dchild) {
 			c := in.dchild[slot]
 			if !c.dirty {

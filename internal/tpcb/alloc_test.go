@@ -29,6 +29,14 @@ type allocBudget struct {
 // stage and the dirty cache in one pass; the rest is the stage's block maps. A
 // transaction allocates a little less: 17.2 KB in 97 objects at MPL 1, was
 // 17.9 KB in 102.
+//
+// The six build-object ceilings were re-recorded when the simulated disk
+// began backing the blocks it stores with 64-block slabs instead of one 4 KB
+// allocation each: a build now makes 1,951–2,325 objects where it made
+// 2,262–2,691. The kilobyte ceilings stand. On user-ffs the WAL's segment 1,
+// created at full length since, is zeroed on the device at build; a zero
+// block written where nothing was stored costs the disk no memory, so the
+// build grew only from 3,680 to 3,851 KB.
 func TestAllocBudget(t *testing.T) {
 	const txns = 600
 	cfg := ScaledConfig(0.01)
@@ -38,12 +46,12 @@ func TestAllocBudget(t *testing.T) {
 		mpl  int
 		max  allocBudget
 	}{
-		{"serial/user-ffs", RigOptions{Kind: "user-ffs", Config: cfg, ExpectedTxns: txns, GroupCommit: 1}, 1, allocBudget{4232, 2614, 19.8, 111.9}},
-		{"serial/user-lfs", RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 1}, 1, allocBudget{3296, 3023, 34.8, 133.6}},
-		{"serial/kernel-lfs", RigOptions{Kind: "kernel-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 1}, 1, allocBudget{3723, 3105, 34.9, 165.9}},
-		{"mpl64/user-ffs", RigOptions{Kind: "user-ffs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8}, 64, allocBudget{4222, 2601, 20.9, 118.5}},
-		{"mpl64/user-lfs", RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8}, 64, allocBudget{3302, 3027, 27.6, 127.0}},
-		{"mpl64/kernel-lfs", RigOptions{Kind: "kernel-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8}, 64, allocBudget{3723, 3105, 26.2, 125.7}},
+		{"serial/user-ffs", RigOptions{Kind: "user-ffs", Config: cfg, ExpectedTxns: txns, GroupCommit: 1}, 1, allocBudget{4232, 2255, 19.8, 111.9}},
+		{"serial/user-lfs", RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 1}, 1, allocBudget{3296, 2628, 34.8, 133.6}},
+		{"serial/kernel-lfs", RigOptions{Kind: "kernel-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 1}, 1, allocBudget{3723, 2671, 34.9, 165.9}},
+		{"mpl64/user-ffs", RigOptions{Kind: "user-ffs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8}, 64, allocBudget{4222, 2244, 20.9, 118.5}},
+		{"mpl64/user-lfs", RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8}, 64, allocBudget{3302, 2628, 27.6, 127.0}},
+		{"mpl64/kernel-lfs", RigOptions{Kind: "kernel-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8}, 64, allocBudget{3723, 2674, 26.2, 125.7}},
 	}
 	measure := func(f func()) (kb, objects float64) {
 		var m0, m1 runtime.MemStats

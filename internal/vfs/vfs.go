@@ -56,7 +56,10 @@ type File interface {
 	WriteAt(p []byte, off int64) (int, error)
 	// Size returns the current file size in bytes.
 	Size() (int64, error)
-	// Truncate sets the file size.
+	// Truncate sets the file size. The bytes past the old size read as
+	// zeros. Growing reserves the new range's blocks on FFS — mapped, with
+	// their zeros on the device — and leaves it a hole on LFS, which
+	// allocates a block only when it logs one.
 	Truncate(size int64) error
 	// Sync makes the file's contents durable together with whatever a crash
 	// could not otherwise rebuild — size, block map, link count, mode, flags;

@@ -72,14 +72,24 @@ func dumpSegment(w io.Writer, fsys vfs.FileSystem, base string, seq uint64) erro
 		fmt.Fprintf(w, "  header: INVALID\n")
 	}
 
-	// Blocks: report each header, accumulating the valid payload stream.
+	// Blocks: report each header, accumulating the valid payload stream. A run
+	// of unwritten blocks (the preallocated rest of the segment) is one line.
 	var stream []byte
 	streamDone := false
 	for off, blk := BlockSize, int64(0); off+BlockSize <= len(raw); off, blk = off+BlockSize, blk+1 {
+		if unwritten(raw[off : off+BlockSize]) {
+			first := blk
+			for off+2*BlockSize <= len(raw) && unwritten(raw[off+BlockSize:off+2*BlockSize]) {
+				off, blk = off+BlockSize, blk+1
+			}
+			fmt.Fprintf(w, "  block %4d-%d: unwritten\n", first, blk)
+			streamDone = true
+			continue
+		}
 		bi, ok := decodeBlock(raw[off : off+BlockSize])
 		if !ok {
 			le := binary.LittleEndian
-			fmt.Fprintf(w, "  block %4d: BAD CRC (stored %08x, dataLen %d) — torn or unwritten\n",
+			fmt.Fprintf(w, "  block %4d: BAD CRC (stored %08x, dataLen %d) — torn\n",
 				blk, le.Uint32(raw[off:]), le.Uint16(raw[off+6:]))
 			streamDone = true
 			continue

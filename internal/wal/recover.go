@@ -20,8 +20,9 @@ type ScanStats struct {
 }
 
 // Create initializes a fresh segmented log rooted at base: it writes the
-// checkpoint anchor ({base}.ckpt) and prepares the first segment, whose
-// file materializes lazily at the first force.
+// checkpoint anchor ({base}.ckpt) and creates the first segment at full
+// length, so that the zero-fill is set-up work and not part of the first
+// commit's force.
 func Create(fsys vfs.FileSystem, base string, opts Options) (*Manager, error) {
 	opts = opts.withDefaults()
 	af, err := fsys.Create(anchorName(base))
@@ -31,16 +32,17 @@ func Create(fsys vfs.FileSystem, base string, opts Options) (*Manager, error) {
 	if _, err := af.WriteAt(encodeAnchor(anchor{ckptLSN: 0, lowWater: 1}), 0); err != nil {
 		return nil, err
 	}
-	// A full file-system sync: the anchor's directory entry must be durable
-	// too, or a crash leaves the log undiscoverable.
-	if err := fsys.Sync(); err != nil {
-		return nil, err
-	}
-	return &Manager{
+	m := &Manager{
 		fsys: fsys, base: base, opts: opts, anchorF: af,
 		lowWater: 1,
 		writers:  []*segWriter{{seq: 1}},
-	}, nil
+	}
+	// createSegment's full file-system sync also makes the anchor's directory
+	// entry durable; without it a crash leaves the log undiscoverable.
+	if err := m.createSegment(m.active()); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // Exists reports whether a log rooted at base exists (its anchor file does).
@@ -151,10 +153,11 @@ func Open(fsys vfs.FileSystem, base string, opts Options) (*Manager, error) {
 }
 
 // openSegment loads segment seq as the active writer: validates the header,
-// reassembles the durable payload stream, and discards a torn tail
-// physically (rewriting the tail block with the reduced length and
-// truncating the file). ok=false means the header itself is unreadable (the
-// segment holds no durable data).
+// reassembles the durable payload stream, and clears a torn tail in place
+// (rewriting the tail block with the reduced length and zeroing every block
+// after it that holds anything), keeping the file's preallocated length.
+// ok=false means the header itself is unreadable (the segment holds no
+// durable data).
 func (m *Manager) openSegment(seq uint64) (*segWriter, bool, error) {
 	f, err := m.fsys.Open(segName(m.base, seq))
 	if err != nil {
@@ -182,27 +185,32 @@ func (m *Manager) openSegment(seq uint64) (*segWriter, bool, error) {
 
 	w := &segWriter{seq: seq, f: f, stream: stream[:validEnd:validEnd], durable: validEnd, starts: starts}
 
-	// Physically discard the torn tail: those bytes were never acknowledged
-	// durable, and clearing them keeps waldump output and later rewrites
-	// unambiguous.
-	if int64(len(stream)) > validEnd || size > blockFileOff((validEnd+PayloadSize-1)/PayloadSize) {
-		if validEnd == 0 {
-			if err := f.Truncate(blockFileOff(0)); err != nil {
-				f.Close()
-				return nil, false, err
-			}
-		} else {
-			last := (validEnd - 1) / PayloadSize
-			var blk [BlockSize]byte
-			encodeBlock(blk[:], w.stream[last*PayloadSize:validEnd], w.firstRecIn(last*PayloadSize, validEnd), w.contAt(last*PayloadSize))
-			if _, err := f.WriteAt(blk[:], blockFileOff(last)); err != nil {
-				f.Close()
-				return nil, false, err
-			}
-			if err := f.Truncate(blockFileOff(last) + BlockSize); err != nil {
-				f.Close()
-				return nil, false, err
-			}
+	// Clear the torn tail in place: those bytes were never acknowledged
+	// durable, and a block left behind past the stream's end would be read
+	// as its continuation once later forces fill the blocks before it. The
+	// whole file was read, so a clear that a crash tore is found and
+	// finished by the next open.
+	keep := (validEnd + PayloadSize - 1) / PayloadSize // data blocks the stream occupies
+	last := int64(-1)                                  // last data block holding anything
+	for b := int64(len(raw))/BlockSize - 2; b >= keep; b-- {
+		if off := blockFileOff(b); !unwritten(raw[off : off+BlockSize]) {
+			last = b
+			break
+		}
+	}
+	if int64(len(stream)) > validEnd || last >= keep {
+		lo := keep
+		if validEnd%PayloadSize != 0 {
+			lo = keep - 1 // the tail block, re-encoded with the reduced length
+		}
+		clearBuf := make([]byte, (max(last, lo)-lo+1)*BlockSize)
+		if lo < keep {
+			tail := lo * PayloadSize
+			encodeBlock(clearBuf[:BlockSize], w.stream[tail:validEnd], w.firstRecIn(tail, validEnd), w.contAt(tail))
+		}
+		if _, err := f.WriteAt(clearBuf, blockFileOff(lo)); err != nil {
+			f.Close()
+			return nil, false, err
 		}
 		if err := f.Sync(); err != nil {
 			f.Close()
@@ -216,12 +224,13 @@ func (m *Manager) openSegment(seq uint64) (*segWriter, bool, error) {
 // raw segment image (header block included), stopping at the first invalid
 // block or after a partial (tail) block. It returns the payload stream, the
 // number of blocks read, and whether assembly stopped early on an invalid
-// block (torn).
+// block that holds something (torn); an unwritten block ends the stream
+// cleanly, as a stream that fills its last block exactly ends.
 func assembleStream(raw []byte) (stream []byte, blocks int64, torn bool) {
 	for off := BlockSize; off+BlockSize <= len(raw); off += BlockSize {
 		bi, ok := decodeBlock(raw[off : off+BlockSize])
 		if !ok {
-			return stream, blocks, true
+			return stream, blocks, !unwritten(raw[off : off+BlockSize])
 		}
 		blocks++
 		stream = append(stream, raw[off+blockHdrSize:off+blockHdrSize+bi.dataLen]...)
@@ -325,7 +334,8 @@ func (m *Manager) scanSealed(seq uint64, from LSN) (recs []Record, stats ScanSta
 	if err != nil {
 		if errors.Is(err, vfs.ErrNotExist) {
 			// A live segment file that is missing means nothing was ever
-			// forced to it (files materialize lazily); skip, not torn.
+			// forced to it (a rotation creates the next file at its first
+			// force); skip, not torn.
 			return nil, stats, false, nil
 		}
 		return nil, stats, false, err

@@ -13,10 +13,11 @@ import (
 
 // On-disk layout. The log is a sequence of rotated segment files named
 // {base}.{seq}.txnlog, each a fixed-size header block followed by 4 KB data
-// blocks. Every data block is independently CRC-protected and records may
-// span block boundaries (the continuation flag marks a block that begins
-// mid-record), so a torn write at a segment tail invalidates exactly the
-// blocks it tore and nothing before them. Every block carries exactly
+// blocks, created at full length (segFileSize) so that the blocks past the
+// stream read as zeros. Every data block is independently CRC-protected and
+// records may span block boundaries (the continuation flag marks a block that
+// begins mid-record), so a torn write at a segment tail invalidates exactly
+// the blocks it tore and nothing before them. Every block carries exactly
 // PayloadSize stream bytes except a segment's last, so an LSN names its
 // block by arithmetic (Offset / PayloadSize) and its first byte within that
 // block (Offset % PayloadSize): recovery seeks straight to the last
@@ -166,6 +167,25 @@ func decodeSegHeader(b []byte) (seq uint64, ok bool) {
 // blockFileOff returns the file offset of data block n (block 0 is the
 // first data block; the header occupies the file's first BlockSize bytes).
 func blockFileOff(n int64) int64 { return BlockSize * (n + 1) }
+
+// segFileSize is the length a segment file is created at: the header and
+// every data block a stream of segBytes fills. Preallocated, a segment's block
+// map never changes while its stream grows, so a force overwrites blocks the
+// file already has and a commit's File.Sync has no inode to store.
+func segFileSize(segBytes int64) int64 {
+	return blockFileOff((segBytes + PayloadSize - 1) / PayloadSize)
+}
+
+// unwritten reports whether a block is all zeros: a block of a preallocated
+// segment that no force has reached yet, or one recovery cleared.
+func unwritten(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // encodeBlock fills dst (BlockSize bytes) with a data block: header +
 // payload + zero padding. firstRec is the payload offset of the first record

@@ -115,7 +115,7 @@ type Stats struct {
 // start offsets that drive block headers.
 type segWriter struct {
 	seq     uint64
-	f       vfs.File // nil until the first force creates the file
+	f       vfs.File // nil until Create or the segment's first force creates the file
 	stream  []byte   // payload stream: encoded records, contiguous
 	durable int64    // stream prefix durable on disk
 	starts  []int64  // record-start offsets into stream, ascending
@@ -565,8 +565,13 @@ func (m *Manager) flushWriter(w *segWriter) (int64, error) {
 	return written, nil
 }
 
-// createSegment lazily materializes w's segment file, making its directory
-// entry durable before any data is acknowledged.
+// createSegment creates w's segment file at its full length (segFileSize),
+// making its directory entry and block map durable before any data is
+// acknowledged. A production log preallocates its segments the same way: the
+// forces that fill the segment then overwrite blocks the file already maps, so
+// none of them changes the file's size or block map (DESIGN.md §8, "What Sync
+// promises"). A stream that outgrows the length — one record larger than
+// SegmentBytes — extends the file like any write.
 //
 //simlint:alloc(cold per-segment file creation: runs once per SegmentBytes of log)
 func (m *Manager) createSegment(w *segWriter) error {
@@ -575,6 +580,9 @@ func (m *Manager) createSegment(w *segWriter) error {
 		return err
 	}
 	if _, err := f.WriteAt(encodeSegHeader(w.seq), 0); err != nil {
+		return err
+	}
+	if err := f.Truncate(segFileSize(m.opts.SegmentBytes)); err != nil {
 		return err
 	}
 	// A full file-system sync, not just an fsync of the file: the segment's

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/disk"
+	"repro/internal/ffs"
 	"repro/internal/lfs"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -180,17 +181,16 @@ func TestTornTailIgnored(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a torn write: a garbage block appended to the segment file.
+	// Simulate a torn write: a garbage block right after the stream's last.
 	f, err := fsys.Open("/log.1.txnlog")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sz, _ := f.Size()
 	garbage := make([]byte, BlockSize)
 	for i := range garbage {
 		garbage[i] = 0xde
 	}
-	f.WriteAt(garbage, sz)
+	f.WriteAt(garbage, blockFileOff(1))
 	f.Sync()
 	f.Close()
 	m2, err := Open(fsys, "/log", Options{})
@@ -508,69 +508,185 @@ func TestRecoverDeterministic(t *testing.T) {
 	}
 }
 
-// TestTornSpanningRecordTruncatedOnOpen forces a record that spans several
-// blocks, then destroys the blocks holding its tail — as a torn multi-block
-// force would — and checks that Open stops at the last whole record and
-// physically truncates the torn bytes, so later appends start from a clean
-// tail.
-func TestTornSpanningRecordTruncatedOnOpen(t *testing.T) {
-	m, fsys := newLog(t)
-	m.LogUpdate(1, 1, 0, 0, []byte("good"), []byte("good"))
-	logCommit(m, 1)
-	intactEnd := m.End()
-	// A record big enough to span blocks: before+after ≈ 2.5 blocks.
-	big := make([]byte, 5*PayloadSize/4)
-	for i := range big {
-		big[i] = byte(i)
-	}
-	m.LogUpdate(9, 1, 3, 0, big, big)
-	m.Force()
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the force: clobber every data block after the first.
-	f, err := fsys.Open("/log.1.txnlog")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sz, _ := f.Size()
-	garbage := make([]byte, sz-2*BlockSize)
-	f.WriteAt(garbage, 2*BlockSize)
-	f.Sync()
-	f.Close()
+// logHost is a file system a log can live on, with the count of inode writes
+// a commit force inside a preallocated segment must not add to: inode-table
+// stores by File.Sync on FFS, inode pack blocks on LFS.
+type logHost struct {
+	name   string
+	fsys   vfs.FileSystem
+	dev    *disk.Device
+	inodes func() int64
+}
 
-	m2, err := Open(fsys, "/log", Options{})
-	if err != nil {
-		t.Fatalf("open with torn tail must not fail: %v", err)
-	}
-	if m2.End() != intactEnd {
-		t.Fatalf("end = %v, want %v (torn record dropped)", m2.End(), intactEnd)
-	}
-	f2, err := fsys.Open("/log.1.txnlog")
+// logHosts returns a fresh LFS and a fresh FFS.
+func logHosts(t *testing.T) []logHost {
+	t.Helper()
+	clk := sim.NewClock()
+	ldev := disk.New(sim.SmallModel(), clk)
+	l, err := lfs.Format(ldev, clk, lfs.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSize := blockFileOff((intactEnd.Offset()-1)/PayloadSize) + BlockSize
-	if sz, _ := f2.Size(); sz != wantSize {
-		t.Fatalf("file size %d after open, want %d (torn tail truncated)", sz, wantSize)
-	}
-	f2.Close()
-	// Recovery over the truncated log sees exactly the intact transaction.
-	store := pageStore{}
-	winners, losers, err := recoverLog(m2, store.apply)
+	clk = sim.NewClock()
+	fdev := disk.New(sim.SmallModel(), clk)
+	f, err := ffs.Format(fdev, clk, ffs.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if winners != 1 || losers != 0 {
-		t.Fatalf("winners=%d losers=%d, want 1/0", winners, losers)
+	return []logHost{
+		{"lfs", l, ldev, func() int64 { return l.Stats().InodePackBlocks }},
+		{"ffs", f, fdev, func() int64 { return f.Stats().SyncInodeStores }},
 	}
-	// And appending after the truncation works.
-	m2.LogUpdate(2, 1, 0, 0, []byte("c"), []byte("d"))
-	if err := logCommit(m2, 2); err != nil {
+}
+
+// readBlock returns data block n of the segment file at path.
+func readBlock(t *testing.T, fsys vfs.FileSystem, path string, n int64) []byte {
+	t.Helper()
+	f, err := fsys.Open(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if recs, _ := m2.Scan(); len(recs) != 4 {
-		t.Fatalf("%d records after append, want 4", len(recs))
+	defer f.Close()
+	b := make([]byte, BlockSize)
+	if _, err := f.ReadAt(b, blockFileOff(n)); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestForceInsidePreallocatedSegment: Create makes segment 1 at full length,
+// and every force inside it — including each that starts a new block — leaves
+// the file's size and block map alone, so it writes no inode. On FFS it is
+// exactly one device write: the tail block, or the tail block and the next,
+// which the preallocation placed beside it.
+func TestForceInsidePreallocatedSegment(t *testing.T) {
+	for _, h := range logHosts(t) {
+		t.Run(h.name, func(t *testing.T) {
+			m, err := Create(h.fsys, "/log", Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := m.active().f
+			if f == nil {
+				t.Fatal("Create left segment 1 to the first force")
+			}
+			if size, _ := f.Size(); size != segFileSize(DefaultSegmentBytes) {
+				t.Fatalf("segment 1 is %d bytes, want %d", size, segFileSize(DefaultSegmentBytes))
+			}
+			img, page := make([]byte, 700), make([]byte, BlockSize)
+			crossed := 0
+			for txn := uint64(1); txn <= 40; txn++ {
+				// The transaction's page read takes the arm off the log, as
+				// at MPL 1: a queue sweep that starts inside the two blocks
+				// of a crossing force would split them.
+				if err := h.dev.Read(0, page); err != nil {
+					t.Fatal(err)
+				}
+				tail, writes, inodes := m.active().durable/PayloadSize, h.dev.Stats().Writes, h.inodes()
+				m.LogUpdate(txn, 1, int64(txn), 0, img, img)
+				if err := logCommit(m, txn); err != nil {
+					t.Fatal(err)
+				}
+				if size, _ := f.Size(); size != segFileSize(DefaultSegmentBytes) {
+					t.Fatalf("force %d changed the segment's size to %d", txn, size)
+				}
+				if got := h.inodes() - inodes; got != 0 {
+					t.Fatalf("force %d wrote the inode %d times", txn, got)
+				}
+				if got := h.dev.Stats().Writes - writes; h.name == "ffs" && got != 1 {
+					t.Fatalf("force %d took %d device writes, want 1", txn, got)
+				}
+				if (m.active().durable-1)/PayloadSize != tail {
+					crossed++
+				}
+			}
+			if crossed < 10 {
+				t.Fatalf("only %d forces started a new block; the test needs more", crossed)
+			}
+			if m.Stats().Segments != 1 {
+				t.Fatalf("%d segments created, want 1", m.Stats().Segments)
+			}
+		})
+	}
+}
+
+// TestTornTailClearedInPlace forces a record that spans three blocks, then
+// tears the force the way the device can — its last block never written, the
+// one before it whole — and checks that Open stops at the last whole record
+// and clears the torn bytes in place: the tail block rewritten with the
+// reduced length, the stale continuation block after it zeroed, the file's
+// preallocated length kept. Left behind, that block would be read as part of
+// the stream once later forces fill the block before it. The next force still
+// writes no inode.
+func TestTornTailClearedInPlace(t *testing.T) {
+	for _, h := range logHosts(t) {
+		t.Run(h.name, func(t *testing.T) {
+			m, err := Create(h.fsys, "/log", Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.LogUpdate(1, 1, 0, 0, []byte("good"), []byte("good"))
+			logCommit(m, 1)
+			intactEnd := m.End()
+			big := make([]byte, 5*PayloadSize/4) // before+after ≈ 2.5 blocks
+			for i := range big {
+				big[i] = byte(i)
+			}
+			m.LogUpdate(9, 1, 3, 0, big, big)
+			m.Force()
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			const seg = "/log.1.txnlog"
+			f, err := h.fsys.Open(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.WriteAt(make([]byte, BlockSize), blockFileOff(2))
+			f.Sync()
+			f.Close()
+			if _, ok := decodeBlock(readBlock(t, h.fsys, seg, 1)); !ok {
+				t.Fatal("the tear should leave block 1 a valid continuation block")
+			}
+
+			m2, err := Open(h.fsys, "/log", Options{})
+			if err != nil {
+				t.Fatalf("open with torn tail must not fail: %v", err)
+			}
+			if m2.End() != intactEnd {
+				t.Fatalf("end = %v, want %v (torn record dropped)", m2.End(), intactEnd)
+			}
+			f2 := m2.active().f
+			if size, _ := f2.Size(); size != segFileSize(DefaultSegmentBytes) {
+				t.Fatalf("file size %d after open, want the preallocated %d", size, segFileSize(DefaultSegmentBytes))
+			}
+			if bi, ok := decodeBlock(readBlock(t, h.fsys, seg, 0)); !ok || int64(bi.dataLen) != intactEnd.Offset() {
+				t.Fatalf("tail block: %+v %v, want %d bytes", bi, ok, intactEnd.Offset())
+			}
+			for n := int64(1); n < 3; n++ {
+				if !unwritten(readBlock(t, h.fsys, seg, n)) {
+					t.Fatalf("block %d not cleared", n)
+				}
+			}
+			winners, losers, err := recoverLog(m2, pageStore{}.apply)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if winners != 1 || losers != 0 {
+				t.Fatalf("winners=%d losers=%d, want 1/0", winners, losers)
+			}
+			inodes := h.inodes()
+			m2.LogUpdate(2, 1, 0, 0, big, big)
+			if err := logCommit(m2, 2); err != nil {
+				t.Fatal(err)
+			}
+			if got := h.inodes() - inodes; got != 0 {
+				t.Fatalf("the force after recovery wrote the inode %d times", got)
+			}
+			if recs, _ := m2.Scan(); len(recs) != 4 {
+				t.Fatalf("%d records after append, want 4", len(recs))
+			}
+		})
 	}
 }
 
@@ -987,14 +1103,19 @@ func TestDumpReadableOnCleanAndTornLogs(t *testing.T) {
 			t.Fatalf("dump output missing %q:\n%s", want, out)
 		}
 	}
-	// Tear the active segment and dump again: must report, not fail.
+	if strings.Contains(out, "BAD CRC") {
+		t.Fatalf("dump of a clean log flags a torn block:\n%s", out)
+	}
+	// Tear the active segment after its stream and dump again: must report,
+	// not fail.
 	seqs, _ := discoverSegments(fsys, "/log")
 	f, err := fsys.Open(segName("/log", seqs[len(seqs)-1]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sz, _ := f.Size()
-	f.WriteAt(make([]byte, BlockSize), sz)
+	torn := make([]byte, BlockSize)
+	torn[100] = 0xde
+	f.WriteAt(torn, blockFileOff(1))
 	f.Sync()
 	f.Close()
 	b.Reset()

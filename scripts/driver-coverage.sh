@@ -44,6 +44,11 @@ run tpcb -system kernel-lfs -scale 0.02 -txns 500 -mpl 8 -groupcommit 8 -cleaner
 run tpcb -system kernel-lfs -scale 0.02 -txns 500 -devices 2 -layout stripe
 run tpcb -system user-lfs -scale 0.02 -txns 500 -devices 2 -layout partition
 run tpcb -system user-lfs -scale 0.02 -txns 300 -policy greedy -fastsync -logretain -wallstats
+# Hundreds of 4 KB log segments created and deleted beside the growing history
+# relation: the root directory shrinks, and the relation's blocks interleave
+# with the segments' until its extent list overflows the inode's twelve inline
+# extents (a log that grew a block at a time used to be that file).
+run tpcb -system user-ffs -scale 0.02 -txns 2000 -logseg 4096
 
 sweep="-seed 1 -txns 120 -torn"
 run crashsweep -system all $sweep -points 150 -diskscale 0.7
