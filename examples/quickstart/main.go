@@ -4,8 +4,9 @@
 // transaction-protected, use the ordinary read/write interface inside
 // txn_begin/txn_commit/txn_abort, and observe that
 //
-//   - an aborted transaction's writes vanish (the no-overwrite log keeps
-//     the before-images, no undo log needed), and
+//   - an aborted transaction's writes vanish (they never reached the log:
+//     its buffers stay in memory until commit),
+//   - a snapshot reads the file as of its pin without taking a lock, and
 //   - a committed transaction survives a crash with no separate database
 //     recovery — remounting the file system is the only recovery step.
 //
@@ -40,9 +41,12 @@ func main() {
 		log.Fatal(err)
 	}
 	proc := tm.NewProcess()
-	if _, err := proc.Write(f, []byte("balance=100"), 0); err != nil {
-		log.Fatal(err)
+	write := func(s string) {
+		if _, err := proc.Write(f, []byte(s), 0); err != nil {
+			log.Fatal(err)
+		}
 	}
+	write("balance=100")
 	if err := tm.Protect("/ledger"); err != nil {
 		log.Fatal(err)
 	}
@@ -52,9 +56,7 @@ func main() {
 
 	// A transaction that aborts: its write disappears.
 	must(proc.TxnBegin())
-	if _, err := proc.Write(f, []byte("balance=999"), 0); err != nil {
-		log.Fatal(err)
-	}
+	write("balance=999")
 	must(proc.TxnAbort())
 	buf := make([]byte, 11)
 	if _, err := proc.Read(f, buf, 0); err != nil {
@@ -64,10 +66,21 @@ func main() {
 
 	// A transaction that commits: durable at TxnCommit, no fsync needed.
 	must(proc.TxnBegin())
-	if _, err := proc.Write(f, []byte("balance=250"), 0); err != nil {
-		log.Fatal(err)
-	}
+	write("balance=250")
 	must(proc.TxnCommit())
+
+	// A snapshot pinned while a transaction is running: that transaction's
+	// write, its commit and a write outside any transaction after it all
+	// stay invisible to the snapshot, which takes no lock to read.
+	must(proc.TxnBegin())
+	write("balance=300")
+	snap := tm.BeginSnapshot()
+	must(proc.TxnCommit())
+	write("balance=310")
+	page := make([]byte, fsys.BlockSize())
+	must(snap.Store(f).ReadPage(0, page))
+	snap.Close()
+	fmt.Printf("snapshot:     %s\n", page[:len(buf)]) // balance=250
 
 	// Crash: throw away all in-memory state and remount from the device.
 	recovered, err := lfs.Mount(dev, clock, lfs.Options{})
@@ -81,7 +94,7 @@ func main() {
 	if _, err := g.ReadAt(buf, 0); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("after crash:  %s\n", buf) // balance=250
+	fmt.Printf("after crash:  %s\n", buf) // balance=300: the write outside a transaction was never synced
 	fmt.Printf("simulated elapsed time: %v\n", clock.Now())
 }
 

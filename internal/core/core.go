@@ -28,6 +28,10 @@
 // and the flush (a page a running transaction has since written is logged
 // from a scratch copy with that transaction's bytes backed out), so the log
 // never receives an uncommitted byte.
+//
+// Copies of the same before-images are the version store of read-only
+// snapshots (snapshot.go), as LIBTP's are: no old version is read from the
+// log, so the file system, its cleaner included, knows nothing of snapshots.
 package core
 
 import (
@@ -86,8 +90,8 @@ type Stats struct {
 	BytesFlushed int64 `json:"bytes_flushed"`  // whole pages × block size (§4.3's commit cost)
 	Deadlocks    int64 `json:"deadlocks"`
 	// Snapshots counts read-only snapshot transactions (BeginSnapshot);
-	// VersionsRecorded counts superseded page addresses captured into the
-	// version map while snapshots were pinned.
+	// VersionsRecorded counts the before-image deltas kept for pinned
+	// snapshots.
 	Snapshots        int64 `json:"snapshots"`
 	VersionsRecorded int64 `json:"versions_recorded"`
 }
@@ -122,14 +126,14 @@ type Manager struct {
 	frames frame.List
 	stats  Stats
 
-	// Snapshot (multiversion read) support. commitSeq is the durable commit
-	// epoch — one increment per commit flush; snapshots pin it as their
-	// horizon. vers maps (page, epoch) to the superseded on-disk address the
-	// no-overwrite log still holds; snaps refcounts the pinned horizons.
-	// The LFS cleaner reads all three through the retention adapter, possibly
-	// in the middle of this manager's own commit flush.
+	// Snapshot (multiversion read) support. commitSeq is the commit epoch —
+	// one increment per commit flush, and per degree-1 write made while a
+	// snapshot is pinned (its own commit point); snapshots pin it as their
+	// horizon. vers holds, only while a snapshot is pinned, a copy of the
+	// before-image of every write a pinned snapshot may have to rewind,
+	// stamped with its commit epoch; snaps refcounts the pinned horizons.
 	commitSeq int64
-	vers      *mvcc.AddrMap
+	vers      *mvcc.DeltaMap
 	snaps     *mvcc.Horizons
 }
 
@@ -151,10 +155,9 @@ func New(fsys *lfs.FS, clock *sim.Clock, opts Options) *Manager {
 		tracer: opts.Tracer,
 		held:   make(map[buffer.BlockID]*heldPage),
 		frames: frame.NewList(fsys.BlockSize()),
-		vers:   mvcc.NewAddrMap(),
+		vers:   mvcc.NewDeltaMap(),
 		snaps:  mvcc.NewHorizons(),
 	}
-	fsys.SetSnapshotRetention(&retention{m: m})
 	m.ctrCommits = opts.Tracer.Counter("txn.commits")
 	m.ctrAborts = opts.Tracer.Counter("txn.aborts")
 	m.ctrFlushes = opts.Tracer.Counter("core.commitFlushes")
@@ -297,19 +300,11 @@ func (m *Manager) writeBatchLocked() error {
 		}
 	}
 	ids := detsort.KeysFunc(set, buffer.CompareBlockID)
-	// With a snapshot pinned, capture the pre-flush disk address of every
-	// page this batch rewrites: the flush supersedes those addresses, but
-	// the no-overwrite log keeps their contents — exactly the versions a
-	// snapshot older than this commit must keep reading.
-	capture, err := m.capturePreFlushAddrs(ids)
-	if err != nil {
-		return err
-	}
 	pages := make([]lfs.CommitPage, len(ids))
 	for i, id := range ids {
 		pages[i] = lfs.CommitPage{ID: id, Image: m.committedImageLocked(id)}
 	}
-	err = m.fs.FlushCommit(pages)
+	err := m.fs.FlushCommit(pages)
 	for _, p := range pages {
 		if p.Image != nil {
 			m.frames.Give(p.Image) // the flush copied it to the device or gave up
@@ -319,11 +314,6 @@ func (m *Manager) writeBatchLocked() error {
 		return err
 	}
 	m.commitSeq++
-	epoch := m.commitSeq
-	for _, c := range capture {
-		m.vers.Record(mvcc.PageID{File: uint64(c.id.File), Block: c.id.Block}, epoch, c.addr)
-		m.stats.VersionsRecorded++
-	}
 	for _, id := range ids {
 		hp := m.held[id]
 		hp.pending = 0
@@ -335,6 +325,8 @@ func (m *Manager) writeBatchLocked() error {
 	for _, t := range m.pending {
 		t.status = txnDone
 		m.dropUndoLocked(t)
+		// Every pinned horizon predates this epoch.
+		m.vers.Commit(t.id, m.commitSeq, m.snaps.Active())
 	}
 	m.stats.Committed += int64(len(m.pending))
 	m.stats.CommitFlush++
@@ -389,6 +381,7 @@ func (p *Process) TxnAbort() error {
 	m.clock.Advance(m.costs.KernelSync())
 	t.status = txnDone
 	m.dropUndoLocked(t)
+	m.vers.Abort(t.id)
 	p.txn = nil
 	m.stats.Aborted++
 	if m.tracer.Enabled() {

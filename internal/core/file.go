@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 
+	"repro/internal/buffer"
 	"repro/internal/frame"
 	"repro/internal/lfs"
 	"repro/internal/lock"
@@ -66,6 +67,13 @@ func (f *File) pageRange(off int64, n int) (first, last int64) {
 		last = first
 	}
 	return first, last
+}
+
+// pageSpan returns the file offsets [lo, hi) of the part of [off, off+n)
+// that lies in block pg.
+func (f *File) pageSpan(pg, off int64, n int) (lo, hi int64) {
+	bs := int64(f.m.fs.BlockSize())
+	return max(pg*bs, off), min((pg+1)*bs, off+int64(n))
 }
 
 // lockObject acquires one lock object for the transaction, aborting the
@@ -138,9 +146,9 @@ func (p *Process) Write(f *File, data []byte, off int64) (int, error) {
 		return f.lf.WriteAt(data, off)
 	}
 	first, last := f.pageRange(off, len(data))
+	bs := int64(m.fs.BlockSize())
 	if p.InTxn() {
 		t := p.txn
-		bs := int64(m.fs.BlockSize())
 		n := 0
 		// Write and hold page by page: each dirtied buffer joins the
 		// inode's transaction list before the next page is touched, so
@@ -149,14 +157,7 @@ func (p *Process) Write(f *File, data []byte, off int64) (int, error) {
 		// buffer.ErrNoBuffers — the paper's restriction (1) made
 		// explicit.
 		for pg := first; pg <= last; pg++ {
-			lo := pg * bs
-			if lo < off {
-				lo = off
-			}
-			hi := (pg + 1) * bs
-			if end := off + int64(len(data)); hi > end {
-				hi = end
-			}
+			lo, hi := f.pageSpan(pg, off, len(data))
 			if err := p.lockSpan(f, lo, int(hi-lo), lock.Write); err != nil {
 				return n, err
 			}
@@ -173,8 +174,27 @@ func (p *Process) Write(f *File, data []byte, off int64) (int, error) {
 	if err := tmp.lockSpan(f, off, len(data), lock.Write); err != nil {
 		return 0, err
 	}
-	n, err := f.lf.WriteAt(data, off)
-	m.locks.ReleaseAll(lock.TxnID(tmp.txn.id))
+	defer m.locks.ReleaseAll(lock.TxnID(tmp.txn.id))
+	if !m.snaps.Active() {
+		return f.lf.WriteAt(data, off)
+	}
+	// A pinned snapshot keeps the write's before-image too. The write is its
+	// own commit point and takes an epoch of its own: the snapshots pinned
+	// before it rewind it, and every snapshot pinned after it sees it — the
+	// rule that holds, with nothing recorded, when no snapshot is pinned.
+	before := make([]byte, len(data))
+	n, err := f.lf.ReadAt(before, off)
+	if err != nil {
+		return 0, err
+	}
+	clear(before[n:])
+	for pg := first; pg <= last; pg++ {
+		lo, hi := f.pageSpan(pg, off, len(data))
+		m.recordVersionLocked(tmp.txn.id, buffer.BlockID{File: f.id, Block: pg}, int(lo-pg*bs), before[lo-off:hi-off])
+	}
+	n, err = f.lf.WriteAt(data, off)
+	m.commitSeq++
+	m.vers.Commit(tmp.txn.id, m.commitSeq, true)
 	return n, err
 }
 

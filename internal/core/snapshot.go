@@ -2,14 +2,13 @@ package core
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/buffer"
 	"repro/internal/detsort"
-	"repro/internal/lfs"
 	"repro/internal/mvcc"
 	"repro/internal/pagestore"
 	"repro/internal/trace"
-	"repro/internal/vfs"
 )
 
 // Snapshot errors.
@@ -23,16 +22,15 @@ var (
 
 // Snapshot is a read-only multiversion transaction on the embedded system.
 // It pins the commit epoch current at BeginSnapshot — the kernel's commit
-// point is the commit flush, so the horizon is the number of commit flushes
-// completed — and then reads a transaction-consistent image of every
-// protected file as of that epoch without acquiring a single page lock.
+// point is the commit flush, so the horizon counts the commit flushes
+// completed (and the degree-1 writes made under an earlier pin) — and then
+// reads a transaction-consistent image of every protected file as of that
+// epoch without acquiring a single page lock.
 //
-// Where the user-level system rewinds pages with WAL before-images, the
-// embedded system has no log of its own: the no-overwrite policy IS the
-// version repository. Each commit flush supersedes the previous on-disk
-// address of every page it rewrites; the version map remembers those
-// addresses, and a snapshot read simply reads the old location. The cleaner
-// is fenced off from those segments through the retention adapter below.
+// Versions are in-memory before-images, as LIBTP's are: while a snapshot is
+// pinned the manager keeps a copy of each write's in its version store,
+// stamped with the commit epoch once the batch is in the log, and a snapshot
+// read rewinds the page's current image to the horizon with them.
 type Snapshot struct {
 	m      *Manager
 	h      int64
@@ -48,24 +46,60 @@ type Snapshot struct {
 func (m *Manager) BeginSnapshot() *Snapshot {
 	m.clock.Advance(m.costs.Syscall + m.costs.TxnOp)
 	h := m.commitSeq
+	if !m.snaps.Active() {
+		m.seedVersionsLocked()
+	}
 	m.snaps.Pin(h)
 	m.stats.Snapshots++
 	m.tracer.Instant("txn", "snapshot.begin", trace.AI("epoch", h))
 	return &Snapshot{m: m, h: h}
 }
 
+// seedVersionsLocked fills the empty version store at the first pin from the
+// undo of the pre-committed transactions, in pre-commit order, then of the
+// running ones: the writes a snapshot at this epoch must rewind, in the order
+// they hit each page (a page's lock passes on at pre-commit, and running
+// writers of one page hold disjoint slots).
+func (m *Manager) seedVersionsLocked() {
+	txns := slices.Clone(m.pending)
+	running := make(map[uint64]*Txn)
+	//simlint:ordered set union; the sorted key list below fixes the order
+	for _, hp := range m.held {
+		for _, w := range hp.writers {
+			running[w.id] = w
+		}
+	}
+	for _, id := range detsort.Keys(running) {
+		txns = append(txns, running[id])
+	}
+	for _, t := range txns {
+		for _, u := range t.undo {
+			m.recordVersionLocked(t.id, u.id, u.offset, u.before)
+		}
+	}
+}
+
+// recordVersionLocked keeps a copy of one before-image for the pinned
+// snapshots: undo frames are recycled when their transaction ends.
+func (m *Manager) recordVersionLocked(txn uint64, id buffer.BlockID, off int, before []byte) {
+	//simlint:alloc(only while a snapshot is pinned: the version store keeps the bytes past the undo frame's life)
+	img := append([]byte(nil), before...)
+	m.vers.Record(mvcc.PageID{File: uint64(id.File), Block: id.Block}, txn, uint32(off), img)
+	m.stats.VersionsRecorded++
+}
+
 // Horizon returns the pinned commit epoch.
 func (s *Snapshot) Horizon() int64 { return s.h }
 
-// Close releases the snapshot's pin and prunes every version record no
-// remaining snapshot can need, advancing the cleaner's retention horizon.
-// Closing twice is a no-op.
+// Close releases the snapshot's pin and prunes every before-image no
+// remaining snapshot can need. Closing twice is a no-op.
 func (s *Snapshot) Close() {
 	m := s.m
 	if s.closed {
 		return
 	}
 	s.closed = true
+	m.tracer.Metrics().Max("mvcc.delta_bytes_peak", m.vers.Bytes())
 	m.snaps.Unpin(s.h)
 	oldest, active := m.snaps.Oldest()
 	m.vers.Prune(oldest, active)
@@ -93,15 +127,15 @@ const snapReadahead = 32
 // interleave with writers at page granularity, but never touches the lock
 // table — no kernel semaphore charge, no blocking, no deadlock exposure.
 //
-// Cache misses fill a private readahead window with the longest
-// physically-contiguous run of committed pages (one seek, one multi-block
-// transfer): a scan over data the log has never rewritten runs at
-// sequential bandwidth instead of paying a full seek per page, which is
-// what keeps a concurrent scan from stealing a page-sized slice of device
-// time per row from the writers. Window bytes stay valid for exactly the
-// pages the version map has no newer record for — they were fetched while
-// this snapshot was pinned, and any later overwrite of a window page would
-// have recorded the pre-flush address, diverting the read at use time.
+// A page's current image is the resident buffer, held or not. A miss is not
+// faulted into the cache (a scan would evict the writers' hot set): it fills
+// a private readahead window with the longest physically-contiguous run of
+// logged pages in one transfer, so a scan over data the log has never
+// rewritten runs at sequential bandwidth. Window images stay good for the
+// snapshot's life: every later write to a window page leaves a before-image,
+// and rewinding restores each byte one covers whatever the image held — so
+// rewinding an image already rewound, as a resident page enters the window,
+// changes nothing.
 type snapStore struct {
 	snap   *Snapshot
 	f      *File
@@ -123,7 +157,8 @@ func (s *snapStore) NumPages() (int64, error) {
 	return (sz + ps - 1) / ps, nil
 }
 
-// ReadPage reads page n as of the snapshot's epoch.
+// ReadPage reads page n as of the snapshot's epoch: its current image
+// rewound by every write committed after the horizon or not yet.
 //
 //simlint:noalloc
 func (s *snapStore) ReadPage(n int64, p []byte) error {
@@ -135,17 +170,25 @@ func (s *snapStore) ReadPage(n int64, p []byte) error {
 	// but cannot block anyone and nothing can block it.
 	m.clock.Yield()
 	m.clock.Advance(m.costs.Syscall + checkCost)
-	// A version map hit means a commit after the horizon superseded this
-	// page: read the retained pre-commit address straight from the log.
-	if addr, ok := m.vers.AddrAt(mvcc.PageID{File: uint64(s.f.id), Block: n}, s.snap.h); ok {
-		//simlint:alloc(simulated disk I/O below the lookup hot path: device error checks format)
-		return m.fs.ReadAddr(addr, p)
+	if err := s.readCurrent(n, p); err != nil {
+		return err
 	}
-	// The current version is the snapshot version. Serve it from the
-	// readahead window or the buffer cache — for the cache, only unless the
-	// cached copy is on transaction hold (an uncommitted write); the
-	// on-disk copy is still the committed image, because held pages are
-	// never written ahead of their commit flush.
+	m.vers.ApplyBefore(mvcc.PageID{File: uint64(s.f.id), Block: n}, s.snap.h, p)
+	return nil
+}
+
+// readCurrent fills p with page n's current image: the resident buffer, the
+// readahead window, or the log.
+//
+//simlint:noalloc
+func (s *snapStore) readCurrent(n int64, p []byte) error {
+	m := s.snap.m
+	id := buffer.BlockID{File: s.f.id, Block: n}
+	if b := m.fs.Pool().Lookup(id); b != nil {
+		m.clock.Advance(m.costs.CacheHit)
+		copy(p, b.Data)
+		return nil
+	}
 	ps := s.PageSize()
 	if s.raBase >= 0 && n >= s.raBase && n < s.raBase+int64(s.raLen) {
 		m.clock.Advance(m.costs.CacheHit)
@@ -153,12 +196,6 @@ func (s *snapStore) ReadPage(n int64, p []byte) error {
 		copy(p, s.raData[off:off+ps])
 		return nil
 	}
-	if b := m.fs.Pool().Lookup(buffer.BlockID{File: s.f.id, Block: n}); b != nil && !b.Held() {
-		m.clock.Advance(m.costs.CacheHit)
-		copy(p, b.Data)
-		return nil
-	}
-	id := buffer.BlockID{File: s.f.id, Block: n}
 	if s.np == 0 {
 		np, err := s.NumPages()
 		if err != nil {
@@ -166,17 +203,23 @@ func (s *snapStore) ReadPage(n int64, p []byte) error {
 		}
 		s.np = np
 	}
-	want := int64(len(s.raBufs))
-	if rem := s.np - n; rem < want {
-		want = rem
-	}
-	if want > 1 {
+	if want := min(int64(len(s.raBufs)), s.np-n); want > 1 {
 		//simlint:alloc(cache-miss fault path: the multi-block fetch decodes inodes below the lookup hot path)
 		k, err := m.fs.ReadCurrentRun(id, s.raBufs[:want])
 		if err != nil {
 			return err
 		}
 		if k > 0 {
+			// A resident page's logged image may lack a degree-1 write
+			// from before the pin: take the resident one, rewound now,
+			// since a holder that aborts takes its deltas with it.
+			for i := 1; i < k; i++ {
+				pg := n + int64(i)
+				if b := m.fs.Pool().Lookup(buffer.BlockID{File: s.f.id, Block: pg}); b != nil {
+					copy(s.raBufs[i], b.Data)
+					m.vers.ApplyBefore(mvcc.PageID{File: uint64(s.f.id), Block: pg}, s.snap.h, s.raBufs[i])
+				}
+			}
 			s.raBase, s.raLen = n, k
 			copy(p, s.raData[:ps])
 			return nil
@@ -191,74 +234,3 @@ func (s *snapStore) AllocPage() (int64, error)     { return 0, ErrSnapshotReadOn
 
 // Sync is a no-op: a read-only transaction has nothing to make durable.
 func (s *snapStore) Sync() error { return nil }
-
-// capturedAddr is one (page, pre-flush disk address) pair captured ahead of
-// a commit flush.
-type capturedAddr struct {
-	id   buffer.BlockID
-	addr int64
-}
-
-// capturePreFlushAddrs records, for every page the imminent commit flush
-// will rewrite, the disk address it currently occupies — the version a
-// snapshot older than this commit must keep reading. Free (and cheap) when
-// no snapshot is pinned. The set is the batch's pages plus every dirty
-// unheld page of their files (degree-1 write-through dirties pages outside
-// any transaction's page list, and the flush supersedes those too).
-func (m *Manager) capturePreFlushAddrs(batch []buffer.BlockID) ([]capturedAddr, error) {
-	if !m.snaps.Active() {
-		return nil, nil
-	}
-	seen := make(map[buffer.BlockID]bool)
-	files := make(map[vfs.FileID]bool)
-	for _, id := range batch {
-		seen[id] = true
-		files[id.File] = true
-	}
-	pool := m.fs.Pool()
-	for _, f := range detsort.Keys(files) {
-		for _, b := range pool.DirtyFile(f) {
-			seen[b.ID] = true
-		}
-	}
-	capture := make([]capturedAddr, 0, len(seen))
-	for _, id := range detsort.KeysFunc(seen, buffer.CompareBlockID) {
-		addr, err := m.fs.BlockAddr(id.File, id.Block)
-		if err != nil {
-			return nil, err
-		}
-		// addr 0 (a hole: the page never reached disk) is recorded too —
-		// at the horizon the page read as zeros, and it must keep doing so.
-		capture = append(capture, capturedAddr{id: id, addr: addr})
-	}
-	return capture, nil
-}
-
-// retention adapts the version map and pinned horizons to the LFS cleaner's
-// SnapshotRetention interface.
-type retention struct {
-	m *Manager
-}
-
-var _ lfs.SnapshotRetention = (*retention)(nil)
-
-// RetainsRange reports whether any retained version lives in [lo, hi).
-func (r *retention) RetainsRange(lo, hi int64) bool {
-	return r.m.vers.RetainsRange(lo, hi)
-}
-
-// RetainedBlocks returns the number of superseded block versions held for
-// pinned snapshots.
-func (r *retention) RetainedBlocks() int64 {
-	return r.m.vers.RetainedBlocks()
-}
-
-// HorizonLag returns how many commit epochs the oldest pinned snapshot
-// trails the current epoch (0 when nothing is pinned).
-func (r *retention) HorizonLag() int64 {
-	oldest, active := r.m.snaps.Oldest()
-	if !active {
-		return 0
-	}
-	return r.m.commitSeq - oldest
-}

@@ -58,14 +58,18 @@ func (hp *heldPage) dropWriter(t *Txn) {
 // step, with no scheduling point between them, so a batch flush sees either
 // none of the write or all of it with its before-image — never new bytes it
 // cannot back out. The caller holds the covering write locks, so the bytes
-// cannot change under us.
+// cannot change under us. With a snapshot pinned, every write also leaves the
+// before-image of the bytes it changes in the version store, covered or not.
 func (m *Manager) writeHeldLocked(t *Txn, f *File, page int64, data []byte, off int) (int, error) {
 	id := buffer.BlockID{File: f.id, Block: page}
 	pool := m.fs.Pool()
 	pos := page*int64(m.fs.BlockSize()) + int64(off)
 	b := pool.Lookup(id)
 	wasDirty := b != nil && b.Dirty()
-	if !t.covered(id, off, len(data)) {
+	var old []byte // the bytes the write replaces
+	if t.covered(id, off, len(data)) {
+		old = b.Data[off : off+len(data)] // the transaction holds the page, so it is resident
+	} else {
 		before := m.frames.Take()[:len(data)] // a page's share of a write never exceeds the page
 		if b != nil {
 			copy(before, b.Data[off:])
@@ -79,6 +83,19 @@ func (m *Manager) writeHeldLocked(t *Txn, f *File, page int64, data []byte, off 
 		// file system's image of it — zeros past the end of file — is the
 		// before-image.)
 		t.undo = append(t.undo, undoRange{id: id, offset: off, before: before})
+		old = before
+	}
+	if m.snaps.Active() {
+		lo, hi := 0, len(data)
+		for lo < hi && old[lo] == data[lo] {
+			lo++
+		}
+		for hi > lo && old[hi-1] == data[hi-1] {
+			hi--
+		}
+		if lo < hi {
+			m.recordVersionLocked(t.id, id, off+lo, old[lo:hi])
+		}
 	}
 	n, err := f.lf.WriteAt(data, pos)
 	if err != nil {

@@ -234,8 +234,8 @@ func denseEvents(rig *tpcb.Rig) int64 {
 
 // snapshotProber drives Options.Snapshots: a read-only MVCC snapshot opened
 // every Nth transaction, probed with raw page reads, and held across the
-// transactions in between so crash points land under an active retention
-// horizon. The probe only reads, so the golden and replay write-op
+// transactions in between so crash points land while before-images are kept
+// for it. The probe only reads, so the golden and replay write-op
 // timelines stay aligned whether or not a crash is scheduled.
 type snapshotProber struct {
 	every int

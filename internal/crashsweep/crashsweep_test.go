@@ -91,8 +91,8 @@ func TestSweepSmallSegmentsTorn(t *testing.T) {
 
 // TestSweepSnapshotsTorn is the MVCC acceptance sweep: the workload holds a
 // read-only snapshot open across every fourth transaction span, so crash
-// points land while the cleaner's retention horizon is pinned and version
-// records are live. Snapshots are volatile (a crash drops every pin), so the
+// points land while a snapshot is pinned and before-images are kept for it.
+// Snapshots are volatile (a crash drops every pin), so the
 // recovery invariants must hold unchanged — zero violations required.
 func TestSweepSnapshotsTorn(t *testing.T) {
 	for _, system := range []string{"kernel-lfs", "user-lfs"} {

@@ -16,7 +16,7 @@ import (
 // lock-free snapshot scans. Each row is the run's full snapshot with its
 // Scan section filled in; Modes records the requested mode per row (the
 // snapshot's own scan.mode is the effective one — user-ffs degrades
-// snapshot to locking, having no no-overwrite log to retain old versions).
+// snapshot to locking, which measured faster there; DESIGN.md §12).
 type ScanReport struct {
 	Opts  Options
 	Modes []tpcb.ScanMode
@@ -29,7 +29,8 @@ type ScanReport struct {
 
 // Scan runs the mixed workload sweep: three systems × {none, locking,
 // snapshot} at the group-commit MPL (default 8) with idle cleaning on the
-// LFS rigs, so snapshot retention and the cleaner actually contend.
+// LFS rigs, on the default disk: a pinned snapshot keeps before-images in
+// memory, not old blocks in the log, so it leaves the cleaner alone.
 func Scan(opts Options) (*ScanReport, error) {
 	opts.fill()
 	cfg := tpcb.ScaledConfig(opts.Scale)
@@ -43,10 +44,6 @@ func Scan(opts Options) (*ScanReport, error) {
 			if kind != "user-ffs" {
 				// Both LFS rigs clean in idle windows here, user-lfs too.
 				ropts.CleanerMode = cmp.Or(opts.CleanerMode, "idle")
-				// Snapshot retention pins whole segments for the life of a
-				// scan, so the LFS rigs need log headroom beyond the paper's
-				// half-full sizing or the cleaner runs out of clean segments.
-				ropts.DiskScale = 6.0
 			}
 			rig, err := tpcb.BuildRig(ropts)
 			if err != nil {
@@ -73,7 +70,7 @@ func (r *ScanReport) String() string {
 	fmt.Fprintf(&b, "Mixed OLTP + scan sweep (scale %.2f, %d txns, %d scanner(s) × %d scan(s))\n",
 		r.Opts.Scale, r.Opts.Txns, r.Opts.Scanners, r.Opts.ScansEach)
 	fmt.Fprintf(&b, "%-12s %-9s %-9s %10s %12s %10s %8s\n",
-		"system", "asked", "ran", "writerTPS", "lock-blocked", "dl-aborts", "retained")
+		"system", "asked", "ran", "writerTPS", "lock-blocked", "dl-aborts", "deltaKB")
 	for i, snap := range r.Rows {
 		ran := "-"
 		tps := snap.TPS
@@ -87,15 +84,10 @@ func (r *ScanReport) String() string {
 			blocked = snap.Locks.BlockedTime
 			aborts = snap.Locks.DeadlockAborts
 		}
-		// RetainedBlocks is an instantaneous gauge (zero once the last
-		// snapshot closes at end of run); RetentionSkips is the cumulative
-		// count of cleaner victims deferred for a pinned snapshot.
-		var retained int64
-		if snap.LFS != nil {
-			retained = snap.LFS.Cleaner.RetentionSkips
-		}
+		// The most before-image bytes the version store held at once.
+		retained, _ := snap.DeltaPeak()
 		fmt.Fprintf(&b, "%-12s %-9s %-9s %10.2f %12.1fs %10d %8d\n",
-			snap.System, string(r.Modes[i]), ran, tps, blocked.Seconds(), aborts, retained)
+			snap.System, string(r.Modes[i]), ran, tps, blocked.Seconds(), aborts, retained/1024)
 	}
 	return b.String()
 }

@@ -49,14 +49,11 @@ type CleanerStats struct {
 	BlocksWritten int64 `json:"blocks_written"` // blocks the cleaner's own flushes logged (incl. summaries/meta)
 	SummaryReads  int64 `json:"summary_reads"`  // summary blocks read from disk (summary-cache misses)
 
-	// Snapshot-retention accounting (zero unless a snapshot layer is
-	// attached via SetSnapshotRetention). RetentionSkips counts otherwise
-	// reclaimable segments the cleaner had to leave alone because a pinned
-	// snapshot still reads through them; RetainedBlocks and HorizonLag are
-	// gauges sampled at Stats() time from the retention horizon itself.
+	// RetentionSkips is always 0: no snapshot pins a segment, since both
+	// transaction managers rebuild old page versions from in-memory
+	// before-images (mvcc.DeltaMap). It stays only because the repository
+	// benchmark reads it; ROADMAP item 2 drops it.
 	RetentionSkips int64 `json:"retention_skips"`
-	RetainedBlocks int64 `json:"retained_blocks"`
-	HorizonLag     int64 `json:"horizon_lag"`
 }
 
 // WriteAmplification returns total logged blocks divided by foreground
@@ -195,8 +192,7 @@ func (fs *FS) victimsBlockedByCheckpointLocked(maxLive int64) bool {
 	}
 	for s := int64(0); s < fs.sb.NumSegments; s++ {
 		info := fs.segs[s]
-		if info.State == segInLog && info.SeqStamp >= fs.cpBound && info.Live <= maxLive &&
-			!fs.retainedLocked(s) {
+		if info.State == segInLog && info.SeqStamp >= fs.cpBound && info.Live <= maxLive {
 			return true
 		}
 	}
@@ -224,14 +220,6 @@ func (fs *FS) pickVictimsLocked(maxLive int64) []int64 {
 			continue
 		}
 		if info.Live > maxLive {
-			continue
-		}
-		if fs.retainedLocked(s) {
-			// A pinned snapshot still reads superseded versions inside this
-			// segment; reclaiming it would resurrect freed blocks under the
-			// reader. The skip is temporary — the watermark advances when
-			// the last pinning snapshot closes.
-			fs.stats.Cleaner.RetentionSkips++
 			continue
 		}
 		cands = append(cands, cand{

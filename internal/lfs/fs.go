@@ -110,8 +110,7 @@ type FS struct {
 	// when the last inode in it has been superseded.
 	packRefs map[int64]int
 	stats    Stats
-	retain   SnapshotRetention // nil = no snapshot layer attached
-	tracer   *trace.Tracer     // nil = tracing off
+	tracer   *trace.Tracer // nil = tracing off
 	// sumCache holds, per in-log segment, the summaries of ALL its partial
 	// segments — present only when complete (built up from offset 0).
 	// It lets the cleaner identify a victim's live blocks without reading
@@ -281,71 +280,10 @@ func (fs *FS) SetTracer(tr *trace.Tracer) {
 	fs.tracer = tr
 }
 
-// SnapshotRetention is implemented by a transaction layer that pins old
-// on-disk page versions for snapshot (multiversion) reads. While a retained
-// address lies inside a segment, the cleaner must neither pick that segment
-// as a victim nor free it through the dead-segment fast path: the addresses
-// in the version map must stay readable until the last pinning snapshot
-// closes.
-type SnapshotRetention interface {
-	// RetainsRange reports whether any retained version address falls in
-	// the disk-address range [lo, hi).
-	RetainsRange(lo, hi int64) bool
-	// RetainedBlocks returns the number of distinct retained addresses.
-	RetainedBlocks() int64
-	// HorizonLag returns how many commit epochs the oldest pinned snapshot
-	// trails the newest commit (0 when nothing is pinned).
-	HorizonLag() int64
-}
-
-// SetSnapshotRetention attaches the snapshot layer's retention horizon.
-// The cleaner consults it on every victim-selection and dead-segment-free
-// decision; a nil retention (the default) restores unrestricted cleaning.
-func (fs *FS) SetSnapshotRetention(r SnapshotRetention) {
-	fs.retain = r
-}
-
-// retainedLocked reports whether the retention horizon pins any address in
-// segment s.
-func (fs *FS) retainedLocked(s int64) bool {
-	if fs.retain == nil {
-		return false
-	}
-	base := fs.segBase(s)
-	return fs.retain.RetainsRange(base, base+fs.sb.SegmentBlocks)
-}
-
-// BlockAddr returns the current disk address of a file's logical block
-// (0 = unallocated hole). The embedded transaction manager records these
-// addresses as it commits over them: in a no-overwrite log the pre-commit
-// address keeps holding the page's previous version, which is exactly what
-// a pinned snapshot needs to read.
-func (fs *FS) BlockAddr(file vfs.FileID, lbn int64) (int64, error) {
-	in, err := fs.loadInode(Ino(file))
-	if err != nil {
-		return 0, err
-	}
-	return fs.blockAddr(in, lbn)
-}
-
-// ReadAddr reads the block at disk address addr into p, bypassing the
-// buffer pool; addr 0 reads as zeroes. Snapshot reads use it to fetch a
-// superseded page version straight from the log — the address stays valid
-// because retention (SetSnapshotRetention) keeps the cleaner away from its
-// segment, and in-log segments are append-only.
-func (fs *FS) ReadAddr(addr int64, p []byte) error {
-	if addr == 0 {
-		clear(p)
-		return nil
-	}
-	return fs.dev.Read(addr, p)
-}
-
-// ReadCurrent reads the current on-disk (committed) content of a file's
-// logical block into p, bypassing the buffer pool. Snapshot reads use it
-// for pages with no recorded newer version: the buffer pool may hold
-// uncommitted transaction-held bytes for such a page, but the log itself
-// still holds the committed image.
+// ReadCurrent reads a file's logical block into p from the stage or the log,
+// bypassing the buffer pool. Snapshot reads use it for pages the cache does
+// not hold, without faulting them in: a scan touches every page once, and
+// filling the cache with them would evict the writers' hot set.
 func (fs *FS) ReadCurrent(id buffer.BlockID, p []byte) error {
 	return fs.fetchBlock(id, p)
 }
@@ -402,12 +340,7 @@ func (fs *FS) ReadCurrentRun(id buffer.BlockID, bufs [][]byte) (int, error) {
 
 // Stats returns a snapshot of the file system counters.
 func (fs *FS) Stats() Stats {
-	st := fs.stats
-	if fs.retain != nil {
-		st.Cleaner.RetainedBlocks = fs.retain.RetainedBlocks()
-		st.Cleaner.HorizonLag = fs.retain.HorizonLag()
-	}
-	return st
+	return fs.stats
 }
 
 // FreeSegments reports the number of clean segments.

@@ -688,8 +688,7 @@ func (fs *FS) pickFreeLocked() (int64, error) {
 func (fs *FS) freeDeadSegmentsLocked() error {
 	n := 0
 	for s := int64(0); s < fs.sb.NumSegments; s++ {
-		if fs.segs[s].State == segInLog && fs.segs[s].Live == 0 && fs.segs[s].SeqStamp < fs.cpBound &&
-			!fs.retainedLocked(s) {
+		if fs.segs[s].State == segInLog && fs.segs[s].Live == 0 && fs.segs[s].SeqStamp < fs.cpBound {
 			fs.segs[s].State = segFree
 			delete(fs.sumCache, s)
 			fs.free++

@@ -71,6 +71,7 @@ func (s *Snapshot) Close() {
 		return
 	}
 	s.closed = true
+	e.tracer.Metrics().Max("mvcc.delta_bytes_peak", e.deltas.Bytes())
 	e.snaps.Unpin(int64(s.h))
 	oldest, active := e.snaps.Oldest()
 	e.deltas.Prune(oldest, active)

@@ -44,92 +44,6 @@ func TestHorizonsUnbalancedUnpinPanics(t *testing.T) {
 	NewHorizons().Unpin(7)
 }
 
-func TestAddrMapAddrAt(t *testing.T) {
-	m := NewAddrMap()
-	id := PageID{File: 3, Block: 9}
-	// Page rewritten at epochs 5, 8, 12; pre-images at 100, 200, 300.
-	m.Record(id, 5, 100)
-	m.Record(id, 8, 200)
-	m.Record(id, 12, 300)
-
-	cases := []struct {
-		h    int64
-		addr int64
-		ok   bool
-	}{
-		{0, 100, true}, // before every commit: earliest pre-image
-		{4, 100, true}, // still before epoch 5
-		{5, 200, true}, // epoch-5 commit visible, epoch-8 is not
-		{7, 200, true},
-		{11, 300, true},
-		{12, 0, false}, // all commits visible: current page is the version
-		{99, 0, false},
-	}
-	for _, c := range cases {
-		addr, ok := m.AddrAt(id, c.h)
-		if addr != c.addr || ok != c.ok {
-			t.Errorf("AddrAt(h=%d) = %d, %v; want %d, %v", c.h, addr, ok, c.addr, c.ok)
-		}
-	}
-	if _, ok := m.AddrAt(PageID{File: 1, Block: 1}, 0); ok {
-		t.Error("AddrAt on unrecorded page reported a version")
-	}
-}
-
-func TestAddrMapRetainsRangeAndPrune(t *testing.T) {
-	m := NewAddrMap()
-	a := PageID{File: 1, Block: 0}
-	b := PageID{File: 1, Block: 1}
-	m.Record(a, 5, 100)
-	m.Record(a, 9, 250) // both a@250 and b@250: refcounted
-	m.Record(b, 9, 250)
-	m.Record(b, 11, 0) // hole pre-image retains no address
-
-	if got := m.RetainedBlocks(); got != 2 {
-		t.Fatalf("RetainedBlocks = %d, want 2", got)
-	}
-	if !m.RetainsRange(100, 101) || !m.RetainsRange(250, 256) {
-		t.Fatal("RetainsRange misses a retained address")
-	}
-	if m.RetainsRange(101, 250) || m.RetainsRange(0, 100) {
-		t.Fatal("RetainsRange reports an unretained range")
-	}
-
-	// Watermark 5: the epoch-5 record can never be needed again.
-	m.Prune(5, true)
-	if m.RetainsRange(100, 101) {
-		t.Fatal("pruned address still retained")
-	}
-	if addr, ok := m.AddrAt(a, 5); !ok || addr != 250 {
-		t.Fatalf("AddrAt(a, 5) after prune = %d, %v; want 250, true", addr, ok)
-	}
-	// One of the two refs on 250 gone? No: epoch-9 records stay (9 > 5).
-	if got := m.RetainedBlocks(); got != 1 {
-		t.Fatalf("RetainedBlocks = %d, want 1", got)
-	}
-
-	// Last snapshot closed: everything goes.
-	m.Prune(0, false)
-	if m.RetainedBlocks() != 0 || m.RetainsRange(0, 1<<40) {
-		t.Fatal("Prune(inactive) left retained addresses")
-	}
-	if _, ok := m.AddrAt(a, 0); ok {
-		t.Fatal("Prune(inactive) left version records")
-	}
-}
-
-func TestAddrMapRecordOutOfOrderPanics(t *testing.T) {
-	m := NewAddrMap()
-	id := PageID{File: 1, Block: 1}
-	m.Record(id, 5, 10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-order Record did not panic")
-		}
-	}()
-	m.Record(id, 5, 11)
-}
-
 // page builds a page whose every byte is v.
 func page(n int, v byte) []byte {
 	p := make([]byte, n)

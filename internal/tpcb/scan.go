@@ -18,9 +18,9 @@ const (
 	// holds the locks to the end of the scan, serializing against writers.
 	ScanLocking ScanMode = "locking"
 	// ScanSnapshot runs each scan as a read-only multiversion snapshot:
-	// no page locks at all, reading the version horizon pinned at scan
-	// start from the no-overwrite log (kernel) or the WAL's before-images
-	// (user level).
+	// no page locks at all, rewinding each page to the horizon pinned at
+	// scan start with the before-images the transaction manager keeps
+	// (mvcc.DeltaMap, on both systems).
 	ScanSnapshot ScanMode = "snapshot"
 )
 
@@ -31,10 +31,8 @@ type Scanner interface {
 }
 
 // ScanCapable is implemented by systems that support transactional scans.
-// NewScanner returns the scanner and the mode it actually runs in: a system
-// without retained old versions (user-level on FFS, which overwrites in
-// place and whose snapshot horizon the log manager cannot serve once pages
-// are gone) degrades ScanSnapshot to ScanLocking.
+// NewScanner returns the scanner and the mode it actually runs in: user-level
+// on FFS degrades ScanSnapshot to ScanLocking (see UserSystem.NewScanner).
 type ScanCapable interface {
 	NewScanner(mode ScanMode) (Scanner, ScanMode, error)
 }
@@ -74,8 +72,8 @@ func (sc *userSnapScanner) Scan() (int64, error) {
 // NewScanner implements ScanCapable for the single-shard system; a
 // partitioned system has no transactional scan (a consistent one would need
 // a snapshot horizon agreed across the shards' logs). On FFS, snapshot scans
-// degrade to locking: FFS overwrites pages in place, so there is no
-// no-overwrite log to retain old versions against — see DESIGN.md §12.
+// degrade to locking. Before-images work on any file system, but locking
+// measured faster there (DESIGN.md §12).
 func (s *UserSystem) NewScanner(mode ScanMode) (Scanner, ScanMode, error) {
 	if len(s.shards) > 1 {
 		return nil, ScanNone, fmt.Errorf("tpcb: %s does not support scans", s.label)
@@ -115,9 +113,8 @@ func (sc *kernelLockScanner) Scan() (int64, error) {
 	return n, sc.proc.TxnCommit()
 }
 
-// kernelSnapScanner scans through a kernel snapshot: superseded page
-// versions are read straight from their retained addresses in the
-// no-overwrite log.
+// kernelSnapScanner scans through a kernel snapshot: pages are rewound to
+// the horizon with the embedded manager's in-memory before-images.
 type kernelSnapScanner struct {
 	s *EmbeddedSystem
 }

@@ -7,10 +7,7 @@ import (
 )
 
 // buildMixed builds the mixed OLTP+scan rig: the cleaner-stress shape of
-// buildTraced. While a snapshot is pinned the cleaner cannot reclaim any
-// segment written since the pin, so the log needs room for the writes that
-// land during a full account scan; at 600 transactions a 0.5 disk has it,
-// and kernel-lfs cleans while the scans run.
+// buildTraced, where kernel-lfs cleans while the scans run.
 func buildMixed(t *testing.T, kind string, txns int, traced bool) *Rig {
 	t.Helper()
 	opts := RigOptions{
@@ -35,7 +32,7 @@ func buildMixed(t *testing.T, kind string, txns int, traced bool) *Rig {
 // TestMixedScanByteIdentical: two same-seed MPL=8 mixed OLTP + snapshot-scan
 // runs with the idle background cleaner produce byte-identical Chrome traces
 // and metrics snapshots on both LFS systems — determinism holds with the MVCC
-// read path, version capture, and cleaner retention all active. The same
+// read path, before-image capture and the cleaner all active. The same
 // snapshots also carry the lock-freedom acceptance bit: every scan proc's
 // lock-blocked time must be exactly zero.
 func TestMixedScanByteIdentical(t *testing.T) {
@@ -64,6 +61,9 @@ func TestMixedScanByteIdentical(t *testing.T) {
 				snap := rig.Snapshot(res)
 				if snap.Scan == nil || snap.Scan.ScanMode != ScanSnapshot {
 					t.Fatalf("snapshot missing scan section: %+v", snap.Scan)
+				}
+				if n, ok := snap.DeltaPeak(); !ok || n == 0 || !strings.Contains(snap.Render(), "\nmvcc: ") {
+					t.Errorf("the report carries no before-image peak for the snapshot scans (%d bytes, %v)", n, ok)
 				}
 				var sawScanProc bool
 				for _, row := range snap.Attribution {
@@ -130,9 +130,10 @@ func TestMixedScanLockingBlocks(t *testing.T) {
 	}
 }
 
-// TestMixedScanFFSFallback: the user-level system on FFS has no no-overwrite
-// log to read versions from, so asking for snapshot scans must degrade to
-// locking — reported honestly via the effective mode.
+// TestMixedScanFFSFallback: the user-level system on FFS runs scans under
+// locking, which measured faster there than snapshots (DESIGN.md §12), so
+// asking for snapshot scans must degrade to locking — reported honestly via
+// the effective mode.
 func TestMixedScanFFSFallback(t *testing.T) {
 	const txns, mpl = 300, 4
 	rig := buildMixed(t, "user-ffs", txns, false)

@@ -160,10 +160,6 @@ func (s *Snapshot) Render() string {
 			fmt.Fprintf(&b, "cleaner: %v overlapped with idle windows, %v stalled the workload (%.1f%% of elapsed)\n",
 				cl.OverlapTime, cl.StallTime, pct(cl.StallTime, s.Elapsed))
 		}
-		if cl.RetentionSkips > 0 || cl.RetainedBlocks > 0 || cl.HorizonLag > 0 {
-			fmt.Fprintf(&b, "cleaner: %d victim skips for pinned snapshots, %d block versions retained, horizon lag %d\n",
-				cl.RetentionSkips, cl.RetainedBlocks, cl.HorizonLag)
-		}
 	}
 	if f := s.FFS; f != nil {
 		fmt.Fprintf(&b, "ffs: %d syncer passes, %d blocks flushed, %d evicted blocks staged, %d sweeps of a full stage; inode stores %d by File.Sync, %d by syncer or FS.Sync; %s\n",
@@ -176,6 +172,9 @@ func (s *Snapshot) Render() string {
 			fmt.Fprintf(&b, "embedded: %d snapshots, %d page versions recorded\n",
 				e.Snapshots, e.VersionsRecorded)
 		}
+	}
+	if n, ok := s.DeltaPeak(); ok {
+		fmt.Fprintf(&b, "mvcc: %d bytes of before-images kept for pinned snapshots at peak\n", n)
 	}
 	if sc := s.Scan; sc != nil {
 		fmt.Fprintf(&b, "scan: %d scans (%d rows) by %d %s scanner(s), %d retries; writers: %d txns in %.1fs → %.2f TPS\n",
@@ -225,6 +224,16 @@ func (s *Snapshot) Render() string {
 		}
 	}
 	return b.String()
+}
+
+// DeltaPeak returns the most bytes the version store held for pinned
+// snapshots, sampled at each close; ok is false unless one closed traced.
+func (s *Snapshot) DeltaPeak() (n int64, ok bool) {
+	if s.Metrics == nil {
+		return 0, false
+	}
+	n, ok = s.Metrics.Counters["mvcc.delta_bytes_peak"]
+	return n, ok
 }
 
 func pct(part, whole time.Duration) float64 {

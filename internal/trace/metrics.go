@@ -151,6 +151,13 @@ func (m *Metrics) Set(name string, v int64) {
 	m.Counter(name).v = v
 }
 
+// Max raises the named counter to v if v is larger: a high-water mark.
+func (m *Metrics) Max(name string, v int64) {
+	if c := m.Counter(name); c != nil && v > c.v {
+		c.v = v
+	}
+}
+
 // Observe records d in the named histogram, creating it on first use.
 //
 //simlint:tokensafe(recorder API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
