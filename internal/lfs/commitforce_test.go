@@ -540,6 +540,9 @@ func TestCommitForceCostIsExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for _, deferPtr := range []bool{true, false} {
+			checkChunkCost(t, fs, items, metaOnly, deferPtr)
+		}
 		before := fs.Stats()
 		if err := fs.FlushCommit(pages); err != nil {
 			t.Fatalf("force %d: %v", i, err)
@@ -571,5 +574,43 @@ func TestCommitForceCostIsExact(t *testing.T) {
 	}
 	if rep, err := fs.Fsck(); err != nil || !rep.OK() {
 		t.Fatalf("fsck: %v %+v", err, rep)
+	}
+}
+
+// checkChunkCost adds items, then metaOnly, to a chunkCost one at a time, as
+// takeChunk does, and checks its count against partialCostLocked's full
+// recount after each addition.
+func checkChunkCost(t *testing.T, fs *FS, items []dataItem, metaOnly []Ino, deferPtr bool) {
+	t.Helper()
+	np := nptr(fs.BlockSize())
+	cc := chunkCost{fs: fs, deferPtr: deferPtr, blocks: 1}
+	perFile := map[Ino][]int64{}
+	add := func(ino Ino, lbn int64) {
+		at := cc.find(ino)
+		f, err := cc.entry(at, ino)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lbn >= 0 {
+			f = f.withBlock(lbn, np)
+			perFile[ino] = append(perFile[ino], lbn)
+		} else if _, ok := perFile[ino]; !ok {
+			perFile[ino] = []int64{}
+		}
+		got := cc.costWith(at, &f)
+		cc.set(at, f)
+		want, err := fs.partialCostLocked(perFile, deferPtr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("deferPtr %v, after file %d block %d: incremental cost %d, recount %d", deferPtr, ino, lbn, got, want)
+		}
+	}
+	for _, it := range items {
+		add(Ino(it.id.File), it.id.Block)
+	}
+	for _, ino := range metaOnly {
+		add(ino, -1)
 	}
 }

@@ -2,6 +2,7 @@ package lfs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/buffer"
@@ -351,6 +352,129 @@ func (fs *FS) partialCostLocked(perFile map[Ino][]int64, deferPtr bool) (int, er
 	return total, nil
 }
 
+// fileCost is one file's share of a partial segment under construction: the
+// state metaCostLocked derives from the inode and the file's logical blocks,
+// kept as the blocks join.
+type fileCost struct {
+	ino   Ino
+	data  int  // data blocks
+	ptrs  bool // pointer blocks count: a full flush, or a truncate cleared some
+	packs bool // the partial writes the inode
+	ind   bool // the single indirect block is rewritten
+	dind  bool // the double indirect block is rewritten
+	slots []int64
+}
+
+// size returns the file's data and pointer blocks in the partial.
+func (f *fileCost) size() int {
+	n := f.data
+	if f.ptrs {
+		n += len(f.slots)
+		if f.ind {
+			n++
+		}
+		// Rewriting a child moves it, so the double indirect block changes
+		// too (see metaCostLocked).
+		if f.dind || len(f.slots) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// withBlock returns f with logical block lbn added.
+func (f fileCost) withBlock(lbn, np int64) fileCost {
+	f.data++
+	if !f.ptrs {
+		return f
+	}
+	switch {
+	case lbn < NDirect:
+	case lbn < NDirect+np:
+		f.ind = true
+	default:
+		f.dind = true
+		if slot := (lbn - NDirect - np) / np; !slices.Contains(f.slots, slot) {
+			// Appending past the stored entry's length leaves that entry as
+			// it was if this copy is discarded.
+			f.slots = append(f.slots, slot)
+		}
+	}
+	return f
+}
+
+// chunkCost is partialCostLocked's count for the partial takeChunk is
+// assembling, updated as each block or file joins instead of recomputed over
+// the whole chunk.
+type chunkCost struct {
+	fs       *FS
+	deferPtr bool
+	files    []fileCost
+	blocks   int // summary, data and pointer blocks
+	packed   int // inodes the partial writes
+}
+
+// entry returns a copy of the file's entry at index at, or, for at < 0, the
+// entry of a file about to join the chunk, with its inode loaded.
+func (c *chunkCost) entry(at int, ino Ino) (fileCost, error) {
+	if at >= 0 {
+		return c.files[at], nil
+	}
+	in, err := c.fs.loadInode(ino)
+	if err != nil {
+		return fileCost{}, err
+	}
+	f := fileCost{ino: ino, ptrs: !c.deferPtr || in.ptrsCleared, packs: c.fs.packsLocked(in, c.deferPtr)}
+	if f.ptrs {
+		f.ind = in.ind != nil && in.ind.dirty
+		f.dind = in.dind != nil && in.dind.dirty
+		//simlint:ordered only membership of slots is read
+		for slot, ch := range in.dchild {
+			if ch.dirty {
+				f.slots = append(f.slots, slot)
+			}
+		}
+	}
+	return f, nil
+}
+
+// find returns the index of ino's entry, or -1.
+func (c *chunkCost) find(ino Ino) int {
+	for i := range c.files {
+		if c.files[i].ino == ino {
+			return i
+		}
+	}
+	return -1
+}
+
+// costWith returns the partial's block count with f in place of the entry at
+// index at (at < 0: f joins).
+func (c *chunkCost) costWith(at int, f *fileCost) int {
+	blocks, packed := c.blocks+f.size(), c.packed
+	if at >= 0 {
+		blocks -= c.files[at].size()
+	} else if f.packs {
+		packed++
+	}
+	packCap := maxInodesPerPack(c.fs.blockSize)
+	return blocks + (packed+packCap-1)/packCap
+}
+
+// set puts f in place of the entry at index at, or adds it (at < 0).
+func (c *chunkCost) set(at int, f fileCost) {
+	c.blocks += f.size()
+	if at >= 0 {
+		c.blocks -= c.files[at].size()
+		c.files[at] = f
+		return
+	}
+	if f.packs {
+		c.packed++
+	}
+	c.files = append(c.files, f)
+}
+
 // takeChunk removes up to one partial segment's worth of work from items and
 // files, using exact cost accounting so the assembled partial can never
 // outgrow a segment.
@@ -361,31 +485,28 @@ func (fs *FS) takeChunk(items *[]dataItem, files *[]Ino, deferPtr bool) ([]dataI
 		budget = cap
 	}
 
-	perFile := map[Ino][]int64{}
+	np := nptr(fs.blockSize)
+	cc := chunkCost{fs: fs, deferPtr: deferPtr, blocks: 1} // the summary
 	var chunk []dataItem
 	i := 0
 	for ; i < len(*items); i++ {
 		it := (*items)[i]
-		ino := Ino(it.id.File)
 		if len(chunk) >= maxDataPerPartial {
 			break
 		}
-		if _, ok := perFile[ino]; !ok && len(perFile) >= maxFilesPerPartial {
+		at := cc.find(Ino(it.id.File))
+		if at < 0 && len(cc.files) >= maxFilesPerPartial {
 			break
 		}
-		perFile[ino] = append(perFile[ino], it.id.Block)
-		cost, err := fs.partialCostLocked(perFile, deferPtr)
+		f, err := cc.entry(at, Ino(it.id.File))
 		if err != nil {
 			return nil, nil, err
 		}
-		if cost > budget && len(chunk) > 0 {
-			// Undo the tentative addition and stop.
-			perFile[ino] = perFile[ino][:len(perFile[ino])-1]
-			if len(perFile[ino]) == 0 {
-				delete(perFile, ino)
-			}
+		f = f.withBlock(it.id.Block, np)
+		if cc.costWith(at, &f) > budget && len(chunk) > 0 {
 			break
 		}
+		cc.set(at, f)
 		chunk = append(chunk, it)
 	}
 	*items = (*items)[i:]
@@ -393,23 +514,18 @@ func (fs *FS) takeChunk(items *[]dataItem, files *[]Ino, deferPtr bool) ([]dataI
 	var chunkFiles []Ino
 	for len(*files) > 0 {
 		ino := (*files)[0]
-		_, present := perFile[ino]
-		if !present && len(perFile) >= maxFilesPerPartial {
+		at := cc.find(ino)
+		if at < 0 && len(cc.files) >= maxFilesPerPartial {
 			break
 		}
-		if !present {
-			perFile[ino] = []int64{}
-		}
-		cost, err := fs.partialCostLocked(perFile, deferPtr)
+		f, err := cc.entry(at, ino)
 		if err != nil {
 			return nil, nil, err
 		}
-		if cost > budget && (len(chunk) > 0 || len(chunkFiles) > 0) {
-			if !present {
-				delete(perFile, ino)
-			}
+		if cc.costWith(at, &f) > budget && (len(chunk) > 0 || len(chunkFiles) > 0) {
 			break
 		}
+		cc.set(at, f)
 		*files = (*files)[1:]
 		chunkFiles = append(chunkFiles, ino)
 	}
