@@ -310,3 +310,65 @@ func TestStatsWaits(t *testing.T) {
 		t.Fatalf("stats %+v, want 2 grants and no deadlock", st)
 	}
 }
+
+// TestTransactionLocksAllocationFree: once the table has held a transaction's
+// worth of objects, locking five pages and releasing them — a TPC-B
+// transaction's footprint — reuses the emptied heads, the emptied chain and
+// the write-set buffer instead of allocating.
+func TestTransactionLocksAllocationFree(t *testing.T) {
+	m := NewManager()
+	txn := TxnID(0)
+	run := func() {
+		txn++
+		for b := int64(0); b < 5; b++ {
+			if err := m.Lock(txn, Object{File: uint64(b), Block: int64(txn) & 1023}, Write); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if w := m.ReleaseAll(txn); len(w) != 5 {
+			t.Fatalf("write set %v, want 5 objects", w)
+		}
+	}
+	for i := 0; i < 2048; i++ {
+		run() // warm: every object the loop below locks has been in the table
+	}
+	if allocs := testing.AllocsPerRun(1000, run); allocs != 0 {
+		t.Fatalf("five locks and ReleaseAll allocate %v objects, want 0", allocs)
+	}
+}
+
+// TestHoldsReadsTheChain: Holds answers from the transaction's own chain,
+// follows an upgrade, and forgets everything at ReleaseAll; the released
+// write set is in (file, block) order whatever the grant order was.
+func TestHoldsReadsTheChain(t *testing.T) {
+	m := NewManager()
+	for _, b := range []int64{5, 3} {
+		if err := m.Lock(1, obj(b), Write); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Lock(1, obj(4), Read); err != nil {
+		t.Fatal(err)
+	}
+	if mode, ok := m.Holds(1, obj(4)); !ok || mode != Read {
+		t.Fatalf("Holds(obj 4) = %v, %v; want read", mode, ok)
+	}
+	if _, ok := m.Holds(2, obj(4)); ok {
+		t.Fatal("another transaction's chain holds obj 4")
+	}
+	if err := m.Lock(1, obj(4), Write); err != nil {
+		t.Fatal(err)
+	}
+	if mode, ok := m.Holds(1, obj(4)); !ok || mode != Write {
+		t.Fatalf("after the upgrade Holds(obj 4) = %v, %v; want write", mode, ok)
+	}
+	if st := m.Stats(); st.Acquired != 3 || st.Upgrades != 1 || m.HeldCount(1) != 3 {
+		t.Fatalf("stats %+v, %d held; want 3 acquired, 1 upgrade, 3 held", st, m.HeldCount(1))
+	}
+	if w := m.ReleaseAll(1); fmt.Sprint(w) != "[(1,3) (1,4) (1,5)]" {
+		t.Fatalf("write set %v, want it in block order", w)
+	}
+	if _, ok := m.Holds(1, obj(3)); ok || m.HeldCount(1) != 0 || len(m.table) != 0 {
+		t.Fatal("locks survive ReleaseAll")
+	}
+}

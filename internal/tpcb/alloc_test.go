@@ -37,6 +37,11 @@ type allocBudget struct {
 // created at full length since, is zeroed on the device at build; a zero
 // block written where nothing was stored costs the disk no memory, so the
 // build grew only from 3,680 to 3,851 KB.
+//
+// The six objects-per-transaction ceilings were re-recorded when the lock
+// table began reusing emptied heads, lock chains and its write-set buffer,
+// and the LFS began counting a partial segment's cost incrementally: a
+// transaction makes 67.9–105.5 objects where it made 96.8–139.9.
 func TestAllocBudget(t *testing.T) {
 	const txns = 600
 	cfg := ScaledConfig(0.01)
@@ -46,12 +51,12 @@ func TestAllocBudget(t *testing.T) {
 		mpl  int
 		max  allocBudget
 	}{
-		{"serial/user-ffs", RigOptions{Kind: "user-ffs", Config: cfg, ExpectedTxns: txns, GroupCommit: 1}, 1, allocBudget{4232, 2255, 19.8, 111.9}},
-		{"serial/user-lfs", RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 1}, 1, allocBudget{3296, 2628, 34.8, 133.6}},
-		{"serial/kernel-lfs", RigOptions{Kind: "kernel-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 1}, 1, allocBudget{3723, 2671, 34.9, 165.9}},
-		{"mpl64/user-ffs", RigOptions{Kind: "user-ffs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8}, 64, allocBudget{4222, 2244, 20.9, 118.5}},
-		{"mpl64/user-lfs", RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8}, 64, allocBudget{3302, 2628, 27.6, 127.0}},
-		{"mpl64/kernel-lfs", RigOptions{Kind: "kernel-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8}, 64, allocBudget{3723, 2674, 26.2, 125.7}},
+		{"serial/user-ffs", RigOptions{Kind: "user-ffs", Config: cfg, ExpectedTxns: txns, GroupCommit: 1}, 1, allocBudget{4232, 2255, 19.8, 78.1}},
+		{"serial/user-lfs", RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 1}, 1, allocBudget{3296, 2628, 34.8, 92.8}},
+		{"serial/kernel-lfs", RigOptions{Kind: "kernel-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 1}, 1, allocBudget{3723, 2671, 34.9, 121.3}},
+		{"mpl64/user-ffs", RigOptions{Kind: "user-ffs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8}, 64, allocBudget{4222, 2244, 20.9, 97.9}},
+		{"mpl64/user-lfs", RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8}, 64, allocBudget{3302, 2628, 27.6, 101.8}},
+		{"mpl64/kernel-lfs", RigOptions{Kind: "kernel-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8}, 64, allocBudget{3723, 2674, 26.2, 98.3}},
 	}
 	measure := func(f func()) (kb, objects float64) {
 		var m0, m1 runtime.MemStats
