@@ -19,9 +19,9 @@ import (
 //     the user-level buffer pool (or fault it in from the file).
 //   - ReadPageForUpdate: the same read under the write lock, for a page the
 //     caller is about to write (no read→write upgrade later).
-//   - WritePage: acquire a write lock, log the changed byte range
-//     (before/after images), update the cached page, remember the
-//     before-image for in-memory abort.
+//   - WritePage: acquire a write lock unless the transaction holds one on
+//     the page already, log the changed byte range (before/after images),
+//     update the cached page, remember the before-image for in-memory abort.
 //
 // Locking is strictly two-phase: locks accumulate until commit/abort.
 type txnStore struct {
@@ -53,14 +53,26 @@ func readPage(f vfs.File, n int64, dst []byte) error {
 	return err
 }
 
+// object names page n of the database in the lock manager.
+func (s *txnStore) object(n int64) lock.Object {
+	return lock.Object{File: s.db.id | s.t.env.lockSpace, Block: n}
+}
+
+// lock is a page access's entry: a scheduling point, then a lock-manager
+// request.
 func (s *txnStore) lock(page int64, mode lock.Mode) error {
-	e := s.t.env
 	// Cooperative scheduling point: this is where a multiprogramming run
 	// interleaves clients at page-access granularity.
-	e.clock.Yield()
-	// Lock-manager call: semaphore acquire/release in user space.
+	s.t.env.clock.Yield()
+	return s.request(page, mode)
+}
+
+// request is one lock-manager call: a semaphore acquire/release in user
+// space, then the lock itself.
+func (s *txnStore) request(page int64, mode lock.Mode) error {
+	e := s.t.env
 	e.clock.Advance(e.costs.UserSync())
-	err := e.locks.Lock(e.lockTxn(s.t.id), lock.Object{File: s.db.id | e.lockSpace, Block: page}, mode)
+	err := e.locks.Lock(e.lockTxn(s.t.id), s.object(page), mode)
 	if err != nil && errors.Is(err, lock.ErrDeadlock) {
 		// Two-phase locking contract: the victim must abort, which the
 		// record layer does by surfacing the error to Txn.Abort's caller.
@@ -98,14 +110,24 @@ func (s *txnStore) read(n int64, p []byte, mode lock.Mode) error {
 	return nil
 }
 
+// WritePage puts back a page the caller changed. LIBTP's buffer manager
+// hands the access method a pinned page that is changed in place and put
+// back dirty, so a page the transaction already holds a write lock on (a
+// read for update, an earlier write) costs no second lock-manager request;
+// the transaction's own lock chain says which pages those are. A page held
+// only shared (an upgrade), or not held at all (one AllocPage just added),
+// is still requested.
 func (s *txnStore) WritePage(n int64, p []byte) error {
 	if s.t.done {
 		return ErrTxnDone
 	}
-	if err := s.lock(n, lock.Write); err != nil {
-		return err
-	}
 	e := s.t.env
+	e.clock.Yield()
+	if mode, ok := e.locks.Holds(e.lockTxn(s.t.id), s.object(n)); !ok || mode != lock.Write {
+		if err := s.request(n, lock.Write); err != nil {
+			return err
+		}
+	}
 	e.clock.Advance(e.costs.CacheHit)
 	id := buffer.BlockID{File: vfs.FileID(s.db.id), Block: n}
 	b, err := e.pool.Get(id, s.fetch)

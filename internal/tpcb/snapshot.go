@@ -182,8 +182,8 @@ func (s *Snapshot) Render() string {
 			s.Txns, sc.WriterElapsed.Seconds(), sc.WriterTPS)
 	}
 	if l := s.Locks; l != nil {
-		fmt.Fprintf(&b, "locks: %d acquired, %d upgrades, %d waits (%v blocked), %d deadlocks (%d upgrade, %d order; %d aborts)\n",
-			l.Acquired, l.Upgrades, l.Waited, l.BlockedTime,
+		fmt.Fprintf(&b, "locks: %d requests (%.1f per txn), %d acquired, %d upgrades, %d waits (%v blocked), %d deadlocks (%d upgrade, %d order; %d aborts)\n",
+			l.Requests, perTxn(l.Requests, s.Txns), l.Acquired, l.Upgrades, l.Waited, l.BlockedTime,
 			l.Deadlocks, l.UpgradeDeadlocks, l.Deadlocks-l.UpgradeDeadlocks, l.DeadlockAborts)
 	}
 	if w := s.WAL; w != nil {
@@ -234,6 +234,13 @@ func (s *Snapshot) DeltaPeak() (n int64, ok bool) {
 	}
 	n, ok = s.Metrics.Counters["mvcc.delta_bytes_peak"]
 	return n, ok
+}
+
+func perTxn(n int64, txns int) float64 {
+	if txns == 0 {
+		return 0
+	}
+	return float64(n) / float64(txns)
 }
 
 func pct(part, whole time.Duration) float64 {
