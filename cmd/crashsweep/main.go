@@ -13,6 +13,7 @@
 //	crashsweep                          # all three systems, defaults
 //	crashsweep -system kernel-lfs -points 600 -txns 300
 //	crashsweep -seed 42 -torn=false
+//	crashsweep -devices 2 -points 60    # user-level systems, one file system and log per device
 //	crashsweep -json                    # machine-readable reports
 //
 // The sweep is deterministic: the same flags always produce byte-identical
@@ -37,15 +38,13 @@ func main() {
 	scale := flag.Float64("diskscale", 0.7, "disk size scale (smaller exercises the cleaner)")
 	logSeg := flag.Int64("logseg", 0, "WAL segment rotation threshold in payload bytes for the user-level systems (0 = wal default; small values put crash points on rotation and truncation)")
 	jsonOut := flag.Bool("json", false, "emit each report as a JSON object instead of a table")
-	devices := flag.Int("devices", 1, "number of disk devices (1 = the classic single spindle)")
-	layout := flag.String("layout", "stripe", "multi-device layout: stripe or partition (partition sweeps only the user-level systems)")
-	stripe := flag.Int("stripe", 8, "stripe unit in blocks for -layout stripe")
+	devices := flag.Int("devices", 1, "number of disk devices: 1 = the paper's single spindle; more gives each device its own file system and log, with two-phase commit across them (sweeps only the user-level systems)")
 	snapshots := flag.Int("snapshots", 0, "open a read-only MVCC snapshot every Nth transaction and hold it across the next ones (0 = off)")
 	flag.Parse()
 
 	systems := []string{"kernel-lfs", "user-lfs", "user-ffs"}
-	if *devices > 1 && *layout == "partition" {
-		// The partitioned layout runs one transaction environment per
+	if *devices > 1 {
+		// More than one device runs one transaction environment per
 		// device; the kernel-embedded system has no such split.
 		systems = []string{"user-lfs", "user-ffs"}
 	}
@@ -63,8 +62,6 @@ func main() {
 			DiskScale:       *scale,
 			LogSegmentBytes: *logSeg,
 			Devices:         *devices,
-			Layout:          *layout,
-			StripeBlocks:    *stripe,
 			Snapshots:       *snapshots,
 		})
 		if err != nil {

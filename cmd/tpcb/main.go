@@ -1,7 +1,7 @@
 // Command tpcb runs the modified TPC-B benchmark (§5.1 of the paper) on one
-// of the three measured configurations and prints the transaction rate plus
-// the underlying file system, cleaner, lock, and log statistics, and a
-// per-proc breakdown of where simulated time went.
+// of the three measured configurations and prints the disk geometry, the
+// transaction rate plus the underlying file system, cleaner, lock, and log
+// statistics, and a per-proc breakdown of where simulated time went.
 //
 // Usage:
 //
@@ -9,6 +9,7 @@
 //	tpcb -system user-ffs
 //	tpcb -system user-lfs -mpl 8 -groupcommit 8 -fastsync
 //	tpcb -system user-lfs -mpl 8 -groupcommit 8
+//	tpcb -system user-lfs -mpl 64 -groupcommit 8 -devices 4
 //	tpcb -system kernel-lfs -policy greedy
 //	tpcb -system kernel-lfs -cleaner idle
 //	tpcb -system kernel-lfs -mpl 8 -trace trace.json -metrics metrics.json
@@ -51,9 +52,7 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the run (go tool pprof)")
 	wallStats := flag.Bool("wallstats", false, "report simulator wall-clock speed (wall ns, dispatches, events/s); nondeterministic, so off by default")
-	devices := flag.Int("devices", 1, "number of disk devices (1 = the classic single spindle)")
-	layout := flag.String("layout", "stripe", "multi-device layout: stripe (one file system over a striped array) or partition (per-device file systems and logs with cross-shard two-phase commit; user-level systems only)")
-	stripe := flag.Int("stripe", 8, "stripe unit in blocks for -layout stripe")
+	devices := flag.Int("devices", 1, "number of disk devices: 1 = the paper's single spindle; more gives each device its own file system and log, with cross-shard two-phase commit (user-level systems only)")
 	flag.Parse()
 
 	costs := sim.SpriteCosts()
@@ -70,7 +69,7 @@ func main() {
 		fatal(fmt.Errorf("unknown -policy %q (want cost-benefit or greedy)", *policy))
 	}
 	cfg := tpcb.ScaledConfig(*scale)
-	if *devices > 1 && *layout == "partition" {
+	if *devices > 1 {
 		cfg = cfg.WithRowsPerShard(*devices)
 	}
 	fmt.Printf("database: %d accounts, %d tellers, %d branches; %d transactions\n",
@@ -88,12 +87,13 @@ func main() {
 		LogRetain:       *logRetain,
 		Trace:           true,
 		Devices:         *devices,
-		Layout:          *layout,
-		StripeBlocks:    *stripe,
 	})
 	if err != nil {
 		fatal(err)
 	}
+	m := rig.Devs[0].Model()
+	fmt.Printf("disk: %d × %d blocks (%d MB), %d cylinders, average seek %.1f ms\n",
+		len(rig.Devs), m.NumBlocks, m.SizeBytes()>>20, m.NumBlocks/m.CylinderBlocks, m.AvgSeekTime().Seconds()*1000)
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

@@ -88,9 +88,6 @@ func (m *Manager) recordVersionLocked(txn uint64, id buffer.BlockID, off int, be
 	m.stats.VersionsRecorded++
 }
 
-// Horizon returns the pinned commit epoch.
-func (s *Snapshot) Horizon() int64 { return s.h }
-
 // Close releases the snapshot's pin and prunes every before-image no
 // remaining snapshot can need. Closing twice is a no-op.
 func (s *Snapshot) Close() {

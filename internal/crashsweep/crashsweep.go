@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/detsort"
-	"repro/internal/disk"
 	"repro/internal/ffs"
 	"repro/internal/lfs"
 	"repro/internal/libtp"
@@ -68,24 +67,18 @@ type Options struct {
 	// before the crash, so recovery seeks into a sealed segment.
 	LogSegmentBytes int64
 	// Devices is the number of spindles (0 or 1 = the classic single
-	// disk). With more than one, Layout selects "stripe" (one file system
-	// over a striped array; crash points land mid-stripe, tearing
-	// transfers across devices) or "partition" (per-device file systems
-	// and logs with two-phase commit; crash points land between a
-	// participant's prepare and the coordinator's decision, and between
-	// the decision and the participants' phase-two commits).
+	// disk). With more than one, each device carries its own file system
+	// and log and the user-level systems run two-phase commit across them;
+	// crash points land between a participant's prepare and the
+	// coordinator's decision, and between the decision and the
+	// participants' phase-two commits. tpcb.BuildRig refuses kernel-lfs
+	// on more than one device.
 	Devices int
-	// Layout is the multi-device layout: "stripe" (default) or
-	// "partition".
-	Layout string
-	// StripeBlocks is the stripe unit for the "stripe" layout.
-	StripeBlocks int
 	// Snapshots, when positive, opens a read-only MVCC snapshot every
 	// Snapshots-th transaction, reads account pages through it, and holds
 	// it across the following transactions (closing one transaction before
-	// the next opens). Crash points then land while the cleaner is
-	// deferring to a pinned snapshot horizon and while commit flushes are
-	// capturing superseded page versions; the sweep verifies that the
+	// the next opens). Crash points then land while a snapshot is pinned
+	// and commits keep before-images for it; the sweep verifies that the
 	// volatile snapshot state (pins die with the crash) never compromises
 	// recovery. Ignored on partitioned (sharded) rigs.
 	Snapshots int
@@ -97,13 +90,10 @@ func (o *Options) fill() error {
 	default:
 		return fmt.Errorf("crashsweep: unknown system %q", o.System)
 	}
-	if o.Devices > 1 && o.Layout == "partition" && o.System == "kernel-lfs" {
-		return fmt.Errorf("crashsweep: the partitioned layout runs one transaction environment per device; %q has no such split", o.System)
-	}
 	if o.Config == (tpcb.Config{}) {
 		o.Config = tpcb.Config{Accounts: 1000, Tellers: 10, Branches: 2, Seed: o.Seed + 1}
 	}
-	if o.Devices > 1 && o.Layout == "partition" {
+	if o.Devices > 1 {
 		o.Config = o.Config.WithRowsPerShard(o.Devices)
 	}
 	if o.Txns == 0 {
@@ -197,8 +187,6 @@ func buildRig(opts Options) (*tpcb.Rig, error) {
 		DiskScale:       opts.DiskScale,
 		LogSegmentBytes: opts.LogSegmentBytes,
 		Devices:         opts.Devices,
-		Layout:          opts.Layout,
-		StripeBlocks:    opts.StripeBlocks,
 	})
 }
 
@@ -519,16 +507,8 @@ func recoverAndVerify(opts Options, rig *tpcb.Rig, committed []tpcb.Txn, inFligh
 	// commit branches from the union of durable decision records (none, with
 	// one shard), and verify the cross-shard invariants: a transfer must be
 	// everywhere or nowhere, never half of each.
-	var devs []disk.BlockDevice // one per shard: the rig's one address space, or each partition's device
-	if rig.Dev != nil {
-		devs = append(devs, rig.Dev)
-	} else {
-		for _, d := range rig.Devs {
-			devs = append(devs, d)
-		}
-	}
-	fss := make([]vfs.FileSystem, len(devs))
-	for i, dev := range devs {
+	fss := make([]vfs.FileSystem, len(rig.Devs))
+	for i, dev := range rig.Devs {
 		if opts.System == "user-lfs" {
 			fs2, err := lfs.Mount(dev, rig.Clock, lfs.Options{CacheBlocks: 256})
 			if err != nil {

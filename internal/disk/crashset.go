@@ -2,26 +2,16 @@ package disk
 
 import "repro/internal/sim"
 
-// CrashControl is the crash-injection control surface shared by a single
-// Device and a CrashSet, so the crash-point harness drives single-spindle
-// and multi-device rigs through one interface and one write-op coordinate
-// system.
-type CrashControl interface {
-	CrashAfter(n int64, torn bool, seed uint64)
-	ClearCrash()
-	Crashed() bool
-	WriteOps() int64
-}
-
-// CrashSet coordinates a whole-machine crash across several devices: write
-// operations on every member are counted in one global sequence (the order
-// the simulation issues them, which is deterministic), and when the n-th
-// write fires, power fails for the whole machine — every member crashes at
-// once. The crashing operation persists none of its blocks on its own
-// device (or, in torn mode, a deterministic prefix); every other member
-// keeps exactly what was durable before that operation. This models the
-// failure unit the 2PC recovery protocol must survive: all shards lose
-// their volatile state together, each disk keeping its own durable prefix.
+// CrashSet is the crash model: a whole-machine power failure across the
+// devices joined to it. Write operations on every member are counted in one
+// global sequence (the order the simulation issues them, which is
+// deterministic), and when the n-th write fires, power fails for the whole
+// machine — every member crashes at once. The crashing operation persists
+// none of its blocks on its own device (or, in torn mode, a deterministic
+// prefix); every other member keeps exactly what was durable before that
+// operation. This models the failure unit the 2PC recovery protocol must
+// survive: all shards lose their volatile state together, each disk keeping
+// its own durable prefix. A set of one device is the single disk's crash.
 type CrashSet struct {
 	members []*Device
 	//simlint:tokenguarded
@@ -36,22 +26,36 @@ type CrashSet struct {
 	crashed bool
 }
 
-// NewCrashSet joins the given devices into one crash domain. Each member's
-// own CrashAfter schedule is superseded: counting and firing go through the
-// set from here on.
+// NewCrashSet returns a crash set with the given devices joined.
 //
 //simlint:tokensafe(setup-time registration: runs before Run hands the token to any proc)
 func NewCrashSet(devs ...*Device) *CrashSet {
-	s := &CrashSet{members: devs}
-	for _, d := range devs {
-		d.cset = s
-	}
+	s := &CrashSet{}
+	s.Join(devs...)
 	return s
 }
 
+// Join adds devices to the set; their write operations count from here on.
+// A rig joins each device when it creates it, before formatting, so crash
+// points count from power-on.
+//
+//simlint:tokensafe(setup-time registration: runs before Run hands the token to any proc)
+func (s *CrashSet) Join(devs ...*Device) {
+	for _, d := range devs {
+		d.cset = s
+	}
+	s.members = append(s.members, devs...)
+}
+
 // CrashAfter schedules a whole-machine crash on the n-th write operation
-// (1-based) counted across every member device. Semantics per operation
-// match Device.CrashAfter.
+// counted across every member (1-based; Write and WriteRun each count as one
+// operation — see WriteOps). The crashing operation persists none of its
+// blocks, unless torn is set, in which case a deterministic prefix of the
+// run — chosen by a RNG seeded with seed, possibly empty and possibly the
+// whole run (the "acknowledgement lost" case) — reaches the media of the
+// device servicing it before power fails. The crashing write and every later
+// access to any member return ErrCrashed until ClearCrash. No simulated time
+// is charged for accesses after the crash.
 //
 //simlint:tokensafe(setup-time registration: runs before Run hands the token to any proc)
 func (s *CrashSet) CrashAfter(n int64, torn bool, seed uint64) {
@@ -61,7 +65,8 @@ func (s *CrashSet) CrashAfter(n int64, torn bool, seed uint64) {
 }
 
 // ClearCrash lifts a fired (or pending) crash on the whole set so every
-// member can be remounted, modelling the post-crash reboot.
+// member can be remounted, modelling the post-crash reboot. Stored contents
+// are exactly what was durable at the crash point.
 //
 //simlint:tokensafe(setup-time registration: runs before Run hands the token to any proc)
 func (s *CrashSet) ClearCrash() {
@@ -69,7 +74,6 @@ func (s *CrashSet) ClearCrash() {
 	s.crashAt = 0
 	for _, d := range s.members {
 		d.crashed = false
-		d.crashAt = 0
 	}
 }
 
@@ -79,15 +83,14 @@ func (s *CrashSet) ClearCrash() {
 func (s *CrashSet) Crashed() bool { return s.crashed }
 
 // WriteOps returns the number of write operations issued across all members
-// so far — the coordinate system CrashAfter addresses.
+// since they joined — the coordinate system CrashAfter addresses.
 //
 //simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns)
 func (s *CrashSet) WriteOps() int64 { return s.writeOps }
 
-// noteWrite is the per-operation hook Device.noteWrite delegates to for
-// joined devices: advance the global counter, fire the crash when due, and
-// take down every member. The torn prefix lands on d, the device servicing
-// the crashing operation.
+// noteWrite is the per-operation hook Device.noteWrite delegates to: advance
+// the global counter, fire the crash when due, and take down every member.
+// The torn prefix lands on d, the device servicing the crashing operation.
 func (s *CrashSet) noteWrite(d *Device, start int64, bufs [][]byte) bool {
 	s.writeOps++
 	if s.crashAt == 0 || s.writeOps < s.crashAt {

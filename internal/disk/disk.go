@@ -1,11 +1,11 @@
-// Package disk implements the simulated block devices both file systems run
-// on. A Device stores block contents in memory and charges simulated time
-// for every access using a sim.DiskModel, tracking the arm position so that
-// sequential transfers (the log-structured file system's segment writes) are
-// billed at media bandwidth while scattered accesses pay seek and rotational
-// delays. An Array combines N devices behind the same block-addressed
-// interface (see BlockDevice) with a striped or range-partitioned layout,
-// each spindle keeping its own arm, queue, lane, and idle credit.
+// Package disk implements the simulated block device both file systems run
+// on. A Device models one spindle: it stores block contents in memory and
+// charges simulated time for every access using a sim.DiskModel, tracking the
+// arm position so that sequential transfers (the log-structured file system's
+// segment writes) are billed at media bandwidth while scattered accesses pay
+// seek and rotational delays. A rig with several spindles puts one file
+// system on each Device; a CrashSet is the crash model, failing power to all
+// of its devices at once.
 //
 // The package also provides a C-SCAN request queue, used by the
 // read-optimized file system's syncer to sort delayed writes by block address
@@ -26,8 +26,9 @@ import (
 var (
 	ErrOutOfRange = errors.New("disk: block address out of range")
 	ErrBadSize    = errors.New("disk: buffer size does not match block size")
-	// ErrCrashed is returned by every access once a scheduled crash point
-	// has fired (see CrashAfter), until ClearCrash re-enables the device.
+	// ErrCrashed is returned by every access once the device's crash set
+	// has fired (see CrashSet.CrashAfter), until CrashSet.ClearCrash
+	// re-enables the device.
 	ErrCrashed = errors.New("disk: device crashed")
 )
 
@@ -48,23 +49,6 @@ type Stats struct {
 	BgTime        time.Duration `json:"bg_busy"`
 	BgOverlapTime time.Duration `json:"bg_overlap"`
 	BgStallTime   time.Duration `json:"bg_stall"`
-}
-
-// add accumulates other into s; used by Array.Stats to aggregate spindles
-// without double-counting (every field is a per-device sum, so the array
-// total is the plain field-wise sum — queue time in particular is charged
-// once, on the device whose busy window delayed the request).
-func (s *Stats) add(other Stats) {
-	s.Reads += other.Reads
-	s.Writes += other.Writes
-	s.BlocksRead += other.BlocksRead
-	s.BlocksWrit += other.BlocksWrit
-	s.Seeks += other.Seeks
-	s.BusyTime += other.BusyTime
-	s.QueueTime += other.QueueTime
-	s.BgTime += other.BgTime
-	s.BgOverlapTime += other.BgOverlapTime
-	s.BgStallTime += other.BgStallTime
 }
 
 // Lane selects how an access is charged against simulated time.
@@ -128,25 +112,13 @@ type Device struct {
 	//simlint:tokenguarded
 	busyUntil time.Duration // virtual time the spindle finishes the request holding the arm
 
-	// Crash model (see CrashAfter). writeOps counts write operations
-	// (Write and WriteRun each count as one); when it reaches crashAt the
-	// device "loses power": the crashing write persists nothing — or, in
-	// torn mode, a deterministic prefix of its blocks — and every access
-	// from then on fails with ErrCrashed until ClearCrash. When the device
-	// has been joined into a CrashSet, counting and firing are delegated to
-	// the set so one write-op coordinate system spans every member device.
-	//simlint:tokenguarded
-	writeOps int64
-	//simlint:tokenguarded
-	crashAt int64 // 1-based op index to crash on; 0 = disabled
-	//simlint:tokenguarded
-	crashTorn bool
-	//simlint:tokenguarded
-	crashSeed uint64
+	// Crash model (see CrashSet). The set a device joined counts its write
+	// operations and fires the crash; once crashed is set, every access
+	// fails with ErrCrashed until the set's ClearCrash.
 	//simlint:tokenguarded
 	crashed bool
 	//simlint:tokenguarded
-	cset *CrashSet // nil unless joined into a whole-machine crash set
+	cset *CrashSet // nil unless joined into a crash set
 }
 
 // SetFault installs (or clears, with nil) a fault-injection hook.
@@ -179,70 +151,11 @@ func (d *Device) checkFaultRun(op string, start int64, n int) error {
 	return nil
 }
 
-// CrashAfter schedules a crash on the n-th write operation from the device's
-// creation (1-based; Write and WriteRun each count as one operation — see
-// WriteOps). The crashing operation persists none of its blocks, unless torn
-// is set, in which case a deterministic prefix of the run — chosen by a RNG
-// seeded with seed, possibly empty and possibly the whole run (the
-// "acknowledgement lost" case) — reaches the media before power fails. The
-// crashing write and every subsequent access return ErrCrashed until
-// ClearCrash. No simulated time is charged for accesses after the crash.
-//
-//simlint:tokensafe(setup-time registration: runs before Run hands the token to any proc)
-func (d *Device) CrashAfter(n int64, torn bool, seed uint64) {
-	d.crashAt = n
-	d.crashTorn = torn
-	d.crashSeed = seed
-}
-
-// ClearCrash lifts a fired (or still pending) crash so the device can be
-// remounted, modelling the post-crash reboot. Stored contents are exactly
-// what was durable at the crash point.
-//
-//simlint:tokensafe(setup-time registration: runs before Run hands the token to any proc)
-func (d *Device) ClearCrash() {
-	d.crashed = false
-	d.crashAt = 0
-}
-
-// Crashed reports whether a scheduled crash point has fired.
-//
-//simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns)
-func (d *Device) Crashed() bool {
-	return d.crashed
-}
-
-// WriteOps returns the number of write operations issued so far — the
-// coordinate system CrashAfter addresses. For a device joined into a
-// CrashSet the set's global counter is authoritative; use CrashSet.WriteOps.
-//
-//simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns)
-func (d *Device) WriteOps() int64 {
-	return d.writeOps
-}
-
-// noteWrite advances the write-op counter and fires a scheduled crash,
-// persisting a deterministic prefix of bufs in torn mode. It reports whether
-// the write may proceed normally. Devices joined into a CrashSet delegate to
-// the set's shared counter so a crash takes down every member at once.
+// noteWrite reports whether a write may proceed normally. A device joined
+// into a CrashSet hands the write to the set, which counts it and fires a
+// scheduled crash; a device in no set never crashes.
 func (d *Device) noteWrite(start int64, bufs [][]byte) bool {
-	if d.cset != nil {
-		return d.cset.noteWrite(d, start, bufs)
-	}
-	d.writeOps++
-	if d.crashAt == 0 || d.writeOps < d.crashAt {
-		return true
-	}
-	d.crashed = true
-	if d.crashTorn {
-		// The media wrote blocks strictly in order until power failed, so
-		// what survives is a prefix — anywhere from nothing to the full run.
-		k := sim.NewRNG(d.crashSeed).Intn(len(bufs) + 1)
-		for i := 0; i < k; i++ {
-			d.store(start+int64(i), bufs[i])
-		}
-	}
-	return false
+	return d.cset == nil || d.cset.noteWrite(d, start, bufs)
 }
 
 // New creates a device with the given model, advancing the given clock on
@@ -408,7 +321,7 @@ type BgTimes struct {
 
 // InBackground runs fn with dev on the background lane, restores the previous
 // lane, and adds the device's background time during fn to acc.
-func InBackground(dev BlockDevice, acc *BgTimes, fn func() error) error {
+func InBackground(dev *Device, acc *BgTimes, fn func() error) error {
 	prev := dev.SetLane(Background)
 	defer dev.SetLane(prev)
 	d0 := dev.Stats()

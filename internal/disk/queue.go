@@ -20,7 +20,7 @@ type Request struct {
 // syncer uses when it pushes 30-second-old dirty pages to disk alongside the
 // workload's random reads.
 type Queue struct {
-	dev  BlockDevice
+	dev  *Device
 	reqs []Request
 	// frames hold the copies of enqueued writes. A copy goes back when
 	// FlushSorted is done with the request: the device stores what it is
@@ -29,7 +29,7 @@ type Queue struct {
 }
 
 // NewQueue returns an empty queue bound to dev.
-func NewQueue(dev BlockDevice) *Queue {
+func NewQueue(dev *Device) *Queue {
 	return &Queue{dev: dev, frames: frame.NewList(dev.BlockSize())}
 }
 

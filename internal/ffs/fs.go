@@ -68,7 +68,7 @@ type upper = ufs.FS[*inode]
 // the main goroutine while no scheduler runs.
 type FS struct {
 	*upper
-	dev       disk.BlockDevice
+	dev       *disk.Device
 	clock     *sim.Clock
 	pool      *buffer.Pool
 	queue     *disk.Queue
@@ -114,7 +114,7 @@ func (fs *FS) writeTableBlock(blk int64, b []byte) error {
 var _ vfs.FileSystem = (*FS)(nil)
 
 // Format initializes a fresh file system on dev and returns it mounted.
-func Format(dev disk.BlockDevice, clock *sim.Clock, opts Options) (*FS, error) {
+func Format(dev *disk.Device, clock *sim.Clock, opts Options) (*FS, error) {
 	opts.fill()
 	bs := dev.BlockSize()
 	total := dev.NumBlocks()
@@ -168,7 +168,7 @@ func Format(dev disk.BlockDevice, clock *sim.Clock, opts Options) (*FS, error) {
 }
 
 // Mount loads an existing file system.
-func Mount(dev disk.BlockDevice, clock *sim.Clock, opts Options) (*FS, error) {
+func Mount(dev *disk.Device, clock *sim.Clock, opts Options) (*FS, error) {
 	opts.fill()
 	bs := dev.BlockSize()
 	buf := make([]byte, bs)
@@ -262,9 +262,6 @@ func (fs *FS) BlockSize() int { return fs.blockSize }
 
 // Pool exposes the buffer cache (for tests and the transaction layers).
 func (fs *FS) Pool() *buffer.Pool { return fs.pool }
-
-// Device returns the underlying block device.
-func (fs *FS) Device() disk.BlockDevice { return fs.dev }
 
 // Stats returns a snapshot of the counters.
 func (fs *FS) Stats() Stats {

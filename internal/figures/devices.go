@@ -23,7 +23,7 @@ type FigureDevicesCell struct {
 	Cross  int64
 	Single int64
 	// QueueTime is cumulative time requests waited for a busy spindle,
-	// summed over the array; MaxDevQueue is the worst single device's
+	// summed over the devices; MaxDevQueue is the worst single device's
 	// share (the hot spindle).
 	QueueTime   time.Duration
 	MaxDevQueue time.Duration
@@ -84,9 +84,9 @@ func FigureDevices(opts Options, devices []int) (*FigureDevicesReport, error) {
 	// scaled-down branch relation (2 rows) would serialize everything, so
 	// give the sweep the branch fan-out its MPL range needs, and apply
 	// the TPC-B 85% home-branch account rule — the locality a
-	// range-partitioned array exploits. Without it nearly every
+	// range-partitioned database exploits. Without it nearly every
 	// transaction is a cross-shard two-phase commit holding hot branch
-	// locks across a log force, and the array loses to the single disk.
+	// locks across a log force, and more devices lose to the single disk.
 	if cfg.Branches < 64 {
 		cfg.Branches = 64
 	}
@@ -113,7 +113,7 @@ func FigureDevices(opts Options, devices []int) (*FigureDevicesReport, error) {
 		for _, mpl := range mpls {
 			ropts := tpcb.RigOptions{
 				Kind: "user-lfs", Config: cfg, Costs: opts.Costs, ExpectedTxns: opts.Txns,
-				GroupCommit: opts.GroupCommit, Devices: n, Layout: "partition",
+				GroupCommit: opts.GroupCommit, Devices: n,
 				CacheBlocks: cache, DiskScale: 4.0,
 			}
 			rig, res, err := opts.measure(fmt.Sprintf("device sweep n=%d", n), ropts, mpl)

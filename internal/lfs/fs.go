@@ -70,7 +70,7 @@ type upper = ufs.FS[*inode]
 // the main goroutine while no scheduler runs.
 type FS struct {
 	*upper
-	dev       disk.BlockDevice
+	dev       *disk.Device
 	clock     *sim.Clock
 	pool      *buffer.Pool
 	blockSize int
@@ -124,7 +124,7 @@ type FS struct {
 var _ vfs.FileSystem = (*FS)(nil)
 
 // Format initializes a fresh file system on dev and returns it mounted.
-func Format(dev disk.BlockDevice, clock *sim.Clock, opts Options) (*FS, error) {
+func Format(dev *disk.Device, clock *sim.Clock, opts Options) (*FS, error) {
 	opts.fill()
 	bs := dev.BlockSize()
 	segStart := 1 + 2*opts.CheckpointBlocks
@@ -268,9 +268,6 @@ func (fs *FS) BlockSize() int { return fs.blockSize }
 // (internal/core) uses it to hold and invalidate transaction-protected
 // buffers, mirroring the kernel data-structure extensions of §4.1.
 func (fs *FS) Pool() *buffer.Pool { return fs.pool }
-
-// Device returns the underlying block device (for stats and inspection).
-func (fs *FS) Device() disk.BlockDevice { return fs.dev }
 
 // SetTracer attaches a tracer; cleaning passes then emit cleaner.pass spans
 // (with the pass's disk time attributed as cleaner stall rather than

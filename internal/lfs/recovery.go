@@ -222,7 +222,7 @@ func (fs *FS) writeCheckpointLocked() error {
 // the newer valid checkpoint, roll the log forward through the summary-block
 // chain, rebuild the segment usage table, and checkpoint the recovered
 // state.
-func Mount(dev disk.BlockDevice, clock *sim.Clock, opts Options) (*FS, error) {
+func Mount(dev *disk.Device, clock *sim.Clock, opts Options) (*FS, error) {
 	opts.fill()
 	bs := dev.BlockSize()
 	buf := make([]byte, bs)

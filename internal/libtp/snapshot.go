@@ -60,9 +60,6 @@ func (e *Env) BeginSnapshot() *Snapshot {
 	return &Snapshot{env: e, h: h}
 }
 
-// Horizon returns the pinned commit horizon (a WAL LSN).
-func (s *Snapshot) Horizon() wal.LSN { return s.h }
-
 // Close releases the snapshot's pin on the commit horizon and prunes every
 // version record no remaining snapshot can need. Closing twice is a no-op.
 func (s *Snapshot) Close() {

@@ -13,7 +13,7 @@ import (
 // scan, and the driver must say so before it has run anything.
 func TestRunMixedRejectsScansOnShards(t *testing.T) {
 	cfg := smallCfg()
-	rig, err := BuildRig(RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: 200, Devices: 2, Layout: "partition"})
+	rig, err := BuildRig(RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: 200, Devices: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,20 +69,32 @@ func TestIdleCleaningByShardCount(t *testing.T) {
 	if cl := rig.LFS.Stats().Cleaner; cl.Runs == 0 {
 		t.Fatalf("the idle cleaner never ran on the one-shard rig: %+v", cl)
 	}
-	opts.Devices, opts.Layout = 2, "partition"
+	opts.Devices = 2
 	if _, err := BuildRig(opts); err == nil || !strings.Contains(err.Error(), "not supported on partitioned rigs") {
 		t.Fatalf("idle cleaning on 2 shards: err = %v, want a refusal", err)
 	}
 }
 
-// TestBuildRigRejectsUnknownLayout: the layout is validated whatever the
-// device count, and the error names the accepted values.
-func TestBuildRigRejectsUnknownLayout(t *testing.T) {
-	for _, devices := range []int{0, 1, 2} {
-		_, err := BuildRig(RigOptions{Kind: "user-lfs", Config: smallCfg(), Devices: devices, Layout: "bogus"})
-		if err == nil || !strings.Contains(err.Error(), "stripe") || !strings.Contains(err.Error(), "partition") {
-			t.Fatalf("Devices %d, Layout bogus: err = %v, want one naming stripe and partition", devices, err)
-		}
+// TestBuildRigRefusesKernelOnDevices: more than one device means one
+// transaction environment and log per device, which the embedded system does
+// not have.
+func TestBuildRigRefusesKernelOnDevices(t *testing.T) {
+	_, err := BuildRig(RigOptions{Kind: "kernel-lfs", Config: smallCfg(), Devices: 2})
+	if err == nil || !strings.Contains(err.Error(), "user-level") {
+		t.Fatalf("kernel-lfs on 2 devices: err = %v, want a refusal naming the user-level kinds", err)
+	}
+}
+
+// TestCrashPointsCountFromPowerOn: a rig joins each device to its crash set
+// when it creates it, so the format and load writes are crash points too,
+// and a one-device rig's crash set counts exactly its device's write ops.
+func TestCrashPointsCountFromPowerOn(t *testing.T) {
+	rig, err := BuildRig(RigOptions{Kind: "user-lfs", Config: smallCfg(), ExpectedTxns: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rig.Crash.WriteOps(), rig.Dev.Stats().Writes; got != want || got == 0 {
+		t.Fatalf("crash set counted %d write ops, the device issued %d since its creation", got, want)
 	}
 }
 

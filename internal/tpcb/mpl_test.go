@@ -381,7 +381,7 @@ func TestUserLevelContendedRunsWithoutAborts(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := RigOptions{Kind: tc.kind, Config: cfg, ExpectedTxns: txns, GroupCommit: 8, CacheBlocks: 2048, DiskScale: 3}
 			if tc.devices > 1 {
-				opts.Devices, opts.Layout = tc.devices, "partition"
+				opts.Devices = tc.devices
 			}
 			rig, err := BuildRig(opts)
 			if err != nil {

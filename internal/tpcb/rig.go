@@ -64,19 +64,12 @@ type RigOptions struct {
 	// tracer, which costs nothing.
 	Trace bool
 	// Devices is the number of spindles (0 or 1 = the paper's single
-	// disk).
+	// disk). Each device carries its own file system; with more than one,
+	// each also gets its own transaction environment and log, the TPC-B
+	// relations are range-partitioned across them, and cross-shard
+	// transactions run two-phase commit. More than one needs a user-level
+	// rig kind.
 	Devices int
-	// Layout selects how a multi-device rig spreads data: "stripe"
-	// (default) presents one striped block space to a single file system;
-	// "partition" gives each device its own file system, transaction
-	// environment, and log, with the TPC-B relations range-partitioned
-	// across them and cross-shard transactions running two-phase commit.
-	// Partition requires a user-level rig kind. On one device the two are
-	// the same rig.
-	Layout string
-	// StripeBlocks is the stripe unit in blocks for the "stripe" layout
-	// (default 8).
-	StripeBlocks int
 	// InodeAtSync is ufs.Ops.InodeAtSync, handed to the rig's file system:
 	// the `txnbench -fig fsync` arm, which no command-line flag reaches.
 	InodeAtSync bool
@@ -85,15 +78,14 @@ type RigOptions struct {
 // Rig is a ready-to-run benchmark configuration.
 type Rig struct {
 	Clock *sim.Clock
-	// Dev is the rig's block address space: the single device, or the
-	// striped array. Nil for partitioned rigs, which have no unified
-	// address space — use Devs.
-	Dev disk.BlockDevice
-	// Devs lists the physical devices (length 1 for the single-disk rig).
+	// Dev is the single-file-system rig's device; nil when the rig has
+	// more than one — use Devs.
+	Dev *disk.Device
+	// Devs lists the devices, one per file system.
 	Devs []*disk.Device
-	// Crash injects whole-machine crashes: the device itself on a
-	// single-spindle rig, a disk.CrashSet spanning all members otherwise.
-	Crash disk.CrashControl
+	// Crash injects whole-machine crashes across Devs. Each device joined
+	// it when it was created, so crash points count from power-on.
+	Crash *disk.CrashSet
 	FS    vfs.FileSystem // nil for partitioned rigs, which have one per device
 	LFS   *lfs.FS        // non-nil for single-FS LFS-based rigs
 	Sys   System
@@ -176,8 +168,7 @@ func only[F any](fss []vfs.FileSystem) []F {
 // sumOver returns the field-wise sum of stats(x) over xs, or nil when xs is
 // empty. It is the one aggregator for every layer's Stats type, so a counter
 // added to a layer is summed with no edit here; it reflects, so it is for
-// end-of-run reporting only (disk.Array.Stats, called per cleaner pass,
-// keeps its explicit add).
+// end-of-run reporting only.
 func sumOver[E, S any](xs []E, stats func(E) S) *S {
 	if len(xs) == 0 {
 		return nil
@@ -258,19 +249,10 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 		return nil, fmt.Errorf("tpcb: unknown rig kind %q", opts.Kind)
 	}
 	kernel := opts.Kind == "kernel-lfs"
-	// n is the number of file systems: one per device when partitioned.
-	n := 1
-	switch opts.Layout {
-	case "", "stripe":
-	case "partition":
-		if opts.Devices > 1 {
-			if kernel {
-				return nil, fmt.Errorf("tpcb: layout \"partition\" needs a user-level rig kind, got %q", opts.Kind)
-			}
-			n = opts.Devices
-		}
-	default:
-		return nil, fmt.Errorf("tpcb: unknown layout %q (want stripe or partition)", opts.Layout)
+	// n is the number of devices, each carrying one file system.
+	n := max(opts.Devices, 1)
+	if n > 1 && kernel {
+		return nil, fmt.Errorf("tpcb: %d devices need a user-level rig kind (one transaction environment per device), got %q", n, opts.Kind)
 	}
 	switch opts.CleanerMode {
 	case "", "sync":
@@ -329,46 +311,27 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 	if opts.Trace {
 		tr = trace.New(clk)
 	}
-	rig := &Rig{Clock: clk, Tracer: tr, Part: part}
-	switch {
-	case n > 1:
-		// One device per shard, created with its file system below.
-	case opts.Devices <= 1:
-		dev := disk.New(model, clk)
-		dev.SetTracer(tr)
-		rig.Dev, rig.Devs, rig.Crash = dev, []*disk.Device{dev}, dev
-	default:
-		per := model
-		per.NumBlocks = (model.NumBlocks + int64(opts.Devices) - 1) / int64(opts.Devices)
-		stripe := opts.StripeBlocks
-		if stripe <= 0 {
-			stripe = 8
-		}
-		arr, err := disk.NewArray(per, clk, opts.Devices, disk.LayoutStripe, int64(stripe))
-		if err != nil {
-			return nil, err
-		}
-		arr.SetTracer(tr)
-		rig.Dev, rig.Devs, rig.Crash = arr, arr.Devices(), disk.NewCrashSet(arr.Devices()...)
-	}
-
+	rig := &Rig{Clock: clk, Tracer: tr, Part: part, Crash: disk.NewCrashSet()}
 	var locks *lock.Manager // shared across shards; a lone environment keeps its private one
 	if n > 1 {
 		locks = lock.NewManager()
 	}
 	for i := 0; i < n; i++ {
-		// A single file system sits on rig.Dev and traces its pool under
-		// the bare name; shard i gets its own device and an indexed name.
-		bdev, shard := rig.Dev, ""
+		// Each file system gets its own device, joined to the crash set
+		// before Format so crash points count from power-on. A lone file
+		// system traces its pool under the bare name, shard i under an
+		// indexed one.
+		dev := disk.New(model, clk)
+		dev.SetTracer(tr)
+		rig.Crash.Join(dev)
+		rig.Devs = append(rig.Devs, dev)
+		shard := ""
 		if n > 1 {
-			dev := disk.New(model, clk)
-			dev.SetTracer(tr)
-			rig.Devs = append(rig.Devs, dev)
-			bdev, shard = dev, strconv.Itoa(i)
+			shard = strconv.Itoa(i)
 		}
 		var fsys vfs.FileSystem
 		if opts.Kind == "user-ffs" {
-			ff, err := ffs.Format(bdev, clk, ffs.Options{CacheBlocks: cache, SyncInterval: 30 * time.Second, InodeAtSync: opts.InodeAtSync})
+			ff, err := ffs.Format(dev, clk, ffs.Options{CacheBlocks: cache, SyncInterval: 30 * time.Second, InodeAtSync: opts.InodeAtSync})
 			if err != nil {
 				return nil, err
 			}
@@ -385,7 +348,7 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 			if kernel {
 				fsCache = 2 * cache
 			}
-			lf, err := lfs.Format(bdev, clk, lfs.Options{CacheBlocks: fsCache, Policy: opts.Policy, InodeAtSync: opts.InodeAtSync})
+			lf, err := lfs.Format(dev, clk, lfs.Options{CacheBlocks: fsCache, Policy: opts.Policy, InodeAtSync: opts.InodeAtSync})
 			if err != nil {
 				return nil, err
 			}
@@ -397,7 +360,7 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 			}
 		}
 		if n == 1 {
-			rig.FS = fsys
+			rig.Dev, rig.FS = dev, fsys
 		}
 		if kernel {
 			rig.Core = core.New(rig.LFS, clk, core.Options{Costs: opts.Costs, GroupCommit: opts.GroupCommit, Tracer: tr})
@@ -420,9 +383,6 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 			return nil, err
 		}
 		rig.Shards = append(rig.Shards, env)
-	}
-	if n > 1 {
-		rig.Crash = disk.NewCrashSet(rig.Devs...)
 	}
 	if !kernel {
 		rig.Sys = NewUserSystem(rig.Shards, part, clk, opts.Costs)

@@ -80,7 +80,6 @@ func shardedStormRig(t *testing.T, cfg Config) *Rig {
 		Config:       cfg,
 		ExpectedTxns: 400,
 		Devices:      3,
-		Layout:       "partition",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +224,6 @@ func TestShardedDeterminism(t *testing.T) {
 			Config:       cfg,
 			ExpectedTxns: 300,
 			Devices:      3,
-			Layout:       "partition",
 			GroupCommit:  4,
 		})
 		if err != nil {

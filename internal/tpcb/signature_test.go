@@ -95,7 +95,7 @@ func TestPinnedSignatures(t *testing.T) {
 		}), 256, 0,
 			signature{3064163000, 98430, 0, 0, 87, 1203, 3067904}},
 		{"user-lfs/mpl8-partition2", with(base("user-lfs", 8), func(o *RigOptions) {
-			o.Devices, o.Layout = 2, "partition"
+			o.Devices = 2
 		}), 8, 0,
 			signature{11731735196, 7967, 0, 229, 543, 1780, 249518}},
 		{"user-lfs/mpl8-snapshot-scans", with(base("user-lfs", 8), func(o *RigOptions) {

@@ -62,7 +62,7 @@ func goldenSnapshot(t *testing.T, kind string, devices, mpl int) *Snapshot {
 	cfg := smallCfg()
 	rig, err := BuildRig(RigOptions{
 		Kind: kind, Config: cfg, ExpectedTxns: txns, GroupCommit: mpl, DiskScale: 0.5, CacheBlocks: 48,
-		Trace: true, Devices: devices, Layout: "partition",
+		Trace: true, Devices: devices,
 	})
 	if err != nil {
 		t.Fatalf("BuildRig(%s ×%d): %v", kind, devices, err)
