@@ -76,17 +76,18 @@ func TestFigure67ScanPenaltyAndCrossover(t *testing.T) {
 	if rep.ScanPenalty <= 1.0 {
 		t.Fatalf("scan penalty %.2f: LFS should be slower than read-optimized after random updates", rep.ScanPenalty)
 	}
-	// Figure 7: at this size the read-optimized system is no slower per
-	// transaction (Figure 4), so the lines never meet and the report must say
-	// so; TestFigure7SaysWhenTheLinesDoNotCross covers the crossing branch.
-	if rep.LFSTPS > rep.FFSTPS {
-		t.Fatalf("LFS TPS (%f) above FFS TPS (%f): this test takes the no-crossover branch", rep.LFSTPS, rep.FFSTPS)
+	// Figure 7: at this size LFS is faster per transaction (Figure 4) and
+	// slower to scan, so the lines cross where the scan penalty is paid back;
+	// TestFigure7SaysWhenTheLinesDoNotCross covers the other branch.
+	if rep.LFSTPS <= rep.FFSTPS {
+		t.Fatalf("LFS TPS (%f) not above FFS TPS (%f): this test takes the crossing branch", rep.LFSTPS, rep.FFSTPS)
 	}
-	if rep.Crosses || rep.CrossoverTxns != 0 {
-		t.Fatalf("crossover = %f (crosses: %v), want none", rep.CrossoverTxns, rep.Crosses)
+	want := (rep.LFSScan - rep.FFSScan).Seconds() / (1/rep.FFSTPS - 1/rep.LFSTPS)
+	if !rep.Crosses || want <= 0 || math.Abs(rep.CrossoverTxns-want) > 1e-6 {
+		t.Fatalf("crossover = %f (crosses: %v), want %f", rep.CrossoverTxns, rep.Crosses, want)
 	}
-	if want := fmt.Sprintf("crossover: none within %d txns", rep.Opts.Txns); !strings.Contains(rep.String(), want) {
-		t.Fatalf("report should say %q:\n%s", want, rep)
+	if out := rep.String(); !strings.Contains(out, fmt.Sprintf("crossover: %.0f txns (", want)) || strings.Contains(out, "none") {
+		t.Fatalf("report should print the crossover:\n%s", out)
 	}
 }
 

@@ -62,11 +62,10 @@ const (
 
 	// minSegmentTail: when fewer blocks than this remain in the current
 	// segment, the writer advances to the next segment rather than writing
-	// a tiny partial segment.
+	// a tiny partial segment. A flush of several partials fills a segment
+	// to within this many blocks (takeChunk).
 	minSegmentTail = 4
 
-	// maxDataPerPartial bounds the data blocks in one partial segment.
-	maxDataPerPartial = 64
 	// maxFilesPerPartial bounds the distinct files in one partial segment
 	// so the conservative metadata estimate stays within a segment.
 	maxFilesPerPartial = 8
@@ -313,10 +312,18 @@ func decodeSummary(b []byte, addr int64) (summary, bool) {
 		s.Entries[i].Index = int64(le.Uint64(b[off+9:]))
 		off += summaryEntrySize
 	}
-	for _, c := range b[off:] {
-		if c != 0 {
-			return s, false
-		}
+	if !allZero(b[off:]) {
+		return s, false
 	}
 	return s, true
+}
+
+// allZero reports whether every byte of b is zero.
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -48,14 +48,17 @@ func (o *Options) fill() {
 
 // Stats reports file system activity.
 type Stats struct {
-	PartialSegments int64        `json:"partial_segments"` // partial segments written
-	BlocksLogged    int64        `json:"blocks_logged"`    // blocks written to the log (incl. summaries)
-	SummaryBlocks   int64        `json:"summary_blocks"`
-	InodePackBlocks int64        `json:"inode_pack_blocks"`
-	PointerBlocks   int64        `json:"pointer_blocks"` // single, double indirect and child blocks
-	Checkpoints     int64        `json:"checkpoints"`
-	StagedFlushes   int64        `json:"staged_flushes"` // flushes of a full stage
-	Cleaner         CleanerStats `json:"cleaner"`
+	PartialSegments int64 `json:"partial_segments"` // partial segments written
+	BlocksLogged    int64 `json:"blocks_logged"`    // blocks written to the log (incl. summaries)
+	SummaryBlocks   int64 `json:"summary_blocks"`
+	InodePackBlocks int64 `json:"inode_pack_blocks"`
+	PointerBlocks   int64 `json:"pointer_blocks"` // single, double indirect and child blocks
+	Checkpoints     int64 `json:"checkpoints"`
+	StagedFlushes   int64 `json:"staged_flushes"` // flushes of a full stage
+	// SkippedTailBlocks counts the blocks left unwritten at the end of the
+	// segments the log head moved past.
+	SkippedTailBlocks int64        `json:"skipped_tail_blocks"`
+	Cleaner           CleanerStats `json:"cleaner"`
 	// WriteBehind is the background-lane time of full-stage flushes.
 	WriteBehind disk.BgTimes `json:"write_behind"`
 }

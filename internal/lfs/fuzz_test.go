@@ -20,9 +20,9 @@ import (
 // commit force. Re-make it when formatVersion changes.
 const seedImageMB = 6
 
-// seedImage returns the image's two checkpoint records and the summary
-// blocks of its log.
-func seedImage(tb testing.TB) (checkpoints, summaries [][]byte) {
+// seedImage returns the image's two checkpoint records, the summary blocks
+// of its log and the inode pack blocks they describe.
+func seedImage(tb testing.TB) (checkpoints, summaries, packs [][]byte) {
 	tb.Helper()
 	f, err := os.Open("testdata/lfsdump.img")
 	if err != nil {
@@ -65,13 +65,22 @@ func seedImage(tb testing.TB) (checkpoints, summaries [][]byte) {
 				break
 			}
 			summaries = append(summaries, b)
+			blk := addr + 1 // a deletion record describes no block
+			for _, e := range sum.Entries {
+				if e.Kind == kindInodePack {
+					packs = append(packs, read(blk, 1))
+				}
+				if e.Kind != kindDelete {
+					blk++
+				}
+			}
 			off += 1 + int64(sum.NBlocks)
 		}
 	}
-	if len(summaries) == 0 {
-		tb.Fatal("the seed image has no summary blocks")
+	if len(summaries) == 0 || len(packs) == 0 {
+		tb.Fatalf("the seed image has %d summary blocks and %d inode packs", len(summaries), len(packs))
 	}
-	return checkpoints, summaries
+	return checkpoints, summaries, packs
 }
 
 // sealCheckpoint recomputes a checkpoint record's CRC over the size its
@@ -141,7 +150,7 @@ func TestSummaryRejectsReservedBytes(t *testing.T) {
 // decoder returns a checkpoint or ErrCorrupt, never panics, and a record it
 // accepts re-encodes to exactly its bytes.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	cps, _ := seedImage(f)
+	cps, _, _ := seedImage(f)
 	for _, b := range cps {
 		f.Add(b)
 	}
@@ -172,7 +181,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 // block claims for itself: the decoder never panics, and a summary it
 // accepts re-encodes to exactly the block.
 func FuzzDecodeSummary(f *testing.F) {
-	_, sums := seedImage(f)
+	_, sums, _ := seedImage(f)
 	for _, b := range sums {
 		f.Add(b)
 	}
@@ -195,6 +204,69 @@ func FuzzDecodeSummary(f *testing.F) {
 		}
 		if !bytes.Equal(enc, b) {
 			t.Fatal("accepted summary re-encodes to different bytes")
+		}
+	})
+}
+
+// TestInodePackRejectsPadding: a pack block this format wrote has at least one
+// record and zero in the header's pad, each record's pad (which the record's
+// CRC covers) and every byte after the last record.
+func TestInodePackRejectsPadding(t *testing.T) {
+	_, _, packs := seedImage(t)
+	le := binary.LittleEndian
+	n := int(le.Uint32(packs[0][4:]))
+	for _, c := range []struct {
+		name string
+		edit func(b []byte)
+	}{
+		{"zero count", func(b []byte) { le.PutUint32(b[4:], 0) }},
+		{"header pad set", func(b []byte) { b[12] = 1 }},
+		{"record pad set", func(b []byte) {
+			rec := b[packHeader : packHeader+inodeWireSize]
+			rec[37] = 1
+			le.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[8:]))
+		}},
+		{"byte after the last record", func(b []byte) { b[packHeader+n*inodeWireSize] = 1 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b := bytes.Clone(packs[0])
+			if _, err := decodeInodePack(b); err != nil {
+				t.Fatalf("the seed pack does not decode: %v", err)
+			}
+			c.edit(b)
+			if _, err := decodeInodePack(b); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("decodeInodePack = %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// FuzzDecodeInodePack feeds decodeInodePack what a damaged pack block might
+// hold, each record's CRC re-stamped so mutations reach the fields: the
+// decoder returns records or ErrCorrupt, never panics, and a block it accepts
+// re-encodes to exactly its bytes.
+func FuzzDecodeInodePack(f *testing.F) {
+	_, _, packs := seedImage(f)
+	for _, b := range packs {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		b = bytes.Clone(b)
+		for off := packHeader; off+inodeWireSize <= len(b); off += inodeWireSize {
+			rec := b[off : off+inodeWireSize]
+			binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[8:]))
+		}
+		inodes, err := decodeInodePack(b)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		enc := make([]byte, len(b))
+		encodeInodePack(enc, inodes)
+		if !bytes.Equal(enc, b) {
+			t.Fatalf("accepted pack of %d inodes re-encodes to different bytes", len(inodes))
 		}
 	})
 }

@@ -125,6 +125,9 @@ func decodeInodeWire(b []byte) (*inode, error) {
 	if le.Uint32(b[4:]) != crc32.ChecksumIEEE(b[8:inodeWireSize]) {
 		return nil, fmt.Errorf("%w: inode checksum", ErrCorrupt)
 	}
+	if le.Uint32(b[36:]) != 0 {
+		return nil, fmt.Errorf("%w: inode record padding", ErrCorrupt)
+	}
 	in := &inode{}
 	in.Ino = Ino(le.Uint64(b[8:]))
 	in.Mode = le.Uint32(b[16:])
@@ -167,25 +170,29 @@ func encodeInodePack(b []byte, inodes []*inode) {
 	}
 }
 
-// decodeInodePack parses a pack block into its inode records.
+// decodeInodePack parses a pack block into its inode records. It accepts
+// only what encodeInodePack writes: at least one record, and zero in the
+// header's pad, each record's pad and every byte after the last record.
 func decodeInodePack(b []byte) ([]*inode, error) {
 	le := binary.LittleEndian
 	if len(b) < packHeader || le.Uint32(b[0:]) != packMagic {
 		return nil, fmt.Errorf("%w: bad inode pack magic", ErrCorrupt)
 	}
 	n := int(le.Uint32(b[4:]))
-	if n < 0 || packHeader+n*inodeWireSize > len(b) {
+	if n < 1 || packHeader+n*inodeWireSize > len(b) {
 		return nil, fmt.Errorf("%w: inode pack count %d", ErrCorrupt, n)
 	}
+	end := packHeader + n*inodeWireSize
+	if !allZero(b[8:packHeader]) || !allZero(b[end:]) {
+		return nil, fmt.Errorf("%w: inode pack padding", ErrCorrupt)
+	}
 	out := make([]*inode, 0, n)
-	off := packHeader
-	for i := 0; i < n; i++ {
+	for off := packHeader; off < end; off += inodeWireSize {
 		in, err := decodeInodeWire(b[off : off+inodeWireSize])
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, in)
-		off += inodeWireSize
 	}
 	return out, nil
 }

@@ -44,12 +44,12 @@ func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage)
 		return nil
 	}
 
-	// Partition work into partial segments: at most maxFilesPerPartial
-	// files and a data-block budget that, together with the worst-case
-	// meta-data estimate, fits a segment. When the batch needs more than
-	// one partial, all but the last are flagged sumFlagCont so recovery
-	// applies the batch atomically — a commit force's pages must never be
-	// half-visible after a crash.
+	// Partition work into partial segments (takeChunk): at most
+	// maxFilesPerPartial files and an exact block count that fits a segment,
+	// or the room left in the current one while more work follows. When
+	// the batch needs more than one partial, all but the last are flagged
+	// sumFlagCont so recovery applies the batch atomically — a commit
+	// force's pages must never be half-visible after a crash.
 	lastCleanFree := int64(-1)
 	defer func() { fs.chainCont = false }()
 	for len(items) > 0 || len(files) > 0 {
@@ -475,61 +475,83 @@ func (c *chunkCost) set(at int, f fileCost) {
 	c.files = append(c.files, f)
 }
 
-// takeChunk removes up to one partial segment's worth of work from items and
-// files, using exact cost accounting so the assembled partial can never
-// outgrow a segment.
+// takeChunk removes one partial segment's worth of work from items and files,
+// using exact cost accounting so the assembled partial can never outgrow a
+// segment. A partial is budgeted against a whole segment. When the work does
+// not fit one partial anyway and this one would not fit the room left in the
+// current segment, it is cut to the room instead: a multi-partial flush fills
+// the segment to within minSegmentTail and continues at the next one's first
+// block. Work that fits one partial stays one partial, written where it fits
+// (writePartialLocked), so a commit force is never split at a boundary.
 func (fs *FS) takeChunk(items *[]dataItem, files *[]Ino, deferPtr bool) ([]dataItem, []Ino, error) {
-	segBlocks := int(fs.sb.SegmentBlocks)
-	budget := segBlocks - minSegmentTail
-	if cap := maxSummaryEntries(fs.blockSize) - 16; budget > cap {
-		budget = cap
+	budget := min(int(fs.sb.SegmentBlocks)-minSegmentTail, maxSummaryEntries(fs.blockSize)-16)
+	n, nf, cost, err := fs.chunkLen(*items, *files, deferPtr, budget)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	np := nptr(fs.blockSize)
-	cc := chunkCost{fs: fs, deferPtr: deferPtr, blocks: 1} // the summary
-	var chunk []dataItem
-	i := 0
-	for ; i < len(*items); i++ {
-		it := (*items)[i]
-		if len(chunk) >= maxDataPerPartial {
-			break
-		}
-		at := cc.find(Ino(it.id.File))
-		if at < 0 && len(cc.files) >= maxFilesPerPartial {
-			break
-		}
-		f, err := cc.entry(at, Ino(it.id.File))
+	room := int(fs.sb.SegmentBlocks - fs.curOff)
+	if more := n < len(*items) || nf < len(*files); more && cost > room {
+		rn, rnf, rcost, err := fs.chunkLen(*items, *files, deferPtr, room)
 		if err != nil {
 			return nil, nil, err
 		}
-		f = f.withBlock(it.id.Block, np)
-		if cc.costWith(at, &f) > budget && len(chunk) > 0 {
-			break
+		// The first block is taken whatever it costs; one that overflows
+		// the room goes to the next segment with a full budget behind it.
+		if rcost <= room {
+			n, nf = rn, rnf
 		}
-		cc.set(at, f)
-		chunk = append(chunk, it)
 	}
-	*items = (*items)[i:]
+	chunk, chunkFiles := (*items)[:n:n], (*files)[:nf:nf]
+	*items, *files = (*items)[n:], (*files)[nf:]
+	return chunk, chunkFiles, nil
+}
 
-	var chunkFiles []Ino
-	for len(*files) > 0 {
-		ino := (*files)[0]
+// chunkLen returns how many leading items, and then files, make up one partial
+// of at most budget blocks — at least one of them, whatever it costs — and
+// the partial's block count.
+func (fs *FS) chunkLen(items []dataItem, files []Ino, deferPtr bool, budget int) (n, nf, cost int, err error) {
+	np := nptr(fs.blockSize)
+	cc := chunkCost{fs: fs, deferPtr: deferPtr, blocks: 1} // the summary
+	cost = 1
+	take := func(ino Ino, lbn int64) (bool, error) {
 		at := cc.find(ino)
 		if at < 0 && len(cc.files) >= maxFilesPerPartial {
-			break
+			return false, nil
 		}
 		f, err := cc.entry(at, ino)
 		if err != nil {
-			return nil, nil, err
+			return false, err
 		}
-		if cc.costWith(at, &f) > budget && (len(chunk) > 0 || len(chunkFiles) > 0) {
-			break
+		if lbn >= 0 {
+			f = f.withBlock(lbn, np)
+		}
+		c := cc.costWith(at, &f)
+		if c > budget && n+nf > 0 {
+			return false, nil
 		}
 		cc.set(at, f)
-		*files = (*files)[1:]
-		chunkFiles = append(chunkFiles, ino)
+		cost = c
+		return true, nil
 	}
-	return chunk, chunkFiles, nil
+	for ; n < len(items); n++ {
+		ok, err := take(Ino(items[n].id.File), items[n].id.Block)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if !ok {
+			break
+		}
+	}
+	for ; nf < len(files); nf++ {
+		ok, err := take(files[nf], -1)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if !ok {
+			break
+		}
+	}
+	return n, nf, cost, nil
 }
 
 // writePartialLocked emits one partial segment: a summary block followed by
@@ -769,6 +791,7 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 // advanceSegmentLocked seals the current segment and moves the log head to
 // the pre-allocated next segment, reserving a new successor.
 func (fs *FS) advanceSegmentLocked() error {
+	fs.stats.SkippedTailBlocks += fs.sb.SegmentBlocks - fs.curOff
 	fs.segs[fs.curSeg].State = segInLog
 	fs.curSeg = fs.nextSeg
 	fs.curOff = 0

@@ -447,16 +447,3 @@ func (m *Manager) ReleaseAll(txn TxnID) []Object {
 	m.simQ.Broadcast(m.clk) // with no clock attached nothing ever waited
 	return m.written
 }
-
-// WriteLocked returns the objects txn holds write locks on, in ascending
-// (file, block) order.
-func (m *Manager) WriteLocked(txn TxnID) []Object {
-	var out []Object
-	for _, e := range m.byTxn[txn] {
-		if e.mode == Write {
-			out = append(out, e.obj)
-		}
-	}
-	slices.SortFunc(out, compareObject)
-	return out
-}

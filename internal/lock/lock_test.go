@@ -258,16 +258,6 @@ func TestReleaseAllReturnsWriteSet(t *testing.T) {
 	}
 }
 
-func TestWriteLockedList(t *testing.T) {
-	m := NewManager()
-	m.Lock(7, obj(3), Write)
-	m.Lock(7, obj(4), Read)
-	wl := m.WriteLocked(7)
-	if len(wl) != 1 || wl[0] != obj(3) {
-		t.Fatalf("WriteLocked = %v", wl)
-	}
-}
-
 func TestManyConcurrentTxns(t *testing.T) {
 	// Stress: 16 procs locking 8 objects in ascending order (no deadlock
 	// possible), yielding after every grant so they interleave and queue;

@@ -91,9 +91,6 @@ func (c *Clock) AdvanceTo(t time.Duration) {
 // being ignored. Tests enable this so a miscomputed delay fails loudly.
 func (c *Clock) SetStrict(on bool) { c.strict = on }
 
-// Reset rewinds the clock to zero. Intended for test setup only.
-func (c *Clock) Reset() { c.now = 0 }
-
 // String formats the current simulated time.
 func (c *Clock) String() string {
 	return fmt.Sprintf("sim.Clock(%v)", c.Now())

@@ -40,15 +40,6 @@ func TestClockAdvanceTo(t *testing.T) {
 	}
 }
 
-func TestClockReset(t *testing.T) {
-	c := NewClock()
-	c.Advance(time.Minute)
-	c.Reset()
-	if got := c.Now(); got != 0 {
-		t.Fatalf("after Reset Now() = %v, want 0", got)
-	}
-}
-
 func TestClockMonotonicProperty(t *testing.T) {
 	c := NewClock()
 	f := func(steps []int16) bool {

@@ -55,10 +55,11 @@ func TestFewerTxnsThanClients(t *testing.T) {
 // TestIdleCleaningByShardCount: the between-transactions cleaner works on
 // the one-file-system rig — through the same builder that makes the
 // partitioned ones — and is refused where there is no single LFS to clean.
+// The disk is sized so that 600 transactions wrap the one-shard log.
 func TestIdleCleaningByShardCount(t *testing.T) {
 	const txns = 600
 	cfg := ScaledConfig(0.01)
-	opts := RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8, CleanerMode: "idle", DiskScale: 0.7}
+	opts := RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8, CleanerMode: "idle", DiskScale: 0.6}
 	rig, err := BuildRig(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -150,8 +150,8 @@ func (s *Snapshot) Render() string {
 		}
 	}
 	if f := s.LFS; f != nil {
-		fmt.Fprintf(&b, "lfs: %d partial segments, %d blocks logged (%d summary, %d inode pack, %d pointer), %d checkpoints, %d flushes of a full stage; %s\n",
-			f.PartialSegments, f.BlocksLogged, f.SummaryBlocks, f.InodePackBlocks, f.PointerBlocks, f.Checkpoints, f.StagedFlushes, writeBehind(f.WriteBehind))
+		fmt.Fprintf(&b, "lfs: %d partial segments, %d blocks logged (%d summary, %d inode pack, %d pointer), %d segment-tail blocks skipped, %d checkpoints, %d flushes of a full stage; %s\n",
+			f.PartialSegments, f.BlocksLogged, f.SummaryBlocks, f.InodePackBlocks, f.PointerBlocks, f.SkippedTailBlocks, f.Checkpoints, f.StagedFlushes, writeBehind(f.WriteBehind))
 		cl := f.Cleaner
 		fmt.Fprintf(&b, "cleaner: %d segments cleaned in %d passes, %d blocks copied, %d dead, busy %v (%.1f%% of elapsed), write amplification %.2f×\n",
 			cl.SegmentsCleaned, cl.Runs, cl.BlocksCopied, cl.BlocksDead,
