@@ -138,18 +138,3 @@ func BenchmarkAblationCommitBytes(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAblationCleanerPolicy compares greedy vs cost-benefit cleaning.
-func BenchmarkAblationCleanerPolicy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := figures.AblationCleanerPolicy(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for j, pol := range rep.Policies {
-				b.ReportMetric(float64(rep.Copied[j]), pol+"-copied")
-			}
-		}
-	}
-}

@@ -10,7 +10,6 @@
 //	tpcb -system user-lfs -mpl 8 -groupcommit 8 -fastsync
 //	tpcb -system user-lfs -mpl 8 -groupcommit 8
 //	tpcb -system user-lfs -mpl 64 -groupcommit 8 -devices 4
-//	tpcb -system kernel-lfs -policy greedy
 //	tpcb -system kernel-lfs -cleaner idle
 //	tpcb -system kernel-lfs -mpl 8 -trace trace.json -metrics metrics.json
 //	tpcb -system kernel-lfs -mpl 64 -cpuprofile cpu.pprof -wallstats
@@ -31,7 +30,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"repro/internal/lfs"
 	"repro/internal/sim"
 	"repro/internal/tpcb"
 )
@@ -42,7 +40,6 @@ func main() {
 	txns := flag.Int("txns", 5000, "transactions to run")
 	mpl := flag.Int("mpl", 1, "multiprogramming level (concurrent simulated clients)")
 	groupCommit := flag.Int("groupcommit", 1, "concurrent committers that share one commit force or flush (every commit is durable when it returns; at -mpl 1 each forces alone)")
-	policy := flag.String("policy", "cost-benefit", "LFS cleaner policy: cost-benefit or greedy")
 	cleaner := flag.String("cleaner", "sync", "LFS cleaning discipline: sync (on the critical path) or idle (overlapped with foreground idle windows)")
 	fastSync := flag.Bool("fastsync", false, "model fast user-level synchronization (no test-and-set penalty)")
 	logSeg := flag.Int64("logseg", 0, "WAL segment rotation threshold in payload bytes (0 = wal default)")
@@ -59,15 +56,6 @@ func main() {
 	if *fastSync {
 		costs = sim.FastSyncCosts()
 	}
-	var pol lfs.CleanerPolicy
-	switch *policy {
-	case "cost-benefit":
-		pol = lfs.CostBenefit
-	case "greedy":
-		pol = lfs.Greedy
-	default:
-		fatal(fmt.Errorf("unknown -policy %q (want cost-benefit or greedy)", *policy))
-	}
 	cfg := tpcb.ScaledConfig(*scale)
 	if *devices > 1 {
 		cfg = cfg.WithRowsPerShard(*devices)
@@ -80,7 +68,6 @@ func main() {
 		Config:          cfg,
 		Costs:           costs,
 		GroupCommit:     *groupCommit,
-		Policy:          pol,
 		ExpectedTxns:    *txns,
 		CleanerMode:     *cleaner,
 		LogSegmentBytes: *logSeg,
@@ -92,8 +79,13 @@ func main() {
 		fatal(err)
 	}
 	m := rig.Devs[0].Model()
-	fmt.Printf("disk: %d × %d blocks (%d MB), %d cylinders, average seek %.1f ms\n",
-		len(rig.Devs), m.NumBlocks, m.SizeBytes()>>20, m.NumBlocks/m.CylinderBlocks, m.AvgSeekTime().Seconds()*1000)
+	var stored int64
+	for _, d := range rig.Devs {
+		stored += d.StoredBlocks()
+	}
+	fmt.Printf("disk: %d × %d blocks (%d MB), %d cylinders, average seek %.1f ms; %d blocks hold data after load (%.1f %%)\n",
+		len(rig.Devs), m.NumBlocks, m.SizeBytes()>>20, m.NumBlocks/m.CylinderBlocks, m.AvgSeekTime().Seconds()*1000,
+		stored, 100*float64(stored)/float64(int64(len(rig.Devs))*m.NumBlocks))
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

@@ -8,7 +8,7 @@
 //	txnbench -fig all                 # everything at the default scale
 //	txnbench -fig 4 -scale 0.1 -txns 10000
 //	txnbench -fig 6                   # SCAN test + crossover (Figures 6 and 7)
-//	txnbench -fig sync|cleaner|commitbytes|policy
+//	txnbench -fig sync|cleaner|commitbytes
 //	txnbench -fig fsync               # Figure 4's margin under data sync vs inode at every Sync (not in "all")
 //	txnbench -fig mpl                 # TPS vs multiprogramming level (not in "all")
 //	txnbench -fig devices -devices 1,2,4   # TPS vs MPL vs spindle count (not in "all")
@@ -35,7 +35,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to reproduce: 4, 5, 6, 7, sync, fsync, cleaner, commitbytes, policy, mpl, devices, scan, all")
+	fig := flag.String("fig", "all", "figure to reproduce: 4, 5, 6, 7, sync, fsync, cleaner, commitbytes, mpl, devices, scan, all")
 	scale := flag.Float64("scale", 0.05, "TPC-B scale factor (1.0 = the paper's 1,000,000 accounts)")
 	txns := flag.Int("txns", 5000, "transactions per measured run")
 	cleaner := flag.String("cleaner", "", "override the LFS cleaning discipline for all rigs: sync or idle (default: each system's natural mode)")
@@ -111,9 +111,6 @@ func main() {
 		"commitbytes": {"commitbytes", func() (fmt.Stringer, error) {
 			return figures.AblationCommitBytes(opts)
 		}},
-		"policy": {"policy", func() (fmt.Stringer, error) {
-			return figures.AblationCleanerPolicy(opts)
-		}},
 		// The MPL sweep runs 42 full benchmarks, so it is not part of "all".
 		"mpl": {"mpl", func() (fmt.Stringer, error) {
 			return figures.FigureMPL(opts)
@@ -158,7 +155,7 @@ func main() {
 
 	var order []string
 	if *fig == "all" {
-		order = []string{"4", "5", "6", "sync", "cleaner", "commitbytes", "policy"}
+		order = []string{"4", "5", "6", "sync", "cleaner", "commitbytes"}
 	} else {
 		if _, ok := jobs[*fig]; !ok {
 			fmt.Fprintf(os.Stderr, "txnbench: unknown figure %q\n", *fig)

@@ -333,19 +333,6 @@ func InBackground(dev *Device, acc *BgTimes, fn func() error) error {
 	return err
 }
 
-// IdleCredit reports the unspent foreground idle budget: time the device has
-// sat idle since its last request that background work could still consume
-// for free.
-//
-//simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
-func (d *Device) IdleCredit() time.Duration {
-	credit := d.idleCredit
-	if now := d.clock.Now(); now > d.lastEnd {
-		credit += now - d.lastEnd
-	}
-	return credit
-}
-
 // ResetIdleCredit forgets accumulated idle time. Benchmark rigs call this
 // after the load phase so the measured run's background cleaner cannot hide
 // behind setup-time idleness.
@@ -531,6 +518,20 @@ func (d *Device) Peek(block int64) ([]byte, error) {
 		copy(out, src)
 	}
 	return out, nil
+}
+
+// StoredBlocks reports how many blocks hold data: blocks written with
+// something other than zeros at least once.
+//
+//simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns)
+func (d *Device) StoredBlocks() int64 {
+	var n int64
+	for _, b := range d.blocks {
+		if b != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // ArmPosition reports the current arm position (block address) or -1 when

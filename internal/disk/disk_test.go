@@ -478,7 +478,8 @@ func TestBackgroundLaneOverlapsIdleWindows(t *testing.T) {
 	}
 	gap := 500 * time.Millisecond
 	clk.Advance(gap)
-	if got := dev.IdleCredit(); got != gap {
+	// The gap since the last request is banked at the next access.
+	if got := dev.idleCredit + clk.Now() - dev.lastEnd; got != gap {
 		t.Fatalf("idle credit = %v, want %v", got, gap)
 	}
 
@@ -528,12 +529,13 @@ func TestResetIdleCreditForgetsBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(time.Second)
-	if dev.IdleCredit() == 0 {
-		t.Fatal("expected idle credit after a gap")
+	if clk.Now() == dev.lastEnd {
+		t.Fatal("expected idle time after a gap")
 	}
 	dev.ResetIdleCredit()
-	if got := dev.IdleCredit(); got != 0 {
-		t.Fatalf("idle credit after reset = %v, want 0", got)
+	if dev.idleCredit != 0 || dev.lastEnd != clk.Now() {
+		t.Fatalf("after reset: idle credit %v, last request end %v at %v; want 0 credit and no gap",
+			dev.idleCredit, dev.lastEnd, clk.Now())
 	}
 
 	// With no credit, background work stalls the clock for its full cost.

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/lfs"
 	"repro/internal/sim"
 	"repro/internal/tpcb"
 )
@@ -345,47 +344,5 @@ func (r *CommitBytesReport) String() string {
 		k.CommitBytes/u.CommitBytes, k.Blocks/u.Blocks)
 	k, u = r.Row("kernel-lfs", 8, 8), r.Row("user-lfs", 8, 8)
 	fmt.Fprintf(&b, "  MPL 8, group commit ×8: %.0f× the bytes, %.1f× the blocks\n", k.CommitBytes/u.CommitBytes, k.Blocks/u.Blocks)
-	return b.String()
-}
-
-// ----------------------------------------------- Ablation: cleaner policies
-
-// CleanerPolicyReport compares greedy vs cost-benefit victim selection.
-type CleanerPolicyReport struct {
-	Opts     Options
-	Policies []string
-	TPS      []float64
-	Copied   []int64 // live blocks copied (write amplification)
-	Cleaned  []int64 // segments reclaimed
-}
-
-// AblationCleanerPolicy runs kernel-lfs TPC-B under both policies.
-func AblationCleanerPolicy(opts Options) (*CleanerPolicyReport, error) {
-	opts.fill()
-	cfg := tpcb.ScaledConfig(opts.Scale)
-	rep := &CleanerPolicyReport{Opts: opts}
-	for _, pol := range []lfs.CleanerPolicy{lfs.Greedy, lfs.CostBenefit} {
-		rig, res, err := opts.measure("kernel-lfs "+pol.String(), tpcb.RigOptions{Kind: "kernel-lfs", Config: cfg, Costs: opts.Costs,
-			Policy: pol, ExpectedTxns: opts.Txns}, 1)
-		if err != nil {
-			return nil, err
-		}
-		st := rig.LFSStats().Cleaner
-		rep.Policies = append(rep.Policies, pol.String())
-		rep.TPS = append(rep.TPS, res.TPS)
-		rep.Copied = append(rep.Copied, st.BlocksCopied)
-		rep.Cleaned = append(rep.Cleaned, st.SegmentsCleaned)
-	}
-	return rep, nil
-}
-
-// String formats the ablation.
-func (r *CleanerPolicyReport) String() string {
-	var b strings.Builder
-	b.WriteString("Ablation — cleaner victim selection policy\n")
-	fmt.Fprintf(&b, "  %-14s %8s %14s %12s\n", "policy", "TPS", "blocks copied", "segs cleaned")
-	for i := range r.Policies {
-		fmt.Fprintf(&b, "  %-14s %8.2f %14d %12d\n", r.Policies[i], r.TPS[i], r.Copied[i], r.Cleaned[i])
-	}
 	return b.String()
 }

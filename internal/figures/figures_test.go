@@ -276,22 +276,6 @@ func TestAblationCommitBytes(t *testing.T) {
 	_ = rep.String()
 }
 
-func TestAblationCleanerPolicy(t *testing.T) {
-	rep, err := AblationCleanerPolicy(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Policies) != 2 {
-		t.Fatalf("policies = %v", rep.Policies)
-	}
-	for i := range rep.Policies {
-		if rep.TPS[i] <= 0 {
-			t.Fatalf("%s produced no throughput", rep.Policies[i])
-		}
-	}
-	_ = rep.String()
-}
-
 func TestFigureMPLSweep(t *testing.T) {
 	opts := smallOpts()
 	opts.MPLs = []int{1, 4}

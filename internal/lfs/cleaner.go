@@ -11,24 +11,6 @@ import (
 	"repro/internal/trace"
 )
 
-// CleanerPolicy selects how the cleaner picks victim segments.
-type CleanerPolicy int
-
-const (
-	// CostBenefit picks the segment maximizing (1-u)·age/(1+u), the
-	// Sprite-LFS policy: cold, mostly-dead segments first.
-	CostBenefit CleanerPolicy = iota
-	// Greedy picks the segment with the fewest live blocks.
-	Greedy
-)
-
-func (p CleanerPolicy) String() string {
-	if p == Greedy {
-		return "greedy"
-	}
-	return "cost-benefit"
-}
-
 // CleanerStats reports garbage collection activity.
 type CleanerStats struct {
 	Runs            int64         `json:"runs"`             // cleaning passes
@@ -200,73 +182,30 @@ func (fs *FS) victimsBlockedByCheckpointLocked(maxLive int64) bool {
 }
 
 // pickVictimsLocked chooses up to cleanBatch victim segments with at most
-// maxLive live blocks each, best score first. Only checkpointed log segments
-// qualify: segments written since the last checkpoint are part of the
-// roll-forward chain and must not be recycled. Ties break on segment number
-// so victim selection is deterministic.
+// maxLive live blocks each, fewest live blocks first, ties to the lower
+// segment number. Only checkpointed log segments qualify: segments written
+// since the last checkpoint are part of the roll-forward chain and must not
+// be recycled. There is no age term (Sprite LFS's cost-benefit): TPC-B
+// updates its pages uniformly, so a segment's age does not predict how soon
+// its live blocks die (DESIGN.md §8).
 func (fs *FS) pickVictimsLocked(maxLive int64) []int64 {
 	if cap := fs.sb.SegmentBlocks - minCleanGain; maxLive > cap {
 		maxLive = cap // copying nearly-full segments costs as much space as it frees
 	}
-	type cand struct {
-		seg  int64
-		age  int64
-		util float64
-	}
-	var cands []cand
+	var victims []int64
 	for s := int64(0); s < fs.sb.NumSegments; s++ {
 		info := fs.segs[s]
-		if info.State != segInLog || info.SeqStamp >= fs.cpBound {
-			continue
-		}
-		if info.Live > maxLive {
-			continue
-		}
-		cands = append(cands, cand{
-			seg: s,
-			// Age is measured from when the segment was last written
-			// (SeqStamp): the cleaner's own output is young, so a freshly
-			// compacted segment must first age (and shed blocks) before
-			// it can compete again.
-			age:  int64(fs.seq - info.SeqStamp),
-			util: float64(info.Live) / float64(fs.sb.SegmentBlocks),
-		})
-	}
-	// The age benefit saturates at the first-quartile candidate age: a
-	// segment that has outlived a quarter of its peers has had its chance to
-	// shed blocks, and waiting longer gains nothing, so matured segments
-	// compete on utilization alone. Unsaturated, the age term would send the
-	// cleaner to old-but-still-live segments over younger, deader ones —
-	// copying more blocks per segment freed.
-	var ageCap int64 = 1
-	if len(cands) > 0 {
-		ages := make([]int64, len(cands))
-		for i, c := range cands {
-			ages[i] = c.age
-		}
-		sort.Slice(ages, func(i, j int) bool { return ages[i] < ages[j] })
-		if ageCap = ages[len(ages)/4]; ageCap < 1 {
-			ageCap = 1
+		if info.State == segInLog && info.SeqStamp < fs.cpBound && info.Live <= maxLive {
+			victims = append(victims, s)
 		}
 	}
-	score := func(c cand) float64 {
-		if fs.opts.Policy == Greedy {
-			return 1 - c.util
-		}
-		return (1 - c.util) * float64(min(c.age, ageCap)) / (1 + c.util)
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if si, sj := score(cands[i]), score(cands[j]); si != sj {
-			return si > sj
-		}
-		return cands[i].seg < cands[j].seg
+	// Segment numbers are appended in ascending order, so a stable sort
+	// on live blocks leaves ties in segment order.
+	sort.SliceStable(victims, func(i, j int) bool {
+		return fs.segs[victims[i]].Live < fs.segs[victims[j]].Live
 	})
-	if len(cands) > cleanBatch {
-		cands = cands[:cleanBatch]
-	}
-	victims := make([]int64, len(cands))
-	for i, c := range cands {
-		victims[i] = c.seg
+	if len(victims) > cleanBatch {
+		victims = victims[:cleanBatch]
 	}
 	return victims
 }

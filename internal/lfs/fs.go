@@ -20,9 +20,6 @@ type Options struct {
 	CheckpointBlocks int64
 	// CacheBlocks is the buffer cache capacity (default 1024 = 4 MB).
 	CacheBlocks int
-	// Policy selects the cleaner's victim-selection policy (default
-	// CostBenefit).
-	Policy CleanerPolicy
 	// CheckpointEvery writes a checkpoint after this many partial
 	// segments (default 512), bounding the roll-forward work a crash can
 	// require. Sprite LFS checkpointed on a timer for the same reason.
@@ -341,11 +338,6 @@ func (fs *FS) ReadCurrentRun(id buffer.BlockID, bufs [][]byte) (int, error) {
 // Stats returns a snapshot of the file system counters.
 func (fs *FS) Stats() Stats {
 	return fs.stats
-}
-
-// FreeSegments reports the number of clean segments.
-func (fs *FS) FreeSegments() int64 {
-	return fs.free
 }
 
 // blockIDOf forms the buffer-cache key of a file's logical block.

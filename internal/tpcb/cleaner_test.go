@@ -1,7 +1,9 @@
 package tpcb
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -73,7 +75,16 @@ func TestIdleCleanerIntegrity(t *testing.T) {
 	if maintained != actual || len(diff) != 0 {
 		t.Errorf("usage audit: maintained %d, actual %d, %d segments disagree", maintained, actual, len(diff))
 	}
-	if free := rig.LFS.FreeSegments(); free <= 0 {
+	var dump strings.Builder
+	if err := rig.LFS.Dump(&dump); err != nil {
+		t.Fatal(err)
+	}
+	var free, total int64
+	_, line, _ := strings.Cut(dump.String(), "free segments: ")
+	if _, err := fmt.Sscanf(line, "%d/%d", &free, &total); err != nil {
+		t.Fatalf("dump has no free-segment count: %v", err)
+	}
+	if free <= 0 {
 		t.Errorf("free segments = %d after cleaning; want > 0", free)
 	}
 }

@@ -71,7 +71,7 @@ func TestPinnedSignatures(t *testing.T) {
 		{"user-lfs/mpl1", base("user-lfs", 1), 1, 0,
 			signature{21767631834, 1, 0, 313, 629, 2067, 194459}},
 		{"kernel-lfs/mpl1", base("kernel-lfs", 1), 1, 0,
-			signature{26394463170, 1, 0, 358, 616, 3586, 9830400}},
+			signature{26392333669, 1, 0, 358, 616, 3585, 9830400}},
 		{"user-ffs/mpl8", base("user-ffs", 8), 8, 0,
 			signature{10735849223, 6226, 0, 356, 340, 1182, 194663}},
 		{"user-lfs/mpl8", base("user-lfs", 8), 8, 0,

@@ -42,7 +42,7 @@ run tpcb -system user-ffs -scale 0.02 -txns 500 -mpl 8 -groupcommit 8
 run tpcb -system kernel-lfs -scale 0.02 -txns 500 -mpl 8 -groupcommit 8 -cleaner idle \
 	-metrics metrics.json -trace trace.json
 run tpcb -system user-lfs -scale 0.02 -txns 500 -devices 2
-run tpcb -system user-lfs -scale 0.02 -txns 300 -policy greedy -fastsync -logretain -wallstats
+run tpcb -system user-lfs -scale 0.02 -txns 300 -fastsync -logretain -wallstats
 # Hundreds of 4 KB log segments created and deleted beside the growing history
 # relation: the root directory shrinks, and the relation's blocks interleave
 # with the segments' until its extent list overflows the inode's twelve inline
