@@ -2,7 +2,7 @@
 // system. Because devices in this reproduction are simulated, the tool
 // builds a demonstration image, applies a configurable amount of churn
 // (writes, overwrites, deletions — enough to exercise the cleaner — and a few
-// commit forces), then dumps the superblock, log position, segment usage
+// commit forces, whole-block and summary-only), then dumps the superblock, log position, segment usage
 // table, the partial segments at the log head, inode map, and cleaner
 // statistics, and finally audits the usage accounting and verifies
 // crash recovery by remounting.
@@ -90,6 +90,14 @@ func main() {
 			page[j] = byte(0xc0 + i + j)
 		}
 		if _, err := f.WriteAt(page, 0); err != nil {
+			fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			fatal(err)
+		}
+		// A few bytes more, forced again: they fit the summary block, so the
+		// force writes that block alone, the bytes in a patch record.
+		if _, err := f.WriteAt([]byte(fmt.Sprintf("commit %d", i)), int64(64*i+8)); err != nil {
 			fatal(err)
 		}
 		if err := f.Sync(); err != nil {

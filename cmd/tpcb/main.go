@@ -83,9 +83,14 @@ func main() {
 	for _, d := range rig.Devs {
 		stored += d.StoredBlocks()
 	}
-	fmt.Printf("disk: %d × %d blocks (%d MB), %d cylinders, average seek %.1f ms; %d blocks hold data after load (%.1f %%)\n",
+	devBlocks := int64(len(rig.Devs)) * m.NumBlocks
+	fmt.Printf("disk: %d × %d blocks (%d MB), %d cylinders, average seek %.1f ms; %d blocks hold data after load (%.1f %%), %d free\n",
 		len(rig.Devs), m.NumBlocks, m.SizeBytes()>>20, m.NumBlocks/m.CylinderBlocks, m.AvgSeekTime().Seconds()*1000,
-		stored, 100*float64(stored)/float64(int64(len(rig.Devs))*m.NumBlocks))
+		stored, 100*float64(stored)/float64(devBlocks), devBlocks-stored)
+	var logged0 int64
+	if ls := rig.LFSStats(); ls != nil {
+		logged0 = ls.BlocksLogged
+	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -127,6 +132,10 @@ func main() {
 		snap.Wall = ws
 	}
 	fmt.Print(snap.Render())
+	if ls := rig.LFSStats(); ls != nil {
+		fmt.Printf("log: %d blocks logged over the run, %.2f wraps of the disk\n",
+			ls.BlocksLogged-logged0, float64(ls.BlocksLogged-logged0)/float64(devBlocks))
+	}
 
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)

@@ -1,6 +1,7 @@
 package lfs
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"time"
@@ -218,17 +219,33 @@ func (fs *FS) victimSummariesLocked(seg int64) ([]summary, error) {
 	if sums, ok := fs.sumCache[seg]; ok {
 		return sums, nil
 	}
+	sums, reads, err := fs.readSummariesLocked(seg)
+	fs.stats.Cleaner.SummaryReads += reads
+	if err != nil {
+		return nil, err
+	}
+	for i := range sums {
+		sums[i].Patches = nil
+	}
+	fs.sumCache[seg] = sums
+	return sums, nil
+}
+
+// readSummariesLocked walks segment seg's summary chain on disk and returns
+// the summaries, patches included, and how many blocks it read.
+func (fs *FS) readSummariesLocked(seg int64) ([]summary, int64, error) {
 	base := fs.segBase(seg)
 	var sums []summary
+	var reads int64
 	buf := fs.frames.Take()
-	defer fs.frames.Give(buf) // decodeSummary copies the entries out
+	defer fs.frames.Give(buf) // decodeSummary copies the entries out; the patches are cloned below
 	off := int64(0)
 	for off < fs.sb.SegmentBlocks {
 		addr := base + off
 		if err := fs.dev.Read(addr, buf); err != nil {
-			return nil, err
+			return nil, reads, err
 		}
-		fs.stats.Cleaner.SummaryReads++
+		reads++
 		sum, ok := decodeSummary(buf, addr)
 		if !ok {
 			break
@@ -236,11 +253,13 @@ func (fs *FS) victimSummariesLocked(seg int64) ([]summary, error) {
 		if len(sums) > 0 && sum.Seq <= sums[len(sums)-1].Seq {
 			break // stale summary from a previous life of the segment
 		}
+		for i := range sum.Patches {
+			sum.Patches[i].Data = bytes.Clone(sum.Patches[i].Data)
+		}
 		sums = append(sums, sum)
 		off += 1 + int64(sum.NBlocks)
 	}
-	fs.sumCache[seg] = sums
-	return sums, nil
+	return sums, reads, nil
 }
 
 // cleanBatchLocked reclaims a ranked batch of victim segments in one pass:
@@ -253,12 +272,22 @@ func (fs *FS) victimSummariesLocked(seg int64) ([]summary, error) {
 //  3. write every relocated block and the affected meta-data at the log head
 //     in one scoped flush;
 //  4. verify every victim is fully dead and return it to the free pool.
+//
+// When the relocation runs out of segments, advanceSegmentLocked's fallback
+// (freeDeadSegmentsLocked) may free a victim the relocation has already
+// emptied, and the log head may then write into it. Such a victim is
+// reclaimed, but no longer this pass's to check or free: step 4 knows it by
+// its state or its sequence stamp, which any partial written into it moves.
 func (fs *FS) cleanBatchLocked(victims []int64) error {
 	span := fs.tracer.Begin("cleaner", "cleaner.pass")
 	copied0, dead0 := fs.stats.Cleaner.BlocksCopied, fs.stats.Cleaner.BlocksDead
 	fs.stats.Cleaner.Batches++
 	fs.stats.Cleaner.BatchVictims += int64(len(victims))
 	logged0 := fs.stats.BlocksLogged
+	stamps := make([]uint64, len(victims))
+	for i, v := range victims {
+		stamps[i] = fs.segs[v].SeqStamp
+	}
 
 	// 1. Liveness walk over all victims.
 	type liveEntry struct {
@@ -416,13 +445,15 @@ func (fs *FS) cleanBatchLocked(victims []int64) error {
 	}
 
 	// 4. Verify and free.
-	for _, victim := range victims {
-		if fs.segs[victim].Live != 0 {
-			return fs.cleanFailureLocked(victim)
+	for i, victim := range victims {
+		if recycled := fs.segs[victim].State != segInLog || fs.segs[victim].SeqStamp != stamps[i]; !recycled {
+			if fs.segs[victim].Live != 0 {
+				return fs.cleanFailureLocked(victim)
+			}
+			fs.segs[victim].State = segFree
+			delete(fs.sumCache, victim)
+			fs.free++
 		}
-		fs.segs[victim].State = segFree
-		delete(fs.sumCache, victim)
-		fs.free++
 		fs.stats.Cleaner.SegmentsCleaned++
 	}
 	fs.stats.Cleaner.BlocksWritten += fs.stats.BlocksLogged - logged0

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"testing"
 
 	"repro/internal/disk"
@@ -27,18 +28,34 @@ func stamped(bs int, lbn int64, version int) []byte {
 }
 
 // fileImage is the expected content of the test file: block versions by
-// logical block number (absent = hole) and the size in blocks.
+// logical block number (absent = hole) and the size in blocks. A block a
+// summary-only force changed in place holds edited, its whole content,
+// instead of its version.
 type fileImage struct {
 	version map[int64]int
+	edited  map[int64][]byte
 	blocks  int64
 }
 
 func (im fileImage) clone() fileImage {
-	c := fileImage{version: make(map[int64]int, len(im.version)), blocks: im.blocks}
-	for k, v := range im.version {
-		c.version[k] = v
+	return fileImage{version: maps.Clone(im.version), edited: maps.Clone(im.edited), blocks: im.blocks}
+}
+
+// edit returns the image with p written at byte off of logical block lbn,
+// which must lie inside one block that exists.
+func (im fileImage) edit(bs int, lbn int64, off int, p []byte) fileImage {
+	b := bytes.Clone(im.edited[lbn])
+	if v, ok := im.version[lbn]; b == nil && ok {
+		b = stamped(bs, lbn, v)
+	} else if b == nil {
+		b = make([]byte, bs) // a hole
 	}
-	return c
+	copy(b[off:], p)
+	if im.edited == nil {
+		im.edited = map[int64][]byte{}
+	}
+	im.edited[lbn] = b
+	return im
 }
 
 // matches reports whether the file at path holds exactly im.
@@ -58,11 +75,17 @@ func (im fileImage) matches(fs *FS, path string) error {
 			return err
 		}
 		want := zero
-		if v, ok := im.version[lbn]; ok {
+		if e, ok := im.edited[lbn]; ok {
+			want = e
+		} else if v, ok := im.version[lbn]; ok {
 			want = stamped(int(bs), lbn, v)
 		}
 		if !bytes.Equal(got, want) {
-			return fmt.Errorf("block %d holds %q, want version %d (0 = hole)", lbn, got[:24], im.version[lbn])
+			at := 0
+			for got[at] == want[at] {
+				at++
+			}
+			return fmt.Errorf("block %d holds %q, want version %d (0 = hole) or its edit: they differ from byte %d", lbn, got[:24], im.version[lbn], at)
 		}
 		return nil
 	}
@@ -70,6 +93,11 @@ func (im fileImage) matches(fs *FS, path string) error {
 	// block of a small file, else the direct range and both ends of each
 	// pointer block.
 	for lbn := range im.version {
+		if err := check(lbn); err != nil {
+			return err
+		}
+	}
+	for lbn := range im.edited {
 		if err := check(lbn); err != nil {
 			return err
 		}
@@ -109,6 +137,7 @@ func commitForceScript(fs *FS, after func(step int, im fileImage)) error {
 			return err
 		}
 		im.version[lbn] = v
+		delete(im.edited, lbn)
 		im.blocks = max(im.blocks, lbn+1)
 		return nil
 	}
@@ -152,6 +181,38 @@ func commitForceScript(fs *FS, after func(step int, im fileImage)) error {
 		st := fs.Stats()
 		if got, grew := st.InodePackBlocks-before.InodePackBlocks, round == 8; st.Checkpoints == before.Checkpoints && (got != 0) != grew {
 			return fmt.Errorf("round %d: commit force wrote %d inode packs (file grew: %v)", round, got, grew)
+		}
+	}
+	// Summary-only forces: a few bytes in blocks of every pointer range, one
+	// run across a block boundary, and (round 14) a block written whole in
+	// between, which makes that force log blocks again.
+	for round := 12; round < 18; round++ {
+		edits := []struct {
+			lbn int64
+			off int
+		}{{int64(round) % 4, 100 + round}, {NDirect + 1, 7 * round}, {NDirect + np + 1, bs - 3}, {NDirect + np + 2, 0}}
+		for _, e := range edits {
+			p := []byte(fmt.Sprintf("round %02d", round))
+			if _, err := f.WriteAt(p, e.lbn*int64(bs)+int64(e.off)); err != nil {
+				return err
+			}
+			for lbn, off := e.lbn, e.off; len(p) > 0; lbn, off = lbn+1, 0 {
+				n := min(len(p), bs-off)
+				im = im.edit(bs, lbn, off, p[:n])
+				p = p[n:]
+			}
+		}
+		if round == 14 {
+			if err := write(2, round); err != nil {
+				return err
+			}
+		}
+		before := fs.Stats()
+		if err := force(); err != nil {
+			return err
+		}
+		if got, want := fs.Stats().SummaryOnlyForces-before.SummaryOnlyForces, int64(0); round != 14 && got == want {
+			return fmt.Errorf("round %d: the force was not summary-only", round)
 		}
 	}
 	return nil
@@ -206,7 +267,11 @@ func crashAtEveryWrite(t *testing.T, opts Options, script func(*FS, func(int, fi
 				errAcked = nil
 			}
 			if errAcked != nil {
-				t.Fatalf("%s, crash at op %d seed %d after force %d: %v", name, op, seed, acked, errAcked)
+				var next error
+				if acked+1 < len(images) {
+					next = images[acked+1].matches(fs2, "/f")
+				}
+				t.Fatalf("%s, crash at op %d seed %d after force %d: %v (against the force in flight: %v)", name, op, seed, acked, errAcked, next)
 			}
 			if rep, err := fs2.Fsck(); err != nil || !rep.OK() {
 				t.Fatalf("%s, crash at op %d seed %d: fsck: %v %+v", name, op, seed, err, rep)
@@ -466,7 +531,9 @@ func TestCleanerRelocatesStalePack(t *testing.T) {
 // trusts partialCostLocked, and an overestimate wastes segment tails as surely
 // as an underestimate overruns them. Over 1,000 random commit forces —
 // overwrites in every pointer range, growth, truncation, new files, several
-// files per force — the estimate equals the blocks the force logged.
+// files per force — the estimate equals the blocks the force logged. Every
+// tenth round a File.Sync of a few changed bytes comes first; when it is
+// summary-only it logs exactly one block.
 func TestCommitForceCostIsExact(t *testing.T) {
 	clk := sim.NewClock()
 	model := sim.SmallModel()
@@ -494,10 +561,29 @@ func TestCommitForceCostIsExact(t *testing.T) {
 	// to FlushCommit, which takes its file set from its pages); everything
 	// else goes through the cache.
 	ranges := []int64{1, NDirect, NDirect + np, NDirect + 3*np}
-	var packless, packed, withPtrs int
+	var packless, packed, withPtrs, summaryOnly int
+	var truncCheckpoints int64
 	for i := 0; i < 1000; i++ {
 		if rng.Intn(100) == 0 && len(files) < 12 {
 			create() // a new inode has no imap entry: its first force must pack it
+		}
+		if i%10 == 0 {
+			f := files[rng.Intn(len(files))]
+			if size, _ := f.Size(); size > int64(bs) {
+				if _, err := f.WriteAt([]byte(fmt.Sprintf("force %d", i)), int64(rng.Intn(int(size-16)))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := fs.Stats()
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if st := fs.Stats(); st.SummaryOnlyForces > before.SummaryOnlyForces {
+				if got := st.BlocksLogged - before.BlocksLogged; got != 1 {
+					t.Fatalf("summary-only force %d logged %d blocks", i, got)
+				}
+				summaryOnly++
+			}
 		}
 		set := map[Ino]bool{}
 		var pages []CommitPage
@@ -506,9 +592,11 @@ func TestCommitForceCostIsExact(t *testing.T) {
 			switch rng.Intn(20) {
 			case 0:
 				size, _ := f.Size()
+				cps := fs.Stats().Checkpoints // a truncate of patched blocks checkpoints
 				if err := f.Truncate(max(int64(bs), size/int64(1+rng.Intn(3)))); err != nil {
 					t.Fatal(err)
 				}
+				truncCheckpoints += fs.Stats().Checkpoints - cps
 			default:
 				for w := 1 + rng.Intn(4); w > 0; w-- {
 					lbn := ranges[rng.Intn(len(ranges))] + int64(rng.Intn(6))
@@ -567,11 +655,12 @@ func TestCommitForceCostIsExact(t *testing.T) {
 			packed++
 		}
 	}
-	if st := fs.Stats(); st.Cleaner.Runs != 0 || st.Checkpoints != 1 {
+	if st := fs.Stats(); st.Cleaner.Runs != 0 || st.Checkpoints != 1+truncCheckpoints {
 		t.Fatalf("cleaner ran %d times, %d checkpoints: their blocks are in the comparison", st.Cleaner.Runs, st.Checkpoints)
 	}
-	if packless < 300 || packed < 100 || withPtrs < 10 {
-		t.Fatalf("%d pack-less, %d packing forces, %d with pointer blocks: the run should exercise all three", packless, packed, withPtrs)
+	if packless < 300 || packed < 100 || withPtrs < 10 || summaryOnly < 20 {
+		t.Fatalf("%d pack-less, %d packing forces, %d with pointer blocks, %d summary-only: the run should exercise all four",
+			packless, packed, withPtrs, summaryOnly)
 	}
 	if rep, err := fs.Fsck(); err != nil || !rep.OK() {
 		t.Fatalf("fsck: %v %+v", err, rep)

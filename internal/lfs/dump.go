@@ -30,8 +30,9 @@ func (fs *FS) Dump(w io.Writer) error {
 	}
 
 	// The partial segments of the segment being filled, by what each one
-	// carries: a commit force that packed no inode shows as such.
-	sums, err := fs.victimSummariesLocked(fs.curSeg)
+	// carries: a commit force that packed no inode shows as such, a
+	// summary-only one with its patch records.
+	sums, _, err := fs.readSummariesLocked(fs.curSeg)
 	if err != nil {
 		return err
 	}
@@ -60,7 +61,13 @@ func (fs *FS) Dump(w io.Writer) error {
 		if sum.Flags&sumFlagCont != 0 {
 			fmt.Fprintf(w, ", batch continues")
 		}
+		if len(sum.Patches) > 0 {
+			fmt.Fprintf(w, ", %d patches (summary-only)", len(sum.Patches))
+		}
 		fmt.Fprintln(w)
+		for _, p := range sum.Patches {
+			fmt.Fprintf(w, "    patch: ino %d lbn %d offset %d length %d\n", p.Ino, p.LBN, p.Off, len(p.Data))
+		}
 	}
 
 	fmt.Fprintf(w, "\ninode map (%d files):\n", len(fs.imap))
@@ -84,6 +91,8 @@ func (fs *FS) Dump(w io.Writer) error {
 	st := fs.stats
 	fmt.Fprintf(w, "\nactivity: %d partial segments, %d blocks logged (%d summary, %d inode pack, %d pointer), %d checkpoints\n",
 		st.PartialSegments, st.BlocksLogged, st.SummaryBlocks, st.InodePackBlocks, st.PointerBlocks, st.Checkpoints)
+	fmt.Fprintf(w, "File.Sync: %d summary-only forces (%d bytes in patches), %d full; %d blocks in patches only\n",
+		st.SummaryOnlyForces, st.PatchBytes, st.FullForces, len(fs.patched))
 	fmt.Fprintf(w, "cleaner: %d runs, %d segments cleaned, %d copied, %d dead, busy %v\n",
 		st.Cleaner.Runs, st.Cleaner.SegmentsCleaned, st.Cleaner.BlocksCopied, st.Cleaner.BlocksDead, st.Cleaner.BusyTime)
 	return nil

@@ -3,9 +3,7 @@ package lfs
 import (
 	"fmt"
 
-	"repro/internal/buffer"
 	"repro/internal/ufs"
-	"repro/internal/vfs"
 )
 
 // File is an open file handle; core asserts it to reach TxnProtected.
@@ -13,7 +11,10 @@ type File = ufs.File[*inode]
 
 // truncateLocked sets the file size, freeing blocks beyond the new end.
 // Growing leaves the new range a hole: LFS allocates a block only when it
-// logs one, so there is nothing to reserve.
+// logs one, so there is nothing to reserve. A shrink that frees or zeroes a
+// block whose newest bytes are in summary patches only checkpoints: nothing
+// else could stop roll-forward from laying those patches over the block, or
+// over the hole a regrow leaves in its place.
 func (fs *FS) truncateLocked(in *inode, size int64) error {
 	if size < 0 {
 		return fmt.Errorf("lfs: negative truncate size %d", size)
@@ -26,6 +27,7 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 	bs := int64(fs.blockSize)
 	firstDead := (size + bs - 1) / bs
 	lastLBN := (in.Size - 1) / bs
+	patched := false
 	for lbn := firstDead; lbn <= lastLBN; lbn++ {
 		addr, err := fs.blockAddr(in, lbn)
 		if err != nil {
@@ -40,13 +42,16 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 				in.ptrsCleared = true
 			}
 		}
-		_ = fs.pool.Invalidate(buffer.BlockID{File: vfs.FileID(in.Ino), Block: lbn})
-		fs.stage.Unpark(buffer.BlockID{File: vfs.FileID(in.Ino), Block: lbn})
+		id := blockIDOf(in.Ino, lbn)
+		_ = fs.pool.Invalidate(id)
+		fs.stage.Unpark(id)
+		delete(fs.deltas, id)
+		patched = patched || fs.patched[id]
+		delete(fs.patched, id)
 	}
 	// Zero the tail of the last surviving block so re-extension reads zeros.
 	if size%bs != 0 {
-		lbn := size / bs
-		id := buffer.BlockID{File: vfs.FileID(in.Ino), Block: lbn}
+		id := blockIDOf(in.Ino, size/bs)
 		b, err := fs.pool.Get(id, fs.fetchBlock)
 		if err != nil {
 			return err
@@ -56,9 +61,14 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 		}
 		fs.pool.MarkDirty(b)
 		fs.pool.Release(b)
+		delete(fs.deltas, id)
+		patched = patched || fs.patched[id]
 	}
 	in.Size = size
 	in.Dirty, in.AttrDirty = true, true
+	if patched {
+		return fs.writeCheckpointLocked()
+	}
 	return nil
 }
 

@@ -44,8 +44,10 @@ const (
 	// describes, so roll-forward can detect a torn multi-block segment
 	// write) and the version field itself to the superblock. Version 3
 	// retired the data-age stamp of summaries and checkpoint segment
-	// entries: its slots stay where they were, reserved and zero.
-	formatVersion = 3
+	// entries: its slots stay where they were, reserved and zero. Version 4
+	// put patch records in summaries (a summary-only commit force) and their
+	// count in the first half of that summary slot.
+	formatVersion = 4
 
 	// NDirect is the number of direct block pointers in an inode.
 	NDirect = 12
@@ -188,7 +190,8 @@ func countKinds(entries []summaryEntry) (n [kindDelete + 1]int64) {
 //	nextSeg  int64    (pre-allocated successor segment, for roll-forward chaining)
 //	nBlocks  uint32   (blocks following the summary)
 //	nEntries uint32   (summary entries, = nBlocks + deletion records)
-//	reserved uint64   (zero; version 2's data-age stamp)
+//	nPatches uint32   (patch records after the entries)
+//	reserved uint32   (zero; half of version 2's data-age stamp)
 //	payloadCRC uint32 (CRC32 over the nBlocks described blocks, in order —
 //	                   lets roll-forward detect a torn multi-block segment
 //	                   write whose summary block survived)
@@ -196,8 +199,9 @@ func countKinds(entries []summaryEntry) (n [kindDelete + 1]int64) {
 //	                   batch; roll-forward must withhold the whole chain
 //	                   until the terminating partial is seen intact)
 //
-// The entries follow the header; the rest of the block is zero.
-const summaryHeaderSize = 4 + 4 + 8 + 8 + 8 + 4 + 4 + 8 + 4 + 4
+// The entries follow the header, then the patch records; the rest of the
+// block is zero.
+const summaryHeaderSize = 4 + 4 + 8 + 8 + 8 + 4 + 4 + 4 + 4 + 4 + 4
 
 // sumFlagCont marks a partial segment whose flush batch continues in the
 // next partial. A commit force writes all of a transaction's dirty pages in
@@ -211,6 +215,40 @@ func maxSummaryEntries(blockSize int) int {
 	return (blockSize - summaryHeaderSize) / summaryEntrySize
 }
 
+// patch is a summary's record of bytes a summary-only commit force made
+// durable for a block it did not log: Data goes at offset Off of logical
+// block LBN of file Ino. Roll-forward lays a block's patches, in sequence
+// order, over its last logged copy (zeros for a hole).
+//
+//	ino    uint64
+//	lbn    uint64
+//	off    uint16
+//	length uint16   (non-zero; off + length ≤ the block size)
+//	bytes  [length]
+type patch struct {
+	Ino  Ino
+	LBN  int64
+	Off  int
+	Data []byte
+}
+
+const patchHeaderSize = 8 + 8 + 2 + 2
+
+// patchRoom is how many bytes of patch records (headers included) fit in a
+// summary block beside nEntries entries.
+func patchRoom(blockSize, nEntries int) int {
+	return blockSize - summaryHeaderSize - nEntries*summaryEntrySize
+}
+
+// patchSize returns the encoded size of patches.
+func patchSize(patches []patch) int {
+	n := 0
+	for _, p := range patches {
+		n += patchHeaderSize + len(p.Data)
+	}
+	return n
+}
+
 type summary struct {
 	Seq        uint64
 	SelfAddr   int64
@@ -219,12 +257,13 @@ type summary struct {
 	PayloadCRC uint32
 	Flags      uint32
 	Entries    []summaryEntry
+	Patches    []patch
 }
 
 // encode fills block b with the summary.
 func (s *summary) encode(b []byte) error {
-	if len(s.Entries) > maxSummaryEntries(len(b)) {
-		return fmt.Errorf("lfs: %d summary entries exceed capacity %d", len(s.Entries), maxSummaryEntries(len(b)))
+	if len(s.Entries) > maxSummaryEntries(len(b)) || patchSize(s.Patches) > patchRoom(len(b), len(s.Entries)) {
+		return fmt.Errorf("lfs: %d summary entries and %d patch bytes exceed a %d-byte block", len(s.Entries), patchSize(s.Patches), len(b))
 	}
 	clear(b)
 	le := binary.LittleEndian
@@ -234,6 +273,7 @@ func (s *summary) encode(b []byte) error {
 	le.PutUint64(b[24:], uint64(s.NextSeg))
 	le.PutUint32(b[32:], uint32(s.NBlocks))
 	le.PutUint32(b[36:], uint32(len(s.Entries)))
+	le.PutUint32(b[40:], uint32(len(s.Patches)))
 	le.PutUint32(b[48:], s.PayloadCRC)
 	le.PutUint32(b[52:], s.Flags)
 	off := summaryHeaderSize
@@ -242,6 +282,17 @@ func (s *summary) encode(b []byte) error {
 		b[off+8] = byte(e.Kind)
 		le.PutUint64(b[off+9:], uint64(e.Index))
 		off += summaryEntrySize
+	}
+	for _, p := range s.Patches {
+		if len(p.Data) == 0 || p.Off < 0 || p.Off+len(p.Data) > len(b) {
+			return fmt.Errorf("lfs: patch of %d bytes at offset %d of block %d of inode %d", len(p.Data), p.Off, p.LBN, p.Ino)
+		}
+		le.PutUint64(b[off:], uint64(p.Ino))
+		le.PutUint64(b[off+8:], uint64(p.LBN))
+		le.PutUint16(b[off+16:], uint16(p.Off))
+		le.PutUint16(b[off+18:], uint16(len(p.Data)))
+		off += patchHeaderSize
+		off += copy(b[off:], p.Data)
 	}
 	le.PutUint32(b[4:], summaryChecksum(b))
 	return nil
@@ -268,8 +319,10 @@ func payloadChecksum(bufs [][]byte) uint32 {
 // decodeSummary parses a block as a summary. It returns ok=false (not an
 // error) if the block is not a valid summary written at addr — used by
 // roll-forward, where encountering a non-summary block means end of log. A
-// non-zero reserved slot or byte past the entries makes a block no summary
-// of this format, so what it accepts re-encodes to the same bytes.
+// non-zero reserved slot, a patch that overruns the block it names or the
+// summary itself, or a byte past the last record makes a block no summary of
+// this format, so what it accepts re-encodes to the same bytes. The patches'
+// Data alias b.
 func decodeSummary(b []byte, addr int64) (summary, bool) {
 	var s summary
 	if len(b) < summaryHeaderSize {
@@ -289,7 +342,8 @@ func decodeSummary(b []byte, addr int64) (summary, bool) {
 	}
 	s.NextSeg = int64(le.Uint64(b[24:]))
 	s.NBlocks = int(le.Uint32(b[32:]))
-	if le.Uint64(b[40:]) != 0 {
+	nPatches := int(le.Uint32(b[40:]))
+	if le.Uint32(b[44:]) != 0 {
 		return s, false
 	}
 	s.PayloadCRC = le.Uint32(b[48:])
@@ -311,6 +365,30 @@ func decodeSummary(b []byte, addr int64) (summary, bool) {
 		s.Entries[i].Kind = blockKind(b[off+8])
 		s.Entries[i].Index = int64(le.Uint64(b[off+9:]))
 		off += summaryEntrySize
+	}
+	// Each patch takes at least patchHeaderSize + 1 bytes, which bounds the
+	// count before anything is allocated for it.
+	if nPatches < 0 || nPatches > (len(b)-off)/(patchHeaderSize+1) {
+		return s, false
+	}
+	if nPatches > 0 {
+		s.Patches = make([]patch, nPatches)
+	}
+	for i := range s.Patches {
+		if len(b)-off < patchHeaderSize {
+			return s, false
+		}
+		p := &s.Patches[i]
+		p.Ino = Ino(le.Uint64(b[off:]))
+		p.LBN = int64(le.Uint64(b[off+8:]))
+		p.Off = int(le.Uint16(b[off+16:]))
+		n := int(le.Uint16(b[off+18:]))
+		off += patchHeaderSize
+		if n == 0 || p.Off+n > len(b) || n > len(b)-off {
+			return s, false
+		}
+		p.Data = b[off : off+n]
+		off += n
 	}
 	if !allZero(b[off:]) {
 		return s, false

@@ -54,7 +54,14 @@ type Stats struct {
 	StagedFlushes   int64 `json:"staged_flushes"` // flushes of a full stage
 	// SkippedTailBlocks counts the blocks left unwritten at the end of the
 	// segments the log head moved past.
-	SkippedTailBlocks int64        `json:"skipped_tail_blocks"`
+	SkippedTailBlocks int64 `json:"skipped_tail_blocks"`
+	// File.Sync forces: SummaryOnlyForces wrote one summary block whose patch
+	// records carried PatchBytes bytes; FullForces wrote the file's blocks
+	// (the bytes did not fit, or the force had to pack an inode or write a
+	// pointer block).
+	SummaryOnlyForces int64        `json:"summary_only_forces"`
+	PatchBytes        int64        `json:"patch_bytes"`
+	FullForces        int64        `json:"full_forces"`
 	Cleaner           CleanerStats `json:"cleaner"`
 	// WriteBehind is the background-lane time of full-stage flushes.
 	WriteBehind disk.BgTimes `json:"write_behind"`
@@ -99,7 +106,13 @@ type FS struct {
 	// the next partial segment carries them; its bound is one segment.
 	stage      *ufs.Stage
 	pendingDel []Ino
-	cleaning   bool
+	// deltas holds what each dirty block written through the cache changed
+	// since its bytes were last durable, while that is known (noteWrite);
+	// patched the blocks whose newest durable bytes are in summary patches
+	// only, which a checkpoint must log whole first (patch.go).
+	deltas   map[buffer.BlockID]delta
+	patched  map[buffer.BlockID]bool
+	cleaning bool
 	// chainCont is set while a multi-partial flush batch is incomplete:
 	// every partial written in that window (including cleaner relocations
 	// triggered mid-flush) carries sumFlagCont, and checkpoints are
@@ -190,6 +203,8 @@ func Format(dev *disk.Device, clock *sim.Clock, opts Options) (*FS, error) {
 func (fs *FS) attach() {
 	fs.frames = frame.NewList(fs.blockSize)
 	fs.stage = ufs.NewStage(int(fs.sb.SegmentBlocks), fs.blockSize)
+	fs.deltas = make(map[buffer.BlockID]delta)
+	fs.patched = make(map[buffer.BlockID]bool)
 	fs.pool = buffer.New(fs.opts.CacheBlocks, fs.blockSize, fs.writeback)
 	fs.upper = ufs.New(ufs.Ops[*inode]{
 		Pool:     fs.pool,
@@ -203,8 +218,9 @@ func (fs *FS) attach() {
 		Update:   func(*inode) error { return nil },
 		Reserve:  fs.boundLocked,
 		Truncate: fs.truncateLocked,
-		Sync:     func(in *inode) error { return fs.flushLocked(map[Ino]bool{in.Ino: true}, true, nil) },
+		Sync:     fs.syncLocked,
 		Tick:     fs.maybeFlushStageLocked,
+		Note:     fs.noteWrite,
 
 		InodeAtSync: fs.opts.InodeAtSync,
 	}, false)
@@ -245,6 +261,7 @@ func (fs *FS) releaseLocked(in *inode) error {
 		return err
 	}
 	fs.stage.UnparkFile(vfs.FileID(in.Ino))
+	fs.forgetDeltasLocked(in.Ino)
 	return nil
 }
 
@@ -389,6 +406,7 @@ func (fs *FS) accountNew(addr int64) {
 //simlint:noalloc
 func (fs *FS) writeback(id buffer.BlockID, data []byte) error {
 	fs.stage.Park(id, data)
+	delete(fs.deltas, id)
 	return nil
 }
 
@@ -456,14 +474,18 @@ func (fs *FS) fetchBlock(id buffer.BlockID, dst []byte) error {
 	if err != nil {
 		return err
 	}
-	addr, err := fs.blockAddr(in, id.Block)
+	return fs.readLoggedLocked(in, id.Block, dst)
+}
+
+// readLoggedLocked reads the last logged copy of a file block into dst:
+// zeros for a hole.
+func (fs *FS) readLoggedLocked(in *inode, lbn int64, dst []byte) error {
+	addr, err := fs.blockAddr(in, lbn)
 	if err != nil {
 		return err
 	}
 	if addr == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 		return nil
 	}
 	return fs.dev.Read(addr, dst)

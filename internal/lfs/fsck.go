@@ -3,6 +3,7 @@ package lfs
 import (
 	"fmt"
 
+	"repro/internal/buffer"
 	"repro/internal/detsort"
 )
 
@@ -31,7 +32,10 @@ func (r *FsckReport) problemf(format string, args ...interface{}) {
 //   - no two files claim the same disk block (no cross-linking);
 //   - every referenced block address lies inside the segment area;
 //   - file sizes are consistent with their block maps;
-//   - the maintained segment usage table matches a full recount.
+//   - the maintained segment usage table matches a full recount;
+//   - every block whose newest bytes are in summary patches only has a copy
+//     a checkpoint can log: dirty in the cache, or staged;
+//   - the free-segment count is the number of free segments.
 //
 // It reads through the device (charging simulated time) but modifies
 // nothing.
@@ -162,8 +166,27 @@ func (fs *FS) Fsck() (*FsckReport, error) {
 		}
 	}
 
-	// 5. Segment usage recount.
-	if _, _, diff, err := fs.auditLocked(); err != nil {
+	// 5. Patched blocks a checkpoint would have nothing to log for.
+	for _, id := range detsort.KeysFunc(fs.patched, buffer.CompareBlockID) {
+		b := fs.pool.Lookup(id)
+		if _, staged := fs.stage.Lookup(id); !staged && (b == nil || !b.Dirty()) {
+			rep.problemf("block %v: bytes in summary patches only, and neither dirty nor staged", id)
+		}
+	}
+
+	// 6. The free count the cleaner steers by.
+	var free int64
+	for _, si := range fs.segs {
+		if si.State == segFree {
+			free++
+		}
+	}
+	if free != fs.free {
+		rep.problemf("free-segment count %d, but %d segments are free", fs.free, free)
+	}
+
+	// 7. Segment usage recount.
+	if _, _, diff, err := fs.AuditUsage(); err != nil {
 		rep.problemf("usage audit failed: %v", err)
 	} else if len(diff) > 0 {
 		rep.problemf("segment usage divergence in %d segments: %v", len(diff), diff)

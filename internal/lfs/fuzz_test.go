@@ -16,8 +16,10 @@ import (
 //
 //	go run ./cmd/lfsdump -disk-mb 6 -files 2 -rounds 3 -size 4096 -save internal/lfs/testdata/lfsdump.img
 //
-// Its partials carry data, inode packs, a deletion record and a pack-less
-// commit force. Re-make it when formatVersion changes.
+// Its partials carry data, inode packs, a deletion record, a pack-less
+// commit force and a summary-only one. Re-make it when formatVersion
+// changes; testdata/lfsdump-v3.img is the image of format version 3, which a
+// mount must refuse (TestMountRefusesFormatV3).
 const seedImageMB = 6
 
 // seedImage returns the image's two checkpoint records, the summary blocks
@@ -130,12 +132,13 @@ func TestCheckpointRejectsHostileCounts(t *testing.T) {
 	}
 }
 
-// TestSummaryRejectsReservedBytes: version 3 summaries leave the old
-// data-age slot and everything past the entries zero; a summary with either
-// set is not one this format wrote.
+// TestSummaryRejectsReservedBytes: version 4 summaries leave half the old
+// data-age slot and everything past the last record zero, and count their
+// patches in the other half; a summary with any of them set is not one this
+// format wrote.
 func TestSummaryRejectsReservedBytes(t *testing.T) {
 	s := summary{Seq: 1, SelfAddr: 10, NBlocks: 1, Entries: []summaryEntry{{Ino: 1, Kind: kindData}}}
-	for _, at := range []int{40, summaryHeaderSize + summaryEntrySize, 4095} {
+	for _, at := range []int{40, 44, summaryHeaderSize + summaryEntrySize, 4095} {
 		enc, _ := encodeSummary(&s)
 		enc[at] = 1
 		binary.LittleEndian.PutUint32(enc[4:], summaryChecksum(enc))
@@ -179,10 +182,31 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 // FuzzDecodeSummary feeds decodeSummary what a damaged log block might hold,
 // its CRC re-stamped so mutations reach the fields, at the address the
 // block claims for itself: the decoder never panics, and a summary it
-// accepts re-encodes to exactly the block.
+// accepts re-encodes to exactly the block. The seeds are the image's
+// summaries, a summary-only force among them, and two summaries of patches
+// beside entries and deletion records.
 func FuzzDecodeSummary(f *testing.F) {
 	_, sums, _ := seedImage(f)
+	patched := 0
 	for _, b := range sums {
+		if binary.LittleEndian.Uint32(b[40:]) > 0 {
+			patched++
+		}
+		f.Add(b)
+	}
+	if patched == 0 {
+		f.Fatal("the seed image has no summary-only force")
+	}
+	for _, s := range []summary{
+		{Seq: 7, SelfAddr: 300, Entries: []summaryEntry{{Ino: 4, Kind: kindDelete}},
+			Patches: []patch{{Ino: 2, LBN: 9, Off: 0, Data: []byte("header")}, {Ino: 2, LBN: 9, Off: 4000, Data: bytes.Repeat([]byte{7}, 96)}}},
+		{Seq: 8, SelfAddr: 301, NBlocks: 1, Entries: []summaryEntry{{Ino: 2, Kind: kindData, Index: 3}},
+			Patches: []patch{{Ino: 3, LBN: 1 << 40, Off: 4095, Data: []byte{1}}}},
+	} {
+		b, err := encodeSummary(&s)
+		if err != nil {
+			f.Fatal(err)
+		}
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -34,6 +34,10 @@ type inode struct {
 	// from a summary but never remove one, so the next flush that writes the
 	// inode — a commit force too — writes its dirty pointer blocks with it.
 	ptrsCleared bool
+	// forced: File.Sync has forced the file since it was loaded, so its
+	// writes are compared with the bytes they replace (noteWrite). A file
+	// nobody forces — a database being bulk-loaded — costs no comparison.
+	forced bool
 }
 
 // ptrBlock is a cached block of disk addresses.

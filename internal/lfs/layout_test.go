@@ -37,6 +37,8 @@ func partialsSince(fs *FS, seq uint64) []placed {
 // headTo walks the log head with commit forces of /pad, a direct-range file
 // with its final size, until exactly room blocks are left in the current
 // segment. Each force is summary + n data blocks: no inode pack, no pointer.
+// Every write is a new version of the whole block, so no force is
+// summary-only.
 func headTo(fs *FS, room int64) error {
 	bs := fs.BlockSize()
 	pad, err := fs.Create("/pad")
@@ -44,9 +46,11 @@ func headTo(fs *FS, room int64) error {
 		return err
 	}
 	defer pad.Close()
+	v := 0
 	write := func(n int64) error {
+		v++
 		for lbn := int64(0); lbn < n; lbn++ {
-			if _, err := pad.WriteAt(stamped(bs, lbn, 0), lbn*int64(bs)); err != nil {
+			if _, err := pad.WriteAt(stamped(bs, lbn, v), lbn*int64(bs)); err != nil {
 				return err
 			}
 		}

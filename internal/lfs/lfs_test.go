@@ -1147,6 +1147,7 @@ func TestPartialAtSegmentBoundaryCountsDoubleIndirect(t *testing.T) {
 		case r-(1+n) == 1:
 			n-- // do not leave exactly 1
 		}
+		block = pattern(int(bs), byte(len(tried))) // new bytes throughout: no summary-only force
 		for lbn := int64(0); lbn < n; lbn++ {
 			write(filler, lbn)
 		}

@@ -1,6 +1,7 @@
 package lfs
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -153,7 +154,9 @@ func (fs *FS) checkpointLocked() error {
 // only by replaying the commit summaries — and a checkpoint moves the
 // roll-forward start past those summaries. A crash right after a flushless
 // checkpoint would then resolve indirect-range blocks through the stale
-// on-disk pointer blocks, silently reviving pre-commit data. The cleaner
+// on-disk pointer blocks, silently reviving pre-commit data. For the same
+// reason every block whose newest durable bytes are in summary patches only
+// is logged whole first (logPatchedLocked). The cleaner
 // uses this to advance the checkpoint boundary (and thereby unlock victim
 // segments) without triggering a full data flush while segments are scarce.
 func (fs *FS) writeCheckpointLocked() error {
@@ -168,6 +171,9 @@ func (fs *FS) writeCheckpointLocked() error {
 	}
 	span := fs.tracer.Begin("lfs", "lfs.checkpoint")
 	defer func() { span.End(trace.AU("seq", fs.seq)) }()
+	if err := fs.logPatchedLocked(); err != nil {
+		return err
+	}
 	var metaDirty []Ino
 	for _, ino := range detsort.Keys(fs.inodes) {
 		if fs.inodeMetaDirty(fs.inodes[ino]) {
@@ -176,7 +182,7 @@ func (fs *FS) writeCheckpointLocked() error {
 	}
 	for len(metaDirty) > 0 {
 		n := min(len(metaDirty), maxFilesPerPartial)
-		if err := fs.writePartialLocked(nil, metaDirty[:n], false); err != nil {
+		if err := fs.writePartialLocked(nil, metaDirty[:n], false, nil); err != nil {
 			return err
 		}
 		metaDirty = metaDirty[n:]
@@ -369,10 +375,14 @@ func (fs *FS) rollForwardLocked() error {
 	// lbn -1, a double-indirect child under its slot.
 	packSeq := make(map[Ino]uint64)
 	ptrSeq := make(map[ptrKey]uint64)
+	// patches holds, per block, the patches logged since the block was last
+	// logged whole, oldest first.
+	patches := make(map[ptrKey][]patch)
 	// apply folds one intact partial's summary into the recovered state:
 	// blocks map one-to-one onto the entries with block-consuming kinds, in
 	// order, at pos+1, pos+2, ... Inode pack blocks are decoded to learn
-	// which inodes they carry; deletion records drop imap entries.
+	// which inodes they carry; deletion records drop imap entries. Patches
+	// come after the entries.
 	apply := func(sum summary, payload [][]byte, pos, seg int64) error {
 		blockIdx := int64(0)
 		for _, e := range sum.Entries {
@@ -387,9 +397,15 @@ func (fs *FS) rollForwardLocked() error {
 						delete(pendingPtr, k)
 					}
 				}
+				for k := range patches {
+					if k.ino == e.Ino {
+						delete(patches, k)
+					}
+				}
 				continue
 			case kindData:
 				pendingPtr[ptrKey{e.Ino, e.Index}] = loggedPtr{pos + 1 + blockIdx, sum.Seq}
+				delete(patches, ptrKey{e.Ino, e.Index})
 			case kindInd:
 				ptrSeq[ptrKey{e.Ino, -1}] = sum.Seq
 			case kindDChild:
@@ -412,6 +428,10 @@ func (fs *FS) rollForwardLocked() error {
 				}
 			}
 			blockIdx++
+		}
+		for _, p := range sum.Patches {
+			k := ptrKey{p.Ino, p.LBN}
+			patches[k] = append(patches[k], p)
 		}
 		fs.segs[seg].SeqStamp = sum.Seq
 		return nil
@@ -480,23 +500,9 @@ func (fs *FS) rollForwardLocked() error {
 	// Rebuild deferred pointers from the summaries' data entries: indirect-
 	// range entries restore pointer-block updates that were never written
 	// before the crash, direct-range entries the inode's own pointers.
-	ptrOrder := detsort.KeysFunc(pendingPtr, func(a, b ptrKey) int {
-		if a.ino != b.ino {
-			if a.ino < b.ino {
-				return -1
-			}
-			return 1
-		}
-		if a.lbn != b.lbn {
-			if a.lbn < b.lbn {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
+	byBlock := func(a, b ptrKey) int { return cmp.Or(cmp.Compare(a.ino, b.ino), cmp.Compare(a.lbn, b.lbn)) }
 	np := nptr(fs.blockSize)
-	for _, k := range ptrOrder {
+	for _, k := range detsort.KeysFunc(pendingPtr, byBlock) {
 		p := pendingPtr[k]
 		// A pack holds every direct pointer as of its own partial, and a
 		// pointer block every pointer of its range, so each is authoritative
@@ -526,6 +532,30 @@ func (fs *FS) rollForwardLocked() error {
 		}
 		if _, err := fs.setBlockAddr(in, k.lbn, p.addr); err != nil {
 			return err
+		}
+	}
+
+	// Lay each block's patches over its last logged copy, now that the
+	// pointers lead to it, and stage the result: Mount's checkpoint logs it
+	// whole.
+	for _, k := range detsort.KeysFunc(patches, byBlock) {
+		if _, ok := fs.imap[k.ino]; !ok {
+			continue
+		}
+		in, err := fs.loadInode(k.ino)
+		if err != nil {
+			return fmt.Errorf("lfs: patch replay for inode %d: %w", k.ino, err)
+		}
+		if k.lbn*int64(fs.blockSize) >= in.Size {
+			continue
+		}
+		id := blockIDOf(k.ino, k.lbn)
+		b := fs.stage.Frame(id)
+		if err := fs.readLoggedLocked(in, k.lbn, b); err != nil {
+			return err
+		}
+		for _, p := range patches[k] {
+			copy(b[p.Off:], p.Data)
 		}
 	}
 	return nil

@@ -79,7 +79,7 @@ func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage)
 		// drains them opportunistically), so only remaining data/meta
 		// work keeps the chain open.
 		fs.chainCont = len(items) > 0 || len(files) > 0
-		if err := fs.writePartialLocked(chunk, chunkFiles, deferPtr); err != nil {
+		if err := fs.writePartialLocked(chunk, chunkFiles, deferPtr, nil); err != nil {
 			return err
 		}
 		if len(commit) > 0 && fs.chainCont {
@@ -94,7 +94,7 @@ func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage)
 	fs.chainCont = false
 	// Deletion records with no accompanying blocks still need logging.
 	if len(fs.pendingDel) > 0 {
-		if err := fs.writePartialLocked(nil, nil, deferPtr); err != nil {
+		if err := fs.writePartialLocked(nil, nil, deferPtr, nil); err != nil {
 			return err
 		}
 	}
@@ -234,9 +234,9 @@ func (fs *FS) gatherRelocLocked(ids map[buffer.BlockID]bool, inos map[Ino]bool) 
 	return items, metaOnly
 }
 
-// flushRelocLocked writes the cleaner's scoped work list. Cleaning is in
-// progress, so no further cleaning is triggered; segment advances may dig
-// into the reserve cleanThreshold maintains.
+// flushRelocLocked writes a scoped work list: the cleaner's, or the patched
+// blocks a checkpoint logs whole. It triggers no cleaning; segment advances
+// may dig into the reserve cleanThreshold maintains.
 func (fs *FS) flushRelocLocked(ids map[buffer.BlockID]bool, inos map[Ino]bool) error {
 	items, files := fs.gatherRelocLocked(ids, inos)
 	for len(items) > 0 || len(files) > 0 {
@@ -244,7 +244,7 @@ func (fs *FS) flushRelocLocked(ids map[buffer.BlockID]bool, inos map[Ino]bool) e
 		if err != nil {
 			return err
 		}
-		if err := fs.writePartialLocked(chunk, chunkFiles, false); err != nil {
+		if err := fs.writePartialLocked(chunk, chunkFiles, false, nil); err != nil {
 			return err
 		}
 	}
@@ -556,8 +556,8 @@ func (fs *FS) chunkLen(items []dataItem, files []Ino, deferPtr bool, budget int)
 
 // writePartialLocked emits one partial segment: a summary block followed by
 // the chunk's data blocks, then the affected pointer blocks and inodes (in
-// dependency order), then logs pending deletions in the summary.
-func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool) error {
+// dependency order), then logs pending deletions and patches in the summary.
+func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool, patches []patch) error {
 	fileSet := map[Ino]bool{}
 	perFile := map[Ino][]int64{}
 	for _, it := range chunk {
@@ -718,7 +718,8 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 	}
 
 	// 3. Deletion records (no blocks; capacity permitting).
-	for len(fs.pendingDel) > 0 && len(entries) < maxSummaryEntries(fs.blockSize) {
+	for len(fs.pendingDel) > 0 && len(entries) < maxSummaryEntries(fs.blockSize) &&
+		patchSize(patches) <= patchRoom(fs.blockSize, len(entries)+1) {
 		ino := fs.pendingDel[0]
 		fs.pendingDel = fs.pendingDel[1:]
 		entries = append(entries, summaryEntry{Ino: ino, Kind: kindDelete})
@@ -737,6 +738,7 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 		PayloadCRC: payloadChecksum(blocks[1:]),
 		Flags:      flags,
 		Entries:    entries,
+		Patches:    patches,
 	}
 	blocks[0] = fs.frames.Take()
 	if err := sum.encode(blocks[0]); err != nil {
@@ -759,7 +761,9 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 	// entry when this partial starts the segment, an append when the cache
 	// already covers everything before it. (After a mount the current
 	// segment may have pre-existing partials we never saw; its cache entry
-	// stays absent and the cleaner falls back to the disk walk.)
+	// stays absent and the cleaner falls back to the disk walk.) The cleaner
+	// has no use for patches, and they alias the cache's buffers.
+	sum.Patches = nil
 	if fs.curOff == 0 {
 		fs.sumCache[fs.curSeg] = []summary{sum}
 	} else if sums, ok := fs.sumCache[fs.curSeg]; ok {
@@ -774,12 +778,14 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 	fs.stats.InodePackBlocks += kinds[kindInodePack]
 	fs.stats.PointerBlocks += kinds[kindInd] + kinds[kindDInd] + kinds[kindDChild]
 
-	// 5. The written blocks are now clean/persisted.
+	// 5. The written blocks are now clean/persisted, their patches superseded.
 	for _, it := range chunk {
 		if it.buf != nil {
 			fs.pool.MarkClean(it.buf)
 		}
 		fs.stage.Unpark(it.id)
+		delete(fs.deltas, it.id)
+		delete(fs.patched, it.id)
 	}
 
 	if fs.sb.SegmentBlocks-fs.curOff < minSegmentTail {

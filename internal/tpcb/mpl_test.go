@@ -114,7 +114,7 @@ func TestMPLDeterminism(t *testing.T) {
 // TestMPLDeterminism already pins. The disk is sized so the log wraps and
 // cleaning genuinely runs.
 func TestMPLCleanerDeterminism(t *testing.T) {
-	const txns, mpl = 800, 8
+	const txns, mpl = 1200, 8
 	for _, kind := range []string{"user-lfs", "kernel-lfs"} {
 		t.Run(kind, func(t *testing.T) {
 			type snapshot struct {
@@ -124,15 +124,15 @@ func TestMPLCleanerDeterminism(t *testing.T) {
 				disk interface{}
 			}
 			run := func() snapshot {
-				// The shrunken disk makes the log wrap within 800
-				// transactions on both rig kinds, so the run exercises
-				// real cleaning, not an idle no-op. (600 no longer wrap
-				// user-lfs's: a force into the preallocated WAL segment
-				// packs no inode, so it logs fewer blocks.)
+				// The shrunken disk, sized for 800 transactions, makes the
+				// log wrap within the 1,200 the run makes on both rig kinds,
+				// so the run exercises real cleaning, not an idle no-op.
+				// (800 no longer wrap user-lfs's: most commit forces write
+				// one summary block.)
 				rig, err := BuildRig(RigOptions{
 					Kind:         kind,
 					Config:       smallCfg(),
-					ExpectedTxns: txns,
+					ExpectedTxns: 800,
 					GroupCommit:  4,
 					CleanerMode:  "idle",
 					DiskScale:    0.5,

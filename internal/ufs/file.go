@@ -144,13 +144,18 @@ func (fs *FS[N]) writeAt(in N, p []byte, off int64) (int, error) {
 			want = avail
 		}
 		// A whole-block overwrite needn't fetch the old contents.
+		id := buffer.BlockID{File: vfs.FileID(h.Ino), Block: lbn}
 		fetch := fs.ops.Fetch
 		if bo == 0 && want == int(fs.bs) {
 			fetch = nil
 		}
-		b, err := fs.ops.Pool.Get(buffer.BlockID{File: vfs.FileID(h.Ino), Block: lbn}, fetch)
+		fresh := fetch == nil && fs.ops.Note != nil && fs.ops.Pool.Lookup(id) == nil
+		b, err := fs.ops.Pool.Get(id, fetch)
 		if err != nil {
 			return n, err
+		}
+		if fs.ops.Note != nil {
+			fs.ops.Note(in, b, int(bo), p[n:n+want], fresh)
 		}
 		copy(b.Data[bo:], p[n:n+want])
 		fs.ops.Pool.MarkDirty(b)

@@ -101,6 +101,12 @@ type Ops[N Node] struct {
 	// partial segment, FFS as one C-SCAN sweep), and on FFS it runs the 30 s
 	// syncer, which also stores the inodes that are merely Dirty.
 	Tick func() error
+	// Note, if set, is shown every write before its bytes reach the buffer:
+	// p is about to be copied into b at off. fresh says the pool handed out a
+	// zeroed buffer without fetching the block, as it does for a whole-block
+	// overwrite, so b's bytes are not the block's. LFS learns from it which
+	// bytes a File.Sync has to make durable.
+	Note func(in N, b *buffer.Buf, off int, p []byte, fresh bool)
 
 	// InodeAtSync makes File.Sync write the inode whenever it is Dirty, as a
 	// full fsync(2) would. It is the second arm of `txnbench -fig fsync` and
