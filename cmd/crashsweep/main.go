@@ -13,7 +13,6 @@
 //	crashsweep                          # all three systems, defaults
 //	crashsweep -system kernel-lfs -points 600 -txns 300
 //	crashsweep -seed 42 -torn=false
-//	crashsweep -devices 2 -points 60    # user-level systems, one file system and log per device
 //	crashsweep -json                    # machine-readable reports
 //
 // The sweep is deterministic: the same flags always produce byte-identical
@@ -38,16 +37,10 @@ func main() {
 	scale := flag.Float64("diskscale", 0.7, "disk size scale (smaller exercises the cleaner)")
 	logSeg := flag.Int64("logseg", 0, "WAL segment rotation threshold in payload bytes for the user-level systems (0 = wal default; small values put crash points on rotation and truncation)")
 	jsonOut := flag.Bool("json", false, "emit each report as a JSON object instead of a table")
-	devices := flag.Int("devices", 1, "number of disk devices: 1 = the paper's single spindle; more gives each device its own file system and log, with two-phase commit across them (sweeps only the user-level systems)")
 	snapshots := flag.Int("snapshots", 0, "open a read-only MVCC snapshot every Nth transaction and hold it across the next ones (0 = off)")
 	flag.Parse()
 
 	systems := []string{"kernel-lfs", "user-lfs", "user-ffs"}
-	if *devices > 1 {
-		// More than one device runs one transaction environment per
-		// device; the kernel-embedded system has no such split.
-		systems = []string{"user-lfs", "user-ffs"}
-	}
 	if *system != "all" {
 		systems = []string{*system}
 	}
@@ -61,7 +54,6 @@ func main() {
 			MaxPoints:       *points,
 			DiskScale:       *scale,
 			LogSegmentBytes: *logSeg,
-			Devices:         *devices,
 			Snapshots:       *snapshots,
 		})
 		if err != nil {

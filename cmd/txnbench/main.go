@@ -11,7 +11,6 @@
 //	txnbench -fig sync|cleaner|commitbytes
 //	txnbench -fig fsync               # Figure 4's margin under data sync vs inode at every Sync (not in "all")
 //	txnbench -fig mpl                 # TPS vs multiprogramming level (not in "all")
-//	txnbench -fig devices -devices 1,2,4   # TPS vs MPL vs spindle count (not in "all")
 //	txnbench -fig cleaner -json       # machine-readable output
 //	txnbench -fig 4 -cleaner idle
 //	txnbench -fig scan -scanners 2 -scans 1 -metrics BENCH_scan.json   # MVCC snapshot scans vs locking (not in "all")
@@ -28,14 +27,12 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 
 	"repro/internal/figures"
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to reproduce: 4, 5, 6, 7, sync, fsync, cleaner, commitbytes, mpl, devices, scan, all")
+	fig := flag.String("fig", "all", "figure to reproduce: 4, 5, 6, 7, sync, fsync, cleaner, commitbytes, mpl, scan, all")
 	scale := flag.Float64("scale", 0.05, "TPC-B scale factor (1.0 = the paper's 1,000,000 accounts)")
 	txns := flag.Int("txns", 5000, "transactions per measured run")
 	cleaner := flag.String("cleaner", "", "override the LFS cleaning discipline for all rigs: sync or idle (default: each system's natural mode)")
@@ -46,7 +43,6 @@ func main() {
 	metricsOut := flag.String("metrics", "", "with -fig scan: write the full snapshot sweep as one JSON document")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the figure runs (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the figure runs (go tool pprof)")
-	devicesFlag := flag.String("devices", "1,2,4", "with -fig devices: comma-separated device counts to sweep")
 	scanners := flag.Int("scanners", 0, "with -fig scan: concurrent scan clients (0 = default 2)")
 	scansEach := flag.Int("scans", 0, "with -fig scan: full account scans per scan client (0 = default 1)")
 	flag.Parse()
@@ -115,15 +111,6 @@ func main() {
 		"mpl": {"mpl", func() (fmt.Stringer, error) {
 			return figures.FigureMPL(opts)
 		}},
-		// The device sweep runs the partitioned multi-spindle rigs to
-		// MPL 256 per device count; not part of "all".
-		"devices": {"devices", func() (fmt.Stringer, error) {
-			devs, err := parseDevices(*devicesFlag)
-			if err != nil {
-				return nil, err
-			}
-			return figures.FigureDevices(opts, devs)
-		}},
 		// The mixed OLTP + long-scan sweep (MVCC snapshot reads vs locking
 		// scans); not part of "all".
 		"scan": {"scan", func() (fmt.Stringer, error) {
@@ -187,27 +174,6 @@ func main() {
 		}
 		fmt.Print(rep.String())
 	}
-}
-
-// parseDevices parses the -devices flag: a comma-separated list of positive
-// device counts.
-func parseDevices(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("txnbench: bad -devices entry %q", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("txnbench: -devices is empty")
-	}
-	return out, nil
 }
 
 func writeJSON(path string, v any) error {

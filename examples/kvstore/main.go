@@ -102,6 +102,26 @@ func main() {
 		}
 	}
 
+	// Change of mind: Abort puts the update's before-image back in the
+	// cached page and logs it as a compensation record, so recovery replays
+	// the rollback in log order instead of undoing it.
+	undone := env.Begin()
+	tree, err := btree.Open(undone.Store(store.db))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := tree.Put([]byte("user:03"), []byte("OVERDRAWN")); err != nil {
+		log.Fatal(err)
+	}
+	if err := undone.Abort(); err != nil {
+		log.Fatal(err)
+	}
+	got, err := store.Get("user:03")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("user:03 after abort = %q (update rolled back)\n", got)
+
 	// Start a transaction and CRASH before it commits: its updates are in
 	// the write-ahead log (forced by an eviction or not at all), but no
 	// commit record exists — recovery must roll it back.

@@ -59,9 +59,6 @@ func (a *FSAdapter) ReadDir(path string) ([]vfs.DirEntry, error) { return a.m.fs
 // Stat implements vfs.FileSystem.
 func (a *FSAdapter) Stat(path string) (vfs.FileInfo, error) { return a.m.fs.Stat(path) }
 
-// Rename implements vfs.FileSystem.
-func (a *FSAdapter) Rename(oldPath, newPath string) error { return a.m.fs.Rename(oldPath, newPath) }
-
 // Sync implements vfs.FileSystem.
 func (a *FSAdapter) Sync() error { return a.m.fs.Sync() }
 

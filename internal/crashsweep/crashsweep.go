@@ -29,7 +29,6 @@ import (
 	"repro/internal/ffs"
 	"repro/internal/lfs"
 	"repro/internal/libtp"
-	"repro/internal/lock"
 	"repro/internal/pagestore"
 	"repro/internal/tpcb"
 	"repro/internal/vfs"
@@ -66,21 +65,13 @@ type Options struct {
 	// blocks (16 KB) also put checkpoints mid-block in segments that seal
 	// before the crash, so recovery seeks into a sealed segment.
 	LogSegmentBytes int64
-	// Devices is the number of spindles (0 or 1 = the classic single
-	// disk). With more than one, each device carries its own file system
-	// and log and the user-level systems run two-phase commit across them;
-	// crash points land between a participant's prepare and the
-	// coordinator's decision, and between the decision and the
-	// participants' phase-two commits. tpcb.BuildRig refuses kernel-lfs
-	// on more than one device.
-	Devices int
 	// Snapshots, when positive, opens a read-only MVCC snapshot every
 	// Snapshots-th transaction, reads account pages through it, and holds
 	// it across the following transactions (closing one transaction before
 	// the next opens). Crash points then land while a snapshot is pinned
 	// and commits keep before-images for it; the sweep verifies that the
 	// volatile snapshot state (pins die with the crash) never compromises
-	// recovery. Ignored on partitioned (sharded) rigs.
+	// recovery.
 	Snapshots int
 }
 
@@ -92,9 +83,6 @@ func (o *Options) fill() error {
 	}
 	if o.Config == (tpcb.Config{}) {
 		o.Config = tpcb.Config{Accounts: 1000, Tellers: 10, Branches: 2, Seed: o.Seed + 1}
-	}
-	if o.Devices > 1 {
-		o.Config = o.Config.WithRowsPerShard(o.Devices)
 	}
 	if o.Txns == 0 {
 		o.Txns = 200
@@ -186,13 +174,12 @@ func buildRig(opts Options) (*tpcb.Rig, error) {
 		ExpectedTxns:    opts.Txns,
 		DiskScale:       opts.DiskScale,
 		LogSegmentBytes: opts.LogSegmentBytes,
-		Devices:         opts.Devices,
 	})
 }
 
 // checkpointRig runs the harness checkpoint appropriate for the system: the
-// user-level drain (force every shard's log, then checkpoint every shard), or
-// an LFS sync under the embedded manager.
+// user-level drain (an environment checkpoint), or an LFS sync under the
+// embedded manager.
 func checkpointRig(rig *tpcb.Rig) error {
 	if rig.Core != nil {
 		return rig.LFS.Sync()
@@ -239,7 +226,7 @@ type snapshotProber struct {
 }
 
 func newSnapshotProber(opts Options, rig *tpcb.Rig) (*snapshotProber, error) {
-	if opts.Snapshots <= 0 || len(rig.Shards) > 1 {
+	if opts.Snapshots <= 0 {
 		return nil, nil
 	}
 	p := &snapshotProber{every: opts.Snapshots}
@@ -323,7 +310,7 @@ func goldenRun(opts Options) (*tpcb.Rig, []span, int64, error) {
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	loadOps := rig.Crash.WriteOps()
+	loadOps := rig.Dev.WriteOps()
 	prober, err := newSnapshotProber(opts, rig)
 	if err != nil {
 		return nil, nil, 0, err
@@ -333,7 +320,7 @@ func goldenRun(opts Options) (*tpcb.Rig, []span, int64, error) {
 	prev := loadOps
 	events := denseEvents(rig)
 	note := func(stage string) {
-		cur := rig.Crash.WriteOps()
+		cur := rig.Dev.WriteOps()
 		if e := denseEvents(rig); e != events && stage == "txn" {
 			stage, events = "txn+event", e
 		}
@@ -441,13 +428,13 @@ func replayTo(opts Options, n int64) (*tpcb.Rig, []tpcb.Txn, *tpcb.Txn, string, 
 	if err != nil {
 		return nil, nil, nil, "", err
 	}
-	rig.Crash.CrashAfter(n, opts.Torn, tornSeed)
+	rig.Dev.CrashAfter(n, opts.Torn, tornSeed)
 	gen := tpcb.NewGenerator(opts.Config)
 	var committed []tpcb.Txn
 	for i := 0; i < opts.Txns; i++ {
 		tx := gen.Next()
 		if err := rig.Sys.Run(tx); err != nil {
-			if rig.Crash.Crashed() {
+			if rig.Dev.Crashed() {
 				return rig, committed, &tx, "txn", nil
 			}
 			return nil, nil, nil, "", fmt.Errorf("replay txn %d: %w", i, err)
@@ -457,14 +444,14 @@ func replayTo(opts Options, n int64) (*tpcb.Rig, []tpcb.Txn, *tpcb.Txn, string, 
 			// The probe never writes, so it cannot fire the crash itself —
 			// but it surfaces device errors if the crash fired mid-commit
 			// and the transaction was not acknowledged.
-			if rig.Crash.Crashed() {
+			if rig.Dev.Crashed() {
 				return rig, committed, nil, "txn", nil
 			}
 			return nil, nil, nil, "", fmt.Errorf("replay txn %d: %w", i, err)
 		}
 		if opts.CheckpointEvery > 0 && (i+1)%opts.CheckpointEvery == 0 && i+1 < opts.Txns {
 			if err := checkpointRig(rig); err != nil {
-				if rig.Crash.Crashed() {
+				if rig.Dev.Crashed() {
 					return rig, committed, nil, "checkpoint", nil
 				}
 				return nil, nil, nil, "", fmt.Errorf("replay checkpoint: %w", err)
@@ -473,22 +460,22 @@ func replayTo(opts Options, n int64) (*tpcb.Rig, []tpcb.Txn, *tpcb.Txn, string, 
 	}
 	prober.close()
 	if err := rig.Sys.Drain(); err != nil {
-		if rig.Crash.Crashed() {
+		if rig.Dev.Crashed() {
 			return rig, committed, nil, "drain", nil
 		}
 		return nil, nil, nil, "", fmt.Errorf("replay drain: %w", err)
 	}
-	if !rig.Crash.Crashed() {
+	if !rig.Dev.Crashed() {
 		return nil, nil, nil, "", fmt.Errorf("crash point %d never fired (run issues fewer ops?)", n)
 	}
 	return rig, committed, nil, "post-drain", nil
 }
 
-// recoverAndVerify reboots the crashed devices, runs the system's recovery
+// recoverAndVerify reboots the crashed device, runs the system's recovery
 // path, and checks every invariant. It returns the simulated recovery time
 // and, for the user-level systems, the WAL recovery's scan statistics.
 func recoverAndVerify(opts Options, rig *tpcb.Rig, committed []tpcb.Txn, inFlight *tpcb.Txn) (time.Duration, wal.ScanStats, error) {
-	rig.Crash.ClearCrash()
+	rig.Dev.ClearCrash()
 	start := rig.Clock.Now()
 	var scan wal.ScanStats
 	if rig.Core != nil {
@@ -503,50 +490,39 @@ func recoverAndVerify(opts Options, rig *tpcb.Rig, committed []tpcb.Txn, inFligh
 		return elapsed, scan, tpcb.VerifyState(fs2, committed, inFlight)
 	}
 
-	// User level: reboot every shard's device, resolve in-doubt two-phase-
-	// commit branches from the union of durable decision records (none, with
-	// one shard), and verify the cross-shard invariants: a transfer must be
-	// everywhere or nowhere, never half of each.
-	fss := make([]vfs.FileSystem, len(rig.Devs))
-	for i, dev := range rig.Devs {
-		if opts.System == "user-lfs" {
-			fs2, err := lfs.Mount(dev, rig.Clock, lfs.Options{CacheBlocks: 256})
-			if err != nil {
-				return 0, scan, fmt.Errorf("shard %d mount: %w", i, err)
-			}
-			fss[i] = fs2
-			continue
-		}
-		fs2, err := ffs.Mount(dev, rig.Clock, ffs.Options{CacheBlocks: 256})
+	// User level: file-system recovery, then WAL redo/undo.
+	var fsys vfs.FileSystem
+	if opts.System == "user-lfs" {
+		fs2, err := lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256})
 		if err != nil {
-			return 0, scan, fmt.Errorf("shard %d mount: %w", i, err)
+			return 0, scan, fmt.Errorf("mount: %w", err)
+		}
+		fsys = fs2
+	} else {
+		fs2, err := ffs.Mount(rig.Dev, rig.Clock, ffs.Options{CacheBlocks: 256})
+		if err != nil {
+			return 0, scan, fmt.Errorf("mount: %w", err)
 		}
 		// The bitmap rebuild MUST precede WAL replay: replay may extend
 		// files, and allocating from the stale bitmap could clobber
 		// durable blocks the inode table owns.
 		if _, err := fs2.Fsck(); err != nil {
-			return 0, scan, fmt.Errorf("shard %d fsck: %w", i, err)
+			return 0, scan, fmt.Errorf("fsck: %w", err)
 		}
-		fss[i] = fs2
+		fsys = fs2
 	}
-	_, reps, err := tpcb.RecoverSharded(fss, rig.Clock, libtp.Options{LogSegmentBytes: opts.LogSegmentBytes}, lock.NewManager())
+	_, rep, err := libtp.RecoverPaths(fsys, rig.Clock, libtp.Options{LogSegmentBytes: opts.LogSegmentBytes}, tpcb.DBPaths())
 	if err != nil {
 		return 0, scan, fmt.Errorf("wal recovery: %w", err)
 	}
-	for _, r := range reps {
-		scan.Segments += r.Scan.Segments
-		scan.Blocks += r.Scan.Blocks
-		scan.Records += r.Scan.Records
-	}
-	for i, f := range fss {
-		if lf, ok := f.(*lfs.FS); ok {
-			if err := fsckLFS(lf); err != nil {
-				return 0, scan, fmt.Errorf("shard %d %w", i, err)
-			}
+	scan = rep.Scan
+	if lf, ok := fsys.(*lfs.FS); ok {
+		if err := fsckLFS(lf); err != nil {
+			return 0, scan, err
 		}
 	}
 	elapsed := rig.Clock.Now() - start
-	return elapsed, scan, tpcb.VerifyShardedState(fss, rig.Part, committed, inFlight)
+	return elapsed, scan, tpcb.VerifyState(fsys, committed, inFlight)
 }
 
 // fsckLFS checks a recovered LFS for self-consistency.
@@ -577,7 +553,7 @@ func Run(opts Options) (*Report, error) {
 		Txns:          opts.Txns,
 		Snapshots:     opts.Snapshots,
 		LoadWriteOps:  loadOps,
-		TotalWriteOps: golden.Crash.WriteOps(),
+		TotalWriteOps: golden.Dev.WriteOps(),
 	}
 	for _, s := range spans {
 		switch s.Stage {

@@ -3,9 +3,8 @@
 // charges simulated time for every access using a sim.DiskModel, tracking the
 // arm position so that sequential transfers (the log-structured file system's
 // segment writes) are billed at media bandwidth while scattered accesses pay
-// seek and rotational delays. A rig with several spindles puts one file
-// system on each Device; a CrashSet is the crash model, failing power to all
-// of its devices at once.
+// seek and rotational delays. The device also carries the crash model: it
+// counts its write operations and can fail power on a chosen one.
 //
 // The package also provides a C-SCAN request queue, used by the
 // read-optimized file system's syncer to sort delayed writes by block address
@@ -26,9 +25,9 @@ import (
 var (
 	ErrOutOfRange = errors.New("disk: block address out of range")
 	ErrBadSize    = errors.New("disk: buffer size does not match block size")
-	// ErrCrashed is returned by every access once the device's crash set
-	// has fired (see CrashSet.CrashAfter), until CrashSet.ClearCrash
-	// re-enables the device.
+	// ErrCrashed is returned by every access once the device's scheduled
+	// crash has fired (see Device.CrashAfter), until Device.ClearCrash
+	// re-enables it.
 	ErrCrashed = errors.New("disk: device crashed")
 )
 
@@ -112,13 +111,18 @@ type Device struct {
 	//simlint:tokenguarded
 	busyUntil time.Duration // virtual time the spindle finishes the request holding the arm
 
-	// Crash model (see CrashSet). The set a device joined counts its write
-	// operations and fires the crash; once crashed is set, every access
-	// fails with ErrCrashed until the set's ClearCrash.
+	// Crash model (see CrashAfter). Once crashed is set, every access fails
+	// with ErrCrashed until ClearCrash.
+	//simlint:tokenguarded
+	writeOps int64
+	//simlint:tokenguarded
+	crashAt int64 // 1-based write op to crash on; 0 = disabled
+	//simlint:tokenguarded
+	crashTorn bool
+	//simlint:tokenguarded
+	crashSeed uint64
 	//simlint:tokenguarded
 	crashed bool
-	//simlint:tokenguarded
-	cset *CrashSet // nil unless joined into a crash set
 }
 
 // SetFault installs (or clears, with nil) a fault-injection hook.
@@ -151,11 +155,62 @@ func (d *Device) checkFaultRun(op string, start int64, n int) error {
 	return nil
 }
 
-// noteWrite reports whether a write may proceed normally. A device joined
-// into a CrashSet hands the write to the set, which counts it and fires a
-// scheduled crash; a device in no set never crashes.
+// CrashAfter schedules a power failure on the n-th write operation since the
+// device was created (1-based; Write and WriteRun each count as one operation
+// — see WriteOps). The crashing operation persists none of its blocks, unless
+// torn is set, in which case a deterministic prefix of the run — chosen by a
+// RNG seeded with seed, possibly empty and possibly the whole run (the
+// "acknowledgement lost" case) — reaches the media before power fails. The
+// crashing write and every later access return ErrCrashed until ClearCrash.
+// No simulated time is charged for accesses after the crash.
+//
+//simlint:tokensafe(setup-time registration: runs before Run hands the token to any proc)
+func (d *Device) CrashAfter(n int64, torn bool, seed uint64) {
+	d.crashAt = n
+	d.crashTorn = torn
+	d.crashSeed = seed
+}
+
+// ClearCrash lifts a fired (or pending) crash so the device can be
+// remounted, modelling the post-crash reboot. Stored contents are exactly
+// what was durable at the crash point.
+//
+//simlint:tokensafe(setup-time registration: runs before Run hands the token to any proc)
+func (d *Device) ClearCrash() {
+	d.crashed = false
+	d.crashAt = 0
+}
+
+// Crashed reports whether the scheduled crash has fired.
+//
+//simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns)
+func (d *Device) Crashed() bool { return d.crashed }
+
+// WriteOps returns the number of write operations issued since the device
+// was created — the coordinate system CrashAfter addresses. Unlike Stats, it
+// is never reset.
+//
+//simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns)
+func (d *Device) WriteOps() int64 { return d.writeOps }
+
+// noteWrite counts a write operation and reports whether it may proceed
+// normally; on the scheduled operation it fires the crash instead, storing
+// the torn prefix of the run when the crash tears.
 func (d *Device) noteWrite(start int64, bufs [][]byte) bool {
-	return d.cset == nil || d.cset.noteWrite(d, start, bufs)
+	d.writeOps++
+	if d.crashAt == 0 || d.writeOps < d.crashAt {
+		return true
+	}
+	d.crashed = true
+	if d.crashTorn {
+		// The media wrote blocks strictly in order until power failed, so
+		// what survives is a prefix — anywhere from nothing to the full run.
+		k := sim.NewRNG(d.crashSeed).Intn(len(bufs) + 1)
+		for i := 0; i < k; i++ {
+			d.store(start+int64(i), bufs[i])
+		}
+	}
+	return false
 }
 
 // New creates a device with the given model, advancing the given clock on

@@ -683,22 +683,21 @@ func TestFaultInjectionMidRun(t *testing.T) {
 
 func TestCrashAfterStopsTheDevice(t *testing.T) {
 	dev, _ := newTestDevice()
-	cs := NewCrashSet(dev)
-	cs.CrashAfter(3, false, 1)
+	dev.CrashAfter(3, false, 1)
 	if err := dev.Write(0, block(dev, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := dev.WriteRun(1, [][]byte{block(dev, 2), block(dev, 3)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := cs.WriteOps(); got != 2 {
+	if got := dev.WriteOps(); got != 2 {
 		t.Fatalf("WriteOps = %d, want 2", got)
 	}
 	// Third write op crashes; nothing from it is durable (non-torn mode).
 	if err := dev.WriteRun(3, [][]byte{block(dev, 4), block(dev, 5)}); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("crashing write: got %v, want ErrCrashed", err)
 	}
-	if !cs.Crashed() {
+	if !dev.Crashed() {
 		t.Fatal("device should report crashed")
 	}
 	buf := block(dev, 0)
@@ -709,7 +708,7 @@ func TestCrashAfterStopsTheDevice(t *testing.T) {
 		t.Fatalf("post-crash write: got %v, want ErrCrashed", err)
 	}
 	// Reboot: earlier writes intact, crashing write absent.
-	cs.ClearCrash()
+	dev.ClearCrash()
 	if err := dev.Read(0, buf); err != nil || buf[0] != 1 {
 		t.Fatalf("block 0 after reboot: err=%v fill=%d", err, buf[0])
 	}
@@ -730,8 +729,7 @@ func TestCrashAfterStopsTheDevice(t *testing.T) {
 func TestCrashTornWriteIsDeterministicPrefix(t *testing.T) {
 	run := func(seed uint64) []byte {
 		dev, _ := newTestDevice()
-		cs := NewCrashSet(dev)
-		cs.CrashAfter(1, true, seed)
+		dev.CrashAfter(1, true, seed)
 		bufs := make([][]byte, 8)
 		for i := range bufs {
 			bufs[i] = block(dev, byte(i+1))
@@ -739,7 +737,7 @@ func TestCrashTornWriteIsDeterministicPrefix(t *testing.T) {
 		if err := dev.WriteRun(0, bufs); !errors.Is(err, ErrCrashed) {
 			t.Fatalf("torn crash: got %v, want ErrCrashed", err)
 		}
-		cs.ClearCrash()
+		dev.ClearCrash()
 		fills := make([]byte, 8)
 		for i := range fills {
 			got, err := dev.Peek(int64(i))

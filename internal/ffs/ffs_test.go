@@ -262,17 +262,6 @@ func TestRemoveFreesSpace(t *testing.T) {
 	}
 }
 
-func TestRename(t *testing.T) {
-	fs, _, _ := newFS(t)
-	writeFile(t, fs, "/x", []byte("content"))
-	if err := fs.Rename("/x", "/y"); err != nil {
-		t.Fatal(err)
-	}
-	if got := readFile(t, fs, "/y"); string(got) != "content" {
-		t.Fatal("renamed content wrong")
-	}
-}
-
 func TestDirectoriesNested(t *testing.T) {
 	fs, _, _ := newFS(t)
 	for _, d := range []string{"/a", "/a/b", "/a/b/c"} {

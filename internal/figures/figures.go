@@ -278,11 +278,7 @@ func Figure5(opts Options) (*Figure5Report, error) {
 		if err != nil {
 			return 0, err
 		}
-		part, err := tpcb.NewPartitioner(cfg, 1)
-		if err != nil {
-			return 0, err
-		}
-		sys := tpcb.NewUserSystem([]*libtp.Env{env}, part, clk, opts.Costs)
+		sys := tpcb.NewUserSystem(env, clk, opts.Costs)
 		if err := sys.Load(cfg); err != nil {
 			return 0, err
 		}

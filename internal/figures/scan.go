@@ -16,7 +16,7 @@ import (
 // lock-free snapshot scans. Each row is the run's full snapshot with its
 // Scan section filled in; Modes records the requested mode per row (the
 // snapshot's own scan.mode is the effective one — user-ffs degrades
-// snapshot to locking, which measured faster there; DESIGN.md §12).
+// snapshot to locking, which measured faster there; DESIGN.md §11).
 type ScanReport struct {
 	Opts  Options
 	Modes []tpcb.ScanMode

@@ -3,8 +3,7 @@
 // system, the read-optimized file system, and the embedded transaction
 // manager's adapter, so the three stay interchangeable under every workload
 // in this repository. Besides the plain contract it pins the namespace's
-// failure behaviour: a directory cannot be renamed into its own subtree
-// (RenameSemantics), and a Mkdir or Create that fails leaves nothing behind
+// failure behaviour: a Mkdir or Create that fails leaves nothing behind
 // (FailedCreateLeavesNothing). script_test.go runs one long seed-derived
 // namespace script against all three and an in-memory model.
 package fstest
@@ -35,7 +34,6 @@ func Run(t *testing.T, name string, factory Factory) {
 		{"Directories", testDirectories},
 		{"PathErrors", testPathErrors},
 		{"RemoveSemantics", testRemoveSemantics},
-		{"RenameSemantics", testRenameSemantics},
 		{"FailedCreateLeavesNothing", testFailedCreate},
 		{"HandleLifecycle", testHandleLifecycle},
 		{"ManyFiles", testManyFiles},
@@ -270,57 +268,6 @@ func testRemoveSemantics(t *testing.T, fsys vfs.FileSystem) {
 	}
 }
 
-func testRenameSemantics(t *testing.T, fsys vfs.FileSystem) {
-	fsys.Mkdir("/src")
-	fsys.Mkdir("/dst")
-	write(t, fsys, "/src/f", []byte("payload"))
-	if err := fsys.Rename("/src/f", "/dst/g"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fsys.Stat("/src/f"); !errors.Is(err, vfs.ErrNotExist) {
-		t.Fatal("source should be gone")
-	}
-	if got := read(t, fsys, "/dst/g"); string(got) != "payload" {
-		t.Fatal("payload lost in rename")
-	}
-	// Renaming onto an existing name fails (no implicit replace).
-	write(t, fsys, "/dst/h", []byte("other"))
-	if err := fsys.Rename("/dst/g", "/dst/h"); !errors.Is(err, vfs.ErrExist) {
-		t.Fatalf("rename onto existing: %v", err)
-	}
-	// The failed rename must not lose the source.
-	if got := read(t, fsys, "/dst/g"); string(got) != "payload" {
-		t.Fatal("failed rename lost the source")
-	}
-	// Renaming a directory moves its subtree.
-	fsys.Mkdir("/src/sub")
-	write(t, fsys, "/src/sub/deep", []byte("deep"))
-	if err := fsys.Rename("/src/sub", "/dst/sub"); err != nil {
-		t.Fatal(err)
-	}
-	if got := read(t, fsys, "/dst/sub/deep"); string(got) != "deep" {
-		t.Fatal("directory rename lost contents")
-	}
-	// A directory cannot move into its own subtree: it would be unlinked
-	// from the tree and reachable only through itself.
-	fsys.Mkdir("/a")
-	fsys.Mkdir("/a/c")
-	for _, to := range []string{"/a/b", "/a/c/d"} {
-		if err := fsys.Rename("/a", to); !errors.Is(err, vfs.ErrBadPath) {
-			t.Fatalf("Rename(/a, %s): %v", to, err)
-		}
-	}
-	if info, err := fsys.Stat("/a/c"); err != nil || !info.IsDir {
-		t.Fatalf("refused rename lost the directory: %+v, %v", info, err)
-	}
-	if err := fsys.Sync(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// testFailedCreate: a Mkdir or Create refused with ErrExist must give back
-// what the attempt took — the new inode and, for a directory, the first block
-// it had already written into the cache.
 func testFailedCreate(t *testing.T, fsys vfs.FileSystem) {
 	if err := fsys.Mkdir("/a"); err != nil {
 		t.Fatal(err)

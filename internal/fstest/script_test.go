@@ -162,18 +162,17 @@ func (s *script) check(op, arg string, got, want error) {
 
 // walk resolves components from the model's root and also returns every
 // directory passed through, the result included.
-func (s *script) walk(parts []string) (*node, []*node, error) {
-	n, trail := s.root, []*node{s.root}
+func (s *script) walk(parts []string) (*node, error) {
+	n := s.root
 	for _, name := range parts {
 		if !n.dir {
-			return nil, nil, vfs.ErrNotDir
+			return nil, vfs.ErrNotDir
 		}
 		if n = n.kids[name]; n == nil {
-			return nil, nil, vfs.ErrNotExist
+			return nil, vfs.ErrNotExist
 		}
-		trail = append(trail, n)
 	}
-	return n, trail, nil
+	return n, nil
 }
 
 func (s *script) lookup(path string) (*node, error) {
@@ -181,19 +180,18 @@ func (s *script) lookup(path string) (*node, error) {
 	if !ok {
 		return nil, vfs.ErrBadPath
 	}
-	n, _, err := s.walk(parts)
-	return n, err
+	return s.walk(parts)
 }
 
-func (s *script) parent(path string) (dir *node, trail []*node, base string, err error) {
+func (s *script) parent(path string) (dir *node, base string, err error) {
 	parts, base, ok := vfs.SplitDirBase(path)
 	if !ok {
-		return nil, nil, "", vfs.ErrBadPath
+		return nil, "", vfs.ErrBadPath
 	}
-	if dir, trail, err = s.walk(parts); err == nil && !dir.dir {
+	if dir, err = s.walk(parts); err == nil && !dir.dir {
 		err = vfs.ErrNotDir
 	}
-	return dir, trail, base, err
+	return dir, base, err
 }
 
 // path walks a random way down what exists and, fresh times in ten, adds one
@@ -225,7 +223,7 @@ func (s *script) path(fresh int) string {
 }
 
 func (s *script) op() {
-	switch r := s.rng.Intn(100); {
+	switch r := s.rng.Intn(86); {
 	case r < 15:
 		s.create()
 	case r < 27:
@@ -236,11 +234,9 @@ func (s *script) op() {
 		s.handleIO()
 	case r < 68:
 		s.remove()
-	case r < 82:
-		s.rename()
-	case r < 90:
+	case r < 76:
 		s.stat()
-	case r < 97:
+	case r < 83:
 		s.readDir()
 	default:
 		s.check("Sync", "", s.fsys.Sync(), nil)
@@ -267,7 +263,7 @@ func (s *script) closeHandle(i int) {
 
 func (s *script) create() {
 	p := s.path(9)
-	dir, _, base, want := s.parent(p)
+	dir, base, want := s.parent(p)
 	if want == nil && dir.kids[base] != nil {
 		want = vfs.ErrExist
 	}
@@ -282,7 +278,7 @@ func (s *script) create() {
 
 func (s *script) mkdir() {
 	p := s.path(9)
-	dir, _, base, want := s.parent(p)
+	dir, base, want := s.parent(p)
 	if want == nil && dir.kids[base] != nil {
 		want = vfs.ErrExist
 	}
@@ -364,7 +360,7 @@ func (s *script) io(i int) {
 
 func (s *script) remove() {
 	p := s.path(2)
-	dir, _, base, want := s.parent(p)
+	dir, base, want := s.parent(p)
 	if want == nil {
 		switch n := dir.kids[base]; {
 		case n == nil:
@@ -378,36 +374,6 @@ func (s *script) remove() {
 	s.check("Remove", p, s.fsys.Remove(p), want)
 	if want == nil {
 		delete(dir.kids, base)
-	}
-}
-
-func (s *script) rename() {
-	from, to := s.path(1), s.path(8)
-	oldDir, _, oldBase, want := s.parent(from)
-	var newDir *node
-	var above []*node
-	var newBase string
-	if want == nil {
-		newDir, above, newBase, want = s.parent(to)
-	}
-	var moved *node
-	if want == nil {
-		if moved = oldDir.kids[oldBase]; moved == nil {
-			want = vfs.ErrNotExist
-		}
-	}
-	for _, n := range above {
-		if want == nil && n == moved {
-			want = vfs.ErrBadPath // into its own subtree
-		}
-	}
-	if want == nil && newDir.kids[newBase] != nil && newDir.kids[newBase] != moved {
-		want = vfs.ErrExist
-	}
-	s.check("Rename", from+" → "+to, s.fsys.Rename(from, to), want)
-	if want == nil {
-		delete(oldDir.kids, oldBase)
-		newDir.kids[newBase] = moved
 	}
 }
 

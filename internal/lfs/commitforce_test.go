@@ -228,33 +228,32 @@ func commitForceScript(fs *FS, after func(step int, im fileImage)) error {
 func crashAtEveryWrite(t *testing.T, opts Options, script func(*FS, func(int, fileImage)) error) *FS {
 	t.Helper()
 	name := fmt.Sprintf("checkpoint-every %d", opts.CheckpointEvery)
-	build := func() (*FS, *disk.Device, *disk.CrashSet, *sim.Clock) {
+	build := func() (*FS, *disk.Device, *sim.Clock) {
 		clk := sim.NewClock()
 		dev := disk.New(sim.SmallModel(), clk)
-		cs := disk.NewCrashSet(dev)
 		fs, err := Format(dev, clk, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fs, dev, cs, clk
+		return fs, dev, clk
 	}
-	recorded, _, cs, _ := build()
-	ops0 := cs.WriteOps()
+	recorded, recDev, _ := build()
+	ops0 := recDev.WriteOps()
 	var images []fileImage
 	if err := script(recorded, func(_ int, im fileImage) { images = append(images, im) }); err != nil {
 		t.Fatal(err)
 	}
-	total := cs.WriteOps() - ops0
+	total := recDev.WriteOps() - ops0
 	for op := int64(1); op <= total; op++ {
 		for seed := uint64(0); seed < 4; seed++ { // 0 = clean cut, else a torn prefix
-			fs, dev, cs, clk := build()
-			cs.CrashAfter(ops0+op, seed > 0, seed)
+			fs, dev, clk := build()
+			dev.CrashAfter(ops0+op, seed > 0, seed)
 			acked := -1
 			err := script(fs, func(step int, _ fileImage) { acked = step })
 			if !errors.Is(err, disk.ErrCrashed) {
 				t.Fatalf("%s, crash at op %d: script ended with %v", name, op, err)
 			}
-			cs.ClearCrash()
+			dev.ClearCrash()
 			fs2, err := Mount(dev, clk, opts)
 			if err != nil {
 				t.Fatalf("%s, crash at op %d seed %d: mount: %v", name, op, seed, err)

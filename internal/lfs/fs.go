@@ -72,9 +72,9 @@ type Stats struct {
 type upper = ufs.FS[*inode]
 
 // FS is a mounted log-structured file system. The embedded upper layer
-// supplies Create, Open, Mkdir, ReadDir, Stat, Remove, Rename and
-// SetTxnProtected. It has no lock: it must be used from proc context, or from
-// the main goroutine while no scheduler runs.
+// supplies Create, Open, Mkdir, ReadDir, Stat, Remove and SetTxnProtected.
+// It has no lock: it must be used from proc context, or from the main
+// goroutine while no scheduler runs.
 type FS struct {
 	*upper
 	dev       *disk.Device

@@ -315,22 +315,6 @@ func TestRemoveNonEmptyDirFails(t *testing.T) {
 	}
 }
 
-func TestRename(t *testing.T) {
-	fs, _, _ := newFS(t)
-	fs.Mkdir("/src")
-	fs.Mkdir("/dst")
-	writeFile(t, fs, "/src/f", []byte("move me"))
-	if err := fs.Rename("/src/f", "/dst/g"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Stat("/src/f"); !errors.Is(err, vfs.ErrNotExist) {
-		t.Fatal("old path should be gone")
-	}
-	if got := readFile(t, fs, "/dst/g"); string(got) != "move me" {
-		t.Fatal("renamed content wrong")
-	}
-}
-
 func TestTxnProtectAttribute(t *testing.T) {
 	fs, _, _ := newFS(t)
 	writeFile(t, fs, "/db", []byte("x"))

@@ -62,16 +62,6 @@ type Options struct {
 	// lock manager, and log manager, and transaction begin/commit/abort emit
 	// events with commit-wait attribution.
 	Tracer *trace.Tracer
-	// Locks, when non-nil, is a shared lock manager used instead of a
-	// private one. Sharded rigs point every shard's environment at one
-	// manager so cross-shard waits-for cycles are detected (and broken
-	// deterministically) like local ones.
-	Locks *lock.Manager
-	// LockSpace namespaces this environment's lock objects within a shared
-	// lock manager (ORed into the object's file id). Shards use distinct
-	// spaces so equal inode numbers on different shard file systems never
-	// alias. Meaningless without Locks.
-	LockSpace uint64
 }
 
 func (o *Options) fill() {
@@ -113,14 +103,13 @@ type undoRec struct {
 // no lock of its own: it must be used from proc context, or from the main
 // goroutine while no scheduler runs.
 type Env struct {
-	fs        vfs.FileSystem
-	clock     *sim.Clock
-	costs     sim.CostModel
-	pool      *buffer.Pool
-	locks     *lock.Manager
-	lockSpace uint64
-	log       *wal.Manager
-	opts      Options
+	fs    vfs.FileSystem
+	clock *sim.Clock
+	costs sim.CostModel
+	pool  *buffer.Pool
+	locks *lock.Manager
+	log   *wal.Manager
+	opts  Options
 
 	files   map[uint64]vfs.File // db id (inode) → open file
 	nextTxn uint64
@@ -139,33 +128,27 @@ type Env struct {
 	ctrCommits, ctrAborts *trace.Counter
 	histLatency           *trace.Hist
 
-	// commits is the group-commit rendezvous (§4.4): whoever has appended a
-	// record that must be durable before it returns — commit, prepare, global
-	// decision — joins it and shares one log.Force with the rest of the batch.
+	// commits is the group-commit rendezvous (§4.4): a committer that has
+	// appended its commit record joins it and shares one log.Force with the
+	// rest of the batch.
 	commits *sim.Batch
 }
 
-// newEnvShell builds the in-memory skeleton every construction path (NewEnv,
-// OpenForRecovery) shares: pool, lock manager (private or shared), metric
-// handles. The log is not opened yet.
+// newEnvShell builds the in-memory skeleton NewEnv and RecoverPaths share:
+// pool, lock manager, metric handles. The log is not opened yet.
 func newEnvShell(fsys vfs.FileSystem, clock *sim.Clock, opts Options) *Env {
-	locks := opts.Locks
-	if locks == nil {
-		locks = lock.NewManager()
-	}
 	env := &Env{
-		fs:        fsys,
-		clock:     clock,
-		costs:     opts.Costs,
-		locks:     locks,
-		lockSpace: opts.LockSpace,
-		opts:      opts,
-		files:     make(map[uint64]vfs.File),
-		active:    make(map[uint64]bool),
-		undo:      make(map[uint64][]undoRec),
-		snaps:     mvcc.NewHorizons(),
-		deltas:    mvcc.NewDeltaMap(),
-		tracer:    opts.Tracer,
+		fs:     fsys,
+		clock:  clock,
+		costs:  opts.Costs,
+		locks:  lock.NewManager(),
+		opts:   opts,
+		files:  make(map[uint64]vfs.File),
+		active: make(map[uint64]bool),
+		undo:   make(map[uint64][]undoRec),
+		snaps:  mvcc.NewHorizons(),
+		deltas: mvcc.NewDeltaMap(),
+		tracer: opts.Tracer,
 	}
 	env.pool = buffer.New(opts.CacheBlocks, fsys.BlockSize(), env.writeback)
 	env.pool.SetTracer(opts.Tracer, "buffer.user")
@@ -218,14 +201,6 @@ func NewEnv(fsys vfs.FileSystem, clock *sim.Clock, opts Options) (*Env, error) {
 	env.start()
 	return env, nil
 }
-
-// lockTxn maps a local transaction id into the lock manager's id space.
-// With a shared manager (sharded rigs) the environment's LockSpace keeps
-// ids from different shards distinct; with a private manager it is zero and
-// this is the identity.
-//
-//simlint:noalloc
-func (e *Env) lockTxn(id uint64) lock.TxnID { return lock.TxnID(id | e.lockSpace) }
 
 // FS returns the underlying file system.
 func (e *Env) FS() vfs.FileSystem { return e.fs }
@@ -364,80 +339,12 @@ func (t *Txn) commitLocked() error {
 		return err
 	}
 	e.noteCommitLocked(t.id, lsn)
-	e.locks.ReleaseAll(e.lockTxn(t.id))
+	e.locks.ReleaseAll(lock.TxnID(t.id))
 	return e.forceSharedLocked()
 }
 
-// Prepare votes yes on global transaction gid for this local branch: the
-// prepare record is appended and made durable through the group-commit batch
-// while every lock stays held — that is the prepare contract, so the wait can
-// block lock-dependent clients; the batch's stall arm then has the earliest
-// sleeper force. Once Prepare returns, the branch's fate belongs to the
-// coordinator: CommitPrepared after the decision record is durable, or Abort
-// if the global transaction aborts before deciding. A crash in between leaves
-// the branch in doubt, resolved at recovery by the coordinator's log (presumed
-// abort when no decision record survives).
-func (t *Txn) Prepare(gid uint64) error {
-	if t.done {
-		return ErrTxnDone
-	}
-	e := t.env
-	e.clock.Advance(e.costs.TxnOp + e.costs.Syscall)
-	if _, err := e.log.LogPrepare(t.id, gid); err != nil {
-		return err
-	}
-	return e.forceSharedLocked()
-}
-
-// CommitGlobal is the coordinator side of two-phase commit, called after
-// every participant's Prepare has returned: it appends the coordinator
-// branch's own prepare record, the global decision record, and the local
-// commit record — all to the coordinator's log, in that order — and forces
-// once, through the group-commit batch. That single force is the commit point
-// of the whole global transaction: until it completes no shard has a durable
-// decision and every branch presumes abort; after it the decision record
-// resolves every in-doubt branch to commit. Locks are released with the
-// commit, and CommitGlobal returns only once the decision is durable, so
-// phase two (CommitPrepared on the participants) may start immediately. A
-// failed force leaves the global transaction in doubt, as for Commit.
-func (t *Txn) CommitGlobal(gid uint64) error {
-	err := t.end()
-	if err != nil {
-		return err
-	}
-	e := t.env
-	// The coordinator branch's own prepare precedes the decision in the same
-	// log, so a torn force can never leave the decision durable while the
-	// branch's binding to gid is lost.
-	if _, err = e.log.LogPrepare(t.id, gid); err == nil {
-		if _, err = e.log.AppendGlobalCommit(gid); err == nil {
-			err = t.commitLocked()
-		}
-	}
-	return t.finishLocked(true, err)
-}
-
-// CommitPrepared is phase two for a prepared participant branch: the global
-// decision is durable in the coordinator's log, so the local commit record
-// needs no force of its own — it is appended lazily and the locks released.
-// If the machine crashes before this record reaches disk, recovery finds
-// the branch prepared-but-undecided and the coordinator's decision record
-// resolves it to commit; nothing is lost.
-func (t *Txn) CommitPrepared() error {
-	if err := t.end(); err != nil {
-		return err
-	}
-	e := t.env
-	lsn, err := e.log.AppendCommit(t.id)
-	if err == nil {
-		e.noteCommitLocked(t.id, lsn)
-		e.locks.ReleaseAll(e.lockTxn(t.id))
-	}
-	return t.finishLocked(true, err)
-}
-
-// end is the prologue of every call that finishes t — Commit, CommitGlobal,
-// CommitPrepared, Abort: mark it done and charge the subroutine and the system
+// end is the prologue of every call that finishes t — Commit, Abort: mark it
+// done and charge the subroutine and the system
 // calls it makes.
 func (t *Txn) end() error {
 	if t.done {
@@ -455,7 +362,7 @@ func (t *Txn) end() error {
 func (t *Txn) finishLocked(commit bool, err error) error {
 	e := t.env
 	if err != nil {
-		e.locks.ReleaseAll(e.lockTxn(t.id)) // whatever the failed step had not released
+		e.locks.ReleaseAll(lock.TxnID(t.id)) // whatever the failed step had not released
 	}
 	e.clock.Advance(e.costs.UserSync())
 	delete(e.active, t.id)
@@ -476,13 +383,6 @@ func (t *Txn) finishLocked(commit bool, err error) error {
 		ctr.Add(1)
 	}
 	return nil
-}
-
-// ForceLog forces the environment's write-ahead log. Sharded checkpoints
-// call it on every shard before checkpointing any of them, so no shard's
-// truncation can outrun another shard's undecided prepare records.
-func (e *Env) ForceLog() error {
-	return e.log.Force()
 }
 
 // forceSharedLocked returns once a log force has covered everything the
@@ -538,7 +438,7 @@ func (t *Txn) abortLocked() error {
 	// so its version deltas must vanish: the chains now read as if the
 	// transaction never wrote.
 	e.deltas.Abort(t.id)
-	e.locks.ReleaseAll(e.lockTxn(t.id))
+	e.locks.ReleaseAll(lock.TxnID(t.id))
 	return nil
 }
 
@@ -612,32 +512,10 @@ func (e *Env) applyRecovery(file uint64, block int64, offset uint32, data []byte
 }
 
 // RecoverPaths reopens an environment whose databases live at the given
-// paths, running recovery with every database available. Use this after a
-// crash instead of NewEnv. In-doubt branches of global transactions are
-// presumed aborted; a sharded recovery with multiple logs uses
-// OpenForRecovery on every shard first, then Complete with the union of the
-// shards' decision records.
+// paths, running recovery with every database available: it opens the log,
+// scans it from its last checkpoint, replays it, syncs the recovered
+// databases and checkpoints. Use this after a crash instead of NewEnv.
 func RecoverPaths(fsys vfs.FileSystem, clock *sim.Clock, opts Options, dbPaths []string) (*Env, *RecoveryReport, error) {
-	p, err := OpenForRecovery(fsys, clock, opts, dbPaths)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p.Complete(nil)
-}
-
-// PendingRecovery is an environment whose log has been opened and scanned
-// but not yet replayed. The split exists for cross-shard recovery: every
-// shard's scan must complete (collecting the coordinators' decision
-// records) before any shard resolves its in-doubt branches.
-type PendingRecovery struct {
-	env       *Env
-	recs      []wal.Record
-	scanStart time.Duration
-}
-
-// OpenForRecovery opens the databases and the log at the given paths and
-// scans the log from its last checkpoint, deferring replay to Complete.
-func OpenForRecovery(fsys vfs.FileSystem, clock *sim.Clock, opts Options, dbPaths []string) (*PendingRecovery, error) {
 	opts.fill()
 	env := newEnvShell(fsys, clock, opts)
 	for _, p := range dbPaths {
@@ -646,41 +524,27 @@ func OpenForRecovery(fsys vfs.FileSystem, clock *sim.Clock, opts Options, dbPath
 			continue
 		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		env.files[uint64(f.ID())] = f
 	}
 	scanStart := clock.Now()
 	lg, err := wal.Open(fsys, opts.LogPath, wal.Options{SegmentBytes: opts.LogSegmentBytes, Retain: opts.LogRetain})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	env.log = lg
 	env.log.SetTracer(opts.Tracer)
 	recs, err := lg.Scan()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &PendingRecovery{env: env, recs: recs, scanStart: scanStart}, nil
-}
-
-// GlobalDecisions returns the global-transaction ids this shard's log holds
-// durable commit decisions for (it was their coordinator).
-func (p *PendingRecovery) GlobalDecisions() map[uint64]bool {
-	return wal.GlobalDecisions(p.recs)
-}
-
-// Complete replays the scanned log — resolve decides in-doubt prepared
-// branches, nil meaning presumed abort — syncs the recovered databases,
-// checkpoints, and returns the usable environment.
-func (p *PendingRecovery) Complete(resolve func(gid uint64) bool) (*Env, *RecoveryReport, error) {
-	env, clock, opts := p.env, p.env.clock, p.env.opts
-	w, l, indoubt, err := wal.ReplayRecords(p.recs, env.applyRecovery, resolve)
+	w, l, err := wal.ReplayRecords(recs, env.applyRecovery)
 	if err != nil {
 		return nil, nil, err
 	}
 	scan := env.log.LastScanStats()
-	opts.Tracer.Hist("wal.recoveryScan").Observe(clock.Now() - p.scanStart)
+	opts.Tracer.Hist("wal.recoveryScan").Observe(clock.Now() - scanStart)
 	opts.Tracer.Counter("wal.recoverySegments").Add(scan.Segments)
 	opts.Tracer.Counter("wal.recoveryBlocks").Add(scan.Blocks)
 	// Recovered pages must reach the files before a fresh checkpoint
@@ -694,13 +558,12 @@ func (p *PendingRecovery) Complete(resolve func(gid uint64) bool) (*Env, *Recove
 		return nil, nil, err
 	}
 	env.start()
-	return env, &RecoveryReport{Winners: w, Losers: l, InDoubt: indoubt, Scan: scan}, nil
+	return env, &RecoveryReport{Winners: w, Losers: l, Scan: scan}, nil
 }
 
 // RecoveryReport summarizes a recovery pass.
 type RecoveryReport struct {
 	Winners int           // transactions redone
 	Losers  int           // transactions undone
-	InDoubt int           // prepared branches resolved by the coordinator's decision (or presumed abort)
 	Scan    wal.ScanStats // how much log the recovery scan had to read
 }

@@ -357,7 +357,7 @@ func TestFailedForceDoesNotWedge(t *testing.T) {
 	if err := txn.Abort(); !errors.Is(err, ErrTxnDone) {
 		t.Fatalf("Abort after the failed commit = %v, want ErrTxnDone", err)
 	}
-	if n := rig.env.locks.HeldCount(rig.env.lockTxn(txn.ID())); n != 0 {
+	if n := rig.env.locks.HeldCount(lock.TxnID(txn.ID())); n != 0 {
 		t.Fatalf("the failed commit still holds %d locks", n)
 	}
 	if st := rig.env.Stats(); st.Committed != 1 {

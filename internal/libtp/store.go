@@ -55,7 +55,7 @@ func readPage(f vfs.File, n int64, dst []byte) error {
 
 // object names page n of the database in the lock manager.
 func (s *txnStore) object(n int64) lock.Object {
-	return lock.Object{File: s.db.id | s.t.env.lockSpace, Block: n}
+	return lock.Object{File: s.db.id, Block: n}
 }
 
 // lock is a page access's entry: a scheduling point, then a lock-manager
@@ -72,7 +72,7 @@ func (s *txnStore) lock(page int64, mode lock.Mode) error {
 func (s *txnStore) request(page int64, mode lock.Mode) error {
 	e := s.t.env
 	e.clock.Advance(e.costs.UserSync())
-	err := e.locks.Lock(e.lockTxn(s.t.id), s.object(page), mode)
+	err := e.locks.Lock(lock.TxnID(s.t.id), s.object(page), mode)
 	if err != nil && errors.Is(err, lock.ErrDeadlock) {
 		// Two-phase locking contract: the victim must abort, which the
 		// record layer does by surfacing the error to Txn.Abort's caller.
@@ -123,7 +123,7 @@ func (s *txnStore) WritePage(n int64, p []byte) error {
 	}
 	e := s.t.env
 	e.clock.Yield()
-	if mode, ok := e.locks.Holds(e.lockTxn(s.t.id), s.object(n)); !ok || mode != lock.Write {
+	if mode, ok := e.locks.Holds(lock.TxnID(s.t.id), s.object(n)); !ok || mode != lock.Write {
 		if err := s.request(n, lock.Write); err != nil {
 			return err
 		}

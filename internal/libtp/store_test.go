@@ -138,7 +138,7 @@ func TestWritePageRequestsWhatItDoesNotHold(t *testing.T) {
 func TestNoLockOutlivesItsTransaction(t *testing.T) {
 	rig := newRig(t, "lfs")
 	db := onePageDB(t, rig)
-	held := func(txn *Txn) int { return rig.env.locks.HeldCount(rig.env.lockTxn(txn.ID())) }
+	held := func(txn *Txn) int { return rig.env.locks.HeldCount(lock.TxnID(txn.ID())) }
 	update := func(txn *Txn, val string) {
 		tr, err := btree.Open(txn.Store(db))
 		if err != nil {

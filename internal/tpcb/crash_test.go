@@ -117,7 +117,7 @@ func crashRun(t *testing.T, rig *Rig, cfg Config, txns, mpl int) (acked, batch [
 						continue
 					}
 				}
-				if !rig.Crash.Crashed() {
+				if !rig.Dev.Crashed() {
 					t.Errorf("client %d txn %d: %v", c, i, err)
 				}
 				if suspects == nil {
@@ -176,7 +176,7 @@ func preCommitted(rig *Rig, workers []Worker) (in []int) {
 // the given options. The embedded system has no second step — the paper's
 // "single recovery paradigm".
 func reboot(rig *Rig, opts libtp.Options) (vfs.FileSystem, *libtp.Env, error) {
-	rig.Crash.ClearCrash()
+	rig.Dev.ClearCrash()
 	var fs2 vfs.FileSystem
 	if rig.LFS != nil {
 		lf, err := lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256})
@@ -200,11 +200,11 @@ func reboot(rig *Rig, opts libtp.Options) (vfs.FileSystem, *libtp.Env, error) {
 	if rig.Core != nil {
 		return fs2, nil, nil
 	}
-	envs, _, err := RecoverSharded([]vfs.FileSystem{fs2}, rig.Clock, opts, lock.NewManager())
+	env, _, err := libtp.RecoverPaths(fs2, rig.Clock, opts, DBPaths())
 	if err != nil {
 		return nil, nil, err
 	}
-	return fs2, envs[0], nil
+	return fs2, env, nil
 }
 
 // concurrentCrashCfg has five account leaves: a client waiting for the teller
@@ -234,11 +234,11 @@ func concurrentCrashSweep(t *testing.T, kind string, mpl, groupCommit int) {
 		return rig
 	}
 	golden := build()
-	first := golden.Crash.WriteOps() + 1
+	first := golden.Dev.WriteOps() + 1
 	if acked, _ := crashRun(t, golden, cfg, txns, mpl); len(acked) != txns {
 		t.Fatalf("golden run committed %d of %d", len(acked), txns)
 	}
-	last := golden.Crash.WriteOps()
+	last := golden.Dev.WriteOps()
 	var forces int64
 	if golden.Core != nil {
 		forces = golden.Core.Stats().CommitFlush
@@ -256,9 +256,9 @@ func concurrentCrashSweep(t *testing.T, kind string, mpl, groupCommit int) {
 		// batch is then durable although no committer was told so).
 		for tear := uint64(0); tear <= tears; tear++ {
 			rig := build()
-			rig.Crash.CrashAfter(op, tear > 0, uint64(op)*0x9e3779b97f4a7c15+tear)
+			rig.Dev.CrashAfter(op, tear > 0, uint64(op)*0x9e3779b97f4a7c15+tear)
 			acked, batch := crashRun(t, rig, cfg, txns, mpl)
-			if !rig.Crash.Crashed() {
+			if !rig.Dev.Crashed() {
 				t.Fatalf("op %d: the crash never fired", op)
 			}
 			fs2, _, err := reboot(rig, libtp.Options{})
@@ -352,7 +352,7 @@ func userCrashStorm(t *testing.T, kind string, seed, rngSeed uint64) {
 				if err != nil {
 					t.Fatalf("round %d reboot: %v", round, err)
 				}
-				sys = NewUserSystem([]*libtp.Env{env2}, rig.Part, rig.Clock, sim.SpriteCosts())
+				sys = NewUserSystem(env2, rig.Clock, sim.SpriteCosts())
 				if err := sys.Attach(); err != nil {
 					t.Fatalf("round %d attach: %v", round, err)
 				}

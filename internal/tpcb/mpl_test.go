@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/lfs"
 	"repro/internal/lock"
-	"repro/internal/vfs"
 )
 
 // mplKinds are the three measured configurations of Figure 4.
@@ -364,26 +363,17 @@ func TestKernelAuditUnderAborts(t *testing.T) {
 
 // TestUserLevelContendedRunsWithoutAborts: at the benchmark's contended shape
 // (2 branches, 10 tellers, MPL 64, group commit 8, whole database cached) the
-// user-level systems — one device on either file system, and two partitions
-// committing across shards by 2PC — finish without a single deadlock retry or
-// lock upgrade, and the audit finds every transaction applied exactly once.
-// Before the balances were read for update every pair of clients meeting on
-// the hot teller leaf deadlocked on the read→write upgrade: 12 to 26 aborted
-// attempts per commit.
+// user-level systems on either file system finish without a single deadlock
+// retry or lock upgrade, and the audit finds every transaction applied
+// exactly once. Before the balances were read for update every pair of
+// clients meeting on the hot teller leaf deadlocked on the read→write
+// upgrade: 12 to 26 aborted attempts per commit.
 func TestUserLevelContendedRunsWithoutAborts(t *testing.T) {
 	cfg := ScaledConfig(0.02)
 	const txns, mpl = 640, 64
-	for _, tc := range []struct {
-		name    string
-		kind    string
-		devices int
-	}{{"user-ffs", "user-ffs", 1}, {"user-lfs", "user-lfs", 1}, {"user-lfs[2]", "user-lfs", 2}} {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := RigOptions{Kind: tc.kind, Config: cfg, ExpectedTxns: txns, GroupCommit: 8, CacheBlocks: 2048, DiskScale: 3}
-			if tc.devices > 1 {
-				opts.Devices = tc.devices
-			}
-			rig, err := BuildRig(opts)
+	for _, kind := range []string{"user-ffs", "user-lfs"} {
+		t.Run(kind, func(t *testing.T) {
+			rig, err := BuildRig(RigOptions{Kind: kind, Config: cfg, ExpectedTxns: txns, GroupCommit: 8, CacheBlocks: 2048, DiskScale: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -396,16 +386,7 @@ func TestUserLevelContendedRunsWithoutAborts(t *testing.T) {
 				t.Fatalf("%d retries, %d deadlocks (%d on upgrades), %d upgrades; want none",
 					res.Retries, ls.Deadlocks, ls.UpgradeDeadlocks, ls.Upgrades)
 			}
-			if tc.devices > 1 {
-				if cross, _ := rig.Sys.(*UserSystem).CrossShardTxns(); cross == 0 {
-					t.Fatal("no cross-shard transactions: the partitioned run did not exercise 2PC")
-				}
-			}
-			var fss []vfs.FileSystem
-			for _, env := range rig.Shards {
-				fss = append(fss, env.FS())
-			}
-			if err := VerifyShardedState(fss, rig.Part, clientStreams(cfg, txns, mpl), nil); err != nil {
+			if err := VerifyState(rig.FS, clientStreams(cfg, txns, mpl), nil); err != nil {
 				t.Fatal(err)
 			}
 		})

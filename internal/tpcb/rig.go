@@ -2,8 +2,6 @@ package tpcb
 
 import (
 	"fmt"
-	"reflect"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -63,40 +61,25 @@ type RigOptions struct {
 	// tracer is exposed as Rig.Tracer. When false the rig runs with a nil
 	// tracer, which costs nothing.
 	Trace bool
-	// Devices is the number of spindles (0 or 1 = the paper's single
-	// disk). Each device carries its own file system; with more than one,
-	// each also gets its own transaction environment and log, the TPC-B
-	// relations are range-partitioned across them, and cross-shard
-	// transactions run two-phase commit. More than one needs a user-level
-	// rig kind.
-	Devices int
 	// InodeAtSync is ufs.Ops.InodeAtSync, handed to the rig's file system:
 	// the `txnbench -fig fsync` arm, which no command-line flag reaches.
 	InodeAtSync bool
 }
 
-// Rig is a ready-to-run benchmark configuration.
+// Rig is a ready-to-run benchmark configuration: one device carrying one
+// file system, and on it either the user-level transaction environment with
+// its write-ahead log or the embedded transaction manager.
 type Rig struct {
 	Clock *sim.Clock
-	// Dev is the single-file-system rig's device; nil when the rig has
-	// more than one — use Devs.
-	Dev *disk.Device
-	// Devs lists the devices, one per file system.
+	Dev   *disk.Device
+	// Devs is Dev as a one-element slice, for callers that range over a
+	// rig's devices (the repository benchmark, benchmark/rigs.go, does).
 	Devs []*disk.Device
-	// Crash injects whole-machine crashes across Devs. Each device joined
-	// it when it was created, so crash points count from power-on.
-	Crash *disk.CrashSet
-	FS    vfs.FileSystem // nil for partitioned rigs, which have one per device
-	LFS   *lfs.FS        // non-nil for single-FS LFS-based rigs
-	Sys   System
-	Core  *core.Manager // non-nil for the embedded rig
-	// Shards holds the transaction environments of a user-level rig, one
-	// per file system (nil for the embedded rig); Part maps ids to them.
-	// Env is the sole environment of a single-FS user-level rig, nil
-	// otherwise.
-	Shards []*libtp.Env
-	Part   *Partitioner
-	Env    *libtp.Env
+	FS   vfs.FileSystem
+	LFS  *lfs.FS // non-nil for LFS-based rigs
+	Sys  System
+	Core *core.Manager // non-nil for the embedded rig
+	Env  *libtp.Env    // non-nil for the user-level rigs
 	// Idle is the between-transactions hook (non-nil when CleanerMode is
 	// "idle"): one incremental background cleaning step, charged against
 	// foreground idle time. The driver calls it after every transaction.
@@ -108,92 +91,62 @@ type Rig struct {
 // LockStats returns the rig's lock-manager counters regardless of which
 // transaction system it carries.
 func (r *Rig) LockStats() lock.Stats {
-	if len(r.Shards) > 0 {
-		// All shards share one lock manager; any environment reports it.
-		return r.Shards[0].LockStats()
-	}
-	if r.Core != nil {
+	switch {
+	case r.Env != nil:
+		return r.Env.LockStats()
+	case r.Core != nil:
 		return r.Core.LockStats()
 	}
 	return lock.Stats{}
 }
 
-// The rig-wide counter accessors: one layer's Stats for the whole rig, nil
-// when the rig has no such layer. A partitioned rig has the layer once per
-// shard (device, file system, environment); the accessor returns the
-// field-wise sum, each event having been counted in exactly one shard.
+// The rig-wide counter accessors: one layer's Stats, nil when the rig has no
+// such layer.
 
-// DiskStats sums the physical devices' counters.
-func (r *Rig) DiskStats() *disk.Stats { return sumOver(r.Devs, (*disk.Device).Stats) }
-
-// LFSStats sums the log-structured file systems' counters.
-func (r *Rig) LFSStats() *lfs.Stats {
-	return sumOver(only[*lfs.FS](r.fileSystems()), (*lfs.FS).Stats)
-}
-
-// FFSStats sums the read-optimized file systems' counters.
-func (r *Rig) FFSStats() *ffs.Stats {
-	return sumOver(only[*ffs.FS](r.fileSystems()), (*ffs.FS).Stats)
-}
-
-// WALStats sums the user-level environments' log-manager counters.
-func (r *Rig) WALStats() *wal.Stats { return sumOver(r.Shards, (*libtp.Env).LogStats) }
-
-// LibTPStats sums the user-level environments' transaction counters.
-func (r *Rig) LibTPStats() *libtp.Stats { return sumOver(r.Shards, (*libtp.Env).Stats) }
-
-// fileSystems lists the rig's file systems: the single one, or one per shard.
-func (r *Rig) fileSystems() []vfs.FileSystem {
-	if r.FS != nil {
-		return []vfs.FileSystem{r.FS}
-	}
-	fss := make([]vfs.FileSystem, len(r.Shards))
-	for i, env := range r.Shards {
-		fss[i] = env.FS()
-	}
-	return fss
-}
-
-// only keeps the file systems of type F.
-func only[F any](fss []vfs.FileSystem) []F {
-	var out []F
-	for _, fsys := range fss {
-		if f, ok := fsys.(F); ok {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// sumOver returns the field-wise sum of stats(x) over xs, or nil when xs is
-// empty. It is the one aggregator for every layer's Stats type, so a counter
-// added to a layer is summed with no edit here; it reflects, so it is for
-// end-of-run reporting only.
-func sumOver[E, S any](xs []E, stats func(E) S) *S {
-	if len(xs) == 0 {
+// DiskStats returns the device's counters.
+func (r *Rig) DiskStats() *disk.Stats {
+	if r.Dev == nil {
 		return nil
 	}
-	total := new(S)
-	dst := reflect.ValueOf(total).Elem()
-	for _, x := range xs {
-		addFields(dst, reflect.ValueOf(stats(x)))
-	}
-	return total
+	st := r.Dev.Stats()
+	return &st
 }
 
-// addFields adds src into dst field by field: integers (counters and
-// durations) add, nested structs recurse.
-func addFields(dst, src reflect.Value) {
-	for i := 0; i < dst.NumField(); i++ {
-		switch d, s := dst.Field(i), src.Field(i); d.Kind() {
-		case reflect.Int, reflect.Int64:
-			d.SetInt(d.Int() + s.Int())
-		case reflect.Struct:
-			addFields(d, s)
-		default:
-			panic(fmt.Sprintf("tpcb: cannot sum %s.%s", dst.Type(), dst.Type().Field(i).Name))
-		}
+// LFSStats returns the log-structured file system's counters.
+func (r *Rig) LFSStats() *lfs.Stats {
+	if r.LFS == nil {
+		return nil
 	}
+	st := r.LFS.Stats()
+	return &st
+}
+
+// FFSStats returns the read-optimized file system's counters.
+func (r *Rig) FFSStats() *ffs.Stats {
+	f, ok := r.FS.(*ffs.FS)
+	if !ok {
+		return nil
+	}
+	st := f.Stats()
+	return &st
+}
+
+// WALStats returns the user-level environment's log-manager counters.
+func (r *Rig) WALStats() *wal.Stats {
+	if r.Env == nil {
+		return nil
+	}
+	st := r.Env.LogStats()
+	return &st
+}
+
+// LibTPStats returns the user-level environment's transaction counters.
+func (r *Rig) LibTPStats() *libtp.Stats {
+	if r.Env == nil {
+		return nil
+	}
+	st := r.Env.Stats()
+	return &st
 }
 
 // DiskModelFor returns the simulated disk geometry the rig builder would
@@ -220,13 +173,8 @@ func dbPagesEstimate(cfg Config, expectedTxns int) int64 {
 	return treePages + historyPages
 }
 
-// BuildRig constructs the devices, the file system(s), the transaction
-// system, and the loaded database for one configuration. A partitioned
-// N-device user-level rig gets one file system, transaction environment, and
-// write-ahead log per device, the relations range-partitioned across them,
-// and one lock manager shared by all environments (under per-shard lock
-// namespaces) so cross-shard waits-for cycles are detected like local ones;
-// every other rig is the one-file-system case of the same assembly.
+// BuildRig constructs the device, the file system, the transaction system,
+// and the loaded database for one configuration.
 func BuildRig(opts RigOptions) (*Rig, error) {
 	if opts.Costs == (sim.CostModel{}) {
 		opts.Costs = sim.SpriteCosts()
@@ -249,30 +197,15 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 		return nil, fmt.Errorf("tpcb: unknown rig kind %q", opts.Kind)
 	}
 	kernel := opts.Kind == "kernel-lfs"
-	// n is the number of devices, each carrying one file system.
-	n := max(opts.Devices, 1)
-	if n > 1 && kernel {
-		return nil, fmt.Errorf("tpcb: %d devices need a user-level rig kind (one transaction environment per device), got %q", n, opts.Kind)
-	}
 	switch opts.CleanerMode {
 	case "", "sync":
 		// Default: the flush path cleans synchronously when it must.
 	case "idle":
-		if n > 1 {
-			return nil, fmt.Errorf("tpcb: cleaner mode %q is not supported on partitioned rigs", opts.CleanerMode)
-		}
 		if opts.Kind == "user-ffs" {
 			return nil, fmt.Errorf("tpcb: cleaner mode %q needs an LFS-based rig, got %q", opts.CleanerMode, opts.Kind)
 		}
 	default:
 		return nil, fmt.Errorf("tpcb: unknown cleaner mode %q (want sync or idle)", opts.CleanerMode)
-	}
-	var part *Partitioner
-	if !kernel {
-		var err error
-		if part, err = NewPartitioner(opts.Config, n); err != nil {
-			return nil, err
-		}
 	}
 
 	dbPages := dbPagesEstimate(opts.Config, opts.ExpectedTxns)
@@ -298,97 +231,59 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 	if opts.CacheBlocks > 0 {
 		cache = opts.CacheBlocks
 	}
-	if n > 1 {
-		// Each shard carries ~1/N of the database and of the history growth,
-		// plus fixed per-file-system slack (superblock, checkpoint regions,
-		// segment headroom).
-		model.NumBlocks = model.NumBlocks/int64(n) + 2048
-		cache = max(cache/n, 96)
-	}
 
 	clk := sim.NewClock()
 	var tr *trace.Tracer
 	if opts.Trace {
 		tr = trace.New(clk)
 	}
-	rig := &Rig{Clock: clk, Tracer: tr, Part: part, Crash: disk.NewCrashSet()}
-	var locks *lock.Manager // shared across shards; a lone environment keeps its private one
-	if n > 1 {
-		locks = lock.NewManager()
-	}
-	for i := 0; i < n; i++ {
-		// Each file system gets its own device, joined to the crash set
-		// before Format so crash points count from power-on. A lone file
-		// system traces its pool under the bare name, shard i under an
-		// indexed one.
-		dev := disk.New(model, clk)
-		dev.SetTracer(tr)
-		rig.Crash.Join(dev)
-		rig.Devs = append(rig.Devs, dev)
-		shard := ""
-		if n > 1 {
-			shard = strconv.Itoa(i)
+	// The device exists before Format, so crash points count from power-on.
+	dev := disk.New(model, clk)
+	dev.SetTracer(tr)
+	rig := &Rig{Clock: clk, Tracer: tr, Dev: dev, Devs: []*disk.Device{dev}}
+	if opts.Kind == "user-ffs" {
+		ff, err := ffs.Format(dev, clk, ffs.Options{CacheBlocks: cache, SyncInterval: 30 * time.Second, InodeAtSync: opts.InodeAtSync})
+		if err != nil {
+			return nil, err
 		}
-		var fsys vfs.FileSystem
-		if opts.Kind == "user-ffs" {
-			ff, err := ffs.Format(dev, clk, ffs.Options{CacheBlocks: cache, SyncInterval: 30 * time.Second, InodeAtSync: opts.InodeAtSync})
-			if err != nil {
-				return nil, err
-			}
-			ff.SetTracer(tr)
-			ff.Pool().SetTracer(tr, "buffer.ffs"+shard)
-			fsys = ff
-		} else {
-			// The embedded system avoids double buffering: the user-level
-			// configurations split the same memory between a user pool and
-			// the kernel cache, so the kernel configuration gets the whole
-			// budget in one cache (§1: the user-level architecture's
-			// "functional redundancy").
-			fsCache := cache
-			if kernel {
-				fsCache = 2 * cache
-			}
-			lf, err := lfs.Format(dev, clk, lfs.Options{CacheBlocks: fsCache, InodeAtSync: opts.InodeAtSync})
-			if err != nil {
-				return nil, err
-			}
-			lf.SetTracer(tr)
-			lf.Pool().SetTracer(tr, "buffer.lfs"+shard)
-			fsys = lf
-			if n == 1 {
-				rig.LFS = lf
-			}
-		}
-		if n == 1 {
-			rig.Dev, rig.FS = dev, fsys
-		}
+		ff.SetTracer(tr)
+		ff.Pool().SetTracer(tr, "buffer.ffs")
+		rig.FS = ff
+	} else {
+		// The embedded system avoids double buffering: the user-level
+		// configurations split the same memory between a user pool and
+		// the kernel cache, so the kernel configuration gets the whole
+		// budget in one cache (§1: the user-level architecture's
+		// "functional redundancy").
+		fsCache := cache
 		if kernel {
-			rig.Core = core.New(rig.LFS, clk, core.Options{Costs: opts.Costs, GroupCommit: opts.GroupCommit, Tracer: tr})
-			rig.Sys = NewEmbeddedSystem(rig.Core, clk, opts.Costs)
-			break
+			fsCache = 2 * cache
 		}
-		envOpts := libtp.Options{
+		lf, err := lfs.Format(dev, clk, lfs.Options{CacheBlocks: fsCache, InodeAtSync: opts.InodeAtSync})
+		if err != nil {
+			return nil, err
+		}
+		lf.SetTracer(tr)
+		lf.Pool().SetTracer(tr, "buffer.lfs")
+		rig.FS, rig.LFS = lf, lf
+	}
+	if kernel {
+		rig.Core = core.New(rig.LFS, clk, core.Options{Costs: opts.Costs, GroupCommit: opts.GroupCommit, Tracer: tr})
+		rig.Sys = NewEmbeddedSystem(rig.Core, clk, opts.Costs)
+	} else {
+		env, err := libtp.NewEnv(rig.FS, clk, libtp.Options{
 			CacheBlocks:     cache,
 			Costs:           opts.Costs,
 			GroupCommit:     opts.GroupCommit,
 			LogSegmentBytes: opts.LogSegmentBytes,
 			LogRetain:       opts.LogRetain,
 			Tracer:          tr,
-		}
-		if n > 1 {
-			envOpts.Locks, envOpts.LockSpace = locks, ShardLockSpace(i)
-		}
-		env, err := libtp.NewEnv(fsys, clk, envOpts)
+		})
 		if err != nil {
 			return nil, err
 		}
-		rig.Shards = append(rig.Shards, env)
-	}
-	if !kernel {
-		rig.Sys = NewUserSystem(rig.Shards, part, clk, opts.Costs)
-		if n == 1 {
-			rig.Env = rig.Shards[0]
-		}
+		rig.Env = env
+		rig.Sys = NewUserSystem(env, clk, opts.Costs)
 	}
 	if err := rig.Sys.Load(opts.Config); err != nil {
 		return nil, fmt.Errorf("tpcb: load on %s: %w", opts.Kind, err)
@@ -402,8 +297,6 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 	}
 	// The measured run must not hide background work behind idle time the
 	// load phase accumulated.
-	for _, d := range rig.Devs {
-		d.ResetIdleCredit()
-	}
+	dev.ResetIdleCredit()
 	return rig, nil
 }

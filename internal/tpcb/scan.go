@@ -44,12 +44,12 @@ type ScanCapable interface {
 // scan commits (the pre-snapshot behavior a long reader imposes on
 // writers).
 type userLockScanner struct {
-	sh *userShard
+	s *UserSystem
 }
 
 func (sc *userLockScanner) Scan() (int64, error) {
-	txn := sc.sh.env.Begin()
-	n, err := countRows(txn.Store(sc.sh.acc))
+	txn := sc.s.env.Begin()
+	n, err := countRows(txn.Store(sc.s.acc))
 	if err != nil {
 		txn.Abort()
 		return 0, err
@@ -60,33 +60,27 @@ func (sc *userLockScanner) Scan() (int64, error) {
 // userSnapScanner scans through a pinned snapshot: zero lock-manager calls,
 // pages rewound to the commit horizon with WAL before-images.
 type userSnapScanner struct {
-	sh *userShard
+	s *UserSystem
 }
 
 func (sc *userSnapScanner) Scan() (int64, error) {
-	snap := sc.sh.env.BeginSnapshot()
+	snap := sc.s.env.BeginSnapshot()
 	defer snap.Close()
-	return countRows(snap.Store(sc.sh.acc))
+	return countRows(snap.Store(sc.s.acc))
 }
 
-// NewScanner implements ScanCapable for the single-shard system; a
-// partitioned system has no transactional scan (a consistent one would need
-// a snapshot horizon agreed across the shards' logs). On FFS, snapshot scans
-// degrade to locking. Before-images work on any file system, but locking
-// measured faster there (DESIGN.md §12).
+// NewScanner implements ScanCapable. On FFS, snapshot scans degrade to
+// locking. Before-images work on any file system, but locking measured
+// faster there (DESIGN.md §11).
 func (s *UserSystem) NewScanner(mode ScanMode) (Scanner, ScanMode, error) {
-	if len(s.shards) > 1 {
-		return nil, ScanNone, fmt.Errorf("tpcb: %s does not support scans", s.label)
-	}
-	sh := s.shards[0]
 	switch mode {
 	case ScanLocking:
-		return &userLockScanner{sh}, ScanLocking, nil
+		return &userLockScanner{s}, ScanLocking, nil
 	case ScanSnapshot:
-		if sh.env.FS().Name() != "lfs" {
-			return &userLockScanner{sh}, ScanLocking, nil
+		if s.env.FS().Name() != "lfs" {
+			return &userLockScanner{s}, ScanLocking, nil
 		}
-		return &userSnapScanner{sh}, ScanSnapshot, nil
+		return &userSnapScanner{s}, ScanSnapshot, nil
 	}
 	return nil, ScanNone, fmt.Errorf("tpcb: unknown scan mode %q", mode)
 }

@@ -131,7 +131,7 @@ func TestMixedScanLockingBlocks(t *testing.T) {
 }
 
 // TestMixedScanFFSFallback: the user-level system on FFS runs scans under
-// locking, which measured faster there than snapshots (DESIGN.md §12), so
+// locking, which measured faster there than snapshots (DESIGN.md §11), so
 // asking for snapshot scans must degrade to locking — reported honestly via
 // the effective mode.
 func TestMixedScanFFSFallback(t *testing.T) {

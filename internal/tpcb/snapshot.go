@@ -18,21 +18,6 @@ import (
 	"repro/internal/wal"
 )
 
-// DiskReport is the snapshot's disk section: the rig-wide totals plus, on
-// multi-device rigs, one row per member spindle (nil on the classic single
-// disk). The totals are the field-wise sum of the rows — each request is
-// counted on exactly one device, never twice.
-type DiskReport struct {
-	disk.Stats
-	Devices []DiskDevice `json:"devices,omitempty"`
-}
-
-// DiskDevice is one member device's counters, labelled with its index.
-type DiskDevice struct {
-	Dev int `json:"dev"`
-	disk.Stats
-}
-
 // LFSReport is the snapshot's lfs section: the counters and the write
 // amplification derived from them.
 type LFSReport struct {
@@ -62,15 +47,15 @@ type WallStats struct {
 type Snapshot struct {
 	Result
 
-	Disk     *DiskReport   `json:"disk,omitempty"`
+	Disk     *disk.Stats   `json:"disk,omitempty"`
 	LFS      *LFSReport    `json:"lfs,omitempty"`
 	FFS      *ffs.Stats    `json:"ffs,omitempty"`
 	WAL      *wal.Stats    `json:"wal,omitempty"`
 	Locks    *lock.Stats   `json:"locks,omitempty"`
 	LibTP    *libtp.Stats  `json:"libtp,omitempty"`
 	Embedded *core.Stats   `json:"embedded,omitempty"`
-	FSCache  *buffer.Stats `json:"buffer_fs,omitempty"`   // the file systems' block caches
-	UserPool *buffer.Stats `json:"buffer_user,omitempty"` // LIBTP's user-level page pools
+	FSCache  *buffer.Stats `json:"buffer_fs,omitempty"`   // the file system's block cache
+	UserPool *buffer.Stats `json:"buffer_user,omitempty"` // LIBTP's user-level page pool
 
 	Scan        *ScanResult            `json:"scan,omitempty"`
 	Attribution []trace.AttrRow        `json:"attribution,omitempty"`
@@ -82,31 +67,29 @@ type Snapshot struct {
 // when the rig carries a tracer, the per-proc time attribution and the
 // metrics registry. The scan section appears when the run had scanners.
 func (r *Rig) Snapshot(res MixedResult) *Snapshot {
-	type pooled interface{ Pool() *buffer.Pool } // lfs.FS and ffs.FS
 	snap := &Snapshot{
-		Result:   res.Result,
-		FFS:      r.FFSStats(),
-		WAL:      r.WALStats(),
-		LibTP:    r.LibTPStats(),
-		FSCache:  sumOver(only[pooled](r.fileSystems()), func(f pooled) buffer.Stats { return f.Pool().Stats() }),
-		UserPool: sumOver(r.Shards, (*libtp.Env).PoolStats),
-	}
-	if ds := r.DiskStats(); ds != nil {
-		snap.Disk = &DiskReport{Stats: *ds}
-		if len(r.Devs) > 1 {
-			for i, d := range r.Devs {
-				snap.Disk.Devices = append(snap.Disk.Devices, DiskDevice{Dev: i, Stats: d.Stats()})
-			}
-		}
+		Result: res.Result,
+		Disk:   r.DiskStats(),
+		FFS:    r.FFSStats(),
+		WAL:    r.WALStats(),
+		LibTP:  r.LibTPStats(),
 	}
 	if ls := r.LFSStats(); ls != nil {
 		snap.LFS = &LFSReport{Stats: *ls, WriteAmp: ls.WriteAmplification()}
+	}
+	if p, ok := r.FS.(interface{ Pool() *buffer.Pool }); ok { // lfs.FS and ffs.FS
+		st := p.Pool().Stats()
+		snap.FSCache = &st
+	}
+	if r.Env != nil {
+		st := r.Env.PoolStats()
+		snap.UserPool = &st
 	}
 	if r.Core != nil {
 		cs := r.Core.Stats()
 		snap.Embedded = &cs
 	}
-	if r.Shards != nil || r.Core != nil {
+	if r.Env != nil || r.Core != nil {
 		ls := r.LockStats()
 		snap.Locks = &ls
 	}
@@ -144,10 +127,6 @@ func (s *Snapshot) Render() string {
 	if d := s.Disk; d != nil {
 		fmt.Fprintf(&b, "\ndisk: %d read ops (%d blocks), %d write ops (%d blocks), busy %v, queued %v\n",
 			d.Reads, d.BlocksRead, d.Writes, d.BlocksWrit, d.BusyTime, d.QueueTime)
-		for _, r := range d.Devices {
-			fmt.Fprintf(&b, "disk[%d]: %d read ops (%d blocks), %d write ops (%d blocks), %d seeks, busy %v, queued %v\n",
-				r.Dev, r.Reads, r.BlocksRead, r.Writes, r.BlocksWrit, r.Seeks, r.BusyTime, r.QueueTime)
-		}
 	}
 	if f := s.LFS; f != nil {
 		fmt.Fprintf(&b, "lfs: %d partial segments, %d blocks logged (%d summary, %d inode pack, %d pointer), %d segment-tail blocks skipped, %d checkpoints, %d flushes of a full stage; %s\n",

@@ -26,14 +26,50 @@ func DBPaths() []string {
 	return []string{AccountPath, TellerPath, BranchPath, HistoryPath}
 }
 
-// loadRelations bulk-loads the four unpartitioned relations: the one-shard
-// case of loadShardRelations.
+// loadRelations bulk-loads the account, teller and branch B-trees with rows
+// 0..n-1 of zero balance, and creates the history file empty.
 func loadRelations(fsys vfs.FileSystem, cfg Config) error {
-	part, err := NewPartitioner(cfg, 1)
+	mkTree := func(path string, n int64) error {
+		f, err := fsys.Create(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		// One key and one record buffer serve every row: BulkLoad has encoded
+		// a pair into its page before it asks for the next.
+		id, k, v := int64(0), Key(0), BalanceRecord(0, 0)
+		_, err = btree.BulkLoad(pagestore.NewFileStore(f, fsys.BlockSize()), func() ([]byte, []byte, bool) {
+			if id >= n {
+				return nil, nil, false
+			}
+			putKey(k, id)
+			putBalanceRecord(v, id, 0)
+			id++
+			return k, v, true
+		})
+		if err != nil {
+			return fmt.Errorf("tpcb: load %s: %w", path, err)
+		}
+		return nil
+	}
+	if err := mkTree(AccountPath, cfg.Accounts); err != nil {
+		return err
+	}
+	if err := mkTree(TellerPath, cfg.Tellers); err != nil {
+		return err
+	}
+	if err := mkTree(BranchPath, cfg.Branches); err != nil {
+		return err
+	}
+	f, err := fsys.Create(HistoryPath)
 	if err != nil {
 		return err
 	}
-	return loadShardRelations(fsys, part, 0)
+	defer f.Close()
+	if _, err := recno.Create(pagestore.NewFileStore(f, fsys.BlockSize()), HistoryRecordSize); err != nil {
+		return fmt.Errorf("tpcb: load %s: %w", HistoryPath, err)
+	}
+	return fsys.Sync()
 }
 
 // countRows walks the B-tree held in st in key order and returns the number
@@ -111,11 +147,13 @@ func appendHistory(st pagestore.Store, frames *frame.List, clock *sim.Clock, t T
 
 // --- user-level system (LIBTP, Figure 2) ---
 
-// userShard is one partition of the user-level system: its own file system
-// (device), its own transaction environment with its own write-ahead log,
-// and its slice of the relations.
-type userShard struct {
+// UserSystem runs TPC-B through the user-level transaction manager: one
+// environment, with its own write-ahead log, on the rig's file system.
+type UserSystem struct {
+	clock               *sim.Clock
+	costs               sim.CostModel
 	env                 *libtp.Env
+	label               string
 	acc, tel, brn, hist *libtp.DB
 	// Interior-node caches, one per B-tree relation (history is recno — no
 	// interior pages). Shared across workers, validated by on-page LSN, and
@@ -129,193 +167,83 @@ type userShard struct {
 	histFrames frame.List
 }
 
-// attach opens the four relations on the shard's environment.
-func (sh *userShard) attach() error {
-	var err error
-	if sh.acc, err = sh.env.OpenDB(AccountPath); err != nil {
-		return err
+// NewUserSystem builds the user-level configuration over env.
+func NewUserSystem(env *libtp.Env, clock *sim.Clock, costs sim.CostModel) *UserSystem {
+	return &UserSystem{
+		clock:      clock,
+		costs:      costs,
+		env:        env,
+		label:      "user-" + env.FS().Name(),
+		accCache:   btree.NewNodeCache(0),
+		telCache:   btree.NewNodeCache(0),
+		brnCache:   btree.NewNodeCache(0),
+		histFrames: frame.NewList(env.FS().BlockSize()),
 	}
-	if sh.tel, err = sh.env.OpenDB(TellerPath); err != nil {
-		return err
-	}
-	if sh.brn, err = sh.env.OpenDB(BranchPath); err != nil {
-		return err
-	}
-	sh.hist, err = sh.env.OpenDB(HistoryPath)
-	return err
-}
-
-// UserSystem runs TPC-B through the user-level transaction manager on one
-// or more file systems. One environment is the paper's configuration: every
-// transaction commits through the ordinary local path. With N > 1 the
-// relations are range-partitioned by the Partitioner, one shard per device,
-// and a transaction that touches several shards runs two-phase commit over
-// the per-shard logs, with the account's shard as coordinator (the history
-// record lands there too, so the coordinator always has work of its own).
-// All shards share one lock manager — under namespaced lock ids — so
-// cross-shard waits-for cycles are detected and broken exactly like local
-// ones.
-type UserSystem struct {
-	clock  *sim.Clock
-	costs  sim.CostModel
-	part   *Partitioner
-	shards []*userShard
-	label  string
-	gids   uint64 // global-transaction id counter (unique across the run)
-
-	// Cross-shard accounting.
-	crossTxns  int64
-	singleTxns int64
-}
-
-// NewUserSystem builds the user-level configuration over the given
-// environments, one per shard of part (for N > 1 the rig creates them with a
-// shared lock manager and distinct lock spaces).
-func NewUserSystem(envs []*libtp.Env, part *Partitioner, clock *sim.Clock, costs sim.CostModel) *UserSystem {
-	s := &UserSystem{clock: clock, costs: costs, part: part, label: "user-" + envs[0].FS().Name()}
-	if len(envs) > 1 {
-		s.label += fmt.Sprintf("[%d]", len(envs))
-	}
-	for _, env := range envs {
-		s.shards = append(s.shards, &userShard{
-			env:        env,
-			accCache:   btree.NewNodeCache(0),
-			telCache:   btree.NewNodeCache(0),
-			brnCache:   btree.NewNodeCache(0),
-			histFrames: frame.NewList(env.FS().BlockSize()),
-		})
-	}
-	return s
 }
 
 // Name implements System.
 func (s *UserSystem) Name() string { return s.label }
 
-// CrossShardTxns returns how many committed transactions spanned shards and
-// how many stayed local.
-func (s *UserSystem) CrossShardTxns() (cross, single int64) {
-	return s.crossTxns, s.singleTxns
-}
-
-// Load implements System: bulk-load each shard's slice of the relations and
-// open the per-shard database handles.
-func (s *UserSystem) Load(Config) error {
-	for i, sh := range s.shards {
-		if err := loadShardRelations(sh.env.FS(), s.part, i); err != nil {
-			return err
-		}
+// Load implements System: bulk-load the relations and open the database
+// handles.
+func (s *UserSystem) Load(cfg Config) error {
+	if err := loadRelations(s.env.FS(), cfg); err != nil {
+		return err
 	}
 	return s.Attach()
 }
 
-// Attach opens the relations on already-loaded (e.g. recovered)
-// environments. No load is performed.
+// Attach opens the four relations on an already-loaded (e.g. recovered)
+// environment. No load is performed.
 func (s *UserSystem) Attach() error {
-	for _, sh := range s.shards {
-		if err := sh.attach(); err != nil {
-			return err
-		}
+	var err error
+	if s.acc, err = s.env.OpenDB(AccountPath); err != nil {
+		return err
 	}
-	return nil
+	if s.tel, err = s.env.OpenDB(TellerPath); err != nil {
+		return err
+	}
+	if s.brn, err = s.env.OpenDB(BranchPath); err != nil {
+		return err
+	}
+	s.hist, err = s.env.OpenDB(HistoryPath)
+	return err
 }
 
 // Run implements System: the classic read-update of account, teller, and
-// branch plus a history append, each relation update routed to its owning
-// shard, then commit — locally when one shard saw all the work, by
-// two-phase commit otherwise.
+// branch plus a history append, then commit.
 func (s *UserSystem) Run(t Txn) error {
-	as := s.part.ShardOfAccount(t.Account)
-	ts := s.part.ShardOfTeller(t.Teller)
-	bs := s.part.ShardOfBranch(t.Branch)
+	txn := s.env.Begin()
+	if err := s.apply(txn, t); err != nil {
+		txn.Abort()
+		// See the cache field comment for why aborts must flush.
+		s.accCache.Flush()
+		s.telCache.Flush()
+		s.brnCache.Flush()
+		return err
+	}
+	return txn.Commit()
+}
 
-	locals := make([]*libtp.Txn, len(s.shards))
-	begin := func(sh int) *libtp.Txn {
-		if locals[sh] == nil {
-			locals[sh] = s.shards[sh].env.Begin()
-		}
-		return locals[sh]
-	}
-	// abortAll rolls every local transaction back and drops its shard's
-	// interior caches (see the cache field comment for why aborts must
-	// flush).
-	abortAll := func() {
-		for sh, tx := range locals {
-			if tx != nil {
-				tx.Abort()
-				s.shards[sh].accCache.Flush()
-				s.shards[sh].telCache.Flush()
-				s.shards[sh].brnCache.Flush()
-			}
-		}
-	}
-	// Begin the coordinator (the account's shard) first so its local
-	// transaction ids advance deterministically.
-	coord := begin(as)
-	update := func(sh int, db *libtp.DB, c *btree.NodeCache, id int64) error {
-		s.clock.Advance(s.costs.RecordOp)
-		return updateBalance(begin(sh).Store(db), c, id, t.Amount)
-	}
-	if err := update(as, s.shards[as].acc, s.shards[as].accCache, t.Account); err != nil {
-		abortAll()
+// apply performs t's work inside txn.
+func (s *UserSystem) apply(txn *libtp.Txn, t Txn) error {
+	if err := s.update(txn, s.acc, s.accCache, t.Account, t.Amount); err != nil {
 		return err
 	}
-	if err := update(ts, s.shards[ts].tel, s.shards[ts].telCache, t.Teller); err != nil {
-		abortAll()
+	if err := s.update(txn, s.tel, s.telCache, t.Teller, t.Amount); err != nil {
 		return err
 	}
-	if err := update(bs, s.shards[bs].brn, s.shards[bs].brnCache, t.Branch); err != nil {
-		abortAll()
+	if err := s.update(txn, s.brn, s.brnCache, t.Branch, t.Amount); err != nil {
 		return err
 	}
-	// The history record follows the account: the coordinator shard always
-	// carries the transaction's one durable history row.
 	s.clock.Advance(s.costs.RecordOp)
-	if err := appendHistory(coord.Store(s.shards[as].hist), &s.shards[as].histFrames, s.clock, t); err != nil {
-		abortAll()
-		return err
-	}
+	return appendHistory(txn.Store(s.hist), &s.histFrames, s.clock, t)
+}
 
-	// One shard saw all the work (always, with one shard): the ordinary
-	// local commit.
-	if ts == as && bs == as {
-		if err := coord.Commit(); err != nil {
-			return err
-		}
-		s.singleTxns++
-		return nil
-	}
-
-	// Two-phase commit. Phase 1: every non-coordinator participant
-	// prepares (durably, group-batched) while holding its locks.
-	s.gids++
-	gid := s.gids
-	for sh, tx := range locals {
-		if tx == nil || sh == as {
-			continue
-		}
-		if err := tx.Prepare(gid); err != nil {
-			abortAll()
-			return err
-		}
-	}
-	// Decision: the coordinator logs prepare + global-commit + its own
-	// commit and forces once; when CommitGlobal returns the decision is
-	// durable and the global transaction is committed.
-	if err := coord.CommitGlobal(gid); err != nil {
-		return err
-	}
-	// Phase 2: participants commit lazily — the decision record already
-	// owns their fate, so no per-shard force is needed.
-	for sh, tx := range locals {
-		if tx == nil || sh == as {
-			continue
-		}
-		if err := tx.CommitPrepared(); err != nil {
-			return err
-		}
-	}
-	s.crossTxns++
-	return nil
+// update adds amount to one balance record inside txn.
+func (s *UserSystem) update(txn *libtp.Txn, db *libtp.DB, c *btree.NodeCache, id, amount int64) error {
+	s.clock.Advance(s.costs.RecordOp)
+	return updateBalance(txn.Store(db), c, id, amount)
 }
 
 // NewWorker implements MultiClient. The user-level system is stateless per
@@ -323,38 +251,13 @@ func (s *UserSystem) Run(t Txn) error {
 // transactional stores — so every client can share the System itself.
 func (s *UserSystem) NewWorker() (Worker, error) { return s, nil }
 
-// Drain implements System, in two phases across the shards: first force
-// every log, then checkpoint (which flushes the cache) every shard. The
-// order matters — a checkpoint truncates its shard's log, and an undecided
-// prepare record on shard A must never outlive the loss of its decision
-// record on shard B; after phase one every decision every shard depends on
-// is durable.
-func (s *UserSystem) Drain() error {
-	for _, sh := range s.shards {
-		if err := sh.env.ForceLog(); err != nil {
-			return err
-		}
-	}
-	for _, sh := range s.shards {
-		if err := sh.env.Checkpoint(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Drain implements System: a checkpoint, which forces the log and flushes
+// the cache.
+func (s *UserSystem) Drain() error { return s.env.Checkpoint() }
 
-// ScanAccounts implements System: scan every shard's slice in shard order
-// (which is key order, since partitions are ascending contiguous ranges).
+// ScanAccounts implements System.
 func (s *UserSystem) ScanAccounts() (int64, error) {
-	var n int64
-	for _, sh := range s.shards {
-		c, err := ScanAccountsOn(sh.env.FS())
-		if err != nil {
-			return n, err
-		}
-		n += c
-	}
-	return n, nil
+	return ScanAccountsOn(s.env.FS())
 }
 
 // Close implements System.
@@ -372,12 +275,12 @@ type EmbeddedSystem struct {
 	tel   *core.File
 	brn   *core.File
 	hist  *core.File
-	// Shared interior-node caches, as in userShard (see that field comment
+	// Shared interior-node caches, as in UserSystem (see that field comment
 	// for the abort-flush requirement).
 	accCache *btree.NodeCache
 	telCache *btree.NodeCache
 	brnCache *btree.NodeCache
-	// histFrames is the history relation's frame list, as in userShard.
+	// histFrames is the history relation's frame list, as in UserSystem.
 	histFrames frame.List
 }
 
@@ -393,7 +296,7 @@ func NewEmbeddedSystem(m *core.Manager, clock *sim.Clock, costs sim.CostModel) *
 }
 
 // abort rolls the process's transaction back and drops the shared interior
-// caches (abort rewinds page LSNs; see userShard).
+// caches (abort rewinds page LSNs; see UserSystem).
 func (s *EmbeddedSystem) abort(proc *core.Process) {
 	proc.TxnAbort()
 	s.accCache.Flush()

@@ -42,15 +42,6 @@ type Config struct {
 	Branches int64
 	// Seed drives the deterministic account/teller selection.
 	Seed uint64
-	// Locality is the percentage of transactions whose account is drawn
-	// from the teller's home branch, the TPC-B account-selection rule
-	// (85 in the spec). Zero keeps the historical uniform stream — the
-	// generator draws the same RNG sequence it always has, so existing
-	// runs stay byte-identical. The multi-spindle device sweep sets it:
-	// home-branch locality is what a range-partitioned array exploits,
-	// and without it nearly every transaction is a cross-shard two-phase
-	// commit that holds hot branch locks across a log force.
-	Locality int
 }
 
 // ScaledConfig returns the paper's sizing multiplied by scale (scale 1.0 =
@@ -170,16 +161,7 @@ func NewClientGenerator(cfg Config, client int) *Generator {
 func (g *Generator) Next() Txn {
 	teller := g.rng.Int63n(g.cfg.Tellers)
 	branchOfTeller := teller * g.cfg.Branches / g.cfg.Tellers
-	var account int64
-	if g.cfg.Locality > 0 && g.rng.Int63n(100) < int64(g.cfg.Locality) {
-		// Home-branch pick: accounts map to branches by division, so
-		// branch b owns the contiguous range [b*A/B, (b+1)*A/B).
-		lo := branchOfTeller * g.cfg.Accounts / g.cfg.Branches
-		hi := (branchOfTeller + 1) * g.cfg.Accounts / g.cfg.Branches
-		account = lo + g.rng.Int63n(hi-lo)
-	} else {
-		account = g.rng.Int63n(g.cfg.Accounts)
-	}
+	account := g.rng.Int63n(g.cfg.Accounts)
 	return Txn{
 		Account: account,
 		Teller:  teller,

@@ -31,6 +31,7 @@
 package trace
 
 import (
+	"strconv"
 	"time"
 
 	"repro/internal/sim"
@@ -65,55 +66,6 @@ func AU(key string, v uint64) Arg { return Arg{Key: key, num: int64(v), kind: ar
 
 // AS returns a string-valued Arg.
 func AS(key string, v string) Arg { return Arg{Key: key, str: v, kind: argStr} }
-
-// A returns an Arg from an arbitrary value; it keeps cold call sites and
-// tests short. Hot paths should use the typed constructors (AI, AU, AS),
-// which cannot fall through to the string formatting below.
-func A(key string, val any) Arg {
-	switch v := val.(type) {
-	case int:
-		return AI(key, int64(v))
-	case int64:
-		return AI(key, v)
-	case int32:
-		return AI(key, int64(v))
-	case uint64:
-		return AU(key, v)
-	case uint32:
-		return AU(key, uint64(v))
-	case uint:
-		return AU(key, uint64(v))
-	case string:
-		return AS(key, v)
-	case time.Duration:
-		return AI(key, v.Nanoseconds())
-	default:
-		return AS(key, stringify(val))
-	}
-}
-
-// stringify is the cold fallback for A on unexpected types. Kept out of A so
-// the common cases stay inlinable.
-func stringify(val any) string {
-	type stringer interface{ String() string }
-	if s, ok := val.(stringer); ok {
-		return s.String()
-	}
-	return "?"
-}
-
-// Value returns the Arg's value re-boxed as an interface, for tests and
-// exporters that want the dynamic type back.
-func (a Arg) Value() any {
-	switch a.kind {
-	case argUint:
-		return uint64(a.num)
-	case argStr:
-		return a.str
-	default:
-		return a.num
-	}
-}
 
 // Event phases, following the Chrome trace-event format.
 const (
@@ -540,28 +492,5 @@ func (t *Tracer) procName(tid int) string {
 	if tid == 0 {
 		return "global"
 	}
-	return "proc-" + itoa(tid-1)
-}
-
-// itoa is strconv.Itoa without the import weight at call sites.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [24]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return "proc-" + strconv.Itoa(tid-1)
 }

@@ -18,7 +18,7 @@ func TestNilTracer(t *testing.T) {
 		t.Fatal("nil tracer reports Enabled")
 	}
 	span := tr.Begin("cat", "op")
-	span.End(trace.A("k", 1))
+	span.End(trace.AI("k", 1))
 	tr.Complete("cat", "op", 0)
 	tr.Instant("cat", "op")
 	tr.Count("c", 1)
@@ -63,8 +63,8 @@ func TestSpansAndChrome(t *testing.T) {
 	clk.Advance(5 * time.Microsecond)
 	span := tr.Begin("io", "disk.read")
 	clk.Advance(3 * time.Microsecond)
-	span.End(trace.A("block", 7))
-	tr.Instant("txn", "txn.begin", trace.A("txn", 1))
+	span.End(trace.AI("block", 7))
+	tr.Instant("txn", "txn.begin", trace.AI("txn", 1))
 
 	events := tr.Events()
 	if len(events) != 2 {

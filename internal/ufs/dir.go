@@ -56,18 +56,14 @@ func (fs *FS[N]) entry(dir N, name string) (vfs.RawDirEntry, error) {
 	return vfs.RawDirEntry{}, vfs.ErrNotExist
 }
 
-// walk resolves a component list starting at the root. A non-nil trail
-// collects the number of every inode on the way, the result included.
-func (fs *FS[N]) walk(parts []string, trail *[]Ino) (N, error) {
+// walk resolves a component list starting at the root.
+func (fs *FS[N]) walk(parts []string) (N, error) {
 	var none N
 	in, err := fs.ops.Load(RootIno)
 	if err != nil {
 		return none, err
 	}
 	for _, name := range parts {
-		if trail != nil {
-			*trail = append(*trail, in.Hdr().Ino)
-		}
 		e, err := fs.entry(in, name)
 		if err != nil {
 			return none, err
@@ -75,9 +71,6 @@ func (fs *FS[N]) walk(parts []string, trail *[]Ino) (N, error) {
 		if in, err = fs.ops.Load(Ino(e.Ino)); err != nil {
 			return none, err
 		}
-	}
-	if trail != nil {
-		*trail = append(*trail, in.Hdr().Ino)
 	}
 	return in, nil
 }
@@ -89,18 +82,18 @@ func (fs *FS[N]) LookupLocked(path string) (N, error) {
 		var none N
 		return none, vfs.ErrBadPath
 	}
-	return fs.walk(parts, nil)
+	return fs.walk(parts)
 }
 
 // nameiParent resolves path to the directory holding its final component,
 // returning that directory and the final name.
-func (fs *FS[N]) nameiParent(path string, trail *[]Ino) (N, string, error) {
+func (fs *FS[N]) nameiParent(path string) (N, string, error) {
 	dirParts, base, ok := vfs.SplitDirBase(path)
 	if !ok {
 		var none N
 		return none, "", vfs.ErrBadPath
 	}
-	in, err := fs.walk(dirParts, trail)
+	in, err := fs.walk(dirParts)
 	if err == nil && !in.Hdr().IsDir() {
 		err = vfs.ErrNotDir
 	}
@@ -141,7 +134,7 @@ func (fs *FS[N]) removeEntry(dir N, name string) error {
 // buffers, blocks, the inode number — so that it leaves nothing behind.
 func (fs *FS[N]) create(path string, mode uint32) (N, error) {
 	var none N
-	dir, base, err := fs.nameiParent(path, nil)
+	dir, base, err := fs.nameiParent(path)
 	if err != nil {
 		return none, err
 	}
@@ -233,7 +226,7 @@ func (fs *FS[N]) Stat(path string) (vfs.FileInfo, error) {
 // Remove implements vfs.FileSystem: unlink a file or remove an empty
 // directory.
 func (fs *FS[N]) Remove(path string) error {
-	dir, base, err := fs.nameiParent(path, nil)
+	dir, base, err := fs.nameiParent(path)
 	if err != nil {
 		return err
 	}
@@ -264,40 +257,6 @@ func (fs *FS[N]) Remove(path string) error {
 		return err
 	}
 	return fs.ops.Free(in)
-}
-
-// Rename implements vfs.FileSystem.
-func (fs *FS[N]) Rename(oldPath, newPath string) error {
-	oldDir, oldBase, err := fs.nameiParent(oldPath, nil)
-	if err != nil {
-		return err
-	}
-	var above []Ino // the destination directory and its ancestors
-	newDir, newBase, err := fs.nameiParent(newPath, &above)
-	if err != nil {
-		return err
-	}
-	e, err := fs.entry(oldDir, oldBase)
-	if err != nil {
-		return err
-	}
-	// A directory moved into its own subtree would leave the tree: unlinked
-	// from its parent and reachable only through itself.
-	for _, ino := range above {
-		if ino == Ino(e.Ino) {
-			return fmt.Errorf("%w: %s is inside %s", vfs.ErrBadPath, newPath, oldPath)
-		}
-	}
-	if err := fs.removeEntry(oldDir, oldBase); err != nil {
-		return err
-	}
-	if err := fs.addEntry(newDir, newBase, Ino(e.Ino), e.IsDir); err != nil {
-		// Roll back the unlink: the name was there a moment ago, so putting
-		// it back can fail only where the removal itself could have.
-		_ = fs.addEntry(oldDir, oldBase, Ino(e.Ino), e.IsDir)
-		return err
-	}
-	return nil
 }
 
 // SetTxnProtected turns the transaction-protection attribute of a file on or

@@ -86,8 +86,6 @@ type FileSystem interface {
 	ReadDir(path string) ([]DirEntry, error)
 	// Stat describes a path.
 	Stat(path string) (FileInfo, error)
-	// Rename moves a file to a new path.
-	Rename(oldPath, newPath string) error
 	// Sync flushes all dirty state to stable storage.
 	Sync() error
 	// BlockSize returns the file system block size.

@@ -82,16 +82,6 @@ func (fs *memFS) Stat(path string) (vfs.FileInfo, error) {
 	return vfs.FileInfo{Name: path, ID: f.id, Size: int64(len(f.data))}, nil
 }
 
-func (fs *memFS) Rename(oldPath, newPath string) error {
-	f, ok := fs.files[oldPath]
-	if !ok {
-		return fmt.Errorf("memfs: rename %s: %w", oldPath, vfs.ErrNotExist)
-	}
-	delete(fs.files, oldPath)
-	fs.files[newPath] = f
-	return nil
-}
-
 func (fs *memFS) Sync() error { return nil }
 
 func (fs *memFS) BlockSize() int { return BlockSize }

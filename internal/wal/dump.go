@@ -138,10 +138,6 @@ func describeRecord(r *Record) string {
 		return fmt.Sprintf("abort   txn=%d", r.Txn)
 	case RecCheckpoint:
 		return fmt.Sprintf("ckpt    low-water=%d", r.File)
-	case RecPrepare:
-		return fmt.Sprintf("prepare txn=%d gid=%d", r.Txn, r.File)
-	case RecGlobalCommit:
-		return fmt.Sprintf("gcommit gid=%d", r.Txn)
 	default:
 		return fmt.Sprintf("UNKNOWN type=%d txn=%d", r.Type, r.Txn)
 	}

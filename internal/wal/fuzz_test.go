@@ -93,7 +93,8 @@ func TestAnchorBeyondLSNRangeIsDamage(t *testing.T) {
 // then the log is dumped, opened and scanned. With stamp set the anchor's
 // CRC is recomputed first, so mutations reach what the anchor says and not
 // only its checksum. Nothing may panic or hang, and every record Scan
-// returns must be exactly the bytes its LSN names in the image: stream byte
+// returns must be of a known type and exactly the bytes its LSN names in the
+// image: stream byte
 // o of a segment lives at file offset
 // BlockSize*(1+o/PayloadSize) + blockHdrSize + o%PayloadSize.
 //
@@ -123,6 +124,9 @@ func FuzzOpenScan(f *testing.F) {
 			return
 		}
 		for _, r := range recs {
+			if r.Type < RecUpdate || r.Type > RecCheckpoint {
+				t.Fatalf("record at %v has type %d, which no writer produces", r.LSN, r.Type)
+			}
 			if r.LSN.Segment() != 1 {
 				t.Fatalf("record at %v: only segment 1 holds records", r.LSN)
 			}

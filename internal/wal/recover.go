@@ -387,27 +387,9 @@ func (m *Manager) scanSealed(seq uint64, from LSN) (recs []Record, stats ScanSta
 	return recs, stats, torn, nil
 }
 
-// GlobalDecisions returns the global-transaction ids whose commit decision
-// records (RecGlobalCommit) appear in recs. A sharded recovery scans every
-// shard's log first, unions these sets, and then resolves each shard's
-// in-doubt branches against the union.
-func GlobalDecisions(recs []Record) map[uint64]bool {
-	var out map[uint64]bool
-	for _, r := range recs {
-		if r.Type == RecGlobalCommit {
-			if out == nil {
-				out = map[uint64]bool{}
-			}
-			out[r.Txn] = true
-		}
-	}
-	return out
-}
-
 // ReplayRecords replays the records a Scan returned through apply, which
 // writes a byte range into a database page. It is recovery's one entry
-// point; a multi-shard recovery scans every log before replaying any of
-// them. Transactions fall into three classes:
+// point. Transactions fall into three classes:
 //
 //   - committed (commit record present): their updates are redone in log
 //     order;
@@ -421,16 +403,9 @@ func GlobalDecisions(recs []Record) map[uint64]bool {
 //     in reverse order. Strict two-phase locking guarantees no later
 //     transaction wrote the same bytes (the loser still held its write
 //     locks at the crash), so reverse undo is safe.
-//
-// A prepared branch of a global transaction (RecPrepare with no later local
-// commit/abort) is committed when resolve reports its global transaction id
-// as committed, and undone otherwise (presumed abort — also the behaviour
-// for a nil resolve); indoubt counts the branches that needed resolve.
-func ReplayRecords(recs []Record, apply func(file uint64, block int64, offset uint32, data []byte) error, resolve func(gid uint64) bool) (winners, losers, indoubt int, err error) {
+func ReplayRecords(recs []Record, apply func(file uint64, block int64, offset uint32, data []byte) error) (winners, losers int, err error) {
 	committed := map[uint64]bool{}
 	aborted := map[uint64]bool{}
-	prepared := map[uint64]uint64{} // local txn -> global txn id
-	var prepOrder []uint64          // prepare-record order; no map iteration needed
 	seen := map[uint64]bool{}
 	var seenOrder []uint64 // first-appearance order; no map iteration needed
 	for _, r := range recs {
@@ -439,11 +414,6 @@ func ReplayRecords(recs []Record, apply func(file uint64, block int64, offset ui
 			committed[r.Txn] = true
 		case RecAbort:
 			aborted[r.Txn] = true
-		case RecPrepare:
-			if _, dup := prepared[r.Txn]; !dup {
-				prepOrder = append(prepOrder, r.Txn)
-			}
-			prepared[r.Txn] = r.File
 		case RecUpdate:
 			if !seen[r.Txn] {
 				seen[r.Txn] = true
@@ -451,25 +421,11 @@ func ReplayRecords(recs []Record, apply func(file uint64, block int64, offset ui
 			}
 		}
 	}
-	// Resolve in-doubt branches: prepared, but no local decision record
-	// survived. The coordinator's durable decision is authoritative; with
-	// none (or no resolver) the branch is presumed aborted and undone like
-	// any other loser — its locks were still held at the crash, so reverse
-	// undo is safe.
-	for _, txn := range prepOrder {
-		if committed[txn] || aborted[txn] {
-			continue
-		}
-		indoubt++
-		if resolve != nil && resolve(prepared[txn]) {
-			committed[txn] = true
-		}
-	}
 	// Redo committed and aborted-with-compensation transactions forward.
 	for _, r := range recs {
 		if r.Type == RecUpdate && (committed[r.Txn] || aborted[r.Txn]) {
 			if err := apply(r.File, r.Block, r.Offset, r.After); err != nil {
-				return 0, 0, 0, err
+				return 0, 0, err
 			}
 		}
 	}
@@ -478,7 +434,7 @@ func ReplayRecords(recs []Record, apply func(file uint64, block int64, offset ui
 		r := recs[i]
 		if r.Type == RecUpdate && !committed[r.Txn] && !aborted[r.Txn] {
 			if err := apply(r.File, r.Block, r.Offset, r.Before); err != nil {
-				return 0, 0, 0, err
+				return 0, 0, err
 			}
 		}
 	}
@@ -490,5 +446,5 @@ func ReplayRecords(recs []Record, apply func(file uint64, block int64, offset ui
 			l++
 		}
 	}
-	return w, l, indoubt, nil
+	return w, l, nil
 }

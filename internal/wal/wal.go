@@ -39,17 +39,6 @@ const (
 	// File field carries the low-water segment sequence the checkpoint
 	// established.
 	RecCheckpoint
-	// RecPrepare marks a local transaction prepared under a two-phase
-	// commit: all its updates precede this record, and its fate now belongs
-	// to the global transaction whose id is carried in the File field. A
-	// prepared transaction with no later local commit/abort is in doubt at
-	// recovery and is resolved by the coordinator's decision record.
-	RecPrepare
-	// RecGlobalCommit is the coordinator's decision record for a global
-	// transaction (id in the Txn field): once durable in the coordinator's
-	// log, every prepared branch of that global transaction commits.
-	// Absence at recovery means presumed abort.
-	RecGlobalCommit
 )
 
 // Record is one log record.
@@ -258,6 +247,11 @@ func decodeRecord(b []byte) (Record, int, error) {
 	}
 	var r Record
 	r.Type = RecType(b[8])
+	if r.Type < RecUpdate || r.Type > RecCheckpoint {
+		// A CRC-valid record of a type no writer produces is damage, not
+		// data: the scan ends here as at a torn record.
+		return Record{}, 0, ErrCorrupt
+	}
 	r.Txn = le.Uint64(b[9:])
 	r.File = le.Uint64(b[17:])
 	r.Block = int64(le.Uint64(b[25:]))
@@ -341,39 +335,6 @@ func (m *Manager) AppendCommit(txn uint64) (LSN, error) {
 func (m *Manager) NoteAbsorbed() {
 	m.stats.GroupCommits++
 	m.ctrAbsorbed.Add(1)
-}
-
-// LogPrepare appends a prepare record binding local transaction txn to
-// global transaction gid, without forcing the log. The caller must make the
-// record durable (a Force, direct or via a group-commit batch) before the
-// coordinator is allowed to log its decision — that ordering is the whole
-// two-phase-commit contract.
-//
-//simlint:noalloc
-func (m *Manager) LogPrepare(txn, gid uint64) (LSN, error) {
-	if m.closed {
-		return 0, ErrClosed
-	}
-	//simlint:alloc(non-escaping record: append encodes it and drops the pointer)
-	lsn := m.append(&Record{Type: RecPrepare, Txn: txn, File: gid})
-	m.tracer.Instant("wal", "wal.prepare", trace.AU("txn", txn), trace.AU("gid", gid))
-	return lsn, nil
-}
-
-// AppendGlobalCommit appends the coordinator's decision record for global
-// transaction gid without forcing the log; like AppendCommit, the caller
-// owns the force that makes the decision durable (the commit point of the
-// whole global transaction).
-//
-//simlint:noalloc
-func (m *Manager) AppendGlobalCommit(gid uint64) (LSN, error) {
-	if m.closed {
-		return 0, ErrClosed
-	}
-	//simlint:alloc(non-escaping record: append encodes it and drops the pointer)
-	lsn := m.append(&Record{Type: RecGlobalCommit, Txn: gid})
-	m.tracer.Instant("wal", "wal.globalcommit", trace.AU("gid", gid))
-	return lsn, nil
 }
 
 // LogAbort appends an abort record (no force needed: undo was already

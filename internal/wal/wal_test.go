@@ -90,14 +90,13 @@ func logCommit(m *Manager, txn uint64) error {
 }
 
 // recoverLog is recovery as libtp runs it: Scan from the last checkpoint,
-// then ReplayRecords with no in-doubt resolver.
+// then ReplayRecords.
 func recoverLog(m *Manager, apply func(file uint64, block int64, offset uint32, data []byte) error) (winners, losers int, err error) {
 	recs, err := m.Scan()
 	if err != nil {
 		return 0, 0, err
 	}
-	winners, losers, _, err = ReplayRecords(recs, apply, nil)
-	return winners, losers, err
+	return ReplayRecords(recs, apply)
 }
 
 func TestCommitForcesLog(t *testing.T) {
@@ -203,6 +202,47 @@ func TestTornTailIgnored(t *testing.T) {
 	}
 	if len(recs) != 2 {
 		t.Fatalf("%d records, want 2 (torn tail dropped)", len(recs))
+	}
+}
+
+// A CRC-valid record whose type byte names no record type is damage, not
+// data: the scan ends at it as at a torn record, so neither it nor the
+// commit behind it reaches recovery.
+func TestScanStopsAtUnknownRecordType(t *testing.T) {
+	m, fsys := newLog(t)
+	m.LogUpdate(1, 1, 0, 0, []byte("a"), []byte("b"))
+	if err := logCommit(m, 1); err != nil {
+		t.Fatal(err)
+	}
+	m.LogUpdate(2, 1, 0, 0, []byte("b"), []byte("c"))
+	m.append(&Record{Type: RecCheckpoint + 1, Txn: 2})
+	if err := logCommit(m, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := Open(fsys, "/log", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := m2.Scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 {
+		t.Fatalf("%d records, want 3 (the scan ends at the unknown type)", len(recs))
+	}
+	pages := pageStore{}
+	winners, losers, err := ReplayRecords(recs, pages.apply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if winners != 1 || losers != 1 {
+		t.Fatalf("winners=%d losers=%d, want 1 and 1", winners, losers)
+	}
+	if got := pages[[2]int64{1, 0}][0]; got != 'b' {
+		t.Fatalf("page byte = %q, want txn 1's 'b' with txn 2 undone", got)
 	}
 }
 

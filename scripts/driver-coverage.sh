@@ -32,16 +32,13 @@ run() { # every driver must succeed; its output is not the point here
 for fig in all mpl scan fsync; do
 	run txnbench -fig $fig -scale 0.02 -txns 500
 done
-run txnbench -fig devices -devices 2,4 -txns 300 -scale 0.1 -logseg 16384 -json
 
 run tpcb -system user-lfs -scale 0.02 -txns 500 -mpl 64 -groupcommit 8
-run tpcb -system user-lfs -scale 0.02 -txns 500 -mpl 64 -groupcommit 8 -devices 2
 run tpcb -system user-lfs -scale 0.02 -txns 300 -groupcommit 8
 run tpcb -system user-ffs -scale 0.02 -txns 300 -groupcommit 8
 run tpcb -system user-ffs -scale 0.02 -txns 500 -mpl 8 -groupcommit 8
 run tpcb -system kernel-lfs -scale 0.02 -txns 500 -mpl 8 -groupcommit 8 -cleaner idle \
 	-metrics metrics.json -trace trace.json
-run tpcb -system user-lfs -scale 0.02 -txns 500 -devices 2
 run tpcb -system user-lfs -scale 0.02 -txns 300 -fastsync -logretain -wallstats
 # Hundreds of 4 KB log segments created and deleted beside the growing history
 # relation: the root directory shrinks, and the relation's blocks interleave
@@ -55,7 +52,6 @@ run crashsweep -system user-lfs $sweep -points 150 -diskscale 0.7 -logseg 4096
 run crashsweep -system user-ffs $sweep -points 150 -diskscale 0.7 -logseg 4096
 run crashsweep -system user-lfs $sweep -points 150 -diskscale 0.7 -logseg 16384
 run crashsweep -system user-ffs $sweep -points 150 -diskscale 0.7 -logseg 16384
-run crashsweep -system user-lfs $sweep -points 60 -devices 2 -logseg 4096
 run crashsweep -system kernel-lfs $sweep -points 120 -snapshots 4
 run crashsweep -system user-lfs $sweep -points 120 -snapshots 4
 run crashsweep -system kernel-lfs -seed 2 -txns 220 -points 0 -torn
