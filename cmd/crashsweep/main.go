@@ -39,6 +39,10 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit each report as a JSON object instead of a table")
 	snapshots := flag.Int("snapshots", 0, "open a read-only MVCC snapshot every Nth transaction and hold it across the next ones (0 = off)")
 	flag.Parse()
+	if *scale <= 0 {
+		fmt.Fprintf(os.Stderr, "crashsweep: -diskscale %g: want a positive scale factor\n", *scale)
+		os.Exit(2)
+	}
 
 	systems := []string{"kernel-lfs", "user-lfs", "user-ffs"}
 	if *system != "all" {

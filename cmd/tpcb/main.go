@@ -42,13 +42,15 @@ func main() {
 	cleaner := flag.String("cleaner", "sync", "LFS cleaning discipline: sync (on the critical path) or idle (overlapped with foreground idle windows)")
 	fastSync := flag.Bool("fastsync", false, "model fast user-level synchronization (no test-and-set penalty)")
 	logSeg := flag.Int64("logseg", 0, "WAL segment rotation threshold in payload bytes (0 = wal default)")
-	logRetain := flag.Bool("logretain", false, "archive dead WAL segments at checkpoint instead of deleting them")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file (open at ui.perfetto.dev)")
 	metricsOut := flag.String("metrics", "", "write the metrics snapshot (result, stats, attribution, registry) as JSON")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the run (go tool pprof)")
 	wallStats := flag.Bool("wallstats", false, "report simulator wall-clock speed (wall ns, dispatches, events/s); nondeterministic, so off by default")
 	flag.Parse()
+	if *scale <= 0 {
+		fatal(fmt.Errorf("-scale %g: want a positive scale factor", *scale))
+	}
 
 	costs := sim.SpriteCosts()
 	if *fastSync {
@@ -66,7 +68,6 @@ func main() {
 		ExpectedTxns:    *txns,
 		CleanerMode:     *cleaner,
 		LogSegmentBytes: *logSeg,
-		LogRetain:       *logRetain,
 		Trace:           true,
 	})
 	if err != nil {

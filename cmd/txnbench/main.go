@@ -37,7 +37,6 @@ func main() {
 	txns := flag.Int("txns", 5000, "transactions per measured run")
 	cleaner := flag.String("cleaner", "", "override the LFS cleaning discipline for all rigs: sync or idle (default: each system's natural mode)")
 	logSeg := flag.Int64("logseg", 0, "WAL segment rotation threshold in payload bytes for the user-level systems (0 = wal default)")
-	logRetain := flag.Bool("logretain", false, "archive dead WAL segments at checkpoint instead of deleting them")
 	jsonOut := flag.Bool("json", false, "emit each report as a JSON object instead of a table")
 	traceOut := flag.String("trace", "", "with -fig scan: write the kernel-lfs snapshot-scan run's Chrome trace-event JSON (open at ui.perfetto.dev)")
 	metricsOut := flag.String("metrics", "", "with -fig scan: write the full snapshot sweep as one JSON document")
@@ -78,9 +77,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "txnbench: unknown -cleaner %q (want sync or idle)\n", *cleaner)
 		os.Exit(2)
 	}
+	if *scale <= 0 {
+		fmt.Fprintf(os.Stderr, "txnbench: -scale %g: want a positive scale factor\n", *scale)
+		os.Exit(2)
+	}
 	opts := figures.Options{
-		Scale: *scale, Txns: *txns, CleanerMode: *cleaner,
-		LogSegmentBytes: *logSeg, LogRetain: *logRetain,
+		Scale: *scale, Txns: *txns, CleanerMode: *cleaner, LogSegmentBytes: *logSeg,
 		Scanners: *scanners, ScansEach: *scansEach,
 	}
 

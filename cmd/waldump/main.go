@@ -4,15 +4,14 @@
 // memory, waldump builds its own image: it runs a small TPC-B workload on one
 // of the user-level systems and then dumps the log it produced. Small -segbytes values force rotation so the dump shows a
 // multi-segment log; -checkpoint ends the run with a checkpoint so the
-// anchor, the low-water mark, and segment truncation (or archival, with
-// -retain) are visible too.
+// anchor, the low-water mark, and segment truncation are visible too.
 //
 // Usage:
 //
 //	waldump                              # user-lfs, 50 txns, default segments
 //	waldump -segbytes 4096 -txns 200     # many small segments
 //	waldump -system user-ffs -checkpoint
-//	waldump -segbytes 4096 -checkpoint -retain
+//	waldump -segbytes 4096 -checkpoint
 //
 // The run is deterministic: the same flags always produce the same dump.
 package main
@@ -33,12 +32,14 @@ func main() {
 	txns := flag.Int("txns", 50, "transactions to run before dumping")
 	scale := flag.Float64("scale", 0.01, "TPC-B scale factor for the workload")
 	segBytes := flag.Int64("segbytes", 0, "WAL segment rotation threshold in payload bytes (0 = wal default)")
-	retain := flag.Bool("retain", false, "archive dead segments at checkpoint instead of deleting them")
-	checkpoint := flag.Bool("checkpoint", false, "checkpoint the log after the workload (shows truncation/archival)")
+	checkpoint := flag.Bool("checkpoint", false, "checkpoint the log after the workload (shows truncation)")
 	flag.Parse()
 
 	if *system != "user-lfs" && *system != "user-ffs" {
 		fatal(fmt.Errorf("unknown -system %q (want user-lfs or user-ffs)", *system))
+	}
+	if *scale <= 0 {
+		fatal(fmt.Errorf("-scale %g: want a positive scale factor", *scale))
 	}
 
 	cfg := tpcb.ScaledConfig(*scale)
@@ -48,7 +49,6 @@ func main() {
 		Costs:           sim.SpriteCosts(),
 		ExpectedTxns:    *txns,
 		LogSegmentBytes: *segBytes,
-		LogRetain:       *retain,
 	})
 	if err != nil {
 		fatal(err)

@@ -1,8 +1,6 @@
-// Inventory: a warehouse stock tracker using the LINEAR-HASHING access
-// method (the third of the db(3) trio the paper's record layer offers) on
-// transaction-protected files. Restocks and orders run as transactions on
-// the embedded manager; an order that would oversell aborts and leaves no
-// trace — including in the hash index's overflow pages and bucket splits.
+// Inventory: a warehouse stock tracker keyed by SKU in a B-tree on a
+// transaction-protected file. Restocks and orders run as transactions on the
+// embedded manager; an order that would oversell aborts and leaves no trace.
 //
 // Run: go run ./examples/inventory
 package main
@@ -13,9 +11,9 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/disk"
-	"repro/internal/hashidx"
 	"repro/internal/lfs"
 	"repro/internal/sim"
 )
@@ -45,7 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	table, err := hashidx.Create(core.NewStore(proc, f))
+	table, err := btree.Create(core.NewStore(proc, f))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,13 +65,13 @@ func main() {
 		if err := proc.TxnBegin(); err != nil {
 			return err
 		}
-		t, err := hashidx.Open(core.NewStore(proc, f))
+		t, err := btree.Open(core.NewStore(proc, f))
 		if err != nil {
 			proc.TxnAbort()
 			return err
 		}
-		// Read for update: the bucket page is write-locked here rather than
-		// upgraded at the Put (two clients upgrading one bucket deadlock).
+		// Read for update: the leaf page is write-locked here rather than
+		// upgraded at the Put (two clients upgrading one leaf deadlock).
 		cur, err := t.GetForUpdate([]byte(sku))
 		if err != nil {
 			proc.TxnAbort()
@@ -89,7 +87,7 @@ func main() {
 		if err := proc.TxnBegin(); err != nil {
 			return err
 		}
-		t, err := hashidx.Open(core.NewStore(proc, f))
+		t, err := btree.Open(core.NewStore(proc, f))
 		if err != nil {
 			proc.TxnAbort()
 			return err
@@ -146,7 +144,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	t2, err := hashidx.Open(core.NewStore(proc2, f2))
+	t2, err := btree.Open(core.NewStore(proc2, f2))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 var simScopedPkgs = []string{
 	"lock", "wal", "lfs", "ffs", "core", "libtp", "buffer", "disk",
 	"tpcb", "figures", "crashsweep", "trace", "btree",
-	"workload", "hashidx", "recno", "pagestore", "vfs", "ufs", "frame", "mvcc",
+	"workload", "recno", "pagestore", "vfs", "ufs", "frame", "mvcc",
 }
 
 var (

@@ -26,7 +26,6 @@ func TestScope(t *testing.T) {
 		{"lock", false, true},
 		{"repro/internal/btree", false, true},
 		{"repro/internal/workload", false, true},
-		{"repro/internal/hashidx", false, true},
 		{"repro/internal/recno", false, true},
 		{"repro/internal/pagestore", false, true},
 		{"repro/internal/vfs", false, true},

@@ -300,12 +300,11 @@ func (t *Tree) readNodeVia(read func(pagestore.Store, int64, []byte) error, page
 	return decodeNode(pageNo, b)
 }
 
-// readForWrite reads the page at level (1 = the root) of a Put or Delete
-// descent: the interior levels plainly, the leaf — the one page every such
-// call rewrites — through pagestore.ReadForUpdate, so a locking store
-// write-locks it at first touch instead of upgrading a shared lock at the
-// write. Structure changes (a split reaching the parent, unlinking an emptied
-// leaf) still write pages that were read plainly; they are rare.
+// readForWrite reads the page at level (1 = the root) of a Put descent: the
+// interior levels plainly, the leaf — the one page every Put rewrites —
+// through pagestore.ReadForUpdate, so a locking store write-locks it at first
+// touch instead of upgrading a shared lock at the write. A split reaching the
+// parent still writes pages that were read plainly; splits are rare.
 func (t *Tree) readForWrite(pageNo int64, level int) (*node, error) {
 	if level < t.height {
 		return t.readNode(pageNo)
@@ -607,116 +606,6 @@ func (t *Tree) maybeSplit(n *node) (*split, error) {
 	return &split{key: sep, right: rightNo}, nil
 }
 
-// Delete removes key. Empty leaves are unlinked from their parent (lazy
-// rebalancing: pages may run underfull, as in many production B-trees, but
-// structure and ordering invariants are preserved).
-func (t *Tree) Delete(key []byte) error {
-	t.releaseTo(0)
-	removed, _, err := t.remove(t.root, 1, key)
-	if err != nil {
-		return err
-	}
-	if !removed {
-		return ErrNotFound
-	}
-	t.count--
-	// Collapse a root with a single child.
-	for {
-		root, err := t.readNode(t.root)
-		if err != nil {
-			return err
-		}
-		if root.leaf || len(root.keys) > 0 {
-			break
-		}
-		t.root = root.children[0]
-		t.height--
-	}
-	return t.writeMeta()
-}
-
-// remove deletes key under pageNo (at level); reports (removed, nowEmpty).
-func (t *Tree) remove(pageNo int64, level int, key []byte) (bool, bool, error) {
-	n, err := t.readForWrite(pageNo, level)
-	if err != nil {
-		return false, false, err
-	}
-	if n.leaf {
-		i, eq := search(n.keys, key)
-		if !eq {
-			return false, false, nil
-		}
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
-		if err := t.writeNode(n); err != nil {
-			return false, false, err
-		}
-		return true, len(n.keys) == 0, nil
-	}
-	ci := childIndex(n.keys, key)
-	removed, empty, err := t.remove(n.children[ci], level+1, key)
-	if err != nil || !removed {
-		return removed, false, err
-	}
-	if !empty {
-		return true, false, nil
-	}
-	// Unlink the empty child. Fix the leaf chain if it was a leaf.
-	child := n.children[ci]
-	if err := t.unlinkLeaf(child); err != nil {
-		return false, false, err
-	}
-	if ci == 0 {
-		if len(n.keys) == 0 {
-			// Node had a single (now empty) child: it becomes empty itself.
-			return true, true, nil
-		}
-		n.keys = n.keys[1:]
-		n.children = n.children[1:]
-	} else {
-		n.keys = append(n.keys[:ci-1], n.keys[ci:]...)
-		n.children = append(n.children[:ci], n.children[ci+1:]...)
-	}
-	if err := t.writeNode(n); err != nil {
-		return false, false, err
-	}
-	return true, len(n.children) == 0, nil
-}
-
-// unlinkLeaf removes an empty leaf from the sibling chain by scanning the
-// chain from the leftmost leaf (leaves are few per parent; acceptable).
-func (t *Tree) unlinkLeaf(pageNo int64) error {
-	dead, err := t.readNode(pageNo)
-	if err != nil {
-		return err
-	}
-	if !dead.leaf {
-		return nil
-	}
-	// Find the predecessor in the chain.
-	cur, err := t.leftmostLeaf()
-	if err != nil {
-		return err
-	}
-	if cur.pageNo == pageNo {
-		return nil // head of the chain; nothing points at it
-	}
-	mark := len(t.borrowed)
-	for cur.next != 0 && cur.next != pageNo {
-		next := cur.next
-		t.releaseTo(mark) // the leaf just passed
-		cur, err = t.readNode(next)
-		if err != nil {
-			return err
-		}
-	}
-	if cur.next == pageNo {
-		cur.next = dead.next
-		return t.writeNode(cur)
-	}
-	return nil
-}
-
 func (t *Tree) leftmostLeaf() (*node, error) {
 	n, err := t.readNodeCached(t.root)
 	if err != nil {
@@ -738,24 +627,6 @@ type Cursor struct {
 	n   *node
 	idx int
 	err error
-}
-
-// Seek positions a cursor at the first key ≥ key.
-func (t *Tree) Seek(key []byte) (*Cursor, error) {
-	t.releaseTo(0)
-	n, err := t.readNodeCached(t.root)
-	if err != nil {
-		return nil, err
-	}
-	for !n.leaf {
-		n, err = t.readNodeCached(n.children[childIndex(n.keys, key)])
-		if err != nil {
-			return nil, err
-		}
-	}
-	i, _ := search(n.keys, key)
-	c := &Cursor{t: t, n: n, idx: i - 1}
-	return c, nil
 }
 
 // First positions a cursor before the smallest key.

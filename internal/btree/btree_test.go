@@ -106,90 +106,6 @@ func TestScanInKeyOrder(t *testing.T) {
 	}
 }
 
-func TestSeek(t *testing.T) {
-	tr := newTree(t)
-	for i := 0; i < 100; i += 2 {
-		tr.Put(key(i), key(i))
-	}
-	// Seek to an absent odd key: lands on the next even one.
-	c, err := tr.Seek(key(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Next() {
-		t.Fatal("expected an entry after seek")
-	}
-	if !bytes.Equal(c.Key(), key(32)) {
-		t.Fatalf("Seek(31) → %v, want 32", c.Key())
-	}
-	// Seek past the end.
-	c, _ = tr.Seek(key(1000))
-	if c.Next() {
-		t.Fatal("seek past end should be exhausted")
-	}
-}
-
-func TestDelete(t *testing.T) {
-	tr := newTree(t)
-	const n = 800
-	for i := 0; i < n; i++ {
-		tr.Put(key(i), key(i))
-	}
-	for i := 0; i < n; i += 2 {
-		if err := tr.Delete(key(i)); err != nil {
-			t.Fatalf("Delete(%d): %v", i, err)
-		}
-	}
-	if tr.Count() != n/2 {
-		t.Fatalf("Count = %d, want %d", tr.Count(), n/2)
-	}
-	for i := 0; i < n; i++ {
-		_, err := tr.Get(key(i))
-		if i%2 == 0 && !errors.Is(err, ErrNotFound) {
-			t.Fatalf("deleted key %d still present: %v", i, err)
-		}
-		if i%2 == 1 && err != nil {
-			t.Fatalf("surviving key %d lost: %v", i, err)
-		}
-	}
-	if cnt, err := tr.Check(); err != nil || cnt != n/2 {
-		t.Fatalf("Check = %d, %v", cnt, err)
-	}
-}
-
-func TestDeleteAll(t *testing.T) {
-	tr := newTree(t)
-	const n = 300
-	for i := 0; i < n; i++ {
-		tr.Put(key(i), key(i))
-	}
-	for i := n - 1; i >= 0; i-- {
-		if err := tr.Delete(key(i)); err != nil {
-			t.Fatalf("Delete(%d): %v", i, err)
-		}
-	}
-	if tr.Count() != 0 {
-		t.Fatalf("Count = %d", tr.Count())
-	}
-	c, _ := tr.First()
-	if c.Next() {
-		t.Fatal("empty tree should scan nothing")
-	}
-	// Reuse after emptying.
-	tr.Put([]byte("again"), []byte("yes"))
-	if v, err := tr.Get([]byte("again")); err != nil || string(v) != "yes" {
-		t.Fatalf("reuse failed: %q %v", v, err)
-	}
-}
-
-func TestDeleteMissing(t *testing.T) {
-	tr := newTree(t)
-	tr.Put([]byte("a"), []byte("1"))
-	if err := tr.Delete([]byte("b")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("got %v, want ErrNotFound", err)
-	}
-}
-
 func TestTooLargeRejected(t *testing.T) {
 	tr := newTree(t)
 	big := make([]byte, 400)
@@ -243,31 +159,22 @@ func TestVariableLengthKeys(t *testing.T) {
 	}
 }
 
-// Property: the tree behaves like a sorted map under random put/delete.
+// Property: the tree behaves like a sorted map under random inserts and
+// replaces.
 func TestTreeMatchesMapProperty(t *testing.T) {
 	tr := newTree(t)
 	shadow := map[string]string{}
 	op := func(ops []struct {
-		K   uint16
-		V   uint16
-		Del bool
+		K uint16
+		V uint16
 	}) bool {
 		for _, o := range ops {
 			k := string(key(int(o.K % 512)))
-			if o.Del {
-				_, exists := shadow[k]
-				err := tr.Delete([]byte(k))
-				if exists != (err == nil) {
-					return false
-				}
-				delete(shadow, k)
-			} else {
-				v := string(key(int(o.V)))
-				if err := tr.Put([]byte(k), []byte(v)); err != nil {
-					return false
-				}
-				shadow[k] = v
+			v := string(key(int(o.V)))
+			if err := tr.Put([]byte(k), []byte(v)); err != nil {
+				return false
 			}
+			shadow[k] = v
 		}
 		if tr.Count() != int64(len(shadow)) {
 			return false
@@ -382,23 +289,32 @@ func TestBulkLoadThenMutate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Inserts, replaces, and deletes must work on a bulk-built tree.
+	// Inserts and replaces must work on a bulk-built tree.
 	for i := 0; i < 500; i++ {
 		if err := tr.Put(key(10000+i), key(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 2000; i += 2 {
-		if err := tr.Delete(key(i)); err != nil {
-			t.Fatalf("Delete(%d): %v", i, err)
+		if err := tr.Put(key(i), key(i+1)); err != nil {
+			t.Fatalf("Put(%d): %v", i, err)
 		}
 	}
-	want := int64(2000 - 1000 + 500)
+	want := int64(2000 + 500)
 	if tr.Count() != want {
 		t.Fatalf("Count = %d, want %d", tr.Count(), want)
 	}
 	if cnt, err := tr.Check(); err != nil || cnt != want {
 		t.Fatalf("Check = %d, %v", cnt, err)
+	}
+	for i := 0; i < 2000; i++ {
+		want := key(i * 2)
+		if i%2 == 0 {
+			want = key(i + 1)
+		}
+		if v, err := tr.Get(key(i)); err != nil || !bytes.Equal(v, want) {
+			t.Fatalf("Get(%d) = %v, %v", i, v, err)
+		}
 	}
 }
 
@@ -569,12 +485,12 @@ func TestGetForUpdateLocksOnlyTheLeaf(t *testing.T) {
 	}
 }
 
-// TestPutAndDeleteReadTheLeafForUpdate: a Put (replacing, or inserting a new
-// key, with or without a split) and a Delete each read height-1 interior
-// pages plainly on the way down and exactly one page — the leaf they rewrite
-// — for update, and never read that leaf plainly: on a locking store no
-// record-level write upgrades a shared lock.
-func TestPutAndDeleteReadTheLeafForUpdate(t *testing.T) {
+// TestPutReadsTheLeafForUpdate: a Put (replacing, or inserting a new key,
+// with or without a split) reads height-1 interior pages plainly on the way
+// down and exactly one page — the leaf it rewrites — for update, and never
+// reads that leaf plainly: on a locking store no record-level write upgrades
+// a shared lock.
+func TestPutReadsTheLeafForUpdate(t *testing.T) {
 	const n = 3000
 	st := &updateStore{MemStore: pagestore.NewMemStore(512)}
 	next := 0
@@ -611,12 +527,13 @@ func TestPutAndDeleteReadTheLeafForUpdate(t *testing.T) {
 	for i := 0; i < 2*n; i += 7 {
 		st.reads, st.updates = nil, nil
 		h := tr.Height()
-		if err := tr.Delete(key(i)); err != nil {
+		if err := tr.Put(key(i), key(i+1)); err != nil {
 			t.Fatal(err)
 		}
-		// Delete also re-reads the root to collapse a single-child root, and
-		// the leaf chain when it unlinks an emptied leaf: plain reads all.
-		check("Delete", i, h)
+		check("Put/replace", i, h)
+		if len(st.reads) != h-1 {
+			t.Fatalf("Put(%d) read %v plainly, want the %d interior pages only", i, st.reads, h-1)
+		}
 	}
 	if _, err := tr.Check(); err != nil {
 		t.Fatal(err)

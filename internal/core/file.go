@@ -206,9 +206,9 @@ func (m *Manager) degreeOneID() uint64 {
 }
 
 // Store adapts a protected file to the pagestore interface so the access
-// methods (btree, recno, hashidx) run unchanged on the embedded system —
-// the paper's point that applications keep their existing record interfaces
-// and gain transactions from the file system.
+// methods (btree, recno) run unchanged on the embedded system — the paper's
+// point that applications keep their existing record interfaces and gain
+// transactions from the file system.
 type Store struct {
 	p *Process
 	f *File
@@ -272,8 +272,3 @@ func (s *Store) AllocPage() (int64, error) {
 	}
 	return np, nil
 }
-
-// Sync implements pagestore.Store. Under the embedded manager durability
-// comes from TxnCommit's flush; Sync forces the file for non-transactional
-// setup phases.
-func (s *Store) Sync() error { return s.f.Sync() }

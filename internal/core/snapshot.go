@@ -104,7 +104,7 @@ func (s *Snapshot) Close() {
 }
 
 // Store returns the snapshot's read-only page store for f, so the access
-// methods (btree, recno, hashidx) scan old versions unchanged.
+// methods (btree, recno) scan old versions unchanged.
 func (s *Snapshot) Store(f *File) pagestore.Store {
 	ps := s.m.fs.BlockSize()
 	st := &snapStore{snap: s, f: f, raBase: -1}
@@ -228,6 +228,3 @@ func (s *snapStore) readCurrent(n int64, p []byte) error {
 
 func (s *snapStore) WritePage(int64, []byte) error { return ErrSnapshotReadOnly }
 func (s *snapStore) AllocPage() (int64, error)     { return 0, ErrSnapshotReadOnly }
-
-// Sync is a no-op: a read-only transaction has nothing to make durable.
-func (s *snapStore) Sync() error { return nil }

@@ -87,6 +87,9 @@ func (o *Options) fill() error {
 	if o.Txns == 0 {
 		o.Txns = 200
 	}
+	if o.Txns < 1 {
+		return fmt.Errorf("crashsweep: %d transactions: want at least 1", o.Txns)
+	}
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = o.Txns / 4
 	}
@@ -189,7 +192,7 @@ func checkpointRig(rig *tpcb.Rig) error {
 
 // denseEvents snapshots the rig-wide counters whose changes mark a span as
 // dense: LFS auto-checkpoints and cleaner passes, sweeps of FFS's full stage,
-// and WAL segment rotations, seals, checkpoint truncations/archivals, and
+// and WAL segment rotations, seals, checkpoint truncations, and
 // checkpoint records (none under the embedded manager). Crashing on every op
 // of such spans covers torn blocks at segment tails, half-written index files,
 // interrupted truncations, and a stage half swept into place.
@@ -202,7 +205,7 @@ func denseEvents(rig *tpcb.Rig) int64 {
 		n += st.StagedFlushes
 	}
 	if st := rig.WALStats(); st != nil {
-		n += st.Rotations + st.SegmentsSealed + st.SegmentsDeleted + st.SegmentsArchived + st.Checkpoints
+		n += st.Rotations + st.SegmentsSealed + st.SegmentsDeleted + st.Checkpoints
 	}
 	return n
 }

@@ -52,6 +52,16 @@ func runSweep(t *testing.T, system string, torn bool) *Report {
 	return rep
 }
 
+// TestNegativeTxnsRejected: a sweep of fewer than one transaction is an
+// error, not a panic sizing the shadow history.
+func TestNegativeTxnsRejected(t *testing.T) {
+	opts := smallOpts("user-lfs", true)
+	opts.Txns = -3
+	if _, err := Run(opts); err == nil {
+		t.Fatal("Run swept -3 transactions")
+	}
+}
+
 func TestSweepKernelLFS(t *testing.T)     { runSweep(t, "kernel-lfs", false) }
 func TestSweepKernelLFSTorn(t *testing.T) { runSweep(t, "kernel-lfs", true) }
 func TestSweepUserLFSTorn(t *testing.T)   { runSweep(t, "user-lfs", true) }

@@ -2,6 +2,7 @@ package ffs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -158,13 +159,17 @@ func TestRemountPersistence(t *testing.T) {
 	}
 }
 
-func TestOverflowExtents(t *testing.T) {
-	fs, dev, clk := newFS(t)
-	// Force fragmentation: interleave writes to two files so extents
-	// cannot merge, pushing one file past the 12 inline extents.
+// overflowFile writes /a and /b a block at a time in turn, so that /a's
+// extents overflow the inode's inline dozen, syncs, and returns the file
+// system, the bytes each file holds and /a's overflow chain. The two inodes
+// share an inode-table block.
+func overflowFile(t *testing.T) (*FS, []byte, []int64) {
+	t.Helper()
+	fs, _, _ := newFS(t)
 	fa, _ := fs.Create("/a")
 	fb, _ := fs.Create("/b")
 	buf := pattern(4096, 6)
+	want := make([]byte, 0, 40*4096)
 	for i := int64(0); i < 40; i++ {
 		if _, err := fa.WriteAt(buf, i*4096); err != nil {
 			t.Fatal(err)
@@ -172,28 +177,108 @@ func TestOverflowExtents(t *testing.T) {
 		if _, err := fb.WriteAt(buf, i*4096); err != nil {
 			t.Fatal(err)
 		}
+		want = append(want, buf...)
 	}
 	fa.Close()
 	fb.Close()
-	in, _ := fs.LookupLocked("/a")
-	next := len(in.extents)
-	if next <= inlineExtents {
-		t.Skipf("allocation produced only %d extents; cannot exercise overflow", next)
-	}
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	fs2, err := Mount(dev, clk, Options{})
+	in, _ := fs.LookupLocked("/a")
+	if len(in.overflow) == 0 {
+		t.Fatalf("/a has %d extents and no overflow block", len(in.extents))
+	}
+	return fs, want, in.overflow
+}
+
+func TestOverflowExtents(t *testing.T) {
+	fs, want, _ := overflowFile(t)
+	fs2, err := Mount(fs.dev, fs.clock, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := readFile(t, fs2, "/a")
-	want := make([]byte, 40*4096)
-	for i := 0; i < 40; i++ {
-		copy(want[i*4096:], buf)
-	}
-	if !bytes.Equal(got, want) {
+	if got := readFile(t, fs2, "/a"); !bytes.Equal(got, want) {
 		t.Fatal("overflow-extent file corrupted across remount")
+	}
+}
+
+// TestLoadingOverflowKeepsTheInodeTable: reading a file's overflow extent
+// chain must not overwrite the cached inode-table block its slot sits in. A
+// sibling synced after the file is loaded writes that cached block through,
+// so a damaged cache would lose every inode in the block on disk.
+func TestLoadingOverflowKeepsTheInodeTable(t *testing.T) {
+	fs, want, _ := overflowFile(t)
+	fs2, err := Mount(fs.dev, fs.clock, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sib, err := fs2.Open("/b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readFile(t, fs2, "/a"); !bytes.Equal(got, want) {
+		t.Fatal("overflow-extent file corrupted across remount")
+	}
+	// Growing /b makes its Sync store its inode, through the cached table
+	// block /a's slot shares.
+	grow := pattern(4096, 77)
+	if _, err := sib.WriteAt(grow, int64(len(want))); err != nil {
+		t.Fatal(err)
+	}
+	if err := sib.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	sib.Close()
+
+	fs3, err := Mount(fs.dev, fs.clock, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readFile(t, fs3, "/a"); !bytes.Equal(got, want) {
+		t.Fatal("/a corrupted after a sibling's Sync")
+	}
+	if got := readFile(t, fs3, "/b"); !bytes.Equal(got, append(want, grow...)) {
+		t.Fatal("/b corrupted after its Sync")
+	}
+}
+
+// TestOverflowChainRejectsCorruption: an overflow block that is empty, whose
+// count runs past the block, or whose chain points back to itself fails the
+// file's Open with ErrCorrupt instead of a panic or a loop that never ends.
+func TestOverflowChainRejectsCorruption(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		damage func(b []byte, self int64)
+	}{
+		{"count past the block", func(b []byte, _ int64) {
+			binary.LittleEndian.PutUint32(b[8:], uint32(overflowCapacity(len(b))+1))
+		}},
+		{"chain points to itself", func(b []byte, self int64) {
+			binary.LittleEndian.PutUint64(b[0:], uint64(self))
+		}},
+		{"empty block", func(b []byte, _ int64) {
+			binary.LittleEndian.PutUint32(b[8:], 0)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fs, _, chain := overflowFile(t)
+			blk := chain[len(chain)-1]
+			b := make([]byte, fs.blockSize)
+			if err := fs.dev.Read(blk, b); err != nil {
+				t.Fatal(err)
+			}
+			c.damage(b, blk)
+			if err := fs.dev.Write(blk, b); err != nil {
+				t.Fatal(err)
+			}
+			fs2, err := Mount(fs.dev, fs.clock, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fs2.Open("/a"); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open of a file with a damaged overflow block = %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 

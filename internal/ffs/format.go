@@ -174,10 +174,11 @@ func (in *inode) encodeSlot() []byte {
 	return b
 }
 
-// decodeSlot parses an inode slot; used=false means a free slot.
-func decodeSlot(b []byte, ino Ino) (*inode, bool) {
+// decodeSlot parses an inode slot and returns it with its recorded extent
+// count, inline and overflow; used=false means a free slot.
+func decodeSlot(b []byte, ino Ino) (*inode, int, bool) {
 	if b[0] == 0 {
-		return nil, false
+		return nil, 0, false
 	}
 	le := binary.LittleEndian
 	in := &inode{Inode: ufs.Inode{Ino: ino}}
@@ -199,7 +200,7 @@ func decodeSlot(b []byte, ino Ino) (*inode, bool) {
 	if ovp != 0 {
 		in.overflow = []int64{ovp} // remaining chain read by caller
 	}
-	return in, true
+	return in, n, true
 }
 
 // Overflow extent block layout: next(8) count(4) pad(4) extents ×(start 8, len 8).
@@ -219,10 +220,19 @@ func encodeOverflow(blockSize int, next int64, exts []extent) []byte {
 	return b
 }
 
-func decodeOverflow(b []byte) (next int64, exts []extent) {
+// decodeOverflow parses overflow block blk of inode ino, which may hold at
+// most want of the extents the inode's slot records. The block is not
+// trusted: a count of zero (the encoder never writes an empty block), past
+// the block's capacity or past want is ErrCorrupt, so neither a bad count nor
+// a chain that points back into itself can run past the buffer or forever.
+func decodeOverflow(b []byte, ino Ino, blk int64, want int) (exts []extent, next int64, err error) {
 	le := binary.LittleEndian
 	next = int64(le.Uint64(b[0:]))
 	n := int(le.Uint32(b[8:]))
+	if capacity := overflowCapacity(len(b)); n == 0 || n > capacity || n > want {
+		return nil, 0, fmt.Errorf("%w: inode %d overflow block %d holds %d extents (capacity %d, %d left of the slot's count)",
+			ErrCorrupt, ino, blk, n, capacity, want)
+	}
 	off := 16
 	for i := 0; i < n; i++ {
 		exts = append(exts, extent{
@@ -231,5 +241,5 @@ func decodeOverflow(b []byte) (next int64, exts []extent) {
 		})
 		off += 16
 	}
-	return next, exts
+	return exts, next, nil
 }

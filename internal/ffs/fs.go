@@ -492,22 +492,27 @@ func (fs *FS) loadInodeLocked(ino Ino) (*inode, error) {
 	if err != nil {
 		return nil, err
 	}
-	in, ok := decodeSlot(buf[slot*inodeSlotSize:(slot+1)*inodeSlotSize], ino)
+	in, total, ok := decodeSlot(buf[slot*inodeSlotSize:(slot+1)*inodeSlotSize], ino)
 	if !ok {
 		return nil, vfs.ErrNotExist
 	}
-	// Follow the overflow chain.
+	// Follow the overflow chain, in a buffer of its own: buf is the cached
+	// table block.
 	if len(in.overflow) > 0 {
 		next := in.overflow[0]
 		in.overflow = in.overflow[:0]
+		ob := make([]byte, fs.blockSize)
 		for next != 0 {
 			in.overflow = append(in.overflow, next)
-			if err := fs.dev.Read(next, buf); err != nil {
+			if err := fs.dev.Read(next, ob); err != nil {
 				return nil, err
 			}
-			var exts []extent
-			next, exts = decodeOverflow(buf)
+			exts, after, err := decodeOverflow(ob, ino, next, total-len(in.extents))
+			if err != nil {
+				return nil, err
+			}
 			in.extents = append(in.extents, exts...)
+			next = after
 		}
 	}
 	fs.inodes[ino] = in

@@ -47,10 +47,8 @@ type Options struct {
 	// sweep (default 8); the other arm always forces per commit.
 	GroupCommit int
 	// LogSegmentBytes bounds the user-level systems' WAL segment size
-	// (0 = the wal default); LogRetain archives dead segments at checkpoint
-	// instead of deleting them.
+	// (0 = the wal default).
 	LogSegmentBytes int64
-	LogRetain       bool
 	// Scanners and ScansEach size the mixed OLTP + scan sweep (Scan):
 	// Scanners concurrent readers each performing ScansEach full account
 	// scans alongside the writers. Defaults 2 and 1.
@@ -58,10 +56,9 @@ type Options struct {
 	ScansEach int
 }
 
-// rigLogOptions copies the WAL segment knobs into a rig configuration.
+// rigLogOptions copies the WAL segment knob into a rig configuration.
 func (o Options) rigLogOptions(r tpcb.RigOptions) tpcb.RigOptions {
 	r.LogSegmentBytes = o.LogSegmentBytes
-	r.LogRetain = o.LogRetain
 	return r
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/btree"
-	"repro/internal/hashidx"
 	"repro/internal/lock"
 	"repro/internal/pagestore"
 	"repro/internal/recno"
@@ -152,19 +151,43 @@ func TestDeadlockSurfacesToCaller(t *testing.T) {
 	}
 }
 
-// TestHashIndexUnderTxn runs the linear-hash access method through the
-// transactional store, with commit, abort, and crash recovery.
-func TestHashIndexUnderTxn(t *testing.T) {
+// TestBTreeAbortAcrossSplits runs the B-tree through the transactional
+// store: a committed tree, then an aborted transaction that overwrites half
+// its keys and inserts enough new ones to split leaves, then crash recovery.
+// Neither the abort nor the recovery may leave a trace of the loser.
+func TestBTreeAbortAcrossSplits(t *testing.T) {
+	const committed, inserted = 120, 400
+	key := func(i int) []byte { return []byte{byte(i), byte(i >> 4), byte(i >> 8), 'k'} }
+	verify := func(tr *btree.Tree, when string) {
+		t.Helper()
+		if tr.Count() != committed {
+			t.Fatalf("count %s = %d, want %d", when, tr.Count(), committed)
+		}
+		for i := 0; i < committed; i++ {
+			v, err := tr.Get(key(i))
+			if err != nil || v[0] != byte(i*3) {
+				t.Fatalf("key %d = %v, %v %s", i, v, err, when)
+			}
+		}
+		for i := committed; i < committed+inserted; i++ {
+			if _, err := tr.Get(key(i)); !errors.Is(err, btree.ErrNotFound) {
+				t.Fatalf("loser's key %d: %v %s, want ErrNotFound", i, err, when)
+			}
+		}
+		if n, err := tr.Check(); err != nil || n != committed {
+			t.Fatalf("Check %s = %d, %v", when, n, err)
+		}
+	}
+
 	rig := newRig(t, "lfs")
-	db, _ := rig.env.OpenDB("/hash")
+	db, _ := rig.env.OpenDB("/tree")
 	txn := rig.env.Begin()
-	tb, err := hashidx.Create(txn.Store(db))
+	tb, err := btree.Create(txn.Store(db))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 120; i++ {
-		key := []byte{byte(i), byte(i >> 4), 'k'}
-		if err := tb.Put(key, []byte{byte(i * 3)}); err != nil {
+	for i := 0; i < committed; i++ {
+		if err := tb.Put(key(i), []byte{byte(i * 3)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,44 +195,43 @@ func TestHashIndexUnderTxn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// An aborted overwrite leaves the table untouched, across bucket
-	// splits and overflow pages.
 	loser := rig.env.Begin()
-	tb2, err := hashidx.Open(loser.Store(db))
+	tb2, err := btree.Open(loser.Store(db))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 60; i++ {
-		key := []byte{byte(i), byte(i >> 4), 'k'}
-		tb2.Put(key, []byte{0xFF})
+	before, _ := loser.Store(db).NumPages()
+	for i := 0; i < committed/2; i++ {
+		if err := tb2.Put(key(i), []byte{0xFF}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := committed; i < committed+inserted; i++ {
+		if err := tb2.Put(key(i), make([]byte, 32)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after, _ := loser.Store(db).NumPages(); after <= before {
+		t.Fatalf("the loser's inserts split no leaf (%d pages before, %d after)", before, after)
 	}
 	loser.Abort()
 
 	check := rig.env.Begin()
-	tb3, err := hashidx.Open(check.Store(db))
+	tb3, err := btree.Open(check.Store(db))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 120; i++ {
-		key := []byte{byte(i), byte(i >> 4), 'k'}
-		v, err := tb3.Get(key)
-		if err != nil || v[0] != byte(i*3) {
-			t.Fatalf("key %d = %v, %v after abort", i, v, err)
-		}
-	}
+	verify(tb3, "after abort")
 	check.Commit()
 
-	// Crash + recovery.
-	env2, _ := crashAndRecover(t, rig, []string{"/hash"})
-	db2, _ := env2.OpenDB("/hash")
+	env2, _ := crashAndRecover(t, rig, []string{"/tree"})
+	db2, _ := env2.OpenDB("/tree")
 	final := env2.Begin()
-	tb4, err := hashidx.Open(final.Store(db2))
+	tb4, err := btree.Open(final.Store(db2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb4.Count() != 120 {
-		t.Fatalf("count after crash = %d", tb4.Count())
-	}
+	verify(tb4, "after crash")
 	final.Commit()
 }
 

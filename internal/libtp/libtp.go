@@ -55,9 +55,6 @@ type Options struct {
 	LogPath string
 	// LogSegmentBytes is the log rotation threshold (0 = the wal default).
 	LogSegmentBytes int64
-	// LogRetain keeps dead log segments as read-only archives instead of
-	// deleting them at checkpoint truncation.
-	LogRetain bool
 	// Tracer, when non-nil, is wired through the environment's buffer pool,
 	// lock manager, and log manager, and transaction begin/commit/abort emit
 	// events with commit-wait attribution.
@@ -172,7 +169,7 @@ func NewEnv(fsys vfs.FileSystem, clock *sim.Clock, opts Options) (*Env, error) {
 	opts.fill()
 	env := newEnvShell(fsys, clock, opts)
 
-	walOpts := wal.Options{SegmentBytes: opts.LogSegmentBytes, Retain: opts.LogRetain}
+	walOpts := wal.Options{SegmentBytes: opts.LogSegmentBytes}
 	if !wal.Exists(fsys, opts.LogPath) {
 		lg, err := wal.Create(fsys, opts.LogPath, walOpts)
 		if err != nil {
@@ -529,7 +526,7 @@ func RecoverPaths(fsys vfs.FileSystem, clock *sim.Clock, opts Options, dbPaths [
 		env.files[uint64(f.ID())] = f
 	}
 	scanStart := clock.Now()
-	lg, err := wal.Open(fsys, opts.LogPath, wal.Options{SegmentBytes: opts.LogSegmentBytes, Retain: opts.LogRetain})
+	lg, err := wal.Open(fsys, opts.LogPath, wal.Options{SegmentBytes: opts.LogSegmentBytes})
 	if err != nil {
 		return nil, nil, err
 	}

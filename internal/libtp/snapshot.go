@@ -135,9 +135,6 @@ func (s *snapStore) ReadPage(n int64, p []byte) error {
 func (s *snapStore) WritePage(int64, []byte) error { return ErrSnapshotReadOnly }
 func (s *snapStore) AllocPage() (int64, error)     { return 0, ErrSnapshotReadOnly }
 
-// Sync is a no-op: a read-only transaction has nothing to make durable.
-func (s *snapStore) Sync() error { return nil }
-
 // noteCommitLocked stamps (or discards) a committing transaction's version
 // deltas once its commit record has a log position. The deltas are kept
 // only when some pinned snapshot predates the commit; otherwise nothing can

@@ -184,12 +184,6 @@ func (s *txnStore) AllocPage() (int64, error) {
 	return np, nil
 }
 
-// Sync forces the log; data pages follow lazily (no-force).
-func (s *txnStore) Sync() error {
-	e := s.t.env
-	return e.log.Force()
-}
-
 // diffRange returns the smallest [lo, hi) byte range where old and new
 // differ (lo == hi when identical).
 func diffRange(old, new []byte) (int, int) {

@@ -1,5 +1,5 @@
 // Package pagestore defines the paged-file abstraction the access methods
-// (btree, recno, hashidx) are written against. The same B-tree code thereby
+// (btree, recno) are written against. The same B-tree code thereby
 // runs in both of the paper's configurations:
 //
 //   - user-level: LIBTP's buffer manager implements Store, acquiring
@@ -34,8 +34,6 @@ type Store interface {
 	WritePage(n int64, p []byte) error
 	// AllocPage appends a zeroed page and returns its number.
 	AllocPage() (int64, error)
-	// Sync forces written pages to stable storage.
-	Sync() error
 }
 
 // UpdateReader is optionally implemented by a locking Store.
@@ -129,9 +127,6 @@ func (s *FileStore) AllocPage() (int64, error) {
 	return np, nil
 }
 
-// Sync implements Store.
-func (s *FileStore) Sync() error { return s.F.Sync() }
-
 // MemStore is an in-memory Store for unit tests.
 type MemStore struct {
 	Size  int
@@ -170,6 +165,3 @@ func (s *MemStore) AllocPage() (int64, error) {
 	s.pages = append(s.pages, make([]byte, s.Size))
 	return int64(len(s.pages) - 1), nil
 }
-
-// Sync implements Store.
-func (s *MemStore) Sync() error { return nil }

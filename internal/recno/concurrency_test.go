@@ -115,21 +115,20 @@ func TestConcurrentAppendersAcrossRollovers(t *testing.T) {
 	}
 	seen := make(map[[2]uint32]int64)
 	next := make([]uint32, procs)
-	err = f.Scan(func(n int64, rec []byte) bool {
+	for n := int64(0); n < f.Count(); n++ {
+		rec, err := f.Get(n)
+		if err != nil {
+			t.Fatal(err)
+		}
 		k := [2]uint32{binary.LittleEndian.Uint32(rec[0:]), binary.LittleEndian.Uint32(rec[4:])}
 		if prev, dup := seen[k]; dup {
 			t.Errorf("record (appender %d, seq %d) is in slots %d and %d", k[0], k[1], prev, n)
 		}
 		seen[k] = n
 		if k[0] >= procs || k[1] != next[k[0]] {
-			t.Errorf("slot %d holds (appender %d, seq %d): lost or out of order", n, k[0], k[1])
-			return false
+			t.Fatalf("slot %d holds (appender %d, seq %d): lost or out of order", n, k[0], k[1])
 		}
 		next[k[0]]++
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if np, _ := check.Store(db).NumPages(); np > 1+procs*perProc/8+1 {
 		t.Fatalf("%d pages for %d records of 8 per page: aborted allocations were not reused", np, procs*perProc)

@@ -212,26 +212,6 @@ func (f *File) Get(n int64) ([]byte, error) {
 	return out, nil
 }
 
-// Set overwrites record n.
-func (f *File) Set(n int64, rec []byte) error {
-	if len(rec) != f.recSize {
-		return ErrBadSize
-	}
-	if n < 0 || n >= f.count {
-		return fmt.Errorf("%w: %d of %d", ErrOutOfRange, n, f.count)
-	}
-	page, off := f.locate(n)
-	b := f.tail
-	if page != f.tailPage {
-		b = make([]byte, f.pageSize)
-	}
-	if err := pagestore.ReadForUpdate(f.st, page, b); err != nil {
-		return err
-	}
-	copy(b[off+1:], rec)
-	return f.st.WritePage(page, b)
-}
-
 // Append adds a record at the end and returns its record number. Appends are
 // sequential: the history file grows page by page, exactly the pattern a
 // log-structured file system turns into pure sequential I/O.
@@ -267,24 +247,4 @@ func (f *File) Append(rec []byte) (int64, error) {
 	}
 	f.count++
 	return f.count - 1, nil
-}
-
-// Scan invokes fn for every record in sequence, stopping early if fn
-// returns false.
-func (f *File) Scan(fn func(n int64, rec []byte) bool) error {
-	b := make([]byte, f.pageSize)
-	for n := int64(0); n < f.count; {
-		page, _ := f.locate(n)
-		if err := f.st.ReadPage(page, b); err != nil {
-			return err
-		}
-		for i := int64(0); i < f.perPage() && n < f.count; i++ {
-			off := int(i)*f.slotSize() + 1
-			if !fn(n, b[off:off+f.recSize]) {
-				return nil
-			}
-			n++
-		}
-	}
-	return nil
 }

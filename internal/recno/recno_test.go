@@ -60,25 +60,6 @@ func TestAppendAcrossPages(t *testing.T) {
 	}
 }
 
-func TestSet(t *testing.T) {
-	f := newFile(t, 20)
-	for i := 0; i < 10; i++ {
-		f.Append(rec(20, byte(i)))
-	}
-	if err := f.Set(5, rec(20, 99)); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := f.Get(5)
-	if !bytes.Equal(got, rec(20, 99)) {
-		t.Fatal("Set did not take")
-	}
-	// Neighbours untouched.
-	got, _ = f.Get(4)
-	if !bytes.Equal(got, rec(20, 4)) {
-		t.Fatal("Set corrupted neighbour")
-	}
-}
-
 func TestOutOfRange(t *testing.T) {
 	f := newFile(t, 20)
 	f.Append(rec(20, 0))
@@ -88,40 +69,12 @@ func TestOutOfRange(t *testing.T) {
 	if _, err := f.Get(-1); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("got %v", err)
 	}
-	if err := f.Set(7, rec(20, 0)); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("got %v", err)
-	}
 }
 
 func TestBadSize(t *testing.T) {
 	f := newFile(t, 20)
 	if _, err := f.Append(rec(19, 0)); !errors.Is(err, ErrBadSize) {
 		t.Fatalf("got %v", err)
-	}
-}
-
-func TestScan(t *testing.T) {
-	f := newFile(t, 64)
-	const n = 25
-	for i := 0; i < n; i++ {
-		f.Append(rec(64, byte(i)))
-	}
-	var seen []int64
-	err := f.Scan(func(n int64, r []byte) bool {
-		if r[0] != byte(n) {
-			t.Fatalf("record %d has wrong content", n)
-		}
-		seen = append(seen, n)
-		return true
-	})
-	if err != nil || len(seen) != n {
-		t.Fatalf("scan saw %d, %v", len(seen), err)
-	}
-	// Early stop.
-	count := 0
-	f.Scan(func(int64, []byte) bool { count++; return count < 5 })
-	if count != 5 {
-		t.Fatalf("early stop at %d", count)
 	}
 }
 
@@ -164,30 +117,18 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	}
 }
 
-// Property: append/set/get behaves like a slice of records.
+// Property: append/get behaves like a slice of records.
 func TestShadowProperty(t *testing.T) {
 	f := newFile(t, 8)
 	var shadow [][]byte
-	prop := func(ops []struct {
-		Set bool
-		Idx uint8
-		Val uint64
-	}) bool {
-		for _, op := range ops {
+	prop := func(vals []uint64) bool {
+		for _, v := range vals {
 			r := make([]byte, 8)
-			binary.LittleEndian.PutUint64(r, op.Val)
-			if op.Set && len(shadow) > 0 {
-				idx := int64(op.Idx) % int64(len(shadow))
-				if err := f.Set(idx, r); err != nil {
-					return false
-				}
-				shadow[idx] = r
-			} else {
-				if _, err := f.Append(r); err != nil {
-					return false
-				}
-				shadow = append(shadow, r)
+			binary.LittleEndian.PutUint64(r, v)
+			if _, err := f.Append(r); err != nil {
+				return false
 			}
+			shadow = append(shadow, r)
 		}
 		if f.Count() != int64(len(shadow)) {
 			return false

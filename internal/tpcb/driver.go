@@ -86,6 +86,9 @@ func (r *Rig) RunMPL(cfg Config, n, mpl int) (Result, error) {
 // not silently dropped.
 func (r *Rig) RunMixed(cfg Config, n, mpl, scanners, scansEach int, mode ScanMode) (MixedResult, error) {
 	sys, clock, tr := r.Sys, r.Clock, r.Tracer
+	if n < 0 {
+		return MixedResult{}, fmt.Errorf("tpcb: negative transaction count %d", n)
+	}
 	if mpl < 1 {
 		mpl = 1
 	}

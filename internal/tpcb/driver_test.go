@@ -25,6 +25,15 @@ func TestFewerTxnsThanClients(t *testing.T) {
 	}
 }
 
+// TestNegativeTxnsRejected: a negative transaction count is an error, not a
+// run that reports negative throughput.
+func TestNegativeTxnsRejected(t *testing.T) {
+	rig := buildSmallGC(t, "user-lfs", 1)
+	if _, err := rig.RunMPL(smallCfg(), -3, 1); err == nil {
+		t.Fatal("RunMPL ran -3 transactions")
+	}
+}
+
 // TestIdleCleanerRunsBetweenTransactions: with CleanerMode "idle" the
 // between-transactions hook cleans. The disk is sized so that 600
 // transactions wrap the log.

@@ -51,9 +51,6 @@ type RigOptions struct {
 	// user-level rigs (0 = the wal default). Small segments force frequent
 	// rotations; checkpoints then truncate dead segments.
 	LogSegmentBytes int64
-	// LogRetain archives dead WAL segments at checkpoint instead of
-	// deleting them.
-	LogRetain bool
 	// Trace, when true, makes BuildRig construct a trace.Tracer on the
 	// rig's clock and thread it through every layer — disk, file system,
 	// buffer pools, lock table, log manager, transaction system — and
@@ -276,7 +273,6 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 			Costs:           opts.Costs,
 			GroupCommit:     opts.GroupCommit,
 			LogSegmentBytes: opts.LogSegmentBytes,
-			LogRetain:       opts.LogRetain,
 			Tracer:          tr,
 		})
 		if err != nil {

@@ -173,9 +173,8 @@ func (s *Snapshot) Render() string {
 		fmt.Fprintf(&b, "wal: %d records, %d bytes, %d forces, %d group-absorbed commits\n",
 			w.Records, w.BytesLogged, w.Forces, w.GroupCommits)
 		if w.Segments > 0 {
-			fmt.Fprintf(&b, "wal: %d segments (%d rotations, %d sealed), %d deleted, %d archived, %d checkpoints\n",
-				w.Segments, w.Rotations, w.SegmentsSealed, w.SegmentsDeleted,
-				w.SegmentsArchived, w.Checkpoints)
+			fmt.Fprintf(&b, "wal: %d segments (%d rotations, %d sealed), %d deleted, %d checkpoints\n",
+				w.Segments, w.Rotations, w.SegmentsSealed, w.SegmentsDeleted, w.Checkpoints)
 		}
 	}
 	if w := s.Wall; w != nil {

@@ -88,7 +88,7 @@ func Open(fsys vfs.FileSystem, base string, opts Options) (*Manager, error) {
 	}
 
 	// Finish any interrupted truncation: segments below the anchored
-	// low-water mark are dead (with Retain they are archives and stay).
+	// low-water mark are dead.
 	var live []uint64
 	removed := false
 	for _, seq := range segs {
@@ -96,13 +96,11 @@ func Open(fsys vfs.FileSystem, base string, opts Options) (*Manager, error) {
 			live = append(live, seq)
 			continue
 		}
-		if !opts.Retain {
-			if err := removeIfExists(fsys, segName(base, seq)); err != nil {
-				return nil, err
-			}
-			m.stats.SegmentsDeleted++
-			removed = true
+		if err := removeIfExists(fsys, segName(base, seq)); err != nil {
+			return nil, err
 		}
+		m.stats.SegmentsDeleted++
+		removed = true
 	}
 
 	// Attach the highest live segment as the active writer. A segment whose

@@ -24,8 +24,7 @@ import (
 // checkpoint with no side structure to trust. A small anchor file
 // {base}.ckpt records the LSN of the last durable checkpoint and the
 // low-water segment sequence; segments below the low-water mark are dead and
-// are deleted (or retained read-only when archival is configured) by
-// checkpoint-driven truncation.
+// are deleted by checkpoint-driven truncation.
 const (
 	// BlockSize is the log block size: one file-system block, so a block
 	// write is atomic on both the no-overwrite LFS and the in-place FFS.

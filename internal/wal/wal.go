@@ -10,7 +10,7 @@
 // its transaction, the page it touched, the byte range, and the before- and
 // after-images; a commit is durable once a Force issued after its record was
 // appended has returned. Checkpoints advance a low-water mark recorded in a
-// small anchor file and truncate (or archive) the dead segments below it, so
+// small anchor file and delete the dead segments below it, so
 // recovery reads the live tail, never total history.
 package wal
 
@@ -71,9 +71,6 @@ type Options struct {
 	// stream would exceed it, the segment seals and a new one opens.
 	// 0 means DefaultSegmentBytes.
 	SegmentBytes int64
-	// Retain keeps dead segments on disk (read-only archives for online
-	// backup) instead of deleting them at checkpoint truncation.
-	Retain bool
 }
 
 func (o Options) withDefaults() Options {
@@ -90,12 +87,11 @@ type Stats struct {
 	Forces       int64 `json:"forces"`        // log forces (synchronous flushes)
 	GroupCommits int64 `json:"group_commits"` // commits that waited on another committer's force
 
-	Segments         int64 `json:"segments"`          // segment files created
-	Rotations        int64 `json:"rotations"`         // active-segment seals due to the size threshold
-	SegmentsSealed   int64 `json:"segments_sealed"`   // sealed segments fully flushed and closed
-	SegmentsDeleted  int64 `json:"segments_deleted"`  // dead segments removed by checkpoint truncation
-	SegmentsArchived int64 `json:"segments_archived"` // dead segments retained as read-only archives
-	Checkpoints      int64 `json:"checkpoints"`       // checkpoints anchored
+	Segments        int64 `json:"segments"`         // segment files created
+	Rotations       int64 `json:"rotations"`        // active-segment seals due to the size threshold
+	SegmentsSealed  int64 `json:"segments_sealed"`  // sealed segments fully flushed and closed
+	SegmentsDeleted int64 `json:"segments_deleted"` // dead segments removed by checkpoint truncation
+	Checkpoints     int64 `json:"checkpoints"`      // checkpoints anchored
 }
 
 // segWriter is the in-memory state of one not-yet-finalized segment: the
@@ -392,8 +388,7 @@ func (m *Manager) writeAnchor(a anchor) error {
 	return m.anchorF.Sync()
 }
 
-// truncateBelow deletes (or, with Retain, archives in place) every segment
-// with sequence below newLow. Deletion durability is not required: if the
+// truncateBelow deletes every segment with sequence below newLow. Deletion durability is not required: if the
 // crash eats a removal, Open finds the stale segment below the anchored
 // low-water mark and deletes it again. The full-FS sync after the removals
 // IS required, though — an LFS-style host queues each unlink's deletion
@@ -406,10 +401,6 @@ func (m *Manager) writeAnchor(a anchor) error {
 func (m *Manager) truncateBelow(newLow uint64) error {
 	removed := false
 	for seq := m.lowWater; seq < newLow; seq++ {
-		if m.opts.Retain {
-			m.stats.SegmentsArchived++
-			continue
-		}
 		if err := removeIfExists(m.fsys, segName(m.base, seq)); err != nil {
 			return err
 		}

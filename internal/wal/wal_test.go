@@ -809,39 +809,6 @@ func TestCheckpointTruncatesDeadSegments(t *testing.T) {
 	}
 }
 
-func TestRetainArchivesDeadSegments(t *testing.T) {
-	m, fsys := newLogOpts(t, Options{SegmentBytes: 300, Retain: true})
-	for txn := uint64(1); txn <= 30; txn++ {
-		m.LogUpdate(txn, 1, int64(txn), 0, []byte("bbbb"), []byte("aaaa"))
-		logCommit(m, txn)
-	}
-	if _, err := m.LogCheckpoint(); err != nil {
-		t.Fatal(err)
-	}
-	st := m.Stats()
-	if st.SegmentsArchived == 0 || st.SegmentsDeleted != 0 {
-		t.Fatalf("retain should archive, not delete: %+v", st)
-	}
-	for seq := uint64(1); seq < m.lowWater; seq++ {
-		if _, err := fsys.Stat(segName("/log", seq)); err != nil {
-			t.Fatalf("archived segment %d missing: %v", seq, err)
-		}
-	}
-	// Archives survive a reopen too (Open must not garbage-collect them).
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := Open(fsys, "/log", Options{Retain: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seq := uint64(1); seq < m2.lowWater; seq++ {
-		if _, err := fsys.Stat(segName("/log", seq)); err != nil {
-			t.Fatalf("archived segment %d lost at reopen: %v", seq, err)
-		}
-	}
-}
-
 // TestBoundedRecoveryScan is the acceptance test for bounded recovery: after
 // a checkpoint followed by more traffic and a reopen, the recovery scan
 // starts at the checkpoint — reading only segments at or after its low-water

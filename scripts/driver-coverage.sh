@@ -39,7 +39,7 @@ run tpcb -system user-ffs -scale 0.02 -txns 300 -groupcommit 8
 run tpcb -system user-ffs -scale 0.02 -txns 500 -mpl 8 -groupcommit 8
 run tpcb -system kernel-lfs -scale 0.02 -txns 500 -mpl 8 -groupcommit 8 -cleaner idle \
 	-metrics metrics.json -trace trace.json
-run tpcb -system user-lfs -scale 0.02 -txns 300 -fastsync -logretain -wallstats
+run tpcb -system user-lfs -scale 0.02 -txns 300 -fastsync -wallstats
 # Hundreds of 4 KB log segments created and deleted beside the growing history
 # relation: the root directory shrinks, and the relation's blocks interleave
 # with the segments' until its extent list overflows the inode's twelve inline
@@ -63,7 +63,6 @@ run benchmark -quick -trace 1
 run waldump
 run waldump -segbytes 4096 -txns 200
 run waldump -system user-ffs -checkpoint
-run waldump -segbytes 4096 -txns 200 -checkpoint -retain
 run lfsdump -save lfs.img
 run lfsdump -load lfs.img
 for example in quickstart banking kvstore inventory; do
