@@ -10,7 +10,10 @@
 //
 //   - LFS's no-overwrite policy guarantees before-images (the old versions
 //     of updated pages remain in the log until cleaned), and
-//   - flushing all dirty pages at commit guarantees after-images.
+//   - forcing every page the committing transactions dirtied guarantees
+//     after-images. The paper writes each page whole; here the force writes
+//     only the bytes that changed when they fit one summary block
+//     (lfs.FS.FlushCommit), and the pages follow whole by write-behind.
 //
 // Therefore the only machinery added to the "kernel" is lock management and
 // transaction management (§4): a lock table keyed by (file, block), a
@@ -87,7 +90,7 @@ type Stats struct {
 	Aborted      int64 `json:"aborted"`
 	CommitFlush  int64 `json:"commit_flushes"` // commit-time flush operations (group commits count once)
 	PagesFlushed int64 `json:"pages_flushed"`  // distinct pages written by commit flushes (a batch's union)
-	BytesFlushed int64 `json:"bytes_flushed"`  // whole pages × block size (§4.3's commit cost)
+	BytesFlushed int64 `json:"bytes_flushed"`  // whole pages × block size: §4.3's commit cost, whatever the force wrote
 	Deadlocks    int64 `json:"deadlocks"`
 	// Snapshots counts read-only snapshot transactions (BeginSnapshot);
 	// VersionsRecorded counts the before-image deltas kept for pinned
@@ -281,10 +284,12 @@ func (p *Process) TxnCommit() error {
 }
 
 // writeBatchLocked forces the batch's page set — the union of the pending
-// transactions' write sets, nothing else that is on hold — to the log as one
-// atomic partial-segment stream, then drops the batch's holds. A page that a
-// running transaction has written since is logged from its committed image
-// and stays dirty and held for that writer. The holds are released only
+// transactions' write sets, nothing else that is on hold — to the log
+// atomically, then drops the batch's holds. A page that a running transaction
+// has written since is forced from its committed image and stays dirty and
+// held for that writer. A page whose committed bytes went to the log as
+// patches stays dirty too (lfs.FS.Patched): its logged copy lacks them, so
+// an abort must not mark it clean. The holds are released only
 // AFTER the flush succeeds: any cleaner pass the flush triggers on entry
 // still sees the pages as held, so it relocates the on-disk before-images
 // instead of stealing unflushed contents into the log ahead of the batch.
@@ -317,7 +322,7 @@ func (m *Manager) writeBatchLocked() error {
 	for _, id := range ids {
 		hp := m.held[id]
 		hp.pending = 0
-		hp.baseDirty = false
+		hp.baseDirty = m.fs.Patched(id)
 		if len(hp.writers) == 0 {
 			m.unholdLocked(id)
 		}

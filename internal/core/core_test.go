@@ -440,64 +440,108 @@ func TestStallHookFlushesSleepingBatch(t *testing.T) {
 }
 
 // TestCommittedImageFlush is the invariant early lock release rests on. T1
-// pre-commits page P, T2 writes P before the batch reaches the log: the log
-// must receive T1's image of P — not a byte of T2's — and when T2 then
-// aborts, the cached P must be T1's image again, not a stale re-read.
+// pre-commits page P, T2 writes P, over some of T1's bytes, before the batch
+// reaches the log: a crash right after the flush must recover T1's image of
+// P — not a byte of T2's. If T2 then aborts, P stays dirty, since its logged
+// copy may lack T1's bytes, and evicting P and reading it again returns T1's
+// image, not a stale one. If T2 commits, its bytes are durable too, although
+// the force before carried none of them.
 func TestCommittedImageFlush(t *testing.T) {
 	for _, g := range []Granularity{Page, SubPage} {
-		r := newRig(t, Options{GroupCommit: 100, Granularity: g})
-		f := r.mkProtected(t, "/db", pat(8192, 1))
-		t1Image := pat(8192, 1)[:4096]
-		copy(t1Image[0:], pat(100, 2))
-		onDisk := func() []byte {
-			b := make([]byte, 4096)
-			if err := r.fs.ReadCurrent(buffer.BlockID{File: f.ID(), Block: 0}, b); err != nil {
-				t.Error(err)
+		for _, abort := range []bool{true, false} {
+			r := newRig(t, Options{GroupCommit: 100, Granularity: g})
+			f := r.mkProtected(t, "/db", pat(8192, 1))
+			id := buffer.BlockID{File: f.ID(), Block: 0}
+			t1Image := pat(8192, 1)[:4096]
+			copy(t1Image[0:], pat(100, 2))
+			t2Image := bytes.Clone(t1Image)
+			copy(t2Image[50:], pat(300, 9))
+			// crashes are device images, each with the page a crash at that
+			// instant must recover; they are mounted once the procs are done.
+			type crash struct {
+				when string
+				img  bytes.Buffer
+				want []byte
 			}
-			return b
-		}
-		runProcs(r,
-			func() { commitOne(t, r, f, pat(100, 2), 0) }, // T1
-			func() {
-				later(r) // T1 is pre-committed and asleep
-				p := r.m.NewProcess()
-				p.TxnBegin()
-				if _, err := p.Write(f, pat(300, 9), 50); err != nil { // T2, overlapping T1's bytes
-					t.Error(err)
-					return
-				}
-				if !bytes.Equal(onDisk(), pat(8192, 1)[:4096]) {
-					t.Error("page reached the log before its batch was flushed")
-				}
-				if err := r.m.Flush(); err != nil {
+			var crashes []*crash
+			crashHere := func(when string, want []byte) {
+				c := &crash{when: when, want: want}
+				if err := r.dev.SaveImage(&c.img); err != nil {
 					t.Error(err)
 				}
-				if !bytes.Equal(onDisk(), t1Image) {
-					t.Errorf("granularity %d: the log holds something other than T1's image of the page", g)
-				}
-				b := r.fs.Pool().Lookup(buffer.BlockID{File: f.ID(), Block: 0})
-				if b == nil || !b.Held() || !b.Dirty() {
-					t.Error("a page with a running writer must stay dirty and held after the flush")
-				}
-				if err := p.TxnAbort(); err != nil {
-					t.Error(err)
-				}
-				if b.Held() || b.Dirty() {
-					t.Error("after the writer aborted the page equals its log image: clean, off hold")
+				crashes = append(crashes, c)
+			}
+			runProcs(r,
+				func() { commitOne(t, r, f, pat(100, 2), 0) }, // T1
+				func() {
+					later(r) // T1 is pre-committed and asleep
+					p := r.m.NewProcess()
+					p.TxnBegin()
+					if _, err := p.Write(f, pat(300, 9), 50); err != nil { // T2, overlapping T1's bytes
+						t.Error(err)
+						return
+					}
+					crashHere("before the flush", pat(8192, 1)[:4096])
+					if err := r.m.Flush(); err != nil {
+						t.Error(err)
+					}
+					crashHere("after the flush", t1Image)
+					b := r.fs.Pool().Lookup(id)
+					if b == nil || !b.Held() || !b.Dirty() {
+						t.Error("a page with a running writer must stay dirty and held after the flush")
+						return
+					}
+					if !abort {
+						if err := p.TxnCommit(); err != nil {
+							t.Error(err)
+						}
+						crashHere("after T2 committed", t2Image)
+						return
+					}
+					if err := p.TxnAbort(); err != nil {
+						t.Error(err)
+					}
+					if b.Held() || b.Dirty() != r.fs.Patched(id) {
+						t.Errorf("after the writer aborted: held %v, dirty %v, patched %v; want off hold, dirty until logged whole",
+							b.Held(), b.Dirty(), r.fs.Patched(id))
+					}
+					// Evict the page: write-behind parks it, and it leaves the cache.
+					if err := r.fs.Pool().FlushAll(); err != nil {
+						t.Error(err)
+					}
+					if err := r.fs.Pool().Invalidate(id); err != nil {
+						t.Error(err)
+					}
+					got := make([]byte, 4096)
+					if _, err := p.Read(f, got, 0); err != nil {
+						t.Error(err)
+					}
+					if !bytes.Equal(got, t1Image) {
+						t.Errorf("granularity %d: evicted and read again, the page lost T1's bytes", g)
+					}
+					crashHere("after T2 aborted", t1Image)
+				})
+			committed, aborted := int64(1), int64(1)
+			if !abort {
+				committed, aborted = 2, 0
+			}
+			if st := r.m.Stats(); st.Committed != committed || st.Aborted != aborted {
+				t.Fatalf("Committed = %d, Aborted = %d, want %d and %d", st.Committed, st.Aborted, committed, aborted)
+			}
+			for _, c := range crashes {
+				rf, err := mountImage(t, r, &c.img).Open("/db")
+				if err != nil {
+					t.Fatal(err)
 				}
 				got := make([]byte, 4096)
-				if _, err := p.Read(f, got, 0); err != nil {
-					t.Error(err)
+				if _, err := rf.ReadAt(got, 0); err != nil {
+					t.Fatal(err)
 				}
-				if !bytes.Equal(got, t1Image) {
-					t.Errorf("granularity %d: abort did not restore T1's image", g)
+				if !bytes.Equal(got, c.want) {
+					t.Errorf("granularity %d: a crash %s recovers the wrong page (T1's bytes %v, T2's %v)",
+						g, c.when, bytes.Equal(got[:50], t1Image[:50]), bytes.Equal(got[100:350], t2Image[100:350]))
 				}
-			})
-		if st := r.m.Stats(); st.Committed != 1 || st.Aborted != 1 {
-			t.Fatalf("Committed = %d, Aborted = %d, want 1 and 1", st.Committed, st.Aborted)
-		}
-		if !bytes.Equal(onDisk(), t1Image) {
-			t.Fatal("the aborted writer's bytes reached the log")
+			}
 		}
 	}
 }
@@ -514,6 +558,40 @@ func TestWholePageCommitBytes(t *testing.T) {
 	st := r.m.Stats()
 	if st.BytesFlushed != 4096 {
 		t.Fatalf("BytesFlushed = %d, want one whole page (4096)", st.BytesFlushed)
+	}
+}
+
+// TestCommitForceIsOneSummaryBlock: a commit whose changed bytes fit a
+// summary block writes that block alone — the first commit after Protect
+// too — plus an inode pack only when the commit grew the file. §4.3's
+// commit volume still counts whole pages.
+func TestCommitForceIsOneSummaryBlock(t *testing.T) {
+	r := newRig(t, Options{})
+	f := r.mkProtected(t, "/db", pat(8192, 1))
+	want := append(pat(8192, 1), 0, 0) // the last commit grows the file by two bytes
+	for _, c := range []struct {
+		off    int64
+		blocks int64 // logged by the force
+	}{{10, 1}, {4000, 1}, {8192, 2}} {
+		before := r.fs.Stats()
+		commitOne(t, r, f, []byte("xy"), c.off)
+		copy(want[c.off:], "xy")
+		st := r.fs.Stats()
+		if st.BlocksLogged-before.BlocksLogged != c.blocks || st.SummaryOnlyForces-before.SummaryOnlyForces != 1 {
+			t.Fatalf("a commit at %d logged %d blocks in %d summary-only forces; want %d in one",
+				c.off, st.BlocksLogged-before.BlocksLogged, st.SummaryOnlyForces-before.SummaryOnlyForces, c.blocks)
+		}
+	}
+	if st := r.m.Stats(); st.BytesFlushed != 3*4096 {
+		t.Fatalf("BytesFlushed = %d, want three whole pages", st.BytesFlushed)
+	}
+	g, err := mountCopy(t, r).Open("/db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want)+10)
+	if n, _ := g.ReadAt(got, 0); !bytes.Equal(got[:n], want) {
+		t.Fatal("a crash after the commits lost bytes")
 	}
 }
 

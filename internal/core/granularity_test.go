@@ -206,8 +206,14 @@ func mountCopy(t *testing.T, r *rig) *lfs.FS {
 	if err := r.dev.SaveImage(&img); err != nil {
 		t.Fatal(err)
 	}
+	return mountImage(t, r, &img)
+}
+
+// mountImage mounts a device image saved from the rig's device.
+func mountImage(t *testing.T, r *rig, img *bytes.Buffer) *lfs.FS {
+	t.Helper()
 	clk := sim.NewClock()
-	dev, err := disk.LoadImage(r.dev.Model(), clk, &img)
+	dev, err := disk.LoadImage(r.dev.Model(), clk, img)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,6 +90,9 @@ func (o *Options) fill() error {
 	if o.Txns < 1 {
 		return fmt.Errorf("crashsweep: %d transactions: want at least 1", o.Txns)
 	}
+	if o.MaxPoints < 0 || o.Snapshots < 0 {
+		return fmt.Errorf("crashsweep: %d crash points, a snapshot every %d transactions: want neither negative", o.MaxPoints, o.Snapshots)
+	}
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = o.Txns / 4
 	}

@@ -53,12 +53,20 @@ func runSweep(t *testing.T, system string, torn bool) *Report {
 }
 
 // TestNegativeTxnsRejected: a sweep of fewer than one transaction is an
-// error, not a panic sizing the shadow history.
+// error, not a panic sizing the shadow history; so are a negative number of
+// crash points, snapshot cadence or WAL segment size.
 func TestNegativeTxnsRejected(t *testing.T) {
-	opts := smallOpts("user-lfs", true)
-	opts.Txns = -3
-	if _, err := Run(opts); err == nil {
-		t.Fatal("Run swept -3 transactions")
+	for _, bad := range []func(*Options){
+		func(o *Options) { o.Txns = -3 },
+		func(o *Options) { o.MaxPoints = -3 },
+		func(o *Options) { o.Snapshots = -2 },
+		func(o *Options) { o.LogSegmentBytes = -5 },
+	} {
+		opts := smallOpts("user-lfs", true)
+		bad(&opts)
+		if _, err := Run(opts); err == nil {
+			t.Fatalf("Run swept %+v", opts)
+		}
 	}
 }
 
@@ -96,6 +104,24 @@ func TestSweepSmallSegmentsTorn(t *testing.T) {
 				t.Fatal("no txn span crossed a WAL segment event; segments not small enough")
 			}
 		})
+	}
+}
+
+// TestSweepKernelTriggerCheckpoint: with the harness's checkpoints off,
+// 600 kernel-lfs transactions write more than the 512 partial segments after
+// which LFS checkpoints on its own, mid-run and not after a full flush. Most
+// commit forces are summary-only, so that checkpoint must first log every
+// page whose committed bytes are in patches only; one that skipped them
+// fails 5 of these 40 points. (The every-write CI sweep of 600 transactions
+// keeps the harness checkpoints, whose full flushes log those pages anyway.)
+func TestSweepKernelTriggerCheckpoint(t *testing.T) {
+	rep, err := Run(Options{System: "kernel-lfs", Txns: 600, Seed: 1, Torn: true, MaxPoints: 40, DiskScale: 0.7, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSurvived(t, rep)
+	if rep.Points != 40 || rep.CheckpointOps != 0 {
+		t.Fatalf("%d points, %d write ops in harness checkpoints: want 40 and none", rep.Points, rep.CheckpointOps)
 	}
 }
 

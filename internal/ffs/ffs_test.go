@@ -244,7 +244,8 @@ func TestLoadingOverflowKeepsTheInodeTable(t *testing.T) {
 
 // TestOverflowChainRejectsCorruption: an overflow block that is empty, whose
 // count runs past the block, or whose chain points back to itself fails the
-// file's Open with ErrCorrupt instead of a panic or a loop that never ends.
+// file's Open with ErrCorrupt instead of a panic or a loop that never ends;
+// so does a chain that ends before the slot's extent count.
 func TestOverflowChainRejectsCorruption(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -258,6 +259,9 @@ func TestOverflowChainRejectsCorruption(t *testing.T) {
 		}},
 		{"empty block", func(b []byte, _ int64) {
 			binary.LittleEndian.PutUint32(b[8:], 0)
+		}},
+		{"chain short of the slot's count", func(b []byte, _ int64) {
+			binary.LittleEndian.PutUint32(b[8:], binary.LittleEndian.Uint32(b[8:])-1)
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -175,10 +175,13 @@ func (in *inode) encodeSlot() []byte {
 }
 
 // decodeSlot parses an inode slot and returns it with its recorded extent
-// count, inline and overflow; used=false means a free slot.
-func decodeSlot(b []byte, ino Ino) (*inode, int, bool) {
+// count, inline and overflow; a nil inode means a free slot. The count must
+// agree with the slot: past the inline extents only with an overflow
+// pointer to hold the rest, and an overflow pointer only past them.
+// Anything else is ErrCorrupt.
+func decodeSlot(b []byte, ino Ino) (*inode, int, error) {
 	if b[0] == 0 {
-		return nil, 0, false
+		return nil, 0, nil
 	}
 	le := binary.LittleEndian
 	in := &inode{Inode: ufs.Inode{Ino: ino}}
@@ -188,6 +191,11 @@ func decodeSlot(b []byte, ino Ino) (*inode, int, bool) {
 	in.Size = int64(le.Uint64(b[16:]))
 	in.Mtime = int64(le.Uint64(b[24:]))
 	n := int(le.Uint32(b[32:]))
+	ovp := int64(le.Uint64(b[40+inlineExtents*16:]))
+	if (n > inlineExtents) != (ovp != 0) {
+		return nil, 0, fmt.Errorf("%w: inode %d records %d extents and overflow pointer %d (%d fit the slot)",
+			ErrCorrupt, ino, n, ovp, inlineExtents)
+	}
 	off := 40
 	for i := 0; i < inlineExtents && i < n; i++ {
 		in.extents = append(in.extents, extent{
@@ -196,11 +204,10 @@ func decodeSlot(b []byte, ino Ino) (*inode, int, bool) {
 		})
 		off += 16
 	}
-	ovp := int64(le.Uint64(b[40+inlineExtents*16:]))
 	if ovp != 0 {
 		in.overflow = []int64{ovp} // remaining chain read by caller
 	}
-	return in, n, true
+	return in, n, nil
 }
 
 // Overflow extent block layout: next(8) count(4) pad(4) extents ×(start 8, len 8).

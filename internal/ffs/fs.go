@@ -492,8 +492,11 @@ func (fs *FS) loadInodeLocked(ino Ino) (*inode, error) {
 	if err != nil {
 		return nil, err
 	}
-	in, total, ok := decodeSlot(buf[slot*inodeSlotSize:(slot+1)*inodeSlotSize], ino)
-	if !ok {
+	in, total, err := decodeSlot(buf[slot*inodeSlotSize:(slot+1)*inodeSlotSize], ino)
+	if err != nil {
+		return nil, err
+	}
+	if in == nil {
 		return nil, vfs.ErrNotExist
 	}
 	// Follow the overflow chain, in a buffer of its own: buf is the cached
@@ -513,6 +516,10 @@ func (fs *FS) loadInodeLocked(ino Ino) (*inode, error) {
 			}
 			in.extents = append(in.extents, exts...)
 			next = after
+		}
+		if len(in.extents) != total {
+			return nil, fmt.Errorf("%w: inode %d records %d extents, its overflow chain ends after %d",
+				ErrCorrupt, ino, total, len(in.extents))
 		}
 	}
 	fs.inodes[ino] = in

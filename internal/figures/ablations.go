@@ -182,7 +182,11 @@ type CleanerAblationReport struct {
 
 // AblationCleaner measures kernel-lfs with the synchronous cleaner and with
 // the idle-overlapped background cleaner, derives the analytic no-stall
-// bound, and runs user-lfs for the cross-system comparison.
+// bound, and runs user-lfs for the cross-system comparison. Every run has
+// half the paper's disk, as the benchmark's cleaning workload does: most
+// kernel-lfs commit forces log one summary block, and on the paper's
+// half-full disk its log would barely wrap, leaving the cleaner nothing to
+// do.
 func AblationCleaner(opts Options) (*CleanerAblationReport, error) {
 	opts.fill()
 	cfg := tpcb.ScaledConfig(opts.Scale)
@@ -190,7 +194,7 @@ func AblationCleaner(opts Options) (*CleanerAblationReport, error) {
 
 	run := func(kind, mode string) (*tpcb.Rig, tpcb.Result, error) {
 		return opts.measure(kind+" "+mode, tpcb.RigOptions{Kind: kind, Config: cfg, Costs: opts.Costs,
-			ExpectedTxns: opts.Txns, CleanerMode: mode}, 1)
+			ExpectedTxns: opts.Txns, CleanerMode: mode, DiskScale: 0.5}, 1)
 	}
 
 	rigSync, resSync, err := run("kernel-lfs", "sync")
@@ -237,9 +241,11 @@ func (r *CleanerAblationReport) String() string {
 		r.IdleElapsed.Truncate(time.Millisecond), r.TPSIdle, float64(r.IdleStall)/float64(r.IdleElapsed)*100)
 	fmt.Fprintf(&b, "  %-34s %12s %8.2f %15s\n", "no-stall bound (analytic)",
 		r.BoundElapsed.Truncate(time.Millisecond), r.TPSBound, "0.0%")
-	fmt.Fprintf(&b, "  idle cleaner: %s busy = %s overlapped + %s stalled; write amplification %.2f×\n",
+	// The idle rig's flush path still cleans synchronously when free
+	// segments run out before an idle pass frees some: the rest of busy.
+	fmt.Fprintf(&b, "  idle cleaner: %s busy = %s overlapped + %s stalled + %s in synchronous passes; write amplification %.2f×\n",
 		r.IdleBusy.Truncate(time.Millisecond), r.IdleOverlap.Truncate(time.Millisecond),
-		r.IdleStall.Truncate(time.Millisecond), r.IdleWriteAmp)
+		r.IdleStall.Truncate(time.Millisecond), (r.IdleBusy - r.IdleOverlap - r.IdleStall).Truncate(time.Millisecond), r.IdleWriteAmp)
 	fmt.Fprintf(&b, "  user-level on LFS: %.2f TPS → kernel/user ratio %.2f sync, %.2f idle-overlapped\n",
 		r.TPSUser, r.TPSSync/r.TPSUser, r.TPSIdle/r.TPSUser)
 	return b.String()
@@ -256,7 +262,9 @@ type CommitVolumeRow struct {
 	TPS         float64
 	// CommitBytes is what the transaction manager handed to the commit path:
 	// whole pages flushed (embedded) or WAL bytes logged (user level).
-	CommitBytes float64
+	// PatchBytes is what of it the commit forces wrote as patch records in
+	// summary blocks instead of whole blocks (lfs.Stats.PatchBytes).
+	CommitBytes, PatchBytes float64
 	// Blocks is what reached the log device, every partial segment counted —
 	// relation pages evicted or checkpointed as well as commit forces — and
 	// its split by kind: Blocks = Data + Summary + InodePack + Pointer.
@@ -309,11 +317,12 @@ func AblationCommitBytes(opts Options) (*CommitBytesReport, error) {
 				per := func(n int64) float64 { return float64(n) / float64(opts.Txns) }
 				row := CommitVolumeRow{
 					System: kind, MPL: mpl, GroupCommit: gc, TPS: res.TPS,
-					Blocks:    per(st.BlocksLogged - before.BlocksLogged),
-					Summary:   per(st.SummaryBlocks - before.SummaryBlocks),
-					InodePack: per(st.InodePackBlocks - before.InodePackBlocks),
-					Pointer:   per(st.PointerBlocks - before.PointerBlocks),
-					Cleaner:   per(st.Cleaner.BlocksWritten - before.Cleaner.BlocksWritten),
+					PatchBytes: per(st.PatchBytes - before.PatchBytes),
+					Blocks:     per(st.BlocksLogged - before.BlocksLogged),
+					Summary:    per(st.SummaryBlocks - before.SummaryBlocks),
+					InodePack:  per(st.InodePackBlocks - before.InodePackBlocks),
+					Pointer:    per(st.PointerBlocks - before.PointerBlocks),
+					Cleaner:    per(st.Cleaner.BlocksWritten - before.Cleaner.BlocksWritten),
 				}
 				row.Data = row.Blocks - row.Summary - row.InodePack - row.Pointer
 				if rig.Core != nil {
@@ -332,17 +341,18 @@ func AblationCommitBytes(opts Options) (*CommitBytesReport, error) {
 func (r *CommitBytesReport) String() string {
 	var b strings.Builder
 	b.WriteString("Ablation — commit volume (§4.3: whole pages at commit vs logging only the updated bytes)\n")
-	fmt.Fprintf(&b, "  %-10s %4s %3s %8s %13s %11s = %6s + %7s + %10s + %7s %9s\n",
-		"system", "MPL", "gc", "TPS", "commit B/txn", "blocks/txn", "data", "summary", "inode pack", "pointer", "(cleaner)")
+	fmt.Fprintf(&b, "  %-10s %4s %3s %8s %13s %12s %11s = %6s + %7s + %10s + %7s %9s\n",
+		"system", "MPL", "gc", "TPS", "commit B/txn", "patch B/txn", "blocks/txn", "data", "summary", "inode pack", "pointer", "(cleaner)")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-10s %4d %3d %8.2f %13.0f %11.2f   %6.2f   %7.2f   %10.2f   %7.2f %9.2f\n",
-			row.System, row.MPL, row.GroupCommit, row.TPS, row.CommitBytes, row.Blocks,
+		fmt.Fprintf(&b, "  %-10s %4d %3d %8.2f %13.0f %12.0f %11.2f   %6.2f   %7.2f   %10.2f   %7.2f %9.2f\n",
+			row.System, row.MPL, row.GroupCommit, row.TPS, row.CommitBytes, row.PatchBytes, row.Blocks,
 			row.Data, row.Summary, row.InodePack, row.Pointer, row.Cleaner)
 	}
 	k, u := r.Row("kernel-lfs", 1, 1), r.Row("user-lfs", 1, 1)
-	fmt.Fprintf(&b, "  MPL 1: the embedded manager hands %.0f× the bytes to its commit path and puts %.1f× the blocks on the device\n",
-		k.CommitBytes/u.CommitBytes, k.Blocks/u.Blocks)
+	fmt.Fprintf(&b, "  MPL 1: the embedded manager hands %.0f× the bytes to its commit path, patches %.1f× the bytes and puts %.1f× the blocks on the device\n",
+		k.CommitBytes/u.CommitBytes, k.PatchBytes/u.PatchBytes, k.Blocks/u.Blocks)
 	k, u = r.Row("kernel-lfs", 8, 8), r.Row("user-lfs", 8, 8)
-	fmt.Fprintf(&b, "  MPL 8, group commit ×8: %.0f× the bytes, %.1f× the blocks\n", k.CommitBytes/u.CommitBytes, k.Blocks/u.Blocks)
+	fmt.Fprintf(&b, "  MPL 8, group commit ×8: %.0f× the bytes, %.1f× the patch bytes, %.1f× the blocks\n",
+		k.CommitBytes/u.CommitBytes, k.PatchBytes/u.PatchBytes, k.Blocks/u.Blocks)
 	return b.String()
 }

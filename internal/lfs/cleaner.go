@@ -431,7 +431,11 @@ func (fs *FS) cleanBatchLocked(victims []int64) error {
 			continue
 		}
 		if err == nil { // else the reads stopped short: park nothing
-			copy(fs.stage.Frame(rb.id), rb.buf)
+			// A held block's durable image is its logged copy with the
+			// patches since laid over it.
+			dst := fs.stage.Frame(rb.id)
+			copy(dst, rb.buf)
+			fs.layPatchesLocked(rb.id, dst)
 		}
 		fs.frames.Give(rb.buf)
 	}

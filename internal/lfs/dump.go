@@ -91,7 +91,7 @@ func (fs *FS) Dump(w io.Writer) error {
 	st := fs.stats
 	fmt.Fprintf(w, "\nactivity: %d partial segments, %d blocks logged (%d summary, %d inode pack, %d pointer), %d checkpoints\n",
 		st.PartialSegments, st.BlocksLogged, st.SummaryBlocks, st.InodePackBlocks, st.PointerBlocks, st.Checkpoints)
-	fmt.Fprintf(w, "File.Sync: %d summary-only forces (%d bytes in patches), %d full; %d blocks in patches only\n",
+	fmt.Fprintf(w, "commit forces: %d summary-only (%d bytes in patches), %d full; %d blocks in patches only\n",
 		st.SummaryOnlyForces, st.PatchBytes, st.FullForces, len(fs.patched))
 	fmt.Fprintf(w, "cleaner: %d runs, %d segments cleaned, %d copied, %d dead, busy %v\n",
 		st.Cleaner.Runs, st.Cleaner.SegmentsCleaned, st.Cleaner.BlocksCopied, st.Cleaner.BlocksDead, st.Cleaner.BusyTime)

@@ -46,7 +46,7 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 		_ = fs.pool.Invalidate(id)
 		fs.stage.Unpark(id)
 		delete(fs.deltas, id)
-		patched = patched || fs.patched[id]
+		patched = patched || fs.Patched(id)
 		delete(fs.patched, id)
 	}
 	// Zero the tail of the last surviving block so re-extension reads zeros.
@@ -62,7 +62,7 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 		fs.pool.MarkDirty(b)
 		fs.pool.Release(b)
 		delete(fs.deltas, id)
-		patched = patched || fs.patched[id]
+		patched = patched || fs.Patched(id)
 	}
 	in.Size = size
 	in.Dirty, in.AttrDirty = true, true

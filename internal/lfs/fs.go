@@ -55,10 +55,11 @@ type Stats struct {
 	// SkippedTailBlocks counts the blocks left unwritten at the end of the
 	// segments the log head moved past.
 	SkippedTailBlocks int64 `json:"skipped_tail_blocks"`
-	// File.Sync forces: SummaryOnlyForces wrote one summary block whose patch
-	// records carried PatchBytes bytes; FullForces wrote the file's blocks
-	// (the bytes did not fit, or the force had to pack an inode or write a
-	// pointer block).
+	// Commit forces (File.Sync, FlushCommit): SummaryOnlyForces wrote one
+	// summary block whose patch records carried PatchBytes bytes (a
+	// FlushCommit's may add an inode pack); FullForces wrote blocks whole (the
+	// bytes did not fit or were not known, or a File.Sync had to pack an
+	// inode or a force to write a pointer block).
 	SummaryOnlyForces int64        `json:"summary_only_forces"`
 	PatchBytes        int64        `json:"patch_bytes"`
 	FullForces        int64        `json:"full_forces"`
@@ -109,9 +110,10 @@ type FS struct {
 	// deltas holds what each dirty block written through the cache changed
 	// since its bytes were last durable, while that is known (noteWrite);
 	// patched the blocks whose newest durable bytes are in summary patches
-	// only, which a checkpoint must log whole first (patch.go).
+	// only, which a checkpoint must log whole first, with a copy of those
+	// patches (patch.go).
 	deltas   map[buffer.BlockID]delta
-	patched  map[buffer.BlockID]bool
+	patched  map[buffer.BlockID][]patch
 	cleaning bool
 	// chainCont is set while a multi-partial flush batch is incomplete:
 	// every partial written in that window (including cleaner relocations
@@ -204,7 +206,7 @@ func (fs *FS) attach() {
 	fs.frames = frame.NewList(fs.blockSize)
 	fs.stage = ufs.NewStage(int(fs.sb.SegmentBlocks), fs.blockSize)
 	fs.deltas = make(map[buffer.BlockID]delta)
-	fs.patched = make(map[buffer.BlockID]bool)
+	fs.patched = make(map[buffer.BlockID][]patch)
 	fs.pool = buffer.New(fs.opts.CacheBlocks, fs.blockSize, fs.writeback)
 	fs.upper = ufs.New(ufs.Ops[*inode]{
 		Pool:     fs.pool,
@@ -502,8 +504,7 @@ func (fs *FS) Flush() error {
 }
 
 // FlushFile forces one file's dirty (unheld) blocks and meta-data to the
-// log — the embedded transaction manager's commit force (§4.3: "the kernel
-// flushes them to disk and releases locks when the writes have completed").
+// log whole, with the pointer blocks deferred as in a commit force.
 func (fs *FS) FlushFile(ino vfs.FileID) error {
 	return fs.flushLocked(map[Ino]bool{Ino(ino): true}, true, nil)
 }
@@ -518,16 +519,24 @@ type CommitPage struct {
 	Image []byte
 }
 
-// FlushCommit forces a group-commit batch to the log as one atomic
-// partial-segment stream: exactly the listed (held) pages, plus the unheld
-// dirty blocks and meta-data of the files they belong to. No other held page
-// is written, so the log never receives an uncommitted byte. A page logged
-// from its resident buffer comes back clean; a page logged from an override
-// image stays dirty, because the buffer still differs from the log.
+// FlushCommit forces a group-commit batch to the log atomically — the
+// embedded transaction manager's commit force (§4.3: "the kernel flushes them
+// to disk and releases locks when the writes have completed"). It logs the
+// committed image of exactly the listed (held) pages; no other held page is
+// written, so the log never receives an uncommitted byte.
+//
+// When the pages' changed ranges are known and fit a summary block, that is
+// one partial segment of no data blocks: its patch records carry the ranges,
+// and an inode pack follows only where a file's attributes changed. The pages
+// stay dirty (Patched) until write-behind, the cleaner or a checkpoint logs
+// them whole. Otherwise the pages go to the log whole, with the unheld dirty
+// blocks and meta-data of their files, as one partial-segment stream; a page
+// logged from its resident buffer comes back clean, one logged from an
+// override image stays dirty, because the buffer still differs from the log.
 func (fs *FS) FlushCommit(pages []CommitPage) error {
 	set := make(map[Ino]bool)
 	for _, cp := range pages {
 		set[Ino(cp.ID.File)] = true
 	}
-	return fs.flushLocked(set, true, pages)
+	return fs.forceLocked(set, pages)
 }

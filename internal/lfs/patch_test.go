@@ -239,51 +239,119 @@ func TestSummaryOnlyForceUnderTruncate(t *testing.T) {
 	}
 }
 
-// TestFlushCommitNeverPatches: the embedded transaction manager's forces,
-// FlushCommit and FlushFile, log whole blocks even when the changed bytes
-// would fit a summary; only File.Sync writes summary-only partials.
-func TestFlushCommitNeverPatches(t *testing.T) {
+// TestFlushFileNeverPatches: FlushFile logs a file's dirty blocks whole even
+// when the changed bytes would fit a summary.
+func TestFlushFileNeverPatches(t *testing.T) {
 	fs, _, _ := newFS(t)
 	bs := fs.BlockSize()
 	f, err := fs.Create("/f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for lbn := int64(0); lbn < 2; lbn++ {
-		if _, err := f.WriteAt(stamped(bs, lbn, 1), lbn*int64(bs)); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := f.WriteAt(stamped(bs, 0, 1), 0); err != nil {
+		t.Fatal(err)
 	}
 	if err := f.Sync(); err != nil { // packs the new inode; writes are measured from now on
 		t.Fatal(err)
 	}
 	ino := Ino(f.ID())
-	for _, force := range []struct {
-		name string
-		run  func() error
-	}{
-		{"FlushFile", func() error { return fs.FlushFile(vfs.FileID(ino)) }},
-		{"FlushCommit", func() error {
-			img := stamped(bs, 1, 1)
-			copy(img[40:], "committed")
-			return fs.FlushCommit([]CommitPage{{ID: blockIDOf(ino, 1), Image: img}})
-		}},
-	} {
-		if _, err := f.WriteAt([]byte(force.name), 20); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := fs.patchesLocked(fs.inodes[ino]); !ok {
-			t.Fatalf("%s: File.Sync could not patch the change; the comparison needs it to", force.name)
-		}
-		before := fs.Stats()
-		if err := force.run(); err != nil {
-			t.Fatal(err)
-		}
-		st := fs.Stats()
-		if st.SummaryOnlyForces != before.SummaryOnlyForces || st.BlocksLogged-before.BlocksLogged < 2 {
-			t.Fatalf("%s logged %d blocks, %d summary-only forces", force.name,
-				st.BlocksLogged-before.BlocksLogged, st.SummaryOnlyForces-before.SummaryOnlyForces)
-		}
+	if _, err := f.WriteAt([]byte("FlushFile"), 20); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fs.planForceLocked(map[Ino]bool{ino: true}, nil); !ok {
+		t.Fatal("File.Sync could not patch the change; the comparison needs it to")
+	}
+	before := fs.Stats()
+	if err := fs.FlushFile(vfs.FileID(ino)); err != nil {
+		t.Fatal(err)
+	}
+	st := fs.Stats()
+	if st.SummaryOnlyForces != before.SummaryOnlyForces || st.BlocksLogged-before.BlocksLogged < 2 {
+		t.Fatalf("FlushFile logged %d blocks, %d summary-only forces",
+			st.BlocksLogged-before.BlocksLogged, st.SummaryOnlyForces-before.SummaryOnlyForces)
+	}
+}
+
+// TestHeldPatchedBlockLoggedFromDurableImage: a FlushCommit of a few changed
+// bytes of a held page is one summary block. A running transaction then
+// writes the page again, so it stays held. The cleaner, moving the page's
+// last logged copy, and a checkpoint, which must log the page whole, each
+// log its durable image: that copy with the patches laid over it — not the
+// bare copy, which would drop the committed bytes, and not the buffer, which
+// holds the running writer's.
+func TestHeldPatchedBlockLoggedFromDurableImage(t *testing.T) {
+	for _, by := range []string{"cleaner", "checkpoint"} {
+		t.Run(by, func(t *testing.T) {
+			fs, dev, clk := tinyFS(t)
+			bs := fs.BlockSize()
+			f, err := fs.Create("/db")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for lbn := int64(0); lbn < 4; lbn++ {
+				if _, err := f.WriteAt(stamped(bs, lbn, 1), lbn*int64(bs)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fs.SetTxnProtected("/db", true); err != nil {
+				t.Fatal(err)
+			}
+			// A second file's blocks seal the segment holding /db's, and
+			// the checkpoint makes it a victim the cleaner may take.
+			writeFile(t, fs, "/fill", make([]byte, int(fs.sb.SegmentBlocks)*bs))
+			if err := fs.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			id := blockIDOf(Ino(f.ID()), 0)
+			addr, err := fs.blockAddr(fs.inodes[Ino(f.ID())], 0)
+			if err != nil || fs.segOf(addr) == fs.curSeg {
+				t.Fatalf("block 0 at %d in segment %d, the current one (%v)", addr, fs.segOf(addr), err)
+			}
+			im := fileImage{version: versions(4, 1), blocks: 4}
+
+			// Commit a few bytes of block 0, held as the embedded manager
+			// holds its pages.
+			if _, err := f.WriteAt([]byte("committed"), 100); err != nil {
+				t.Fatal(err)
+			}
+			b := fs.pool.Lookup(id)
+			fs.pool.SetHold(b, true)
+			before := fs.Stats()
+			if err := fs.FlushCommit([]CommitPage{{ID: id}}); err != nil {
+				t.Fatal(err)
+			}
+			if st := fs.Stats(); st.BlocksLogged-before.BlocksLogged != 1 || st.SummaryOnlyForces-before.SummaryOnlyForces != 1 || !fs.Patched(id) {
+				t.Fatalf("the commit logged %d blocks, %d summary-only forces, patched %v; want one summary block",
+					st.BlocksLogged-before.BlocksLogged, st.SummaryOnlyForces-before.SummaryOnlyForces, fs.Patched(id))
+			}
+			im = im.edit(bs, 0, 100, []byte("committed"))
+			// A running transaction writes the page again.
+			if _, err := f.WriteAt([]byte("running"), 200); err != nil {
+				t.Fatal(err)
+			}
+
+			if by == "cleaner" {
+				fs.cleaning = true
+				err = fs.cleanBatchLocked([]int64{fs.segOf(addr)})
+				fs.cleaning = false
+			} else {
+				err = fs.Sync()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if moved, _ := fs.blockAddr(fs.inodes[Ino(f.ID())], 0); moved == addr || fs.Patched(id) || !b.Held() || !b.Dirty() {
+				t.Fatalf("after the %s: block 0 at %d (was %d), patched %v, held %v, dirty %v; want logged whole, still held and dirty",
+					by, moved, addr, fs.Patched(id), b.Held(), b.Dirty())
+			}
+			fs2, err := Mount(dev, clk, fs.opts) // a crash
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := im.matches(fs2, "/db"); err != nil {
+				t.Fatalf("a crash after the %s: %v", by, err)
+			}
+		})
 	}
 }
 

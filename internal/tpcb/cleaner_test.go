@@ -8,7 +8,9 @@ import (
 )
 
 // buildIdleRig builds a kernel-lfs rig with the idle-overlapped batched
-// cleaner on a disk small enough that the log wraps and cleaning must run.
+// cleaner on a disk small enough that the log wraps and cleaning must run:
+// half the size 600 transactions are sized for, since most commits log one
+// summary block.
 func buildIdleRig(t *testing.T) *Rig {
 	t.Helper()
 	rig, err := BuildRig(RigOptions{
@@ -16,6 +18,7 @@ func buildIdleRig(t *testing.T) *Rig {
 		Config:       smallCfg(),
 		ExpectedTxns: 600,
 		CleanerMode:  "idle",
+		DiskScale:    0.5,
 	})
 	if err != nil {
 		t.Fatalf("BuildRig: %v", err)

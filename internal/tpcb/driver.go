@@ -86,11 +86,8 @@ func (r *Rig) RunMPL(cfg Config, n, mpl int) (Result, error) {
 // not silently dropped.
 func (r *Rig) RunMixed(cfg Config, n, mpl, scanners, scansEach int, mode ScanMode) (MixedResult, error) {
 	sys, clock, tr := r.Sys, r.Clock, r.Tracer
-	if n < 0 {
-		return MixedResult{}, fmt.Errorf("tpcb: negative transaction count %d", n)
-	}
-	if mpl < 1 {
-		mpl = 1
+	if n < 0 || mpl < 1 || scanners < 0 || scansEach < 0 {
+		return MixedResult{}, fmt.Errorf("tpcb: %d transactions, MPL %d, %d scanners of %d scans: want no negative count and MPL at least 1", n, mpl, scanners, scansEach)
 	}
 	if mode == ScanNone || scansEach <= 0 {
 		scanners = 0

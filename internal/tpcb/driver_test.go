@@ -26,11 +26,21 @@ func TestFewerTxnsThanClients(t *testing.T) {
 }
 
 // TestNegativeTxnsRejected: a negative transaction count is an error, not a
-// run that reports negative throughput.
+// run that reports negative throughput; so are an MPL below one and a
+// negative count of scanners or scans, which once made a slice of negative
+// length or ran no scans.
 func TestNegativeTxnsRejected(t *testing.T) {
 	rig := buildSmallGC(t, "user-lfs", 1)
 	if _, err := rig.RunMPL(smallCfg(), -3, 1); err == nil {
 		t.Fatal("RunMPL ran -3 transactions")
+	}
+	for _, c := range [][3]int{{0, 0, 0}, {-4, 0, 0}, {1, -1, 1}, {1, 2, -2}} {
+		if _, err := rig.RunMixed(smallCfg(), 10, c[0], c[1], c[2], ScanSnapshot); err == nil {
+			t.Fatalf("RunMixed ran at MPL %d with %d scanners of %d scans", c[0], c[1], c[2])
+		}
+	}
+	if _, err := BuildRig(RigOptions{Kind: "user-lfs", Config: smallCfg(), LogSegmentBytes: -5}); err == nil {
+		t.Fatal("BuildRig took a negative log segment size")
 	}
 }
 

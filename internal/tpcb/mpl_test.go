@@ -116,6 +116,10 @@ func TestMPLCleanerDeterminism(t *testing.T) {
 	const txns, mpl = 1200, 8
 	for _, kind := range []string{"user-lfs", "kernel-lfs"} {
 		t.Run(kind, func(t *testing.T) {
+			n := txns
+			if kind == "kernel-lfs" {
+				n = 3 * txns
+			}
 			type snapshot struct {
 				res  Result
 				lock lock.Stats
@@ -124,10 +128,11 @@ func TestMPLCleanerDeterminism(t *testing.T) {
 			}
 			run := func() snapshot {
 				// The shrunken disk, sized for 800 transactions, makes the
-				// log wrap within the 1,200 the run makes on both rig kinds,
-				// so the run exercises real cleaning, not an idle no-op.
-				// (800 no longer wrap user-lfs's: most commit forces write
-				// one summary block.)
+				// log wrap within the run, so the run exercises real
+				// cleaning, not an idle no-op: 1,200 transactions on
+				// user-lfs (800 no longer wrap its log: most commit forces
+				// write one summary block), 3,600 on kernel-lfs, whose
+				// commit forces are one summary block too.
 				rig, err := BuildRig(RigOptions{
 					Kind:         kind,
 					Config:       smallCfg(),
@@ -140,7 +145,7 @@ func TestMPLCleanerDeterminism(t *testing.T) {
 					t.Fatalf("BuildRig(%s): %v", kind, err)
 				}
 				rig.Clock.SetStrict(true)
-				res, err := rig.RunMPL(smallCfg(), txns, mpl)
+				res, err := rig.RunMPL(smallCfg(), n, mpl)
 				if err != nil {
 					t.Fatalf("RunMPL: %v", err)
 				}
@@ -248,26 +253,27 @@ func TestMPLGroupCommitBatches(t *testing.T) {
 // TestMPLKernelGroupCommitBatches: the embedded manager pre-commits too —
 // locks release when the transaction joins the batch, so the hot branch page
 // no longer forces a flush per transaction and group commit batches for
-// real: at most a quarter of force-per-commit's flushes, and the shared log
-// writes must buy at least 1.5× the throughput.
+// real: at most a quarter of force-per-commit's flushes, and at most half
+// the blocks through the log device. (No throughput gain is asserted: a
+// force is mostly one summary block, the disk of this fully cached rig is
+// idle most of the time at either setting, and waiting for a batch to fill
+// costs more than the shared force saves — as on user-lfs, see
+// TestMPLGroupCommitBatches.)
 func TestMPLKernelGroupCommitBatches(t *testing.T) {
 	const txns, mpl = 400, 8
-	flushes := func(groupCommit int) (int64, time.Duration) {
+	flushes := func(groupCommit int) (flushes, blocks int64) {
 		rig := buildSmallGC(t, "kernel-lfs", groupCommit)
-		res, err := rig.RunMPL(smallCfg(), txns, mpl)
-		if err != nil {
+		logged := rig.LFS.Stats().BlocksLogged
+		if _, err := rig.RunMPL(smallCfg(), txns, mpl); err != nil {
 			t.Fatalf("RunMPL(gc=%d): %v", groupCommit, err)
 		}
-		return rig.Core.Stats().CommitFlush, res.Elapsed
+		return rig.Core.Stats().CommitFlush, rig.LFS.Stats().BlocksLogged - logged
 	}
-	fNo, eNo := flushes(1)
-	fYes, eYes := flushes(8)
-	if fYes*4 > fNo {
-		t.Fatalf("kernel group commit did not batch: %d flushes with gc=8 vs %d with gc=1", fYes, fNo)
-	}
-	if eYes*3 > eNo*2 {
-		t.Fatalf("kernel group commit did not pay: elapsed %v with gc=8 vs %v with gc=1 (%d vs %d flushes)",
-			eYes, eNo, fYes, fNo)
+	fNo, bNo := flushes(1)
+	fYes, bYes := flushes(8)
+	if fYes*4 > fNo || bYes*2 > bNo {
+		t.Fatalf("kernel group commit did not batch: %d flushes and %d blocks logged with gc=8 vs %d and %d with gc=1",
+			fYes, bYes, fNo, bNo)
 	}
 }
 

@@ -176,7 +176,10 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 	if opts.Costs == (sim.CostModel{}) {
 		opts.Costs = sim.SpriteCosts()
 	}
-	if opts.GroupCommit < 1 {
+	if opts.GroupCommit < 0 || opts.LogSegmentBytes < 0 {
+		return nil, fmt.Errorf("tpcb: group commit %d, log segment bytes %d: want neither negative", opts.GroupCommit, opts.LogSegmentBytes)
+	}
+	if opts.GroupCommit == 0 {
 		opts.GroupCommit = 1
 	}
 	if opts.ExpectedTxns == 0 {

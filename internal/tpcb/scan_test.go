@@ -34,14 +34,20 @@ func buildMixed(t *testing.T, kind string, txns int, traced bool) *Rig {
 // and metrics snapshots on both LFS systems — determinism holds with the MVCC
 // read path, before-image capture and the cleaner all active. The same
 // snapshots also carry the lock-freedom acceptance bit: every scan proc's
-// lock-blocked time must be exactly zero.
+// lock-blocked time must be exactly zero. kernel-lfs runs ten times the
+// transactions on the same disk, as in TestTraceByteIdentical, so that its
+// cleaner runs.
 func TestMixedScanByteIdentical(t *testing.T) {
 	const txns, mpl = 600, 8
 	for _, kind := range []string{"user-lfs", "kernel-lfs"} {
 		t.Run(kind, func(t *testing.T) {
+			n := txns
+			if kind == "kernel-lfs" {
+				n = 10 * txns
+			}
 			run := func() (chrome, metrics string) {
 				rig := buildMixed(t, kind, txns, true)
-				res, err := rig.RunMixed(smallCfg(), txns, mpl, 2, 1, ScanSnapshot)
+				res, err := rig.RunMixed(smallCfg(), n, mpl, 2, 1, ScanSnapshot)
 				if err != nil {
 					t.Fatalf("RunMixed: %v", err)
 				}

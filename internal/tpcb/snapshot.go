@@ -132,8 +132,12 @@ func (s *Snapshot) Render() string {
 		fmt.Fprintf(&b, "lfs: %d partial segments, %d blocks logged (%d summary, %d inode pack, %d pointer), %d segment-tail blocks skipped, %d checkpoints, %d flushes of a full stage; %s\n",
 			f.PartialSegments, f.BlocksLogged, f.SummaryBlocks, f.InodePackBlocks, f.PointerBlocks, f.SkippedTailBlocks, f.Checkpoints, f.StagedFlushes, writeBehind(f.WriteBehind))
 		if forces := f.SummaryOnlyForces + f.FullForces; forces > 0 {
-			fmt.Fprintf(&b, "lfs: %d File.Sync forces, %d summary-only (%.1f %%, %d bytes in patches), %d with blocks\n",
-				forces, f.SummaryOnlyForces, 100*perTxn(f.SummaryOnlyForces, int(forces)), f.PatchBytes, f.FullForces)
+			force := "File.Sync" // a user-level rig's commit force; the embedded manager's is FlushCommit
+			if s.Embedded != nil {
+				force = "FlushCommit"
+			}
+			fmt.Fprintf(&b, "lfs: %d %s forces, %d summary-only (%.1f %%, %d bytes in patches), %d with blocks\n",
+				forces, force, f.SummaryOnlyForces, 100*perTxn(f.SummaryOnlyForces, int(forces)), f.PatchBytes, f.FullForces)
 		}
 		cl := f.Cleaner
 		fmt.Fprintf(&b, "cleaner: %d segments cleaned in %d passes, %d blocks copied, %d dead, busy %v (%.1f%% of elapsed), write amplification %.2f×\n",
