@@ -26,6 +26,7 @@ import (
 	"os"
 
 	"repro/internal/crashsweep"
+	"repro/internal/tpcb"
 )
 
 func main() {
@@ -39,8 +40,8 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit each report as a JSON object instead of a table")
 	snapshots := flag.Int("snapshots", 0, "open a read-only MVCC snapshot every Nth transaction and hold it across the next ones (0 = off)")
 	flag.Parse()
-	if *scale <= 0 {
-		fmt.Fprintf(os.Stderr, "crashsweep: -diskscale %g: want a positive scale factor\n", *scale)
+	if err := tpcb.CheckScale("-diskscale", *scale); err != nil {
+		fmt.Fprintf(os.Stderr, "crashsweep: %v\n", err)
 		os.Exit(2)
 	}
 

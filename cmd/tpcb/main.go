@@ -48,8 +48,8 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the run (go tool pprof)")
 	wallStats := flag.Bool("wallstats", false, "report simulator wall-clock speed (wall ns, dispatches, events/s); nondeterministic, so off by default")
 	flag.Parse()
-	if *scale <= 0 {
-		fatal(fmt.Errorf("-scale %g: want a positive scale factor", *scale))
+	if err := tpcb.CheckScale("-scale", *scale); err != nil {
+		fatal(err)
 	}
 
 	costs := sim.SpriteCosts()

@@ -29,6 +29,7 @@ import (
 	"runtime/pprof"
 
 	"repro/internal/figures"
+	"repro/internal/tpcb"
 )
 
 func main() {
@@ -77,8 +78,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "txnbench: unknown -cleaner %q (want sync or idle)\n", *cleaner)
 		os.Exit(2)
 	}
-	if *scale <= 0 {
-		fmt.Fprintf(os.Stderr, "txnbench: -scale %g: want a positive scale factor\n", *scale)
+	if err := tpcb.CheckScale("-scale", *scale); err != nil {
+		fmt.Fprintf(os.Stderr, "txnbench: %v\n", err)
 		os.Exit(2)
 	}
 	opts := figures.Options{

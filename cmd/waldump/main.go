@@ -38,8 +38,8 @@ func main() {
 	if *system != "user-lfs" && *system != "user-ffs" {
 		fatal(fmt.Errorf("unknown -system %q (want user-lfs or user-ffs)", *system))
 	}
-	if *scale <= 0 {
-		fatal(fmt.Errorf("-scale %g: want a positive scale factor", *scale))
+	if err := tpcb.CheckScale("-scale", *scale); err != nil {
+		fatal(err)
 	}
 
 	cfg := tpcb.ScaledConfig(*scale)

@@ -365,6 +365,11 @@ func (d *Device) SetLane(l Lane) Lane {
 	return prev
 }
 
+// Lane returns the lane accesses are charged to.
+//
+//simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
+func (d *Device) Lane() Lane { return d.lane }
+
 // BgTimes is one caller's share of a device's background lane: Busy is its
 // background service time, Overlap the part idle windows absorbed, Stall the
 // residue that delayed the workload (Busy = Overlap + Stall).

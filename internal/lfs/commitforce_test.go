@@ -530,9 +530,12 @@ func TestCleanerRelocatesStalePack(t *testing.T) {
 // trusts partialCostLocked, and an overestimate wastes segment tails as surely
 // as an underestimate overruns them. Over 1,000 random commit forces —
 // overwrites in every pointer range, growth, truncation, new files, several
-// files per force — the estimate equals the blocks the force logged. Every
-// tenth round a File.Sync of a few changed bytes comes first; when it is
-// summary-only it logs exactly one block.
+// files per force — the estimate equals the blocks the force logged in the
+// foreground, in one partial. The files' other dirty blocks follow on the
+// background lane as one more partial: a summary and the blocks, since the
+// force already wrote their inodes and pointer blocks. Every tenth round a
+// File.Sync of a few changed bytes comes first; when it is summary-only it
+// logs exactly one block.
 func TestCommitForceCostIsExact(t *testing.T) {
 	clk := sim.NewClock()
 	model := sim.SmallModel()
@@ -542,6 +545,7 @@ func TestCommitForceCostIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lanes := laneBlocks(fs)
 	bs := fs.BlockSize()
 	np := nptr(bs)
 	rng := sim.NewRNG(17)
@@ -631,16 +635,28 @@ func TestCommitForceCostIsExact(t *testing.T) {
 		for _, deferPtr := range []bool{true, false} {
 			checkChunkCost(t, fs, items, metaOnly, deferPtr)
 		}
+		behind, _, err := fs.gatherLocked(set, true, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBehind, wantPartials := int64(0), int64(1)
+		if len(behind) > 0 {
+			wantBehind, wantPartials = 1+int64(len(behind)), 2
+		}
 		before := fs.Stats()
+		clear(lanes)
 		if err := fs.FlushCommit(pages); err != nil {
 			t.Fatalf("force %d: %v", i, err)
 		}
 		st := fs.Stats()
-		if st.PartialSegments-before.PartialSegments != 1 {
-			t.Fatalf("force %d wrote %d partials; the comparison needs one", i, st.PartialSegments-before.PartialSegments)
+		if got := st.PartialSegments - before.PartialSegments; got != wantPartials {
+			t.Fatalf("force %d wrote %d partials; want the force's and, with %d blocks left behind, one of write-behind", i, got, len(behind))
 		}
-		if got := st.BlocksLogged - before.BlocksLogged; got != int64(want) {
-			t.Fatalf("force %d: estimated %d blocks, logged %d (%d data items, %d meta-only files)", i, want, got, len(items), len(metaOnly))
+		if got := lanes[disk.Foreground]; got != int64(want) {
+			t.Fatalf("force %d: estimated %d blocks, logged %d in the foreground (%d data items, %d meta-only files)", i, want, got, len(items), len(metaOnly))
+		}
+		if got := lanes[disk.Background]; got != wantBehind {
+			t.Fatalf("force %d: %d blocks behind, logged %d on the background lane; want %d", i, len(behind), got, wantBehind)
 		}
 		if wrote := st.PointerBlocks - before.PointerBlocks; (wrote != 0) != cleared {
 			t.Fatalf("force %d wrote %d pointer blocks (after a truncate that cleared pointers: %v)", i, wrote, cleared)

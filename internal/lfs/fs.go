@@ -64,7 +64,8 @@ type Stats struct {
 	PatchBytes        int64        `json:"patch_bytes"`
 	FullForces        int64        `json:"full_forces"`
 	Cleaner           CleanerStats `json:"cleaner"`
-	// WriteBehind is the background-lane time of full-stage flushes.
+	// WriteBehind is the background-lane time of write-behind
+	// (writeBehindLocked).
 	WriteBehind disk.BgTimes `json:"write_behind"`
 }
 
@@ -422,7 +423,23 @@ func (fs *FS) maybeFlushStageLocked() error {
 		return nil
 	}
 	fs.stats.StagedFlushes++
-	return disk.InBackground(fs.dev, &fs.stats.WriteBehind, fs.Flush)
+	return fs.writeBehindLocked("stage", fs.Flush)
+}
+
+// writeBehindLocked runs fn, log writes no caller waits for, on the device's
+// background lane: a full stage, the blocks a whole-page commit force leaves
+// behind, the patched blocks a checkpoint logs. Inside another background
+// flush, or a cleaning pass, it simply runs as part of it: a pass is charged
+// its way, whatever it writes (cleanLocked).
+func (fs *FS) writeBehindLocked(what string, fn func() error) error {
+	if fs.cleaning || fs.dev.Lane() == disk.Background {
+		return fn()
+	}
+	span := fs.tracer.Begin("lfs", "lfs.writeBehind")
+	logged := fs.stats.BlocksLogged
+	err := disk.InBackground(fs.dev, &fs.stats.WriteBehind, fn)
+	span.End(trace.AS("of", what), trace.AI("blocks", fs.stats.BlocksLogged-logged))
+	return err
 }
 
 // decPackRef drops one reference to the inode pack block at addr, marking
@@ -529,10 +546,11 @@ type CommitPage struct {
 // one partial segment of no data blocks: its patch records carry the ranges,
 // and an inode pack follows only where a file's attributes changed. The pages
 // stay dirty (Patched) until write-behind, the cleaner or a checkpoint logs
-// them whole. Otherwise the pages go to the log whole, with the unheld dirty
-// blocks and meta-data of their files, as one partial-segment stream; a page
-// logged from its resident buffer comes back clean, one logged from an
-// override image stays dirty, because the buffer still differs from the log.
+// them whole. Otherwise the pages go to the log whole, with the meta-data of
+// their files, as one partial-segment stream, and the files' other dirty and
+// staged blocks follow on the write-behind lane; a page logged from its
+// resident buffer comes back clean, one logged from an override image stays
+// dirty, with the buffer's diff from the image as its delta.
 func (fs *FS) FlushCommit(pages []CommitPage) error {
 	set := make(map[Ino]bool)
 	for _, cp := range pages {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/detsort"
+	"repro/internal/trace"
 	"repro/internal/vfs"
 )
 
@@ -170,6 +171,19 @@ func (fs *FS) noteWrite(in *inode, b *buffer.Buf, off int, p []byte, fresh bool)
 	fs.deltas[b.ID] = d
 }
 
+// rediffLocked gives dirty buffer b, whose block was just logged as logged,
+// the delta between the two, if its file's writes are measured and the
+// delta fits a summary.
+func (fs *FS) rediffLocked(b *buffer.Buf, logged []byte) {
+	if in := fs.inodes[Ino(b.ID.File)]; !in.forced && !in.TxnProtected() {
+		return
+	}
+	d := delta{buf: b}
+	if d.diff(logged, b.Data, 0, patchRoom(fs.blockSize, 0)) {
+		fs.deltas[b.ID] = d
+	}
+}
+
 // knownHoleLocked reports whether block id is a hole, as far as the inode
 // and its single indirect block tell without a read: a block behind an
 // unloaded pointer block, or in the double-indirect range (past 2 MB of
@@ -280,7 +294,8 @@ func (fs *FS) syncLocked(in *inode) error {
 
 // forceLocked is a commit force of the files in set — File.Sync's, or a
 // group-commit batch's (commit, see FlushCommit): a summary-only partial when
-// planForceLocked allows one, else the commit-force flush of the files.
+// planForceLocked allows one, else the commit-force flush of the files — of
+// a batch's pages only, the files' other blocks written behind it.
 func (fs *FS) forceLocked(set map[Ino]bool, commit []CommitPage) error {
 	f, ok := fs.planForceLocked(set, commit)
 	if ok && !fs.cleaning && fs.free < cleanThreshold {
@@ -291,12 +306,19 @@ func (fs *FS) forceLocked(set map[Ino]bool, commit []CommitPage) error {
 		f, ok = fs.planForceLocked(set, commit)
 	}
 	if !ok {
-		partials := fs.stats.PartialSegments
+		span := fs.tracer.Begin("lfs", "lfs.fullForce")
+		partials, logged := fs.stats.PartialSegments, fs.stats.BlocksLogged
 		err := fs.flushLocked(set, true, commit)
 		if fs.stats.PartialSegments > partials {
 			fs.stats.FullForces++
 		}
-		return err
+		span.End(trace.AI("blocks", fs.stats.BlocksLogged-logged))
+		if err != nil || commit == nil {
+			return err
+		}
+		// The batch's files' other dirty and staged blocks hold committed
+		// bytes that are durable already, in the log or in its patches.
+		return fs.writeBehindLocked("force", func() error { return fs.flushLocked(set, true, nil) })
 	}
 	if len(f.patches) == 0 && len(f.packed) == 0 && len(fs.pendingDel) == 0 {
 		return nil // every change is durable already
@@ -363,9 +385,6 @@ func (fs *FS) layPatchesLocked(id buffer.BlockID, dst []byte) {
 // one carries a running transaction's bytes, so its durable image is staged
 // and logged instead.
 func (fs *FS) logPatchedLocked() error {
-	if len(fs.patched) == 0 {
-		return nil
-	}
 	ids := make(map[buffer.BlockID]bool, len(fs.patched))
 	for _, id := range detsort.KeysFunc(fs.patched, buffer.CompareBlockID) {
 		ids[id] = true

@@ -171,8 +171,10 @@ func (fs *FS) writeCheckpointLocked() error {
 	}
 	span := fs.tracer.Begin("lfs", "lfs.checkpoint")
 	defer func() { span.End(trace.AU("seq", fs.seq)) }()
-	if err := fs.logPatchedLocked(); err != nil {
-		return err
+	if len(fs.patched) > 0 {
+		if err := fs.writeBehindLocked("checkpoint", fs.logPatchedLocked); err != nil {
+			return err
+		}
 	}
 	var metaDirty []Ino
 	for _, ino := range detsort.Keys(fs.inodes) {

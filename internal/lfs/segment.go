@@ -110,14 +110,16 @@ func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage)
 // gatherLocked collects the dirty data blocks (pool + stage) and the set
 // of files whose meta-data needs rewriting. Held pages are uncommitted and
 // stay out of every flush, with one exception: commit lists the pages of a
-// group-commit batch, each with the image to log (see CommitPage). Pages in
-// logged were written by an earlier partial of the same flush.
+// group-commit batch, each with the image to log (see CommitPage). A batch
+// takes exactly its pages: its files' other dirty and staged blocks are left
+// to write-behind (forceLocked). Pages in logged were written by an earlier
+// partial of the same flush.
 func (fs *FS) gatherLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage, logged map[buffer.BlockID]bool) ([]dataItem, []Ino, error) {
 	want := func(ino Ino) bool { return only == nil || only[ino] }
 
 	var items []dataItem
 	for _, b := range fs.pool.Dirty() {
-		if !want(Ino(b.ID.File)) {
+		if commit != nil || !want(Ino(b.ID.File)) {
 			continue
 		}
 		items = append(items, dataItem{id: b.ID, buf: b, data: b.Data})
@@ -145,6 +147,9 @@ func (fs *FS) gatherLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage
 			// The commit's after-image of this block is being written in
 			// the same batch; the staged (older) copy is superseded.
 			fs.stage.Unpark(id)
+			continue
+		}
+		if commit != nil {
 			continue
 		}
 		// A resident buffer shadows the staged block; if it is dirty it was
@@ -779,12 +784,17 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 	fs.stats.PointerBlocks += kinds[kindInd] + kinds[kindDInd] + kinds[kindDChild]
 
 	// 5. The written blocks are now clean/persisted, their patches superseded.
+	// A dirty buffer logged from other bytes — a commit page's image, a
+	// staged copy — differs from the log by their diff, its delta from now
+	// on; a staged copy is read before Unpark recycles its frame.
 	for _, it := range chunk {
+		delete(fs.deltas, it.id)
 		if it.buf != nil {
 			fs.pool.MarkClean(it.buf)
+		} else if b := fs.pool.Lookup(it.id); b != nil && b.Dirty() {
+			fs.rediffLocked(b, it.data)
 		}
 		fs.stage.Unpark(it.id)
-		delete(fs.deltas, it.id)
 		delete(fs.patched, it.id)
 	}
 

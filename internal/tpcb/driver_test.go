@@ -2,6 +2,7 @@ package tpcb
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -41,6 +42,27 @@ func TestNegativeTxnsRejected(t *testing.T) {
 	}
 	if _, err := BuildRig(RigOptions{Kind: "user-lfs", Config: smallCfg(), LogSegmentBytes: -5}); err == nil {
 		t.Fatal("BuildRig took a negative log segment size")
+	}
+}
+
+// TestBadScaleRejected: a scale that is NaN, infinite or not positive is an
+// error, as is a disk too large to allocate; each once ran a 100-account
+// database or panicked in disk.New.
+func TestBadScaleRejected(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -2} {
+		if CheckScale("-scale", v) == nil {
+			t.Fatalf("CheckScale took %g", v)
+		}
+		if v == 0 {
+			continue // the default disk
+		}
+		if _, err := BuildRig(RigOptions{Kind: "user-lfs", Config: smallCfg(), DiskScale: v}); err == nil {
+			t.Fatalf("BuildRig took disk scale %g", v)
+		}
+	}
+	_, err := BuildRig(RigOptions{Kind: "user-ffs", Config: ScaledConfig(1e9)})
+	if err == nil || !strings.Contains(err.Error(), "blocks") {
+		t.Fatalf("BuildRig at scale 1e9: %v, want an error naming the block count", err)
 	}
 }
 

@@ -170,6 +170,10 @@ func dbPagesEstimate(cfg Config, expectedTxns int) int64 {
 	return treePages + historyPages
 }
 
+// maxDiskBlocks bounds a rig's disk: the device keeps a slot per block, and
+// 2^24 blocks of 4 KB are 64 GB, some 200 times the paper's disk.
+const maxDiskBlocks = 1 << 24
+
 // BuildRig constructs the device, the file system, the transaction system,
 // and the loaded database for one configuration.
 func BuildRig(opts RigOptions) (*Rig, error) {
@@ -187,6 +191,9 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 	}
 	if opts.DiskScale == 0 {
 		opts.DiskScale = 1.0
+	}
+	if err := CheckScale("tpcb: disk scale", opts.DiskScale); err != nil {
+		return nil, err
 	}
 	if err := opts.Config.Validate(); err != nil {
 		return nil, err
@@ -220,7 +227,11 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 	//    per 100k-transaction run);
 	//  - the database still occupying a large fraction of the disk.
 	freeBlocks := max(int64(opts.ExpectedTxns), dbPages)
-	model.NumBlocks = int64(float64(dbPages+dbPages/5+freeBlocks+2048) * opts.DiskScale)
+	blocks := float64(dbPages+dbPages/5+freeBlocks+2048) * opts.DiskScale
+	if blocks > maxDiskBlocks {
+		return nil, fmt.Errorf("tpcb: a disk of %.0f blocks is more than the %d a rig allocates", blocks, maxDiskBlocks)
+	}
+	model.NumBlocks = int64(blocks)
 	// The paper's machine cached a small fraction of the database (32 MB
 	// of memory against a 160 MB account file plus the OS): "databases too
 	// large to cache in main memory" is what makes the workload

@@ -24,28 +24,26 @@ type signature struct {
 // rows in the same change and replaces the table below with its causes. The
 // history of earlier re-recordings is in CHANGES.md.
 //
-// Last re-recorded when a kernel-lfs commit force (lfs.FS.FlushCommit) whose
-// changed bytes fit the summary block began to write that block alone, the
-// bytes in patch records, and to leave the pages dirty for write-behind, the
-// cleaner or a checkpoint to log whole (lfs/patch.go). Only the five
-// kernel-lfs rows moved; elapsed, then the counters that moved:
+// Last re-recorded when a kernel-lfs commit force that cannot be
+// summary-only began to log only its batch's pages in the foreground, and the
+// blocks it used to drag along — its files' other dirty and staged blocks —
+// and a checkpoint's patched blocks went to the background lane (lfs
+// writeBehindLocked); a page logged whole from a commit image keeps the diff
+// as its delta. Elapsed, then the counters that moved:
 //
-//	kernel-lfs mpl1                −35.77 %; reads 358 → 242; writes 616 → 614; blocks 3,585 → 1,336
-//	kernel-lfs mpl8                −15.95 %; dispatches 6,614 → 6,655; reads 308 → 306; writes 85 → 87; blocks 1,272 → 836
-//	kernel-lfs mpl8-idle-cleaner   −5.21 %; dispatches 6,614 → 6,640; reads 343 → 398; writes 86 → 91; blocks 1,317 → 1,030
-//	kernel-lfs mpl64               −22.13 %; dispatches 8,421 → 11,245; reads 284 → 277; writes 85 → 87; blocks 1,239 → 852; commit bytes +73,728
-//	kernel-lfs mpl256              −1.57 %; dispatches 98,356 → 100,231; writes 84 → 85; blocks 1,198 → 446; commit bytes −49,152
+//	user-lfs mpl1                  −0.08 %
+//	kernel-lfs mpl1                −6.67 %; writes 614 → 615; blocks 1,336 → 1,332
+//	kernel-lfs mpl8                −9.79 %; dispatches 6,655 → 6,669; writes 87 → 89; blocks 836 → 838
+//	kernel-lfs mpl8-idle-cleaner   +0.29 %; dispatches 6,640 → 6,646; writes 91 → 94; blocks 1,030 → 1,020
+//	kernel-lfs mpl64               −3.41 %; dispatches 11,245 → 11,733; reads 277 → 278; writes 87 → 89; blocks 852 → 824; commit bytes −8,192
 //
-// At MPL 1 a force was about six blocks, four of them whole pages, and is
-// now one; the pages follow by write-behind or the checkpoint, and fewer
-// blocks logged means fewer segments to clean and fewer reads. At MPL 8 and
-// above a group-commit batch already shared its pages, so the gain is
-// smaller. The idle-cleaner row's disk shrank from 0.7 to 0.5 of the
-// default: on 0.7 the log no longer wrapped, its cleaner never ran, and the
-// row equalled the MPL 8 one; its comparison is with the old row on 0.7.
-// The changed timing moves lock waits and commit batches, hence dispatches
-// and commit bytes (whole pages, so in steps of 4,096) at MPL 64 and 256.
-// The user-ffs and user-lfs rows passed unedited.
+// The burst the committer waited for now drains idle credit first. user-lfs
+// moves through its checkpoint only, whose patched WAL blocks take the same
+// lane. In the idle-cleaner row the write-behind spends idle credit the
+// cleaner used to have, so the cleaner stalls a little more. The changed
+// timing moves lock waits and commit batches, hence dispatches and commit
+// bytes (whole pages, so in steps of 4,096) at MPL 64. The user-ffs rows and
+// kernel-lfs mpl256 passed unedited.
 func TestPinnedSignatures(t *testing.T) {
 	const txns = 600
 	cfg := ScaledConfig(0.01)
@@ -63,25 +61,25 @@ func TestPinnedSignatures(t *testing.T) {
 		{"user-ffs/mpl1", base("user-ffs", 1), 1, 0,
 			signature{22609611837, 1, 0, 305, 886, 1674, 194503}},
 		{"user-lfs/mpl1", base("user-lfs", 1), 1, 0,
-			signature{19522986776, 1, 0, 313, 630, 1472, 194445}},
+			signature{19506602776, 1, 0, 313, 630, 1472, 194445}},
 		{"kernel-lfs/mpl1", base("kernel-lfs", 1), 1, 0,
-			signature{16952339060, 1, 0, 242, 614, 1336, 9830400}},
+			signature{15821255668, 1, 0, 242, 615, 1332, 9830400}},
 		{"user-ffs/mpl8", base("user-ffs", 8), 8, 0,
 			signature{10735849223, 6226, 0, 356, 340, 1182, 194663}},
 		{"user-lfs/mpl8", base("user-lfs", 8), 8, 0,
 			signature{8851331474, 6215, 0, 357, 101, 981, 194495}},
 		{"kernel-lfs/mpl8", base("kernel-lfs", 8), 8, 0,
-			signature{8339841925, 6655, 0, 306, 87, 836, 3358720}},
+			signature{7523260440, 6669, 0, 306, 89, 838, 3358720}},
 		{"kernel-lfs/mpl8-idle-cleaner", with(base("kernel-lfs", 8), func(o *RigOptions) {
 			o.CleanerMode, o.DiskScale = "idle", 0.5
 		}), 8, 0,
-			signature{9401255814, 6640, 0, 398, 91, 1030, 3358720}},
+			signature{9428964953, 6646, 0, 398, 94, 1020, 3358720}},
 		{"user-ffs/mpl64", base("user-ffs", 8), 64, 0,
 			signature{11185909608, 17043, 0, 345, 457, 1238, 194767}},
 		{"user-lfs/mpl64", base("user-lfs", 8), 64, 0,
 			signature{8923275649, 16826, 0, 348, 177, 1037, 194531}},
 		{"kernel-lfs/mpl64", base("kernel-lfs", 8), 64, 0,
-			signature{6374871226, 11245, 0, 277, 87, 852, 3297280}},
+			signature{6157686608, 11733, 0, 278, 89, 824, 3289088}},
 		// The shape `txnbench -fig mpl` gives its MPL 256 cells: one buffer per
 		// client (CacheBlocks = MPL, see figures.FigureMPL), the kernel's cleaner
 		// in idle windows.

@@ -17,6 +17,7 @@ package tpcb
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
@@ -42,6 +43,15 @@ type Config struct {
 	Branches int64
 	// Seed drives the deterministic account/teller selection.
 	Seed uint64
+}
+
+// CheckScale rejects a scale factor, named by its flag, that is not a
+// finite positive number.
+func CheckScale(flag string, v float64) error {
+	if !(v > 0) || math.IsInf(v, 1) {
+		return fmt.Errorf("%s %g: want a finite positive scale factor", flag, v)
+	}
+	return nil
 }
 
 // ScaledConfig returns the paper's sizing multiplied by scale (scale 1.0 =
