@@ -34,7 +34,18 @@ func main() {
 
 	clk := sim.NewClock()
 	model := sim.RZ55Model()
-	model.NumBlocks = *mb * 1024 * 1024 / int64(model.BlockSize)
+	maxMB := disk.MaxBlocks * int64(model.BlockSize) >> 20
+	switch {
+	case *mb < 1 || *mb > maxMB:
+		fatal(fmt.Errorf("-disk-mb %d: want 1 to %d", *mb, maxMB))
+	case *files < 1:
+		fatal(fmt.Errorf("-files %d: want at least 1", *files))
+	case *rounds < 1:
+		fatal(fmt.Errorf("-rounds %d: want at least 1", *rounds))
+	case *size < 0 || int64(*size) > *mb<<20:
+		fatal(fmt.Errorf("-size %d: want 0 to the disk's %d bytes", *size, *mb<<20))
+	}
+	model.NumBlocks = *mb << 20 / int64(model.BlockSize)
 
 	if *load != "" {
 		inspectImage(*load, model, clk)

@@ -116,19 +116,17 @@ type Pool struct {
 	// Counter handles are resolved at SetTracer time so the hot paths do no
 	// string concatenation and no registry lookups. Nil handles (no tracer)
 	// are free to Add to.
-	ctrHit, ctrMiss, ctrEvict, ctrWriteBack *trace.Counter
+	ctrHit, ctrMiss *trace.Counter
 }
 
 // SetTracer attaches a tracer under the given metric prefix (e.g.
 // "buffer.user" or "buffer.lfs" — one pool per cache keeps the counters
-// separable). Hits, misses, evictions, and write-backs then count into
-// <prefix>.{hit,miss,evict,writeback}. A nil tracer costs nothing.
+// separable). Hits and misses then count into <prefix>.{hit,miss}; Stats
+// counts evictions and write-backs. A nil tracer costs nothing.
 func (p *Pool) SetTracer(tr *trace.Tracer, prefix string) {
 	p.tracer = tr
 	p.ctrHit = tr.Counter(prefix + ".hit")
 	p.ctrMiss = tr.Counter(prefix + ".miss")
-	p.ctrEvict = tr.Counter(prefix + ".evict")
-	p.ctrWriteBack = tr.Counter(prefix + ".writeback")
 }
 
 // New creates a pool of capacity blocks of blockSize bytes. writeback is
@@ -235,11 +233,9 @@ func (p *Pool) makeRoomLocked() error {
 				return err
 			}
 			p.stats.WriteBacks++
-			p.ctrWriteBack.Add(1)
 			p.setDirtyLocked(b, false)
 		}
 		p.stats.Evictions++
-		p.ctrEvict.Add(1)
 		p.removeLocked(b)
 		return nil
 	}
@@ -354,7 +350,6 @@ func (p *Pool) FlushAll() error {
 			return err
 		}
 		p.stats.WriteBacks++
-		p.ctrWriteBack.Add(1)
 		p.setDirtyLocked(b, false)
 	}
 	return nil

@@ -110,9 +110,8 @@ type Manager struct {
 	locks  *lock.Manager
 	opts   Options
 	tracer *trace.Tracer // from Options.Tracer; nil = tracing off
-	// Metric handles resolved at construction; nil handles are free.
-	ctrCommits, ctrAborts, ctrFlushes *trace.Counter
-	histLatency                       *trace.Hist
+	// Metric handle resolved at construction; a nil handle is free.
+	histLatency *trace.Hist
 
 	nextTxn uint64
 	// held tracks every buffer on transaction hold: who is still writing it
@@ -161,9 +160,6 @@ func New(fsys *lfs.FS, clock *sim.Clock, opts Options) *Manager {
 		vers:   mvcc.NewDeltaMap(),
 		snaps:  mvcc.NewHorizons(),
 	}
-	m.ctrCommits = opts.Tracer.Counter("txn.commits")
-	m.ctrAborts = opts.Tracer.Counter("txn.aborts")
-	m.ctrFlushes = opts.Tracer.Counter("core.commitFlushes")
 	m.histLatency = opts.Tracer.Hist("txn.latency")
 	m.locks.SetClock(clock)
 	m.locks.SetTracer(opts.Tracer)
@@ -278,7 +274,6 @@ func (p *Process) TxnCommit() error {
 	if m.tracer.Enabled() {
 		m.tracer.Complete("txn", "txn", t.start, trace.AU("txn", t.id), trace.AS("outcome", "commit"))
 		m.histLatency.Observe(m.clock.Now() - t.start)
-		m.ctrCommits.Add(1)
 	}
 	return nil
 }
@@ -339,7 +334,6 @@ func (m *Manager) writeBatchLocked() error {
 	m.stats.BytesFlushed += int64(len(ids)) * int64(m.fs.BlockSize())
 	if m.tracer.Enabled() {
 		span.End(trace.AI("txns", int64(len(m.pending))), trace.AI("pages", int64(len(ids))))
-		m.ctrFlushes.Add(1)
 	}
 	m.pending = m.pending[:0]
 	return nil
@@ -391,7 +385,6 @@ func (p *Process) TxnAbort() error {
 	m.stats.Aborted++
 	if m.tracer.Enabled() {
 		m.tracer.Complete("txn", "txn", t.start, trace.AU("txn", t.id), trace.AS("outcome", "abort"))
-		m.ctrAborts.Add(1)
 	}
 	return nil
 }

@@ -24,15 +24,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/detsort"
-	"repro/internal/ffs"
-	"repro/internal/lfs"
-	"repro/internal/libtp"
 	"repro/internal/pagestore"
 	"repro/internal/tpcb"
-	"repro/internal/vfs"
-	"repro/internal/wal"
 )
 
 // Options configures a sweep.
@@ -219,37 +213,21 @@ func denseEvents(rig *tpcb.Rig) int64 {
 // for it. The probe only reads, so the golden and replay write-op
 // timelines stay aligned whether or not a crash is scheduled.
 type snapshotProber struct {
-	every int
-	buf   []byte
-
-	uEnv  *libtp.Env
-	uDB   *libtp.DB
-	uSnap *libtp.Snapshot
-
-	kMgr  *core.Manager
-	kFile *core.File
-	kSnap *core.Snapshot
+	every   int
+	buf     []byte
+	pin     func() (pagestore.Store, func())
+	release func() // unpins the held snapshot; nil when none is held
 }
 
 func newSnapshotProber(opts Options, rig *tpcb.Rig) (*snapshotProber, error) {
 	if opts.Snapshots <= 0 {
 		return nil, nil
 	}
-	p := &snapshotProber{every: opts.Snapshots}
-	if rig.Core != nil {
-		f, err := rig.Core.Open(tpcb.AccountPath)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot probe open: %w", err)
-		}
-		p.kMgr, p.kFile = rig.Core, f
-		return p, nil
-	}
-	db, err := rig.Env.OpenDB(tpcb.AccountPath)
+	pin, err := rig.Sys.(*tpcb.TxnSystem).OpenSnapshots(tpcb.AccountPath)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot probe open: %w", err)
 	}
-	p.uEnv, p.uDB = rig.Env, db
-	return p, nil
+	return &snapshotProber{every: opts.Snapshots, pin: pin}, nil
 }
 
 // step runs after transaction i commits: a new snapshot opens (and probes a
@@ -272,13 +250,7 @@ func (p *snapshotProber) step(i int) error {
 func (p *snapshotProber) probe() error {
 	p.close()
 	var st pagestore.Store
-	if p.kMgr != nil {
-		p.kSnap = p.kMgr.BeginSnapshot()
-		st = p.kSnap.Store(p.kFile)
-	} else {
-		p.uSnap = p.uEnv.BeginSnapshot()
-		st = p.uSnap.Store(p.uDB)
-	}
+	st, p.release = p.pin()
 	np, err := st.NumPages()
 	if err != nil {
 		return fmt.Errorf("snapshot probe: %w", err)
@@ -295,68 +267,97 @@ func (p *snapshotProber) probe() error {
 }
 
 func (p *snapshotProber) close() {
-	if p == nil {
+	if p == nil || p.release == nil {
 		return
 	}
-	if p.kSnap != nil {
-		p.kSnap.Close()
-		p.kSnap = nil
-	}
-	if p.uSnap != nil {
-		p.uSnap.Close()
-		p.uSnap = nil
-	}
+	p.release()
+	p.release = nil
 }
 
-// goldenRun executes the full workload once, recording the write-op spans of
-// every stage. The returned rig has completed the run (for final state
-// inspection); the spans drive crash-point sampling.
-func goldenRun(opts Options) (*tpcb.Rig, []span, int64, error) {
+// pass is one run of the workload on a fresh rig: the golden run, which
+// records the write-op span of every stage, or a replay with a crash
+// scheduled, which stops at the crash.
+type pass struct {
+	rig       *tpcb.Rig
+	loadOps   int64      // ops consumed by rig build + load
+	spans     []span     // every stage the pass completed
+	committed []tpcb.Txn // transactions acknowledged before the crash
+	inFlight  *tpcb.Txn  // the transaction in flight at the crash, if any
+	stage     string     // the stage the crash interrupted
+}
+
+// execute builds the rig and runs the workload, with a crash scheduled at
+// write op crashAt when it is positive. A stage that fails on the crashed
+// device ends the pass there; any other failure is an error, and so is a
+// crash that never fires.
+func execute(opts Options, crashAt int64) (*pass, error) {
 	rig, err := buildRig(opts)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
-	loadOps := rig.Dev.WriteOps()
+	p := &pass{rig: rig, loadOps: rig.Dev.WriteOps()}
 	prober, err := newSnapshotProber(opts, rig)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
-	gen := tpcb.NewGenerator(opts.Config)
-	spans := make([]span, 0, opts.Txns+opts.Txns/4+2)
-	prev := loadOps
-	events := denseEvents(rig)
-	note := func(stage string) {
+	if crashAt > 0 {
+		rig.Dev.CrashAfter(crashAt, opts.Torn, opts.Seed^(uint64(crashAt)*0x9e3779b97f4a7c15))
+	}
+	prev, events := p.loadOps, denseEvents(rig)
+	// end closes a stage with its outcome and reports whether the pass ends
+	// there: at the crash, or with an error.
+	end := func(stage string, err error) (bool, error) {
+		if err != nil {
+			if rig.Dev.Crashed() {
+				p.stage = stage
+				return true, nil
+			}
+			return true, fmt.Errorf("%s: %w", stage, err)
+		}
 		cur := rig.Dev.WriteOps()
 		if e := denseEvents(rig); e != events && stage == "txn" {
 			stage, events = "txn+event", e
 		}
 		if cur > prev {
-			spans = append(spans, span{Stage: stage, From: prev, To: cur})
+			p.spans = append(p.spans, span{Stage: stage, From: prev, To: cur})
 		}
 		prev = cur
+		return false, nil
 	}
+	gen := tpcb.NewGenerator(opts.Config)
 	for i := 0; i < opts.Txns; i++ {
 		tx := gen.Next()
 		if err := rig.Sys.Run(tx); err != nil {
-			return nil, nil, 0, fmt.Errorf("crashsweep: golden run txn %d: %w", i, err)
-		}
-		if err := prober.step(i); err != nil {
-			return nil, nil, 0, fmt.Errorf("crashsweep: golden run txn %d: %w", i, err)
-		}
-		note("txn")
-		if opts.CheckpointEvery > 0 && (i+1)%opts.CheckpointEvery == 0 && i+1 < opts.Txns {
-			if err := checkpointRig(rig); err != nil {
-				return nil, nil, 0, fmt.Errorf("crashsweep: golden checkpoint: %w", err)
+			if rig.Dev.Crashed() {
+				p.inFlight, p.stage = &tx, "txn"
+				return p, nil
 			}
-			note("checkpoint")
+			return nil, fmt.Errorf("txn %d: %w", i, err)
+		}
+		p.committed = append(p.committed, tx)
+		// The probe never writes, so it cannot fire the crash itself — but
+		// it surfaces device errors if the crash fired mid-commit and the
+		// transaction was not acknowledged.
+		if stop, err := end("txn", prober.step(i)); stop {
+			return p, err
+		}
+		if opts.CheckpointEvery > 0 && (i+1)%opts.CheckpointEvery == 0 && i+1 < opts.Txns {
+			if stop, err := end("checkpoint", checkpointRig(rig)); stop {
+				return p, err
+			}
 		}
 	}
 	prober.close()
-	if err := rig.Sys.Drain(); err != nil {
-		return nil, nil, 0, fmt.Errorf("crashsweep: golden drain: %w", err)
+	if stop, err := end("drain", rig.Sys.Drain()); stop {
+		return p, err
 	}
-	note("drain")
-	return rig, spans, loadOps, nil
+	if crashAt > 0 {
+		if !rig.Dev.Crashed() {
+			return nil, fmt.Errorf("crash point %d never fired (run issues fewer ops?)", crashAt)
+		}
+		p.stage = "post-drain"
+	}
+	return p, nil
 }
 
 // samplePoints picks the crash points to sweep: every op of checkpoint,
@@ -420,137 +421,14 @@ func samplePoints(spans []span, maxPoints int) (points []int64, dense int) {
 	return detsort.Keys(all), dense
 }
 
-// replayTo rebuilds the rig and replays the workload with a crash scheduled
-// at write op n. It returns the transactions acknowledged before the crash,
-// the transaction in flight at the crash (nil if the crash interrupted a
-// checkpoint or the drain), and the stage name.
-func replayTo(opts Options, n int64) (*tpcb.Rig, []tpcb.Txn, *tpcb.Txn, string, error) {
-	rig, err := buildRig(opts)
-	if err != nil {
-		return nil, nil, nil, "", err
-	}
-	tornSeed := opts.Seed ^ (uint64(n) * 0x9e3779b97f4a7c15)
-	prober, err := newSnapshotProber(opts, rig)
-	if err != nil {
-		return nil, nil, nil, "", err
-	}
-	rig.Dev.CrashAfter(n, opts.Torn, tornSeed)
-	gen := tpcb.NewGenerator(opts.Config)
-	var committed []tpcb.Txn
-	for i := 0; i < opts.Txns; i++ {
-		tx := gen.Next()
-		if err := rig.Sys.Run(tx); err != nil {
-			if rig.Dev.Crashed() {
-				return rig, committed, &tx, "txn", nil
-			}
-			return nil, nil, nil, "", fmt.Errorf("replay txn %d: %w", i, err)
-		}
-		committed = append(committed, tx)
-		if err := prober.step(i); err != nil {
-			// The probe never writes, so it cannot fire the crash itself —
-			// but it surfaces device errors if the crash fired mid-commit
-			// and the transaction was not acknowledged.
-			if rig.Dev.Crashed() {
-				return rig, committed, nil, "txn", nil
-			}
-			return nil, nil, nil, "", fmt.Errorf("replay txn %d: %w", i, err)
-		}
-		if opts.CheckpointEvery > 0 && (i+1)%opts.CheckpointEvery == 0 && i+1 < opts.Txns {
-			if err := checkpointRig(rig); err != nil {
-				if rig.Dev.Crashed() {
-					return rig, committed, nil, "checkpoint", nil
-				}
-				return nil, nil, nil, "", fmt.Errorf("replay checkpoint: %w", err)
-			}
-		}
-	}
-	prober.close()
-	if err := rig.Sys.Drain(); err != nil {
-		if rig.Dev.Crashed() {
-			return rig, committed, nil, "drain", nil
-		}
-		return nil, nil, nil, "", fmt.Errorf("replay drain: %w", err)
-	}
-	if !rig.Dev.Crashed() {
-		return nil, nil, nil, "", fmt.Errorf("crash point %d never fired (run issues fewer ops?)", n)
-	}
-	return rig, committed, nil, "post-drain", nil
-}
-
-// recoverAndVerify reboots the crashed device, runs the system's recovery
-// path, and checks every invariant. It returns the simulated recovery time
-// and, for the user-level systems, the WAL recovery's scan statistics.
-func recoverAndVerify(opts Options, rig *tpcb.Rig, committed []tpcb.Txn, inFlight *tpcb.Txn) (time.Duration, wal.ScanStats, error) {
-	rig.Dev.ClearCrash()
-	start := rig.Clock.Now()
-	var scan wal.ScanStats
-	if rig.Core != nil {
-		fs2, err := lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256})
-		if err != nil {
-			return 0, scan, fmt.Errorf("mount: %w", err)
-		}
-		if err := fsckLFS(fs2); err != nil {
-			return 0, scan, err
-		}
-		elapsed := rig.Clock.Now() - start
-		return elapsed, scan, tpcb.VerifyState(fs2, committed, inFlight)
-	}
-
-	// User level: file-system recovery, then WAL redo/undo.
-	var fsys vfs.FileSystem
-	if opts.System == "user-lfs" {
-		fs2, err := lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256})
-		if err != nil {
-			return 0, scan, fmt.Errorf("mount: %w", err)
-		}
-		fsys = fs2
-	} else {
-		fs2, err := ffs.Mount(rig.Dev, rig.Clock, ffs.Options{CacheBlocks: 256})
-		if err != nil {
-			return 0, scan, fmt.Errorf("mount: %w", err)
-		}
-		// The bitmap rebuild MUST precede WAL replay: replay may extend
-		// files, and allocating from the stale bitmap could clobber
-		// durable blocks the inode table owns.
-		if _, err := fs2.Fsck(); err != nil {
-			return 0, scan, fmt.Errorf("fsck: %w", err)
-		}
-		fsys = fs2
-	}
-	_, rep, err := libtp.RecoverPaths(fsys, rig.Clock, libtp.Options{LogSegmentBytes: opts.LogSegmentBytes}, tpcb.DBPaths())
-	if err != nil {
-		return 0, scan, fmt.Errorf("wal recovery: %w", err)
-	}
-	scan = rep.Scan
-	if lf, ok := fsys.(*lfs.FS); ok {
-		if err := fsckLFS(lf); err != nil {
-			return 0, scan, err
-		}
-	}
-	elapsed := rig.Clock.Now() - start
-	return elapsed, scan, tpcb.VerifyState(fsys, committed, inFlight)
-}
-
-// fsckLFS checks a recovered LFS for self-consistency.
-func fsckLFS(lf *lfs.FS) error {
-	rep, err := lf.Fsck()
-	if err != nil {
-		return fmt.Errorf("fsck: %w", err)
-	}
-	if !rep.OK() {
-		return fmt.Errorf("fsck: inconsistent state: %+v", rep)
-	}
-	return nil
-}
-
 // Run executes the sweep and returns its deterministic report.
 func Run(opts Options) (*Report, error) {
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	golden, spans, loadOps, err := goldenRun(opts)
+	golden, err := execute(opts, 0)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("crashsweep: golden run: %w", err)
 	}
 	rep := &Report{
 		System:        opts.System,
@@ -558,10 +436,10 @@ func Run(opts Options) (*Report, error) {
 		Torn:          opts.Torn,
 		Txns:          opts.Txns,
 		Snapshots:     opts.Snapshots,
-		LoadWriteOps:  loadOps,
-		TotalWriteOps: golden.Dev.WriteOps(),
+		LoadWriteOps:  golden.loadOps,
+		TotalWriteOps: golden.rig.Dev.WriteOps(),
 	}
-	for _, s := range spans {
+	for _, s := range golden.spans {
 		switch s.Stage {
 		case "checkpoint", "drain":
 			rep.CheckpointOps += s.To - s.From
@@ -569,21 +447,26 @@ func Run(opts Options) (*Report, error) {
 			rep.CleanerTxnSpans++
 		}
 	}
-	points, dense := samplePoints(spans, opts.MaxPoints)
+	points, dense := samplePoints(golden.spans, opts.MaxPoints)
 	rep.Points = len(points)
 	rep.DensePoints = dense
 	var recoverySum time.Duration
 	var replayTxnSum int64
 	for _, n := range points {
-		rig, committed, inFlight, stage, err := replayTo(opts, n)
+		p, err := execute(opts, n)
 		if err != nil {
 			return nil, fmt.Errorf("crashsweep: point %d: %w", n, err)
 		}
-		replayTxnSum += int64(len(committed))
-		rt, scan, verr := recoverAndVerify(opts, rig, committed, inFlight)
+		replayTxnSum += int64(len(p.committed))
+		// Reboot through the system's recovery path, then check every
+		// invariant against what the replay saw commit.
+		rt, scan, verr := p.rig.Recover()
+		if verr == nil {
+			verr = tpcb.VerifyState(p.rig.FS, p.committed, p.inFlight)
+		}
 		if verr != nil {
 			rep.Violations = append(rep.Violations, Violation{
-				WriteOp: n, Committed: len(committed), Stage: stage, Err: verr.Error(),
+				WriteOp: n, Committed: len(p.committed), Stage: p.stage, Err: verr.Error(),
 			})
 			continue
 		}

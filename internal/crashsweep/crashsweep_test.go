@@ -200,11 +200,11 @@ func TestSweepStagedEvictions(t *testing.T) {
 	if err := opts.fill(); err != nil {
 		t.Fatal(err)
 	}
-	golden, _, _, err := goldenRun(opts)
+	golden, err := execute(opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := golden.FFSStats(); st.BlocksStaged == 0 || st.StagedFlushes == 0 || st.WriteBehind.Busy == 0 {
+	if st := golden.rig.FFSStats(); st.BlocksStaged == 0 || st.StagedFlushes == 0 || st.WriteBehind.Busy == 0 {
 		t.Fatalf("the golden run staged %d blocks in %d sweeps, write-behind busy %v: the sweep would crash with nothing staged, or the sweeps ran off the background lane", st.BlocksStaged, st.StagedFlushes, st.WriteBehind.Busy)
 	}
 	rep, err := Run(opts)
@@ -215,7 +215,7 @@ func TestSweepStagedEvictions(t *testing.T) {
 	if rep.CleanerTxnSpans == 0 {
 		t.Fatal("no transaction span swept the stage")
 	}
-	t.Logf("staged %+v; %s", *golden.FFSStats(), rep)
+	t.Logf("staged %+v; %s", *golden.rig.FFSStats(), rep)
 }
 
 // TestSweepStagedSegments is TestSweepStagedEvictions on user-lfs: a database
@@ -229,11 +229,11 @@ func TestSweepStagedSegments(t *testing.T) {
 	if err := opts.fill(); err != nil {
 		t.Fatal(err)
 	}
-	golden, _, _, err := goldenRun(opts)
+	golden, err := execute(opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := golden.LFSStats()
+	st := golden.rig.LFSStats()
 	if st.StagedFlushes < 2 || st.WriteBehind.Busy == 0 {
 		t.Fatalf("the golden run flushed a full stage %d times, write-behind busy %v: want at least two flushes on the background lane", st.StagedFlushes, st.WriteBehind.Busy)
 	}
@@ -252,10 +252,11 @@ func TestSweepSamplingCoversCheckpoints(t *testing.T) {
 	if err := opts.fill(); err != nil {
 		t.Fatal(err)
 	}
-	_, spans, loadOps, err := goldenRun(opts)
+	golden, err := execute(opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	spans, loadOps := golden.spans, golden.loadOps
 	var sawCheckpoint bool
 	for _, s := range spans {
 		if s.From < loadOps {

@@ -213,6 +213,10 @@ func (d *Device) noteWrite(start int64, bufs [][]byte) bool {
 	return false
 }
 
+// MaxBlocks bounds the devices the commands build: a device keeps a slot per
+// block, and 2^24 blocks of 4 KB are 64 GB, some 200 times the paper's disk.
+const MaxBlocks = 1 << 24
+
 // New creates a device with the given model, advancing the given clock on
 // every access.
 func New(model sim.DiskModel, clock *sim.Clock) *Device {
@@ -224,13 +228,12 @@ func New(model sim.DiskModel, clock *sim.Clock) *Device {
 	}
 }
 
-// opTrace caches one access direction's span name and metric handles so the
-// per-access hot path neither concatenates strings nor hashes metric names.
+// opTrace caches one access direction's span name and latency histogram so
+// the per-access hot path neither concatenates strings nor hashes metric
+// names.
 type opTrace struct {
-	span   string
-	lat    *trace.Hist
-	ops    *trace.Counter
-	blocks *trace.Counter
+	span string
+	lat  *trace.Hist
 }
 
 // SetTracer attaches a tracer; each access then emits a disk.read/disk.write
@@ -240,10 +243,8 @@ type opTrace struct {
 //simlint:tokensafe(setup-time registration: runs before Run hands the token to any proc)
 func (d *Device) SetTracer(tr *trace.Tracer) {
 	d.tracer = tr
-	d.rd = opTrace{span: "disk.read", lat: tr.Hist("disk.read"),
-		ops: tr.Counter("disk.reads"), blocks: tr.Counter("disk.read.blocks")}
-	d.wr = opTrace{span: "disk.write", lat: tr.Hist("disk.write"),
-		ops: tr.Counter("disk.writes"), blocks: tr.Counter("disk.write.blocks")}
+	d.rd = opTrace{span: "disk.read", lat: tr.Hist("disk.read")}
+	d.wr = opTrace{span: "disk.write", lat: tr.Hist("disk.write")}
 }
 
 // Model returns the device's service-time model.
@@ -337,8 +338,6 @@ func (d *Device) charge(ot *opTrace, block int64, n int) {
 			trace.AI("xfer_ns", xfer.Nanoseconds()), trace.AI("queue_ns", qwait.Nanoseconds()),
 			trace.AS("lane", lane))
 		ot.lat.Observe(d.clock.Now() - start)
-		ot.ops.Add(1)
-		ot.blocks.Add(int64(n))
 	}
 }
 

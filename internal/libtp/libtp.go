@@ -121,9 +121,8 @@ type Env struct {
 	deltas *mvcc.DeltaMap
 	stats  Stats
 	tracer *trace.Tracer // from Options.Tracer; nil = tracing off
-	// Metric handles resolved at construction; nil handles are free.
-	ctrCommits, ctrAborts *trace.Counter
-	histLatency           *trace.Hist
+	// Metric handle resolved at construction; a nil handle is free.
+	histLatency *trace.Hist
 
 	// commits is the group-commit rendezvous (§4.4): a committer that has
 	// appended its commit record joins it and shares one log.Force with the
@@ -150,8 +149,6 @@ func newEnvShell(fsys vfs.FileSystem, clock *sim.Clock, opts Options) *Env {
 	env.pool = buffer.New(opts.CacheBlocks, fsys.BlockSize(), env.writeback)
 	env.pool.SetTracer(opts.Tracer, "buffer.user")
 	env.locks.SetTracer(opts.Tracer)
-	env.ctrCommits = opts.Tracer.Counter("txn.commits")
-	env.ctrAborts = opts.Tracer.Counter("txn.aborts")
 	env.histLatency = opts.Tracer.Hist("txn.latency")
 	return env
 }
@@ -367,9 +364,9 @@ func (t *Txn) finishLocked(commit bool, err error) error {
 	if err != nil {
 		return err
 	}
-	outcome, n, ctr := "abort", &e.stats.Aborted, e.ctrAborts
+	outcome, n := "abort", &e.stats.Aborted
 	if commit {
-		outcome, n, ctr = "commit", &e.stats.Committed, e.ctrCommits
+		outcome, n = "commit", &e.stats.Committed
 	}
 	*n++
 	if e.tracer.Enabled() {
@@ -377,7 +374,6 @@ func (t *Txn) finishLocked(commit bool, err error) error {
 		if commit {
 			e.histLatency.Observe(e.clock.Now() - t.start)
 		}
-		ctr.Add(1)
 	}
 	return nil
 }
@@ -542,8 +538,6 @@ func RecoverPaths(fsys vfs.FileSystem, clock *sim.Clock, opts Options, dbPaths [
 	}
 	scan := env.log.LastScanStats()
 	opts.Tracer.Hist("wal.recoveryScan").Observe(clock.Now() - scanStart)
-	opts.Tracer.Counter("wal.recoverySegments").Add(scan.Segments)
-	opts.Tracer.Counter("wal.recoveryBlocks").Add(scan.Blocks)
 	// Recovered pages must reach the files before a fresh checkpoint
 	// truncates the log they were recovered from.
 	for _, id := range detsort.Keys(env.files) {

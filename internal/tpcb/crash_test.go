@@ -6,27 +6,21 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/ffs"
-	"repro/internal/lfs"
-	"repro/internal/libtp"
 	"repro/internal/lock"
 	"repro/internal/sim"
-	"repro/internal/vfs"
 )
 
 // TestEmbeddedCrashStorm repeatedly crashes the embedded transaction system
-// at transaction boundaries (remounting the file system from the device and
-// rebuilding the transaction manager, with no other recovery step — the
-// paper's "single recovery paradigm") and checks that every committed
-// transaction survives and the TPC-B invariants hold.
+// at transaction boundaries (Rig.Recover remounts the file system from the
+// device and rebuilds the transaction manager, with no transaction-recovery
+// step — the paper's "single recovery paradigm") and checks that every
+// committed transaction survives and the TPC-B invariants hold.
 func TestEmbeddedCrashStorm(t *testing.T) {
 	cfg := Config{Accounts: 1500, Tellers: 15, Branches: 3, Seed: 99}
 	rig, err := BuildRig(RigOptions{Kind: "kernel-lfs", Config: cfg, ExpectedTxns: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := rig.Sys.(*EmbeddedSystem)
 	gen := NewGenerator(cfg)
 	rng := sim.NewRNG(7)
 
@@ -36,24 +30,15 @@ func TestEmbeddedCrashStorm(t *testing.T) {
 		burst := 20 + rng.Intn(40)
 		for i := 0; i < burst; i++ {
 			tx := gen.Next()
-			if err := sys.Run(tx); err != nil {
+			if err := rig.Sys.Run(tx); err != nil {
 				t.Fatalf("round %d txn %d: %v", round, i, err)
 			}
 			committed = append(committed, tx)
 		}
 		// CRASH: all in-memory state gone; remount from the device.
-		fs2, err := lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256})
-		if err != nil {
-			t.Fatalf("round %d remount: %v", round, err)
+		if _, _, err := rig.Recover(); err != nil {
+			t.Fatalf("round %d recovery: %v", round, err)
 		}
-		rig.LFS = fs2
-		m2 := core.New(fs2, rig.Clock, core.Options{})
-		sys = NewEmbeddedSystem(m2, rig.Clock, sim.SpriteCosts())
-		if err := sys.Attach(); err != nil {
-			t.Fatalf("round %d attach: %v", round, err)
-		}
-		rig.FS = fs2
-
 		// Verify every committed transaction's effects after this crash.
 		verifyState(t, rig, committed)
 	}
@@ -148,7 +133,7 @@ func preCommitted(rig *Rig, workers []Worker) (in []int) {
 			// A process is out of its transaction while Run is still in
 			// progress only once it has pre-committed. (Flushes are atomic,
 			// so the order within the batch does not matter.)
-			if !w.(*embeddedWorker).proc.InTxn() {
+			if !w.(*worker).c.(kernelClient).proc.InTxn() {
 				in = append(in, k)
 			}
 		}
@@ -166,45 +151,6 @@ func preCommitted(rig *Rig, workers []Worker) (in []int) {
 		}
 	}
 	return in
-}
-
-// reboot brings a crashed one-device rig back the way its system recovers:
-// remount (fsck; on the update-in-place file system that rebuilds the stale
-// allocation bitmap from the inode table, which must happen BEFORE the WAL
-// replay, or replay-driven allocations could clobber durable data), then, for
-// a user-level rig, replay the write-ahead log into a new environment with
-// the given options. The embedded system has no second step — the paper's
-// "single recovery paradigm".
-func reboot(rig *Rig, opts libtp.Options) (vfs.FileSystem, *libtp.Env, error) {
-	rig.Dev.ClearCrash()
-	var fs2 vfs.FileSystem
-	if rig.LFS != nil {
-		lf, err := lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256})
-		if err != nil {
-			return nil, nil, err
-		}
-		if rep, err := lf.Fsck(); err != nil || !rep.OK() {
-			return nil, nil, fmt.Errorf("fsck: %v %+v", err, rep)
-		}
-		fs2 = lf
-	} else {
-		ff, err := ffs.Mount(rig.Dev, rig.Clock, ffs.Options{CacheBlocks: 256})
-		if err != nil {
-			return nil, nil, err
-		}
-		if _, err := ff.Fsck(); err != nil {
-			return nil, nil, err
-		}
-		fs2 = ff
-	}
-	if rig.Core != nil {
-		return fs2, nil, nil
-	}
-	env, _, err := libtp.RecoverPaths(fs2, rig.Clock, opts, DBPaths())
-	if err != nil {
-		return nil, nil, err
-	}
-	return fs2, env, nil
 }
 
 // concurrentCrashCfg has five account leaves: a client waiting for the teller
@@ -261,14 +207,13 @@ func concurrentCrashSweep(t *testing.T, kind string, mpl, groupCommit int) {
 			if !rig.Dev.Crashed() {
 				t.Fatalf("op %d: the crash never fired", op)
 			}
-			fs2, _, err := reboot(rig, libtp.Options{})
-			if err != nil {
+			if _, _, err := rig.Recover(); err != nil {
 				t.Fatalf("op %d tear %d: recovery: %v", op, tear, err)
 			}
 			// holds: the recovered state is exactly the acknowledged
 			// transactions plus the first n of the batch.
 			holds := func(n int) error {
-				return VerifyState(fs2, append(acked[:len(acked):len(acked)], batch[:n]...), nil)
+				return VerifyState(rig.FS, append(acked[:len(acked):len(acked)], batch[:n]...), nil)
 			}
 			errNone := holds(0)
 			if errNone == nil {
@@ -333,7 +278,6 @@ func userCrashStorm(t *testing.T, kind string, seed, rngSeed uint64) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys := rig.Sys.(*UserSystem)
 			gen := NewGenerator(cfg)
 			rng := sim.NewRNG(rngSeed)
 
@@ -342,23 +286,15 @@ func userCrashStorm(t *testing.T, kind string, seed, rngSeed uint64) {
 				burst := 20 + rng.Intn(30)
 				for i := 0; i < burst; i++ {
 					tx := gen.Next()
-					if err := sys.Run(tx); err != nil {
+					if err := rig.Sys.Run(tx); err != nil {
 						t.Fatalf("round %d txn %d: %v", round, i, err)
 					}
 					committed = append(committed, tx)
 				}
 				// CRASH: all in-memory state gone.
-				fs2, env2, err := reboot(rig, libtp.Options{GroupCommit: groupCommit})
-				if err != nil {
-					t.Fatalf("round %d reboot: %v", round, err)
+				if _, _, err := rig.Recover(); err != nil {
+					t.Fatalf("round %d recovery: %v", round, err)
 				}
-				sys = NewUserSystem(env2, rig.Clock, sim.SpriteCosts())
-				if err := sys.Attach(); err != nil {
-					t.Fatalf("round %d attach: %v", round, err)
-				}
-				rig.FS = fs2
-				rig.Env = env2
-
 				verifyState(t, rig, committed)
 			}
 		})

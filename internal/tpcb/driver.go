@@ -195,7 +195,6 @@ func (r *Rig) RunMixed(cfg Config, n, mpl, scanners, scansEach int, mode ScanMod
 	}
 	sched.Run()
 	dispatches := sched.Dispatches()
-	tr.Metrics().Set("sched.dispatches", dispatches)
 	for _, err := range errs {
 		if err != nil {
 			return MixedResult{}, err
@@ -230,11 +229,6 @@ func (r *Rig) RunMixed(cfg Config, n, mpl, scanners, scansEach int, mode ScanMod
 	}
 	if res.WriterElapsed > 0 {
 		res.WriterTPS = float64(n) / res.WriterElapsed.Seconds()
-	}
-	if tr.Enabled() && scanners > 0 {
-		tr.Metrics().Set("scan.count", int64(res.Scans))
-		tr.Metrics().Set("scan.rows", res.ScanRows)
-		tr.Metrics().Set("scan.retries", res.ScanRetries)
 	}
 	return res, nil
 }

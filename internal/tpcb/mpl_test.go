@@ -6,8 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/lfs"
 	"repro/internal/lock"
 )
 
@@ -287,83 +285,88 @@ func TestMPLKernelGroupCommitBatches(t *testing.T) {
 // the hot pages in opposite orders starve each other indefinitely — ROADMAP
 // item 2 — which is why every TPC-B client write-locks in one order.)
 type falteringSystem struct {
-	*EmbeddedSystem
+	*TxnSystem
 	workers *int
 }
 
 func (s falteringSystem) NewWorker() (Worker, error) {
 	*s.workers++
-	if *s.workers%2 == 0 {
-		return s.EmbeddedSystem.NewWorker()
+	w, err := s.TxnSystem.NewWorker()
+	if err != nil || *s.workers%2 == 0 {
+		return w, err
 	}
-	return &falteringWorker{s: s.EmbeddedSystem, proc: s.m.NewProcess()}, nil
+	return &falteringWorker{w: w.(*worker)}, nil
 }
 
 type falteringWorker struct {
-	s    *EmbeddedSystem
-	proc *core.Process
+	w    *worker
 	last Txn // the transaction whose first attempt was aborted
 }
 
-func (w *falteringWorker) Run(t Txn) error {
-	if w.last == t {
-		return w.s.runWith(w.proc, t)
+func (f *falteringWorker) Run(t Txn) error {
+	if f.last == t {
+		return f.w.Run(t)
 	}
-	w.last = t
-	if err := w.proc.TxnBegin(); err != nil {
+	f.last = t
+	if err := f.w.c.begin(); err != nil {
 		return err
 	}
-	err := w.s.apply(w.proc, t)
+	err := f.w.apply(t)
 	if err == nil {
 		err = fmt.Errorf("%w: faltering client gives up", lock.ErrDeadlock)
 	}
-	w.s.abort(w.proc)
+	f.w.abort()
 	return err
 }
 
-// TestKernelAuditUnderAborts is the regression test for the audit failure
+// TestAuditUnderAborts is the regression test for the audit failure
 // benchmark/README.md documents: kernel-lfs rows holding a committed delta
 // twice whenever transactions aborted at high MPL. The old commit flush
 // swept every held page of the batch's files into the log, pages of
 // still-running transactions included, and an abort then re-read its own
 // after-image. The contended shape (MPL 64, 2 branches, GroupCommit 8) must
-// pass VerifyState on the plain path (no deadlocks at all: every client
-// write-locks in one order) and with half the clients aborting every
-// transaction once.
-func TestKernelAuditUnderAborts(t *testing.T) {
+// pass VerifyState on every rig on the plain path (no deadlocks at all: every
+// client write-locks in one order) and with half the clients aborting every
+// transaction once, and again after Rig.Recover rebuilds the state from the
+// disk and the log alone. On the user-level rigs that audits LIBTP's abort
+// and the node-cache flush that follows it.
+func TestAuditUnderAborts(t *testing.T) {
 	cfg := Config{Accounts: 2000, Tellers: 10, Branches: 2, Seed: 1993}
 	const txns, mpl = 600, 64
-	for _, faltering := range []bool{false, true} {
-		rig, err := BuildRig(RigOptions{Kind: "kernel-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8, CacheBlocks: 2048, DiskScale: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rig.Clock.SetStrict(true)
-		if faltering {
-			rig.Sys = falteringSystem{rig.Sys.(*EmbeddedSystem), new(int)}
-		}
-		res, err := rig.RunMPL(cfg, txns, mpl)
-		if err != nil {
-			t.Fatalf("faltering=%v: %v", faltering, err)
-		}
-		if faltering && res.Retries < txns/2 {
-			t.Fatalf("the faltering mix produced %d retries; the test is not exercising aborts", res.Retries)
-		}
-		if !faltering && res.Retries != 0 {
-			t.Fatalf("plain path: %d deadlock retries, want 0", res.Retries)
-		}
-		all := clientStreams(cfg, txns, mpl)
-		if err := VerifyState(rig.FS, all, nil); err != nil {
-			t.Fatalf("faltering=%v (%d retries): %v", faltering, res.Retries, err)
-		}
-		// And the same from the log alone, after a crash.
-		fs2, err := lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := VerifyState(fs2, all, nil); err != nil {
-			t.Fatalf("faltering=%v after remount: %v", faltering, err)
-		}
+	for _, kind := range mplKinds {
+		t.Run(kind, func(t *testing.T) {
+			for _, faltering := range []bool{false, true} {
+				rig, err := BuildRig(RigOptions{Kind: kind, Config: cfg, ExpectedTxns: txns, GroupCommit: 8, CacheBlocks: 2048, DiskScale: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rig.Clock.SetStrict(true)
+				if faltering {
+					rig.Sys = falteringSystem{rig.Sys.(*TxnSystem), new(int)}
+				}
+				res, err := rig.RunMPL(cfg, txns, mpl)
+				if err != nil {
+					t.Fatalf("faltering=%v: %v", faltering, err)
+				}
+				if faltering && res.Retries < txns/2 {
+					t.Fatalf("the faltering mix produced %d retries; the test is not exercising aborts", res.Retries)
+				}
+				if !faltering && res.Retries != 0 {
+					t.Fatalf("plain path: %d deadlock retries, want 0", res.Retries)
+				}
+				all := clientStreams(cfg, txns, mpl)
+				if err := VerifyState(rig.FS, all, nil); err != nil {
+					t.Fatalf("faltering=%v (%d retries): %v", faltering, res.Retries, err)
+				}
+				// And the same from the disk and the log alone, after a crash.
+				if _, _, err := rig.Recover(); err != nil {
+					t.Fatalf("faltering=%v: recovery: %v", faltering, err)
+				}
+				if err := VerifyState(rig.FS, all, nil); err != nil {
+					t.Fatalf("faltering=%v after recovery: %v", faltering, err)
+				}
+			}
+		})
 	}
 }
 

@@ -83,6 +83,8 @@ type Rig struct {
 	Idle func() error
 	// Tracer is non-nil when the rig was built with RigOptions.Trace.
 	Tracer *trace.Tracer
+	// opts are the options BuildRig built the rig with, defaults filled in.
+	opts RigOptions
 }
 
 // LockStats returns the rig's lock-manager counters regardless of which
@@ -146,9 +148,17 @@ func (r *Rig) LibTPStats() *libtp.Stats {
 	return &st
 }
 
-// DiskModelFor returns the simulated disk geometry the rig builder would
-// pick for a configuration (exposed for harnesses that assemble their own
-// stacks, e.g. the user-TP-on-transaction-kernel leg of Figure 5).
+// DiskModelFor returns the simulated disk geometry the rig builder picks for
+// a configuration at disk scale 1 (exposed for harnesses that assemble their
+// own stacks, e.g. the user-TP-on-transaction-kernel leg of Figure 5). The
+// sizing preserves two regimes of the paper's full-scale setup rather than
+// scaling the disk purely with the database:
+//   - enough free space that the log wraps (and the cleaner cycles) at the
+//     paper's per-transaction rate — per-transaction write volume does not
+//     shrink with the database, so free space is sized from the expected
+//     transaction count (~1 block of eventual log space per transaction kept
+//     free, matching the paper's ~18 log cycles per 100k-transaction run);
+//   - the database still occupying a large fraction of the disk.
 func DiskModelFor(cfg Config, expectedTxns int) sim.DiskModel {
 	dbPages := dbPagesEstimate(cfg, expectedTxns)
 	model := sim.RZ55Model()
@@ -157,7 +167,12 @@ func DiskModelFor(cfg Config, expectedTxns int) sim.DiskModel {
 	return model
 }
 
-// CacheBlocksFor returns the per-pool cache sizing for a configuration.
+// CacheBlocksFor returns the per-pool cache sizing for a configuration. The
+// paper's machine cached a small fraction of the database (32 MB of memory
+// against a 160 MB account file plus the OS): "databases too large to cache
+// in main memory" is what makes the workload read-bound. One tenth per pool;
+// the user-level systems have two pools (user + kernel), the embedded system
+// gets the whole budget in its single kernel cache.
 func CacheBlocksFor(cfg Config, expectedTxns int) int {
 	return max(int(dbPagesEstimate(cfg, expectedTxns)/10), 96)
 }
@@ -169,10 +184,6 @@ func dbPagesEstimate(cfg Config, expectedTxns int) int64 {
 	historyPages := int64(expectedTxns)/75 + 16
 	return treePages + historyPages
 }
-
-// maxDiskBlocks bounds a rig's disk: the device keeps a slot per block, and
-// 2^24 blocks of 4 KB are 64 GB, some 200 times the paper's disk.
-const maxDiskBlocks = 1 << 24
 
 // BuildRig constructs the device, the file system, the transaction system,
 // and the loaded database for one configuration.
@@ -215,30 +226,13 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 		return nil, fmt.Errorf("tpcb: unknown cleaner mode %q (want sync or idle)", opts.CleanerMode)
 	}
 
-	dbPages := dbPagesEstimate(opts.Config, opts.ExpectedTxns)
-	model := sim.RZ55Model()
-	// Disk sizing preserves two regimes of the paper's full-scale setup
-	// rather than scaling the disk purely with the database:
-	//  - enough free space that the log wraps (and the cleaner cycles) at
-	//    the paper's per-transaction rate — per-transaction write volume
-	//    does not shrink with the database, so free space is sized from
-	//    the expected transaction count (~1 block of eventual log space
-	//    per transaction kept free, matching the paper's ~18 log cycles
-	//    per 100k-transaction run);
-	//  - the database still occupying a large fraction of the disk.
-	freeBlocks := max(int64(opts.ExpectedTxns), dbPages)
-	blocks := float64(dbPages+dbPages/5+freeBlocks+2048) * opts.DiskScale
-	if blocks > maxDiskBlocks {
-		return nil, fmt.Errorf("tpcb: a disk of %.0f blocks is more than the %d a rig allocates", blocks, maxDiskBlocks)
+	model := DiskModelFor(opts.Config, opts.ExpectedTxns)
+	blocks := float64(model.NumBlocks) * opts.DiskScale
+	if blocks > disk.MaxBlocks {
+		return nil, fmt.Errorf("tpcb: a disk of %.0f blocks is more than the %d a rig allocates", blocks, disk.MaxBlocks)
 	}
 	model.NumBlocks = int64(blocks)
-	// The paper's machine cached a small fraction of the database (32 MB
-	// of memory against a 160 MB account file plus the OS): "databases too
-	// large to cache in main memory" is what makes the workload
-	// read-bound. One tenth per pool; the user-level systems have two
-	// pools (user + kernel), the embedded system gets the whole budget in
-	// its single kernel cache.
-	cache := max(int(dbPages/10), 96)
+	cache := CacheBlocksFor(opts.Config, opts.ExpectedTxns)
 	if opts.CacheBlocks > 0 {
 		cache = opts.CacheBlocks
 	}
@@ -251,7 +245,7 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 	// The device exists before Format, so crash points count from power-on.
 	dev := disk.New(model, clk)
 	dev.SetTracer(tr)
-	rig := &Rig{Clock: clk, Tracer: tr, Dev: dev, Devs: []*disk.Device{dev}}
+	rig := &Rig{Clock: clk, Tracer: tr, Dev: dev, Devs: []*disk.Device{dev}, opts: opts}
 	if opts.Kind == "user-ffs" {
 		ff, err := ffs.Format(dev, clk, ffs.Options{CacheBlocks: cache, SyncInterval: 30 * time.Second, InodeAtSync: opts.InodeAtSync})
 		if err != nil {
@@ -278,11 +272,10 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 		lf.Pool().SetTracer(tr, "buffer.lfs")
 		rig.FS, rig.LFS = lf, lf
 	}
-	if kernel {
-		rig.Core = core.New(rig.LFS, clk, core.Options{Costs: opts.Costs, GroupCommit: opts.GroupCommit, Tracer: tr})
-		rig.Sys = NewEmbeddedSystem(rig.Core, clk, opts.Costs)
-	} else {
-		env, err := libtp.NewEnv(rig.FS, clk, libtp.Options{
+	var env *libtp.Env
+	if !kernel {
+		var err error
+		env, err = libtp.NewEnv(rig.FS, clk, libtp.Options{
 			CacheBlocks:     cache,
 			Costs:           opts.Costs,
 			GroupCommit:     opts.GroupCommit,
@@ -292,16 +285,13 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 		if err != nil {
 			return nil, err
 		}
-		rig.Env = env
-		rig.Sys = NewUserSystem(env, clk, opts.Costs)
 	}
-	if err := rig.Sys.Load(opts.Config); err != nil {
+	if err := rig.install(env, tr).Load(opts.Config); err != nil {
 		return nil, fmt.Errorf("tpcb: load on %s: %w", opts.Kind, err)
 	}
 	if opts.CleanerMode == "idle" {
-		lfsys := rig.LFS
 		rig.Idle = func() error {
-			_, err := lfsys.CleanIdle()
+			_, err := rig.LFS.CleanIdle()
 			return err
 		}
 	}
@@ -309,4 +299,81 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 	// load phase accumulated.
 	dev.ResetIdleCredit()
 	return rig, nil
+}
+
+// install puts the rig's transaction system over its file system: the
+// embedded manager on the kernel rig, env on a user-level one.
+func (r *Rig) install(env *libtp.Env, tr *trace.Tracer) *TxnSystem {
+	var sys *TxnSystem
+	if env == nil {
+		r.Core = core.New(r.LFS, r.Clock, core.Options{Costs: r.opts.Costs, GroupCommit: r.opts.GroupCommit, Tracer: tr})
+		sys = NewEmbeddedSystem(r.Core, r.Clock, r.opts.Costs)
+	} else {
+		r.Env = env
+		sys = NewUserSystem(env, r.Clock, r.opts.Costs)
+	}
+	r.Sys = sys
+	return sys
+}
+
+// Recover reboots the rig after a crash of its device the way its system
+// recovers, and returns the simulated time that took and, on a user-level
+// rig, how much log the WAL recovery read. The steps, in order: clear the
+// crash; mount the file system with a 256-block cache; on FFS rebuild the
+// allocation bitmap from the inode table, which must precede WAL replay (a
+// replay-driven allocation from the stale bitmap could clobber durable
+// blocks); on a user-level rig replay the write-ahead log into a new
+// environment; on LFS check the recovered file system. The embedded manager
+// has no step of its own — the paper's "single recovery paradigm". After the
+// measured interval a fresh, untraced system is attached to the recovered
+// state in place of the rig's FS, LFS, Env or Core and Sys, so the rig runs
+// on.
+func (r *Rig) Recover() (time.Duration, wal.ScanStats, error) {
+	var scan wal.ScanStats
+	r.Dev.ClearCrash()
+	start := r.Clock.Now()
+	var fsys vfs.FileSystem
+	var lf *lfs.FS
+	if r.LFS != nil {
+		var err error
+		if lf, err = lfs.Mount(r.Dev, r.Clock, lfs.Options{CacheBlocks: 256}); err != nil {
+			return 0, scan, fmt.Errorf("mount: %w", err)
+		}
+		fsys = lf
+	} else {
+		ff, err := ffs.Mount(r.Dev, r.Clock, ffs.Options{CacheBlocks: 256})
+		if err != nil {
+			return 0, scan, fmt.Errorf("mount: %w", err)
+		}
+		if _, err := ff.Fsck(); err != nil {
+			return 0, scan, fmt.Errorf("fsck: %w", err)
+		}
+		fsys = ff
+	}
+	var env *libtp.Env
+	if r.Core == nil {
+		var rep *libtp.RecoveryReport
+		var err error
+		env, rep, err = libtp.RecoverPaths(fsys, r.Clock, libtp.Options{
+			Costs:           r.opts.Costs,
+			GroupCommit:     r.opts.GroupCommit,
+			LogSegmentBytes: r.opts.LogSegmentBytes,
+		}, DBPaths())
+		if err != nil {
+			return 0, scan, fmt.Errorf("wal recovery: %w", err)
+		}
+		scan = rep.Scan
+	}
+	if lf != nil {
+		rep, err := lf.Fsck()
+		if err != nil {
+			return 0, scan, fmt.Errorf("fsck: %w", err)
+		}
+		if !rep.OK() {
+			return 0, scan, fmt.Errorf("fsck: inconsistent state: %+v", rep)
+		}
+	}
+	elapsed := r.Clock.Now() - start
+	r.FS, r.LFS = fsys, lf
+	return elapsed, scan, r.install(env, nil).attach()
 }

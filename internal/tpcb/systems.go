@@ -145,263 +145,151 @@ func appendHistory(st pagestore.Store, frames *frame.List, clock *sim.Clock, t T
 	return err
 }
 
-// --- user-level system (LIBTP, Figure 2) ---
-
-// UserSystem runs TPC-B through the user-level transaction manager: one
-// environment, with its own write-ahead log, on the rig's file system.
-type UserSystem struct {
-	clock               *sim.Clock
-	costs               sim.CostModel
-	env                 *libtp.Env
-	label               string
-	acc, tel, brn, hist *libtp.DB
-	// Interior-node caches, one per B-tree relation (history is recno — no
-	// interior pages). Shared across workers, validated by on-page LSN, and
-	// flushed wholesale on any abort: the before-image restore rewinds page
-	// LSNs, so a post-abort writer could reissue an LSN the cache still maps
-	// to aborted-timeline bytes.
-	accCache, telCache, brnCache *btree.NodeCache
+// TxnSystem runs TPC-B through one transaction manager: LIBTP over the
+// rig's file system (Figure 2), or the manager embedded in LFS (Figure 3).
+// Everything but the manager is the same in both.
+type TxnSystem struct {
+	mgr   txnManager
+	name  string
+	clock *sim.Clock
+	costs sim.CostModel
+	// lockingScans runs snapshot scans as locking scans: user-level on FFS,
+	// where before-images work but locking measured faster (DESIGN.md §11).
+	lockingScans bool
+	rels         [4]relation // in DBPaths order
+	// Interior-node caches of the three B-tree relations (history is recno
+	// — no interior pages). Shared across workers, validated by on-page LSN,
+	// and flushed wholesale on any abort: the abort rewinds page LSNs, so a
+	// post-abort writer could reissue an LSN the cache still maps to
+	// aborted-timeline bytes.
+	caches [3]*btree.NodeCache
 	// histFrames serves the history relation's per-transaction handles as the
 	// caches' frame lists serve the B-trees'. Clients run one at a time under
 	// the scheduler's token, which is all that guards it.
 	histFrames frame.List
+	// run is the client Run executes on.
+	run *worker
 }
+
+// The relations' indexes in TxnSystem.rels and caches.
+const (
+	relAccount = iota
+	relTeller
+	relBranch
+	relHistory
+)
 
 // NewUserSystem builds the user-level configuration over env.
-func NewUserSystem(env *libtp.Env, clock *sim.Clock, costs sim.CostModel) *UserSystem {
-	return &UserSystem{
-		clock:      clock,
-		costs:      costs,
-		env:        env,
-		label:      "user-" + env.FS().Name(),
-		accCache:   btree.NewNodeCache(0),
-		telCache:   btree.NewNodeCache(0),
-		brnCache:   btree.NewNodeCache(0),
-		histFrames: frame.NewList(env.FS().BlockSize()),
+func NewUserSystem(env *libtp.Env, clock *sim.Clock, costs sim.CostModel) *TxnSystem {
+	fs := env.FS().Name()
+	return newTxnSystem(userManager{env}, "user-"+fs, fs != "lfs", clock, costs)
+}
+
+// NewEmbeddedSystem builds the kernel configuration over m.
+func NewEmbeddedSystem(m *core.Manager, clock *sim.Clock, costs sim.CostModel) *TxnSystem {
+	return newTxnSystem(kernelManager{m}, "kernel-lfs", false, clock, costs)
+}
+
+func newTxnSystem(mgr txnManager, name string, lockingScans bool, clock *sim.Clock, costs sim.CostModel) *TxnSystem {
+	s := &TxnSystem{mgr: mgr, name: name, clock: clock, costs: costs, lockingScans: lockingScans,
+		histFrames: frame.NewList(mgr.fs().BlockSize())}
+	for i := range s.caches {
+		s.caches[i] = btree.NewNodeCache(0)
 	}
+	s.run = &worker{s: s, c: mgr.newClient()}
+	return s
 }
 
 // Name implements System.
-func (s *UserSystem) Name() string { return s.label }
+func (s *TxnSystem) Name() string { return s.name }
 
-// Load implements System: bulk-load the relations and open the database
-// handles.
-func (s *UserSystem) Load(cfg Config) error {
-	if err := loadRelations(s.env.FS(), cfg); err != nil {
+// Load implements System: bulk-load the relations, hand them to the
+// transaction manager, and open them.
+func (s *TxnSystem) Load(cfg Config) error {
+	if err := loadRelations(s.mgr.fs(), cfg); err != nil {
 		return err
 	}
-	return s.Attach()
-}
-
-// Attach opens the four relations on an already-loaded (e.g. recovered)
-// environment. No load is performed.
-func (s *UserSystem) Attach() error {
-	var err error
-	if s.acc, err = s.env.OpenDB(AccountPath); err != nil {
+	if err := s.mgr.loaded(); err != nil {
 		return err
 	}
-	if s.tel, err = s.env.OpenDB(TellerPath); err != nil {
-		return err
-	}
-	if s.brn, err = s.env.OpenDB(BranchPath); err != nil {
-		return err
-	}
-	s.hist, err = s.env.OpenDB(HistoryPath)
-	return err
+	return s.attach()
 }
 
-// Run implements System: the classic read-update of account, teller, and
-// branch plus a history append, then commit.
-func (s *UserSystem) Run(t Txn) error {
-	txn := s.env.Begin()
-	if err := s.apply(txn, t); err != nil {
-		txn.Abort()
-		// See the cache field comment for why aborts must flush.
-		s.accCache.Flush()
-		s.telCache.Flush()
-		s.brnCache.Flush()
-		return err
-	}
-	return txn.Commit()
-}
-
-// apply performs t's work inside txn.
-func (s *UserSystem) apply(txn *libtp.Txn, t Txn) error {
-	if err := s.update(txn, s.acc, s.accCache, t.Account, t.Amount); err != nil {
-		return err
-	}
-	if err := s.update(txn, s.tel, s.telCache, t.Teller, t.Amount); err != nil {
-		return err
-	}
-	if err := s.update(txn, s.brn, s.brnCache, t.Branch, t.Amount); err != nil {
-		return err
-	}
-	s.clock.Advance(s.costs.RecordOp)
-	return appendHistory(txn.Store(s.hist), &s.histFrames, s.clock, t)
-}
-
-// update adds amount to one balance record inside txn.
-func (s *UserSystem) update(txn *libtp.Txn, db *libtp.DB, c *btree.NodeCache, id, amount int64) error {
-	s.clock.Advance(s.costs.RecordOp)
-	return updateBalance(txn.Store(db), c, id, amount)
-}
-
-// NewWorker implements MultiClient. The user-level system is stateless per
-// call — transactions address the shared DB handles through their own
-// transactional stores — so every client can share the System itself.
-func (s *UserSystem) NewWorker() (Worker, error) { return s, nil }
-
-// Drain implements System: a checkpoint, which forces the log and flushes
-// the cache.
-func (s *UserSystem) Drain() error { return s.env.Checkpoint() }
-
-// ScanAccounts implements System.
-func (s *UserSystem) ScanAccounts() (int64, error) {
-	return ScanAccountsOn(s.env.FS())
-}
-
-// Close implements System.
-func (s *UserSystem) Close() error { return nil }
-
-// --- embedded system (Figure 3) ---
-
-// EmbeddedSystem runs TPC-B through the kernel transaction manager in LFS.
-type EmbeddedSystem struct {
-	m     *core.Manager
-	clock *sim.Clock
-	costs sim.CostModel
-	proc  *core.Process
-	acc   *core.File
-	tel   *core.File
-	brn   *core.File
-	hist  *core.File
-	// Shared interior-node caches, as in UserSystem (see that field comment
-	// for the abort-flush requirement).
-	accCache *btree.NodeCache
-	telCache *btree.NodeCache
-	brnCache *btree.NodeCache
-	// histFrames is the history relation's frame list, as in UserSystem.
-	histFrames frame.List
-}
-
-// NewEmbeddedSystem builds the kernel configuration.
-func NewEmbeddedSystem(m *core.Manager, clock *sim.Clock, costs sim.CostModel) *EmbeddedSystem {
-	return &EmbeddedSystem{
-		m: m, clock: clock, costs: costs, proc: m.NewProcess(),
-		accCache:   btree.NewNodeCache(0),
-		telCache:   btree.NewNodeCache(0),
-		brnCache:   btree.NewNodeCache(0),
-		histFrames: frame.NewList(m.FS().BlockSize()),
-	}
-}
-
-// abort rolls the process's transaction back and drops the shared interior
-// caches (abort rewinds page LSNs; see UserSystem).
-func (s *EmbeddedSystem) abort(proc *core.Process) {
-	proc.TxnAbort()
-	s.accCache.Flush()
-	s.telCache.Flush()
-	s.brnCache.Flush()
-}
-
-// Name implements System.
-func (s *EmbeddedSystem) Name() string { return "kernel-lfs" }
-
-// Load implements System: bulk-load, then turn transaction-protection on
-// for all four relations.
-func (s *EmbeddedSystem) Load(cfg Config) error {
-	if err := loadRelations(s.m.FS(), cfg); err != nil {
-		return err
-	}
-	for _, p := range DBPaths() {
-		if err := s.m.Protect(p); err != nil {
+// attach opens the four relations on an already-loaded (or recovered) file
+// system.
+func (s *TxnSystem) attach() (err error) {
+	for i, path := range DBPaths() {
+		if s.rels[i], err = s.mgr.open(path); err != nil {
 			return err
 		}
-	}
-	if err := s.m.FS().Sync(); err != nil {
-		return err
-	}
-	return s.Attach()
-}
-
-// Attach opens the four relations on an already-loaded file system (after a
-// crash and remount, for instance). No load is performed.
-func (s *EmbeddedSystem) Attach() error {
-	var err error
-	if s.acc, err = s.m.Open(AccountPath); err != nil {
-		return err
-	}
-	if s.tel, err = s.m.Open(TellerPath); err != nil {
-		return err
-	}
-	if s.brn, err = s.m.Open(BranchPath); err != nil {
-		return err
-	}
-	if s.hist, err = s.m.Open(HistoryPath); err != nil {
-		return err
 	}
 	return nil
 }
 
-// Run implements System, executing on the system's default process.
-func (s *EmbeddedSystem) Run(t Txn) error { return s.runWith(s.proc, t) }
+// Run implements System, executing on the system's own client.
+func (s *TxnSystem) Run(t Txn) error { return s.run.Run(t) }
 
-// runWith executes one transaction on the given kernel process.
-func (s *EmbeddedSystem) runWith(proc *core.Process, t Txn) error {
-	if err := proc.TxnBegin(); err != nil {
-		return err
-	}
-	if err := s.apply(proc, t); err != nil {
-		s.abort(proc)
-		return err
-	}
-	return proc.TxnCommit()
-}
-
-// apply performs t's work inside proc's open transaction: the read-update of
-// account, teller and branch, then the history append.
-func (s *EmbeddedSystem) apply(proc *core.Process, t Txn) error {
-	if err := s.update(proc, s.acc, s.accCache, t.Account, t.Amount); err != nil {
-		return err
-	}
-	if err := s.update(proc, s.tel, s.telCache, t.Teller, t.Amount); err != nil {
-		return err
-	}
-	if err := s.update(proc, s.brn, s.brnCache, t.Branch, t.Amount); err != nil {
-		return err
-	}
-	s.clock.Advance(s.costs.RecordOp)
-	return appendHistory(core.NewStore(proc, s.hist), &s.histFrames, s.clock, t)
-}
-
-// update adds amount to one balance record inside proc's transaction.
-func (s *EmbeddedSystem) update(proc *core.Process, f *core.File, c *btree.NodeCache, id, amount int64) error {
-	s.clock.Advance(s.costs.RecordOp)
-	return updateBalance(core.NewStore(proc, f), c, id, amount)
-}
-
-// embeddedWorker is one client's kernel process (the paper's restriction 3:
-// transactions may not span processes, so each client needs its own).
-type embeddedWorker struct {
-	s    *EmbeddedSystem
-	proc *core.Process
-}
-
-func (w *embeddedWorker) Run(t Txn) error { return w.s.runWith(w.proc, t) }
-
-// NewWorker implements MultiClient: a fresh kernel process sharing the open
-// relation files.
-func (s *EmbeddedSystem) NewWorker() (Worker, error) {
-	return &embeddedWorker{s: s, proc: s.m.NewProcess()}, nil
+// NewWorker implements MultiClient: a client of its own over the shared
+// relations.
+func (s *TxnSystem) NewWorker() (Worker, error) {
+	return &worker{s: s, c: s.mgr.newClient()}, nil
 }
 
 // Drain implements System.
-func (s *EmbeddedSystem) Drain() error { return s.m.Flush() }
+func (s *TxnSystem) Drain() error { return s.mgr.drain() }
 
 // ScanAccounts implements System.
-func (s *EmbeddedSystem) ScanAccounts() (int64, error) {
-	return ScanAccountsOn(s.m.FS())
+func (s *TxnSystem) ScanAccounts() (int64, error) { return ScanAccountsOn(s.mgr.fs()) }
+
+// OpenSnapshots opens a handle of its own on the relation at path and returns
+// pin, which pins a read-only snapshot: the relation as of the pin, and the
+// release that unpins it.
+func (s *TxnSystem) OpenSnapshots(path string) (pin func() (pagestore.Store, func()), err error) {
+	r, err := s.mgr.open(path)
+	if err != nil {
+		return nil, err
+	}
+	return func() (pagestore.Store, func()) { return s.mgr.pin(r) }, nil
 }
 
-// Close implements System.
-func (s *EmbeddedSystem) Close() error { return nil }
+// worker is one client's execution context.
+type worker struct {
+	s *TxnSystem
+	c txnClient
+}
+
+// Run implements Worker: the classic read-update of account, teller and
+// branch plus a history append, then commit.
+func (w *worker) Run(t Txn) error {
+	if err := w.c.begin(); err != nil {
+		return err
+	}
+	if err := w.apply(t); err != nil {
+		w.abort()
+		return err
+	}
+	return w.c.commit()
+}
+
+// apply performs t's work inside the client's running transaction, each
+// record operation charged before it runs.
+func (w *worker) apply(t Txn) error {
+	s := w.s
+	for i, id := range [3]int64{t.Account, t.Teller, t.Branch} {
+		s.clock.Advance(s.costs.RecordOp)
+		if err := updateBalance(w.c.store(s.rels[i]), s.caches[i], id, t.Amount); err != nil {
+			return err
+		}
+	}
+	s.clock.Advance(s.costs.RecordOp)
+	return appendHistory(w.c.store(s.rels[relHistory]), &s.histFrames, s.clock, t)
+}
+
+// abort rolls the running transaction back and drops the shared interior
+// caches (see the TxnSystem field comment).
+func (w *worker) abort() {
+	w.c.abort()
+	for _, c := range w.s.caches {
+		c.Flush()
+	}
+}

@@ -195,8 +195,6 @@ type System interface {
 	// ScanAccounts reads the account relation in key order, returning the
 	// number of records seen (the §5.3 SCAN test).
 	ScanAccounts() (int64, error)
-	// Close releases resources.
-	Close() error
 }
 
 // Worker is one client's execution context in a multiprogramming run: it

@@ -140,17 +140,6 @@ func (m *Metrics) Add(name string, v int64) {
 	m.Counter(name).Add(v)
 }
 
-// Set overwrites the named counter with v (used when folding in final
-// subsystem Stats at the end of a run).
-//
-//simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns)
-func (m *Metrics) Set(name string, v int64) {
-	if m == nil {
-		return
-	}
-	m.Counter(name).v = v
-}
-
 // Max raises the named counter to v if v is larger: a high-water mark.
 func (m *Metrics) Max(name string, v int64) {
 	if c := m.Counter(name); c != nil && v > c.v {

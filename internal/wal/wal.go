@@ -172,21 +172,12 @@ type Manager struct {
 	stats    Stats
 	lastScan ScanStats
 	tracer   *trace.Tracer // nil = tracing off
-	// Metric handles resolved at SetTracer time; nil handles are free.
-	ctrAbsorbed, ctrForces, ctrRotations, ctrSealed, ctrTruncated *trace.Counter
 }
 
 // SetTracer attaches a tracer; log forces then emit wal.force spans, commit
-// appends emit wal.commit instants, rotations and truncations emit instants,
-// and the wal.* counters accumulate. A nil tracer costs nothing.
-func (m *Manager) SetTracer(tr *trace.Tracer) {
-	m.tracer = tr
-	m.ctrAbsorbed = tr.Counter("wal.absorbed")
-	m.ctrForces = tr.Counter("wal.forces")
-	m.ctrRotations = tr.Counter("wal.rotations")
-	m.ctrSealed = tr.Counter("wal.sealed")
-	m.ctrTruncated = tr.Counter("wal.truncated")
-}
+// appends emit wal.commit instants, and rotations and truncations emit
+// instants. A nil tracer costs nothing.
+func (m *Manager) SetTracer(tr *trace.Tracer) { m.tracer = tr }
 
 // Stats returns a snapshot of the counters.
 func (m *Manager) Stats() Stats { return m.stats }
@@ -274,7 +265,6 @@ func (m *Manager) append(r *Record) LSN {
 	if w.end() > 0 && w.end()+int64(size) > m.opts.SegmentBytes {
 		w.sealed = true
 		m.stats.Rotations++
-		m.ctrRotations.Add(1)
 		m.tracer.Instant("wal", "wal.rotate", trace.AU("seq", w.seq+1))
 		//simlint:alloc(cold rotation slope: one writer per SegmentBytes of log)
 		w = &segWriter{seq: w.seq + 1}
@@ -330,7 +320,6 @@ func (m *Manager) AppendCommit(txn uint64) (LSN, error) {
 // instead of forcing the log itself.
 func (m *Manager) NoteAbsorbed() {
 	m.stats.GroupCommits++
-	m.ctrAbsorbed.Add(1)
 }
 
 // LogAbort appends an abort record (no force needed: undo was already
@@ -406,7 +395,6 @@ func (m *Manager) truncateBelow(newLow uint64) error {
 		}
 		removed = true
 		m.stats.SegmentsDeleted++
-		m.ctrTruncated.Add(1)
 		m.tracer.Instant("wal", "wal.truncate", trace.AU("seq", seq))
 	}
 	m.lowWater = newLow
@@ -467,7 +455,6 @@ func (m *Manager) Force() error {
 	}
 	m.stats.Forces++
 	span.End(trace.AI("bytes", bytes))
-	m.ctrForces.Add(1)
 	return nil
 }
 
@@ -559,7 +546,6 @@ func (m *Manager) finalizeWriter(w *segWriter) error {
 		}
 	}
 	m.stats.SegmentsSealed++
-	m.ctrSealed.Add(1)
 	return nil
 }
 
