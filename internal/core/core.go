@@ -89,7 +89,7 @@ type Stats struct {
 	Committed    int64 `json:"committed"`
 	Aborted      int64 `json:"aborted"`
 	CommitFlush  int64 `json:"commit_flushes"` // commit-time flush operations (group commits count once)
-	PagesFlushed int64 `json:"pages_flushed"`  // distinct pages written by commit flushes (a batch's union)
+	PagesFlushed int64 `json:"pages_flushed"`  // distinct pages commit flushes made durable (a batch's union), whole or by patch
 	BytesFlushed int64 `json:"bytes_flushed"`  // whole pages × block size: §4.3's commit cost, whatever the force wrote
 	Deadlocks    int64 `json:"deadlocks"`
 	// Snapshots counts read-only snapshot transactions (BeginSnapshot);
@@ -137,6 +137,9 @@ type Manager struct {
 	commitSeq int64
 	vers      *mvcc.DeltaMap
 	snaps     *mvcc.Horizons
+	// windows lists the open snapshot stores by (file, horizon), so a
+	// store's readahead miss can take a window a peer already read.
+	windows map[windowKey][]*snapStore
 }
 
 // New attaches a transaction manager to a mounted log-structured file
@@ -149,16 +152,17 @@ func New(fsys *lfs.FS, clock *sim.Clock, opts Options) *Manager {
 		opts.GroupCommit = 1
 	}
 	m := &Manager{
-		fs:     fsys,
-		clock:  clock,
-		costs:  opts.Costs,
-		locks:  lock.NewManager(),
-		opts:   opts,
-		tracer: opts.Tracer,
-		held:   make(map[buffer.BlockID]*heldPage),
-		frames: frame.NewList(fsys.BlockSize()),
-		vers:   mvcc.NewDeltaMap(),
-		snaps:  mvcc.NewHorizons(),
+		fs:      fsys,
+		clock:   clock,
+		costs:   opts.Costs,
+		locks:   lock.NewManager(),
+		opts:    opts,
+		tracer:  opts.Tracer,
+		held:    make(map[buffer.BlockID]*heldPage),
+		frames:  frame.NewList(fsys.BlockSize()),
+		vers:    mvcc.NewDeltaMap(),
+		snaps:   mvcc.NewHorizons(),
+		windows: make(map[windowKey][]*snapStore),
 	}
 	m.histLatency = opts.Tracer.Hist("txn.latency")
 	m.locks.SetClock(clock)

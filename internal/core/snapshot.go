@@ -3,12 +3,14 @@ package core
 import (
 	"errors"
 	"slices"
+	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/detsort"
 	"repro/internal/mvcc"
 	"repro/internal/pagestore"
 	"repro/internal/trace"
+	"repro/internal/vfs"
 )
 
 // Snapshot errors.
@@ -35,6 +37,7 @@ type Snapshot struct {
 	m      *Manager
 	h      int64
 	closed bool
+	stores []*snapStore // in m.windows until Close
 }
 
 // BeginSnapshot starts a read-only snapshot transaction pinned at the
@@ -96,6 +99,13 @@ func (s *Snapshot) Close() {
 		return
 	}
 	s.closed = true
+	for _, st := range s.stores {
+		k := st.key()
+		m.windows[k] = slices.DeleteFunc(m.windows[k], func(o *snapStore) bool { return o == st })
+		if len(m.windows[k]) == 0 {
+			delete(m.windows, k)
+		}
+	}
 	m.tracer.Metrics().Max("mvcc.delta_bytes_peak", m.vers.Bytes())
 	m.snaps.Unpin(s.h)
 	oldest, active := m.snaps.Oldest()
@@ -113,7 +123,18 @@ func (s *Snapshot) Store(f *File) pagestore.Store {
 	for i := range st.raBufs {
 		st.raBufs[i] = st.raData[i*ps : (i+1)*ps]
 	}
+	if !s.closed {
+		s.stores = append(s.stores, st)
+		s.m.windows[st.key()] = append(s.m.windows[st.key()], st)
+	}
 	return st
+}
+
+// windowKey names the snapshot stores whose readahead windows are
+// interchangeable: those of one file pinned at one horizon.
+type windowKey struct {
+	file vfs.FileID
+	h    int64
 }
 
 // snapReadahead is the snapshot store's readahead window, in pages.
@@ -133,14 +154,28 @@ const snapReadahead = 32
 // and rewinding restores each byte one covers whatever the image held — so
 // rewinding an image already rewound, as a resident page enters the window,
 // changes nothing.
+//
+// A miss first looks at the windows of the other open stores of the file
+// pinned at the same horizon (the scanners of one mixed run pin together):
+// one that covers the page is copied whole, as of the moment its transfer
+// completed, instead of read again. A window holds resident pages rewound
+// to its filler's horizon, so a store pinned elsewhere never takes it.
 type snapStore struct {
 	snap   *Snapshot
 	f      *File
-	raBase int64 // first page in the readahead window; -1 = empty
-	raLen  int   // valid pages in the window
+	raBase int64         // first page in the readahead window; -1 = empty
+	raLen  int           // valid pages in the window
+	raDone time.Duration // when the window's transfer completed
 	raData []byte
 	raBufs [][]byte
 	np     int64 // NumPages, resolved at the first miss (0 = unknown)
+}
+
+func (s *snapStore) key() windowKey { return windowKey{s.f.id, s.snap.h} }
+
+// covers reports whether page n is in the readahead window.
+func (s *snapStore) covers(n int64) bool {
+	return s.raBase >= 0 && n >= s.raBase && n < s.raBase+int64(s.raLen)
 }
 
 func (s *snapStore) PageSize() int { return s.f.m.fs.BlockSize() }
@@ -187,7 +222,19 @@ func (s *snapStore) readCurrent(n int64, p []byte) error {
 		return nil
 	}
 	ps := s.PageSize()
-	if s.raBase >= 0 && n >= s.raBase && n < s.raBase+int64(s.raLen) {
+	if !s.covers(n) {
+		for _, o := range m.windows[s.key()] {
+			if o != s && o.covers(n) {
+				// The peer's read is ours once it has completed, as a
+				// process waits on a busy buffer.
+				m.clock.AdvanceTo(o.raDone)
+				s.raBase, s.raLen, s.raDone = o.raBase, o.raLen, o.raDone
+				copy(s.raData, o.raData[:o.raLen*ps])
+				break
+			}
+		}
+	}
+	if s.covers(n) {
 		m.clock.Advance(m.costs.CacheHit)
 		off := int(n-s.raBase) * ps
 		copy(p, s.raData[off:off+ps])
@@ -217,7 +264,7 @@ func (s *snapStore) readCurrent(n int64, p []byte) error {
 					m.vers.ApplyBefore(mvcc.PageID{File: uint64(s.f.id), Block: pg}, s.snap.h, s.raBufs[i])
 				}
 			}
-			s.raBase, s.raLen = n, k
+			s.raBase, s.raLen, s.raDone = n, k, m.clock.Now()
 			copy(p, s.raData[:ps])
 			return nil
 		}

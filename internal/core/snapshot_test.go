@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/disk"
 	"repro/internal/lfs"
+	"repro/internal/pagestore"
 	"repro/internal/sim"
 )
 
@@ -422,5 +424,139 @@ func TestSnapshotWindowKeepsUnloggedWrite(t *testing.T) {
 	copy(want, "unlogged")
 	if !bytes.Equal(got, want) {
 		t.Fatal("page 1 through the snapshot lost a write made before the pin")
+	}
+}
+
+// TestSnapshotPeerWindows: stores pinned at one horizon share their readahead
+// windows, and the sharing is exact, causal and bounded. Two stores of one
+// snapshot and one of a snapshot pinned after a commit scan a file in
+// lockstep while writers commit ahead of the scan, a writer holds a page as
+// a window is filled and then aborts, and the cache is emptied. Every page
+// must equal the file read quiescently at its store's pin; a store asking
+// for a peer's page before the peer's transfer completed waits for it; and
+// the manager holds no store once the snapshots close.
+func TestSnapshotPeerWindows(t *testing.T) {
+	clk := sim.NewClock()
+	dev := disk.New(sim.SmallModel(), clk)
+	fsys, err := lfs.Format(dev, clk, lfs.Options{CacheBlocks: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &rig{clk: clk, dev: dev, fs: fsys, m: New(fsys, clk, Options{})}
+	ps := r.fs.BlockSize()
+	const pages = 48
+	var base []byte
+	for i := range pages {
+		base = append(base, pat(ps, byte(7*i+1))...)
+	}
+	f := r.mkProtected(t, "/acct", base)
+	other, err := r.m.Create("/other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := r.m.NewProcess()
+	if _, err := p.Write(other, pat(8*ps, 5), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	flushCache := func() { // read /other whole: evicts every page of /acct
+		if _, err := p.Read(other, make([]byte, 8*ps), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	image := func() []byte { // the file as of now, with nothing running
+		img := make([]byte, pages*ps)
+		if _, err := p.Read(f, img, 0); err != nil {
+			t.Fatal(err)
+		}
+		flushCache()
+		return img
+	}
+	flushCache()
+
+	snap := r.m.BeginSnapshot()
+	defer snap.Close()
+	want := image()
+	a1, a2 := snap.Store(f), snap.Store(f)
+	w := r.m.NewProcess()
+	if err := w.TxnBegin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(f, []byte("aborted"), int64(ps)); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, ps)
+	read := func(st pagestore.Store, n int64) {
+		if err := st.ReadPage(n, got); err != nil {
+			t.Fatalf("page %d: %v", n, err)
+		}
+	}
+	var filled, took time.Duration
+	var reads int64
+	runProcs(r, func() {
+		read(a1, 0) // fills the window while page 1 is held
+		filled = r.clk.Now()
+	}, func() {
+		r.clk.Advance(time.Microsecond) // a1 goes first
+		r.clk.Yield()
+		before := r.dev.Stats().Reads
+		read(a2, 0)
+		took, reads = r.clk.Now(), r.dev.Stats().Reads-before
+	})
+	if reads != 0 {
+		t.Fatalf("the second store made %d device reads for a page its peer had read, want 0", reads)
+	}
+	if took < filled {
+		t.Fatalf("a peer's window was taken at %v, before its transfer completed at %v", took, filled)
+	}
+	if err := w.TxnAbort(); err != nil {
+		t.Fatal(err)
+	}
+
+	txnWrite(t, r, f, []byte("committed"), 5*int64(ps))
+	later := r.m.BeginSnapshot()
+	defer later.Close()
+	wantLater := image()
+	c := later.Store(f)
+	check := func(name string, st pagestore.Store, img []byte, n int64) {
+		t.Helper()
+		read(st, n)
+		if !bytes.Equal(got, img[n*int64(ps):(n+1)*int64(ps)]) {
+			t.Fatalf("page %d through %s differs from the file at its pin", n, name)
+		}
+	}
+	for n := int64(0); n < pages; n++ {
+		check("a1", a1, want, n)
+		check("the later store", c, wantLater, n)
+		check("a2", a2, want, n)
+		if w.txn != nil {
+			if err := w.TxnAbort(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		switch n % 8 {
+		case 3: // a commit ahead of the scan
+			txnWrite(t, r, f, pat(64, byte(n)), (n+4)%pages*int64(ps)+100)
+		case 5:
+			flushCache()
+		case 7: // held while the next window is filled; aborted after
+			if err := w.TxnBegin(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Write(f, []byte("aborted"), (n+2)%pages*int64(ps)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	snap.Close()
+	if len(r.m.windows) != 1 {
+		t.Fatalf("%d registry entries with one snapshot open, want 1", len(r.m.windows))
+	}
+	later.Close()
+	if len(r.m.windows) != 0 {
+		t.Fatalf("the manager holds %d registry entries after the last close", len(r.m.windows))
 	}
 }

@@ -333,6 +333,9 @@ func (t *Txn) commitLocked() error {
 		return err
 	}
 	e.noteCommitLocked(t.id, lsn)
+	// No rollback can reach t now, and a snapshot pinned from here on sees
+	// it: its undo must not seed the version store at the next first pin.
+	delete(e.undo, t.id)
 	e.locks.ReleaseAll(lock.TxnID(t.id))
 	return e.forceSharedLocked()
 }

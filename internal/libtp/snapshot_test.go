@@ -3,8 +3,12 @@ package libtp
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/btree"
+	"repro/internal/disk"
+	"repro/internal/lfs"
+	"repro/internal/sim"
 )
 
 // TestSnapshotIsolation: a snapshot pinned between two committed updates
@@ -154,5 +158,91 @@ func TestSnapshotPruneOnClose(t *testing.T) {
 	s1.Close()
 	if n := rig.env.deltas.Bytes(); n != 0 {
 		t.Fatalf("last close left %d delta bytes", n)
+	}
+}
+
+// TestFirstPinSeesPreCommitted: a transaction whose commit record is in the
+// log before the first snapshot pins is visible to it while it still waits
+// for its group force. Its undo must not seed the version store: no commit
+// would ever stamp those deltas, so the snapshot would rewind the
+// transaction, and with it a later committed writer of the same bytes.
+func TestFirstPinSeesPreCommitted(t *testing.T) {
+	clk := sim.NewClock()
+	dev := disk.New(sim.SmallModel(), clk)
+	fsys, err := lfs.Format(dev, clk, lfs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := NewEnv(fsys, clk, Options{GroupCommit: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := &testRig{clk: clk, dev: dev, fs: fsys, env: env}
+	db, err := env.OpenDB("/db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(txn *Txn, v string) {
+		tr, err := btree.Open(txn.Store(db))
+		if err == nil {
+			err = tr.Put([]byte("acct"), []byte(v))
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	get := func(s *Snapshot) string {
+		tr, err := btree.Open(s.Store(db))
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		v, err := tr.Get([]byte("acct"))
+		if err != nil {
+			t.Error(err)
+		}
+		return string(v)
+	}
+	setup := env.Begin()
+	if _, err := btree.Create(setup.Store(db)); err != nil {
+		t.Fatal(err)
+	}
+	put(setup, "100")
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	committing := false
+	var snap *Snapshot
+	runProcs(rig, func() {
+		t1 := env.Begin()
+		put(t1, "200")
+		committing = true
+		if err := t1.Commit(); err != nil { // waits for the second committer
+			t.Error(err)
+		}
+	}, func() {
+		for !committing {
+			clk.Advance(time.Millisecond)
+			clk.Yield()
+		}
+		snap = env.BeginSnapshot()
+		if v := get(snap); v != "200" {
+			t.Errorf("a snapshot pinned after a commit record reads %q, want 200", v)
+		}
+		t2 := env.Begin()
+		put(t2, "250")
+		if err := t2.Commit(); err != nil {
+			t.Error(err)
+		}
+	})
+	defer snap.Close()
+	if v := get(snap); v != "200" {
+		t.Errorf("after a later commit the snapshot reads %q, want 200", v)
+	}
+	later := env.BeginSnapshot()
+	defer later.Close()
+	if v := get(later); v != "250" {
+		t.Errorf("a snapshot pinned after both commits reads %q, want 250", v)
 	}
 }

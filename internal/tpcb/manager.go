@@ -19,9 +19,9 @@ type txnManager interface {
 	open(path string) (relation, error)
 	// newClient returns a client of its own for one worker or scanner.
 	newClient() txnClient
-	// pin pins a read-only snapshot and returns r as of the pin, and the
-	// release that unpins it.
-	pin(r relation) (pagestore.Store, func())
+	// pin pins a read-only snapshot and returns store, which gives a
+	// relation as of the pin, and the release that unpins it.
+	pin() (store func(relation) pagestore.Store, release func())
 	// drain completes any pending group commit and makes the run durable.
 	drain() error
 }
@@ -58,9 +58,9 @@ func (m userManager) open(path string) (relation, error) {
 	return relation{db: db}, err
 }
 
-func (m userManager) pin(r relation) (pagestore.Store, func()) {
+func (m userManager) pin() (func(relation) pagestore.Store, func()) {
 	snap := m.env.BeginSnapshot()
-	return snap.Store(r.db), snap.Close
+	return func(r relation) pagestore.Store { return snap.Store(r.db) }, snap.Close
 }
 
 type userClient struct {
@@ -97,9 +97,9 @@ func (k kernelManager) open(path string) (relation, error) {
 	return relation{file: f}, err
 }
 
-func (k kernelManager) pin(r relation) (pagestore.Store, func()) {
+func (k kernelManager) pin() (func(relation) pagestore.Store, func()) {
 	snap := k.m.BeginSnapshot()
-	return snap.Store(r.file), snap.Close
+	return func(r relation) pagestore.Store { return snap.Store(r.file) }, snap.Close
 }
 
 type kernelClient struct{ proc *core.Process }

@@ -61,9 +61,9 @@ type snapScanner struct {
 }
 
 func (sc snapScanner) Scan() (int64, error) {
-	st, release := sc.s.mgr.pin(sc.s.rels[relAccount])
+	store, release := sc.s.mgr.pin()
 	defer release()
-	return countRows(st)
+	return countRows(store(sc.s.rels[relAccount]))
 }
 
 // NewScanner implements ScanCapable.

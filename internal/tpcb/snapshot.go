@@ -153,7 +153,7 @@ func (s *Snapshot) Render() string {
 			f.SyncerRuns, f.BlocksFlushed, f.BlocksStaged, f.StagedFlushes, f.SyncInodeStores, f.SyncerInodeStores, writeBehind(f.WriteBehind))
 	}
 	if e := s.Embedded; e != nil {
-		fmt.Fprintf(&b, "embedded: %d committed, %d aborted, %d commit flushes, %d pages (%d bytes) forced\n",
+		fmt.Fprintf(&b, "embedded: %d committed, %d aborted, %d commit flushes, %d pages (%d bytes) committed\n",
 			e.Committed, e.Aborted, e.CommitFlush, e.PagesFlushed, e.BytesFlushed)
 		if e.Snapshots > 0 || e.VersionsRecorded > 0 {
 			fmt.Fprintf(&b, "embedded: %d snapshots, %d page versions recorded\n",

@@ -109,6 +109,11 @@ func goldenSnapshot(t *testing.T, kind string, mpl int) *Snapshot {
 // time, and every `ffs` and `lfs` JSON section gains write_behind; the `lfs:`
 // line and section also count flushes of a full stage (staged_flushes). No
 // number moved: these runs fill no stage and reach no syncer pass.
+//
+// The two kernel-lfs text files, when the `embedded:` line stopped calling the
+// pages a commit flush made durable "forced": nearly every kernel force is one
+// summary block carrying their changed bytes (the `lfs:` line above gives the
+// share), so the line now says "committed". No number or JSON key moved.
 func TestSnapshotGolden(t *testing.T) {
 	for _, rig := range goldenRigs {
 		for _, mpl := range []int{1, 8} {

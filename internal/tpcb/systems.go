@@ -249,7 +249,10 @@ func (s *TxnSystem) OpenSnapshots(path string) (pin func() (pagestore.Store, fun
 	if err != nil {
 		return nil, err
 	}
-	return func() (pagestore.Store, func()) { return s.mgr.pin(r) }, nil
+	return func() (pagestore.Store, func()) {
+		store, release := s.mgr.pin()
+		return store(r), release
+	}, nil
 }
 
 // worker is one client's execution context.
