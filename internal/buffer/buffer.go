@@ -18,8 +18,10 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/frame"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -68,11 +70,17 @@ var (
 // owner may read the Data of an unpinned buffer it found through Lookup or
 // Dirty only until its next Get or Invalidate.
 type Buf struct {
-	ID      BlockID
-	Data    []byte
-	dirty   bool
-	held    bool
-	loading bool // fetch in flight; Data not yet valid, and Get refuses the block
+	ID    BlockID
+	Data  []byte
+	dirty bool
+	held  bool
+	// A fetch is in flight while loading is set (Data not yet valid, and
+	// Get refuses the block) and, in simulated time, until ready: the
+	// fetching proc's clock when its fetch returned. A fetch runs without
+	// yielding, so a proc whose clock is earlier can find the block
+	// resident before its read has completed; it waits until ready (Await).
+	loading bool
+	ready   time.Duration
 	pins    int
 	elem    *list.Element
 	// used is the pool's use count when the buffer last moved to the front of
@@ -112,6 +120,7 @@ type Pool struct {
 	frames    frame.List // payloads of evicted and invalidated blocks, for the next misses
 	stats     Stats
 
+	clock  *sim.Clock    // nil = no simulated time: Await never waits
 	tracer *trace.Tracer // nil = tracing off
 	// Counter handles are resolved at SetTracer time so the hot paths do no
 	// string concatenation and no registry lookups. Nil handles (no tracer)
@@ -128,6 +137,10 @@ func (p *Pool) SetTracer(tr *trace.Tracer, prefix string) {
 	p.ctrHit = tr.Counter(prefix + ".hit")
 	p.ctrMiss = tr.Counter(prefix + ".miss")
 }
+
+// SetClock gives the pool the simulated clock its fetches charge, so that a
+// block being read is busy until its read completes (Await).
+func (p *Pool) SetClock(c *sim.Clock) { p.clock = c }
 
 // New creates a pool of capacity blocks of blockSize bytes. writeback is
 // invoked whenever a dirty block must be persisted: by the eviction that makes
@@ -167,8 +180,10 @@ func (p *Pool) Len() int {
 // Get returns the buffer for id, pinned. On a miss the block is loaded with
 // fetch (which may be nil to get a zeroed buffer, used when a brand-new block
 // is about to be fully overwritten). The caller must Release the buffer.
-// The hit path is allocation-free; a miss builds a new buffer header around
-// the frame of the block it evicted, so a full pool allocates no payload.
+// A hit on a block whose fetch has not completed in simulated time waits
+// for it (Await). The hit path is allocation-free; a miss builds a new
+// buffer header around the frame of the block it evicted, so a full pool
+// allocates no payload.
 //
 //simlint:noalloc
 func (p *Pool) Get(id BlockID, fetch Fetch) (*Buf, error) {
@@ -184,6 +199,7 @@ func (p *Pool) Get(id BlockID, fetch Fetch) (*Buf, error) {
 		b.pins++
 		p.lru.MoveToFront(b.elem)
 		p.usedLocked(b)
+		p.Await(b)
 		return b, nil
 	}
 	p.stats.Misses++
@@ -204,6 +220,9 @@ func (p *Pool) Get(id BlockID, fetch Fetch) (*Buf, error) {
 	if fetch != nil {
 		err := fetch(id, b.Data)
 		b.loading = false
+		if p.clock != nil {
+			b.ready = p.clock.Now()
+		}
 		if err != nil {
 			b.pins = 0
 			p.removeLocked(b)
@@ -391,8 +410,32 @@ func (p *Pool) InvalidateFile(f FileID) error {
 	return nil
 }
 
-// Lookup returns the resident buffer for id without pinning it, or nil. For
-// tests and introspection only.
+// Lookup returns the resident buffer for id without pinning it, or nil. A
+// proc that reads a block's bytes this way instead of through Get Awaits the
+// buffer first; the pool's owner writing a dirty block back need not.
 func (p *Pool) Lookup(id BlockID) *Buf {
 	return p.table[id]
+}
+
+// Await is the busy-buffer rule: the running proc sleeps until b's fetch
+// has returned in simulated time, as a UNIX process sleeps on a buffer whose
+// read is in flight. A proc that fetched b itself, and any caller outside
+// proc context, is already past that time and waits for nothing.
+//
+//simlint:noalloc
+func (p *Pool) Await(b *Buf) { p.WaitUntil(b.ready) }
+
+// WaitUntil advances the running proc to t if it is earlier: a wait for a
+// read another proc has in flight. The wait is charged to trace.AttrQueue,
+// time behind another client's disk request.
+//
+//simlint:noalloc
+func (p *Pool) WaitUntil(t time.Duration) {
+	if p.clock == nil {
+		return
+	}
+	if w := t - p.clock.Now(); w > 0 {
+		p.clock.Advance(w)
+		p.tracer.Attribute(trace.AttrQueue, w)
+	}
 }

@@ -217,6 +217,7 @@ func (s *snapStore) readCurrent(n int64, p []byte) error {
 	m := s.snap.m
 	id := buffer.BlockID{File: s.f.id, Block: n}
 	if b := m.fs.Pool().Lookup(id); b != nil {
+		m.fs.Pool().Await(b)
 		m.clock.Advance(m.costs.CacheHit)
 		copy(p, b.Data)
 		return nil
@@ -227,7 +228,7 @@ func (s *snapStore) readCurrent(n int64, p []byte) error {
 			if o != s && o.covers(n) {
 				// The peer's read is ours once it has completed, as a
 				// process waits on a busy buffer.
-				m.clock.AdvanceTo(o.raDone)
+				m.fs.Pool().WaitUntil(o.raDone)
 				s.raBase, s.raLen, s.raDone = o.raBase, o.raLen, o.raDone
 				copy(s.raData, o.raData[:o.raLen*ps])
 				break
@@ -260,6 +261,7 @@ func (s *snapStore) readCurrent(n int64, p []byte) error {
 			for i := 1; i < k; i++ {
 				pg := n + int64(i)
 				if b := m.fs.Pool().Lookup(buffer.BlockID{File: s.f.id, Block: pg}); b != nil {
+					m.fs.Pool().Await(b)
 					copy(s.raBufs[i], b.Data)
 					m.vers.ApplyBefore(mvcc.PageID{File: uint64(s.f.id), Block: pg}, s.snap.h, s.raBufs[i])
 				}

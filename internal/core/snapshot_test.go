@@ -560,3 +560,59 @@ func TestSnapshotPeerWindows(t *testing.T) {
 		t.Fatalf("the manager holds %d registry entries after the last close", len(r.m.windows))
 	}
 }
+
+// TestSnapshotReadWaitsForBusyBuffer: a snapshot read that finds a page
+// resident while another process's read of it is still in flight, in
+// simulated time, waits for that read (buffer.Pool.Await) instead of taking
+// bytes the disk has not delivered yet: whether it reads the page itself or
+// takes it into its readahead window.
+func TestSnapshotReadWaitsForBusyBuffer(t *testing.T) {
+	r := newRig(t, Options{})
+	ps := r.fs.BlockSize()
+	want := pat(4*ps, 3)
+	f := r.mkProtected(t, "/acct", want)
+	pool := r.fs.Pool()
+	if err := pool.InvalidateFile(f.id); err != nil {
+		t.Fatal(err)
+	}
+	snap := r.m.BeginSnapshot()
+	defer snap.Close()
+	st := snap.Store(f)
+	// Another process misses on page busy with a read of d, and the
+	// snapshot then reads page n from an earlier clock.
+	race := func(busy int64, d time.Duration, n int64) {
+		t.Helper()
+		var fetched, took time.Duration
+		runProcs(r, func() {
+			b, err := pool.Get(buffer.BlockID{File: f.id, Block: busy}, func(_ buffer.BlockID, dst []byte) error {
+				r.clk.Advance(d)
+				copy(dst, want[busy*int64(ps):(busy+1)*int64(ps)])
+				return nil
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			fetched = r.clk.Now()
+			pool.Release(b)
+		}, func() {
+			r.clk.Advance(time.Microsecond) // the other process goes first
+			r.clk.Yield()
+			got := make([]byte, ps)
+			if err := st.ReadPage(n, got); err != nil {
+				t.Error(err)
+			}
+			took = r.clk.Now()
+			if !bytes.Equal(got, want[n*int64(ps):(n+1)*int64(ps)]) {
+				t.Errorf("page %d through the snapshot differs from the file", n)
+			}
+		})
+		if took < fetched {
+			t.Fatalf("the snapshot read page %d at %v, before the read of page %d completed at %v", n, took, busy, fetched)
+		}
+	}
+	race(1, 10*time.Millisecond, 1)
+	// Page 0 is not resident: the window fill reads pages 0–3 from the
+	// log and takes page 2, resident, from the cache once its read is done.
+	race(2, time.Second, 0)
+}

@@ -233,6 +233,7 @@ func Mount(dev *disk.Device, clock *sim.Clock, opts Options) (*FS, error) {
 // Directories are padded to whole blocks (see ufs.New).
 func (fs *FS) attach() {
 	fs.pool = buffer.New(fs.opts.CacheBlocks, fs.blockSize, fs.writeback)
+	fs.pool.SetClock(fs.clock)
 	fs.stage = ufs.NewStage(stageBlocks, fs.blockSize)
 	fs.queue = disk.NewQueue(fs.dev)
 	fs.upper = ufs.New(ufs.Ops[*inode]{

@@ -209,6 +209,7 @@ func (fs *FS) attach() {
 	fs.deltas = make(map[buffer.BlockID]delta)
 	fs.patched = make(map[buffer.BlockID][]patch)
 	fs.pool = buffer.New(fs.opts.CacheBlocks, fs.blockSize, fs.writeback)
+	fs.pool.SetClock(fs.clock)
 	fs.upper = ufs.New(ufs.Ops[*inode]{
 		Pool:     fs.pool,
 		Clock:    fs.clock,

@@ -147,6 +147,7 @@ func newEnvShell(fsys vfs.FileSystem, clock *sim.Clock, opts Options) *Env {
 		tracer: opts.Tracer,
 	}
 	env.pool = buffer.New(opts.CacheBlocks, fsys.BlockSize(), env.writeback)
+	env.pool.SetClock(clock)
 	env.pool.SetTracer(opts.Tracer, "buffer.user")
 	env.locks.SetTracer(opts.Tracer)
 	env.histLatency = opts.Tracer.Hist("txn.latency")

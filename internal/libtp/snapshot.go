@@ -121,6 +121,7 @@ func (s *snapStore) ReadPage(n int64, p []byte) error {
 	// writers' hot set (scan pollution) for bytes nobody reads twice.
 	id := buffer.BlockID{File: vfs.FileID(s.db.id), Block: n}
 	if b := e.pool.Lookup(id); b != nil {
+		e.pool.Await(b)
 		copy(p, b.Data)
 	} else if err := s.fetch(id, p); err != nil {
 		return err

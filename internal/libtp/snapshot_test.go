@@ -1,14 +1,17 @@
 package libtp
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/btree"
+	"repro/internal/buffer"
 	"repro/internal/disk"
 	"repro/internal/lfs"
 	"repro/internal/sim"
+	"repro/internal/vfs"
 )
 
 // TestSnapshotIsolation: a snapshot pinned between two committed updates
@@ -244,5 +247,138 @@ func TestFirstPinSeesPreCommitted(t *testing.T) {
 	defer later.Close()
 	if v := get(later); v != "250" {
 		t.Errorf("a snapshot pinned after both commits reads %q, want 250", v)
+	}
+}
+
+// TestSnapshotScannersShareReads is the LIBTP twin of
+// core.TestSnapshotPeerWindows: two snapshot stores pinned at one horizon
+// scan one cold file side by side, with no writers. The second scanner finds
+// each page in the kernel cache while the first one's read of it is still in
+// flight, and waits for that read instead of running ahead to queue its own:
+// the pair makes the device reads of one scan, and neither ever queues
+// behind the other.
+func TestSnapshotScannersShareReads(t *testing.T) {
+	const pages = 24
+	clk := sim.NewClock()
+	dev := disk.New(sim.SmallModel(), clk)
+	fsys, err := lfs.Format(dev, clk, lfs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := NewEnv(fsys, clk, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := &testRig{clk: clk, dev: dev, fs: fsys, env: env}
+	db, err := env.OpenDB("/db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup := env.Begin()
+	st := setup.Store(db)
+	ps := st.PageSize()
+	for i := range pages {
+		n, err := st.AllocPage()
+		if err == nil {
+			err = st.WritePage(n, bytes.Repeat([]byte{byte(i + 1)}, ps))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := env.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	cold := func() {
+		t.Helper()
+		if err := fsys.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := env.pool.InvalidateFile(vfs.FileID(db.id)); err != nil {
+			t.Fatal(err)
+		}
+		if err := fsys.Pool().InvalidateFile(vfs.FileID(db.id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := func(s *Snapshot) func() {
+		store := s.Store(db)
+		return func() {
+			p := make([]byte, ps)
+			for n := range int64(pages) {
+				if err := store.ReadPage(n, p); err != nil {
+					t.Error(err)
+					return
+				}
+				if p[0] != byte(n+1) || p[ps-1] != byte(n+1) {
+					t.Errorf("page %d reads %d", n, p[0])
+					return
+				}
+			}
+		}
+	}
+	snap := env.BeginSnapshot()
+	defer snap.Close()
+
+	cold()
+	d0 := dev.Stats()
+	runProcs(rig, scan(snap))
+	alone := dev.Stats().Reads - d0.Reads
+
+	cold()
+	d0 = dev.Stats()
+	runProcs(rig, scan(snap), scan(snap))
+	d1 := dev.Stats()
+	if reads := d1.Reads - d0.Reads; reads != alone {
+		t.Fatalf("two scanners made %d device reads, one alone %d", reads, alone)
+	}
+	if q := d1.QueueTime - d0.QueueTime; q != 0 {
+		t.Fatalf("the scanners queued %v behind each other's reads, want 0", q)
+	}
+}
+
+// TestSnapshotReadWaitsForBusyBuffer: a snapshot read that finds its page in
+// the user pool while another client's read of it is still in flight, in
+// simulated time, waits for that read (buffer.Pool.Await).
+func TestSnapshotReadWaitsForBusyBuffer(t *testing.T) {
+	rig := newRig(t, "lfs")
+	db, err := rig.env.OpenDB("/db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := rig.env.BeginSnapshot()
+	defer snap.Close()
+	st := snap.Store(db)
+	page := bytes.Repeat([]byte{7}, st.PageSize())
+	var fetched, took time.Duration
+	runProcs(rig, func() {
+		b, err := rig.env.pool.Get(buffer.BlockID{File: vfs.FileID(db.id), Block: 0}, func(_ buffer.BlockID, dst []byte) error {
+			rig.clk.Advance(10 * time.Millisecond) // a read in flight
+			copy(dst, page)
+			return nil
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		fetched = rig.clk.Now()
+		rig.env.pool.Release(b)
+	}, func() {
+		rig.clk.Advance(time.Microsecond) // the other client goes first
+		rig.clk.Yield()
+		got := make([]byte, len(page))
+		if err := st.ReadPage(0, got); err != nil {
+			t.Error(err)
+		}
+		took = rig.clk.Now()
+		if !bytes.Equal(got, page) {
+			t.Error("page 0 through the snapshot differs from the pool's")
+		}
+	})
+	if took < fetched {
+		t.Fatalf("the snapshot read page 0 at %v, before the read that brought it in completed at %v", took, fetched)
 	}
 }

@@ -1,0 +1,124 @@
+package tpcb
+
+import (
+	"bytes"
+	"hash/fnv"
+	"slices"
+	"testing"
+
+	"repro/internal/btree"
+	"repro/internal/recno"
+)
+
+// StateDigest is the logical content of a rig's TPC-B database, hashed.
+type StateDigest struct {
+	// Balances covers every (key, record) pair of the account, teller and
+	// branch relations, in key order.
+	Balances uint64
+	// History covers the history records in append order, and HistorySet
+	// the same records as a sorted multiset; both leave the time stamp out,
+	// since it is simulated time and differs between systems.
+	History, HistorySet uint64
+}
+
+// Digest reads the rig's database as its own system reads it, through a
+// snapshot pinned now, and hashes it. Systems that ran one transaction
+// stream to the same answer have equal digests, whatever their timing: at
+// MPL 1 all three fields agree, and at MPL > 1, where clients interleave
+// differently, Balances and HistorySet do.
+func Digest(r *Rig) (StateDigest, error) {
+	var d StateDigest
+	s := r.Sys.(*TxnSystem)
+	store, release := s.mgr.pin()
+	defer release()
+	h := fnv.New64a()
+	for _, rel := range s.rels[:relHistory] {
+		tr, err := btree.Open(store(rel))
+		if err != nil {
+			return d, err
+		}
+		c, err := tr.First()
+		if err != nil {
+			return d, err
+		}
+		for c.Next() {
+			h.Write(c.Key())
+			h.Write(c.Value())
+		}
+		if err := c.Err(); err != nil {
+			return d, err
+		}
+	}
+	d.Balances = h.Sum64()
+
+	hist, err := recno.Open(store(s.rels[relHistory]))
+	if err != nil {
+		return d, err
+	}
+	recs := make([][]byte, hist.Count())
+	h.Reset()
+	for i := range recs {
+		rec, err := hist.Get(int64(i))
+		if err != nil {
+			return d, err
+		}
+		// Account, teller, branch and amount; the time stamp follows them.
+		recs[i] = slices.Clone(rec[:32])
+		h.Write(recs[i])
+	}
+	d.History = h.Sum64()
+	slices.SortFunc(recs, bytes.Compare)
+	h.Reset()
+	for _, rec := range recs {
+		h.Write(rec)
+	}
+	d.HistorySet = h.Sum64()
+	return d, nil
+}
+
+// TestDigestAgreesAcrossSystems is the differential oracle over the three
+// systems: one transaction stream gives one database on each, at MPL 1 and,
+// up to the order of the history, at MPL 8 with group commit. What the
+// systems may differ in is timing, never the answer.
+func TestDigestAgreesAcrossSystems(t *testing.T) {
+	const txns = 400
+	cfg := ScaledConfig(0.01)
+	digest := func(kind string, n, mpl int) StateDigest {
+		t.Helper()
+		rig, err := BuildRig(RigOptions{Kind: kind, Config: cfg, ExpectedTxns: txns, GroupCommit: mpl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rig.RunMPL(cfg, n, mpl); err != nil {
+			t.Fatal(err)
+		}
+		d, err := Digest(rig)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		return d
+	}
+	for _, mpl := range []int{1, 8} {
+		var first StateDigest
+		for i, kind := range []string{"user-ffs", "user-lfs", "kernel-lfs"} {
+			d := digest(kind, txns, mpl)
+			if i == 0 {
+				first = d
+				continue
+			}
+			if mpl == 1 && d != first {
+				t.Errorf("MPL 1: %s digest %+v, user-ffs %+v", kind, d, first)
+			}
+			if d.Balances != first.Balances || d.HistorySet != first.HistorySet {
+				t.Errorf("MPL %d: %s balances %x, history set %x; user-ffs %x, %x",
+					mpl, kind, d.Balances, d.HistorySet, first.Balances, first.HistorySet)
+			}
+		}
+	}
+	// The oracle can tell answers apart: one transaction fewer is another
+	// database.
+	short, full := digest("kernel-lfs", txns-1, 1), digest("kernel-lfs", txns, 1)
+	if short.Balances == full.Balances || short.HistorySet == full.HistorySet {
+		t.Errorf("%d and %d transactions give digests %+v and %+v", txns-1, txns, short, full)
+	}
+}

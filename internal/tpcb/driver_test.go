@@ -86,14 +86,24 @@ func TestIdleCleanerRunsBetweenTransactions(t *testing.T) {
 }
 
 // TestCrashPointsCountFromPowerOn: the rig's device counts write ops from
-// its creation, so the format and load writes are crash points too.
+// its creation, so the format and load writes are crash points too, while
+// its statistics count the measured run only.
 func TestCrashPointsCountFromPowerOn(t *testing.T) {
-	rig, err := BuildRig(RigOptions{Kind: "user-lfs", Config: smallCfg(), ExpectedTxns: 200})
+	cfg := smallCfg()
+	rig, err := BuildRig(RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := rig.Dev.WriteOps(), rig.Dev.Stats().Writes; got != want || got == 0 {
-		t.Fatalf("crash model counted %d write ops, the device issued %d since its creation", got, want)
+	loaded := rig.Dev.WriteOps()
+	if loaded == 0 || rig.Dev.Stats().Writes != 0 {
+		t.Fatalf("after the load: %d crash-model write ops, %d in the stats; want some and none",
+			loaded, rig.Dev.Stats().Writes)
+	}
+	if _, err := rig.RunMPL(cfg, 20, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rig.Dev.WriteOps()-loaded, rig.Dev.Stats().Writes; got != want || got == 0 {
+		t.Fatalf("crash model counted %d write ops in the run, the device issued %d", got, want)
 	}
 }
 

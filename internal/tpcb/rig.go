@@ -296,8 +296,9 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 		}
 	}
 	// The measured run must not hide background work behind idle time the
-	// load phase accumulated.
+	// load phase accumulated, nor count the load's device work as its own.
 	dev.ResetIdleCredit()
+	dev.ResetStats()
 	return rig, nil
 }
 
