@@ -86,6 +86,11 @@ type Stats struct {
 	// SnapshotsBegun counts read-only snapshot transactions (BeginSnapshot);
 	// their lock-free page reads land in PageReads like any other read.
 	SnapshotsBegun int64 `json:"snapshots_begun"`
+	// WriteBackForces counts dirty-page write-backs that had to force the log
+	// first (the page's last record was not yet durable); WriteBackSkips those
+	// that found it durable already and forced nothing.
+	WriteBackForces int64 `json:"write_back_forces"`
+	WriteBackSkips  int64 `json:"write_back_skips"`
 }
 
 // undoRec is an in-memory before-image for abort processing.
@@ -119,8 +124,12 @@ type Env struct {
 	// and cost one map lookup per commit.
 	snaps  *mvcc.Horizons
 	deltas *mvcc.DeltaMap
-	stats  Stats
-	tracer *trace.Tracer // from Options.Tracer; nil = tracing off
+	// pageEnd holds, for each dirty pool page, the log's end just after the
+	// last record that changed it: the point the log must be durable through
+	// before the page may reach its file (the WAL rule, per page).
+	pageEnd map[buffer.BlockID]wal.LSN
+	stats   Stats
+	tracer  *trace.Tracer // from Options.Tracer; nil = tracing off
 	// Metric handle resolved at construction; a nil handle is free.
 	histLatency *trace.Hist
 
@@ -134,17 +143,18 @@ type Env struct {
 // pool, lock manager, metric handles. The log is not opened yet.
 func newEnvShell(fsys vfs.FileSystem, clock *sim.Clock, opts Options) *Env {
 	env := &Env{
-		fs:     fsys,
-		clock:  clock,
-		costs:  opts.Costs,
-		locks:  lock.NewManager(),
-		opts:   opts,
-		files:  make(map[uint64]vfs.File),
-		active: make(map[uint64]bool),
-		undo:   make(map[uint64][]undoRec),
-		snaps:  mvcc.NewHorizons(),
-		deltas: mvcc.NewDeltaMap(),
-		tracer: opts.Tracer,
+		fs:      fsys,
+		clock:   clock,
+		costs:   opts.Costs,
+		locks:   lock.NewManager(),
+		opts:    opts,
+		files:   make(map[uint64]vfs.File),
+		active:  make(map[uint64]bool),
+		undo:    make(map[uint64][]undoRec),
+		snaps:   mvcc.NewHorizons(),
+		deltas:  mvcc.NewDeltaMap(),
+		tracer:  opts.Tracer,
+		pageEnd: make(map[buffer.BlockID]wal.LSN, opts.CacheBlocks),
 	}
 	env.pool = buffer.New(opts.CacheBlocks, fsys.BlockSize(), env.writeback)
 	env.pool.SetClock(clock)
@@ -218,15 +228,27 @@ func (e *Env) LogStats() wal.Stats { return e.log.Stats() }
 // PoolStats exposes the user-level buffer pool's counters.
 func (e *Env) PoolStats() buffer.Stats { return e.pool.Stats() }
 
-// writeback persists an evicted dirty page, honouring the WAL rule: the log
-// is forced before the page goes to the database file. The write() into the
-// kernel costs a system call plus the copyin of the whole page (the WAL's
-// own appends move only record-sized deltas and are charged by the log
-// manager).
+// writeback persists an evicted dirty page, honouring the WAL rule per page:
+// the log is forced before the page goes to the database file only if it is
+// not yet durable through the page's last record — as ARIES and Berkeley DB's
+// mpool flush the log to the page's LSN. A page no record names is covered by
+// the whole log. The write() into the kernel costs a system call plus the
+// copyin of the whole page (the WAL's own appends move only record-sized
+// deltas and are charged by the log manager).
 func (e *Env) writeback(id buffer.BlockID, data []byte) error {
-	if err := e.log.Force(); err != nil {
-		return err
+	end, ok := e.pageEnd[id]
+	if !ok {
+		end = e.log.End()
 	}
+	if e.log.DurableThrough(end) {
+		e.stats.WriteBackSkips++
+	} else {
+		e.stats.WriteBackForces++
+		if err := e.log.Force(); err != nil {
+			return err
+		}
+	}
+	delete(e.pageEnd, id)
 	e.clock.Advance(e.costs.Syscall + e.costs.PageCopy)
 	f, ok := e.files[uint64(id.File)]
 	if !ok {
@@ -234,6 +256,13 @@ func (e *Env) writeback(id buffer.BlockID, data []byte) error {
 	}
 	_, err := f.WriteAt(data, id.Block*int64(e.pool.BlockSize()))
 	return err
+}
+
+// loggedLocked records that the log's last record changed b, now dirty: the
+// page may not be written back before the log is durable through it.
+func (e *Env) loggedLocked(b *buffer.Buf) {
+	e.pool.MarkDirty(b)
+	e.pageEnd[b.ID] = e.log.End()
 }
 
 // OpenDB opens (or creates) a database file. The returned DB is shared: all
@@ -471,7 +500,7 @@ func (e *Env) applyLocked(db uint64, page int64, offset uint32, data []byte) err
 		return err
 	}
 	copy(b.Data[offset:], data)
-	e.pool.MarkDirty(b)
+	e.loggedLocked(b)
 	e.pool.Release(b)
 	return nil
 }

@@ -151,7 +151,7 @@ func (s *txnStore) WritePage(n int64, p []byte) error {
 			e.deltas.Record(mvcc.PageID{File: s.db.id, Block: n}, s.t.id, uint32(lo), before)
 		}
 		copy(b.Data, p)
-		e.pool.MarkDirty(b)
+		e.loggedLocked(b)
 	}
 	e.stats.PageWrite++
 	return nil

@@ -159,6 +159,14 @@ func preCommitted(rig *Rig, workers []Worker) (in []int) {
 // images, not live buffers.
 var concurrentCrashCfg = Config{Accounts: 120, Tellers: 15, Branches: 3, Seed: 99}
 
+// crashShape is one configuration concurrentCrashSweep crashes: the database,
+// the per-pool cache (0 = the rig's default), the clients and the batch size.
+type crashShape struct {
+	cfg              Config
+	cacheBlocks      int
+	mpl, groupCommit int
+}
+
 // concurrentCrashSweep crashes one system under concurrent clients at write
 // operations sampled across the run — inside commit forces (torn or not) and
 // in the syncs between them — and checks what recovery brings back: every
@@ -167,13 +175,14 @@ var concurrentCrashCfg = Config{Accounts: 120, Tellers: 15, Branches: 3, Seed: 9
 // running. One exception to all-or-none: the write-ahead log on the
 // update-in-place file system may keep the head of a batch whose force was
 // torn (a log-structured file system writes a force as one atomic partial
-// segment).
-func concurrentCrashSweep(t *testing.T, kind string, mpl, groupCommit int) {
+// segment). It returns the uncrashed golden run's rig.
+func concurrentCrashSweep(t *testing.T, kind string, shape crashShape) *Rig {
 	const txns, points, tears = 240, 12, 5
-	cfg := concurrentCrashCfg
+	cfg, mpl := shape.cfg, shape.mpl
 	build := func() *Rig {
-		rig, err := BuildRig(RigOptions{Kind: kind, Config: cfg, ExpectedTxns: txns, GroupCommit: groupCommit,
-			Trace: kind != "kernel-lfs"}) // preCommitted reads the user-level batch off it
+		rig, err := BuildRig(RigOptions{Kind: kind, Config: cfg, ExpectedTxns: txns, GroupCommit: shape.groupCommit,
+			CacheBlocks: shape.cacheBlocks,
+			Trace:       kind != "kernel-lfs"}) // preCommitted reads the user-level batch off it
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,6 +247,7 @@ func concurrentCrashSweep(t *testing.T, kind string, mpl, groupCommit int) {
 	if mpl > 1 && (whole == 0 || none == 0) {
 		t.Fatalf("the crash points recovered %d whole batches and %d without: the sample does not cover both outcomes", whole, none)
 	}
+	return golden
 }
 
 // TestEmbeddedConcurrentCrash: roll-forward after a crash under concurrent
@@ -245,8 +255,8 @@ func concurrentCrashSweep(t *testing.T, kind string, mpl, groupCommit int) {
 // MPL 12 with GroupCommit 4 batches flush while other clients are
 // mid-transaction on the same pages.
 func TestEmbeddedConcurrentCrash(t *testing.T) {
-	for _, shape := range []struct{ mpl, groupCommit int }{{8, 8}, {12, 4}} {
-		concurrentCrashSweep(t, "kernel-lfs", shape.mpl, shape.groupCommit)
+	for _, shape := range []crashShape{{concurrentCrashCfg, 0, 8, 8}, {concurrentCrashCfg, 0, 12, 4}} {
+		concurrentCrashSweep(t, "kernel-lfs", shape)
 	}
 }
 
@@ -254,12 +264,35 @@ func TestEmbeddedConcurrentCrash(t *testing.T) {
 // file systems, plus MPL 1 with GroupCommit 8, where a batch is one
 // transaction whatever GroupCommit says: the shape the log manager's private
 // commit counter used to fail, acknowledging seven commits in eight ahead of
-// their force.
+// their force. concurrentCrashCfg fits the user pool, so those shapes never
+// write a dirty page back; the last shape's 1,500 accounts and 12-block pools
+// evict dirty pages all through the run — pages whose records are durable
+// (no force) and pages carrying a running or pre-committed transaction's
+// update (the write-back forces the log first) — and are crashed among them.
 func TestUserConcurrentCrash(t *testing.T) {
+	shapes := []crashShape{
+		{concurrentCrashCfg, 0, 8, 8},
+		{concurrentCrashCfg, 0, 12, 4},
+		{concurrentCrashCfg, 0, 1, 8},
+		{Config{Accounts: 1500, Tellers: 15, Branches: 3, Seed: 99}, 12, 8, 8},
+	}
 	for _, kind := range []string{"user-lfs", "user-ffs"} {
-		for _, shape := range []struct{ mpl, groupCommit int }{{8, 8}, {12, 4}, {1, 8}} {
-			t.Run(fmt.Sprintf("%s/mpl%d-gc%d", kind, shape.mpl, shape.groupCommit), func(t *testing.T) {
-				concurrentCrashSweep(t, kind, shape.mpl, shape.groupCommit)
+		for _, shape := range shapes {
+			name := fmt.Sprintf("%s/mpl%d-gc%d", kind, shape.mpl, shape.groupCommit)
+			if shape.cacheBlocks > 0 {
+				name += fmt.Sprintf("-pool%d", shape.cacheBlocks)
+			}
+			t.Run(name, func(t *testing.T) {
+				golden := concurrentCrashSweep(t, kind, shape)
+				if shape.cacheBlocks == 0 {
+					return
+				}
+				st := golden.Env.Stats()
+				t.Logf("golden run: %d page write-backs forced the log, %d found it durable", st.WriteBackForces, st.WriteBackSkips)
+				if st.WriteBackForces == 0 || st.WriteBackSkips == 0 {
+					t.Fatalf("golden run: %d write-backs forced the log and %d did not; the shape must crash among both",
+						st.WriteBackForces, st.WriteBackSkips)
+				}
 			})
 		}
 	}

@@ -210,24 +210,28 @@ func TestMPLBlockedTimeAccrues(t *testing.T) {
 // fewer blocks through the log device — and, where the disk is the
 // bottleneck, convert that into a throughput gain, on an LFS-based system
 // (committers pre-commit: locks release at the commit record, so batching does
-// not lengthen lock hold times). The rig's cache holds a fraction of the
-// database, so commit forces compete with page reads for the one disk arm. In
+// not lengthen lock hold times). The rig's cache holds a fraction of a
+// database twice smallCfg's accounts, so commit forces compete with page reads
+// for the one disk arm: at smallCfg's size the arm idles 13 % of the gc=1 run
+// once a page write-back no longer forces the log (3.15 s busy of 3.63 s). In
 // a rig that caches everything a force on LFS is a two-block sequential write,
 // the disk is idle most of the time at either setting, and waiting for a batch
-// to fill costs more than the shared force saves (3.61 s against 3.42 s at the
+// to fill costs more than the shared force saves (3.16 s against 2.90 s at the
 // default cache): group commit is a remedy for a busy log device, so that is
 // where its payoff is asserted.
 func TestMPLGroupCommitBatches(t *testing.T) {
 	const txns, mpl = 400, 8
+	cfg := smallCfg()
+	cfg.Accounts *= 2
 	run := func(groupCommit int) (forces, blocks int64, elapsed time.Duration) {
-		rig, err := BuildRig(RigOptions{Kind: "user-lfs", Config: smallCfg(), ExpectedTxns: 500,
+		rig, err := BuildRig(RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: 500,
 			GroupCommit: groupCommit, CacheBlocks: 48})
 		if err != nil {
 			t.Fatalf("BuildRig(gc=%d): %v", groupCommit, err)
 		}
 		rig.Clock.SetStrict(true)
 		logged, busy0 := rig.LFS.Stats().BlocksLogged, rig.Dev.Stats().BusyTime
-		res, err := rig.RunMPL(smallCfg(), txns, mpl)
+		res, err := rig.RunMPL(cfg, txns, mpl)
 		if err != nil {
 			t.Fatalf("RunMPL(gc=%d): %v", groupCommit, err)
 		}

@@ -174,8 +174,12 @@ func (s *Snapshot) Render() string {
 			l.Deadlocks, l.UpgradeDeadlocks, l.Deadlocks-l.UpgradeDeadlocks, l.DeadlockAborts)
 	}
 	if w := s.WAL; w != nil {
-		fmt.Fprintf(&b, "wal: %d records, %d bytes, %d forces, %d group-absorbed commits\n",
-			w.Records, w.BytesLogged, w.Forces, w.GroupCommits)
+		var wbForces, wbSkips int64
+		if l := s.LibTP; l != nil {
+			wbForces, wbSkips = l.WriteBackForces, l.WriteBackSkips
+		}
+		fmt.Fprintf(&b, "wal: %d records, %d bytes, %d page write-backs (%d forcing the log, %d already durable), %d forces, %d group-absorbed commits\n",
+			w.Records, w.BytesLogged, wbForces+wbSkips, wbForces, wbSkips, w.Forces, w.GroupCommits)
 		if w.Segments > 0 {
 			fmt.Fprintf(&b, "wal: %d segments (%d rotations, %d sealed), %d deleted, %d checkpoints\n",
 				w.Segments, w.Rotations, w.SegmentsSealed, w.SegmentsDeleted, w.Checkpoints)

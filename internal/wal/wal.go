@@ -412,6 +412,23 @@ func removeIfExists(fsys vfs.FileSystem, path string) error {
 	return err
 }
 
+// DurableThrough reports whether the log is durable up to end, a position End
+// returned: every record appended before it has reached the segment files. A
+// buffer manager asks it before writing a page back (the WAL rule per page):
+// a page whose last record lies before the durable end needs no force.
+//
+//simlint:noalloc
+func (m *Manager) DurableThrough(end LSN) bool {
+	seq := end.Segment()
+	for _, w := range m.writers {
+		if w.seq == seq {
+			return end.Offset() <= w.durable
+		}
+	}
+	// Segments below the first unfinalized one were forced and closed.
+	return seq < m.writers[0].seq
+}
+
 // dirty reports whether Force has anything to do.
 func (m *Manager) dirty() bool {
 	for _, w := range m.writers {

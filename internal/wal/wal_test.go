@@ -999,6 +999,55 @@ func TestGroupCommitAcrossRotation(t *testing.T) {
 	}
 }
 
+// TestDurableThrough: a position End returned is durable once a Force after
+// it has returned, and not before — within a segment, in a sealed segment not
+// yet drained, and in one drained and closed by a Force across a rotation.
+func TestDurableThrough(t *testing.T) {
+	m, _ := newLogOpts(t, Options{SegmentBytes: 200})
+	m.LogUpdate(1, 1, 0, 0, []byte("bb"), []byte("aa"))
+	first := m.End()
+	if m.DurableThrough(first) {
+		t.Fatal("an appended record is durable before any force")
+	}
+	if err := m.Force(); err != nil {
+		t.Fatal(err)
+	}
+	if !m.DurableThrough(first) {
+		t.Fatal("a forced record is not durable")
+	}
+	var ends []LSN
+	for txn := uint64(2); len(m.writers) < 3; txn++ {
+		m.LogUpdate(txn, 1, int64(txn), 0, []byte("bb"), []byte("aa"))
+		ends = append(ends, m.End())
+	}
+	if m.writers[0].seq != first.Segment() || !m.writers[0].sealed {
+		t.Fatalf("segment %d is not sealed and undrained", first.Segment())
+	}
+	if !m.DurableThrough(first) {
+		t.Fatal("a sealed segment's forced prefix is not durable")
+	}
+	for _, end := range ends {
+		if m.DurableThrough(end) {
+			t.Fatalf("end %v is durable before any force", end)
+		}
+	}
+	if err := m.Force(); err != nil {
+		t.Fatal(err)
+	}
+	if m.writers[0].seq == first.Segment() {
+		t.Fatal("Force did not drain the sealed segments")
+	}
+	for _, end := range append(ends, first) {
+		if !m.DurableThrough(end) {
+			t.Fatalf("end %v is not durable after Force", end)
+		}
+	}
+	m.LogUpdate(99, 1, 0, 0, []byte("bb"), []byte("aa"))
+	if m.DurableThrough(m.End()) || !m.DurableThrough(ends[len(ends)-1]) {
+		t.Fatal("a later append moved an earlier end's durability")
+	}
+}
+
 // TestTwoRunByteIdenticalMultiSegment runs an identical multi-segment
 // workload (with mid-batch rotations) twice on fresh file systems, crashes
 // into recovery, and requires byte-identical segment files, identical apply
