@@ -131,12 +131,11 @@ type Manager struct {
 	// Snapshot (multiversion read) support. commitSeq is the commit epoch —
 	// one increment per commit flush, and per degree-1 write made while a
 	// snapshot is pinned (its own commit point); snapshots pin it as their
-	// horizon. vers holds, only while a snapshot is pinned, a copy of the
-	// before-image of every write a pinned snapshot may have to rewind,
-	// stamped with its commit epoch; snaps refcounts the pinned horizons.
+	// horizon. vers holds the pinned horizons and, only while a snapshot is
+	// pinned, a copy of the before-image of every write a pinned snapshot
+	// may have to rewind, stamped with its commit epoch.
 	commitSeq int64
-	vers      *mvcc.DeltaMap
-	snaps     *mvcc.Horizons
+	vers      *mvcc.Versions
 	// windows lists the open snapshot stores by (file, horizon), so a
 	// store's readahead miss can take a window a peer already read.
 	windows map[windowKey][]*snapStore
@@ -160,8 +159,7 @@ func New(fsys *lfs.FS, clock *sim.Clock, opts Options) *Manager {
 		tracer:  opts.Tracer,
 		held:    make(map[buffer.BlockID]*heldPage),
 		frames:  frame.NewList(fsys.BlockSize()),
-		vers:    mvcc.NewDeltaMap(),
-		snaps:   mvcc.NewHorizons(),
+		vers:    mvcc.New(opts.Tracer.Metrics()),
 		windows: make(map[windowKey][]*snapStore),
 	}
 	m.histLatency = opts.Tracer.Hist("txn.latency")
@@ -329,8 +327,7 @@ func (m *Manager) writeBatchLocked() error {
 	for _, t := range m.pending {
 		t.status = txnDone
 		m.dropUndoLocked(t)
-		// Every pinned horizon predates this epoch.
-		m.vers.Commit(t.id, m.commitSeq, m.snaps.Active())
+		m.vers.Commit(t.id, m.commitSeq)
 	}
 	m.stats.Committed += int64(len(m.pending))
 	m.stats.CommitFlush++

@@ -175,7 +175,7 @@ func (p *Process) Write(f *File, data []byte, off int64) (int, error) {
 		return 0, err
 	}
 	defer m.locks.ReleaseAll(lock.TxnID(tmp.txn.id))
-	if !m.snaps.Active() {
+	if !m.vers.Active() {
 		return f.lf.WriteAt(data, off)
 	}
 	// A pinned snapshot keeps the write's before-image too. The write is its
@@ -194,7 +194,7 @@ func (p *Process) Write(f *File, data []byte, off int64) (int, error) {
 	}
 	n, err = f.lf.WriteAt(data, off)
 	m.commitSeq++
-	m.vers.Commit(tmp.txn.id, m.commitSeq, true)
+	m.vers.Commit(tmp.txn.id, m.commitSeq)
 	return n, err
 }
 

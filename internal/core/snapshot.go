@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"slices"
 	"time"
 
@@ -11,15 +10,6 @@ import (
 	"repro/internal/pagestore"
 	"repro/internal/trace"
 	"repro/internal/vfs"
-)
-
-// Snapshot errors.
-var (
-	// ErrSnapshotReadOnly is returned for any write through a snapshot
-	// store: snapshot transactions are read-only by contract.
-	ErrSnapshotReadOnly = errors.New("core: snapshot transactions are read-only")
-	// ErrSnapshotDone is returned for reads through a closed snapshot.
-	ErrSnapshotDone = errors.New("core: snapshot already closed")
 )
 
 // Snapshot is a read-only multiversion transaction on the embedded system.
@@ -34,9 +24,8 @@ var (
 // stamped with the commit epoch once the batch is in the log, and a snapshot
 // read rewinds the page's current image to the horizon with them.
 type Snapshot struct {
+	v      *mvcc.Snapshot
 	m      *Manager
-	h      int64
-	closed bool
 	stores []*snapStore // in m.windows until Close
 }
 
@@ -49,13 +38,10 @@ type Snapshot struct {
 func (m *Manager) BeginSnapshot() *Snapshot {
 	m.clock.Advance(m.costs.Syscall + m.costs.TxnOp)
 	h := m.commitSeq
-	if !m.snaps.Active() {
-		m.seedVersionsLocked()
-	}
-	m.snaps.Pin(h)
+	v := m.vers.Begin(h, m.seedVersionsLocked)
 	m.stats.Snapshots++
 	m.tracer.Instant("txn", "snapshot.begin", trace.AI("epoch", h))
-	return &Snapshot{m: m, h: h}
+	return &Snapshot{v: v, m: m}
 }
 
 // seedVersionsLocked fills the empty version store at the first pin from the
@@ -91,14 +77,17 @@ func (m *Manager) recordVersionLocked(txn uint64, id buffer.BlockID, off int, be
 	m.stats.VersionsRecorded++
 }
 
-// Close releases the snapshot's pin and prunes every before-image no
-// remaining snapshot can need. Closing twice is a no-op.
+// VersionBytes returns the before-image bytes the version store holds.
+func (m *Manager) VersionBytes() int64 { return m.vers.Bytes() }
+
+// Close releases the snapshot's pin, prunes every before-image no remaining
+// snapshot can need and takes its stores off the window registry. Closing
+// twice is a no-op.
 func (s *Snapshot) Close() {
-	m := s.m
-	if s.closed {
+	if !s.v.Close() {
 		return
 	}
-	s.closed = true
+	m := s.m
 	for _, st := range s.stores {
 		k := st.key()
 		m.windows[k] = slices.DeleteFunc(m.windows[k], func(o *snapStore) bool { return o == st })
@@ -106,11 +95,7 @@ func (s *Snapshot) Close() {
 			delete(m.windows, k)
 		}
 	}
-	m.tracer.Metrics().Max("mvcc.delta_bytes_peak", m.vers.Bytes())
-	m.snaps.Unpin(s.h)
-	oldest, active := m.snaps.Oldest()
-	m.vers.Prune(oldest, active)
-	m.tracer.Instant("txn", "snapshot.close", trace.AI("epoch", s.h))
+	m.tracer.Instant("txn", "snapshot.close", trace.AI("epoch", s.v.Horizon()))
 }
 
 // Store returns the snapshot's read-only page store for f, so the access
@@ -123,7 +108,7 @@ func (s *Snapshot) Store(f *File) pagestore.Store {
 	for i := range st.raBufs {
 		st.raBufs[i] = st.raData[i*ps : (i+1)*ps]
 	}
-	if !s.closed {
+	if s.v.Err() == nil {
 		s.stores = append(s.stores, st)
 		s.m.windows[st.key()] = append(s.m.windows[st.key()], st)
 	}
@@ -161,6 +146,7 @@ const snapReadahead = 32
 // completed, instead of read again. A window holds resident pages rewound
 // to its filler's horizon, so a store pinned elsewhere never takes it.
 type snapStore struct {
+	mvcc.ReadOnly
 	snap   *Snapshot
 	f      *File
 	raBase int64         // first page in the readahead window; -1 = empty
@@ -171,7 +157,7 @@ type snapStore struct {
 	np     int64 // NumPages, resolved at the first miss (0 = unknown)
 }
 
-func (s *snapStore) key() windowKey { return windowKey{s.f.id, s.snap.h} }
+func (s *snapStore) key() windowKey { return windowKey{s.f.id, s.snap.v.Horizon()} }
 
 // covers reports whether page n is in the readahead window.
 func (s *snapStore) covers(n int64) bool {
@@ -194,8 +180,8 @@ func (s *snapStore) NumPages() (int64, error) {
 //
 //simlint:noalloc
 func (s *snapStore) ReadPage(n int64, p []byte) error {
-	if s.snap.closed {
-		return ErrSnapshotDone
+	if err := s.snap.v.Err(); err != nil {
+		return err
 	}
 	m := s.snap.m
 	// Scheduling point without a lock-manager call: the scan interleaves
@@ -205,7 +191,7 @@ func (s *snapStore) ReadPage(n int64, p []byte) error {
 	if err := s.readCurrent(n, p); err != nil {
 		return err
 	}
-	m.vers.ApplyBefore(mvcc.PageID{File: uint64(s.f.id), Block: n}, s.snap.h, p)
+	s.snap.v.Rewind(mvcc.PageID{File: uint64(s.f.id), Block: n}, p)
 	return nil
 }
 
@@ -263,7 +249,7 @@ func (s *snapStore) readCurrent(n int64, p []byte) error {
 				if b := m.fs.Pool().Lookup(buffer.BlockID{File: s.f.id, Block: pg}); b != nil {
 					m.fs.Pool().Await(b)
 					copy(s.raBufs[i], b.Data)
-					m.vers.ApplyBefore(mvcc.PageID{File: uint64(s.f.id), Block: pg}, s.snap.h, s.raBufs[i])
+					s.snap.v.Rewind(mvcc.PageID{File: uint64(s.f.id), Block: pg}, s.raBufs[i])
 				}
 			}
 			s.raBase, s.raLen, s.raDone = n, k, m.clock.Now()
@@ -274,6 +260,3 @@ func (s *snapStore) readCurrent(n int64, p []byte) error {
 	//simlint:alloc(cache-miss fault path: the inode walk decodes below the lookup hot path)
 	return m.fs.ReadCurrent(id, p)
 }
-
-func (s *snapStore) WritePage(int64, []byte) error { return ErrSnapshotReadOnly }
-func (s *snapStore) AllocPage() (int64, error)     { return 0, ErrSnapshotReadOnly }

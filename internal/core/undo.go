@@ -85,7 +85,7 @@ func (m *Manager) writeHeldLocked(t *Txn, f *File, page int64, data []byte, off 
 		t.undo = append(t.undo, undoRange{id: id, offset: off, before: before})
 		old = before
 	}
-	if m.snaps.Active() {
+	if m.vers.Active() {
 		lo, hi := 0, len(data)
 		for lo < hi && old[lo] == data[lo] {
 			lo++

@@ -90,6 +90,8 @@ type Device struct {
 	//simlint:tokenguarded
 	slab []byte // the unused rest of the slab that backs newly written blocks
 	//simlint:tokenguarded
+	one [1][]byte // Read's and Write's one-block run, so they allocate nothing
+	//simlint:tokenguarded
 	arm int64 // block address one past the last access, -1 if unknown
 	//simlint:tokenguarded
 	fault FaultFn
@@ -132,18 +134,10 @@ func (d *Device) SetFault(f FaultFn) {
 	d.fault = f
 }
 
-// checkFault consults the injection hook.
-func (d *Device) checkFault(op string, block int64) error {
-	if d.fault == nil {
-		return nil
-	}
-	return d.fault(op, block)
-}
-
-// checkFaultRun consults the injection hook for every block of a run, so
+// checkFault consults the injection hook for every block of a run, so
 // per-block fault rules cannot be bypassed by multi-block transfers. Any
 // non-nil return aborts the whole run before any side effects.
-func (d *Device) checkFaultRun(op string, start int64, n int) error {
+func (d *Device) checkFault(op string, start int64, n int) error {
 	if d.fault == nil {
 		return nil
 	}
@@ -402,59 +396,26 @@ func (d *Device) ResetIdleCredit() {
 	d.lastEnd = d.clock.Now()
 }
 
-// Read reads one block into buf. buf must be exactly one block long.
+// Read reads one block into buf: a one-block ReadRun. buf must be exactly
+// one block long.
 //
 //simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (d *Device) Read(block int64, buf []byte) error {
-	if len(buf) != d.model.BlockSize {
-		return ErrBadSize
-	}
-	if err := d.checkRange(block, 1); err != nil {
-		return err
-	}
-	if d.crashed {
-		return ErrCrashed
-	}
-	if err := d.checkFault("read", block); err != nil {
-		return err
-	}
-	d.charge(&d.rd, block, 1)
-	d.stats.Reads++
-	d.stats.BlocksRead++
-	if src := d.blocks[block]; src != nil {
-		copy(buf, src)
-	} else {
-		for i := range buf {
-			buf[i] = 0
-		}
-	}
-	return nil
+	d.one[0] = buf
+	err := d.ReadRun(block, d.one[:])
+	d.one[0] = nil
+	return err
 }
 
-// Write writes one block from buf. buf must be exactly one block long.
+// Write writes one block from buf: a one-block WriteRun. buf must be
+// exactly one block long.
 //
 //simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (d *Device) Write(block int64, buf []byte) error {
-	if len(buf) != d.model.BlockSize {
-		return ErrBadSize
-	}
-	if err := d.checkRange(block, 1); err != nil {
-		return err
-	}
-	if d.crashed {
-		return ErrCrashed
-	}
-	if err := d.checkFault("write", block); err != nil {
-		return err
-	}
-	if !d.noteWrite(block, [][]byte{buf}) {
-		return ErrCrashed
-	}
-	d.charge(&d.wr, block, 1)
-	d.stats.Writes++
-	d.stats.BlocksWrit++
-	d.store(block, buf)
-	return nil
+	d.one[0] = buf
+	err := d.WriteRun(block, d.one[:])
+	d.one[0] = nil
+	return err
 }
 
 // slabBlocks is how many blocks one allocation of device storage backs. A
@@ -511,7 +472,7 @@ func (d *Device) WriteRun(start int64, bufs [][]byte) error {
 	if d.crashed {
 		return ErrCrashed
 	}
-	if err := d.checkFaultRun("write", start, len(bufs)); err != nil {
+	if err := d.checkFault("write", start, len(bufs)); err != nil {
 		return err
 	}
 	if !d.noteWrite(start, bufs) {
@@ -545,7 +506,7 @@ func (d *Device) ReadRun(start int64, bufs [][]byte) error {
 	if d.crashed {
 		return ErrCrashed
 	}
-	if err := d.checkFaultRun("read", start, len(bufs)); err != nil {
+	if err := d.checkFault("read", start, len(bufs)); err != nil {
 		return err
 	}
 	d.charge(&d.rd, start, len(bufs))

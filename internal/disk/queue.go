@@ -101,13 +101,7 @@ func (q *Queue) FlushSorted() error {
 				run = append(run, ordered[j].Buf)
 				j++
 			}
-			var err error
-			if len(run) == 1 {
-				err = q.dev.Read(r.Block, r.Buf)
-			} else {
-				err = q.dev.ReadRun(r.Block, run)
-			}
-			if err != nil {
+			if err := q.dev.ReadRun(r.Block, run); err != nil {
 				return err
 			}
 			i = j

@@ -34,7 +34,7 @@ type CleanerStats struct {
 
 	// RetentionSkips is always 0: no snapshot pins a segment, since both
 	// transaction managers rebuild old page versions from in-memory
-	// before-images (mvcc.DeltaMap). It stays only because the repository
+	// before-images (mvcc.Versions). It stays only because the repository
 	// benchmark reads it; ROADMAP item 2 drops it.
 	RetentionSkips int64 `json:"retention_skips"`
 }
@@ -465,8 +465,6 @@ func (fs *FS) cleanBatchLocked(victims []int64) error {
 		span.End(trace.AI("victims", int64(len(victims))),
 			trace.AI("copied", fs.stats.Cleaner.BlocksCopied-copied0),
 			trace.AI("dead", fs.stats.Cleaner.BlocksDead-dead0))
-		fs.tracer.Count("cleaner.passes", 1)
-		fs.tracer.Count("cleaner.victims", int64(len(victims)))
 	}
 	return nil
 }

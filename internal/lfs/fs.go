@@ -344,12 +344,6 @@ func (fs *FS) ReadCurrentRun(id buffer.BlockID, bufs [][]byte) (int, error) {
 		}
 		n++
 	}
-	if n == 1 {
-		if err := fs.dev.Read(start, bufs[0]); err != nil {
-			return 0, err
-		}
-		return 1, nil
-	}
 	if err := fs.dev.ReadRun(start, bufs[:n]); err != nil {
 		return 0, err
 	}

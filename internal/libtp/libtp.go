@@ -117,13 +117,11 @@ type Env struct {
 	nextTxn uint64
 	active  map[uint64]bool
 	undo    map[uint64][]undoRec
-	// Snapshot (multiversion read) support: snaps holds the pinned commit
-	// horizons (WAL LSNs), deltas the per-page before-image chains that
+	// Snapshot (multiversion read) support: vers holds the pinned commit
+	// horizons (log positions) and the per-page before-image chains that
 	// reconstruct older page versions. Deltas are recorded only while a
-	// snapshot is pinned; the rest of the time both structures are empty
-	// and cost one map lookup per commit.
-	snaps  *mvcc.Horizons
-	deltas *mvcc.DeltaMap
+	// snapshot is pinned; the rest of the time the store is empty.
+	vers *mvcc.Versions
 	// pageEnd holds, for each dirty pool page, the log's end just after the
 	// last record that changed it: the point the log must be durable through
 	// before the page may reach its file (the WAL rule, per page).
@@ -151,8 +149,7 @@ func newEnvShell(fsys vfs.FileSystem, clock *sim.Clock, opts Options) *Env {
 		files:   make(map[uint64]vfs.File),
 		active:  make(map[uint64]bool),
 		undo:    make(map[uint64][]undoRec),
-		snaps:   mvcc.NewHorizons(),
-		deltas:  mvcc.NewDeltaMap(),
+		vers:    mvcc.New(opts.Tracer.Metrics()),
 		tracer:  opts.Tracer,
 		pageEnd: make(map[buffer.BlockID]wal.LSN, opts.CacheBlocks),
 	}
@@ -358,11 +355,11 @@ func (t *Txn) Commit() error {
 // the batch's force.
 func (t *Txn) commitLocked() error {
 	e := t.env
-	lsn, err := e.log.AppendCommit(t.id)
-	if err != nil {
+	if _, err := e.log.AppendCommit(t.id); err != nil {
 		return err
 	}
-	e.noteCommitLocked(t.id, lsn)
+	// A snapshot sees the commit iff it pins past the commit record.
+	e.vers.Commit(t.id, int64(e.log.End()))
 	// No rollback can reach t now, and a snapshot pinned from here on sees
 	// it: its undo must not seed the version store at the next first pin.
 	delete(e.undo, t.id)
@@ -463,7 +460,7 @@ func (t *Txn) abortLocked() error {
 	// The rollback above restored every page byte the transaction touched,
 	// so its version deltas must vanish: the chains now read as if the
 	// transaction never wrote.
-	e.deltas.Abort(t.id)
+	e.vers.Abort(t.id)
 	e.locks.ReleaseAll(lock.TxnID(t.id))
 	return nil
 }

@@ -1,24 +1,12 @@
 package libtp
 
 import (
-	"errors"
-
 	"repro/internal/buffer"
 	"repro/internal/detsort"
 	"repro/internal/mvcc"
 	"repro/internal/pagestore"
 	"repro/internal/trace"
 	"repro/internal/vfs"
-	"repro/internal/wal"
-)
-
-// Snapshot errors.
-var (
-	// ErrSnapshotReadOnly is returned for any write through a snapshot
-	// store: snapshot transactions are read-only by contract.
-	ErrSnapshotReadOnly = errors.New("libtp: snapshot transactions are read-only")
-	// ErrSnapshotDone is returned for reads through a closed snapshot.
-	ErrSnapshotDone = errors.New("libtp: snapshot already closed")
 )
 
 // Snapshot is a read-only multiversion transaction: it pins the commit
@@ -29,9 +17,8 @@ var (
 // reads. Close releases the horizon and prunes every version no remaining
 // snapshot needs.
 type Snapshot struct {
-	env    *Env
-	h      wal.LSN
-	closed bool
+	v   *mvcc.Snapshot
+	env *Env
 }
 
 // BeginSnapshot starts a read-only snapshot transaction pinned at the
@@ -42,42 +29,36 @@ type Snapshot struct {
 func (e *Env) BeginSnapshot() *Snapshot {
 	e.clock.Advance(e.costs.TxnOp + e.costs.Syscall)
 	h := e.log.End()
-	if !e.snaps.Active() {
-		// First pinned snapshot: deltas were not being recorded. Seed the
-		// chains from the undo logs of every in-flight transaction — those
-		// are exactly the writes a snapshot at h must rewind if their
-		// transaction commits later (or never). 2PL guarantees at most one
-		// writer per page, so per-txn seeding preserves per-page log order.
+	// The first pin seeds the version store from the undo logs of every
+	// in-flight transaction — exactly the writes a snapshot at h must rewind
+	// if their transaction commits later (or never). 2PL guarantees at most
+	// one writer per page, so per-txn seeding preserves per-page log order.
+	v := e.vers.Begin(int64(h), func() {
 		for _, id := range detsort.Keys(e.undo) {
 			for _, u := range e.undo[id] {
-				e.deltas.Record(mvcc.PageID{File: u.db, Block: u.page}, id, u.offset, u.before)
+				e.vers.Record(mvcc.PageID{File: u.db, Block: u.page}, id, u.offset, u.before)
 			}
 		}
-	}
-	e.snaps.Pin(int64(h))
+	})
 	e.stats.SnapshotsBegun++
 	e.tracer.Instant("txn", "snapshot.begin", trace.AU("lsn", uint64(h)))
-	return &Snapshot{env: e, h: h}
+	return &Snapshot{v: v, env: e}
 }
+
+// VersionBytes returns the before-image bytes the version store holds.
+func (e *Env) VersionBytes() int64 { return e.vers.Bytes() }
 
 // Close releases the snapshot's pin on the commit horizon and prunes every
 // version record no remaining snapshot can need. Closing twice is a no-op.
 func (s *Snapshot) Close() {
-	e := s.env
-	if s.closed {
-		return
+	if s.v.Close() {
+		s.env.tracer.Instant("txn", "snapshot.close", trace.AU("lsn", uint64(s.v.Horizon())))
 	}
-	s.closed = true
-	e.tracer.Metrics().Max("mvcc.delta_bytes_peak", e.deltas.Bytes())
-	e.snaps.Unpin(int64(s.h))
-	oldest, active := e.snaps.Oldest()
-	e.deltas.Prune(oldest, active)
-	e.tracer.Instant("txn", "snapshot.close", trace.AU("lsn", uint64(s.h)))
 }
 
 // Store returns the snapshot's read-only page store for db. Reads are
 // lock-free: they serve the current page from the buffer pool and rewind it
-// with before-image deltas; writes fail with ErrSnapshotReadOnly.
+// with before-image deltas; writes fail with mvcc.ErrReadOnly.
 func (s *Snapshot) Store(db *DB) pagestore.Store {
 	return &snapStore{snap: s, db: db}
 }
@@ -88,6 +69,7 @@ func (s *Snapshot) Store(db *DB) pagestore.Store {
 // never calls the lock manager — no UserSync charge, no blocking, no
 // deadlock exposure.
 type snapStore struct {
+	mvcc.ReadOnly
 	snap *Snapshot
 	db   *DB
 }
@@ -107,8 +89,8 @@ func (s *snapStore) fetch(id buffer.BlockID, dst []byte) error {
 }
 
 func (s *snapStore) ReadPage(n int64, p []byte) error {
-	if s.snap.closed {
-		return ErrSnapshotDone
+	if err := s.snap.v.Err(); err != nil {
+		return err
 	}
 	e := s.snap.env
 	// Scheduling point without a lock-manager call: the scan interleaves
@@ -128,19 +110,7 @@ func (s *snapStore) ReadPage(n int64, p []byte) error {
 	}
 	// Rewind to the horizon: apply before-images of every delta whose
 	// transaction committed after the horizon or is still in flight.
-	e.deltas.ApplyBefore(mvcc.PageID{File: s.db.id, Block: n}, int64(s.snap.h), p)
+	s.snap.v.Rewind(mvcc.PageID{File: s.db.id, Block: n}, p)
 	e.stats.PageReads++
 	return nil
-}
-
-func (s *snapStore) WritePage(int64, []byte) error { return ErrSnapshotReadOnly }
-func (s *snapStore) AllocPage() (int64, error)     { return 0, ErrSnapshotReadOnly }
-
-// noteCommitLocked stamps (or discards) a committing transaction's version
-// deltas once its commit record has a log position. The deltas are kept
-// only when some pinned snapshot predates the commit; otherwise nothing can
-// ever need them.
-func (e *Env) noteCommitLocked(txn uint64, lsn wal.LSN) {
-	oldest, active := e.snaps.Oldest()
-	e.deltas.Commit(txn, int64(lsn), active && oldest < int64(lsn))
 }

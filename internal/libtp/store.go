@@ -145,10 +145,10 @@ func (s *txnStore) WritePage(n int64, p []byte) error {
 			return err
 		}
 		e.undo[s.t.id] = append(e.undo[s.t.id], undoRec{db: s.db.id, page: n, offset: uint32(lo), before: before})
-		if e.snaps.Active() {
+		if e.vers.Active() {
 			// A pinned snapshot may need to rewind this write: record the
 			// same before-image (shared, immutable) as a version delta.
-			e.deltas.Record(mvcc.PageID{File: s.db.id, Block: n}, s.t.id, uint32(lo), before)
+			e.vers.Record(mvcc.PageID{File: s.db.id, Block: n}, s.t.id, uint32(lo), before)
 		}
 		copy(b.Data, p)
 		e.loggedLocked(b)

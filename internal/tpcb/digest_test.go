@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/btree"
 	"repro/internal/recno"
@@ -120,5 +121,53 @@ func TestDigestAgreesAcrossSystems(t *testing.T) {
 	short, full := digest("kernel-lfs", txns-1, 1), digest("kernel-lfs", txns, 1)
 	if short.Balances == full.Balances || short.HistorySet == full.HistorySet {
 		t.Errorf("%d and %d transactions give digests %+v and %+v", txns-1, txns, short, full)
+	}
+}
+
+// TestDigestIgnoresTimingKnobs: a knob that changes only when things happen
+// leaves the answer alone. Each pair of runs differs in one such knob on one
+// system, and must differ in simulated time — or the knob did nothing — but
+// not in the database: at MPL 1 in no digest field, at MPL 8 in neither
+// the balances nor the history multiset.
+func TestDigestIgnoresTimingKnobs(t *testing.T) {
+	const txns = 400
+	cfg := ScaledConfig(0.01)
+	for _, tc := range []struct {
+		name string
+		a, b RigOptions
+		mpl  int
+	}{
+		{"kernel-lfs cleaner sync vs idle", RigOptions{Kind: "kernel-lfs"}, RigOptions{Kind: "kernel-lfs", CleanerMode: "idle"}, 1},
+		{"user-lfs group commit 1 vs 8", RigOptions{Kind: "user-lfs"}, RigOptions{Kind: "user-lfs", GroupCommit: 8}, 8},
+		{"user-ffs log segments default vs 4 KB", RigOptions{Kind: "user-ffs"}, RigOptions{Kind: "user-ffs", LogSegmentBytes: 4096}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var d [2]StateDigest
+			var elapsed [2]time.Duration
+			for i, o := range []RigOptions{tc.a, tc.b} {
+				o.Config, o.ExpectedTxns, o.DiskScale = cfg, txns, 0.5
+				rig, err := BuildRig(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := rig.RunMPL(cfg, txns, tc.mpl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d[i], err = Digest(rig); err != nil {
+					t.Fatal(err)
+				}
+				elapsed[i] = res.Elapsed
+			}
+			if elapsed[0] == elapsed[1] {
+				t.Fatalf("both runs took %v: the knob changed nothing", elapsed[0])
+			}
+			if tc.mpl == 1 && d[0] != d[1] {
+				t.Errorf("digests %+v and %+v", d[0], d[1])
+			}
+			if d[0].Balances != d[1].Balances || d[0].HistorySet != d[1].HistorySet {
+				t.Errorf("balances %x and %x, history sets %x and %x", d[0].Balances, d[1].Balances, d[0].HistorySet, d[1].HistorySet)
+			}
+		})
 	}
 }

@@ -16,7 +16,7 @@ const (
 	// ScanSnapshot runs each scan as a read-only multiversion snapshot:
 	// no page locks at all, rewinding each page to the horizon pinned at
 	// scan start with the before-images the transaction manager keeps
-	// (mvcc.DeltaMap, on both systems).
+	// (mvcc.Versions, on both systems).
 	ScanSnapshot ScanMode = "snapshot"
 )
 

@@ -22,8 +22,6 @@ func TestNilTracerZeroAllocs(t *testing.T) {
 		span.End(trace.AI("block", 7), trace.AS("lane", "fg"))
 		tr.Complete("io", "op", 0, trace.AI("k", 2), trace.AU("u", 3))
 		tr.Instant("txn", "mark", trace.AU("txn", 9))
-		tr.Count("c", 1)
-		tr.Observe("h", time.Millisecond)
 		tr.Attribute(trace.AttrDisk, time.Millisecond)
 		tr.AttributeIO(time.Millisecond, 0)
 		ctr.Add(1)
@@ -64,21 +62,22 @@ func TestLiveTracerSteadyStateAllocs(t *testing.T) {
 }
 
 // TestMetricsHandleIdentity: handles resolved before and after increments
-// address the same underlying counter the string API sees.
+// address the same underlying counter the by-name Max and the snapshot see.
 func TestMetricsHandleIdentity(t *testing.T) {
 	m := trace.NewMetrics()
 	h := m.Counter("x")
 	h.Add(3)
-	m.Add("x", 4)
-	if got := m.CounterValue("x"); got != 7 {
-		t.Fatalf("counter = %d, want 7", got)
-	}
 	if again := m.Counter("x"); again != h {
 		t.Fatalf("Counter returned a different handle for the same name")
 	}
+	m.Counter("x").Add(4)
+	m.Max("x", 5)
+	if got := m.Snapshot().Counters["x"]; got != 7 {
+		t.Fatalf("counter = %d, want 7", got)
+	}
 	m.Hist("lat").Observe(time.Millisecond)
-	m.Observe("lat", time.Second)
-	if got := m.Hist("lat").Count; got != 2 {
+	m.Hist("lat").Observe(time.Second)
+	if got := m.Snapshot().Histograms["lat"].Count; got != 2 {
 		t.Fatalf("hist count = %d, want 2", got)
 	}
 }

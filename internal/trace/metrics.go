@@ -130,41 +130,11 @@ func (m *Metrics) Hist(name string) *Hist {
 	return h
 }
 
-// Add increments the named counter by v.
-//
-//simlint:tokensafe(recorder API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
-func (m *Metrics) Add(name string, v int64) {
-	if m == nil {
-		return
-	}
-	m.Counter(name).Add(v)
-}
-
 // Max raises the named counter to v if v is larger: a high-water mark.
 func (m *Metrics) Max(name string, v int64) {
 	if c := m.Counter(name); c != nil && v > c.v {
 		c.v = v
 	}
-}
-
-// Observe records d in the named histogram, creating it on first use.
-//
-//simlint:tokensafe(recorder API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
-func (m *Metrics) Observe(name string, d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.Hist(name).Observe(d)
-}
-
-// CounterValue returns the named counter's current value.
-//
-//simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns)
-func (m *Metrics) CounterValue(name string) int64 {
-	if m == nil {
-		return 0
-	}
-	return m.counters[name].Value()
 }
 
 // HistSnapshot is the exported form of one histogram. Durations marshal as

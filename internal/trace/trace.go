@@ -326,28 +326,6 @@ func (t *Tracer) Instant(cat, name string, args ...Arg) {
 	e.Args = t.putArgs(args)
 }
 
-// Count adds v to the named counter. Hot paths should resolve a Counter
-// handle instead and skip the name lookup.
-//
-//simlint:tokensafe(recorder API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
-func (t *Tracer) Count(name string, v int64) {
-	if t == nil {
-		return
-	}
-	t.metrics.Add(name, v)
-}
-
-// Observe records d in the named latency histogram. Hot paths should
-// resolve a Hist handle instead and skip the name lookup.
-//
-//simlint:tokensafe(recorder API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
-func (t *Tracer) Observe(name string, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.metrics.Observe(name, d)
-}
-
 // Attribute charges d of the current proc's simulated time to category c.
 //
 //simlint:noalloc

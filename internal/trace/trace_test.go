@@ -21,8 +21,8 @@ func TestNilTracer(t *testing.T) {
 	span.End(trace.AI("k", 1))
 	tr.Complete("cat", "op", 0)
 	tr.Instant("cat", "op")
-	tr.Count("c", 1)
-	tr.Observe("h", time.Millisecond)
+	tr.Counter("c").Add(1)
+	tr.Hist("h").Observe(time.Millisecond)
 	tr.Attribute(trace.AttrDisk, time.Millisecond)
 	tr.AttributeIO(time.Millisecond, time.Millisecond)
 	tr.PushAttr(trace.AttrCleaner)
@@ -39,8 +39,7 @@ func TestNilTracer(t *testing.T) {
 		t.Fatalf("nil tracer returned attribution: %v", rows)
 	}
 	m := tr.Metrics()
-	m.Add("c", 1)
-	m.Observe("h", time.Millisecond)
+	m.Max("c", 1)
 	if snap := m.Snapshot(); len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
 		t.Fatalf("nil metrics snapshot not empty: %+v", snap)
 	}
@@ -122,8 +121,8 @@ func TestTracerNeverAdvancesClock(t *testing.T) {
 	span := tr.Begin("io", "op")
 	span.End()
 	tr.Instant("txn", "mark")
-	tr.Count("c", 3)
-	tr.Observe("h", time.Second)
+	tr.Counter("c").Add(3)
+	tr.Hist("h").Observe(time.Second)
 	tr.AttributeIO(time.Second, time.Second)
 	tr.ProcEnd()
 	if now := clk.Now(); now != before {
@@ -135,10 +134,11 @@ func TestTracerNeverAdvancesClock(t *testing.T) {
 // snapshot carries exact sums and counts.
 func TestHistogramBuckets(t *testing.T) {
 	m := trace.NewMetrics()
-	m.Observe("lat", 1*time.Microsecond)  // below the first bound (10µs)
-	m.Observe("lat", 10*time.Microsecond) // on the first bound: bounds are exclusive, so bucket 1
-	m.Observe("lat", 42*time.Millisecond) // mid-range
-	m.Observe("lat", 10*time.Second)      // beyond the last bound: overflow bucket
+	lat := m.Hist("lat")
+	lat.Observe(1 * time.Microsecond)  // below the first bound (10µs)
+	lat.Observe(10 * time.Microsecond) // on the first bound: bounds are exclusive, so bucket 1
+	lat.Observe(42 * time.Millisecond) // mid-range
+	lat.Observe(10 * time.Second)      // beyond the last bound: overflow bucket
 	snap := m.Snapshot()
 	h, ok := snap.Histograms["lat"]
 	if !ok {
