@@ -96,12 +96,16 @@ func (b *Buf) Dirty() bool { return b.dirty }
 // Held reports whether the buffer is on transaction hold.
 func (b *Buf) Held() bool { return b.held }
 
-// Stats counts pool activity.
+// Stats counts pool activity. Hits and Misses count the lookups of Get, a
+// read; WriteHits and WriteMisses those of GetForWrite, so that a hit rate
+// measures reads.
 type Stats struct {
-	Hits       int64 `json:"hits"`
-	Misses     int64 `json:"misses"`
-	Evictions  int64 `json:"evictions"`
-	WriteBacks int64 `json:"write_backs"`
+	Hits        int64 `json:"hits"`
+	Misses      int64 `json:"misses"`
+	WriteHits   int64 `json:"write_hits"`
+	WriteMisses int64 `json:"write_misses"`
+	Evictions   int64 `json:"evictions"`
+	WriteBacks  int64 `json:"write_backs"`
 }
 
 // Pool is an LRU pool of at most capacity blocks. It has no lock of its own:
@@ -130,8 +134,9 @@ type Pool struct {
 
 // SetTracer attaches a tracer under the given metric prefix (e.g.
 // "buffer.user" or "buffer.lfs" — one pool per cache keeps the counters
-// separable). Hits and misses then count into <prefix>.{hit,miss}; Stats
-// counts evictions and write-backs. A nil tracer costs nothing.
+// separable). Get's hits and misses then count into <prefix>.{hit,miss};
+// Stats counts GetForWrite's, evictions and write-backs. A nil tracer costs
+// nothing.
 func (p *Pool) SetTracer(tr *trace.Tracer, prefix string) {
 	p.tracer = tr
 	p.ctrHit = tr.Counter(prefix + ".hit")
@@ -187,6 +192,19 @@ func (p *Pool) Len() int {
 //
 //simlint:noalloc
 func (p *Pool) Get(id BlockID, fetch Fetch) (*Buf, error) {
+	return p.get(id, fetch, false)
+}
+
+// GetForWrite is Get for a caller about to write the buffer: its lookup
+// counts as a write hit or miss, not as a read's.
+//
+//simlint:noalloc
+func (p *Pool) GetForWrite(id BlockID, fetch Fetch) (*Buf, error) {
+	return p.get(id, fetch, true)
+}
+
+//simlint:noalloc
+func (p *Pool) get(id BlockID, fetch Fetch, write bool) (*Buf, error) {
 	if b, ok := p.table[id]; ok {
 		if b.loading {
 			// No process yields mid-fetch, so only the fetch callback itself
@@ -194,16 +212,24 @@ func (p *Pool) Get(id BlockID, fetch Fetch) (*Buf, error) {
 			//simlint:alloc(cold misuse error: a fetch callback re-entered the pool for the block it is loading)
 			return nil, fmt.Errorf("buffer: Get of %v from inside its own fetch", id)
 		}
-		p.stats.Hits++
-		p.ctrHit.Add(1)
+		if write {
+			p.stats.WriteHits++
+		} else {
+			p.stats.Hits++
+			p.ctrHit.Add(1)
+		}
 		b.pins++
 		p.lru.MoveToFront(b.elem)
 		p.usedLocked(b)
 		p.Await(b)
 		return b, nil
 	}
-	p.stats.Misses++
-	p.ctrMiss.Add(1)
+	if write {
+		p.stats.WriteMisses++
+	} else {
+		p.stats.Misses++
+		p.ctrMiss.Add(1)
+	}
 	if err := p.makeRoomLocked(); err != nil {
 		return nil, err
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/trace"
 )
 
 func TestGetMissZeroFill(t *testing.T) {
@@ -43,6 +45,34 @@ func TestGetHitReturnsSameBuffer(t *testing.T) {
 	st := p.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit 1 miss", st)
+	}
+}
+
+// TestWriteLookupsCountApart: GetForWrite's lookups count as write hits and
+// misses, in Stats only, so that the read hit rate — Stats and the tracer's
+// <prefix>.{hit,miss} pair — measures reads.
+func TestWriteLookupsCountApart(t *testing.T) {
+	tr := trace.New(nil)
+	p := New(4, 64, nil)
+	p.SetTracer(tr, "buffer.t")
+	get := func(f func(BlockID, Fetch) (*Buf, error), blk int64) {
+		b, err := f(BlockID{1, blk}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release(b)
+	}
+	get(p.GetForWrite, 1) // write miss
+	get(p.Get, 1)         // read hit
+	get(p.GetForWrite, 1) // write hit
+	get(p.Get, 2)         // read miss
+	get(p.GetForWrite, 2) // write hit
+	if st := p.Stats(); st.Hits != 1 || st.Misses != 1 || st.WriteHits != 2 || st.WriteMisses != 1 {
+		t.Fatalf("stats = %+v, want 1 read hit, 1 read miss, 2 write hits, 1 write miss", st)
+	}
+	c := tr.Metrics().Snapshot().Counters
+	if c["buffer.t.hit"] != 1 || c["buffer.t.miss"] != 1 {
+		t.Fatalf("registry hit %d miss %d, want the reads' 1 and 1", c["buffer.t.hit"], c["buffer.t.miss"])
 	}
 }
 

@@ -245,6 +245,36 @@ func TestSweepStagedSegments(t *testing.T) {
 	t.Logf("%d full-stage flushes, write-behind %+v; %s", st.StagedFlushes, st.WriteBehind, rep)
 }
 
+// TestSweepKernelStagedSegments is TestSweepStagedSegments on kernel-lfs:
+// LFS's cache evicts patched pages into its stage, and the golden run must
+// read at least one back and commit it by a summary-only force, with its
+// staged copy kept as its durable image; every write op is a crash point,
+// torn. A harness checkpoint empties the stage, so there is one, late: it
+// logs the patched pages still staged.
+func TestSweepKernelStagedSegments(t *testing.T) {
+	opts := smallOpts("kernel-lfs", true)
+	opts.Config.Accounts = 20000
+	opts.Txns, opts.MaxPoints, opts.CheckpointEvery = 400, 0, 300
+	if err := opts.fill(); err != nil {
+		t.Fatal(err)
+	}
+	golden, err := execute(opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := golden.rig.LFSStats()
+	if st.StagedPatched == 0 || st.FullForces != 0 || st.StagedFlushes == 0 {
+		t.Fatalf("the golden run committed %d pages read back from the stage by summary-only forces, made %d full forces and flushed a full stage %d times: want some, none and some",
+			st.StagedPatched, st.FullForces, st.StagedFlushes)
+	}
+	rep, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSurvived(t, rep)
+	t.Logf("%d pages committed from the stage, %d stage hits, %d full-stage flushes; %s", st.StagedPatched, st.StageHits, st.StagedFlushes, rep)
+}
+
 // TestSweepSamplingCoversCheckpoints checks the dense sampler actually put
 // points inside checkpoint processing, not just at commit boundaries.
 func TestSweepSamplingCoversCheckpoints(t *testing.T) {

@@ -24,7 +24,7 @@ func (fs *FS) ensureMapped(in *inode, lbn int64) error {
 		if err != nil {
 			return err
 		}
-		b, err := fs.pool.Get(buffer.BlockID{File: vfs.FileID(in.Ino), Block: next}, nil)
+		b, err := fs.pool.GetForWrite(buffer.BlockID{File: vfs.FileID(in.Ino), Block: next}, nil)
 		if err != nil {
 			fs.freeBlock(addr) // never mapped without its zeros
 			return err
@@ -121,7 +121,7 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 		// Zero the tail of the final block.
 		if size%bs != 0 {
 			id := buffer.BlockID{File: vfs.FileID(in.Ino), Block: size / bs}
-			b, err := fs.pool.Get(id, fs.fetchBlock)
+			b, err := fs.pool.GetForWrite(id, fs.fetchBlock)
 			if err != nil {
 				return err
 			}

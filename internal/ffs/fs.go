@@ -324,7 +324,7 @@ func (fs *FS) freeBlock(b int64) {
 //
 //simlint:noalloc
 func (fs *FS) writeback(id buffer.BlockID, data []byte) error {
-	fs.stage.Park(id, data)
+	fs.stage.Park(id, data, false) // an FFS block is durable only in place
 	fs.stats.BlocksStaged++
 	return nil
 }

@@ -351,7 +351,8 @@ func (fs *FS) cleanBatchLocked(victims []int64) error {
 	// disk are queued as single-block reads; a newer staged or dirty
 	// resident version supersedes the victim's copy (preserving the
 	// no-overwrite guarantee transaction abort depends on), and a clean
-	// resident buffer donates its bytes without any I/O.
+	// resident buffer donates its bytes without any I/O. Either way the
+	// staged bytes are the block's durable image.
 	type relocBlock struct {
 		id  buffer.BlockID
 		buf []byte // non-nil: bytes arrive from the queued disk read
@@ -372,7 +373,7 @@ func (fs *FS) cleanBatchLocked(victims []int64) error {
 				// A dirty resident buffer supersedes the on-disk copy and
 				// will be written by the scoped flush.
 			} else if b := fs.pool.Lookup(id); b != nil && !b.Dirty() {
-				copy(fs.stage.Frame(id), b.Data)
+				copy(fs.stage.Frame(id, true), b.Data)
 			} else {
 				rb.buf = fs.frames.Take()
 				q.EnqueueRead(le.addr, rb.buf)
@@ -433,7 +434,7 @@ func (fs *FS) cleanBatchLocked(victims []int64) error {
 		if err == nil { // else the reads stopped short: park nothing
 			// A held block's durable image is its logged copy with the
 			// patches since laid over it.
-			dst := fs.stage.Frame(rb.id)
+			dst := fs.stage.Frame(rb.id, true)
 			copy(dst, rb.buf)
 			fs.layPatchesLocked(rb.id, dst)
 		}

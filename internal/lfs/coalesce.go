@@ -45,7 +45,9 @@ func (fs *FS) Coalesce(path string) error {
 		if addr == 0 {
 			continue // hole
 		}
-		if err := fs.dev.Read(addr, fs.stage.Frame(id)); err != nil {
+		// Neither dirty nor parked, the block has no bytes in patches: its
+		// logged copy is its durable image.
+		if err := fs.dev.Read(addr, fs.stage.Frame(id, true)); err != nil {
 			fs.stage.Unpark(id)
 			return err
 		}

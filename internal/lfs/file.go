@@ -52,7 +52,7 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 	// Zero the tail of the last surviving block so re-extension reads zeros.
 	if size%bs != 0 {
 		id := blockIDOf(in.Ino, size/bs)
-		b, err := fs.pool.Get(id, fs.fetchBlock)
+		b, err := fs.pool.GetForWrite(id, fs.fetchBlock)
 		if err != nil {
 			return err
 		}

@@ -57,16 +57,31 @@ type Stats struct {
 	SkippedTailBlocks int64 `json:"skipped_tail_blocks"`
 	// Commit forces (File.Sync, FlushCommit): SummaryOnlyForces wrote one
 	// summary block whose patch records carried PatchBytes bytes (a
-	// FlushCommit's may add an inode pack); FullForces wrote blocks whole (the
-	// bytes did not fit or were not known, or a File.Sync had to pack an
-	// inode or a force to write a pointer block).
-	SummaryOnlyForces int64        `json:"summary_only_forces"`
-	PatchBytes        int64        `json:"patch_bytes"`
-	FullForces        int64        `json:"full_forces"`
-	Cleaner           CleanerStats `json:"cleaner"`
+	// FlushCommit's may add an inode pack); FullForces wrote blocks whole,
+	// FullForceCauses says why.
+	SummaryOnlyForces int64       `json:"summary_only_forces"`
+	PatchBytes        int64       `json:"patch_bytes"`
+	FullForces        int64       `json:"full_forces"`
+	FullForceCauses   ForceCauses `json:"full_force_causes"`
+	// StageHits counts the fetches the stage served instead of the log;
+	// StagedPatched the pages summary-only forces patched while a copy was
+	// staged: pages read back from the stage and committed without a block.
+	StageHits     int64        `json:"stage_hits"`
+	StagedPatched int64        `json:"staged_patched"`
+	Cleaner       CleanerStats `json:"cleaner"`
 	// WriteBehind is the background-lane time of write-behind
 	// (writeBehindLocked).
 	WriteBehind disk.BgTimes `json:"write_behind"`
+}
+
+// ForceCauses splits Stats.FullForces by what refused the summary-only force
+// (planForceLocked); they sum to FullForces.
+type ForceCauses struct {
+	NoDelta         int64 `json:"no_delta"`         // a page's changed ranges were not known
+	StagedUndurable int64 `json:"staged_undurable"` // a File.Sync's file had a staged block that is not its durable image
+	InodePack       int64 `json:"inode_pack"`       // a File.Sync had to pack its inode
+	SummaryRoom     int64 `json:"summary_room"`     // the changed ranges did not fit the summary block
+	PtrsCleared     int64 `json:"ptrs_cleared"`     // a truncate had cleared pointers, which the force must log
 }
 
 // upper is the layer LFS shares with FFS: namespace, directories and open
@@ -401,9 +416,16 @@ func (fs *FS) accountNew(addr int64) {
 // it — walk its dirty set, mark buffers clean — before the evicted buffer has
 // left it.
 //
+// A buffer whose delta is empty holds the block's durable image — its last
+// logged copy with the kept patches laid over it (layPatchesLocked) — and is
+// parked marked so: it stays durable in the stage, a commit force needs
+// nothing of it, and a write to it once it is fetched back is measured
+// against it (noteWrite). The pool still holds the buffer it is evicting.
+//
 //simlint:noalloc
 func (fs *FS) writeback(id buffer.BlockID, data []byte) error {
-	fs.stage.Park(id, data)
+	d, ok := fs.deltas[id]
+	fs.stage.Park(id, data, ok && d.n == 0 && d.buf == fs.pool.Lookup(id))
 	delete(fs.deltas, id)
 	return nil
 }
@@ -482,6 +504,7 @@ func (fs *FS) loadInode(ino Ino) (*inode, error) {
 func (fs *FS) fetchBlock(id buffer.BlockID, dst []byte) error {
 	if data, ok := fs.stage.Lookup(id); ok {
 		copy(dst, data)
+		fs.stats.StageHits++
 		return nil
 	}
 	in, err := fs.loadInode(Ino(id.File))

@@ -139,12 +139,14 @@ func (d *delta) diff(old, new []byte, off, room int) bool {
 // noteWrite is ufs.Ops.Note: p is about to be copied into b at off. Only the
 // writes to a file File.Sync has forced (inode.forced) or that is
 // transaction-protected are measured: a protected file's first commit after
-// its load may then be a summary-only force too. A clean
-// buffer holds the block's durable bytes — unless the stage has a newer
-// copy, or the pool skipped the fetch (fresh) for a block that is no hole —
-// so its delta starts empty; a dirty buffer's delta grows by what p changes.
-// A dirty block with no delta changed in ways nobody measured, and stays so
-// until it is logged whole.
+// its load may then be a summary-only force too. A clean buffer's delta
+// starts empty, measured from the block's durable image: the buffer's bytes,
+// fetched from the log — or the stage copy, when it is parked durable
+// (writeback), since a fresh buffer was not fetched. There is none to
+// measure from when the stage holds another copy, or the pool skipped the
+// fetch (fresh) of a block that is no hole and not staged. A dirty buffer's
+// delta grows by what p changes. A dirty block with no delta changed in ways
+// nobody measured, and stays so until it is logged whole.
 //
 //simlint:noalloc
 func (fs *FS) noteWrite(in *inode, b *buffer.Buf, off int, p []byte, fresh bool) {
@@ -152,9 +154,12 @@ func (fs *FS) noteWrite(in *inode, b *buffer.Buf, off int, p []byte, fresh bool)
 		return
 	}
 	d, ok := fs.deltas[b.ID]
+	old := b.Data
 	switch {
 	case !b.Dirty():
-		if _, parked := fs.stage.Lookup(b.ID); parked || fresh && !fs.knownHoleLocked(in, b.ID) {
+		if staged, parked := fs.stage.Lookup(b.ID); parked && fs.stage.Durable(b.ID) {
+			old = staged
+		} else if parked || fresh && !fs.knownHoleLocked(in, b.ID) {
 			delete(fs.deltas, b.ID)
 			return
 		}
@@ -163,7 +168,7 @@ func (fs *FS) noteWrite(in *inode, b *buffer.Buf, off int, p []byte, fresh bool)
 		delete(fs.deltas, b.ID)
 		return
 	}
-	if !d.diff(b.Data[off:off+len(p)], p, off, patchRoom(fs.blockSize, 0)) {
+	if !d.diff(old[off:off+len(p)], p, off, patchRoom(fs.blockSize, 0)) {
 		delete(fs.deltas, b.ID)
 		return
 	}
@@ -227,24 +232,27 @@ type summaryForce struct {
 	pages   []CommitPage
 }
 
-// planForceLocked returns the summary-only force of the files in set, and
-// whether the force can be one: no file had pointers cleared by a truncate,
-// and every page's changed ranges are known and fit one summary beside the
-// pending deletion records and the inode-pack entries. A page's patches take
-// their bytes from its Image, else from its resident buffer.
+// planForceLocked returns the summary-only force of the files in set, or the
+// FullForceCauses counter of what refuses one: a file had pointers cleared by
+// a truncate (or its inode cannot be loaded, which the full force then
+// reports), or some page's changed ranges are unknown or do not fit one
+// summary beside the pending deletion records and the inode-pack entries. A
+// page's patches take their bytes from its Image, else from its resident
+// buffer.
 //
 // File.Sync (commit nil) forces every dirty block of its file, and only a
-// file that needs no inode pack and has no block waiting in the stage. A
-// group-commit batch (FlushCommit) forces exactly its pages, and packs the
-// inodes whose attributes changed; its files' other dirty and staged blocks
-// carry no committed byte that is not durable already, and wait for
-// write-behind.
-func (fs *FS) planForceLocked(set map[Ino]bool, commit []CommitPage) (summaryForce, bool) {
+// file that needs no inode pack and whose staged blocks are all durable
+// (writeback). A group-commit batch (FlushCommit) forces exactly its pages,
+// and packs the inodes whose attributes changed; its files' other dirty and
+// staged blocks carry no committed byte that is not durable already, and wait
+// for write-behind.
+func (fs *FS) planForceLocked(set map[Ino]bool, commit []CommitPage) (summaryForce, *int64) {
+	causes := &fs.stats.FullForceCauses
 	f := summaryForce{pages: commit}
 	for _, ino := range detsort.Keys(set) {
 		in, err := fs.loadInode(ino)
 		if err != nil || in.ptrsCleared {
-			return summaryForce{}, false
+			return summaryForce{}, &causes.PtrsCleared
 		}
 		if fs.packsLocked(in, true) {
 			f.packed = append(f.packed, ino)
@@ -252,9 +260,14 @@ func (fs *FS) planForceLocked(set map[Ino]bool, commit []CommitPage) (summaryFor
 		if commit != nil {
 			continue
 		}
+		if len(f.packed) > 0 {
+			return summaryForce{}, &causes.InodePack
+		}
 		file := vfs.FileID(ino)
-		if len(f.packed) > 0 || len(fs.stage.Blocks(func(g buffer.FileID) bool { return g == file })) > 0 {
-			return summaryForce{}, false
+		for _, id := range fs.stage.Blocks(func(g buffer.FileID) bool { return g == file }) {
+			if !fs.stage.Durable(id) {
+				return summaryForce{}, &causes.StagedUndurable
+			}
 		}
 		for _, b := range fs.pool.DirtyFile(file) {
 			f.pages = append(f.pages, CommitPage{ID: b.ID})
@@ -267,10 +280,10 @@ func (fs *FS) planForceLocked(set map[Ino]bool, commit []CommitPage) (summaryFor
 		b := fs.pool.Lookup(cp.ID)
 		d, ok := fs.deltas[cp.ID]
 		if b == nil || !ok || d.buf != b {
-			return summaryForce{}, false
+			return summaryForce{}, &causes.NoDelta
 		}
 		if size += d.size; size > room {
-			return summaryForce{}, false
+			return summaryForce{}, &causes.SummaryRoom
 		}
 		data := cp.Image
 		if data == nil {
@@ -283,7 +296,7 @@ func (fs *FS) planForceLocked(set map[Ino]bool, commit []CommitPage) (summaryFor
 	slices.SortFunc(f.patches, func(a, b patch) int {
 		return cmp.Or(cmp.Compare(a.Ino, b.Ino), cmp.Compare(a.LBN, b.LBN), cmp.Compare(a.Off, b.Off))
 	})
-	return f, true
+	return f, nil
 }
 
 // syncLocked is ufs.Ops.Sync, File.Sync's force.
@@ -297,20 +310,21 @@ func (fs *FS) syncLocked(in *inode) error {
 // planForceLocked allows one, else the commit-force flush of the files — of
 // a batch's pages only, the files' other blocks written behind it.
 func (fs *FS) forceLocked(set map[Ino]bool, commit []CommitPage) error {
-	f, ok := fs.planForceLocked(set, commit)
-	if ok && !fs.cleaning && fs.free < cleanThreshold {
+	f, refused := fs.planForceLocked(set, commit)
+	if refused == nil && !fs.cleaning && fs.free < cleanThreshold {
 		// The cleaner may log some of the blocks whole.
 		if err := fs.cleanLocked(); err != nil {
 			return err
 		}
-		f, ok = fs.planForceLocked(set, commit)
+		f, refused = fs.planForceLocked(set, commit)
 	}
-	if !ok {
+	if refused != nil {
 		span := fs.tracer.Begin("lfs", "lfs.fullForce")
 		partials, logged := fs.stats.PartialSegments, fs.stats.BlocksLogged
 		err := fs.flushLocked(set, true, commit)
 		if fs.stats.PartialSegments > partials {
 			fs.stats.FullForces++
+			*refused++
 		}
 		span.End(trace.AI("blocks", fs.stats.BlocksLogged-logged))
 		if err != nil || commit == nil {
@@ -331,28 +345,29 @@ func (fs *FS) forceLocked(set map[Ino]bool, commit []CommitPage) error {
 		fs.stats.PatchBytes += int64(len(p.Data))
 		fs.keepPatchLocked(p)
 	}
+	checkpoint := fs.seq-fs.cpBound >= uint64(fs.opts.CheckpointEvery)
 	for _, cp := range f.pages {
-		if cp.Image == nil {
+		data := cp.Image
+		if data == nil {
 			// The buffer is what the log now holds. A page logged from an
 			// Image keeps its ranges: they still cover its running writer's
 			// bytes.
+			data = fs.pool.Lookup(cp.ID).Data
 			fs.deltas[cp.ID] = delta{buf: fs.deltas[cp.ID].buf}
 		}
+		// A staged copy stays the page's durable image: a flush or the
+		// cleaner may log it whole in place of the patches. A checkpoint
+		// logs a batch's patched pages from their committed images, staged.
+		_, parked := fs.stage.Lookup(cp.ID)
+		if parked {
+			fs.stats.StagedPatched++
+		}
+		if parked || checkpoint && commit != nil && fs.Patched(cp.ID) {
+			copy(fs.stage.Frame(cp.ID, true), data)
+		}
 	}
-	if fs.seq-fs.cpBound < uint64(fs.opts.CheckpointEvery) {
+	if !checkpoint {
 		return nil
-	}
-	// The batch's committed images are its pages' durable images: the
-	// checkpoint logs the patched ones from the stage.
-	for _, cp := range commit {
-		if !fs.Patched(cp.ID) {
-			continue
-		}
-		data := cp.Image
-		if data == nil {
-			data = fs.pool.Lookup(cp.ID).Data
-		}
-		copy(fs.stage.Frame(cp.ID), data)
 	}
 	return fs.writeCheckpointLocked()
 }
@@ -396,7 +411,7 @@ func (fs *FS) logPatchedLocked() error {
 		if err != nil {
 			return err
 		}
-		img := fs.stage.Frame(id)
+		img := fs.stage.Frame(id, true)
 		if err := fs.readLoggedLocked(in, id.Block, img); err != nil {
 			return err
 		}

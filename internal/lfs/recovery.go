@@ -552,7 +552,7 @@ func (fs *FS) rollForwardLocked() error {
 			continue
 		}
 		id := blockIDOf(k.ino, k.lbn)
-		b := fs.stage.Frame(id)
+		b := fs.stage.Frame(id, true)
 		if err := fs.readLoggedLocked(in, k.lbn, b); err != nil {
 			return err
 		}

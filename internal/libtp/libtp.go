@@ -490,7 +490,7 @@ func (e *Env) applyLocked(db uint64, page int64, offset uint32, data []byte) err
 		return fmt.Errorf("libtp: unknown db %d", db)
 	}
 	id := buffer.BlockID{File: vfs.FileID(db), Block: page}
-	b, err := e.pool.Get(id, func(_ buffer.BlockID, dst []byte) error {
+	b, err := e.pool.GetForWrite(id, func(_ buffer.BlockID, dst []byte) error {
 		return readPage(f, page, dst)
 	})
 	if err != nil {

@@ -130,7 +130,7 @@ func (s *txnStore) WritePage(n int64, p []byte) error {
 	}
 	e.clock.Advance(e.costs.CacheHit)
 	id := buffer.BlockID{File: vfs.FileID(s.db.id), Block: n}
-	b, err := e.pool.Get(id, s.fetch)
+	b, err := e.pool.GetForWrite(id, s.fetch)
 	if err != nil {
 		return err
 	}

@@ -67,12 +67,12 @@ func TestBadScaleRejected(t *testing.T) {
 }
 
 // TestIdleCleanerRunsBetweenTransactions: with CleanerMode "idle" the
-// between-transactions hook cleans. The disk is sized so that 600
-// transactions wrap the log.
+// between-transactions hook cleans. The disk, half the default, is sized so
+// that 600 transactions wrap the log.
 func TestIdleCleanerRunsBetweenTransactions(t *testing.T) {
 	const txns = 600
 	cfg := ScaledConfig(0.01)
-	opts := RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8, CleanerMode: "idle", DiskScale: 0.6}
+	opts := RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: txns, GroupCommit: 8, CleanerMode: "idle", DiskScale: 0.5}
 	rig, err := BuildRig(opts)
 	if err != nil {
 		t.Fatal(err)

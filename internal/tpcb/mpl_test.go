@@ -111,12 +111,12 @@ func TestMPLDeterminism(t *testing.T) {
 // TestMPLDeterminism already pins. The disk is sized so the log wraps and
 // cleaning genuinely runs.
 func TestMPLCleanerDeterminism(t *testing.T) {
-	const txns, mpl = 1200, 8
+	const mpl = 8
 	for _, kind := range []string{"user-lfs", "kernel-lfs"} {
 		t.Run(kind, func(t *testing.T) {
-			n := txns
+			n := 2400
 			if kind == "kernel-lfs" {
-				n = 3 * txns
+				n = 3600
 			}
 			type snapshot struct {
 				res  Result
@@ -127,10 +127,12 @@ func TestMPLCleanerDeterminism(t *testing.T) {
 			run := func() snapshot {
 				// The shrunken disk, sized for 800 transactions, makes the
 				// log wrap within the run, so the run exercises real
-				// cleaning, not an idle no-op: 1,200 transactions on
+				// cleaning, not an idle no-op: 2,400 transactions on
 				// user-lfs (800 no longer wrap its log: most commit forces
-				// write one summary block), 3,600 on kernel-lfs, whose
-				// commit forces are one summary block too.
+				// write one summary block; 1,200 no longer do once a WAL
+				// block parked durable in the stage stops refusing them),
+				// 3,600 on kernel-lfs, whose commit forces are one summary
+				// block too.
 				rig, err := BuildRig(RigOptions{
 					Kind:         kind,
 					Config:       smallCfg(),

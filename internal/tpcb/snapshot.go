@@ -129,15 +129,17 @@ func (s *Snapshot) Render() string {
 			d.Reads, d.BlocksRead, d.Writes, d.BlocksWrit, d.BusyTime, d.QueueTime)
 	}
 	if f := s.LFS; f != nil {
-		fmt.Fprintf(&b, "lfs: %d partial segments, %d blocks logged (%d summary, %d inode pack, %d pointer), %d segment-tail blocks skipped, %d checkpoints, %d flushes of a full stage; %s\n",
-			f.PartialSegments, f.BlocksLogged, f.SummaryBlocks, f.InodePackBlocks, f.PointerBlocks, f.SkippedTailBlocks, f.Checkpoints, f.StagedFlushes, writeBehind(f.WriteBehind))
+		fmt.Fprintf(&b, "lfs: %d partial segments, %d blocks logged (%d summary, %d inode pack, %d pointer), %d segment-tail blocks skipped, %d checkpoints, %d flushes of a full stage, %d fetches served by the stage; %s\n",
+			f.PartialSegments, f.BlocksLogged, f.SummaryBlocks, f.InodePackBlocks, f.PointerBlocks, f.SkippedTailBlocks, f.Checkpoints, f.StagedFlushes, f.StageHits, writeBehind(f.WriteBehind))
 		if forces := f.SummaryOnlyForces + f.FullForces; forces > 0 {
 			force := "File.Sync" // a user-level rig's commit force; the embedded manager's is FlushCommit
 			if s.Embedded != nil {
 				force = "FlushCommit"
 			}
-			fmt.Fprintf(&b, "lfs: %d %s forces, %d summary-only (%.1f %%, %d bytes in patches), %d with blocks\n",
-				forces, force, f.SummaryOnlyForces, 100*perTxn(f.SummaryOnlyForces, int(forces)), f.PatchBytes, f.FullForces)
+			c := f.FullForceCauses
+			fmt.Fprintf(&b, "lfs: %d %s forces, %d summary-only (%.1f %%, %d bytes in patches, %d pages read back from the stage), %d with blocks (%d no delta, %d undurable staged block, %d inode pack, %d summary room, %d cleared pointers)\n",
+				forces, force, f.SummaryOnlyForces, 100*perTxn(f.SummaryOnlyForces, int(forces)), f.PatchBytes, f.StagedPatched, f.FullForces,
+				c.NoDelta, c.StagedUndurable, c.InodePack, c.SummaryRoom, c.PtrsCleared)
 		}
 		cl := f.Cleaner
 		fmt.Fprintf(&b, "cleaner: %d segments cleaned in %d passes, %d blocks copied, %d dead, busy %v (%.1f%% of elapsed), write amplification %.2f×\n",

@@ -150,7 +150,7 @@ func (fs *FS[N]) writeAt(in N, p []byte, off int64) (int, error) {
 			fetch = nil
 		}
 		fresh := fetch == nil && fs.ops.Note != nil && fs.ops.Pool.Lookup(id) == nil
-		b, err := fs.ops.Pool.Get(id, fetch)
+		b, err := fs.ops.Pool.GetForWrite(id, fetch)
 		if err != nil {
 			return n, err
 		}
