@@ -12,8 +12,10 @@
 //     of updated pages remain in the log until cleaned), and
 //   - forcing every page the committing transactions dirtied guarantees
 //     after-images. The paper writes each page whole; here the force writes
-//     only the bytes that changed when they fit one summary block
-//     (lfs.FS.FlushCommit), and the pages follow whole by write-behind.
+//     the changed bytes as patch records in summary blocks
+//     (lfs.FS.FlushCommit; all of a page's bytes when its changes are not
+//     known), and the pages follow whole later, by write-behind, the cleaner
+//     or a checkpoint.
 //
 // Therefore the only machinery added to the "kernel" is lock management and
 // transaction management (§4): a lock table keyed by (file, block), a

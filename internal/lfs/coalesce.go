@@ -58,5 +58,5 @@ func (fs *FS) Coalesce(path string) error {
 	// by logical block number and invokes the cleaner if segments run
 	// low), so the partial segments written here hold the file in logical
 	// order — the post-coalesce layout is sequential.
-	return fs.flushLocked(map[Ino]bool{in.Ino: true}, false, nil)
+	return fs.flushLocked(map[Ino]bool{in.Ino: true}, false)
 }

@@ -55,10 +55,10 @@ type Stats struct {
 	// SkippedTailBlocks counts the blocks left unwritten at the end of the
 	// segments the log head moved past.
 	SkippedTailBlocks int64 `json:"skipped_tail_blocks"`
-	// Commit forces (File.Sync, FlushCommit): SummaryOnlyForces wrote one
-	// summary block whose patch records carried PatchBytes bytes (a
-	// FlushCommit's may add an inode pack); FullForces wrote blocks whole,
-	// FullForceCauses says why.
+	// Commit forces (File.Sync, FlushCommit): SummaryOnlyForces wrote summary
+	// blocks whose patch records carried PatchBytes bytes (one, or a
+	// FlushCommit's chain with its packs and pointer blocks); FullForces are
+	// the File.Syncs that logged blocks whole, FullForceCauses says why.
 	SummaryOnlyForces int64       `json:"summary_only_forces"`
 	PatchBytes        int64       `json:"patch_bytes"`
 	FullForces        int64       `json:"full_forces"`
@@ -74,12 +74,12 @@ type Stats struct {
 	WriteBehind disk.BgTimes `json:"write_behind"`
 }
 
-// ForceCauses splits Stats.FullForces by what refused the summary-only force
-// (planForceLocked); they sum to FullForces.
+// ForceCauses splits Stats.FullForces by what refused File.Sync the
+// summary-only force (planForceLocked); they sum to FullForces.
 type ForceCauses struct {
-	NoDelta         int64 `json:"no_delta"`         // a page's changed ranges were not known
-	StagedUndurable int64 `json:"staged_undurable"` // a File.Sync's file had a staged block that is not its durable image
-	InodePack       int64 `json:"inode_pack"`       // a File.Sync had to pack its inode
+	NoDelta         int64 `json:"no_delta"`         // a dirty block's changed ranges were not known
+	StagedUndurable int64 `json:"staged_undurable"` // the file had a staged block that is not its durable image
+	InodePack       int64 `json:"inode_pack"`       // the file's inode had to be packed
 	SummaryRoom     int64 `json:"summary_room"`     // the changed ranges did not fit the summary block
 	PtrsCleared     int64 `json:"ptrs_cleared"`     // a truncate had cleared pointers, which the force must log
 }
@@ -444,8 +444,8 @@ func (fs *FS) maybeFlushStageLocked() error {
 }
 
 // writeBehindLocked runs fn, log writes no caller waits for, on the device's
-// background lane: a full stage, the blocks a whole-page commit force leaves
-// behind, the patched blocks a checkpoint logs. Inside another background
+// background lane: a full stage, the patched blocks a checkpoint logs. Inside
+// another background
 // flush, or a cleaning pass, it simply runs as part of it: a pass is charged
 // its way, whatever it writes (cleanLocked).
 func (fs *FS) writeBehindLocked(what string, fn func() error) error {
@@ -535,13 +535,13 @@ func (fs *FS) Sync() error {
 
 // Flush writes all dirty (unheld) buffers to the log without checkpointing.
 func (fs *FS) Flush() error {
-	return fs.flushLocked(nil, false, nil)
+	return fs.flushLocked(nil, false)
 }
 
 // FlushFile forces one file's dirty (unheld) blocks and meta-data to the
 // log whole, with the pointer blocks deferred as in a commit force.
 func (fs *FS) FlushFile(ino vfs.FileID) error {
-	return fs.flushLocked(map[Ino]bool{Ino(ino): true}, true, nil)
+	return fs.flushLocked(map[Ino]bool{Ino(ino): true}, true)
 }
 
 // CommitPage is one page of a group-commit batch handed to FlushCommit.
@@ -556,19 +556,14 @@ type CommitPage struct {
 
 // FlushCommit forces a group-commit batch to the log atomically — the
 // embedded transaction manager's commit force (§4.3: "the kernel flushes them
-// to disk and releases locks when the writes have completed"). It logs the
-// committed image of exactly the listed (held) pages; no other held page is
-// written, so the log never receives an uncommitted byte.
-//
-// When the pages' changed ranges are known and fit a summary block, that is
-// one partial segment of no data blocks: its patch records carry the ranges,
-// and an inode pack follows only where a file's attributes changed. The pages
-// stay dirty (Patched) until write-behind, the cleaner or a checkpoint logs
-// them whole. Otherwise the pages go to the log whole, with the meta-data of
-// their files, as one partial-segment stream, and the files' other dirty and
-// staged blocks follow on the write-behind lane; a page logged from its
-// resident buffer comes back clean, one logged from an override image stays
-// dirty, with the buffer's diff from the image as its delta.
+// to disk and releases locks when the writes have completed"). It makes
+// durable the committed image of exactly the listed (held) pages, so the log
+// never receives an uncommitted byte: a chain of summary-only partial segments
+// whose patch records carry each page's changed ranges, or its whole image
+// where those are not known, with inode packs where a file's attributes
+// changed and pointer blocks where a truncate cleared pointers
+// (planForceLocked). The pages stay dirty (Patched) until write-behind, the
+// cleaner or a checkpoint logs them whole.
 func (fs *FS) FlushCommit(pages []CommitPage) error {
 	set := make(map[Ino]bool)
 	for _, cp := range pages {

@@ -190,12 +190,17 @@ func (fs *FS) rediffLocked(b *buffer.Buf, logged []byte) {
 }
 
 // knownHoleLocked reports whether block id is a hole, as far as the inode
-// and its single indirect block tell without a read: a block behind an
-// unloaded pointer block, or in the double-indirect range (past 2 MB of
-// file), counts as no hole. (A hole with bytes in patches is dirty or
-// staged, so noteWrite never asks about one.)
+// and its single indirect block tell without a read: a block at or past the
+// size (ufs raises it after a write's last block) is one, unless a truncate's
+// cleared pointers are not logged yet; below it, a block behind an unloaded
+// pointer block, or in the double-indirect range, counts as no hole. (A hole
+// with bytes in patches is dirty or staged, so noteWrite never asks.)
 func (fs *FS) knownHoleLocked(in *inode, id buffer.BlockID) bool {
 	switch lbn := id.Block; {
+	case in.ptrsCleared:
+		return false
+	case lbn*int64(fs.blockSize) >= in.Size:
+		return true
 	case lbn < NDirect:
 		return in.direct[lbn] == 0
 	case lbn >= NDirect+nptr(fs.blockSize):
@@ -224,70 +229,84 @@ func (fs *FS) Patched(id buffer.BlockID) bool {
 }
 
 // summaryForce is what a summary-only commit force writes: patch records in
-// block order, the files whose inodes it packs, and the pages the patches
-// were built from.
+// block order, the files whose inodes or cleared pointers it logs, and the
+// pages the patches were built from.
 type summaryForce struct {
 	patches []patch
-	packed  []Ino
+	files   []Ino
 	pages   []CommitPage
 }
 
-// planForceLocked returns the summary-only force of the files in set, or the
-// FullForceCauses counter of what refuses one: a file had pointers cleared by
-// a truncate (or its inode cannot be loaded, which the full force then
-// reports), or some page's changed ranges are unknown or do not fit one
-// summary beside the pending deletion records and the inode-pack entries. A
-// page's patches take their bytes from its Image, else from its resident
-// buffer.
+// planForceLocked returns the summary-only force of the files in set. A page's
+// patches take their bytes from its Image, else from its resident buffer.
 //
-// File.Sync (commit nil) forces every dirty block of its file, and only a
-// file that needs no inode pack and whose staged blocks are all durable
-// (writeback). A group-commit batch (FlushCommit) forces exactly its pages,
-// and packs the inodes whose attributes changed; its files' other dirty and
-// staged blocks carry no committed byte that is not durable already, and wait
-// for write-behind.
-func (fs *FS) planForceLocked(set map[Ino]bool, commit []CommitPage) (summaryForce, *int64) {
+// File.Sync (commit nil) forces every dirty block of its file, and only a file
+// that needs no inode pack, has no pointers a truncate cleared, whose staged
+// blocks are all durable (writeback) and whose changed ranges are known and
+// fit one summary beside the pending deletion records; else planning returns
+// the FullForceCauses counter of what refused.
+//
+// A group-commit batch (FlushCommit) is never refused. It forces exactly its
+// pages, one with unknown ranges as patches covering its whole committed image,
+// which roll-forward lays over any base, and the inodes and cleared pointer
+// blocks of its files. Their other dirty and staged blocks carry no committed
+// byte that is not durable already.
+func (fs *FS) planForceLocked(set map[Ino]bool, commit []CommitPage) (summaryForce, *int64, error) {
 	causes := &fs.stats.FullForceCauses
 	f := summaryForce{pages: commit}
 	for _, ino := range detsort.Keys(set) {
 		in, err := fs.loadInode(ino)
-		if err != nil || in.ptrsCleared {
-			return summaryForce{}, &causes.PtrsCleared
+		if err != nil {
+			return summaryForce{}, nil, err
 		}
-		if fs.packsLocked(in, true) {
-			f.packed = append(f.packed, ino)
-		}
-		if commit != nil {
+		switch {
+		case commit != nil:
+			if in.ptrsCleared || fs.packsLocked(in, true) {
+				f.files = append(f.files, ino)
+			}
 			continue
-		}
-		if len(f.packed) > 0 {
-			return summaryForce{}, &causes.InodePack
+		case in.ptrsCleared:
+			return summaryForce{}, &causes.PtrsCleared, nil
+		case fs.packsLocked(in, true):
+			return summaryForce{}, &causes.InodePack, nil
 		}
 		file := vfs.FileID(ino)
 		for _, id := range fs.stage.Blocks(func(g buffer.FileID) bool { return g == file }) {
 			if !fs.stage.Durable(id) {
-				return summaryForce{}, &causes.StagedUndurable
+				return summaryForce{}, &causes.StagedUndurable, nil
 			}
 		}
 		for _, b := range fs.pool.DirtyFile(file) {
 			f.pages = append(f.pages, CommitPage{ID: b.ID})
 		}
 	}
-	packCap := maxInodesPerPack(fs.blockSize)
-	room := patchRoom(fs.blockSize, len(fs.pendingDel)+(len(f.packed)+packCap-1)/packCap)
+	room := patchRoom(fs.blockSize, len(fs.pendingDel))
 	size := 0
 	for _, cp := range f.pages {
 		b := fs.pool.Lookup(cp.ID)
 		d, ok := fs.deltas[cp.ID]
-		if b == nil || !ok || d.buf != b {
-			return summaryForce{}, &causes.NoDelta
-		}
-		if size += d.size; size > room {
-			return summaryForce{}, &causes.SummaryRoom
+		known := b != nil && ok && d.buf == b
+		if commit == nil {
+			if !known {
+				return summaryForce{}, &causes.NoDelta, nil
+			}
+			if size += d.size; size > room {
+				return summaryForce{}, &causes.SummaryRoom, nil
+			}
 		}
 		data := cp.Image
-		if data == nil {
+		switch {
+		case data != nil:
+		case b == nil:
+			return summaryForce{}, nil, fmt.Errorf("lfs: commit page %v is not resident", cp.ID)
+		case !b.Dirty():
+			continue // its last logged copy
+		default:
 			data = b.Data
+		}
+		if !known {
+			f.patches = append(f.patches, patch{Ino: Ino(cp.ID.File), LBN: cp.ID.Block, Data: data})
+			continue
 		}
 		for _, r := range d.ranges() {
 			f.patches = append(f.patches, patch{Ino: Ino(cp.ID.File), LBN: cp.ID.Block, Off: r.lo, Data: data[r.lo:r.hi]})
@@ -296,7 +315,7 @@ func (fs *FS) planForceLocked(set map[Ino]bool, commit []CommitPage) (summaryFor
 	slices.SortFunc(f.patches, func(a, b patch) int {
 		return cmp.Or(cmp.Compare(a.Ino, b.Ino), cmp.Compare(a.LBN, b.LBN), cmp.Compare(a.Off, b.Off))
 	})
-	return f, nil
+	return f, nil, nil
 }
 
 // syncLocked is ufs.Ops.Sync, File.Sync's force.
@@ -306,38 +325,34 @@ func (fs *FS) syncLocked(in *inode) error {
 }
 
 // forceLocked is a commit force of the files in set — File.Sync's, or a
-// group-commit batch's (commit, see FlushCommit): a summary-only partial when
-// planForceLocked allows one, else the commit-force flush of the files — of
-// a batch's pages only, the files' other blocks written behind it.
+// group-commit batch's (commit, see FlushCommit): a summary-only force when
+// planForceLocked allows one, else File.Sync's flush of the file whole.
 func (fs *FS) forceLocked(set map[Ino]bool, commit []CommitPage) error {
-	f, refused := fs.planForceLocked(set, commit)
-	if refused == nil && !fs.cleaning && fs.free < cleanThreshold {
+	f, refused, err := fs.planForceLocked(set, commit)
+	if err == nil && refused == nil && !fs.cleaning && fs.free < cleanThreshold {
 		// The cleaner may log some of the blocks whole.
-		if err := fs.cleanLocked(); err != nil {
-			return err
+		if err = fs.cleanLocked(); err == nil {
+			f, refused, err = fs.planForceLocked(set, commit)
 		}
-		f, refused = fs.planForceLocked(set, commit)
+	}
+	if err != nil {
+		return err
 	}
 	if refused != nil {
 		span := fs.tracer.Begin("lfs", "lfs.fullForce")
 		partials, logged := fs.stats.PartialSegments, fs.stats.BlocksLogged
-		err := fs.flushLocked(set, true, commit)
+		err := fs.flushLocked(set, true)
 		if fs.stats.PartialSegments > partials {
 			fs.stats.FullForces++
 			*refused++
 		}
 		span.End(trace.AI("blocks", fs.stats.BlocksLogged-logged))
-		if err != nil || commit == nil {
-			return err
-		}
-		// The batch's files' other dirty and staged blocks hold committed
-		// bytes that are durable already, in the log or in its patches.
-		return fs.writeBehindLocked("force", func() error { return fs.flushLocked(set, true, nil) })
+		return err
 	}
-	if len(f.patches) == 0 && len(f.packed) == 0 && len(fs.pendingDel) == 0 {
+	if len(f.patches) == 0 && len(f.files) == 0 && len(fs.pendingDel) == 0 {
 		return nil // every change is durable already
 	}
-	if err := fs.writePartialLocked(nil, f.packed, true, f.patches); err != nil {
+	if err := fs.writeSummaryChainLocked(f.files, f.patches); err != nil {
 		return err
 	}
 	fs.stats.SummaryOnlyForces++
@@ -347,22 +362,28 @@ func (fs *FS) forceLocked(set map[Ino]bool, commit []CommitPage) error {
 	}
 	checkpoint := fs.seq-fs.cpBound >= uint64(fs.opts.CheckpointEvery)
 	for _, cp := range f.pages {
+		b := fs.pool.Lookup(cp.ID)
 		data := cp.Image
 		if data == nil {
-			// The buffer is what the log now holds. A page logged from an
-			// Image keeps its ranges: they still cover its running writer's
-			// bytes.
-			data = fs.pool.Lookup(cp.ID).Data
-			fs.deltas[cp.ID] = delta{buf: fs.deltas[cp.ID].buf}
+			data = b.Data
+		}
+		// The page's durable image is now data, which a buffer differs from
+		// by its diff; one patched from an Image keeps a known delta's
+		// ranges, which still cover its running writer's bytes.
+		if d, ok := fs.deltas[cp.ID]; cp.Image == nil || !ok || d.buf != b {
+			if b != nil && b.Dirty() {
+				fs.rediffLocked(b, data)
+			}
 		}
 		// A staged copy stays the page's durable image: a flush or the
-		// cleaner may log it whole in place of the patches. A checkpoint
-		// logs a batch's patched pages from their committed images, staged.
+		// cleaner may log it whole in place of the patches. A page not
+		// resident, and a batch's patched pages at a checkpoint, are logged
+		// from their committed images, staged.
 		_, parked := fs.stage.Lookup(cp.ID)
 		if parked {
 			fs.stats.StagedPatched++
 		}
-		if parked || checkpoint && commit != nil && fs.Patched(cp.ID) {
+		if parked || b == nil || checkpoint && commit != nil && fs.Patched(cp.ID) {
 			copy(fs.stage.Frame(cp.ID, true), data)
 		}
 	}
@@ -370,6 +391,44 @@ func (fs *FS) forceLocked(set map[Ino]bool, commit []CommitPage) error {
 		return nil
 	}
 	return fs.writeCheckpointLocked()
+}
+
+// writeSummaryChainLocked writes a summary-only force: the inodes and cleared
+// pointer blocks of files, then patches, split where a summary fills, in as
+// few partial segments as their summaries hold. Every partial but the last
+// carries sumFlagCont, so roll-forward applies the force whole or not at all.
+// The chain triggers no cleaning, which could log a block whole from bytes
+// older than the chain's patches of it; its segment advances may dig into the
+// reserve cleanThreshold maintains.
+func (fs *FS) writeSummaryChainLocked(files []Ino, patches []patch) error {
+	defer func() { fs.chainCont = false }()
+	done := 0 // bytes of patches[0] an earlier partial carried
+	for {
+		_, nf, blocks, err := fs.chunkLen(nil, files, true, fs.partialBudget())
+		if err != nil {
+			return err
+		}
+		chunk := files[:nf]
+		files = files[nf:]
+		room := patchRoom(fs.blockSize, blocks-1) // an entry per block after the summary
+		var these []patch
+		for len(patches) > 0 && room > patchHeaderSize {
+			p := patches[0]
+			n := min(len(p.Data)-done, room-patchHeaderSize)
+			these = append(these, patch{Ino: p.Ino, LBN: p.LBN, Off: p.Off + done, Data: p.Data[done : done+n]})
+			room -= patchHeaderSize + n
+			if done += n; done == len(p.Data) {
+				patches, done = patches[1:], 0
+			}
+		}
+		fs.chainCont = len(files) > 0 || len(patches) > 0
+		if err := fs.writePartialLocked(nil, chunk, true, these); err != nil {
+			return err
+		}
+		if !fs.chainCont {
+			return nil
+		}
+	}
 }
 
 // keepPatchLocked keeps a copy of p, just logged, until its block is logged

@@ -258,7 +258,7 @@ func TestFlushFileNeverPatches(t *testing.T) {
 	if _, err := f.WriteAt([]byte("FlushFile"), 20); err != nil {
 		t.Fatal(err)
 	}
-	if _, refused := fs.planForceLocked(map[Ino]bool{ino: true}, nil); refused != nil {
+	if _, refused, err := fs.planForceLocked(map[Ino]bool{ino: true}, nil); err != nil || refused != nil {
 		t.Fatal("File.Sync could not patch the change; the comparison needs it to")
 	}
 	before := fs.Stats()

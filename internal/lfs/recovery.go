@@ -141,7 +141,7 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 // checkpointLocked flushes all dirty state and writes a checkpoint to the
 // alternate region.
 func (fs *FS) checkpointLocked() error {
-	if err := fs.flushLocked(nil, false, nil); err != nil {
+	if err := fs.flushLocked(nil, false); err != nil {
 		return err
 	}
 	return fs.writeCheckpointLocked()

@@ -3,7 +3,6 @@ package lfs
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/buffer"
 	"repro/internal/detsort"
@@ -18,28 +17,22 @@ type dataItem struct {
 
 // flushLocked writes dirty state to the log as one or more partial segments.
 // If only is non-nil, just the listed files (plus pending deletion records)
-// are written — the commit-force path. When deferPtr is set (commit forces),
+// are written — File.Sync's full force and FlushFile. When deferPtr is set,
 // dirty indirect-pointer blocks stay in memory: the partial segment's
 // summary records every data block's (inode, logical block) pair, so
 // roll-forward can reconstruct the pointers after a crash — the same trick
 // that lets real LFS implementations keep fsync cheap. Full flushes
-// (deferPtr false) write the pointer blocks out, and so does a commit force
-// for a file a truncate shrank (inode.ptrsCleared). commit is a group-commit
-// batch's page set (FlushCommit): the only held pages a flush may write.
-func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage) error {
+// (deferPtr false) write the pointer blocks out, and so does a forced flush
+// of a file a truncate shrank (inode.ptrsCleared). Held pages are
+// uncommitted and stay out of every flush.
+func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool) error {
 	if !fs.cleaning && fs.free < cleanThreshold {
 		if err := fs.cleanLocked(); err != nil {
 			return err
 		}
 	}
 
-	// logged is the part of commit already in the log: a re-gather after a
-	// mid-flush cleaning pass must not write it again.
-	var logged map[buffer.BlockID]bool
-	items, files, err := fs.gatherLocked(only, deferPtr, commit, logged)
-	if err != nil {
-		return err
-	}
+	items, files := fs.gatherLocked(only, deferPtr)
 	if len(items) == 0 && len(files) == 0 && len(fs.pendingDel) == 0 {
 		return nil
 	}
@@ -65,10 +58,7 @@ func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage)
 			if fs.free != lastCleanFree {
 				lastCleanFree = -1 // progress: cleaning may be retried
 			}
-			items, files, err = fs.gatherLocked(only, deferPtr, commit, logged)
-			if err != nil {
-				return err
-			}
+			items, files = fs.gatherLocked(only, deferPtr)
 			continue
 		}
 		chunk, chunkFiles, err := fs.takeChunk(&items, &files, deferPtr)
@@ -81,14 +71,6 @@ func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage)
 		fs.chainCont = len(items) > 0 || len(files) > 0
 		if err := fs.writePartialLocked(chunk, chunkFiles, deferPtr, nil); err != nil {
 			return err
-		}
-		if len(commit) > 0 && fs.chainCont {
-			if logged == nil {
-				logged = make(map[buffer.BlockID]bool)
-			}
-			for _, it := range chunk {
-				logged[it.id] = true
-			}
 		}
 	}
 	fs.chainCont = false
@@ -107,51 +89,18 @@ func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage)
 	return nil
 }
 
-// gatherLocked collects the dirty data blocks (pool + stage) and the set
-// of files whose meta-data needs rewriting. Held pages are uncommitted and
-// stay out of every flush, with one exception: commit lists the pages of a
-// group-commit batch, each with the image to log (see CommitPage). A batch
-// takes exactly its pages: its files' other dirty and staged blocks are left
-// to write-behind (forceLocked). Pages in logged were written by an earlier
-// partial of the same flush.
-func (fs *FS) gatherLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage, logged map[buffer.BlockID]bool) ([]dataItem, []Ino, error) {
+// gatherLocked collects the dirty, unheld data blocks (pool + stage) and the
+// set of files whose meta-data needs rewriting.
+func (fs *FS) gatherLocked(only map[Ino]bool, deferPtr bool) ([]dataItem, []Ino) {
 	want := func(ino Ino) bool { return only == nil || only[ino] }
 
 	var items []dataItem
 	for _, b := range fs.pool.Dirty() {
-		if commit != nil || !want(Ino(b.ID.File)) {
-			continue
+		if want(Ino(b.ID.File)) {
+			items = append(items, dataItem{id: b.ID, buf: b, data: b.Data})
 		}
-		items = append(items, dataItem{id: b.ID, buf: b, data: b.Data})
-	}
-	commitIDs := make(map[buffer.BlockID]bool, len(commit))
-	for _, cp := range commit {
-		if logged[cp.ID] {
-			continue
-		}
-		commitIDs[cp.ID] = true
-		if cp.Image != nil {
-			// buf stays nil: the resident page carries a running
-			// transaction's bytes beyond this image and remains dirty.
-			items = append(items, dataItem{id: cp.ID, data: cp.Image})
-			continue
-		}
-		b := fs.pool.Lookup(cp.ID)
-		if b == nil {
-			return nil, nil, fmt.Errorf("lfs: commit page %v is not resident", cp.ID)
-		}
-		items = append(items, dataItem{id: cp.ID, buf: b, data: b.Data})
 	}
 	for _, id := range fs.stage.Blocks(func(f buffer.FileID) bool { return want(Ino(f)) }) {
-		if commitIDs[id] {
-			// The commit's after-image of this block is being written in
-			// the same batch; the staged (older) copy is superseded.
-			fs.stage.Unpark(id)
-			continue
-		}
-		if commit != nil {
-			continue
-		}
 		// A resident buffer shadows the staged block; if it is dirty it was
 		// collected above, if clean the contents are identical and the staged
 		// copy is redundant — but the staged block may be a cleaner
@@ -164,47 +113,24 @@ func (fs *FS) gatherLocked(only map[Ino]bool, deferPtr bool, commit []CommitPage
 		data, _ := fs.stage.Lookup(id)
 		items = append(items, dataItem{id: id, data: data})
 	}
-	// Deterministic order: by file, then logical block.
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].id.File != items[j].id.File {
-			return items[i].id.File < items[j].id.File
-		}
-		return items[i].id.Block < items[j].id.Block
-	})
+	slices.SortFunc(items, func(a, b dataItem) int { return buffer.CompareBlockID(a.id, b.id) })
 
-	fileSet := make(map[Ino]bool)
+	hasData := make(map[Ino]bool)
 	for _, it := range items {
-		fileSet[Ino(it.id.File)] = true
+		hasData[Ino(it.id.File)] = true
 	}
-	// Files with dirty meta-data but no dirty data blocks.
-	for ino, in := range fs.inodes {
-		if !want(ino) || fileSet[ino] {
-			continue
-		}
-		if deferPtr {
-			// A file with nothing to pack and no data contributes no block:
-			// listing it would emit an empty partial.
-			if fs.packsLocked(in, true) {
-				fileSet[ino] = true
-			}
-		} else if fs.inodeMetaDirty(in) {
-			fileSet[ino] = true
-		}
-	}
+	// Files with dirty meta-data but no dirty data blocks. Under deferPtr a
+	// file with nothing to pack contributes no block: listing it would emit
+	// an empty partial.
 	var metaOnly []Ino
-	for _, ino := range detsort.Keys(fileSet) {
-		found := false
-		for _, it := range items {
-			if Ino(it.id.File) == ino {
-				found = true
-				break
-			}
-		}
-		if !found {
+	//simlint:ordered sorted below
+	for ino, in := range fs.inodes {
+		if want(ino) && !hasData[ino] && (deferPtr && fs.packsLocked(in, true) || !deferPtr && fs.inodeMetaDirty(in)) {
 			metaOnly = append(metaOnly, ino)
 		}
 	}
-	return items, metaOnly, nil
+	slices.Sort(metaOnly)
+	return items, metaOnly
 }
 
 // gatherRelocLocked builds a scoped work list for the cleaner: exactly the
@@ -489,8 +415,7 @@ func (c *chunkCost) set(at int, f fileCost) {
 // block. Work that fits one partial stays one partial, written where it fits
 // (writePartialLocked), so a commit force is never split at a boundary.
 func (fs *FS) takeChunk(items *[]dataItem, files *[]Ino, deferPtr bool) ([]dataItem, []Ino, error) {
-	budget := min(int(fs.sb.SegmentBlocks)-minSegmentTail, maxSummaryEntries(fs.blockSize)-16)
-	n, nf, cost, err := fs.chunkLen(*items, *files, deferPtr, budget)
+	n, nf, cost, err := fs.chunkLen(*items, *files, deferPtr, fs.partialBudget())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -509,6 +434,12 @@ func (fs *FS) takeChunk(items *[]dataItem, files *[]Ino, deferPtr bool) ([]dataI
 	chunk, chunkFiles := (*items)[:n:n], (*files)[:nf:nf]
 	*items, *files = (*items)[n:], (*files)[nf:]
 	return chunk, chunkFiles, nil
+}
+
+// partialBudget is the most blocks a partial segment is assembled to: a
+// segment less its tail, and fewer than its summary has entries for.
+func (fs *FS) partialBudget() int {
+	return min(int(fs.sb.SegmentBlocks)-minSegmentTail, maxSummaryEntries(fs.blockSize)-16)
 }
 
 // chunkLen returns how many leading items, and then files, make up one partial
@@ -784,9 +715,9 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 	fs.stats.PointerBlocks += kinds[kindInd] + kinds[kindDInd] + kinds[kindDChild]
 
 	// 5. The written blocks are now clean/persisted, their patches superseded.
-	// A dirty buffer logged from other bytes — a commit page's image, a
-	// staged copy — differs from the log by their diff, its delta from now
-	// on; a staged copy is read before Unpark recycles its frame.
+	// A dirty buffer logged from its staged copy differs from the log by
+	// their diff, its delta from now on; the copy is read before Unpark
+	// recycles its frame.
 	for _, it := range chunk {
 		delete(fs.deltas, it.id)
 		if it.buf != nil {

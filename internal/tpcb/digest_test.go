@@ -140,6 +140,7 @@ func TestDigestIgnoresTimingKnobs(t *testing.T) {
 		{"kernel-lfs cleaner sync vs idle", RigOptions{Kind: "kernel-lfs"}, RigOptions{Kind: "kernel-lfs", CleanerMode: "idle"}, 1},
 		{"user-lfs group commit 1 vs 8", RigOptions{Kind: "user-lfs"}, RigOptions{Kind: "user-lfs", GroupCommit: 8}, 8},
 		{"user-ffs log segments default vs 4 KB", RigOptions{Kind: "user-ffs"}, RigOptions{Kind: "user-ffs", LogSegmentBytes: 4096}, 1},
+		{"kernel-lfs group commit 8 vs 64", RigOptions{Kind: "kernel-lfs", GroupCommit: 8}, RigOptions{Kind: "kernel-lfs", GroupCommit: 64}, 64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var d [2]StateDigest
@@ -150,9 +151,16 @@ func TestDigestIgnoresTimingKnobs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				var chained func() int
+				if o.GroupCommit == 64 {
+					chained = countChains(rig)
+				}
 				res, err := rig.RunMPL(cfg, txns, tc.mpl)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if chained != nil && chained() == 0 {
+					t.Fatal("no batch outgrew a summary block: the row tests no chained commit force")
 				}
 				if d[i], err = Digest(rig); err != nil {
 					t.Fatal(err)
@@ -169,5 +177,41 @@ func TestDigestIgnoresTimingKnobs(t *testing.T) {
 				t.Errorf("balances %x and %x, history sets %x and %x", d[0].Balances, d[1].Balances, d[0].HistorySet, d[1].HistorySet)
 			}
 		})
+	}
+}
+
+// countChains watches a kernel rig's commit forces and returns a function that
+// reports how many so far were chains: two or more partial segments carrying
+// no data block, written back to back, that a force's completion follows. It
+// compares the file system's counters before every device write: a partial's
+// counters move right after its write, a force's right after its last partial.
+func countChains(rig *Rig) func() int {
+	n, run, last := 0, 0, rig.LFS.Stats()
+	see := func() {
+		st := rig.LFS.Stats()
+		meta := st.InodePackBlocks - last.InodePackBlocks + st.PointerBlocks - last.PointerBlocks
+		if st.PartialSegments == last.PartialSegments+1 && st.BlocksLogged-last.BlocksLogged == 1+meta {
+			run++
+		} else {
+			run = 0
+		}
+		if st.SummaryOnlyForces > last.SummaryOnlyForces {
+			if run >= 2 {
+				n++
+			}
+			run = 0
+		}
+		last = st
+	}
+	rig.Dev.SetFault(func(op string, _ int64) error {
+		if op == "write" {
+			see()
+		}
+		return nil
+	})
+	return func() int {
+		see()
+		rig.Dev.SetFault(nil)
+		return n
 	}
 }

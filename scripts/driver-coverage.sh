@@ -42,7 +42,7 @@ run tpcb -system user-ffs -scale 0.02 -txns 500 -mpl 8 -groupcommit 8
 run tpcb -system kernel-lfs -scale 0.02 -txns 500 -mpl 8 -groupcommit 8 -cleaner idle \
 	-metrics metrics.json -trace trace.json
 run tpcb -system user-lfs -scale 0.02 -txns 300 -fastsync -wallstats
-# A batch too large for one summary block: the whole-page commit force.
+# A batch too large for one summary block: a chain of summary-only partials.
 run tpcb -system kernel-lfs -scale 0.02 -txns 500 -mpl 64 -groupcommit 64
 # Hundreds of 4 KB log segments created and deleted beside the growing history
 # relation: the root directory shrinks, and the relation's blocks interleave
