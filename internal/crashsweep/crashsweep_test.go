@@ -272,7 +272,7 @@ func TestSweepKernelStagedSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSurvived(t, rep)
-	t.Logf("%d pages committed from the stage, %d stage hits, %d full-stage flushes; %s", st.StagedPatched, st.StageHits, st.StagedFlushes, rep)
+	t.Logf("%d pages committed from the stage, %d parked and %d kept stage hits, %d full-stage flushes; %s", st.StagedPatched, st.Stage.ParkedHits, st.Stage.KeptHits, st.StagedFlushes, rep)
 }
 
 // TestSweepSamplingCoversCheckpoints checks the dense sampler actually put

@@ -555,7 +555,9 @@ func (d *Device) StoredBlocks() int64 {
 }
 
 // ArmPosition reports the current arm position (block address) or -1 when
-// unknown. Useful in tests asserting sequential behaviour.
+// unknown: the block a sequential run would read next. The file systems'
+// fetch paths read such a block from the device rather than from their
+// stage, and tests assert sequential behaviour with it.
 //
 //simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (d *Device) ArmPosition() int64 {

@@ -49,6 +49,9 @@ type Stats struct {
 	BlocksFlushed int64 `json:"blocks_flushed"` // data blocks any flush wrote in place, from the cache or the stage
 	BlocksStaged  int64 `json:"blocks_staged"`  // dirty blocks the cache evicted into the stage
 	StagedFlushes int64 `json:"staged_flushes"` // sweeps of a full stage
+	// Stage counts the fetches the stage served instead of the disk, from
+	// parked and from kept blocks, and the kept blocks it reclaimed unread.
+	Stage ufs.StageStats `json:"stage"`
 	// Inode-table stores, split by who asked: File.Sync stores a slot only
 	// when the size, block map or an attribute changed (AttrDirty); a syncer
 	// pass or FS.Sync stores every inode that changed at all.
@@ -266,7 +269,9 @@ func (fs *FS) Pool() *buffer.Pool { return fs.pool }
 
 // Stats returns a snapshot of the counters.
 func (fs *FS) Stats() Stats {
-	return fs.stats
+	st := fs.stats
+	st.Stage = fs.stage.Stats()
+	return st
 }
 
 // SetTracer attaches a tracer; sweeps of a full stage then emit
@@ -330,10 +335,13 @@ func (fs *FS) writeback(id buffer.BlockID, data []byte) error {
 }
 
 // fetchBlock loads a block on cache miss: from the stage if it is parked
-// there, else from its in-place address.
+// there, else from its in-place address — from the stage too while it is kept
+// there, unless the arm sits on the block. The disk charges half a rotation
+// to resume a sequential run a cache hit broke, so a scan reading on through
+// the file keeps reading. The block leaves the stage: the cache's copy is the
+// one that counts now.
 func (fs *FS) fetchBlock(id buffer.BlockID, dst []byte) error {
-	if data, ok := fs.stage.Lookup(id); ok {
-		copy(dst, data)
+	if fs.stage.ReadParked(id, dst) {
 		return nil
 	}
 	in, err := fs.loadInodeLocked(Ino(id.File))
@@ -342,9 +350,12 @@ func (fs *FS) fetchBlock(id buffer.BlockID, dst []byte) error {
 	}
 	addr := in.mapBlock(id.Block)
 	if addr == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
+		return nil
+	}
+	hit := addr != fs.dev.ArmPosition() && fs.stage.ReadKept(id, dst)
+	fs.stage.Unpark(id)
+	if hit {
 		return nil
 	}
 	return fs.dev.Read(addr, dst)
@@ -451,9 +462,14 @@ func (fs *FS) flushLocked(only *Ino, cached bool) (int, error) {
 	}
 	for _, b := range dirty {
 		fs.pool.MarkClean(b)
+		fs.stage.Unpark(b.ID)
 	}
 	for _, id := range staged {
-		fs.stage.Unpark(id)
+		if fs.pool.Lookup(id) == nil {
+			fs.stage.Keep(id)
+		} else {
+			fs.stage.Unpark(id)
+		}
 	}
 	return total, nil
 }

@@ -10,8 +10,16 @@ import (
 // TestScanSweepShape runs the mixed OLTP + scan sweep at the CI scale and
 // checks its acceptance shape: snapshot scans run lock-free on both LFS
 // systems (scan-attributable lock time zero, asked mode honored), user-ffs
-// degrades honestly to locking, and locking-mode scans cost the lock manager
-// more blocked time than snapshot-mode ones on the kernel system.
+// degrades honestly to locking, and locking-mode scans cost the kernel
+// system's writers throughput that snapshot-mode ones do not.
+//
+// The cost is read from the writers' TPS, not from the lock manager's total
+// blocked time: at this scale every TPC-B transaction updates the one branch
+// record, so most blocked time is writers waiting on writers, and it grows
+// with their throughput. Snapshot scans take no locks, so the writers beside
+// them block about as long as with no scan at all; writers held back by
+// locking scans commit more slowly and so queue less on the branch, which can
+// leave the total lower even though the scans cost them throughput.
 func TestScanSweepShape(t *testing.T) {
 	rep, err := Scan(smallOpts())
 	if err != nil {
@@ -62,12 +70,9 @@ func TestScanSweepShape(t *testing.T) {
 	}
 	lockRow := rep.Rows[rows[key{"kernel-lfs", tpcb.ScanLocking}]]
 	snapRow := rep.Rows[rows[key{"kernel-lfs", tpcb.ScanSnapshot}]]
-	if lockRow.Locks == nil || snapRow.Locks == nil {
-		t.Fatal("kernel rows missing lock sections")
-	}
-	if lockRow.Locks.BlockedTime <= snapRow.Locks.BlockedTime {
-		t.Errorf("locking scans should cost more lock-blocked time than snapshot scans: %v <= %v",
-			lockRow.Locks.BlockedTime, snapRow.Locks.BlockedTime)
+	if lockRow.Scan.WriterTPS >= snapRow.Scan.WriterTPS {
+		t.Errorf("locking scans should cost the writers more throughput than snapshot scans: %.2f >= %.2f writer TPS",
+			lockRow.Scan.WriterTPS, snapRow.Scan.WriterTPS)
 	}
 	s := rep.String()
 	if !strings.Contains(s, "writerTPS") || !strings.Contains(s, "kernel-lfs") {

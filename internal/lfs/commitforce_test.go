@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/buffer"
+	"repro/internal/detsort"
 	"repro/internal/disk"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -1049,5 +1050,47 @@ func checkChunkCost(t *testing.T, fs *FS, items []dataItem, metaOnly []Ino, defe
 	}
 	for _, ino := range metaOnly {
 		add(ino, -1)
+	}
+}
+
+// TestMountLoadsEveryIndirectBlock pins the invariant knownHoleLocked rests
+// on: after Mount, every inode is loaded, and one with a single indirect
+// block on the log has it loaded too.
+func TestMountLoadsEveryIndirectBlock(t *testing.T) {
+	fs, _, _ := newFS(t)
+	bs := fs.BlockSize()
+	writeFile(t, fs, "/small", pattern(3*bs, 1))
+	writeFile(t, fs, "/big", pattern((NDirect+5)*bs, 2))
+	writeFile(t, fs, "/sparse", nil)
+	f, err := fs.Open("/sparse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(pattern(bs, 3), int64(NDirect+40)*int64(bs)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fs = remount(t, fs)
+	if len(fs.inodes) != len(fs.imap) {
+		t.Fatalf("Mount loaded %d of %d inodes", len(fs.inodes), len(fs.imap))
+	}
+	withInd := 0
+	for _, ino := range detsort.Keys(fs.inodes) {
+		in := fs.inodes[ino]
+		if in.indAddr == 0 {
+			continue
+		}
+		withInd++
+		if in.ind == nil || in.ind.addr != in.indAddr {
+			t.Errorf("inode %d: indirect block at %d not loaded after Mount", ino, in.indAddr)
+		}
+	}
+	if withInd != 2 {
+		t.Fatalf("%d inodes have an indirect block on the log, want /big's and /sparse's", withInd)
 	}
 }

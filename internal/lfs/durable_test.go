@@ -97,12 +97,12 @@ func (s *stagedScript) evict() error {
 // readBack reads block 1 of /f, from the stage, and checks its bytes.
 func (s *stagedScript) readBack() error {
 	bs := s.fs.BlockSize()
-	hits := s.fs.Stats().StageHits
+	hits := s.fs.Stats().Stage.ParkedHits
 	got := make([]byte, bs)
 	if _, err := s.f.ReadAt(got, int64(bs)); err != nil {
 		return err
 	}
-	if s.fs.Stats().StageHits != hits+1 {
+	if s.fs.Stats().Stage.ParkedHits != hits+1 {
 		return fmt.Errorf("block 1 was not read back from the stage")
 	}
 	if !bytes.Equal(got, s.im.edited[1]) {

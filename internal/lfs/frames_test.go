@@ -11,9 +11,11 @@ import (
 )
 
 // A dirty block evicted from the cache is parked in one of the stage's frames
-// until the next partial segment carries it. The frame goes back once that
-// write has returned: parked bytes held past it read poison, and the segment
-// writer's scratch keeps taking the same frames.
+// until the next partial segment carries it, and kept there once the write has
+// returned, until a later park needs the frame: bytes held past the flush
+// still read the block, the park that reclaims the frame refills it with its
+// own block, and once that block's file goes the frame reads poison. The
+// segment writer's scratch keeps taking the same frames.
 func TestParkedBlocksAndSegmentScratchAreRecycled(t *testing.T) {
 	clk := sim.NewClock()
 	dev := disk.New(sim.SmallModel(), clk)
@@ -45,16 +47,44 @@ func TestParkedBlocksAndSegmentScratchAreRecycled(t *testing.T) {
 		}
 		return parked
 	}
+	block0 := buffer.BlockID{File: f.ID(), Block: 0}
+	scratch := make([]byte, bs)
 	parked := round(1)
-	if !bytes.Equal(parked, bytes.Repeat([]byte{frame.Poison}, bs)) {
-		t.Fatalf("parked bytes held past the flush must read poison, got % x", parked[:8])
+	if !bytes.Equal(parked, bytes.Repeat([]byte{1}, bs)) || !fs.stage.ReadKept(block0, scratch) {
+		t.Fatalf("block 0 must stay kept in its frame past the flush, got % x", parked[:8])
 	}
 	highWater := fs.frames.Free()
 	for seed := byte(2); seed < 12; seed++ {
-		round(seed)
+		parked = round(seed)
 	}
 	if n := fs.stage.Len(); n != 0 {
 		t.Fatalf("%d blocks still parked after a flush", n)
+	}
+	// Evictions of a second file's blocks need frames: the oldest kept ones,
+	// block 0 among the first, go to them.
+	g, err := fs.Create("/g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; fs.stage.ReadKept(block0, scratch); i++ {
+		if i == int(fs.sb.SegmentBlocks) {
+			t.Fatal("a stage's worth of new parked blocks did not reclaim block 0's kept frame")
+		}
+		if _, err := g.WriteAt(bytes.Repeat([]byte{0xA0}, bs), int64(i*bs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(parked, bytes.Repeat([]byte{0xA0}, bs)) {
+		t.Fatalf("block 0's reclaimed frame must hold the block parked in it, got % x", parked[:8])
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Remove("/g"); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(parked, bytes.Repeat([]byte{frame.Poison}, bs)) {
+		t.Fatalf("a staged block's frame held past its file's removal must read poison, got % x", parked[:8])
 	}
 	if got := fs.frames.Free(); got != highWater {
 		t.Fatalf("ten more rounds moved the frame list from %d to %d frames: it must stay at its high-water mark", highWater, got)

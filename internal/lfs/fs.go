@@ -63,12 +63,13 @@ type Stats struct {
 	PatchBytes        int64       `json:"patch_bytes"`
 	FullForces        int64       `json:"full_forces"`
 	FullForceCauses   ForceCauses `json:"full_force_causes"`
-	// StageHits counts the fetches the stage served instead of the log;
+	// Stage counts the fetches the stage served instead of the log, from
+	// parked and from kept blocks, and the kept blocks it reclaimed unread;
 	// StagedPatched the pages summary-only forces patched while a copy was
-	// staged: pages read back from the stage and committed without a block.
-	StageHits     int64        `json:"stage_hits"`
-	StagedPatched int64        `json:"staged_patched"`
-	Cleaner       CleanerStats `json:"cleaner"`
+	// parked: pages read back from the stage and committed without a block.
+	Stage         ufs.StageStats `json:"stage"`
+	StagedPatched int64          `json:"staged_patched"`
+	Cleaner       CleanerStats   `json:"cleaner"`
 	// WriteBehind is the background-lane time of write-behind
 	// (writeBehindLocked).
 	WriteBehind disk.BgTimes `json:"write_behind"`
@@ -318,7 +319,7 @@ func (fs *FS) SetTracer(tr *trace.Tracer) {
 // not hold, without faulting them in: a scan touches every page once, and
 // filling the cache with them would evict the writers' hot set.
 func (fs *FS) ReadCurrent(id buffer.BlockID, p []byte) error {
-	return fs.fetchBlock(id, p)
+	return fs.readBlockLocked(id, p, false)
 }
 
 // ReadCurrentRun reads up to len(bufs) logically-sequential committed
@@ -367,7 +368,9 @@ func (fs *FS) ReadCurrentRun(id buffer.BlockID, bufs [][]byte) (int, error) {
 
 // Stats returns a snapshot of the file system counters.
 func (fs *FS) Stats() Stats {
-	return fs.stats
+	st := fs.stats
+	st.Stage = fs.stage.Stats()
+	return st
 }
 
 // blockIDOf forms the buffer-cache key of a file's logical block.
@@ -502,16 +505,39 @@ func (fs *FS) loadInode(ino Ino) (*inode, error) {
 
 // fetchBlock is the buffer-pool fetch path for file data blocks.
 func (fs *FS) fetchBlock(id buffer.BlockID, dst []byte) error {
-	if data, ok := fs.stage.Lookup(id); ok {
-		copy(dst, data)
-		fs.stats.StageHits++
+	return fs.readBlockLocked(id, dst, true)
+}
+
+// readBlockLocked reads a file block's current bytes into dst: a parked
+// block's from the stage, else its last logged copy — from the stage too
+// while it is kept there, unless the arm sits on the block. The disk charges
+// half a rotation to resume a sequential run a cache hit broke, so a scan
+// reading on through the log keeps reading. A block read into the cache
+// (cached) leaves the stage: the cache's copy is the one that counts now.
+func (fs *FS) readBlockLocked(id buffer.BlockID, dst []byte, cached bool) error {
+	if fs.stage.ReadParked(id, dst) {
 		return nil
 	}
 	in, err := fs.loadInode(Ino(id.File))
 	if err != nil {
 		return err
 	}
-	return fs.readLoggedLocked(in, id.Block, dst)
+	addr, err := fs.blockAddr(in, id.Block)
+	if err != nil {
+		return err
+	}
+	if addr == 0 {
+		clear(dst)
+		return nil
+	}
+	hit := addr != fs.dev.ArmPosition() && fs.stage.ReadKept(id, dst)
+	if cached {
+		fs.stage.Unpark(id)
+	}
+	if hit {
+		return nil
+	}
+	return fs.dev.Read(addr, dst)
 }
 
 // readLoggedLocked reads the last logged copy of a file block into dst:

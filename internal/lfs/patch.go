@@ -192,9 +192,12 @@ func (fs *FS) rediffLocked(b *buffer.Buf, logged []byte) {
 // knownHoleLocked reports whether block id is a hole, as far as the inode
 // and its single indirect block tell without a read: a block at or past the
 // size (ufs raises it after a write's last block) is one, unless a truncate's
-// cleared pointers are not logged yet; below it, a block behind an unloaded
-// pointer block, or in the double-indirect range, counts as no hole. (A hole
-// with bytes in patches is dirty or staged, so noteWrite never asks.)
+// cleared pointers are not logged yet; below it, a block in the
+// double-indirect range counts as no hole. Mount loads every inode's single
+// indirect block and nothing unloads one (TestMountLoadsEveryIndirectBlock),
+// so an inode without one has never logged one: every block in its range is
+// a hole. (A hole with bytes in patches is dirty or staged, so noteWrite
+// never asks.)
 func (fs *FS) knownHoleLocked(in *inode, id buffer.BlockID) bool {
 	switch lbn := id.Block; {
 	case in.ptrsCleared:
@@ -205,10 +208,8 @@ func (fs *FS) knownHoleLocked(in *inode, id buffer.BlockID) bool {
 		return in.direct[lbn] == 0
 	case lbn >= NDirect+nptr(fs.blockSize):
 		return false
-	case in.ind != nil:
-		return in.ind.ptrs[lbn-NDirect] == 0
 	default:
-		return in.indAddr == 0
+		return in.ind == nil || in.ind.ptrs[lbn-NDirect] == 0
 	}
 }
 

@@ -717,15 +717,21 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 	// 5. The written blocks are now clean/persisted, their patches superseded.
 	// A dirty buffer logged from its staged copy differs from the log by
 	// their diff, its delta from now on; the copy is read before Unpark
-	// recycles its frame.
+	// recycles its frame. A staged block no buffer holds stays kept in its
+	// frame, the bytes now at its address, for a fetch to read.
 	for _, it := range chunk {
 		delete(fs.deltas, it.id)
+		b := fs.pool.Lookup(it.id)
 		if it.buf != nil {
 			fs.pool.MarkClean(it.buf)
-		} else if b := fs.pool.Lookup(it.id); b != nil && b.Dirty() {
+		} else if b != nil && b.Dirty() {
 			fs.rediffLocked(b, it.data)
 		}
-		fs.stage.Unpark(it.id)
+		if b == nil {
+			fs.stage.Keep(it.id)
+		} else {
+			fs.stage.Unpark(it.id)
+		}
 		delete(fs.patched, it.id)
 	}
 

@@ -170,6 +170,9 @@ type Manager struct {
 	freeHeads  []*head
 	freeChains [][]held
 	written    []Object
+	// freeEdges holds the waits-for edge lists of granted requests, reused
+	// by the next request that must wait.
+	freeEdges [][]TxnID
 	// waitsFor[t] is the list of transactions t is currently blocked on, in
 	// ascending transaction order (the order conflicts produces). Sorted
 	// slices rather than sets: edge counts are tiny, the deadlock DFS can
@@ -227,22 +230,22 @@ func (m *Manager) Stats() Stats { return m.stats }
 // HeldCount returns the number of locks txn holds.
 func (m *Manager) HeldCount(txn TxnID) int { return len(m.byTxn[txn]) }
 
-// conflicts reports the set of other holders blocking txn's request, in
+// conflicts appends to out the other holders blocking txn's request, in
 // ascending transaction order. The order matters: it fixes the waits-for
 // edges and therefore which transaction a deadlock search reaches first, so
 // victim choice is stable across identically seeded runs. The holder slice is
 // kept sorted, so iteration order is deterministic and grant checks (the
-// common, conflict-free case) allocate nothing.
+// common, conflict-free case) allocate nothing; a blocked request reuses an
+// edge list an earlier one left (Manager.freeEdges).
 //
 //simlint:noalloc
-func (h *head) conflicts(txn TxnID, mode Mode) []TxnID {
-	var out []TxnID
+func (h *head) conflicts(out []TxnID, txn TxnID, mode Mode) []TxnID {
 	for _, e := range h.holders {
 		if e.txn == txn {
 			continue
 		}
 		if mode == Write || e.mode == Write {
-			//simlint:alloc(conflict path only: the contention-free grant returns nil)
+			//simlint:alloc(conflict path only, and only until the recycled edge lists have grown to the most holders one request waits on)
 			out = append(out, e.txn)
 		}
 	}
@@ -277,8 +280,13 @@ func (m *Manager) Lock(txn TxnID, obj Object, mode Mode) error {
 
 	waited := false
 	var blocked time.Duration
+	var blockers []TxnID
+	if n := len(m.freeEdges); n > 0 {
+		blockers = m.freeEdges[n-1]
+		m.freeEdges = m.freeEdges[:n-1]
+	}
 	for {
-		blockers := h.conflicts(txn, mode)
+		blockers = h.conflicts(blockers[:0], txn, mode)
 		if len(blockers) == 0 {
 			break
 		}
@@ -301,7 +309,9 @@ func (m *Manager) Lock(txn TxnID, obj Object, mode Mode) error {
 				trace.AI("block", obj.Block), trace.AS("mode", mode.String()),
 				trace.AS("cause", cause))
 			//simlint:alloc(cold deadlock denial: the error carries the victim diagnosis)
-			return fmt.Errorf("%w: txn %d on %v (%s, %s) held by %v", ErrDeadlock, txn, obj, mode, cause, blockers)
+			err := fmt.Errorf("%w: txn %d on %v (%s, %s) held by %v", ErrDeadlock, txn, obj, mode, cause, blockers)
+			m.recycleEdges(blockers)
+			return err
 		}
 		if !waited {
 			m.stats.Waited++
@@ -322,6 +332,7 @@ func (m *Manager) Lock(txn TxnID, obj Object, mode Mode) error {
 		m.histWait.Observe(blocked)
 	}
 	delete(m.waitsFor, txn)
+	m.recycleEdges(blockers)
 	h.set(txn, mode)
 	chain := m.byTxn[txn]
 	if upgrade {
@@ -340,6 +351,17 @@ func (m *Manager) Lock(txn TxnID, obj Object, mode Mode) error {
 	//simlint:alloc(amortized chain growth: recycled chains keep their capacity)
 	m.byTxn[txn] = append(chain, held{obj: obj, mode: mode})
 	return nil
+}
+
+// recycleEdges keeps a waits-for edge list no request uses any more for the
+// next one that must wait.
+//
+//simlint:noalloc
+func (m *Manager) recycleEdges(edges []TxnID) {
+	if cap(edges) > 0 {
+		//simlint:alloc(amortized growth of the free list, up to the peak of requests waiting at once)
+		m.freeEdges = append(m.freeEdges, edges[:0])
+	}
 }
 
 // newHead returns an empty head, recycled when ReleaseAll has emptied one.

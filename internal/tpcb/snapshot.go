@@ -15,6 +15,7 @@ import (
 	"repro/internal/libtp"
 	"repro/internal/lock"
 	"repro/internal/trace"
+	"repro/internal/ufs"
 	"repro/internal/wal"
 )
 
@@ -109,6 +110,12 @@ func writeBehind(wb disk.BgTimes) string {
 	return fmt.Sprintf("write-behind busy %v (%v overlapped with idle windows, %v stalled)", wb.Busy, wb.Overlap, wb.Stall)
 }
 
+// stageHits renders what a file system's write-behind stage served.
+func stageHits(st ufs.StageStats) string {
+	return fmt.Sprintf("%d fetches served by the stage (%d parked, %d kept; %d kept blocks reclaimed unread)",
+		st.ParkedHits+st.KeptHits, st.ParkedHits, st.KeptHits, st.KeptReclaimed)
+}
+
 // WriteJSON writes the snapshot as indented JSON.
 func (s *Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -129,8 +136,8 @@ func (s *Snapshot) Render() string {
 			d.Reads, d.BlocksRead, d.Writes, d.BlocksWrit, d.BusyTime, d.QueueTime)
 	}
 	if f := s.LFS; f != nil {
-		fmt.Fprintf(&b, "lfs: %d partial segments, %d blocks logged (%d summary, %d inode pack, %d pointer), %d segment-tail blocks skipped, %d checkpoints, %d flushes of a full stage, %d fetches served by the stage; %s\n",
-			f.PartialSegments, f.BlocksLogged, f.SummaryBlocks, f.InodePackBlocks, f.PointerBlocks, f.SkippedTailBlocks, f.Checkpoints, f.StagedFlushes, f.StageHits, writeBehind(f.WriteBehind))
+		fmt.Fprintf(&b, "lfs: %d partial segments, %d blocks logged (%d summary, %d inode pack, %d pointer), %d segment-tail blocks skipped, %d checkpoints, %d flushes of a full stage, %s; %s\n",
+			f.PartialSegments, f.BlocksLogged, f.SummaryBlocks, f.InodePackBlocks, f.PointerBlocks, f.SkippedTailBlocks, f.Checkpoints, f.StagedFlushes, stageHits(f.Stage), writeBehind(f.WriteBehind))
 		if forces := f.SummaryOnlyForces + f.FullForces; forces > 0 {
 			force := "File.Sync" // a user-level rig's commit force; the embedded manager's is FlushCommit
 			if s.Embedded != nil {
@@ -151,8 +158,8 @@ func (s *Snapshot) Render() string {
 		}
 	}
 	if f := s.FFS; f != nil {
-		fmt.Fprintf(&b, "ffs: %d syncer passes, %d blocks flushed, %d evicted blocks staged, %d sweeps of a full stage; inode stores %d by File.Sync, %d by syncer or FS.Sync; %s\n",
-			f.SyncerRuns, f.BlocksFlushed, f.BlocksStaged, f.StagedFlushes, f.SyncInodeStores, f.SyncerInodeStores, writeBehind(f.WriteBehind))
+		fmt.Fprintf(&b, "ffs: %d syncer passes, %d blocks flushed, %d evicted blocks staged, %d sweeps of a full stage, %s; inode stores %d by File.Sync, %d by syncer or FS.Sync; %s\n",
+			f.SyncerRuns, f.BlocksFlushed, f.BlocksStaged, f.StagedFlushes, stageHits(f.Stage), f.SyncInodeStores, f.SyncerInodeStores, writeBehind(f.WriteBehind))
 	}
 	if e := s.Embedded; e != nil {
 		fmt.Fprintf(&b, "embedded: %d committed, %d aborted, %d commit flushes, %d pages (%d bytes) committed\n",

@@ -143,6 +143,18 @@ func goldenSnapshot(t *testing.T, kind string, mpl int) *Snapshot {
 // buffer_fs and buffer_user gain write_hits and write_misses, and their hits
 // and misses, with the buffer.<pool>.{hit,miss} registry counters, count
 // reads only. No simulated number moved by that.
+//
+// All twelve files, when the write-behind stage began to keep what it wrote
+// (causes as in TestPinnedSignatures): the `lfs:` and `ffs:` lines split the
+// fetches the stage served into parked and kept ones and count the kept
+// blocks reclaimed unread, and each `lfs` and `ffs` JSON section carries
+// them as stage {parked_hits, kept_hits, kept_reclaimed_unread} in place of
+// stage_hits. The user-level runs read half as often: 54 → 27 and 58 → 31
+// read ops on user-ffs, 74 → 37 and 58 → 31 on user-lfs, for 39.42 → 41.12
+// and 112.62 → 116.11 TPS on user-ffs, 51.33 → 56.55 and 125.54 → 130.56 on
+// user-lfs; at MPL 8 lock-blocked time rises 0.6 s, the writers meeting
+// sooner on the branch, and the WAL's bytes move with the history rows'
+// timestamps. The kernel-lfs runs evict nothing, and moved in nothing else.
 func TestSnapshotGolden(t *testing.T) {
 	for _, rig := range goldenRigs {
 		for _, mpl := range []int{1, 8} {
