@@ -52,6 +52,9 @@ type Stats struct {
 	PointerBlocks   int64 `json:"pointer_blocks"` // single, double indirect and child blocks
 	Checkpoints     int64 `json:"checkpoints"`
 	StagedFlushes   int64 `json:"staged_flushes"` // flushes of a full stage
+	// HotBlocksLeft counts the dirty cached blocks full-stage flushes left
+	// dirty, because the previous full-stage flush had seen them dirty too.
+	HotBlocksLeft int64 `json:"hot_blocks_left"`
 	// SkippedTailBlocks counts the blocks left unwritten at the end of the
 	// segments the log head moved past.
 	SkippedTailBlocks int64 `json:"skipped_tail_blocks"`
@@ -124,6 +127,12 @@ type FS struct {
 	// the next partial segment carries them; its bound is one segment.
 	stage      *ufs.Stage
 	pendingDel []Ino
+	// hot holds the cached blocks the last full-stage flush found dirty,
+	// written or left. The next one leaves each of them that is dirty again
+	// for its eviction to park or the checkpoint to log (leaveLocked), and
+	// collects what it finds dirty in seen — nil outside a full-stage flush —
+	// which then replaces hot.
+	hot, seen map[buffer.BlockID]bool
 	// deltas holds what each dirty block written through the cache changed
 	// since its bytes were last durable, while that is known (noteWrite);
 	// patched the blocks whose newest durable bytes are in summary patches
@@ -434,16 +443,41 @@ func (fs *FS) writeback(id buffer.BlockID, data []byte) error {
 }
 
 // maybeFlushStageLocked drains the staging buffer when eviction pressure
-// filled it. No caller waits for the partial segment, so it goes out on the
-// device's background lane: idle time absorbs it first, and only the residue
-// stalls the operation whose tick started it. A cleaning pass the flush needs
-// is still charged in full (cleanLocked).
+// filled it: one partial segment of the parked blocks and of the dirty cached
+// blocks that were not dirty at the previous full-stage flush. A block that
+// was — a hot page rewritten between flushes, or a block dirtied again since
+// that flush wrote it — stays dirty until its eviction parks it or the
+// checkpoint logs it, so a hot block is not logged again at every flush. No
+// caller waits for the partial segment, so it goes out on the device's
+// background lane: idle time absorbs it first, and only the residue stalls
+// the operation whose tick started it. A cleaning pass the flush needs is
+// still charged in full (cleanLocked).
 func (fs *FS) maybeFlushStageLocked() error {
 	if !fs.stage.TakeFull() {
 		return nil
 	}
 	fs.stats.StagedFlushes++
-	return fs.writeBehindLocked("stage", fs.Flush)
+	fs.seen = make(map[buffer.BlockID]bool)
+	err := fs.writeBehindLocked("stage", fs.Flush)
+	fs.hot, fs.seen = fs.seen, nil
+	return err
+}
+
+// leaveLocked records that a full-stage flush found cached block id dirty and
+// reports whether the flush leaves it so: the previous full-stage flush found
+// it dirty too, and no parked copy of it waits for this one. A buffer
+// shadowing a parked copy is written, and the copy dropped (gatherLocked), so
+// the stage drains.
+func (fs *FS) leaveLocked(id buffer.BlockID) bool {
+	again := fs.seen[id] // a gather after a cleaning pass mid-flush
+	fs.seen[id] = true
+	if _, parked := fs.stage.Lookup(id); parked || !fs.hot[id] {
+		return false
+	}
+	if !again {
+		fs.stats.HotBlocksLeft++
+	}
+	return true
 }
 
 // writeBehindLocked runs fn, log writes no caller waits for, on the device's
@@ -559,7 +593,9 @@ func (fs *FS) Sync() error {
 	return fs.checkpointLocked()
 }
 
-// Flush writes all dirty (unheld) buffers to the log without checkpointing.
+// Flush writes all dirty (unheld) buffers and every parked block to the log
+// without checkpointing. Inside a full-stage flush (maybeFlushStageLocked) it
+// leaves the cached blocks that flush's rule leaves.
 func (fs *FS) Flush() error {
 	return fs.flushLocked(nil, false)
 }

@@ -90,13 +90,14 @@ func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool) error {
 }
 
 // gatherLocked collects the dirty, unheld data blocks (pool + stage) and the
-// set of files whose meta-data needs rewriting.
+// set of files whose meta-data needs rewriting. A full-stage flush's gather
+// leaves out the cached blocks leaveLocked leaves dirty.
 func (fs *FS) gatherLocked(only map[Ino]bool, deferPtr bool) ([]dataItem, []Ino) {
 	want := func(ino Ino) bool { return only == nil || only[ino] }
 
 	var items []dataItem
 	for _, b := range fs.pool.Dirty() {
-		if want(Ino(b.ID.File)) {
+		if want(Ino(b.ID.File)) && !(fs.seen != nil && fs.leaveLocked(b.ID)) {
 			items = append(items, dataItem{id: b.ID, buf: b, data: b.Data})
 		}
 	}

@@ -136,8 +136,8 @@ func (s *Snapshot) Render() string {
 			d.Reads, d.BlocksRead, d.Writes, d.BlocksWrit, d.BusyTime, d.QueueTime)
 	}
 	if f := s.LFS; f != nil {
-		fmt.Fprintf(&b, "lfs: %d partial segments, %d blocks logged (%d summary, %d inode pack, %d pointer), %d segment-tail blocks skipped, %d checkpoints, %d flushes of a full stage, %s; %s\n",
-			f.PartialSegments, f.BlocksLogged, f.SummaryBlocks, f.InodePackBlocks, f.PointerBlocks, f.SkippedTailBlocks, f.Checkpoints, f.StagedFlushes, stageHits(f.Stage), writeBehind(f.WriteBehind))
+		fmt.Fprintf(&b, "lfs: %d partial segments, %d blocks logged (%d summary, %d inode pack, %d pointer), %d segment-tail blocks skipped, %d checkpoints, %d flushes of a full stage (%d hot cached blocks left dirty), %s; %s\n",
+			f.PartialSegments, f.BlocksLogged, f.SummaryBlocks, f.InodePackBlocks, f.PointerBlocks, f.SkippedTailBlocks, f.Checkpoints, f.StagedFlushes, f.HotBlocksLeft, stageHits(f.Stage), writeBehind(f.WriteBehind))
 		if forces := f.SummaryOnlyForces + f.FullForces; forces > 0 {
 			force := "File.Sync" // a user-level rig's commit force; the embedded manager's is FlushCommit
 			if s.Embedded != nil {
