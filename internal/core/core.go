@@ -91,8 +91,7 @@ type Stats struct {
 	Committed    int64 `json:"committed"`
 	Aborted      int64 `json:"aborted"`
 	CommitFlush  int64 `json:"commit_flushes"` // commit-time flush operations (group commits count once)
-	PagesFlushed int64 `json:"pages_flushed"`  // distinct pages commit flushes made durable (a batch's union), whole or by patch
-	BytesFlushed int64 `json:"bytes_flushed"`  // whole pages × block size: §4.3's commit cost, whatever the force wrote
+	BytesFlushed int64 `json:"bytes_flushed"`  // distinct pages commit flushes made durable (a batch's union) × block size: §4.3's commit cost, whatever the force wrote
 	Deadlocks    int64 `json:"deadlocks"`
 	// Snapshots counts read-only snapshot transactions (BeginSnapshot);
 	// VersionsRecorded counts the before-image deltas kept for pinned
@@ -333,7 +332,6 @@ func (m *Manager) writeBatchLocked() error {
 	}
 	m.stats.Committed += int64(len(m.pending))
 	m.stats.CommitFlush++
-	m.stats.PagesFlushed += int64(len(ids))
 	m.stats.BytesFlushed += int64(len(ids)) * int64(m.fs.BlockSize())
 	if m.tracer.Enabled() {
 		span.End(trace.AI("txns", int64(len(m.pending))), trace.AI("pages", int64(len(ids))))

@@ -350,8 +350,8 @@ func TestGroupCommitBatchesFlushes(t *testing.T) {
 	if st.Committed != 8 {
 		t.Fatalf("Committed = %d", st.Committed)
 	}
-	if st.PagesFlushed != 8 {
-		t.Fatalf("PagesFlushed = %d, want 8 distinct pages", st.PagesFlushed)
+	if st.BytesFlushed != 8*4096 {
+		t.Fatalf("BytesFlushed = %d, want 8 distinct pages", st.BytesFlushed)
 	}
 }
 
@@ -377,8 +377,8 @@ func TestPreCommitReleasesLocks(t *testing.T) {
 	if st.Committed != 2 || st.CommitFlush != 1 {
 		t.Fatalf("Committed = %d in %d flushes, want 2 in 1", st.Committed, st.CommitFlush)
 	}
-	if st.PagesFlushed != 1 {
-		t.Fatalf("PagesFlushed = %d, want 1: both transactions wrote the same page", st.PagesFlushed)
+	if st.BytesFlushed != 4096 {
+		t.Fatalf("BytesFlushed = %d, want 1 page: both transactions wrote the same page", st.BytesFlushed)
 	}
 	// Crash: both writes are in the one page the batch logged.
 	g, err := mustMount(t, r).Open("/db")

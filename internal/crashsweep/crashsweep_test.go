@@ -263,9 +263,9 @@ func TestSweepKernelStagedSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := golden.rig.LFSStats()
-	if st.StagedPatched == 0 || st.FullForces != 0 || st.StagedFlushes == 0 {
+	if st.StagedPatched == 0 || st.FullForceCauses.Total() != 0 || st.StagedFlushes == 0 {
 		t.Fatalf("the golden run committed %d pages read back from the stage by summary-only forces, made %d full forces and flushed a full stage %d times: want some, none and some",
-			st.StagedPatched, st.FullForces, st.StagedFlushes)
+			st.StagedPatched, st.FullForceCauses.Total(), st.StagedFlushes)
 	}
 	rep, err := Run(opts)
 	if err != nil {

@@ -40,31 +40,7 @@ type Stats struct {
 	Seeks      int64         `json:"seeks"`          // accesses that paid positioning time
 	BusyTime   time.Duration `json:"busy"`           // total simulated service time
 	QueueTime  time.Duration `json:"queued"`         // time spent queued behind the request holding the arm (MPL > 1)
-
-	// Background-lane accounting (see Lane). BgTime is total background
-	// service time; BgOverlapTime is the portion absorbed by foreground idle
-	// windows; BgStallTime is the residue that actually delayed the workload
-	// (BgTime = BgOverlapTime + BgStallTime).
-	BgTime        time.Duration `json:"bg_busy"`
-	BgOverlapTime time.Duration `json:"bg_overlap"`
-	BgStallTime   time.Duration `json:"bg_stall"`
 }
-
-// Lane selects how an access is charged against simulated time.
-type Lane int
-
-const (
-	// Foreground accesses advance the clock by their full service time.
-	Foreground Lane = iota
-	// Background accesses are device work no caller waits on — write-behind
-	// and the idle cleaner. The device keeps a budget of idle time
-	// accumulated since its last request completed; background service time
-	// drains that budget first, and only the residue advances the clock and
-	// occupies the arm, stalling the caller and queueing the foreground
-	// requests behind it. This is §5.4's "in idle periods", applied to every
-	// deferred write.
-	Background
-)
 
 // FaultFn can be installed with SetFault to inject I/O errors: it is called
 // before every access with the operation ("read" or "write") and, for
@@ -105,7 +81,7 @@ type Device struct {
 	wr opTrace
 
 	//simlint:tokenguarded
-	lane Lane
+	bg *BgTimes // the background account accesses are charged to; nil = foreground
 	//simlint:tokenguarded
 	idleCredit time.Duration // foreground idle time not yet spent on background work
 	//simlint:tokenguarded
@@ -272,9 +248,9 @@ func (d *Device) checkRange(block int64, n int) error {
 }
 
 // charge bills an access of n contiguous blocks at address block and moves
-// the arm. Foreground accesses advance the clock by the full service time;
-// background accesses drain the accumulated idle budget first and only their
-// residue stalls the clock.
+// the arm. Foreground accesses advance the clock by their full service time.
+// Background accesses (see Background) drain the accumulated idle budget first
+// and only their residue stalls the clock.
 //
 // The device models a single spindle: whatever arm time a caller waits for —
 // all of a foreground access, the unabsorbed residue of a background one —
@@ -288,7 +264,7 @@ func (d *Device) checkRange(block int64, n int) error {
 func (d *Device) charge(ot *opTrace, block int64, n int) {
 	start := d.clock.Now()
 	var qwait time.Duration
-	if d.lane == Foreground {
+	if d.bg == nil {
 		qwait = d.waitForArm()
 	}
 	seek, rot, xfer := d.model.AccessTimeParts(d.arm, block, n)
@@ -302,13 +278,13 @@ func (d *Device) charge(ot *opTrace, block int64, n int) {
 		d.idleCredit += now - d.lastEnd
 	}
 	held := t // the arm time the caller waits for
-	if d.lane == Background {
+	if d.bg != nil {
 		overlap := min(t, d.idleCredit)
 		d.idleCredit -= overlap
 		held = t - overlap
-		d.stats.BgTime += t
-		d.stats.BgOverlapTime += overlap
-		d.stats.BgStallTime += held
+		d.bg.Busy += t
+		d.bg.Overlap += overlap
+		d.bg.Stall += held
 		if held > 0 {
 			qwait = d.waitForArm()
 		}
@@ -323,7 +299,7 @@ func (d *Device) charge(ot *opTrace, block int64, n int) {
 	}
 	if d.tracer.Enabled() {
 		lane := "fg"
-		if d.lane == Background {
+		if d.bg != nil {
 			lane = "bg"
 		}
 		d.tracer.Complete("disk", ot.span, start,
@@ -348,21 +324,6 @@ func (d *Device) waitForArm() time.Duration {
 	return q
 }
 
-// SetLane switches the charging lane for subsequent accesses and returns the
-// previous lane, so callers can restore it with defer.
-//
-//simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
-func (d *Device) SetLane(l Lane) Lane {
-	prev := d.lane
-	d.lane = l
-	return prev
-}
-
-// Lane returns the lane accesses are charged to.
-//
-//simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
-func (d *Device) Lane() Lane { return d.lane }
-
 // BgTimes is one caller's share of a device's background lane: Busy is its
 // background service time, Overlap the part idle windows absorbed, Stall the
 // residue that delayed the workload (Busy = Overlap + Stall).
@@ -372,18 +333,35 @@ type BgTimes struct {
 	Stall   time.Duration `json:"stall"`
 }
 
-// InBackground runs fn with dev on the background lane, restores the previous
-// lane, and adds the device's background time during fn to acc.
-func InBackground(dev *Device, acc *BgTimes, fn func() error) error {
-	prev := dev.SetLane(Background)
-	defer dev.SetLane(prev)
-	d0 := dev.Stats()
-	err := fn()
-	d1 := dev.Stats()
-	acc.Busy += d1.BgTime - d0.BgTime
-	acc.Overlap += d1.BgOverlapTime - d0.BgOverlapTime
-	acc.Stall += d1.BgStallTime - d0.BgStallTime
-	return err
+// Background runs fn on the device's background lane, for device work no
+// caller waits on — write-behind and the idle cleaner — and charges its
+// accesses' times to acc. The device keeps a budget of idle time accumulated
+// since its last request completed; background service time drains that
+// budget first, and only the residue advances the clock and occupies the
+// arm, stalling the caller and queueing the foreground requests behind it.
+// This is §5.4's "in idle periods", applied to every deferred write. Inside
+// another Background call fn runs as part of it: the outer account is
+// charged.
+//
+//simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
+func (d *Device) Background(acc *BgTimes, fn func() error) error {
+	if d.bg != nil {
+		return fn()
+	}
+	d.bg = acc
+	defer func() { d.bg = nil }()
+	return fn()
+}
+
+// Foreground runs fn on the foreground lane, also inside Background: its
+// accesses are charged in full and queue for the arm.
+//
+//simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
+func (d *Device) Foreground(fn func() error) error {
+	prev := d.bg
+	d.bg = nil
+	defer func() { d.bg = prev }()
+	return fn()
 }
 
 // ResetIdleCredit forgets accumulated idle time. Benchmark rigs call this

@@ -484,35 +484,39 @@ func TestBackgroundLaneOverlapsIdleWindows(t *testing.T) {
 	}
 
 	// Background accesses drain the credit before stalling the clock.
-	prev := dev.SetLane(Background)
-	if prev != Foreground {
-		t.Fatalf("previous lane = %v, want Foreground", prev)
-	}
+	var bg BgTimes
 	before := clk.Now()
-	for i := int64(1); i <= 8; i++ {
-		if err := dev.Write(i*100, buf); err != nil {
-			t.Fatal(err)
+	err := dev.Background(&bg, func() error {
+		for i := int64(1); i <= 8; i++ {
+			if err := dev.Write(i*100, buf); err != nil {
+				return err
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	dev.SetLane(prev)
 	stalled := clk.Now() - before
 
-	st := dev.Stats()
-	if st.BgTime != st.BgOverlapTime+st.BgStallTime {
-		t.Errorf("BgTime %v != overlap %v + stall %v", st.BgTime, st.BgOverlapTime, st.BgStallTime)
+	if bg.Busy != bg.Overlap+bg.Stall {
+		t.Errorf("busy %v != overlap %v + stall %v", bg.Busy, bg.Overlap, bg.Stall)
 	}
-	if st.BgOverlapTime == 0 {
+	if bg.Overlap == 0 {
 		t.Error("no background time overlapped the idle window")
 	}
-	if st.BgStallTime != stalled {
-		t.Errorf("clock advanced %v during background work, stats say %v", stalled, st.BgStallTime)
+	if bg.Stall != stalled {
+		t.Errorf("clock advanced %v during background work, account says %v", stalled, bg.Stall)
 	}
-	if st.BgTime <= st.BgOverlapTime && stalled != 0 {
-		t.Errorf("stall %v reported with BgTime %v fully overlapped", stalled, st.BgTime)
+	if bg.Busy <= bg.Overlap && stalled != 0 {
+		t.Errorf("stall %v reported with busy %v fully overlapped", stalled, bg.Busy)
+	}
+	if busy := dev.Stats().BusyTime; bg.Busy >= busy {
+		t.Errorf("background busy %v, device busy %v: want the foreground write outside the account", bg.Busy, busy)
 	}
 
 	// Foreground accounting must be untouched by lane bookkeeping: a
-	// foreground access after restoring the lane advances the clock fully.
+	// foreground access after Background returns advances the clock fully.
 	fgBefore := clk.Now()
 	if err := dev.Write(5000, buf); err != nil {
 		t.Fatal(err)
@@ -539,18 +543,16 @@ func TestResetIdleCreditForgetsBudget(t *testing.T) {
 	}
 
 	// With no credit, background work stalls the clock for its full cost.
-	prev := dev.SetLane(Background)
+	var bg BgTimes
 	before := clk.Now()
-	if err := dev.Write(100, buf); err != nil {
+	if err := dev.Background(&bg, func() error { return dev.Write(100, buf) }); err != nil {
 		t.Fatal(err)
 	}
-	dev.SetLane(prev)
-	st := dev.Stats()
-	if st.BgOverlapTime != 0 {
-		t.Errorf("overlap %v after credit reset, want 0", st.BgOverlapTime)
+	if bg.Overlap != 0 {
+		t.Errorf("overlap %v after credit reset, want 0", bg.Overlap)
 	}
-	if advanced := clk.Now() - before; advanced != st.BgStallTime {
-		t.Errorf("clock advanced %v, BgStallTime %v", advanced, st.BgStallTime)
+	if advanced := clk.Now() - before; advanced != bg.Stall || advanced != bg.Busy {
+		t.Errorf("clock advanced %v, stall %v of busy %v", advanced, bg.Stall, bg.Busy)
 	}
 }
 
@@ -560,13 +562,12 @@ func TestBackgroundResidueHoldsTheArm(t *testing.T) {
 	dev, clk := newTestDevice()
 	buf := block(dev, 3)
 	var residue, started time.Duration
+	var bg BgTimes
 	s := sim.NewScheduler(clk)
 	s.Spawn("write-behind", func() {
-		prev := dev.SetLane(Background)
-		if err := dev.Write(100, buf); err != nil {
+		if err := dev.Background(&bg, func() error { return dev.Write(100, buf) }); err != nil {
 			t.Error(err)
 		}
-		dev.SetLane(prev)
 		residue = clk.Now() // no idle credit at time zero: all of it stalls
 		clk.Yield()
 	})
@@ -578,8 +579,8 @@ func TestBackgroundResidueHoldsTheArm(t *testing.T) {
 	})
 	s.Run()
 	queued := dev.Stats().QueueTime
-	if residue == 0 || dev.Stats().BgStallTime != residue {
-		t.Fatalf("background write stalled %v, stats say %v: want a residue", residue, dev.Stats().BgStallTime)
+	if residue == 0 || bg.Stall != residue {
+		t.Fatalf("background write stalled %v, account says %v: want a residue", residue, bg.Stall)
 	}
 	if queued != residue-started {
 		t.Fatalf("reader issued at %v queued %v, want the residue's remaining %v", started, queued, residue-started)
@@ -592,6 +593,7 @@ func TestBackgroundResidueQueuesForTheArm(t *testing.T) {
 	dev, clk := newTestDevice()
 	buf := block(dev, 5)
 	var served, started time.Duration
+	var bg BgTimes
 	s := sim.NewScheduler(clk)
 	s.Spawn("reader", func() {
 		if err := dev.Read(5000, buf); err != nil {
@@ -602,15 +604,13 @@ func TestBackgroundResidueQueuesForTheArm(t *testing.T) {
 	})
 	s.Spawn("write-behind", func() {
 		started = clk.Now()
-		prev := dev.SetLane(Background)
-		if err := dev.Write(100, buf); err != nil {
+		if err := dev.Background(&bg, func() error { return dev.Write(100, buf) }); err != nil {
 			t.Error(err)
 		}
-		dev.SetLane(prev)
 	})
 	s.Run()
-	if st := dev.Stats(); st.BgStallTime == 0 || st.QueueTime != served-started {
-		t.Fatalf("background write issued at %v, stalled %v, queued %v: want a residue queued until the read's end at %v", started, st.BgStallTime, st.QueueTime, served)
+	if q := dev.Stats().QueueTime; bg.Stall == 0 || q != served-started {
+		t.Fatalf("background write issued at %v, stalled %v, queued %v: want a residue queued until the read's end at %v", started, bg.Stall, q, served)
 	}
 }
 
@@ -625,13 +625,12 @@ func TestAbsorbedBackgroundLeavesTheArmFree(t *testing.T) {
 	}
 	busy := dev.busyUntil
 	clk.Advance(time.Second)
-	prev := dev.SetLane(Background)
-	if err := dev.Write(100, buf); err != nil {
+	var bg BgTimes
+	if err := dev.Background(&bg, func() error { return dev.Write(100, buf) }); err != nil {
 		t.Fatal(err)
 	}
-	dev.SetLane(prev)
-	if st := dev.Stats(); st.BgStallTime != 0 || st.BgOverlapTime == 0 {
-		t.Fatalf("overlap %v, stall %v: want the write absorbed", st.BgOverlapTime, st.BgStallTime)
+	if bg.Stall != 0 || bg.Overlap == 0 {
+		t.Fatalf("overlap %v, stall %v: want the write absorbed", bg.Overlap, bg.Stall)
 	}
 	if dev.busyUntil != busy {
 		t.Fatalf("busyUntil moved from %v to %v for an absorbed background write", busy, dev.busyUntil)
@@ -817,5 +816,56 @@ func TestQueueRecyclesItsCopies(t *testing.T) {
 	}
 	if q.Len() != 0 || q.frames.Free() != 4 {
 		t.Fatalf("after a failed flush: %d requests queued, %d frames free; want 0 and 4", q.Len(), q.frames.Free())
+	}
+}
+
+// Background inside Background runs as part of the outer call: the outer
+// account is charged and the inner one is not. Foreground inside Background
+// is charged in full and queues for the arm, whatever idle credit the
+// background lane holds, and the background lane resumes after it.
+func TestNestedLanes(t *testing.T) {
+	dev, clk := newTestDevice()
+	buf := block(dev, 6)
+	if err := dev.Write(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Second) // idle credit enough for every access below
+	busy0 := dev.Stats().BusyTime
+	// Another proc's request holds the arm this long past now.
+	const held = 5 * time.Millisecond
+	dev.busyUntil = clk.Now() + held
+
+	var outer, inner BgTimes
+	var fg time.Duration
+	err := dev.Background(&outer, func() error {
+		if err := dev.Background(&inner, func() error { return dev.Write(100, buf) }); err != nil {
+			return err
+		}
+		if q := dev.Stats().QueueTime; q != 0 {
+			t.Errorf("an absorbed background write queued %v", q)
+		}
+		before := clk.Now()
+		if err := dev.Foreground(func() error { return dev.Write(200, buf) }); err != nil {
+			return err
+		}
+		fg = clk.Now() - before
+		if q := dev.Stats().QueueTime; q != held {
+			t.Errorf("foreground write inside Background queued %v, want the %v the arm was held", q, held)
+		}
+		return dev.Write(300, buf)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inner != (BgTimes{}) {
+		t.Errorf("nested Background charged its own account %+v, want the outer one only", inner)
+	}
+	if outer.Stall != 0 || outer.Overlap != outer.Busy {
+		t.Errorf("outer account %+v: want both background writes absorbed", outer)
+	}
+	busy := dev.Stats().BusyTime - busy0
+	if fg-held <= 0 || outer.Busy+fg-held != busy {
+		t.Errorf("foreground write advanced the clock %v (%v queued), background busy %v, device busy %v: want the foreground write charged in full and outside the account",
+			fg, held, outer.Busy, busy)
 	}
 }

@@ -375,14 +375,14 @@ func (fs *FS) tickLocked() error {
 		fs.lastSyncer = now
 		fs.stats.SyncerRuns++
 		fs.stage.TakeFull() // the pass empties the stage
-		return disk.InBackground(fs.dev, &fs.stats.WriteBehind, fs.flushAllLocked)
+		return fs.dev.Background(&fs.stats.WriteBehind, fs.flushAllLocked)
 	}
 	if !fs.stage.TakeFull() {
 		return nil
 	}
 	span := fs.tracer.Begin("ffs", "ffs.stageFlush")
 	var n int
-	err := disk.InBackground(fs.dev, &fs.stats.WriteBehind, func() (err error) {
+	err := fs.dev.Background(&fs.stats.WriteBehind, func() (err error) {
 		n, err = fs.flushLocked(nil, false)
 		return err
 	})

@@ -60,8 +60,8 @@ func TestStagedFlushRunsInIdleTime(t *testing.T) {
 	}
 	st, wb := dev.Stats(), fs.Stats().WriteBehind
 	busy := wb.Busy - wb0.Busy
-	if busy == 0 || busy != st.BgTime-st0.BgTime || busy > idleWindow {
-		t.Fatalf("write-behind busy %v (device background %v): want the whole sweep, under the %v window", busy, st.BgTime-st0.BgTime, idleWindow)
+	if busy == 0 || busy != st.BusyTime-st0.BusyTime || busy > idleWindow {
+		t.Fatalf("write-behind busy %v (device busy %v): want the whole sweep, under the %v window", busy, st.BusyTime-st0.BusyTime, idleWindow)
 	}
 	if wb.Stall != wb0.Stall || wb.Overlap-wb0.Overlap != busy {
 		t.Fatalf("write-behind overlap %v, stall %v: the idle window should absorb all %v", wb.Overlap-wb0.Overlap, wb.Stall-wb0.Stall, busy)
@@ -95,9 +95,9 @@ func TestSyncIsChargedInFull(t *testing.T) {
 			if err := tc.sync(fs, f); err != nil {
 				t.Fatal(err)
 			}
-			st := dev.Stats()
-			if st.BgTime != st0.BgTime || fs.Stats().WriteBehind != wb0 {
-				t.Fatalf("%s put %v on the background lane", tc.name, st.BgTime-st0.BgTime)
+			st, wb := dev.Stats(), fs.Stats().WriteBehind
+			if wb != wb0 {
+				t.Fatalf("%s put %v on the background lane", tc.name, wb.Busy-wb0.Busy)
 			}
 			if busy, d := st.BusyTime-st0.BusyTime, clk.Now()-before; busy == 0 || d != busy {
 				t.Fatalf("%s took %v for %v of device time, want all of it", tc.name, d, busy)

@@ -319,7 +319,7 @@ func AblationCommitBytes(opts Options) (*CommitBytesReport, error) {
 					System: kind, MPL: mpl, GroupCommit: gc, TPS: res.TPS,
 					PatchBytes: per(st.PatchBytes - before.PatchBytes),
 					Blocks:     per(st.BlocksLogged - before.BlocksLogged),
-					Summary:    per(st.SummaryBlocks - before.SummaryBlocks),
+					Summary:    per(st.PartialSegments - before.PartialSegments),
 					InodePack:  per(st.InodePackBlocks - before.InodePackBlocks),
 					Pointer:    per(st.PointerBlocks - before.PointerBlocks),
 					Cleaner:    per(st.Cleaner.BlocksWritten - before.Cleaner.BlocksWritten),

@@ -87,7 +87,7 @@ func (fs *FS) CleanIdle() (bool, error) {
 	defer fs.tracer.PopAttr()
 	var bg disk.BgTimes
 	var reclaimed bool
-	err := disk.InBackground(fs.dev, &bg, func() error {
+	err := fs.dev.Background(&bg, func() error {
 		// Background passes take only cheap victims: copying a mostly-live
 		// segment costs more device time than the idle windows can hide.
 		// Expensive segments are left to shed more blocks; the synchronous
@@ -120,33 +120,33 @@ func (fs *FS) cleanLocked() error {
 	defer func() { fs.cleaning = false }()
 	fs.tracer.PushAttr(trace.AttrCleaner)
 	defer fs.tracer.PopAttr()
-	prev := fs.dev.SetLane(disk.Foreground)
-	defer fs.dev.SetLane(prev)
 	busy0 := fs.dev.Stats().BusyTime
 	defer func() { fs.stats.Cleaner.BusyTime += fs.dev.Stats().BusyTime - busy0 }()
 	fs.stats.Cleaner.Runs++
-	for fs.free < cleanTarget {
-		victims, err := fs.victimsLocked(fs.sb.SegmentBlocks - minCleanGain)
-		if err != nil {
-			return err
-		}
-		freeBefore := fs.free
-		if len(victims) > 0 {
-			if err := fs.cleanBatchLocked(victims); err != nil {
+	return fs.dev.Foreground(func() error {
+		for fs.free < cleanTarget {
+			victims, err := fs.victimsLocked(fs.sb.SegmentBlocks - minCleanGain)
+			if err != nil {
 				return err
 			}
-		}
-		if fs.free <= freeBefore {
-			// No victim, or cleaning made no net progress (copying the live
-			// blocks consumed as much as it freed): the disk is effectively
-			// full of live data.
-			if fs.free == 0 {
-				return ErrNoSpace
+			freeBefore := fs.free
+			if len(victims) > 0 {
+				if err := fs.cleanBatchLocked(victims); err != nil {
+					return err
+				}
 			}
-			return nil
+			if fs.free <= freeBefore {
+				// No victim, or cleaning made no net progress (copying the
+				// live blocks consumed as much as it freed): the disk is
+				// effectively full of live data.
+				if fs.free == 0 {
+					return ErrNoSpace
+				}
+				return nil
+			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // victimsLocked picks a batch of victims with at most maxLive live blocks

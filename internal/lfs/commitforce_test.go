@@ -488,7 +488,6 @@ func chainScript(fs *FS, after func(int, fileImage)) error {
 		im = im.edit(bs, lbn, off, p)
 		return nil
 	}
-	lanes := laneBlocks(fs)
 	// commit forces pages as one batch and checks that it was one
 	// summary-only force of want partials, with pointer blocks only when ptrs,
 	// that logged nothing else, all in the foreground, and that carried
@@ -501,8 +500,7 @@ func chainScript(fs *FS, after func(int, fileImage)) error {
 				held = append(held, b)
 			}
 		}
-		before := fs.Stats()
-		clear(lanes)
+		before, written := fs.Stats(), fs.dev.Stats().BlocksWrit
 		if err := fs.FlushCommit(pages); err != nil {
 			return err
 		}
@@ -511,14 +509,15 @@ func chainScript(fs *FS, after func(int, fileImage)) error {
 		}
 		st := fs.Stats()
 		partials := st.PartialSegments - before.PartialSegments
-		if st.SummaryOnlyForces != before.SummaryOnlyForces+1 || st.FullForces != before.FullForces {
+		if st.SummaryOnlyForces != before.SummaryOnlyForces+1 || st.FullForceCauses != before.FullForceCauses {
 			return fmt.Errorf("force %d was not one summary-only force", step)
 		}
 		if st.Checkpoints == before.Checkpoints {
 			meta := st.InodePackBlocks - before.InodePackBlocks + st.PointerBlocks - before.PointerBlocks
-			if partials != want || lanes[disk.Foreground] != partials+meta || lanes[disk.Background] != 0 {
-				return fmt.Errorf("force %d: %d partials, %d blocks in the foreground and %d behind; want %d partials and only their summaries, packs and pointer blocks, in the foreground",
-					step, partials, lanes[disk.Foreground], lanes[disk.Background], want)
+			written = fs.dev.Stats().BlocksWrit - written
+			if partials != want || written != partials+meta || st.WriteBehind != before.WriteBehind {
+				return fmt.Errorf("force %d: %d partials, %d blocks, %v behind; want %d partials and only their summaries, packs and pointer blocks, in the foreground",
+					step, partials, written, st.WriteBehind.Busy-before.WriteBehind.Busy, want)
 			}
 			if (st.PointerBlocks > before.PointerBlocks) != ptrs {
 				return fmt.Errorf("force %d wrote %d pointer blocks (a truncate cleared pointers: %v)", step, st.PointerBlocks-before.PointerBlocks, ptrs)
@@ -838,16 +837,16 @@ func TestCleanerRelocatesStalePack(t *testing.T) {
 }
 
 // TestCommitForceCostIsExact: the room check before a partial is written
-// trusts partialCostLocked, and an overestimate wastes segment tails as surely
-// as an underestimate overruns them. Over 1,000 random rounds — overwrites in
-// every pointer range, growth, truncation, new files, several files at once —
-// each round forces its files either by File.Sync's full path (flushLocked
-// with pointers deferred), whose estimate must equal the blocks it logged, in
-// one partial, or by FlushCommit, whose chain of summaries logs exactly the
-// inode packs and pointer blocks the estimate counts for its files and
-// nothing else, all in the foreground. Every tenth round a File.Sync of a few
-// changed bytes comes first; when it is summary-only it logs exactly one
-// block.
+// trusts chunkLen's count, and an overcount wastes segment tails as surely as
+// an undercount overruns them. Over 1,000 random rounds — overwrites in every
+// pointer range, growth, truncation, new files, several files at once — each
+// round forces its files either by File.Sync's full path (flushLocked with
+// pointers deferred), which logs one partial of exactly the blocks chunkLen
+// counts over the gathered work, or by FlushCommit, whose chain of summaries
+// logs each partial's files in exactly the blocks chunkLen counts for them
+// and then summaries alone, all in the foreground. Every tenth round a
+// File.Sync of a few changed bytes comes first; when it is summary-only it
+// logs exactly one block.
 func TestCommitForceCostIsExact(t *testing.T) {
 	clk := sim.NewClock()
 	model := sim.SmallModel()
@@ -857,7 +856,7 @@ func TestCommitForceCostIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lanes := laneBlocks(fs)
+	runs := writeRuns(fs)
 	bs := fs.BlockSize()
 	np := nptr(bs)
 	rng := sim.NewRNG(17)
@@ -930,54 +929,42 @@ func TestCommitForceCostIsExact(t *testing.T) {
 			cleared = cleared || fs.inodes[ino].ptrsCleared
 		}
 		before := fs.Stats()
-		clear(lanes)
-		var want int
-		if i%2 == 0 {
-			items, metaOnly := fs.gatherLocked(set, true)
-			perFile := map[Ino][]int64{}
-			for _, it := range items {
-				perFile[Ino(it.id.File)] = append(perFile[Ino(it.id.File)], it.id.Block)
-			}
-			for _, ino := range metaOnly {
-				perFile[ino] = []int64{}
-			}
-			if want, err = fs.partialCostLocked(perFile, true); err != nil {
+		*runs = (*runs)[:0]
+		var want []int64 // each partial's blocks, as chunkLen counts them
+		count := func(items []dataItem, files []Ino, budget int) (n, nf int) {
+			n, nf, blocks, err := fs.chunkLen(items, files, true, budget)
+			if err != nil {
 				t.Fatal(err)
 			}
-			for _, deferPtr := range []bool{true, false} {
-				checkChunkCost(t, fs, items, metaOnly, deferPtr)
+			want = append(want, int64(blocks))
+			return n, nf
+		}
+		if i%2 == 0 {
+			items, metaOnly := fs.gatherLocked(set, true)
+			if len(items)+len(metaOnly) > 0 {
+				if n, nf := count(items, metaOnly, fs.partialBudget()); n+nf != len(items)+len(metaOnly) {
+					t.Fatalf("flush %d: %d data items and %d meta-only files do not fit one partial", i, len(items), len(metaOnly))
+				}
 			}
 			if err := fs.flushLocked(set, true); err != nil {
 				t.Fatalf("flush %d: %v", i, err)
-			}
-			if len(items)+len(metaOnly) == 0 {
-				want = 0 // nothing to log
-			}
-			if got := fs.Stats().PartialSegments - before.PartialSegments; got != int64(min(want, 1)) {
-				t.Fatalf("flush %d wrote %d partials, want one or, with nothing to log, none", i, got)
-			}
-			if got := lanes[disk.Foreground]; got != int64(want) {
-				t.Fatalf("flush %d: estimated %d blocks, logged %d (%d data items, %d meta-only files)", i, want, got, len(items), len(metaOnly))
 			}
 		} else {
 			plan, refused, err := fs.planForceLocked(set, pages)
 			if err != nil || refused != nil {
 				t.Fatalf("force %d: a batch was refused (%v)", i, err)
 			}
-			perFile := map[Ino][]int64{}
-			for _, ino := range plan.files {
-				perFile[ino] = []int64{}
-			}
-			if want, err = fs.partialCostLocked(perFile, true); err != nil {
-				t.Fatal(err)
+			for files := plan.files; len(files) > 0; {
+				_, nf := count(nil, files, fs.partialBudget())
+				files = files[nf:]
 			}
 			if err := fs.FlushCommit(pages); err != nil {
 				t.Fatalf("force %d: %v", i, err)
 			}
 			st := fs.Stats()
 			partials := st.PartialSegments - before.PartialSegments
-			if got := lanes[disk.Foreground] - partials; got != int64(want-1) {
-				t.Fatalf("force %d: estimated %d inode-pack and pointer blocks, logged %d beside %d summaries", i, want-1, got, partials)
+			for int64(len(want)) < partials {
+				want = append(want, 1) // patches only: the summary
 			}
 			if st.SummaryOnlyForces != before.SummaryOnlyForces+1 || st.PatchBytes-before.PatchBytes != int64(len(pages)*bs) {
 				t.Fatalf("force %d: %d summary-only forces carrying %d bytes, want one carrying the %d pages whole",
@@ -987,9 +974,12 @@ func TestCommitForceCostIsExact(t *testing.T) {
 				chains++
 			}
 		}
+		if !slices.Equal(*runs, want) {
+			t.Fatalf("round %d logged partials of %v blocks, counted %v", i, *runs, want)
+		}
 		st := fs.Stats()
-		if lanes[disk.Background] != 0 {
-			t.Fatalf("round %d logged %d blocks on the background lane", i, lanes[disk.Background])
+		if st.WriteBehind != before.WriteBehind {
+			t.Fatalf("round %d put %v on the background lane", i, st.WriteBehind.Busy-before.WriteBehind.Busy)
 		}
 		if wrote := st.PointerBlocks - before.PointerBlocks; (wrote != 0) != cleared {
 			t.Fatalf("round %d wrote %d pointer blocks (after a truncate that cleared pointers: %v)", i, wrote, cleared)
@@ -1012,44 +1002,6 @@ func TestCommitForceCostIsExact(t *testing.T) {
 	}
 	if rep, err := fs.Fsck(); err != nil || !rep.OK() {
 		t.Fatalf("fsck: %v %+v", err, rep)
-	}
-}
-
-// checkChunkCost adds items, then metaOnly, to a chunkCost one at a time, as
-// takeChunk does, and checks its count against partialCostLocked's full
-// recount after each addition.
-func checkChunkCost(t *testing.T, fs *FS, items []dataItem, metaOnly []Ino, deferPtr bool) {
-	t.Helper()
-	np := nptr(fs.BlockSize())
-	cc := chunkCost{fs: fs, deferPtr: deferPtr, blocks: 1}
-	perFile := map[Ino][]int64{}
-	add := func(ino Ino, lbn int64) {
-		at := cc.find(ino)
-		f, err := cc.entry(at, ino)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lbn >= 0 {
-			f = f.withBlock(lbn, np)
-			perFile[ino] = append(perFile[ino], lbn)
-		} else if _, ok := perFile[ino]; !ok {
-			perFile[ino] = []int64{}
-		}
-		got := cc.costWith(at, &f)
-		cc.set(at, f)
-		want, err := fs.partialCostLocked(perFile, deferPtr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("deferPtr %v, after file %d block %d: incremental cost %d, recount %d", deferPtr, ino, lbn, got, want)
-		}
-	}
-	for _, it := range items {
-		add(Ino(it.id.File), it.id.Block)
-	}
-	for _, ino := range metaOnly {
-		add(ino, -1)
 	}
 }
 

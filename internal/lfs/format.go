@@ -68,8 +68,7 @@ const (
 	// to within this many blocks (takeChunk).
 	minSegmentTail = 4
 
-	// maxFilesPerPartial bounds the distinct files in one partial segment
-	// so the conservative metadata estimate stays within a segment.
+	// maxFilesPerPartial bounds the distinct files in one partial segment.
 	maxFilesPerPartial = 8
 )
 

@@ -46,8 +46,7 @@ func (o *Options) fill() {
 // Stats reports file system activity.
 type Stats struct {
 	PartialSegments int64 `json:"partial_segments"` // partial segments written
-	BlocksLogged    int64 `json:"blocks_logged"`    // blocks written to the log (incl. summaries)
-	SummaryBlocks   int64 `json:"summary_blocks"`
+	BlocksLogged    int64 `json:"blocks_logged"`    // blocks written to the log (incl. one summary per partial segment)
 	InodePackBlocks int64 `json:"inode_pack_blocks"`
 	PointerBlocks   int64 `json:"pointer_blocks"` // single, double indirect and child blocks
 	Checkpoints     int64 `json:"checkpoints"`
@@ -60,11 +59,10 @@ type Stats struct {
 	SkippedTailBlocks int64 `json:"skipped_tail_blocks"`
 	// Commit forces (File.Sync, FlushCommit): SummaryOnlyForces wrote summary
 	// blocks whose patch records carried PatchBytes bytes (one, or a
-	// FlushCommit's chain with its packs and pointer blocks); FullForces are
-	// the File.Syncs that logged blocks whole, FullForceCauses says why.
+	// FlushCommit's chain with its packs and pointer blocks); FullForceCauses
+	// counts the File.Syncs that logged blocks whole, by why.
 	SummaryOnlyForces int64       `json:"summary_only_forces"`
 	PatchBytes        int64       `json:"patch_bytes"`
-	FullForces        int64       `json:"full_forces"`
 	FullForceCauses   ForceCauses `json:"full_force_causes"`
 	// Stage counts the fetches the stage served instead of the log, from
 	// parked and from kept blocks, and the kept blocks it reclaimed unread;
@@ -78,14 +76,19 @@ type Stats struct {
 	WriteBehind disk.BgTimes `json:"write_behind"`
 }
 
-// ForceCauses splits Stats.FullForces by what refused File.Sync the
-// summary-only force (planForceLocked); they sum to FullForces.
+// ForceCauses splits the commit forces that logged blocks whole by what
+// refused File.Sync the summary-only force (planForceLocked).
 type ForceCauses struct {
 	NoDelta         int64 `json:"no_delta"`         // a dirty block's changed ranges were not known
 	StagedUndurable int64 `json:"staged_undurable"` // the file had a staged block that is not its durable image
 	InodePack       int64 `json:"inode_pack"`       // the file's inode had to be packed
 	SummaryRoom     int64 `json:"summary_room"`     // the changed ranges did not fit the summary block
 	PtrsCleared     int64 `json:"ptrs_cleared"`     // a truncate had cleared pointers, which the force must log
+}
+
+// Total returns the commit forces that logged blocks whole.
+func (c ForceCauses) Total() int64 {
+	return c.NoDelta + c.StagedUndurable + c.InodePack + c.SummaryRoom + c.PtrsCleared
 }
 
 // upper is the layer LFS shares with FFS: namespace, directories and open
@@ -482,16 +485,16 @@ func (fs *FS) leaveLocked(id buffer.BlockID) bool {
 
 // writeBehindLocked runs fn, log writes no caller waits for, on the device's
 // background lane: a full stage, the patched blocks a checkpoint logs. Inside
-// another background
-// flush, or a cleaning pass, it simply runs as part of it: a pass is charged
-// its way, whatever it writes (cleanLocked).
+// another background flush it runs as part of it (Device.Background), and
+// inside a cleaning pass it simply runs: a pass is charged its way, whatever
+// it writes (cleanLocked).
 func (fs *FS) writeBehindLocked(what string, fn func() error) error {
-	if fs.cleaning || fs.dev.Lane() == disk.Background {
+	if fs.cleaning {
 		return fn()
 	}
 	span := fs.tracer.Begin("lfs", "lfs.writeBehind")
 	logged := fs.stats.BlocksLogged
-	err := disk.InBackground(fs.dev, &fs.stats.WriteBehind, fn)
+	err := fs.dev.Background(&fs.stats.WriteBehind, fn)
 	span.End(trace.AS("of", what), trace.AI("blocks", fs.stats.BlocksLogged-logged))
 	return err
 }

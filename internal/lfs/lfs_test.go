@@ -797,8 +797,9 @@ func TestStatsAccumulate(t *testing.T) {
 	if st.PartialSegments == 0 || st.BlocksLogged == 0 || st.Checkpoints == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.SummaryBlocks != st.PartialSegments {
-		t.Fatalf("one summary per partial segment: %+v", st)
+	// A partial segment is a summary, the data and the blocks that map it.
+	if st.BlocksLogged-st.PartialSegments-st.InodePackBlocks-st.PointerBlocks < 10 {
+		t.Fatalf("the log holds fewer than the file's 10 data blocks beside its summaries, packs and pointer blocks: %+v", st)
 	}
 }
 

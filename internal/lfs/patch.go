@@ -344,7 +344,6 @@ func (fs *FS) forceLocked(set map[Ino]bool, commit []CommitPage) error {
 		partials, logged := fs.stats.PartialSegments, fs.stats.BlocksLogged
 		err := fs.flushLocked(set, true)
 		if fs.stats.PartialSegments > partials {
-			fs.stats.FullForces++
 			*refused++
 		}
 		span.End(trace.AI("blocks", fs.stats.BlocksLogged-logged))

@@ -2,6 +2,7 @@ package lfs
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/buffer"
@@ -219,74 +220,9 @@ func (fs *FS) packsLocked(in *inode, deferPtr bool) bool {
 	return !mapped
 }
 
-// metaCostLocked returns the exact number of indirect-pointer blocks that
-// flushing the given logical blocks of a file will write, including pointer
-// blocks that are already dirty from earlier operations. The shared inode
-// pack block is accounted separately by the caller.
-func (fs *FS) metaCostLocked(in *inode, lbns []int64) int {
-	np := nptr(fs.blockSize)
-	needInd := in.ind != nil && in.ind.dirty
-	needDind := in.dind != nil && in.dind.dirty
-	slots := map[int64]bool{}
-	for slot, c := range in.dchild {
-		if c.dirty {
-			slots[slot] = true
-		}
-	}
-	for _, lbn := range lbns {
-		switch {
-		case lbn < NDirect:
-		case lbn < NDirect+np:
-			needInd = true
-		default:
-			slots[(lbn-NDirect-np)/np] = true
-			needDind = true
-		}
-	}
-	// Rewriting a child moves it, so its address in the double indirect
-	// block changes too — also when the child is dirty only because an
-	// earlier commit force (deferPtr) left it behind and none of lbns lies in
-	// the double-indirect range.
-	if len(slots) > 0 {
-		needDind = true
-	}
-	cost := len(slots)
-	if needInd {
-		cost++
-	}
-	if needDind {
-		cost++
-	}
-	return cost
-}
-
-// partialCostLocked computes the exact block count of a partial segment
-// carrying the given data items and meta-only files: summary + data +
-// pointer blocks + inode pack blocks.
-func (fs *FS) partialCostLocked(perFile map[Ino][]int64, deferPtr bool) (int, error) {
-	total := 1 // summary
-	packed := 0
-	for _, ino := range detsort.Keys(perFile) {
-		in, err := fs.loadInode(ino)
-		if err != nil {
-			return 0, err
-		}
-		total += len(perFile[ino])
-		if !deferPtr || in.ptrsCleared {
-			total += fs.metaCostLocked(in, perFile[ino])
-		}
-		if fs.packsLocked(in, deferPtr) {
-			packed++
-		}
-	}
-	packCap := maxInodesPerPack(fs.blockSize)
-	total += (packed + packCap - 1) / packCap
-	return total, nil
-}
-
-// fileCost is one file's share of a partial segment under construction: the
-// state metaCostLocked derives from the inode and the file's logical blocks,
-// kept as the blocks join.
+// fileCost is one file's share of a partial segment under construction: its
+// data blocks and the pointer blocks they dirty, on top of those an earlier
+// operation left dirty, kept as the blocks join.
 type fileCost struct {
 	ino   Ino
 	data  int  // data blocks
@@ -305,8 +241,10 @@ func (f *fileCost) size() int {
 		if f.ind {
 			n++
 		}
-		// Rewriting a child moves it, so the double indirect block changes
-		// too (see metaCostLocked).
+		// Rewriting a child moves it, so its address in the double indirect
+		// block changes too — also when the child is dirty only because an
+		// earlier commit force (deferPtr) left it behind and none of the
+		// file's blocks lies in the double-indirect range.
 		if f.dind || len(f.slots) > 0 {
 			n++
 		}
@@ -335,9 +273,10 @@ func (f fileCost) withBlock(lbn, np int64) fileCost {
 	return f
 }
 
-// chunkCost is partialCostLocked's count for the partial takeChunk is
-// assembling, updated as each block or file joins instead of recomputed over
-// the whole chunk.
+// chunkCost counts the blocks of a partial segment as its data blocks and
+// files join: summary, data, pointer blocks and inode packs. It is the one
+// count of a partial: takeChunk cuts the work by it, and writePartialLocked
+// emits exactly the blocks it counted (chunkLen).
 type chunkCost struct {
 	fs       *FS
 	deferPtr bool
@@ -495,19 +434,7 @@ func (fs *FS) chunkLen(items []dataItem, files []Ino, deferPtr bool, budget int)
 // the chunk's data blocks, then the affected pointer blocks and inodes (in
 // dependency order), then logs pending deletions and patches in the summary.
 func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool, patches []patch) error {
-	fileSet := map[Ino]bool{}
-	perFile := map[Ino][]int64{}
-	for _, it := range chunk {
-		fileSet[Ino(it.id.File)] = true
-		perFile[Ino(it.id.File)] = append(perFile[Ino(it.id.File)], it.id.Block)
-	}
-	for _, ino := range metaOnly {
-		fileSet[ino] = true
-		if _, ok := perFile[ino]; !ok {
-			perFile[ino] = []int64{}
-		}
-	}
-	cost, err := fs.partialCostLocked(perFile, deferPtr)
+	_, _, cost, err := fs.chunkLen(chunk, metaOnly, deferPtr, math.MaxInt)
 	if err != nil {
 		return err
 	}
@@ -561,6 +488,13 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 	// children first (their addresses go into the double indirect block),
 	// then the single and double indirect blocks (addresses go into the
 	// inode), then the inode itself (address goes into the imap).
+	fileSet := map[Ino]bool{}
+	for _, it := range chunk {
+		fileSet[Ino(it.id.File)] = true
+	}
+	for _, ino := range metaOnly {
+		fileSet[ino] = true
+	}
 	var packed []*inode
 	for _, ino := range detsort.Keys(fileSet) {
 		in, err := fs.loadInode(ino)
@@ -681,13 +615,14 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 	if err := sum.encode(blocks[0]); err != nil {
 		return err
 	}
-	// Hard invariant: the partial is no larger than partialCostLocked
-	// promised. The room check above trusted that count, so a partial that
-	// outgrows it can cross the segment boundary and clobber the neighbouring
-	// segment's summaries; failing on any excess, not only at a boundary,
-	// makes a cost-accounting bug show on the first partial it touches.
-	if int64(len(blocks)) > required {
-		return fmt.Errorf("lfs: internal error: partial segment of %d blocks at offset %d outgrew its cost estimate of %d (segment of %d blocks)",
+	// Hard invariant: the partial has exactly the blocks chunkLen counted.
+	// The room check above trusted that count, so a partial that outgrows it
+	// can cross the segment boundary and clobber the neighbouring segment's
+	// summaries, and takeChunk cut the work by the same count; failing on any
+	// difference, not only at a boundary, makes a counting bug show on the
+	// first partial it touches.
+	if int64(len(blocks)) != required {
+		return fmt.Errorf("lfs: internal error: partial segment of %d blocks at offset %d, counted as %d (segment of %d blocks)",
 			len(blocks), fs.curOff, required, fs.sb.SegmentBlocks)
 	}
 	if err := fs.dev.WriteRun(base, blocks); err != nil {
@@ -710,7 +645,6 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 	fs.curOff += int64(len(blocks))
 	fs.stats.PartialSegments++
 	fs.stats.BlocksLogged += int64(len(blocks))
-	fs.stats.SummaryBlocks++
 	kinds := countKinds(entries)
 	fs.stats.InodePackBlocks += kinds[kindInodePack]
 	fs.stats.PointerBlocks += kinds[kindInd] + kinds[kindDInd] + kinds[kindDChild]

@@ -60,8 +60,8 @@ func TestStageFlushRunsInIdleTime(t *testing.T) {
 	}
 	wb0, wb := fs0.WriteBehind, fs1.WriteBehind
 	busy := wb.Busy - wb0.Busy
-	if busy == 0 || busy != st.BgTime-st0.BgTime || busy != st.BusyTime-st0.BusyTime || busy > idleWindow {
-		t.Fatalf("write-behind busy %v (device background %v, all %v): want the whole flush, under the %v window", busy, st.BgTime-st0.BgTime, st.BusyTime-st0.BusyTime, idleWindow)
+	if busy == 0 || busy != st.BusyTime-st0.BusyTime || busy > idleWindow {
+		t.Fatalf("write-behind busy %v (device busy %v): want the whole flush, under the %v window", busy, st.BusyTime-st0.BusyTime, idleWindow)
 	}
 	if wb.Stall != wb0.Stall || wb.Overlap-wb0.Overlap != busy {
 		t.Fatalf("write-behind overlap %v, stall %v: the idle window should absorb all %v", wb.Overlap-wb0.Overlap, wb.Stall-wb0.Stall, busy)
@@ -107,9 +107,9 @@ func TestSyncIsChargedInFull(t *testing.T) {
 			if err := tc.sync(fs, f); err != nil {
 				t.Fatal(err)
 			}
-			st := dev.Stats()
-			if st.BgTime != st0.BgTime || fs.Stats().WriteBehind != wb0 {
-				t.Fatalf("%s put %v on the background lane", tc.name, st.BgTime-st0.BgTime)
+			st, wb := dev.Stats(), fs.Stats().WriteBehind
+			if wb != wb0 {
+				t.Fatalf("%s put %v on the background lane", tc.name, wb.Busy-wb0.Busy)
 			}
 			if busy, d := st.BusyTime-st0.BusyTime, clk.Now()-before; busy == 0 || d != busy {
 				t.Fatalf("%s took %v for %v of device time, want all of it", tc.name, d, busy)
@@ -146,8 +146,8 @@ func TestCleaningInsideBackgroundFlushIsForeground(t *testing.T) {
 			continue
 		}
 		wb := fs1.WriteBehind.Busy - fs0.WriteBehind.Busy
-		if wb == 0 || wb != st.BgTime-st0.BgTime || wb+cleaned != st.BusyTime-st0.BusyTime {
-			t.Fatalf("write-behind %v + cleaning %v != device busy %v (background %v): the pass must stay off the background lane", wb, cleaned, st.BusyTime-st0.BusyTime, st.BgTime-st0.BgTime)
+		if wb == 0 || wb+cleaned != st.BusyTime-st0.BusyTime {
+			t.Fatalf("write-behind %v + cleaning %v != device busy %v: the pass must stay off the background lane", wb, cleaned, st.BusyTime-st0.BusyTime)
 		}
 		if d := clk.Now() - before; d != cleaned {
 			t.Fatalf("the read that started the flush took %v, want the cleaning pass's %v", d, cleaned)
@@ -157,14 +157,23 @@ func TestCleaningInsideBackgroundFlushIsForeground(t *testing.T) {
 	t.Fatal("no full-stage flush cleaned: the test exercises nothing")
 }
 
-// laneBlocks counts, from now on, the blocks fs's device writes on each lane.
-func laneBlocks(fs *FS) map[disk.Lane]int64 {
-	n := map[disk.Lane]int64{}
+// writeRuns records, from now on, the blocks of each write operation fs's
+// device issues: a partial segment is one.
+func writeRuns(fs *FS) *[]int64 {
+	var runs []int64
+	last := int64(-1)
 	fs.dev.SetFault(func(op string, _ int64) error {
-		if op == "write" {
-			n[fs.dev.Lane()]++
+		if op != "write" {
+			return nil
 		}
+		// The device counts an operation after consulting the hook on each
+		// of its blocks.
+		if w := fs.dev.WriteOps(); w != last {
+			last = w
+			runs = append(runs, 0)
+		}
+		runs[len(runs)-1]++
 		return nil
 	})
-	return n
+	return &runs
 }

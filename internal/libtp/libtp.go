@@ -49,10 +49,6 @@ type Options struct {
 	// (default 1 = every commit forces); a commit is durable when it
 	// returns at any setting.
 	GroupCommit int
-	// LogPath is the write-ahead log's base path (default "/libtp.log");
-	// the log manager materializes rotated {LogPath}.{seq}.txnlog segments,
-	// sidecar indexes, and a {LogPath}.ckpt checkpoint anchor next to it.
-	LogPath string
 	// LogSegmentBytes is the log rotation threshold (0 = the wal default).
 	LogSegmentBytes int64
 	// Tracer, when non-nil, is wired through the environment's buffer pool,
@@ -71,10 +67,12 @@ func (o *Options) fill() {
 	if o.GroupCommit == 0 {
 		o.GroupCommit = 1
 	}
-	if o.LogPath == "" {
-		o.LogPath = "/libtp.log"
-	}
 }
+
+// logPath is the write-ahead log's base path: the log manager materializes
+// rotated {logPath}.{seq}.txnlog segments and a {logPath}.ckpt checkpoint
+// anchor next to it.
+const logPath = "/libtp.log"
 
 // Stats counts environment activity.
 type Stats struct {
@@ -175,14 +173,14 @@ func NewEnv(fsys vfs.FileSystem, clock *sim.Clock, opts Options) (*Env, error) {
 	env := newEnvShell(fsys, clock, opts)
 
 	walOpts := wal.Options{SegmentBytes: opts.LogSegmentBytes}
-	if !wal.Exists(fsys, opts.LogPath) {
-		lg, err := wal.Create(fsys, opts.LogPath, walOpts)
+	if !wal.Exists(fsys, logPath) {
+		lg, err := wal.Create(fsys, logPath, walOpts)
 		if err != nil {
 			return nil, err
 		}
 		env.log = lg
 	} else {
-		lg, err := wal.Open(fsys, opts.LogPath, walOpts)
+		lg, err := wal.Open(fsys, logPath, walOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -209,7 +207,7 @@ func (e *Env) FS() vfs.FileSystem { return e.fs }
 
 // LogPath returns the write-ahead log's base path (segments and the
 // checkpoint anchor are materialized next to it).
-func (e *Env) LogPath() string { return e.opts.LogPath }
+func (e *Env) LogPath() string { return logPath }
 
 // Stats returns a snapshot of the counters.
 func (e *Env) Stats() Stats {
@@ -552,7 +550,7 @@ func RecoverPaths(fsys vfs.FileSystem, clock *sim.Clock, opts Options, dbPaths [
 		env.files[uint64(f.ID())] = f
 	}
 	scanStart := clock.Now()
-	lg, err := wal.Open(fsys, opts.LogPath, wal.Options{SegmentBytes: opts.LogSegmentBytes})
+	lg, err := wal.Open(fsys, logPath, wal.Options{SegmentBytes: opts.LogSegmentBytes})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -62,6 +62,8 @@ type Snapshot struct {
 	Attribution []trace.AttrRow        `json:"attribution,omitempty"`
 	Metrics     *trace.MetricsSnapshot `json:"metrics,omitempty"`
 	Wall        *WallStats             `json:"wall,omitempty"`
+
+	blockSize int64 // the rig's file system's, by which Render counts the embedded section's pages
 }
 
 // Snapshot assembles the end-of-run report from the rig-wide accessors and,
@@ -69,11 +71,12 @@ type Snapshot struct {
 // metrics registry. The scan section appears when the run had scanners.
 func (r *Rig) Snapshot(res MixedResult) *Snapshot {
 	snap := &Snapshot{
-		Result: res.Result,
-		Disk:   r.DiskStats(),
-		FFS:    r.FFSStats(),
-		WAL:    r.WALStats(),
-		LibTP:  r.LibTPStats(),
+		Result:    res.Result,
+		Disk:      r.DiskStats(),
+		FFS:       r.FFSStats(),
+		WAL:       r.WALStats(),
+		LibTP:     r.LibTPStats(),
+		blockSize: int64(r.FS.BlockSize()),
 	}
 	if ls := r.LFSStats(); ls != nil {
 		snap.LFS = &LFSReport{Stats: *ls, WriteAmp: ls.WriteAmplification()}
@@ -137,15 +140,15 @@ func (s *Snapshot) Render() string {
 	}
 	if f := s.LFS; f != nil {
 		fmt.Fprintf(&b, "lfs: %d partial segments, %d blocks logged (%d summary, %d inode pack, %d pointer), %d segment-tail blocks skipped, %d checkpoints, %d flushes of a full stage (%d hot cached blocks left dirty), %s; %s\n",
-			f.PartialSegments, f.BlocksLogged, f.SummaryBlocks, f.InodePackBlocks, f.PointerBlocks, f.SkippedTailBlocks, f.Checkpoints, f.StagedFlushes, f.HotBlocksLeft, stageHits(f.Stage), writeBehind(f.WriteBehind))
-		if forces := f.SummaryOnlyForces + f.FullForces; forces > 0 {
+			f.PartialSegments, f.BlocksLogged, f.PartialSegments, f.InodePackBlocks, f.PointerBlocks, f.SkippedTailBlocks, f.Checkpoints, f.StagedFlushes, f.HotBlocksLeft, stageHits(f.Stage), writeBehind(f.WriteBehind))
+		if forces := f.SummaryOnlyForces + f.FullForceCauses.Total(); forces > 0 {
 			force := "File.Sync" // a user-level rig's commit force; the embedded manager's is FlushCommit
 			if s.Embedded != nil {
 				force = "FlushCommit"
 			}
 			c := f.FullForceCauses
 			fmt.Fprintf(&b, "lfs: %d %s forces, %d summary-only (%.1f %%, %d bytes in patches, %d pages read back from the stage), %d with blocks (%d no delta, %d undurable staged block, %d inode pack, %d summary room, %d cleared pointers)\n",
-				forces, force, f.SummaryOnlyForces, 100*perTxn(f.SummaryOnlyForces, int(forces)), f.PatchBytes, f.StagedPatched, f.FullForces,
+				forces, force, f.SummaryOnlyForces, 100*perTxn(f.SummaryOnlyForces, int(forces)), f.PatchBytes, f.StagedPatched, c.Total(),
 				c.NoDelta, c.StagedUndurable, c.InodePack, c.SummaryRoom, c.PtrsCleared)
 		}
 		cl := f.Cleaner
@@ -163,7 +166,7 @@ func (s *Snapshot) Render() string {
 	}
 	if e := s.Embedded; e != nil {
 		fmt.Fprintf(&b, "embedded: %d committed, %d aborted, %d commit flushes, %d pages (%d bytes) committed\n",
-			e.Committed, e.Aborted, e.CommitFlush, e.PagesFlushed, e.BytesFlushed)
+			e.Committed, e.Aborted, e.CommitFlush, e.BytesFlushed/s.blockSize, e.BytesFlushed)
 		if e.Snapshots > 0 || e.VersionsRecorded > 0 {
 			fmt.Fprintf(&b, "embedded: %d snapshots, %d page versions recorded\n",
 				e.Snapshots, e.VersionsRecorded)
