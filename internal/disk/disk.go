@@ -21,6 +21,11 @@ import (
 	"repro/internal/trace"
 )
 
+// SectorSize is the device's unit of transfer within a block: the RZ55's
+// 512-byte sector. A one-block write may transfer fewer sectors than the block
+// holds (see WriteRun); everything else moves whole blocks.
+const SectorSize = 512
+
 // Common errors returned by the device.
 var (
 	ErrOutOfRange = errors.New("disk: block address out of range")
@@ -69,6 +74,8 @@ type Device struct {
 	one [1][]byte // Read's and Write's one-block run, so they allocate nothing
 	//simlint:tokenguarded
 	arm int64 // block address one past the last access, -1 if unknown
+	//simlint:tokenguarded
+	lag time.Duration // rotation the next access at arm owes: the sectors a sub-block write left untransferred
 	//simlint:tokenguarded
 	fault FaultFn
 	//simlint:tokenguarded
@@ -130,7 +137,8 @@ func (d *Device) checkFault(op string, start int64, n int) error {
 // — see WriteOps). The crashing operation persists none of its blocks, unless
 // torn is set, in which case a deterministic prefix of the run — chosen by a
 // RNG seeded with seed, possibly empty and possibly the whole run (the
-// "acknowledgement lost" case) — reaches the media before power fails. The
+// "acknowledgement lost" case) — reaches the media before power fails. A
+// sub-block write tears at a sector boundary: a prefix of its sectors. The
 // crashing write and every later access return ErrCrashed until ClearCrash.
 // No simulated time is charged for accesses after the crash.
 //
@@ -172,13 +180,20 @@ func (d *Device) noteWrite(start int64, bufs [][]byte) bool {
 		return true
 	}
 	d.crashed = true
-	if d.crashTorn {
-		// The media wrote blocks strictly in order until power failed, so
-		// what survives is a prefix — anywhere from nothing to the full run.
-		k := sim.NewRNG(d.crashSeed).Intn(len(bufs) + 1)
-		for i := 0; i < k; i++ {
-			d.store(start+int64(i), bufs[i])
-		}
+	if !d.crashTorn {
+		return false
+	}
+	// The media wrote blocks, and a block's sectors, strictly in order until
+	// power failed, so what survives is a prefix — anywhere from nothing to
+	// the full run.
+	rng := sim.NewRNG(d.crashSeed)
+	if b := bufs[0]; len(b) < d.model.BlockSize {
+		d.store(start, b[:rng.Intn(len(b)/SectorSize+1)*SectorSize])
+		return false
+	}
+	k := rng.Intn(len(bufs) + 1)
+	for i := 0; i < k; i++ {
+		d.store(start+int64(i), bufs[i])
 	}
 	return false
 }
@@ -247,10 +262,16 @@ func (d *Device) checkRange(block int64, n int) error {
 	return nil
 }
 
-// charge bills an access of n contiguous blocks at address block and moves
-// the arm. Foreground accesses advance the clock by their full service time.
-// Background accesses (see Background) drain the accumulated idle budget first
-// and only their residue stalls the clock.
+// charge bills an access of n contiguous blocks at address block, transferring
+// nbytes of them, and moves the arm. Foreground accesses advance the clock by
+// their full service time. Background accesses (see Background) drain the
+// accumulated idle budget first and only their residue stalls the clock.
+//
+// The arm moves past the whole last block whatever its transfer: an access
+// that continues there waits, as rotation, for the sectors a sub-block write
+// left untransferred to pass under the head. A sub-block write followed by a
+// sequential access thus costs what two whole-block accesses do; the sectors
+// save their transfer only when the next access seeks.
 //
 // The device models a single spindle: whatever arm time a caller waits for —
 // all of a foreground access, the unabsorbed residue of a background one —
@@ -261,13 +282,21 @@ func (d *Device) checkRange(block int64, n int) error {
 // the direct-advance design exactly. A background access the idle budget
 // absorbs entirely ran in an idle window already past: it neither waits nor
 // holds the arm.
-func (d *Device) charge(ot *opTrace, block int64, n int) {
+func (d *Device) charge(ot *opTrace, block int64, n, nbytes int) {
 	start := d.clock.Now()
 	var qwait time.Duration
 	if d.bg == nil {
 		qwait = d.waitForArm()
 	}
 	seek, rot, xfer := d.model.AccessTimeParts(d.arm, block, n)
+	if block == d.arm {
+		rot += d.lag
+	}
+	d.lag = 0
+	if nbytes < n*d.model.BlockSize {
+		part := d.model.TransferTime(nbytes)
+		d.lag, xfer = xfer-part, part
+	}
 	t := seek + rot + xfer
 	if d.arm != block {
 		d.stats.Seeks++
@@ -385,8 +414,8 @@ func (d *Device) Read(block int64, buf []byte) error {
 	return err
 }
 
-// Write writes one block from buf: a one-block WriteRun. buf must be
-// exactly one block long.
+// Write writes one block from buf: a one-block WriteRun. buf is one block
+// long, or a sub-block write of whole sectors.
 //
 //simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (d *Device) Write(block int64, buf []byte) error {
@@ -402,9 +431,11 @@ func (d *Device) Write(block int64, buf []byte) error {
 // layout; one allocation per block made most of a rig's set-up allocator work.
 const slabBlocks = 64
 
-// store copies buf into block. Zeros written to a block never written before
-// store nothing: the block reads as zeros already, and a file system that
-// zero-fills a range it reserves (ffs's growing Truncate) costs no memory.
+// store copies buf into block, or into its leading sectors when buf is shorter:
+// the rest of the block keeps what it held. Zeros written to a block never
+// written before store nothing: the block reads as zeros already, and a file
+// system that zero-fills a range it reserves (ffs's growing Truncate) costs no
+// memory.
 func (d *Device) store(block int64, buf []byte) {
 	dst := d.blocks[block]
 	if dst == nil {
@@ -432,16 +463,25 @@ func allZero(b []byte) bool {
 
 // WriteRun writes len(bufs) contiguous blocks starting at start in a single
 // sequential transfer: one positioning delay, then media-rate transfer. This
-// is the primitive behind LFS segment writes.
+// is the primitive behind LFS segment writes. A run of one block may be a
+// sub-block write: its buffer a whole number of sectors shorter than the
+// block, which is charged and stores only those sectors (see charge for the
+// rotation the next sequential access owes). It still counts one block in
+// Stats.BlocksWrit.
 //
 //simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (d *Device) WriteRun(start int64, bufs [][]byte) error {
 	if len(bufs) == 0 {
 		return nil
 	}
-	for _, b := range bufs {
-		if len(b) != d.model.BlockSize {
-			return ErrBadSize
+	nbytes := len(bufs) * d.model.BlockSize
+	if n := len(bufs[0]); len(bufs) == 1 && n > 0 && n < d.model.BlockSize && n%SectorSize == 0 {
+		nbytes = n // a sub-block write
+	} else {
+		for _, b := range bufs {
+			if len(b) != d.model.BlockSize {
+				return ErrBadSize
+			}
 		}
 	}
 	if err := d.checkRange(start, len(bufs)); err != nil {
@@ -456,7 +496,7 @@ func (d *Device) WriteRun(start int64, bufs [][]byte) error {
 	if !d.noteWrite(start, bufs) {
 		return ErrCrashed
 	}
-	d.charge(&d.wr, start, len(bufs))
+	d.charge(&d.wr, start, len(bufs), nbytes)
 	d.stats.Writes++
 	d.stats.BlocksWrit += int64(len(bufs))
 	for i, b := range bufs {
@@ -487,7 +527,7 @@ func (d *Device) ReadRun(start int64, bufs [][]byte) error {
 	if err := d.checkFault("read", start, len(bufs)); err != nil {
 		return err
 	}
-	d.charge(&d.rd, start, len(bufs))
+	d.charge(&d.rd, start, len(bufs), len(bufs)*d.model.BlockSize)
 	d.stats.Reads++
 	d.stats.BlocksRead += int64(len(bufs))
 	for i, b := range bufs {

@@ -90,6 +90,82 @@ func TestBadBufferSizeRejected(t *testing.T) {
 	if err := dev.Write(0, make([]byte, dev.BlockSize()+1)); err != ErrBadSize {
 		t.Fatalf("got %v, want ErrBadSize", err)
 	}
+	// A sub-block write is a whole number of sectors, and alone in its run.
+	for _, n := range []int{0, 100, SectorSize + 1} {
+		if err := dev.Write(0, make([]byte, n)); err != ErrBadSize {
+			t.Fatalf("%d-byte write: got %v, want ErrBadSize", n, err)
+		}
+	}
+	if err := dev.WriteRun(0, [][]byte{make([]byte, SectorSize), block(dev, 1)}); err != ErrBadSize {
+		t.Fatalf("sub-block buffer in a run: got %v, want ErrBadSize", err)
+	}
+}
+
+// TestSectorWriteCost pins the cost of a k-sector write at B: followed by a
+// write at B+1 (or a read there) it costs exactly what two whole-block
+// accesses cost, because the arm waits out the sectors it did not transfer;
+// followed by a seek elsewhere it saves exactly (8−k)·512 bytes of transfer.
+// It stores only its sectors and still counts one block written.
+func TestSectorWriteCost(t *testing.T) {
+	const b, far = 1000, 5000
+	bs := sim.SmallModel().BlockSize
+	type access func(dev *Device) error
+	writeAt := func(addr int64) access {
+		return func(dev *Device) error { return dev.Write(addr, block(dev, 2)) }
+	}
+	readAt := func(addr int64) access {
+		return func(dev *Device) error { return dev.Read(addr, block(dev, 0)) }
+	}
+	// cost runs a first write of n bytes at b, then next, and returns the
+	// time they took and the device's counters.
+	cost := func(n int, next access) (time.Duration, Stats) {
+		dev, clk := newTestDevice()
+		if err := dev.Write(b, bytes.Repeat([]byte{1}, n)); err != nil {
+			t.Fatal(err)
+		}
+		if err := next(dev); err != nil {
+			t.Fatal(err)
+		}
+		return clk.Now(), dev.Stats()
+	}
+	model := sim.SmallModel()
+	for k := 1; k < bs/SectorSize; k++ {
+		for _, next := range []struct {
+			name string
+			do   access
+		}{{"write", writeAt(b + 1)}, {"read", readAt(b + 1)}} {
+			whole, wst := cost(bs, next.do)
+			part, pst := cost(k*SectorSize, next.do)
+			if part != whole {
+				t.Fatalf("%d sectors then a sequential %s: %v, two whole blocks %v", k, next.name, part, whole)
+			}
+			if pst != wst {
+				t.Fatalf("%d sectors then a sequential %s: stats %+v, two whole blocks %+v", k, next.name, pst, wst)
+			}
+		}
+		whole, _ := cost(bs, writeAt(far))
+		part, st := cost(k*SectorSize, writeAt(far))
+		if saved, want := whole-part, model.TransferTime((bs/SectorSize-k)*SectorSize); saved != want {
+			t.Fatalf("%d sectors then a seek: saved %v, want %v", k, saved, want)
+		}
+		if st.Writes != 2 || st.BlocksWrit != 2 {
+			t.Fatalf("%d sectors then a seek: stats %+v, want 2 writes of 2 blocks", k, st)
+		}
+	}
+
+	// Only the written sectors change; the rest of the block keeps its bytes.
+	dev, _ := newTestDevice()
+	if err := dev.Write(b, block(dev, 0xaa)); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Write(b, bytes.Repeat([]byte{0xbb}, 3*SectorSize)); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := dev.Peek(b)
+	want := append(bytes.Repeat([]byte{0xbb}, 3*SectorSize), bytes.Repeat([]byte{0xaa}, bs-3*SectorSize)...)
+	if !bytes.Equal(got, want) {
+		t.Fatal("a 3-sector write changed more, or less, than its sectors")
+	}
 }
 
 func TestWriteRunRoundTrip(t *testing.T) {
@@ -769,6 +845,36 @@ func TestCrashTornWriteIsDeterministicPrefix(t *testing.T) {
 	// possibly 0 and the full run).
 	if len(seen) < 3 {
 		t.Fatalf("torn prefix lengths show no variety across seeds: %v", seen)
+	}
+}
+
+// TestCrashTornSubBlockWrite: a torn sub-block write persists a prefix of its
+// sectors chosen by the crash seed; the rest of the block keeps what it held.
+func TestCrashTornSubBlockWrite(t *testing.T) {
+	const sectors = 6
+	seen := map[int]bool{}
+	for seed := uint64(0); seed < 32; seed++ {
+		dev, _ := newTestDevice()
+		if err := dev.Write(7, block(dev, 0xaa)); err != nil {
+			t.Fatal(err)
+		}
+		dev.CrashAfter(2, true, seed)
+		if err := dev.Write(7, bytes.Repeat([]byte{0xbb}, sectors*SectorSize)); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("torn crash: got %v, want ErrCrashed", err)
+		}
+		dev.ClearCrash()
+		got, _ := dev.Peek(7)
+		k := 0
+		for k < sectors && bytes.Equal(got[k*SectorSize:(k+1)*SectorSize], bytes.Repeat([]byte{0xbb}, SectorSize)) {
+			k++
+		}
+		if !bytes.Equal(got[k*SectorSize:], bytes.Repeat([]byte{0xaa}, len(got)-k*SectorSize)) {
+			t.Fatalf("seed %d: %d sectors written, then not the old bytes", seed, k)
+		}
+		seen[k] = true
+	}
+	if len(seen) < 3 {
+		t.Fatalf("torn sector prefixes show no variety across seeds: %v", seen)
 	}
 }
 

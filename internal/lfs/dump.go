@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/detsort"
+	"repro/internal/disk"
 )
 
 // Dump writes a human-readable description of the file system's on-disk and
@@ -36,14 +37,14 @@ func (fs *FS) Dump(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\nlog head segment %d (partial @address seq: blocks):\n", fs.curSeg)
+	fmt.Fprintf(w, "\nlog head segment %d (partial @address seq, summary sectors: blocks):\n", fs.curSeg)
 	for _, sum := range sums {
 		if sum.SelfAddr >= fs.segBase(fs.curSeg)+fs.curOff {
 			break // left over from the segment's previous life
 		}
 		kinds := countKinds(sum.Entries)
-		fmt.Fprintf(w, "  @%-8d seq %d: %d data, %d pointer, ", sum.SelfAddr, sum.Seq,
-			kinds[kindData], kinds[kindInd]+kinds[kindDInd]+kinds[kindDChild])
+		fmt.Fprintf(w, "  @%-8d seq %d, %d/%d sectors: %d data, %d pointer, ", sum.SelfAddr, sum.Seq,
+			sum.sectors(), fs.blockSize/disk.SectorSize, kinds[kindData], kinds[kindInd]+kinds[kindDInd]+kinds[kindDChild])
 		if kinds[kindInodePack] == 0 {
 			fmt.Fprintf(w, "no inode pack (pointers rebuilt from the summary)")
 		} else {
@@ -91,8 +92,8 @@ func (fs *FS) Dump(w io.Writer) error {
 	st := fs.stats
 	fmt.Fprintf(w, "\nactivity: %d partial segments, %d blocks logged (%d summary, %d inode pack, %d pointer), %d checkpoints\n",
 		st.PartialSegments, st.BlocksLogged, st.PartialSegments, st.InodePackBlocks, st.PointerBlocks, st.Checkpoints)
-	fmt.Fprintf(w, "commit forces: %d summary-only (%d bytes in patches), %d full; %d blocks in patches only\n",
-		st.SummaryOnlyForces, st.PatchBytes, st.FullForceCauses.Total(), len(fs.patched))
+	fmt.Fprintf(w, "commit forces: %d summary-only (%d bytes in patches, %d summary sectors), %d full; %d blocks in patches only\n",
+		st.SummaryOnlyForces, st.PatchBytes, st.SummarySectors, st.FullForceCauses.Total(), len(fs.patched))
 	fmt.Fprintf(w, "cleaner: %d runs, %d segments cleaned, %d copied, %d dead, busy %v\n",
 		st.Cleaner.Runs, st.Cleaner.SegmentsCleaned, st.Cleaner.BlocksCopied, st.Cleaner.BlocksDead, st.Cleaner.BusyTime)
 	return nil

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"repro/internal/disk"
 	"repro/internal/ufs"
 )
 
@@ -46,8 +47,11 @@ const (
 	// retired the data-age stamp of summaries and checkpoint segment
 	// entries: its slots stay where they were, reserved and zero. Version 4
 	// put patch records in summaries (a summary-only commit force) and their
-	// count in the first half of that summary slot.
-	formatVersion = 4
+	// count in the first half of that summary slot. Version 5 put the
+	// summary's sector count in the other half: a summary covers, and its
+	// CRC vouches for, only the sectors it fills, so a partial segment of its
+	// summary alone is a sub-block write.
+	formatVersion = 5
 
 	// NDirect is the number of direct block pointers in an inode.
 	NDirect = 12
@@ -190,7 +194,8 @@ func countKinds(entries []summaryEntry) (n [kindDelete + 1]int64) {
 //	nBlocks  uint32   (blocks following the summary)
 //	nEntries uint32   (summary entries, = nBlocks + deletion records)
 //	nPatches uint32   (patch records after the entries)
-//	reserved uint32   (zero; half of version 2's data-age stamp)
+//	sectors  uint32   (512-byte sectors the summary fills: the fewest that
+//	                   hold its header, entries and patch records)
 //	payloadCRC uint32 (CRC32 over the nBlocks described blocks, in order —
 //	                   lets roll-forward detect a torn multi-block segment
 //	                   write whose summary block survived)
@@ -199,7 +204,10 @@ func countKinds(entries []summaryEntry) (n [kindDelete + 1]int64) {
 //	                   until the terminating partial is seen intact)
 //
 // The entries follow the header, then the patch records; the rest of the
-// block is zero.
+// summary's last sector is zero. Bytes of the block past its sectors are not
+// the summary's: a partial segment with no blocks after its summary writes
+// only those sectors (writePartialLocked), and the rest of the block keeps
+// whatever an earlier use of the address left there.
 const summaryHeaderSize = 4 + 4 + 8 + 8 + 8 + 4 + 4 + 4 + 4 + 4 + 4
 
 // sumFlagCont marks a partial segment whose flush batch continues in the
@@ -259,9 +267,16 @@ type summary struct {
 	Patches    []patch
 }
 
-// encode fills block b with the summary.
+// sectors returns how many sectors the summary fills.
+func (s *summary) sectors() int {
+	n := summaryHeaderSize + len(s.Entries)*summaryEntrySize + patchSize(s.Patches)
+	return (n + disk.SectorSize - 1) / disk.SectorSize
+}
+
+// encode fills block b with the summary: its sectors, and zeros after them.
 func (s *summary) encode(b []byte) error {
-	if len(s.Entries) > maxSummaryEntries(len(b)) || patchSize(s.Patches) > patchRoom(len(b), len(s.Entries)) {
+	sectors := s.sectors()
+	if sectors*disk.SectorSize > len(b) {
 		return fmt.Errorf("lfs: %d summary entries and %d patch bytes exceed a %d-byte block", len(s.Entries), patchSize(s.Patches), len(b))
 	}
 	clear(b)
@@ -273,6 +288,7 @@ func (s *summary) encode(b []byte) error {
 	le.PutUint32(b[32:], uint32(s.NBlocks))
 	le.PutUint32(b[36:], uint32(len(s.Entries)))
 	le.PutUint32(b[40:], uint32(len(s.Patches)))
+	le.PutUint32(b[44:], uint32(sectors))
 	le.PutUint32(b[48:], s.PayloadCRC)
 	le.PutUint32(b[52:], s.Flags)
 	off := summaryHeaderSize
@@ -293,15 +309,16 @@ func (s *summary) encode(b []byte) error {
 		off += patchHeaderSize
 		off += copy(b[off:], p.Data)
 	}
-	le.PutUint32(b[4:], summaryChecksum(b))
+	le.PutUint32(b[4:], summaryChecksum(b[:sectors*disk.SectorSize]))
 	return nil
 }
 
-// summaryChecksum covers the whole block except the CRC field itself.
-func summaryChecksum(b []byte) uint32 {
+// summaryChecksum covers a summary's sectors, sum, except the CRC field
+// itself.
+func summaryChecksum(sum []byte) uint32 {
 	crc := crc32.NewIEEE()
-	crc.Write(b[0:4])
-	crc.Write(b[8:])
+	crc.Write(sum[0:4])
+	crc.Write(sum[8:])
 	return crc.Sum32()
 }
 
@@ -318,19 +335,25 @@ func payloadChecksum(bufs [][]byte) uint32 {
 // decodeSummary parses a block as a summary. It returns ok=false (not an
 // error) if the block is not a valid summary written at addr — used by
 // roll-forward, where encountering a non-summary block means end of log. A
-// non-zero reserved slot, a patch that overruns the block it names or the
-// summary itself, or a byte past the last record makes a block no summary of
-// this format, so what it accepts re-encodes to the same bytes. The patches'
-// Data alias b.
-func decodeSummary(b []byte, addr int64) (summary, bool) {
+// sector count other than the fewest that hold the records, a patch that
+// overruns the block it names or the summary itself, or a byte set past the
+// last record in its sector makes a block no summary of this format, so what
+// it accepts re-encodes to the same sectors. Bytes past those sectors are
+// ignored. The patches' Data alias b.
+func decodeSummary(block []byte, addr int64) (summary, bool) {
 	var s summary
-	if len(b) < summaryHeaderSize {
+	if len(block) < summaryHeaderSize {
 		return s, false
 	}
 	le := binary.LittleEndian
-	if le.Uint32(b[0:]) != summaryMagic {
+	if le.Uint32(block[0:]) != summaryMagic {
 		return s, false
 	}
+	sectors := int(le.Uint32(block[44:]))
+	if sectors < 1 || sectors > len(block)/disk.SectorSize {
+		return s, false
+	}
+	b := block[:sectors*disk.SectorSize]
 	if le.Uint32(b[4:]) != summaryChecksum(b) {
 		return s, false
 	}
@@ -342,9 +365,6 @@ func decodeSummary(b []byte, addr int64) (summary, bool) {
 	s.NextSeg = int64(le.Uint64(b[24:]))
 	s.NBlocks = int(le.Uint32(b[32:]))
 	nPatches := int(le.Uint32(b[40:]))
-	if le.Uint32(b[44:]) != 0 {
-		return s, false
-	}
 	s.PayloadCRC = le.Uint32(b[48:])
 	s.Flags = le.Uint32(b[52:])
 	n := int(le.Uint32(b[36:]))
@@ -383,13 +403,13 @@ func decodeSummary(b []byte, addr int64) (summary, bool) {
 		p.Off = int(le.Uint16(b[off+16:]))
 		n := int(le.Uint16(b[off+18:]))
 		off += patchHeaderSize
-		if n == 0 || p.Off+n > len(b) || n > len(b)-off {
+		if n == 0 || p.Off+n > len(block) || n > len(b)-off {
 			return s, false
 		}
 		p.Data = b[off : off+n]
 		off += n
 	}
-	if !allZero(b[off:]) {
+	if !allZero(b[off:]) || s.sectors() != sectors {
 		return s, false
 	}
 	return s, true

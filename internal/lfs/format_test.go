@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/disk"
 	"repro/internal/ufs"
 )
 
@@ -17,6 +18,17 @@ func dirtyBlock(n int) []byte { return bytes.Repeat([]byte{0xDB}, n) }
 func encodeSummary(s *summary) ([]byte, error) {
 	b := dirtyBlock(4096)
 	return b, s.encode(b)
+}
+
+// sealSummary re-stamps a summary block's CRC over the sectors its header
+// claims, or over the whole block when it cannot hold them, so an edit to
+// the block reaches the decoder's other checks.
+func sealSummary(b []byte) {
+	n := int(binary.LittleEndian.Uint32(b[44:])) * disk.SectorSize
+	if n < summaryHeaderSize || n > len(b) {
+		n = len(b)
+	}
+	binary.LittleEndian.PutUint32(b[4:], summaryChecksum(b[:n]))
 }
 
 func wireOf(in *inode) []byte {
@@ -117,6 +129,15 @@ func TestSummaryRejectsBitFlips(t *testing.T) {
 	enc[20] ^= 1
 	if _, ok := decodeSummary(enc, 50); ok {
 		t.Fatal("bit-flipped summary should fail its checksum")
+	}
+	// The checksum covers every sector the summary fills: a flip in the
+	// second sector of a two-sector summary (the tail of its patch) fails it
+	// too.
+	s = summary{Seq: 8, SelfAddr: 51, Patches: []patch{{Ino: 1, LBN: 2, Data: make([]byte, 700)}}}
+	enc, _ = encodeSummary(&s)
+	enc[disk.SectorSize+100] ^= 1
+	if _, ok := decodeSummary(enc, 51); ok {
+		t.Fatal("a summary flipped in its second sector should fail its checksum")
 	}
 }
 
@@ -344,7 +365,7 @@ func TestSummaryRejectsBlockCountAboveEntries(t *testing.T) {
 	// Forge NBlocks > nEntries and re-seal the summary checksum: the decoder
 	// must still reject it (every described block consumes an entry).
 	binary.LittleEndian.PutUint32(enc[32:], 2)
-	binary.LittleEndian.PutUint32(enc[4:], summaryChecksum(enc))
+	sealSummary(enc)
 	if _, ok := decodeSummary(enc, 10); ok {
 		t.Fatal("summary with NBlocks > nEntries must not decode")
 	}

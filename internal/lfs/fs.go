@@ -64,6 +64,11 @@ type Stats struct {
 	SummaryOnlyForces int64       `json:"summary_only_forces"`
 	PatchBytes        int64       `json:"patch_bytes"`
 	FullForceCauses   ForceCauses `json:"full_force_causes"`
+	// SummarySectors counts the 512-byte sectors written by partial segments
+	// with no block after their summary: the summary-only forces' (but for a
+	// FlushCommit chain's partials that carry packs or pointer blocks) and
+	// those of deletion records alone.
+	SummarySectors int64 `json:"summary_sectors"`
 	// Stage counts the fetches the stage served instead of the log, from
 	// parked and from kept blocks, and the kept blocks it reclaimed unread;
 	// StagedPatched the pages summary-only forces patched while a copy was

@@ -18,8 +18,9 @@ import (
 //
 // Its partials carry data, inode packs, a deletion record, a pack-less
 // commit force and a summary-only one. Re-make it when formatVersion
-// changes; testdata/lfsdump-v3.img is the image of format version 3, which a
-// mount must refuse (TestMountRefusesFormatV3).
+// changes, keeping the old one as testdata/lfsdump-v<version>.img:
+// testdata/lfsdump-v3.img and lfsdump-v4.img are images of format versions 3
+// and 4, which a mount must refuse (TestMountRefusesOldFormats).
 const seedImageMB = 6
 
 // seedImage returns the image's two checkpoint records, the summary blocks
@@ -132,18 +133,26 @@ func TestCheckpointRejectsHostileCounts(t *testing.T) {
 	}
 }
 
-// TestSummaryRejectsReservedBytes: version 4 summaries leave half the old
-// data-age slot and everything past the last record zero, and count their
-// patches in the other half; a summary with any of them set is not one this
-// format wrote.
+// TestSummaryRejectsReservedBytes: summaries count their patches and
+// sectors in the old data-age slot and leave everything past the last record
+// in their last sector zero; a summary with a patch count, a sector count or
+// such a byte it did not write is not one this format wrote. A byte past its
+// sectors is not the summary's: a sub-block write left it there.
 func TestSummaryRejectsReservedBytes(t *testing.T) {
 	s := summary{Seq: 1, SelfAddr: 10, NBlocks: 1, Entries: []summaryEntry{{Ino: 1, Kind: kindData}}}
-	for _, at := range []int{40, 44, summaryHeaderSize + summaryEntrySize, 4095} {
+	for _, at := range []int{40, 44, summaryHeaderSize + summaryEntrySize, disk.SectorSize - 1} {
 		enc, _ := encodeSummary(&s)
-		enc[at] = 1
-		binary.LittleEndian.PutUint32(enc[4:], summaryChecksum(enc))
+		enc[at]++
+		sealSummary(enc)
 		if _, ok := decodeSummary(enc, 10); ok {
 			t.Fatalf("summary with byte %d set decoded", at)
+		}
+	}
+	for _, at := range []int{disk.SectorSize, 4095} {
+		enc, _ := encodeSummary(&s)
+		enc[at] = 1
+		if _, ok := decodeSummary(enc, 10); !ok {
+			t.Fatalf("summary with stale byte %d past its sector did not decode", at)
 		}
 	}
 }
@@ -182,9 +191,10 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 // FuzzDecodeSummary feeds decodeSummary what a damaged log block might hold,
 // its CRC re-stamped so mutations reach the fields, at the address the
 // block claims for itself: the decoder never panics, and a summary it
-// accepts re-encodes to exactly the block. The seeds are the image's
-// summaries, a summary-only force among them, and two summaries of patches
-// beside entries and deletion records.
+// accepts re-encodes to exactly the sectors it claims. The seeds are the
+// image's summaries, a summary-only force among them, two summaries of
+// patches beside entries and deletion records, and a one-sector summary
+// whose block holds stale bytes after it.
 func FuzzDecodeSummary(f *testing.F) {
 	_, sums, _ := seedImage(f)
 	patched := 0
@@ -209,6 +219,15 @@ func FuzzDecodeSummary(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	stale, err := encodeSummary(&summary{Seq: 9, SelfAddr: 302, Patches: []patch{{Ino: 2, LBN: 4, Off: 16, Data: []byte("committed")}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	copy(stale[disk.SectorSize:], bytes.Repeat([]byte("stale"), len(stale)))
+	if _, ok := decodeSummary(stale, 302); !ok {
+		f.Fatal("a one-sector summary does not decode beside stale bytes")
+	}
+	f.Add(stale)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) < summaryHeaderSize {
 			if _, ok := decodeSummary(b, 0); ok {
@@ -217,7 +236,7 @@ func FuzzDecodeSummary(f *testing.F) {
 			return
 		}
 		b = bytes.Clone(b)
-		binary.LittleEndian.PutUint32(b[4:], summaryChecksum(b))
+		sealSummary(b)
 		s, ok := decodeSummary(b, int64(binary.LittleEndian.Uint64(b[16:])))
 		if !ok {
 			return
@@ -226,8 +245,8 @@ func FuzzDecodeSummary(f *testing.F) {
 		if err := s.encode(enc); err != nil {
 			t.Fatalf("accepted summary does not re-encode: %v", err)
 		}
-		if !bytes.Equal(enc, b) {
-			t.Fatal("accepted summary re-encodes to different bytes")
+		if n := s.sectors() * disk.SectorSize; !bytes.Equal(enc[:n], b[:n]) {
+			t.Fatalf("accepted summary re-encodes to different bytes in its %d sectors", s.sectors())
 		}
 	})
 }

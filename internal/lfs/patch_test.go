@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"slices"
 	"strings"
@@ -186,6 +187,101 @@ func TestSummaryOnlyForceSurvivesCrash(t *testing.T) {
 		if rep, err := fs2.Fsck(); err != nil || !rep.OK() {
 			t.Fatalf("fsck: %v %+v", err, rep)
 		}
+	}
+}
+
+// TestTornSummarySectorEndsTheLog: a summary-only force whose summary fills
+// two sectors is torn at a sector boundary, at a log address an earlier wrap
+// of the log left bytes in. Roll-forward ends the log at the torn summary —
+// its new first sector, the stale second one — and never applies its patch;
+// only the force's whole summary (the acknowledgement lost) makes the patch
+// durable. Whatever sectors survive, the rest of the block keeps its stale
+// bytes.
+func TestTornSummarySectorEndsTheLog(t *testing.T) {
+	const lbn, off = 2, 100
+	text := bytes.Repeat([]byte("two sectors "), 50) // a 600-byte patch
+	survivors := map[int]bool{}
+	for seed := uint64(0); seed < 16; seed++ {
+		fs, dev, clk := tinyFS(t)
+		bs := fs.BlockSize()
+		f, err := fs.Create("/log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Truncate(4 * int64(bs)); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil { // from now on the file's forces patch
+			t.Fatal(err)
+		}
+		// Churn a filler file until the log head is at an address whose
+		// second sector an earlier pass of the log wrote, with enough free
+		// segments that the force starts no cleaning pass.
+		filler, err := fs.Create("/filler")
+		if err != nil {
+			t.Fatal(err)
+		}
+		head := func() int64 { return fs.segBase(fs.curSeg) + fs.curOff }
+		for v := 1; ; v++ {
+			stale, _ := dev.Peek(head())
+			if !allZero(stale[disk.SectorSize:2*disk.SectorSize]) && fs.free >= cleanThreshold && fs.curOff > 0 {
+				break
+			}
+			if v > 2000 {
+				t.Fatal("the log never wrapped onto a written address")
+			}
+			for lbn := int64(0); lbn < 8; lbn++ {
+				if _, err := filler.WriteAt(stamped(bs, lbn, v), lbn*int64(bs)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := filler.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		addr := head()
+		before, _ := dev.Peek(addr)
+		if _, err := f.WriteAt(text, lbn*int64(bs)+off); err != nil {
+			t.Fatal(err)
+		}
+		dev.CrashAfter(dev.WriteOps()+1, true, seed)
+		if err := f.Sync(); !errors.Is(err, disk.ErrCrashed) {
+			t.Fatalf("seed %d: the force returned %v, want a crash", seed, err)
+		}
+		dev.ClearCrash()
+		after, _ := dev.Peek(addr)
+		k := 0 // sectors of the summary that reached the media
+		for k < bs/disk.SectorSize && !bytes.Equal(after[k*disk.SectorSize:(k+1)*disk.SectorSize], before[k*disk.SectorSize:(k+1)*disk.SectorSize]) {
+			k++
+		}
+		if !bytes.Equal(after[k*disk.SectorSize:], before[k*disk.SectorSize:]) {
+			t.Fatalf("seed %d: the torn write changed sectors past its first %d", seed, k)
+		}
+		if k > 0 && binary.LittleEndian.Uint32(after[44:]) != 2 {
+			t.Fatalf("seed %d: the force's summary claims %d sectors, want 2", seed, binary.LittleEndian.Uint32(after[44:]))
+		}
+		survivors[k] = true
+
+		fs2, err := Mount(dev, clk, fs.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		im := fileImage{blocks: 4}
+		if k == 2 {
+			im = im.edit(bs, lbn, off, text)
+		}
+		if err := im.matches(fs2, "/log"); err != nil {
+			t.Fatalf("seed %d, %d of 2 sectors written: %v", seed, k, err)
+		}
+		if rep, err := fs2.Fsck(); err != nil || !rep.OK() {
+			t.Fatalf("seed %d: fsck: %v %+v", seed, err, rep)
+		}
+	}
+	if !survivors[1] {
+		t.Fatalf("no seed tore the summary between its sectors (sectors written: %v)", survivors)
 	}
 }
 
@@ -380,13 +476,13 @@ func TestSummaryRejectsBadPatches(t *testing.T) {
 		{"length past the summary", func(b []byte) { le.PutUint16(b[rec+18:], 4000) }},
 		{"patch count past the summary", func(b []byte) { le.PutUint32(b[40:], 1000) }},
 		{"a second record cut off", func(b []byte) { le.PutUint32(b[40:], 2) }},
-		{"reserved half set", func(b []byte) { b[44] = 1 }},
+		{"sector count above the records", func(b []byte) { le.PutUint32(b[44:], 2) }},
 		{"padding after the record", func(b []byte) { b[rec+patchHeaderSize+96] = 1 }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			b := bytes.Clone(enc)
 			c.edit(b)
-			le.PutUint32(b[4:], summaryChecksum(b))
+			sealSummary(b)
 			if _, ok := decodeSummary(b, 10); ok {
 				t.Fatal("decoded")
 			}
@@ -400,24 +496,30 @@ func TestSummaryRejectsBadPatches(t *testing.T) {
 	}
 }
 
-// TestMountRefusesFormatV3: an image from before summaries carried patches
-// is refused with a version error, not misread.
-func TestMountRefusesFormatV3(t *testing.T) {
-	f, err := os.Open("testdata/lfsdump-v3.img")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	clk := sim.NewClock()
-	model := sim.RZ55Model()
-	model.NumBlocks = seedImageMB << 20 / int64(model.BlockSize)
-	dev, err := disk.LoadImage(model, clk, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Mount(dev, clk, Options{})
-	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "format version 3, want 4") {
-		t.Fatalf("Mount = %v, want a format version error", err)
+// TestMountRefusesOldFormats: an image from before summaries carried
+// patches (version 3), or from before a summary covered only its sectors
+// (version 4), is refused with a version error, not misread.
+func TestMountRefusesOldFormats(t *testing.T) {
+	for _, version := range []int{3, 4} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			f, err := os.Open(fmt.Sprintf("testdata/lfsdump-v%d.img", version))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			clk := sim.NewClock()
+			model := sim.RZ55Model()
+			model.NumBlocks = seedImageMB << 20 / int64(model.BlockSize)
+			dev, err := disk.LoadImage(model, clk, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Mount(dev, clk, Options{})
+			want := fmt.Sprintf("format version %d, want %d", version, formatVersion)
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Mount = %v, want %q", err, want)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/detsort"
+	"repro/internal/disk"
 )
 
 // dataItem is one dirty file block awaiting a log address.
@@ -433,6 +434,8 @@ func (fs *FS) chunkLen(items []dataItem, files []Ino, deferPtr bool, budget int)
 // writePartialLocked emits one partial segment: a summary block followed by
 // the chunk's data blocks, then the affected pointer blocks and inodes (in
 // dependency order), then logs pending deletions and patches in the summary.
+// A partial with no blocks after its summary — a summary-only commit force,
+// deletion records alone — writes only the summary's sectors.
 func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool, patches []patch) error {
 	_, _, cost, err := fs.chunkLen(chunk, metaOnly, deferPtr, math.MaxInt)
 	if err != nil {
@@ -625,7 +628,15 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 		return fmt.Errorf("lfs: internal error: partial segment of %d blocks at offset %d, counted as %d (segment of %d blocks)",
 			len(blocks), fs.curOff, required, fs.sb.SegmentBlocks)
 	}
-	if err := fs.dev.WriteRun(base, blocks); err != nil {
+	if len(blocks) == 1 {
+		// A partial of its summary alone transfers only the sectors the
+		// summary fills; the rest of the block is not the summary's.
+		n := sum.sectors()
+		if err := fs.dev.Write(base, blocks[0][:n*disk.SectorSize]); err != nil {
+			return err
+		}
+		fs.stats.SummarySectors += int64(n)
+	} else if err := fs.dev.WriteRun(base, blocks); err != nil {
 		return err
 	}
 	fs.segs[fs.curSeg].SeqStamp = fs.seq

@@ -147,8 +147,8 @@ func (s *Snapshot) Render() string {
 				force = "FlushCommit"
 			}
 			c := f.FullForceCauses
-			fmt.Fprintf(&b, "lfs: %d %s forces, %d summary-only (%.1f %%, %d bytes in patches, %d pages read back from the stage), %d with blocks (%d no delta, %d undurable staged block, %d inode pack, %d summary room, %d cleared pointers)\n",
-				forces, force, f.SummaryOnlyForces, 100*perTxn(f.SummaryOnlyForces, int(forces)), f.PatchBytes, f.StagedPatched, c.Total(),
+			fmt.Fprintf(&b, "lfs: %d %s forces, %d summary-only (%.1f %%, %d bytes in patches, %d summary sectors, %d pages read back from the stage), %d with blocks (%d no delta, %d undurable staged block, %d inode pack, %d summary room, %d cleared pointers)\n",
+				forces, force, f.SummaryOnlyForces, 100*perTxn(f.SummaryOnlyForces, int(forces)), f.PatchBytes, f.SummarySectors, f.StagedPatched, c.Total(),
 				c.NoDelta, c.StagedUndurable, c.InodePack, c.SummaryRoom, c.PtrsCleared)
 		}
 		cl := f.Cleaner
