@@ -70,10 +70,14 @@ var (
 // owner may read the Data of an unpinned buffer it found through Lookup or
 // Dirty only until its next Get or Invalidate.
 type Buf struct {
-	ID    BlockID
-	Data  []byte
-	dirty bool
-	held  bool
+	ID   BlockID
+	Data []byte
+	// Extent is the pool owner's, not the pool's: FFS keeps in it how many of
+	// the block's leading bytes may differ from the copy at its address
+	// (ffs.noteWrite). A new buffer starts at 0.
+	Extent int32
+	dirty  bool
+	held   bool
 	// A fetch is in flight while loading is set (Data not yet valid, and
 	// Get refuses the block) and, in simulated time, until ready: the
 	// fetching proc's clock when its fetch returned. A fetch runs without

@@ -16,6 +16,9 @@ func newTestDevice() (*Device, *sim.Clock) {
 	return New(sim.SmallModel(), clk), clk
 }
 
+// allSectors is a whole test block's sectors: an EnqueueWrite that moves all of it.
+const allSectors = 4096 / SectorSize
+
 func block(dev *Device, fill byte) []byte {
 	b := make([]byte, dev.BlockSize())
 	for i := range b {
@@ -357,9 +360,9 @@ func TestQueueFlushEmpty(t *testing.T) {
 func TestQueueWritesLand(t *testing.T) {
 	dev, _ := newTestDevice()
 	q := NewQueue(dev)
-	q.EnqueueWrite(50, block(dev, 5))
-	q.EnqueueWrite(10, block(dev, 1))
-	q.EnqueueWrite(30, block(dev, 3))
+	q.EnqueueWrite(50, block(dev, 5), allSectors)
+	q.EnqueueWrite(10, block(dev, 1), allSectors)
+	q.EnqueueWrite(30, block(dev, 3), allSectors)
 	if q.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", q.Len())
 	}
@@ -387,7 +390,7 @@ func TestQueueEnqueueCopies(t *testing.T) {
 	dev, _ := newTestDevice()
 	q := NewQueue(dev)
 	buf := block(dev, 8)
-	q.EnqueueWrite(7, buf)
+	q.EnqueueWrite(7, buf, allSectors)
 	buf[0] = 99
 	if err := q.FlushSorted(); err != nil {
 		t.Fatal(err)
@@ -409,7 +412,7 @@ func TestQueueSortedCheaperThanFIFO(t *testing.T) {
 	devA, clkA := newTestDevice()
 	q := NewQueue(devA)
 	for _, a := range addrs {
-		q.EnqueueWrite(a, block(devA, 1))
+		q.EnqueueWrite(a, block(devA, 1), allSectors)
 	}
 	if err := q.FlushSorted(); err != nil {
 		t.Fatal(err)
@@ -432,7 +435,7 @@ func TestQueueCoalescesContiguousRuns(t *testing.T) {
 	dev, _ := newTestDevice()
 	q := NewQueue(dev)
 	for i := int64(0); i < 8; i++ {
-		q.EnqueueWrite(100+i, block(dev, byte(i)))
+		q.EnqueueWrite(100+i, block(dev, byte(i)), allSectors)
 	}
 	if err := q.FlushSorted(); err != nil {
 		t.Fatal(err)
@@ -443,6 +446,42 @@ func TestQueueCoalescesContiguousRuns(t *testing.T) {
 	}
 	if st.BlocksWrit != 8 {
 		t.Fatalf("BlocksWrit = %d, want 8", st.BlocksWrit)
+	}
+}
+
+// A queued write carries the sectors through its last changed byte: alone it
+// moves only those, as Device.Write of that prefix would, and the rest of the
+// block keeps its bytes; coalesced into a run it moves whole blocks.
+func TestQueueLoneWriteMovesItsSectors(t *testing.T) {
+	dev, _ := newTestDevice()
+	for _, a := range []int64{10, 20, 21} {
+		if err := dev.Write(a, block(dev, 0xaa)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := NewQueue(dev)
+	q.EnqueueWrite(10, block(dev, 1), 3)
+	q.EnqueueWrite(20, block(dev, 2), 1)
+	q.EnqueueWrite(21, block(dev, 3), 2)
+	before := dev.Stats()
+	if err := q.FlushSorted(); err != nil {
+		t.Fatal(err)
+	}
+	if w, s := q.ShortWrites(); w != 1 || s != 3 {
+		t.Fatalf("ShortWrites = %d writes, %d sectors; want the lone write's 1 and 3", w, s)
+	}
+	if st := dev.Stats(); st.Writes-before.Writes != 2 || st.BlocksWrit-before.BlocksWrit != 3 {
+		t.Fatalf("%d write ops of %d blocks, want 2 of 3", st.Writes-before.Writes, st.BlocksWrit-before.BlocksWrit)
+	}
+	bs := dev.BlockSize()
+	got, _ := dev.Peek(10)
+	if want := append(bytes.Repeat([]byte{1}, 3*SectorSize), bytes.Repeat([]byte{0xaa}, bs-3*SectorSize)...); !bytes.Equal(got, want) {
+		t.Fatal("a lone 3-sector write changed more, or less, than its sectors")
+	}
+	for _, a := range []int64{20, 21} {
+		if got, _ := dev.Peek(a); !bytes.Equal(got, block(dev, byte(a-18))) {
+			t.Fatalf("block %d of a coalesced run is not the whole block written", a)
+		}
 	}
 }
 
@@ -886,7 +925,7 @@ func TestQueueRecyclesItsCopies(t *testing.T) {
 	q := NewQueue(dev)
 	for round := 0; round < 20; round++ {
 		for i := int64(0); i < 4; i++ {
-			q.EnqueueWrite(10*i, block(dev, byte(round)))
+			q.EnqueueWrite(10*i, block(dev, byte(round)), allSectors)
 		}
 		held := q.reqs[0].Data
 		if held[0] != byte(round) {
@@ -908,8 +947,8 @@ func TestQueueRecyclesItsCopies(t *testing.T) {
 	}
 
 	// A failed flush gives every copy back too, serviced or dropped.
-	q.EnqueueWrite(5, block(dev, 1))
-	q.EnqueueWrite(500, block(dev, 2))
+	q.EnqueueWrite(5, block(dev, 1), allSectors)
+	q.EnqueueWrite(500, block(dev, 2), allSectors)
 	injected := errors.New("injected")
 	dev.SetFault(func(op string, b int64) error {
 		if op == "write" && b == 5 {

@@ -10,6 +10,7 @@ import (
 type Request struct {
 	Block int64
 	Data  []byte // nil for reads; for writes, the queue's own copy
+	Len   int    // for writes, the bytes a lone write transfers: whole sectors, at most the block
 	Read  bool
 	Buf   []byte // destination for reads
 }
@@ -26,6 +27,9 @@ type Queue struct {
 	// FlushSorted is done with the request: the device stores what it is
 	// handed, so nothing aliases it by then.
 	frames frame.List
+	// shortWrites and shortSectors count the writes FlushSorted transferred
+	// as fewer sectors than a block, and the sectors they moved.
+	shortWrites, shortSectors int64
 }
 
 // NewQueue returns an empty queue bound to dev.
@@ -36,11 +40,19 @@ func NewQueue(dev *Device) *Queue {
 // Len reports the number of pending requests.
 func (q *Queue) Len() int { return len(q.reqs) }
 
+// ShortWrites reports how many writes FlushSorted has transferred as fewer
+// sectors than a block, and how many sectors those writes moved.
+func (q *Queue) ShortWrites() (writes, sectors int64) { return q.shortWrites, q.shortSectors }
+
 // EnqueueWrite adds a write of data to block. The data is copied so the
-// caller may reuse its buffer.
+// caller may reuse its buffer. sectors is how many of the block's leading
+// 512-byte sectors hold every byte that differs from what the block's address
+// holds: FlushSorted transfers only those when it does not coalesce the write
+// into a run (see Device.WriteRun). sectors at or past the block's own count
+// transfers the whole block.
 //
 //simlint:noalloc
-func (q *Queue) EnqueueWrite(block int64, data []byte) {
+func (q *Queue) EnqueueWrite(block int64, data []byte, sectors int) {
 	var cp []byte
 	if len(data) == q.frames.Size() {
 		cp = q.frames.Take()
@@ -49,8 +61,12 @@ func (q *Queue) EnqueueWrite(block int64, data []byte) {
 		cp = make([]byte, len(data))
 	}
 	copy(cp, data)
+	n := len(cp)
+	if len(cp) == q.frames.Size() && sectors > 0 && sectors*SectorSize < n {
+		n = sectors * SectorSize
+	}
 	//simlint:alloc(the request slice grows to the largest flush once; FlushSorted keeps its capacity)
-	q.reqs = append(q.reqs, Request{Block: block, Data: cp})
+	q.reqs = append(q.reqs, Request{Block: block, Data: cp, Len: n})
 }
 
 // EnqueueRead adds a read of block into buf.
@@ -66,7 +82,8 @@ func (q *Queue) EnqueueRead(block int64, buf []byte) {
 // Adjacent requests are coalesced into contiguous runs so a well-sorted queue
 // still benefits from sequential transfer — but, as the paper's simulation
 // study [13] observes, even well-ordered scattered writes rarely exceed ~40%
-// of disk bandwidth.
+// of disk bandwidth. Runs and reads move whole blocks; a lone write moves the
+// sectors EnqueueWrite was given.
 func (q *Queue) FlushSorted() error {
 	if len(q.reqs) == 0 {
 		return nil
@@ -114,8 +131,16 @@ func (q *Queue) FlushSorted() error {
 			run = append(run, ordered[j].Data)
 			j++
 		}
+		short := len(run) == 1 && r.Len < len(r.Data)
+		if short {
+			run[0] = r.Data[:r.Len]
+		}
 		if err := q.dev.WriteRun(r.Block, run); err != nil {
 			return err
+		}
+		if short {
+			q.shortWrites++
+			q.shortSectors += int64(r.Len / SectorSize)
 		}
 		i = j
 	}

@@ -31,6 +31,7 @@ func (fs *FS) ensureMapped(in *inode, lbn int64) error {
 		}
 		in.appendBlock(addr)
 		in.Dirty, in.AttrDirty = true, true
+		b.Extent = int32(fs.blockSize) // the address holds what a freed file left
 		fs.pool.MarkDirty(b)
 		fs.pool.Release(b)
 	}
@@ -128,6 +129,7 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 			for i := size % bs; i < bs; i++ {
 				b.Data[i] = 0
 			}
+			b.Extent = int32(bs)
 			fs.pool.MarkDirty(b)
 			fs.pool.Release(b)
 		}

@@ -1,6 +1,7 @@
 package ffs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -59,6 +60,11 @@ type Stats struct {
 	SyncerInodeStores int64 `json:"syncer_inode_stores"`
 	// WriteBehind is the background-lane time of syncer passes and sweeps.
 	WriteBehind disk.BgTimes `json:"write_behind"`
+	// ShortWrites counts the in-place writes that moved only the sectors
+	// through their block's last changed byte, and ShortWriteSectors the
+	// sectors they moved (noteWrite).
+	ShortWrites       int64 `json:"short_writes"`
+	ShortWriteSectors int64 `json:"short_write_sectors"`
 }
 
 // upper is the layer FFS shares with LFS: namespace, directories and open
@@ -253,6 +259,7 @@ func (fs *FS) attach() {
 		Truncate: fs.truncateLocked,
 		Sync:     fs.syncFileLocked,
 		Tick:     fs.tickLocked,
+		Note:     fs.noteWrite,
 
 		InodeAtSync: fs.opts.InodeAtSync,
 	}, true)
@@ -271,6 +278,7 @@ func (fs *FS) Pool() *buffer.Pool { return fs.pool }
 func (fs *FS) Stats() Stats {
 	st := fs.stats
 	st.Stage = fs.stage.Stats()
+	st.ShortWrites, st.ShortWriteSectors = fs.queue.ShortWrites()
 	return st
 }
 
@@ -361,6 +369,47 @@ func (fs *FS) fetchBlock(id buffer.BlockID, dst []byte) error {
 	return fs.dev.Read(addr, dst)
 }
 
+// noteWrite is ufs.Ops.Note: p is about to be copied into b at off. It keeps
+// b.Extent, the bytes from the block's start through the last byte a write
+// changed since the block was last read from, or written to, its address: an
+// in-place write of the block needs to move only the sectors they fill, as a
+// WAL force changes a tail block's header and the payload it appends. A clean
+// buffer holds what its address does, so its extent starts empty — unless
+// the pool skipped the fetch (fresh) or the bytes came from a parked stage
+// copy, which the address does not hold yet: then, as for a block
+// ensureMapped just allocated, the extent is the whole block. A directory's
+// is always whole: a padded directory block must reach the device in one
+// piece (ufs.New), and only a whole-block write is never torn.
+//
+//simlint:noalloc
+func (fs *FS) noteWrite(in *inode, b *buffer.Buf, off int, p []byte, fresh bool) {
+	if !b.Dirty() {
+		b.Extent = 0
+		if _, parked := fs.stage.Lookup(b.ID); fresh || parked || in.IsDir() {
+			b.Extent = int32(fs.blockSize)
+		}
+	}
+	if lo := max(0, int(b.Extent)-off); lo < len(p) {
+		if end := changedThrough(b.Data[off:off+len(p)], p, lo); end > lo {
+			b.Extent = int32(off + end)
+		}
+	}
+}
+
+// changedThrough returns one past the last index at or after lo where old and
+// new differ, or lo when none does. It compares a word at a time from the end.
+func changedThrough(old, new []byte, lo int) int {
+	le := binary.LittleEndian
+	i := len(new)
+	for i-8 >= lo && le.Uint64(old[i-8:]) == le.Uint64(new[i-8:]) {
+		i -= 8
+	}
+	for i > lo && old[i-1] == new[i-1] {
+		i--
+	}
+	return i
+}
+
 // tickLocked runs before every read and write of an open file. It models the
 // 30-second update daemon: when the interval has elapsed, push the staged and
 // all dirty buffers out through the C-SCAN-sorted queue and then the inodes
@@ -429,7 +478,7 @@ func (fs *FS) flushLocked(only *Ino, cached bool) (int, error) {
 		dirty = fs.pool.DirtyFile(vfs.FileID(*only))
 	}
 	for _, b := range dirty {
-		if err := fs.enqueueLocked(b.ID, b.Data); err != nil {
+		if err := fs.enqueueLocked(b.ID, b.Data, int(b.Extent)); err != nil {
 			return 0, err
 		}
 	}
@@ -445,7 +494,7 @@ func (fs *FS) flushLocked(only *Ino, cached bool) (int, error) {
 			continue
 		}
 		data, _ := fs.stage.Lookup(id)
-		if err := fs.enqueueLocked(id, data); err != nil {
+		if err := fs.enqueueLocked(id, data, fs.blockSize); err != nil {
 			return 0, err
 		}
 		staged[n] = id
@@ -474,8 +523,9 @@ func (fs *FS) flushLocked(only *Ino, cached bool) (int, error) {
 	return total, nil
 }
 
-// enqueueLocked queues a write of block id's bytes to its in-place address.
-func (fs *FS) enqueueLocked(id buffer.BlockID, data []byte) error {
+// enqueueLocked queues a write of block id's bytes to its in-place address,
+// of which only the first extent bytes may differ from what the address holds.
+func (fs *FS) enqueueLocked(id buffer.BlockID, data []byte, extent int) error {
 	in, err := fs.loadInodeLocked(Ino(id.File))
 	if err != nil {
 		return err
@@ -484,7 +534,7 @@ func (fs *FS) enqueueLocked(id buffer.BlockID, data []byte) error {
 	if addr == 0 {
 		return fmt.Errorf("ffs: dirty unmapped block %v", id)
 	}
-	fs.queue.EnqueueWrite(addr, data)
+	fs.queue.EnqueueWrite(addr, data, max(1, (extent+disk.SectorSize-1)/disk.SectorSize))
 	return nil
 }
 
@@ -627,7 +677,7 @@ func (fs *FS) syncLocked() error {
 				buf[w*8+b] = byte(v >> (8 * b))
 			}
 		}
-		fs.queue.EnqueueWrite(fs.sb.BitmapStart+i, buf)
+		fs.queue.EnqueueWrite(fs.sb.BitmapStart+i, buf, bs/disk.SectorSize)
 	}
 	if err := fs.queue.FlushSorted(); err != nil {
 		return err

@@ -192,6 +192,16 @@ func TestFreshBlocksAreZero(t *testing.T) {
 			_, err := f.WriteAt([]byte{1}, bs+100)
 			return err
 		}, bs + 101},
+		{"partial write to a fresh block, synced before the file grows past it", func(f vfs.File) error {
+			if _, err := f.WriteAt(make([]byte, 200), bs); err != nil {
+				return err
+			}
+			if err := f.Sync(); err != nil {
+				return err
+			}
+			_, err := f.WriteAt([]byte{1}, 2*bs+5)
+			return err
+		}, 2*bs + 6},
 		{"Truncate grows, then a write past it", func(f vfs.File) error {
 			if err := f.Truncate(2 * bs); err != nil {
 				return err

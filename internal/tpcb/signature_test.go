@@ -24,28 +24,26 @@ type signature struct {
 // rows in the same change and replaces the table below with its causes. The
 // history of earlier re-recordings is in CHANGES.md.
 //
-// Last re-recorded because a partial segment with no block after its summary
-// — every summary-only commit force — writes only the 512-byte sectors its
-// summary fills, one sector at these sizes, instead of a whole 4 KB block
-// (lfs.writePartialLocked, disk.SectorSize). The write saves 2.87 ms of
-// transfer when the arm seeks away before the next access; an access that
-// continues at the next block pays the untransferred sectors as rotation, so
-// back-to-back forces cost what they did. The user-ffs rows do not move: FFS
-// writes whole blocks. Every LFS row gets faster. Block and write counts move
-// only where MPL > 1 interleaves differently; the WAL's bytes move with the
-// history rows' timestamps, and the kernel's flushed page bytes with how many
-// committers each group-commit batch gathers. Before → after:
+// Last re-recorded because an FFS in-place write that the sweep does not
+// coalesce into a run moves only the 512-byte sectors through its block's
+// last changed byte (ffs.noteWrite, disk.Queue): a WAL force rewrites the
+// log's tail block and changes its header and the payload it appends. The WAL
+// block header now also carries the length and CRC of the payload the block
+// held durable before the rewrite (wal.encodeBlock), so that a rewrite torn at
+// a sector boundary keeps it; on user-lfs those header bytes ride in the
+// commit force's patches, which moves its MPL > 1 rows slightly. The kernel
+// rows and user-lfs mpl1 do not move. Block and write counts move only where
+// MPL > 1 interleaves differently; the WAL's bytes move with the history
+// rows' timestamps. Before → after:
 //
-//	user-lfs mpl1                 −3.93 %; commit bytes −14
-//	kernel-lfs mpl1               −2.76 %
-//	user-lfs mpl8                 −0.98 %; commit bytes −4
-//	kernel-lfs mpl8               −2.93 %
-//	kernel-lfs mpl8-idle-cleaner  −2.81 %
-//	user-lfs mpl64                −0.67 %; dispatches 17,389 → 17,531; reads 219 → 218; blocks 575 → 573; commit bytes −44
-//	kernel-lfs mpl64              −0.37 %; dispatches 25,567 → 25,645; reads 126 → 128; writes 79 → 80; blocks 272 → 268; commit bytes +36,864
-//	user-lfs mpl256               −0.18 %; dispatches 99,365 → 99,252; commit bytes −84
-//	kernel-lfs mpl256             −0.01 %; dispatches 100,231 → 100,219; commit bytes +16,384
-//	user-lfs mpl8-snapshot-scans  −0.80 %
+//	user-ffs mpl1                 −3.71 %; writes 855 → 856; blocks 1,038 → 1,039; commit bytes −6
+//	user-ffs mpl8                 −0.16 %
+//	user-lfs mpl8                 +0.02 %
+//	user-ffs mpl64                +0.24 %; dispatches 11,119 → 11,252; reads 214 → 215; writes 318 → 320; blocks 532 → 534; commit bytes +86
+//	user-lfs mpl64                +0.10 %; dispatches 17,531 → 17,498; commit bytes +2
+//	user-ffs mpl256               −0.34 %; dispatches 98,566 → 98,554; writes 144 → 142; blocks 416 → 415; commit bytes +62
+//	user-lfs mpl256               +0.004 %; dispatches 99,252 → 99,241
+//	user-lfs mpl8-snapshot-scans  +0.02 %
 func TestPinnedSignatures(t *testing.T) {
 	const txns = 600
 	cfg := ScaledConfig(0.01)
@@ -61,15 +59,15 @@ func TestPinnedSignatures(t *testing.T) {
 		want     signature
 	}{
 		{"user-ffs/mpl1", base("user-ffs", 1), 1, 0,
-			signature{20101570525, 1, 0, 200, 855, 1038, 194487}},
+			signature{19355279325, 1, 0, 200, 856, 1039, 194481}},
 		{"user-lfs/mpl1", base("user-lfs", 1), 1, 0,
 			signature{16175726549, 1, 0, 226, 614, 1095, 194379}},
 		{"kernel-lfs/mpl1", base("kernel-lfs", 1), 1, 0,
 			signature{11131404584, 1, 0, 105, 604, 867, 9830400}},
 		{"user-ffs/mpl8", base("user-ffs", 8), 8, 0,
-			signature{8811709646, 7602, 0, 234, 302, 548, 194557}},
+			signature{8797783246, 7602, 0, 234, 302, 548, 194557}},
 		{"user-lfs/mpl8", base("user-lfs", 8), 8, 0,
-			signature{7094876340, 7442, 0, 245, 87, 596, 194367}},
+			signature{7096105140, 7442, 0, 245, 87, 596, 194367}},
 		{"kernel-lfs/mpl8", base("kernel-lfs", 8), 8, 0,
 			signature{4861407249, 8554, 0, 145, 78, 283, 3358720}},
 		{"kernel-lfs/mpl8-idle-cleaner", with(base("kernel-lfs", 8), func(o *RigOptions) {
@@ -77,18 +75,18 @@ func TestPinnedSignatures(t *testing.T) {
 		}), 8, 0,
 			signature{4808451461, 8593, 0, 160, 79, 315, 3358720}},
 		{"user-ffs/mpl64", base("user-ffs", 8), 64, 0,
-			signature{8018357151, 11119, 0, 214, 318, 532, 194411}},
+			signature{8037669681, 11252, 0, 215, 320, 534, 194497}},
 		{"user-lfs/mpl64", base("user-lfs", 8), 64, 0,
-			signature{5560500426, 17531, 0, 218, 85, 573, 194451}},
+			signature{5566147499, 17498, 0, 218, 85, 573, 194453}},
 		{"kernel-lfs/mpl64", base("kernel-lfs", 8), 64, 0,
 			signature{3533634053, 25645, 0, 128, 80, 268, 3338240}},
 		// The shape `txnbench -fig mpl` gives its MPL 256 cells: one buffer per
 		// client (CacheBlocks = MPL, see figures.FigureMPL), the kernel's cleaner
 		// in idle windows.
 		{"user-ffs/mpl256", with(base("user-ffs", 8), func(o *RigOptions) { o.CacheBlocks = 256 }), 256, 0,
-			signature{4903877605, 98566, 0, 81, 144, 416, 194515}},
+			signature{4887297337, 98554, 0, 81, 142, 415, 194577}},
 		{"user-lfs/mpl256", with(base("user-lfs", 8), func(o *RigOptions) { o.CacheBlocks = 256 }), 256, 0,
-			signature{4494711361, 99252, 0, 80, 84, 379, 194217}},
+			signature{4494882061, 99241, 0, 80, 84, 379, 194217}},
 		{"kernel-lfs/mpl256", with(base("kernel-lfs", 8), func(o *RigOptions) {
 			o.CacheBlocks, o.CleanerMode = 256, "idle"
 		}), 256, 0,
@@ -96,7 +94,7 @@ func TestPinnedSignatures(t *testing.T) {
 		{"user-lfs/mpl8-snapshot-scans", with(base("user-lfs", 8), func(o *RigOptions) {
 			o.CleanerMode, o.DiskScale = "idle", 6.0
 		}), 8, 2,
-			signature{8899524670, 7930, 0, 358, 86, 593, 194503}},
+			signature{8901163070, 7930, 0, 358, 86, 593, 194503}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -161,8 +161,8 @@ func (s *Snapshot) Render() string {
 		}
 	}
 	if f := s.FFS; f != nil {
-		fmt.Fprintf(&b, "ffs: %d syncer passes, %d blocks flushed, %d evicted blocks staged, %d sweeps of a full stage, %s; inode stores %d by File.Sync, %d by syncer or FS.Sync; %s\n",
-			f.SyncerRuns, f.BlocksFlushed, f.BlocksStaged, f.StagedFlushes, stageHits(f.Stage), f.SyncInodeStores, f.SyncerInodeStores, writeBehind(f.WriteBehind))
+		fmt.Fprintf(&b, "ffs: %d syncer passes, %d blocks flushed (%d short writes, %d short-write sectors), %d evicted blocks staged, %d sweeps of a full stage, %s; inode stores %d by File.Sync, %d by syncer or FS.Sync; %s\n",
+			f.SyncerRuns, f.BlocksFlushed, f.ShortWrites, f.ShortWriteSectors, f.BlocksStaged, f.StagedFlushes, stageHits(f.Stage), f.SyncInodeStores, f.SyncerInodeStores, writeBehind(f.WriteBehind))
 	}
 	if e := s.Embedded; e != nil {
 		fmt.Fprintf(&b, "embedded: %d committed, %d aborted, %d commit flushes, %d pages (%d bytes) committed\n",

@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/disk"
 	"repro/internal/vfs"
 )
 
@@ -37,6 +38,61 @@ func seedLog(tb testing.TB) (seg, anchor []byte) {
 		tb.Fatal(err)
 	}
 	return fs.files[segName("/log", 1)].data, fs.files[anchorName("/log")].data
+}
+
+// tornTail builds a log whose tail block holds records a force made durable,
+// then appends more to that block, its new bytes reaching the block's last
+// sector, and forces again: the rewrite a crash can tear at a sector
+// boundary. It returns segment 1's image before and after the rewrite, the
+// anchor's, and the file offset of the tail block.
+func tornTail(tb testing.TB) (before, after, anchor []byte, tail int64) {
+	tb.Helper()
+	fs := newMemFS()
+	m, err := Create(fs, "/log", Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	img := make([]byte, 100)
+	txn := uint64(1)
+	add := func() {
+		for i := range img {
+			img[i] = byte(txn + uint64(i))
+		}
+		if _, err := m.LogUpdate(txn, 1, int64(txn), 0, img, img); err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := m.AppendCommit(txn); err != nil {
+			tb.Fatal(err)
+		}
+		txn++
+	}
+	for range 4 {
+		add()
+	}
+	if err := m.Force(); err != nil {
+		tb.Fatal(err)
+	}
+	seg := fs.files[segName("/log", 1)]
+	before = append([]byte(nil), seg.data...)
+	for m.End().Offset() < PayloadSize-400 {
+		add()
+	}
+	if end := m.End().Offset(); end > PayloadSize || end+blockHdrSize <= BlockSize-disk.SectorSize {
+		tb.Fatalf("the second force ends at stream byte %d: not in the tail block's last sector", end)
+	}
+	if err := m.Force(); err != nil {
+		tb.Fatal(err)
+	}
+	after = append([]byte(nil), seg.data...)
+	return before, after, fs.files[anchorName("/log")].data, blockFileOff(0)
+}
+
+// tornAt is the image of a tail-block rewrite torn after k sectors: after's
+// bytes in the block's first k sectors, before's in the rest.
+func tornAt(before, after []byte, tail int64, k int) []byte {
+	mix := append([]byte(nil), after...)
+	copy(mix[tail+int64(k*disk.SectorSize):tail+BlockSize], before[tail+int64(k*disk.SectorSize):])
+	return mix
 }
 
 // installLog lays a log out on a fresh in-memory file system: the anchor
@@ -107,6 +163,8 @@ func FuzzOpenScan(f *testing.F) {
 	f.Add(seg[:len(seg)-BlockSize/2], anc, true, false) // torn tail block
 	f.Add(seg, []byte{}, false, false)                  // unreadable anchor
 	f.Add(seg, encodeAnchor(anchor{lowWater: 1 << 40}), false, true)
+	before, after, tornAnc, tail := tornTail(f)
+	f.Add(tornAt(before, after, tail, 3), tornAnc, true, false) // tail rewrite torn after 3 sectors
 	f.Fuzz(func(t *testing.T, seg, anc []byte, active, stamp bool) {
 		if stamp && len(anc) >= anchorSize {
 			anc = append([]byte(nil), anc...)

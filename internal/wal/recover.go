@@ -204,7 +204,7 @@ func (m *Manager) openSegment(seq uint64) (*segWriter, bool, error) {
 		clearBuf := make([]byte, (max(last, lo)-lo+1)*BlockSize)
 		if lo < keep {
 			tail := lo * PayloadSize
-			encodeBlock(clearBuf[:BlockSize], w.stream[tail:validEnd], w.firstRecIn(tail, validEnd), w.contAt(tail))
+			encodeBlock(clearBuf[:BlockSize], w.stream[tail:validEnd], w.firstRecIn(tail, validEnd), w.contAt(tail), int(validEnd-tail))
 		}
 		if _, err := f.WriteAt(clearBuf, blockFileOff(lo)); err != nil {
 			f.Close()

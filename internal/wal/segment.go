@@ -17,7 +17,11 @@ import (
 // stream read as zeros. Every data block is independently CRC-protected and
 // records may span block boundaries (the continuation flag marks a block that
 // begins mid-record), so a torn write at a segment tail invalidates exactly
-// the blocks it tore and nothing before them. Every block carries exactly
+// the blocks it tore and nothing before them. A force rewrites the stream's
+// tail block in place, and the file system may move only its leading sectors,
+// so the block also carries the length and CRC of the payload it held durable
+// before the rewrite: a rewrite torn at a sector boundary still yields that
+// payload (decodeBlock). Every block carries exactly
 // PayloadSize stream bytes except a segment's last, so an LSN names its
 // block by arithmetic (Offset / PayloadSize) and its first byte within that
 // block (Offset % PayloadSize): recovery seeks straight to the last
@@ -26,11 +30,15 @@ import (
 // low-water segment sequence; segments below the low-water mark are dead and
 // are deleted by checkpoint-driven truncation.
 const (
-	// BlockSize is the log block size: one file-system block, so a block
-	// write is atomic on both the no-overwrite LFS and the in-place FFS.
+	// BlockSize is the log block size: one file-system block. A block write
+	// need not be atomic: FFS rewrites the tail block in place and may move
+	// only its leading 512-byte sectors, so a crash can tear it at any sector
+	// boundary (see the header's durable fields).
 	BlockSize = 4096
 	// blockHdrSize is the per-block header: crc(4) flags(2) dataLen(2)
-	// firstRec(2) reserved(6).
+	// firstRec(2) durLen(2) durCRC(4). crc covers the header after it and the
+	// payload; durLen is how many leading payload bytes the block held
+	// durable before this write of it, and durCRC their CRC32.
 	blockHdrSize = 16
 	// PayloadSize is the record bytes carried per block.
 	PayloadSize = BlockSize - blockHdrSize
@@ -188,8 +196,10 @@ func unwritten(b []byte) bool {
 
 // encodeBlock fills dst (BlockSize bytes) with a data block: header +
 // payload + zero padding. firstRec is the payload offset of the first record
-// starting in the block, or noFirstRec; cont marks a continuation block.
-func encodeBlock(dst, payload []byte, firstRec int, cont bool) {
+// starting in the block, or noFirstRec; cont marks a continuation block;
+// durable is how many leading payload bytes were durable in the block before
+// this write of it.
+func encodeBlock(dst, payload []byte, firstRec int, cont bool, durable int) {
 	le := binary.LittleEndian
 	for i := range dst {
 		dst[i] = 0
@@ -201,6 +211,10 @@ func encodeBlock(dst, payload []byte, firstRec int, cont bool) {
 	le.PutUint16(dst[4:], flags)
 	le.PutUint16(dst[6:], uint16(len(payload)))
 	le.PutUint16(dst[8:], uint16(firstRec))
+	if durable > 0 {
+		le.PutUint16(dst[10:], uint16(durable))
+		le.PutUint32(dst[12:], crc32.ChecksumIEEE(payload[:durable]))
+	}
 	copy(dst[blockHdrSize:], payload)
 	le.PutUint32(dst[0:], crc32.ChecksumIEEE(dst[4:blockHdrSize+len(payload)]))
 }
@@ -214,7 +228,10 @@ type blockInfo struct {
 
 // decodeBlock validates a data block and returns its header. ok is false for
 // a torn, corrupt, or never-written block — the durable stream ends at the
-// previous block.
+// previous block. A block whose CRC fails but whose durable payload's CRC
+// holds is a tail-block rewrite torn at a sector boundary: its header sector
+// is new and its durable payload is intact, so it decodes as that payload
+// alone, with no record start unless one lies inside it.
 func decodeBlock(b []byte) (blockInfo, bool) {
 	if len(b) < BlockSize {
 		return blockInfo{}, false
@@ -224,12 +241,20 @@ func decodeBlock(b []byte) (blockInfo, bool) {
 	if dataLen == 0 || dataLen > PayloadSize {
 		return blockInfo{}, false
 	}
+	firstRec := int(le.Uint16(b[8:]))
 	if le.Uint32(b[0:]) != crc32.ChecksumIEEE(b[4:blockHdrSize+dataLen]) {
-		return blockInfo{}, false
+		dur := int(le.Uint16(b[10:]))
+		if dur == 0 || dur > dataLen || le.Uint32(b[12:]) != crc32.ChecksumIEEE(b[blockHdrSize:blockHdrSize+dur]) {
+			return blockInfo{}, false
+		}
+		dataLen = dur
+		if firstRec >= dur {
+			firstRec = noFirstRec
+		}
 	}
 	return blockInfo{
 		dataLen:  dataLen,
-		firstRec: int(le.Uint16(b[8:])),
+		firstRec: firstRec,
 		cont:     le.Uint16(b[4:])&flagContinuation != 0,
 	}, true
 }

@@ -506,7 +506,7 @@ func (m *Manager) flushWriter(w *segWriter) (int64, error) {
 			hi = end
 		}
 		dst := buf[(b-b0)*BlockSize : (b-b0+1)*BlockSize]
-		encodeBlock(dst, w.stream[lo:hi], w.firstRecIn(lo, hi), w.contAt(lo))
+		encodeBlock(dst, w.stream[lo:hi], w.firstRecIn(lo, hi), w.contAt(lo), int(max(0, w.durable-lo)))
 	}
 	//simlint:alloc(simulated data I/O below the log hot path, not the compose loop)
 	if _, err := w.f.WriteAt(buf, blockFileOff(b0)); err != nil {

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"reflect"
 	"strings"
 	"testing"
@@ -727,6 +729,46 @@ func TestTornTailClearedInPlace(t *testing.T) {
 				t.Fatalf("%d records after append, want 4", len(recs))
 			}
 		})
+	}
+}
+
+// TestTornTailRewriteKeepsDurableRecords: a force rewrites the tail block in
+// place, and on FFS it moves only the sectors through its last changed byte,
+// so a crash can leave any prefix of its sectors new and the rest old. The
+// block's header carries the length and CRC of the payload that was durable
+// before the rewrite; at every sector boundary, recovery must return exactly
+// the records the earlier force made durable — a tear never loses an
+// acknowledged commit, nor yields a record of the torn force.
+func TestTornTailRewriteKeepsDurableRecords(t *testing.T) {
+	before, after, anc, tail := tornTail(t)
+	scan := func(seg []byte) ([]Record, LSN) {
+		t.Helper()
+		m, err := Open(installLog(anc, seg, true), "/log", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := m.Scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs, m.End()
+	}
+	want, wantEnd := scan(before)
+	if got, _ := scan(after); len(got) <= len(want) {
+		t.Fatalf("the rewrite made %d records durable, the force before it %d: it added none", len(got), len(want))
+	}
+	for k := 0; k < BlockSize/disk.SectorSize; k++ {
+		mix := tornAt(before, after, tail, k)
+		blk := mix[tail : tail+BlockSize]
+		n := int(binary.LittleEndian.Uint16(blk[6:]))
+		if full := binary.LittleEndian.Uint32(blk) == crc32.ChecksumIEEE(blk[4:blockHdrSize+n]); k > 0 && full {
+			t.Fatalf("torn after %d sectors: the block's own CRC holds, so the tear tests nothing", k)
+		}
+		got, end := scan(mix)
+		if !reflect.DeepEqual(got, want) || end != wantEnd {
+			t.Fatalf("torn after %d sectors: recovered %d records ending at %v, want the %d durable before the rewrite, ending at %v",
+				k, len(got), end, len(want), wantEnd)
+		}
 	}
 }
 
