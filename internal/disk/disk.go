@@ -543,8 +543,8 @@ func (d *Device) ReadRun(start int64, bufs [][]byte) error {
 }
 
 // Peek returns the stored contents of a block without charging simulated
-// time. It is intended for tests and the lfsdump inspector, not for file
-// system code.
+// time. It is a test oracle: the disk, ffs and lfs tests read the medium
+// with it, and no file system code or command calls it.
 //
 //simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns)
 func (d *Device) Peek(block int64) ([]byte, error) {

@@ -31,8 +31,7 @@ import (
 // token — or from the main goroutine while no scheduler runs. The token's
 // channel handoffs order every access.
 type Clock struct {
-	now    time.Duration
-	strict bool
+	now time.Duration
 
 	sched *Scheduler
 	cur   *Proc // the running proc; nil between dispatches and outside Run
@@ -54,18 +53,14 @@ func (c *Clock) Now() time.Duration {
 }
 
 // Advance moves the clock forward by d, charged to the running proc in proc
-// context. Negative durations are ignored so a buggy caller can never make
-// time run backwards — except in strict mode (SetStrict), where they panic
-// so scheduler bugs cannot masquerade as time standing still.
+// context. A negative duration panics, so a miscomputed delay can neither
+// make time run backwards nor masquerade as time standing still.
 //
 //simlint:tokensafe(routes to the current proc's own cursor; callers hold the token by construction — outside proc context it falls back to the global clock, which only the main goroutine uses)
 func (c *Clock) Advance(d time.Duration) {
-	if d < 0 && c.strict {
-		//simlint:alloc(cold strict-mode panic diagnostic)
+	if d < 0 {
+		//simlint:alloc(cold panic diagnostic)
 		panic(fmt.Sprintf("sim: negative clock advance %v", d))
-	}
-	if d <= 0 {
-		return
 	}
 	if c.cur != nil {
 		c.cur.now += d
@@ -86,10 +81,6 @@ func (c *Clock) AdvanceTo(t time.Duration) {
 		c.now = t
 	}
 }
-
-// SetStrict toggles strict mode: negative Advance durations panic instead of
-// being ignored. Tests enable this so a miscomputed delay fails loudly.
-func (c *Clock) SetStrict(on bool) { c.strict = on }
 
 // String formats the current simulated time.
 func (c *Clock) String() string {

@@ -78,7 +78,7 @@ func (r *Rig) RunMPL(cfg Config, n, mpl int) (Result, error) {
 //
 // MPL 1 is one scheduler proc: client 0 keeps the base seed, and a lone proc
 // never queues, never blocks, and accrues time exactly as the global clock
-// does (TestPinnedSignatures holds its numbers).
+// does (TestSnapshotGolden pins its numbers).
 //
 // With a tracer on the rig every client and scan proc registers for the
 // per-proc "where did simulated time go" report, and the drain, which runs

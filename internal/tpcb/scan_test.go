@@ -32,7 +32,6 @@ func buildMixed(t *testing.T, kind string, txns int, traced bool) *Rig {
 	if err != nil {
 		t.Fatalf("BuildRig(%s): %v", kind, err)
 	}
-	rig.Clock.SetStrict(true)
 	return rig
 }
 

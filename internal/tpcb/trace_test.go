@@ -28,7 +28,6 @@ func buildTraced(t *testing.T, kind string, txns int, diskScale float64, traced 
 	if err != nil {
 		t.Fatalf("BuildRig(%s): %v", kind, err)
 	}
-	rig.Clock.SetStrict(true)
 	return rig
 }
 
