@@ -1,11 +1,14 @@
 // Package figures regenerates every result figure of the paper's evaluation
-// (§5, Figures 4–7) plus the ablations DESIGN.md calls out. Each function
-// builds fresh simulated rigs, runs the measured workloads, and returns a
-// report that prints the same series the paper plots, side by side with the
-// paper's own numbers.
+// (§5, Figures 4–7) plus the ablations DESIGN.md calls out, and Figures lists
+// them. Each TPC-B experiment is a declared list of cells, one rig and
+// client mix each, that one runner builds and runs; its report holds one
+// tpcb.Snapshot per cell and prints, from those alone, the series the paper
+// plots beside the paper's own numbers. Figure 5 (Andrew, Bigfile and
+// user-TP on the transaction kernel) and Figure 6's cold scans are bespoke.
 package figures
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"time"
@@ -30,22 +33,13 @@ type Options struct {
 	// its throughput tests to steady state and the SCAN test after
 	// 100,000 transactions). Default 5000.
 	Txns int
-	// Costs is the CPU cost model (default sim.SpriteCosts()).
-	Costs sim.CostModel
-	// CleanerMode overrides the LFS cleaning discipline for the figure rigs:
-	// "sync" or "idle" (background cleaning charged against foreground idle
-	// windows). When empty, each rig uses its natural mode: the kernel-lfs
-	// system cleans in idle-overlapped mode (its cleaner lives below the
-	// device queue and sees idle windows), the user-level systems clean
-	// synchronously (§5.4: a user-space cleaner cannot observe device
-	// idleness and serializes with the application).
+	// CleanerMode overrides the LFS cleaning discipline of the rigs that
+	// clean in their natural mode (rigFor): "sync" or "idle" (background
+	// cleaning charged against foreground idle windows).
 	CleanerMode string
 	// MPLs are the multiprogramming levels the MPL sweep measures
 	// (default 1, 2, 4, 8, 16, 64, 256).
 	MPLs []int
-	// GroupCommit is the batch size for the group-commit arm of the MPL
-	// sweep (default 8); the other arm always forces per commit.
-	GroupCommit int
 	// LogSegmentBytes bounds the user-level systems' WAL segment size
 	// (0 = the wal default).
 	LogSegmentBytes int64
@@ -56,22 +50,46 @@ type Options struct {
 	ScansEach int
 }
 
-// rigLogOptions copies the WAL segment knob into a rig configuration.
-func (o Options) rigLogOptions(r tpcb.RigOptions) tpcb.RigOptions {
-	r.LogSegmentBytes = o.LogSegmentBytes
-	return r
+func (o *Options) fill() {
+	o.Scale, o.Txns = cmp.Or(o.Scale, 0.05), cmp.Or(o.Txns, 5000)
+	o.Scanners, o.ScansEach = cmp.Or(o.Scanners, 2), cmp.Or(o.ScansEach, 1)
+	if len(o.MPLs) == 0 {
+		o.MPLs = []int{1, 2, 4, 8, 16, 64, 256}
+	}
 }
 
-// rigFor is the rig recipe the three-system sweeps share: kind at the
-// figure's scale, sized for its transaction count, each system cleaning in
-// its natural mode unless Options.CleanerMode overrides it — kernel-lfs
-// idle-overlapped, user-lfs synchronously, and user-ffs, which has no
-// cleaner, taking no mode at all. A sweep sets what it varies (group
-// commit, tracing, disk headroom) on the result and builds it.
+// groupCommit is the batch size of the MPL sweep's group-commit arm, and the
+// scan sweep's batch size and writer MPL.
+const groupCommit = 8
+
+// systems are Figure 4's three configurations, in its order.
+var systems = []string{"user-ffs", "user-lfs", "kernel-lfs"}
+
+// cell is one TPC-B run of an experiment: the rig, the multiprogramming level
+// of its writers, and the scan clients beside them (none unless scans > 0 and
+// mode asks for some).
+type cell struct {
+	rig             tpcb.RigOptions
+	mpl             int
+	scanners, scans int
+	mode            tpcb.ScanMode
+}
+
+// rig is the recipe every cell starts from: kind at the experiments' scale,
+// sized for their transaction count, with their WAL segment size, the Sprite
+// cost model and, on LFS, the synchronous cleaner.
+func (o Options) rig(kind string) tpcb.RigOptions {
+	return tpcb.RigOptions{Kind: kind, Config: tpcb.ScaledConfig(o.Scale), ExpectedTxns: o.Txns, LogSegmentBytes: o.LogSegmentBytes}
+}
+
+// rigFor is rig with each system cleaning in its natural mode unless
+// Options.CleanerMode overrides it: kernel-lfs idle-overlapped (its cleaner
+// lives below the device queue and sees idle windows), user-lfs
+// synchronously (§5.4: a user-space cleaner cannot observe device idleness
+// and serializes with the application), and user-ffs, which has no cleaner,
+// taking no mode at all.
 func (o Options) rigFor(kind string) tpcb.RigOptions {
-	r := o.rigLogOptions(tpcb.RigOptions{
-		Kind: kind, Config: tpcb.ScaledConfig(o.Scale), Costs: o.Costs, ExpectedTxns: o.Txns,
-	})
+	r := o.rig(kind)
 	if kind != "user-ffs" {
 		r.CleanerMode = o.CleanerMode
 		if r.CleanerMode == "" && kind == "kernel-lfs" {
@@ -81,83 +99,101 @@ func (o Options) rigFor(kind string) tpcb.RigOptions {
 	return r
 }
 
-// measure is one cell of every TPC-B sweep: build the rig, run the sweep's
-// transaction count at mpl, and hand back the rig (for its counters) with the
-// result. what labels the cell in the error.
-func (o Options) measure(what string, r tpcb.RigOptions, mpl int) (*tpcb.Rig, tpcb.Result, error) {
-	rig, err := tpcb.BuildRig(o.rigLogOptions(r))
-	if err != nil {
-		return nil, tpcb.Result{}, fmt.Errorf("%s: %w", what, err)
+// run is the one TPC-B runner. It builds each cell's rig, runs the cell and
+// returns, in cell order, each rig's snapshot right after its load and the
+// one at the end of its run (only the disk section of a snapshot leaves the
+// load out). after, when not nil, sees each rig once its run is done; no rig
+// outlives its cell.
+func (o Options) run(cells []cell, after func(i int, rig *tpcb.Rig) error) ([]*tpcb.Snapshot, []*tpcb.Snapshot, error) {
+	var loaded, end []*tpcb.Snapshot
+	for i, c := range cells {
+		rig, err := tpcb.BuildRig(c.rig)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", c.rig.Kind, err)
+		}
+		loaded = append(loaded, rig.Snapshot(tpcb.MixedResult{}))
+		res, err := rig.RunMixed(c.rig.Config, o.Txns, c.mpl, c.scanners, c.scans, c.mode)
+		if err == nil {
+			end = append(end, rig.Snapshot(res))
+			if after != nil {
+				err = after(i, rig)
+			}
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s mpl=%d: %w", c.rig.Kind, c.mpl, err)
+		}
 	}
-	res, err := rig.RunMPL(r.Config, o.Txns, mpl)
-	if err != nil {
-		return nil, tpcb.Result{}, fmt.Errorf("%s mpl=%d: %w", what, mpl, err)
-	}
-	return rig, res, nil
+	return loaded, end, nil
 }
 
-func (o *Options) fill() {
-	if o.Scale == 0 {
-		o.Scale = 0.05
+// measure runs cells and returns their end-of-run snapshots as a report of
+// type R.
+func measure[R ~struct{ Runs }](opts Options, cells []cell) (*R, error) {
+	_, rows, err := opts.run(cells, nil)
+	if err != nil {
+		return nil, err
 	}
-	if o.Txns == 0 {
-		o.Txns = 5000
-	}
-	if o.Costs == (sim.CostModel{}) {
-		o.Costs = sim.SpriteCosts()
-	}
-	if len(o.MPLs) == 0 {
-		o.MPLs = []int{1, 2, 4, 8, 16, 64, 256}
-	}
-	if o.GroupCommit == 0 {
-		o.GroupCommit = 8
-	}
-	if o.Scanners == 0 {
-		o.Scanners = 2
-	}
-	if o.ScansEach == 0 {
-		o.ScansEach = 1
-	}
+	return &R{Runs{opts, rows}}, nil
+}
+
+// Runs is what every TPC-B report holds: the options it ran at and one
+// end-of-run snapshot per cell, in the order its experiment declares them.
+type Runs struct {
+	Opts Options
+	Rows []*tpcb.Snapshot
+}
+
+// Snapshots returns the rows.
+func (r *Runs) Snapshots() []*tpcb.Snapshot { return r.Rows }
+
+// perTxn is n per transaction of a measured run.
+func (r *Runs) perTxn(n int64) float64 { return float64(n) / float64(r.Opts.Txns) }
+
+// Report is a figure's result: its table, and the snapshots of the TPC-B
+// runs it was computed from (none for Figure 5).
+type Report interface {
+	String() string
+	Snapshots() []*tpcb.Snapshot
+}
+
+// Figure is one experiment of the registry.
+type Figure struct {
+	Key  string // txnbench's -fig value
+	Name string // the "figure" field of txnbench's -json stream
+	All  bool   // whether txnbench -fig all runs it
+	Run  func(Options) (Report, error)
+}
+
+// Figures is every experiment, in the order -fig all prints them. Figure 7
+// is Figure 6's report; fsync repeats Figure 4's bars as its default arm,
+// and mpl (42 runs) and scan are long, so none of the four is in all.
+var Figures = []Figure{
+	{"4", "figure4", true, func(o Options) (Report, error) { return Figure4(o) }},
+	{"5", "figure5", true, func(o Options) (Report, error) { return Figure5(o) }},
+	{"6", "figure67", true, func(o Options) (Report, error) { return Figure67(o) }},
+	{"7", "figure67", false, func(o Options) (Report, error) { return Figure67(o) }},
+	{"sync", "sync", true, func(o Options) (Report, error) { return AblationSync(o) }},
+	{"fsync", "fsync", false, func(o Options) (Report, error) { return AblationFsync(o) }},
+	{"cleaner", "cleaner", true, func(o Options) (Report, error) { return AblationCleaner(o) }},
+	{"commitbytes", "commitbytes", true, func(o Options) (Report, error) { return AblationCommitBytes(o) }},
+	{"mpl", "mpl", false, func(o Options) (Report, error) { return FigureMPL(o) }},
+	{"scan", "scan", false, func(o Options) (Report, error) { return Scan(o) }},
 }
 
 // ---------------------------------------------------------------- Figure 4
 
-// Figure4Row is one bar of Figure 4.
-type Figure4Row struct {
-	System  string
-	TPS     float64
-	Elapsed time.Duration
-	// CleanerShare is the fraction of elapsed time the LFS cleaner
-	// consumed (0 for the read-optimized system).
-	CleanerShare float64
-}
-
 // Figure4Report reproduces Figure 4: transaction performance of the three
-// configurations.
-type Figure4Report struct {
-	Opts Options
-	Rows []Figure4Row
-}
+// configurations at MPL 1, one row each.
+type Figure4Report struct{ Runs }
 
 // Figure4 runs the modified TPC-B on the three systems.
 func Figure4(opts Options) (*Figure4Report, error) {
 	opts.fill()
-	rep := &Figure4Report{Opts: opts}
-	for _, kind := range []string{"user-ffs", "user-lfs", "kernel-lfs"} {
-		rig, res, err := opts.measure("figure 4 "+kind, opts.rigFor(kind), 1)
-		if err != nil {
-			return nil, err
-		}
-		row := Figure4Row{System: kind, TPS: res.TPS, Elapsed: res.Elapsed}
-		if st := rig.LFSStats(); st != nil {
-			// Only cleaner time on the critical path counts: background
-			// passes subtract what the idle windows absorbed.
-			cl := st.Cleaner
-			row.CleanerShare = float64(cl.BusyTime-cl.OverlapTime) / float64(res.Elapsed)
-		}
-		rep.Rows = append(rep.Rows, row)
+	var cells []cell
+	for _, kind := range systems {
+		cells = append(cells, cell{rig: opts.rigFor(kind), mpl: 1})
 	}
-	return rep, nil
+	return measure[Figure4Report](opts, cells)
 }
 
 // String formats the report like the paper's Figure 4 bars.
@@ -167,15 +203,17 @@ func (r *Figure4Report) String() string {
 	fmt.Fprintf(&b, "  %-12s %8s %12s %14s   %s\n", "system", "TPS", "elapsed", "cleaner-share", "paper")
 	paper := map[string]string{"user-ffs": "12.3 TPS", "user-lfs": "13.6 TPS", "kernel-lfs": "≈ user-lfs"}
 	for _, row := range r.Rows {
+		// The cleaner's share of elapsed time on the critical path: what the
+		// idle windows absorbed is off it; the read-optimized system has none.
+		var cleaner float64
+		if f := row.LFS; f != nil {
+			cleaner = float64(f.Cleaner.BusyTime-f.Cleaner.OverlapTime) / float64(row.Elapsed)
+		}
 		fmt.Fprintf(&b, "  %-12s %8.2f %12s %13.1f%%   %s\n",
-			row.System, row.TPS, row.Elapsed.Truncate(time.Millisecond), row.CleanerShare*100, paper[row.System])
+			row.System, row.TPS, row.Elapsed.Truncate(time.Millisecond), cleaner*100, paper[row.System])
 	}
-	if len(r.Rows) == 3 {
-		lfsWin := (r.Rows[1].TPS/r.Rows[0].TPS - 1) * 100
-		kernelRatio := r.Rows[2].TPS / r.Rows[1].TPS
-		fmt.Fprintf(&b, "  LFS over read-optimized: %+.1f%% (paper: +10%%); kernel/user on LFS: %.2f (paper: ≈1, user slowed by 2× sync syscalls)\n",
-			lfsWin, kernelRatio)
-	}
+	fmt.Fprintf(&b, "  LFS over read-optimized: %+.1f%% (paper: +10%%); kernel/user on LFS: %.2f (paper: ≈1, user slowed by 2× sync syscalls)\n",
+		(r.Rows[1].TPS/r.Rows[0].TPS-1)*100, r.Rows[2].TPS/r.Rows[1].TPS)
 	return b.String()
 }
 
@@ -183,12 +221,13 @@ func (r *Figure4Report) String() string {
 
 // Figure5Row compares one workload on the two kernels.
 type Figure5Row struct {
-	Workload    string
-	NormalK     time.Duration // unmodified kernel
-	TxnK        time.Duration // kernel with embedded transaction support
-	DeltaPct    float64
-	PaperClaims string
+	Workload string
+	NormalK  time.Duration // unmodified kernel
+	TxnK     time.Duration // kernel with embedded transaction support
 }
+
+// delta is the transaction kernel's overhead on the workload, in percent.
+func (r Figure5Row) delta() float64 { return (float64(r.TxnK)/float64(r.NormalK) - 1) * 100 }
 
 // Figure5Report reproduces Figure 5: impact of the kernel transaction
 // implementation on non-transaction workloads.
@@ -196,115 +235,89 @@ type Figure5Report struct {
 	Rows []Figure5Row
 }
 
-// newWorkloadLFS builds a 96 MB LFS for the non-transaction workloads.
-func newWorkloadLFS() (*lfs.FS, *sim.Clock, error) {
-	clk := sim.NewClock()
-	model := sim.RZ55Model()
-	model.NumBlocks = 24576
-	dev := disk.New(model, clk)
-	fsys, err := lfs.Format(dev, clk, lfs.Options{CacheBlocks: 2048})
-	return fsys, clk, err
-}
+// Snapshots returns nil: Figure 5's runs are not TPC-B cells.
+func (r *Figure5Report) Snapshots() []*tpcb.Snapshot { return nil }
 
 // Figure5 runs Andrew, Bigfile, and the user-level transaction system on an
 // unmodified kernel and on the transaction-enabled kernel.
 func Figure5(opts Options) (*Figure5Report, error) {
 	opts.fill()
 	rep := &Figure5Report{}
-
-	// Andrew.
-	fsA, clkA, err := newWorkloadLFS()
-	if err != nil {
-		return nil, err
-	}
-	andrewPlain, err := workload.RunAndrew(fsA, clkA, workload.DefaultAndrew())
-	if err != nil {
-		return nil, err
-	}
-	fsB, clkB, err := newWorkloadLFS()
-	if err != nil {
-		return nil, err
-	}
-	andrewTxn, err := workload.RunAndrew(core.New(fsB, clkB, core.Options{Costs: opts.Costs}).AsFileSystem(), clkB, workload.DefaultAndrew())
-	if err != nil {
-		return nil, err
-	}
-	rep.add("ANDREW", andrewPlain.Total(), andrewTxn.Total())
-
-	// Bigfile.
-	fsC, clkC, err := newWorkloadLFS()
-	if err != nil {
-		return nil, err
-	}
-	bigPlain, err := workload.RunBigfile(fsC, clkC, workload.DefaultBigfile())
-	if err != nil {
-		return nil, err
-	}
-	fsD, clkD, err := newWorkloadLFS()
-	if err != nil {
-		return nil, err
-	}
-	bigTxn, err := workload.RunBigfile(core.New(fsD, clkD, core.Options{Costs: opts.Costs}).AsFileSystem(), clkD, workload.DefaultBigfile())
-	if err != nil {
-		return nil, err
-	}
-	rep.add("BIGFILE", bigPlain.Total(), bigTxn.Total())
-
-	// User-TP: the user-level transaction system, which uses none of the
-	// kernel transaction machinery. On the transaction kernel its file
-	// accesses still pass through the embedded manager's lock-necessity
-	// check.
-	userTP := func(asTxnKernel bool) (time.Duration, error) {
-		cfg := tpcb.ScaledConfig(opts.Scale / 2)
-		n := opts.Txns / 5
-		if n < 200 {
-			n = 200
-		}
-		clk := sim.NewClock()
-		dev := disk.New(tpcb.DiskModelFor(cfg, n), clk)
-		cache := tpcb.CacheBlocksFor(cfg, n)
-		base, err := lfs.Format(dev, clk, lfs.Options{CacheBlocks: cache})
+	for _, w := range []struct {
+		name string
+		run  func(txnKernel bool) (time.Duration, error)
+	}{
+		{"ANDREW", func(txnKernel bool) (time.Duration, error) {
+			fsys, clk, err := newWorkloadLFS(txnKernel)
+			if err != nil {
+				return 0, err
+			}
+			res, err := workload.RunAndrew(fsys, clk, workload.DefaultAndrew())
+			return res.Total(), err
+		}},
+		{"BIGFILE", func(txnKernel bool) (time.Duration, error) {
+			fsys, clk, err := newWorkloadLFS(txnKernel)
+			if err != nil {
+				return 0, err
+			}
+			res, err := workload.RunBigfile(fsys, clk, workload.DefaultBigfile())
+			return res.Total(), err
+		}},
+		{"USER-TP", opts.userTP},
+	} {
+		plain, err := w.run(false)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		var fsys vfs.FileSystem = base
-		if asTxnKernel {
-			fsys = core.New(base, clk, core.Options{Costs: opts.Costs}).AsFileSystem()
-		}
-		env, err := libtp.NewEnv(fsys, clk, libtp.Options{CacheBlocks: cache, Costs: opts.Costs})
+		txn, err := w.run(true)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		sys := tpcb.NewUserSystem(env, clk, opts.Costs)
-		if err := sys.Load(cfg); err != nil {
-			return 0, err
-		}
-		res, err := (&tpcb.Rig{Clock: clk, Sys: sys}).RunMPL(cfg, n, 1)
-		if err != nil {
-			return 0, err
-		}
-		return res.Elapsed, nil
+		rep.Rows = append(rep.Rows, Figure5Row{Workload: w.name, NormalK: plain, TxnK: txn})
 	}
-	tpPlain, err := userTP(false)
-	if err != nil {
-		return nil, err
-	}
-	tpTxn, err := userTP(true)
-	if err != nil {
-		return nil, err
-	}
-	rep.add("USER-TP", tpPlain, tpTxn)
 	return rep, nil
 }
 
-func (r *Figure5Report) add(name string, plain, txn time.Duration) {
-	r.Rows = append(r.Rows, Figure5Row{
-		Workload:    name,
-		NormalK:     plain,
-		TxnK:        txn,
-		DeltaPct:    (float64(txn)/float64(plain) - 1) * 100,
-		PaperClaims: "within 1–2%",
-	})
+// newWorkloadLFS builds a 96 MB LFS for the non-transaction workloads, seen
+// through the transaction kernel when txnKernel.
+func newWorkloadLFS(txnKernel bool) (vfs.FileSystem, *sim.Clock, error) {
+	clk := sim.NewClock()
+	model := sim.RZ55Model()
+	model.NumBlocks = 24576
+	fsys, err := lfs.Format(disk.New(model, clk), clk, lfs.Options{CacheBlocks: 2048})
+	if err != nil || !txnKernel {
+		return fsys, clk, err
+	}
+	return core.New(fsys, clk, core.Options{}).AsFileSystem(), clk, nil
+}
+
+// userTP runs the user-level transaction system, which uses none of the
+// kernel transaction machinery, and returns its elapsed time. On the
+// transaction kernel its file accesses still pass through the embedded
+// manager's lock-necessity check.
+func (o Options) userTP(txnKernel bool) (time.Duration, error) {
+	cfg := tpcb.ScaledConfig(o.Scale / 2)
+	n := max(o.Txns/5, 200)
+	clk := sim.NewClock()
+	cache := tpcb.CacheBlocksFor(cfg, n)
+	base, err := lfs.Format(disk.New(tpcb.DiskModelFor(cfg, n), clk), clk, lfs.Options{CacheBlocks: cache})
+	if err != nil {
+		return 0, err
+	}
+	var fsys vfs.FileSystem = base
+	if txnKernel {
+		fsys = core.New(base, clk, core.Options{}).AsFileSystem()
+	}
+	env, err := libtp.NewEnv(fsys, clk, libtp.Options{CacheBlocks: cache})
+	if err != nil {
+		return 0, err
+	}
+	sys := tpcb.NewUserSystem(env, clk, sim.SpriteCosts())
+	if err := sys.Load(cfg); err != nil {
+		return 0, err
+	}
+	res, err := (&tpcb.Rig{Clock: clk, Sys: sys}).RunMPL(cfg, n, 1)
+	return res.Elapsed, err
 }
 
 // String formats the report like Figure 5.
@@ -314,158 +327,105 @@ func (r *Figure5Report) String() string {
 	fmt.Fprintf(&b, "  %-10s %14s %14s %9s   %s\n", "workload", "normal", "txn-kernel", "delta", "paper")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "  %-10s %14s %14s %+8.2f%%   %s\n",
-			row.Workload, row.NormalK.Truncate(time.Millisecond), row.TxnK.Truncate(time.Millisecond), row.DeltaPct, row.PaperClaims)
+			row.Workload, row.NormalK.Truncate(time.Millisecond), row.TxnK.Truncate(time.Millisecond), row.delta(), "within 1–2%")
 	}
 	return b.String()
 }
 
 // ------------------------------------------------------------- Figures 6/7
 
+// paperCrossover is where the paper's Figure 7 lines cross, at full scale.
+const paperCrossover = "≈134,300 txns (≈2h40m at 13.6 TPS)"
+
 // Figure67Report reproduces the SCAN test (Figure 6) and the combined
-// elapsed-time crossover (Figure 7).
+// elapsed-time crossover (Figure 7). Its rows are the update phase on
+// user-ffs, then on user-lfs.
 type Figure67Report struct {
-	Opts Options
-	// Per-system transaction rates (from the update phase).
-	FFSTPS, LFSTPS float64
+	Runs
 	// Sequential key-order scan times after the random updates.
 	FFSScan, LFSScan time.Duration
 	// LFSScanCoalesced is the LFS scan after running the coalescing
 	// cleaner (the §5.3/§5.4 enhancement) — the "promising solution" the
 	// paper's conclusion points to.
 	LFSScanCoalesced time.Duration
-	// ScanPenalty = LFSScan/FFSScan (paper: read-optimized ~50% faster).
-	ScanPenalty float64
-	// CrossoverTxns is where the two total-elapsed lines intersect
-	// (paper: ≈134,300 at full scale, ≈2h40m of peak throughput). Crosses
-	// is false, and both are zero, when they do not: the read-optimized
-	// system is no slower per transaction, so it stays ahead at every N.
-	Crosses        bool
-	CrossoverTxns  float64
-	CrossoverTime  time.Duration
-	Series         []Figure7Point
-	PaperCrossover string
-}
-
-// Figure7Point is one x-position of Figure 7.
-type Figure7Point struct {
-	Txns     int
-	FFSTotal time.Duration
-	LFSTotal time.Duration
 }
 
 // Figure67 runs the SCAN experiment: load, run the update phase, remount
-// (cold cache), then read the account relation in key order.
+// (cold cache), then read the account relation in key order. Both systems
+// clean synchronously whatever Options.CleanerMode says.
 func Figure67(opts Options) (*Figure67Report, error) {
 	opts.fill()
-	cfg := tpcb.ScaledConfig(opts.Scale)
-	rep := &Figure67Report{Opts: opts, PaperCrossover: "≈134,300 txns (≈2h40m at 13.6 TPS)"}
-
-	type sysResult struct {
-		tps           float64
-		scan          time.Duration
-		scanCoalesced time.Duration
-	}
-	runOne := func(kind string) (sysResult, error) {
-		rig, res, err := opts.measure(kind, tpcb.RigOptions{Kind: kind, Config: cfg, Costs: opts.Costs, ExpectedTxns: opts.Txns}, 1)
-		if err != nil {
-			return sysResult{}, err
+	rep := &Figure67Report{}
+	cells := []cell{{rig: opts.rig("user-ffs"), mpl: 1}, {rig: opts.rig("user-lfs"), mpl: 1}}
+	_, rows, err := opts.run(cells, func(i int, rig *tpcb.Rig) error {
+		scan, coalesced, err := coldScan(rig)
+		if i == 0 {
+			rep.FFSScan = scan
+		} else {
+			rep.LFSScan, rep.LFSScanCoalesced = scan, coalesced
 		}
-		// Cold cache: remount the file system from the device.
-		start := rig.Clock.Now()
-		// Cursor CPU: the paper's scan pushes every record through the
-		// record layer; charge half a keyed record operation per record
-		// (a cursor-next is cheaper than a search).
-		scanCPU := func(records int64) {
-			rig.Clock.Advance(time.Duration(records) * opts.Costs.RecordOp / 2)
-		}
-		switch kind {
-		case "user-ffs":
-			fsys, err := ffs.Mount(rig.Dev, rig.Clock, ffs.Options{CacheBlocks: 256})
-			if err != nil {
-				return sysResult{}, err
-			}
-			start = rig.Clock.Now() // exclude mount time
-			n, err := tpcb.ScanAccountsOn(fsys)
-			if err != nil {
-				return sysResult{}, err
-			}
-			scanCPU(n)
-		case "user-lfs":
-			fsys, err := lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256})
-			if err != nil {
-				return sysResult{}, err
-			}
-			start = rig.Clock.Now()
-			n, err := tpcb.ScanAccountsOn(fsys)
-			if err != nil {
-				return sysResult{}, err
-			}
-			scanCPU(n)
-			scan := rig.Clock.Now() - start
-
-			// The §5.3/§5.4 enhancement: coalesce the fragmented account
-			// file with the cleaner machinery, then scan again cold.
-			if err := fsys.Coalesce(tpcb.AccountPath); err != nil {
-				return sysResult{}, err
-			}
-			if err := fsys.Sync(); err != nil {
-				return sysResult{}, err
-			}
-			fs3, err := lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256})
-			if err != nil {
-				return sysResult{}, err
-			}
-			start2 := rig.Clock.Now()
-			n2, err := tpcb.ScanAccountsOn(fs3)
-			if err != nil {
-				return sysResult{}, err
-			}
-			scanCPU(n2)
-			return sysResult{tps: res.TPS, scan: scan, scanCoalesced: rig.Clock.Now() - start2}, nil
-		}
-		return sysResult{tps: res.TPS, scan: rig.Clock.Now() - start}, nil
-	}
-
-	ffsRes, err := runOne("user-ffs")
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("figure 6 ffs: %w", err)
+		return nil, fmt.Errorf("figure 6: %w", err)
 	}
-	lfsRes, err := runOne("user-lfs")
-	if err != nil {
-		return nil, fmt.Errorf("figure 6 lfs: %w", err)
-	}
-	rep.FFSTPS, rep.FFSScan = ffsRes.tps, ffsRes.scan
-	rep.LFSTPS, rep.LFSScan = lfsRes.tps, lfsRes.scan
-	rep.LFSScanCoalesced = lfsRes.scanCoalesced
-	rep.ScanPenalty = float64(lfsRes.scan) / float64(ffsRes.scan)
-
-	// Figure 7: total elapsed = txns/TPS + scan (scan held at its
-	// after-N-updates cost, as the paper does). Crossover where the lines
-	// meet.
-	rep.figure7()
+	rep.Runs = Runs{opts, rows}
 	return rep, nil
 }
 
-// figure7 derives the crossover and the plotted series from the measured
-// rates and scan times.
-func (r *Figure67Report) figure7() {
-	den := 1/r.FFSTPS - 1/r.LFSTPS
-	if r.Crosses = den > 0; r.Crosses {
-		r.CrossoverTxns = (r.LFSScan - r.FFSScan).Seconds() / den
-		r.CrossoverTime = time.Duration(r.CrossoverTxns / r.LFSTPS * float64(time.Second))
+// coldScan remounts rig's file system from its device (a cold cache) and
+// reads the account relation in key order. On LFS it then coalesces the
+// fragmented account file with the cleaner machinery (the §5.3/§5.4
+// enhancement) and scans cold again.
+func coldScan(rig *tpcb.Rig) (scan, coalesced time.Duration, err error) {
+	// Cursor CPU: the paper's scan pushes every record through the record
+	// layer; charge half a keyed record operation per record (a cursor-next
+	// is cheaper than a search). Mount time is excluded.
+	scanOn := func(fsys vfs.FileSystem) (time.Duration, error) {
+		start := rig.Clock.Now()
+		n, err := tpcb.ScanAccountsOn(fsys)
+		rig.Clock.Advance(time.Duration(n) * sim.SpriteCosts().RecordOp / 2)
+		return rig.Clock.Now() - start, err
 	}
-	maxT := int(r.CrossoverTxns * 2)
-	if maxT < r.Opts.Txns {
-		maxT = r.Opts.Txns
+	if rig.LFS == nil {
+		fsys, err := ffs.Mount(rig.Dev, rig.Clock, ffs.Options{CacheBlocks: 256})
+		if err != nil {
+			return 0, 0, err
+		}
+		scan, err = scanOn(fsys)
+		return scan, 0, err
 	}
-	for i := 0; i <= 8; i++ {
-		n := maxT * i / 8
-		r.Series = append(r.Series, Figure7Point{
-			Txns:     n,
-			FFSTotal: time.Duration(float64(n)/r.FFSTPS*float64(time.Second)) + r.FFSScan,
-			LFSTotal: time.Duration(float64(n)/r.LFSTPS*float64(time.Second)) + r.LFSScan,
-		})
+	fsys, err := lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256})
+	if err != nil {
+		return 0, 0, err
 	}
+	if scan, err = scanOn(fsys); err != nil {
+		return 0, 0, err
+	}
+	if err := fsys.Coalesce(tpcb.AccountPath); err != nil {
+		return 0, 0, err
+	}
+	if err := fsys.Sync(); err != nil {
+		return 0, 0, err
+	}
+	if fsys, err = lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256}); err != nil {
+		return 0, 0, err
+	}
+	coalesced, err = scanOn(fsys)
+	return scan, coalesced, err
+}
+
+// crossover is where Figure 7's lines meet, in transactions and in time at
+// user-lfs's rate (paper: ≈134,300 at full scale, ≈2h40m of peak
+// throughput). ok is false when they do not: the read-optimized system is no
+// slower per transaction, so it stays ahead at every N.
+func (r *Figure67Report) crossover() (txns float64, at time.Duration, ok bool) {
+	den := 1/r.Rows[0].TPS - 1/r.Rows[1].TPS
+	if den <= 0 {
+		return 0, 0, false
+	}
+	txns = (r.LFSScan - r.FFSScan).Seconds() / den
+	return txns, time.Duration(txns / r.Rows[1].TPS * float64(time.Second)), true
 }
 
 // String formats Figures 6 and 7.
@@ -477,19 +437,27 @@ func (r *Figure67Report) String() string {
 	fmt.Fprintf(&b, "  %-16s %14s\n", "LFS", r.LFSScan.Truncate(time.Millisecond))
 	fmt.Fprintf(&b, "  %-16s %14s  (after the §5.4 coalescing cleaner)\n", "LFS coalesced", r.LFSScanCoalesced.Truncate(time.Millisecond))
 	fmt.Fprintf(&b, "  LFS/read-optimized scan ratio: %.2f (paper: read-optimized ≈50%% faster, ratio ≈1.5); coalesced ratio: %.2f\n\n",
-		r.ScanPenalty, float64(r.LFSScanCoalesced)/float64(r.FFSScan))
+		float64(r.LFSScan)/float64(r.FFSScan), float64(r.LFSScanCoalesced)/float64(r.FFSScan))
 
+	// Figure 7: total elapsed = txns/TPS + scan, the scan held at its
+	// after-N-updates cost as the paper does, out to twice the crossover.
 	b.WriteString("Figure 7 — Total elapsed time (transactions + one scan)\n")
 	fmt.Fprintf(&b, "  %-10s %16s %16s\n", "txns", "read-optimized", "LFS")
-	for _, p := range r.Series {
-		fmt.Fprintf(&b, "  %-10d %16s %16s\n", p.Txns, p.FFSTotal.Truncate(time.Second), p.LFSTotal.Truncate(time.Second))
+	txns, at, crosses := r.crossover()
+	maxT := max(int(txns*2), r.Opts.Txns)
+	for i := 0; i <= 8; i++ {
+		n := maxT * i / 8
+		total := func(row *tpcb.Snapshot, scan time.Duration) time.Duration {
+			return (time.Duration(float64(n)/row.TPS*float64(time.Second)) + scan).Truncate(time.Second)
+		}
+		fmt.Fprintf(&b, "  %-10d %16s %16s\n", n, total(r.Rows[0], r.FFSScan), total(r.Rows[1], r.LFSScan))
 	}
-	if r.Crosses {
+	if crosses {
 		fmt.Fprintf(&b, "  crossover: %.0f txns (%s of peak throughput); paper at full scale: %s\n",
-			r.CrossoverTxns, r.CrossoverTime.Truncate(time.Second), r.PaperCrossover)
+			txns, at.Truncate(time.Second), paperCrossover)
 	} else {
 		fmt.Fprintf(&b, "  crossover: none within %d txns (read-optimized ahead at every N); paper at full scale: %s\n",
-			r.Series[len(r.Series)-1].Txns, r.PaperCrossover)
+			maxT, paperCrossover)
 	}
 	return b.String()
 }

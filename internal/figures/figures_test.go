@@ -1,17 +1,27 @@
 package figures
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/tpcb"
 )
 
 // smallOpts keeps CI runs quick while still exercising every code path.
 func smallOpts() Options {
 	return Options{Scale: 0.01, Txns: 600}
+}
+
+// updatePhase stands in for Figure 6's two update-phase runs: user-ffs at
+// ffsTPS, then user-lfs at lfsTPS.
+func updatePhase(opts Options, ffsTPS, lfsTPS float64) Runs {
+	return Runs{opts, []*tpcb.Snapshot{
+		{Result: tpcb.Result{System: "user-ffs", TPS: ffsTPS}},
+		{Result: tpcb.Result{System: "user-lfs", TPS: lfsTPS}},
+	}}
 }
 
 func TestFigure4ShapeHolds(t *testing.T) {
@@ -22,7 +32,7 @@ func TestFigure4ShapeHolds(t *testing.T) {
 	if len(rep.Rows) != 3 {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
-	byName := map[string]Figure4Row{}
+	byName := map[string]*tpcb.Snapshot{}
 	for _, r := range rep.Rows {
 		byName[r.System] = r
 	}
@@ -57,8 +67,8 @@ func TestFigure5WithinTwoPercent(t *testing.T) {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
 	for _, row := range rep.Rows {
-		if row.DeltaPct < -0.5 || row.DeltaPct > 2.0 {
-			t.Fatalf("%s: txn-kernel overhead %.2f%% outside the paper's 1–2%% band", row.Workload, row.DeltaPct)
+		if d := row.delta(); d < -0.5 || d > 2.0 {
+			t.Fatalf("%s: txn-kernel overhead %.2f%% outside the paper's 1–2%% band", row.Workload, d)
 		}
 	}
 	if !strings.Contains(rep.String(), "ANDREW") {
@@ -73,18 +83,19 @@ func TestFigure67ScanPenaltyAndCrossover(t *testing.T) {
 	}
 	// Figure 6: the read-optimized system must win the key-order scan
 	// after random updates (paper: by ~50%).
-	if rep.ScanPenalty <= 1.0 {
-		t.Fatalf("scan penalty %.2f: LFS should be slower than read-optimized after random updates", rep.ScanPenalty)
+	if penalty := float64(rep.LFSScan) / float64(rep.FFSScan); penalty <= 1.0 {
+		t.Fatalf("scan penalty %.2f: LFS should be slower than read-optimized after random updates", penalty)
 	}
 	// Figure 7: at this size LFS is faster per transaction (Figure 4) and
 	// slower to scan, so the lines cross where the scan penalty is paid back;
 	// TestFigure7SaysWhenTheLinesDoNotCross covers the other branch.
-	if rep.LFSTPS <= rep.FFSTPS {
-		t.Fatalf("LFS TPS (%f) not above FFS TPS (%f): this test takes the crossing branch", rep.LFSTPS, rep.FFSTPS)
+	ffsTPS, lfsTPS := rep.Rows[0].TPS, rep.Rows[1].TPS
+	if lfsTPS <= ffsTPS {
+		t.Fatalf("LFS TPS (%f) not above FFS TPS (%f): this test takes the crossing branch", lfsTPS, ffsTPS)
 	}
-	want := (rep.LFSScan - rep.FFSScan).Seconds() / (1/rep.FFSTPS - 1/rep.LFSTPS)
-	if !rep.Crosses || want <= 0 || math.Abs(rep.CrossoverTxns-want) > 1e-6 {
-		t.Fatalf("crossover = %f (crosses: %v), want %f", rep.CrossoverTxns, rep.Crosses, want)
+	want := (rep.LFSScan - rep.FFSScan).Seconds() / (1/ffsTPS - 1/lfsTPS)
+	if txns, _, crosses := rep.crossover(); !crosses || want <= 0 || math.Abs(txns-want) > 1e-6 {
+		t.Fatalf("crossover = %f (crosses: %v), want %f", txns, crosses, want)
 	}
 	if out := rep.String(); !strings.Contains(out, fmt.Sprintf("crossover: %.0f txns (", want)) || strings.Contains(out, "none") {
 		t.Fatalf("report should print the crossover:\n%s", out)
@@ -96,35 +107,29 @@ func TestFigure67ScanPenaltyAndCrossover(t *testing.T) {
 // paper-size run under the shared Sync contract: 12.45 against 12.00 TPS).
 func TestFigure7SaysWhenTheLinesDoNotCross(t *testing.T) {
 	rep := &Figure67Report{
-		Opts:   Options{Scale: 1, Txns: 100000},
-		FFSTPS: 12.45, LFSTPS: 12.00,
+		Runs:    updatePhase(Options{Scale: 1, Txns: 100000}, 12.45, 12.00),
 		FFSScan: 200 * time.Second, LFSScan: 370 * time.Second,
 	}
-	rep.figure7()
-	if rep.Crosses || rep.CrossoverTxns != 0 || rep.CrossoverTime != 0 {
-		t.Fatalf("crossover %f at %v (crosses: %v), want none", rep.CrossoverTxns, rep.CrossoverTime, rep.Crosses)
+	if txns, at, crosses := rep.crossover(); crosses || txns != 0 || at != 0 {
+		t.Fatalf("crossover %f at %v (crosses: %v), want none", txns, at, crosses)
 	}
-	if last := rep.Series[len(rep.Series)-1]; last.Txns != 100000 || last.FFSTotal >= last.LFSTotal {
-		t.Fatalf("series should end at the run's length with read-optimized ahead: %+v", last)
-	}
+	// The series ends at the run's length with read-optimized ahead:
+	// 100000/12.45 s + 200 s against 100000/12 s + 370 s.
 	out := rep.String()
+	if !strings.Contains(out, "  100000             2h17m12s          2h25m3s\n") {
+		t.Fatalf("series should end at the run's length with read-optimized ahead:\n%s", out)
+	}
 	if !strings.Contains(out, "crossover: none within 100000 txns (read-optimized ahead at every N)") {
 		t.Fatalf("report should say the lines do not cross:\n%s", out)
 	}
-	js, err := json.Marshal(rep)
-	if err != nil || !strings.Contains(string(js), `"Crosses":false`) {
-		t.Fatalf("JSON should carry Crosses: %s, %v", js, err)
-	}
 
 	rep = &Figure67Report{
-		Opts:   Options{Scale: 0.05, Txns: 5000},
-		FFSTPS: 15.72, LFSTPS: 17.57,
+		Runs:    updatePhase(Options{Scale: 0.05, Txns: 5000}, 15.72, 17.57),
 		FFSScan: 10 * time.Second, LFSScan: 15 * time.Second,
 	}
-	rep.figure7()
 	want := 5 / (1/15.72 - 1/17.57)
-	if !rep.Crosses || math.Abs(rep.CrossoverTxns-want) > 1e-6 {
-		t.Fatalf("crossover %f (crosses: %v), want %f", rep.CrossoverTxns, rep.Crosses, want)
+	if txns, _, crosses := rep.crossover(); !crosses || math.Abs(txns-want) > 1e-6 {
+		t.Fatalf("crossover %f (crosses: %v), want %f", txns, crosses, want)
 	}
 	if out := rep.String(); !strings.Contains(out, fmt.Sprintf("crossover: %.0f txns (", want)) || strings.Contains(out, "none") {
 		t.Fatalf("report should print the crossover:\n%s", out)
@@ -139,9 +144,15 @@ func TestAblationFsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Rows 0 and 1 are user-ffs and user-lfs under data sync, 2 and 3 with
+	// the inode at every Sync.
+	writes := func(i int) float64 { return rep.perTxn(rep.Rows[i].Disk.Writes) }
 	gain := map[string]float64{}
-	for _, kind := range []string{"user-ffs", "user-lfs"} {
-		data, inode := rep.Cell(kind, false), rep.Cell(kind, true)
+	for i, kind := range []string{"user-ffs", "user-lfs"} {
+		data, inode := rep.Rows[i], rep.Rows[i+2]
+		if data.System != kind || inode.System != kind {
+			t.Fatalf("rows %d and %d are %s and %s, want %s", i, i+2, data.System, inode.System, kind)
+		}
 		if data.TPS <= inode.TPS {
 			t.Errorf("%s: data sync (%.2f TPS) should beat the inode at every Sync (%.2f)", kind, data.TPS, inode.TPS)
 		}
@@ -149,28 +160,28 @@ func TestAblationFsync(t *testing.T) {
 	}
 	// In place the inode is a write operation of its own at every force; in
 	// a log it is one more block of the operation that carries the data.
-	if data, inode := rep.Cell("user-ffs", false), rep.Cell("user-ffs", true); data.WritesPerTxn > inode.WritesPerTxn-0.5 {
-		t.Errorf("user-ffs: data sync should save most of a device write per transaction: %.2f vs %.2f", data.WritesPerTxn, inode.WritesPerTxn)
+	if writes(0) > writes(2)-0.5 {
+		t.Errorf("user-ffs: data sync should save most of a device write per transaction: %.2f vs %.2f", writes(0), writes(2))
 	}
 	// The log takes each commit in one device write, its partial segment;
 	// write-behind and cleaning add less than a tenth of one per transaction.
-	if w := rep.Cell("user-lfs", false).WritesPerTxn; w < 1 || w >= 1.1 {
+	if w := writes(1); w < 1 || w >= 1.1 {
 		t.Errorf("user-lfs: %.2f device writes per transaction, want one per commit", w)
 	}
 	if gain["user-ffs"] <= gain["user-lfs"] {
 		t.Errorf("the inode costs a seek in place and a sequential block in a log: FFS should gain more (×%.3f) than LFS (×%.3f)",
 			gain["user-ffs"], gain["user-lfs"])
 	}
-	if rep.DataSyncMargin >= rep.InodeAtSyncMargin {
+	if rep.margin(0) >= rep.margin(1) {
 		t.Errorf("margin under data sync %+.1f%% should be below the margin with the inode at every Sync %+.1f%%",
-			rep.DataSyncMargin, rep.InodeAtSyncMargin)
+			rep.margin(0), rep.margin(1))
 	}
 	fig4, err := Figure4(smallOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range fig4.Rows[:2] {
-		if got := rep.Cell(row.System, false).TPS; got != row.TPS {
+	for i, row := range fig4.Rows[:2] {
+		if got := rep.Rows[i].TPS; got != row.TPS {
 			t.Errorf("%s: the default arm measures %.6f TPS, Figure 4 %.6f", row.System, got, row.TPS)
 		}
 	}
@@ -184,13 +195,14 @@ func TestAblationSyncDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	slowUser, slowKernel, fastUser, fastKernel := rep.Rows[0].TPS, rep.Rows[1].TPS, rep.Rows[2].TPS, rep.Rows[3].TPS
 	// Fast user sync must help the user-level system...
-	if rep.FastUser <= rep.SlowUser {
-		t.Fatalf("fast sync should raise user TPS: %f vs %f", rep.FastUser, rep.SlowUser)
+	if fastUser <= slowUser {
+		t.Fatalf("fast sync should raise user TPS: %f vs %f", fastUser, slowUser)
 	}
 	// ...and close (or shrink) the kernel's relative advantage.
-	slowGap := rep.SlowKernel / rep.SlowUser
-	fastGap := rep.FastKernel / rep.FastUser
+	slowGap := slowKernel / slowUser
+	fastGap := fastKernel / fastUser
 	if fastGap >= slowGap+0.001 {
 		t.Fatalf("fast user sync should shrink the kernel/user gap: %.4f → %.4f", slowGap, fastGap)
 	}
@@ -202,10 +214,12 @@ func TestAblationCleanerBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.SyncBusy <= 0 {
+	sync, idle := rep.Rows[0], rep.Rows[1]
+	sc, ic := sync.LFS.Cleaner, idle.LFS.Cleaner
+	if sc.BusyTime <= 0 {
 		t.Fatal("the synchronous cleaner should have run under TPC-B churn")
 	}
-	if rep.IdleBusy <= 0 {
+	if ic.BusyTime <= 0 {
 		t.Fatal("the idle-overlapped cleaner should have run under TPC-B churn")
 	}
 	// The analytic bound removes all cleaner stalls from the synchronous
@@ -213,23 +227,23 @@ func TestAblationCleanerBound(t *testing.T) {
 	// beat synchronous. No ordering is asserted between idle and the bound:
 	// the bound inherits the synchronous cleaner's work, and batched idle
 	// passes can clean more cheaply than that.
-	if rep.TPSBound <= rep.TPSSync {
-		t.Fatalf("removing cleaner stalls must raise TPS: bound %f vs sync %f", rep.TPSBound, rep.TPSSync)
+	if _, bound := rep.bound(); bound <= sync.TPS {
+		t.Fatalf("removing cleaner stalls must raise TPS: bound %f vs sync %f", bound, sync.TPS)
 	}
-	if rep.TPSIdle <= rep.TPSSync {
-		t.Fatalf("idle-overlapped cleaning must beat the synchronous cleaner: %f vs %f", rep.TPSIdle, rep.TPSSync)
+	if idle.TPS <= sync.TPS {
+		t.Fatalf("idle-overlapped cleaning must beat the synchronous cleaner: %f vs %f", idle.TPS, sync.TPS)
 	}
 	// Overlap accounting must be consistent: busy = overlapped + stalled,
 	// and the stall residue must be smaller than the synchronous run's
 	// all-stall cleaner time.
-	if got := rep.IdleOverlap + rep.IdleStall; got != rep.IdleBusy {
-		t.Fatalf("idle cleaner accounting: overlap %v + stall %v != busy %v", rep.IdleOverlap, rep.IdleStall, got)
+	if got := ic.OverlapTime + ic.StallTime; got != ic.BusyTime {
+		t.Fatalf("idle cleaner accounting: overlap %v + stall %v != busy %v", ic.OverlapTime, ic.StallTime, got)
 	}
-	if rep.IdleStall >= rep.SyncBusy {
-		t.Fatalf("idle-overlapped stall %v should be below the synchronous cleaner time %v", rep.IdleStall, rep.SyncBusy)
+	if ic.StallTime >= sc.BusyTime {
+		t.Fatalf("idle-overlapped stall %v should be below the synchronous cleaner time %v", ic.StallTime, sc.BusyTime)
 	}
-	if rep.IdleWriteAmp < 1 {
-		t.Fatalf("write amplification %f < 1", rep.IdleWriteAmp)
+	if idle.LFS.WriteAmp < 1 {
+		t.Fatalf("write amplification %f < 1", idle.LFS.WriteAmp)
 	}
 	_ = rep.String()
 }
@@ -239,41 +253,44 @@ func TestAblationCommitBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 8 {
-		t.Fatalf("%d rows, want 2 systems × MPL 1/8 × group commit 1/8", len(rep.Rows))
+	if len(rep.Rows) != 8 || len(rep.Loaded) != 8 {
+		t.Fatalf("%d rows, %d loaded, want 2 systems × MPL 1/8 × group commit 1/8", len(rep.Rows), len(rep.Loaded))
 	}
+	// Rows 0–3 are kernel-lfs, 4–7 user-lfs; within each, MPL 1 then 8, each
+	// with a force per commit then group commit ×8.
 	// §4.3: the embedded system writes whole pages; WAL writes deltas —
 	// "this compares rather dismally with logging schemes where only the
 	// updated bytes need be written".
-	k, u := rep.Row("kernel-lfs", 1, 1), rep.Row("user-lfs", 1, 1)
-	if k.CommitBytes < 4*u.CommitBytes {
-		t.Fatalf("whole-page commits (%f B) should dwarf WAL deltas (%f B)", k.CommitBytes, u.CommitBytes)
+	k, u := rep.volume(0), rep.volume(4)
+	if k.commit < 4*u.commit {
+		t.Fatalf("whole-page commits (%f B) should dwarf WAL deltas (%f B)", k.commit, u.commit)
 	}
 	// On the device both commit forces are mostly one summary block whose
 	// patch records carry the changed bytes, and the pages follow whole by
 	// write-behind; WAL's log block follows too, so the embedded manager
 	// logs no more blocks.
-	if k.Blocks > u.Blocks || k.PatchBytes <= 0 || u.PatchBytes <= 0 {
+	if k.blocks > u.blocks || k.patch <= 0 || u.patch <= 0 {
 		t.Fatalf("embedded %f blocks/txn (%f patch bytes) vs WAL %f (%f): want no more blocks, both patching",
-			k.Blocks, k.PatchBytes, u.Blocks, u.PatchBytes)
+			k.blocks, k.patch, u.blocks, u.patch)
 	}
-	for _, row := range rep.Rows {
-		if sum := row.Data + row.Summary + row.InodePack + row.Pointer; row.Data <= 0 || row.Summary <= 0 || math.Abs(sum-row.Blocks) > 1e-9 {
-			t.Fatalf("%+v: kinds do not add up to the blocks logged", row)
+	for i := range rep.Rows {
+		v := rep.volume(i)
+		if v.data <= 0 || v.summary <= 0 {
+			t.Fatalf("row %d %+v: no data or no summary blocks logged", i, v)
 		}
 		// A commit force packs an inode only when an attribute changed (a
 		// file grew): with a force per commit, far below one pack per
 		// partial segment.
-		if row.GroupCommit == 1 && row.InodePack*4 > row.Summary {
-			t.Fatalf("%+v: an inode pack in more than a quarter of the partial segments", row)
+		if i%2 == 0 && v.inodePack*4 > v.summary {
+			t.Fatalf("row %d %+v: an inode pack in more than a quarter of the partial segments", i, v)
 		}
 	}
 	// Group commit at MPL 8 shares the force: fewer partial segments, fewer
 	// blocks per transaction, on both managers.
-	for _, sys := range []string{"kernel-lfs", "user-lfs"} {
-		if one, eight := rep.Row(sys, 8, 1), rep.Row(sys, 8, 8); eight.Summary >= one.Summary || eight.Blocks >= one.Blocks {
+	for _, i := range []int{2, 6} {
+		if one, eight := rep.volume(i), rep.volume(i+1); eight.summary >= one.summary || eight.blocks >= one.blocks {
 			t.Fatalf("%s at MPL 8: group commit ×8 logs %f blocks (%f summaries) per txn vs %f (%f) without",
-				sys, eight.Blocks, eight.Summary, one.Blocks, one.Summary)
+				rep.Rows[i].System, eight.blocks, eight.summary, one.blocks, one.summary)
 		}
 	}
 	_ = rep.String()
@@ -286,25 +303,22 @@ func TestFigureMPLSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 3 systems × 2 group-commit settings.
-	if len(rep.Series) != 6 {
-		t.Fatalf("series = %d", len(rep.Series))
+	// 3 systems × 2 group-commit settings × 2 MPLs.
+	if len(rep.Rows) != 12 {
+		t.Fatalf("rows = %d", len(rep.Rows))
 	}
-	for _, s := range rep.Series {
-		if len(s.Cells) != 2 {
-			t.Fatalf("%s gc=%d: cells = %d", s.System, s.GroupCommit, len(s.Cells))
-		}
-		for _, c := range s.Cells {
-			if c.TPS <= 0 {
-				t.Fatalf("%s gc=%d mpl=%d produced no throughput", s.System, s.GroupCommit, c.MPL)
-			}
+	for i := 0; i < len(rep.Rows); i += 2 {
+		one, four := rep.Rows[i], rep.Rows[i+1]
+		gc := []int{1, groupCommit}[i/2%2]
+		if one.MPL != 1 || four.MPL != 4 || one.TPS <= 0 || four.TPS <= 0 {
+			t.Fatalf("%s gc=%d: rows %d and %d ran MPL %d at %.2f TPS and MPL %d at %.2f",
+				one.System, gc, i, i+1, one.MPL, one.TPS, four.MPL, four.TPS)
 		}
 		// Concurrency must help the force-per-commit runs: overlapping
 		// clients hide the per-commit force latency. (With group commit the
 		// MPL=1 run already batches its forces, so no ordering is asserted.)
-		if s.GroupCommit == 1 && s.Cells[1].TPS <= s.Cells[0].TPS {
-			t.Fatalf("%s gc=%d: MPL=4 (%.2f TPS) should beat MPL=1 (%.2f TPS)",
-				s.System, s.GroupCommit, s.Cells[1].TPS, s.Cells[0].TPS)
+		if gc == 1 && four.TPS <= one.TPS {
+			t.Fatalf("%s gc=%d: MPL=4 (%.2f TPS) should beat MPL=1 (%.2f TPS)", one.System, gc, four.TPS, one.TPS)
 		}
 	}
 	out := rep.String()

@@ -45,6 +45,14 @@ type WallStats struct {
 // added there, with its json tag, is in the report. It marshals to
 // byte-stable JSON (encoding/json sorts map keys) and Render prints the
 // human form both cmd/tpcb and cmd/txnbench use.
+//
+// The sections do not all cover the same window. BuildRig resets only the
+// device's counters after the bulk load, so the disk section counts the
+// measured run alone, while the lfs, ffs, wal, buffer_fs, buffer_user,
+// locks, libtp and embedded sections count the load too. A caller that
+// wants one of those over the measured run subtracts a snapshot taken right
+// after the build, as the commit-volume ablation (figures.CommitBytesReport)
+// does.
 type Snapshot struct {
 	Result
 

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Figure 4 at the paper's own size — scale 1.0 (1,000,000 accounts), 100,000
 # transactions — against the committed baseline BENCH_paper_scale.json
-# (ROADMAP item 1 ii). Every column of the report is simulated (TPS, elapsed
-# nanoseconds, cleaner share per system, the options that produced them), so
-# the fresh run must equal the committed file byte for byte; a change that
-# means to move a simulated number re-records the file in the same diff and
-# says why.
+# (ROADMAP item 1 ii). Every field of the report is simulated (the options
+# that produced it and each system's tpcb.Snapshot: TPS, elapsed nanoseconds,
+# the cleaner's busy and overlapped time and every layer's counters), so the
+# fresh run must equal the committed file byte for byte; a change that means
+# to move a simulated number re-records the file in the same diff and says
+# why.
 #
 # usage: scripts/paper-scale.sh [-update]
 #   writes the fresh report to bench-artifacts/BENCH_paper_scale.json and
