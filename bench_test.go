@@ -1,10 +1,11 @@
 // Package repro_test benches regenerate every experiment of the figure
 // registry (figures.Figures: the paper's Figures 4–7 plus the DESIGN.md
-// ablations) as Go benchmarks, one sub-benchmark per -fig key. Reported
-// metrics are simulated quantities read from each TPC-B run's snapshot (the
-// workloads run on a simulated RZ55 disk): "<i>:<system>-TPS" is row i's
-// simulated transactions per simulated second. Wall-clock ns/op only
-// reflects how fast the simulation executes.
+// ablations) as Go benchmarks, one sub-benchmark per -fig key, each reporting
+// its figure's headline metrics (figures.Report.Metrics). They are simulated
+// quantities (the workloads run on a simulated RZ55 disk): "<i>:<system>-TPS"
+// is row i's simulated transactions per simulated second, "sim-ms" simulated
+// milliseconds, and so on. Wall-clock ns/op only reflects how fast the
+// simulation executes.
 //
 // Run everything:
 //
@@ -15,7 +16,6 @@
 package repro_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/figures"
@@ -34,8 +34,8 @@ func BenchmarkFigures(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			for i, snap := range rep.Snapshots() {
-				b.ReportMetric(snap.TPS, fmt.Sprintf("%d:%s-TPS", i, snap.System))
+			for name, v := range rep.Metrics() {
+				b.ReportMetric(v, name)
 			}
 		})
 	}

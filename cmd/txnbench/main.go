@@ -35,7 +35,7 @@ func main() {
 	for _, f := range figures.Figures {
 		keys = append(keys, f.Key)
 	}
-	fig := flag.String("fig", "all", "figure to reproduce: "+strings.Join(keys, ", ")+", all")
+	fig := flag.String("fig", "all", "figure to reproduce: "+strings.Join(keys, ", ")+", 7 (= 6), all")
 	scale := flag.Float64("scale", 0.05, "TPC-B scale factor (1.0 = the paper's 1,000,000 accounts)")
 	txns := flag.Int("txns", 5000, "transactions per measured run")
 	cleaner := flag.String("cleaner", "", "override the LFS cleaning discipline for all rigs: sync or idle (default: each system's natural mode)")
@@ -57,8 +57,8 @@ func main() {
 		os.Exit(2)
 	}
 	var order []figures.Figure
-	for _, f := range figures.Figures {
-		if *fig == f.Key || *fig == "all" && f.All {
+	for _, f := range figures.Figures { // -fig 7 is Figure 6's report
+		if *fig == f.Key || *fig == "7" && f.Key == "6" || *fig == "all" && f.All {
 			order = append(order, f)
 		}
 	}
@@ -67,19 +67,16 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	opts := figures.Options{
-		Scale: *scale, Txns: *txns, CleanerMode: *cleaner, LogSegmentBytes: *logSeg,
-		Scanners: *scanners, ScansEach: *scansEach,
-	}
+	opts := figures.Options{Scale: *scale, Txns: *txns, CleanerMode: *cleaner, LogSegmentBytes: *logSeg, Scanners: *scanners, ScansEach: *scansEach}
 	if err := run(order, opts, *jsonOut, *traceOut, *cpuProfile, *memProfile); err != nil {
 		fmt.Fprintf(os.Stderr, "txnbench: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// run prints each figure of order, as a table or with jsonOut as one
-// {"figure": name, "report": {...}} object per figure (a newline-separated
-// JSON stream, jq-friendly), under the profiles asked for.
+// run prints each figure of order, as a table or with jsonOut as a JSON
+// stream of {"figure": name, "report": {...}, "metrics": {...}} objects, under
+// the profiles asked for, and writes the scan sweep's trace to traceOut.
 func run(order []figures.Figure, opts figures.Options, jsonOut bool, traceOut, cpuProfile, memProfile string) error {
 	if cpuProfile != "" {
 		f, err := os.Create(cpuProfile)
@@ -96,11 +93,11 @@ func run(order []figures.Figure, opts figures.Options, jsonOut bool, traceOut, c
 	enc.SetIndent("", "  ")
 	for i, f := range order {
 		rep, err := f.Run(opts)
-		if err == nil {
-			err = writeTrace(traceOut, rep)
+		if scan, ok := rep.(*figures.ScanReport); ok && traceOut != "" && scan.Tracer != nil {
+			err = writeFile(traceOut, scan.Tracer.WriteChrome)
 		}
 		if err == nil && jsonOut {
-			err = enc.Encode(map[string]any{"figure": f.Name, "report": rep})
+			err = enc.Encode(map[string]any{"figure": f.Name, "report": rep, "metrics": rep.Metrics()})
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", f.Name, err)
@@ -117,15 +114,6 @@ func run(order []figures.Figure, opts figures.Options, jsonOut bool, traceOut, c
 	}
 	runtime.GC()
 	return writeFile(memProfile, pprof.WriteHeapProfile)
-}
-
-// writeTrace writes the Chrome trace of the scan sweep's last run to path,
-// when both are there.
-func writeTrace(path string, rep figures.Report) error {
-	if scan, ok := rep.(*figures.ScanReport); ok && path != "" && scan.Tracer != nil {
-		return writeFile(path, scan.Tracer.WriteChrome)
-	}
-	return nil
 }
 
 // writeFile creates path and fills it with write.

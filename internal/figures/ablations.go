@@ -9,8 +9,6 @@ import (
 	"repro/internal/tpcb"
 )
 
-// ------------------------------------------------------------ Ablation: sync
-
 // SyncAblationReport quantifies §5.1's synchronization analysis: without
 // hardware test-and-set, user-level locking costs two system calls per
 // operation; with fast user-level mutual exclusion [1] the user/kernel gap
@@ -18,8 +16,7 @@ import (
 // then the same two with fast user-level sync.
 type SyncAblationReport struct{ Runs }
 
-// AblationSync runs user-lfs and kernel-lfs under both cost models, both
-// cleaning synchronously.
+// AblationSync runs the four rows, each cleaning synchronously.
 func AblationSync(opts Options) (*SyncAblationReport, error) {
 	opts.fill()
 	var cells []cell
@@ -40,22 +37,18 @@ func (r *SyncAblationReport) String() string {
 	b.WriteString("Ablation — synchronization cost (§5.1: no hardware test-and-set doubles user-level sync)\n")
 	fmt.Fprintf(&b, "  %-26s %10s %10s %12s\n", "cost model", "user TPS", "kernel TPS", "user gain")
 	fmt.Fprintf(&b, "  %-26s %10.2f %10.2f %+11.2f%%\n", "Sprite (2 syscalls/sync)", slowUser, slowKernel, 0.0)
-	fmt.Fprintf(&b, "  %-26s %10.2f %10.2f %+11.2f%%\n", "fast user sync [1]", fastUser, fastKernel,
-		(fastUser/slowUser-1)*100)
+	fmt.Fprintf(&b, "  %-26s %10.2f %10.2f %+11.2f%%\n", "fast user sync [1]", fastUser, fastKernel, (fastUser/slowUser-1)*100)
 	b.WriteString("  (the user-level system gains from fast sync; the kernel system is unaffected)\n")
 	return b.String()
 }
 
-// ----------------------------------------------------------- Ablation: fsync
-
 // FsyncAblationReport is the sensitivity of Figure 4's margin to what
-// File.Sync promises: {user-ffs, user-lfs} × {data sync, inode written at
-// every Sync} at MPL 1. The inode costs the read-optimized file system a seek
+// File.Sync promises. The inode costs the read-optimized file system a seek
 // and a rotation in place and the log one more sequential block, so the
 // margin between them depends on the rule more than on anything else — which
 // is why both file systems must obey the same one. Its rows are user-ffs and
-// user-lfs under data sync (Figure 4's bars), then the same two with the
-// inode at every Sync.
+// user-lfs at MPL 1 under data sync (Figure 4's bars), then the same two with
+// the inode written at every Sync.
 type FsyncAblationReport struct{ Runs }
 
 // AblationFsync runs the 2 × 2 on Figure 4's rigs.
@@ -78,6 +71,13 @@ func (r *FsyncAblationReport) margin(arm int) float64 {
 	return (r.Rows[2*arm+1].TPS/r.Rows[2*arm].TPS - 1) * 100
 }
 
+// Metrics adds user-lfs's margin under each rule to the rows' TPS.
+func (r *FsyncAblationReport) Metrics() map[string]float64 {
+	m := r.Runs.Metrics()
+	m["data-sync-margin-%"], m["inode-at-sync-margin-%"] = r.margin(0), r.margin(1)
+	return m
+}
+
 // String formats the ablation.
 func (r *FsyncAblationReport) String() string {
 	var b strings.Builder
@@ -92,8 +92,6 @@ func (r *FsyncAblationReport) String() string {
 	return b.String()
 }
 
-// -------------------------------------------------------- Ablation: cleaner
-
 // CleanerAblationReport quantifies §5.4: the synchronous in-kernel cleaner
 // stalls the workload (its I/O sits on the critical path); the measured
 // idle-overlapped background cleaner hides that I/O in the device's idle
@@ -104,12 +102,10 @@ func (r *FsyncAblationReport) String() string {
 // cleaner losing to.
 type CleanerAblationReport struct{ Runs }
 
-// AblationCleaner measures kernel-lfs with the synchronous cleaner and with
-// the idle-overlapped background cleaner, and user-lfs for the cross-system
-// comparison. Every run has half the paper's disk, as the benchmark's
-// cleaning workload does: most kernel-lfs commit forces log one summary
-// block, and on the paper's half-full disk its log would barely wrap,
-// leaving the cleaner nothing to do.
+// AblationCleaner runs the three on half the paper's disk, as the
+// benchmark's cleaning workload does: most kernel-lfs commit forces log one
+// summary block, and on the paper's half-full disk its log would barely
+// wrap, leaving the cleaner nothing to do.
 func AblationCleaner(opts Options) (*CleanerAblationReport, error) {
 	opts.fill()
 	var cells []cell
@@ -129,6 +125,13 @@ func (r *CleanerAblationReport) bound() (time.Duration, float64) {
 		return elapsed, 0
 	}
 	return elapsed, float64(r.Opts.Txns) / elapsed.Seconds()
+}
+
+// Metrics adds the no-stall bound's TPS to the rows' TPS.
+func (r *CleanerAblationReport) Metrics() map[string]float64 {
+	m := r.Runs.Metrics()
+	_, m["no-stall-bound-TPS"] = r.bound()
+	return m
 }
 
 // String formats the ablation.
@@ -154,8 +157,6 @@ func (r *CleanerAblationReport) String() string {
 		user.TPS, sync.TPS/user.TPS, idle.TPS/user.TPS)
 	return b.String()
 }
-
-// -------------------------------------------------- Ablation: commit volume
 
 // CommitBytesReport contrasts §4.3's whole-page commit flush with WAL's
 // delta logging, in bytes handed to the commit path and in blocks that reach
@@ -219,6 +220,14 @@ func (r *CommitBytesReport) volume(i int) volume {
 		v.commit = r.perTxn(r.Rows[i].WAL.BytesLogged)
 	}
 	return v
+}
+
+// Metrics adds each manager's commit bytes and blocks per txn at MPL 1.
+func (r *CommitBytesReport) Metrics() map[string]float64 {
+	m := r.Runs.Metrics()
+	k, u := r.volume(0), r.volume(4)
+	m["kernel-B/txn"], m["wal-B/txn"], m["kernel-blocks/txn"], m["wal-blocks/txn"] = k.commit, u.commit, k.blocks, u.blocks
+	return m
 }
 
 // String formats the ablation.

@@ -26,8 +26,7 @@ import (
 
 // Options scales the experiments.
 type Options struct {
-	// Scale multiplies the paper's TPC-B sizing (1.0 = 1,000,000
-	// accounts). Default 0.05.
+	// Scale multiplies the paper's TPC-B sizing (1.0 = 1,000,000 accounts; default 0.05).
 	Scale float64
 	// Txns is the number of transactions per measured run (the paper ran
 	// its throughput tests to steady state and the SCAN test after
@@ -37,11 +36,9 @@ type Options struct {
 	// clean in their natural mode (rigFor): "sync" or "idle" (background
 	// cleaning charged against foreground idle windows).
 	CleanerMode string
-	// MPLs are the multiprogramming levels the MPL sweep measures
-	// (default 1, 2, 4, 8, 16, 64, 256).
+	// MPLs are the MPL sweep's multiprogramming levels (default 1, 2, 4, 8, 16, 64, 256).
 	MPLs []int
-	// LogSegmentBytes bounds the user-level systems' WAL segment size
-	// (0 = the wal default).
+	// LogSegmentBytes bounds the user-level systems' WAL segment size (0 = the wal default).
 	LogSegmentBytes int64
 	// Scanners and ScansEach size the mixed OLTP + scan sweep (Scan):
 	// Scanners concurrent readers each performing ScansEach full account
@@ -126,8 +123,7 @@ func (o Options) run(cells []cell, after func(i int, rig *tpcb.Rig) error) ([]*t
 	return loaded, end, nil
 }
 
-// measure runs cells and returns their end-of-run snapshots as a report of
-// type R.
+// measure runs cells into a report of type R holding their end-of-run snapshots.
 func measure[R ~struct{ Runs }](opts Options, cells []cell) (*R, error) {
 	_, rows, err := opts.run(cells, nil)
 	if err != nil {
@@ -143,17 +139,23 @@ type Runs struct {
 	Rows []*tpcb.Snapshot
 }
 
-// Snapshots returns the rows.
-func (r *Runs) Snapshots() []*tpcb.Snapshot { return r.Rows }
+// Metrics are each row's TPS, keyed "<row>:<system>-TPS".
+func (r *Runs) Metrics() map[string]float64 {
+	m := map[string]float64{}
+	for i, row := range r.Rows {
+		m[fmt.Sprintf("%d:%s-TPS", i, row.System)] = row.TPS
+	}
+	return m
+}
 
 // perTxn is n per transaction of a measured run.
 func (r *Runs) perTxn(n int64) float64 { return float64(n) / float64(r.Opts.Txns) }
 
-// Report is a figure's result: its table, and the snapshots of the TPC-B
-// runs it was computed from (none for Figure 5).
+// Report is a figure's result: its table, and its headline metrics keyed by
+// name and unit, as txnbench -json and the root benchmarks report them.
 type Report interface {
 	String() string
-	Snapshots() []*tpcb.Snapshot
+	Metrics() map[string]float64
 }
 
 // Figure is one experiment of the registry.
@@ -164,14 +166,13 @@ type Figure struct {
 	Run  func(Options) (Report, error)
 }
 
-// Figures is every experiment, in the order -fig all prints them. Figure 7
-// is Figure 6's report; fsync repeats Figure 4's bars as its default arm,
-// and mpl (42 runs) and scan are long, so none of the four is in all.
+// Figures is every experiment, in the order -fig all prints them. Key 6
+// prints Figures 6 and 7; fsync repeats Figure 4's bars as its default arm,
+// and mpl (42 runs) and scan are long, so none of the three is in all.
 var Figures = []Figure{
 	{"4", "figure4", true, func(o Options) (Report, error) { return Figure4(o) }},
 	{"5", "figure5", true, func(o Options) (Report, error) { return Figure5(o) }},
 	{"6", "figure67", true, func(o Options) (Report, error) { return Figure67(o) }},
-	{"7", "figure67", false, func(o Options) (Report, error) { return Figure67(o) }},
 	{"sync", "sync", true, func(o Options) (Report, error) { return AblationSync(o) }},
 	{"fsync", "fsync", false, func(o Options) (Report, error) { return AblationFsync(o) }},
 	{"cleaner", "cleaner", true, func(o Options) (Report, error) { return AblationCleaner(o) }},
@@ -179,8 +180,6 @@ var Figures = []Figure{
 	{"mpl", "mpl", false, func(o Options) (Report, error) { return FigureMPL(o) }},
 	{"scan", "scan", false, func(o Options) (Report, error) { return Scan(o) }},
 }
-
-// ---------------------------------------------------------------- Figure 4
 
 // Figure4Report reproduces Figure 4: transaction performance of the three
 // configurations at MPL 1, one row each.
@@ -203,21 +202,32 @@ func (r *Figure4Report) String() string {
 	fmt.Fprintf(&b, "  %-12s %8s %12s %14s   %s\n", "system", "TPS", "elapsed", "cleaner-share", "paper")
 	paper := map[string]string{"user-ffs": "12.3 TPS", "user-lfs": "13.6 TPS", "kernel-lfs": "≈ user-lfs"}
 	for _, row := range r.Rows {
-		// The cleaner's share of elapsed time on the critical path: what the
-		// idle windows absorbed is off it; the read-optimized system has none.
-		var cleaner float64
-		if f := row.LFS; f != nil {
-			cleaner = float64(f.Cleaner.BusyTime-f.Cleaner.OverlapTime) / float64(row.Elapsed)
-		}
 		fmt.Fprintf(&b, "  %-12s %8.2f %12s %13.1f%%   %s\n",
-			row.System, row.TPS, row.Elapsed.Truncate(time.Millisecond), cleaner*100, paper[row.System])
+			row.System, row.TPS, row.Elapsed.Truncate(time.Millisecond), cleanerShare(row)*100, paper[row.System])
 	}
 	fmt.Fprintf(&b, "  LFS over read-optimized: %+.1f%% (paper: +10%%); kernel/user on LFS: %.2f (paper: ≈1, user slowed by 2× sync syscalls)\n",
 		(r.Rows[1].TPS/r.Rows[0].TPS-1)*100, r.Rows[2].TPS/r.Rows[1].TPS)
 	return b.String()
 }
 
-// ---------------------------------------------------------------- Figure 5
+// cleanerShare is the cleaner's share of row's elapsed time on the critical
+// path (idle windows absorb the rest); the read-optimized system has none.
+func cleanerShare(row *tpcb.Snapshot) float64 {
+	if f := row.LFS; f != nil {
+		return float64(f.Cleaner.BusyTime-f.Cleaner.OverlapTime) / float64(row.Elapsed)
+	}
+	return 0
+}
+
+// Metrics adds the two ratios and each system's cleaner share to the TPS.
+func (r *Figure4Report) Metrics() map[string]float64 {
+	m := r.Runs.Metrics()
+	m["lfs/ffs"], m["kernel/user"] = r.Rows[1].TPS/r.Rows[0].TPS, r.Rows[2].TPS/r.Rows[1].TPS
+	for _, row := range r.Rows {
+		m[row.System+"-cleaner-share"] = cleanerShare(row)
+	}
+	return m
+}
 
 // Figure5Row compares one workload on the two kernels.
 type Figure5Row struct {
@@ -231,12 +241,16 @@ func (r Figure5Row) delta() float64 { return (float64(r.TxnK)/float64(r.NormalK)
 
 // Figure5Report reproduces Figure 5: impact of the kernel transaction
 // implementation on non-transaction workloads.
-type Figure5Report struct {
-	Rows []Figure5Row
-}
+type Figure5Report struct{ Rows []Figure5Row }
 
-// Snapshots returns nil: Figure 5's runs are not TPC-B cells.
-func (r *Figure5Report) Snapshots() []*tpcb.Snapshot { return nil }
+// Metrics are each workload's overhead on the transaction kernel.
+func (r *Figure5Report) Metrics() map[string]float64 {
+	m := map[string]float64{}
+	for _, row := range r.Rows {
+		m[row.Workload+"-overhead-%"] = row.delta()
+	}
+	return m
+}
 
 // Figure5 runs Andrew, Bigfile, and the user-level transaction system on an
 // unmodified kernel and on the transaction-enabled kernel.
@@ -247,22 +261,8 @@ func Figure5(opts Options) (*Figure5Report, error) {
 		name string
 		run  func(txnKernel bool) (time.Duration, error)
 	}{
-		{"ANDREW", func(txnKernel bool) (time.Duration, error) {
-			fsys, clk, err := newWorkloadLFS(txnKernel)
-			if err != nil {
-				return 0, err
-			}
-			res, err := workload.RunAndrew(fsys, clk, workload.DefaultAndrew())
-			return res.Total(), err
-		}},
-		{"BIGFILE", func(txnKernel bool) (time.Duration, error) {
-			fsys, clk, err := newWorkloadLFS(txnKernel)
-			if err != nil {
-				return 0, err
-			}
-			res, err := workload.RunBigfile(fsys, clk, workload.DefaultBigfile())
-			return res.Total(), err
-		}},
+		{"ANDREW", onWorkloadLFS(workload.RunAndrew, workload.DefaultAndrew())},
+		{"BIGFILE", onWorkloadLFS(workload.RunBigfile, workload.DefaultBigfile())},
 		{"USER-TP", opts.userTP},
 	} {
 		plain, err := w.run(false)
@@ -278,17 +278,28 @@ func Figure5(opts Options) (*Figure5Report, error) {
 	return rep, nil
 }
 
-// newWorkloadLFS builds a 96 MB LFS for the non-transaction workloads, seen
-// through the transaction kernel when txnKernel.
-func newWorkloadLFS(txnKernel bool) (vfs.FileSystem, *sim.Clock, error) {
-	clk := sim.NewClock()
-	model := sim.RZ55Model()
-	model.NumBlocks = 24576
-	fsys, err := lfs.Format(disk.New(model, clk), clk, lfs.Options{CacheBlocks: 2048})
-	if err != nil || !txnKernel {
-		return fsys, clk, err
+// onWorkloadLFS runs a non-transaction workload at cfg on a 96 MB LFS, seen
+// through the transaction kernel when txnKernel, and returns its total time.
+func onWorkloadLFS[C any, R interface{ Total() time.Duration }](run func(vfs.FileSystem, *sim.Clock, C) (R, error), cfg C) func(txnKernel bool) (time.Duration, error) {
+	return func(txnKernel bool) (time.Duration, error) {
+		clk := sim.NewClock()
+		model := sim.RZ55Model()
+		model.NumBlocks = 24576
+		base, err := lfs.Format(disk.New(model, clk), clk, lfs.Options{CacheBlocks: 2048})
+		if err != nil {
+			return 0, err
+		}
+		res, err := run(onKernel(base, clk, txnKernel), clk, cfg)
+		return res.Total(), err
 	}
-	return core.New(fsys, clk, core.Options{}).AsFileSystem(), clk, nil
+}
+
+// onKernel is base as the transaction kernel presents it when txnKernel.
+func onKernel(base *lfs.FS, clk *sim.Clock, txnKernel bool) vfs.FileSystem {
+	if txnKernel {
+		return core.New(base, clk, core.Options{}).AsFileSystem()
+	}
+	return base
 }
 
 // userTP runs the user-level transaction system, which uses none of the
@@ -304,11 +315,7 @@ func (o Options) userTP(txnKernel bool) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	var fsys vfs.FileSystem = base
-	if txnKernel {
-		fsys = core.New(base, clk, core.Options{}).AsFileSystem()
-	}
-	env, err := libtp.NewEnv(fsys, clk, libtp.Options{CacheBlocks: cache})
+	env, err := libtp.NewEnv(onKernel(base, clk, txnKernel), clk, libtp.Options{CacheBlocks: cache})
 	if err != nil {
 		return 0, err
 	}
@@ -332,8 +339,6 @@ func (r *Figure5Report) String() string {
 	return b.String()
 }
 
-// ------------------------------------------------------------- Figures 6/7
-
 // paperCrossover is where the paper's Figure 7 lines cross, at full scale.
 const paperCrossover = "≈134,300 txns (≈2h40m at 13.6 TPS)"
 
@@ -344,10 +349,16 @@ type Figure67Report struct {
 	Runs
 	// Sequential key-order scan times after the random updates.
 	FFSScan, LFSScan time.Duration
-	// LFSScanCoalesced is the LFS scan after running the coalescing
-	// cleaner (the §5.3/§5.4 enhancement) — the "promising solution" the
-	// paper's conclusion points to.
+	// LFSScanCoalesced is the LFS scan after the coalescing cleaner (the
+	// §5.3/§5.4 enhancement), the "promising solution" of the conclusion.
 	LFSScanCoalesced time.Duration
+	// CrossoverTxns is where Figure 7's lines meet (paper: ≈134,300 at full
+	// scale), CrossoverTime that many transactions at user-lfs's rate.
+	// Crosses is false, and both are zero, when the read-optimized system is
+	// no slower per transaction: it stays ahead at every N.
+	Crosses       bool
+	CrossoverTxns float64
+	CrossoverTime time.Duration
 }
 
 // Figure67 runs the SCAN experiment: load, run the update phase, remount
@@ -370,6 +381,7 @@ func Figure67(opts Options) (*Figure67Report, error) {
 		return nil, fmt.Errorf("figure 6: %w", err)
 	}
 	rep.Runs = Runs{opts, rows}
+	rep.figure7()
 	return rep, nil
 }
 
@@ -378,54 +390,54 @@ func Figure67(opts Options) (*Figure67Report, error) {
 // fragmented account file with the cleaner machinery (the §5.3/§5.4
 // enhancement) and scans cold again.
 func coldScan(rig *tpcb.Rig) (scan, coalesced time.Duration, err error) {
-	// Cursor CPU: the paper's scan pushes every record through the record
-	// layer; charge half a keyed record operation per record (a cursor-next
-	// is cheaper than a search). Mount time is excluded.
-	scanOn := func(fsys vfs.FileSystem) (time.Duration, error) {
+	mountAndScan := func() (fsys vfs.FileSystem, elapsed time.Duration, err error) {
+		if rig.LFS == nil {
+			fsys, err = ffs.Mount(rig.Dev, rig.Clock, ffs.Options{CacheBlocks: 256})
+		} else {
+			fsys, err = lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256})
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		// Cursor CPU: the paper's scan pushes every record through the
+		// record layer; charge half a keyed record operation per record (a
+		// cursor-next is cheaper than a search). Mount time is excluded.
 		start := rig.Clock.Now()
 		n, err := tpcb.ScanAccountsOn(fsys)
 		rig.Clock.Advance(time.Duration(n) * sim.SpriteCosts().RecordOp / 2)
-		return rig.Clock.Now() - start, err
+		return fsys, rig.Clock.Now() - start, err
 	}
-	if rig.LFS == nil {
-		fsys, err := ffs.Mount(rig.Dev, rig.Clock, ffs.Options{CacheBlocks: 256})
-		if err != nil {
-			return 0, 0, err
-		}
-		scan, err = scanOn(fsys)
+	fsys, scan, err := mountAndScan()
+	lfsys, ok := fsys.(*lfs.FS)
+	if err != nil || !ok {
 		return scan, 0, err
 	}
-	fsys, err := lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256})
-	if err != nil {
+	if err := lfsys.Coalesce(tpcb.AccountPath); err != nil {
 		return 0, 0, err
 	}
-	if scan, err = scanOn(fsys); err != nil {
+	if err := lfsys.Sync(); err != nil {
 		return 0, 0, err
 	}
-	if err := fsys.Coalesce(tpcb.AccountPath); err != nil {
-		return 0, 0, err
-	}
-	if err := fsys.Sync(); err != nil {
-		return 0, 0, err
-	}
-	if fsys, err = lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256}); err != nil {
-		return 0, 0, err
-	}
-	coalesced, err = scanOn(fsys)
+	_, coalesced, err = mountAndScan()
 	return scan, coalesced, err
 }
 
-// crossover is where Figure 7's lines meet, in transactions and in time at
-// user-lfs's rate (paper: ≈134,300 at full scale, ≈2h40m of peak
-// throughput). ok is false when they do not: the read-optimized system is no
-// slower per transaction, so it stays ahead at every N.
-func (r *Figure67Report) crossover() (txns float64, at time.Duration, ok bool) {
+// figure7 sets the crossover from the update phase and the scans.
+func (r *Figure67Report) figure7() {
 	den := 1/r.Rows[0].TPS - 1/r.Rows[1].TPS
-	if den <= 0 {
-		return 0, 0, false
+	if r.Crosses = den > 0; r.Crosses {
+		r.CrossoverTxns = (r.LFSScan - r.FFSScan).Seconds() / den
+		r.CrossoverTime = time.Duration(r.CrossoverTxns / r.Rows[1].TPS * float64(time.Second))
 	}
-	txns = (r.LFSScan - r.FFSScan).Seconds() / den
-	return txns, time.Duration(txns / r.Rows[1].TPS * float64(time.Second)), true
+}
+
+// Metrics adds the scan times, their ratio and the crossover to the TPS.
+func (r *Figure67Report) Metrics() map[string]float64 {
+	m := r.Runs.Metrics()
+	m["ffs-scan-sim-ms"], m["lfs-scan-sim-ms"], m["lfs/ffs-scan-ratio"] =
+		r.FFSScan.Seconds()*1000, r.LFSScan.Seconds()*1000, float64(r.LFSScan)/float64(r.FFSScan)
+	m["crossover-txns"], m["crossover-sim-min"] = r.CrossoverTxns, r.CrossoverTime.Minutes()
+	return m
 }
 
 // String formats Figures 6 and 7.
@@ -443,8 +455,7 @@ func (r *Figure67Report) String() string {
 	// after-N-updates cost as the paper does, out to twice the crossover.
 	b.WriteString("Figure 7 — Total elapsed time (transactions + one scan)\n")
 	fmt.Fprintf(&b, "  %-10s %16s %16s\n", "txns", "read-optimized", "LFS")
-	txns, at, crosses := r.crossover()
-	maxT := max(int(txns*2), r.Opts.Txns)
+	maxT := max(int(r.CrossoverTxns*2), r.Opts.Txns)
 	for i := 0; i <= 8; i++ {
 		n := maxT * i / 8
 		total := func(row *tpcb.Snapshot, scan time.Duration) time.Duration {
@@ -452,9 +463,9 @@ func (r *Figure67Report) String() string {
 		}
 		fmt.Fprintf(&b, "  %-10d %16s %16s\n", n, total(r.Rows[0], r.FFSScan), total(r.Rows[1], r.LFSScan))
 	}
-	if crosses {
+	if r.Crosses {
 		fmt.Fprintf(&b, "  crossover: %.0f txns (%s of peak throughput); paper at full scale: %s\n",
-			txns, at.Truncate(time.Second), paperCrossover)
+			r.CrossoverTxns, r.CrossoverTime.Truncate(time.Second), paperCrossover)
 	} else {
 		fmt.Fprintf(&b, "  crossover: none within %d txns (read-optimized ahead at every N); paper at full scale: %s\n",
 			maxT, paperCrossover)

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -12,7 +13,34 @@ import (
 
 // smallOpts keeps CI runs quick while still exercising every code path.
 func smallOpts() Options {
-	return Options{Scale: 0.01, Txns: 600}
+	return Options{Scale: 0.01, Txns: 600, MPLs: []int{1, 4}}
+}
+
+// reports holds each registry figure's report at smallOpts, run once per
+// test binary: the golden test and the figure tests read the same runs.
+// The package's tests run one at a time, so the map needs no lock.
+var reports = map[string]Report{}
+
+// report returns the report of the registry figure key at smallOpts.
+func report[R Report](t *testing.T, key string) R {
+	t.Helper()
+	rep, ok := reports[key]
+	if !ok {
+		for _, fig := range Figures {
+			if fig.Key == key {
+				var err error
+				if rep, err = fig.Run(smallOpts()); err != nil {
+					t.Fatalf("figure %s: %v", key, err)
+				}
+				reports[key] = rep
+			}
+		}
+	}
+	r, ok := rep.(R)
+	if !ok {
+		t.Fatalf("figure %s: no %T report", key, r)
+	}
+	return r
 }
 
 // updatePhase stands in for Figure 6's two update-phase runs: user-ffs at
@@ -25,10 +53,7 @@ func updatePhase(opts Options, ffsTPS, lfsTPS float64) Runs {
 }
 
 func TestFigure4ShapeHolds(t *testing.T) {
-	rep, err := Figure4(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report[*Figure4Report](t, "4")
 	if len(rep.Rows) != 3 {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
@@ -59,10 +84,7 @@ func TestFigure4ShapeHolds(t *testing.T) {
 }
 
 func TestFigure5WithinTwoPercent(t *testing.T) {
-	rep, err := Figure5(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report[*Figure5Report](t, "5")
 	if len(rep.Rows) != 3 {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
@@ -77,10 +99,7 @@ func TestFigure5WithinTwoPercent(t *testing.T) {
 }
 
 func TestFigure67ScanPenaltyAndCrossover(t *testing.T) {
-	rep, err := Figure67(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report[*Figure67Report](t, "6")
 	// Figure 6: the read-optimized system must win the key-order scan
 	// after random updates (paper: by ~50%).
 	if penalty := float64(rep.LFSScan) / float64(rep.FFSScan); penalty <= 1.0 {
@@ -94,8 +113,8 @@ func TestFigure67ScanPenaltyAndCrossover(t *testing.T) {
 		t.Fatalf("LFS TPS (%f) not above FFS TPS (%f): this test takes the crossing branch", lfsTPS, ffsTPS)
 	}
 	want := (rep.LFSScan - rep.FFSScan).Seconds() / (1/ffsTPS - 1/lfsTPS)
-	if txns, _, crosses := rep.crossover(); !crosses || want <= 0 || math.Abs(txns-want) > 1e-6 {
-		t.Fatalf("crossover = %f (crosses: %v), want %f", txns, crosses, want)
+	if !rep.Crosses || want <= 0 || math.Abs(rep.CrossoverTxns-want) > 1e-6 {
+		t.Fatalf("crossover = %f (crosses: %v), want %f", rep.CrossoverTxns, rep.Crosses, want)
 	}
 	if out := rep.String(); !strings.Contains(out, fmt.Sprintf("crossover: %.0f txns (", want)) || strings.Contains(out, "none") {
 		t.Fatalf("report should print the crossover:\n%s", out)
@@ -110,8 +129,9 @@ func TestFigure7SaysWhenTheLinesDoNotCross(t *testing.T) {
 		Runs:    updatePhase(Options{Scale: 1, Txns: 100000}, 12.45, 12.00),
 		FFSScan: 200 * time.Second, LFSScan: 370 * time.Second,
 	}
-	if txns, at, crosses := rep.crossover(); crosses || txns != 0 || at != 0 {
-		t.Fatalf("crossover %f at %v (crosses: %v), want none", txns, at, crosses)
+	rep.figure7()
+	if rep.Crosses || rep.CrossoverTxns != 0 || rep.CrossoverTime != 0 {
+		t.Fatalf("crossover %f at %v (crosses: %v), want none", rep.CrossoverTxns, rep.CrossoverTime, rep.Crosses)
 	}
 	// The series ends at the run's length with read-optimized ahead:
 	// 100000/12.45 s + 200 s against 100000/12 s + 370 s.
@@ -122,14 +142,19 @@ func TestFigure7SaysWhenTheLinesDoNotCross(t *testing.T) {
 	if !strings.Contains(out, "crossover: none within 100000 txns (read-optimized ahead at every N)") {
 		t.Fatalf("report should say the lines do not cross:\n%s", out)
 	}
+	js, err := json.Marshal(rep)
+	if err != nil || !strings.Contains(string(js), `"Crosses":false`) {
+		t.Fatalf("JSON should carry Crosses: %s, %v", js, err)
+	}
 
 	rep = &Figure67Report{
 		Runs:    updatePhase(Options{Scale: 0.05, Txns: 5000}, 15.72, 17.57),
 		FFSScan: 10 * time.Second, LFSScan: 15 * time.Second,
 	}
+	rep.figure7()
 	want := 5 / (1/15.72 - 1/17.57)
-	if txns, _, crosses := rep.crossover(); !crosses || math.Abs(txns-want) > 1e-6 {
-		t.Fatalf("crossover %f (crosses: %v), want %f", txns, crosses, want)
+	if !rep.Crosses || math.Abs(rep.CrossoverTxns-want) > 1e-6 {
+		t.Fatalf("crossover %f (crosses: %v), want %f", rep.CrossoverTxns, rep.Crosses, want)
 	}
 	if out := rep.String(); !strings.Contains(out, fmt.Sprintf("crossover: %.0f txns (", want)) || strings.Contains(out, "none") {
 		t.Fatalf("report should print the crossover:\n%s", out)
@@ -140,10 +165,7 @@ func TestFigure7SaysWhenTheLinesDoNotCross(t *testing.T) {
 // both file systems, the update-in-place one far more than the log, and the
 // default arm is Figure 4 itself.
 func TestAblationFsync(t *testing.T) {
-	rep, err := AblationFsync(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report[*FsyncAblationReport](t, "fsync")
 	// Rows 0 and 1 are user-ffs and user-lfs under data sync, 2 and 3 with
 	// the inode at every Sync.
 	writes := func(i int) float64 { return rep.perTxn(rep.Rows[i].Disk.Writes) }
@@ -176,11 +198,7 @@ func TestAblationFsync(t *testing.T) {
 		t.Errorf("margin under data sync %+.1f%% should be below the margin with the inode at every Sync %+.1f%%",
 			rep.margin(0), rep.margin(1))
 	}
-	fig4, err := Figure4(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range fig4.Rows[:2] {
+	for i, row := range report[*Figure4Report](t, "4").Rows[:2] {
 		if got := rep.Rows[i].TPS; got != row.TPS {
 			t.Errorf("%s: the default arm measures %.6f TPS, Figure 4 %.6f", row.System, got, row.TPS)
 		}
@@ -191,10 +209,7 @@ func TestAblationFsync(t *testing.T) {
 }
 
 func TestAblationSyncDirection(t *testing.T) {
-	rep, err := AblationSync(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report[*SyncAblationReport](t, "sync")
 	slowUser, slowKernel, fastUser, fastKernel := rep.Rows[0].TPS, rep.Rows[1].TPS, rep.Rows[2].TPS, rep.Rows[3].TPS
 	// Fast user sync must help the user-level system...
 	if fastUser <= slowUser {
@@ -210,10 +225,7 @@ func TestAblationSyncDirection(t *testing.T) {
 }
 
 func TestAblationCleanerBound(t *testing.T) {
-	rep, err := AblationCleaner(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report[*CleanerAblationReport](t, "cleaner")
 	sync, idle := rep.Rows[0], rep.Rows[1]
 	sc, ic := sync.LFS.Cleaner, idle.LFS.Cleaner
 	if sc.BusyTime <= 0 {
@@ -249,10 +261,7 @@ func TestAblationCleanerBound(t *testing.T) {
 }
 
 func TestAblationCommitBytes(t *testing.T) {
-	rep, err := AblationCommitBytes(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report[*CommitBytesReport](t, "commitbytes")
 	if len(rep.Rows) != 8 || len(rep.Loaded) != 8 {
 		t.Fatalf("%d rows, %d loaded, want 2 systems × MPL 1/8 × group commit 1/8", len(rep.Rows), len(rep.Loaded))
 	}
@@ -297,12 +306,7 @@ func TestAblationCommitBytes(t *testing.T) {
 }
 
 func TestFigureMPLSweep(t *testing.T) {
-	opts := smallOpts()
-	opts.MPLs = []int{1, 4}
-	rep, err := FigureMPL(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report[*FigureMPLReport](t, "mpl")
 	// 3 systems × 2 group-commit settings × 2 MPLs.
 	if len(rep.Rows) != 12 {
 		t.Fatalf("rows = %d", len(rep.Rows))
@@ -328,10 +332,7 @@ func TestFigureMPLSweep(t *testing.T) {
 }
 
 func TestCoalescingCleanerRestoresScan(t *testing.T) {
-	rep, err := Figure67(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report[*Figure67Report](t, "6")
 	if rep.LFSScanCoalesced <= 0 {
 		t.Fatal("coalesced scan not measured")
 	}

@@ -8,8 +8,6 @@ import (
 	"repro/internal/tpcb"
 )
 
-// ---------------------------------------------------------------- MPL sweep
-
 // FigureMPLReport holds the TPS-vs-MPL sweep over the three systems of
 // Figure 4, with and without group commit. The paper measured TPC-B at
 // MPL 1 only (§5.1's single-user caveat); this sweep is the multi-user
@@ -48,14 +46,12 @@ func FigureMPL(opts Options) (*FigureMPLReport, error) {
 // cumulative lock wait and disk-queue their wait for the busy spindle.
 func (r *FigureMPLReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "MPL sweep — modified TPC-B throughput vs multiprogramming level (scale %.2f, %d txns)\n",
-		r.Opts.Scale, r.Opts.Txns)
+	fmt.Fprintf(&b, "MPL sweep — modified TPC-B throughput vs multiprogramming level (scale %.2f, %d txns)\n", r.Opts.Scale, r.Opts.Txns)
 	rows := r.Rows
 	for _, kind := range systems {
 		for _, mode := range []string{"force per commit", fmt.Sprintf("group commit ×%d", groupCommit)} {
 			fmt.Fprintf(&b, "  %s, %s:\n", kind, mode)
-			fmt.Fprintf(&b, "    %4s %8s %12s %8s %8s %9s %12s %12s\n",
-				"MPL", "TPS", "elapsed", "forces", "retries", "deadlocks", "blocked", "disk-queue")
+			fmt.Fprintf(&b, "    %4s %8s %12s %8s %8s %9s %12s %12s\n", "MPL", "TPS", "elapsed", "forces", "retries", "deadlocks", "blocked", "disk-queue")
 			for _, c := range rows[:len(r.Opts.MPLs)] {
 				var forces int64
 				if c.WAL != nil {

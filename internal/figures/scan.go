@@ -62,8 +62,7 @@ func (r *ScanReport) String() string {
 	fmt.Fprintf(&b, "%-12s %-9s %-9s %10s %12s %10s %8s\n",
 		"system", "asked", "ran", "writerTPS", "lock-blocked", "dl-aborts", "deltaKB")
 	for i, snap := range r.Rows {
-		ran := "-"
-		tps := snap.TPS
+		ran, tps := "-", snap.TPS
 		if snap.Scan != nil {
 			ran = string(snap.Scan.ScanMode)
 			tps = snap.Scan.WriterTPS

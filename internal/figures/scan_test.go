@@ -21,10 +21,7 @@ import (
 // locking scans commit more slowly and so queue less on the branch, which can
 // leave the total lower even though the scans cost them throughput.
 func TestScanSweepShape(t *testing.T) {
-	rep, err := Scan(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report[*ScanReport](t, "scan")
 	if len(rep.Rows) != 9 || len(rep.Modes) != 9 {
 		t.Fatalf("want 3 systems x 3 modes, got %d rows / %d modes", len(rep.Rows), len(rep.Modes))
 	}
