@@ -72,10 +72,10 @@ var (
 type Buf struct {
 	ID   BlockID
 	Data []byte
-	// Extent is the pool owner's, not the pool's: FFS keeps in it how many of
-	// the block's leading bytes may differ from the copy at its address
-	// (ffs.noteWrite). A new buffer starts at 0.
-	Extent int32
+	// Extent is the pool owner's, not the pool's: FFS keeps in it the bytes
+	// of the block that may differ from the copy at its address
+	// (ffs.noteWrite). A new buffer's is empty.
+	Extent Extent
 	dirty  bool
 	held   bool
 	// A fetch is in flight while loading is set (Data not yet valid, and
@@ -93,6 +93,12 @@ type Buf struct {
 	// Links of the pool's dirty set; both nil on a clean buffer.
 	dirtyPrev, dirtyNext *Buf
 }
+
+// Extent is the byte range [Lo, Hi) of a block; it is empty when Lo >= Hi.
+type Extent struct{ Lo, Hi int32 }
+
+// Empty reports whether the range holds no byte.
+func (e Extent) Empty() bool { return e.Lo >= e.Hi }
 
 // Dirty reports whether the buffer has unwritten modifications.
 func (b *Buf) Dirty() bool { return b.dirty }

@@ -22,8 +22,8 @@ import (
 )
 
 // SectorSize is the device's unit of transfer within a block: the RZ55's
-// 512-byte sector. A one-block write may transfer fewer sectors than the block
-// holds (see WriteRun); everything else moves whole blocks.
+// 512-byte sector. A write may transfer a range of a run's sectors (see
+// WriteRange); reads move whole blocks.
 const SectorSize = 512
 
 // Common errors returned by the device.
@@ -75,7 +75,7 @@ type Device struct {
 	//simlint:tokenguarded
 	arm int64 // block address one past the last access, -1 if unknown
 	//simlint:tokenguarded
-	lag time.Duration // rotation the next access at arm owes: the sectors a sub-block write left untransferred
+	lag time.Duration // rotation the next access at arm owes: the sectors a range write left untransferred
 	//simlint:tokenguarded
 	fault FaultFn
 	//simlint:tokenguarded
@@ -133,14 +133,15 @@ func (d *Device) checkFault(op string, start int64, n int) error {
 }
 
 // CrashAfter schedules a power failure on the n-th write operation since the
-// device was created (1-based; Write and WriteRun each count as one operation
-// — see WriteOps). The crashing operation persists none of its blocks, unless
-// torn is set, in which case a deterministic prefix of the run — chosen by a
-// RNG seeded with seed, possibly empty and possibly the whole run (the
-// "acknowledgement lost" case) — reaches the media before power fails. A
-// sub-block write tears at a sector boundary: a prefix of its sectors. The
-// crashing write and every later access return ErrCrashed until ClearCrash.
-// No simulated time is charged for accesses after the crash.
+// device was created (1-based; Write, WriteRun and WriteRange each count as
+// one operation — see WriteOps). The crashing operation persists none of its
+// blocks, unless torn is set, in which case a deterministic prefix of the run
+// — chosen by a RNG seeded with seed, possibly empty and possibly the whole
+// run (the "acknowledgement lost" case) — reaches the media before power
+// fails. A write of a sector range tears at a sector boundary: a prefix of its
+// sectors, except that a block the range covers whole still tears only at its
+// edges. The crashing write and every later access return ErrCrashed until
+// ClearCrash. No simulated time is charged for accesses after the crash.
 //
 //simlint:tokensafe(setup-time registration: runs before Run hands the token to any proc)
 func (d *Device) CrashAfter(n int64, torn bool, seed uint64) {
@@ -171,10 +172,11 @@ func (d *Device) Crashed() bool { return d.crashed }
 //simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns)
 func (d *Device) WriteOps() int64 { return d.writeOps }
 
-// noteWrite counts a write operation and reports whether it may proceed
-// normally; on the scheduled operation it fires the crash instead, storing
-// the torn prefix of the run when the crash tears.
-func (d *Device) noteWrite(start int64, bufs [][]byte) bool {
+// noteWrite counts a write operation of the run's sectors [lo, hi) and
+// reports whether it may proceed normally; on the scheduled operation it fires
+// the crash instead, storing the torn prefix of the write when the crash
+// tears.
+func (d *Device) noteWrite(start int64, bufs [][]byte, lo, hi int) bool {
 	d.writeOps++
 	if d.crashAt == 0 || d.writeOps < d.crashAt {
 		return true
@@ -185,16 +187,18 @@ func (d *Device) noteWrite(start int64, bufs [][]byte) bool {
 	}
 	// The media wrote blocks, and a block's sectors, strictly in order until
 	// power failed, so what survives is a prefix — anywhere from nothing to
-	// the full run.
+	// the full write.
 	rng := sim.NewRNG(d.crashSeed)
-	if b := bufs[0]; len(b) < d.model.BlockSize {
-		d.store(start, b[:rng.Intn(len(b)/SectorSize+1)*SectorSize])
+	spb := d.model.BlockSize / SectorSize
+	if lo == 0 && hi == len(bufs)*spb {
+		d.storeRange(start, bufs, 0, rng.Intn(len(bufs)+1)*spb)
 		return false
 	}
-	k := rng.Intn(len(bufs) + 1)
-	for i := 0; i < k; i++ {
-		d.store(start+int64(i), bufs[i])
+	k := lo + rng.Intn(hi-lo+1)
+	if b := k / spb; k%spb != 0 && lo <= b*spb && (b+1)*spb <= hi {
+		k = b * spb // inside a block the range covers whole: all of it or none
 	}
+	d.storeRange(start, bufs, lo, k)
 	return false
 }
 
@@ -262,16 +266,18 @@ func (d *Device) checkRange(block int64, n int) error {
 	return nil
 }
 
-// charge bills an access of n contiguous blocks at address block, transferring
-// nbytes of them, and moves the arm. Foreground accesses advance the clock by
-// their full service time. Background accesses (see Background) drain the
-// accumulated idle budget first and only their residue stalls the clock.
+// charge bills an access of n contiguous blocks at address block, skipping
+// their first skip bytes and transferring the nbytes after them, and moves the
+// arm. Foreground accesses advance the clock by their full service time.
+// Background accesses (see Background) drain the accumulated idle budget first
+// and only their residue stalls the clock.
 //
 // The arm moves past the whole last block whatever its transfer: an access
-// that continues there waits, as rotation, for the sectors a sub-block write
-// left untransferred to pass under the head. A sub-block write followed by a
-// sequential access thus costs what two whole-block accesses do; the sectors
-// save their transfer only when the next access seeks.
+// that continues there waits, as rotation, for the sectors a range write left
+// untransferred to pass under the head, and one that continues the previous
+// access but starts mid-block waits for the sectors it skips. A range write
+// between two sequential accesses thus costs what whole-block accesses do; the
+// sectors save their transfer only where the access next to them seeks.
 //
 // The device models a single spindle: whatever arm time a caller waits for —
 // all of a foreground access, the unabsorbed residue of a background one —
@@ -282,20 +288,21 @@ func (d *Device) checkRange(block int64, n int) error {
 // the direct-advance design exactly. A background access the idle budget
 // absorbs entirely ran in an idle window already past: it neither waits nor
 // holds the arm.
-func (d *Device) charge(ot *opTrace, block int64, n, nbytes int) {
+func (d *Device) charge(ot *opTrace, block int64, n, skip, nbytes int) {
 	start := d.clock.Now()
 	var qwait time.Duration
 	if d.bg == nil {
 		qwait = d.waitForArm()
 	}
 	seek, rot, xfer := d.model.AccessTimeParts(d.arm, block, n)
+	skipped := d.model.TransferTime(skip)
 	if block == d.arm {
-		rot += d.lag
+		rot += d.lag + skipped
 	}
 	d.lag = 0
-	if nbytes < n*d.model.BlockSize {
+	if skip > 0 || nbytes < n*d.model.BlockSize {
 		part := d.model.TransferTime(nbytes)
-		d.lag, xfer = xfer-part, part
+		d.lag, xfer = max(0, xfer-part-skipped), part
 	}
 	t := seek + rot + xfer
 	if d.arm != block {
@@ -414,8 +421,8 @@ func (d *Device) Read(block int64, buf []byte) error {
 	return err
 }
 
-// Write writes one block from buf: a one-block WriteRun. buf is one block
-// long, or a sub-block write of whole sectors.
+// Write writes one block from buf: a one-block WriteRun. buf must be exactly
+// one block long.
 //
 //simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (d *Device) Write(block int64, buf []byte) error {
@@ -431,12 +438,22 @@ func (d *Device) Write(block int64, buf []byte) error {
 // layout; one allocation per block made most of a rig's set-up allocator work.
 const slabBlocks = 64
 
-// store copies buf into block, or into its leading sectors when buf is shorter:
-// the rest of the block keeps what it held. Zeros written to a block never
-// written before store nothing: the block reads as zeros already, and a file
-// system that zero-fills a range it reserves (ffs's growing Truncate) costs no
-// memory.
-func (d *Device) store(block int64, buf []byte) {
+// storeRange stores the run's sectors [lo, hi): bufs[i] holds block start+i.
+func (d *Device) storeRange(start int64, bufs [][]byte, lo, hi int) {
+	bs := d.model.BlockSize
+	for i, b := range bufs {
+		from, to := max(lo*SectorSize-i*bs, 0), min(hi*SectorSize-i*bs, bs)
+		if from < to {
+			d.store(start+int64(i), from, b[from:to])
+		}
+	}
+}
+
+// store copies buf into block at byte off: the rest of the block keeps what
+// it held. Zeros written to a block never written before store nothing: the
+// block reads as zeros already, and a file system that zero-fills a range it
+// reserves (ffs's growing Truncate) costs no memory.
+func (d *Device) store(block int64, off int, buf []byte) {
 	dst := d.blocks[block]
 	if dst == nil {
 		if allZero(buf) {
@@ -449,7 +466,7 @@ func (d *Device) store(block int64, buf []byte) {
 		dst, d.slab = d.slab[:bs:bs], d.slab[bs:]
 		d.blocks[block] = dst
 	}
-	copy(dst, buf)
+	copy(dst[off:], buf)
 }
 
 func allZero(b []byte) bool {
@@ -463,27 +480,51 @@ func allZero(b []byte) bool {
 
 // WriteRun writes len(bufs) contiguous blocks starting at start in a single
 // sequential transfer: one positioning delay, then media-rate transfer. This
-// is the primitive behind LFS segment writes. A run of one block may be a
-// sub-block write: its buffer a whole number of sectors shorter than the
-// block, which is charged and stores only those sectors (see charge for the
-// rotation the next sequential access owes). It still counts one block in
-// Stats.BlocksWrit.
+// is the primitive behind LFS segment writes.
 //
 //simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (d *Device) WriteRun(start int64, bufs [][]byte) error {
 	if len(bufs) == 0 {
 		return nil
 	}
-	nbytes := len(bufs) * d.model.BlockSize
-	if n := len(bufs[0]); len(bufs) == 1 && n > 0 && n < d.model.BlockSize && n%SectorSize == 0 {
-		nbytes = n // a sub-block write
-	} else {
-		for _, b := range bufs {
-			if len(b) != d.model.BlockSize {
-				return ErrBadSize
-			}
+	if !d.wholeBlocks(bufs) {
+		return ErrBadSize
+	}
+	return d.write(start, bufs, 0, len(bufs)*d.model.BlockSize/SectorSize)
+}
+
+// WriteRange writes the sectors [lo, hi) of the run of whole blocks bufs at
+// start, counted from the run's first sector: the first block from its sector
+// lo, the last through sector hi−1 of the run, every block between whole. The
+// range touches every block of the run (lo within the first, hi past the
+// last's start). It is charged the transfer of its sectors only (see charge
+// for the rotation a sequential access owes for those it skips), stores only
+// them, and counts len(bufs) blocks in Stats.BlocksWrit. A file system that
+// rewrites a block in place moves with it only what changed: FFS's C-SCAN
+// queue does (Queue.FlushSorted), and so does an LFS summary block, which
+// changes only the sectors it fills.
+//
+//simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
+func (d *Device) WriteRange(start int64, bufs [][]byte, lo, hi int) error {
+	spb := d.model.BlockSize / SectorSize
+	if len(bufs) == 0 || lo < 0 || lo >= spb || hi <= lo || hi <= (len(bufs)-1)*spb || hi > len(bufs)*spb || !d.wholeBlocks(bufs) {
+		return ErrBadSize
+	}
+	return d.write(start, bufs, lo, hi)
+}
+
+func (d *Device) wholeBlocks(bufs [][]byte) bool {
+	for _, b := range bufs {
+		if len(b) != d.model.BlockSize {
+			return false
 		}
 	}
+	return true
+}
+
+// write is WriteRun and WriteRange once their buffers are checked: the run's
+// sectors [lo, hi).
+func (d *Device) write(start int64, bufs [][]byte, lo, hi int) error {
 	if err := d.checkRange(start, len(bufs)); err != nil {
 		return err
 	}
@@ -493,15 +534,13 @@ func (d *Device) WriteRun(start int64, bufs [][]byte) error {
 	if err := d.checkFault("write", start, len(bufs)); err != nil {
 		return err
 	}
-	if !d.noteWrite(start, bufs) {
+	if !d.noteWrite(start, bufs, lo, hi) {
 		return ErrCrashed
 	}
-	d.charge(&d.wr, start, len(bufs), nbytes)
+	d.charge(&d.wr, start, len(bufs), lo*SectorSize, (hi-lo)*SectorSize)
 	d.stats.Writes++
 	d.stats.BlocksWrit += int64(len(bufs))
-	for i, b := range bufs {
-		d.store(start+int64(i), b)
-	}
+	d.storeRange(start, bufs, lo, hi)
 	return nil
 }
 
@@ -527,7 +566,7 @@ func (d *Device) ReadRun(start int64, bufs [][]byte) error {
 	if err := d.checkFault("read", start, len(bufs)); err != nil {
 		return err
 	}
-	d.charge(&d.rd, start, len(bufs), len(bufs)*d.model.BlockSize)
+	d.charge(&d.rd, start, len(bufs), 0, len(bufs)*d.model.BlockSize)
 	d.stats.Reads++
 	d.stats.BlocksRead += int64(len(bufs))
 	for i, b := range bufs {

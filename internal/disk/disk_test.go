@@ -93,8 +93,9 @@ func TestBadBufferSizeRejected(t *testing.T) {
 	if err := dev.Write(0, make([]byte, dev.BlockSize()+1)); err != ErrBadSize {
 		t.Fatalf("got %v, want ErrBadSize", err)
 	}
-	// A sub-block write is a whole number of sectors, and alone in its run.
-	for _, n := range []int{0, 100, SectorSize + 1} {
+	// A write of fewer sectors than a block is a range of a whole block
+	// (WriteRange), never a shorter buffer.
+	for _, n := range []int{0, 100, SectorSize} {
 		if err := dev.Write(0, make([]byte, n)); err != ErrBadSize {
 			t.Fatalf("%d-byte write: got %v, want ErrBadSize", n, err)
 		}
@@ -104,11 +105,11 @@ func TestBadBufferSizeRejected(t *testing.T) {
 	}
 }
 
-// TestSectorWriteCost pins the cost of a k-sector write at B: followed by a
-// write at B+1 (or a read there) it costs exactly what two whole-block
-// accesses cost, because the arm waits out the sectors it did not transfer;
-// followed by a seek elsewhere it saves exactly (8−k)·512 bytes of transfer.
-// It stores only its sectors and still counts one block written.
+// TestSectorWriteCost pins the cost of a write of B's first k sectors:
+// followed by a write at B+1 (or a read there) it costs exactly what two
+// whole-block accesses cost, because the arm waits out the sectors it did not
+// transfer; followed by a seek elsewhere it saves exactly (8−k)·512 bytes of
+// transfer. It stores only its sectors and still counts one block written.
 func TestSectorWriteCost(t *testing.T) {
 	const b, far = 1000, 5000
 	bs := sim.SmallModel().BlockSize
@@ -123,7 +124,7 @@ func TestSectorWriteCost(t *testing.T) {
 	// time they took and the device's counters.
 	cost := func(n int, next access) (time.Duration, Stats) {
 		dev, clk := newTestDevice()
-		if err := dev.Write(b, bytes.Repeat([]byte{1}, n)); err != nil {
+		if err := dev.WriteRange(b, [][]byte{block(dev, 1)}, 0, n/SectorSize); err != nil {
 			t.Fatal(err)
 		}
 		if err := next(dev); err != nil {
@@ -161,13 +162,79 @@ func TestSectorWriteCost(t *testing.T) {
 	if err := dev.Write(b, block(dev, 0xaa)); err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.Write(b, bytes.Repeat([]byte{0xbb}, 3*SectorSize)); err != nil {
+	if err := dev.WriteRange(b, [][]byte{block(dev, 0xbb)}, 0, 3); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := dev.Peek(b)
 	want := append(bytes.Repeat([]byte{0xbb}, 3*SectorSize), bytes.Repeat([]byte{0xaa}, bs-3*SectorSize)...)
 	if !bytes.Equal(got, want) {
 		t.Fatal("a 3-sector write changed more, or less, than its sectors")
+	}
+}
+
+// TestRangeWriteCost pins the charge of a sector-range write: after a seek it
+// costs the transfer of its sectors only, in one block or straddling two;
+// continuing the previous access from mid-block it first waits, as rotation,
+// for the sectors it skips, so a range between two sequential accesses costs
+// exactly what a whole block there does. It stores only its sectors.
+func TestRangeWriteCost(t *testing.T) {
+	const b, far = 1000, 5000
+	model := sim.SmallModel()
+	bs := model.BlockSize
+	// cost runs first, then the write, then next, and returns the clock.
+	cost := func(first int64, write func(dev *Device) error, next int64) time.Duration {
+		dev, clk := newTestDevice()
+		for _, step := range []func() error{
+			func() error { return dev.Write(first, block(dev, 1)) },
+			func() error { return write(dev) },
+			func() error { return dev.Write(next, block(dev, 1)) },
+		} {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return clk.Now()
+	}
+	blocks := func(n int) [][]byte {
+		run := make([][]byte, n)
+		for i := range run {
+			run[i] = bytes.Repeat([]byte{2}, bs)
+		}
+		return run
+	}
+	for _, c := range []struct{ n, lo, hi int }{{1, 2, 5}, {1, 0, 3}, {1, 7, 8}, {2, 6, 8 + 2}, {2, 0, 8 + 1}} {
+		rng := func(dev *Device) error { return dev.WriteRange(b, blocks(c.n), c.lo, c.hi) }
+		run := func(dev *Device) error { return dev.WriteRun(b, blocks(c.n)) }
+		saved := cost(far, run, far) - cost(far, rng, far)
+		if want := model.TransferTime(c.n*bs) - model.TransferTime((c.hi-c.lo)*SectorSize); saved != want {
+			t.Fatalf("%+v between seeks: saved %v, want %v", c, saved, want)
+		}
+		if seq, whole := cost(b-1, rng, b+int64(c.n)), cost(b-1, run, b+int64(c.n)); seq != whole {
+			t.Fatalf("%+v between sequential accesses: %v, whole blocks %v", c, seq, whole)
+		}
+	}
+
+	dev, _ := newTestDevice()
+	for _, a := range []int64{b, b + 1} {
+		if err := dev.Write(a, block(dev, 0xaa)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dev.WriteRange(b, [][]byte{block(dev, 0xbb), block(dev, 0xcc)}, 6, 8+2); err != nil {
+		t.Fatal(err)
+	}
+	first, _ := dev.Peek(b)
+	second, _ := dev.Peek(b + 1)
+	if want := append(bytes.Repeat([]byte{0xaa}, 6*SectorSize), bytes.Repeat([]byte{0xbb}, bs-6*SectorSize)...); !bytes.Equal(first, want) {
+		t.Fatal("the straddling range changed more, or less, of its first block than sectors 6 and 7")
+	}
+	if want := append(bytes.Repeat([]byte{0xcc}, 2*SectorSize), bytes.Repeat([]byte{0xaa}, bs-2*SectorSize)...); !bytes.Equal(second, want) {
+		t.Fatal("the straddling range changed more, or less, of its second block than sectors 0 and 1")
+	}
+	for _, c := range []struct{ n, lo, hi int }{{1, 3, 3}, {1, -1, 2}, {1, 8, 9}, {2, 0, 8}, {2, 3, 17}, {0, 0, 1}} {
+		if err := dev.WriteRange(b, blocks(c.n), c.lo, c.hi); err != ErrBadSize {
+			t.Fatalf("range %+v: got %v, want ErrBadSize", c, err)
+		}
 	}
 }
 
@@ -360,9 +427,9 @@ func TestQueueFlushEmpty(t *testing.T) {
 func TestQueueWritesLand(t *testing.T) {
 	dev, _ := newTestDevice()
 	q := NewQueue(dev)
-	q.EnqueueWrite(50, block(dev, 5), allSectors)
-	q.EnqueueWrite(10, block(dev, 1), allSectors)
-	q.EnqueueWrite(30, block(dev, 3), allSectors)
+	q.EnqueueWrite(50, block(dev, 5), 0, allSectors)
+	q.EnqueueWrite(10, block(dev, 1), 0, allSectors)
+	q.EnqueueWrite(30, block(dev, 3), 0, allSectors)
 	if q.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", q.Len())
 	}
@@ -390,7 +457,7 @@ func TestQueueEnqueueCopies(t *testing.T) {
 	dev, _ := newTestDevice()
 	q := NewQueue(dev)
 	buf := block(dev, 8)
-	q.EnqueueWrite(7, buf, allSectors)
+	q.EnqueueWrite(7, buf, 0, allSectors)
 	buf[0] = 99
 	if err := q.FlushSorted(); err != nil {
 		t.Fatal(err)
@@ -412,7 +479,7 @@ func TestQueueSortedCheaperThanFIFO(t *testing.T) {
 	devA, clkA := newTestDevice()
 	q := NewQueue(devA)
 	for _, a := range addrs {
-		q.EnqueueWrite(a, block(devA, 1), allSectors)
+		q.EnqueueWrite(a, block(devA, 1), 0, allSectors)
 	}
 	if err := q.FlushSorted(); err != nil {
 		t.Fatal(err)
@@ -435,7 +502,7 @@ func TestQueueCoalescesContiguousRuns(t *testing.T) {
 	dev, _ := newTestDevice()
 	q := NewQueue(dev)
 	for i := int64(0); i < 8; i++ {
-		q.EnqueueWrite(100+i, block(dev, byte(i)), allSectors)
+		q.EnqueueWrite(100+i, block(dev, byte(i)), 0, allSectors)
 	}
 	if err := q.FlushSorted(); err != nil {
 		t.Fatal(err)
@@ -449,38 +516,45 @@ func TestQueueCoalescesContiguousRuns(t *testing.T) {
 	}
 }
 
-// A queued write carries the sectors through its last changed byte: alone it
-// moves only those, as Device.Write of that prefix would, and the rest of the
-// block keeps its bytes; coalesced into a run it moves whole blocks.
+// A queued write carries the sectors its changed bytes fill: alone it moves
+// only those, as Device.WriteRange of them would, and the rest of the block
+// keeps its bytes. Coalesced into a run, it moves from the first block's first
+// changed sector through the last block's last one, the blocks between whole.
 func TestQueueLoneWriteMovesItsSectors(t *testing.T) {
 	dev, _ := newTestDevice()
-	for _, a := range []int64{10, 20, 21} {
+	for _, a := range []int64{10, 20, 21, 22} {
 		if err := dev.Write(a, block(dev, 0xaa)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	q := NewQueue(dev)
-	q.EnqueueWrite(10, block(dev, 1), 3)
-	q.EnqueueWrite(20, block(dev, 2), 1)
-	q.EnqueueWrite(21, block(dev, 3), 2)
+	q.EnqueueWrite(10, block(dev, 1), 2, 5)
+	q.EnqueueWrite(20, block(dev, 2), 6, 7)
+	q.EnqueueWrite(21, block(dev, 3), 3, 4)
+	q.EnqueueWrite(22, block(dev, 4), 1, 2)
 	before := dev.Stats()
 	if err := q.FlushSorted(); err != nil {
 		t.Fatal(err)
 	}
-	if w, s := q.ShortWrites(); w != 1 || s != 3 {
-		t.Fatalf("ShortWrites = %d writes, %d sectors; want the lone write's 1 and 3", w, s)
+	if w, s := q.ShortWrites(); w != 2 || s != 3+(2+allSectors+2) {
+		t.Fatalf("ShortWrites = %d writes, %d sectors; want 2 and %d", w, s, 3+(2+allSectors+2))
 	}
-	if st := dev.Stats(); st.Writes-before.Writes != 2 || st.BlocksWrit-before.BlocksWrit != 3 {
-		t.Fatalf("%d write ops of %d blocks, want 2 of 3", st.Writes-before.Writes, st.BlocksWrit-before.BlocksWrit)
+	if st := dev.Stats(); st.Writes-before.Writes != 2 || st.BlocksWrit-before.BlocksWrit != 4 {
+		t.Fatalf("%d write ops of %d blocks, want 2 of 4", st.Writes-before.Writes, st.BlocksWrit-before.BlocksWrit)
 	}
-	bs := dev.BlockSize()
-	got, _ := dev.Peek(10)
-	if want := append(bytes.Repeat([]byte{1}, 3*SectorSize), bytes.Repeat([]byte{0xaa}, bs-3*SectorSize)...); !bytes.Equal(got, want) {
-		t.Fatal("a lone 3-sector write changed more, or less, than its sectors")
+	// sectorsOf is a block of 0xaa whose sectors [lo, hi) hold fill.
+	sectorsOf := func(fill byte, lo, hi int) []byte {
+		b := bytes.Repeat([]byte{0xaa}, dev.BlockSize())
+		copy(b[lo*SectorSize:hi*SectorSize], bytes.Repeat([]byte{fill}, (hi-lo)*SectorSize))
+		return b
 	}
-	for _, a := range []int64{20, 21} {
-		if got, _ := dev.Peek(a); !bytes.Equal(got, block(dev, byte(a-18))) {
-			t.Fatalf("block %d of a coalesced run is not the whole block written", a)
+	for _, c := range []struct {
+		addr   int64
+		fill   byte
+		lo, hi int
+	}{{10, 1, 2, 5}, {20, 2, 6, allSectors}, {21, 3, 0, allSectors}, {22, 4, 0, 2}} {
+		if got, _ := dev.Peek(c.addr); !bytes.Equal(got, sectorsOf(c.fill, c.lo, c.hi)) {
+			t.Fatalf("block %d: want its sectors [%d, %d) written and no other", c.addr, c.lo, c.hi)
 		}
 	}
 }
@@ -898,7 +972,7 @@ func TestCrashTornSubBlockWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		dev.CrashAfter(2, true, seed)
-		if err := dev.Write(7, bytes.Repeat([]byte{0xbb}, sectors*SectorSize)); !errors.Is(err, ErrCrashed) {
+		if err := dev.WriteRange(7, [][]byte{block(dev, 0xbb)}, 0, sectors); !errors.Is(err, ErrCrashed) {
 			t.Fatalf("torn crash: got %v, want ErrCrashed", err)
 		}
 		dev.ClearCrash()
@@ -917,6 +991,48 @@ func TestCrashTornSubBlockWrite(t *testing.T) {
 	}
 }
 
+// TestCrashTornRangeWrite: a torn range write persists a prefix of its
+// sectors chosen by the crash seed, from its first; a block the range covers
+// whole is written all or not at all; everything else keeps what it held.
+func TestCrashTornRangeWrite(t *testing.T) {
+	const lo, hi = 5, 16 + 3 // sectors 5–7 of block 7, all of block 8, 0–2 of block 9
+	seen := map[int]bool{}
+	for seed := uint64(0); seed < 48; seed++ {
+		dev, _ := newTestDevice()
+		for a := int64(7); a <= 9; a++ {
+			if err := dev.Write(a, block(dev, 0xaa)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dev.CrashAfter(4, true, seed)
+		run := [][]byte{block(dev, 0xbb), block(dev, 0xbb), block(dev, 0xbb)}
+		if err := dev.WriteRange(7, run, lo, hi); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("torn crash: got %v, want ErrCrashed", err)
+		}
+		dev.ClearCrash()
+		var img []byte
+		for a := int64(7); a <= 9; a++ {
+			b, _ := dev.Peek(a)
+			img = append(img, b...)
+		}
+		k := lo
+		for k < hi && bytes.Equal(img[k*SectorSize:(k+1)*SectorSize], bytes.Repeat([]byte{0xbb}, SectorSize)) {
+			k++
+		}
+		if !bytes.Equal(img[:lo*SectorSize], bytes.Repeat([]byte{0xaa}, lo*SectorSize)) ||
+			!bytes.Equal(img[k*SectorSize:], bytes.Repeat([]byte{0xaa}, len(img)-k*SectorSize)) {
+			t.Fatalf("seed %d: sectors [%d, %d) written, and something else changed", seed, lo, k)
+		}
+		if k > 8 && k < 16 {
+			t.Fatalf("seed %d: the tear split block 8, which the range covers whole, after its sector %d", seed, k-8)
+		}
+		seen[k] = true
+	}
+	if len(seen) < 4 {
+		t.Fatalf("torn range prefixes show no variety across seeds: %v", seen)
+	}
+}
+
 // The queue's copies of enqueued writes live in recycled frames: a copy is
 // valid until FlushSorted is done with it, poison afterwards, and a steady
 // stream of flushes allocates no block.
@@ -925,7 +1041,7 @@ func TestQueueRecyclesItsCopies(t *testing.T) {
 	q := NewQueue(dev)
 	for round := 0; round < 20; round++ {
 		for i := int64(0); i < 4; i++ {
-			q.EnqueueWrite(10*i, block(dev, byte(round)), allSectors)
+			q.EnqueueWrite(10*i, block(dev, byte(round)), 0, allSectors)
 		}
 		held := q.reqs[0].Data
 		if held[0] != byte(round) {
@@ -947,8 +1063,8 @@ func TestQueueRecyclesItsCopies(t *testing.T) {
 	}
 
 	// A failed flush gives every copy back too, serviced or dropped.
-	q.EnqueueWrite(5, block(dev, 1), allSectors)
-	q.EnqueueWrite(500, block(dev, 2), allSectors)
+	q.EnqueueWrite(5, block(dev, 1), 0, allSectors)
+	q.EnqueueWrite(500, block(dev, 2), 0, allSectors)
 	injected := errors.New("injected")
 	dev.SetFault(func(op string, b int64) error {
 		if op == "write" && b == 5 {

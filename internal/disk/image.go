@@ -97,7 +97,7 @@ func LoadImage(model sim.DiskModel, clock *sim.Clock, r io.Reader) (*Device, err
 		if _, err := io.ReadFull(br, b); err != nil {
 			return nil, fmt.Errorf("%w: truncated block %d: %v", ErrBadImage, i, err)
 		}
-		d.store(i, b)
+		d.store(i, 0, b)
 	}
 	return d, nil
 }

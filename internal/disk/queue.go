@@ -10,9 +10,11 @@ import (
 type Request struct {
 	Block int64
 	Data  []byte // nil for reads; for writes, the queue's own copy
-	Len   int    // for writes, the bytes a lone write transfers: whole sectors, at most the block
-	Read  bool
-	Buf   []byte // destination for reads
+	// Lo and Hi bound, for writes, the block's sectors [Lo, Hi) that hold
+	// every byte that differs from what its address holds.
+	Lo, Hi int
+	Read   bool
+	Buf    []byte // destination for reads
 }
 
 // Queue is a C-SCAN disk request queue: FlushSorted services queued requests
@@ -28,7 +30,7 @@ type Queue struct {
 	// handed, so nothing aliases it by then.
 	frames frame.List
 	// shortWrites and shortSectors count the writes FlushSorted transferred
-	// as fewer sectors than a block, and the sectors they moved.
+	// as fewer sectors than their blocks hold, and the sectors they moved.
 	shortWrites, shortSectors int64
 }
 
@@ -41,18 +43,18 @@ func NewQueue(dev *Device) *Queue {
 func (q *Queue) Len() int { return len(q.reqs) }
 
 // ShortWrites reports how many writes FlushSorted has transferred as fewer
-// sectors than a block, and how many sectors those writes moved.
+// sectors than their blocks hold, and how many sectors those writes moved.
 func (q *Queue) ShortWrites() (writes, sectors int64) { return q.shortWrites, q.shortSectors }
 
 // EnqueueWrite adds a write of data to block. The data is copied so the
-// caller may reuse its buffer. sectors is how many of the block's leading
-// 512-byte sectors hold every byte that differs from what the block's address
-// holds: FlushSorted transfers only those when it does not coalesce the write
-// into a run (see Device.WriteRun). sectors at or past the block's own count
+// caller may reuse its buffer. The block's 512-byte sectors [lo, hi) hold
+// every byte that differs from what its address holds: FlushSorted transfers
+// them, and not the sectors before or after them at the ends of a run (see
+// Device.WriteRange). A range that is empty or does not fit the block
 // transfers the whole block.
 //
 //simlint:noalloc
-func (q *Queue) EnqueueWrite(block int64, data []byte, sectors int) {
+func (q *Queue) EnqueueWrite(block int64, data []byte, lo, hi int) {
 	var cp []byte
 	if len(data) == q.frames.Size() {
 		cp = q.frames.Take()
@@ -61,12 +63,11 @@ func (q *Queue) EnqueueWrite(block int64, data []byte, sectors int) {
 		cp = make([]byte, len(data))
 	}
 	copy(cp, data)
-	n := len(cp)
-	if len(cp) == q.frames.Size() && sectors > 0 && sectors*SectorSize < n {
-		n = sectors * SectorSize
+	if spb := len(cp) / SectorSize; lo < 0 || hi > spb || lo >= hi {
+		lo, hi = 0, spb
 	}
 	//simlint:alloc(the request slice grows to the largest flush once; FlushSorted keeps its capacity)
-	q.reqs = append(q.reqs, Request{Block: block, Data: cp, Len: n})
+	q.reqs = append(q.reqs, Request{Block: block, Data: cp, Lo: lo, Hi: hi})
 }
 
 // EnqueueRead adds a read of block into buf.
@@ -82,8 +83,9 @@ func (q *Queue) EnqueueRead(block int64, buf []byte) {
 // Adjacent requests are coalesced into contiguous runs so a well-sorted queue
 // still benefits from sequential transfer — but, as the paper's simulation
 // study [13] observes, even well-ordered scattered writes rarely exceed ~40%
-// of disk bandwidth. Runs and reads move whole blocks; a lone write moves the
-// sectors EnqueueWrite was given.
+// of disk bandwidth. Reads move whole blocks. A run of writes moves its blocks
+// from its first block's first changed sector through its last block's last
+// one: a lone write moves the range EnqueueWrite was given.
 func (q *Queue) FlushSorted() error {
 	if len(q.reqs) == 0 {
 		return nil
@@ -131,16 +133,18 @@ func (q *Queue) FlushSorted() error {
 			run = append(run, ordered[j].Data)
 			j++
 		}
-		short := len(run) == 1 && r.Len < len(r.Data)
-		if short {
-			run[0] = r.Data[:r.Len]
-		}
-		if err := q.dev.WriteRun(r.Block, run); err != nil {
-			return err
-		}
-		if short {
+		spb := len(r.Data) / SectorSize
+		lo, hi := r.Lo, (len(run)-1)*spb+ordered[j-1].Hi
+		if lo == 0 && hi == len(run)*spb {
+			if err := q.dev.WriteRun(r.Block, run); err != nil {
+				return err
+			}
+		} else {
+			if err := q.dev.WriteRange(r.Block, run, lo, hi); err != nil {
+				return err
+			}
 			q.shortWrites++
-			q.shortSectors += int64(r.Len / SectorSize)
+			q.shortSectors += int64(hi - lo)
 		}
 		i = j
 	}

@@ -31,7 +31,7 @@ func (fs *FS) ensureMapped(in *inode, lbn int64) error {
 		}
 		in.appendBlock(addr)
 		in.Dirty, in.AttrDirty = true, true
-		b.Extent = int32(fs.blockSize) // the address holds what a freed file left
+		b.Extent = fs.whole() // the address holds what a freed file left
 		fs.pool.MarkDirty(b)
 		fs.pool.Release(b)
 	}
@@ -42,7 +42,8 @@ func (fs *FS) ensureMapped(in *inode, lbn int64) error {
 // preallocating file system reserves them. It allocates them contiguously
 // where it can and writes their zeros straight to the device, one write per
 // contiguous run, before the inode maps them: the order ensureMapped keeps
-// through the cache, without a buffer per block.
+// through the cache, without a buffer per block. The inode remembers them as
+// zero on disk, so the first write of each moves only what it changes.
 func (fs *FS) reserveZeroed(in *inode, lastLBN int64) error {
 	n := lastLBN + 1 - in.blocks()
 	if n <= 0 {
@@ -84,9 +85,14 @@ func (fs *FS) reserveZeroed(in *inode, lastLBN int64) error {
 		}
 		i = j
 	}
+	old := in.blocks()
 	for _, a := range addrs {
 		in.appendBlock(a)
 	}
+	if in.zeroHi != old {
+		in.zeroLo = old
+	}
+	in.zeroHi = in.blocks()
 	return nil
 }
 
@@ -119,6 +125,8 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 				in.extents = in.extents[:n-1]
 			}
 		}
+		in.zeroHi = min(in.zeroHi, size/bs)
+		in.zeroLo = min(in.zeroLo, in.zeroHi)
 		// Zero the tail of the final block.
 		if size%bs != 0 {
 			id := buffer.BlockID{File: vfs.FileID(in.Ino), Block: size / bs}
@@ -129,7 +137,7 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 			for i := size % bs; i < bs; i++ {
 				b.Data[i] = 0
 			}
-			b.Extent = int32(bs)
+			b.Extent = fs.whole()
 			fs.pool.MarkDirty(b)
 			fs.pool.Release(b)
 		}

@@ -110,6 +110,10 @@ type inode struct {
 	extents []extent // all extents, inline + overflow
 	// overflow chain blocks currently allocated on disk
 	overflow []int64
+	// zeroLo and zeroHi bound the logical blocks [zeroLo, zeroHi) that a
+	// growing Truncate zeroed on the device and nothing has written since
+	// (reserveZeroed, noteWrite). In memory only: a remount forgets them.
+	zeroLo, zeroHi int64
 }
 
 // blocks returns the number of allocated blocks.

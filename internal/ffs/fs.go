@@ -61,8 +61,8 @@ type Stats struct {
 	// WriteBehind is the background-lane time of syncer passes and sweeps.
 	WriteBehind disk.BgTimes `json:"write_behind"`
 	// ShortWrites counts the in-place writes that moved only the sectors
-	// through their block's last changed byte, and ShortWriteSectors the
-	// sectors they moved (noteWrite).
+	// their blocks' changed bytes fill, and ShortWriteSectors the sectors
+	// they moved (noteWrite).
 	ShortWrites       int64 `json:"short_writes"`
 	ShortWriteSectors int64 `json:"short_write_sectors"`
 }
@@ -370,30 +370,64 @@ func (fs *FS) fetchBlock(id buffer.BlockID, dst []byte) error {
 }
 
 // noteWrite is ufs.Ops.Note: p is about to be copied into b at off. It keeps
-// b.Extent, the bytes from the block's start through the last byte a write
-// changed since the block was last read from, or written to, its address: an
-// in-place write of the block needs to move only the sectors they fill, as a
-// WAL force changes a tail block's header and the payload it appends. A clean
-// buffer holds what its address does, so its extent starts empty — unless
-// the pool skipped the fetch (fresh) or the bytes came from a parked stage
-// copy, which the address does not hold yet: then, as for a block
-// ensureMapped just allocated, the extent is the whole block. A directory's
-// is always whole: a padded directory block must reach the device in one
-// piece (ufs.New), and only a whole-block write is never torn.
+// b.Extent, the bytes from the first through the last byte a write changed
+// since the block was last read from, or written to, its address: an in-place
+// write of the block needs to move only the sectors they fill, as a WAL force
+// changes only the records it appends to a tail block. A clean buffer holds
+// what its address does, so its extent starts empty — unless the bytes came
+// from a parked stage copy, which the address does not hold yet, or the pool
+// skipped the fetch (fresh) for a block not known to be zero on disk: then,
+// as for a block ensureMapped just allocated, the extent is the whole block. A
+// block a growing Truncate zeroed and nothing has written since holds the
+// zeros the pool hands out. A directory's extent is always whole: a padded
+// directory block must reach the device in one piece (ufs.New), and only a
+// block a write covers whole is never torn.
 //
 //simlint:noalloc
 func (fs *FS) noteWrite(in *inode, b *buffer.Buf, off int, p []byte, fresh bool) {
+	lbn := b.ID.Block
+	zeroed := lbn >= in.zeroLo && lbn < in.zeroHi
 	if !b.Dirty() {
-		b.Extent = 0
-		if _, parked := fs.stage.Lookup(b.ID); fresh || parked || in.IsDir() {
-			b.Extent = int32(fs.blockSize)
+		b.Extent = buffer.Extent{Lo: int32(fs.blockSize)} // empty
+		if _, parked := fs.stage.Lookup(b.ID); parked || in.IsDir() || fresh && !zeroed {
+			b.Extent = fs.whole()
 		}
 	}
-	if lo := max(0, int(b.Extent)-off); lo < len(p) {
-		if end := changedThrough(b.Data[off:off+len(p)], p, lo); end > lo {
-			b.Extent = int32(off + end)
+	if zeroed { // the block's zeros are about to change: it leaves the range
+		if lbn == in.zeroLo {
+			in.zeroLo++
+		} else {
+			in.zeroHi = lbn
 		}
 	}
+	old, e := b.Data[off:off+len(p)], &b.Extent
+	if hi := min(max(int(e.Lo)-off, 0), len(p)); hi > 0 {
+		if i := changedFrom(old, p, hi); i < hi {
+			e.Lo = int32(off + i)
+		}
+	}
+	if lo := min(max(int(e.Hi)-off, 0), len(p)); lo < len(p) {
+		if i := changedThrough(old, p, lo); i > lo {
+			e.Hi = int32(off + i)
+		}
+	}
+}
+
+// whole is the extent of a block that must be written whole.
+func (fs *FS) whole() buffer.Extent { return buffer.Extent{Hi: int32(fs.blockSize)} }
+
+// changedFrom returns the first index below hi where old and new differ, or
+// hi when none does. It compares a word at a time from the start.
+func changedFrom(old, new []byte, hi int) int {
+	le := binary.LittleEndian
+	i := 0
+	for i+8 <= hi && le.Uint64(old[i:]) == le.Uint64(new[i:]) {
+		i += 8
+	}
+	for i < hi && old[i] == new[i] {
+		i++
+	}
+	return i
 }
 
 // changedThrough returns one past the last index at or after lo where old and
@@ -463,11 +497,13 @@ func (fs *FS) flushAllLocked() error {
 // the disk queue, and returns how many blocks it wrote. A staged block whose
 // buffer is dirty and unheld again is superseded by it: the staged copy is
 // dropped, and the buffer is written by this flush if cached is set, by a later
-// one if not. Nothing comes back clean or leaves the stage until the sweep has
-// succeeded: the queue drops what it has not serviced when a write fails, so
-// after an error every block of the flush is still dirty or staged and the
-// next flush writes it (again, for those that made it). Nothing between Dirty
-// and the sweep calls pool.Get, so the unpinned buffers keep their frames.
+// one if not. A dirty buffer whose changed range is empty holds what its
+// address does and comes back clean unwritten. Nothing comes back clean or
+// leaves the stage until the sweep has succeeded: the queue drops what it has
+// not serviced when a write fails, so after an error every block of the flush
+// is still dirty or staged and the next flush writes it (again, for those that
+// made it). Nothing between Dirty and the sweep calls pool.Get, so the
+// unpinned buffers keep their frames.
 func (fs *FS) flushLocked(only *Ino, cached bool) (int, error) {
 	var dirty []*buffer.Buf
 	switch {
@@ -477,10 +513,16 @@ func (fs *FS) flushLocked(only *Ino, cached bool) (int, error) {
 	default:
 		dirty = fs.pool.DirtyFile(vfs.FileID(*only))
 	}
+	total := 0
 	for _, b := range dirty {
-		if err := fs.enqueueLocked(b.ID, b.Data, int(b.Extent)); err != nil {
+		if b.Extent.Empty() {
+			continue // it holds what its address does
+		}
+		lo, hi := b.Extent.Lo/disk.SectorSize, (b.Extent.Hi+disk.SectorSize-1)/disk.SectorSize
+		if err := fs.enqueueLocked(b.ID, b.Data, int(lo), int(hi)); err != nil {
 			return 0, err
 		}
+		total++
 	}
 	var want func(vfs.FileID) bool
 	if only != nil {
@@ -494,20 +536,19 @@ func (fs *FS) flushLocked(only *Ino, cached bool) (int, error) {
 			continue
 		}
 		data, _ := fs.stage.Lookup(id)
-		if err := fs.enqueueLocked(id, data, fs.blockSize); err != nil {
+		if err := fs.enqueueLocked(id, data, 0, fs.blockSize/disk.SectorSize); err != nil {
 			return 0, err
 		}
 		staged[n] = id
 		n++
 	}
 	staged = staged[:n]
-	total := len(dirty) + n
-	if total == 0 {
-		return 0, nil
-	}
-	fs.stats.BlocksFlushed += int64(total)
-	if err := fs.queue.FlushSorted(); err != nil {
-		return 0, err
+	total += n
+	if total > 0 {
+		fs.stats.BlocksFlushed += int64(total)
+		if err := fs.queue.FlushSorted(); err != nil {
+			return 0, err
+		}
 	}
 	for _, b := range dirty {
 		fs.pool.MarkClean(b)
@@ -524,8 +565,8 @@ func (fs *FS) flushLocked(only *Ino, cached bool) (int, error) {
 }
 
 // enqueueLocked queues a write of block id's bytes to its in-place address,
-// of which only the first extent bytes may differ from what the address holds.
-func (fs *FS) enqueueLocked(id buffer.BlockID, data []byte, extent int) error {
+// of which only the sectors [lo, hi) may differ from what the address holds.
+func (fs *FS) enqueueLocked(id buffer.BlockID, data []byte, lo, hi int) error {
 	in, err := fs.loadInodeLocked(Ino(id.File))
 	if err != nil {
 		return err
@@ -534,7 +575,7 @@ func (fs *FS) enqueueLocked(id buffer.BlockID, data []byte, extent int) error {
 	if addr == 0 {
 		return fmt.Errorf("ffs: dirty unmapped block %v", id)
 	}
-	fs.queue.EnqueueWrite(addr, data, max(1, (extent+disk.SectorSize-1)/disk.SectorSize))
+	fs.queue.EnqueueWrite(addr, data, lo, hi)
 	return nil
 }
 
@@ -677,7 +718,7 @@ func (fs *FS) syncLocked() error {
 				buf[w*8+b] = byte(v >> (8 * b))
 			}
 		}
-		fs.queue.EnqueueWrite(fs.sb.BitmapStart+i, buf, bs/disk.SectorSize)
+		fs.queue.EnqueueWrite(fs.sb.BitmapStart+i, buf, 0, bs/disk.SectorSize)
 	}
 	if err := fs.queue.FlushSorted(); err != nil {
 		return err

@@ -16,9 +16,15 @@ import (
 // then the same two with fast user-level sync.
 type SyncAblationReport struct{ Runs }
 
-// AblationSync runs the four rows, each cleaning synchronously.
+// AblationSync runs the four rows, each cleaning synchronously unless
+// Options.CleanerMode says otherwise.
 func AblationSync(opts Options) (*SyncAblationReport, error) {
 	opts.fill()
+	return measure[SyncAblationReport](opts, syncCells(opts))
+}
+
+// syncCells are the synchronization ablation's four rigs.
+func syncCells(opts Options) []cell {
 	var cells []cell
 	for _, costs := range []sim.CostModel{sim.SpriteCosts(), sim.FastSyncCosts()} {
 		for _, kind := range systems[1:] {
@@ -27,7 +33,7 @@ func AblationSync(opts Options) (*SyncAblationReport, error) {
 			cells = append(cells, cell{rig: r, mpl: 1})
 		}
 	}
-	return measure[SyncAblationReport](opts, cells)
+	return cells
 }
 
 // String formats the ablation.

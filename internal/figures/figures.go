@@ -74,24 +74,26 @@ type cell struct {
 
 // rig is the recipe every cell starts from: kind at the experiments' scale,
 // sized for their transaction count, with their WAL segment size, the Sprite
-// cost model and, on LFS, the synchronous cleaner.
+// cost model and, on LFS, the cleaner Options.CleanerMode names — the
+// synchronous one when it names none. user-ffs has no cleaner and takes no
+// mode at all.
 func (o Options) rig(kind string) tpcb.RigOptions {
-	return tpcb.RigOptions{Kind: kind, Config: tpcb.ScaledConfig(o.Scale), ExpectedTxns: o.Txns, LogSegmentBytes: o.LogSegmentBytes}
+	r := tpcb.RigOptions{Kind: kind, Config: tpcb.ScaledConfig(o.Scale), ExpectedTxns: o.Txns, LogSegmentBytes: o.LogSegmentBytes}
+	if kind != "user-ffs" {
+		r.CleanerMode = o.CleanerMode
+	}
+	return r
 }
 
 // rigFor is rig with each system cleaning in its natural mode unless
 // Options.CleanerMode overrides it: kernel-lfs idle-overlapped (its cleaner
-// lives below the device queue and sees idle windows), user-lfs
+// lives below the device queue and sees idle windows), and user-lfs
 // synchronously (§5.4: a user-space cleaner cannot observe device idleness
-// and serializes with the application), and user-ffs, which has no cleaner,
-// taking no mode at all.
+// and serializes with the application).
 func (o Options) rigFor(kind string) tpcb.RigOptions {
 	r := o.rig(kind)
-	if kind != "user-ffs" {
-		r.CleanerMode = o.CleanerMode
-		if r.CleanerMode == "" && kind == "kernel-lfs" {
-			r.CleanerMode = "idle"
-		}
+	if r.CleanerMode == "" && kind == "kernel-lfs" {
+		r.CleanerMode = "idle"
 	}
 	return r
 }
@@ -362,13 +364,11 @@ type Figure67Report struct {
 }
 
 // Figure67 runs the SCAN experiment: load, run the update phase, remount
-// (cold cache), then read the account relation in key order. Both systems
-// clean synchronously whatever Options.CleanerMode says.
+// (cold cache), then read the account relation in key order.
 func Figure67(opts Options) (*Figure67Report, error) {
 	opts.fill()
 	rep := &Figure67Report{}
-	cells := []cell{{rig: opts.rig("user-ffs"), mpl: 1}, {rig: opts.rig("user-lfs"), mpl: 1}}
-	_, rows, err := opts.run(cells, func(i int, rig *tpcb.Rig) error {
+	_, rows, err := opts.run(figure67Cells(opts), func(i int, rig *tpcb.Rig) error {
 		scan, coalesced, err := coldScan(rig)
 		if i == 0 {
 			rep.FFSScan = scan
@@ -383,6 +383,12 @@ func Figure67(opts Options) (*Figure67Report, error) {
 	rep.Runs = Runs{opts, rows}
 	rep.figure7()
 	return rep, nil
+}
+
+// figure67Cells are the SCAN experiment's two rigs, user-lfs cleaning
+// synchronously unless Options.CleanerMode says otherwise.
+func figure67Cells(opts Options) []cell {
+	return []cell{{rig: opts.rig("user-ffs"), mpl: 1}, {rig: opts.rig("user-lfs"), mpl: 1}}
 }
 
 // coldScan remounts rig's file system from its device (a cold cache) and

@@ -224,6 +224,26 @@ func TestAblationSyncDirection(t *testing.T) {
 	_ = rep.String()
 }
 
+// -cleaner reaches every LFS cell of Figure 6 and of the synchronization
+// ablation, and at its default they clean synchronously.
+func TestCleanerModeReachesScanAndSyncCells(t *testing.T) {
+	for _, mode := range []string{"", "idle"} {
+		opts := smallOpts()
+		opts.CleanerMode = mode
+		for name, cells := range map[string][]cell{"figure 6": figure67Cells(opts), "sync ablation": syncCells(opts)} {
+			for _, c := range cells {
+				want := mode
+				if c.rig.Kind == "user-ffs" {
+					want = ""
+				}
+				if c.rig.CleanerMode != want {
+					t.Errorf("-cleaner %q: %s runs %s with cleaner mode %q", mode, name, c.rig.Kind, c.rig.CleanerMode)
+				}
+			}
+		}
+	}
+}
+
 func TestAblationCleanerBound(t *testing.T) {
 	rep := report[*CleanerAblationReport](t, "cleaner")
 	sync, idle := rep.Rows[0], rep.Rows[1]

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/detsort"
-	"repro/internal/disk"
 )
 
 // dataItem is one dirty file block awaiting a log address.
@@ -632,7 +631,7 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 		// A partial of its summary alone transfers only the sectors the
 		// summary fills; the rest of the block is not the summary's.
 		n := sum.sectors()
-		if err := fs.dev.Write(base, blocks[0][:n*disk.SectorSize]); err != nil {
+		if err := fs.dev.WriteRange(base, blocks, 0, n); err != nil {
 			return err
 		}
 		fs.stats.SummarySectors += int64(n)

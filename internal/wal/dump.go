@@ -88,9 +88,7 @@ func dumpSegment(w io.Writer, fsys vfs.FileSystem, base string, seq uint64) erro
 		}
 		bi, ok := decodeBlock(raw[off : off+BlockSize])
 		if !ok {
-			le := binary.LittleEndian
-			fmt.Fprintf(w, "  block %4d: BAD CRC (stored %08x, dataLen %d) — torn\n",
-				blk, le.Uint32(raw[off:]), le.Uint16(raw[off+6:]))
+			fmt.Fprintf(w, "  block %4d: BAD CRC (stored %08x) — torn\n", blk, binary.LittleEndian.Uint32(raw[off:]))
 			streamDone = true
 			continue
 		}
@@ -102,12 +100,9 @@ func dumpSegment(w io.Writer, fsys vfs.FileSystem, base string, seq uint64) erro
 		if bi.firstRec != noFirstRec {
 			fr = fmt.Sprintf("%d", bi.firstRec)
 		}
-		fmt.Fprintf(w, "  block %4d: crc ok, dataLen %4d, firstRec %s%s\n", blk, bi.dataLen, fr, flags)
+		fmt.Fprintf(w, "  block %4d: header ok, firstRec %s%s\n", blk, fr, flags)
 		if !streamDone {
-			stream = append(stream, raw[off+blockHdrSize:off+blockHdrSize+bi.dataLen]...)
-			if bi.dataLen < PayloadSize {
-				streamDone = true
-			}
+			stream = append(stream, raw[off+blockHdrSize:off+BlockSize]...)
 		}
 	}
 
@@ -116,8 +111,10 @@ func dumpSegment(w io.Writer, fsys vfs.FileSystem, base string, seq uint64) erro
 	for off < int64(len(stream)) {
 		r, sz, err := decodeRecord(stream[off:])
 		if err != nil {
-			fmt.Fprintf(w, "  record @%s: TORN (%d trailing bytes undecodable)\n",
-				makeLSN(seq, off), int64(len(stream))-off)
+			if !unwritten(stream[off:]) {
+				fmt.Fprintf(w, "  record @%s: TORN (%d trailing bytes undecodable)\n",
+					makeLSN(seq, off), int64(len(stream))-off)
+			}
 			break
 		}
 		r.LSN = makeLSN(seq, off)

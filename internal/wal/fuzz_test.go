@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"io"
@@ -41,10 +42,10 @@ func seedLog(tb testing.TB) (seg, anchor []byte) {
 }
 
 // tornTail builds a log whose tail block holds records a force made durable,
-// then appends more to that block, its new bytes reaching the block's last
-// sector, and forces again: the rewrite a crash can tear at a sector
-// boundary. It returns segment 1's image before and after the rewrite, the
-// anchor's, and the file offset of the tail block.
+// then appends more to that block, from its third sector to its last, and
+// forces again: the range a crash can tear at a sector boundary. It returns
+// segment 1's image before and after the append, the anchor's, and the file
+// offset of the tail block.
 func tornTail(tb testing.TB) (before, after, anchor []byte, tail int64) {
 	tb.Helper()
 	fs := newMemFS()
@@ -84,11 +85,15 @@ func tornTail(tb testing.TB) (before, after, anchor []byte, tail int64) {
 		tb.Fatal(err)
 	}
 	after = append([]byte(nil), seg.data...)
-	return before, after, fs.files[anchorName("/log")].data, blockFileOff(0)
+	tail = blockFileOff(0)
+	if lo := tail + 2*disk.SectorSize; !bytes.Equal(before[:lo], after[:lo]) || bytes.Equal(before[lo:lo+disk.SectorSize], after[lo:lo+disk.SectorSize]) {
+		tb.Fatal("the second force's bytes do not start in the tail block's third sector")
+	}
+	return before, after, fs.files[anchorName("/log")].data, tail
 }
 
-// tornAt is the image of a tail-block rewrite torn after k sectors: after's
-// bytes in the block's first k sectors, before's in the rest.
+// tornAt is the image of a tail-block append torn after the block's first k
+// sectors: after's bytes in those, before's in the rest.
 func tornAt(before, after []byte, tail int64, k int) []byte {
 	mix := append([]byte(nil), after...)
 	copy(mix[tail+int64(k*disk.SectorSize):tail+BlockSize], before[tail+int64(k*disk.SectorSize):])
@@ -164,7 +169,9 @@ func FuzzOpenScan(f *testing.F) {
 	f.Add(seg, []byte{}, false, false)                  // unreadable anchor
 	f.Add(seg, encodeAnchor(anchor{lowWater: 1 << 40}), false, true)
 	before, after, tornAnc, tail := tornTail(f)
-	f.Add(tornAt(before, after, tail, 3), tornAnc, true, false) // tail rewrite torn after 3 sectors
+	for _, k := range []int{3, 6} { // the tail append torn inside its range
+		f.Add(tornAt(before, after, tail, k), tornAnc, true, false)
+	}
 	f.Fuzz(func(t *testing.T, seg, anc []byte, active, stamp bool) {
 		if stamp && len(anc) >= anchorSize {
 			anc = append([]byte(nil), anc...)

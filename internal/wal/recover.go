@@ -152,7 +152,7 @@ func Open(fsys vfs.FileSystem, base string, opts Options) (*Manager, error) {
 
 // openSegment loads segment seq as the active writer: validates the header,
 // reassembles the durable payload stream, and clears a torn tail in place
-// (rewriting the tail block with the reduced length and zeroing every block
+// (zeroing the tail block's bytes past the last whole record and every block
 // after it that holds anything), keeping the file's preallocated length.
 // ok=false means the header itself is unreadable (the segment holds no
 // durable data).
@@ -184,10 +184,9 @@ func (m *Manager) openSegment(seq uint64) (*segWriter, bool, error) {
 	w := &segWriter{seq: seq, f: f, stream: stream[:validEnd:validEnd], durable: validEnd, starts: starts}
 
 	// Clear the torn tail in place: those bytes were never acknowledged
-	// durable, and a block left behind past the stream's end would be read
-	// as its continuation once later forces fill the blocks before it. The
-	// whole file was read, so a clear that a crash tore is found and
-	// finished by the next open.
+	// durable, and a record left behind past the stream's end would be read
+	// as its next once later forces write up to it. The whole file was read,
+	// so a clear that a crash tore is found and finished by the next open.
 	keep := (validEnd + PayloadSize - 1) / PayloadSize // data blocks the stream occupies
 	last := int64(-1)                                  // last data block holding anything
 	for b := int64(len(raw))/BlockSize - 2; b >= keep; b-- {
@@ -196,15 +195,15 @@ func (m *Manager) openSegment(seq uint64) (*segWriter, bool, error) {
 			break
 		}
 	}
-	if int64(len(stream)) > validEnd || last >= keep {
-		lo := keep
-		if validEnd%PayloadSize != 0 {
-			lo = keep - 1 // the tail block, re-encoded with the reduced length
-		}
+	lo := keep
+	if !unwritten(stream[validEnd : keep*PayloadSize]) {
+		lo = keep - 1 // the tail block, re-encoded without its torn bytes
+	}
+	if lo < keep || last >= keep {
 		clearBuf := make([]byte, (max(last, lo)-lo+1)*BlockSize)
 		if lo < keep {
 			tail := lo * PayloadSize
-			encodeBlock(clearBuf[:BlockSize], w.stream[tail:validEnd], w.firstRecIn(tail, validEnd), w.contAt(tail), int(validEnd-tail))
+			encodeBlock(clearBuf[:BlockSize], w.stream[tail:validEnd], w.firstRecIn(tail), w.contAt(tail))
 		}
 		if _, err := f.WriteAt(clearBuf, blockFileOff(lo)); err != nil {
 			f.Close()
@@ -218,29 +217,25 @@ func (m *Manager) openSegment(seq uint64) (*segWriter, bool, error) {
 	return w, true, nil
 }
 
-// assembleStream concatenates the payloads of the valid data blocks of a
-// raw segment image (header block included), stopping at the first invalid
-// block or after a partial (tail) block. It returns the payload stream, the
-// number of blocks read, and whether assembly stopped early on an invalid
-// block that holds something (torn); an unwritten block ends the stream
-// cleanly, as a stream that fills its last block exactly ends.
+// assembleStream concatenates the payloads of the data blocks of a raw
+// segment image (header block included) up to the first whose header is
+// invalid. It returns the payload stream, zeros past the last record
+// included, the number of blocks read, and whether that invalid block holds
+// something (torn); an unwritten block ends the stream cleanly.
 func assembleStream(raw []byte) (stream []byte, blocks int64, torn bool) {
 	for off := BlockSize; off+BlockSize <= len(raw); off += BlockSize {
-		bi, ok := decodeBlock(raw[off : off+BlockSize])
-		if !ok {
+		if _, ok := decodeBlock(raw[off : off+BlockSize]); !ok {
 			return stream, blocks, !unwritten(raw[off : off+BlockSize])
 		}
 		blocks++
-		stream = append(stream, raw[off+blockHdrSize:off+blockHdrSize+bi.dataLen]...)
-		if bi.dataLen < PayloadSize {
-			break // a partial block is by construction the last
-		}
+		stream = append(stream, raw[off+blockHdrSize:off+BlockSize]...)
 	}
 	return stream, blocks, false
 }
 
 // parseStream walks a payload stream record by record, returning the end of
-// the last complete record and every record-start offset before it.
+// the last record before the first that does not decode, and every
+// record-start offset before it.
 func parseStream(stream []byte) (validEnd int64, starts []int64) {
 	off := 0
 	for off < len(stream) {
@@ -373,7 +368,7 @@ func (m *Manager) scanSealed(seq uint64, from LSN) (recs []Record, stats ScanSta
 	for off := start - base; off < int64(len(stream)); {
 		r, sz, derr := decodeRecord(stream[off:])
 		if derr != nil {
-			torn = true
+			torn = torn || !unwritten(stream[off:]) // not the zeros past the last record
 			break
 		}
 		r.LSN = makeLSN(seq, base+off)

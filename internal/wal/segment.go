@@ -14,32 +14,31 @@ import (
 // On-disk layout. The log is a sequence of rotated segment files named
 // {base}.{seq}.txnlog, each a fixed-size header block followed by 4 KB data
 // blocks, created at full length (segFileSize) so that the blocks past the
-// stream read as zeros. Every data block is independently CRC-protected and
-// records may span block boundaries (the continuation flag marks a block that
-// begins mid-record), so a torn write at a segment tail invalidates exactly
-// the blocks it tore and nothing before them. A force rewrites the stream's
-// tail block in place, and the file system may move only its leading sectors,
-// so the block also carries the length and CRC of the payload it held durable
-// before the rewrite: a rewrite torn at a sector boundary still yields that
-// payload (decodeBlock). Every block carries exactly
-// PayloadSize stream bytes except a segment's last, so an LSN names its
-// block by arithmetic (Offset / PayloadSize) and its first byte within that
-// block (Offset % PayloadSize): recovery seeks straight to the last
-// checkpoint with no side structure to trust. A small anchor file
-// {base}.ckpt records the LSN of the last durable checkpoint and the
-// low-water segment sequence; segments below the low-water mark are dead and
-// are deleted by checkpoint-driven truncation.
+// stream read as zeros. Each data block is a small header and PayloadSize
+// bytes of the payload stream, and records may span block boundaries. The
+// header is written once, by the force that starts the block, and holds only
+// what never changes: the continuation flag (the block begins mid-record),
+// the offset of the first record that starts in it, and its own CRC. Each
+// record validates itself by its CRC, and the stream ends where the first
+// record that does not decode — torn, or the zeros past the last — begins.
+// So a later force that appends to the block changes only the bytes of its
+// new records, and a file system that rewrites the block in place moves only
+// the sectors they fill: a crash can tear those at any sector and leaves every
+// record before them intact. An LSN names its block by arithmetic (Offset /
+// PayloadSize) and its first byte within that block (Offset % PayloadSize):
+// recovery seeks straight to the last checkpoint with no side structure to
+// trust. A small anchor file {base}.ckpt records the LSN of the last durable
+// checkpoint and the low-water segment sequence; segments below the low-water
+// mark are dead and are deleted by checkpoint-driven truncation.
 const (
 	// BlockSize is the log block size: one file-system block. A block write
-	// need not be atomic: FFS rewrites the tail block in place and may move
-	// only its leading 512-byte sectors, so a crash can tear it at any sector
-	// boundary (see the header's durable fields).
+	// need not be atomic: FFS rewrites the tail block in place, moving only
+	// the 512-byte sectors a force's records fill, so a crash can tear it at
+	// any sector boundary.
 	BlockSize = 4096
-	// blockHdrSize is the per-block header: crc(4) flags(2) dataLen(2)
-	// firstRec(2) durLen(2) durCRC(4). crc covers the header after it and the
-	// payload; durLen is how many leading payload bytes the block held
-	// durable before this write of it, and durCRC their CRC32.
-	blockHdrSize = 16
+	// blockHdrSize is the per-block header: crc(4) flags(2) firstRec(2), crc
+	// covering the two fields after it.
+	blockHdrSize = 8
 	// PayloadSize is the record bytes carried per block.
 	PayloadSize = BlockSize - blockHdrSize
 
@@ -47,8 +46,9 @@ const (
 	segMagic = 0x31475357
 	// anchorMagic identifies the checkpoint anchor file ("WCKP").
 	anchorMagic = 0x504b4357
-	// formatVersion is the segment/anchor format version.
-	formatVersion = 1
+	// formatVersion is the segment/anchor format version: 2 since block
+	// headers are written once and records validate themselves.
+	formatVersion = 2
 
 	// flagContinuation marks a block whose first payload bytes continue a
 	// record begun in the previous block.
@@ -196,65 +196,35 @@ func unwritten(b []byte) bool {
 
 // encodeBlock fills dst (BlockSize bytes) with a data block: header +
 // payload + zero padding. firstRec is the payload offset of the first record
-// starting in the block, or noFirstRec; cont marks a continuation block;
-// durable is how many leading payload bytes were durable in the block before
-// this write of it.
-func encodeBlock(dst, payload []byte, firstRec int, cont bool, durable int) {
+// starting in the block, or noFirstRec; cont marks a continuation block.
+func encodeBlock(dst, payload []byte, firstRec int, cont bool) {
 	le := binary.LittleEndian
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
 	var flags uint16
 	if cont {
 		flags |= flagContinuation
 	}
 	le.PutUint16(dst[4:], flags)
-	le.PutUint16(dst[6:], uint16(len(payload)))
-	le.PutUint16(dst[8:], uint16(firstRec))
-	if durable > 0 {
-		le.PutUint16(dst[10:], uint16(durable))
-		le.PutUint32(dst[12:], crc32.ChecksumIEEE(payload[:durable]))
-	}
+	le.PutUint16(dst[6:], uint16(firstRec))
+	le.PutUint32(dst[0:], crc32.ChecksumIEEE(dst[4:blockHdrSize]))
 	copy(dst[blockHdrSize:], payload)
-	le.PutUint32(dst[0:], crc32.ChecksumIEEE(dst[4:blockHdrSize+len(payload)]))
 }
 
 // blockInfo is a decoded data-block header.
 type blockInfo struct {
-	dataLen  int
 	firstRec int // payload offset, or noFirstRec
 	cont     bool
 }
 
-// decodeBlock validates a data block and returns its header. ok is false for
-// a torn, corrupt, or never-written block — the durable stream ends at the
-// previous block. A block whose CRC fails but whose durable payload's CRC
-// holds is a tail-block rewrite torn at a sector boundary: its header sector
-// is new and its durable payload is intact, so it decodes as that payload
-// alone, with no record start unless one lies inside it.
+// decodeBlock validates a data block's header and returns it. ok is false for
+// a corrupt or never-started block: the durable stream ends before it.
 func decodeBlock(b []byte) (blockInfo, bool) {
-	if len(b) < BlockSize {
-		return blockInfo{}, false
-	}
 	le := binary.LittleEndian
-	dataLen := int(le.Uint16(b[6:]))
-	if dataLen == 0 || dataLen > PayloadSize {
+	if len(b) < BlockSize || le.Uint32(b[0:]) != crc32.ChecksumIEEE(b[4:blockHdrSize]) {
 		return blockInfo{}, false
-	}
-	firstRec := int(le.Uint16(b[8:]))
-	if le.Uint32(b[0:]) != crc32.ChecksumIEEE(b[4:blockHdrSize+dataLen]) {
-		dur := int(le.Uint16(b[10:]))
-		if dur == 0 || dur > dataLen || le.Uint32(b[12:]) != crc32.ChecksumIEEE(b[blockHdrSize:blockHdrSize+dur]) {
-			return blockInfo{}, false
-		}
-		dataLen = dur
-		if firstRec >= dur {
-			firstRec = noFirstRec
-		}
 	}
 	return blockInfo{
-		dataLen:  dataLen,
-		firstRec: firstRec,
+		firstRec: int(le.Uint16(b[6:])),
 		cont:     le.Uint16(b[4:])&flagContinuation != 0,
 	}, true
 }

@@ -125,15 +125,21 @@ func (w *segWriter) grow(n int) []byte {
 	return w.stream[old : old+n]
 }
 
-// firstRecIn returns the payload offset (relative to lo) of the first record
-// starting in stream[lo:hi], or noFirstRec.
+// firstRecIn returns the payload offset of the first record starting in the
+// block whose payload begins at stream offset lo, or noFirstRec. The stream's
+// end counts as a start, since the next record begins there: the header a
+// force writes when it starts the block stays true as later forces fill it.
 //
 //simlint:noalloc
-func (w *segWriter) firstRecIn(lo, hi int64) int {
+func (w *segWriter) firstRecIn(lo int64) int {
 	//simlint:alloc(non-escaping closure: sort.Search does not retain its predicate)
 	i := sort.Search(len(w.starts), func(i int) bool { return w.starts[i] >= lo })
-	if i < len(w.starts) && w.starts[i] < hi {
-		return int(w.starts[i] - lo)
+	s := w.end()
+	if i < len(w.starts) {
+		s = w.starts[i]
+	}
+	if s < lo+PayloadSize {
+		return int(s - lo)
 	}
 	return noFirstRec
 }
@@ -476,9 +482,9 @@ func (m *Manager) Force() error {
 }
 
 // flushWriter makes w's whole stream durable: composes the dirty block
-// range (including a rewrite of the previously-partial tail block), writes
-// it in one contiguous I/O, and syncs. Returns the count of newly durable
-// stream bytes.
+// range (the previously-partial tail block, its header and durable records
+// unchanged, and the blocks after it), writes it in one contiguous I/O, and
+// syncs. Returns the count of newly durable stream bytes.
 //
 //simlint:noalloc
 func (m *Manager) flushWriter(w *segWriter) (int64, error) {
@@ -506,7 +512,7 @@ func (m *Manager) flushWriter(w *segWriter) (int64, error) {
 			hi = end
 		}
 		dst := buf[(b-b0)*BlockSize : (b-b0+1)*BlockSize]
-		encodeBlock(dst, w.stream[lo:hi], w.firstRecIn(lo, hi), w.contAt(lo), int(max(0, w.durable-lo)))
+		encodeBlock(dst, w.stream[lo:hi], w.firstRecIn(lo), w.contAt(lo))
 	}
 	//simlint:alloc(simulated data I/O below the log hot path, not the compose loop)
 	if _, err := w.f.WriteAt(buf, blockFileOff(b0)); err != nil {

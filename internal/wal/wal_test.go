@@ -2,9 +2,7 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"reflect"
 	"strings"
 	"testing"
@@ -655,8 +653,8 @@ func TestForceInsidePreallocatedSegment(t *testing.T) {
 // TestTornTailClearedInPlace forces a record that spans three blocks, then
 // tears the force the way the device can — its last block never written, the
 // one before it whole — and checks that Open stops at the last whole record
-// and clears the torn bytes in place: the tail block rewritten with the
-// reduced length, the stale continuation block after it zeroed, the file's
+// and clears the torn bytes in place: the tail block's bytes past that record
+// zeroed, the stale continuation block after it zeroed, the file's
 // preallocated length kept. Left behind, that block would be read as part of
 // the stream once later forces fill the block before it. The next force still
 // writes no inode.
@@ -702,8 +700,9 @@ func TestTornTailClearedInPlace(t *testing.T) {
 			if size, _ := f2.Size(); size != segFileSize(DefaultSegmentBytes) {
 				t.Fatalf("file size %d after open, want the preallocated %d", size, segFileSize(DefaultSegmentBytes))
 			}
-			if bi, ok := decodeBlock(readBlock(t, h.fsys, seg, 0)); !ok || int64(bi.dataLen) != intactEnd.Offset() {
-				t.Fatalf("tail block: %+v %v, want %d bytes", bi, ok, intactEnd.Offset())
+			tail := readBlock(t, h.fsys, seg, 0)
+			if _, ok := decodeBlock(tail); !ok || !unwritten(tail[blockHdrSize+intactEnd.Offset():]) {
+				t.Fatalf("tail block: header valid %v, want it valid and zeros past stream byte %d", ok, intactEnd.Offset())
 			}
 			for n := int64(1); n < 3; n++ {
 				if !unwritten(readBlock(t, h.fsys, seg, n)) {
@@ -732,13 +731,61 @@ func TestTornTailClearedInPlace(t *testing.T) {
 	}
 }
 
-// TestTornTailRewriteKeepsDurableRecords: a force rewrites the tail block in
-// place, and on FFS it moves only the sectors through its last changed byte,
-// so a crash can leave any prefix of its sectors new and the rest old. The
-// block's header carries the length and CRC of the payload that was durable
-// before the rewrite; at every sector boundary, recovery must return exactly
-// the records the earlier force made durable — a tear never loses an
-// acknowledged commit, nor yields a record of the torn force.
+// TestSecondForceWritesNoByteOfSectorZero: a block's header is written once,
+// by the force that starts the block, and records validate themselves, so a
+// force that appends to the block changes no byte of its first sector and FFS
+// moves none. Sector 0 is overwritten on the device behind the file system's
+// back between two forces; the second force leaves it so and writes its
+// records into the sectors after it.
+func TestSecondForceWritesNoByteOfSectorZero(t *testing.T) {
+	h := logHosts(t)[1]
+	if h.name != "ffs" {
+		t.Fatalf("host %s, want ffs", h.name)
+	}
+	m, err := Create(h.fsys, "/log", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := make([]byte, 400) // an 845-byte update: the stream leaves sector 0
+	m.LogUpdate(1, 1, 1, 0, img, img)
+	if err := logCommit(m, 1); err != nil {
+		t.Fatal(err)
+	}
+	const seg = "/log.1.txnlog"
+	first := readBlock(t, h.fsys, seg, 0)
+	addr := int64(-1)
+	for a := int64(0); a < h.dev.NumBlocks() && addr < 0; a++ {
+		if b, _ := h.dev.Peek(a); bytes.Equal(b, first) {
+			addr = a
+		}
+	}
+	if addr < 0 {
+		t.Fatal("no device block holds the segment's first data block")
+	}
+	poison := bytes.Repeat([]byte{0xee}, disk.SectorSize)
+	if err := h.dev.WriteRange(addr, [][]byte{append(poison, first[disk.SectorSize:]...)}, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	m.LogUpdate(2, 1, 2, 0, img, img)
+	if err := logCommit(m, 2); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := h.dev.Peek(addr)
+	if !bytes.Equal(got[:disk.SectorSize], poison) {
+		t.Fatal("the second force wrote the block's first sector")
+	}
+	if want := readBlock(t, h.fsys, seg, 0); bytes.Equal(want, first) || !bytes.Equal(got[disk.SectorSize:], want[disk.SectorSize:]) {
+		t.Fatal("the second force's records are not on the device past the first sector")
+	}
+}
+
+// TestTornTailRewriteKeepsDurableRecords: a force appends to the tail block
+// in place, and on FFS it moves only the sectors its new records fill, so a
+// crash can leave any prefix of those sectors new and the rest old. The
+// rewrite changes no byte of the header's sector; at every sector boundary,
+// recovery must return every record the earlier force made durable and, of
+// the torn force's, only those that reached the disk whole — a tear never
+// loses an acknowledged commit, nor yields a record the log never held.
 func TestTornTailRewriteKeepsDurableRecords(t *testing.T) {
 	before, after, anc, tail := tornTail(t)
 	scan := func(seg []byte) ([]Record, LSN) {
@@ -753,21 +800,23 @@ func TestTornTailRewriteKeepsDurableRecords(t *testing.T) {
 		}
 		return recs, m.End()
 	}
-	want, wantEnd := scan(before)
-	if got, _ := scan(after); len(got) <= len(want) {
-		t.Fatalf("the rewrite made %d records durable, the force before it %d: it added none", len(got), len(want))
+	if !bytes.Equal(before[tail:tail+disk.SectorSize], after[tail:tail+disk.SectorSize]) {
+		t.Fatal("the second force changed the tail block's first sector")
 	}
-	for k := 0; k < BlockSize/disk.SectorSize; k++ {
-		mix := tornAt(before, after, tail, k)
-		blk := mix[tail : tail+BlockSize]
-		n := int(binary.LittleEndian.Uint16(blk[6:]))
-		if full := binary.LittleEndian.Uint32(blk) == crc32.ChecksumIEEE(blk[4:blockHdrSize+n]); k > 0 && full {
-			t.Fatalf("torn after %d sectors: the block's own CRC holds, so the tear tests nothing", k)
+	want, _ := scan(before)
+	all, _ := scan(after)
+	if len(all) <= len(want) {
+		t.Fatalf("the rewrite made %d records durable, the force before it %d: it added none", len(all), len(want))
+	}
+	for k := 0; k <= BlockSize/disk.SectorSize; k++ {
+		got, end := scan(tornAt(before, after, tail, k))
+		if len(got) < len(want) || len(got) > len(all) || !reflect.DeepEqual(got, all[:len(got)]) {
+			t.Fatalf("torn after %d sectors: recovered %d records, want the %d durable before the rewrite and a prefix of the rest",
+				k, len(got), len(want))
 		}
-		got, end := scan(mix)
-		if !reflect.DeepEqual(got, want) || end != wantEnd {
-			t.Fatalf("torn after %d sectors: recovered %d records ending at %v, want the %d durable before the rewrite, ending at %v",
-				k, len(got), end, len(want), wantEnd)
+		last := got[len(got)-1]
+		if wantEnd := makeLSN(1, last.LSN.Offset()+int64(recSize(&last))); end != wantEnd {
+			t.Fatalf("torn after %d sectors: the log ends at %v, its last record at %v", k, end, wantEnd)
 		}
 	}
 }
