@@ -72,12 +72,11 @@ var (
 type Buf struct {
 	ID   BlockID
 	Data []byte
-	// Extent is the pool owner's, not the pool's: FFS keeps in it the bytes
-	// of the block that may differ from the copy at its address
-	// (ffs.noteWrite). A new buffer's is empty.
-	Extent Extent
-	dirty  bool
-	held   bool
+	// Changed is the pool owner's record of how Data differs from the
+	// block's durable image (Note); the pool empties it when b turns clean.
+	Changed Changed
+	dirty   bool
+	held    bool
 	// A fetch is in flight while loading is set (Data not yet valid, and
 	// Get refuses the block) and, in simulated time, until ready: the
 	// fetching proc's clock when its fetch returned. A fetch runs without
@@ -93,12 +92,6 @@ type Buf struct {
 	// Links of the pool's dirty set; both nil on a clean buffer.
 	dirtyPrev, dirtyNext *Buf
 }
-
-// Extent is the byte range [Lo, Hi) of a block; it is empty when Lo >= Hi.
-type Extent struct{ Lo, Hi int32 }
-
-// Empty reports whether the range holds no byte.
-func (e Extent) Empty() bool { return e.Lo >= e.Hi }
 
 // Dirty reports whether the buffer has unwritten modifications.
 func (b *Buf) Dirty() bool { return b.dirty }
@@ -163,6 +156,9 @@ func (p *Pool) SetClock(c *sim.Clock) { p.clock = c }
 // so it must not call back into the pool. It may be nil for pools that are
 // flushed only explicitly via Dirty/MarkClean.
 func New(capacity, blockSize int, writeback WriteBack) *Pool {
+	if blockSize > 1<<15 { // a Changed's offsets are 16-bit
+		panic(fmt.Sprintf("buffer: %d-byte blocks, over 32 KiB", blockSize))
+	}
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -304,7 +300,7 @@ func (p *Pool) usedLocked(b *Buf) {
 }
 
 // setDirtyLocked is the one place a buffer's dirty flag changes: it keeps the
-// dirty set equal to the buffers whose flag is set.
+// dirty set equal to the buffers whose flag is set, clean ones' Changed empty.
 func (p *Pool) setDirtyLocked(b *Buf, dirty bool) {
 	if b.dirty == dirty {
 		return
@@ -318,6 +314,7 @@ func (p *Pool) setDirtyLocked(b *Buf, dirty bool) {
 		p.dirtyHead = b
 		return
 	}
+	b.Changed = Changed{}
 	if b.dirtyPrev != nil {
 		b.dirtyPrev.dirtyNext = b.dirtyNext
 	} else {

@@ -31,7 +31,7 @@ func (fs *FS) ensureMapped(in *inode, lbn int64) error {
 		}
 		in.appendBlock(addr)
 		in.Dirty, in.AttrDirty = true, true
-		b.Extent = fs.whole() // the address holds what a freed file left
+		b.MarkUnknown() // the address holds what a freed file left
 		fs.pool.MarkDirty(b)
 		fs.pool.Release(b)
 	}
@@ -137,7 +137,7 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 			for i := size % bs; i < bs; i++ {
 				b.Data[i] = 0
 			}
-			b.Extent = fs.whole()
+			b.MarkUnknown()
 			fs.pool.MarkDirty(b)
 			fs.pool.Release(b)
 		}

@@ -112,7 +112,7 @@ type inode struct {
 	overflow []int64
 	// zeroLo and zeroHi bound the logical blocks [zeroLo, zeroHi) that a
 	// growing Truncate zeroed on the device and nothing has written since
-	// (reserveZeroed, noteWrite). In memory only: a remount forgets them.
+	// (reserveZeroed, durable). In memory only: a remount forgets them.
 	zeroLo, zeroHi int64
 }
 

@@ -1,7 +1,6 @@
 package ffs
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -62,7 +61,7 @@ type Stats struct {
 	WriteBehind disk.BgTimes `json:"write_behind"`
 	// ShortWrites counts the in-place writes that moved only the sectors
 	// their blocks' changed bytes fill, and ShortWriteSectors the sectors
-	// they moved (noteWrite).
+	// they moved (buffer.Changed, durable).
 	ShortWrites       int64 `json:"short_writes"`
 	ShortWriteSectors int64 `json:"short_write_sectors"`
 }
@@ -259,7 +258,7 @@ func (fs *FS) attach() {
 		Truncate: fs.truncateLocked,
 		Sync:     fs.syncFileLocked,
 		Tick:     fs.tickLocked,
-		Note:     fs.noteWrite,
+		Durable:  fs.durable,
 
 		InodeAtSync: fs.opts.InodeAtSync,
 	}, true)
@@ -369,30 +368,18 @@ func (fs *FS) fetchBlock(id buffer.BlockID, dst []byte) error {
 	return fs.dev.Read(addr, dst)
 }
 
-// noteWrite is ufs.Ops.Note: p is about to be copied into b at off. It keeps
-// b.Extent, the bytes from the first through the last byte a write changed
-// since the block was last read from, or written to, its address: an in-place
-// write of the block needs to move only the sectors they fill, as a WAL force
-// changes only the records it appends to a tail block. A clean buffer holds
-// what its address does, so its extent starts empty — unless the bytes came
-// from a parked stage copy, which the address does not hold yet, or the pool
-// skipped the fetch (fresh) for a block not known to be zero on disk: then,
-// as for a block ensureMapped just allocated, the extent is the whole block. A
-// block a growing Truncate zeroed and nothing has written since holds the
-// zeros the pool hands out. A directory's extent is always whole: a padded
-// directory block must reach the device in one piece (ufs.New), and only a
+// durable is ufs.Ops.Durable; an in-place write moves its buffer's hull
+// (flushLocked). A clean buffer holds what its address does, unless its bytes
+// came from a parked stage copy or the pool skipped the fetch (fresh) of a
+// block not known to be zero on disk (zeroLo, zeroHi): then, as for a block
+// ensureMapped just allocated, the block goes whole. So does a directory's:
+// its padded block must reach the device in one piece (ufs.New), and only a
 // block a write covers whole is never torn.
 //
 //simlint:noalloc
-func (fs *FS) noteWrite(in *inode, b *buffer.Buf, off int, p []byte, fresh bool) {
+func (fs *FS) durable(in *inode, b *buffer.Buf, fresh bool) []byte {
 	lbn := b.ID.Block
 	zeroed := lbn >= in.zeroLo && lbn < in.zeroHi
-	if !b.Dirty() {
-		b.Extent = buffer.Extent{Lo: int32(fs.blockSize)} // empty
-		if _, parked := fs.stage.Lookup(b.ID); parked || in.IsDir() || fresh && !zeroed {
-			b.Extent = fs.whole()
-		}
-	}
 	if zeroed { // the block's zeros are about to change: it leaves the range
 		if lbn == in.zeroLo {
 			in.zeroLo++
@@ -400,48 +387,13 @@ func (fs *FS) noteWrite(in *inode, b *buffer.Buf, off int, p []byte, fresh bool)
 			in.zeroHi = lbn
 		}
 	}
-	old, e := b.Data[off:off+len(p)], &b.Extent
-	if hi := min(max(int(e.Lo)-off, 0), len(p)); hi > 0 {
-		if i := changedFrom(old, p, hi); i < hi {
-			e.Lo = int32(off + i)
-		}
+	if b.Dirty() {
+		return b.Data
 	}
-	if lo := min(max(int(e.Hi)-off, 0), len(p)); lo < len(p) {
-		if i := changedThrough(old, p, lo); i > lo {
-			e.Hi = int32(off + i)
-		}
+	if _, parked := fs.stage.Lookup(b.ID); parked || in.IsDir() || fresh && !zeroed {
+		return nil
 	}
-}
-
-// whole is the extent of a block that must be written whole.
-func (fs *FS) whole() buffer.Extent { return buffer.Extent{Hi: int32(fs.blockSize)} }
-
-// changedFrom returns the first index below hi where old and new differ, or
-// hi when none does. It compares a word at a time from the start.
-func changedFrom(old, new []byte, hi int) int {
-	le := binary.LittleEndian
-	i := 0
-	for i+8 <= hi && le.Uint64(old[i:]) == le.Uint64(new[i:]) {
-		i += 8
-	}
-	for i < hi && old[i] == new[i] {
-		i++
-	}
-	return i
-}
-
-// changedThrough returns one past the last index at or after lo where old and
-// new differ, or lo when none does. It compares a word at a time from the end.
-func changedThrough(old, new []byte, lo int) int {
-	le := binary.LittleEndian
-	i := len(new)
-	for i-8 >= lo && le.Uint64(old[i-8:]) == le.Uint64(new[i-8:]) {
-		i -= 8
-	}
-	for i > lo && old[i-1] == new[i-1] {
-		i--
-	}
-	return i
+	return b.Data
 }
 
 // tickLocked runs before every read and write of an open file. It models the
@@ -515,11 +467,11 @@ func (fs *FS) flushLocked(only *Ino, cached bool) (int, error) {
 	}
 	total := 0
 	for _, b := range dirty {
-		if b.Extent.Empty() {
+		lo, hi := b.Changed.Hull()
+		if lo >= hi {
 			continue // it holds what its address does
 		}
-		lo, hi := b.Extent.Lo/disk.SectorSize, (b.Extent.Hi+disk.SectorSize-1)/disk.SectorSize
-		if err := fs.enqueueLocked(b.ID, b.Data, int(lo), int(hi)); err != nil {
+		if err := fs.enqueueLocked(b.ID, b.Data, lo/disk.SectorSize, (hi+disk.SectorSize-1)/disk.SectorSize); err != nil {
 			return 0, err
 		}
 		total++

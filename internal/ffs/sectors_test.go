@@ -9,7 +9,7 @@ import (
 
 // An in-place write of a block moves only the sectors from the first through
 // the last byte changed since the block was last read from, or written to, its
-// address (noteWrite) — none when no byte changed — and the whole block
+// address (the hull of buffer.Changed) — none when no byte changed — and the whole block
 // whenever that address may hold other bytes than the buffer. Each case
 // crashes right after the Sync.
 func TestSyncWritesTheChangedSectors(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 	"repro/internal/vfs"
 )
 
-// A block the cache evicts with an empty delta is parked as its durable
+// A block the cache evicts with an empty record of changed bytes is parked as its durable
 // image (writeback): a write to it once it is read back is measured against
 // the staged copy, and a File.Sync of its file needs nothing of it. These
 // tests crash each rule's script at every write op.
@@ -170,7 +170,7 @@ func durableStagedScript(kernel bool) func(*FS, func(int, fileImage)) error {
 			return err
 		}
 		if !fs.stage.Durable(s.id()) {
-			return fmt.Errorf("a patched block evicted with an empty delta was not parked durable")
+			return fmt.Errorf("a patched block evicted with an empty record was not parked durable")
 		}
 		if err := s.readBack(); err != nil {
 			return err

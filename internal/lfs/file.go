@@ -45,7 +45,6 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 		id := blockIDOf(in.Ino, lbn)
 		_ = fs.pool.Invalidate(id)
 		fs.stage.Unpark(id)
-		delete(fs.deltas, id)
 		patched = patched || fs.Patched(id)
 		delete(fs.patched, id)
 	}
@@ -59,9 +58,9 @@ func (fs *FS) truncateLocked(in *inode, size int64) error {
 		for i := size % bs; i < bs; i++ {
 			b.Data[i] = 0
 		}
+		b.MarkUnknown()
 		fs.pool.MarkDirty(b)
 		fs.pool.Release(b)
-		delete(fs.deltas, id)
 		patched = patched || fs.Patched(id)
 	}
 	in.Size = size

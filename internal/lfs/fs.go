@@ -2,6 +2,7 @@ package lfs
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/buffer"
 	"repro/internal/disk"
@@ -141,13 +142,11 @@ type FS struct {
 	// collects what it finds dirty in seen — nil outside a full-stage flush —
 	// which then replaces hot.
 	hot, seen map[buffer.BlockID]bool
-	// deltas holds what each dirty block written through the cache changed
-	// since its bytes were last durable, while that is known (noteWrite);
-	// patched the blocks whose newest durable bytes are in summary patches
-	// only, which a checkpoint must log whole first, with a copy of those
-	// patches (patch.go).
-	deltas   map[buffer.BlockID]delta
+	// patched holds the blocks whose newest durable bytes are in summary
+	// patches only, which a checkpoint must log whole first, with a copy of
+	// those patches (patch.go).
 	patched  map[buffer.BlockID][]patch
+	room     buffer.Room // bounds a record's spans: patches an empty summary holds
 	cleaning bool
 	// chainCont is set while a multi-partial flush batch is incomplete:
 	// every partial written in that window (including cleaner relocations
@@ -239,8 +238,8 @@ func Format(dev *disk.Device, clock *sim.Clock, opts Options) (*FS, error) {
 func (fs *FS) attach() {
 	fs.frames = frame.NewList(fs.blockSize)
 	fs.stage = ufs.NewStage(int(fs.sb.SegmentBlocks), fs.blockSize)
-	fs.deltas = make(map[buffer.BlockID]delta)
 	fs.patched = make(map[buffer.BlockID][]patch)
+	fs.room = buffer.Room{Bytes: patchRoom(fs.blockSize, 0), Header: patchHeaderSize}
 	fs.pool = buffer.New(fs.opts.CacheBlocks, fs.blockSize, fs.writeback)
 	fs.pool.SetClock(fs.clock)
 	fs.upper = ufs.New(ufs.Ops[*inode]{
@@ -257,7 +256,8 @@ func (fs *FS) attach() {
 		Truncate: fs.truncateLocked,
 		Sync:     fs.syncLocked,
 		Tick:     fs.maybeFlushStageLocked,
-		Note:     fs.noteWrite,
+		Durable:  fs.durable,
+		Room:     fs.room,
 
 		InodeAtSync: fs.opts.InodeAtSync,
 	}, false)
@@ -289,16 +289,17 @@ func (fs *FS) freeInodeLocked(in *inode) error {
 }
 
 // releaseLocked gives back what an inode holds: its blocks become dead in
-// their segments, its cached and parked blocks are dropped.
+// their segments, its cached, parked and patched blocks are dropped.
 func (fs *FS) releaseLocked(in *inode) error {
 	if err := fs.freeFileBlocksLocked(in); err != nil {
 		return err
 	}
-	if err := fs.pool.InvalidateFile(vfs.FileID(in.Ino)); err != nil {
+	file := vfs.FileID(in.Ino)
+	if err := fs.pool.InvalidateFile(file); err != nil {
 		return err
 	}
-	fs.stage.UnparkFile(vfs.FileID(in.Ino))
-	fs.forgetDeltasLocked(in.Ino)
+	fs.stage.UnparkFile(file)
+	maps.DeleteFunc(fs.patched, func(id buffer.BlockID, _ []patch) bool { return id.File == file })
 	return nil
 }
 
@@ -436,17 +437,14 @@ func (fs *FS) accountNew(addr int64) {
 // it — walk its dirty set, mark buffers clean — before the evicted buffer has
 // left it.
 //
-// A buffer whose delta is empty holds the block's durable image — its last
-// logged copy with the kept patches laid over it (layPatchesLocked) — and is
-// parked marked so: it stays durable in the stage, a commit force needs
-// nothing of it, and a write to it once it is fetched back is measured
-// against it (noteWrite). The pool still holds the buffer it is evicting.
+// A buffer whose record of changed bytes is empty holds the block's durable
+// image — its last logged copy with the kept patches laid over it
+// (layPatchesLocked) — and is parked marked so: a commit force needs nothing
+// of it, and a write to it fetched back is measured against it (durable).
 //
 //simlint:noalloc
 func (fs *FS) writeback(id buffer.BlockID, data []byte) error {
-	d, ok := fs.deltas[id]
-	fs.stage.Park(id, data, ok && d.n == 0 && d.buf == fs.pool.Lookup(id))
-	delete(fs.deltas, id)
+	fs.stage.Park(id, data, fs.pool.Lookup(id).Changed.Empty())
 	return nil
 }
 

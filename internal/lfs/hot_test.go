@@ -264,3 +264,70 @@ func TestStageFlushLeavingHotBlocksCrashAtEveryWrite(t *testing.T) {
 		}
 	}
 }
+
+// TestUnprotectedWriteIsNotPatched: a write to a file neither forced nor
+// transaction-protected is not measured, so it leaves its buffer's record of
+// changed bytes unknown — also when the buffer is dirty with bytes measured
+// while the file was protected. Hot block 0 is measured, protection is
+// switched off, and the block is written again; a full-stage flush then logs
+// the inode and leaves the block dirty, so File.Sync needs no inode pack and
+// may force the block by patches only if its record is known. After a crash
+// every synced byte reads back.
+func TestUnprotectedWriteIsNotPatched(t *testing.T) {
+	r := newHotRig(t)
+	if err := r.fs.SetTxnProtected("/hot", true); err != nil {
+		t.Fatal(err)
+	}
+	bs := r.fs.BlockSize()
+	want := pattern(bs, 1)
+	write := func(p []byte, off int) {
+		t.Helper()
+		copy(want[off:], p)
+		if _, err := r.hot.WriteAt(p, int64(off)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// stageFlush writes /g until a full stage is flushed, reading hot block 0
+	// before each write so that the cache keeps it.
+	stageFlush := func() {
+		t.Helper()
+		p := make([]byte, 1)
+		for flushes := r.fs.Stats().StagedFlushes; r.fs.Stats().StagedFlushes == flushes; r.next++ {
+			if _, err := r.hot.ReadAt(p, 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.g.WriteAt(pattern(bs, byte(r.next)), r.next*int64(bs)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write(want, 0)
+	stageFlush() // logs hot block 0, dirty for the first time
+	write([]byte("measured"), 100)
+	if err := r.fs.SetTxnProtected("/hot", false); err != nil {
+		t.Fatal(err)
+	}
+	write([]byte("unmeasured"), 2000)
+	left := r.fs.Stats().HotBlocksLeft
+	stageFlush()
+	if r.fs.Stats().HotBlocksLeft == left || !r.fs.pool.Lookup(r.id()).Dirty() {
+		t.Fatal("the second full-stage flush did not leave hot block 0 dirty")
+	}
+	if r.fs.inodes[Ino(r.hot.ID())].AttrDirty {
+		t.Fatal("the second full-stage flush did not log /hot's inode")
+	}
+	if err := r.hot.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fs2, err := Mount(r.fs.dev, r.fs.clock, r.fs.opts) // crash: no unmount
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readFile(t, fs2, "/hot"); !bytes.Equal(got, want) {
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("after the crash /hot's byte %d is %#x, want %#x", i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -35,7 +35,7 @@ type inode struct {
 	// inode — a commit force too — writes its dirty pointer blocks with it.
 	ptrsCleared bool
 	// forced: File.Sync has forced the file since it was loaded, so its
-	// writes are compared with the bytes they replace (noteWrite). A file
+	// writes are compared with the bytes they replace (durable). A file
 	// nobody forces — a database being bulk-loaded — costs no comparison.
 	forced bool
 }

@@ -3,10 +3,7 @@ package lfs
 import (
 	"bytes"
 	"cmp"
-	"encoding/binary"
 	"fmt"
-	"maps"
-	"math/bits"
 	"slices"
 
 	"repro/internal/buffer"
@@ -25,168 +22,42 @@ import (
 // last logged copy. A checkpoint logs every block whose newest bytes exist
 // only in patches before it moves the roll-forward start past them.
 //
-// The file system learns which bytes changed by comparing each write with the
-// cached bytes it replaces (noteWrite): a write-ahead log rewrites its whole
-// tail block to append a few hundred bytes, and only the header and the new
-// payload differ; a TPC-B transaction changes three balance records and
-// appends one history record.
+// The patches are the spans of the blocks' records of changed bytes
+// (buffer.Changed, durable): a WAL append or a TPC-B transaction changes a few
+// hundred bytes of the blocks it rewrites.
 
-// span is a byte range [lo, hi) of a block.
-type span struct{ lo, hi int }
-
-// maxSpans bounds the ranges a delta keeps; a range that would be one more
-// is joined to its nearer neighbour, the bytes between them included. Six
-// keep a delta within the 128 bytes a map stores in place.
-const maxSpans = 6
-
-// delta is what a dirty block changed since its bytes were last durable,
-// while that is known: the byte ranges, sorted and disjoint, and the bytes
-// their patch records would take. buf is the buffer the ranges describe; a
-// block evicted and fetched again is another buffer, and no delta.
-type delta struct {
-	buf   *buffer.Buf
-	spans [maxSpans]span
-	n     int
-	size  int
-}
-
-// ranges returns the tracked ranges.
-func (d *delta) ranges() []span { return d.spans[:d.n] }
-
-// add merges [lo, hi) into the ranges; ranges closer than a patch header
-// join, since a second record would cost more than the bytes between them.
-// Bytes a range covers that the writes did not change still hold their
-// durable values, so a patch may carry them. add reports whether the
-// patches still fit room.
-func (d *delta) add(lo, hi, room int) bool {
-	i := 0
-	for i < d.n && d.spans[i].hi+patchHeaderSize <= lo {
-		i++
-	}
-	j := i
-	for j < d.n && d.spans[j].lo <= hi+patchHeaderSize {
-		j++
-	}
-	if i == j && d.n == maxSpans {
-		if j == d.n || i > 0 && lo-d.spans[i-1].hi <= d.spans[j].lo-hi {
-			i--
-		} else {
-			j++
-		}
-	}
-	// [lo, hi) and spans i..j-1 become one span in slot i.
-	for _, r := range d.spans[i:j] {
-		lo, hi = min(lo, r.lo), max(hi, r.hi)
-		d.size -= patchHeaderSize + r.hi - r.lo
-	}
-	copy(d.spans[i+1:], d.spans[j:d.n])
-	d.n += 1 - (j - i)
-	d.spans[i] = span{lo, hi}
-	d.size += patchHeaderSize + hi - lo
-	return d.size <= room
-}
-
-// diff adds to d the ranges where old and new differ, new being written at
-// offset off of the block, a word at a time. It stops, reporting false, once
-// the patches outgrow room.
-func (d *delta) diff(old, new []byte, off, room int) bool {
-	if bytes.Equal(old, new) {
-		return true
-	}
-	le := binary.LittleEndian
-	n := len(new)
-	for i := 0; i < n; {
-		for i+8 <= n {
-			if x := le.Uint64(old[i:]) ^ le.Uint64(new[i:]); x != 0 {
-				i += bits.TrailingZeros64(x) / 8
-				break
-			}
-			i += 8
-		}
-		for i < n && old[i] == new[i] {
-			i++
-		}
-		if i == n {
-			break
-		}
-		// The run ends at its last differing byte before patchHeaderSize
-		// equal ones.
-		lo, hi := i, i+1
-		for j := hi; j < n && j-hi < patchHeaderSize; {
-			if j+8 <= n {
-				if x := le.Uint64(old[j:]) ^ le.Uint64(new[j:]); x != 0 {
-					hi = j + 8 - bits.LeadingZeros64(x)/8
-				}
-				j += 8
-			} else {
-				if old[j] != new[j] {
-					hi = j + 1
-				}
-				j++
-			}
-			if hi-lo+patchHeaderSize > room {
-				return false
-			}
-		}
-		if !d.add(off+lo, off+hi, room) {
-			return false
-		}
-		i = hi
-	}
-	return true
-}
-
-// noteWrite is ufs.Ops.Note: p is about to be copied into b at off. Only the
-// writes to a file File.Sync has forced (inode.forced) or that is
-// transaction-protected are measured: a protected file's first commit after
-// its load may then be a summary-only force too. A clean buffer's delta
-// starts empty, measured from the block's durable image: the buffer's bytes,
-// fetched from the log — or the stage copy, when it is parked durable
-// (writeback), since a fresh buffer was not fetched. There is none to
-// measure from when the stage holds another copy, or the pool skipped the
-// fetch (fresh) of a block that is no hole and not staged. A dirty buffer's
-// delta grows by what p changes. A dirty block with no delta changed in ways
-// nobody measured, and stays so until it is logged whole.
+// durable is ufs.Ops.Durable. Only writes to a file File.Sync has forced
+// (inode.forced) or that is transaction-protected are measured; any other
+// leaves its buffer's record unknown. A clean buffer is measured against its
+// bytes as fetched or, parked durable (writeback), the stage copy; against
+// nothing when the stage holds an undurable copy, or the pool skipped the
+// fetch (fresh) of a block that is no hole.
 //
 //simlint:noalloc
-func (fs *FS) noteWrite(in *inode, b *buffer.Buf, off int, p []byte, fresh bool) {
+func (fs *FS) durable(in *inode, b *buffer.Buf, fresh bool) []byte {
 	if !in.forced && !in.TxnProtected() {
-		return
+		return nil
 	}
-	d, ok := fs.deltas[b.ID]
-	old := b.Data
-	switch {
-	case !b.Dirty():
-		if staged, parked := fs.stage.Lookup(b.ID); parked && fs.stage.Durable(b.ID) {
-			old = staged
-		} else if parked || fresh && !fs.knownHoleLocked(in, b.ID) {
-			delete(fs.deltas, b.ID)
-			return
-		}
-		d = delta{buf: b}
-	case !ok || d.buf != b:
-		delete(fs.deltas, b.ID)
-		return
+	if b.Dirty() {
+		return b.Data
 	}
-	if !d.diff(old[off:off+len(p)], p, off, patchRoom(fs.blockSize, 0)) {
-		delete(fs.deltas, b.ID)
-		return
+	switch staged, parked := fs.stage.Lookup(b.ID); {
+	case parked && fs.stage.Durable(b.ID):
+		return staged
+	case parked || fresh && !fs.knownHoleLocked(in, b.ID):
+		return nil
 	}
-	//simlint:alloc(the map grows to the dirty blocks a commit force could patch; a write that overflows a summary adds none)
-	fs.deltas[b.ID] = d
+	return b.Data
 }
 
-// rediffLocked gives dirty buffer b, whose block was just logged as logged,
-// the delta between the two, if its file's writes are measured and the
-// delta fits a summary.
+// rediffLocked re-bases dirty buffer b, whose block was just made durable as
+// logged: its record becomes their diff, if its file's writes are measured.
 func (fs *FS) rediffLocked(b *buffer.Buf, logged []byte) {
 	if in := fs.inodes[Ino(b.ID.File)]; !in.forced && !in.TxnProtected() {
-		return
+		logged = nil
 	}
-	d := delta{buf: b}
-	if d.diff(logged, b.Data, 0, patchRoom(fs.blockSize, 0)) {
-		fs.deltas[b.ID] = d
-	}
+	b.Changed = buffer.Changed{}
+	b.Note(logged, 0, b.Data, fs.room)
 }
 
 // knownHoleLocked reports whether block id is a hole, as far as the inode
@@ -196,7 +67,7 @@ func (fs *FS) rediffLocked(b *buffer.Buf, logged []byte) {
 // double-indirect range counts as no hole. Mount loads every inode's single
 // indirect block and nothing unloads one (TestMountLoadsEveryIndirectBlock),
 // so an inode without one has never logged one: every block in its range is
-// a hole. (A hole with bytes in patches is dirty or staged, so noteWrite
+// a hole. (A hole with bytes in patches is dirty or staged, so durable
 // never asks.)
 func (fs *FS) knownHoleLocked(in *inode, id buffer.BlockID) bool {
 	switch lbn := id.Block; {
@@ -211,14 +82,6 @@ func (fs *FS) knownHoleLocked(in *inode, id buffer.BlockID) bool {
 	default:
 		return in.ind == nil || in.ind.ptrs[lbn-NDirect] == 0
 	}
-}
-
-// forgetDeltasLocked drops what is known of a file's changed ranges and
-// patched blocks: the file system is freeing its blocks.
-func (fs *FS) forgetDeltasLocked(ino Ino) {
-	file := vfs.FileID(ino)
-	maps.DeleteFunc(fs.deltas, func(id buffer.BlockID, _ delta) bool { return id.File == file })
-	maps.DeleteFunc(fs.patched, func(id buffer.BlockID, _ []patch) bool { return id.File == file })
 }
 
 // Patched reports whether block id's newest durable bytes are in summary
@@ -285,13 +148,15 @@ func (fs *FS) planForceLocked(set map[Ino]bool, commit []CommitPage) (summaryFor
 	size := 0
 	for _, cp := range f.pages {
 		b := fs.pool.Lookup(cp.ID)
-		d, ok := fs.deltas[cp.ID]
-		known := b != nil && ok && d.buf == b
+		spans, n, known := []buffer.Span(nil), 0, false
+		if b != nil {
+			spans, n, known = b.Changed.Spans()
+		}
 		if commit == nil {
 			if !known {
 				return summaryForce{}, &causes.NoDelta, nil
 			}
-			if size += d.size; size > room {
+			if size += n; size > room {
 				return summaryForce{}, &causes.SummaryRoom, nil
 			}
 		}
@@ -309,8 +174,8 @@ func (fs *FS) planForceLocked(set map[Ino]bool, commit []CommitPage) (summaryFor
 			f.patches = append(f.patches, patch{Ino: Ino(cp.ID.File), LBN: cp.ID.Block, Data: data})
 			continue
 		}
-		for _, r := range d.ranges() {
-			f.patches = append(f.patches, patch{Ino: Ino(cp.ID.File), LBN: cp.ID.Block, Off: r.lo, Data: data[r.lo:r.hi]})
+		for _, r := range spans {
+			f.patches = append(f.patches, patch{Ino: Ino(cp.ID.File), LBN: cp.ID.Block, Off: int(r.Lo), Data: data[r.Lo:r.Hi]})
 		}
 	}
 	slices.SortFunc(f.patches, func(a, b patch) int {
@@ -368,10 +233,10 @@ func (fs *FS) forceLocked(set map[Ino]bool, commit []CommitPage) error {
 			data = b.Data
 		}
 		// The page's durable image is now data, which a buffer differs from
-		// by its diff; one patched from an Image keeps a known delta's
-		// ranges, which still cover its running writer's bytes.
-		if d, ok := fs.deltas[cp.ID]; cp.Image == nil || !ok || d.buf != b {
-			if b != nil && b.Dirty() {
+		// by its diff; one patched from an Image keeps a known record's
+		// spans, which still cover its running writer's bytes.
+		if b != nil && b.Dirty() {
+			if _, _, known := b.Changed.Spans(); cp.Image == nil || !known {
 				fs.rediffLocked(b, data)
 			}
 		}

@@ -10,49 +10,61 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/disk"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 )
 
-// TestDeltaKeepsChangedRanges: a delta holds the bytes a write changed, not
-// the bytes it wrote; runs closer than a patch header join, and a range past
-// maxSpans joins its nearer neighbour.
+// TestDeltaKeepsChangedRanges: a buffer's record holds the bytes a write
+// changed, not the bytes it wrote, as the spans LFS's patches carry; runs
+// closer than a patch header join, and a range past buffer.MaxSpans joins its
+// nearer neighbour.
 func TestDeltaKeepsChangedRanges(t *testing.T) {
 	const bs = 4096
-	room := patchRoom(bs, 0)
+	room := buffer.Room{Bytes: patchRoom(bs, 0), Header: patchHeaderSize}
 	old := make([]byte, bs)
 	new := bytes.Clone(old)
 	copy(new[0:], "header")     // bytes 0-5
 	copy(new[16:], "body")      // 16-19: within a header's length of the first run
 	copy(new[1000:], "payload") // 1000-1006
-	var d delta
-	if !d.diff(old, new, 0, room) {
+	b := &buffer.Buf{Data: bytes.Clone(old)}
+	b.Note(old, 0, new, room)
+	spans, size, ok := b.Changed.Spans()
+	if !ok {
 		t.Fatal("a 17-byte change does not fit")
 	}
-	if got, want := d.ranges(), []span{{0, 20}, {1000, 1007}}; !slices.Equal(got, want) {
-		t.Fatalf("ranges %v, want %v", got, want)
+	if want := []buffer.Span{{Lo: 0, Hi: 20}, {Lo: 1000, Hi: 1007}}; !slices.Equal(spans, want) {
+		t.Fatalf("ranges %v, want %v", spans, want)
 	}
-	if want := 2*patchHeaderSize + 20 + 7; d.size != want {
-		t.Fatalf("size %d, want %d", d.size, want)
+	if want := 2*patchHeaderSize + 20 + 7; size != want {
+		t.Fatalf("size %d, want %d", size, want)
 	}
 	// A rewrite of the same bytes changes nothing.
-	before := d
-	if !d.diff(new, new, 0, room) || d != before {
-		t.Fatal("an identical write changed the delta")
+	copy(b.Data, new)
+	before := b.Changed
+	if b.Note(b.Data, 0, new, room); b.Changed != before {
+		t.Fatal("an identical write changed the record")
 	}
-	// More ranges than maxSpans: the last joins its nearer neighbour.
-	var m delta
-	for i := 0; i <= maxSpans; i++ {
-		m.add(100*i, 100*i+1, room)
+	// More ranges than MaxSpans: the last joins its nearer neighbour.
+	many := bytes.Clone(old)
+	for i := 0; i <= buffer.MaxSpans; i++ {
+		many[100*i] = 1
 	}
-	if m.n != maxSpans || m.spans[maxSpans-1] != (span{100 * (maxSpans - 1), 100*maxSpans + 1}) {
-		t.Fatalf("after %d ranges: %v", maxSpans+1, m.ranges())
+	m := &buffer.Buf{Data: bytes.Clone(old)}
+	m.Note(old, 0, many, room)
+	spans, _, _ = m.Changed.Spans()
+	if len(spans) != buffer.MaxSpans || spans[buffer.MaxSpans-1] != (buffer.Span{Lo: 100 * (buffer.MaxSpans - 1), Hi: 100*buffer.MaxSpans + 1}) {
+		t.Fatalf("after %d ranges: %v", buffer.MaxSpans+1, spans)
 	}
-	// A change that cannot fit a summary stops the comparison.
-	var full delta
-	if full.diff(make([]byte, bs), bytes.Repeat([]byte{1}, bs), 0, room) {
+	// A change that cannot fit a summary drops the spans; the hull stays.
+	full := &buffer.Buf{Data: bytes.Clone(old)}
+	full.Note(old, 0, bytes.Repeat([]byte{1}, bs), room)
+	if _, _, ok := full.Changed.Spans(); ok {
 		t.Fatal("a whole changed block fits a summary")
+	}
+	if lo, hi := full.Changed.Hull(); lo != 0 || hi != bs {
+		t.Fatalf("hull [%d, %d), want the block", lo, hi)
 	}
 }
 

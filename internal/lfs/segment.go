@@ -661,11 +661,10 @@ func (fs *FS) writePartialLocked(chunk []dataItem, metaOnly []Ino, deferPtr bool
 
 	// 5. The written blocks are now clean/persisted, their patches superseded.
 	// A dirty buffer logged from its staged copy differs from the log by
-	// their diff, its delta from now on; the copy is read before Unpark
+	// their diff, its record from now on; the copy is read before Unpark
 	// recycles its frame. A staged block no buffer holds stays kept in its
 	// frame, the bytes now at its address, for a fetch to read.
 	for _, it := range chunk {
-		delete(fs.deltas, it.id)
 		b := fs.pool.Lookup(it.id)
 		if it.buf != nil {
 			fs.pool.MarkClean(it.buf)

@@ -81,7 +81,7 @@ func TestSummaryForceTransfersItsSectors(t *testing.T) {
 }
 
 // An FFS in-place write moves only the sectors its block's changed bytes fill
-// (ffs.noteWrite), and a run of them from its first block's first changed
+// (the hull of buffer.Changed), and a run of them from its first block's first changed
 // sector through its last block's last: a user-ffs WAL force changes only the
 // records it appends, in the tail block and the fresh block after it, which
 // the log's preallocation left zero on disk. At MPL 1 such writes happen, and

@@ -149,14 +149,12 @@ func (fs *FS[N]) writeAt(in N, p []byte, off int64) (int, error) {
 		if bo == 0 && want == int(fs.bs) {
 			fetch = nil
 		}
-		fresh := fetch == nil && fs.ops.Note != nil && fs.ops.Pool.Lookup(id) == nil
+		fresh := fetch == nil && fs.ops.Pool.Lookup(id) == nil
 		b, err := fs.ops.Pool.GetForWrite(id, fetch)
 		if err != nil {
 			return n, err
 		}
-		if fs.ops.Note != nil {
-			fs.ops.Note(in, b, int(bo), p[n:n+want], fresh)
-		}
+		b.Note(fs.ops.Durable(in, b, fresh), int(bo), p[n:n+want], fs.ops.Room)
 		copy(b.Data[bo:], p[n:n+want])
 		fs.ops.Pool.MarkDirty(b)
 		fs.ops.Pool.Release(b)

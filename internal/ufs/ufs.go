@@ -9,7 +9,8 @@
 // interface; this package is that interface's single implementation. It also
 // holds the one write-behind rule both obey (Stage): a dirty block the cache
 // evicts waits in a bounded table for the next flush instead of being written
-// where it stands.
+// where it stands. Its write path keeps, for both, each buffer's record of
+// changed bytes (buffer.Changed).
 package ufs
 
 import (
@@ -101,12 +102,12 @@ type Ops[N Node] struct {
 	// partial segment, FFS as one C-SCAN sweep), and on FFS it runs the 30 s
 	// syncer, which also stores the inodes that are merely Dirty.
 	Tick func() error
-	// Note, if set, is shown every write before its bytes reach the buffer:
-	// p is about to be copied into b at off. fresh says the pool handed out a
-	// zeroed buffer without fetching the block, as it does for a whole-block
-	// overwrite, so b's bytes are not the block's. LFS learns from it which
-	// bytes a File.Sync has to make durable.
-	Note func(in N, b *buffer.Buf, off int, p []byte, fresh bool)
+	// Durable, asked before every write to b, returns what the write is
+	// measured against for b's record of changed bytes (buffer.Changed): b's
+	// bytes while b is dirty, a clean b's durable image, or nil for unknown.
+	// fresh says the pool zeroed b without fetching the block.
+	Durable func(in N, b *buffer.Buf, fresh bool) []byte
+	Room    buffer.Room // bounds the records' spans; zero keeps only the hull
 
 	// InodeAtSync makes File.Sync write the inode whenever it is Dirty, as a
 	// full fsync(2) would. It is the second arm of `txnbench -fig fsync` and
