@@ -141,6 +141,13 @@ func (c *Changed) add(lo, hi int, room Room) bool {
 	return size <= room.Bytes
 }
 
+// Hull returns the bytes [lo, hi) from the first through the last byte where
+// old and new differ, lo == hi == len(new) when none does. old and new have
+// equal lengths: a page write hands over the whole page.
+//
+//simlint:noalloc
+func Hull(old, new []byte) (lo, hi int) { return nextRun(old, new, 0, len(new)) }
+
 // nextRun is the one diff scanner: the first run at or after i of bytes where
 // old and new differ, compared a word at a time. The run starts at a
 // differing byte and ends after the last one not followed by gap equal bytes,

@@ -2,8 +2,11 @@ package buffer
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 // TestChangedRecordProperties drives a buffer's record of changed bytes with
@@ -128,4 +131,115 @@ func checkRecord(t *testing.T, seed int64, step int, c *Changed, changed []bool,
 			fail("changed byte %d lies in no span of %v", i, spans)
 		}
 	}
+}
+
+// naiveHull is Hull as a byte loop: the first and one past the last byte
+// where old and new differ, (len(new), len(new)) when none does.
+func naiveHull(old, new []byte) (lo, hi int) {
+	lo, hi = len(new), len(new)
+	for i := range new {
+		if old[i] != new[i] {
+			if lo == len(new) {
+				lo = i
+			}
+			hi = i + 1
+		}
+	}
+	return lo, hi
+}
+
+func naiveZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// checkScanners checks Hull on (old, new), and frame.IsZero on both and on
+// every suffix of new that starts in its first 25 bytes, against byte loops.
+func checkScanners(t *testing.T, what string, old, new []byte) {
+	t.Helper()
+	lo, hi := Hull(old, new)
+	if wlo, whi := naiveHull(old, new); lo != wlo || hi != whi {
+		t.Fatalf("%s: Hull = [%d, %d), want [%d, %d)", what, lo, hi, wlo, whi)
+	}
+	for _, b := range [][]byte{old, new} {
+		if got, want := frame.IsZero(b), naiveZero(b); got != want {
+			t.Fatalf("%s: IsZero of %d bytes = %v, want %v", what, len(b), got, want)
+		}
+	}
+	for i := 0; i < min(len(new), 25); i++ {
+		if got, want := frame.IsZero(new[i:]), naiveZero(new[i:]); got != want {
+			t.Fatalf("%s: IsZero of new[%d:] = %v, want %v", what, i, got, want)
+		}
+	}
+}
+
+// TestScannersMatchByteLoops pins the word-at-a-time scanners, Hull and
+// frame.IsZero, to byte loops on every alignment a word boundary can fall
+// on: identical inputs of 0-17 bytes, one changed byte at each of the first
+// 25 offsets and the last 16 of a block (and beside frame.IsZero's chunk
+// boundary), and two changed bytes with 0-17 equal bytes between them. Each
+// runs over a zero and a random base, with the change in a byte's low bit,
+// its high bit and all of it.
+func TestScannersMatchByteLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	base := func(n int, zero bool) []byte {
+		b := make([]byte, n)
+		if !zero {
+			rng.Read(b)
+		}
+		return b
+	}
+	for _, zero := range []bool{true, false} {
+		for n := 0; n <= 17; n++ {
+			old := base(n, zero)
+			checkScanners(t, fmt.Sprintf("identical, %d bytes", n), old, bytes.Clone(old))
+		}
+		for _, x := range []byte{0x01, 0x80, 0xFF} {
+			for _, n := range []int{25, 4096, 32<<10 + 5} {
+				var offs []int
+				for i := 0; i < 25; i++ {
+					offs = append(offs, i)
+				}
+				for i := n - 16; i < n; i++ {
+					offs = append(offs, i)
+				}
+				for i := 16<<10 - 9; i <= 16<<10+9 && i < n; i++ {
+					offs = append(offs, i)
+				}
+				old := base(n, zero)
+				for _, i := range offs {
+					new := bytes.Clone(old)
+					new[i] ^= x
+					checkScanners(t, fmt.Sprintf("byte %d of %d ^ %#x", i, n, x), old, new)
+				}
+			}
+			for gap := 0; gap <= 17; gap++ {
+				const n = 4096
+				old := base(n, zero)
+				for _, i := range []int{0, 3, 8, 13, n - 2 - gap} {
+					new := bytes.Clone(old)
+					new[i] ^= x
+					new[i+1+gap] ^= x
+					checkScanners(t, fmt.Sprintf("bytes %d and %d ^ %#x", i, i+1+gap, x), old, new)
+				}
+			}
+		}
+	}
+}
+
+// FuzzScanners checks Hull and frame.IsZero against byte loops on any pair
+// of equal-length inputs (the longer one is cut to the shorter's length).
+func FuzzScanners(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte("0123456789abcdefg"), []byte("0123456789abcdefG"))
+	f.Add(make([]byte, 24), append(make([]byte, 23), 1))
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0}, make([]byte, 9))
+	f.Fuzz(func(t *testing.T, old, new []byte) {
+		n := min(len(old), len(new))
+		checkScanners(t, "fuzz", old[:n], new[:n])
+	})
 }

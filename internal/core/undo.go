@@ -86,14 +86,7 @@ func (m *Manager) writeHeldLocked(t *Txn, f *File, page int64, data []byte, off 
 		old = before
 	}
 	if m.vers.Active() {
-		lo, hi := 0, len(data)
-		for lo < hi && old[lo] == data[lo] {
-			lo++
-		}
-		for hi > lo && old[hi-1] == data[hi-1] {
-			hi--
-		}
-		if lo < hi {
+		if lo, hi := buffer.Hull(old, data); lo < hi {
 			m.recordVersionLocked(t.id, id, off+lo, old[lo:hi])
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -456,7 +457,7 @@ func (d *Device) storeRange(start int64, bufs [][]byte, lo, hi int) {
 func (d *Device) store(block int64, off int, buf []byte) {
 	dst := d.blocks[block]
 	if dst == nil {
-		if allZero(buf) {
+		if frame.IsZero(buf) {
 			return
 		}
 		bs := d.model.BlockSize
@@ -467,15 +468,6 @@ func (d *Device) store(block int64, off int, buf []byte) {
 		d.blocks[block] = dst
 	}
 	copy(dst[off:], buf)
-}
-
-func allZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // WriteRun writes len(bufs) contiguous blocks starting at start in a single

@@ -35,6 +35,20 @@ func Zero(size int) []byte {
 	return zeros[:size:size]
 }
 
+// IsZero reports whether every byte of b is zero, comparing it with the shared
+// zero buffer a chunk at a time (bytes.Equal compares words, not bytes).
+//
+//simlint:noalloc
+func IsZero(b []byte) bool {
+	for len(b) > len(zeros) {
+		if !bytes.Equal(b[:len(zeros)], zeros[:]) {
+			return false
+		}
+		b = b[len(zeros):]
+	}
+	return bytes.Equal(b, zeros[:len(b)])
+}
+
 // List is a LIFO list of free frames of one size. LIFO keeps the order frames
 // are handed out a pure function of the Take/Give sequence, and the frame
 // taken next is the one most recently in cache. A List grows to the

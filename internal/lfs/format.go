@@ -24,6 +24,7 @@ import (
 	"hash/crc32"
 
 	"repro/internal/disk"
+	"repro/internal/frame"
 	"repro/internal/ufs"
 )
 
@@ -409,18 +410,8 @@ func decodeSummary(block []byte, addr int64) (summary, bool) {
 		p.Data = b[off : off+n]
 		off += n
 	}
-	if !allZero(b[off:]) || s.sectors() != sectors {
+	if !frame.IsZero(b[off:]) || s.sectors() != sectors {
 		return s, false
 	}
 	return s, true
-}
-
-// allZero reports whether every byte of b is zero.
-func allZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"repro/internal/frame"
 	"repro/internal/ufs"
 )
 
@@ -187,7 +188,7 @@ func decodeInodePack(b []byte) ([]*inode, error) {
 		return nil, fmt.Errorf("%w: inode pack count %d", ErrCorrupt, n)
 	}
 	end := packHeader + n*inodeWireSize
-	if !allZero(b[8:packHeader]) || !allZero(b[end:]) {
+	if !frame.IsZero(b[8:packHeader]) || !frame.IsZero(b[end:]) {
 		return nil, fmt.Errorf("%w: inode pack padding", ErrCorrupt)
 	}
 	out := make([]*inode, 0, n)

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/disk"
+	"repro/internal/frame"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 )
@@ -239,7 +240,7 @@ func TestTornSummarySectorEndsTheLog(t *testing.T) {
 		head := func() int64 { return fs.segBase(fs.curSeg) + fs.curOff }
 		for v := 1; ; v++ {
 			stale, _ := dev.Peek(head())
-			if !allZero(stale[disk.SectorSize:2*disk.SectorSize]) && fs.free >= cleanThreshold && fs.curOff > 0 {
+			if !frame.IsZero(stale[disk.SectorSize:2*disk.SectorSize]) && fs.free >= cleanThreshold && fs.curOff > 0 {
 				break
 			}
 			if v > 2000 {

@@ -137,11 +137,10 @@ func (s *txnStore) WritePage(n int64, p []byte) error {
 	defer e.pool.Release(b)
 
 	// Log only the changed byte range (WAL delta logging, §4.3).
-	lo, hi := diffRange(b.Data, p)
+	lo, hi := buffer.Hull(b.Data, p)
 	if lo < hi {
 		before := append([]byte(nil), b.Data[lo:hi]...)
-		after := append([]byte(nil), p[lo:hi]...)
-		if _, err := e.log.LogUpdate(s.t.id, s.db.id, n, uint32(lo), before, after); err != nil {
+		if _, err := e.log.LogUpdate(s.t.id, s.db.id, n, uint32(lo), before, p[lo:hi]); err != nil {
 			return err
 		}
 		e.undo[s.t.id] = append(e.undo[s.t.id], undoRec{db: s.db.id, page: n, offset: uint32(lo), before: before})
@@ -182,29 +181,4 @@ func (s *txnStore) AllocPage() (int64, error) {
 		return 0, err
 	}
 	return np, nil
-}
-
-// diffRange returns the smallest [lo, hi) byte range where old and new
-// differ (lo == hi when identical).
-func diffRange(old, new []byte) (int, int) {
-	n := len(old)
-	if len(new) < n {
-		n = len(new)
-	}
-	lo := 0
-	for lo < n && old[lo] == new[lo] {
-		lo++
-	}
-	if lo == n && len(old) == len(new) {
-		return 0, 0
-	}
-	hiOld, hiNew := len(old), len(new)
-	for hiOld > lo && hiNew > lo && old[hiOld-1] == new[hiNew-1] {
-		hiOld--
-		hiNew--
-	}
-	if hiNew < hiOld {
-		hiNew = hiOld
-	}
-	return lo, hiNew
 }

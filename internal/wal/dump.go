@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/frame"
 	"repro/internal/vfs"
 )
 
@@ -77,9 +78,9 @@ func dumpSegment(w io.Writer, fsys vfs.FileSystem, base string, seq uint64) erro
 	var stream []byte
 	streamDone := false
 	for off, blk := BlockSize, int64(0); off+BlockSize <= len(raw); off, blk = off+BlockSize, blk+1 {
-		if unwritten(raw[off : off+BlockSize]) {
+		if frame.IsZero(raw[off : off+BlockSize]) {
 			first := blk
-			for off+2*BlockSize <= len(raw) && unwritten(raw[off+BlockSize:off+2*BlockSize]) {
+			for off+2*BlockSize <= len(raw) && frame.IsZero(raw[off+BlockSize:off+2*BlockSize]) {
 				off, blk = off+BlockSize, blk+1
 			}
 			fmt.Fprintf(w, "  block %4d-%d: unwritten\n", first, blk)
@@ -111,7 +112,7 @@ func dumpSegment(w io.Writer, fsys vfs.FileSystem, base string, seq uint64) erro
 	for off < int64(len(stream)) {
 		r, sz, err := decodeRecord(stream[off:])
 		if err != nil {
-			if !unwritten(stream[off:]) {
+			if !frame.IsZero(stream[off:]) {
 				fmt.Fprintf(w, "  record @%s: TORN (%d trailing bytes undecodable)\n",
 					makeLSN(seq, off), int64(len(stream))-off)
 			}

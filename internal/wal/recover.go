@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sort"
 
+	"repro/internal/frame"
 	"repro/internal/vfs"
 )
 
@@ -190,13 +191,13 @@ func (m *Manager) openSegment(seq uint64) (*segWriter, bool, error) {
 	keep := (validEnd + PayloadSize - 1) / PayloadSize // data blocks the stream occupies
 	last := int64(-1)                                  // last data block holding anything
 	for b := int64(len(raw))/BlockSize - 2; b >= keep; b-- {
-		if off := blockFileOff(b); !unwritten(raw[off : off+BlockSize]) {
+		if off := blockFileOff(b); !frame.IsZero(raw[off : off+BlockSize]) {
 			last = b
 			break
 		}
 	}
 	lo := keep
-	if !unwritten(stream[validEnd : keep*PayloadSize]) {
+	if !frame.IsZero(stream[validEnd : keep*PayloadSize]) {
 		lo = keep - 1 // the tail block, re-encoded without its torn bytes
 	}
 	if lo < keep || last >= keep {
@@ -225,7 +226,7 @@ func (m *Manager) openSegment(seq uint64) (*segWriter, bool, error) {
 func assembleStream(raw []byte) (stream []byte, blocks int64, torn bool) {
 	for off := BlockSize; off+BlockSize <= len(raw); off += BlockSize {
 		if _, ok := decodeBlock(raw[off : off+BlockSize]); !ok {
-			return stream, blocks, !unwritten(raw[off : off+BlockSize])
+			return stream, blocks, !frame.IsZero(raw[off : off+BlockSize])
 		}
 		blocks++
 		stream = append(stream, raw[off+blockHdrSize:off+BlockSize]...)
@@ -368,7 +369,7 @@ func (m *Manager) scanSealed(seq uint64, from LSN) (recs []Record, stats ScanSta
 	for off := start - base; off < int64(len(stream)); {
 		r, sz, derr := decodeRecord(stream[off:])
 		if derr != nil {
-			torn = torn || !unwritten(stream[off:]) // not the zeros past the last record
+			torn = torn || !frame.IsZero(stream[off:]) // not the zeros past the last record
 			break
 		}
 		r.LSN = makeLSN(seq, base+off)

@@ -178,20 +178,10 @@ func blockFileOff(n int64) int64 { return BlockSize * (n + 1) }
 // segFileSize is the length a segment file is created at: the header and
 // every data block a stream of segBytes fills. Preallocated, a segment's block
 // map never changes while its stream grows, so a force overwrites blocks the
-// file already has and a commit's File.Sync has no inode to store.
+// file already has and a commit's File.Sync has no inode to store. A block no
+// force has reached yet, or one recovery cleared, is all zeros (frame.IsZero).
 func segFileSize(segBytes int64) int64 {
 	return blockFileOff((segBytes + PayloadSize - 1) / PayloadSize)
-}
-
-// unwritten reports whether a block is all zeros: a block of a preallocated
-// segment that no force has reached yet, or one recovery cleared.
-func unwritten(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // encodeBlock fills dst (BlockSize bytes) with a data block: header +

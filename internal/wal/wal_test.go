@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/ffs"
+	"repro/internal/frame"
 	"repro/internal/lfs"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -701,11 +702,11 @@ func TestTornTailClearedInPlace(t *testing.T) {
 				t.Fatalf("file size %d after open, want the preallocated %d", size, segFileSize(DefaultSegmentBytes))
 			}
 			tail := readBlock(t, h.fsys, seg, 0)
-			if _, ok := decodeBlock(tail); !ok || !unwritten(tail[blockHdrSize+intactEnd.Offset():]) {
+			if _, ok := decodeBlock(tail); !ok || !frame.IsZero(tail[blockHdrSize+intactEnd.Offset():]) {
 				t.Fatalf("tail block: header valid %v, want it valid and zeros past stream byte %d", ok, intactEnd.Offset())
 			}
 			for n := int64(1); n < 3; n++ {
-				if !unwritten(readBlock(t, h.fsys, seg, n)) {
+				if !frame.IsZero(readBlock(t, h.fsys, seg, n)) {
 					t.Fatalf("block %d not cleared", n)
 				}
 			}
