@@ -1,8 +1,8 @@
 // Command crashsweep runs the deterministic crash-point fault-injection
 // sweep over the three TPC-B transaction systems: a golden run counts the
 // simulated disk's write operations, then each sampled crash point replays
-// the workload, kills the device mid-write (tearing the crashing multi-block
-// transfer unless -torn=false), and drives the system's recovery path —
+// the workload, kills the device mid-write (tearing the crashing write at a
+// sector boundary unless -torn=false), and drives the system's recovery path —
 // LFS roll-forward for kernel-lfs, WAL redo/undo on top of file-system
 // recovery for user-lfs and user-ffs. Every point must come back with all
 // acknowledged transactions durable, no partial transaction visible, a clean
@@ -34,7 +34,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "seed for the workload and torn-write prefixes")
 	points := flag.Int("points", 500, "max crash points to sample (0 = every write op)")
 	txns := flag.Int("txns", 250, "transactions in the golden run")
-	torn := flag.Bool("torn", true, "tear the crashing multi-block write (persist a prefix)")
+	torn := flag.Bool("torn", true, "tear the crashing write (persist a prefix of its sectors)")
 	scale := flag.Float64("diskscale", 0.7, "disk size scale (smaller exercises the cleaner)")
 	logSeg := flag.Int64("logseg", 0, "WAL segment rotation threshold in payload bytes for the user-level systems (0 = wal default; small values put crash points on rotation and truncation)")
 	jsonOut := flag.Bool("json", false, "emit each report as a JSON object instead of a table")

@@ -6,10 +6,11 @@
 // interleavings a deterministic function of the seed. A raw goroutine hands
 // ordering decisions to the Go runtime scheduler instead, so two identical
 // runs can observe different lock-acquisition and disk-queue orders.
-// _test.go files are not exempt — the scheduler's token is the only lock the
-// simulation packages have — but the simlint loader parses none, so for them
-// the rule is applied by internal/analysis's
-// TestNoGoStatementInSimulationTests.
+// internal/sim is bound too: its procs are coroutines (iter.Pull), so the
+// scheduler starts no goroutine of its own. _test.go files are not exempt —
+// the scheduler's token is the only lock the simulation packages have — but
+// the simlint loader parses none, so for them the rule is applied by
+// internal/analysis's TestNoGoStatementInSimulationTests.
 package rawgo
 
 import (

@@ -13,14 +13,15 @@ import (
 //     deliberate and reviewed);
 //   - the map-iteration and raw-goroutine rules apply to the packages that
 //     execute inside the simulation, where iteration order or OS scheduling
-//     would leak into simulated-time results.
+//     would leak into simulated-time results — internal/sim included: its
+//     procs are coroutines, so it starts no goroutine of its own.
 //
 // simScopedPkgs is the single source of truth: both matchers are derived
 // from it, and they accept both full module paths (repro/internal/sim) and
 // bare final elements (sim), so analyzer golden tests can model scoped
 // packages with short testdata import paths.
 var simScopedPkgs = []string{
-	"lock", "wal", "lfs", "ffs", "core", "libtp", "buffer", "disk",
+	"sim", "lock", "wal", "lfs", "ffs", "core", "libtp", "buffer", "disk",
 	"tpcb", "figures", "crashsweep", "trace", "btree",
 	"workload", "recno", "pagestore", "vfs", "ufs", "frame", "mvcc",
 }

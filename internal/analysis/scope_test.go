@@ -9,13 +9,13 @@ import (
 )
 
 // TestNoGoStatementInSimulationTests extends rawgo to the files the loader
-// never parses: a _test.go of internal/sim or of a simulation package may not
-// start a goroutine either. The scheduler's token is the only lock those
-// packages have (DESIGN.md §7), so a test's second thread would race on every
-// structure it touches; concurrency in a test is sim.Scheduler procs.
+// never parses: a _test.go of a simulation package may not start a goroutine
+// either. The scheduler's token is the only lock those packages have
+// (DESIGN.md §7), so a test's second thread would race on every structure it
+// touches; concurrency in a test is sim.Scheduler procs.
 func TestNoGoStatementInSimulationTests(t *testing.T) {
 	fset := token.NewFileSet()
-	for _, pkg := range append([]string{"sim"}, simScopedPkgs...) {
+	for _, pkg := range simScopedPkgs {
 		files, err := filepath.Glob(filepath.Join("..", pkg, "*_test.go"))
 		if err != nil {
 			t.Fatal(err)

@@ -37,7 +37,7 @@ func Setup(s *sim.Scheduler, c *sim.Clock) {
 	c.OnStall(stallHook)
 }
 
-// stallHook runs on the scheduler goroutine with the token held.
+// stallHook runs in Scheduler.Run with the token held.
 func stallHook() bool {
 	pending = 0
 	return false

@@ -3,10 +3,11 @@
 //
 // The simulator's hottest shared state — the tracer's event arenas, the
 // scheduler's runnable heap, per-proc cursors — is deliberately mutex-free:
-// its safety argument is that exactly one goroutine holds the scheduler's
-// control token at any instant, and channel-based handoffs between procs
-// provide the happens-before edges. That argument only holds for code that
-// actually runs in proc context. This analyzer checks it statically:
+// its safety argument is that exactly one proc (or Scheduler.Run, between
+// dispatches) holds the scheduler's control token at any instant, and the
+// coroutine switches that pass it provide the happens-before edges. That
+// argument only holds for code that actually runs in proc context. This
+// analyzer checks it statically:
 //
 //   - state is marked //simlint:tokenguarded on the struct field or package
 //     var declaration;

@@ -4,7 +4,7 @@
 // (densely near commits, checkpoints, and cleaner passes; strided
 // elsewhere), then for each point replays the workload deterministically,
 // crashes the simulated disk mid-write (optionally tearing the crashing
-// multi-block transfer), discards all in-memory state, and drives the
+// write at a sector boundary), discards all in-memory state, and drives the
 // system's recovery path:
 //
 //   - kernel-lfs: LFS checkpoint + roll-forward (the paper's single
@@ -40,9 +40,9 @@ type Options struct {
 	Txns int
 	// Seed seeds the workload and the per-point torn-write prefixes.
 	Seed uint64
-	// Torn enables torn-write mode: the crashing multi-block transfer
-	// persists a deterministic prefix of its blocks (default off = the
-	// crashing write persists nothing).
+	// Torn enables torn-write mode: the crashing write persists a
+	// deterministic prefix of its sectors (default off = the crashing write
+	// persists nothing).
 	Torn bool
 	// MaxPoints bounds the sampled crash points (0 = every write op).
 	MaxPoints int

@@ -136,13 +136,13 @@ func (d *Device) checkFault(op string, start int64, n int) error {
 // CrashAfter schedules a power failure on the n-th write operation since the
 // device was created (1-based; Write, WriteRun and WriteRange each count as
 // one operation — see WriteOps). The crashing operation persists none of its
-// blocks, unless torn is set, in which case a deterministic prefix of the run
-// — chosen by a RNG seeded with seed, possibly empty and possibly the whole
-// run (the "acknowledgement lost" case) — reaches the media before power
-// fails. A write of a sector range tears at a sector boundary: a prefix of its
-// sectors, except that a block the range covers whole still tears only at its
-// edges. The crashing write and every later access return ErrCrashed until
-// ClearCrash. No simulated time is charged for accesses after the crash.
+// blocks, unless torn is set, in which case a deterministic prefix of its
+// sectors — chosen by a RNG seeded with seed, possibly empty and possibly the
+// whole write (the "acknowledgement lost" case) — reaches the media before
+// power fails. A write tears at any sector boundary, inside a block or between
+// blocks alike: only a sector is atomic. The crashing write and every later
+// access return ErrCrashed until ClearCrash. No simulated time is charged for
+// accesses after the crash.
 //
 //simlint:tokensafe(setup-time registration: runs before Run hands the token to any proc)
 func (d *Device) CrashAfter(n int64, torn bool, seed uint64) {
@@ -186,20 +186,11 @@ func (d *Device) noteWrite(start int64, bufs [][]byte, lo, hi int) bool {
 	if !d.crashTorn {
 		return false
 	}
-	// The media wrote blocks, and a block's sectors, strictly in order until
-	// power failed, so what survives is a prefix — anywhere from nothing to
-	// the full write.
+	// The media wrote sectors strictly in order until power failed, and only
+	// a sector is atomic, so what survives is a sector prefix — anywhere from
+	// nothing to the full write, whatever its block edges.
 	rng := sim.NewRNG(d.crashSeed)
-	spb := d.model.BlockSize / SectorSize
-	if lo == 0 && hi == len(bufs)*spb {
-		d.storeRange(start, bufs, 0, rng.Intn(len(bufs)+1)*spb)
-		return false
-	}
-	k := lo + rng.Intn(hi-lo+1)
-	if b := k / spb; k%spb != 0 && lo <= b*spb && (b+1)*spb <= hi {
-		k = b * spb // inside a block the range covers whole: all of it or none
-	}
-	d.storeRange(start, bufs, lo, k)
+	d.storeRange(start, bufs, lo, lo+rng.Intn(hi-lo+1))
 	return false
 }
 

@@ -912,8 +912,9 @@ func TestCrashAfterStopsTheDevice(t *testing.T) {
 }
 
 // TestCrashTornWriteIsDeterministicPrefix checks torn-mode semantics: the
-// crashing run persists a prefix of its blocks chosen by the crash seed, and
-// the same seed always yields the same prefix.
+// crashing run persists a prefix of its sectors chosen by the crash seed (so
+// the blocks it reaches are a prefix too), and the same seed always yields the
+// same prefix.
 func TestCrashTornWriteIsDeterministicPrefix(t *testing.T) {
 	run := func(seed uint64) []byte {
 		dev, _ := newTestDevice()
@@ -992,8 +993,9 @@ func TestCrashTornSubBlockWrite(t *testing.T) {
 }
 
 // TestCrashTornRangeWrite: a torn range write persists a prefix of its
-// sectors chosen by the crash seed, from its first; a block the range covers
-// whole is written all or not at all; everything else keeps what it held.
+// sectors chosen by the crash seed, from its first, and may end inside any
+// block, one the range covers whole included; everything else keeps what it
+// held.
 func TestCrashTornRangeWrite(t *testing.T) {
 	const lo, hi = 5, 16 + 3 // sectors 5–7 of block 7, all of block 8, 0–2 of block 9
 	seen := map[int]bool{}
@@ -1023,13 +1025,14 @@ func TestCrashTornRangeWrite(t *testing.T) {
 			!bytes.Equal(img[k*SectorSize:], bytes.Repeat([]byte{0xaa}, len(img)-k*SectorSize)) {
 			t.Fatalf("seed %d: sectors [%d, %d) written, and something else changed", seed, lo, k)
 		}
-		if k > 8 && k < 16 {
-			t.Fatalf("seed %d: the tear split block 8, which the range covers whole, after its sector %d", seed, k-8)
-		}
 		seen[k] = true
 	}
-	if len(seen) < 4 {
-		t.Fatalf("torn range prefixes show no variety across seeds: %v", seen)
+	split := false
+	for k := range seen {
+		split = split || (k > 8 && k < 16)
+	}
+	if len(seen) < 4 || !split {
+		t.Fatalf("torn range prefixes show no variety across seeds, or none splits block 8: %v", seen)
 	}
 }
 

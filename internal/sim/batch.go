@@ -96,9 +96,9 @@ func (b *Batch) Flush() error {
 }
 
 // stall is the clock's stall hook: every live proc is asleep, so the open
-// batch cannot grow. It runs on the scheduler goroutine, where the clock must
-// not advance, so it only marks the flush due and wakes the earliest sleeper
-// to perform it.
+// batch cannot grow. It runs in Scheduler.Run with no proc current, where the
+// clock must not advance, so it only marks the flush due and wakes the
+// earliest sleeper to perform it.
 //
 //simlint:noalloc
 func (b *Batch) stall() bool {

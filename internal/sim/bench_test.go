@@ -8,8 +8,8 @@ import (
 
 // BenchmarkDispatchYield times the scheduler's core context-switch path: N
 // procs advancing in lockstep, each Yield preempting to the next-earliest
-// proc via the runnable heap and the direct proc-to-proc handoff. ns/op is
-// the wall-clock cost of one dispatch.
+// proc via the runnable heap: a coroutine switch back to Run and one into the
+// next proc. ns/op is the wall-clock cost of one dispatch.
 func BenchmarkDispatchYield(b *testing.B) {
 	for _, n := range []int{2, 16, 64, 256} {
 		b.Run(fmt.Sprintf("procs%d", n), func(b *testing.B) {
@@ -63,7 +63,7 @@ func BenchmarkWakeStorm(b *testing.B) {
 // TestDispatchSteadyStateAllocs pins the scheduler's marginal dispatch cost
 // at zero allocations: two runs differing only in yield count must allocate
 // (within noise) the same total, because the runnable heap reuses its
-// backing array and the park/handoff path is channel-only.
+// backing array and a coroutine switch allocates nothing.
 func TestDispatchSteadyStateAllocs(t *testing.T) {
 	run := func(yields int) func() {
 		return func() {
@@ -83,7 +83,7 @@ func TestDispatchSteadyStateAllocs(t *testing.T) {
 	base := testing.AllocsPerRun(5, run(50))
 	big := testing.AllocsPerRun(5, run(1050))
 	// 4 procs × 1000 extra yields = 4000 extra dispatches per run. Allow a
-	// little slack for runtime-internal noise (goroutine bookkeeping).
+	// little slack for runtime-internal noise.
 	if extra := big - base; extra > 8 {
 		t.Fatalf("4000 extra dispatches allocated %.1f extra allocs/run, want ~0 (base %.1f, big %.1f)",
 			extra, base, big)

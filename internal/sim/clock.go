@@ -27,9 +27,9 @@ import (
 // virtual-time cursor; otherwise they operate on the global cursor.
 //
 // A Clock has no lock of its own, and neither has anything built on it: it
-// must be used from proc context — whichever goroutine holds the scheduler's
-// token — or from the main goroutine while no scheduler runs. The token's
-// channel handoffs order every access.
+// must be used from proc context — whichever proc holds the scheduler's
+// token — or from the main goroutine while no scheduler runs. The coroutine
+// switches that pass the token order every access.
 type Clock struct {
 	now time.Duration
 
@@ -146,7 +146,7 @@ func (c *Clock) OtherRunnable() bool {
 
 // OnStall registers a hook the scheduler calls when every live proc is
 // blocked. A hook returns true if it made progress (woke at least one
-// proc); it runs on the scheduler goroutine with no proc current, so it
+// proc); it runs in Scheduler.Run with no proc current, so it
 // must not advance the clock — typically it flags work as due and wakes a
 // waiter to perform it in proc context. This is the discrete-event
 // analogue of a group-commit timeout firing.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 	"time"
 )
@@ -31,63 +32,35 @@ func (s procState) String() string {
 // own virtual-time cursor: Clock.Now and Clock.Advance operate on the
 // running proc's cursor, so N procs accumulate simulated time independently
 // and the scheduler interleaves them by resuming whichever runnable proc is
-// earliest in virtual time. Procs are backed by goroutines, but exactly one
-// is ever unparked, so code running inside a proc needs no synchronization
-// at all: no other goroutine exists in the simulation packages, tests
-// included (rawgo and TestNoGoStatementInSimulationTests hold that line).
+// earliest in virtual time. A proc is a coroutine (iter.Pull): Run resumes
+// it with next, and it returns control to Run by calling yield, so code
+// running inside a proc needs no synchronization at all: only one of them
+// runs at a time. The simulation packages start no goroutine of their own,
+// tests included (rawgo and TestNoGoStatementInSimulationTests hold that
+// line).
 type Proc struct {
 	id    int
 	name  string
 	sched *Scheduler
 	body  func()
+	next  func() (struct{}, bool) // resumes the proc; false once body has returned
+	yield func(struct{}) bool     // returns control to Run
 
 	//simlint:tokenguarded
 	now time.Duration
 	//simlint:tokenguarded
 	state procState
 	//simlint:tokenguarded
-	blocked  time.Duration // cumulative virtual time spent in procBlocked
-	resume   chan struct{}
-	panicV   any
-	didPanic bool
+	blocked time.Duration // cumulative virtual time spent in procBlocked, for the stall dump
 }
 
-// ID returns the proc's spawn index (also its deterministic tie-break key).
-func (p *Proc) ID() int { return p.id }
-
-// Name returns the label given at Spawn time.
-func (p *Proc) Name() string { return p.name }
-
-// Now returns the proc's virtual-time cursor.
-//
-//simlint:tokensafe(reads the proc's own cursor; meaningful only while the caller holds the token)
-func (p *Proc) Now() time.Duration { return p.now }
-
-// BlockedTime returns the cumulative virtual time the proc spent suspended
-// on a WaitQueue.
-//
-//simlint:tokensafe(reads the proc's own cursor; meaningful only while the caller holds the token)
-func (p *Proc) BlockedTime() time.Duration { return p.blocked }
-
-// park hands control away from p and waits to be resumed: directly to the
-// earliest runnable proc when one exists (one channel handoff, no scheduler
-// round-trip), otherwise back to the scheduler goroutine for stall handling.
-// Called only from the proc's own goroutine, after p's state has been set to
-// procRunnable (yield, with p pushed on the runnable heap) or procBlocked
-// (WaitQueue.Wait).
+// park returns control to Run, which resumes p when it is next popped from
+// the runnable heap. Called only from p's own body, after p's state has been
+// set to procRunnable (Yield, with p pushed on the runnable heap) or
+// procBlocked (WaitQueue.Wait).
 //
 //simlint:noalloc
-func (p *Proc) park() {
-	s := p.sched
-	if q := s.runnable.popMin(); q != nil {
-		s.startRun(q)
-		<-p.resume
-		return
-	}
-	s.handback = p
-	s.parked <- struct{}{}
-	<-p.resume
-}
+func (p *Proc) park() { p.yield(struct{}{}) }
 
 // Scheduler runs a set of virtual processes to completion over a shared
 // Clock, advancing each proc's private virtual-time cursor and resuming the
@@ -105,15 +78,11 @@ func (p *Proc) park() {
 // never on the heap), state transitions happen only at the extremes — pop on
 // dispatch, push on yield/wake — and a woken proc is pushed by wake itself.
 //
-// Control passes between goroutines as a token carried by channel handoffs:
-// a proc that yields or blocks resumes its successor directly instead of
-// round-tripping through the scheduler goroutine, halving the channel
-// operations per context switch. The scheduler goroutine regains control
-// only when no successor is runnable (stall hooks, completion) or a proc
-// panics. Exactly one goroutine holds the token at any instant and every
-// transfer is a channel operation, so the heap, the live counter, and the
-// dispatch counter are safely unlocked: the happens-before edges of the
-// handoff channels order every access.
+// Control is a token that Run holds between dispatches and lends to one
+// proc at a time: Run pops the minimum, resumes it with next, and takes the
+// token back when the proc parks or returns. Every transfer is a coroutine
+// switch, which orders memory like a channel operation, so the heap, the
+// live counter, and the dispatch counter are safely unlocked.
 type Scheduler struct {
 	clock *Clock
 	procs []*Proc
@@ -123,10 +92,7 @@ type Scheduler struct {
 	live int // procs not yet done
 	//simlint:tokenguarded
 	dispatches int64 // control transfers into a proc
-	//simlint:tokenguarded
-	handback *Proc // proc that last returned control to the scheduler
-	parked   chan struct{}
-	started  bool
+	started    bool
 }
 
 // Dispatches returns the number of times control has been transferred into a
@@ -139,7 +105,7 @@ func (s *Scheduler) Dispatches() int64 { return s.dispatches }
 // NewScheduler attaches a scheduler to the clock. Only one scheduler may be
 // attached at a time; it detaches when Run returns.
 func NewScheduler(clock *Clock) *Scheduler {
-	s := &Scheduler{clock: clock, parked: make(chan struct{})}
+	s := &Scheduler{clock: clock}
 	clock.attach(s)
 	return s
 }
@@ -149,30 +115,22 @@ func NewScheduler(clock *Clock) *Scheduler {
 // The proc's virtual clock starts at the global clock's current time.
 //
 //simlint:tokensafe(setup-time registration: runs before Run hands the token to any proc)
-func (s *Scheduler) Spawn(name string, body func()) *Proc {
+func (s *Scheduler) Spawn(name string, body func()) {
 	if s.started {
 		panic("sim: Spawn after Scheduler.Run")
 	}
-	p := &Proc{
-		id:     len(s.procs),
-		name:   name,
-		sched:  s,
-		body:   body,
-		now:    s.clock.now,
-		resume: make(chan struct{}),
-	}
+	p := &Proc{id: len(s.procs), name: name, sched: s, body: body, now: s.clock.now}
 	s.procs = append(s.procs, p)
 	s.runnable.push(p)
 	s.live++
-	return p
 }
 
 // Run executes all spawned procs to completion and returns. It panics if a
-// proc panics (re-raising the proc's panic value) or if every live proc is
-// blocked and no stall hook can make progress — a simulated deadlock the
-// transaction layers failed to resolve.
+// proc panics (next re-raises the proc's panic value, and no other proc runs
+// after it) or if every live proc is blocked and no stall hook can make
+// progress — a simulated deadlock the transaction layers failed to resolve.
 //
-//simlint:tokensafe(Run is the token's home: the main goroutine holds it outside dispatches and the parked channel orders every exchange)
+//simlint:tokensafe(Run is the token's home: it holds the token between dispatches, and every dispatch is a coroutine switch)
 func (s *Scheduler) Run() {
 	if s.started {
 		panic("sim: Scheduler.Run called twice")
@@ -181,30 +139,13 @@ func (s *Scheduler) Run() {
 	defer s.clock.detach(s)
 
 	for _, p := range s.procs {
-		go func() {
-			<-p.resume
-			defer func() {
-				if r := recover(); r != nil {
-					p.panicV = r
-					p.didPanic = true
-				}
-				p.state = procDone
-				s.live--
-				// Hand off to the next runnable proc directly; fall back
-				// to the scheduler when none exists or on panic (the
-				// scheduler re-raises immediately, before any other proc
-				// runs, preserving the fail-fast contract).
-				if !p.didPanic {
-					if q := s.runnable.popMin(); q != nil {
-						s.startRun(q)
-						return
-					}
-				}
-				s.handback = p
-				s.parked <- struct{}{}
-			}()
+		// stop is never called: a stopped proc's yield would return false
+		// and let it run on with no scheduler. A proc that panics has ended
+		// already, and after it the others stay parked.
+		p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
 			p.body()
-		}()
+		})
 	}
 
 	for {
@@ -218,14 +159,13 @@ func (s *Scheduler) Run() {
 			}
 			continue
 		}
-		s.startRun(p)
-		<-s.parked
-		h := s.handback
-		s.handback = nil
-		s.clock.cur = nil
-		if h.didPanic {
-			panic(h.panicV)
+		s.clock.cur = p
+		s.dispatches++
+		if _, ok := p.next(); !ok {
+			p.state = procDone
+			s.live--
 		}
+		s.clock.cur = nil
 	}
 
 	var end time.Duration
@@ -235,17 +175,6 @@ func (s *Scheduler) Run() {
 		}
 	}
 	s.clock.AdvanceTo(end)
-}
-
-// startRun transfers control into p: make it current, count the dispatch,
-// and unpark its goroutine. The caller (scheduler loop, or the proc handing
-// off) holds the control token.
-//
-//simlint:noalloc
-func (s *Scheduler) startRun(p *Proc) {
-	s.clock.cur = p
-	s.dispatches++
-	p.resume <- struct{}{}
 }
 
 // shouldPreempt reports whether another runnable proc is strictly earlier in

@@ -66,7 +66,7 @@ func TestWaitQueueBlockedTime(t *testing.T) {
 	ready := false
 	var blocked time.Duration
 
-	waiter := s.Spawn("waiter", func() {
+	s.Spawn("waiter", func() {
 		for !ready {
 			blocked += q.Wait(clk)
 		}
@@ -80,9 +80,6 @@ func TestWaitQueueBlockedTime(t *testing.T) {
 
 	if blocked != 40*time.Millisecond {
 		t.Fatalf("blocked = %v, want 40ms", blocked)
-	}
-	if waiter.BlockedTime() != 40*time.Millisecond {
-		t.Fatalf("proc blocked time = %v, want 40ms", waiter.BlockedTime())
 	}
 	if got := clk.Now(); got != 40*time.Millisecond {
 		t.Fatalf("final clock = %v", got)
@@ -185,15 +182,40 @@ func TestSpawnAfterRunPanics(t *testing.T) {
 	s.Spawn("b", func() {})
 }
 
-// TestProcPanicPropagates: a panic inside a proc surfaces from Run.
+// TestProcPanicPropagates: a panic inside a proc surfaces from Run at once.
+// Proc 0 parks on a WaitQueue and proc 1 panics; Run re-raises proc 1's value
+// without resuming proc 0 — not even through the stall hook that would wake
+// it — and detaches from the clock, which then takes a new scheduler.
 func TestProcPanicPropagates(t *testing.T) {
 	clk := NewClock()
+	var q WaitQueue
+	clk.OnStall(func() bool { return q.WakeOne(clk) })
 	s := NewScheduler(clk)
-	s.Spawn("boom", func() { panic("kaboom") })
-	defer func() {
-		if r := recover(); r != "kaboom" {
-			t.Fatalf("recovered %v, want kaboom", r)
-		}
+	resumed := false
+	s.Spawn("sleeper", func() {
+		q.Wait(clk)
+		resumed = true
+	})
+	s.Spawn("boom", func() {
+		clk.Advance(time.Millisecond)
+		panic("kaboom")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "kaboom" {
+				t.Fatalf("recovered %v, want kaboom", r)
+			}
+		}()
+		s.Run()
 	}()
-	s.Run()
+	if resumed {
+		t.Fatal("the parked proc ran after another proc panicked")
+	}
+	ran := false
+	s2 := NewScheduler(clk)
+	s2.Spawn("after", func() { ran = true })
+	s2.Run()
+	if !ran {
+		t.Fatal("a scheduler attached after the panic did not run its proc")
+	}
 }

@@ -25,7 +25,7 @@
 // chunked arenas whose blocks are reused-never-moved, and per-proc state
 // lives in a slice indexed by proc slot. Like the simulation itself the
 // Tracer relies on the cooperative scheduling model for safety: exactly one
-// virtual process runs at a time and control moves by channel handoff, so
+// virtual process runs at a time and control moves by coroutine switch, so
 // recording needs no locks. A Tracer must not be shared with goroutines
 // outside the simulation while a run is in progress.
 package trace
@@ -438,7 +438,7 @@ func (t *Tracer) ProcEnd() {
 
 // Events returns a copy of the recorded events, in append order.
 //
-//simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns, when the scheduler goroutine is parked and the main goroutine holds the token)
+//simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns, when no proc runs and the main goroutine holds the token)
 func (t *Tracer) Events() []Event {
 	if t == nil || t.nEvent == 0 {
 		return nil
@@ -452,7 +452,7 @@ func (t *Tracer) Events() []Event {
 
 // EventCount returns the number of recorded events.
 //
-//simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns, when the scheduler goroutine is parked and the main goroutine holds the token)
+//simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns, when no proc runs and the main goroutine holds the token)
 func (t *Tracer) EventCount() int {
 	if t == nil {
 		return 0
