@@ -1,11 +1,10 @@
 // Command simlint statically enforces the simulator's invariants across the
 // repository. Per-package determinism rules: no wall-clock time outside
 // internal/sim (walltime), no global math/rand source (globalrand), no
-// order-sensitive map iteration in simulation packages (mapiter), and no raw
-// goroutines in simulation packages (rawgo). Whole-program rules over the
-// shared call graph: no heap allocation reachable from //simlint:noalloc
-// hot-path roots (noalloc) and no non-proc-context access to
-// //simlint:tokenguarded state (tokenctx).
+// order-sensitive map iteration in simulation packages (mapiter), and no go
+// statement and no sync or sync/atomic import in simulation packages
+// (rawgo). Whole-program rule over the shared call graph: no heap allocation
+// reachable from //simlint:noalloc hot-path roots (noalloc).
 //
 // Usage:
 //
@@ -50,7 +49,7 @@ type finding struct {
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON on stdout")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: simlint [-json] [packages]\n\nEnforces the determinism invariants (walltime, globalrand, mapiter, rawgo)\nand the call-graph invariants (noalloc, tokenctx).\nPackages default to ./...\n")
+		fmt.Fprintf(os.Stderr, "usage: simlint [-json] [packages]\n\nEnforces the determinism invariants (walltime, globalrand, mapiter, rawgo)\nand the call-graph invariant (noalloc).\nPackages default to ./...\n")
 	}
 	flag.Parse()
 	patterns := flag.Args()

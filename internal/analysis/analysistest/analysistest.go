@@ -65,8 +65,8 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 // builds the whole-program call graph over it, applies the global analyzer
 // once, and matches its diagnostics against `// want` annotations gathered
 // from all the packages. Golden trees for the call-graph analyzers model the
-// real module in miniature: a sibling "sim" package stands in for the
-// simulation core so token-entry registration resolves structurally.
+// real module in miniature, so calls across packages resolve as they do in
+// the module.
 func RunProgram(t *testing.T, dir string, a *callgraph.Analyzer, pkgs ...string) {
 	t.Helper()
 	l, err := newLoader(filepath.Join(dir, "src"))

@@ -18,13 +18,6 @@ import (
 //	                                walk stops at it; on a statement line (or
 //	                                the line above): that line's allocations
 //	                                and outgoing calls are justified
-//	//simlint:tokenguarded        — on a struct field or package var: the
-//	                                state relies on the cooperative
-//	                                single-token scheduling model for safety
-//	//simlint:tokensafe(reason)   — on a function declaration (or a func
-//	                                literal's line): reaching token-guarded
-//	                                state from non-proc context here is
-//	                                justified; the tokenctx walk stops at it
 //	//simlint:ordered <reason>    — on a map range: iteration order provably
 //	                                does not escape (mapiter analyzer)
 //
@@ -33,11 +26,9 @@ import (
 
 // Annotation kinds.
 const (
-	AnnotNoalloc      = "noalloc"
-	AnnotAlloc        = "alloc"
-	AnnotTokenguarded = "tokenguarded"
-	AnnotTokensafe    = "tokensafe"
-	AnnotOrdered      = "ordered"
+	AnnotNoalloc = "noalloc"
+	AnnotAlloc   = "alloc"
+	AnnotOrdered = "ordered"
 )
 
 // An Annotation is one parsed //simlint:* comment.
@@ -49,7 +40,7 @@ type Annotation struct {
 
 // Like //go: directives, an annotation must start the comment ("//simlint:"
 // with no space); prose mentioning //simlint:* mid-sentence is not parsed.
-var annotRE = regexp.MustCompile(`^//simlint:(noalloc|alloc|tokenguarded|tokensafe|ordered)\b\s*(?:\(([^)]*)\))?\s*(.*?)\s*$`)
+var annotRE = regexp.MustCompile(`^//simlint:(noalloc|alloc|ordered)\b\s*(?:\(([^)]*)\))?\s*(.*?)\s*$`)
 
 // ParseAnnotation parses a single comment's text, returning ok=false when the
 // comment carries no //simlint: marker.

@@ -11,9 +11,10 @@ import (
 )
 
 // TestSuppressionsCarryJustification walks every Go file in the repository
-// and requires that each //simlint:alloc, //simlint:tokensafe, and
-// //simlint:ordered suppression carries a non-empty justification, and that
-// everything spelled like an annotation actually parses as one. Golden
+// and requires that each //simlint:alloc and //simlint:ordered suppression
+// carries a non-empty justification, and that everything spelled like an
+// annotation actually parses as one (so a directive of a retired kind cannot
+// linger). Golden
 // trees under testdata are exempt: they deliberately include malformed
 // suppressions to exercise the analyzers.
 func TestSuppressionsCarryJustification(t *testing.T) {
@@ -21,7 +22,7 @@ func TestSuppressionsCarryJustification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	needReason := map[string]bool{AnnotAlloc: true, AnnotTokensafe: true, AnnotOrdered: true}
+	needReason := map[string]bool{AnnotAlloc: true, AnnotOrdered: true}
 	fset := token.NewFileSet()
 	checked := 0
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -81,8 +82,8 @@ func TestParseAnnotation(t *testing.T) {
 		{"//simlint:noalloc", true, AnnotNoalloc, ""},
 		{"//simlint:alloc(cold refill slope)", true, AnnotAlloc, "cold refill slope"},
 		{"//simlint:alloc()", true, AnnotAlloc, ""},
-		{"//simlint:tokenguarded", true, AnnotTokenguarded, ""},
-		{"//simlint:tokensafe(collector runs after Run returns)", true, AnnotTokensafe, "collector runs after Run returns"},
+		{"//simlint:tokenguarded", false, "", ""},
+		{"//simlint:tokensafe(collector runs after Run returns)", false, "", ""},
 		{"//simlint:ordered keys sorted before use", true, AnnotOrdered, "keys sorted before use"},
 		{"// prose mentioning //simlint:alloc(x) mid-sentence", false, "", ""},
 		{"// simlint:noalloc", false, "", ""},

@@ -1,6 +1,6 @@
 // Package callgraph builds a whole-module static call graph over the
 // packages loaded by internal/analysis — the shared fact layer the
-// reachability-based simlint analyzers (noalloc, tokenctx) run on top of.
+// reachability-based simlint analyzer noalloc runs on top of.
 //
 // Resolution is CHA-style (class hierarchy analysis) on the standard library
 // only:
@@ -20,12 +20,7 @@
 //     site resolve directly.
 //
 // Calls through plain function-typed values (fields, parameters, locals) are
-// not resolved; the analyzers treat them as leaves. The one load-bearing
-// case — the virtual-process bodies handed to sim.Scheduler.Spawn and the
-// stall hooks handed to sim.Clock.OnStall — is recovered structurally: any
-// function literal, declared function, or method value passed to those two
-// entry points is marked TokenEntry, which is what lets tokenctx tell the
-// proc world from the collector world.
+// not resolved; the analyzers treat them as leaves.
 //
 // Identity is canonical across packages: a *types.Func seen through gc
 // export data (an import) and the same function seen in its source package
@@ -63,14 +58,7 @@ type Func struct {
 	// Contains are the function literals defined directly inside this
 	// function (not inside a deeper literal).
 	Contains []*Func
-	// TokenEntry marks a function passed as a virtual-process body to
-	// sim.Scheduler.Spawn or as a stall hook to sim.Clock.OnStall: it runs
-	// holding the scheduler's control token.
-	TokenEntry bool
 }
-
-// Exported reports whether the function is an exported declaration.
-func (f *Func) Exported() bool { return f.Decl != nil && f.Decl.Name.IsExported() }
 
 // An Edge is one resolved call site.
 type Edge struct {
@@ -80,10 +68,6 @@ type Edge struct {
 	// External is the out-of-module (standard library) target, nil when
 	// Callee is set.
 	External *types.Func
-	// Iface marks an edge resolved by interface dispatch (CHA), i.e. an
-	// over-approximation: the static type admits this target, the dynamic
-	// type selects among them at run time.
-	Iface bool
 }
 
 // A Program is the loaded module with its call graph: the fact layer global
@@ -92,12 +76,7 @@ type Program struct {
 	Fset  *token.FileSet
 	Pkgs  []*analysis.Package
 	Funcs map[string]*Func
-
-	pkgByPath map[string]*analysis.Package
 }
-
-// InModule reports whether path is one of the loaded packages.
-func (p *Program) InModule(path string) bool { return p.pkgByPath[path] != nil }
 
 // FuncsSorted returns the nodes in deterministic ID order.
 func (p *Program) FuncsSorted() []*Func {
@@ -156,16 +135,9 @@ type builder struct {
 
 // Build constructs the call graph over the loaded packages.
 func Build(pkgs []*analysis.Package) *Program {
-	prog := &Program{
-		Funcs:     map[string]*Func{},
-		Pkgs:      pkgs,
-		pkgByPath: map[string]*analysis.Package{},
-	}
+	prog := &Program{Funcs: map[string]*Func{}, Pkgs: pkgs}
 	if len(pkgs) > 0 {
 		prog.Fset = pkgs[0].Fset
-	}
-	for _, pkg := range pkgs {
-		prog.pkgByPath[pkg.Types.Path()] = pkg
 	}
 	b := &builder{prog: prog, memo: map[string][]string{}}
 
@@ -221,7 +193,7 @@ func Build(pkgs []*analysis.Package) *Program {
 		for _, id := range b.implementers(site) {
 			if callee := prog.Funcs[id]; callee != nil {
 				site.from.Calls = append(site.from.Calls,
-					Edge{Pos: site.pos, Callee: callee, Iface: true})
+					Edge{Pos: site.pos, Callee: callee})
 			}
 		}
 	}
@@ -338,64 +310,12 @@ func (b *builder) call(cur *Func, call *ast.CallExpr) {
 	}
 }
 
-// direct records a statically resolved edge and handles the token-entry
-// registration sites.
+// direct records a statically resolved edge.
 func (b *builder) direct(cur *Func, call *ast.CallExpr, obj *types.Func) {
-	id := FuncID(obj)
-	if callee := b.prog.Funcs[id]; callee != nil {
+	if callee := b.prog.Funcs[FuncID(obj)]; callee != nil {
 		cur.Calls = append(cur.Calls, Edge{Pos: call.Lparen, Callee: callee})
 	} else {
 		cur.Calls = append(cur.Calls, Edge{Pos: call.Lparen, External: obj})
-	}
-	if isTokenRegistrar(obj) {
-		b.markTokenEntries(cur, call)
-	}
-}
-
-// isTokenRegistrar reports whether fn is (*sim.Scheduler).Spawn or
-// (*sim.Clock).OnStall — the two entry points whose function arguments run
-// holding the scheduler's control token.
-func isTokenRegistrar(fn *types.Func) bool {
-	if fn.Pkg() == nil || !analysis.IsSimCore(fn.Pkg().Path()) {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	recv, name := named.Obj().Name(), fn.Name()
-	return (recv == "Scheduler" && name == "Spawn") || (recv == "Clock" && name == "OnStall")
-}
-
-// markTokenEntries marks every function-valued argument of a registrar call:
-// a literal, a declared function, or a method value.
-func (b *builder) markTokenEntries(cur *Func, call *ast.CallExpr) {
-	info := cur.Pkg.TypesInfo
-	for _, arg := range call.Args {
-		switch a := ast.Unparen(arg).(type) {
-		case *ast.FuncLit:
-			b.litNode(cur, a).TokenEntry = true
-		case *ast.Ident:
-			if obj, ok := info.Uses[a].(*types.Func); ok {
-				if f := b.prog.Funcs[FuncID(obj)]; f != nil {
-					f.TokenEntry = true
-				}
-			}
-		case *ast.SelectorExpr:
-			if obj, ok := info.Uses[a.Sel].(*types.Func); ok {
-				if f := b.prog.Funcs[FuncID(obj)]; f != nil {
-					f.TokenEntry = true
-				}
-			}
-		}
 	}
 }
 

@@ -6,12 +6,12 @@
 //	walltime   — no wall-clock time outside internal/sim
 //	globalrand — no global math/rand source anywhere
 //	mapiter    — no order-sensitive map iteration in simulation packages
-//	rawgo      — no raw goroutines in simulation packages
+//	rawgo      — no go statement and no sync or sync/atomic import in
+//	             simulation packages
 //
-// The whole-program rules run on the shared call graph (DESIGN.md §7):
+// The whole-program rule runs on the shared call graph (DESIGN.md §7):
 //
-//	noalloc  — no heap allocation reachable from //simlint:noalloc roots
-//	tokenctx — no non-proc-context access to //simlint:tokenguarded state
+//	noalloc — no heap allocation reachable from //simlint:noalloc roots
 package simlint
 
 import (
@@ -21,7 +21,6 @@ import (
 	"repro/internal/analysis/mapiter"
 	"repro/internal/analysis/noalloc"
 	"repro/internal/analysis/rawgo"
-	"repro/internal/analysis/tokenctx"
 	"repro/internal/analysis/walltime"
 )
 
@@ -48,5 +47,5 @@ func Suite() []Check {
 // GlobalSuite returns the whole-program checks, which run once over the
 // call graph built from every loaded package rather than per package.
 func GlobalSuite() []*callgraph.Analyzer {
-	return []*callgraph.Analyzer{noalloc.Analyzer, tokenctx.Analyzer}
+	return []*callgraph.Analyzer{noalloc.Analyzer}
 }

@@ -65,55 +65,35 @@ type FaultFn func(op string, block int64) error
 // locking; simulated service time is still serialized per spindle through
 // busyUntil, which is what models the single arm.
 type Device struct {
-	model sim.DiskModel
-	clock *sim.Clock
-	//simlint:tokenguarded
-	blocks [][]byte // nil until the block is first written
-	//simlint:tokenguarded
-	slab []byte // the unused rest of the slab that backs newly written blocks
-	//simlint:tokenguarded
-	one [1][]byte // Read's and Write's one-block run, so they allocate nothing
-	//simlint:tokenguarded
-	arm int64 // block address one past the last access, -1 if unknown
-	//simlint:tokenguarded
-	lag time.Duration // rotation the next access at arm owes: the sectors a range write left untransferred
-	//simlint:tokenguarded
-	fault FaultFn
-	//simlint:tokenguarded
-	stats Stats
-	//simlint:tokenguarded
+	model  sim.DiskModel
+	clock  *sim.Clock
+	blocks [][]byte      // nil until the block is first written
+	slab   []byte        // the unused rest of the slab that backs newly written blocks
+	one    [1][]byte     // Read's and Write's one-block run, so they allocate nothing
+	arm    int64         // block address one past the last access, -1 if unknown
+	lag    time.Duration // rotation the next access at arm owes: the sectors a range write left untransferred
+	fault  FaultFn
+	stats  Stats
 	tracer *trace.Tracer // nil = tracing off (every call is a cheap no-op)
-	//simlint:tokenguarded
-	rd opTrace // per-op cached span names and metric handles
-	//simlint:tokenguarded
-	wr opTrace
+	rd     opTrace       // per-op cached span names and metric handles
+	wr     opTrace
 
-	//simlint:tokenguarded
-	bg *BgTimes // the background account accesses are charged to; nil = foreground
-	//simlint:tokenguarded
+	bg         *BgTimes      // the background account accesses are charged to; nil = foreground
 	idleCredit time.Duration // foreground idle time not yet spent on background work
-	//simlint:tokenguarded
-	lastEnd time.Duration // clock time when the last request finished
-	//simlint:tokenguarded
-	busyUntil time.Duration // virtual time the spindle finishes the request holding the arm
+	lastEnd    time.Duration // clock time when the last request finished
+	busyUntil  time.Duration // virtual time the spindle finishes the request holding the arm
 
 	// Crash model (see CrashAfter). Once crashed is set, every access fails
 	// with ErrCrashed until ClearCrash.
-	//simlint:tokenguarded
-	writeOps int64
-	//simlint:tokenguarded
-	crashAt int64 // 1-based write op to crash on; 0 = disabled
-	//simlint:tokenguarded
+	writeOps  int64
+	crashAt   int64 // 1-based write op to crash on; 0 = disabled
 	crashTorn bool
-	//simlint:tokenguarded
 	crashSeed uint64
-	//simlint:tokenguarded
-	crashed bool
+	crashed   bool
 }
 
-// SetFault installs (or clears, with nil) a fault-injection hook.
-//
-//simlint:tokensafe(setup-time registration: runs before Run hands the token to any proc)
+// SetFault installs (or clears, with nil) a fault-injection hook. Call it at
+// set-up time, while no scheduler runs.
 func (d *Device) SetFault(f FaultFn) {
 	d.fault = f
 }
@@ -142,9 +122,7 @@ func (d *Device) checkFault(op string, start int64, n int) error {
 // power fails. A write tears at any sector boundary, inside a block or between
 // blocks alike: only a sector is atomic. The crashing write and every later
 // access return ErrCrashed until ClearCrash. No simulated time is charged for
-// accesses after the crash.
-//
-//simlint:tokensafe(setup-time registration: runs before Run hands the token to any proc)
+// accesses after the crash. Call it at set-up time, while no scheduler runs.
 func (d *Device) CrashAfter(n int64, torn bool, seed uint64) {
 	d.crashAt = n
 	d.crashTorn = torn
@@ -153,24 +131,19 @@ func (d *Device) CrashAfter(n int64, torn bool, seed uint64) {
 
 // ClearCrash lifts a fired (or pending) crash so the device can be
 // remounted, modelling the post-crash reboot. Stored contents are exactly
-// what was durable at the crash point.
-//
-//simlint:tokensafe(setup-time registration: runs before Run hands the token to any proc)
+// what was durable at the crash point. Call it while no scheduler runs.
 func (d *Device) ClearCrash() {
 	d.crashed = false
 	d.crashAt = 0
 }
 
-// Crashed reports whether the scheduled crash has fired.
-//
-//simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns)
+// Crashed reports whether the scheduled crash has fired. Like the other
+// collectors, it runs while no scheduler runs.
 func (d *Device) Crashed() bool { return d.crashed }
 
 // WriteOps returns the number of write operations issued since the device
 // was created — the coordinate system CrashAfter addresses. Unlike Stats, it
-// is never reset.
-//
-//simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns)
+// is never reset. It runs while no scheduler runs.
 func (d *Device) WriteOps() int64 { return d.writeOps }
 
 // noteWrite counts a write operation of the run's sectors [lo, hi) and
@@ -219,9 +192,8 @@ type opTrace struct {
 
 // SetTracer attaches a tracer; each access then emits a disk.read/disk.write
 // complete event with its seek/rotation/transfer/queue breakdown and charges
-// per-proc time attribution. A nil tracer (the default) costs nothing.
-//
-//simlint:tokensafe(setup-time registration: runs before Run hands the token to any proc)
+// per-proc time attribution. A nil tracer (the default) costs nothing. Call
+// it at set-up time, while no scheduler runs.
 func (d *Device) SetTracer(tr *trace.Tracer) {
 	d.tracer = tr
 	d.rd = opTrace{span: "disk.read", lat: tr.Hist("disk.read")}
@@ -237,16 +209,14 @@ func (d *Device) BlockSize() int { return d.model.BlockSize }
 // NumBlocks returns the number of addressable blocks.
 func (d *Device) NumBlocks() int64 { return d.model.NumBlocks }
 
-// Stats returns a snapshot of the accumulated statistics.
-//
-//simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns)
+// Stats returns a snapshot of the accumulated statistics. It runs after
+// Scheduler.Run returns.
 func (d *Device) Stats() Stats {
 	return d.stats
 }
 
-// ResetStats zeroes the statistics counters.
-//
-//simlint:tokensafe(setup-time registration: runs before Run hands the token to any proc)
+// ResetStats zeroes the statistics counters. Call it at set-up time, while no
+// scheduler runs.
 func (d *Device) ResetStats() {
 	d.stats = Stats{}
 }
@@ -370,8 +340,6 @@ type BgTimes struct {
 // This is §5.4's "in idle periods", applied to every deferred write. Inside
 // another Background call fn runs as part of it: the outer account is
 // charged.
-//
-//simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (d *Device) Background(acc *BgTimes, fn func() error) error {
 	if d.bg != nil {
 		return fn()
@@ -383,8 +351,6 @@ func (d *Device) Background(acc *BgTimes, fn func() error) error {
 
 // Foreground runs fn on the foreground lane, also inside Background: its
 // accesses are charged in full and queue for the arm.
-//
-//simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (d *Device) Foreground(fn func() error) error {
 	prev := d.bg
 	d.bg = nil
@@ -394,9 +360,7 @@ func (d *Device) Foreground(fn func() error) error {
 
 // ResetIdleCredit forgets accumulated idle time. Benchmark rigs call this
 // after the load phase so the measured run's background cleaner cannot hide
-// behind setup-time idleness.
-//
-//simlint:tokensafe(setup-time registration: runs before Run hands the token to any proc)
+// behind setup-time idleness. Call it while no scheduler runs.
 func (d *Device) ResetIdleCredit() {
 	d.idleCredit = 0
 	d.lastEnd = d.clock.Now()
@@ -404,8 +368,6 @@ func (d *Device) ResetIdleCredit() {
 
 // Read reads one block into buf: a one-block ReadRun. buf must be exactly
 // one block long.
-//
-//simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (d *Device) Read(block int64, buf []byte) error {
 	d.one[0] = buf
 	err := d.ReadRun(block, d.one[:])
@@ -415,8 +377,6 @@ func (d *Device) Read(block int64, buf []byte) error {
 
 // Write writes one block from buf: a one-block WriteRun. buf must be exactly
 // one block long.
-//
-//simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (d *Device) Write(block int64, buf []byte) error {
 	d.one[0] = buf
 	err := d.WriteRun(block, d.one[:])
@@ -464,8 +424,6 @@ func (d *Device) store(block int64, off int, buf []byte) {
 // WriteRun writes len(bufs) contiguous blocks starting at start in a single
 // sequential transfer: one positioning delay, then media-rate transfer. This
 // is the primitive behind LFS segment writes.
-//
-//simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (d *Device) WriteRun(start int64, bufs [][]byte) error {
 	if len(bufs) == 0 {
 		return nil
@@ -486,8 +444,6 @@ func (d *Device) WriteRun(start int64, bufs [][]byte) error {
 // rewrites a block in place moves with it only what changed: FFS's C-SCAN
 // queue does (Queue.FlushSorted), and so does an LFS summary block, which
 // changes only the sectors it fills.
-//
-//simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (d *Device) WriteRange(start int64, bufs [][]byte, lo, hi int) error {
 	spb := d.model.BlockSize / SectorSize
 	if len(bufs) == 0 || lo < 0 || lo >= spb || hi <= lo || hi <= (len(bufs)-1)*spb || hi > len(bufs)*spb || !d.wholeBlocks(bufs) {
@@ -529,8 +485,6 @@ func (d *Device) write(start int64, bufs [][]byte, lo, hi int) error {
 
 // ReadRun reads len(bufs) contiguous blocks starting at start in a single
 // sequential transfer.
-//
-//simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (d *Device) ReadRun(start int64, bufs [][]byte) error {
 	if len(bufs) == 0 {
 		return nil
@@ -566,9 +520,8 @@ func (d *Device) ReadRun(start int64, bufs [][]byte) error {
 
 // Peek returns the stored contents of a block without charging simulated
 // time. It is a test oracle: the disk, ffs and lfs tests read the medium
-// with it, and no file system code or command calls it.
-//
-//simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns)
+// with it, and no file system code or command calls it. It runs while no
+// scheduler runs.
 func (d *Device) Peek(block int64) ([]byte, error) {
 	if err := d.checkRange(block, 1); err != nil {
 		return nil, err
@@ -581,9 +534,8 @@ func (d *Device) Peek(block int64) ([]byte, error) {
 }
 
 // StoredBlocks reports how many blocks hold data: blocks written with
-// something other than zeros at least once.
-//
-//simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns)
+// something other than zeros at least once. It runs after Scheduler.Run
+// returns.
 func (d *Device) StoredBlocks() int64 {
 	var n int64
 	for _, b := range d.blocks {
@@ -598,8 +550,6 @@ func (d *Device) StoredBlocks() int64 {
 // unknown: the block a sequential run would read next. The file systems'
 // fetch paths read such a block from the device rather than from their
 // stage, and tests assert sequential behaviour with it.
-//
-//simlint:tokensafe(device API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (d *Device) ArmPosition() int64 {
 	return d.arm
 }

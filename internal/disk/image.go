@@ -28,9 +28,7 @@ var ErrBadImage = errors.New("disk: bad device image")
 
 // SaveImage writes the device's contents to w. The simulated clock is not
 // part of the image (a freshly loaded device starts with an unknown arm
-// position and zero stats).
-//
-//simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns)
+// position and zero stats). It runs after Scheduler.Run returns.
 func (d *Device) SaveImage(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	le := binary.LittleEndian
@@ -62,9 +60,8 @@ func (d *Device) SaveImage(w io.Writer) error {
 }
 
 // LoadImage creates a device from a saved image, using the given service-
-// time model (the geometry must match the image's block size and count).
-//
-//simlint:tokensafe(setup-time construction: populates a fresh device before Run hands the token to any proc)
+// time model (the geometry must match the image's block size and count). It
+// runs at set-up time, before Scheduler.Run.
 func LoadImage(model sim.DiskModel, clock *sim.Clock, r io.Reader) (*Device, error) {
 	br := bufio.NewReader(r)
 	le := binary.LittleEndian

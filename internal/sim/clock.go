@@ -43,8 +43,6 @@ func NewClock() *Clock { return &Clock{} }
 
 // Now returns the current simulated time: the running proc's cursor in proc
 // context, the global cursor otherwise.
-//
-//simlint:tokensafe(routes to the current proc's own cursor; callers hold the token by construction — outside proc context it falls back to the global clock, which only the main goroutine uses)
 func (c *Clock) Now() time.Duration {
 	if c.cur != nil {
 		return c.cur.now
@@ -55,8 +53,6 @@ func (c *Clock) Now() time.Duration {
 // Advance moves the clock forward by d, charged to the running proc in proc
 // context. A negative duration panics, so a miscomputed delay can neither
 // make time run backwards nor masquerade as time standing still.
-//
-//simlint:tokensafe(routes to the current proc's own cursor; callers hold the token by construction — outside proc context it falls back to the global clock, which only the main goroutine uses)
 func (c *Clock) Advance(d time.Duration) {
 	if d < 0 {
 		//simlint:alloc(cold panic diagnostic)
@@ -70,8 +66,8 @@ func (c *Clock) Advance(d time.Duration) {
 }
 
 // AdvanceTo moves the clock forward to t if t is later than the current time.
-//
-//simlint:tokensafe(documented main-goroutine API for between-run catch-up; the scheduler is detached when it runs)
+// Scheduler.Run calls it with no proc current, to bring the global clock up to
+// the latest proc finish time.
 func (c *Clock) AdvanceTo(t time.Duration) {
 	if c.cur != nil {
 		if t > c.cur.now {
@@ -122,7 +118,6 @@ func (c *Clock) CurrentProcID() int {
 // the earliest, it is a no-op — so MPL=1 code paths are unaffected.
 //
 //simlint:noalloc
-//simlint:tokensafe(no-op outside proc context; in proc context the caller holds the token)
 func (c *Clock) Yield() {
 	p, s := c.cur, c.sched
 	if p == nil || !s.shouldPreempt(p) {
@@ -136,10 +131,9 @@ func (c *Clock) Yield() {
 // OtherRunnable reports whether a runnable proc other than the current one
 // exists — i.e. whether waiting for more work to batch could ever pay off.
 // The runnable heap holds exactly the runnable procs that are not running,
-// so this is a length check.
+// so this is a length check. It is false when no scheduler is attached.
 //
 //simlint:noalloc
-//simlint:tokensafe(reads the runnable heap under the token; returns false when no scheduler is attached)
 func (c *Clock) OtherRunnable() bool {
 	return c.sched != nil && len(c.sched.runnable) > 0
 }

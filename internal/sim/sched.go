@@ -46,11 +46,8 @@ type Proc struct {
 	next  func() (struct{}, bool) // resumes the proc; false once body has returned
 	yield func(struct{}) bool     // returns control to Run
 
-	//simlint:tokenguarded
-	now time.Duration
-	//simlint:tokenguarded
-	state procState
-	//simlint:tokenguarded
+	now     time.Duration
+	state   procState
 	blocked time.Duration // cumulative virtual time spent in procBlocked, for the stall dump
 }
 
@@ -82,24 +79,22 @@ func (p *Proc) park() { p.yield(struct{}{}) }
 // proc at a time: Run pops the minimum, resumes it with next, and takes the
 // token back when the proc parks or returns. Every transfer is a coroutine
 // switch, which orders memory like a channel operation, so the heap, the
-// live counter, and the dispatch counter are safely unlocked.
+// live counter, and the dispatch counter are safely unlocked. Like the Clock,
+// a Scheduler is used from proc context or from the main goroutine while no
+// scheduler runs: Spawn and Run are main-goroutine calls.
 type Scheduler struct {
-	clock *Clock
-	procs []*Proc
-	//simlint:tokenguarded
-	runnable procHeap
-	//simlint:tokenguarded
-	live int // procs not yet done
-	//simlint:tokenguarded
+	clock      *Clock
+	procs      []*Proc
+	runnable   procHeap
+	live       int   // procs not yet done
 	dispatches int64 // control transfers into a proc
 	started    bool
 }
 
 // Dispatches returns the number of times control has been transferred into a
 // proc — the discrete-event count wall-clock benchmarks normalize by. It is
-// deterministic: identically seeded runs dispatch identically.
-//
-//simlint:tokensafe(monotone counter read by the token holder between dispatches or after Run)
+// deterministic: identically seeded runs dispatch identically. Callers read
+// it after Run returns.
 func (s *Scheduler) Dispatches() int64 { return s.dispatches }
 
 // NewScheduler attaches a scheduler to the clock. Only one scheduler may be
@@ -113,8 +108,6 @@ func NewScheduler(clock *Clock) *Scheduler {
 // Spawn registers a virtual process. All procs must be spawned before Run;
 // the spawn order fixes proc ids and therefore the deterministic tie-break.
 // The proc's virtual clock starts at the global clock's current time.
-//
-//simlint:tokensafe(setup-time registration: runs before Run hands the token to any proc)
 func (s *Scheduler) Spawn(name string, body func()) {
 	if s.started {
 		panic("sim: Spawn after Scheduler.Run")
@@ -129,8 +122,8 @@ func (s *Scheduler) Spawn(name string, body func()) {
 // proc panics (next re-raises the proc's panic value, and no other proc runs
 // after it) or if every live proc is blocked and no stall hook can make
 // progress — a simulated deadlock the transaction layers failed to resolve.
-//
-//simlint:tokensafe(Run is the token's home: it holds the token between dispatches, and every dispatch is a coroutine switch)
+// Between dispatches, and while a stall hook runs, Run is the only code
+// running.
 func (s *Scheduler) Run() {
 	if s.started {
 		panic("sim: Scheduler.Run called twice")
@@ -282,23 +275,21 @@ func (h *procHeap) popMin() *Proc {
 // WaitQueue is the one place anything in the simulation blocks, and it is for
 // proc context only: a caller that may run with no scheduler (set-up, drain,
 // recovery) must treat a wait as an error, since nothing else runs that could
-// end it (lock.Manager.Lock does).
+// end it (lock.Manager.Lock does). Empty, Broadcast and WakeOne may also run
+// in a stall hook or on the main goroutine while no scheduler runs.
 type WaitQueue struct {
-	//simlint:tokenguarded
 	waiters procHeap
 }
 
 // Empty reports whether no procs are waiting.
 //
 //simlint:noalloc
-//simlint:tokensafe(length read under the token; documented proc-context/stall-hook API)
 func (q *WaitQueue) Empty() bool { return len(q.waiters) == 0 }
 
 // Wait suspends the current proc until woken and returns the virtual time it
 // spent blocked. Must be called from proc context.
 //
 //simlint:noalloc
-//simlint:tokensafe(panics outside proc context before touching any guarded state)
 func (q *WaitQueue) Wait(c *Clock) time.Duration {
 	p := c.cur
 	if p == nil {
@@ -330,7 +321,6 @@ func (p *Proc) wake(at time.Duration) {
 // from proc context or from the scheduler's stall hooks.
 //
 //simlint:noalloc
-//simlint:tokensafe(documented proc-context/stall-hook API; the caller holds the token)
 func (q *WaitQueue) Broadcast(c *Clock) {
 	if len(q.waiters) == 0 {
 		return
@@ -344,10 +334,10 @@ func (q *WaitQueue) Broadcast(c *Clock) {
 }
 
 // WakeOne wakes the earliest waiter by (time, id) at the waker's current
-// time and reports whether a waiter was woken.
+// time and reports whether a waiter was woken. Like Broadcast, it runs in
+// proc context or in a stall hook.
 //
 //simlint:noalloc
-//simlint:tokensafe(documented proc-context/stall-hook API; the caller holds the token)
 func (q *WaitQueue) WakeOne(c *Clock) bool {
 	if len(q.waiters) == 0 {
 		return false

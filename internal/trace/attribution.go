@@ -19,9 +19,8 @@ type AttrRow struct {
 
 // Attribution returns one row per proc slot bracketed by ProcStart, in tid
 // order, each covering the measured interval only (attribution accumulated
-// before ProcStart is subtracted via the baseline snapshot).
-//
-//simlint:tokensafe(read-only exporter documented to run after Scheduler.Run returns)
+// before ProcStart is subtracted via the baseline snapshot). It runs after
+// Scheduler.Run returns.
 func (t *Tracer) Attribution() []AttrRow {
 	if t == nil {
 		return nil

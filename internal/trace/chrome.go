@@ -14,9 +14,8 @@ import (
 // Perfetto / chrome://tracing. Timestamps and durations are microseconds
 // with nanosecond precision kept in three decimals. Output is byte-identical
 // across same-seed runs: events are emitted in append order and the
-// metadata thread names walk the slot table in ascending tid order.
-//
-//simlint:tokensafe(read-only exporter documented to run after Scheduler.Run returns)
+// metadata thread names walk the slot table in ascending tid order. It runs
+// after Scheduler.Run returns.
 func (t *Tracer) WriteChrome(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")

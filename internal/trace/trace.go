@@ -145,23 +145,19 @@ type procAttr struct {
 const eventChunkSize = 4096
 
 // Tracer records events, metrics, and per-proc time attribution against one
-// simulated clock. All methods are safe on a nil receiver (no-ops). Safety
-// under concurrency comes from the cooperative scheduling model (see the
-// package comment), not from locks.
+// simulated clock. All methods are safe on a nil receiver (no-ops). A Tracer
+// has no lock: like the sim.Clock it stamps with, it is used from proc
+// context or from the main goroutine while no scheduler runs (see the package
+// comment).
 type Tracer struct {
 	clock   *sim.Clock
 	metrics *Metrics
-	//simlint:tokenguarded
-	procs []*procAttr // indexed by proc slot (tid)
+	procs   []*procAttr // indexed by proc slot (tid)
 
-	//simlint:tokenguarded
-	full [][]Event // sealed event arena blocks, in record order
-	//simlint:tokenguarded
-	cur []Event // open event block, len < cap
-	//simlint:tokenguarded
-	nEvent int // total recorded events across full + cur
-	//simlint:tokenguarded
-	args []Arg // open arg arena block; sealed blocks are only
+	full   [][]Event // sealed event arena blocks, in record order
+	cur    []Event   // open event block, len < cap
+	nEvent int       // total recorded events across full + cur
+	args   []Arg     // open arg arena block; sealed blocks are only
 	// reachable through the events that point into them
 }
 
@@ -284,7 +280,6 @@ func (t *Tracer) Begin(cat, name string) Span {
 // End records the span as a complete event lasting from Begin until now.
 //
 //simlint:noalloc
-//simlint:tokensafe(recorder API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (s Span) End(args ...Arg) {
 	if s.t == nil {
 		return
@@ -295,7 +290,6 @@ func (s Span) End(args ...Arg) {
 // Complete records a complete event that started at start and ends now.
 //
 //simlint:noalloc
-//simlint:tokensafe(recorder API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (t *Tracer) Complete(cat, name string, start time.Duration, args ...Arg) {
 	if t == nil {
 		return
@@ -312,7 +306,6 @@ func (t *Tracer) Complete(cat, name string, start time.Duration, args ...Arg) {
 // Instant records a point event at the current simulated time.
 //
 //simlint:noalloc
-//simlint:tokensafe(recorder API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (t *Tracer) Instant(cat, name string, args ...Arg) {
 	if t == nil {
 		return
@@ -329,7 +322,6 @@ func (t *Tracer) Instant(cat, name string, args ...Arg) {
 // Attribute charges d of the current proc's simulated time to category c.
 //
 //simlint:noalloc
-//simlint:tokensafe(recorder API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (t *Tracer) Attribute(c AttrCat, d time.Duration) {
 	if t == nil || d <= 0 {
 		return
@@ -361,7 +353,6 @@ func (t *Tracer) CommitWait() func(time.Duration) {
 // AttrCleaner so its own I/O is not mistaken for workload disk time).
 //
 //simlint:noalloc
-//simlint:tokensafe(recorder API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (t *Tracer) AttributeIO(service, queue time.Duration) {
 	if t == nil {
 		return
@@ -378,8 +369,6 @@ func (t *Tracer) AttributeIO(service, queue time.Duration) {
 // PushAttr redirects the current proc's subsequent AttributeIO charges to
 // category c until the matching PopAttr. Used by the cleaner so the disk
 // time of a synchronous cleaning pass is classified as cleaner stall.
-//
-//simlint:tokensafe(recorder API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (t *Tracer) PushAttr(c AttrCat) {
 	if t == nil {
 		return
@@ -389,8 +378,6 @@ func (t *Tracer) PushAttr(c AttrCat) {
 }
 
 // PopAttr undoes the innermost PushAttr of the current proc.
-//
-//simlint:tokensafe(recorder API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (t *Tracer) PopAttr() {
 	if t == nil {
 		return
@@ -404,8 +391,6 @@ func (t *Tracer) PopAttr() {
 // ProcStart brackets the start of the measured interval for the current
 // proc slot and names it in reports. Attribution accumulated before
 // ProcStart (the load phase, say) is excluded from the slot's report row.
-//
-//simlint:tokensafe(recorder API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (t *Tracer) ProcStart(name string) {
 	if t == nil {
 		return
@@ -420,8 +405,6 @@ func (t *Tracer) ProcStart(name string) {
 }
 
 // ProcEnd closes the measured interval opened by ProcStart.
-//
-//simlint:tokensafe(recorder API is documented proc-context-only; at MPL=1 the main goroutine is the sole, degenerate token holder)
 func (t *Tracer) ProcEnd() {
 	if t == nil {
 		return
@@ -436,9 +419,8 @@ func (t *Tracer) ProcEnd() {
 	}
 }
 
-// Events returns a copy of the recorded events, in append order.
-//
-//simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns, when no proc runs and the main goroutine holds the token)
+// Events returns a copy of the recorded events, in append order. It runs
+// after Scheduler.Run returns.
 func (t *Tracer) Events() []Event {
 	if t == nil || t.nEvent == 0 {
 		return nil
@@ -450,9 +432,8 @@ func (t *Tracer) Events() []Event {
 	return append(out, t.cur...)
 }
 
-// EventCount returns the number of recorded events.
-//
-//simlint:tokensafe(read-only collector documented to run after Scheduler.Run returns, when no proc runs and the main goroutine holds the token)
+// EventCount returns the number of recorded events. It runs after
+// Scheduler.Run returns.
 func (t *Tracer) EventCount() int {
 	if t == nil {
 		return 0
