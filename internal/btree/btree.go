@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/frame"
 	"repro/internal/pagestore"
 )
 
@@ -37,7 +36,9 @@ var (
 )
 
 const (
-	metaMagic = 0x42545231 // "BTR1"
+	// "BTR2": a "BTR1" tree's interior pages carry an LSN word this layout
+	// does not, so Open refuses one rather than misread it.
+	metaMagic = 0x42545232
 
 	pgLeaf     = 1
 	pgInternal = 2
@@ -50,23 +51,40 @@ type Tree struct {
 	root     int64
 	height   int
 	count    int64
-	// cache is the relation's optional decoded-interior-node cache. A handle
-	// with a cache takes its page frames from the cache's list, which outlives
-	// the handle; a handle without one keeps its own.
-	cache *NodeCache
-	own   frame.List
-	// borrowed are the frames the current operation took: the ones its reads
-	// decoded nodes from (the nodes, and the keys and values handed to the
-	// caller, alias them) and its write scratch. Only the handle gives them
-	// back: write scratch as soon as the store has copied it, the rest at the
-	// start of the next operation or at Close.
-	borrowed [][]byte
+	// s lends the handle its page frames and node shells: the relation's
+	// Scratch, which outlives the handle, or one of the handle's own.
+	s *Scratch
+	// borrowed is what the current operation took: the frames its reads
+	// decoded nodes from, with the shells decoded into (the nodes, and the
+	// keys and values handed to the caller, alias the frames), and its write
+	// scratch. Only the handle gives them back: write scratch as soon as the
+	// store has copied it, the rest at the start of the next operation or at
+	// Close. held backs it, so that a fresh handle's operations take nothing
+	// from the heap for the list.
+	borrowed []loan
+	held     [8]loan
 }
 
-// newHandle returns a handle on st with no tree state loaded yet.
-func newHandle(st pagestore.Store, c *NodeCache) *Tree {
-	ps := st.PageSize()
-	return &Tree{st: st, pageSize: ps, cache: c, own: frame.NewList(ps)}
+// loan is one thing an operation borrowed: a page frame, and the node shell
+// decoded from it when the frame was read.
+type loan struct {
+	page []byte
+	n    *node
+}
+
+// newHandle returns a handle on st that borrows from s (a Scratch of its own
+// if s is nil), with no tree state loaded yet.
+//
+//simlint:noalloc
+func newHandle(st pagestore.Store, s *Scratch) *Tree {
+	if s == nil {
+		//simlint:alloc(a handle with no relation Scratch keeps its own)
+		s = new(Scratch)
+	}
+	//simlint:alloc(one handle per open; its page frames and node shells are recycled)
+	t := &Tree{st: st, pageSize: st.PageSize(), s: s}
+	t.borrowed = t.held[:0]
+	return t
 }
 
 // borrow takes a page frame for the current operation. Its contents are
@@ -74,19 +92,14 @@ func newHandle(st pagestore.Store, c *NodeCache) *Tree {
 //
 //simlint:noalloc
 func (t *Tree) borrow() []byte {
-	var f []byte
-	if t.cache != nil {
-		f = t.cache.takeFrame(t.pageSize)
-	} else {
-		f = t.own.Take()
-	}
-	//simlint:alloc(the borrowed list grows to one operation's page touches once)
-	t.borrowed = append(t.borrowed, f)
+	f := t.s.frame(t.pageSize)
+	//simlint:alloc(the borrowed list outgrows held only on a split cascade through a tall tree)
+	t.borrowed = append(t.borrowed, loan{page: f})
 	return f
 }
 
-// releaseTo gives back every frame borrowed since the list was mark long.
-// Nothing that aliases those frames may be used afterwards.
+// releaseTo gives back every frame and shell borrowed since the list was mark
+// long. Nothing that aliases them may be used afterwards.
 //
 //simlint:noalloc
 func (t *Tree) releaseTo(mark int) {
@@ -94,12 +107,8 @@ func (t *Tree) releaseTo(mark int) {
 	if len(out) == 0 {
 		return
 	}
-	if t.cache != nil {
-		t.cache.giveFrames(out)
-	} else {
-		for _, f := range out {
-			t.own.Give(f)
-		}
+	for _, l := range out {
+		t.s.give(l)
 	}
 	clear(out)
 	t.borrowed = t.borrowed[:mark]
@@ -147,15 +156,15 @@ func Create(st pagestore.Store) (*Tree, error) {
 	return t, t.writeMeta()
 }
 
-// Open loads an existing tree.
+// Open loads an existing tree on a handle that keeps its own frames and
+// shells; OpenWith shares the relation's.
 func Open(st pagestore.Store) (*Tree, error) { return open(st, nil) }
 
-// open loads the tree in st on a handle that shares cache c (nil for none).
+// open loads the tree in st on a handle that borrows from s (nil for its own).
 //
 //simlint:noalloc
-func open(st pagestore.Store, c *NodeCache) (*Tree, error) {
-	//simlint:alloc(one handle per open; its page frames are recycled)
-	t := newHandle(st, c)
+func open(st pagestore.Store, s *Scratch) (*Tree, error) {
+	t := newHandle(st, s)
 	defer t.releaseTo(0) // the fields below are copied out of the meta page
 	b := t.borrow()
 	//simlint:alloc(below this call is the page store's own budget: its locks, log records and cache misses)
@@ -179,10 +188,11 @@ func (t *Tree) Count() int64 { return t.count }
 // Height returns the tree height (1 = a single leaf).
 func (t *Tree) Height() int { return t.height }
 
-// node is the in-memory form of a tree page.
+// node is the in-memory form of a tree page. A read decodes into a shell its
+// handle borrowed, reusing the shell's tables, and the shell goes back with
+// the frame it aliases.
 type node struct {
 	pageNo   int64
-	lsn      uint64 // page version stamp; writeNode bumps it on every write
 	leaf     bool
 	next     int64 // leaf chain
 	keys     [][]byte
@@ -195,19 +205,15 @@ type node struct {
 //	kind  u8 (leaf/internal)
 //	nkeys u16
 //	leaf:     next i64, then nkeys × (klen u16, vlen u16, key, val)
-//	internal: lsn u64, child0 i64, then nkeys × (klen u16, key, child i64)
+//	internal: child0 i64, then nkeys × (klen u16, key, child i64)
 //
-// Only interior pages carry an LSN (bumped on every write, validating
-// NodeCache entries): leaves are never cached, and keeping their header
-// unchanged preserves leaf capacity — the dominant term in file size.
+// A page carries no version stamp: every read decodes the page it has just
+// read, so nothing asks whether a decoded node is still current.
 const nodeHeader = 1 + 2
 
 // size returns the length of the node's page image.
 func (n *node) size() int {
 	size := nodeHeader + 8 // next i64 (leaf) or child0 i64 (internal)
-	if !n.leaf {
-		size += 8 // lsn u64
-	}
 	for i, k := range n.keys {
 		if n.leaf {
 			size += 2 + 2 + len(k) + len(n.vals[i])
@@ -247,8 +253,6 @@ func (n *node) encode(b []byte) int {
 			off += len(n.vals[i])
 		}
 	} else {
-		le.PutUint64(b[off:], n.lsn)
-		off += 8
 		le.PutUint64(b[off:], uint64(n.children[0]))
 		off += 8
 		for i, k := range n.keys {
@@ -263,16 +267,12 @@ func (n *node) encode(b []byte) int {
 	return off
 }
 
-// writeNode encodes n into a scratch frame and writes it to its page; an
-// interior node's LSN is bumped first.
+// writeNode encodes n into a scratch frame and writes it to its page.
 //
 //simlint:noalloc
 func (t *Tree) writeNode(n *node) error {
 	mark := len(t.borrowed)
 	defer t.releaseTo(mark) // the store copies the page
-	if !n.leaf {
-		n.lsn++
-	}
 	b := t.borrow()
 	if n.encode(b) > t.pageSize {
 		return ErrTooLarge
@@ -281,13 +281,17 @@ func (t *Tree) writeNode(n *node) error {
 	return t.st.WritePage(n.pageNo, b)
 }
 
+// readNode reads pageNo plainly: every read-only descent's path.
+//
+//simlint:noalloc
 func (t *Tree) readNode(pageNo int64) (*node, error) {
 	return t.readNodeVia(pagestore.Store.ReadPage, pageNo)
 }
 
 // readNodeVia reads pageNo through read, which is either the store's ReadPage
-// or pagestore.ReadForUpdate, into a borrowed frame and decodes it there: the
-// node aliases the frame until the operation's frames are released.
+// or pagestore.ReadForUpdate, into a borrowed frame and decodes it into a
+// borrowed shell: the node aliases the frame, and both are the operation's
+// until its loans are released.
 //
 //simlint:noalloc
 func (t *Tree) readNodeVia(read func(pagestore.Store, int64, []byte) error, pageNo int64) (*node, error) {
@@ -296,8 +300,13 @@ func (t *Tree) readNodeVia(read func(pagestore.Store, int64, []byte) error, page
 	if err := read(t.st, pageNo, b); err != nil {
 		return nil, err
 	}
-	//simlint:alloc(the decoded node's header and slice headers; the page itself is a recycled frame)
-	return decodeNode(pageNo, b)
+	n := t.s.shell()
+	t.borrowed[len(t.borrowed)-1].n = n
+	//simlint:alloc(a shell's tables grow to the largest node it has held, once; a corrupt page's report)
+	if err := decodeNode(n, pageNo, b); err != nil {
+		return nil, err
+	}
+	return n, nil
 }
 
 // readForWrite reads the page at level (1 = the root) of a Put descent: the
@@ -312,25 +321,26 @@ func (t *Tree) readForWrite(pageNo int64, level int) (*node, error) {
 	return t.readNodeVia(pagestore.ReadForUpdate, pageNo)
 }
 
-// decodeNode builds the in-memory node from page bytes b, which the node
-// aliases: b must stay untouched for as long as the node is in use. The page
-// is not trusted: a kind, a key count or an entry length that b cannot hold is
-// ErrCorrupt naming the page, never an index past the buffer.
-func decodeNode(pageNo int64, b []byte) (*node, error) {
+// decodeNode fills n, whatever an earlier decode left in it, with the node on
+// page bytes b, reusing the capacity of n's tables. The node aliases b: b must
+// stay untouched for as long as the node is in use. The page is not trusted: a
+// kind, a key count or an entry length that b cannot hold is ErrCorrupt naming
+// the page, never an index past the buffer; n's contents are then unspecified.
+func decodeNode(n *node, pageNo int64, b []byte) error {
 	le := binary.LittleEndian
-	corrupt := func(format string, args ...any) (*node, error) {
-		return nil, fmt.Errorf("%w: page %d: %s", ErrCorrupt, pageNo, fmt.Sprintf(format, args...))
+	corrupt := func(format string, args ...any) error {
+		return fmt.Errorf("%w: page %d: %s", ErrCorrupt, pageNo, fmt.Sprintf(format, args...))
 	}
 	if len(b) < nodeHeader+8 {
 		return corrupt("%d bytes hold no node header", len(b))
 	}
-	n := &node{pageNo: pageNo}
+	*n = node{pageNo: pageNo, keys: n.keys[:0], vals: n.vals[:0], children: n.children[:0]}
 	switch b[0] {
 	case pgLeaf:
 		n.leaf = true
 	case pgInternal:
 	default:
-		return nil, fmt.Errorf("%w: page %d kind %d", ErrCorrupt, pageNo, b[0])
+		return fmt.Errorf("%w: page %d kind %d", ErrCorrupt, pageNo, b[0])
 	}
 	nkeys := int(le.Uint16(b[1:]))
 	off := nodeHeader
@@ -345,8 +355,8 @@ func decodeNode(pageNo int64, b []byte) (*node, error) {
 		if nkeys > (len(b)-off)/4 { // an entry is at least its two lengths
 			return corrupt("leaf claims %d entries", nkeys)
 		}
-		n.keys = make([][]byte, nkeys)
-		n.vals = make([][]byte, nkeys)
+		n.keys = resize(n.keys, nkeys)
+		n.vals = resize(n.vals, nkeys)
 		for i := 0; i < nkeys; i++ {
 			if off+4 > len(b) {
 				return corrupt("entry %d starts past the page", i)
@@ -363,16 +373,11 @@ func decodeNode(pageNo int64, b []byte) (*node, error) {
 			off += vlen
 		}
 	} else {
-		if len(b) < off+16 {
-			return corrupt("%d bytes hold no interior header", len(b))
-		}
-		n.lsn = le.Uint64(b[off:])
-		off += 8
 		if nkeys > (len(b)-off-8)/10 { // an entry is at least its length and its child
 			return corrupt("interior node claims %d keys", nkeys)
 		}
-		n.keys = make([][]byte, nkeys)
-		n.children = make([]int64, nkeys+1)
+		n.keys = resize(n.keys, nkeys)
+		n.children = resize(n.children, nkeys+1)
 		n.children[0] = int64(le.Uint64(b[off:]))
 		off += 8
 		for i := 0; i < nkeys; i++ {
@@ -390,7 +395,15 @@ func decodeNode(pageNo int64, b []byte) (*node, error) {
 			off += 8
 		}
 	}
-	return n, nil
+	return nil
+}
+
+// resize returns s at length n, on its own backing array if that can hold n.
+func resize[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
 }
 
 // search returns the index of the first key ≥ key, and whether it is equal.
@@ -430,12 +443,12 @@ func childIndex(keys [][]byte, key []byte) int {
 // call on this handle (see the package comment).
 func (t *Tree) Get(key []byte) ([]byte, error) {
 	t.releaseTo(0)
-	n, err := t.readNodeCached(t.root)
+	n, err := t.readNode(t.root)
 	if err != nil {
 		return nil, err
 	}
 	for !n.leaf {
-		n, err = t.readNodeCached(n.children[childIndex(n.keys, key)])
+		n, err = t.readNode(n.children[childIndex(n.keys, key)])
 		if err != nil {
 			return nil, err
 		}
@@ -457,7 +470,7 @@ func (t *Tree) GetForUpdate(key []byte) ([]byte, error) {
 	t.releaseTo(0)
 	pageNo := t.root
 	for level := 1; level < t.height; level++ {
-		n, err := t.readNodeCached(pageNo)
+		n, err := t.readNode(pageNo)
 		if err != nil {
 			return nil, err
 		}
@@ -607,12 +620,12 @@ func (t *Tree) maybeSplit(n *node) (*split, error) {
 }
 
 func (t *Tree) leftmostLeaf() (*node, error) {
-	n, err := t.readNodeCached(t.root)
+	n, err := t.readNode(t.root)
 	if err != nil {
 		return nil, err
 	}
 	for !n.leaf {
-		n, err = t.readNodeCached(n.children[0])
+		n, err = t.readNode(n.children[0])
 		if err != nil {
 			return nil, err
 		}

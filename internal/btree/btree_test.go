@@ -226,6 +226,13 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	if _, err := Open(st); err == nil {
 		t.Fatal("opening garbage should fail")
 	}
+	// A tree of the old layout, whose interior pages carry an LSN word.
+	meta := make([]byte, 512)
+	binary.LittleEndian.PutUint32(meta, 0x42545231) // "BTR1"
+	st.WritePage(0, meta)
+	if _, err := Open(st); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("opening a BTR1 tree = %v, want ErrCorrupt", err)
+	}
 }
 
 func ExampleTree() {

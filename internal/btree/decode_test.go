@@ -33,7 +33,7 @@ func fullLeaf(size int) *node {
 }
 
 func fullInterior(size int) *node {
-	n := &node{lsn: 7, children: []int64{2}}
+	n := &node{children: []int64{2}}
 	for i := 0; ; i++ {
 		n.keys = append(n.keys, key(i))
 		n.children = append(n.children, int64(i+3))
@@ -79,21 +79,20 @@ func TestDecodeNodeRejectsHostilePages(t *testing.T) {
 			le.PutUint16(b[1:], le.Uint16(b[1:])+40)
 		}),
 		"interior key length past the page": mutate(interior, func(b []byte) {
-			le.PutUint16(b[nodeHeader+16:], 0xfff0)
+			le.PutUint16(b[nodeHeader+8:], 0xfff0)
 		}),
-		"interior header cut short": interior[:nodeHeader+12],
+		"interior header cut short": interior[:nodeHeader+4],
 		"poisoned frame":            bytes.Repeat([]byte{0xDB}, size),
 	}
 	for name, page := range cases {
-		n, err := decodeNode(17, page)
-		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: got (%v, %v), want ErrCorrupt", name, n, err)
+		if err := decodeNode(new(node), 17, page); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
 		} else if !strings.Contains(err.Error(), "page 17") {
 			t.Errorf("%s: the error must name the page: %v", name, err)
 		}
 	}
 	for name, page := range map[string][]byte{"full leaf": leaf, "full interior": interior} {
-		if _, err := decodeNode(17, page); err != nil {
+		if err := decodeNode(new(node), 17, page); err != nil {
 			t.Errorf("%s: a valid page must decode: %v", name, err)
 		}
 	}
@@ -120,18 +119,20 @@ func TestCorruptLeafSurfacesThroughGet(t *testing.T) {
 	}
 }
 
-// FuzzDecodeNode: whatever the page holds, decodeNode returns a node or an
-// error — it never panics and never reserves more than a small multiple of
-// the page — and a node it accepts re-encodes to a page that decodes to the
-// same node.
+// FuzzDecodeNode: whatever the page holds, decodeNode fills the node or
+// returns an error — it never panics and never reserves more than a small
+// multiple of the page — and a node it accepts re-encodes to a page that
+// decodes to the same node. A shell left dirty by a full page of either kind
+// decodes the page to the same node, or the same error, as a fresh one.
 func FuzzDecodeNode(f *testing.F) {
+	dirty := [][]byte{encoded(f, fullLeaf(4096), 4096), encoded(f, fullInterior(4096), 4096)}
 	for _, size := range []int{512, 4096} {
 		for _, n := range []*node{
 			{leaf: true},
 			{leaf: true, next: 5, keys: [][]byte{key(1)}, vals: [][]byte{[]byte("one")}},
 			fullLeaf(size),
-			{lsn: 1, children: []int64{2}},
-			{lsn: 3, keys: [][]byte{key(9)}, children: []int64{2, 3}},
+			{children: []int64{2}},
+			{keys: [][]byte{key(9)}, children: []int64{2, 3}},
 			fullInterior(size),
 		} {
 			f.Add(encoded(f, n, size))
@@ -141,9 +142,22 @@ func FuzzDecodeNode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xDB}, 4096))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		page := append([]byte(nil), b...)
-		n, err := decodeNode(1, page)
+		n := new(node)
+		err := decodeNode(n, 1, page)
 		if !bytes.Equal(page, b) {
 			t.Fatal("decodeNode wrote to the page")
+		}
+		for _, full := range dirty {
+			shell := new(node)
+			if err := decodeNode(shell, 99, full); err != nil {
+				t.Fatal(err)
+			}
+			switch again := decodeNode(shell, 1, page); {
+			case (err == nil) != (again == nil) || err != nil && err.Error() != again.Error():
+				t.Fatalf("a dirty shell decodes with %v, a fresh one with %v", again, err)
+			case err == nil && !sameNode(n, shell):
+				t.Fatalf("a dirty shell decodes to another node:\n %+v\n %+v", shell, n)
+			}
 		}
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
@@ -160,8 +174,8 @@ func FuzzDecodeNode(f *testing.F) {
 		if size := n.encode(again); size > len(b) {
 			t.Fatalf("a node decoded from %d bytes re-encodes to %d", len(b), size)
 		}
-		m, err := decodeNode(1, again)
-		if err != nil {
+		m := new(node)
+		if err := decodeNode(m, 1, again); err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
 		if !sameNode(n, m) {
@@ -172,7 +186,7 @@ func FuzzDecodeNode(f *testing.F) {
 
 // sameNode compares decoded nodes, treating empty and nil tables alike.
 func sameNode(a, b *node) bool {
-	if a.pageNo != b.pageNo || a.lsn != b.lsn || a.leaf != b.leaf || a.next != b.next ||
+	if a.pageNo != b.pageNo || a.leaf != b.leaf || a.next != b.next ||
 		len(a.keys) != len(b.keys) || len(a.vals) != len(b.vals) || len(a.children) != len(b.children) {
 		return false
 	}

@@ -13,8 +13,9 @@ import (
 var poisonPrefix = bytes.Repeat([]byte{frame.Poison}, 8)
 
 // loadedTree returns a tree of n records (key(i) → 100 bytes starting with
-// key(i)) on 4 KB pages, with or without a node cache.
-func loadedTree(t *testing.T, n int, cached bool) *Tree {
+// key(i)) on 4 KB pages, on a handle that borrows from a shared Scratch or
+// keeps its own.
+func loadedTree(t *testing.T, n int, shared bool) *Tree {
 	t.Helper()
 	st := pagestore.NewMemStore(4096)
 	i := 0
@@ -28,11 +29,11 @@ func loadedTree(t *testing.T, n int, cached bool) *Tree {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var c *NodeCache
-	if cached {
-		c = NewNodeCache(0)
+	var s *Scratch
+	if shared {
+		s = new(Scratch)
 	}
-	tr, err := OpenWithCache(st, c)
+	tr, err := OpenWith(st, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,16 +41,16 @@ func loadedTree(t *testing.T, n int, cached bool) *Tree {
 }
 
 // The db(3) rule broken on purpose: a Get value held across the handle's next
-// call reads poison, with or without a cache lending the frames.
+// call reads poison, with or without a shared Scratch lending the frames.
 func TestGetValueIsPoisonedByTheNextCall(t *testing.T) {
-	for _, cached := range []bool{false, true} {
-		tr := loadedTree(t, 2000, cached)
+	for _, shared := range []bool{false, true} {
+		tr := loadedTree(t, 2000, shared)
 		v, err := tr.Get(key(7))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.HasPrefix(v, key(7)) {
-			t.Fatalf("cached=%v: Get returned %x", cached, v[:8])
+			t.Fatalf("shared=%v: Get returned %x", shared, v[:8])
 		}
 		kept := append([]byte(nil), v...) // what a correct caller does
 		if _, err := tr.Get(key(1999)); err != nil {
@@ -61,64 +62,68 @@ func TestGetValueIsPoisonedByTheNextCall(t *testing.T) {
 		// v's frame went back to the list when the second Get began; whether
 		// the second descent reused it or not, the record is gone from it.
 		if bytes.HasPrefix(v, key(7)) {
-			t.Fatalf("cached=%v: a value held across the next call still reads the old record", cached)
+			t.Fatalf("shared=%v: a value held across the next call still reads the old record", shared)
 		}
 		tr.Close()
 		if !bytes.HasPrefix(v, poisonPrefix) {
-			t.Fatalf("cached=%v: after Close a held value must read poison, got %x", cached, v[:8])
+			t.Fatalf("shared=%v: after Close a held value must read poison, got %x", shared, v[:8])
 		}
 	}
 }
 
 func TestGetForUpdateValueIsPoisonedByThePut(t *testing.T) {
-	tr := loadedTree(t, 2000, true)
-	v, err := tr.GetForUpdate(key(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := append([]byte(nil), v...)
-	fresh[50] = 0xEE
-	if err := tr.Put(key(42), fresh); err != nil {
-		t.Fatal(err)
-	}
-	tr.Close()
-	if !bytes.HasPrefix(v, poisonPrefix) {
-		t.Fatalf("the value read for update must not outlive the Put, got %x", v[:8])
-	}
-	got, err := tr.Get(key(42))
-	if err != nil || got[50] != 0xEE || !bytes.HasPrefix(got, key(42)) {
-		t.Fatalf("the Put must have stored the caller's copy: %x, %v", got[:8], err)
+	for _, shared := range []bool{false, true} {
+		tr := loadedTree(t, 2000, shared)
+		v, err := tr.GetForUpdate(key(42))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := append([]byte(nil), v...)
+		fresh[50] = 0xEE
+		if err := tr.Put(key(42), fresh); err != nil {
+			t.Fatal(err)
+		}
+		tr.Close()
+		if !bytes.HasPrefix(v, poisonPrefix) {
+			t.Fatalf("shared=%v: the value read for update must not outlive the Put, got %x", shared, v[:8])
+		}
+		got, err := tr.Get(key(42))
+		if err != nil || got[50] != 0xEE || !bytes.HasPrefix(got, key(42)) {
+			t.Fatalf("shared=%v: the Put must have stored the caller's copy: %x, %v", shared, got[:8], err)
+		}
 	}
 }
 
 // A cursor's entry is valid within its leaf; once Next has crossed to the next
 // leaf, or the handle has served another call, a held entry reads poison.
 func TestCursorEntryIsPoisonedPastItsLeaf(t *testing.T) {
-	tr := loadedTree(t, 2000, false)
-	c, err := tr.First()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Next() {
-		t.Fatal("empty cursor")
-	}
-	firstKey, firstVal := c.Key(), c.Value()
-	leaf := c.n.pageNo
-	for c.Next() && c.n.pageNo == leaf {
-		if !bytes.Equal(firstKey, key(0)) {
-			t.Fatal("an entry must stay valid while the cursor is on its leaf")
+	for _, shared := range []bool{false, true} {
+		tr := loadedTree(t, 2000, shared)
+		c, err := tr.First()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if c.n.pageNo == leaf {
-		t.Fatal("the tree has one leaf: nothing to cross")
-	}
-	if bytes.Equal(firstKey, key(0)) || bytes.HasPrefix(firstVal, key(0)) {
-		t.Fatal("an entry held past its leaf still reads the old record")
-	}
-	for c.Next() {
-	}
-	if c.Err() != nil {
-		t.Fatal(c.Err())
+		if !c.Next() {
+			t.Fatal("empty cursor")
+		}
+		firstKey, firstVal := c.Key(), c.Value()
+		leaf := c.n.pageNo
+		for c.Next() && c.n.pageNo == leaf {
+			if !bytes.Equal(firstKey, key(0)) {
+				t.Fatalf("shared=%v: an entry must stay valid while the cursor is on its leaf", shared)
+			}
+		}
+		if c.n.pageNo == leaf {
+			t.Fatal("the tree has one leaf: nothing to cross")
+		}
+		if bytes.Equal(firstKey, key(0)) || bytes.HasPrefix(firstVal, key(0)) {
+			t.Fatalf("shared=%v: an entry held past its leaf still reads the old record", shared)
+		}
+		for c.Next() {
+		}
+		if c.Err() != nil {
+			t.Fatal(c.Err())
+		}
 	}
 }
 
@@ -177,8 +182,11 @@ func TestLongLivedHandleRecyclesItsFrames(t *testing.T) {
 	if len(tr.borrowed) > tr.Height()+1 {
 		t.Errorf("the handle holds %d borrowed frames after 20,000 calls", len(tr.borrowed))
 	}
-	if held := len(tr.borrowed) + tr.own.Free(); held > tr.Height()+2 {
+	if held := len(tr.borrowed) + tr.s.frames.Free(); held > tr.Height()+2 {
 		t.Errorf("the handle's frame list grew to %d frames", held)
+	}
+	if held := len(tr.borrowed) + len(tr.s.shells); held > tr.Height()+1 {
+		t.Errorf("the handle's shell list grew to %d shells", held)
 	}
 }
 
@@ -199,7 +207,7 @@ func TestScanHoldsOneLeaf(t *testing.T) {
 			t.Fatalf("the scan holds %d frames (crossed a leaf: %v)", len(tr.borrowed), crossed)
 		}
 	}
-	if held := len(tr.borrowed) + tr.own.Free(); held > tr.Height()+1 {
+	if held := len(tr.borrowed) + tr.s.frames.Free(); held > tr.Height()+1 {
 		t.Fatalf("a scan of %d leaves left %d frames with the handle", 5000/34, held)
 	}
 }
@@ -210,19 +218,19 @@ func TestCheckHoldsOneFramePerLevel(t *testing.T) {
 	if n, err := tr.Check(); err != nil || n != 5000 {
 		t.Fatalf("Check = %d, %v", n, err)
 	}
-	if held := len(tr.borrowed) + tr.own.Free(); held > tr.Height()+2 {
+	if held := len(tr.borrowed) + tr.s.frames.Free(); held > tr.Height()+2 {
 		t.Fatalf("Check left %d frames with the handle", held)
 	}
 }
 
-// Handles that come and go over one cache, as one per transaction does, keep
-// taking the same few frames from it.
-func TestCacheLendsTheSameFramesToEveryHandle(t *testing.T) {
+// Handles that come and go over one Scratch, as one per transaction does, keep
+// taking the same few frames and shells from it.
+func TestScratchLendsTheSameFramesToEveryHandle(t *testing.T) {
 	tr := loadedTree(t, 5000, true)
-	st, c := tr.st, tr.cache
+	st, s := tr.st, tr.s
 	tr.Close()
 	for i := 0; i < 1000; i++ {
-		h, err := OpenWithCache(st, c)
+		h, err := OpenWith(st, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,8 +243,11 @@ func TestCacheLendsTheSameFramesToEveryHandle(t *testing.T) {
 		}
 		h.Close()
 	}
-	if free := c.frames.Free(); free > tr.Height()+2 {
-		t.Fatalf("1,000 handles left %d frames on the cache's list", free)
+	if free := s.frames.Free(); free > tr.Height()+2 {
+		t.Fatalf("1,000 handles left %d frames on the Scratch's list", free)
+	}
+	if free := len(s.shells); free > tr.Height() {
+		t.Fatalf("1,000 handles left %d shells on the Scratch's list", free)
 	}
 }
 

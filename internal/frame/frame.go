@@ -55,8 +55,8 @@ func IsZero(b []byte) bool {
 // high-water mark of frames its owner has out at once and stays there.
 //
 // A List is not safe for concurrent use: it belongs to one long-lived object
-// (a buffer pool, a node cache, a transaction manager, a file system) and is
-// guarded by whatever guards that object.
+// (a buffer pool, a B-tree relation's Scratch, a transaction manager, a file
+// system) and is guarded by whatever guards that object.
 type List struct {
 	size int
 	free [][]byte

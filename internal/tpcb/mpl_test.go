@@ -316,7 +316,7 @@ func (f *falteringWorker) Run(t Txn) error {
 	if err == nil {
 		err = fmt.Errorf("%w: faltering client gives up", lock.ErrDeadlock)
 	}
-	f.w.abort()
+	f.w.c.abort()
 	return err
 }
 

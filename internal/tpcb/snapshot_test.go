@@ -57,18 +57,18 @@ func pinnedRuns() []pinnedRun {
 	}
 	with := func(o RigOptions, f func(*RigOptions)) RigOptions { f(&o); return o }
 	runs := []pinnedRun{
-		{"signature_user-ffs_mpl1", sig("user-ffs", 1), 1, 0, &allocBudget{4416, 2222, 18.1, 75.3}},
-		{"signature_user-lfs_mpl1", sig("user-lfs", 1), 1, 0, &allocBudget{3289, 2035, 28.3, 93.3}},
-		{"signature_kernel-lfs_mpl1", sig("kernel-lfs", 1), 1, 0, &allocBudget{3721, 2093, 24.2, 109.0}},
+		{"signature_user-ffs_mpl1", sig("user-ffs", 1), 1, 0, &allocBudget{4416, 2222, 6.3, 35.0}},
+		{"signature_user-lfs_mpl1", sig("user-lfs", 1), 1, 0, &allocBudget{3289, 2035, 16.0, 50.0}},
+		{"signature_kernel-lfs_mpl1", sig("kernel-lfs", 1), 1, 0, &allocBudget{3721, 2093, 12.2, 73.3}},
 		{"signature_user-ffs_mpl8", sig("user-ffs", 8), 8, 0, nil},
 		{"signature_user-lfs_mpl8", sig("user-lfs", 8), 8, 0, nil},
 		{"signature_kernel-lfs_mpl8", sig("kernel-lfs", 8), 8, 0, nil},
 		{"signature_kernel-lfs_mpl8-idle-cleaner", with(sig("kernel-lfs", 8), func(o *RigOptions) {
 			o.CleanerMode, o.DiskScale = "idle", 0.5
 		}), 8, 0, nil},
-		{"signature_user-ffs_mpl64", sig("user-ffs", 8), 64, 0, &allocBudget{4405, 2211, 19.8, 75.5}},
-		{"signature_user-lfs_mpl64", sig("user-lfs", 8), 64, 0, &allocBudget{3289, 2033, 24.5, 79.1}},
-		{"signature_kernel-lfs_mpl64", sig("kernel-lfs", 8), 64, 0, &allocBudget{3721, 2093, 21.3, 94.9}},
+		{"signature_user-ffs_mpl64", sig("user-ffs", 8), 64, 0, &allocBudget{4405, 2211, 9.5, 37.4}},
+		{"signature_user-lfs_mpl64", sig("user-lfs", 8), 64, 0, &allocBudget{3289, 2033, 14.4, 41.1}},
+		{"signature_kernel-lfs_mpl64", sig("kernel-lfs", 8), 64, 0, &allocBudget{3721, 2093, 11.2, 61.7}},
 		// The shape `txnbench -fig mpl` gives its MPL 256 cells: one buffer per
 		// client (CacheBlocks = MPL, see figures.FigureMPL), the kernel's cleaner
 		// in idle windows.

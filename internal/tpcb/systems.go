@@ -110,13 +110,14 @@ func ScanAccountsOn(fsys vfs.FileSystem) (int64, error) {
 // record is read for update, so the leaf is write-locked at first touch: a Get
 // whose shared lock the Put then upgraded would deadlock every pair of clients
 // meeting on the hot teller or branch leaf, each holding the shared lock the
-// other's upgrade waits for.
-func updateBalance(st pagestore.Store, cache *btree.NodeCache, id, amount int64) error {
-	tr, err := btree.OpenWithCache(st, cache)
+// other's upgrade waits for. scratch is the relation's: the handle borrows its
+// page frames and node shells there.
+func updateBalance(st pagestore.Store, scratch *btree.Scratch, id, amount int64) error {
+	tr, err := btree.OpenWith(st, scratch)
 	if err != nil {
 		return err
 	}
-	defer tr.Close() // the handle's page frames go back to the relation's cache
+	defer tr.Close() // the handle's frames and shells go back to the relation's Scratch
 	key := Key(id)
 	rec, err := tr.GetForUpdate(key)
 	if err != nil {
@@ -157,21 +158,17 @@ type TxnSystem struct {
 	// where before-images work but locking measured faster (DESIGN.md §11).
 	lockingScans bool
 	rels         [4]relation // in DBPaths order
-	// Interior-node caches of the three B-tree relations (history is recno
-	// — no interior pages). Shared across workers, validated by on-page LSN,
-	// and flushed wholesale on any abort: the abort rewinds page LSNs, so a
-	// post-abort writer could reissue an LSN the cache still maps to
-	// aborted-timeline bytes.
-	caches [3]*btree.NodeCache
-	// histFrames serves the history relation's per-transaction handles as the
-	// caches' frame lists serve the B-trees'. Clients run one at a time under
-	// the scheduler's token, which is all that guards it.
+	// scratch lends the per-transaction handles of the three B-tree
+	// relations their page frames and node shells, and histFrames the history
+	// relation's its tail-page frames. Clients run one at a time under the
+	// scheduler's token, which is all that guards them.
+	scratch    [3]btree.Scratch
 	histFrames frame.List
 	// run is the client Run executes on.
 	run *worker
 }
 
-// The relations' indexes in TxnSystem.rels and caches.
+// The relations' indexes in TxnSystem.rels and scratch.
 const (
 	relAccount = iota
 	relTeller
@@ -193,9 +190,6 @@ func NewEmbeddedSystem(m *core.Manager, clock *sim.Clock, costs sim.CostModel) *
 func newTxnSystem(mgr txnManager, name string, lockingScans bool, clock *sim.Clock, costs sim.CostModel) *TxnSystem {
 	s := &TxnSystem{mgr: mgr, name: name, clock: clock, costs: costs, lockingScans: lockingScans,
 		histFrames: frame.NewList(mgr.fs().BlockSize())}
-	for i := range s.caches {
-		s.caches[i] = btree.NewNodeCache(0)
-	}
 	s.run = &worker{s: s, c: mgr.newClient()}
 	return s
 }
@@ -268,7 +262,7 @@ func (w *worker) Run(t Txn) error {
 		return err
 	}
 	if err := w.apply(t); err != nil {
-		w.abort()
+		w.c.abort()
 		return err
 	}
 	return w.c.commit()
@@ -280,19 +274,10 @@ func (w *worker) apply(t Txn) error {
 	s := w.s
 	for i, id := range [3]int64{t.Account, t.Teller, t.Branch} {
 		s.clock.Advance(s.costs.RecordOp)
-		if err := updateBalance(w.c.store(s.rels[i]), s.caches[i], id, t.Amount); err != nil {
+		if err := updateBalance(w.c.store(s.rels[i]), &s.scratch[i], id, t.Amount); err != nil {
 			return err
 		}
 	}
 	s.clock.Advance(s.costs.RecordOp)
 	return appendHistory(w.c.store(s.rels[relHistory]), &s.histFrames, s.clock, t)
-}
-
-// abort rolls the running transaction back and drops the shared interior
-// caches (see the TxnSystem field comment).
-func (w *worker) abort() {
-	w.c.abort()
-	for _, c := range w.s.caches {
-		c.Flush()
-	}
 }
